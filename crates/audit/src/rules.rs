@@ -13,7 +13,9 @@
 //! and `sim::arena`, the flat plan store) sit inside the D1/D2 net via
 //! the `sim` crate scope; the fixture suite trips each rule in each of
 //! them so a future per-module scope list cannot silently drop the
-//! modules that *define* event order.
+//! modules that *define* event order. `storage::merge` (the k-way merge
+//! cursor behind every LSM scan and compaction, which defines *version*
+//! order) is covered and pinned the same way through the `storage` scope.
 //!
 //! | rule               | issue | scope                                  | default |
 //! |--------------------|-------|----------------------------------------|---------|

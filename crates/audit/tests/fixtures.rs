@@ -137,6 +137,18 @@ fn d1_clock_covers_the_kernel_hot_path_modules() {
     assert_eq!(rules_hit(&[queue, arena]), ["clock", "clock"]);
 }
 
+#[test]
+fn d1_clock_covers_the_storage_merge_cursor() {
+    // `storage::merge` decides which version of a key every LSM scan and
+    // compaction keeps; ambient state there would reorder snapshots and
+    // receipts. Pinned like the kernel hot path above.
+    let merge = file(
+        "crates/storage/src/merge.rs",
+        "fn f() { let t = Instant::now(); let r = thread_rng(); }",
+    );
+    assert_eq!(rules_hit(&[merge]), ["clock", "clock"]);
+}
+
 // ---------------------------------------------------------------- D2
 
 #[test]

@@ -64,6 +64,11 @@ fn bench_lsm() {
         let key = record_for_seq(i).key;
         black_box(tree.scan(&key, 50).0.len())
     });
+    group.bench("scan50_count", || {
+        i = (i + 7919) % N;
+        let key = record_for_seq(i).key;
+        black_box(tree.scan_count(&key, 50).0)
+    });
 }
 
 fn bench_btree() {
@@ -85,6 +90,11 @@ fn bench_btree() {
         i = (i + 7919) % N;
         let key = record_for_seq(i).key;
         black_box(tree.scan(&key, 50).0.len())
+    });
+    group.bench("scan50_count", || {
+        i = (i + 7919) % N;
+        let key = record_for_seq(i).key;
+        black_box(tree.scan_count(&key, 50).0)
     });
 }
 
@@ -120,6 +130,10 @@ fn bench_hashstore() {
     group.bench("scan50", || {
         i = (i + 7919) % N;
         black_box(store.scan(&record_for_seq(i).key, 50).0.len())
+    });
+    group.bench("scan50_count", || {
+        i = (i + 7919) % N;
+        black_box(store.scan_count(&record_for_seq(i).key, 50).0)
     });
 }
 

@@ -1,12 +1,10 @@
-//! Microbenchmarks of workload generation, statistics, and the raw
-//! simulator event loop.
+//! Microbenchmarks of workload generation and statistics. (The raw
+//! simulator event loop is benched in `kernel.rs`, which owns
+//! `BENCH_kernel.json`.)
 
 use apm_bench::runner::{black_box, Group};
 use apm_core::stats::{BenchStats, Histogram};
 use apm_core::workload::{Workload, WorkloadGenerator};
-use apm_sim::kernel::{Engine, Token};
-use apm_sim::plan::Plan;
-use apm_sim::time::SimDuration;
 
 fn bench_workload_gen() {
     let group = Group::new("workload");
@@ -42,37 +40,7 @@ fn bench_histogram() {
     });
 }
 
-fn bench_kernel() {
-    let group = Group::new("kernel");
-    // One iteration = submit and complete a closed loop of 1000 plans on
-    // a contended resource: measures events/second of the simulator.
-    group.bench("closed_loop_1000_ops", || {
-        let mut engine = Engine::new();
-        let cpu = engine.add_resource("cpu", 8);
-        let plan = engine.prepare(
-            &Plan::build()
-                .acquire(cpu, SimDuration::from_micros(100))
-                .finish(),
-        );
-        for i in 0..64 {
-            engine.submit_prepared(plan, Token(i));
-        }
-        let mut batch = std::collections::VecDeque::new();
-        let mut completed = 0u64;
-        while completed < 1_000 {
-            if batch.is_empty() && !engine.drain_completions(&mut batch) {
-                panic!("closed loop starved");
-            }
-            let c = batch.pop_front().expect("closed loop");
-            completed += 1;
-            engine.submit_prepared(plan, c.token);
-        }
-        black_box(engine.now())
-    });
-}
-
 fn main() {
     bench_workload_gen();
     bench_histogram();
-    bench_kernel();
 }

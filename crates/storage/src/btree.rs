@@ -252,34 +252,51 @@ impl BTree {
         }
     }
 
+    /// The one range walk: follows leaf links from `start`, handing
+    /// `visit` each leaf's share of the first `len` records. Returns how
+    /// many records that was and the pages read.
+    fn walk(
+        &self,
+        start: &MetricKey,
+        len: usize,
+        mut visit: impl FnMut(&[(MetricKey, FieldValues)]),
+    ) -> (usize, PageTrace) {
+        let mut trace = PageTrace::default();
+        let mut leaf = self.leaf_for(start, &mut trace);
+        let mut seen = 0;
+        loop {
+            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
+                unreachable!()
+            };
+            let from = entries.partition_point(|(k, _)| k < start);
+            let rows = &entries[from..entries.len().min(from.saturating_add(len - seen))];
+            visit(rows);
+            seen += rows.len();
+            match next {
+                Some(n) if seen < len => {
+                    leaf = *n;
+                    trace.read.push(PageId(leaf as u64));
+                }
+                _ => return (seen, trace),
+            }
+        }
+    }
+
     /// Range scan of up to `len` records from `start`, following leaf links.
     pub fn scan(
         &self,
         start: &MetricKey,
         len: usize,
     ) -> (Vec<(MetricKey, FieldValues)>, PageTrace) {
-        let mut trace = PageTrace::default();
-        let mut leaf = self.leaf_for(start, &mut trace);
-        let mut out = Vec::with_capacity(len);
-        loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            let from = entries.partition_point(|(k, _)| k < start);
-            for (k, v) in &entries[from..] {
-                if out.len() == len {
-                    return (out, trace);
-                }
-                out.push((*k, *v));
-            }
-            match next {
-                Some(n) if out.len() < len => {
-                    leaf = *n;
-                    trace.read.push(PageId(leaf as u64));
-                }
-                _ => return (out, trace),
-            }
-        }
+        let mut out = Vec::with_capacity(len.min(self.len as usize));
+        let (_, trace) = self.walk(start, len, |rows| out.extend_from_slice(rows));
+        (out, trace)
+    }
+
+    /// [`BTree::scan`] for callers that only need the row count: the same
+    /// leaf walk and page trace, with no row copied.
+    pub fn scan_count(&self, start: &MetricKey, len: usize) -> (usize, PageTrace) {
+        self.walk(start, len, |_| {})
     }
 
     /// Serializes the page arena and tree shape (the config is re-supplied

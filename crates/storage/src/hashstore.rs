@@ -10,8 +10,7 @@
 use crate::receipt::CostReceipt;
 use apm_core::record::{FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
+use std::collections::{btree_set, BTreeSet, HashMap};
 
 /// Redis-era per-entry memory overhead, in bytes: robj headers, dict
 /// entry, sds headers for the key and each of the five field values, plus
@@ -104,23 +103,56 @@ impl HashStore {
         (value, receipt)
     }
 
+    /// The one range walk (ZRANGEBYLEX): the first `len` index keys at
+    /// or after `start`.
+    fn window(
+        &self,
+        start: &MetricKey,
+        len: usize,
+    ) -> std::iter::Take<btree_set::Range<'_, MetricKey>> {
+        self.index.range(start..).take(len)
+    }
+
+    /// ZRANGEBYLEX walk + one HGETALL per hit.
+    fn scan_receipt(rows: usize) -> CostReceipt {
+        let mut receipt = CostReceipt::new();
+        receipt.probe(1 + rows as u64);
+        receipt.touch((rows * RAW_RECORD_SIZE) as u64);
+        receipt
+    }
+
     /// Range scan over the sorted-set index.
     pub fn scan(
         &self,
         start: &MetricKey,
         len: usize,
     ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
-        let mut receipt = CostReceipt::new();
-        // ZRANGEBYLEX walk + one HGETALL per hit.
         let out: Vec<(MetricKey, FieldValues)> = self
-            .index
-            .range((Bound::Included(*start), Bound::Unbounded))
-            .take(len)
-            .filter_map(|k| self.map.get(k).map(|v| (*k, *v)))
+            .window(start, len)
+            .filter_map(|k| {
+                let value = self.map.get(k);
+                debug_assert!(value.is_some(), "index key {k:?} has no hash entry");
+                value.map(|v| (*k, *v))
+            })
             .collect();
-        receipt.probe(1 + out.len() as u64);
-        receipt.touch((out.len() * RAW_RECORD_SIZE) as u64);
+        let receipt = Self::scan_receipt(out.len());
         (out, receipt)
+    }
+
+    /// [`HashStore::scan`] for callers that only need the row count: the
+    /// same index walk and receipt without the hash lookups. `insert` is
+    /// the only mutator and writes both structures, so index hits are rows.
+    pub fn scan_count(&self, start: &MetricKey, len: usize) -> (usize, CostReceipt) {
+        let rows = self.window(start, len).count();
+        (rows, Self::scan_receipt(rows))
+    }
+
+    /// Whether index, hash and memory accounting agree. `insert` keeps
+    /// this true; a decoded snapshot is the only other way state gets in.
+    pub fn is_consistent(&self) -> bool {
+        self.index.len() == self.map.len()
+            && self.index.iter().all(|k| self.map.contains_key(k))
+            && self.mem_bytes == self.map.len() as u64 * Self::bytes_per_record()
     }
 
     /// Number of records.
@@ -250,6 +282,28 @@ mod tests {
             receipt.probes, 51,
             "one index walk + one hash probe per record"
         );
+    }
+
+    #[test]
+    fn tampered_snapshot_accounting_is_inconsistent() {
+        let mut store = HashStore::new(None);
+        for seq in 0..200 {
+            let r = record_for_seq(seq);
+            store.insert(r.key, r.fields).unwrap();
+        }
+        assert!(store.is_consistent());
+        // A snapshot whose memory accounting disagrees with its records
+        // restores without error; the consistency check is what sees it.
+        let mut w = SnapWriter::new();
+        store.snap_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let tail = bytes.len() - 8;
+        bytes[tail] ^= 1;
+        let mut restored = HashStore::new(None);
+        restored
+            .restore_state(&mut SnapReader::new(&bytes))
+            .unwrap();
+        assert!(!restored.is_consistent());
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod encoding;
 pub mod hashstore;
 pub mod lsm;
 pub mod memtable;
+pub mod merge;
 pub mod partition;
 pub mod receipt;
 pub mod sstable;

@@ -16,6 +16,7 @@
 //! only then does the real merge happen and read amplification drop.
 
 use crate::memtable::Memtable;
+use crate::merge::MergeCursor;
 use crate::receipt::CostReceipt;
 use crate::sstable::{SsTable, TableProbe};
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
@@ -374,34 +375,44 @@ impl LsmTree {
         (None, receipt)
     }
 
+    /// The one range walk: charges the memtable probe and every run's
+    /// window to the receipt, then hands `finish` the merged stream of the
+    /// first `len` live keys (newest version of each).
+    fn scan_with<R>(
+        &mut self,
+        start: &MetricKey,
+        len: usize,
+        finish: impl FnOnce(std::iter::Take<MergeCursor<'_>>) -> R,
+    ) -> (R, CostReceipt) {
+        self.stats.scans += 1;
+        let mut receipt = CostReceipt::new();
+        receipt.probe(1);
+        let mut cursor = MergeCursor::with_capacity(1 + self.tables.len());
+        cursor.push_memtable(self.memtable.scan(start, len));
+        for table in &self.tables {
+            cursor.push_run(table.id, table.scan(start, len, &mut receipt));
+        }
+        (finish(cursor.take(len)), receipt)
+    }
+
     /// Range scan merging the memtable and every run.
     pub fn scan(
         &mut self,
         start: &MetricKey,
         len: usize,
     ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
-        self.stats.scans += 1;
-        let mut receipt = CostReceipt::new();
-        // (priority, key, value): higher priority = newer version wins.
-        let mut candidates: Vec<(u64, MetricKey, FieldValues)> = self
-            .memtable
-            .scan(start, len)
-            .map(|(k, v)| (u64::MAX, *k, *v))
-            .collect();
-        receipt.probe(1);
-        let mut buf = Vec::new();
-        for table in &self.tables {
-            buf.clear();
-            table.scan(start, len, &mut receipt, &mut buf);
-            candidates.extend(buf.iter().map(|(k, v)| (table.id, *k, *v)));
-        }
-        candidates.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
-        candidates.dedup_by(|next, first| next.1 == first.1);
-        candidates.truncate(len);
-        (
-            candidates.into_iter().map(|(_, k, v)| (k, v)).collect(),
-            receipt,
-        )
+        let capacity = len.min(self.record_count() as usize);
+        self.scan_with(start, len, |winners| {
+            let mut rows = Vec::with_capacity(capacity);
+            rows.extend(winners.map(|(k, v)| (*k, *v)));
+            rows
+        })
+    }
+
+    /// [`LsmTree::scan`] for callers that only need the row count: the
+    /// same walk, statistics and receipt, with no row copied.
+    pub fn scan_count(&mut self, start: &MetricKey, len: usize) -> (usize, CostReceipt) {
+        self.scan_with(start, len, |winners| winners.count())
     }
 
     /// Number of immutable runs.

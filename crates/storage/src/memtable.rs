@@ -7,8 +7,7 @@
 
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::{btree_map, BTreeMap};
 
 /// A sorted in-memory write buffer with byte accounting.
 #[derive(Clone, Debug, Default)]
@@ -39,14 +38,12 @@ impl Memtable {
     }
 
     /// Iterates at most `len` records starting at `start` in key order.
-    pub fn scan<'a>(
-        &'a self,
+    pub fn scan(
+        &self,
         start: &MetricKey,
         len: usize,
-    ) -> impl Iterator<Item = (&'a MetricKey, &'a FieldValues)> + 'a {
-        self.entries
-            .range((Bound::Included(*start), Bound::Unbounded))
-            .take(len)
+    ) -> std::iter::Take<btree_map::Range<'_, MetricKey, FieldValues>> {
+        self.entries.range(start..).take(len)
     }
 
     /// Number of buffered records.

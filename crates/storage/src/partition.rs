@@ -11,8 +11,7 @@
 use crate::receipt::CostReceipt;
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::{btree_map, BTreeMap};
 
 /// One VoltDB-style partition: an in-memory table with a tree index.
 #[derive(Clone, Debug, Default)]
@@ -55,22 +54,39 @@ impl PartitionTable {
         (value, receipt)
     }
 
+    /// The one range walk: the first `len` rows at or after `start`.
+    fn window(
+        &self,
+        start: &MetricKey,
+        len: usize,
+    ) -> std::iter::Take<btree_map::Range<'_, MetricKey, FieldValues>> {
+        self.rows.range(start..).take(len)
+    }
+
+    fn scan_receipt(&self, rows: usize) -> CostReceipt {
+        let mut receipt = CostReceipt::new();
+        receipt.probe(self.index_probes() + rows as u64 / 8);
+        receipt.touch((rows * RAW_RECORD_SIZE) as u64);
+        receipt
+    }
+
     /// Range scan within this partition.
     pub fn scan(
         &self,
         start: &MetricKey,
         len: usize,
     ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
-        let mut receipt = CostReceipt::new();
-        let out: Vec<(MetricKey, FieldValues)> = self
-            .rows
-            .range((Bound::Included(*start), Bound::Unbounded))
-            .take(len)
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        receipt.probe(self.index_probes() + out.len() as u64 / 8);
-        receipt.touch((out.len() * RAW_RECORD_SIZE) as u64);
+        let out: Vec<(MetricKey, FieldValues)> =
+            self.window(start, len).map(|(k, v)| (*k, *v)).collect();
+        let receipt = self.scan_receipt(out.len());
         (out, receipt)
+    }
+
+    /// [`PartitionTable::scan`] for callers that only need the row count:
+    /// the same index walk and receipt, with no row copied.
+    pub fn scan_count(&self, start: &MetricKey, len: usize) -> (usize, CostReceipt) {
+        let rows = self.window(start, len).count();
+        (rows, self.scan_receipt(rows))
     }
 
     /// Number of rows.

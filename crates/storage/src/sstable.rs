@@ -6,6 +6,7 @@
 //! by memtable flushes and merged by compaction.
 
 use crate::bloom::Bloom;
+use crate::merge::MergeCursor;
 use crate::receipt::{CostReceipt, DiskIo};
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -57,30 +58,25 @@ impl SsTable {
         }
     }
 
-    /// Merges several tables (newest first) into one. Newer values win on
-    /// key collisions. Returns the merged table.
+    /// Merges several tables into one by streaming them through a
+    /// [`MergeCursor`]. On key collisions the value from the table with
+    /// the highest id (the newest run) wins, whatever the order of
+    /// `inputs`.
     pub fn merge(
         id: u64,
         inputs: &[&SsTable],
         block_bytes: u64,
         bloom_bits_per_key: usize,
     ) -> SsTable {
-        // K-way merge via collect-then-dedup: inputs are sorted, but a
-        // simple concatenation + stable sort keeps the code obvious and is
-        // O(n log n) on real data the benchmark sizes reach.
-        let mut all: Vec<(u64, MetricKey, FieldValues)> =
-            Vec::with_capacity(inputs.iter().map(|t| t.entries.len()).sum());
+        let mut cursor = MergeCursor::with_capacity(inputs.len());
         for table in inputs {
-            for (k, v) in &table.entries {
-                all.push((table.id, *k, *v));
-            }
+            cursor.push_run(table.id, &table.entries);
         }
-        // Sort by key, then by table id descending so the newest version
-        // of a key comes first and survives the dedup.
-        all.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
-        all.dedup_by(|next, first| next.1 == first.1);
-        let entries: Vec<(MetricKey, FieldValues)> =
-            all.into_iter().map(|(_, k, v)| (k, v)).collect();
+        // Sized for the no-duplicate case (the common one: a load phase
+        // never rewrites a key); shadowed versions give the slack back.
+        let mut entries = Vec::with_capacity(inputs.iter().map(|t| t.entries.len()).sum());
+        entries.extend(cursor.map(|(k, v)| (*k, *v)));
+        entries.shrink_to_fit();
         SsTable::from_sorted(id, entries, block_bytes, bloom_bits_per_key)
     }
 
@@ -100,30 +96,29 @@ impl SsTable {
         }
     }
 
-    /// Collects up to `len` records at or after `start`, reporting cost.
+    /// The window of up to `len` records at or after `start`, borrowed
+    /// from the run; the cost of reading it goes into `receipt`.
     pub fn scan(
         &self,
         start: &MetricKey,
         len: usize,
         receipt: &mut CostReceipt,
-        out: &mut Vec<(MetricKey, FieldValues)>,
-    ) {
+    ) -> &[(MetricKey, FieldValues)] {
         receipt.probe(1);
         let from = match self.entries.binary_search_by(|(k, _)| k.cmp(start)) {
             Ok(i) | Err(i) => i,
         };
-        let slice = &self.entries[from..self.entries.len().min(from + len)];
-        if slice.is_empty() {
-            return;
+        let window = &self.entries[from..self.entries.len().min(from.saturating_add(len))];
+        if !window.is_empty() {
+            // One positioning access, then sequential blocks.
+            let bytes = (window.len() * RAW_RECORD_SIZE) as u64;
+            receipt.add_io(DiskIo::random_read(self.block_bytes));
+            if bytes > self.block_bytes {
+                receipt.add_io(DiskIo::seq_read(bytes - self.block_bytes));
+            }
+            receipt.touch(bytes);
         }
-        // One positioning access, then sequential blocks.
-        let bytes = (slice.len() * RAW_RECORD_SIZE) as u64;
-        receipt.add_io(DiskIo::random_read(self.block_bytes));
-        if bytes > self.block_bytes {
-            receipt.add_io(DiskIo::seq_read(bytes - self.block_bytes));
-        }
-        receipt.touch(bytes);
-        out.extend_from_slice(slice);
+        window
     }
 
     /// Number of records.
@@ -223,9 +218,8 @@ mod tests {
         let table = build(1, 0..1000);
         let mut keys: Vec<MetricKey> = (0..1000).map(|s| record_for_seq(s).key).collect();
         keys.sort();
-        let mut out = Vec::new();
         let mut receipt = CostReceipt::new();
-        table.scan(&keys[100], 50, &mut receipt, &mut out);
+        let out = table.scan(&keys[100], 50, &mut receipt);
         assert_eq!(out.len(), 50);
         assert_eq!(out[0].0, keys[100]);
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
@@ -240,10 +234,9 @@ mod tests {
         let table = build(1, 0..100);
         let mut keys: Vec<MetricKey> = (0..100).map(|s| record_for_seq(s).key).collect();
         keys.sort();
-        let mut out = Vec::new();
         let mut receipt = CostReceipt::new();
-        table.scan(&keys[95], 50, &mut receipt, &mut out);
-        assert_eq!(out.len(), 5);
+        assert_eq!(table.scan(&keys[95], 50, &mut receipt).len(), 5);
+        assert_eq!(table.scan(&keys[95], usize::MAX, &mut receipt).len(), 5);
     }
 
     #[test]

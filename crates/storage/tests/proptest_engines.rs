@@ -13,6 +13,9 @@ use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::hashstore::HashStore;
 use apm_storage::lsm::{JobKind, LsmConfig, LsmTree};
 use apm_storage::memtable::Memtable;
+use apm_storage::partition::PartitionTable;
+use apm_storage::sstable::SsTable;
+use apm_storage::CostReceipt;
 use std::collections::BTreeMap;
 
 const CASES: u64 = 64;
@@ -532,6 +535,190 @@ fn bloom_has_no_false_negatives() {
         }
         for &seq in &seqs {
             assert!(bloom.may_contain(&key(seq)), "case {case}");
+        }
+    }
+}
+
+// ------------------------------------------------- count-only == scan
+
+/// A scan window biased towards the edges: the key-space bounds, starts
+/// past the last record, and `len` of 0, 1 and far past the end.
+fn random_window(rng: &mut SplitRng, key_space: u64) -> (MetricKey, usize) {
+    let start = match rng.next_below(8) {
+        0 => MetricKey::MIN,
+        1 => MetricKey::MAX,
+        _ => key(rng.next_below(key_space + 50)),
+    };
+    let len = match rng.next_below(8) {
+        0 => 0,
+        1 => 1,
+        2 => 10_000,
+        3 => usize::MAX,
+        _ => 1 + rng.next_below(79) as usize,
+    };
+    (start, len)
+}
+
+#[test]
+fn lsm_scan_count_equals_scan_over_overlapping_runs() {
+    let mut root = SplitRng::new(0x6373_6C73);
+    for case in 0..CASES {
+        let mut rng = root.split(case);
+        // Compaction needs more runs than a case produces, so rewritten
+        // keys stay shadowed across the memtable and several runs and
+        // newest-wins decides every scan.
+        let config = LsmConfig {
+            memtable_flush_bytes: 75 * 30,
+            min_compaction_inputs: if case % 4 == 0 { 4 } else { 1_000 },
+            ..LsmConfig::default()
+        };
+        // Two trees fed the same calls: one materialises, one counts.
+        let mut rows_tree = LsmTree::new(config);
+        let mut count_tree = LsmTree::new(config);
+        let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
+        let writes = 150 + rng.next_below(250);
+        for version in 0..writes {
+            let seq = rng.next_below(120);
+            let fields = FieldValues::from_seed(version);
+            let (_, job) = rows_tree.insert(key(seq), fields);
+            settle(&mut rows_tree, job);
+            let (_, job) = count_tree.insert(key(seq), fields);
+            settle(&mut count_tree, job);
+            model.insert(key(seq), fields);
+            if version % 7 != 0 {
+                continue;
+            }
+            let (start, len) = random_window(&mut rng, 120);
+            let (rows, scan_receipt) = rows_tree.scan(&start, len);
+            let (count, count_receipt) = count_tree.scan_count(&start, len);
+            let expect: Vec<(MetricKey, FieldValues)> = model
+                .range(start..)
+                .take(len)
+                .map(|(k, v)| (*k, *v))
+                .collect();
+            assert_eq!(rows, expect, "case {case}: newest version must win");
+            assert_eq!(count, rows.len(), "case {case}");
+            assert_eq!(count_receipt, scan_receipt, "case {case}");
+        }
+        if case % 4 != 0 {
+            assert!(rows_tree.table_count() >= 3, "case {case}: too few runs");
+        }
+        assert_eq!(rows_tree.stats(), count_tree.stats(), "case {case}");
+    }
+}
+
+#[test]
+fn btree_scan_count_equals_scan() {
+    let mut root = SplitRng::new(0x6373_6274);
+    for case in 0..CASES {
+        let mut rng = root.split(case);
+        let mut tree = BTree::new(BTreeConfig {
+            leaf_capacity: 6,
+            internal_capacity: 5,
+            page_bytes: 512,
+        });
+        for _ in 0..rng.next_below(400) {
+            let seq = rng.next_below(300);
+            tree.insert(key(seq), value(seq));
+        }
+        for _ in 0..40 {
+            let (start, len) = random_window(&mut rng, 300);
+            let (rows, scan_trace) = tree.scan(&start, len);
+            let (count, count_trace) = tree.scan_count(&start, len);
+            assert_eq!(count, rows.len(), "case {case}");
+            assert_eq!(count_trace, scan_trace, "case {case}");
+        }
+        let (all, _) = tree.scan_count(&MetricKey::MIN, usize::MAX);
+        assert_eq!(all as u64, tree.len(), "case {case}");
+    }
+}
+
+#[test]
+fn hashstore_and_partition_scan_count_equals_scan() {
+    let mut root = SplitRng::new(0x6373_6873);
+    for case in 0..CASES {
+        let mut rng = root.split(case);
+        let mut store = HashStore::new(None);
+        let mut partition = PartitionTable::new();
+        for _ in 0..rng.next_below(400) {
+            let seq = rng.next_below(300);
+            store.insert(key(seq), value(seq)).expect("no budget");
+            partition.insert(key(seq), value(seq));
+        }
+        assert!(store.is_consistent(), "case {case}");
+        for _ in 0..40 {
+            let (start, len) = random_window(&mut rng, 300);
+            let (rows, scan_receipt) = store.scan(&start, len);
+            let (count, count_receipt) = store.scan_count(&start, len);
+            assert_eq!(count, rows.len(), "case {case}: hashstore");
+            assert_eq!(count_receipt, scan_receipt, "case {case}: hashstore");
+            let (rows, scan_receipt) = partition.scan(&start, len);
+            let (count, count_receipt) = partition.scan_count(&start, len);
+            assert_eq!(count, rows.len(), "case {case}: partition");
+            assert_eq!(count_receipt, scan_receipt, "case {case}: partition");
+        }
+    }
+}
+
+// ------------------------------------------- compaction merge == oracle
+
+fn entries_of(table: &SsTable) -> Vec<(MetricKey, FieldValues)> {
+    table
+        .scan(&MetricKey::MIN, usize::MAX, &mut CostReceipt::new())
+        .to_vec()
+}
+
+/// The collect-sort-dedup merge `SsTable::merge` used before it streamed
+/// through the cursor, kept as the reference: concatenate every input row
+/// tagged with its table id, sort by (key, id descending), keep the first
+/// of each key.
+fn reference_merge(inputs: &[&SsTable]) -> Vec<(MetricKey, FieldValues)> {
+    let mut all: Vec<(u64, MetricKey, FieldValues)> = Vec::new();
+    for table in inputs {
+        all.extend(entries_of(table).into_iter().map(|(k, v)| (table.id, k, v)));
+    }
+    all.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
+    all.dedup_by(|next, first| next.1 == first.1);
+    all.into_iter().map(|(_, k, v)| (k, v)).collect()
+}
+
+#[test]
+fn sstable_merge_equals_collect_sort_dedup_reference() {
+    let mut root = SplitRng::new(0x6D72_6765);
+    for case in 0..CASES {
+        let mut rng = root.split(case);
+        let fan_in = 1 + rng.next_below(8);
+        let mut tables: Vec<SsTable> = (0..fan_in)
+            .map(|i| {
+                // Distinct ids in no particular order; overlapping key
+                // sets whose values name the table they came from.
+                let id = 1 + i * 3 + rng.next_below(3);
+                let rows: BTreeMap<MetricKey, FieldValues> = (0..rng.next_below(120))
+                    .map(|_| {
+                        let seq = rng.next_below(150);
+                        (key(seq), FieldValues::from_seed(id * 1_000 + seq))
+                    })
+                    .collect();
+                SsTable::from_sorted(id, rows.into_iter().collect(), 4_096, 10)
+            })
+            .collect();
+        // Precedence is by table id, whatever order the inputs come in.
+        for i in (1..tables.len()).rev() {
+            tables.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let inputs: Vec<&SsTable> = tables.iter().collect();
+        let merged = SsTable::merge(99, &inputs, 4_096, 10);
+        let reference = SsTable::from_sorted(99, reference_merge(&inputs), 4_096, 10);
+        assert_eq!(entries_of(&merged), entries_of(&reference), "case {case}");
+        assert_eq!(merged.disk_bytes(), reference.disk_bytes(), "case {case}");
+        for seq in 0..200 {
+            let (mut got, mut want) = (CostReceipt::new(), CostReceipt::new());
+            assert_eq!(
+                merged.get(&key(seq), &mut got),
+                reference.get(&key(seq), &mut want),
+                "case {case}: seq {seq} (bloom answer or value)"
+            );
+            assert_eq!(got, want, "case {case}: seq {seq}");
         }
     }
 }

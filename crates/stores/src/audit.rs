@@ -264,6 +264,17 @@ pub fn assert_ring_weight_conserved(vnodes_per_shard: &[u64], expected: u64) {
     }
 }
 
+/// Asserts a restored Redis instance's hash, sorted-set index and memory
+/// accounting agree. Count-only scans answer from the index alone, so an
+/// index entry without a hash entry (or stale accounting) smuggled in by
+/// a snapshot would change results silently.
+pub fn assert_hash_store_consistent(shard: usize, store: &apm_storage::hashstore::HashStore) {
+    assert!(
+        store.is_consistent(),
+        "store audit: redis shard {shard} restored with index, hash and memory accounting out of step"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -465,9 +465,9 @@ impl CassandraStore {
                 (outcome, receipt, READ_COST, RESP_READ_BYTES)
             }
             Operation::Scan { start, len } => {
-                let (rows, receipt) = node_state.lsm.scan(start, *len);
+                let (rows, receipt) = node_state.lsm.scan_count(start, *len);
                 (
-                    OpOutcome::Scanned(rows.len()),
+                    OpOutcome::Scanned(rows),
                     receipt,
                     SCAN_COST,
                     RESP_READ_BYTES * (*len as u64) / 2,

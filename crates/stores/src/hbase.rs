@@ -313,7 +313,7 @@ impl DistributedStore for HbaseStore {
                     return (OpOutcome::Scanned(0), self.dead_region_plan(client, server));
                 };
                 let state = &mut self.servers_state[server];
-                let (rows, receipt) = state.lsm.scan(start, *len);
+                let (rows, receipt) = state.lsm.scan_count(start, *len);
                 let data_bytes = self.format.disk_usage(state.lsm.record_count());
                 let mut steps = vec![Step::Acquire {
                     resource: self.ctx.servers[host].cpu,
@@ -323,7 +323,7 @@ impl DistributedStore for HbaseStore {
                     let cached = self.servers_state[host].cache.sample_hit(data_bytes);
                     steps.extend(self.hdfs.read_steps(&self.ctx, host, io.bytes, cached));
                 }
-                let resp = RESP_READ_BYTES * rows.len().max(1) as u64 / 2;
+                let resp = RESP_READ_BYTES * rows.max(1) as u64 / 2;
                 let plan = round_trip_plan(
                     &self.ctx,
                     client,
@@ -333,7 +333,7 @@ impl DistributedStore for HbaseStore {
                     resp,
                     steps,
                 );
-                (OpOutcome::Scanned(rows.len()), plan)
+                (OpOutcome::Scanned(rows), plan)
             }
         }
     }

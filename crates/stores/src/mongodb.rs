@@ -242,19 +242,19 @@ impl DistributedStore for MongoStore {
                     .first()
                     .expect("scan has a home chunk");
                 let shard = &mut self.shards[shard_idx];
-                let (rows, trace) = shard.tree.scan(start, *len);
+                let (rows, trace) = shard.tree.scan_count(start, *len);
                 let ios = shard.replay(&trace);
                 let mut receipt = CostReceipt::new();
                 receipt
                     .probe(trace.read.len() as u64)
-                    .touch(390 * rows.len() as u64);
+                    .touch(390 * rows as u64);
                 let steps = server_steps(
                     &self.ctx.servers[shard_idx],
                     &self.ctx.cluster,
                     SCAN_COST.cpu(&receipt),
                     &ios,
                 );
-                let resp = RESP_ROW_BYTES * rows.len().max(1) as u64;
+                let resp = RESP_ROW_BYTES * rows.max(1) as u64;
                 let plan = round_trip_plan(
                     &self.ctx,
                     client,
@@ -264,7 +264,7 @@ impl DistributedStore for MongoStore {
                     resp,
                     steps,
                 );
-                (OpOutcome::Scanned(rows.len()), plan)
+                (OpOutcome::Scanned(rows), plan)
             }
         }
     }

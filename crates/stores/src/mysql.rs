@@ -199,14 +199,12 @@ impl MysqlStore {
         let net = self.ctx.cluster.net;
         let n = self.shards.len();
         let mut branches = Vec::with_capacity(n);
-        let mut merged: Vec<(apm_core::record::MetricKey, apm_core::record::FieldValues)> =
-            Vec::new();
+        let mut total = 0usize;
         for shard_idx in 0..n {
             let churning = self.shards[shard_idx].stats_churning();
             let rows_in_shard = self.shards[shard_idx].tree.len();
-            let (rows, trace) = self.shards[shard_idx].tree.scan(start, len);
-            let returned = rows.len();
-            merged.extend(rows);
+            let (returned, trace) = self.shards[shard_idx].tree.scan_count(start, len);
+            total += returned;
             let ios = self.shards[shard_idx].replay(&trace);
             let mut receipt = CostReceipt::new();
             receipt
@@ -252,8 +250,6 @@ impl MysqlStore {
             });
             branches.push(Plan(steps));
         }
-        merged.sort_unstable_by_key(|(k, _)| *k);
-        merged.truncate(len);
         let client_res = self.ctx.client_machine(client);
         let plan = Plan(vec![
             Step::Acquire {
@@ -266,7 +262,9 @@ impl MysqlStore {
                 service: SimDuration::from_nanos(3_000 + 400 * (n * len) as u64),
             },
         ]);
-        (OpOutcome::Scanned(merged.len()), plan)
+        // Shards hold disjoint keys, so the client-side merge keeps the
+        // `len` smallest of `total` distinct rows.
+        (OpOutcome::Scanned(total.min(len)), plan)
     }
 }
 
@@ -372,11 +370,7 @@ impl DistributedStore for MysqlStore {
                 );
                 (OpOutcome::Done, plan)
             }
-            Operation::Scan { start, len } => {
-                let start = *start;
-                let len = *len;
-                self.scan_plan(client, &start, len)
-            }
+            Operation::Scan { start, len } => self.scan_plan(client, start, *len),
         }
     }
 

@@ -263,10 +263,10 @@ impl DistributedStore for RedisStore {
                 let mut branches = Vec::with_capacity(self.instances.len());
                 let mut total = 0usize;
                 for (shard, instance) in self.instances.iter().enumerate() {
-                    let (rows, receipt) = instance.store.scan(start, *len);
-                    total += rows.len();
+                    let (rows, receipt) = instance.store.scan_count(start, *len);
+                    total += rows;
                     let net = &self.ctx.cluster.net;
-                    let resp = RESP_READ_BYTES * rows.len().max(1) as u64;
+                    let resp = RESP_READ_BYTES * rows.max(1) as u64;
                     branches.push(Plan(vec![
                         Step::Acquire {
                             resource: self.ctx.client_machine(client).nic,
@@ -381,6 +381,12 @@ impl DistributedStore for RedisStore {
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for instance in &mut self.instances {
             instance.store.restore_state(r)?;
+        }
+        // Reads no stream bytes: the same stream decodes with or without
+        // the feature.
+        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
+        for (shard, instance) in self.instances.iter().enumerate() {
+            crate::audit::assert_hash_store_consistent(shard, &instance.store);
         }
         self.load_rejections = r.u64()?;
         Ok(())

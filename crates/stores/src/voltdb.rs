@@ -156,13 +156,9 @@ impl VoltDbStore {
         let net = self.ctx.cluster.net;
         let mut branches = Vec::with_capacity(self.map.sites());
         let mut total = 0usize;
-        let mut merged: Vec<(apm_core::record::MetricKey, apm_core::record::FieldValues)> =
-            Vec::new();
         for site in 0..self.map.sites() {
-            let (rows, receipt) = self.partitions[site].scan(start, len);
-            let row_count = rows.len();
+            let (row_count, receipt) = self.partitions[site].scan_count(start, len);
             total += row_count;
-            merged.extend(rows);
             let node = site / self.map.sites_per_host;
             let mut steps = Vec::new();
             if node != coordinator_node {
@@ -181,8 +177,9 @@ impl VoltDbStore {
             }
             branches.push(Plan(steps));
         }
-        merged.sort_unstable_by_key(|(k, _)| *k);
-        merged.truncate(len);
+        // Partitions hold disjoint keys, so the coordinator's merge keeps
+        // the `len` smallest of `total` distinct rows.
+        let returned = total.min(len);
         let mut server = self.ordering_steps(true);
         server.push(Step::Join {
             branches,
@@ -199,10 +196,10 @@ impl VoltDbStore {
             &self.ctx.servers[coordinator_node],
             CLIENT_CPU,
             REQ_BYTES,
-            RESP_READ_BYTES * merged.len().max(1) as u64,
+            RESP_READ_BYTES * returned.max(1) as u64,
             server,
         );
-        (OpOutcome::Scanned(merged.len()), plan)
+        (OpOutcome::Scanned(returned), plan)
     }
 }
 
@@ -222,12 +219,11 @@ impl DistributedStore for VoltDbStore {
 
     fn plan_op(&mut self, client: u32, op: &Operation, _engine: &mut Engine) -> (OpOutcome, Plan) {
         match op {
-            Operation::Read { key } => self.single_partition_plan(client, &key.clone(), None),
+            Operation::Read { key } => self.single_partition_plan(client, key, None),
             Operation::Insert { record } | Operation::Update { record } => {
-                let record = *record;
-                self.single_partition_plan(client, &record.key.clone(), Some(&record))
+                self.single_partition_plan(client, &record.key, Some(record))
             }
-            Operation::Scan { start, len } => self.scan_plan(client, &start.clone(), *len),
+            Operation::Scan { start, len } => self.scan_plan(client, start, *len),
         }
     }
 
