@@ -40,8 +40,11 @@ use std::fmt;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"APMS";
-/// Current container format version.
-pub const VERSION: u16 = 1;
+/// Current container format version. Version 2 dropped the driver-mode
+/// byte and the policy-free slot layout from the driver section (one
+/// closed-loop driver, one slot codec), so version-1 checkpoints are
+/// refused rather than misread.
+pub const VERSION: u16 = 2;
 
 /// Feature-flag bit recorded when the writer was built with `audit`.
 pub const FEATURE_AUDIT: u8 = 1 << 0;
@@ -719,22 +722,21 @@ mod tests {
 
     #[test]
     fn container_rejects_version_mismatch() {
-        // Bump the version field and re-seal the checksum so only the
-        // version check can fail.
-        let mut sealed = seal(&header(), b"x");
-        let v = (VERSION + 1).to_le_bytes();
-        sealed[4] = v[0];
-        sealed[5] = v[1];
-        let len = sealed.len();
-        let checksum = fnv1a64(&sealed[..len - 8]).to_le_bytes();
-        sealed[len - 8..].copy_from_slice(&checksum);
-        assert_eq!(
-            open(&sealed),
-            Err(SnapError::VersionMismatch {
-                found: VERSION + 1,
-                expected: VERSION
-            })
-        );
+        // Rewrite the version field and re-seal the checksum so only the
+        // version check can fail: a newer writer's container, and the
+        // version-1 layout (two driver sections behind a mode byte) this
+        // format replaced.
+        for found in [VERSION + 1, 1] {
+            let mut sealed = seal(&header(), b"x");
+            sealed[4..6].copy_from_slice(&found.to_le_bytes());
+            let len = sealed.len();
+            let checksum = fnv1a64(&sealed[..len - 8]).to_le_bytes();
+            sealed[len - 8..].copy_from_slice(&checksum);
+            assert_eq!(
+                open(&sealed),
+                Err(SnapError::VersionMismatch { found, expected: 2 })
+            );
+        }
     }
 
     #[test]

@@ -216,9 +216,15 @@ pub fn telemetry_timeline(profile: &ExperimentProfile) -> Table {
 #[cfg(feature = "trace")]
 pub mod chrome {
     use crate::json::Json;
+    use apm_sim::kernel::Token;
     use apm_sim::{TraceEvent, TraceEventKind};
+    use apm_stores::api::{
+        attempt_token, hedge_token, hedge_trigger_token, split_attempt_token, split_fault_token,
+        split_token, AttemptKind,
+    };
 
-    /// Process id for op spans (one Chrome "thread" per op token).
+    /// Process id for op spans (one Chrome "thread" per connection and
+    /// attempt role, see [`lane_key`]).
     pub const OPS_PID: u64 = 1;
     /// Process id for resource fault instants (one "thread" per
     /// resource) — separate from [`OPS_PID`] so resource ids never
@@ -237,8 +243,26 @@ pub mod chrome {
         ])
     }
 
-    /// Builds the trace-event document. Each op token becomes a Chrome
-    /// "thread": its plan is a `B`/`E` span opened at submit and closed
+    /// The lane a token's spans are drawn on. Client tokens carry an
+    /// attempt epoch that advances with every op, so lanes are keyed on
+    /// `(client, AttemptKind)` — the token with its epoch zeroed — and a
+    /// connection's ops line up on one thread (hedges and their triggers
+    /// overlap the primary, hence their own). Background jobs and fault
+    /// sentinels keep one lane per token.
+    fn lane_key(token: Token) -> u64 {
+        if split_fault_token(token).0 || split_token(token).0 {
+            return token.0;
+        }
+        let (client, _epoch, kind) = split_attempt_token(token);
+        match kind {
+            AttemptKind::Primary => attempt_token(client, 0).0,
+            AttemptKind::Hedge => hedge_token(client, 0).0,
+            AttemptKind::HedgeTrigger => hedge_trigger_token(client, 0).0,
+        }
+    }
+
+    /// Builds the trace-event document. Each lane becomes a Chrome
+    /// "thread": a plan is a `B`/`E` span opened at submit and closed
     /// at completion, with nested `B`/`E` spans per resource-service
     /// interval. Resource fault transitions become `i` instants. Spans
     /// cut off by ring eviction (an `E` with no open `B`) are skipped;
@@ -247,14 +271,14 @@ pub mod chrome {
     /// at the last recorded timestamp — per-thread nesting always
     /// balances.
     pub fn trace_to_json(events: &[TraceEvent]) -> Json {
-        // Op tokens can exceed 2^53 (fault sentinels and background jobs
+        // Lane keys can exceed 2^53 (fault sentinels and background jobs
         // set high bits), where distinct values collapse in a JSON f64
-        // `tid` — remap each token to a dense tid in first-appearance
+        // `tid` — remap each lane to a dense tid in first-appearance
         // order instead.
         let mut tids: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        let mut tid_of = move |token: u64| -> u64 {
+        let mut tid_of = move |token: Token| -> u64 {
             let next = tids.len() as u64;
-            *tids.entry(token).or_insert(next)
+            *tids.entry(lane_key(token)).or_insert(next)
         };
         // Open service-span names per dense tid, for balancing.
         let mut open_op: std::collections::BTreeMap<u64, Vec<String>> =
@@ -271,7 +295,7 @@ pub mod chrome {
             match e.kind {
                 TraceEventKind::Submit => {
                     let Some(t) = e.token else { continue };
-                    let tid = tid_of(t.0);
+                    let tid = tid_of(t);
                     // A tid already open means its completion was
                     // evicted from the ring — close the stale span here.
                     if let Some(open) = open_op.remove(&tid) {
@@ -282,7 +306,7 @@ pub mod chrome {
                 }
                 TraceEventKind::ServiceStart => {
                     let Some(t) = e.token else { continue };
-                    let tid = tid_of(t.0);
+                    let tid = tid_of(t);
                     let Some(open) = open_op.get_mut(&tid) else {
                         continue;
                     };
@@ -294,7 +318,7 @@ pub mod chrome {
                 }
                 TraceEventKind::ServiceEnd => {
                     let Some(t) = e.token else { continue };
-                    let tid = tid_of(t.0);
+                    let tid = tid_of(t);
                     let Some(open) = open_op.get_mut(&tid) else {
                         continue;
                     };
@@ -304,7 +328,7 @@ pub mod chrome {
                 }
                 TraceEventKind::Complete(_) => {
                     let Some(t) = e.token else { continue };
-                    let tid = tid_of(t.0);
+                    let tid = tid_of(t);
                     let Some(open) = open_op.remove(&tid) else {
                         continue;
                     };

@@ -62,7 +62,7 @@ pub enum FailMode {
     },
     /// Requests hang in the queue until the resource is restored
     /// (models a network blackhole; pair with
-    /// [`Engine::submit_with_deadline`] for client-side timeouts).
+    /// [`Engine::submit_at_with_deadline`] for client-side timeouts).
     Stall,
 }
 
@@ -156,7 +156,7 @@ enum Event {
     Resume(ExecRef),
     /// An Acquire finished: release one slot of the resource, then resume.
     AcquireDone(ExecRef, ResourceId),
-    /// A deadline set by `submit_with_deadline` elapsed.
+    /// A deadline set by `submit_at_with_deadline` elapsed.
     Timeout(ExecRef),
 }
 
@@ -505,15 +505,7 @@ impl Engine {
 
     /// Submits a plan now.
     pub fn submit(&mut self, plan: Plan, token: Token) -> PlanHandle {
-        self.submit_at_ref(self.now, &plan, token)
-    }
-
-    /// Submits a plan now without taking ownership — the zero-copy form
-    /// of [`Engine::submit`] for closed-loop drivers that re-submit a
-    /// template plan. The kernel interns by content either way, so the
-    /// caller's clone only feeds the intern walk and is dropped.
-    pub fn submit_ref(&mut self, plan: &Plan, token: Token) -> PlanHandle {
-        self.submit_at_ref(self.now, plan, token)
+        self.submit_plan(self.now, &plan, token, None)
     }
 
     /// Submits a plan to start at `start` (must not be in the past).
@@ -521,7 +513,25 @@ impl Engine {
     /// # Panics
     /// Panics if `start` is before the current simulated time.
     pub fn submit_at(&mut self, start: SimTime, plan: Plan, token: Token) -> PlanHandle {
-        self.submit_at_ref(start, &plan, token)
+        self.submit_plan(start, &plan, token, None)
+    }
+
+    /// Submits a plan to start at `start` with a client-side deadline
+    /// counted from `start`: if it has not finished within `deadline` it
+    /// completes with [`Outcome::TimedOut`] at exactly the deadline.
+    /// Work it queued stays queued (a server may still burn time serving
+    /// the abandoned request).
+    ///
+    /// # Panics
+    /// Panics if `start` is before the current simulated time.
+    pub fn submit_at_with_deadline(
+        &mut self,
+        start: SimTime,
+        plan: Plan,
+        token: Token,
+        deadline: SimDuration,
+    ) -> PlanHandle {
+        self.submit_plan(start, &plan, token, Some(deadline))
     }
 
     /// Interns `plan` once and returns a reusable [`PreparedPlan`]
@@ -543,67 +553,38 @@ impl Engine {
             "stale PreparedPlan: re-prepare after restore_state"
         );
         self.arena.retain(prepared.0);
-        let exec = self.alloc_exec(prepared.0, token, self.now, None);
-        self.schedule(self.now, Event::Resume(exec));
-        #[cfg(feature = "trace")]
-        self.tracer.record(crate::trace::TraceEvent {
-            at: self.now,
-            token: Some(token),
-            resource: None,
-            kind: crate::trace::TraceEventKind::Submit,
-        });
-        PlanHandle(exec)
+        self.launch(self.now, prepared.0, token, None)
     }
 
-    /// By-reference form of [`Engine::submit_at`].
-    ///
-    /// # Panics
-    /// Panics if `start` is before the current simulated time.
-    pub fn submit_at_ref(&mut self, start: SimTime, plan: &Plan, token: Token) -> PlanHandle {
-        assert!(start >= self.now, "cannot submit into the past");
-        let plan = self.arena.intern(plan);
-        let exec = self.alloc_exec(plan, token, start, None);
-        self.schedule(start, Event::Resume(exec));
-        #[cfg(feature = "trace")]
-        self.tracer.record(crate::trace::TraceEvent {
-            at: start,
-            token: Some(token),
-            resource: None,
-            kind: crate::trace::TraceEventKind::Submit,
-        });
-        PlanHandle(exec)
-    }
-
-    /// Submits a plan now with a client-side deadline: if it has not
-    /// finished within `deadline` it completes with [`Outcome::TimedOut`]
-    /// at exactly the deadline. Work it queued stays queued (a server
-    /// may still burn time serving the abandoned request).
-    pub fn submit_with_deadline(
-        &mut self,
-        plan: Plan,
-        token: Token,
-        deadline: SimDuration,
-    ) -> PlanHandle {
-        self.submit_at_with_deadline(self.now, plan, token, deadline)
-    }
-
-    /// Submits a plan to start at `start` with a deadline counted from
-    /// `start` (see [`Engine::submit_with_deadline`]).
-    ///
-    /// # Panics
-    /// Panics if `start` is before the current simulated time.
-    pub fn submit_at_with_deadline(
+    /// The one body behind every by-plan submit: past check, intern,
+    /// then [`Engine::launch`]. The kernel interns by content, so the
+    /// caller's `Plan` only feeds the intern walk.
+    fn submit_plan(
         &mut self,
         start: SimTime,
-        plan: Plan,
+        plan: &Plan,
         token: Token,
-        deadline: SimDuration,
+        deadline: Option<SimDuration>,
     ) -> PlanHandle {
         assert!(start >= self.now, "cannot submit into the past");
-        let plan = self.arena.intern(&plan);
+        let plan = self.arena.intern(plan);
+        self.launch(start, plan, token, deadline)
+    }
+
+    /// Binds one owned arena reference to a fresh exec, schedules its
+    /// first step (and its timeout, if any) and records the submission.
+    fn launch(
+        &mut self,
+        start: SimTime,
+        plan: PlanId,
+        token: Token,
+        deadline: Option<SimDuration>,
+    ) -> PlanHandle {
         let exec = self.alloc_exec(plan, token, start, None);
         self.schedule(start, Event::Resume(exec));
-        self.schedule(start + deadline, Event::Timeout(exec));
+        if let Some(deadline) = deadline {
+            self.schedule(start + deadline, Event::Timeout(exec));
+        }
         #[cfg(feature = "trace")]
         self.tracer.record(crate::trace::TraceEvent {
             at: start,
@@ -1655,7 +1636,8 @@ mod tests {
         let mut engine = Engine::new();
         let nic = engine.add_resource("nic", 1);
         engine.fail_resource(nic, FailMode::Stall);
-        engine.submit_with_deadline(
+        engine.submit_at_with_deadline(
+            engine.now(),
             Plan::build().acquire(nic, us(10)).finish(),
             Token(1),
             us(500),
@@ -1671,7 +1653,8 @@ mod tests {
     fn deadline_is_inert_when_work_finishes_in_time() {
         let mut engine = Engine::new();
         let disk = engine.add_resource("disk", 1);
-        engine.submit_with_deadline(
+        engine.submit_at_with_deadline(
+            engine.now(),
             Plan::build().acquire(disk, us(10)).finish(),
             Token(1),
             us(500),
@@ -1808,7 +1791,8 @@ mod tests {
         let mut engine = Engine::new();
         let nic = engine.add_resource("nic", 1);
         engine.fail_resource(nic, FailMode::Stall);
-        engine.submit_with_deadline(
+        engine.submit_at_with_deadline(
+            engine.now(),
             Plan::build().acquire(nic, us(10)).finish(),
             Token(7),
             us(500),
@@ -1959,7 +1943,12 @@ mod tests {
         for i in 0..4 {
             engine.submit(Plan::build().acquire(disk, us(10)).finish(), Token(i));
         }
-        engine.submit_with_deadline(Plan::build().acquire(nic, us(5)).finish(), Token(8), us(90));
+        engine.submit_at_with_deadline(
+            engine.now(),
+            Plan::build().acquire(nic, us(5)).finish(),
+            Token(8),
+            us(90),
+        );
         let branches = vec![
             Plan::build().delay(us(7)).finish(),
             Plan::build().acquire(disk, us(20)).finish(),
@@ -2029,7 +2018,12 @@ mod tests {
         // generation-stamped refs, so a deadline left over from a freed
         // exec must be inert against the slot's next occupant.
         let mut engine = Engine::new();
-        engine.submit_with_deadline(Plan::build().delay(us(5)).finish(), Token(1), us(100));
+        engine.submit_at_with_deadline(
+            engine.now(),
+            Plan::build().delay(us(5)).finish(),
+            Token(1),
+            us(100),
+        );
         let first = engine
             .next_completion()
             .expect("completion queued by the drained run");
@@ -2169,7 +2163,7 @@ mod tests {
                     _ => Plan::build().delay(us(40_000 + r % 9_000)).finish(),
                 };
                 let handle = if r % 7 == 0 {
-                    engine.submit_with_deadline(plan, Token(i), us(30 + r % 60))
+                    engine.submit_at_with_deadline(engine.now(), plan, Token(i), us(30 + r % 60))
                 } else {
                     engine.submit(plan, Token(i))
                 };

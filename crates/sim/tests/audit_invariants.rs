@@ -42,7 +42,8 @@ fn drive(engine: &mut Engine) -> Vec<(u64, u64)> {
         );
     }
     // Deadline that fires mid-queue.
-    engine.submit_with_deadline(
+    engine.submit_at_with_deadline(
+        engine.now(),
         Plan::build().acquire(disk, us(500)).finish(),
         Token(40),
         us(120),

@@ -38,22 +38,22 @@ pub fn split_fault_token(token: Token) -> (bool, u64) {
     (token.0 & FAULT_BIT != 0, token.0 & !FAULT_BIT)
 }
 
-/// Bit marking a resilient-mode token as a hedge attempt (the
-/// speculative duplicate read issued to an alternative replica).
+/// Bit marking a client token as a hedge attempt (the speculative
+/// duplicate read issued to an alternative replica).
 pub const HEDGE_BIT: u64 = 1 << 61;
 
-/// Bit marking a resilient-mode token as a hedge *trigger*: the pure
+/// Bit marking a client token as a hedge *trigger*: the pure
 /// delay the driver arms alongside a primary read; its completion is the
 /// signal to launch the hedge, never a measured response.
 pub const HEDGE_TRIGGER_BIT: u64 = 1 << 60;
 
-/// Bits of a resilient-mode token carrying the client id.
+/// Bits of a client token carrying the client id.
 pub const CLIENT_BITS: u32 = 20;
 
 const CLIENT_MASK: u64 = (1 << CLIENT_BITS) - 1;
 const EPOCH_MASK: u64 = (1 << (60 - CLIENT_BITS)) - 1;
 
-/// Which role a resilient-mode attempt token plays.
+/// Which role a client attempt token plays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttemptKind {
     /// The primary (or retried) attempt of a logical op.
@@ -64,9 +64,10 @@ pub enum AttemptKind {
     HedgeTrigger,
 }
 
-/// Builds a resilient-mode token for `client`'s attempt `epoch`. Epochs
-/// advance on every attempt submission, so stale completions (cancelled
-/// losers, late stragglers) are recognised by epoch mismatch.
+/// Builds the token for `client`'s attempt `epoch` — the token of every
+/// client op, with or without a policy. Epochs advance on every attempt
+/// submission, so stale completions (cancelled losers, late stragglers)
+/// are recognised by epoch mismatch.
 pub fn attempt_token(client: u32, epoch: u64) -> Token {
     debug_assert!(u64::from(client) <= CLIENT_MASK && epoch <= EPOCH_MASK);
     Token((epoch & EPOCH_MASK) << CLIENT_BITS | u64::from(client))
@@ -82,7 +83,7 @@ pub fn hedge_trigger_token(client: u32, epoch: u64) -> Token {
     Token(HEDGE_TRIGGER_BIT | attempt_token(client, epoch).0)
 }
 
-/// Splits a resilient-mode client token into `(client, epoch, kind)`.
+/// Splits a client token into `(client, epoch, kind)`.
 /// Callers must have already excluded background and fault sentinels.
 pub fn split_attempt_token(token: Token) -> (u32, u64, AttemptKind) {
     let kind = if token.0 & HEDGE_BIT != 0 {

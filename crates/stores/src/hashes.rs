@@ -8,7 +8,8 @@
 //!   algorithms in Jedis, MurMurHash and MD5").
 //! * [`md5`] — RFC 1321, used by Cassandra's `RandomPartitioner` to place
 //!   keys on the token ring, and Jedis's alternative hasher.
-//! * [`fnv1a64`] — cheap general-purpose hash for internal sharding.
+//! * [`fnv1a64`] — cheap general-purpose hash for internal sharding
+//!   (the one in `apm_core::snap`, re-exported).
 
 /// MurmurHash64A (Austin Appleby), seed-parameterised.
 pub fn murmur2_64a(data: &[u8], seed: u64) -> u64 {
@@ -37,14 +38,7 @@ pub fn murmur2_64a(data: &[u8], seed: u64) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use apm_core::snap::fnv1a64;
 
 /// MD5 (RFC 1321). Returns the 16-byte digest.
 pub fn md5(message: &[u8]) -> [u8; 16] {
@@ -189,13 +183,6 @@ mod tests {
         // Cardinality check only, never iterated. audit:allow(hash-order)
         let distinct: std::collections::HashSet<_> = hashes.iter().collect();
         assert_eq!(distinct.len(), hashes.len());
-    }
-
-    #[test]
-    fn fnv_matches_known_vector() {
-        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic client-side resilience policies.
 //!
-//! The closed-loop driver in [`crate::runner`] can wrap every logical
+//! The closed-loop driver in [`crate::runner`] wraps every logical
 //! operation in the standard robustness kit of a serving stack, all of it
 //! virtual-time-deterministic (no wall clock, no ambient RNG):
 //!
@@ -23,8 +23,11 @@
 //!   simulated cluster.
 //!
 //! All knobs live in [`ResiliencePolicy`] on
-//! [`crate::runner::RunConfig`]; `None` (the default) leaves the driver's
-//! legacy path untouched and byte-identical.
+//! [`crate::runner::RunConfig`]. The driver always holds a policy —
+//! `resilience: None` (the default) is the empty bundle, every component
+//! `None` — and pays per op only for the components that are set: the
+//! paper's policy-free runs go through the same loop and report the same
+//! bytes as before there was a policy layer.
 
 use apm_core::ops::OpKind;
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -373,7 +376,8 @@ impl AdmissionBudget {
 }
 
 /// The full client-side policy bundle. Every component is independently
-/// optional; the all-`None` default is inert.
+/// optional; the all-`None` default is inert, and is what
+/// `RunConfig::resilience: None` means.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResiliencePolicy {
     /// Retry failed attempts with capped exponential backoff.

@@ -12,8 +12,8 @@ use crate::api::{
     split_attempt_token, split_fault_token, split_token, AttemptKind, DistributedStore,
 };
 use crate::resilience::{
-    backoff_delay, AdmissionBudget, Breaker, BreakerDecision, HedgeTracker, JitterRng,
-    ResiliencePolicy,
+    backoff_delay, AdmissionBudget, Breaker, BreakerDecision, BreakerState, HedgeTracker,
+    JitterRng, ResiliencePolicy,
 };
 use apm_core::driver::ClientConfig;
 use apm_core::keyspace::record_for_seq;
@@ -55,8 +55,9 @@ pub struct RunConfig {
     /// skips recording entirely.
     pub telemetry_window_secs: Option<f64>,
     /// Client-side resilience policies (retry, hedging, circuit breaking,
-    /// admission control). `None` (the default) runs the legacy driver
-    /// loop byte-identically.
+    /// admission control). `None` (the default) is the empty policy —
+    /// `Some(ResiliencePolicy::default())` — on the one driver loop, not
+    /// a different loop: a component that is `None` costs nothing per op.
     pub resilience: Option<ResiliencePolicy>,
     /// Checkpoint schedule. `None` (the default) captures nothing and
     /// leaves the driver loop byte-identical to a checkpoint-free run.
@@ -152,7 +153,7 @@ pub fn bisect_divergence(a: &[Checkpoint], b: &[Checkpoint]) -> Option<u32> {
     Some(a[lo].index)
 }
 
-/// Client-visible accounting threaded through both driver loops, kept
+/// Client-visible accounting threaded through the driver loop, kept
 /// for the chaos oracles: which inserts the client saw acknowledged and
 /// how logical operations resolved. Collection is unconditional — it
 /// costs a few counters per op, never influences scheduling, and is not
@@ -222,38 +223,6 @@ impl RunResult {
     /// Mean latency in milliseconds for `kind`.
     pub fn mean_latency_ms(&self, kind: OpKind) -> Option<f64> {
         self.stats.mean_latency_ms(kind)
-    }
-}
-
-struct ClientSlot {
-    kind: OpKind,
-    ok: bool,
-    /// The read missed — with fault injection this means the store lost
-    /// the record (e.g. a crashed cache node), counted as an error.
-    missing: bool,
-    /// Next scheduled issue time under throttling.
-    next_issue: SimTime,
-    /// Key of the insert in flight, held until the acknowledgement so
-    /// the ledger records exactly the keys the client saw acked.
-    pending_insert: Option<MetricKey>,
-}
-
-impl Snap for ClientSlot {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.kind);
-        w.put(&self.ok);
-        w.put(&self.missing);
-        w.put(&self.next_issue);
-        w.put(&self.pending_insert);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ClientSlot {
-            kind: r.get()?,
-            ok: r.get()?,
-            missing: r.get()?,
-            next_issue: r.get()?,
-            pending_insert: r.get()?,
-        })
     }
 }
 
@@ -334,24 +303,6 @@ impl TelemetrySampler {
         }
     }
 
-    fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.telemetry);
-        w.put(&self.window);
-        w.put(&self.warmup_end);
-        w.put_u64(self.boundary);
-        w.put(&self.prev_busy);
-    }
-
-    fn restore_state(r: &mut SnapReader) -> Result<TelemetrySampler, SnapError> {
-        Ok(TelemetrySampler {
-            telemetry: r.get()?,
-            window: r.get()?,
-            warmup_end: r.get()?,
-            boundary: r.u64()?,
-            prev_busy: r.get()?,
-        })
-    }
-
     fn sample_window(&mut self, engine: &Engine, index: usize) {
         let mut utils: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
         let mut queues: BTreeMap<&'static str, f64> = BTreeMap::new();
@@ -374,6 +325,25 @@ impl TelemetrySampler {
             };
             self.telemetry.sample_resource(index, class, sample);
         }
+    }
+}
+
+impl Snap for TelemetrySampler {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put(&self.telemetry);
+        w.put(&self.window);
+        w.put(&self.warmup_end);
+        w.put_u64(self.boundary);
+        w.put(&self.prev_busy);
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(TelemetrySampler {
+            telemetry: r.get()?,
+            window: r.get()?,
+            warmup_end: r.get()?,
+            boundary: r.u64()?,
+            prev_busy: r.get()?,
+        })
     }
 }
 
@@ -405,20 +375,19 @@ pub fn run_benchmark_masked(
     config: &RunConfig,
     mask: Option<&[bool]>,
 ) -> RunResult {
-    // ---- Load phase (untimed; the paper reinstalls and reloads per run).
+    let total_records = load_phase(store, config);
+    run_transactions(engine, store, config, total_records, mask)
+}
+
+/// Load phase (untimed; the paper reinstalls and reloads per run).
+/// Returns the number of records loaded.
+fn load_phase(store: &mut dyn DistributedStore, config: &RunConfig) -> u64 {
     let total_records = config.records_per_node * u64::from(config.nodes);
     for seq in 0..total_records {
         store.load(&record_for_seq(seq));
     }
     store.finish_load();
-
-    if config.resilience.is_some() {
-        // The resilient driver wraps every logical op in the policy
-        // engine; kept as a separate loop so the legacy path below stays
-        // byte-identical when no policy is configured.
-        return run_transactions_resilient(engine, store, config, total_records, mask);
-    }
-    run_transactions_legacy(engine, store, config, total_records, mask)
+    total_records
 }
 
 /// Resumes the transaction phase from a sealed checkpoint, continuing
@@ -464,48 +433,171 @@ pub fn resume_benchmark_masked(
     }
 
     // The restore contract: stores restore into a freshly loaded self.
-    let total_records = config.records_per_node * u64::from(config.nodes);
-    for seq in 0..total_records {
-        store.load(&record_for_seq(seq));
-    }
-    store.finish_load();
-
+    let total_records = load_phase(store, config);
     let mut r = SnapReader::new(body);
     store.restore_state(&mut r, engine)?;
     engine.restore_state(&mut r)?;
-    let mode = r.u8()?;
-    let mut checkpoints = Vec::new();
-    match (mode, config.resilience.is_some()) {
-        (MODE_LEGACY, false) => {
-            let mut d = LegacyDriver::restore_state(config, total_records, &mut r)?;
-            r.finish()?;
-            drive_legacy(engine, store, config, &mut d, &mut checkpoints, mask);
-            Ok(finalize_legacy(engine, store, d, checkpoints))
-        }
-        (MODE_RESILIENT, true) => {
-            let policy = config.resilience.clone().expect("checked above");
-            let mut d =
-                ResilientDriver::restore_state(config, policy, total_records, store, &mut r)?;
-            r.finish()?;
-            drive_resilient(engine, store, config, &mut d, &mut checkpoints, mask);
-            Ok(finalize_resilient(engine, store, d, checkpoints))
-        }
-        (tag, _) => Err(SnapError::BadTag {
-            what: "driver mode",
-            tag: u64::from(tag),
-        }),
+    let mut d = Driver::restore_state(config, total_records, store, &mut r)?;
+    r.finish()?;
+    let checkpoints = drive(engine, store, config, &mut d, mask);
+    Ok(finalize(engine, store, d, checkpoints))
+}
+
+/// Client CPU burned by a breaker fast-fail (error construction on the
+/// client; the shed op never touches the target node).
+const SHED_COST: SimDuration = SimDuration::from_micros(5);
+
+/// Per-connection state of the closed loop.
+struct ClientSlot {
+    /// The logical op in flight (retries and hedges re-send it).
+    op: Operation,
+    ok: bool,
+    /// The read missed — with fault injection this means the store lost
+    /// the record (e.g. a crashed cache node), counted as an error.
+    missing: bool,
+    /// Next scheduled issue time under throttling.
+    next_issue: SimTime,
+    /// Attempt epoch, advanced on every attempt submission; completions
+    /// carrying an older epoch are stale (cancelled losers, late
+    /// triggers) and are dropped unrecorded.
+    epoch: u64,
+    /// Start of the logical op's first attempt — the base for end-to-end
+    /// latency, so retries and backoff count against the op.
+    logical_start: SimTime,
+    retries_used: u32,
+    /// Jitter fraction drawn once per logical op, keeping each op's
+    /// backoff schedule monotone.
+    jitter: f64,
+    /// Breaker target of the current attempt.
+    target: Option<usize>,
+    was_probe: bool,
+    /// The current attempt was shed by a breaker (client fast-fail).
+    shed: bool,
+    hedge_used: bool,
+    primary: Option<PlanHandle>,
+    hedge: Option<PlanHandle>,
+    trigger: Option<PlanHandle>,
+}
+
+impl Snap for ClientSlot {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put(&self.op);
+        w.put(&self.ok);
+        w.put(&self.missing);
+        w.put(&self.next_issue);
+        w.put_u64(self.epoch);
+        w.put(&self.logical_start);
+        w.put_u32(self.retries_used);
+        w.put_f64(self.jitter);
+        w.put(&self.target);
+        w.put(&self.was_probe);
+        w.put(&self.shed);
+        w.put(&self.hedge_used);
+        w.put(&self.primary);
+        w.put(&self.hedge);
+        w.put(&self.trigger);
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(ClientSlot {
+            op: r.get()?,
+            ok: r.get()?,
+            missing: r.get()?,
+            next_issue: r.get()?,
+            epoch: r.u64()?,
+            logical_start: r.get()?,
+            retries_used: r.u32()?,
+            jitter: r.f64()?,
+            target: r.get()?,
+            was_probe: r.get()?,
+            shed: r.get()?,
+            hedge_used: r.get()?,
+            primary: r.get()?,
+            hedge: r.get()?,
+            trigger: r.get()?,
+        })
     }
 }
 
-/// Driver-mode discriminant in the snapshot body (after kernel state).
-const MODE_LEGACY: u8 = 0;
-/// See [`MODE_LEGACY`].
-const MODE_RESILIENT: u8 = 1;
+/// Mutable state of the policy engine, shared by all connections. The
+/// [`ResiliencePolicy`] itself is config and lives on the [`Driver`].
+struct PolicyState {
+    rng: JitterRng,
+    tracker: HedgeTracker,
+    breakers: Vec<Breaker>,
+    budget: Option<AdmissionBudget>,
+    counters: ResilienceCounters,
+    #[cfg(feature = "audit")]
+    auditor: crate::audit::RetryAuditor,
+}
 
-/// Loop state of the legacy (policy-free) driver — everything the event
-/// loop mutates, extracted so a checkpoint can serialize it and a
-/// resumed run can re-enter [`drive_legacy`] mid-window.
-struct LegacyDriver {
+impl PolicyState {
+    fn new(policy: &ResiliencePolicy, seed: u64, targets: usize) -> PolicyState {
+        PolicyState {
+            rng: JitterRng::new(seed ^ 0x7E51_11E9_CE00_0001),
+            tracker: HedgeTracker::default(),
+            breakers: (0..targets).map(|_| Breaker::default()).collect(),
+            budget: policy.admission.as_ref().map(AdmissionBudget::new),
+            counters: ResilienceCounters::default(),
+            #[cfg(feature = "audit")]
+            auditor: crate::audit::RetryAuditor::default(),
+        }
+    }
+
+    fn note_transition(&mut self, transition: Option<(BreakerState, BreakerState)>) {
+        if let Some((_from, _to)) = transition {
+            self.counters.breaker_transitions += 1;
+            #[cfg(feature = "audit")]
+            self.auditor.on_transition(_from, _to);
+        }
+    }
+
+    /// Spends one extra-attempt credit (retry or hedge); always granted
+    /// when no admission policy is configured.
+    fn try_extra(&mut self) -> bool {
+        match self.budget.as_mut() {
+            Some(budget) => budget.try_spend(),
+            None => true,
+        }
+    }
+}
+
+/// The breaker vector carries its own length, so topology growth mid-run
+/// survives a round trip.
+impl Snap for PolicyState {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(self.rng.state());
+        w.put(&self.tracker);
+        w.put(&self.breakers);
+        w.put(&self.budget);
+        w.put(&self.counters);
+        // The sealed container's feature byte (checked in `open`) rejects
+        // cross-feature streams before this codec runs.
+        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
+        w.put(&self.auditor);
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(PolicyState {
+            rng: JitterRng::from_state(r.u64()?),
+            tracker: r.get()?,
+            breakers: r.get()?,
+            budget: r.get()?,
+            counters: r.get()?,
+            // Container feature byte guards this read; see `snap`.
+            #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
+            auditor: r.get()?,
+        })
+    }
+}
+
+/// Loop state of the closed-loop driver — everything the event loop
+/// mutates, extracted so a checkpoint can serialize it and a resumed
+/// run can re-enter [`drive`] mid-window.
+struct Driver {
+    /// Config, re-derived from [`RunConfig::resilience`] at construction
+    /// (`None` is the empty policy). A component that is `None` costs
+    /// nothing per op: every piece of per-op policy work below is gated
+    /// on the component that reads its result.
+    policy: ResiliencePolicy, // audit:allow(snap-drift)
     generator: WorkloadGenerator,
     slots: Vec<ClientSlot>,
     stats: BenchStats,
@@ -517,56 +609,78 @@ struct LegacyDriver {
     /// Index of the next checkpoint to capture.
     next_checkpoint: u32,
     ledger: RunLedger,
+    ps: PolicyState,
 }
 
-impl LegacyDriver {
+/// Connections the run drives: the configured population, capped by the
+/// store's client library.
+fn connection_count(store: &dyn DistributedStore, config: &RunConfig) -> u32 {
+    match store.connection_cap() {
+        Some(cap) => config.client.connections.min(cap),
+        None => config.client.connections,
+    }
+}
+
+/// Submits one attempt's plan, with the client-side deadline if any.
+fn submit_attempt(
+    engine: &mut Engine,
+    start: SimTime,
+    plan: Plan,
+    token: Token,
+    deadline: Option<SimDuration>,
+) -> PlanHandle {
+    match deadline {
+        Some(deadline) => engine.submit_at_with_deadline(start, plan, token, deadline),
+        None => engine.submit_at(start, plan, token),
+    }
+}
+
+impl Driver {
     fn snap_state(&self, w: &mut SnapWriter) {
         self.generator.snap_state(w);
         w.put(&self.slots);
         w.put(&self.stats);
-        match &self.sampler {
-            Some(sampler) => {
-                w.put_u8(1);
-                sampler.snap_state(w);
-            }
-            None => w.put_u8(0),
-        }
+        w.put(&self.sampler);
         w.put_u64(self.issued);
         w.put(&self.warmup_end);
         w.put(&self.measure_end);
         w.put(&self.event_at);
         w.put_u32(self.next_checkpoint);
         w.put(&self.ledger);
+        w.put(&self.ps);
     }
 
     fn restore_state(
         config: &RunConfig,
         total_records: u64,
+        store: &dyn DistributedStore,
         r: &mut SnapReader,
-    ) -> Result<LegacyDriver, SnapError> {
+    ) -> Result<Driver, SnapError> {
         let mut generator =
             WorkloadGenerator::new(config.workload.clone(), total_records, config.seed);
         generator.restore_state(r)?;
-        Ok(LegacyDriver {
+        let slots: Vec<ClientSlot> = r.get()?;
+        // The loop indexes slots by the client id in each completion
+        // token; a slot vector of any other length is not this run's.
+        if slots.len() != connection_count(store, config) as usize {
+            return Err(SnapError::BadTag {
+                what: "client slot count",
+                tag: slots.len() as u64,
+            });
+        }
+        Ok(Driver {
+            policy: config.resilience.clone().unwrap_or_default(),
             generator,
-            slots: r.get()?,
+            slots,
             stats: r.get()?,
-            sampler: match r.u8()? {
-                0 => None,
-                1 => Some(TelemetrySampler::restore_state(r)?),
-                tag => {
-                    return Err(SnapError::BadTag {
-                        what: "sampler option",
-                        tag: u64::from(tag),
-                    })
-                }
-            },
+            sampler: r.get()?,
             issued: r.u64()?,
             warmup_end: r.get()?,
             measure_end: r.get()?,
             event_at: r.get()?,
             next_checkpoint: r.u32()?,
             ledger: r.get()?,
+            ps: r.get()?,
         })
     }
 
@@ -575,61 +689,185 @@ impl LegacyDriver {
         self.warmup_end
             + SimDuration::from_nanos(every.as_nanos() * (u64::from(self.next_checkpoint) + 1))
     }
+
+    /// Draws the next logical op and its jitter fraction, and credits
+    /// admission control with one primary. The fraction only ever scales
+    /// a retry backoff, so it is drawn only under a retry policy.
+    fn draw_logical_op(&mut self) -> (Operation, f64) {
+        self.ledger.logical += 1;
+        if let Some(budget) = self.ps.budget.as_mut() {
+            budget.on_primary();
+        }
+        let jitter = match self.policy.retry {
+            Some(_) => self.ps.rng.next_frac(),
+            None => 0.0,
+        };
+        (self.generator.next_op(), jitter)
+    }
+
+    /// Starts a fresh logical op on `client` and issues its first
+    /// attempt.
+    fn issue_logical_op(
+        &mut self,
+        engine: &mut Engine,
+        store: &mut dyn DistributedStore,
+        client: u32,
+        at: SimTime,
+        deadline: Option<SimDuration>,
+    ) {
+        let (op, jitter) = self.draw_logical_op();
+        let slot = &mut self.slots[client as usize];
+        slot.op = op;
+        slot.retries_used = 0;
+        slot.jitter = jitter;
+        slot.hedge_used = false;
+        slot.logical_start = at.max(engine.now());
+        self.issue_attempt(engine, store, client, at, deadline);
+    }
+
+    /// Issues one attempt (primary or retry) of the client's logical op,
+    /// consulting the target's circuit breaker and arming the hedge
+    /// trigger for reads.
+    fn issue_attempt(
+        &mut self,
+        engine: &mut Engine,
+        store: &mut dyn DistributedStore,
+        client: u32,
+        at: SimTime,
+        deadline: Option<SimDuration>,
+    ) {
+        let start = at.max(engine.now());
+        let slot = &mut self.slots[client as usize];
+        slot.epoch += 1;
+        slot.target = None;
+        slot.was_probe = false;
+        slot.shed = false;
+        slot.primary = None;
+        slot.hedge = None;
+        slot.trigger = None;
+        let token = attempt_token(client, slot.epoch);
+        self.issued += 1;
+
+        // Circuit breaker: consult the per-target state machine first.
+        // `plan_target` is a routing hash per op, so it is computed only
+        // when there is a breaker to shard on it.
+        if let Some(bp) = &self.policy.breaker {
+            slot.target = store.plan_target(&slot.op);
+            if let Some(t) = slot.target {
+                let (decision, transition) = self.ps.breakers[t].admit(start, bp);
+                self.ps.note_transition(transition);
+                match decision {
+                    BreakerDecision::Admit => {}
+                    BreakerDecision::Probe => slot.was_probe = true,
+                    BreakerDecision::Shed => {
+                        self.ps.counters.shed += 1;
+                        slot.shed = true;
+                        slot.ok = true;
+                        slot.missing = false;
+                        let plan = client_only_plan(store.ctx(), client, SHED_COST);
+                        slot.primary = Some(engine.submit_at(start, plan, token));
+                        return;
+                    }
+                }
+            }
+        }
+
+        let (outcome, plan) = store.plan_op(client, &slot.op, engine);
+        slot.ok = !matches!(outcome, OpOutcome::Rejected(_));
+        slot.missing = matches!(outcome, OpOutcome::Missing);
+        slot.primary = Some(submit_attempt(engine, start, plan, token, deadline));
+
+        // Arm the hedge trigger: a pure delay whose completion is the
+        // signal to launch the speculative duplicate read.
+        if let Some(hp) = &self.policy.hedge {
+            if slot.op.kind() == OpKind::Read && !slot.hedge_used {
+                let delay = Plan(vec![Step::Delay(self.ps.tracker.delay(hp))]);
+                let token = hedge_trigger_token(client, slot.epoch);
+                slot.trigger = Some(engine.submit_at(start, delay, token));
+            }
+        }
+    }
+
+    /// Fired by a hedge trigger's completion: launches the speculative
+    /// duplicate read if the primary is still in flight, admission
+    /// control grants the extra attempt, and the store has an
+    /// alternative replica.
+    fn launch_hedge(
+        &mut self,
+        engine: &mut Engine,
+        store: &mut dyn DistributedStore,
+        client: u32,
+        deadline: Option<SimDuration>,
+    ) {
+        let slot = &mut self.slots[client as usize];
+        slot.trigger = None;
+        if slot.primary.is_none() || slot.hedge.is_some() || slot.hedge_used || slot.shed {
+            return;
+        }
+        if !self.ps.try_extra() {
+            return; // admission control declines the speculative attempt
+        }
+        let Some(plan) = store.hedge_read_plan(client, &slot.op, engine) else {
+            return; // no alternative replica to hedge to
+        };
+        self.ps.counters.hedges += 1;
+        slot.hedge_used = true;
+        self.issued += 1;
+        let (now, token) = (engine.now(), hedge_token(client, slot.epoch));
+        slot.hedge = Some(submit_attempt(engine, now, plan, token, deadline));
+    }
 }
 
-/// Fresh transaction phase of the legacy driver: arm faults, prime the
-/// connections, then enter the shared event loop.
-fn run_transactions_legacy(
+/// Fresh transaction phase: arm faults, prime the connections, then
+/// enter the event loop.
+fn run_transactions(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
     config: &RunConfig,
     total_records: u64,
     mask: Option<&[bool]>,
 ) -> RunResult {
-    let mut generator = WorkloadGenerator::new(config.workload.clone(), total_records, config.seed);
-    let connections = match store.connection_cap() {
-        Some(cap) => config.client.connections.min(cap),
-        None => config.client.connections,
-    };
+    let connections = connection_count(store, config);
     assert!(connections > 0, "no client connections");
-    let warmup_end = engine.now() + SimDuration::from_secs_f64(config.client.warmup_secs);
+    let start = engine.now();
+    let warmup_end = start + SimDuration::from_secs_f64(config.client.warmup_secs);
     let measure_end = warmup_end + SimDuration::from_secs_f64(config.client.measure_secs);
     let issue_interval = config
         .client
         .issue_interval_secs()
         .map(SimDuration::from_secs_f64);
-
-    let mut slots: Vec<ClientSlot> = (0..connections)
-        .map(|_| ClientSlot {
-            kind: OpKind::Read,
-            ok: true,
-            missing: false,
-            next_issue: engine.now(),
-            pending_insert: None,
-        })
-        .collect();
-    let sampler = config
-        .telemetry_window_secs
-        .map(|secs| TelemetrySampler::new(engine, secs, warmup_end));
-    let mut issued: u64 = 0;
-    let mut ledger = RunLedger::default();
-    let start = engine.now();
+    let policy = config.resilience.clone().unwrap_or_default();
+    let mut d = Driver {
+        generator: WorkloadGenerator::new(config.workload.clone(), total_records, config.seed),
+        slots: Vec::with_capacity(connections as usize),
+        stats: BenchStats::new(),
+        sampler: config
+            .telemetry_window_secs
+            .map(|secs| TelemetrySampler::new(engine, secs, warmup_end)),
+        issued: 0,
+        warmup_end,
+        measure_end,
+        event_at: config
+            .event_at_secs
+            .map(|secs| warmup_end + SimDuration::from_secs_f64(secs)),
+        next_checkpoint: 0,
+        ledger: RunLedger::default(),
+        ps: PolicyState::new(&policy, config.seed, store.ctx().servers.len()),
+        policy,
+    };
 
     // Arm the fault schedule: one zero-cost sentinel plan per event, so
     // transitions fire at exact simulated times inside the event loop.
     for (index, event) in config.faults.events().iter().enumerate() {
         let at = warmup_end + SimDuration::from_nanos(event.at.as_nanos());
         if at < measure_end {
-            engine.submit_at(
-                at.max(engine.now()),
-                Plan::empty(),
-                fault_token(index as u64),
-            );
+            engine.submit_at(at.max(start), Plan::empty(), fault_token(index as u64));
         }
     }
 
-    // Prime every connection. Under throttling, stagger the first issues
-    // across one interval so the target rate is smooth.
+    // Prime every connection; a slot comes into being with its first op,
+    // so no slot ever exists without one. Under throttling, stagger the
+    // first issues across one interval so the target rate is smooth.
     for client in 0..connections {
         let at = match issue_interval {
             Some(interval) => {
@@ -640,39 +878,29 @@ fn run_transactions_legacy(
             }
             None => start,
         };
-        slots[client as usize].next_issue = at;
-        issue_op(
-            engine,
-            store,
-            &mut generator,
-            &mut slots,
-            client,
-            at,
-            config.op_deadline,
-            &mut issued,
-            &mut ledger,
-        );
+        let (op, jitter) = d.draw_logical_op();
+        d.slots.push(ClientSlot {
+            op,
+            ok: true,
+            missing: false,
+            next_issue: at,
+            epoch: 0,
+            logical_start: at.max(start),
+            retries_used: 0,
+            jitter,
+            target: None,
+            was_probe: false,
+            shed: false,
+            hedge_used: false,
+            primary: None,
+            hedge: None,
+            trigger: None,
+        });
+        d.issue_attempt(engine, store, client, at, config.op_deadline);
     }
 
-    let event_at = config
-        .event_at_secs
-        .map(|secs| warmup_end + SimDuration::from_secs_f64(secs));
-
-    let mut d = LegacyDriver {
-        generator,
-        slots,
-        stats: BenchStats::new(),
-        sampler,
-        issued,
-        warmup_end,
-        measure_end,
-        event_at,
-        next_checkpoint: 0,
-        ledger,
-    };
-    let mut checkpoints = Vec::new();
-    drive_legacy(engine, store, config, &mut d, &mut checkpoints, mask);
-    finalize_legacy(engine, store, d, checkpoints)
+    let checkpoints = drive(engine, store, config, &mut d, mask);
+    finalize(engine, store, d, checkpoints)
 }
 
 /// Pops the next completion from the driver-local batch, refilling it
@@ -692,19 +920,20 @@ fn next_batched(engine: &mut Engine, batch: &mut VecDeque<Completion>) -> Option
     }
 }
 
-/// The legacy event loop: consume completions, record, reissue, capture
-/// checkpoints, stop at the window end. Both a fresh run and a resumed
-/// one enter here; all mutable state lives in the driver, the kernel,
-/// or the store — each of which snapshots — so the loop itself is
-/// oblivious to which entry path it came from.
-fn drive_legacy(
+/// The event loop: consume completions, settle hedge races, retry,
+/// record, reissue, capture checkpoints, stop at the window end. Both a
+/// fresh run and a resumed one enter here; all mutable state lives in
+/// the driver, the kernel, or the store — each of which snapshots — so
+/// the loop itself is oblivious to which entry path it came from.
+/// Returns the checkpoints captured on the way.
+fn drive(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
     config: &RunConfig,
-    d: &mut LegacyDriver,
-    checkpoints: &mut Vec<Checkpoint>,
+    d: &mut Driver,
     mask: Option<&[bool]>,
-) {
+) -> Vec<Checkpoint> {
+    let deadline = config.op_deadline;
     let issue_interval = config
         .client
         .issue_interval_secs()
@@ -723,6 +952,7 @@ fn drive_legacy(
         .map(|secs| d.warmup_end + SimDuration::from_secs_f64(secs))
         .filter(|&at| engine.now() < at);
 
+    let mut checkpoints = Vec::new();
     // Completions arrive in batches — everything the kernel buffered in
     // one pass — cutting a kernel round-trip per same-timestamp
     // completion; the per-completion body is unchanged.
@@ -751,9 +981,12 @@ fn drive_legacy(
         }
         let (is_fault, fault_index) = split_fault_token(completion.token);
         if is_fault {
-            if event_enabled(mask, fault_index as usize) {
-                let event = config.faults.events()[fault_index as usize];
-                store.on_fault(&event, engine);
+            // A sentinel beyond the schedule (only a forged snapshot can
+            // hold one) is ignored, as a masked one is.
+            if let Some(event) = config.faults.events().get(fault_index as usize) {
+                if event_enabled(mask, fault_index as usize) {
+                    store.on_fault(event, engine);
+                }
             }
             continue;
         }
@@ -762,72 +995,129 @@ fn drive_legacy(
             store.on_background(id, engine);
             continue;
         }
-        let client = id as u32;
-        let slot = &d.slots[client as usize];
+        let (client, epoch, attempt_kind) = split_attempt_token(completion.token);
+        let slot = &mut d.slots[client as usize];
+        if epoch != slot.epoch || completion.outcome == Outcome::Cancelled {
+            // A cancelled loser, a stale trigger, or a straggler from a
+            // superseded attempt: never recorded, so a hedged op can
+            // never double-count in the stats.
+            continue;
+        }
+        if attempt_kind == AttemptKind::HedgeTrigger {
+            d.launch_hedge(engine, store, client, deadline);
+            continue;
+        }
+
+        // ---- The current attempt resolved: settle the race first.
         let failed = !completion.outcome.is_ok();
+        let (winner_was_hedge, loser) = match attempt_kind {
+            AttemptKind::Hedge => (true, slot.primary.take()),
+            // HedgeTrigger completions return early above, so only a
+            // primary can reach here; keep the arm for exhaustiveness.
+            AttemptKind::Primary | AttemptKind::HedgeTrigger => (false, slot.hedge.take()),
+        };
+        if let Some(handle) = loser {
+            engine.cancel(handle);
+        }
+        if let Some(handle) = slot.trigger.take() {
+            engine.cancel(handle);
+        }
+        slot.primary = None;
+        slot.hedge = None;
+        if winner_was_hedge && !failed {
+            d.ps.counters.hedge_wins += 1;
+        }
+
+        // Feed the breaker and the hedge-latency tracker (shed attempts
+        // never touched the target, so they are invisible to both).
+        let kind = slot.op.kind();
+        if !slot.shed {
+            if let (Some(bp), Some(target)) = (&d.policy.breaker, slot.target) {
+                let transition = d.ps.breakers[target].on_outcome(now, !failed, slot.was_probe, bp);
+                d.ps.note_transition(transition);
+            }
+            if d.policy.hedge.is_some()
+                && !failed
+                && slot.ok
+                && !slot.missing
+                && kind == OpKind::Read
+            {
+                d.ps.tracker.record(completion.latency().as_nanos());
+            }
+        }
+
+        // Retry kernel-level failures within budget and admission.
+        if failed && !slot.shed {
+            if let Some(rp) = &d.policy.retry {
+                let used = slot.retries_used;
+                let re_at = now + backoff_delay(rp, used, slot.jitter);
+                if used < rp.budget(kind) && re_at < d.measure_end {
+                    if d.ps.try_extra() {
+                        slot.retries_used = used + 1;
+                        d.ps.counters.retries += 1;
+                        #[cfg(feature = "audit")]
+                        d.ps.auditor.on_retry(used + 1, rp.budget(kind));
+                        d.issue_attempt(engine, store, client, re_at, deadline);
+                        continue;
+                    }
+                    // Admission control declined: the storm stops here.
+                    d.ps.counters.shed += 1;
+                }
+            }
+        }
+
+        // ---- Final resolution of the logical op (retry continuations
+        // left the iteration above): record it inside the measurement
+        // window, resolve it in the ledger always — warm-up included.
+        // A rejection is client-side: a breaker fast-fail or a store
+        // admission refusal.
+        let rejected = slot.shed || (!failed && !slot.missing && !slot.ok);
         if now > d.warmup_end {
             let offset_ns = now.since(d.warmup_end).as_nanos();
-            if failed || slot.missing {
+            let telemetry = d.sampler.as_mut().map(|s| &mut s.telemetry);
+            if rejected {
+                d.stats.record_rejection(kind);
+                d.stats.record_timeline(offset_ns);
+                if let Some(telemetry) = telemetry {
+                    telemetry.record_rejection(offset_ns);
+                }
+            } else if failed || slot.missing {
                 // Kernel-level failure (node down, timeout) or lost data.
-                d.stats.record_error(slot.kind, offset_ns);
-                if let Some(sampler) = d.sampler.as_mut() {
-                    sampler.telemetry.record_error(offset_ns);
+                d.stats.record_error(kind, offset_ns);
+                if let Some(telemetry) = telemetry {
+                    telemetry.record_error(offset_ns);
                 }
             } else {
-                if slot.ok {
-                    d.stats.record(slot.kind, completion.latency().as_nanos());
-                    if let Some(sampler) = d.sampler.as_mut() {
-                        sampler
-                            .telemetry
-                            .record(offset_ns, completion.latency().as_nanos());
-                    }
-                } else {
-                    d.stats.record_rejection(slot.kind);
-                    if let Some(sampler) = d.sampler.as_mut() {
-                        sampler.telemetry.record_rejection(offset_ns);
-                    }
-                }
+                // End-to-end latency: backoff and retries count against
+                // the op, exactly as a real client would experience.
+                let latency = now.since(slot.logical_start).as_nanos();
+                d.stats.record(kind, latency);
                 d.stats.record_timeline(offset_ns);
-            }
-        }
-        {
-            // Every non-fault, non-background completion resolves its
-            // connection's op exactly once — warm-up included, which is
-            // why this sits outside the measurement gate above.
-            let slot = &mut d.slots[client as usize];
-            d.ledger.resolved += 1;
-            if !failed && !slot.missing && !slot.ok {
-                d.ledger.rejected += 1;
-            }
-            if slot.kind == OpKind::Insert && slot.ok && !failed {
-                d.generator.ack_insert();
-                if let Some(key) = slot.pending_insert.take() {
-                    d.ledger.acked_inserts.push(key);
+                if let Some(telemetry) = telemetry {
+                    telemetry.record(offset_ns, latency);
                 }
             }
         }
-        // Schedule the next op for this connection.
+        d.ledger.resolved += 1;
+        d.ledger.rejected += u64::from(rejected);
+        if let Operation::Insert { record } = &slot.op {
+            if slot.ok && !failed && !slot.shed {
+                // Acked to the client: the ledger records exactly the
+                // keys the client saw acknowledged.
+                d.generator.ack_insert();
+                d.ledger.acked_inserts.push(record.key);
+            }
+        }
+        // Schedule the next logical op for this connection.
         let at = match issue_interval {
             Some(interval) => {
-                let scheduled = d.slots[client as usize].next_issue + interval;
-                d.slots[client as usize].next_issue =
-                    if scheduled >= now { scheduled } else { now };
-                d.slots[client as usize].next_issue
+                slot.next_issue = (slot.next_issue + interval).max(now);
+                slot.next_issue
             }
             None => now,
         };
         if at < d.measure_end {
-            issue_op(
-                engine,
-                store,
-                &mut d.generator,
-                &mut d.slots,
-                client,
-                at,
-                config.op_deadline,
-                &mut d.issued,
-                &mut d.ledger,
-            );
+            d.issue_logical_op(engine, store, client, at, deadline);
         }
         // Capture every checkpoint boundary crossed by this completion.
         // The bottom of the iteration is a consistent cut: the completion
@@ -843,28 +1133,22 @@ fn drive_legacy(
             while d.checkpoint_due(every) <= now {
                 let index = d.next_checkpoint;
                 d.next_checkpoint += 1;
-                capture_checkpoint(
-                    engine,
-                    store,
-                    config,
-                    MODE_LEGACY,
-                    index,
-                    checkpoints,
-                    |w| d.snap_state(w),
-                );
+                checkpoints.push(capture_checkpoint(engine, store, config, d, index));
             }
         }
     }
+    checkpoints
 }
 
-fn finalize_legacy(
+fn finalize(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
-    mut d: LegacyDriver,
+    mut d: Driver,
     checkpoints: Vec<Checkpoint>,
 ) -> RunResult {
     d.stats
         .set_window_ns(d.measure_end.since(d.warmup_end).as_nanos());
+    *d.stats.resilience_mut() = d.ps.counters;
     // Flush the final boundary (the loop stops at the first completion
     // past the window, which may itself lie beyond it).
     if let Some(sampler) = d.sampler.as_mut() {
@@ -888,26 +1172,22 @@ fn event_enabled(mask: Option<&[bool]>, index: usize) -> bool {
     }
 }
 
-/// Seals one checkpoint: store state, kernel state, the driver-mode
-/// byte, then the driver state written by `snap_driver`. The caller
-/// advances the driver's checkpoint counter *before* serializing, so
-/// the stored counter already points past this checkpoint — exactly
-/// what a resumed run needs to continue the numbering.
-#[allow(clippy::too_many_arguments)]
+/// Seals checkpoint `index`: store state, kernel state, driver state.
+/// The caller advances the driver's checkpoint counter *before*
+/// serializing, so the stored counter already points past this
+/// checkpoint — exactly what a resumed run needs to continue the
+/// numbering.
 fn capture_checkpoint(
     engine: &Engine,
     store: &dyn DistributedStore,
     config: &RunConfig,
-    mode: u8,
+    d: &Driver,
     index: u32,
-    checkpoints: &mut Vec<Checkpoint>,
-    snap_driver: impl FnOnce(&mut SnapWriter),
-) {
+) -> Checkpoint {
     let mut w = SnapWriter::new();
     store.snap_state(&mut w);
     engine.snap_state(&mut w);
-    w.put_u8(mode);
-    snap_driver(&mut w);
+    d.snap_state(&mut w);
     let header = SnapshotHeader {
         scenario: store.name().to_string(),
         config_fingerprint: config_fingerprint(store.name(), config),
@@ -915,816 +1195,11 @@ fn capture_checkpoint(
         checkpoint_index: index,
         virtual_time_ns: engine.now().0,
     };
-    checkpoints.push(Checkpoint {
+    Checkpoint {
         index,
         at: engine.now(),
         bytes: snap::seal(&header, w.bytes()),
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn issue_op(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    generator: &mut WorkloadGenerator,
-    slots: &mut [ClientSlot],
-    client: u32,
-    at: SimTime,
-    deadline: Option<SimDuration>,
-    issued: &mut u64,
-    ledger: &mut RunLedger,
-) {
-    let op = generator.next_op();
-    let (outcome, plan) = store.plan_op(client, &op, engine);
-    *issued += 1;
-    ledger.logical += 1;
-    slots[client as usize].kind = op.kind();
-    slots[client as usize].ok = !matches!(outcome, OpOutcome::Rejected(_));
-    slots[client as usize].missing = matches!(outcome, OpOutcome::Missing);
-    slots[client as usize].pending_insert = match &op {
-        Operation::Insert { record } => Some(record.key),
-        Operation::Read { .. } | Operation::Update { .. } | Operation::Scan { .. } => None,
-    };
-    let start = at.max(engine.now());
-    let token = Token(u64::from(client));
-    match deadline {
-        Some(deadline) => engine.submit_at_with_deadline(start, plan, token, deadline),
-        None => engine.submit_at(start, plan, token),
-    };
-}
-
-// ---------------------------------------------------------------------------
-// Resilient driver: the same closed loop, with every logical op wrapped in
-// the retry / hedging / circuit-breaking / admission policies of
-// [`crate::resilience`]. Lives beside the legacy loop (rather than inside
-// it) so a `RunConfig` without a policy keeps today's byte-identical path.
-
-/// Client CPU burned by a breaker fast-fail (error construction on the
-/// client; the shed op never touches the target node).
-const SHED_COST: SimDuration = SimDuration::from_micros(5);
-
-/// Per-connection state when a [`ResiliencePolicy`] is active.
-struct ResilientSlot {
-    /// The logical op in flight (retries and hedges re-send it).
-    op: Option<Operation>,
-    ok: bool,
-    missing: bool,
-    next_issue: SimTime,
-    /// Attempt epoch, advanced on every attempt submission; completions
-    /// carrying an older epoch are stale (cancelled losers, late
-    /// triggers) and are dropped unrecorded.
-    epoch: u64,
-    /// Start of the logical op's first attempt — the base for end-to-end
-    /// latency, so retries and backoff count against the op.
-    logical_start: SimTime,
-    retries_used: u32,
-    /// Jitter fraction drawn once per logical op, keeping each op's
-    /// backoff schedule monotone.
-    jitter: f64,
-    /// Breaker target of the current attempt.
-    target: Option<usize>,
-    was_probe: bool,
-    /// The current attempt was shed by a breaker (client fast-fail).
-    shed: bool,
-    hedge_used: bool,
-    primary: Option<PlanHandle>,
-    hedge: Option<PlanHandle>,
-    trigger: Option<PlanHandle>,
-}
-
-impl ResilientSlot {
-    fn kind(&self) -> OpKind {
-        self.op.as_ref().expect("logical op in flight").kind()
     }
-}
-
-impl Snap for ResilientSlot {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.op);
-        w.put(&self.ok);
-        w.put(&self.missing);
-        w.put(&self.next_issue);
-        w.put_u64(self.epoch);
-        w.put(&self.logical_start);
-        w.put_u32(self.retries_used);
-        w.put_f64(self.jitter);
-        w.put(&self.target);
-        w.put(&self.was_probe);
-        w.put(&self.shed);
-        w.put(&self.hedge_used);
-        w.put(&self.primary);
-        w.put(&self.hedge);
-        w.put(&self.trigger);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ResilientSlot {
-            op: r.get()?,
-            ok: r.get()?,
-            missing: r.get()?,
-            next_issue: r.get()?,
-            epoch: r.u64()?,
-            logical_start: r.get()?,
-            retries_used: r.u32()?,
-            jitter: r.f64()?,
-            target: r.get()?,
-            was_probe: r.get()?,
-            shed: r.get()?,
-            hedge_used: r.get()?,
-            primary: r.get()?,
-            hedge: r.get()?,
-            trigger: r.get()?,
-        })
-    }
-}
-
-/// Mutable policy-engine state shared by all connections.
-struct PolicyState {
-    /// Config, re-supplied at construction (see `snap_state` docs).
-    policy: ResiliencePolicy, // audit:allow(snap-drift)
-    rng: JitterRng,
-    tracker: HedgeTracker,
-    breakers: Vec<Breaker>,
-    budget: Option<AdmissionBudget>,
-    counters: ResilienceCounters,
-    #[cfg(feature = "audit")]
-    auditor: crate::audit::RetryAuditor,
-}
-
-impl PolicyState {
-    fn new(policy: ResiliencePolicy, seed: u64, targets: usize) -> PolicyState {
-        PolicyState {
-            rng: JitterRng::new(seed ^ 0x7E51_11E9_CE00_0001),
-            tracker: HedgeTracker::default(),
-            breakers: (0..targets).map(|_| Breaker::default()).collect(),
-            budget: policy.admission.as_ref().map(AdmissionBudget::new),
-            counters: ResilienceCounters::default(),
-            #[cfg(feature = "audit")]
-            auditor: crate::audit::RetryAuditor::default(),
-            policy,
-        }
-    }
-
-    fn note_transition(
-        &mut self,
-        transition: Option<(
-            crate::resilience::BreakerState,
-            crate::resilience::BreakerState,
-        )>,
-    ) {
-        if let Some((_from, _to)) = transition {
-            self.counters.breaker_transitions += 1;
-            #[cfg(feature = "audit")]
-            self.auditor.on_transition(_from, _to);
-        }
-    }
-
-    /// Spends one extra-attempt credit (retry or hedge); always granted
-    /// when no admission policy is configured.
-    fn try_extra(&mut self) -> bool {
-        match self.budget.as_mut() {
-            Some(budget) => budget.try_spend(),
-            None => true,
-        }
-    }
-
-    /// The policy itself is config, re-supplied at construction; only
-    /// the mutable engine state serializes. The breaker vector carries
-    /// its own length, so topology growth mid-run survives a round trip.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rng.state());
-        w.put(&self.tracker);
-        w.put(&self.breakers);
-        w.put(&self.budget);
-        w.put(&self.counters);
-        // The sealed container's feature byte (checked in `open`) rejects
-        // cross-feature streams before this codec runs.
-        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
-        w.put(&self.auditor);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.rng = JitterRng::from_state(r.u64()?);
-        self.tracker = r.get()?;
-        self.breakers = r.get()?;
-        self.budget = r.get()?;
-        self.counters = r.get()?;
-        // Container feature byte guards this read; see `snap_state`.
-        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
-        {
-            self.auditor = r.get()?;
-        }
-        Ok(())
-    }
-}
-
-/// Loop state of the resilient driver — [`LegacyDriver`] plus the
-/// policy engine, extracted for the same checkpoint/resume reasons.
-struct ResilientDriver {
-    generator: WorkloadGenerator,
-    slots: Vec<ResilientSlot>,
-    stats: BenchStats,
-    sampler: Option<TelemetrySampler>,
-    issued: u64,
-    warmup_end: SimTime,
-    measure_end: SimTime,
-    event_at: Option<SimTime>,
-    next_checkpoint: u32,
-    ledger: RunLedger,
-    ps: PolicyState,
-}
-
-impl ResilientDriver {
-    fn snap_state(&self, w: &mut SnapWriter) {
-        self.generator.snap_state(w);
-        w.put(&self.slots);
-        w.put(&self.stats);
-        match &self.sampler {
-            Some(sampler) => {
-                w.put_u8(1);
-                sampler.snap_state(w);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_u64(self.issued);
-        w.put(&self.warmup_end);
-        w.put(&self.measure_end);
-        w.put(&self.event_at);
-        w.put_u32(self.next_checkpoint);
-        w.put(&self.ledger);
-        self.ps.snap_state(w);
-    }
-
-    fn restore_state(
-        config: &RunConfig,
-        policy: ResiliencePolicy,
-        total_records: u64,
-        store: &dyn DistributedStore,
-        r: &mut SnapReader,
-    ) -> Result<ResilientDriver, SnapError> {
-        let mut generator =
-            WorkloadGenerator::new(config.workload.clone(), total_records, config.seed);
-        generator.restore_state(r)?;
-        let mut d = ResilientDriver {
-            generator,
-            slots: r.get()?,
-            stats: r.get()?,
-            sampler: match r.u8()? {
-                0 => None,
-                1 => Some(TelemetrySampler::restore_state(r)?),
-                tag => {
-                    return Err(SnapError::BadTag {
-                        what: "sampler option",
-                        tag: u64::from(tag),
-                    })
-                }
-            },
-            issued: r.u64()?,
-            warmup_end: r.get()?,
-            measure_end: r.get()?,
-            event_at: r.get()?,
-            next_checkpoint: r.u32()?,
-            ledger: r.get()?,
-            ps: PolicyState::new(policy, config.seed, store.ctx().servers.len()),
-        };
-        d.ps.restore_state(r)?;
-        Ok(d)
-    }
-
-    fn checkpoint_due(&self, every: SimDuration) -> SimTime {
-        self.warmup_end
-            + SimDuration::from_nanos(every.as_nanos() * (u64::from(self.next_checkpoint) + 1))
-    }
-}
-
-fn run_transactions_resilient(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    config: &RunConfig,
-    total_records: u64,
-    mask: Option<&[bool]>,
-) -> RunResult {
-    let policy = config
-        .resilience
-        .clone()
-        .expect("resilient driver requires a policy");
-    let mut generator = WorkloadGenerator::new(config.workload.clone(), total_records, config.seed);
-    let connections = match store.connection_cap() {
-        Some(cap) => config.client.connections.min(cap),
-        None => config.client.connections,
-    };
-    assert!(connections > 0, "no client connections");
-    let warmup_end = engine.now() + SimDuration::from_secs_f64(config.client.warmup_secs);
-    let measure_end = warmup_end + SimDuration::from_secs_f64(config.client.measure_secs);
-    let issue_interval = config
-        .client
-        .issue_interval_secs()
-        .map(SimDuration::from_secs_f64);
-
-    let mut slots: Vec<ResilientSlot> = (0..connections)
-        .map(|_| ResilientSlot {
-            op: None,
-            ok: true,
-            missing: false,
-            next_issue: engine.now(),
-            epoch: 0,
-            logical_start: engine.now(),
-            retries_used: 0,
-            jitter: 0.0,
-            target: None,
-            was_probe: false,
-            shed: false,
-            hedge_used: false,
-            primary: None,
-            hedge: None,
-            trigger: None,
-        })
-        .collect();
-    let sampler = config
-        .telemetry_window_secs
-        .map(|secs| TelemetrySampler::new(engine, secs, warmup_end));
-    let mut issued: u64 = 0;
-    let mut ledger = RunLedger::default();
-    let start = engine.now();
-    let mut ps = PolicyState::new(policy, config.seed, store.ctx().servers.len());
-
-    for (index, event) in config.faults.events().iter().enumerate() {
-        let at = warmup_end + SimDuration::from_nanos(event.at.as_nanos());
-        if at < measure_end {
-            engine.submit_at(
-                at.max(engine.now()),
-                Plan::empty(),
-                fault_token(index as u64),
-            );
-        }
-    }
-
-    for client in 0..connections {
-        let at = match issue_interval {
-            Some(interval) => {
-                start
-                    + SimDuration::from_nanos(
-                        interval.as_nanos() * u64::from(client) / u64::from(connections),
-                    )
-            }
-            None => start,
-        };
-        slots[client as usize].next_issue = at;
-        issue_logical_op(
-            engine,
-            store,
-            &mut generator,
-            &mut slots,
-            &mut ps,
-            client,
-            at,
-            config.op_deadline,
-            &mut issued,
-            &mut ledger,
-        );
-    }
-
-    let event_at = config
-        .event_at_secs
-        .map(|secs| warmup_end + SimDuration::from_secs_f64(secs));
-
-    let mut d = ResilientDriver {
-        generator,
-        slots,
-        stats: BenchStats::new(),
-        sampler,
-        issued,
-        warmup_end,
-        measure_end,
-        event_at,
-        next_checkpoint: 0,
-        ledger,
-        ps,
-    };
-    let mut checkpoints = Vec::new();
-    drive_resilient(engine, store, config, &mut d, &mut checkpoints, mask);
-    finalize_resilient(engine, store, d, checkpoints)
-}
-
-fn drive_resilient(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    config: &RunConfig,
-    d: &mut ResilientDriver,
-    checkpoints: &mut Vec<Checkpoint>,
-    mask: Option<&[bool]>,
-) {
-    let issue_interval = config
-        .client
-        .issue_interval_secs()
-        .map(SimDuration::from_secs_f64);
-    let every = config
-        .checkpoints
-        .as_ref()
-        .map(|spec| SimDuration::from_secs_f64(spec.every_secs));
-    let mut perturb_at = config
-        .checkpoints
-        .as_ref()
-        .and_then(|spec| spec.perturb_at_secs)
-        .map(|secs| d.warmup_end + SimDuration::from_secs_f64(secs))
-        .filter(|&at| engine.now() < at);
-
-    let mut batch: VecDeque<Completion> = VecDeque::new();
-    while let Some(completion) = next_batched(engine, &mut batch) {
-        let now = completion.finished;
-        if let Some(sampler) = d.sampler.as_mut() {
-            sampler.advance_to(engine, now.min(d.measure_end));
-        }
-        if now > d.measure_end {
-            break;
-        }
-        if let Some(at) = d.event_at {
-            if now >= at {
-                d.event_at = None;
-                store.on_timed_event(engine);
-            }
-        }
-        if let Some(at) = perturb_at {
-            if now >= at {
-                perturb_at = None;
-                let _ = d.generator.next_op();
-            }
-        }
-        let (is_fault, fault_index) = split_fault_token(completion.token);
-        if is_fault {
-            if event_enabled(mask, fault_index as usize) {
-                let event = config.faults.events()[fault_index as usize];
-                store.on_fault(&event, engine);
-            }
-            continue;
-        }
-        let (is_background, id) = split_token(completion.token);
-        if is_background {
-            store.on_background(id, engine);
-            continue;
-        }
-        let (client, epoch, attempt_kind) = split_attempt_token(completion.token);
-        if epoch != d.slots[client as usize].epoch || completion.outcome == Outcome::Cancelled {
-            // A cancelled loser, a stale trigger, or a straggler from a
-            // superseded attempt: never recorded, so a hedged op can
-            // never double-count in the stats.
-            continue;
-        }
-        if attempt_kind == AttemptKind::HedgeTrigger {
-            launch_hedge(
-                engine,
-                store,
-                &mut d.slots,
-                &mut d.ps,
-                client,
-                epoch,
-                config.op_deadline,
-                &mut d.issued,
-            );
-            continue;
-        }
-
-        // ---- The current attempt resolved: settle the race first.
-        let failed = !completion.outcome.is_ok();
-        {
-            let slot = &mut d.slots[client as usize];
-            let (winner_was_hedge, loser) = match attempt_kind {
-                AttemptKind::Hedge => (true, slot.primary.take()),
-                // HedgeTrigger completions return early above, so only a
-                // primary can reach here; keep the arm for exhaustiveness.
-                AttemptKind::Primary | AttemptKind::HedgeTrigger => (false, slot.hedge.take()),
-            };
-            if let Some(handle) = loser {
-                engine.cancel(handle);
-            }
-            if let Some(handle) = slot.trigger.take() {
-                engine.cancel(handle);
-            }
-            slot.primary = None;
-            slot.hedge = None;
-            if winner_was_hedge && !failed {
-                d.ps.counters.hedge_wins += 1;
-            }
-        }
-
-        // Feed the breaker and the hedge-latency tracker (shed attempts
-        // never touched the target, so they are invisible to both).
-        let slot_shed = d.slots[client as usize].shed;
-        if !slot_shed {
-            if let (Some(bp), Some(target)) =
-                (d.ps.policy.breaker.clone(), d.slots[client as usize].target)
-            {
-                let was_probe = d.slots[client as usize].was_probe;
-                let transition = d.ps.breakers[target].on_outcome(now, !failed, was_probe, &bp);
-                d.ps.note_transition(transition);
-            }
-            let slot = &d.slots[client as usize];
-            if !failed && slot.ok && !slot.missing && slot.kind() == OpKind::Read {
-                d.ps.tracker.record(completion.latency().as_nanos());
-            }
-        }
-
-        // Retry kernel-level failures within budget and admission.
-        if failed && !slot_shed {
-            if let Some(rp) = d.ps.policy.retry.clone() {
-                let kind = d.slots[client as usize].kind();
-                let used = d.slots[client as usize].retries_used;
-                if used < rp.budget(kind) {
-                    let re_at = now + backoff_delay(&rp, used, d.slots[client as usize].jitter);
-                    if re_at < d.measure_end {
-                        if d.ps.try_extra() {
-                            d.slots[client as usize].retries_used = used + 1;
-                            d.ps.counters.retries += 1;
-                            #[cfg(feature = "audit")]
-                            d.ps.auditor.on_retry(used + 1, rp.budget(kind));
-                            issue_attempt(
-                                engine,
-                                store,
-                                &mut d.slots,
-                                &mut d.ps,
-                                client,
-                                re_at,
-                                config.op_deadline,
-                                &mut d.issued,
-                            );
-                            continue;
-                        }
-                        // Admission control declined: the storm stops here.
-                        d.ps.counters.shed += 1;
-                    }
-                }
-            }
-        }
-
-        // ---- Final resolution of the logical op.
-        if now > d.warmup_end {
-            let offset_ns = now.since(d.warmup_end).as_nanos();
-            let slot = &d.slots[client as usize];
-            let kind = slot.kind();
-            if slot.shed {
-                // Breaker fast-fail: a client-side rejection.
-                d.stats.record_rejection(kind);
-                d.stats.record_timeline(offset_ns);
-                if let Some(sampler) = d.sampler.as_mut() {
-                    sampler.telemetry.record_rejection(offset_ns);
-                }
-            } else if failed || slot.missing {
-                d.stats.record_error(kind, offset_ns);
-                if let Some(sampler) = d.sampler.as_mut() {
-                    sampler.telemetry.record_error(offset_ns);
-                }
-            } else if slot.ok {
-                // End-to-end latency: backoff and retries count against
-                // the op, exactly as a real client would experience.
-                let latency = now.since(slot.logical_start).as_nanos();
-                d.stats.record(kind, latency);
-                if let Some(sampler) = d.sampler.as_mut() {
-                    sampler.telemetry.record(offset_ns, latency);
-                }
-                d.stats.record_timeline(offset_ns);
-            } else {
-                d.stats.record_rejection(kind);
-                d.stats.record_timeline(offset_ns);
-                if let Some(sampler) = d.sampler.as_mut() {
-                    sampler.telemetry.record_rejection(offset_ns);
-                }
-            }
-        }
-        {
-            // The logical op is final here (retry continuations returned
-            // above): resolve it in the ledger, warm-up included.
-            let slot = &d.slots[client as usize];
-            d.ledger.resolved += 1;
-            if slot.shed || (!failed && !slot.missing && !slot.ok) {
-                d.ledger.rejected += 1;
-            }
-            if slot.kind() == OpKind::Insert && slot.ok && !failed && !slot.shed {
-                d.generator.ack_insert();
-                if let Some(Operation::Insert { record }) = &slot.op {
-                    d.ledger.acked_inserts.push(record.key);
-                }
-            }
-        }
-        // Schedule the next logical op for this connection.
-        let at = match issue_interval {
-            Some(interval) => {
-                let scheduled = d.slots[client as usize].next_issue + interval;
-                d.slots[client as usize].next_issue =
-                    if scheduled >= now { scheduled } else { now };
-                d.slots[client as usize].next_issue
-            }
-            None => now,
-        };
-        if at < d.measure_end {
-            issue_logical_op(
-                engine,
-                store,
-                &mut d.generator,
-                &mut d.slots,
-                &mut d.ps,
-                client,
-                at,
-                config.op_deadline,
-                &mut d.issued,
-                &mut d.ledger,
-            );
-        }
-        if let Some(every) = every {
-            if d.checkpoint_due(every) <= now {
-                // Same batching invariant as the legacy driver: restore
-                // the kernel's undelivered completions before serializing.
-                engine.requeue_completions(&mut batch);
-            }
-            while d.checkpoint_due(every) <= now {
-                let index = d.next_checkpoint;
-                d.next_checkpoint += 1;
-                capture_checkpoint(
-                    engine,
-                    store,
-                    config,
-                    MODE_RESILIENT,
-                    index,
-                    checkpoints,
-                    |w| d.snap_state(w),
-                );
-            }
-        }
-    }
-}
-
-fn finalize_resilient(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    mut d: ResilientDriver,
-    checkpoints: Vec<Checkpoint>,
-) -> RunResult {
-    d.stats
-        .set_window_ns(d.measure_end.since(d.warmup_end).as_nanos());
-    *d.stats.resilience_mut() = d.ps.counters;
-    if let Some(sampler) = d.sampler.as_mut() {
-        sampler.advance_to(engine, d.measure_end);
-    }
-    RunResult {
-        stats: d.stats,
-        issued: d.issued,
-        disk_bytes_per_node: store.disk_bytes_per_node(),
-        telemetry: d.sampler.map(|s| s.telemetry),
-        checkpoints,
-        ledger: d.ledger,
-    }
-}
-
-/// Starts a fresh logical op on `client`: draws the op and its jitter,
-/// credits admission control, and issues the first attempt.
-#[allow(clippy::too_many_arguments)]
-fn issue_logical_op(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    generator: &mut WorkloadGenerator,
-    slots: &mut [ResilientSlot],
-    ps: &mut PolicyState,
-    client: u32,
-    at: SimTime,
-    deadline: Option<SimDuration>,
-    issued: &mut u64,
-    ledger: &mut RunLedger,
-) {
-    let op = generator.next_op();
-    ledger.logical += 1;
-    let slot = &mut slots[client as usize];
-    slot.op = Some(op);
-    slot.retries_used = 0;
-    slot.jitter = ps.rng.next_frac();
-    slot.hedge_used = false;
-    slot.logical_start = at.max(engine.now());
-    if let Some(budget) = ps.budget.as_mut() {
-        budget.on_primary();
-    }
-    issue_attempt(engine, store, slots, ps, client, at, deadline, issued);
-}
-
-/// Issues one attempt (primary or retry) of the client's logical op,
-/// consulting the target's circuit breaker and arming the hedge trigger
-/// for reads.
-#[allow(clippy::too_many_arguments)]
-fn issue_attempt(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    slots: &mut [ResilientSlot],
-    ps: &mut PolicyState,
-    client: u32,
-    at: SimTime,
-    deadline: Option<SimDuration>,
-    issued: &mut u64,
-) {
-    let op = slots[client as usize]
-        .op
-        .clone()
-        .expect("logical op in flight");
-    let start = at.max(engine.now());
-    let epoch = slots[client as usize].epoch + 1;
-    {
-        let slot = &mut slots[client as usize];
-        slot.epoch = epoch;
-        slot.was_probe = false;
-        slot.shed = false;
-        slot.primary = None;
-        slot.hedge = None;
-        slot.trigger = None;
-    }
-
-    // Circuit breaker: consult the per-target state machine first.
-    let target = store.plan_target(&op);
-    slots[client as usize].target = target;
-    if let (Some(bp), Some(t)) = (ps.policy.breaker.clone(), target) {
-        let (decision, transition) = ps.breakers[t].admit(start, &bp);
-        ps.note_transition(transition);
-        match decision {
-            BreakerDecision::Admit => {}
-            BreakerDecision::Probe => slots[client as usize].was_probe = true,
-            BreakerDecision::Shed => {
-                ps.counters.shed += 1;
-                let slot = &mut slots[client as usize];
-                slot.shed = true;
-                slot.ok = true;
-                slot.missing = false;
-                *issued += 1;
-                let plan = client_only_plan(store.ctx(), client, SHED_COST);
-                slots[client as usize].primary =
-                    Some(engine.submit_at(start, plan, attempt_token(client, epoch)));
-                return;
-            }
-        }
-    }
-
-    let (outcome, plan) = store.plan_op(client, &op, engine);
-    *issued += 1;
-    {
-        let slot = &mut slots[client as usize];
-        slot.ok = !matches!(outcome, OpOutcome::Rejected(_));
-        slot.missing = matches!(outcome, OpOutcome::Missing);
-    }
-    let token = attempt_token(client, epoch);
-    let handle = match deadline {
-        Some(deadline) => engine.submit_at_with_deadline(start, plan, token, deadline),
-        None => engine.submit_at(start, plan, token),
-    };
-    slots[client as usize].primary = Some(handle);
-
-    // Arm the hedge trigger: a pure delay whose completion is the signal
-    // to launch the speculative duplicate read.
-    if let Some(hp) = ps.policy.hedge.clone() {
-        if op.kind() == OpKind::Read && !slots[client as usize].hedge_used {
-            let delay = ps.tracker.delay(&hp);
-            let trigger = engine.submit_at(
-                start,
-                Plan(vec![Step::Delay(delay)]),
-                hedge_trigger_token(client, epoch),
-            );
-            slots[client as usize].trigger = Some(trigger);
-        }
-    }
-}
-
-/// Fired by a hedge trigger's completion: launches the speculative
-/// duplicate read if the primary is still in flight, admission control
-/// grants the extra attempt, and the store has an alternative replica.
-#[allow(clippy::too_many_arguments)]
-fn launch_hedge(
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    slots: &mut [ResilientSlot],
-    ps: &mut PolicyState,
-    client: u32,
-    epoch: u64,
-    deadline: Option<SimDuration>,
-    issued: &mut u64,
-) {
-    {
-        let slot = &mut slots[client as usize];
-        slot.trigger = None;
-        if slot.primary.is_none() || slot.hedge.is_some() || slot.hedge_used || slot.shed {
-            return;
-        }
-    }
-    if !ps.try_extra() {
-        return; // admission control declines the speculative attempt
-    }
-    let op = slots[client as usize]
-        .op
-        .clone()
-        .expect("logical op in flight");
-    let Some(plan) = store.hedge_read_plan(client, &op, engine) else {
-        return; // no alternative replica to hedge to
-    };
-    ps.counters.hedges += 1;
-    slots[client as usize].hedge_used = true;
-    *issued += 1;
-    let token = hedge_token(client, epoch);
-    let handle = match deadline {
-        Some(deadline) => engine.submit_with_deadline(plan, token, deadline),
-        None => engine.submit(plan, token),
-    };
-    slots[client as usize].hedge = Some(handle);
 }
 
 #[cfg(test)]
@@ -2079,27 +1554,97 @@ mod tests {
 
     use crate::resilience::{AdmissionPolicy, BreakerPolicy, HedgePolicy, RetryPolicy};
 
+    /// RW under a crash window and a client deadline, every policy
+    /// component on.
+    fn faulty_config_with_every_policy() -> RunConfig {
+        let mut cfg = quick_config(Workload::rw());
+        cfg.faults = FaultSchedule::none().crash(0, SimTime(300_000_000), SimTime(700_000_000));
+        cfg.op_deadline = Some(SimDuration::from_millis(250));
+        cfg.resilience = Some(ResiliencePolicy {
+            retry: Some(RetryPolicy::standard()),
+            hedge: Some(HedgePolicy {
+                delay_quantile: 0.95,
+                min_delay: SimDuration::from_micros(500),
+                warmup_samples: 50,
+            }),
+            breaker: Some(BreakerPolicy::standard()),
+            admission: Some(AdmissionPolicy::standard()),
+        });
+        cfg
+    }
+
     #[test]
-    fn empty_resilience_policy_matches_the_legacy_driver() {
+    fn none_is_the_empty_resilience_policy() {
         let run = |resilience: Option<ResiliencePolicy>| {
             let mut engine = Engine::new();
             let mut store = FixtureStore::new(&mut engine, 100);
             let mut cfg = quick_config(Workload::rw());
             cfg.faults = FaultSchedule::none().crash(0, SimTime(400_000_000), SimTime(900_000_000));
+            cfg.op_deadline = Some(SimDuration::from_millis(50));
+            cfg.telemetry_window_secs = Some(0.5);
+            cfg.checkpoints = Some(CheckpointSpec::every(0.5));
             cfg.resilience = resilience;
             let r = run_benchmark(&mut engine, &mut store, &cfg);
-            (
-                r.issued,
-                r.stats.total_ops(),
-                r.stats.total_errors(),
-                r.stats.total_rejected(),
-                r.stats.throughput().to_bits(),
-                r.stats.mean_latency_ms(OpKind::Read).map(f64::to_bits),
-            )
+            assert!(r.stats.total_errors() > 0 && r.checkpoints.len() >= 3);
+            let mut w = SnapWriter::new();
+            w.put(&r.ledger);
+            let states: Vec<u64> = r.checkpoints.iter().map(Checkpoint::state_hash).collect();
+            (result_sig(&r), w.into_bytes(), states)
         };
-        // A policy bundle with every component disabled must reproduce
-        // the legacy driver's results exactly.
+        // `None` and a bundle with every component disabled are one
+        // configuration of one loop: same reported bytes, same state at
+        // every checkpoint (headers differ — the fingerprint hashes the
+        // config's `Debug` form — which is why bodies are compared).
         assert_eq!(run(None), run(Some(ResiliencePolicy::default())));
+    }
+
+    /// Store, kernel and driver bytes of checkpoint 0 of a 3-connection
+    /// run, restored under a config with `connections` connections.
+    fn restore_driver_under(connections: u32) -> Result<usize, SnapError> {
+        let mut cfg = quick_config(Workload::rw());
+        cfg.client.connections = 3;
+        cfg.checkpoints = Some(CheckpointSpec::every(0.5));
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        let run = run_benchmark(&mut engine, &mut store, &cfg);
+        let (_, body) = snap::open(&run.checkpoints[0].bytes).expect("own checkpoint opens");
+
+        cfg.client.connections = connections;
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        let total_records = load_phase(&mut store, &cfg);
+        let mut r = SnapReader::new(body);
+        store.restore_state(&mut r, &mut engine)?;
+        engine.restore_state(&mut r)?;
+        Driver::restore_state(&cfg, total_records, &store, &mut r).map(|d| d.slots.len())
+    }
+
+    #[test]
+    fn restore_rejects_a_slot_vector_of_the_wrong_length() {
+        assert_eq!(restore_driver_under(3).expect("same population"), 3);
+        match restore_driver_under(4) {
+            Err(SnapError::BadTag {
+                what: "client slot count",
+                tag: 3,
+            }) => {}
+            other => panic!("expected a slot-count BadTag, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_fault_sentinel_beyond_the_schedule_is_ignored() {
+        let cfg = quick_config(Workload::rw());
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        // Inside the measurement window, indexing a schedule with no events.
+        engine.submit_at(SimTime(900_000_000), Plan::empty(), fault_token(7));
+        let stray = run_benchmark(&mut engine, &mut store, &cfg);
+
+        let mut engine2 = Engine::new();
+        let mut store2 = FixtureStore::new(&mut engine2, 100);
+        let clean = run_benchmark(&mut engine2, &mut store2, &cfg);
+        assert_eq!(result_sig(&stray), result_sig(&clean));
+        assert_eq!(stray.ledger, clean.ledger);
     }
 
     #[test]
@@ -2316,19 +1861,7 @@ mod tests {
 
     #[test]
     fn resilient_resume_is_byte_identical() {
-        let mut cfg = quick_config(Workload::rw());
-        cfg.faults = FaultSchedule::none().crash(0, SimTime(300_000_000), SimTime(700_000_000));
-        cfg.op_deadline = Some(SimDuration::from_millis(250));
-        cfg.resilience = Some(ResiliencePolicy {
-            retry: Some(RetryPolicy::standard()),
-            hedge: Some(HedgePolicy {
-                delay_quantile: 0.95,
-                min_delay: SimDuration::from_micros(500),
-                warmup_samples: 50,
-            }),
-            breaker: Some(BreakerPolicy::standard()),
-            admission: Some(AdmissionPolicy::standard()),
-        });
+        let mut cfg = faulty_config_with_every_policy();
         cfg.checkpoints = Some(CheckpointSpec::every(0.5));
         let build = || {
             let mut engine = Engine::new();
@@ -2429,14 +1962,17 @@ mod tests {
 
     #[test]
     fn ledger_balances_and_records_acked_inserts() {
-        // Legacy driver: every issued op is logical; the ledger resolves
+        // Without a policy every issued op is logical; the ledger resolves
         // all but the in-flight residue, and every acked insert key is
         // readable from the store afterwards.
         let mut engine = Engine::new();
         let mut store = FixtureStore::new(&mut engine, 100);
         let cfg = quick_config(Workload::rw());
         let r = run_benchmark(&mut engine, &mut store, &cfg);
-        assert_eq!(r.ledger.logical, r.issued, "legacy ops are all logical");
+        assert_eq!(
+            r.ledger.logical, r.issued,
+            "policy-free ops are all logical"
+        );
         assert!(r.ledger.resolved <= r.ledger.logical);
         let connections = u64::from(cfg.client.connections);
         assert!(
@@ -2453,24 +1989,12 @@ mod tests {
             assert!(store.data.contains_key(key), "acked key not durable");
         }
 
-        // Resilient driver with hedging: retries/hedges inflate `issued`
-        // but not `logical`, and the balance still holds.
+        // With retries and hedging: extra attempts inflate `issued` but
+        // not `logical`, and the balance still holds.
         let mut engine2 = Engine::new();
         let mut store2 = FixtureStore::new(&mut engine2, 100);
         store2.hedged = true;
-        let mut cfg2 = quick_config(Workload::rw());
-        cfg2.faults = FaultSchedule::none().crash(0, SimTime(300_000_000), SimTime(700_000_000));
-        cfg2.op_deadline = Some(SimDuration::from_millis(250));
-        cfg2.resilience = Some(ResiliencePolicy {
-            retry: Some(RetryPolicy::standard()),
-            hedge: Some(HedgePolicy {
-                delay_quantile: 0.95,
-                min_delay: SimDuration::from_micros(500),
-                warmup_samples: 50,
-            }),
-            breaker: Some(BreakerPolicy::standard()),
-            admission: Some(AdmissionPolicy::standard()),
-        });
+        let cfg2 = faulty_config_with_every_policy();
         let r2 = run_benchmark(&mut engine2, &mut store2, &cfg2);
         assert!(
             r2.ledger.logical < r2.issued,
@@ -2561,19 +2085,7 @@ mod tests {
             let mut engine = Engine::new();
             let mut store = FixtureStore::new(&mut engine, 100);
             store.hedged = true;
-            let mut cfg = quick_config(Workload::rw());
-            cfg.faults = FaultSchedule::none().crash(0, SimTime(300_000_000), SimTime(700_000_000));
-            cfg.op_deadline = Some(SimDuration::from_millis(250));
-            cfg.resilience = Some(ResiliencePolicy {
-                retry: Some(RetryPolicy::standard()),
-                hedge: Some(HedgePolicy {
-                    delay_quantile: 0.95,
-                    min_delay: SimDuration::from_micros(500),
-                    warmup_samples: 50,
-                }),
-                breaker: Some(BreakerPolicy::standard()),
-                admission: Some(AdmissionPolicy::standard()),
-            });
+            let cfg = faulty_config_with_every_policy();
             let r = run_benchmark(&mut engine, &mut store, &cfg);
             (
                 r.issued,

@@ -89,113 +89,79 @@ fn fingerprints(build: Build) -> [u64; 3] {
     })
 }
 
-fn check(name: &str, build: Build, want: [u64; 3]) {
-    let got = fingerprints(build);
-    assert_eq!(
-        got, want,
-        "{name}: [max RW, throttled R, faulty RW] = {got:016x?}, pinned {want:016x?}"
-    );
-}
-
-#[test]
-fn cassandra_policy_free_runs_are_pinned() {
-    check(
+/// The paper's six stores with the fingerprints of their three runs.
+const PINS: [(&str, Build, [u64; 3]); 6] = [
+    (
         "cassandra",
-        |e| {
-            let ctx = standard(e);
-            Box::new(CassandraStore::new(ctx, CassandraConfig::default()))
-        },
-        CASSANDRA,
-    );
-}
-
-#[test]
-fn hbase_policy_free_runs_are_pinned() {
-    check(
+        |e| Box::new(CassandraStore::new(standard(e), CassandraConfig::default())),
+        [
+            0x66ac_1e5a_db63_2bf8,
+            0xe2e0_78c7_c227_2f31,
+            0x38fc_c88b_2aad_48a1,
+        ],
+    ),
+    (
         "hbase",
-        |e| {
-            let ctx = standard(e);
-            Box::new(HbaseStore::new(ctx, e))
-        },
-        HBASE,
-    );
-}
-
-#[test]
-fn voldemort_policy_free_runs_are_pinned() {
-    check(
+        |e| Box::new(HbaseStore::new(standard(e), e)),
+        [
+            0x9199_3720_3a73_f561,
+            0x3b12_89a5_5a51_dc9a,
+            0x344f_1f43_9fa7_2de1,
+        ],
+    ),
+    (
         "voldemort",
-        |e| {
-            let ctx = standard(e);
-            Box::new(VoldemortStore::new(ctx, e))
-        },
-        VOLDEMORT,
-    );
-}
-
-#[test]
-fn voltdb_policy_free_runs_are_pinned() {
-    check(
+        |e| Box::new(VoldemortStore::new(standard(e), e)),
+        [
+            0x9146_37da_b40d_6853,
+            0x6aaf_9579_ebea_47a5,
+            0x5ec0_527e_2c3c_f135,
+        ],
+    ),
+    (
         "voltdb",
-        |e| {
-            let ctx = standard(e);
-            Box::new(VoltDbStore::new(ctx, e))
-        },
-        VOLTDB,
-    );
-}
-
-#[test]
-fn redis_policy_free_runs_are_pinned() {
-    check(
+        |e| Box::new(VoltDbStore::new(standard(e), e)),
+        [
+            0xdd47_c0cc_fbb6_8fd2,
+            0xbff8_4643_4ec2_bfba,
+            0x8fcf_2179_975b_c251,
+        ],
+    ),
+    (
         "redis",
         |e| {
             let ctx = ctx(e, RedisStore::client_machines(NODES));
             Box::new(RedisStore::new(ctx, e, JedisHash::Murmur))
         },
-        REDIS,
-    );
-}
+        [
+            0xf3bd_208f_cc0e_73c1,
+            0xd041_4b29_6846_1183,
+            0xd1c6_3fc6_4e27_b1ab,
+        ],
+    ),
+    (
+        "mysql",
+        |e| Box::new(MysqlStore::new(standard(e), e)),
+        [
+            0x9ce1_8de9_cd5a_60cc,
+            0x66b5_6ace_0859_faf4,
+            0x79e5_58d3_2566_56e4,
+        ],
+    ),
+];
 
 #[test]
-fn mysql_policy_free_runs_are_pinned() {
-    check(
-        "mysql",
-        |e| {
-            let ctx = standard(e);
-            Box::new(MysqlStore::new(ctx, e))
-        },
-        MYSQL,
+fn policy_free_runs_are_pinned() {
+    let moved: Vec<String> = PINS
+        .iter()
+        .filter_map(|&(name, build, want)| {
+            let got = fingerprints(build);
+            (got != want).then(|| format!("{name}: got {got:016x?}, pinned {want:016x?}"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "[max RW, throttled R, faulty RW] moved:\n{}",
+        moved.join("\n")
     );
 }
-
-const CASSANDRA: [u64; 3] = [
-    0x66ac_1e5a_db63_2bf8,
-    0xe2e0_78c7_c227_2f31,
-    0x38fc_c88b_2aad_48a1,
-];
-const HBASE: [u64; 3] = [
-    0x9199_3720_3a73_f561,
-    0x3b12_89a5_5a51_dc9a,
-    0x344f_1f43_9fa7_2de1,
-];
-const VOLDEMORT: [u64; 3] = [
-    0x9146_37da_b40d_6853,
-    0x6aaf_9579_ebea_47a5,
-    0x5ec0_527e_2c3c_f135,
-];
-const VOLTDB: [u64; 3] = [
-    0xdd47_c0cc_fbb6_8fd2,
-    0xbff8_4643_4ec2_bfba,
-    0x8fcf_2179_975b_c251,
-];
-const REDIS: [u64; 3] = [
-    0xf3bd_208f_cc0e_73c1,
-    0xd041_4b29_6846_1183,
-    0xd1c6_3fc6_4e27_b1ab,
-];
-const MYSQL: [u64; 3] = [
-    0x9ce1_8de9_cd5a_60cc,
-    0x66b5_6ace_0859_faf4,
-    0x79e5_58d3_2566_56e4,
-];

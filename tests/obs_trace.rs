@@ -93,3 +93,57 @@ fn identical_captures_share_fingerprint_and_bytes() {
     assert_eq!(text_a, text_b, "exported JSON diverged");
     assert_ne!(fp_a, 0, "a non-empty run must fold a non-trivial hash");
 }
+
+#[test]
+fn op_lanes_are_per_connection_not_per_op() {
+    // The demo drives 2 Cluster-M nodes, 256 connections: at most a
+    // primary, a hedge and a trigger lane each, however many ops ran.
+    let lanes: std::collections::BTreeSet<String> = demo_events()
+        .iter()
+        .filter(|e| field(e, "pid") == "1" && field(e, "name") == "op")
+        .map(|e| field(e, "tid"))
+        .collect();
+    assert!(lanes.len() <= 3 * 256, "{} op lanes", lanes.len());
+
+    // The demo is throttled to one op per connection, so the property
+    // itself is checked on a synthetic stream: client tokens carry a
+    // per-attempt epoch, and two epochs of one connection must share a
+    // lane while its hedge, a fault sentinel and a background job do not.
+    use apm_repro::sim::{SimTime, TraceEvent, TraceEventKind};
+    use apm_repro::stores::api::{attempt_token, background_token, fault_token, hedge_token};
+    let tokens = [
+        attempt_token(3, 1),
+        attempt_token(3, 2),
+        hedge_token(3, 2),
+        attempt_token(4, 1),
+        fault_token(0),
+        background_token(3),
+    ];
+    let stream: Vec<TraceEvent> = tokens
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &token)| {
+            let at = |ns| SimTime(10 * i as u64 + ns);
+            [
+                (at(0), TraceEventKind::Submit),
+                (at(5), TraceEventKind::Complete(apm_repro::sim::Outcome::Ok)),
+            ]
+            .map(|(at, kind)| TraceEvent {
+                at,
+                token: Some(token),
+                resource: None,
+                kind,
+            })
+        })
+        .collect();
+    let doc = apm_repro::harness::obs::chrome::trace_to_json(&stream);
+    let tids: Vec<String> = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| field(e, "ph") == "B")
+        .map(|e| field(e, "tid"))
+        .collect();
+    assert_eq!(tids, ["0", "0", "1", "2", "3", "4"]);
+}
