@@ -1,24 +1,14 @@
 //! Microbenchmarks of the storage engine substrates.
 
 use apm_bench::runner::{black_box, Group};
-use apm_core::keyspace::record_for_seq;
+use apm_core::keyspace::{key_for_seq, record_for_seq};
 use apm_storage::bloom::Bloom;
 use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::bufferpool::{Access, BufferPool, PageId};
 use apm_storage::hashstore::HashStore;
-use apm_storage::lsm::{JobKind, LsmConfig, LsmTree};
+use apm_storage::lsm::{LsmConfig, LsmTree};
 
 const N: u64 = 100_000;
-
-fn settle(tree: &mut LsmTree, job: Option<apm_storage::lsm::BackgroundJob>) {
-    let mut next = job;
-    while let Some(j) = next {
-        next = match j.kind {
-            JobKind::Flush => tree.complete_flush(j.id),
-            JobKind::Compaction => tree.complete_compaction(j.id),
-        };
-    }
-}
 
 fn loaded_lsm() -> LsmTree {
     let mut tree = LsmTree::new(LsmConfig {
@@ -28,7 +18,7 @@ fn loaded_lsm() -> LsmTree {
     for seq in 0..N {
         let r = record_for_seq(seq);
         let (_, job) = tree.insert(r.key, r.fields);
-        settle(&mut tree, job);
+        tree.settle(job);
     }
     tree
 }
@@ -50,7 +40,7 @@ fn bench_lsm() {
         let r = record_for_seq(seq);
         seq += 1;
         let (receipt, job) = tree.insert(r.key, r.fields);
-        settle(&mut tree, job);
+        tree.settle(job);
         black_box(receipt);
     });
     let mut i = 0u64;
@@ -80,6 +70,17 @@ fn bench_btree() {
         seq += 1;
         black_box(tree.insert(r.key, r.fields).1.read.len())
     });
+    // The B+tree stores' write path: insert, then replay the page trace
+    // through a pool that holds the whole tree.
+    let mut pool = BufferPool::new(1 << 20);
+    group.bench("insert_with_pool", || {
+        let r = record_for_seq(seq);
+        seq += 1;
+        let (_, trace) = tree.insert(r.key, r.fields);
+        for page in trace.read.iter().chain(&trace.written) {
+            black_box(pool.access(*page, Access::Write));
+        }
+    });
     let mut i = 0u64;
     group.bench("get_hit", || {
         i = (i + 7919) % N;
@@ -95,6 +96,19 @@ fn bench_btree() {
         i = (i + 7919) % N;
         let key = record_for_seq(i).key;
         black_box(tree.scan_count(&key, 50).0)
+    });
+}
+
+fn bench_keys() {
+    let group = Group::new("keys");
+    // Neighbours in key order share a long prefix, like the last steps
+    // of a binary search.
+    let mut keys: Vec<_> = (0..1024).map(key_for_seq).collect();
+    keys.sort_unstable();
+    let mut i = 0usize;
+    group.bench("metric_key_cmp", || {
+        i = (i + 1) % 1023;
+        black_box(black_box(&keys[i]).cmp(black_box(&keys[i + 1])))
     });
 }
 
@@ -150,6 +164,7 @@ fn bench_bufferpool() {
 fn main() {
     bench_lsm();
     bench_btree();
+    bench_keys();
     bench_bloom();
     bench_hashstore();
     bench_bufferpool();

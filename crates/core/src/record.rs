@@ -7,6 +7,7 @@
 //! min, max, timestamp, duration).
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Length in bytes of the alphanumeric record key.
@@ -28,8 +29,32 @@ const ALPHABET: &[u8; 36] = b"0123456789abcdefghijklmnopqrstuvwxyz";
 /// [`MetricKey::from_id`] is a single tag byte followed by a base-36
 /// rendering of a 64-bit identifier, zero-padded so that numeric order of
 /// the identifier equals lexicographic order of the key.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricKey([u8; KEY_SIZE]);
+
+/// Lexicographic byte order, compared as three big-endian `u64` words
+/// plus the last byte: the derived `Ord` on `[u8; 25]` is an out-of-line
+/// `memcmp` call, and key comparison is the inner step of every memtable,
+/// SSTable, merge-cursor and B+tree search.
+impl Ord for MetricKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        let word = |key: &MetricKey, i: usize| {
+            u64::from_be_bytes(key.0[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        };
+        (0..3)
+            .map(|i| word(self, i).cmp(&word(other, i)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.0[24].cmp(&other.0[24]))
+    }
+}
+
+impl PartialOrd for MetricKey {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl MetricKey {
     /// The smallest possible key (all `'0'` bytes).
@@ -354,6 +379,38 @@ mod tests {
         ];
         for w in ids.windows(2) {
             assert!(MetricKey::from_id(w[0]) < MetricKey::from_id(w[1]));
+        }
+    }
+
+    #[test]
+    fn key_order_equals_byte_order() {
+        // The word-wise `Ord` must be indistinguishable from comparing
+        // the 25 bytes: random byte strings (any byte value, via the raw
+        // constructor), near-equal pairs that differ in one position of
+        // each word and in the trailing byte, and the two sentinels.
+        let mut rng = crate::keyspace::SplitRng::new(25);
+        let mut random_key = || {
+            let mut bytes = [0u8; KEY_SIZE];
+            for b in &mut bytes {
+                *b = rng.next_u64() as u8;
+            }
+            MetricKey(bytes)
+        };
+        let mut keys = vec![MetricKey::MIN, MetricKey::MAX];
+        for _ in 0..200 {
+            let key = random_key();
+            keys.push(key);
+            for pos in [0, 7, 8, 23, 24] {
+                let mut near = key;
+                near.0[pos] = near.0[pos].wrapping_add(1);
+                keys.push(near);
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.cmp(b), a.as_bytes().cmp(b.as_bytes()), "{a:?} vs {b:?}");
+                assert_eq!(a.partial_cmp(b), Some(a.cmp(b)));
+            }
         }
     }
 

@@ -140,9 +140,7 @@ pub fn replication_sweep(profile: &ExperimentProfile) -> Table {
                 profile.seed,
             );
             let mut store = CassandraStore::new(ctx, config);
-            for seq in 0..profile.records_per_node() * u64::from(nodes) {
-                store.load(&apm_core::keyspace::record_for_seq(seq));
-            }
+            store.load_range(0..profile.records_per_node() * u64::from(nodes));
             store.finish_load();
             store
                 .disk_bytes_per_node()

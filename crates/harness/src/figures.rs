@@ -303,10 +303,7 @@ pub fn disk_usage(id: &str, profile: &ExperimentProfile) -> Table {
                     profile.scale,
                     profile.seed,
                 );
-                let total = profile.records_per_node() * u64::from(nodes);
-                for seq in 0..total {
-                    boxed.load(&apm_core::keyspace::record_for_seq(seq));
-                }
+                boxed.load_range(0..profile.records_per_node() * u64::from(nodes));
                 boxed.finish_load();
                 boxed.disk_bytes_per_node().map(|per_node| {
                     // Scale back to the paper's 10 M records/node.

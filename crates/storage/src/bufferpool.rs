@@ -7,7 +7,6 @@
 //! thrashes — which is exactly the regime change the paper's §5.8 shows.
 
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::HashMap;
 
 /// Identifies a page (the B-tree uses node ids as page ids).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,8 +64,11 @@ pub struct BufferPool {
     /// Construction-time config; restore only validates against it.
     capacity: usize, // audit:allow(snap-drift)
     frames: Vec<Frame>,
-    /// Derived index; rebuilt from `frames` on restore.
-    map: HashMap<PageId, usize>, // audit:allow(snap-drift)
+    /// Derived index, rebuilt from `frames` on restore: `slots[page]` is
+    /// the page's frame index + 1, or 0 when the page is not resident.
+    /// Dense because page ids are B-tree node indices; grown on demand,
+    /// so it costs 4 bytes per page up to the largest id accessed.
+    slots: Vec<u32>, // audit:allow(snap-drift)
     hand: usize,
     stats: PoolStats,
 }
@@ -75,13 +77,17 @@ impl BufferPool {
     /// Creates a pool holding up to `capacity` pages.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit a `u32` slot.
     pub fn new(capacity: usize) -> BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
+        assert!(
+            capacity < u32::MAX as usize,
+            "buffer pool frame indices are 32-bit"
+        );
         BufferPool {
             capacity,
             frames: Vec::with_capacity(capacity.min(1 << 20)),
-            map: HashMap::new(),
+            slots: Vec::new(),
             hand: 0,
             stats: PoolStats::default(),
         }
@@ -89,9 +95,10 @@ impl BufferPool {
 
     /// Accesses `page`, running clock eviction on a miss.
     pub fn access(&mut self, page: PageId, access: Access) -> PoolResult {
-        if let Some(&idx) = self.map.get(&page) {
+        let slot = page.0 as usize;
+        if let Some(&resident) = self.slots.get(slot).filter(|&&s| s != 0) {
             self.stats.hits += 1;
-            let frame = &mut self.frames[idx];
+            let frame = &mut self.frames[resident as usize - 1];
             frame.referenced = true;
             if access == Access::Write {
                 frame.dirty = true;
@@ -102,15 +109,17 @@ impl BufferPool {
             };
         }
         self.stats.misses += 1;
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, 0);
+        }
         let dirty = access == Access::Write;
         if self.frames.len() < self.capacity {
-            let idx = self.frames.len();
             self.frames.push(Frame {
                 page,
                 referenced: true,
                 dirty,
             });
-            self.map.insert(page, idx);
+            self.slots[slot] = self.frames.len() as u32;
             return PoolResult {
                 hit: false,
                 writeback: None,
@@ -127,7 +136,7 @@ impl BufferPool {
             }
         };
         let victim = self.frames[victim_idx];
-        self.map.remove(&victim.page);
+        self.slots[victim.page.0 as usize] = 0;
         self.stats.evictions += 1;
         let writeback = if victim.dirty {
             self.stats.dirty_writebacks += 1;
@@ -140,7 +149,7 @@ impl BufferPool {
             referenced: true,
             dirty,
         };
-        self.map.insert(page, victim_idx);
+        self.slots[slot] = victim_idx as u32 + 1;
         self.hand = (victim_idx + 1) % self.capacity;
         PoolResult {
             hit: false,
@@ -172,8 +181,11 @@ impl BufferPool {
     }
 
     /// Restores the state written by [`BufferPool::snap_state`] into a
-    /// pool built with the same capacity.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    /// pool built with the same capacity. `page_count` is the restored
+    /// owning tree's [`page_count`](crate::btree::BTree::page_count): a
+    /// frame naming a page the tree does not have, or a page held by two
+    /// frames, is a corrupt stream — and must not size the slot table.
+    pub fn restore_state(&mut self, r: &mut SnapReader, page_count: u64) -> Result<(), SnapError> {
         let frames: Vec<Frame> = r.get()?;
         let hand: usize = r.get()?;
         if frames.len() > self.capacity || (hand != 0 && hand >= self.capacity) {
@@ -182,11 +194,19 @@ impl BufferPool {
                 tag: frames.len() as u64,
             });
         }
-        self.map = frames
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.page, i))
-            .collect();
+        let mut slots = vec![0u32; page_count as usize];
+        for (i, frame) in frames.iter().enumerate() {
+            match slots.get_mut(frame.page.0 as usize) {
+                Some(slot) if *slot == 0 => *slot = i as u32 + 1,
+                _ => {
+                    return Err(SnapError::BadTag {
+                        what: "BufferPool frame page",
+                        tag: frame.page.0,
+                    })
+                }
+            }
+        }
+        self.slots = slots;
         self.frames = frames;
         self.hand = hand;
         self.stats = r.get()?;
@@ -329,6 +349,59 @@ mod tests {
             big.stats().hit_rate() > 0.6,
             "resident working set should mostly hit"
         );
+    }
+
+    fn snapshot(pool: &BufferPool) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        pool.snap_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rebuilds_the_page_index() {
+        let mut pool = BufferPool::new(3);
+        for page in [5, 1, 9, 4] {
+            pool.access(PageId(page), Access::Write);
+        }
+        let bytes = snapshot(&pool);
+        let mut back = BufferPool::new(3);
+        back.restore_state(&mut SnapReader::new(&bytes), 10)
+            .expect("own snapshot restores");
+        assert_eq!(snapshot(&back), bytes);
+        for page in 0..10 {
+            assert_eq!(
+                back.access(PageId(page), Access::Read),
+                pool.access(PageId(page), Access::Read),
+                "page {page}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_and_duplicate_pages() {
+        // A frame may only name a page of the owning tree: page 9 with a
+        // 9-page tree is one past the end, and a hostile id must become a
+        // typed error, not a slot table of that size.
+        let mut pool = BufferPool::new(4);
+        pool.access(PageId(2), Access::Read);
+        pool.access(PageId(9), Access::Read);
+        let good = snapshot(&pool);
+        let bad_tag = |bytes: &[u8], page_count: u64| match BufferPool::new(4)
+            .restore_state(&mut SnapReader::new(bytes), page_count)
+        {
+            Err(SnapError::BadTag { what, tag }) => (what, tag),
+            other => panic!("expected BadTag, got {other:?}"),
+        };
+        assert_eq!(bad_tag(&good, 9), ("BufferPool frame page", 9));
+        let mut hostile = pool.clone();
+        hostile.frames[1].page = PageId(u64::MAX);
+        assert_eq!(
+            bad_tag(&snapshot(&hostile), 10),
+            ("BufferPool frame page", u64::MAX)
+        );
+        let mut twice = pool.clone();
+        twice.frames[1].page = PageId(2);
+        assert_eq!(bad_tag(&snapshot(&twice), 10), ("BufferPool frame page", 2));
     }
 
     #[test]

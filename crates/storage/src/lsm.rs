@@ -349,6 +349,24 @@ impl LsmTree {
         self.maybe_compact()
     }
 
+    /// Completes `job`, whichever kind it is. Returns the follow-up job
+    /// its completion made eligible.
+    pub fn complete(&mut self, job: BackgroundJob) -> Option<BackgroundJob> {
+        match job.kind {
+            JobKind::Flush => self.complete_flush(job.id),
+            JobKind::Compaction => self.complete_compaction(job.id),
+        }
+    }
+
+    /// Drives `job` and every follow-up it announces to completion on
+    /// the spot: the untimed paths (load phase, bootstrap streaming,
+    /// hint replay) have no simulated disk to wait for.
+    pub fn settle(&mut self, mut job: Option<BackgroundJob>) {
+        while let Some(j) = job {
+            job = self.complete(j);
+        }
+    }
+
     /// Point lookup: memtable, then runs newest-first.
     pub fn get(&mut self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
         self.stats.reads += 1;
@@ -516,21 +534,11 @@ mod tests {
         }
     }
 
-    /// Drives all announced jobs to completion immediately.
-    fn settle(tree: &mut LsmTree, mut job: Option<BackgroundJob>) {
-        while let Some(j) = job {
-            job = match j.kind {
-                JobKind::Flush => tree.complete_flush(j.id),
-                JobKind::Compaction => tree.complete_compaction(j.id),
-            };
-        }
-    }
-
     fn load(tree: &mut LsmTree, seqs: std::ops::Range<u64>) {
         for seq in seqs {
             let r = record_for_seq(seq);
             let (_, job) = tree.insert(r.key, r.fields);
-            settle(tree, job);
+            tree.settle(job);
         }
     }
 
@@ -558,7 +566,7 @@ mod tests {
                 assert_eq!(j.kind, JobKind::Flush);
                 assert!(j.write_bytes >= 75 * 100);
                 flush_jobs += 1;
-                settle(&mut tree, Some(j));
+                tree.settle(Some(j));
             }
         }
         assert_eq!(flush_jobs, 1, "exactly one flush at 100 records");
@@ -646,7 +654,7 @@ mod tests {
         for seq in 500..530 {
             let r = record_for_seq(seq);
             let (_, job) = tree.insert(r.key, r.fields);
-            settle(&mut tree, job);
+            tree.settle(job);
         }
         let mut keys: Vec<MetricKey> = (0..530).map(|s| record_for_seq(s).key).collect();
         keys.sort();
@@ -665,11 +673,11 @@ mod tests {
         let v1 = record_for_seq(100).fields;
         let v2 = record_for_seq(200).fields;
         let (_, job) = tree.insert(key, v1);
-        settle(&mut tree, job);
+        tree.settle(job);
         // Pad to force a flush between the two versions.
         load(&mut tree, 1_000..1_120);
         let (_, job) = tree.insert(key, v2);
-        settle(&mut tree, job);
+        tree.settle(job);
         load(&mut tree, 2_000..2_400); // force compactions
         assert_eq!(tree.get(&key).0, Some(v2), "older version resurrected");
     }
@@ -680,7 +688,7 @@ mod tests {
         load(&mut tree, 0..10);
         assert_eq!(tree.table_count(), 0);
         let job = tree.force_flush().expect("non-empty memtable");
-        settle(&mut tree, Some(job));
+        tree.settle(Some(job));
         assert_eq!(tree.table_count(), 1);
         assert!(
             tree.force_flush().is_none(),

@@ -11,7 +11,7 @@ use apm_core::keyspace::{record_for_seq, SplitRng};
 use apm_core::record::{FieldValues, MetricKey};
 use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::hashstore::HashStore;
-use apm_storage::lsm::{JobKind, LsmConfig, LsmTree};
+use apm_storage::lsm::{LsmConfig, LsmTree};
 use apm_storage::memtable::Memtable;
 use apm_storage::partition::PartitionTable;
 use apm_storage::sstable::SsTable;
@@ -50,17 +50,6 @@ fn value(seq: u64) -> FieldValues {
     record_for_seq(seq).fields
 }
 
-/// Drives announced LSM jobs to completion immediately.
-fn settle(tree: &mut LsmTree, job: Option<apm_storage::lsm::BackgroundJob>) {
-    let mut next = job;
-    while let Some(j) = next {
-        next = match j.kind {
-            JobKind::Flush => tree.complete_flush(j.id),
-            JobKind::Compaction => tree.complete_compaction(j.id),
-        };
-    }
-}
-
 fn model_scan(
     model: &BTreeMap<MetricKey, FieldValues>,
     start: &MetricKey,
@@ -79,7 +68,7 @@ fn check_lsm_against_model(ops: &[Op], label: &str) {
         match *op {
             Op::Insert(seq) => {
                 let (_, job) = tree.insert(key(seq), value(seq));
-                settle(&mut tree, job);
+                tree.settle(job);
                 model.insert(key(seq), value(seq));
             }
             Op::Get(seq) => {
@@ -508,7 +497,7 @@ fn lsm_scans_never_return_duplicates_or_unsorted_keys() {
         });
         for seq in inserts {
             let (_, job) = tree.insert(key(seq), value(seq));
-            settle(&mut tree, job);
+            tree.settle(job);
         }
         let (rows, _) = tree.scan(&key(start), 50);
         for w in rows.windows(2) {
@@ -581,9 +570,9 @@ fn lsm_scan_count_equals_scan_over_overlapping_runs() {
             let seq = rng.next_below(120);
             let fields = FieldValues::from_seed(version);
             let (_, job) = rows_tree.insert(key(seq), fields);
-            settle(&mut rows_tree, job);
+            rows_tree.settle(job);
             let (_, job) = count_tree.insert(key(seq), fields);
-            settle(&mut count_tree, job);
+            count_tree.settle(job);
             model.insert(key(seq), fields);
             if version % 7 != 0 {
                 continue;

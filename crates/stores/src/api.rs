@@ -1,13 +1,15 @@
 //! The common interface of the six stores plus shared plan-building
 //! helpers (client/server network hops, receipt → plan conversion).
 
+use apm_core::keyspace::{key_for_seq, record_for_seq};
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::Record;
+use apm_core::record::{MetricKey, Record};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::cluster::NodeResources;
 use apm_sim::kernel::Token;
 use apm_sim::{ClusterSpec, Engine, FailMode, FaultEvent, FaultKind, Plan, SimDuration, Step};
 use apm_storage::receipt::{CostReceipt, DiskIo};
+use std::ops::Range;
 
 /// Bit marking a token as a background job rather than a client op.
 pub const BACKGROUND_BIT: u64 = 1 << 63;
@@ -319,6 +321,55 @@ pub fn client_only_plan(ctx: &StoreCtx, client_id: u32, cpu: SimDuration) -> Pla
     }])
 }
 
+/// Worker count of the load phase: one per CPU the process may run on.
+fn load_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The load phase of a sharded store: applies `insert(node, record)` for
+/// `record_for_seq(seq)` of every `seq` in `seqs`, ascending, to each
+/// node `owners(&record.key)` names — the per-node engines are disjoint
+/// state, so they are built side by side.
+///
+/// `nodes` is split into at most `workers` contiguous groups. Every
+/// worker walks all of `seqs`, derives each key and its owners, and
+/// applies only the inserts that land in its own group: a node sees
+/// exactly the inserts, in exactly the order, of the one-thread loop,
+/// whatever the group split, so no byte of its state can depend on
+/// `workers`. Group 0 runs on the calling thread — one node or one CPU
+/// spawns nothing, and each spawned thread costs a malloc arena.
+pub fn load_partitioned<N: Send, O: IntoIterator<Item = usize>>(
+    nodes: &mut [N],
+    seqs: Range<u64>,
+    workers: usize,
+    owners: impl Fn(&MetricKey) -> O + Sync,
+    insert: impl Fn(&mut N, &Record) + Sync,
+) {
+    let group_len = nodes.len().div_ceil(workers.max(1)).max(1);
+    let build = |first: usize, group: &mut [N]| {
+        for seq in seqs.clone() {
+            // The fields are only worth deriving for a record that stays.
+            let mut record = None;
+            for owner in owners(&key_for_seq(seq)) {
+                if let Some(node) = owner.checked_sub(first).and_then(|i| group.get_mut(i)) {
+                    insert(node, record.get_or_insert_with(|| record_for_seq(seq)));
+                }
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut groups = nodes.chunks_mut(group_len).enumerate();
+        let own = groups.next();
+        for (g, group) in groups {
+            let build = &build;
+            scope.spawn(move || build(g * group_len, group));
+        }
+        if let Some((_, group)) = own {
+            build(0, group);
+        }
+    });
+}
+
 /// The interface every benchmarked store implements.
 pub trait DistributedStore {
     /// Store name as used in the paper's figures.
@@ -331,6 +382,27 @@ pub trait DistributedStore {
     /// Load-phase insert: updates real state, settling any background
     /// work immediately (load time is not measured, §3 reloads per run).
     fn load(&mut self, record: &Record);
+
+    /// Load-phase insert of `record_for_seq(seq)` for every `seq` in
+    /// `seqs`, ascending: the same state as calling
+    /// [`DistributedStore::load`] per record, built with one worker per
+    /// CPU where the store's nodes allow it.
+    fn load_range(&mut self, seqs: Range<u64>) {
+        self.load_range_on(seqs, load_workers());
+    }
+
+    /// [`DistributedStore::load_range`] on at most `workers` threads.
+    /// The argument exists for the tests that show the loaded state does
+    /// not depend on it; everything else calls `load_range`. The default
+    /// is the per-record loop; sharded stores override it with
+    /// [`load_partitioned`] over their per-node state.
+    #[doc(hidden)]
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let _ = workers;
+        for seq in seqs {
+            self.load(&record_for_seq(seq));
+        }
+    }
 
     /// Hook called once after the load phase (flush memtables, etc.).
     fn finish_load(&mut self) {}

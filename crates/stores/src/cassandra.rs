@@ -16,7 +16,8 @@
 //!   reads").
 
 use crate::api::{
-    background_token, round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx,
+    background_token, load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore,
+    StoreCtx,
 };
 use crate::cache::PageCache;
 use crate::routing::{TokenAssignment, TokenRing};
@@ -25,10 +26,11 @@ use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration, Step};
 use apm_storage::encoding::{cassandra_format, StorageFormat};
-use apm_storage::lsm::{BackgroundJob, CompactionStrategy, JobKind, LsmConfig, LsmTree};
+use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
 use apm_storage::receipt::DiskIo;
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Read path CPU model (thrift parse, row resolution, merge).
 const READ_COST: CostModel = CostModel {
@@ -124,6 +126,15 @@ struct Node {
     lsm: LsmTree,
     log: CommitLog,
     cache: PageCache,
+}
+
+impl Node {
+    /// Untimed insert (load phase, bootstrap stream, hint replay): the
+    /// flush and compaction work it triggers completes on the spot.
+    fn insert_settled(&mut self, record: &Record) {
+        let (_, job) = self.lsm.insert(record.key, record.fields);
+        self.lsm.settle(job);
+    }
 }
 
 /// The store.
@@ -269,15 +280,8 @@ impl CassandraStore {
             .filter(|(k, _)| self.ring.route(k) == new_idx)
             .collect();
         let moved_raw = (moving.len() * apm_core::record::RAW_RECORD_SIZE) as u64;
-        for (k, v) in moving {
-            let (_, job) = self.nodes[new_idx].lsm.insert(k, v);
-            let mut next = job;
-            while let Some(j) = next {
-                next = match j.kind {
-                    JobKind::Flush => self.nodes[new_idx].lsm.complete_flush(j.id),
-                    JobKind::Compaction => self.nodes[new_idx].lsm.complete_compaction(j.id),
-                };
-            }
+        for (key, fields) in moving {
+            self.nodes[new_idx].insert_settled(&Record { key, fields });
         }
         let bytes = self.expand(moved_raw);
         self.streamed_bytes += bytes;
@@ -382,14 +386,7 @@ impl CassandraStore {
         }
         let raw = (hints.len() * apm_core::record::RAW_RECORD_SIZE) as u64;
         for record in &hints {
-            let (_, job) = self.nodes[node].lsm.insert(record.key, record.fields);
-            let mut next = job;
-            while let Some(j) = next {
-                next = match j.kind {
-                    JobKind::Flush => self.nodes[node].lsm.complete_flush(j.id),
-                    JobKind::Compaction => self.nodes[node].lsm.complete_compaction(j.id),
-                };
-            }
+            self.nodes[node].insert_settled(record);
         }
         let bytes = self.expand(raw);
         let id = self.next_job;
@@ -598,27 +595,26 @@ impl DistributedStore for CassandraStore {
     }
 
     fn load(&mut self, record: &Record) {
-        for &node in &self.ring.replicas(&record.key, self.replication) {
-            let (_, job) = self.nodes[node].lsm.insert(record.key, record.fields);
-            let mut next = job;
-            while let Some(j) = next {
-                next = match j.kind {
-                    JobKind::Flush => self.nodes[node].lsm.complete_flush(j.id),
-                    JobKind::Compaction => self.nodes[node].lsm.complete_compaction(j.id),
-                };
-            }
+        for node in self.ring.replicas(&record.key, self.replication) {
+            self.nodes[node].insert_settled(record);
         }
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let (ring, rf) = (&self.ring, self.replication);
+        load_partitioned(
+            &mut self.nodes,
+            seqs,
+            workers,
+            |key| ring.replicas(key, rf),
+            Node::insert_settled,
+        );
     }
 
     fn finish_load(&mut self) {
         for node in &mut self.nodes {
-            let mut next = node.lsm.force_flush();
-            while let Some(j) = next {
-                next = match j.kind {
-                    JobKind::Flush => node.lsm.complete_flush(j.id),
-                    JobKind::Compaction => node.lsm.complete_compaction(j.id),
-                };
-            }
+            let job = node.lsm.force_flush();
+            node.lsm.settle(job);
         }
     }
 
@@ -724,11 +720,7 @@ impl DistributedStore for CassandraStore {
             return; // bootstrap stream finished
         }
         let (node, job) = self.jobs.remove(&job_id).expect("known background job");
-        let follow = match job.kind {
-            JobKind::Flush => self.nodes[node].lsm.complete_flush(job.id),
-            JobKind::Compaction => self.nodes[node].lsm.complete_compaction(job.id),
-        };
-        if let Some(next) = follow {
+        if let Some(next) = self.nodes[node].lsm.complete(job) {
             self.schedule_job(node, next, engine);
         }
     }

@@ -40,12 +40,15 @@ pub fn murmur2_64a(data: &[u8], seed: u64) -> u64 {
 
 pub use apm_core::snap::fnv1a64;
 
-/// MD5 (RFC 1321). Returns the 16-byte digest.
-pub fn md5(message: &[u8]) -> [u8; 16] {
-    const S: [u32; 64] = [
-        7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 5, 9, 14, 20, 5, 9, 14, 20, 5,
-        9, 14, 20, 5, 9, 14, 20, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 6, 10,
-        15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
+/// One MD5 compression: folds a 64-byte block into `state`. The four
+/// 16-round phases are four fixed-trip loops, so the round function and
+/// the message-word index of every round are compile-time constants.
+fn md5_compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    const S: [[u32; 4]; 4] = [
+        [7, 12, 17, 22],
+        [5, 9, 14, 20],
+        [4, 11, 16, 23],
+        [6, 10, 15, 21],
     ];
     const K: [u32; 64] = [
         0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
@@ -59,50 +62,64 @@ pub fn md5(message: &[u8]) -> [u8; 16] {
         0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb,
         0xeb86d391,
     ];
-    let mut a0: u32 = 0x6745_2301;
-    let mut b0: u32 = 0xefcd_ab89;
-    let mut c0: u32 = 0x98ba_dcfe;
-    let mut d0: u32 = 0x1032_5476;
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    // One round: `f` is the phase's mixing function of (b, c, d), `g`
+    // its message-word index, `i` the round within the phase.
+    macro_rules! round {
+        ($phase:expr, $i:expr, $f:expr, $g:expr) => {{
+            let sum = a
+                .wrapping_add($f)
+                .wrapping_add(K[16 * $phase + $i])
+                .wrapping_add(m[$g % 16]);
+            (a, d, c) = (d, c, b);
+            b = b.wrapping_add(sum.rotate_left(S[$phase][$i % 4]));
+        }};
+    }
+    for i in 0..16 {
+        round!(0, i, (b & c) | (!b & d), i);
+    }
+    for i in 0..16 {
+        round!(1, i, (d & b) | (!d & c), 5 * i + 1);
+    }
+    for i in 0..16 {
+        round!(2, i, b ^ c ^ d, 3 * i + 5);
+    }
+    for i in 0..16 {
+        round!(3, i, c ^ (b | !d), 7 * i);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
+    }
+}
 
-    // Padding: 0x80, zeros, 64-bit little-endian bit length.
+/// MD5 (RFC 1321). Returns the 16-byte digest.
+pub fn md5(message: &[u8]) -> [u8; 16] {
+    let mut state = [0x6745_2301u32, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
+    let blocks = message.chunks_exact(64);
+    let tail = blocks.remainder();
+    for block in blocks {
+        md5_compress(&mut state, block.try_into().expect("64-byte chunk"));
+    }
+    // Padding: 0x80, zeros, 64-bit little-endian bit length. It shares
+    // the tail's block unless the tail leaves fewer than 9 bytes free.
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    if tail.len() >= 56 {
+        md5_compress(&mut state, &block);
+        block = [0u8; 64];
+    }
     let bit_len = (message.len() as u64).wrapping_mul(8);
-    let mut padded = message.to_vec();
-    padded.push(0x80);
-    while padded.len() % 64 != 56 {
-        padded.push(0);
-    }
-    padded.extend_from_slice(&bit_len.to_le_bytes());
-
-    for block in padded.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i {
-                0..=15 => ((b & c) | (!b & d), i),
-                16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(S[i]));
-            a = tmp;
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
-    }
+    block[56..].copy_from_slice(&bit_len.to_le_bytes());
+    md5_compress(&mut state, &block);
     let mut digest = [0u8; 16];
-    digest[0..4].copy_from_slice(&a0.to_le_bytes());
-    digest[4..8].copy_from_slice(&b0.to_le_bytes());
-    digest[8..12].copy_from_slice(&c0.to_le_bytes());
-    digest[12..16].copy_from_slice(&d0.to_le_bytes());
+    for (out, word) in digest.chunks_exact_mut(4).zip(state) {
+        out.copy_from_slice(&word.to_le_bytes());
+    }
     digest
 }
 
@@ -150,14 +167,20 @@ mod tests {
 
     #[test]
     fn md5_handles_block_boundary_lengths() {
-        // Lengths 55, 56, 63, 64, 65 exercise the padding edge cases.
-        for len in [55usize, 56, 63, 64, 65, 119, 120] {
-            let data = vec![b'x'; len];
-            let d = md5(&data);
-            assert_eq!(d.len(), 16);
-            // Digest must differ from the digest of length-1 variant.
-            let d2 = md5(&data[..len - 1]);
-            assert_ne!(d, d2, "digest collision at boundary {len}");
+        // `head -c N /dev/zero | tr '\0' x | md5sum`: 55 is the longest
+        // tail whose padding fits its own block, 56..=63 spill the length
+        // into a second block, 64 has an empty tail, 119/120 repeat the
+        // edge one block later.
+        for (len, digest) in [
+            (55usize, "04364420e25c512fd958a70738aa8f72"),
+            (56, "668a72d5ba17f08e62dabcafad6db14b"),
+            (63, "7dc2ca208106a2f703567bdff99d8981"),
+            (64, "c1bb4f81d892b2d57947682aeb252456"),
+            (65, "1bc932052302d074bdec39795fe00cf6"),
+            (119, "ab347a5f68c8a443cfcddc633f12c24f"),
+            (120, "fb98667f98096de92620b64f46e1c5b5"),
+        ] {
+            assert_eq!(hex(&md5(&vec![b'x'; len])), digest, "length {len}");
         }
     }
 

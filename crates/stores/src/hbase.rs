@@ -17,7 +17,9 @@
 //! * flushes and compactions are pipeline writes with 3× replication,
 //!   which is also why HBase is the least disk-efficient store (Fig 17).
 
-use crate::api::{background_token, round_trip_plan, CostModel, DistributedStore, StoreCtx};
+use crate::api::{
+    background_token, load_partitioned, round_trip_plan, CostModel, DistributedStore, StoreCtx,
+};
 use crate::cache::PageCache;
 use crate::hdfs::{Hdfs, HdfsConfig};
 use crate::routing::RegionMap;
@@ -26,9 +28,10 @@ use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration, Step};
 use apm_storage::encoding::{hbase_format, StorageFormat};
-use apm_storage::lsm::{BackgroundJob, JobKind, LsmConfig, LsmTree};
+use apm_storage::lsm::{BackgroundJob, LsmConfig, LsmTree};
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Read path CPU (RPC, memstore + block lookup) — cheap; the latency is
 /// in HDFS.
@@ -74,6 +77,15 @@ struct Server {
     lsm: LsmTree,
     wal: CommitLog,
     cache: PageCache,
+}
+
+impl Server {
+    /// Load-phase insert: the flush and compaction work it triggers
+    /// completes on the spot (load time is not simulated).
+    fn load(&mut self, record: &Record) {
+        let (_, job) = self.lsm.insert(record.key, record.fields);
+        self.lsm.settle(job);
+    }
 }
 
 /// The store.
@@ -215,28 +227,24 @@ impl DistributedStore for HbaseStore {
     }
 
     fn load(&mut self, record: &Record) {
-        let server = self.regions.route(&record.key);
-        let (_, job) = self.servers_state[server]
-            .lsm
-            .insert(record.key, record.fields);
-        let mut next = job;
-        while let Some(j) = next {
-            next = match j.kind {
-                JobKind::Flush => self.servers_state[server].lsm.complete_flush(j.id),
-                JobKind::Compaction => self.servers_state[server].lsm.complete_compaction(j.id),
-            };
-        }
+        self.servers_state[self.regions.route(&record.key)].load(record);
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let regions = &self.regions;
+        load_partitioned(
+            &mut self.servers_state,
+            seqs,
+            workers,
+            |key| [regions.route(key)],
+            Server::load,
+        );
     }
 
     fn finish_load(&mut self) {
         for server in &mut self.servers_state {
-            let mut next = server.lsm.force_flush();
-            while let Some(j) = next {
-                next = match j.kind {
-                    JobKind::Flush => server.lsm.complete_flush(j.id),
-                    JobKind::Compaction => server.lsm.complete_compaction(j.id),
-                };
-            }
+            let job = server.lsm.force_flush();
+            server.lsm.settle(job);
         }
     }
 
@@ -407,11 +415,7 @@ impl DistributedStore for HbaseStore {
             return;
         }
         let (server, job) = self.jobs.remove(&job_id).expect("known background job");
-        let follow = match job.kind {
-            JobKind::Flush => self.servers_state[server].lsm.complete_flush(job.id),
-            JobKind::Compaction => self.servers_state[server].lsm.complete_compaction(job.id),
-        };
-        if let Some(next) = follow {
+        if let Some(next) = self.servers_state[server].lsm.complete(job) {
             self.schedule_job(server, next, engine);
         }
     }

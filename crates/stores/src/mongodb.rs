@@ -23,7 +23,9 @@
 //!   (field-name strings repeated per document, 16-byte ObjectId-style
 //!   padding, power-of-two allocation).
 
-use crate::api::{round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx};
+use crate::api::{
+    load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx,
+};
 use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
@@ -34,6 +36,7 @@ use apm_storage::btree::{BTree, BTreeConfig, PageTrace};
 use apm_storage::bufferpool::{Access, BufferPool};
 use apm_storage::encoding::StorageFormat;
 use apm_storage::receipt::{CostReceipt, DiskIo};
+use std::ops::Range;
 
 /// Read cost: BSON decode + `_id` index walk.
 const READ_COST: CostModel = CostModel {
@@ -89,6 +92,12 @@ struct Shard {
 }
 
 impl Shard {
+    /// Load-phase insert: warms the pool, discarding the IO (untimed).
+    fn load(&mut self, record: &Record) {
+        let (_, trace) = self.tree.insert(record.key, record.fields);
+        let _ = self.replay(&trace);
+    }
+
     fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
         let mut ios = Vec::new();
         let page_bytes = self.tree.page_bytes();
@@ -154,9 +163,18 @@ impl DistributedStore for MongoStore {
     }
 
     fn load(&mut self, record: &Record) {
-        let shard = self.chunks.route(&record.key);
-        let (_, trace) = self.shards[shard].tree.insert(record.key, record.fields);
-        let _ = self.shards[shard].replay(&trace);
+        self.shards[self.chunks.route(&record.key)].load(record);
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let chunks = &self.chunks;
+        load_partitioned(
+            &mut self.shards,
+            seqs,
+            workers,
+            |key| [chunks.route(key)],
+            Shard::load,
+        );
     }
 
     fn plan_op(&mut self, client: u32, op: &Operation, _engine: &mut Engine) -> (OpOutcome, Plan) {
@@ -284,7 +302,7 @@ impl DistributedStore for MongoStore {
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for shard in &mut self.shards {
             shard.tree.restore_state(r)?;
-            shard.pool.restore_state(r)?;
+            shard.pool.restore_state(r, shard.tree.page_count())?;
         }
         Ok(())
     }

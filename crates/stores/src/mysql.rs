@@ -23,7 +23,9 @@
 //!   collapses RSW throughput to tens of ops/s and below one op/s on
 //!   larger clusters (§5.5, Fig 14).
 
-use crate::api::{round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx};
+use crate::api::{
+    load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx,
+};
 use crate::routing::RdbmsShards;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
@@ -34,6 +36,7 @@ use apm_storage::bufferpool::{Access, BufferPool};
 use apm_storage::encoding::{mysql_format, StorageFormat};
 use apm_storage::receipt::{CostReceipt, DiskIo};
 use apm_storage::wal::{CommitLog, SyncPolicy};
+use std::ops::Range;
 
 /// Point query cost (parse, optimize, index dive, row copy) — calibrated
 /// to §5.1: "no significant differences between the throughput of
@@ -96,6 +99,13 @@ struct Shard {
 }
 
 impl Shard {
+    /// Load-phase insert: warms the pool, discarding the IO (untimed).
+    fn load(&mut self, record: &Record) {
+        let (_, trace) = self.tree.insert(record.key, record.fields);
+        let _ = self.replay(&trace);
+        self.log.append(75);
+    }
+
     fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
         let mut ios = Vec::new();
         let page_bytes = self.tree.page_bytes();
@@ -278,10 +288,18 @@ impl DistributedStore for MysqlStore {
     }
 
     fn load(&mut self, record: &Record) {
-        let shard = self.shards_map.route(&record.key);
-        let (_, trace) = self.shards[shard].tree.insert(record.key, record.fields);
-        let _ = self.shards[shard].replay(&trace);
-        self.shards[shard].log.append(75);
+        self.shards[self.shards_map.route(&record.key)].load(record);
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let map = &self.shards_map;
+        load_partitioned(
+            &mut self.shards,
+            seqs,
+            workers,
+            |key| [map.route(key)],
+            Shard::load,
+        );
     }
 
     fn plan_op(&mut self, client: u32, op: &Operation, engine: &mut Engine) -> (OpOutcome, Plan) {
@@ -394,7 +412,7 @@ impl DistributedStore for MysqlStore {
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for shard in &mut self.shards {
             shard.tree.restore_state(r)?;
-            shard.pool.restore_state(r)?;
+            shard.pool.restore_state(r, shard.tree.page_count())?;
             shard.log.restore_state(r)?;
             shard.rate_window_start = r.get()?;
             shard.rate_window_count = r.u64()?;

@@ -21,7 +21,7 @@
 //! * fewer client threads (§6: "we were forced to use a smaller number
 //!   of threads") but twice the client machines (§5.1).
 
-use crate::api::{round_trip_plan, CostModel, DistributedStore, StoreCtx};
+use crate::api::{load_partitioned, round_trip_plan, CostModel, DistributedStore, StoreCtx};
 use crate::routing::{JedisHash, JedisRing};
 use apm_core::ops::{OpOutcome, Operation, RejectReason};
 use apm_core::record::Record;
@@ -29,6 +29,7 @@ use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration, Step};
 use apm_storage::hashstore::HashStore;
+use std::ops::Range;
 
 /// Command execution on the event loop: ~18 µs for GET/SET of a 75-byte
 /// record ⇒ ≈55 K ops/s per instance (Fig 3's >50 K single-node reads).
@@ -73,6 +74,17 @@ const HARD_OOM_FACTOR: f64 = 1.25;
 struct Instance {
     store: HashStore,
     event_loop: ResourceId,
+}
+
+impl Instance {
+    /// Load-phase insert. Loads past the hard allocation limit are
+    /// dropped, exactly like the paper's OOM-ing node (reads of those
+    /// keys will miss), and counted in `rejections`.
+    fn load(&mut self, record: &Record, rejections: &mut u64) {
+        if self.store.insert(record.key, record.fields).is_err() {
+            *rejections += 1;
+        }
+    }
 }
 
 /// The store.
@@ -205,15 +217,27 @@ impl DistributedStore for RedisStore {
 
     fn load(&mut self, record: &Record) {
         let shard = self.shard(&record.key);
-        // Loads past the hard allocation limit are dropped, exactly like
-        // the paper's OOM-ing node (reads of those keys will miss).
-        if self.instances[shard]
-            .store
-            .insert(record.key, record.fields)
-            .is_err()
-        {
-            self.load_rejections += 1;
-        }
+        self.instances[shard].load(record, &mut self.load_rejections);
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        // Each instance carries its own rejection tally through the
+        // build, so the workers share nothing; the store's counter is
+        // their sum.
+        let (ring, hash) = (&self.ring, self.hash);
+        let mut tallied: Vec<(&mut Instance, u64)> =
+            self.instances.iter_mut().map(|i| (i, 0)).collect();
+        load_partitioned(
+            &mut tallied,
+            seqs,
+            workers,
+            |key| [ring.route_with(hash, key)],
+            |(instance, rejections), record| instance.load(record, rejections),
+        );
+        self.load_rejections += tallied
+            .iter()
+            .map(|(_, rejections)| rejections)
+            .sum::<u64>();
     }
 
     fn plan_op(&mut self, client: u32, op: &Operation, _engine: &mut Engine) -> (OpOutcome, Plan) {

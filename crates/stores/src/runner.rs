@@ -16,7 +16,6 @@ use crate::resilience::{
     JitterRng, ResiliencePolicy,
 };
 use apm_core::driver::ClientConfig;
-use apm_core::keyspace::record_for_seq;
 use apm_core::ops::{OpKind, OpOutcome, Operation};
 use apm_core::record::MetricKey;
 use apm_core::snap::{self, fnv1a64, Snap, SnapError, SnapReader, SnapWriter, SnapshotHeader};
@@ -383,9 +382,7 @@ pub fn run_benchmark_masked(
 /// Returns the number of records loaded.
 fn load_phase(store: &mut dyn DistributedStore, config: &RunConfig) -> u64 {
     let total_records = config.records_per_node * u64::from(config.nodes);
-    for seq in 0..total_records {
-        store.load(&record_for_seq(seq));
-    }
+    store.load_range(0..total_records);
     store.finish_load();
     total_records
 }

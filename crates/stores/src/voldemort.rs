@@ -24,7 +24,8 @@
 //!   write path never reads: ×3 from R to W on Cluster D (Fig 18).
 
 use crate::api::{
-    background_token, round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx,
+    background_token, load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore,
+    StoreCtx,
 };
 use crate::routing::PartitionMap;
 use apm_core::keyspace::SplitRng;
@@ -38,6 +39,7 @@ use apm_storage::encoding::{voldemort_format, StorageFormat};
 use apm_storage::receipt::{CostReceipt, DiskIo};
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Server-side request cost (protobuf parse, store lookup dispatch).
 const SERVER_COST: CostModel = CostModel {
@@ -81,6 +83,12 @@ struct Node {
 }
 
 impl Node {
+    /// Load-phase insert: warms the pool, discarding the IO (untimed).
+    fn load(&mut self, record: &Record) {
+        let (_, trace) = self.tree.insert(record.key, record.fields);
+        let _ = self.replay(&trace);
+    }
+
     /// Replays a read-path page trace through the buffer pool: every miss
     /// is a random log fetch; evicted dirty pages go out through JE's
     /// log, i.e. sequentially.
@@ -222,10 +230,18 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn load(&mut self, record: &Record) {
-        let node = self.map.route(&record.key);
-        let (_, trace) = self.nodes[node].tree.insert(record.key, record.fields);
-        // Warm the pool during load, discarding the IO (untimed phase).
-        let _ = self.nodes[node].replay(&trace);
+        self.nodes[self.map.route(&record.key)].load(record);
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let map = &self.map;
+        load_partitioned(
+            &mut self.nodes,
+            seqs,
+            workers,
+            |key| [map.route(key)],
+            Node::load,
+        );
     }
 
     fn plan_op(&mut self, client: u32, op: &Operation, engine: &mut Engine) -> (OpOutcome, Plan) {
@@ -342,7 +358,7 @@ impl DistributedStore for VoldemortStore {
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for node in &mut self.nodes {
             node.tree.restore_state(r)?;
-            node.pool.restore_state(r)?;
+            node.pool.restore_state(r, node.tree.page_count())?;
             node.log.restore_state(r)?;
             node.rng = r.get()?;
         }

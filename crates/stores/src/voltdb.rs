@@ -16,7 +16,7 @@
 //! added — reproduced here by a capacity-1 "global initiator" resource
 //! whose per-transaction service is proportional to the node count.
 
-use crate::api::{round_trip_plan, CostModel, DistributedStore, StoreCtx};
+use crate::api::{load_partitioned, round_trip_plan, CostModel, DistributedStore, StoreCtx};
 use crate::routing::SiteMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
@@ -24,6 +24,7 @@ use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration, Step};
 use apm_storage::partition::PartitionTable;
+use std::ops::Range;
 
 /// Stored-procedure execution cost at a site. ~115 µs per invocation
 /// lands single-node throughput at ≈45–50 K ops/s on 6 sites (Fig 3/6:
@@ -215,6 +216,19 @@ impl DistributedStore for VoltDbStore {
     fn load(&mut self, record: &Record) {
         let site = self.map.site(&record.key);
         self.partitions[site].insert(record.key, record.fields);
+    }
+
+    fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
+        let map = &self.map;
+        load_partitioned(
+            &mut self.partitions,
+            seqs,
+            workers,
+            |key| [map.site(key)],
+            |partition, record| {
+                partition.insert(record.key, record.fields);
+            },
+        );
     }
 
     fn plan_op(&mut self, client: u32, op: &Operation, _engine: &mut Engine) -> (OpOutcome, Plan) {

@@ -21,7 +21,7 @@ use apm_repro::core::record::{FieldValues, MetricKey};
 use apm_repro::core::timeseries::{execute, ApmQuery, SeriesCodec, WindowAggregate};
 use apm_repro::storage::btree::{BTree, BTreeConfig};
 use apm_repro::storage::hashstore::HashStore;
-use apm_repro::storage::lsm::{JobKind, LsmConfig, LsmTree};
+use apm_repro::storage::lsm::{LsmConfig, LsmTree};
 
 const EPOCH: u64 = 1_332_988_800;
 const HOSTS: u32 = 8;
@@ -47,13 +47,7 @@ fn main() {
                 let record = codec.record(series_id(host, metric as u32), &measurement);
                 let (_, job) = lsm.insert(record.key, record.fields);
                 // Settle background work inline (no simulator here).
-                let mut next = job;
-                while let Some(j) = next {
-                    next = match j.kind {
-                        JobKind::Flush => lsm.complete_flush(j.id),
-                        JobKind::Compaction => lsm.complete_compaction(j.id),
-                    };
-                }
+                lsm.settle(job);
                 btree.insert(record.key, record.fields);
                 hash.insert(record.key, record.fields)
                     .expect("no memory budget");

@@ -3,7 +3,7 @@
 
 use apm_repro::core::metric::{AgentReporter, MonitoredSystem};
 use apm_repro::core::timeseries::{execute, ApmQuery, SeriesCodec};
-use apm_repro::storage::lsm::{JobKind, LsmConfig, LsmTree};
+use apm_repro::storage::lsm::{LsmConfig, LsmTree};
 
 const EPOCH: u64 = 1_332_988_800;
 
@@ -20,13 +20,7 @@ fn ingest(hosts: u32, metrics: u32, intervals: u64) -> (LsmTree, SeriesCodec) {
                 let series = u64::from(host) * u64::from(metrics) + metric as u64;
                 let record = codec.record(series, &m);
                 let (_, job) = lsm.insert(record.key, record.fields);
-                let mut next = job;
-                while let Some(j) = next {
-                    next = match j.kind {
-                        JobKind::Flush => lsm.complete_flush(j.id),
-                        JobKind::Compaction => lsm.complete_compaction(j.id),
-                    };
-                }
+                lsm.settle(job);
             }
         }
     }
