@@ -1,0 +1,93 @@
+//! Point-level byte-neutrality pin: what `run_point` builds and reports
+//! for each of the six stores.
+//!
+//! The harness is about to get one value that *is* a benchmark point;
+//! whatever builds the run must keep building exactly this run. Per
+//! store: the `config_fingerprint` of the configuration `run_point`
+//! hands the driver (4 nodes, Cluster M, workload RW, test profile) and
+//! FNV-1a over everything the run reports, snap-encoded. Captured on the
+//! commit *before* the cutover (81a1572).
+
+use apm_repro::core::driver::ClientConfig;
+use apm_repro::core::snap::{fnv1a64, SnapWriter};
+use apm_repro::core::workload::Workload;
+use apm_repro::harness::experiment::{run_point, ExperimentProfile, StoreKind};
+use apm_repro::sim::{ClusterSpec, FaultSchedule};
+use apm_repro::stores::runner::{config_fingerprint, RunConfig, RunResult};
+
+const NODES: u32 = 4;
+
+fn result_fingerprint(r: &RunResult) -> u64 {
+    let mut w = SnapWriter::new();
+    w.put(&r.stats);
+    w.put_u64(r.issued);
+    w.put(&r.disk_bytes_per_node);
+    w.put(&r.telemetry);
+    w.put(&r.ledger);
+    fnv1a64(w.bytes())
+}
+
+/// `(store, config fingerprint, result fingerprint)`.
+const PINS: [(StoreKind, u64, u64); 6] = [
+    (
+        StoreKind::Cassandra,
+        0xbd06_7734_bbe1_9c64,
+        0xbf85_1d5d_6b49_9369,
+    ),
+    (
+        StoreKind::HBase,
+        0x6073_875d_401b_f013,
+        0xc879_51a0_7d84_db2b,
+    ),
+    (
+        StoreKind::Voldemort,
+        0x4bc5_e292_11eb_437a,
+        0x0a1c_369c_5f0f_c3ce,
+    ),
+    (
+        StoreKind::VoltDb,
+        0x8051_18e0_b2af_9b69,
+        0x3894_9d35_9d94_c3f2,
+    ),
+    (
+        StoreKind::Redis,
+        0x364d_bf2c_5793_239d,
+        0x9b94_d631_f4ed_3768,
+    ),
+    (
+        StoreKind::Mysql,
+        0x4ea2_3e47_745a_b1ec,
+        0xcd17_85cc_e2a7_a853,
+    ),
+];
+
+#[test]
+fn run_point_is_pinned_for_every_store() {
+    let profile = ExperimentProfile::test();
+    let workload = Workload::rw();
+    let moved: Vec<String> = PINS
+        .iter()
+        .filter_map(|&(kind, want_config, want_result)| {
+            let config = RunConfig {
+                workload: workload.clone(),
+                client: ClientConfig::cluster_m(NODES)
+                    .with_window(profile.warmup_secs, profile.measure_secs),
+                records_per_node: profile.records_per_node(),
+                nodes: NODES,
+                seed: profile.seed,
+                event_at_secs: None,
+                faults: FaultSchedule::none(),
+                op_deadline: None,
+                telemetry_window_secs: None,
+                resilience: None,
+                checkpoints: None,
+            };
+            let got_config = config_fingerprint(kind.name(), &config);
+            let point = run_point(kind, ClusterSpec::cluster_m(), NODES, &workload, &profile);
+            let got_result = result_fingerprint(&point.result);
+            ((got_config, got_result) != (want_config, want_result))
+                .then(|| format!("(StoreKind::{kind:?}, {got_config:#018x}, {got_result:#018x}),"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "points moved:\n{}", moved.join("\n"));
+}
