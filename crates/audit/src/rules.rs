@@ -19,8 +19,8 @@
 //!
 //! | rule               | issue | scope                                  | default |
 //! |--------------------|-------|----------------------------------------|---------|
-//! | `clock`            | D1    | sim, stores, storage, bench + obs/snap/chaos | deny |
-//! | `hash-order`       | D2    | sim, stores, bench + obs/snap/chaos    | deny    |
+//! | `clock`            | D1    | sim, stores, storage, bench + obs/snap/chaos/experiment | deny |
+//! | `hash-order`       | D2    | sim, stores, bench + obs/snap/chaos/experiment | deny |
 //! | `unwrap`           | D3    | all non-test library code              | warn    |
 //! | `float-sum`        | D4    | core::stats, core::timeseries         | warn    |
 //! | `shape-coverage`   | D5    | harness extensions vs shape            | deny    |
@@ -61,7 +61,10 @@
 //! `harness/src/chaos.rs` (generator, oracles, shrinker) — join for
 //! the same reason: a campaign report must be a pure function of its
 //! seed, and a shrinker probe that replays differently cannot
-//! minimize anything.
+//! minimize anything. `harness/src/experiment.rs` joins because every
+//! one of those modules now builds and runs its simulations through
+//! `Scenario`, which lives there — the scope follows the code that
+//! moved.
 //!
 //! `--deny-all` promotes warnings to errors. Any rule is silenced on a
 //! line with `// audit:allow(<rule>)` on that line or the line above.
@@ -118,6 +121,7 @@ fn is_obs_path(path: &str) -> bool {
     path.ends_with("core/src/stats.rs")
         || path.ends_with("harness/src/obs.rs")
         || path.ends_with("harness/src/resilience.rs")
+        || path.ends_with("harness/src/experiment.rs")
         || is_snap_path(path)
         || is_chaos_path(path)
 }

@@ -111,6 +111,19 @@ fn d1_chaos_modules_trip_clock() {
 }
 
 #[test]
+fn d1_d2_scenario_module_is_in_scope() {
+    // Every obs/snap/chaos/resilience run is built and driven by
+    // `Scenario` in experiment.rs; the determinism net covers it too.
+    let f = file(
+        "crates/harness/src/experiment.rs",
+        "fn run() { let t = Instant::now(); let m: HashMap<u64, u64> = HashMap::new(); }",
+    );
+    let mut hit = rules_hit(&[f]);
+    hit.dedup();
+    assert_eq!(hit, ["clock", "hash-order"]);
+}
+
+#[test]
 fn d1_allow_escape_passes() {
     let f = file(
         "crates/sim/src/ok.rs",

@@ -113,7 +113,7 @@ fn bench_disk_usage(group: &Group) {
     // Figure 17: the load-only experiment.
     let profile = bench_profile();
     group.bench_slow("fig17_disk_usage_table", 3, || {
-        black_box(disk_usage("fig17", &profile).to_csv().len())
+        black_box(disk_usage(&profile).to_csv().len())
     });
 }
 

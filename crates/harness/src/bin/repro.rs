@@ -10,7 +10,7 @@
 
 use apm_harness::experiment::{ExperimentProfile, StoreKind};
 use apm_harness::extensions::{all_extensions, generate_extension};
-use apm_harness::figures::{all_figures, figure_by_id, generate};
+use apm_harness::figures::{all_figures, figure_by_id, generate_many};
 use apm_harness::output::{
     render_experiments_md, write_csv, write_gnuplot, FigureResult, ResultsFile,
 };
@@ -45,7 +45,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or("--scale needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --scale: {e}"))?;
-                if profile.scale <= 0.0 || profile.scale > 1.0 {
+                // Written so that NaN fails too.
+                if !(profile.scale > 0.0 && profile.scale <= 1.0) {
                     return Err("--scale must be in (0, 1]".into());
                 }
             }
@@ -55,6 +56,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or("--secs needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --secs: {e}"))?;
+                if !(profile.measure_secs > 0.0 && profile.measure_secs.is_finite()) {
+                    return Err("--secs must be a positive number of seconds".into());
+                }
             }
             "--warmup" => {
                 profile.warmup_secs = it
@@ -62,6 +66,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or("--warmup needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --warmup: {e}"))?;
+                if !(profile.warmup_secs >= 0.0 && profile.warmup_secs.is_finite()) {
+                    return Err("--warmup must be zero or a positive number of seconds".into());
+                }
             }
             "--seed" => {
                 profile.seed = it
@@ -98,6 +105,23 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         budget,
         resilient,
     })
+}
+
+/// Expands `all` and checks every id against the artifact index. Ids
+/// are exact: `FIG17` names nothing, here or in any lookup downstream.
+fn artifact_ids(requested: &[String]) -> Result<Vec<String>, String> {
+    let known: Vec<&str> = all_figures()
+        .iter()
+        .map(|f| f.id)
+        .chain(all_extensions().iter().map(|e| e.id))
+        .collect();
+    if requested.iter().any(|id| id == "all") {
+        return Ok(known.into_iter().map(str::to_string).collect());
+    }
+    match requested.iter().find(|id| !known.contains(&id.as_str())) {
+        Some(id) => Err(format!("unknown artifact {id:?}; try `repro list`")),
+        None => Ok(requested.to_vec()),
+    }
 }
 
 fn store_arg(args: &Args) -> Result<StoreKind, String> {
@@ -246,10 +270,10 @@ fn cmd_chaos(args: &Args) -> ExitCode {
         }
     };
     let target = if name == "broken-cassandra" {
-        ChaosTarget::broken_cassandra(&args.profile)
+        ChaosTarget::broken_cassandra()
     } else {
         match StoreKind::by_name(name) {
-            Some(kind) => ChaosTarget::store(kind, &args.profile),
+            Some(kind) => ChaosTarget::store(kind),
             None => {
                 eprintln!("unknown store {name:?}");
                 return ExitCode::FAILURE;
@@ -403,29 +427,19 @@ fn main() -> ExitCode {
         for spec in all_figures() {
             println!("{:16} {}", spec.id, spec.title);
         }
-        for (id, title) in all_extensions() {
-            println!("{id:16} {title}");
+        for spec in all_extensions() {
+            println!("{:16} {}", spec.id, spec.title);
         }
         return ExitCode::SUCCESS;
     }
 
-    let ids: Vec<String> = if args.ids.iter().any(|i| i == "all") {
-        all_figures()
-            .iter()
-            .map(|f| f.id.to_string())
-            .chain(all_extensions().iter().map(|(id, _)| id.to_string()))
-            .collect()
-    } else {
-        args.ids.clone()
-    };
-
-    let is_extension = |id: &str| all_extensions().iter().any(|(e, _)| *e == id);
-    for id in &ids {
-        if figure_by_id(id).is_none() && !is_extension(id) {
-            eprintln!("unknown artifact {id:?}; try `repro list`");
+    let ids = match artifact_ids(&args.ids) {
+        Ok(ids) => ids,
+        Err(msg) => {
+            eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
-    }
+    };
 
     let profile = args.profile;
     let profile_desc = format!(
@@ -443,12 +457,34 @@ fn main() -> ExitCode {
         figures: Vec::new(),
     };
     let mut failed_checks = 0usize;
+    // Figures read out of the same sweep are rendered from one pass over
+    // it: the first one reached simulates for all that were asked for,
+    // the rest wait here until their turn to print.
+    let mut rendered: Vec<(&str, apm_core::report::Table)> = Vec::new();
     for id in &ids {
         let started = std::time::Instant::now();
-        let table = if is_extension(id) {
-            generate_extension(id, &profile).expect("known extension")
+        let mut shared = String::new();
+        let table = if let Some(table) = generate_extension(id, &profile) {
+            table
+        } else if let Some(at) = rendered.iter().position(|(done, _)| done == id) {
+            rendered.remove(at).1
         } else {
-            generate(id, &profile)
+            let sweep_of = |id: &str| figure_by_id(id).and_then(|f| f.sweep());
+            let family: Vec<&str> = match sweep_of(id) {
+                None => vec![id.as_str()],
+                sweep => ids
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|other| sweep_of(other) == sweep)
+                    .collect(),
+            };
+            if family.len() > 1 {
+                shared = format!("; one sweep for {}", family.join(" "));
+            }
+            let mut tables = generate_many(&family, &profile).into_iter();
+            let table = tables.next().expect("one table per requested id");
+            rendered.extend(family[1..].iter().copied().zip(tables));
+            table
         };
         let checks = checks_for(id, &table);
         println!("{}", table.render());
@@ -459,7 +495,10 @@ fn main() -> ExitCode {
             }
             println!("  [{mark}] {} — {}", check.claim, check.detail);
         }
-        println!("  ({id} took {:.1}s)\n", started.elapsed().as_secs_f64());
+        println!(
+            "  ({id} took {:.1}s{shared})\n",
+            started.elapsed().as_secs_f64()
+        );
         if let Some(dir) = &args.out {
             if let Err(e) = write_csv(dir, id, &table).and_then(|_| write_gnuplot(dir, id, &table))
             {
@@ -505,4 +544,55 @@ fn main() -> ExitCode {
         println!("{failed_checks} shape check(s) failed");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn window_and_scale_flags_reject_values_no_run_could_use() {
+        for bad in [
+            "fig18 --secs -5",
+            "fig18 --secs 0",
+            "fig18 --secs nan",
+            "fig18 --secs inf",
+            "fig18 --warmup -1",
+            "fig18 --warmup nan",
+            "fig18 --warmup inf",
+            "fig18 --scale nan",
+            "fig18 --scale 0",
+            "fig18 --scale 1.5",
+        ] {
+            let err = parse(bad)
+                .err()
+                .unwrap_or_else(|| panic!("{bad:?} accepted"));
+            assert!(err.contains("must be"), "{bad:?}: {err}");
+        }
+        let args = parse("fig18 --secs 4 --warmup 0 --scale 1").expect("valid flags");
+        assert_eq!(args.profile.measure_secs, 4.0);
+        assert_eq!(args.profile.warmup_secs, 0.0);
+        assert_eq!(args.profile.scale, 1.0);
+    }
+
+    #[test]
+    fn artifact_ids_are_exact_for_figures_and_extensions_alike() {
+        let ids = |line: &str| artifact_ids(&parse(line).expect("parses").ids);
+        assert_eq!(
+            ids("fig17 ext-skew").expect("known ids"),
+            vec!["fig17", "ext-skew"]
+        );
+        for bad in ["FIG17", "Table1", "EXT-SKEW", "fig2"] {
+            let err = ids(bad).expect_err(bad);
+            assert!(err.contains("unknown artifact"), "{bad}: {err}");
+        }
+        let all = ids("all").expect("all expands");
+        assert_eq!(all.len(), all_figures().len() + all_extensions().len());
+        assert_eq!(all.first().map(String::as_str), Some("table1"));
+    }
 }

@@ -33,26 +33,21 @@
 //! `repro chaos` subcommand or the `ext-chaos-*` experiments invoke it,
 //! and the campaign report is a pure function of (store, seed, budget).
 
-use crate::experiment::{ExperimentProfile, StoreKind};
+use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind, StoreSpec};
 use crate::json::Json;
 use apm_core::chaos::{
     CampaignReport, ChaosEventRecord, MinimizedRepro, OracleKind, OracleVerdict, ScheduleOutcome,
     ScheduleRecord, CAMPAIGN_FORMAT_VERSION,
 };
-use apm_core::driver::ClientConfig;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::rng::SplitMix64;
 use apm_core::snap::{fnv1a64, SnapWriter};
 use apm_core::stats::BenchStats;
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, Engine, FaultEvent, FaultKind, FaultSchedule, SimDuration, SimTime};
-use apm_stores::api::{DistributedStore, StoreCtx};
-use apm_stores::cassandra::{CassandraConfig, CassandraStore};
+use apm_sim::{ClusterSpec, FaultEvent, FaultKind, FaultSchedule, SimDuration, SimTime};
+use apm_stores::cassandra::CassandraConfig;
 use apm_stores::resilience::{ResiliencePolicy, RetryPolicy};
-use apm_stores::runner::{
-    bisect_divergence, resume_benchmark_masked, run_benchmark_masked, Checkpoint, CheckpointSpec,
-    RunConfig, RunResult,
-};
+use apm_stores::runner::{bisect_divergence, Checkpoint, CheckpointSpec, RunResult};
 use std::collections::BTreeMap;
 
 /// Node count of the canonical chaos scenario (Cluster M).
@@ -321,17 +316,19 @@ fn resolution_timeline(stats: &BenchStats) -> Vec<u64> {
 /// Judges one completed run. `enabled` lists the fault events that
 /// actually dispatched (the mask's view of the schedule); the
 /// convergence oracle measures the tail after the last of them.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_oracles(
     oracles: &OracleConfig,
-    engine: &mut Engine,
-    store: &mut dyn DistributedStore,
-    result: &RunResult,
-    connections: u32,
-    measure_secs: f64,
+    scenario: &Scenario,
+    run: &mut ScenarioRun,
     enabled: &[FaultEvent],
     baseline: &Baseline,
 ) -> Vec<OracleVerdict> {
+    let ScenarioRun {
+        engine,
+        store,
+        result,
+    } = run;
+    let client = &scenario.config.client;
     let mut verdicts = Vec::new();
 
     if oracles.durability {
@@ -373,7 +370,7 @@ fn evaluate_oracles(
         let recorded =
             result.stats.total_ops() + result.stats.total_errors() + result.stats.total_rejected();
         let balanced = ledger.resolved <= ledger.logical
-            && ledger.logical - ledger.resolved <= u64::from(connections)
+            && ledger.logical - ledger.resolved <= u64::from(client.connections)
             && ledger.rejected <= ledger.resolved
             && recorded <= ledger.logical;
         verdicts.push(OracleVerdict {
@@ -405,7 +402,7 @@ fn evaluate_oracles(
 
     {
         let last = enabled.iter().map(|e| e.at.as_nanos()).max();
-        let total_secs = measure_secs.ceil() as usize;
+        let total_secs = client.measure_secs.ceil() as usize;
         let (pass, detail) = match last {
             None => (true, "no fault dispatched; trivially converged".to_string()),
             Some(last_ns) => {
@@ -451,27 +448,20 @@ fn failing_kinds(verdicts: &[OracleVerdict]) -> Vec<OracleKind> {
 // ---------------------------------------------------------------------------
 // Campaign targets and options
 
-/// Factory producing a fresh store instance for one campaign run.
-type StoreFactory = Box<dyn Fn(&mut Engine) -> Box<dyn DistributedStore>>;
-
-/// What a campaign runs against: a store factory plus its oracle set.
+/// What a campaign runs against: a store plus its oracle set.
 pub struct ChaosTarget {
     label: String,
     oracles: OracleConfig,
-    build: StoreFactory,
+    store: StoreSpec,
 }
 
 impl ChaosTarget {
-    /// A healthy store from the standard factory.
-    pub fn store(kind: StoreKind, profile: &ExperimentProfile) -> ChaosTarget {
-        let scale = profile.scale;
-        let seed = profile.seed;
+    /// A healthy store, as benchmarked.
+    pub fn store(kind: StoreKind) -> ChaosTarget {
         ChaosTarget {
             label: kind.name().to_string(),
             oracles: OracleConfig::for_store(kind.name()),
-            build: Box::new(move |engine| {
-                kind.build(engine, ClusterSpec::cluster_m(), NODES, scale, seed)
-            }),
+            store: kind.into(),
         }
     }
 
@@ -480,29 +470,14 @@ impl ChaosTarget {
     /// silently discards the writes acked on its behalf during the
     /// outage. Only the end-to-end durability oracle can catch it —
     /// the store's own hint auditor is told the queue drained.
-    pub fn broken_cassandra(profile: &ExperimentProfile) -> ChaosTarget {
-        let scale = profile.scale;
-        let seed = profile.seed;
+    pub fn broken_cassandra() -> ChaosTarget {
         ChaosTarget {
             label: "cassandra-skip-hints".to_string(),
             oracles: OracleConfig::for_store("cassandra"),
-            build: Box::new(move |engine| {
-                let ctx = StoreCtx::new(
-                    engine,
-                    ClusterSpec::cluster_m(),
-                    NODES,
-                    StoreCtx::standard_client_machines(NODES),
-                    scale,
-                    seed,
-                );
-                Box::new(CassandraStore::new(
-                    ctx,
-                    CassandraConfig {
-                        replication: 2,
-                        skip_hint_replay: true,
-                        ..CassandraConfig::default()
-                    },
-                ))
+            store: StoreSpec::Cassandra(CassandraConfig {
+                replication: 2,
+                skip_hint_replay: true,
+                ..CassandraConfig::default()
             }),
         }
     }
@@ -555,47 +530,41 @@ pub struct ScheduleRepro {
 // ---------------------------------------------------------------------------
 // Campaign execution
 
-fn chaos_config(
+/// The canonical chaos scenario: workload RW on [`NODES`] Cluster-M
+/// nodes under `faults`, every op bounded by [`OP_DEADLINE`].
+fn chaos_scenario(
+    target: &ChaosTarget,
     profile: &ExperimentProfile,
     faults: FaultSchedule,
     checkpoints: Option<CheckpointSpec>,
     resilient: bool,
-) -> RunConfig {
-    RunConfig {
-        workload: Workload::rw(),
-        client: ClientConfig::cluster_m(NODES)
-            .with_window(profile.warmup_secs, profile.measure_secs),
-        records_per_node: profile.records_per_node(),
-        nodes: NODES,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults,
-        op_deadline: Some(OP_DEADLINE),
-        telemetry_window_secs: None,
-        resilience: resilient.then(|| ResiliencePolicy {
-            retry: Some(RetryPolicy::standard()),
-            ..ResiliencePolicy::default()
-        }),
-        checkpoints,
-    }
+) -> Scenario {
+    let mut scenario = Scenario::new(
+        target.store,
+        ClusterSpec::cluster_m(),
+        NODES,
+        &Workload::rw(),
+        profile,
+    );
+    scenario.config.faults = faults;
+    scenario.config.op_deadline = Some(OP_DEADLINE);
+    scenario.config.resilience = resilient.then(|| ResiliencePolicy {
+        retry: Some(RetryPolicy::standard()),
+        ..ResiliencePolicy::default()
+    });
+    scenario.config.checkpoints = checkpoints;
+    scenario
 }
 
-/// One executed chaos run with the engine and store kept alive for the
-/// durability read-back.
-struct ChaosRun {
-    engine: Engine,
-    store: Box<dyn DistributedStore>,
-    result: RunResult,
-}
-
-fn execute(target: &ChaosTarget, config: &RunConfig, mask: Option<&[bool]>) -> ChaosRun {
-    let mut engine = Engine::new();
-    let mut store = (target.build)(&mut engine);
-    let result = run_benchmark_masked(&mut engine, store.as_mut(), config, mask);
-    ChaosRun {
-        engine,
-        store,
-        result,
+/// Runs the fault-free reference for the availability and convergence
+/// oracles.
+fn baseline(target: &ChaosTarget, profile: &ExperimentProfile, opts: &ChaosOptions) -> Baseline {
+    let result = chaos_scenario(target, profile, FaultSchedule::none(), None, opts.resilient)
+        .run()
+        .result;
+    Baseline {
+        throughput: result.throughput(),
+        resolution: resolution_timeline(&result.stats),
     }
 }
 
@@ -634,16 +603,10 @@ fn event_record(event: &FaultEvent) -> ChaosEventRecord {
 /// schedule, resuming from the full run's checkpoints where sound, and
 /// memoizes verdicts per subset.
 struct Prober<'a> {
-    target: &'a ChaosTarget,
-    config: &'a RunConfig,
+    oracles: &'a OracleConfig,
+    scenario: &'a Scenario,
     schedule: &'a ChaosSchedule,
     baseline: &'a Baseline,
-    profile: &'a ExperimentProfile,
-    connections: u32,
-    /// Absolute virtual time of the measurement-window start, derived
-    /// the same way the runner derives it (load is untimed, so the
-    /// transaction phase starts at t = 0).
-    warmup_ns: u64,
     full_checkpoints: &'a [Checkpoint],
     memo: BTreeMap<Vec<bool>, Vec<OracleKind>>,
     probes: u32,
@@ -669,49 +632,28 @@ impl Prober<'_> {
             .filter(|(_, &enabled)| !enabled)
             .map(|(event, _)| event.at.as_nanos())
             .min();
+        // Fault offsets count from the measurement-window start; load is
+        // untimed, so that is `warmup_secs` of absolute virtual time.
+        let warmup = SimDuration::from_secs_f64(self.scenario.config.client.warmup_secs);
         let snapshot = first_disabled.and_then(|offset| {
-            let limit = self.warmup_ns + offset;
+            let limit = warmup.as_nanos() + offset;
             self.full_checkpoints
                 .iter()
                 .rev()
                 .find(|cp| cp.at.as_nanos() < limit)
         });
         self.probes += 1;
-        let mut run = match snapshot {
-            Some(cp) => {
-                let mut engine = Engine::new();
-                let mut store = (self.target.build)(&mut engine);
-                match resume_benchmark_masked(
-                    &mut engine,
-                    store.as_mut(),
-                    self.config,
-                    &cp.bytes,
-                    Some(&mask),
-                ) {
-                    Ok(result) => {
-                        self.resumed_probes += 1;
-                        ChaosRun {
-                            engine,
-                            store,
-                            result,
-                        }
-                    }
-                    // A refused resume (feature mismatch) falls back to
-                    // a full replay; determinism is unaffected either
-                    // way.
-                    Err(_) => execute(self.target, self.config, Some(&mask)),
-                }
-            }
-            None => execute(self.target, self.config, Some(&mask)),
-        };
+        // A refused resume (feature mismatch) falls back to a full
+        // replay; determinism is unaffected either way.
+        let resumed =
+            snapshot.and_then(|cp| self.scenario.resume_masked(&cp.bytes, Some(&mask)).ok());
+        self.resumed_probes += u32::from(resumed.is_some());
+        let mut run = resumed.unwrap_or_else(|| self.scenario.run_masked(Some(&mask)));
         let enabled_events = self.schedule.enabled_events(enabled);
         let verdicts = evaluate_oracles(
-            &self.target.oracles,
-            &mut run.engine,
-            run.store.as_mut(),
-            &run.result,
-            self.connections,
-            self.profile.measure_secs,
+            self.oracles,
+            self.scenario,
+            &mut run,
             &enabled_events,
             self.baseline,
         );
@@ -786,19 +728,9 @@ pub fn run_campaign(
     opts: &ChaosOptions,
 ) -> CampaignOutcome {
     let spec = CheckpointSpec::every(profile.measure_secs / 4.0);
-    let connections = ClientConfig::cluster_m(NODES).connections;
-    let warmup_ns = SimDuration::from_secs_f64(profile.warmup_secs).as_nanos();
 
     // Fault-free baseline for the availability and convergence oracles.
-    let base_run = execute(
-        target,
-        &chaos_config(profile, FaultSchedule::none(), None, opts.resilient),
-        None,
-    );
-    let baseline = Baseline {
-        throughput: base_run.result.throughput(),
-        resolution: resolution_timeline(&base_run.result.stats),
-    };
+    let baseline = baseline(target, profile, opts);
 
     let mut generator = ChaosGenerator::new(opts.seed, NODES as usize);
     let mut schedules = Vec::new();
@@ -807,21 +739,19 @@ pub fn run_campaign(
 
     for index in 0..opts.budget {
         let chaos = generator.sample(profile.measure_secs);
-        let config = chaos_config(
+        let scenario = chaos_scenario(
+            target,
             profile,
             chaos.schedule.clone(),
             Some(spec.clone()),
             opts.resilient,
         );
-        let mut full = execute(target, &config, None);
+        let mut full = scenario.run();
         let all_events: Vec<FaultEvent> = chaos.schedule.events().to_vec();
         let verdicts = evaluate_oracles(
             &target.oracles,
-            &mut full.engine,
-            full.store.as_mut(),
-            &full.result,
-            connections,
-            profile.measure_secs,
+            &scenario,
+            &mut full,
             &all_events,
             &baseline,
         );
@@ -841,14 +771,11 @@ pub fn run_campaign(
         // A failing schedule must replay identically before it is worth
         // shrinking; a replay mismatch is a determinism bug in the
         // stack itself, localized by checkpoint bisection instead.
-        let mut replay = execute(target, &config, None);
+        let mut replay = scenario.run();
         let replay_verdicts = evaluate_oracles(
             &target.oracles,
-            &mut replay.engine,
-            replay.store.as_mut(),
-            &replay.result,
-            connections,
-            profile.measure_secs,
+            &scenario,
+            &mut replay,
             &all_events,
             &baseline,
         );
@@ -876,13 +803,10 @@ pub fn run_campaign(
         }
 
         let mut prober = Prober {
-            target,
-            config: &config,
+            oracles: &target.oracles,
+            scenario: &scenario,
             schedule: &chaos,
             baseline: &baseline,
-            profile,
-            connections,
-            warmup_ns,
             full_checkpoints: &full.result.checkpoints,
             memo: BTreeMap::new(),
             probes: 0,
@@ -946,27 +870,20 @@ pub fn probe_schedule(
     schedule: &ChaosSchedule,
     enabled: &[bool],
 ) -> Vec<OracleKind> {
-    let connections = ClientConfig::cluster_m(NODES).connections;
-    let base_run = execute(
+    let baseline = baseline(target, profile, opts);
+    let scenario = chaos_scenario(
         target,
-        &chaos_config(profile, FaultSchedule::none(), None, opts.resilient),
+        profile,
+        schedule.schedule.clone(),
         None,
+        opts.resilient,
     );
-    let baseline = Baseline {
-        throughput: base_run.result.throughput(),
-        resolution: resolution_timeline(&base_run.result.stats),
-    };
-    let config = chaos_config(profile, schedule.schedule.clone(), None, opts.resilient);
-    let mask = schedule.mask(enabled);
-    let mut run = execute(target, &config, Some(&mask));
+    let mut run = scenario.run_masked(Some(&schedule.mask(enabled)));
     let enabled_events = schedule.enabled_events(enabled);
     let verdicts = evaluate_oracles(
         &target.oracles,
-        &mut run.engine,
-        run.store.as_mut(),
-        &run.result,
-        connections,
-        profile.measure_secs,
+        &scenario,
+        &mut run,
         &enabled_events,
         &baseline,
     );
@@ -1157,7 +1074,7 @@ pub fn chaos_campaign(profile: &ExperimentProfile) -> Table {
         "deterministic".into(),
     ];
     for kind in StoreKind::ALL {
-        let target = ChaosTarget::store(kind, profile);
+        let target = ChaosTarget::store(kind);
         let outcome = run_campaign(&target, profile, &opts);
         let nondet = outcome
             .report
@@ -1187,7 +1104,7 @@ pub fn chaos_shrink(profile: &ExperimentProfile) -> Table {
         budget: DEFAULT_BUDGET,
         resilient: false,
     };
-    let target = ChaosTarget::broken_cassandra(profile);
+    let target = ChaosTarget::broken_cassandra();
     let outcome = run_campaign(&target, profile, &opts);
     let mut table = Table::new(
         "Extension: durability-bug shrink, Cassandra rf=2 with hint replay disabled (workload RW, 4 nodes)",
@@ -1306,7 +1223,7 @@ mod tests {
             budget: FIXTURE_BUDGET,
             resilient: false,
         };
-        let target = ChaosTarget::broken_cassandra(&p);
+        let target = ChaosTarget::broken_cassandra();
         let outcome = run_campaign(&target, &p, &opts);
         assert!(
             outcome.report.violations() >= 1,
@@ -1345,7 +1262,7 @@ mod tests {
             budget: FIXTURE_BUDGET,
             resilient: false,
         };
-        let target = ChaosTarget::broken_cassandra(&p);
+        let target = ChaosTarget::broken_cassandra();
         let outcome = run_campaign(&target, &p, &opts);
         let (m, repro) = outcome
             .report
@@ -1389,8 +1306,8 @@ mod tests {
             budget: FIXTURE_BUDGET,
             resilient: false,
         };
-        let a = run_campaign(&ChaosTarget::broken_cassandra(&p), &p, &opts);
-        let b = run_campaign(&ChaosTarget::broken_cassandra(&p), &p, &opts);
+        let a = run_campaign(&ChaosTarget::broken_cassandra(), &p, &opts);
+        let b = run_campaign(&ChaosTarget::broken_cassandra(), &p, &opts);
         assert_eq!(
             report_to_json(&a.report).to_pretty(),
             report_to_json(&b.report).to_pretty()
@@ -1405,7 +1322,7 @@ mod tests {
             budget: FIXTURE_BUDGET,
             resilient: false,
         };
-        let outcome = run_campaign(&ChaosTarget::broken_cassandra(&p), &p, &opts);
+        let outcome = run_campaign(&ChaosTarget::broken_cassandra(), &p, &opts);
         let schema = report_schema(&report_to_json(&outcome.report)).join("\n") + "\n";
         let golden = include_str!("../golden/chaos-report-schema.txt");
         assert_eq!(

@@ -2,19 +2,24 @@
 //!
 //! §3's methodology, scaled: fresh store per point (the paper reinstalled
 //! from scratch per run), 10 M records/node × `scale`, warm-up plus a
-//! measurement window, per-store client populations.
+//! measurement window, per-store client populations. A [`Scenario`] is
+//! one such point as plain data; every simulated run in the harness is a
+//! `Scenario` that was built, adjusted through its public
+//! [`RunConfig`], and run.
 
 use apm_core::driver::{ClientConfig, Throttle};
 use apm_core::ops::OpKind;
+use apm_core::snap::SnapError;
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, Engine, FaultSchedule};
+use apm_sim::{ClusterSpec, Engine};
 use apm_stores::api::{DistributedStore, StoreCtx};
 use apm_stores::cassandra::{CassandraConfig, CassandraStore};
 use apm_stores::hbase::HbaseStore;
+use apm_stores::mongodb::MongoStore;
 use apm_stores::mysql::MysqlStore;
 use apm_stores::redis::RedisStore;
 use apm_stores::routing::JedisHash;
-use apm_stores::runner::{run_benchmark, RunConfig, RunResult};
+use apm_stores::runner::{resume_benchmark_masked, run_benchmark_masked, RunConfig, RunResult};
 use apm_stores::voldemort::VoldemortStore;
 use apm_stores::voltdb::VoltDbStore;
 
@@ -83,18 +88,64 @@ impl StoreKind {
         scale: f64,
         seed: u64,
     ) -> Box<dyn DistributedStore> {
+        StoreSpec::Kind(self).build(engine, cluster, nodes, scale, seed)
+    }
+}
+
+/// Which store a [`Scenario`] runs.
+#[derive(Clone, Copy, Debug)]
+pub enum StoreSpec {
+    /// One of the paper's six, as benchmarked.
+    Kind(StoreKind),
+    /// Cassandra with a non-default configuration (the ablations, the
+    /// replicated fault runs, the chaos fixture).
+    Cassandra(CassandraConfig),
+    /// The document store the paper excluded (`ext-mongodb`).
+    Mongo,
+}
+
+impl From<StoreKind> for StoreSpec {
+    fn from(kind: StoreKind) -> StoreSpec {
+        StoreSpec::Kind(kind)
+    }
+}
+
+impl From<CassandraConfig> for StoreSpec {
+    fn from(config: CassandraConfig) -> StoreSpec {
+        StoreSpec::Cassandra(config)
+    }
+}
+
+impl StoreSpec {
+    /// The one place the harness turns a spec into a live store. Redis
+    /// gets its doubled client fleet (§6); everyone else the standard
+    /// one.
+    fn build(
+        self,
+        engine: &mut Engine,
+        cluster: ClusterSpec,
+        nodes: u32,
+        scale: f64,
+        seed: u64,
+    ) -> Box<dyn DistributedStore> {
         let client_machines = match self {
-            StoreKind::Redis => RedisStore::client_machines(nodes),
+            StoreSpec::Kind(StoreKind::Redis) => RedisStore::client_machines(nodes),
             _ => StoreCtx::standard_client_machines(nodes),
         };
         let ctx = StoreCtx::new(engine, cluster, nodes, client_machines, scale, seed);
         match self {
-            StoreKind::Cassandra => Box::new(CassandraStore::new(ctx, CassandraConfig::default())),
-            StoreKind::HBase => Box::new(HbaseStore::new(ctx, engine)),
-            StoreKind::Voldemort => Box::new(VoldemortStore::new(ctx, engine)),
-            StoreKind::VoltDb => Box::new(VoltDbStore::new(ctx, engine)),
-            StoreKind::Redis => Box::new(RedisStore::new(ctx, engine, JedisHash::Murmur)),
-            StoreKind::Mysql => Box::new(MysqlStore::new(ctx, engine)),
+            StoreSpec::Kind(StoreKind::Cassandra) => {
+                Box::new(CassandraStore::new(ctx, CassandraConfig::default()))
+            }
+            StoreSpec::Cassandra(config) => Box::new(CassandraStore::new(ctx, config)),
+            StoreSpec::Kind(StoreKind::HBase) => Box::new(HbaseStore::new(ctx, engine)),
+            StoreSpec::Kind(StoreKind::Voldemort) => Box::new(VoldemortStore::new(ctx, engine)),
+            StoreSpec::Kind(StoreKind::VoltDb) => Box::new(VoltDbStore::new(ctx, engine)),
+            StoreSpec::Kind(StoreKind::Redis) => {
+                Box::new(RedisStore::new(ctx, engine, JedisHash::Murmur))
+            }
+            StoreSpec::Kind(StoreKind::Mysql) => Box::new(MysqlStore::new(ctx, engine)),
+            StoreSpec::Mongo => Box::new(MongoStore::new(ctx, engine)),
         }
     }
 }
@@ -198,39 +249,134 @@ pub fn run_point_throttled(
     profile: &ExperimentProfile,
     throttle: Throttle,
 ) -> Point {
-    let mut engine = Engine::new();
-    let mut boxed = store.build(&mut engine, cluster, nodes, profile.scale, profile.seed);
-    let client = if cluster.name == "D" {
-        ClientConfig::cluster_d(nodes)
-    } else {
-        ClientConfig::cluster_m(nodes)
-    }
-    .with_throttle(throttle)
-    .with_window(profile.warmup_secs, profile.measure_secs);
-    let config = RunConfig {
-        workload: workload.clone(),
-        client,
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    };
-    let result = run_benchmark(&mut engine, boxed.as_mut(), &config);
+    let mut scenario = Scenario::new(store, cluster, nodes, workload, profile);
+    scenario.config.client.throttle = throttle;
     Point {
         store,
         nodes,
-        workload: workload_name(workload),
-        result,
+        workload: workload.name,
+        result: scenario.run().result,
     }
 }
 
-fn workload_name(w: &Workload) -> &'static str {
-    w.name
+/// One cell of the experimental matrix as plain data: which store, on
+/// which cluster, at which dataset scale, driven by which [`RunConfig`].
+/// [`Scenario::new`] owns the §3 rules every point shares; anything a
+/// particular experiment adds (a throttle, a fault schedule, telemetry,
+/// a resilience policy, checkpoints, a longer window) is set on
+/// `config` directly.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    pub store: StoreSpec,
+    pub cluster: ClusterSpec,
+    /// Dataset and memory-budget scale (see [`ExperimentProfile::scale`]).
+    pub scale: f64,
+    /// What the driver runs; `config.nodes` and `config.seed` also size
+    /// and seed the store.
+    pub config: RunConfig,
+}
+
+/// A finished (or resumed-and-finished) scenario, engine and store kept
+/// alive for whoever reads kernel counters or store state afterwards.
+pub struct ScenarioRun {
+    pub engine: Engine,
+    pub store: Box<dyn DistributedStore>,
+    pub result: RunResult,
+}
+
+impl Scenario {
+    /// The point `(store, cluster, nodes, workload)` under `profile`:
+    /// Cluster D gets its reduced connection count (§3), the window,
+    /// record count and seed come from the profile, and nothing optional
+    /// is switched on.
+    pub fn new(
+        store: impl Into<StoreSpec>,
+        cluster: ClusterSpec,
+        nodes: u32,
+        workload: &Workload,
+        profile: &ExperimentProfile,
+    ) -> Scenario {
+        let client = if cluster.name == "D" {
+            ClientConfig::cluster_d(nodes)
+        } else {
+            ClientConfig::cluster_m(nodes)
+        }
+        .with_window(profile.warmup_secs, profile.measure_secs);
+        Scenario {
+            store: store.into(),
+            cluster,
+            scale: profile.scale,
+            config: RunConfig::new(
+                workload.clone(),
+                client,
+                profile.records_per_node(),
+                nodes,
+                profile.seed,
+            ),
+        }
+    }
+
+    /// A fresh engine and the scenario's store over it, nothing loaded.
+    pub fn build(&self) -> (Engine, Box<dyn DistributedStore>) {
+        let mut engine = Engine::new();
+        let store = self.store.build(
+            &mut engine,
+            self.cluster,
+            self.config.nodes,
+            self.scale,
+            self.config.seed,
+        );
+        (engine, store)
+    }
+
+    /// Loads and runs the scenario from scratch.
+    pub fn run(&self) -> ScenarioRun {
+        self.run_masked(None)
+    }
+
+    /// [`Scenario::run`] under a fault-event mask (see
+    /// [`run_benchmark_masked`]).
+    pub fn run_masked(&self, mask: Option<&[bool]>) -> ScenarioRun {
+        let (mut engine, mut store) = self.build();
+        let result = run_benchmark_masked(&mut engine, store.as_mut(), &self.config, mask);
+        ScenarioRun {
+            engine,
+            store,
+            result,
+        }
+    }
+
+    /// Finishes the scenario from one of its own sealed checkpoints.
+    pub fn resume(&self, snapshot: &[u8]) -> Result<ScenarioRun, SnapError> {
+        self.resume_masked(snapshot, None)
+    }
+
+    /// [`Scenario::resume`] under a fault-event mask (see
+    /// [`resume_benchmark_masked`]).
+    pub fn resume_masked(
+        &self,
+        snapshot: &[u8],
+        mask: Option<&[bool]>,
+    ) -> Result<ScenarioRun, SnapError> {
+        let (mut engine, mut store) = self.build();
+        let result =
+            resume_benchmark_masked(&mut engine, store.as_mut(), &self.config, snapshot, mask)?;
+        Ok(ScenarioRun {
+            engine,
+            store,
+            result,
+        })
+    }
+
+    /// Per-node disk bytes after the load phase alone. Run-time inserts
+    /// depend on throughput and would skew a per-record comparison, so
+    /// the disk-usage figures read this instead of a run's end state.
+    pub fn loaded_disk_bytes(&self) -> Option<u64> {
+        let (_, mut store) = self.build();
+        store.load_range(0..self.config.records_per_node * u64::from(self.config.nodes));
+        store.finish_load();
+        store.disk_bytes_per_node()
+    }
 }
 
 #[cfg(test)]

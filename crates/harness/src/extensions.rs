@@ -6,70 +6,65 @@
 //! §6 experiences motivate (random vs. assigned Cassandra tokens; uniform
 //! vs. skewed key popularity).
 
-use crate::experiment::ExperimentProfile;
-use apm_core::driver::ClientConfig;
+use crate::experiment::{ExperimentProfile, Scenario, StoreKind, StoreSpec};
+use crate::figures::Generator;
 use apm_core::keyspace::KeyDistribution;
 use apm_core::ops::OpKind;
 use apm_core::report::Table;
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, Engine, FaultSchedule};
+use apm_sim::ClusterSpec;
 use apm_storage::lsm::CompactionStrategy;
-use apm_stores::api::StoreCtx;
-use apm_stores::cassandra::{CassandraConfig, CassandraStore};
+use apm_stores::cassandra::CassandraConfig;
 use apm_stores::routing::TokenAssignment;
-use apm_stores::runner::{run_benchmark, RunConfig, RunResult};
+use apm_stores::runner::RunResult;
+
+/// One extension artifact: its id, its title, and its generator.
+#[derive(Clone, Copy)]
+pub struct ExtensionSpec {
+    pub id: &'static str,
+    pub title: &'static str,
+    pub generate: Generator,
+}
 
 /// Extension artifact descriptors.
-pub fn all_extensions() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("ext-replication", "Extension: Cassandra replication factor sweep (workload W, 4 nodes)"),
-        ("ext-compression", "Extension: SSTable compression on/off (workloads R and W, 4 nodes)"),
-        ("ext-tokens", "Extension: random vs. assigned Cassandra tokens (workload R, 8 nodes)"),
-        ("ext-skew", "Extension: uniform vs. zipfian key popularity (workload R, 8 nodes)"),
-        ("ext-compaction", "Extension: size-tiered vs. leveled compaction (Cassandra, workloads R and W, 4 nodes)"),
-        ("ext-mongodb", "Extension: the excluded document store (MongoDB-like) vs. Cassandra and HBase, 4 nodes"),
-        ("ext-elasticity", "Extension: live node bootstrap (Cassandra, workload R, 4→5 nodes mid-run)"),
-        ("ext-faults-crash", "Extension: single-node crash and restart, rf=1 vs rf=2 (Cassandra, workload R, 4 nodes)"),
-        ("ext-faults-slowdisk", "Extension: one fail-slow disk, x1/x4/x16 (HBase, workload R, 4 nodes)"),
-        ("ext-faults-partition", "Extension: one shard partitioned, stall vs client timeout (Redis, workload R, 4 nodes)"),
-        ("ext-faults-failover", "Extension: crash recovery compared across Cassandra rf=2, HBase, Redis (workload R, 4 nodes)"),
-        ("ext-obs-profile", "Extension: virtual-time attribution — queue-wait vs service per resource class (workload R, 4 nodes)"),
-        ("ext-obs-telemetry", "Extension: windowed telemetry timeline at 70% load (Cassandra, workload R, 8 nodes)"),
-        ("ext-res-retry", "Extension: retries with capped backoff vs a node crash, rf=1 (Cassandra, workload R, 4 nodes)"),
-        ("ext-res-hedge", "Extension: hedged reads vs a fail-slow node, rf=2 (Cassandra, workload R, 4 nodes)"),
-        ("ext-res-breaker", "Extension: circuit breaker vs a partitioned shard (Redis, read-only, 4 nodes)"),
-        ("ext-res-storm", "Extension: admission control vs an unbounded retry storm (Cassandra rf=1, workload R, 4 nodes)"),
-        ("ext-snap-resume", "Extension: snapshot/resume equivalence and divergence bisection (all stores, workload RW, 4 nodes)"),
-        ("ext-chaos-campaign", "Extension: chaos search campaign, 3 seeded schedules per store (workload RW, 4 nodes)"),
-        ("ext-chaos-shrink", "Extension: durability-bug shrink, Cassandra rf=2 with hint replay disabled (workload RW, 4 nodes)"),
-    ]
+pub fn all_extensions() -> Vec<ExtensionSpec> {
+    #[rustfmt::skip]
+    let index: [(&str, &str, Generator); 20] = [
+        ("ext-replication", "Extension: Cassandra replication factor sweep (workload W, 4 nodes)", replication_sweep),
+        ("ext-compression", "Extension: SSTable compression on/off (workloads R and W, 4 nodes)", compression_ablation),
+        ("ext-tokens", "Extension: random vs. assigned Cassandra tokens (workload R, 8 nodes)", token_ablation),
+        ("ext-skew", "Extension: uniform vs. zipfian key popularity (workload R, 8 nodes)", skew_ablation),
+        ("ext-compaction", "Extension: size-tiered vs. leveled compaction (Cassandra, workloads R and W, 4 nodes)", compaction_ablation),
+        ("ext-mongodb", "Extension: the excluded document store (MongoDB-like) vs. Cassandra and HBase, 4 nodes", mongodb_comparison),
+        ("ext-elasticity", "Extension: live node bootstrap (Cassandra, workload R, 4→5 nodes mid-run)", elasticity),
+        ("ext-faults-crash", "Extension: single-node crash and restart, rf=1 vs rf=2 (Cassandra, workload R, 4 nodes)", crate::faults::crash_failover),
+        ("ext-faults-slowdisk", "Extension: one fail-slow disk, x1/x4/x16 (HBase, workload R, 4 nodes)", crate::faults::slow_disk),
+        ("ext-faults-partition", "Extension: one shard partitioned, stall vs client timeout (Redis, workload R, 4 nodes)", crate::faults::partition),
+        ("ext-faults-failover", "Extension: crash recovery compared across Cassandra rf=2, HBase, Redis (workload R, 4 nodes)", crate::faults::failover_comparison),
+        ("ext-obs-profile", "Extension: virtual-time attribution — queue-wait vs service per resource class (workload R, 4 nodes)", crate::obs::time_attribution),
+        ("ext-obs-telemetry", "Extension: windowed telemetry timeline at 70% load (Cassandra, workload R, 8 nodes)", crate::obs::telemetry_timeline),
+        ("ext-res-retry", "Extension: retries with capped backoff vs a node crash, rf=1 (Cassandra, workload R, 4 nodes)", crate::resilience::retry_masking),
+        ("ext-res-hedge", "Extension: hedged reads vs a fail-slow node, rf=2 (Cassandra, workload R, 4 nodes)", crate::resilience::hedged_reads),
+        ("ext-res-breaker", "Extension: circuit breaker vs a partitioned shard (Redis, read-only, 4 nodes)", crate::resilience::breaker_shedding),
+        ("ext-res-storm", "Extension: admission control vs an unbounded retry storm (Cassandra rf=1, workload R, 4 nodes)", crate::resilience::retry_storm),
+        ("ext-snap-resume", "Extension: snapshot/resume equivalence and divergence bisection (all stores, workload RW, 4 nodes)", crate::snap::snap_resume),
+        ("ext-chaos-campaign", "Extension: chaos search campaign, 3 seeded schedules per store (workload RW, 4 nodes)", crate::chaos::chaos_campaign),
+        ("ext-chaos-shrink", "Extension: durability-bug shrink, Cassandra rf=2 with hint replay disabled (workload RW, 4 nodes)", crate::chaos::chaos_shrink),
+    ];
+    let spec = |(id, title, generate)| ExtensionSpec {
+        id,
+        title,
+        generate,
+    };
+    index.into_iter().map(spec).collect()
 }
 
 /// Generates an extension table by id.
 pub fn generate_extension(id: &str, profile: &ExperimentProfile) -> Option<Table> {
-    match id {
-        "ext-replication" => Some(replication_sweep(profile)),
-        "ext-compression" => Some(compression_ablation(profile)),
-        "ext-tokens" => Some(token_ablation(profile)),
-        "ext-skew" => Some(skew_ablation(profile)),
-        "ext-compaction" => Some(compaction_ablation(profile)),
-        "ext-mongodb" => Some(mongodb_comparison(profile)),
-        "ext-elasticity" => Some(elasticity(profile)),
-        "ext-faults-crash" => Some(crate::faults::crash_failover(profile)),
-        "ext-faults-slowdisk" => Some(crate::faults::slow_disk(profile)),
-        "ext-faults-partition" => Some(crate::faults::partition(profile)),
-        "ext-faults-failover" => Some(crate::faults::failover_comparison(profile)),
-        "ext-obs-profile" => Some(crate::obs::time_attribution(profile)),
-        "ext-obs-telemetry" => Some(crate::obs::telemetry_timeline(profile)),
-        "ext-res-retry" => Some(crate::resilience::retry_masking(profile)),
-        "ext-res-hedge" => Some(crate::resilience::hedged_reads(profile)),
-        "ext-res-breaker" => Some(crate::resilience::breaker_shedding(profile)),
-        "ext-res-storm" => Some(crate::resilience::retry_storm(profile)),
-        "ext-snap-resume" => Some(crate::snap::snap_resume(profile)),
-        "ext-chaos-campaign" => Some(crate::chaos::chaos_campaign(profile)),
-        "ext-chaos-shrink" => Some(crate::chaos::chaos_shrink(profile)),
-        _ => None,
-    }
+    all_extensions()
+        .into_iter()
+        .find(|e| e.id == id)
+        .map(|e| (e.generate)(profile))
 }
 
 fn run_cassandra(
@@ -78,31 +73,9 @@ fn run_cassandra(
     workload: &Workload,
     profile: &ExperimentProfile,
 ) -> RunResult {
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        StoreCtx::standard_client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = CassandraStore::new(ctx, config);
-    let run = RunConfig {
-        workload: workload.clone(),
-        client: ClientConfig::cluster_m(nodes)
-            .with_window(profile.warmup_secs, profile.measure_secs),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    };
-    run_benchmark(&mut engine, &mut store, &run)
+    Scenario::new(config, ClusterSpec::cluster_m(), nodes, workload, profile)
+        .run()
+        .result
 }
 
 /// §8 future work #1: replication factor 1 → 3 under the APM insert
@@ -125,27 +98,17 @@ pub fn replication_sweep(profile: &ExperimentProfile) -> Table {
             replication: rf,
             ..CassandraConfig::default()
         };
-        let result = run_cassandra(config, nodes, &Workload::w(), profile);
-        // Disk usage from a load-only pass (run-time inserts depend on
-        // throughput and would skew the per-record comparison).
-        let disk = {
-            use apm_stores::api::DistributedStore;
-            let mut engine = Engine::new();
-            let ctx = StoreCtx::new(
-                &mut engine,
-                ClusterSpec::cluster_m(),
-                nodes,
-                1,
-                profile.scale,
-                profile.seed,
-            );
-            let mut store = CassandraStore::new(ctx, config);
-            store.load_range(0..profile.records_per_node() * u64::from(nodes));
-            store.finish_load();
-            store
-                .disk_bytes_per_node()
-                .map(|b| b as f64 / profile.scale / profile.data_factor / 1e9)
-        };
+        let scenario = Scenario::new(
+            config,
+            ClusterSpec::cluster_m(),
+            nodes,
+            &Workload::w(),
+            profile,
+        );
+        let result = scenario.run().result;
+        let disk = scenario
+            .loaded_disk_bytes()
+            .map(|b| b as f64 / profile.scale / profile.data_factor / 1e9);
         table.push_row(
             &rf.to_string(),
             vec![
@@ -294,11 +257,6 @@ pub fn compaction_ablation(profile: &ExperimentProfile) -> Table {
 /// document-store class included: Cassandra vs. HBase vs. a
 /// MongoDB-2.0-like store across the three scanless workloads.
 pub fn mongodb_comparison(profile: &ExperimentProfile) -> Table {
-    use crate::experiment::{run_point, StoreKind};
-    use apm_stores::api::DistributedStore as _;
-    use apm_stores::mongodb::MongoStore;
-    use apm_stores::runner::run_benchmark;
-
     let nodes = 4;
     let mut table = Table::new(
         "Extension: document store vs. the paper's winners (4 nodes, Cluster M)",
@@ -307,55 +265,19 @@ pub fn mongodb_comparison(profile: &ExperimentProfile) -> Table {
     );
     table.columns = vec!["cassandra".into(), "hbase".into(), "mongodb".into()];
     for workload in [Workload::r(), Workload::rw(), Workload::w()] {
-        let cassandra = run_point(
-            StoreKind::Cassandra,
-            ClusterSpec::cluster_m(),
-            nodes,
-            &workload,
-            profile,
-        )
-        .throughput();
-        let hbase = run_point(
-            StoreKind::HBase,
-            ClusterSpec::cluster_m(),
-            nodes,
-            &workload,
-            profile,
-        )
-        .throughput();
-        let mongo = {
-            let mut engine = Engine::new();
-            let ctx = StoreCtx::new(
-                &mut engine,
-                ClusterSpec::cluster_m(),
-                nodes,
-                StoreCtx::standard_client_machines(nodes),
-                profile.scale,
-                profile.seed,
-            );
-            let mut store = MongoStore::new(ctx, &mut engine);
-            let config = RunConfig {
-                workload: workload.clone(),
-                client: ClientConfig::cluster_m(nodes)
-                    .with_window(profile.warmup_secs, profile.measure_secs),
-                records_per_node: profile.records_per_node(),
-                nodes,
-                seed: profile.seed,
-                event_at_secs: None,
-                faults: FaultSchedule::none(),
-                op_deadline: None,
-                telemetry_window_secs: None,
-                resilience: None,
-                checkpoints: None,
-            };
-            let result = run_benchmark(&mut engine, &mut store, &config);
-            let _ = store.name();
-            result.throughput()
-        };
-        table.push_row(
-            workload.name,
-            vec![Some(cassandra), Some(hbase), Some(mongo)],
-        );
+        let cells = [
+            StoreSpec::Kind(StoreKind::Cassandra),
+            StoreSpec::Kind(StoreKind::HBase),
+            StoreSpec::Mongo,
+        ]
+        .into_iter()
+        .map(|store| {
+            let scenario =
+                Scenario::new(store, ClusterSpec::cluster_m(), nodes, &workload, profile);
+            Some(scenario.run().result.throughput())
+        })
+        .collect();
+        table.push_row(workload.name, cells);
     }
     table
 }
@@ -370,46 +292,29 @@ pub fn elasticity(profile: &ExperimentProfile) -> Table {
     let nodes = 4;
     let window = profile.measure_secs.max(8.0) * 2.0;
     let add_at = window / 2.0;
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        StoreCtx::standard_client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = CassandraStore::new(
-        ctx,
+    let mut scenario = Scenario::new(
         CassandraConfig {
             bootstrap_on_event: true,
             ..CassandraConfig::default()
         },
-    );
-    let config = RunConfig {
-        workload: Workload::r(),
-        client: ClientConfig::cluster_m(nodes).with_window(profile.warmup_secs, window),
-        records_per_node: profile.records_per_node(),
+        ClusterSpec::cluster_m(),
         nodes,
-        seed: profile.seed,
-        event_at_secs: Some(add_at),
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    };
-    let result = apm_stores::runner::run_benchmark(&mut engine, &mut store, &config);
+        &Workload::r(),
+        profile,
+    );
+    scenario.config.client.measure_secs = window;
+    scenario.config.event_at_secs = Some(add_at);
+    let run = scenario.run();
     let mut table = Table::new(
         &format!(
             "Extension: live bootstrap 4→5 nodes at t={add_at:.0}s (Cassandra, workload R; streamed {:.1} MB)",
-            store.streamed_bytes() as f64 / 1e6
+            run.store.streamed_bytes() as f64 / 1e6
         ),
         "second",
         "ops completed",
     );
     table.columns = vec!["ops_per_sec".into()];
-    for (sec, &count) in result.stats.timeline().iter().enumerate() {
+    for (sec, &count) in run.result.stats.timeline().iter().enumerate() {
         table.push_row(&sec.to_string(), vec![Some(count as f64)]);
     }
     table
@@ -470,33 +375,12 @@ mod tests {
     }
 
     #[test]
-    fn generate_dispatch_covers_all_ids() {
-        let known = [
-            "ext-replication",
-            "ext-compression",
-            "ext-tokens",
-            "ext-skew",
-            "ext-compaction",
-            "ext-mongodb",
-            "ext-elasticity",
-            "ext-faults-crash",
-            "ext-faults-slowdisk",
-            "ext-faults-partition",
-            "ext-faults-failover",
-            "ext-obs-profile",
-            "ext-obs-telemetry",
-            "ext-res-retry",
-            "ext-res-hedge",
-            "ext-res-breaker",
-            "ext-res-storm",
-            "ext-snap-resume",
-            "ext-chaos-campaign",
-            "ext-chaos-shrink",
-        ];
-        for (id, _) in all_extensions() {
-            assert!(known.contains(&id), "unlisted extension {id}");
+    fn extension_ids_are_unique_and_unknown_ids_generate_nothing() {
+        let ids: Vec<&str> = all_extensions().iter().map(|e| e.id).collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(id.starts_with("ext-"), "{id}");
+            assert!(!ids[..i].contains(id), "duplicate extension {id}");
         }
-        assert_eq!(all_extensions().len(), known.len());
         assert!(generate_extension("ext-nope", &profile()).is_none());
     }
 

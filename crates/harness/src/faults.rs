@@ -13,23 +13,20 @@
 //! schedule reproduces byte-identical tables (run `repro --out` twice
 //! and diff).
 
-use crate::experiment::ExperimentProfile;
-use apm_core::driver::ClientConfig;
+use crate::experiment::{ExperimentProfile, Scenario, StoreKind, StoreSpec};
 use apm_core::report::Table;
 use apm_core::stats::{BenchStats, Telemetry};
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, Engine, FaultSchedule, SimDuration, SimTime};
-use apm_stores::api::StoreCtx;
-use apm_stores::cassandra::{CassandraConfig, CassandraStore};
-use apm_stores::hbase::HbaseStore;
-use apm_stores::redis::RedisStore;
-use apm_stores::routing::JedisHash;
-use apm_stores::runner::{run_benchmark, RunConfig, RunResult};
-use apm_stores::ResiliencePolicy;
+use apm_sim::{ClusterSpec, FaultSchedule, SimDuration, SimTime};
+use apm_stores::cassandra::CassandraConfig;
+use apm_stores::runner::RunResult;
 
 /// Which node the schedules target. Node 1 rather than node 0 so that
 /// ring/routing bookkeeping is exercised on a non-trivial index.
 pub(crate) const VICTIM: usize = 1;
+
+/// Every fault and resilience experiment runs on four nodes.
+const NODES: u32 = 4;
 
 /// A post-restart second counts as "recovered" once it reaches this
 /// fraction of the pre-fault mean (the within-10% acceptance bar).
@@ -61,6 +58,46 @@ impl FaultWindow {
 
     pub(crate) fn crash(&self) -> FaultSchedule {
         FaultSchedule::none().crash(VICTIM, secs(self.fault), secs(self.restore))
+    }
+
+    /// The scenario every fault and resilience experiment starts from:
+    /// this window as the measurement window, `faults` injected into it,
+    /// one-second telemetry for the phase means.
+    pub(crate) fn scenario(
+        &self,
+        store: impl Into<StoreSpec>,
+        cluster: ClusterSpec,
+        workload: &Workload,
+        profile: &ExperimentProfile,
+        faults: FaultSchedule,
+    ) -> Scenario {
+        let mut scenario = Scenario::new(store, cluster, NODES, workload, profile);
+        scenario.config.client.measure_secs = self.window;
+        scenario.config.faults = faults;
+        scenario.config.telemetry_window_secs = Some(1.0);
+        scenario
+    }
+
+    /// [`FaultWindow::scenario`] for workload R on Cluster-M Cassandra at
+    /// replication factor `rf` — where half the fault and resilience
+    /// tables start.
+    pub(crate) fn cassandra(
+        &self,
+        rf: usize,
+        profile: &ExperimentProfile,
+        faults: FaultSchedule,
+    ) -> Scenario {
+        let store = CassandraConfig {
+            replication: rf,
+            ..CassandraConfig::default()
+        };
+        self.scenario(
+            store,
+            ClusterSpec::cluster_m(),
+            &Workload::r(),
+            profile,
+            faults,
+        )
     }
 
     /// Per-second throughput means of the three phases, read off the
@@ -102,114 +139,6 @@ impl FaultWindow {
     }
 }
 
-pub(crate) fn run_cassandra(
-    config: CassandraConfig,
-    nodes: u32,
-    profile: &ExperimentProfile,
-    window: &FaultWindow,
-    faults: FaultSchedule,
-    op_deadline: Option<SimDuration>,
-    resilience: Option<ResiliencePolicy>,
-) -> RunResult {
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        StoreCtx::standard_client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = CassandraStore::new(ctx, config);
-    let run = RunConfig {
-        workload: Workload::r(),
-        client: ClientConfig::cluster_m(nodes).with_window(profile.warmup_secs, window.window),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults,
-        op_deadline,
-        telemetry_window_secs: Some(1.0),
-        resilience,
-        checkpoints: None,
-    };
-    run_benchmark(&mut engine, &mut store, &run)
-}
-
-pub(crate) fn run_hbase(
-    cluster: ClusterSpec,
-    nodes: u32,
-    profile: &ExperimentProfile,
-    window: &FaultWindow,
-    faults: FaultSchedule,
-) -> RunResult {
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        cluster,
-        nodes,
-        StoreCtx::standard_client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = HbaseStore::new(ctx, &mut engine);
-    let client = if cluster.name == "D" {
-        ClientConfig::cluster_d(nodes)
-    } else {
-        ClientConfig::cluster_m(nodes)
-    };
-    let run = RunConfig {
-        workload: Workload::r(),
-        client: client.with_window(profile.warmup_secs, window.window),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults,
-        op_deadline: None,
-        telemetry_window_secs: Some(1.0),
-        resilience: None,
-        checkpoints: None,
-    };
-    run_benchmark(&mut engine, &mut store, &run)
-}
-
-pub(crate) fn run_redis(
-    workload: Workload,
-    nodes: u32,
-    profile: &ExperimentProfile,
-    window: &FaultWindow,
-    faults: FaultSchedule,
-    op_deadline: Option<SimDuration>,
-    resilience: Option<ResiliencePolicy>,
-) -> RunResult {
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        RedisStore::client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = RedisStore::new(ctx, &mut engine, JedisHash::Murmur);
-    let run = RunConfig {
-        workload,
-        client: ClientConfig::cluster_m(nodes).with_window(profile.warmup_secs, window.window),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults,
-        op_deadline,
-        telemetry_window_secs: Some(1.0),
-        resilience,
-        checkpoints: None,
-    };
-    run_benchmark(&mut engine, &mut store, &run)
-}
-
 fn summary_columns(table: &mut Table) {
     table.columns = vec![
         "availability".into(),
@@ -247,7 +176,6 @@ fn summary_row(result: &RunResult, window: &FaultWindow) -> Vec<Option<f64>> {
 /// hints the missed writes, so availability rides through the crash and
 /// the restart only costs the hint-replay stream.
 pub fn crash_failover(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
     let mut table = Table::new(
         &format!(
@@ -259,18 +187,7 @@ pub fn crash_failover(profile: &ExperimentProfile) -> Table {
     );
     summary_columns(&mut table);
     for rf in [1usize, 2] {
-        let result = run_cassandra(
-            CassandraConfig {
-                replication: rf,
-                ..CassandraConfig::default()
-            },
-            nodes,
-            profile,
-            &w,
-            w.crash(),
-            None,
-            None,
-        );
+        let result = w.cassandra(rf, profile, w.crash()).run().result;
         table.push_row(&format!("rf{rf}"), summary_row(&result, &w));
     }
     table
@@ -285,7 +202,6 @@ pub fn crash_failover(profile: &ExperimentProfile) -> Table {
 /// share of the closed loop — throughput dips without a single error:
 /// degraded is not down.
 pub fn slow_disk(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     // Cluster D density: 18.75 M records per node at full scale, same as
     // the fig18–20 runs — this is what pushes reads past the page cache.
     let d_profile = ExperimentProfile {
@@ -308,7 +224,16 @@ pub fn slow_disk(profile: &ExperimentProfile) -> Table {
         } else {
             FaultSchedule::none()
         };
-        let result = run_hbase(ClusterSpec::cluster_d(), nodes, &d_profile, &w, faults);
+        let result = w
+            .scenario(
+                StoreKind::HBase,
+                ClusterSpec::cluster_d(),
+                &Workload::r(),
+                &d_profile,
+                faults,
+            )
+            .run()
+            .result;
         table.push_row(&format!("x{factor}"), summary_row(&result, &w));
     }
     table
@@ -333,7 +258,6 @@ pub(crate) fn read_only() -> Workload {
 /// the stalls into timeout errors and keeps the surviving shards
 /// serving their share.
 pub fn partition(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
     let faults = FaultSchedule::none().partition(VICTIM, secs(w.fault), secs(w.restore));
     let mut table = Table::new(
@@ -349,16 +273,15 @@ pub fn partition(profile: &ExperimentProfile) -> Table {
         ("stall", None),
         ("timeout-10ms", Some(SimDuration::from_millis(10))),
     ] {
-        let result = run_redis(
-            read_only(),
-            nodes,
+        let mut scenario = w.scenario(
+            StoreKind::Redis,
+            ClusterSpec::cluster_m(),
+            &read_only(),
             profile,
-            &w,
             faults.clone(),
-            deadline,
-            None,
         );
-        table.push_row(label, summary_row(&result, &w));
+        scenario.config.op_deadline = deadline;
+        table.push_row(label, summary_row(&scenario.run().result, &w));
     }
     table
 }
@@ -370,7 +293,6 @@ pub fn partition(profile: &ExperimentProfile) -> Table {
 /// no persistence: the shard's data is gone and reads keep missing even
 /// after the process returns).
 pub fn failover_comparison(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
     let mut table = Table::new(
         &format!(
@@ -381,23 +303,17 @@ pub fn failover_comparison(profile: &ExperimentProfile) -> Table {
         "ratio | count | ops/sec | s",
     );
     summary_columns(&mut table);
-    let cassandra = run_cassandra(
-        CassandraConfig {
-            replication: 2,
-            ..CassandraConfig::default()
-        },
-        nodes,
-        profile,
-        &w,
-        w.crash(),
-        None,
-        None,
-    );
-    table.push_row("cassandra-rf2", summary_row(&cassandra, &w));
-    let hbase = run_hbase(ClusterSpec::cluster_m(), nodes, profile, &w, w.crash());
-    table.push_row("hbase", summary_row(&hbase, &w));
-    let redis = run_redis(Workload::r(), nodes, profile, &w, w.crash(), None, None);
-    table.push_row("redis", summary_row(&redis, &w));
+    let paper_store = |kind: StoreKind| {
+        let (cluster, workload) = (ClusterSpec::cluster_m(), Workload::r());
+        w.scenario(kind, cluster, &workload, profile, w.crash())
+    };
+    for (label, scenario) in [
+        ("cassandra-rf2", w.cassandra(2, profile, w.crash())),
+        ("hbase", paper_store(StoreKind::HBase)),
+        ("redis", paper_store(StoreKind::Redis)),
+    ] {
+        table.push_row(label, summary_row(&scenario.run().result, &w));
+    }
     table
 }
 

@@ -1,17 +1,21 @@
-//! One generator per paper figure.
+//! The paper's figures as projections of a few sweeps.
 //!
 //! Evaluation artifacts of the paper (see DESIGN.md §3 for the index):
 //! Figures 3–14 sweep node counts on Cluster M per workload; Figures
 //! 15–16 bound the offered load at 8 nodes; Figure 17 reports disk usage;
 //! Figures 18–20 run Cluster D at 8 nodes across workloads. Table 1 is
-//! the workload definition.
+//! the workload definition. Figures that differ only in the plotted
+//! metric (3/4/5, 6/7/8, …) share one [`Sweep`]: the grid is simulated
+//! once per [`generate_many`] call and each figure reads its column of
+//! numbers out of it.
 
-use crate::experiment::{run_point, run_point_throttled, ExperimentProfile, Point, StoreKind};
+use crate::experiment::{ExperimentProfile, Scenario, StoreKind};
 use apm_core::driver::Throttle;
 use apm_core::ops::OpKind;
 use apm_core::report::Table;
 use apm_core::workload::{table1, Workload};
 use apm_sim::ClusterSpec;
+use apm_stores::runner::RunResult;
 
 /// Node counts swept on Cluster M (the paper plots 1–12).
 pub const NODE_COUNTS: [u32; 5] = [1, 2, 4, 8, 12];
@@ -30,6 +34,13 @@ pub enum Metric {
 }
 
 impl Metric {
+    const ALL: [Metric; 4] = [
+        Metric::Throughput,
+        Metric::ReadLatency,
+        Metric::WriteLatency,
+        Metric::ScanLatency,
+    ];
+
     fn unit(self) -> &'static str {
         match self {
             Metric::Throughput => "ops/sec",
@@ -37,14 +48,49 @@ impl Metric {
         }
     }
 
-    fn extract(self, point: &Point) -> Option<f64> {
+    fn extract(self, result: &RunResult) -> Option<f64> {
         match self {
-            Metric::Throughput => Some(point.throughput()),
-            Metric::ReadLatency => point.latency_ms(OpKind::Read),
-            Metric::WriteLatency => point.latency_ms(OpKind::Insert),
-            Metric::ScanLatency => point.latency_ms(OpKind::Scan),
+            Metric::Throughput => Some(result.throughput()),
+            Metric::ReadLatency => result.mean_latency_ms(OpKind::Read),
+            Metric::WriteLatency => result.mean_latency_ms(OpKind::Insert),
+            Metric::ScanLatency => result.mean_latency_ms(OpKind::Scan),
         }
     }
+}
+
+/// Everything any figure plots of one finished point, indexed by
+/// `Metric as usize` — all a sweep keeps of a run.
+type Reading = [Option<f64>; 4];
+
+/// Runs one point and keeps only its [`Reading`]: engine, store and
+/// histograms are gone before the next point is built.
+fn measure(scenario: &Scenario) -> Reading {
+    let result = scenario.run().result;
+    Metric::ALL.map(|metric| metric.extract(&result))
+}
+
+/// A grid of simulated points that several figures read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sweep {
+    /// Figures 3–14: node counts × stores on Cluster M for the named
+    /// Table-1 workload.
+    Nodes(&'static str),
+    /// Figures 15/16: load fractions × stores at 8 nodes, Workload R.
+    BoundedLoad,
+    /// Figures 18–20: workloads × disk-backed stores on Cluster D.
+    ClusterD,
+}
+
+/// Generates one artifact's table on its own.
+pub type Generator = fn(&ExperimentProfile) -> Table;
+
+/// Where a figure's table comes from.
+#[derive(Clone, Copy, Debug)]
+pub enum Plot {
+    /// Generated whole: nothing else shares its work (Table 1, Fig 17).
+    Whole(Generator),
+    /// One metric of a sweep.
+    Of(Sweep, Metric),
 }
 
 /// Descriptor of one reproducible figure.
@@ -54,120 +100,121 @@ pub struct FigureSpec {
     pub id: &'static str,
     /// The paper's caption.
     pub title: &'static str,
+    pub plot: Plot,
+}
+
+impl FigureSpec {
+    /// The sweep this figure is read out of, if it shares one.
+    pub fn sweep(&self) -> Option<Sweep> {
+        match self.plot {
+            Plot::Whole(_) => None,
+            Plot::Of(sweep, _) => Some(sweep),
+        }
+    }
 }
 
 /// All reproducible artifacts in paper order.
 pub fn all_figures() -> Vec<FigureSpec> {
-    vec![
-        FigureSpec {
-            id: "table1",
-            title: "Table 1: Workload specifications",
-        },
-        FigureSpec {
-            id: "fig3",
-            title: "Figure 3: Throughput for Workload R",
-        },
-        FigureSpec {
-            id: "fig4",
-            title: "Figure 4: Read latency for Workload R",
-        },
-        FigureSpec {
-            id: "fig5",
-            title: "Figure 5: Write latency for Workload R",
-        },
-        FigureSpec {
-            id: "fig6",
-            title: "Figure 6: Throughput for Workload RW",
-        },
-        FigureSpec {
-            id: "fig7",
-            title: "Figure 7: Read latency for Workload RW",
-        },
-        FigureSpec {
-            id: "fig8",
-            title: "Figure 8: Write latency for Workload RW",
-        },
-        FigureSpec {
-            id: "fig9",
-            title: "Figure 9: Throughput for Workload W",
-        },
-        FigureSpec {
-            id: "fig10",
-            title: "Figure 10: Read latency for Workload W",
-        },
-        FigureSpec {
-            id: "fig11",
-            title: "Figure 11: Write latency for Workload W",
-        },
-        FigureSpec {
-            id: "fig12",
-            title: "Figure 12: Throughput for Workload RS",
-        },
-        FigureSpec {
-            id: "fig13",
-            title: "Figure 13: Scan latency for Workload RS",
-        },
-        FigureSpec {
-            id: "fig14",
-            title: "Figure 14: Throughput for Workload RSW",
-        },
-        FigureSpec {
-            id: "fig15",
-            title: "Figure 15: Read latency for bounded throughput (Workload R, 8 nodes)",
-        },
-        FigureSpec {
-            id: "fig16",
-            title: "Figure 16: Write latency for bounded throughput (Workload R, 8 nodes)",
-        },
-        FigureSpec {
-            id: "fig17",
-            title: "Figure 17: Disk usage for 10M records/node",
-        },
-        FigureSpec {
-            id: "fig18",
-            title: "Figure 18: Throughput for 8 nodes in Cluster D",
-        },
-        FigureSpec {
-            id: "fig19",
-            title: "Figure 19: Read latency for 8 nodes in Cluster D",
-        },
-        FigureSpec {
-            id: "fig20",
-            title: "Figure 20: Write latency for 8 nodes in Cluster D",
-        },
-    ]
+    use Metric::{ReadLatency, ScanLatency, Throughput, WriteLatency};
+    use Plot::{Of, Whole};
+    use Sweep::{BoundedLoad, ClusterD, Nodes};
+    #[rustfmt::skip]
+    let index: [(&str, &str, Plot); 19] = [
+        ("table1", "Table 1: Workload specifications", Whole(|_| table1_table())),
+        ("fig3", "Figure 3: Throughput for Workload R", Of(Nodes("R"), Throughput)),
+        ("fig4", "Figure 4: Read latency for Workload R", Of(Nodes("R"), ReadLatency)),
+        ("fig5", "Figure 5: Write latency for Workload R", Of(Nodes("R"), WriteLatency)),
+        ("fig6", "Figure 6: Throughput for Workload RW", Of(Nodes("RW"), Throughput)),
+        ("fig7", "Figure 7: Read latency for Workload RW", Of(Nodes("RW"), ReadLatency)),
+        ("fig8", "Figure 8: Write latency for Workload RW", Of(Nodes("RW"), WriteLatency)),
+        ("fig9", "Figure 9: Throughput for Workload W", Of(Nodes("W"), Throughput)),
+        ("fig10", "Figure 10: Read latency for Workload W", Of(Nodes("W"), ReadLatency)),
+        ("fig11", "Figure 11: Write latency for Workload W", Of(Nodes("W"), WriteLatency)),
+        ("fig12", "Figure 12: Throughput for Workload RS", Of(Nodes("RS"), Throughput)),
+        ("fig13", "Figure 13: Scan latency for Workload RS", Of(Nodes("RS"), ScanLatency)),
+        ("fig14", "Figure 14: Throughput for Workload RSW", Of(Nodes("RSW"), Throughput)),
+        ("fig15", "Figure 15: Read latency for bounded throughput (Workload R, 8 nodes)", Of(BoundedLoad, ReadLatency)),
+        ("fig16", "Figure 16: Write latency for bounded throughput (Workload R, 8 nodes)", Of(BoundedLoad, WriteLatency)),
+        ("fig17", "Figure 17: Disk usage for 10M records/node", Whole(disk_usage)),
+        ("fig18", "Figure 18: Throughput for 8 nodes in Cluster D", Of(ClusterD, Throughput)),
+        ("fig19", "Figure 19: Read latency for 8 nodes in Cluster D", Of(ClusterD, ReadLatency)),
+        ("fig20", "Figure 20: Write latency for 8 nodes in Cluster D", Of(ClusterD, WriteLatency)),
+    ];
+    let spec = |(id, title, plot)| FigureSpec { id, title, plot };
+    index.into_iter().map(spec).collect()
 }
 
-/// Looks up a figure spec by id.
+/// Looks up a figure spec by its exact (lower-case) id.
 pub fn figure_by_id(id: &str) -> Option<FigureSpec> {
-    all_figures()
-        .into_iter()
-        .find(|f| f.id.eq_ignore_ascii_case(id))
+    all_figures().into_iter().find(|f| f.id == id)
 }
 
 /// Generates a figure's table. Unknown ids panic (checked by the CLI).
 pub fn generate(id: &str, profile: &ExperimentProfile) -> Table {
-    match id.to_ascii_lowercase().as_str() {
-        "table1" => table1_table(),
-        "fig3" => node_sweep("fig3", &Workload::r(), Metric::Throughput, profile),
-        "fig4" => node_sweep("fig4", &Workload::r(), Metric::ReadLatency, profile),
-        "fig5" => node_sweep("fig5", &Workload::r(), Metric::WriteLatency, profile),
-        "fig6" => node_sweep("fig6", &Workload::rw(), Metric::Throughput, profile),
-        "fig7" => node_sweep("fig7", &Workload::rw(), Metric::ReadLatency, profile),
-        "fig8" => node_sweep("fig8", &Workload::rw(), Metric::WriteLatency, profile),
-        "fig9" => node_sweep("fig9", &Workload::w(), Metric::Throughput, profile),
-        "fig10" => node_sweep("fig10", &Workload::w(), Metric::ReadLatency, profile),
-        "fig11" => node_sweep("fig11", &Workload::w(), Metric::WriteLatency, profile),
-        "fig12" => node_sweep("fig12", &Workload::rs(), Metric::Throughput, profile),
-        "fig13" => node_sweep("fig13", &Workload::rs(), Metric::ScanLatency, profile),
-        "fig14" => node_sweep("fig14", &Workload::rsw(), Metric::Throughput, profile),
-        "fig15" => bounded_latency("fig15", Metric::ReadLatency, profile),
-        "fig16" => bounded_latency("fig16", Metric::WriteLatency, profile),
-        "fig17" => disk_usage("fig17", profile),
-        "fig18" => cluster_d("fig18", Metric::Throughput, profile),
-        "fig19" => cluster_d("fig19", Metric::ReadLatency, profile),
-        "fig20" => cluster_d("fig20", Metric::WriteLatency, profile),
-        other => panic!("unknown figure id {other:?}"),
+    generate_many(&[id], profile).remove(0)
+}
+
+/// Generates several figures' tables, in the order asked, simulating
+/// each sweep once however many of its figures are requested. Nothing
+/// outlives the call: asking again simulates again.
+pub fn generate_many(ids: &[&str], profile: &ExperimentProfile) -> Vec<Table> {
+    let specs: Vec<FigureSpec> = ids
+        .iter()
+        .map(|id| figure_by_id(id).unwrap_or_else(|| panic!("unknown figure id {id:?}")))
+        .collect();
+    let mut tables: Vec<Option<Table>> = vec![None; specs.len()];
+    for (i, spec) in specs.iter().enumerate() {
+        if tables[i].is_some() {
+            continue;
+        }
+        match spec.plot {
+            Plot::Whole(generate) => tables[i] = Some(generate(profile)),
+            Plot::Of(sweep, _) => {
+                let grid = sweep.run(profile);
+                for (later, table) in specs.iter().zip(&mut tables).skip(i) {
+                    if let Plot::Of(s, metric) = later.plot {
+                        if s == sweep {
+                            *table = Some(grid.project(later.title, metric));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    tables.into_iter().flatten().collect()
+}
+
+/// One pass over a sweep: every point reduced to its [`Reading`].
+struct Grid {
+    row_label: &'static str,
+    /// `None`: the plotted metric's own unit.
+    unit: Option<&'static str>,
+    stores: Vec<StoreKind>,
+    rows: Vec<(String, Vec<Reading>)>,
+}
+
+impl Grid {
+    fn project(&self, title: &str, metric: Metric) -> Table {
+        let mut table = Table::new(title, self.row_label, self.unit.unwrap_or(metric.unit()));
+        table.columns = self.stores.iter().map(|s| s.name().to_string()).collect();
+        for (row, cells) in &self.rows {
+            let cells = cells.iter().map(|reading| reading[metric as usize]);
+            table.push_row(row, cells.collect());
+        }
+        table
+    }
+}
+
+impl Sweep {
+    fn run(self, profile: &ExperimentProfile) -> Grid {
+        match self {
+            Sweep::Nodes(workload) => {
+                let workload = Workload::by_name(workload).expect("a Table-1 workload name");
+                node_sweep(&workload, profile)
+            }
+            Sweep::BoundedLoad => bounded_load(profile),
+            Sweep::ClusterD => cluster_d(profile),
+        }
     }
 }
 
@@ -192,93 +239,82 @@ fn stores_for(workload: &Workload) -> Vec<StoreKind> {
 }
 
 /// Figures 3–14: sweep node counts for one workload on Cluster M.
-pub fn node_sweep(
-    id: &str,
-    workload: &Workload,
-    metric: Metric,
-    profile: &ExperimentProfile,
-) -> Table {
-    let spec = figure_by_id(id).expect("known figure");
+fn node_sweep(workload: &Workload, profile: &ExperimentProfile) -> Grid {
     let stores = stores_for(workload);
-    let mut table = Table::new(spec.title, "nodes", metric.unit());
-    table.columns = stores.iter().map(|s| s.name().to_string()).collect();
-    for &nodes in &NODE_COUNTS {
-        let cells = stores
-            .iter()
-            .map(|&store| {
-                let point = run_point(store, ClusterSpec::cluster_m(), nodes, workload, profile);
-                metric.extract(&point)
-            })
-            .collect();
-        table.push_row(&nodes.to_string(), cells);
+    let cluster = ClusterSpec::cluster_m();
+    let rows = NODE_COUNTS
+        .iter()
+        .map(|&nodes| {
+            let cells = stores
+                .iter()
+                .map(|&store| measure(&Scenario::new(store, cluster, nodes, workload, profile)))
+                .collect();
+            (nodes.to_string(), cells)
+        })
+        .collect();
+    Grid {
+        row_label: "nodes",
+        unit: None,
+        stores,
+        rows,
     }
-    table
 }
 
 /// Figures 15/16: latency vs bounded load at 8 nodes, Workload R,
 /// normalised to the latency at 100 % load (the paper plots normalised
 /// latency). VoltDB is omitted (footnote 8).
-pub fn bounded_latency(id: &str, metric: Metric, profile: &ExperimentProfile) -> Table {
-    let spec = figure_by_id(id).expect("known figure");
+fn bounded_load(profile: &ExperimentProfile) -> Grid {
     let stores: Vec<StoreKind> = StoreKind::ALL
         .into_iter()
         .filter(|&k| k != StoreKind::VoltDb)
         .collect();
-    let workload = Workload::r();
-    let mut table = Table::new(spec.title, "load%", "normalized");
-    table.columns = stores.iter().map(|s| s.name().to_string()).collect();
-    // First find each store's maximum throughput and 100 %-load latency.
-    let maxima: Vec<(f64, Option<f64>)> = stores
+    let at = |store: StoreKind, throttle: Throttle| {
+        let cluster = ClusterSpec::cluster_m();
+        let mut scenario = Scenario::new(store, cluster, FIXED_NODES, &Workload::r(), profile);
+        scenario.config.client.throttle = throttle;
+        measure(&scenario)
+    };
+    // First find each store's maximum throughput and 100 %-load readings.
+    let maxima: Vec<Reading> = stores
         .iter()
-        .map(|&store| {
-            let p = run_point(
-                store,
-                ClusterSpec::cluster_m(),
-                FIXED_NODES,
-                &workload,
-                profile,
-            );
-            (p.throughput(), metric.extract(&p))
+        .map(|&store| at(store, Throttle::Unlimited))
+        .collect();
+    let rows = LOAD_FRACTIONS
+        .iter()
+        .rev()
+        .map(|&fraction| {
+            let cells = stores
+                .iter()
+                .zip(&maxima)
+                .map(|(&store, max)| {
+                    let target = max[Metric::Throughput as usize].unwrap_or(0.0) * fraction;
+                    if target <= 0.0 {
+                        return [None; 4];
+                    }
+                    let bounded = at(store, Throttle::TargetOps(target));
+                    Metric::ALL.map(|m| match (bounded[m as usize], max[m as usize]) {
+                        (Some(value), Some(base)) if base > 0.0 => Some(100.0 * value / base),
+                        _ => None,
+                    })
+                })
+                .collect();
+            (format!("{:.0}", fraction * 100.0), cells)
         })
         .collect();
-    let mut rows: Vec<(String, Vec<Option<f64>>)> = Vec::new();
-    for &fraction in LOAD_FRACTIONS.iter().rev() {
-        let cells = stores
-            .iter()
-            .zip(&maxima)
-            .map(|(&store, &(max_thr, max_lat))| {
-                let target = max_thr * fraction;
-                if target <= 0.0 {
-                    return None;
-                }
-                let p = run_point_throttled(
-                    store,
-                    ClusterSpec::cluster_m(),
-                    FIXED_NODES,
-                    &workload,
-                    profile,
-                    Throttle::TargetOps(target),
-                );
-                match (metric.extract(&p), max_lat) {
-                    (Some(lat), Some(base)) if base > 0.0 => Some(100.0 * lat / base),
-                    _ => None,
-                }
-            })
-            .collect();
-        rows.push((format!("{:.0}", fraction * 100.0), cells));
+    Grid {
+        row_label: "load%",
+        unit: Some("normalized"),
+        stores,
+        rows,
     }
-    for (row, cells) in rows {
-        table.push_row(&row, cells);
-    }
-    table
 }
 
 /// Figure 17: disk usage after loading 10 M records per node. The paper
 /// plots total GB over node count for the four disk-backed stores plus
 /// the raw data size; values are reported unscaled (the per-record
 /// formats are exact, so the scaled load extrapolates linearly).
-pub fn disk_usage(id: &str, profile: &ExperimentProfile) -> Table {
-    let spec = figure_by_id(id).expect("known figure");
+pub fn disk_usage(profile: &ExperimentProfile) -> Table {
+    let spec = figure_by_id("fig17").expect("known figure");
     let stores = [
         StoreKind::Cassandra,
         StoreKind::HBase,
@@ -295,17 +331,15 @@ pub fn disk_usage(id: &str, profile: &ExperimentProfile) -> Table {
         let mut cells: Vec<Option<f64>> = stores
             .iter()
             .map(|&store| {
-                let mut engine = apm_sim::Engine::new();
-                let mut boxed = store.build(
-                    &mut engine,
+                Scenario::new(
+                    store,
                     ClusterSpec::cluster_m(),
                     nodes,
-                    profile.scale,
-                    profile.seed,
-                );
-                boxed.load_range(0..profile.records_per_node() * u64::from(nodes));
-                boxed.finish_load();
-                boxed.disk_bytes_per_node().map(|per_node| {
+                    &Workload::r(),
+                    profile,
+                )
+                .loaded_disk_bytes()
+                .map(|per_node| {
                     // Scale back to the paper's 10 M records/node.
                     per_node as f64 / profile.scale * nodes as f64 / 1e9
                 })
@@ -321,37 +355,34 @@ pub fn disk_usage(id: &str, profile: &ExperimentProfile) -> Table {
 /// Figures 18–20: Cluster D, 8 nodes, workloads R / RW / W, the three
 /// disk-backed stores the paper could run there (§5.8). The paper loads
 /// 150 M records *total*.
-pub fn cluster_d(id: &str, metric: Metric, profile: &ExperimentProfile) -> Table {
-    let spec = figure_by_id(id).expect("known figure");
+fn cluster_d(profile: &ExperimentProfile) -> Grid {
     let stores: Vec<StoreKind> = StoreKind::ALL
         .into_iter()
         .filter(|k| k.in_cluster_d_figures())
         .collect();
-    let mut table = Table::new(spec.title, "workload", metric.unit());
-    table.columns = stores.iter().map(|s| s.name().to_string()).collect();
     // 150 M total over 8 nodes = 18.75 M per node — denser than the
     // hardware scale, which is what makes Cluster D disk-bound.
     let d_profile = ExperimentProfile {
         data_factor: 1.875,
         ..*profile
     };
-    for workload in [Workload::r(), Workload::rw(), Workload::w()] {
-        let cells = stores
-            .iter()
-            .map(|&store| {
-                let point = run_point(
-                    store,
-                    ClusterSpec::cluster_d(),
-                    FIXED_NODES,
-                    &workload,
-                    &d_profile,
-                );
-                metric.extract(&point)
-            })
-            .collect();
-        table.push_row(workload.name, cells);
+    let (cluster, nodes) = (ClusterSpec::cluster_d(), FIXED_NODES);
+    let rows = [Workload::r(), Workload::rw(), Workload::w()]
+        .iter()
+        .map(|workload| {
+            let cells = stores
+                .iter()
+                .map(|&store| measure(&Scenario::new(store, cluster, nodes, workload, &d_profile)))
+                .collect();
+            (workload.name.to_string(), cells)
+        })
+        .collect();
+    Grid {
+        row_label: "workload",
+        unit: None,
+        stores,
+        rows,
     }
-    table
 }
 
 #[cfg(test)]
@@ -393,7 +424,7 @@ mod tests {
     #[test]
     fn disk_usage_figure_reproduces_section_5_7() {
         let profile = ExperimentProfile::test();
-        let t = disk_usage("fig17", &profile);
+        let t = disk_usage(&profile);
         // §5.7 per-node GB at any node count; the table stores totals.
         let per_node =
             |store: &str, nodes: &str| t.get(nodes, store).unwrap() / nodes.parse::<f64>().unwrap();

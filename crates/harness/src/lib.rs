@@ -3,11 +3,13 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§5) against the simulated stores.
 //!
-//! * [`experiment`] — one benchmark *point* (store × cluster × nodes ×
-//!   workload → throughput + latencies) and the store factory.
-//! * [`figures`] — one function per paper figure (Fig 3–20) plus Table 1,
-//!   each returning an [`apm_core::report::Table`] with the same rows and
-//!   series the paper plots.
+//! * [`experiment`] — one benchmark *point* as plain data (`Scenario`:
+//!   store × cluster × nodes × workload, plus the `RunConfig` it runs)
+//!   and the store factory; every simulated run in this crate is one.
+//! * [`figures`] — the paper's artifacts (Fig 3–20 plus Table 1) as one
+//!   table of `(sweep, metric)` projections, each yielding an
+//!   [`apm_core::report::Table`] with the same rows and series the paper
+//!   plots; figures that share a sweep are simulated once per request.
 //! * [`mod@reference`] — the paper's reported numbers (digitized from the
 //!   text and figures) for paper-vs-measured comparison.
 //! * [`shape`] — qualitative assertions ("Cassandra scales linearly",

@@ -18,13 +18,13 @@
 //! windows — per-window throughput, error rate, latency percentiles and
 //! per-class utilisation, the timeline an APM operator would watch.
 
-use crate::experiment::{run_point, ExperimentProfile, StoreKind};
-use apm_core::driver::{ClientConfig, Throttle};
+use crate::experiment::{ExperimentProfile, Scenario, StoreKind};
+use apm_core::driver::Throttle;
 use apm_core::report::Table;
 use apm_core::workload::Workload;
 use apm_sim::kernel::ResourceId;
-use apm_sim::{ClusterSpec, Engine, FaultSchedule};
-use apm_stores::runner::{run_benchmark, server_resource_class, RunConfig, RunResult};
+use apm_sim::{ClusterSpec, Engine};
+use apm_stores::runner::server_resource_class;
 
 /// The resource classes the profiler attributes time to, in column order.
 pub const RESOURCE_CLASSES: [&str; 3] = ["cpu", "disk", "net"];
@@ -78,41 +78,6 @@ pub fn attribute_time(engine: &Engine, ops: u64) -> Vec<(&'static str, ClassAttr
         .collect()
 }
 
-fn run_instrumented(
-    kind: StoreKind,
-    nodes: u32,
-    workload: &Workload,
-    profile: &ExperimentProfile,
-    throttle: Throttle,
-    telemetry_window_secs: Option<f64>,
-) -> (Engine, RunResult) {
-    let mut engine = Engine::new();
-    let mut store = kind.build(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        profile.scale,
-        profile.seed,
-    );
-    let config = RunConfig {
-        workload: workload.clone(),
-        client: ClientConfig::cluster_m(nodes)
-            .with_throttle(throttle)
-            .with_window(profile.warmup_secs, profile.measure_secs),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs,
-        resilience: None,
-        checkpoints: None,
-    };
-    let result = run_benchmark(&mut engine, store.as_mut(), &config);
-    (engine, result)
-}
-
 /// `ext-obs-profile`: where does an operation's time go? Per store, the
 /// saturated workload-R closed loop is profiled and each measured op's
 /// latency attributed to queue-wait vs. service per resource class. The
@@ -131,15 +96,15 @@ pub fn time_attribution(profile: &ExperimentProfile) -> Table {
         .flat_map(|class| [format!("{class}_queue_ms"), format!("{class}_service_ms")])
         .collect();
     for kind in [StoreKind::Cassandra, StoreKind::HBase, StoreKind::Redis] {
-        let (engine, result) = run_instrumented(
+        let run = Scenario::new(
             kind,
+            ClusterSpec::cluster_m(),
             nodes,
             &Workload::r(),
             profile,
-            Throttle::Unlimited,
-            None,
-        );
-        let cells = attribute_time(&engine, result.stats.total_ops())
+        )
+        .run();
+        let cells = attribute_time(&run.engine, run.result.stats.total_ops())
             .into_iter()
             .flat_map(|(_, a)| [Some(a.queue_ms), Some(a.service_ms)])
             .collect();
@@ -155,26 +120,21 @@ pub fn time_attribution(profile: &ExperimentProfile) -> Table {
 /// operator's dashboard: throughput, error rate, latency percentiles,
 /// per-class mean server utilisation.
 pub fn telemetry_timeline(profile: &ExperimentProfile) -> Table {
-    let nodes = 8;
-    let workload = Workload::r();
-    let max = run_point(
+    let mut scenario = Scenario::new(
         StoreKind::Cassandra,
         ClusterSpec::cluster_m(),
-        nodes,
-        &workload,
+        8,
+        &Workload::r(),
         profile,
-    )
-    .throughput();
-    let target = max * 0.7;
-    let (_, result) = run_instrumented(
-        StoreKind::Cassandra,
-        nodes,
-        &workload,
-        profile,
-        Throttle::TargetOps(target),
-        Some(1.0),
     );
-    let telemetry = result.telemetry.expect("telemetry requested");
+    let target = scenario.run().result.throughput() * 0.7;
+    scenario.config.client.throttle = Throttle::TargetOps(target);
+    scenario.config.telemetry_window_secs = Some(1.0);
+    let telemetry = scenario
+        .run()
+        .result
+        .telemetry
+        .expect("telemetry requested");
     let mut table = Table::new(
         &format!(
             "Extension: telemetry timeline at 70% load (Cassandra, workload R, 8 nodes; target {target:.0} ops/s)"
@@ -371,7 +331,7 @@ pub mod chrome {
 /// fingerprint. Deterministic — two calls return identical strings.
 #[cfg(feature = "trace")]
 pub fn capture_trace_demo() -> (String, u64) {
-    use apm_sim::SimTime;
+    use apm_sim::{FaultSchedule, SimDuration, SimTime};
 
     let profile = ExperimentProfile {
         scale: 0.002,
@@ -380,34 +340,21 @@ pub fn capture_trace_demo() -> (String, u64) {
         measure_secs: 1.0,
         seed: 7,
     };
-    let nodes = 2;
-    let mut engine = Engine::new();
-    // The run is throttled far below saturation so the whole trace fits
-    // the ring (nothing is evicted) and the exported JSON stays small.
-    engine.set_trace_capacity(1 << 12);
-    let mut store = StoreKind::Cassandra.build(
-        &mut engine,
+    let mut scenario = Scenario::new(
+        StoreKind::Cassandra,
         ClusterSpec::cluster_m(),
-        nodes,
-        profile.scale,
-        profile.seed,
+        2,
+        &Workload::r(),
+        &profile,
     );
-    let config = RunConfig {
-        workload: Workload::r(),
-        client: ClientConfig::cluster_m(nodes)
-            .with_throttle(Throttle::TargetOps(200.0))
-            .with_window(profile.warmup_secs, profile.measure_secs),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults: FaultSchedule::none().crash(1, SimTime(300_000_000), SimTime(600_000_000)),
-        op_deadline: Some(apm_sim::SimDuration::from_millis(100)),
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    };
-    let _ = run_benchmark(&mut engine, store.as_mut(), &config);
+    // Throttled far below saturation so the whole trace fits the
+    // default ring (nothing is evicted) and the exported JSON stays
+    // small.
+    scenario.config.client.throttle = Throttle::TargetOps(200.0);
+    scenario.config.faults =
+        FaultSchedule::none().crash(1, SimTime(300_000_000), SimTime(600_000_000));
+    scenario.config.op_deadline = Some(SimDuration::from_millis(100));
+    let engine = scenario.run().engine;
     let json = chrome::trace_to_json(&engine.tracer().events());
     let mut text = json.to_pretty();
     text.push('\n');
@@ -421,15 +368,15 @@ mod tests {
     #[test]
     fn attribution_covers_every_class_and_ignores_clients() {
         let profile = ExperimentProfile::test();
-        let (engine, result) = run_instrumented(
+        let run = Scenario::new(
             StoreKind::Cassandra,
+            ClusterSpec::cluster_m(),
             2,
             &Workload::r(),
             &profile,
-            Throttle::Unlimited,
-            None,
-        );
-        let attribution = attribute_time(&engine, result.stats.total_ops());
+        )
+        .run();
+        let attribution = attribute_time(&run.engine, run.result.stats.total_ops());
         assert_eq!(attribution.len(), RESOURCE_CLASSES.len());
         let cpu = attribution[0].1;
         assert!(cpu.service_ms > 0.0, "reads must consume server cpu");
@@ -438,7 +385,7 @@ mod tests {
             "saturated loop queues more than it serves: {cpu:?}"
         );
         // Zero ops must not divide by zero.
-        let empty = attribute_time(&engine, 0);
+        let empty = attribute_time(&run.engine, 0);
         assert_eq!(empty[0].1.queue_ms, 0.0);
     }
 

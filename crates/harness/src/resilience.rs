@@ -12,17 +12,14 @@
 //! and breaker clocks all live in virtual time on the kernel's event
 //! heap, so the same seed reproduces byte-identical tables.
 
-use crate::experiment::ExperimentProfile;
-use crate::faults::{read_only, run_cassandra, run_redis, secs, FaultWindow, VICTIM};
-use apm_core::driver::{ClientConfig, Throttle};
+use crate::experiment::{ExperimentProfile, StoreKind};
+use crate::faults::{read_only, secs, FaultWindow, VICTIM};
+use apm_core::driver::Throttle;
 use apm_core::ops::OpKind;
 use apm_core::report::Table;
-use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, Engine, FaultSchedule, SimDuration};
-use apm_stores::api::StoreCtx;
-use apm_stores::cassandra::{CassandraConfig, CassandraStore};
+use apm_sim::{ClusterSpec, FaultSchedule, SimDuration};
 use apm_stores::resilience::{AdmissionPolicy, BreakerPolicy, HedgePolicy, RetryPolicy};
-use apm_stores::runner::{run_benchmark, RunConfig, RunResult};
+use apm_stores::runner::RunResult;
 use apm_stores::ResiliencePolicy;
 
 /// Fail-slow factor for the hedging experiment: the victim still
@@ -65,7 +62,6 @@ fn policy_row(result: &RunResult) -> Vec<Option<f64>> {
 /// wait it out instead of erroring: availability rises to ~1 while the
 /// errors column collapses.
 pub fn retry_masking(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
     let mut table = Table::new(
         &format!(
@@ -81,66 +77,11 @@ pub fn retry_masking(profile: &ExperimentProfile) -> Table {
         ..ResiliencePolicy::default()
     };
     for (label, resilience) in [("retry-off", None), ("retry-on", Some(retry_on))] {
-        let result = run_cassandra(
-            CassandraConfig {
-                replication: 1,
-                ..CassandraConfig::default()
-            },
-            nodes,
-            profile,
-            &w,
-            w.crash(),
-            None,
-            resilience,
-        );
-        table.push_row(label, policy_row(&result));
+        let mut scenario = w.cassandra(1, profile, w.crash());
+        scenario.config.resilience = resilience;
+        table.push_row(label, policy_row(&scenario.run().result));
     }
     table
-}
-
-/// Runs workload R on an rf=2 Cassandra cluster with a throttle — the
-/// hedging experiment needs spare capacity: a speculative duplicate only
-/// helps when the healthy replica has headroom to answer it.
-fn run_cassandra_throttled(
-    nodes: u32,
-    profile: &ExperimentProfile,
-    window: &FaultWindow,
-    faults: FaultSchedule,
-    throttle: Throttle,
-    resilience: Option<ResiliencePolicy>,
-) -> RunResult {
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        StoreCtx::standard_client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = CassandraStore::new(
-        ctx,
-        CassandraConfig {
-            replication: 2,
-            ..CassandraConfig::default()
-        },
-    );
-    let run = RunConfig {
-        workload: Workload::r(),
-        client: ClientConfig::cluster_m(nodes)
-            .with_window(profile.warmup_secs, window.window)
-            .with_throttle(throttle),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults,
-        op_deadline: None,
-        telemetry_window_secs: Some(1.0),
-        resilience,
-        checkpoints: None,
-    };
-    run_benchmark(&mut engine, &mut store, &run)
 }
 
 /// `ext-res-hedge`: one Cassandra node fail-slows to 16× while still
@@ -153,18 +94,12 @@ fn run_cassandra_throttled(
 /// against the other replica; the healthy replica wins, the slow attempt
 /// is cancelled, and the read p99 drops back toward the baseline.
 pub fn hedged_reads(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
-    let max = run_cassandra_throttled(
-        nodes,
-        profile,
-        &w,
-        FaultSchedule::none(),
-        Throttle::Unlimited,
-        None,
-    )
-    .throughput();
-    let target = max * 0.6;
+    // The hedging experiment needs spare capacity: a speculative
+    // duplicate only helps when the healthy replica has headroom to
+    // answer it.
+    let healthy = w.cassandra(2, profile, FaultSchedule::none());
+    let target = healthy.run().result.throughput() * 0.6;
     let faults =
         FaultSchedule::none().fail_slow(VICTIM, secs(w.fault), secs(w.restore), FAIL_SLOW_FACTOR);
     let mut table = Table::new(
@@ -181,15 +116,10 @@ pub fn hedged_reads(profile: &ExperimentProfile) -> Table {
         ..ResiliencePolicy::default()
     };
     for (label, resilience) in [("hedge-off", None), ("hedge-on", Some(hedge_on))] {
-        let result = run_cassandra_throttled(
-            nodes,
-            profile,
-            &w,
-            faults.clone(),
-            Throttle::TargetOps(target),
-            resilience,
-        );
-        table.push_row(label, policy_row(&result));
+        let mut scenario = w.cassandra(2, profile, faults.clone());
+        scenario.config.client.throttle = Throttle::TargetOps(target);
+        scenario.config.resilience = resilience;
+        table.push_row(label, policy_row(&scenario.run().result));
     }
     table
 }
@@ -203,7 +133,6 @@ pub fn hedged_reads(profile: &ExperimentProfile) -> Table {
 /// breaker closes. Errors drop by orders of magnitude and the loop
 /// spends its time on the healthy shards.
 pub fn breaker_shedding(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
     let faults = FaultSchedule::none().partition(VICTIM, secs(w.fault), secs(w.restore));
     let deadline = Some(SimDuration::from_millis(10));
@@ -221,16 +150,16 @@ pub fn breaker_shedding(profile: &ExperimentProfile) -> Table {
         ..ResiliencePolicy::default()
     };
     for (label, resilience) in [("breaker-off", None), ("breaker-on", Some(breaker_on))] {
-        let result = run_redis(
-            read_only(),
-            nodes,
+        let mut scenario = w.scenario(
+            StoreKind::Redis,
+            ClusterSpec::cluster_m(),
+            &read_only(),
             profile,
-            &w,
             faults.clone(),
-            deadline,
-            resilience,
         );
-        table.push_row(label, policy_row(&result));
+        scenario.config.op_deadline = deadline;
+        scenario.config.resilience = resilience;
+        table.push_row(label, policy_row(&scenario.run().result));
     }
     table
 }
@@ -255,7 +184,6 @@ fn storm_retry() -> RetryPolicy {
 /// seconds of the outage and the storm is shed on the client instead of
 /// amplifying the failure.
 pub fn retry_storm(profile: &ExperimentProfile) -> Table {
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
     let mut table = Table::new(
         &format!(
@@ -279,19 +207,9 @@ pub fn retry_storm(profile: &ExperimentProfile) -> Table {
         ..ResiliencePolicy::default()
     };
     for (label, resilience) in [("unbounded", unbounded), ("budgeted", budgeted)] {
-        let result = run_cassandra(
-            CassandraConfig {
-                replication: 1,
-                ..CassandraConfig::default()
-            },
-            nodes,
-            profile,
-            &w,
-            w.crash(),
-            None,
-            Some(resilience),
-        );
-        table.push_row(label, policy_row(&result));
+        let mut scenario = w.cassandra(1, profile, w.crash());
+        scenario.config.resilience = Some(resilience);
+        table.push_row(label, policy_row(&scenario.run().result));
     }
     table
 }
@@ -301,51 +219,15 @@ pub fn retry_storm(profile: &ExperimentProfile) -> Table {
 /// offers: two identical-seed runs must replay the exact event stream.
 #[cfg(feature = "trace")]
 pub fn retry_trace_fingerprint(profile: &ExperimentProfile) -> u64 {
-    use apm_core::driver::ClientConfig;
-    use apm_core::workload::Workload;
-    use apm_sim::{ClusterSpec, Engine};
-    use apm_stores::api::StoreCtx;
-    use apm_stores::cassandra::CassandraStore;
-    use apm_stores::runner::{run_benchmark, RunConfig};
-
-    let nodes = 4;
     let w = FaultWindow::for_profile(profile);
-    let mut engine = Engine::new();
-    let ctx = StoreCtx::new(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        nodes,
-        StoreCtx::standard_client_machines(nodes),
-        profile.scale,
-        profile.seed,
-    );
-    let mut store = CassandraStore::new(
-        ctx,
-        CassandraConfig {
-            replication: 1,
-            ..CassandraConfig::default()
-        },
-    );
-    let run = RunConfig {
-        workload: Workload::r(),
-        client: ClientConfig::cluster_m(nodes).with_window(profile.warmup_secs, w.window),
-        records_per_node: profile.records_per_node(),
-        nodes,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults: w.crash(),
-        op_deadline: None,
-        telemetry_window_secs: Some(1.0),
-        resilience: Some(ResiliencePolicy {
-            retry: Some(RetryPolicy::standard()),
-            hedge: Some(HedgePolicy::standard()),
-            breaker: Some(BreakerPolicy::standard()),
-            admission: Some(AdmissionPolicy::standard()),
-        }),
-        checkpoints: None,
-    };
-    let _ = run_benchmark(&mut engine, &mut store, &run);
-    engine.tracer().fingerprint()
+    let mut scenario = w.cassandra(1, profile, w.crash());
+    scenario.config.resilience = Some(ResiliencePolicy {
+        retry: Some(RetryPolicy::standard()),
+        hedge: Some(HedgePolicy::standard()),
+        breaker: Some(BreakerPolicy::standard()),
+        admission: Some(AdmissionPolicy::standard()),
+    });
+    scenario.run().engine.tracer().fingerprint()
 }
 
 #[cfg(test)]

@@ -865,10 +865,11 @@ mod tests {
         // The apm-audit `shape-coverage` rule enforces the same at the
         // token level; this is the runtime twin.
         let dummy = table(&[("1", &[("a", 1.0)])]);
-        for (id, _) in crate::extensions::all_extensions() {
+        for spec in crate::extensions::all_extensions() {
             assert!(
-                !checks_for(id, &dummy).is_empty(),
-                "{id} has no shape checks"
+                !checks_for(spec.id, &dummy).is_empty(),
+                "{} has no shape checks",
+                spec.id
             );
         }
     }

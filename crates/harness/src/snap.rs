@@ -8,16 +8,12 @@
 //! (when the `audit`/`trace` features are compiled in) the same
 //! observer fingerprints, for every store architecture.
 
-use crate::experiment::{ExperimentProfile, StoreKind};
-use apm_core::driver::ClientConfig;
+use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind};
 use apm_core::report::Table;
 use apm_core::snap::{fnv1a64, SnapError, SnapWriter};
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, Engine, FaultSchedule};
-use apm_stores::api::DistributedStore;
-use apm_stores::runner::{
-    bisect_divergence, resume_benchmark, run_benchmark, CheckpointSpec, RunConfig, RunResult,
-};
+use apm_sim::ClusterSpec;
+use apm_stores::runner::{bisect_divergence, CheckpointSpec, RunResult};
 
 /// Node count of the canonical snapshot scenario (Cluster M).
 pub const NODES: u32 = 4;
@@ -28,24 +24,19 @@ pub fn default_spec(profile: &ExperimentProfile) -> CheckpointSpec {
     CheckpointSpec::every(profile.measure_secs / 4.0)
 }
 
-/// The run configuration shared by `repro snapshot` and `repro resume`.
-/// Derived purely from the profile and the spec, so the resume side
+/// The scenario shared by `repro snapshot` and `repro resume`. Derived
+/// purely from the store, the profile and the spec, so the resume side
 /// reconstructs it bit-for-bit and the sealed config fingerprint holds.
-pub fn snap_config(profile: &ExperimentProfile, spec: Option<CheckpointSpec>) -> RunConfig {
-    RunConfig {
-        workload: Workload::rw(),
-        client: ClientConfig::cluster_m(NODES)
-            .with_window(profile.warmup_secs, profile.measure_secs),
-        records_per_node: profile.records_per_node(),
-        nodes: NODES,
-        seed: profile.seed,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: spec,
-    }
+fn snap_scenario(store: StoreKind, profile: &ExperimentProfile, spec: CheckpointSpec) -> Scenario {
+    let mut scenario = Scenario::new(
+        store,
+        ClusterSpec::cluster_m(),
+        NODES,
+        &Workload::rw(),
+        profile,
+    );
+    scenario.config.checkpoints = Some(spec);
+    scenario
 }
 
 /// A completed (straight or resumed) run plus its end-state fingerprint.
@@ -59,27 +50,20 @@ pub struct SnapRun {
     pub fingerprint: u64,
 }
 
-fn final_fingerprint(engine: &Engine, store: &dyn DistributedStore, result: &RunResult) -> u64 {
-    let mut w = SnapWriter::new();
-    w.put(&result.stats);
-    w.put_u64(result.issued);
-    w.put(&result.disk_bytes_per_node);
-    w.put(&result.telemetry);
-    store.snap_state(&mut w);
-    engine.snap_state(&mut w);
-    fnv1a64(w.bytes())
-}
-
-fn build(store: StoreKind, profile: &ExperimentProfile) -> (Engine, Box<dyn DistributedStore>) {
-    let mut engine = Engine::new();
-    let boxed = store.build(
-        &mut engine,
-        ClusterSpec::cluster_m(),
-        NODES,
-        profile.scale,
-        profile.seed,
-    );
-    (engine, boxed)
+impl From<ScenarioRun> for SnapRun {
+    fn from(run: ScenarioRun) -> SnapRun {
+        let mut w = SnapWriter::new();
+        w.put(&run.result.stats);
+        w.put_u64(run.result.issued);
+        w.put(&run.result.disk_bytes_per_node);
+        w.put(&run.result.telemetry);
+        run.store.snap_state(&mut w);
+        run.engine.snap_state(&mut w);
+        SnapRun {
+            fingerprint: fnv1a64(w.bytes()),
+            result: run.result,
+        }
+    }
 }
 
 /// Runs the canonical scenario with checkpoints enabled.
@@ -88,14 +72,7 @@ pub fn snapshot_run(store: StoreKind, profile: &ExperimentProfile) -> SnapRun {
 }
 
 fn run_with_spec(store: StoreKind, profile: &ExperimentProfile, spec: CheckpointSpec) -> SnapRun {
-    let config = snap_config(profile, Some(spec));
-    let (mut engine, mut boxed) = build(store, profile);
-    let result = run_benchmark(&mut engine, boxed.as_mut(), &config);
-    let fingerprint = final_fingerprint(&engine, boxed.as_ref(), &result);
-    SnapRun {
-        result,
-        fingerprint,
-    }
+    snap_scenario(store, profile, spec).run().into()
 }
 
 /// Resumes the canonical scenario from a sealed checkpoint.
@@ -104,14 +81,8 @@ pub fn resume_run(
     profile: &ExperimentProfile,
     snapshot: &[u8],
 ) -> Result<SnapRun, SnapError> {
-    let config = snap_config(profile, Some(default_spec(profile)));
-    let (mut engine, mut boxed) = build(store, profile);
-    let result = resume_benchmark(&mut engine, boxed.as_mut(), &config, snapshot)?;
-    let fingerprint = final_fingerprint(&engine, boxed.as_ref(), &result);
-    Ok(SnapRun {
-        result,
-        fingerprint,
-    })
+    let scenario = snap_scenario(store, profile, default_spec(profile));
+    Ok(scenario.resume(snapshot)?.into())
 }
 
 /// Result of localizing an injected divergence.

@@ -472,6 +472,13 @@ pub trait DistributedStore {
     /// disk", §5.7).
     fn disk_bytes_per_node(&self) -> Option<u64>;
 
+    /// Bytes streamed between nodes by topology changes so far (a node
+    /// bootstrap, §7's elasticity question); zero for a store whose
+    /// topology is fixed for the run.
+    fn streamed_bytes(&self) -> u64 {
+        0
+    }
+
     /// Serializes all run-varying store state (data structures, background
     /// job queues, failure bookkeeping) for a checkpoint. Configuration
     /// that the constructor re-derives (topology sizes, budgets, cost

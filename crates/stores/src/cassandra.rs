@@ -323,11 +323,6 @@ impl CassandraStore {
         (victim, bytes)
     }
 
-    /// Total bytes streamed by node bootstraps so far.
-    pub fn streamed_bytes(&self) -> u64 {
-        self.streamed_bytes
-    }
-
     /// Current node count (grows when bootstraps happen).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -730,6 +725,10 @@ impl DistributedStore for CassandraStore {
         Some(total / self.nodes.len() as u64)
     }
 
+    fn streamed_bytes(&self) -> u64 {
+        self.streamed_bytes
+    }
+
     fn snap_state(&self, w: &mut SnapWriter) {
         w.put(&self.ctx.servers);
         w.put(&self.ring);
@@ -791,7 +790,7 @@ mod tests {
     use apm_core::keyspace::record_for_seq;
     use apm_core::ops::OpKind;
     use apm_core::workload::Workload;
-    use apm_sim::{ClusterSpec, FaultSchedule};
+    use apm_sim::ClusterSpec;
 
     fn store(engine: &mut Engine, nodes: u32) -> CassandraStore {
         let ctx = StoreCtx::new(
@@ -808,19 +807,13 @@ mod tests {
     fn quick_run(nodes: u32, workload: Workload) -> crate::runner::RunResult {
         let mut engine = Engine::new();
         let mut s = store(&mut engine, nodes);
-        let config = RunConfig {
+        let config = RunConfig::new(
             workload,
-            client: ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
-            records_per_node: 20_000,
+            ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
+            20_000,
             nodes,
-            seed: 5,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+            5,
+        );
         run_benchmark(&mut engine, &mut s, &config)
     }
 

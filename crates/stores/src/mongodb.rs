@@ -316,7 +316,7 @@ mod tests {
     use apm_core::keyspace::record_for_seq;
     use apm_core::ops::OpKind;
     use apm_core::workload::Workload;
-    use apm_sim::{ClusterSpec, FaultSchedule};
+    use apm_sim::ClusterSpec;
 
     fn make(engine: &mut Engine, nodes: u32) -> MongoStore {
         let ctx = StoreCtx::new(
@@ -333,19 +333,13 @@ mod tests {
     fn quick_run(nodes: u32, workload: Workload) -> crate::runner::RunResult {
         let mut engine = Engine::new();
         let mut s = make(&mut engine, nodes);
-        let config = RunConfig {
+        let config = RunConfig::new(
             workload,
-            client: ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
-            records_per_node: 20_000,
+            ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
+            20_000,
             nodes,
-            seed: 47,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+            47,
+        );
         run_benchmark(&mut engine, &mut s, &config)
     }
 

@@ -431,7 +431,7 @@ mod tests {
     use apm_core::keyspace::record_for_seq;
     use apm_core::ops::OpKind;
     use apm_core::workload::Workload;
-    use apm_sim::{ClusterSpec, FaultSchedule};
+    use apm_sim::ClusterSpec;
 
     fn make(engine: &mut Engine, nodes: u32, scale: f64) -> MysqlStore {
         let ctx = StoreCtx::new(
@@ -448,19 +448,13 @@ mod tests {
     fn quick_run(nodes: u32, workload: Workload) -> crate::runner::RunResult {
         let mut engine = Engine::new();
         let mut s = make(&mut engine, nodes, 0.01);
-        let config = RunConfig {
+        let config = RunConfig::new(
             workload,
-            client: ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
-            records_per_node: 20_000,
+            ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
+            20_000,
             nodes,
-            seed: 31,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+            31,
+        );
         run_benchmark(&mut engine, &mut s, &config)
     }
 
@@ -530,19 +524,13 @@ mod tests {
         let long_run = |workload: Workload| {
             let mut engine = Engine::new();
             let mut s = make(&mut engine, 2, 0.01);
-            let config = RunConfig {
+            let config = RunConfig::new(
                 workload,
-                client: ClientConfig::cluster_m(2).with_window(2.0, 10.0),
-                records_per_node: 20_000,
-                nodes: 2,
-                seed: 31,
-                event_at_secs: None,
-                faults: FaultSchedule::none(),
-                op_deadline: None,
-                telemetry_window_secs: None,
-                resilience: None,
-                checkpoints: None,
-            };
+                ClientConfig::cluster_m(2).with_window(2.0, 10.0),
+                20_000,
+                2,
+                31,
+            );
             run_benchmark(&mut engine, &mut s, &config)
         };
         let rs = long_run(Workload::rs()).throughput();

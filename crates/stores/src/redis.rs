@@ -425,7 +425,7 @@ mod tests {
     use apm_core::keyspace::record_for_seq;
     use apm_core::ops::OpKind;
     use apm_core::workload::Workload;
-    use apm_sim::{ClusterSpec, FaultSchedule};
+    use apm_sim::ClusterSpec;
 
     fn make(engine: &mut Engine, nodes: u32, scale: f64) -> RedisStore {
         let ctx = StoreCtx::new(
@@ -442,19 +442,13 @@ mod tests {
     fn quick_run(nodes: u32, workload: Workload, records: u64) -> crate::runner::RunResult {
         let mut engine = Engine::new();
         let mut s = make(&mut engine, nodes, 0.01);
-        let config = RunConfig {
+        let config = RunConfig::new(
             workload,
-            client: ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
-            records_per_node: records,
+            ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
+            records,
             nodes,
-            seed: 7,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+            7,
+        );
         run_benchmark(&mut engine, &mut s, &config)
     }
 
@@ -529,19 +523,13 @@ mod tests {
         // swapping shard gates aggregate throughput well below linear.
         let mut engine = Engine::new();
         let mut s = make(&mut engine, 12, 0.002);
-        let config = RunConfig {
-            workload: Workload::r(),
-            client: ClientConfig::cluster_m(12).with_window(0.5, 3.0),
-            records_per_node: 20_000,
-            nodes: 12,
-            seed: 7,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+        let config = RunConfig::new(
+            Workload::r(),
+            ClientConfig::cluster_m(12).with_window(0.5, 3.0),
+            20_000,
+            12,
+            7,
+        );
         let result = run_benchmark(&mut engine, &mut s, &config);
         assert!(
             s.swapping_instances() >= 1,
@@ -562,19 +550,13 @@ mod tests {
         let mut s = make(&mut engine, 12, 0.002);
         // Overfill: 30% beyond the paper load pushes the hottest shards
         // past the hard allocation limit.
-        let config = RunConfig {
-            workload: Workload::w(),
-            client: ClientConfig::cluster_m(12).with_window(0.2, 1.0),
-            records_per_node: 26_000,
-            nodes: 12,
-            seed: 7,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+        let config = RunConfig::new(
+            Workload::w(),
+            ClientConfig::cluster_m(12).with_window(0.2, 1.0),
+            26_000,
+            12,
+            7,
+        );
         let result = run_benchmark(&mut engine, &mut s, &config);
         assert!(s.load_rejections() > 0, "overfilled load must reject");
         assert!(result.throughput() > 0.0, "other shards keep serving");

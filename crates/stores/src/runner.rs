@@ -63,6 +63,33 @@ pub struct RunConfig {
     pub checkpoints: Option<CheckpointSpec>,
 }
 
+impl RunConfig {
+    /// A plain run: no timed event, no faults, no deadline, no
+    /// telemetry, no resilience policy, no checkpoints. Callers that
+    /// want one of those set the field on the returned value.
+    pub fn new(
+        workload: Workload,
+        client: ClientConfig,
+        records_per_node: u64,
+        nodes: u32,
+        seed: u64,
+    ) -> RunConfig {
+        RunConfig {
+            workload,
+            client,
+            records_per_node,
+            nodes,
+            seed,
+            event_at_secs: None,
+            faults: FaultSchedule::none(),
+            op_deadline: None,
+            telemetry_window_secs: None,
+            resilience: None,
+            checkpoints: None,
+        }
+    }
+}
+
 /// Schedule for capturing snapshots during the transaction phase.
 #[derive(Clone, Debug)]
 pub struct CheckpointSpec {
@@ -1315,19 +1342,38 @@ mod tests {
     }
 
     fn quick_config(workload: Workload) -> RunConfig {
-        RunConfig {
+        RunConfig::new(
             workload,
-            client: ClientConfig::cluster_m(1).with_window(0.5, 2.0),
-            records_per_node: 1_000,
-            nodes: 1,
-            seed: 42,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        }
+            ClientConfig::cluster_m(1).with_window(0.5, 2.0),
+            1_000,
+            1,
+            42,
+        )
+    }
+
+    #[test]
+    fn new_config_carries_its_arguments_and_the_six_defaults() {
+        let client = ClientConfig::cluster_d(3).with_window(0.25, 1.5);
+        let c = RunConfig::new(Workload::rsw(), client.clone(), 1_234, 3, 99);
+        assert_eq!(c.workload, Workload::rsw());
+        assert_eq!(c.client, client);
+        assert_eq!((c.records_per_node, c.nodes, c.seed), (1_234, 3, 99));
+        assert_eq!(c.event_at_secs, None);
+        assert_eq!(c.faults, FaultSchedule::none());
+        assert_eq!(c.op_deadline, None);
+        assert_eq!(c.telemetry_window_secs, None);
+        assert_eq!(c.resilience, None);
+        assert!(c.checkpoints.is_none());
+        // The fingerprint hashes `Debug`, so a field that `new` forgot
+        // (or a seventh default) shows up here.
+        let debug = format!("{c:?}");
+        assert!(
+            debug.ends_with(
+                "event_at_secs: None, faults: FaultSchedule { events: [] }, op_deadline: None, \
+                 telemetry_window_secs: None, resilience: None, checkpoints: None }"
+            ),
+            "{debug}"
+        );
     }
 
     #[test]

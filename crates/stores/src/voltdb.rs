@@ -264,7 +264,7 @@ mod tests {
     use apm_core::keyspace::record_for_seq;
     use apm_core::ops::OpKind;
     use apm_core::workload::Workload;
-    use apm_sim::{ClusterSpec, FaultSchedule};
+    use apm_sim::ClusterSpec;
 
     fn quick_run(nodes: u32, workload: Workload) -> crate::runner::RunResult {
         let mut engine = Engine::new();
@@ -277,19 +277,13 @@ mod tests {
             17,
         );
         let mut s = VoltDbStore::new(ctx, &mut engine);
-        let config = RunConfig {
+        let config = RunConfig::new(
             workload,
-            client: ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
-            records_per_node: 20_000,
+            ClientConfig::cluster_m(nodes).with_window(0.5, 3.0),
+            20_000,
             nodes,
-            seed: 3,
-            event_at_secs: None,
-            faults: FaultSchedule::none(),
-            op_deadline: None,
-            telemetry_window_secs: None,
-            resilience: None,
-            checkpoints: None,
-        };
+            3,
+        );
         run_benchmark(&mut engine, &mut s, &config)
     }
 

@@ -48,19 +48,13 @@ fn standard(engine: &mut Engine) -> StoreCtx {
 }
 
 fn base(workload: Workload) -> RunConfig {
-    RunConfig {
+    RunConfig::new(
         workload,
-        client: ClientConfig::cluster_m(NODES).with_window(0.2, 0.8),
-        records_per_node: RECORDS_PER_NODE,
-        nodes: NODES,
-        seed: 0xD21F,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    }
+        ClientConfig::cluster_m(NODES).with_window(0.2, 0.8),
+        RECORDS_PER_NODE,
+        NODES,
+        0xD21F,
+    )
 }
 
 /// (a) maximum-throughput RW, (b) throttled R, (c) RW under a crash

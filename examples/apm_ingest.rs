@@ -18,7 +18,7 @@
 use apm_repro::core::driver::ClientConfig;
 use apm_repro::core::metric::{AgentReporter, MonitoredSystem};
 use apm_repro::core::workload::Workload;
-use apm_repro::sim::{ClusterSpec, Engine, FaultSchedule};
+use apm_repro::sim::{ClusterSpec, Engine};
 use apm_repro::stores::api::{DistributedStore, StoreCtx};
 use apm_repro::stores::cassandra::{CassandraConfig, CassandraStore};
 use apm_repro::stores::runner::{run_benchmark, RunConfig};
@@ -71,19 +71,13 @@ fn main() {
         store.load(&measurement.to_record(1_000_000_000 + i as u64));
     }
 
-    let config = RunConfig {
-        workload: Workload::w(),
-        client: ClientConfig::cluster_m(nodes).with_window(2.0, 10.0),
-        records_per_node: (10_000_000.0 * scale) as u64,
+    let config = RunConfig::new(
+        Workload::w(),
+        ClientConfig::cluster_m(nodes).with_window(2.0, 10.0),
+        (10_000_000.0 * scale) as u64,
         nodes,
-        seed: 7,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    };
+        7,
+    );
     let result = run_benchmark(&mut engine, &mut store, &config);
     let supply = result.throughput();
 

@@ -11,7 +11,7 @@
 use apm_repro::core::driver::ClientConfig;
 use apm_repro::core::ops::OpKind;
 use apm_repro::core::workload::Workload;
-use apm_repro::sim::{ClusterSpec, Engine, FaultSchedule};
+use apm_repro::sim::{ClusterSpec, Engine};
 use apm_repro::stores::api::StoreCtx;
 use apm_repro::stores::cassandra::{CassandraConfig, CassandraStore};
 use apm_repro::stores::runner::{run_benchmark, RunConfig};
@@ -37,19 +37,13 @@ fn main() {
 
     // 3. The benchmark: workload W (1 % reads / 99 % inserts — the APM
     //    ingest pattern), 128 connections per server node.
-    let config = RunConfig {
-        workload: Workload::w(),
-        client: ClientConfig::cluster_m(nodes).with_window(1.0, 10.0),
-        records_per_node: (10_000_000.0 * scale) as u64,
+    let config = RunConfig::new(
+        Workload::w(),
+        ClientConfig::cluster_m(nodes).with_window(1.0, 10.0),
+        (10_000_000.0 * scale) as u64,
         nodes,
-        seed: 42,
-        event_at_secs: None,
-        faults: FaultSchedule::none(),
-        op_deadline: None,
-        telemetry_window_secs: None,
-        resilience: None,
-        checkpoints: None,
-    };
+        42,
+    );
     let result = run_benchmark(&mut engine, &mut store, &config);
 
     println!("workload W on {nodes} Cluster-M nodes (scale {scale}):");

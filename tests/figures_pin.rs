@@ -6,11 +6,11 @@
 //! same Cluster-D grid. Work on how a figure is produced from its sweep
 //! must not move a cell: FNV-1a over each table's CSV at a tiny profile,
 //! captured on the commit *before* figures became projections of one
-//! sweep (81a1572).
+//! sweep (81a1572), when every figure simulated its own grid.
 
 use apm_repro::core::snap::fnv1a64;
 use apm_repro::harness::experiment::ExperimentProfile;
-use apm_repro::harness::figures::generate;
+use apm_repro::harness::figures::{generate, generate_many};
 
 fn tiny() -> ExperimentProfile {
     ExperimentProfile {
@@ -45,4 +45,19 @@ fn multi_figure_families_are_pinned() {
         })
         .collect();
     assert!(moved.is_empty(), "figure CSVs moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn one_pass_per_family_renders_what_per_figure_generation_does() {
+    let profile = tiny();
+    // Out of family order, with a sweep-less artifact in between.
+    let ids = ["fig16", "fig20", "table1", "fig18", "fig15"];
+    let together = generate_many(&ids, &profile);
+    assert_eq!(together.len(), ids.len());
+    for (id, table) in ids.iter().zip(&together) {
+        let alone = generate(id, &profile);
+        assert_eq!(table.title, alone.title, "{id} out of order");
+        assert_eq!(table.render(), alone.render(), "{id}");
+        assert_eq!(table.to_csv(), alone.to_csv(), "{id}");
+    }
 }

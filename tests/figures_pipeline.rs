@@ -31,7 +31,7 @@ fn table1_is_exact() {
 #[test]
 fn figure17_reproduces_disk_usage_and_its_shape_checks_pass() {
     let profile = ExperimentProfile::test();
-    let table = disk_usage("fig17", &profile);
+    let table = disk_usage(&profile);
     let checks = checks_for("fig17", &table);
     assert!(!checks.is_empty());
     for check in &checks {
@@ -65,7 +65,7 @@ fn generate_table1_via_the_dispatcher() {
 #[test]
 fn results_roundtrip_and_render() {
     let profile = ExperimentProfile::test();
-    let table = disk_usage("fig17", &profile);
+    let table = disk_usage(&profile);
     let checks = checks_for("fig17", &table);
     let results = ResultsFile {
         profile: "test".into(),

@@ -1,19 +1,22 @@
-//! Point-level byte-neutrality pin: what `run_point` builds and reports
-//! for each of the six stores.
+//! Point-level byte-neutrality pin: what a [`Scenario`] builds and
+//! reports for each of the six stores.
 //!
-//! The harness is about to get one value that *is* a benchmark point;
-//! whatever builds the run must keep building exactly this run. Per
-//! store: the `config_fingerprint` of the configuration `run_point`
-//! hands the driver (4 nodes, Cluster M, workload RW, test profile) and
-//! FNV-1a over everything the run reports, snap-encoded. Captured on the
-//! commit *before* the cutover (81a1572).
+//! `Scenario` is the one value that *is* a benchmark point; it must keep
+//! building exactly the run `run_point` built before it existed. Per
+//! store: the `config_fingerprint` of the configuration handed to the
+//! driver (4 nodes, Cluster M, workload RW, test profile) and FNV-1a
+//! over everything the run reports, snap-encoded. Captured on the commit
+//! *before* the cutover (81a1572), from `run_point` and a spelled-out
+//! `RunConfig` literal.
 
 use apm_repro::core::driver::ClientConfig;
 use apm_repro::core::snap::{fnv1a64, SnapWriter};
 use apm_repro::core::workload::Workload;
-use apm_repro::harness::experiment::{run_point, ExperimentProfile, StoreKind};
-use apm_repro::sim::{ClusterSpec, FaultSchedule};
-use apm_repro::stores::runner::{config_fingerprint, RunConfig, RunResult};
+use apm_repro::harness::experiment::{run_point, ExperimentProfile, Scenario, StoreKind};
+use apm_repro::sim::ClusterSpec;
+use apm_repro::stores::redis::RedisStore;
+use apm_repro::stores::runner::{config_fingerprint, RunResult};
+use apm_repro::stores::StoreCtx;
 
 const NODES: u32 = 4;
 
@@ -62,32 +65,49 @@ const PINS: [(StoreKind, u64, u64); 6] = [
 ];
 
 #[test]
-fn run_point_is_pinned_for_every_store() {
+fn scenario_and_run_point_are_pinned_for_every_store() {
     let profile = ExperimentProfile::test();
     let workload = Workload::rw();
     let moved: Vec<String> = PINS
         .iter()
         .filter_map(|&(kind, want_config, want_result)| {
-            let config = RunConfig {
-                workload: workload.clone(),
-                client: ClientConfig::cluster_m(NODES)
-                    .with_window(profile.warmup_secs, profile.measure_secs),
-                records_per_node: profile.records_per_node(),
-                nodes: NODES,
-                seed: profile.seed,
-                event_at_secs: None,
-                faults: FaultSchedule::none(),
-                op_deadline: None,
-                telemetry_window_secs: None,
-                resilience: None,
-                checkpoints: None,
-            };
-            let got_config = config_fingerprint(kind.name(), &config);
+            let scenario =
+                Scenario::new(kind, ClusterSpec::cluster_m(), NODES, &workload, &profile);
+            let got_config = config_fingerprint(kind.name(), &scenario.config);
+            let got_result = result_fingerprint(&scenario.run().result);
             let point = run_point(kind, ClusterSpec::cluster_m(), NODES, &workload, &profile);
-            let got_result = result_fingerprint(&point.result);
+            assert_eq!(
+                result_fingerprint(&point.result),
+                got_result,
+                "{kind:?}: run_point is no longer Scenario::run"
+            );
             ((got_config, got_result) != (want_config, want_result))
                 .then(|| format!("(StoreKind::{kind:?}, {got_config:#018x}, {got_result:#018x}),"))
         })
         .collect();
     assert!(moved.is_empty(), "points moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn scenario_owns_the_per_cluster_and_per_store_rules() {
+    let profile = ExperimentProfile::test();
+    let w = Workload::r();
+    let window = |c: ClientConfig| c.with_window(profile.warmup_secs, profile.measure_secs);
+    let m = Scenario::new(StoreKind::HBase, ClusterSpec::cluster_m(), 8, &w, &profile);
+    let d = Scenario::new(StoreKind::HBase, ClusterSpec::cluster_d(), 8, &w, &profile);
+    assert_eq!(m.config.client, window(ClientConfig::cluster_m(8)));
+    assert_eq!(d.config.client, window(ClientConfig::cluster_d(8)));
+    assert_eq!(
+        (d.scale, d.config.seed, d.config.records_per_node),
+        (profile.scale, profile.seed, profile.records_per_node())
+    );
+    // §5.1: Redis alone doubles its client fleet.
+    for kind in StoreKind::ALL {
+        let (_, store) = Scenario::new(kind, ClusterSpec::cluster_m(), 8, &w, &profile).build();
+        let want = match kind {
+            StoreKind::Redis => RedisStore::client_machines(8),
+            _ => StoreCtx::standard_client_machines(8),
+        };
+        assert_eq!(store.ctx().clients.len() as u32, want, "{kind:?}");
+    }
 }
