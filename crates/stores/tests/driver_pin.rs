@@ -1,51 +1,34 @@
-//! Driver-level byte-neutrality pin for policy-free runs.
+//! Driver-level byte-neutrality pin.
 //!
 //! Work on the closed-loop driver (merging the policy loop and the
-//! policy-free loop, changing token layout or slot shape) must not move
-//! a single reported number. End-to-end fingerprints catch that late;
-//! this test catches it at the `run_benchmark` boundary: each of the
-//! paper's six stores on 4 nodes, with `RunConfig::resilience: None`,
-//! under the three shapes of policy-free traffic — maximum-throughput
-//! RW, throttled R (the §5.6 path through `next_issue`), and RW with a
-//! crash window, a 50 ms `op_deadline` and telemetry — FNV-1a over
-//! everything the run reports (`BenchStats`, `issued`, `RunLedger`,
-//! `Telemetry`, snap-encoded). The constants were captured on the commit
-//! *before* the two drivers were merged (d46ae38).
+//! policy-free loop, changing token layout or slot shape, how it spells
+//! its own plans) must not move a single reported number. End-to-end
+//! fingerprints catch that late; this test catches it at the
+//! `run_benchmark` boundary: each of the paper's six stores on 4 nodes
+//! under the three shapes of policy-free traffic (`RunConfig::resilience:
+//! None`) — maximum-throughput RW, throttled R (the §5.6 path through
+//! `next_issue`), and RW with a crash window, a 50 ms `op_deadline` and
+//! telemetry — and that last shape again with every policy component on,
+//! so the driver's own plans (the hedge trigger armed with each read, the
+//! breaker's shed plan) run. FNV-1a over everything the run reports
+//! (`BenchStats`, `issued`, `RunLedger`, `Telemetry`, snap-encoded). The
+//! policy-free constants were captured on the commit *before* the two
+//! drivers were merged (d46ae38), the fourth on the commit before the
+//! driver's plans went through `PlanBuilder` (7b2de44).
+
+mod common;
 
 use apm_core::driver::{ClientConfig, Throttle};
 use apm_core::snap::{fnv1a64, SnapWriter};
 use apm_core::workload::Workload;
 use apm_sim::{ClusterSpec, Engine, FaultSchedule, SimDuration, SimTime};
-use apm_stores::cassandra::{CassandraConfig, CassandraStore};
-use apm_stores::hbase::HbaseStore;
-use apm_stores::mysql::MysqlStore;
-use apm_stores::redis::RedisStore;
-use apm_stores::routing::JedisHash;
+use apm_stores::resilience::{AdmissionPolicy, BreakerPolicy, HedgePolicy, RetryPolicy};
 use apm_stores::runner::{run_benchmark, RunConfig};
-use apm_stores::voldemort::VoldemortStore;
-use apm_stores::voltdb::VoltDbStore;
-use apm_stores::{DistributedStore, StoreCtx};
+use apm_stores::ResiliencePolicy;
 
 const NODES: u32 = 4;
 const RECORDS_PER_NODE: u64 = 5_000;
 const SCALE: f64 = 0.0005;
-
-type Build = fn(&mut Engine) -> Box<dyn DistributedStore>;
-
-fn ctx(engine: &mut Engine, client_machines: u32) -> StoreCtx {
-    StoreCtx::new(
-        engine,
-        ClusterSpec::cluster_m(),
-        NODES,
-        client_machines,
-        SCALE,
-        29,
-    )
-}
-
-fn standard(engine: &mut Engine) -> StoreCtx {
-    ctx(engine, StoreCtx::standard_client_machines(NODES))
-}
 
 fn base(workload: Workload) -> RunConfig {
     RunConfig::new(
@@ -58,21 +41,30 @@ fn base(workload: Workload) -> RunConfig {
 }
 
 /// (a) maximum-throughput RW, (b) throttled R, (c) RW under a crash
-/// window with a client deadline and telemetry.
-fn shapes() -> [RunConfig; 3] {
+/// window with a client deadline and telemetry, (d) as (c) with retries,
+/// hedged reads, circuit breaking and admission control.
+fn shapes() -> [RunConfig; 4] {
     let mut throttled = base(Workload::r());
     throttled.client = throttled.client.with_throttle(Throttle::TargetOps(8_000.0));
     let mut faulty = base(Workload::rw());
     faulty.faults = FaultSchedule::none().crash(1, SimTime(200_000_000), SimTime(500_000_000));
     faulty.op_deadline = Some(SimDuration::from_millis(50));
     faulty.telemetry_window_secs = Some(0.2);
-    [base(Workload::rw()), throttled, faulty]
+    let mut resilient = faulty.clone();
+    resilient.resilience = Some(ResiliencePolicy {
+        retry: Some(RetryPolicy::standard()),
+        hedge: Some(HedgePolicy::standard()),
+        breaker: Some(BreakerPolicy::standard()),
+        admission: Some(AdmissionPolicy::standard()),
+    });
+    [base(Workload::rw()), throttled, faulty, resilient]
 }
 
-fn fingerprints(build: Build) -> [u64; 3] {
+fn fingerprints(name: &str) -> [u64; 4] {
     shapes().map(|config| {
         let mut engine = Engine::new();
-        let mut store = build(&mut engine);
+        let ctx = common::ctx_on(name, &mut engine, ClusterSpec::cluster_m(), NODES, SCALE);
+        let mut store = common::build(name, &mut engine, ctx);
         let r = run_benchmark(&mut engine, store.as_mut(), &config);
         let mut w = SnapWriter::new();
         w.put(&r.stats);
@@ -83,63 +75,60 @@ fn fingerprints(build: Build) -> [u64; 3] {
     })
 }
 
-/// The paper's six stores with the fingerprints of their three runs.
-const PINS: [(&str, Build, [u64; 3]); 6] = [
+/// The paper's six stores with the fingerprints of their four runs.
+const PINS: [(&str, [u64; 4]); 6] = [
     (
         "cassandra",
-        |e| Box::new(CassandraStore::new(standard(e), CassandraConfig::default())),
         [
             0x66ac_1e5a_db63_2bf8,
             0xe2e0_78c7_c227_2f31,
             0x38fc_c88b_2aad_48a1,
+            0xe03d_a298_3928_630a,
         ],
     ),
     (
         "hbase",
-        |e| Box::new(HbaseStore::new(standard(e), e)),
         [
             0x9199_3720_3a73_f561,
             0x3b12_89a5_5a51_dc9a,
             0x344f_1f43_9fa7_2de1,
+            0x25dd_c029_21c8_d287,
         ],
     ),
     (
         "voldemort",
-        |e| Box::new(VoldemortStore::new(standard(e), e)),
         [
             0x9146_37da_b40d_6853,
             0x6aaf_9579_ebea_47a5,
             0x5ec0_527e_2c3c_f135,
+            0x5278_0f87_2b61_1505,
         ],
     ),
     (
         "voltdb",
-        |e| Box::new(VoltDbStore::new(standard(e), e)),
         [
             0xdd47_c0cc_fbb6_8fd2,
             0xbff8_4643_4ec2_bfba,
             0x8fcf_2179_975b_c251,
+            0x3621_b381_83ce_ef58,
         ],
     ),
     (
         "redis",
-        |e| {
-            let ctx = ctx(e, RedisStore::client_machines(NODES));
-            Box::new(RedisStore::new(ctx, e, JedisHash::Murmur))
-        },
         [
             0xf3bd_208f_cc0e_73c1,
             0xd041_4b29_6846_1183,
             0xd1c6_3fc6_4e27_b1ab,
+            0x5f02_4ca4_e2c2_7d49,
         ],
     ),
     (
         "mysql",
-        |e| Box::new(MysqlStore::new(standard(e), e)),
         [
             0x9ce1_8de9_cd5a_60cc,
             0x66b5_6ace_0859_faf4,
             0x79e5_58d3_2566_56e4,
+            0x7b3c_ff96_70f0_8f98,
         ],
     ),
 ];
@@ -148,14 +137,14 @@ const PINS: [(&str, Build, [u64; 3]); 6] = [
 fn policy_free_runs_are_pinned() {
     let moved: Vec<String> = PINS
         .iter()
-        .filter_map(|&(name, build, want)| {
-            let got = fingerprints(build);
+        .filter_map(|&(name, want)| {
+            let got = fingerprints(name);
             (got != want).then(|| format!("{name}: got {got:016x?}, pinned {want:016x?}"))
         })
         .collect();
     assert!(
         moved.is_empty(),
-        "[max RW, throttled R, faulty RW] moved:\n{}",
+        "[max RW, throttled R, faulty RW, resilient faulty RW] moved:\n{}",
         moved.join("\n")
     );
 }

@@ -9,48 +9,21 @@
 //! groups come out equal, unequal and singleton, and every worker count
 //! from "nothing spawned" to "one thread per node".
 
+mod common;
+
 use apm_core::keyspace::record_for_seq;
 use apm_core::snap::SnapWriter;
 use apm_sim::{ClusterSpec, Engine};
-use apm_stores::cassandra::{CassandraConfig, CassandraStore};
-use apm_stores::hbase::HbaseStore;
-use apm_stores::mongodb::MongoStore;
-use apm_stores::mysql::MysqlStore;
 use apm_stores::redis::RedisStore;
 use apm_stores::routing::JedisHash;
-use apm_stores::voldemort::VoldemortStore;
-use apm_stores::voltdb::VoltDbStore;
 use apm_stores::{DistributedStore, StoreCtx};
+use common::STORES;
 use std::ops::Range;
 
 /// Enough records per node for several memtable flushes and a
 /// compaction in the LSM stores and a three-level B+tree in the others.
 const RECORDS_PER_NODE: u64 = 3_000;
 const SCALE: f64 = 0.0005;
-
-type Build = fn(&mut Engine, StoreCtx) -> Box<dyn DistributedStore>;
-
-fn cassandra_rf(ctx: StoreCtx, replication: usize) -> Box<dyn DistributedStore> {
-    Box::new(CassandraStore::new(
-        ctx,
-        CassandraConfig {
-            replication,
-            ..CassandraConfig::default()
-        },
-    ))
-}
-
-const STORES: [(&str, Build); 7] = [
-    ("cassandra", |_, ctx| cassandra_rf(ctx, 1)),
-    ("hbase", |e, ctx| Box::new(HbaseStore::new(ctx, e))),
-    ("voldemort", |e, ctx| Box::new(VoldemortStore::new(ctx, e))),
-    ("mysql", |e, ctx| Box::new(MysqlStore::new(ctx, e))),
-    ("redis", |e, ctx| {
-        Box::new(RedisStore::new(ctx, e, JedisHash::Murmur))
-    }),
-    ("voltdb", |e, ctx| Box::new(VoltDbStore::new(ctx, e))),
-    ("mongodb", |e, ctx| Box::new(MongoStore::new(ctx, e))),
-];
 
 /// How a store gets loaded.
 #[derive(Clone, Copy, Debug)]
@@ -84,11 +57,11 @@ fn snapshot(store: &dyn DistributedStore) -> Vec<u8> {
 /// Asserts that a fresh store loaded with `seqs` at any worker count
 /// (and through `load_range` itself) snapshots to the bytes of one
 /// loaded by the per-record loop.
-fn assert_worker_independent(name: &str, build: Build, nodes: u32, seqs: Range<u64>) {
+fn assert_worker_independent(name: &str, nodes: u32, seqs: Range<u64>) {
     let loaded = |via: Via| {
         let mut engine = Engine::new();
         let ctx = ctx(&mut engine, nodes, SCALE);
-        let mut store = build(&mut engine, ctx);
+        let mut store = common::build(name, &mut engine, ctx);
         load_via(store.as_mut(), seqs.clone(), via);
         store.finish_load();
         snapshot(store.as_ref())
@@ -105,11 +78,11 @@ fn assert_worker_independent(name: &str, build: Build, nodes: u32, seqs: Range<u
 
 #[test]
 fn every_store_loads_the_same_bytes_at_any_worker_count() {
-    for (name, build) in STORES {
+    for name in STORES {
         // 5 nodes on 2 or 3 workers: groups of unequal size; 12 on 5:
         // fewer groups than workers.
         for nodes in [1u32, 2, 5, 12] {
-            assert_worker_independent(name, build, nodes, 0..RECORDS_PER_NODE * u64::from(nodes));
+            assert_worker_independent(name, nodes, 0..RECORDS_PER_NODE * u64::from(nodes));
         }
     }
 }
@@ -118,20 +91,18 @@ fn every_store_loads_the_same_bytes_at_any_worker_count() {
 fn replicas_that_straddle_groups_land_on_every_owner() {
     // With rf > 1 a record's replicas are ring neighbours, so at any
     // split some records belong to two workers at once.
-    let rf2: Build = |_, ctx| cassandra_rf(ctx, 2);
-    let rf3: Build = |_, ctx| cassandra_rf(ctx, 3);
-    for (name, build) in [("cassandra rf=2", rf2), ("cassandra rf=3", rf3)] {
+    for name in ["cassandra rf=2", "cassandra rf=3"] {
         for nodes in [2u32, 5] {
-            assert_worker_independent(name, build, nodes, 0..RECORDS_PER_NODE * u64::from(nodes));
+            assert_worker_independent(name, nodes, 0..RECORDS_PER_NODE * u64::from(nodes));
         }
     }
 }
 
 #[test]
 fn empty_and_offset_ranges_load_what_the_loop_loads() {
-    for (name, build) in STORES {
-        assert_worker_independent(name, build, 5, 0..0);
-        assert_worker_independent(name, build, 5, 7_777..12_345);
+    for name in STORES {
+        assert_worker_independent(name, 5, 0..0);
+        assert_worker_independent(name, 5, 7_777..12_345);
     }
 }
 
