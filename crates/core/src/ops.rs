@@ -5,7 +5,7 @@
 //! are unused (*"we only included insert, read, and scan operations"*, §3).
 //! Updates are still modelled because two extension experiments use them.
 
-use crate::record::{MetricKey, Record};
+use crate::record::{FieldValues, MetricKey, Record};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Kind of a benchmark operation, in a fixed reporting order.
@@ -168,6 +168,15 @@ pub enum RejectReason {
 }
 
 impl OpOutcome {
+    /// The outcome of a point read of `key` that found `fields`, or
+    /// nothing.
+    pub fn read(key: &MetricKey, found: Option<FieldValues>) -> OpOutcome {
+        match found {
+            Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
+            None => OpOutcome::Missing,
+        }
+    }
+
     /// Whether the outcome counts as a benchmark-visible success.
     pub fn is_ok(&self) -> bool {
         !matches!(self, OpOutcome::Rejected(_) | OpOutcome::Missing)
@@ -207,6 +216,12 @@ mod tests {
 
     #[test]
     fn outcome_success_classification() {
+        let rec = Record::from_id(1);
+        assert_eq!(
+            OpOutcome::read(&rec.key, Some(rec.fields)),
+            OpOutcome::Found(rec)
+        );
+        assert_eq!(OpOutcome::read(&rec.key, None), OpOutcome::Missing);
         assert!(OpOutcome::Found(Record::from_id(1)).is_ok());
         assert!(OpOutcome::Scanned(50).is_ok());
         assert!(OpOutcome::Done.is_ok());

@@ -43,7 +43,7 @@ pub use kernel::{
     Completion, Engine, FailMode, Outcome, PlanHandle, PreparedPlan, ResourceId, Token,
 };
 pub use net::NetSpec;
-pub use plan::{Plan, Step};
+pub use plan::{Plan, PlanBuilder};
 pub use time::{SimDuration, SimTime};
 #[cfg(feature = "trace")]
 pub use trace::{TraceEvent, TraceEventKind, Tracer};

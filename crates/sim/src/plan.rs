@@ -10,6 +10,11 @@
 //! Storage engines build plans from their cost receipts; the kernel in
 //! [`crate::kernel`] executes them under FIFO queueing, which is where
 //! latency beyond raw service time comes from.
+//!
+//! [`PlanBuilder`] is the only way to make a plan: the step tree is this
+//! crate's business (the arena in [`crate::arena`] flattens and interns
+//! it), so everything outside can describe work but never depends on how
+//! a description is laid out.
 
 use crate::kernel::ResourceId;
 use crate::time::SimDuration;
@@ -17,7 +22,7 @@ use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// One step of a plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Step {
+pub(crate) enum Step {
     /// Wait for a slot on `resource` (FIFO), then hold it for `service`.
     Acquire {
         resource: ResourceId,
@@ -46,7 +51,7 @@ pub enum Step {
 
 /// A sequence of steps executed in order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Plan(pub Vec<Step>);
+pub struct Plan(pub(crate) Vec<Step>);
 
 impl Plan {
     /// The empty plan (completes immediately).
@@ -56,7 +61,15 @@ impl Plan {
 
     /// Starts a builder.
     pub fn build() -> PlanBuilder {
-        PlanBuilder { steps: Vec::new() }
+        Plan::build_for(0)
+    }
+
+    /// Starts a builder with room for `steps` steps — a sizing hint for
+    /// callers that know roughly how long their plan gets, not a limit.
+    pub fn build_for(steps: usize) -> PlanBuilder {
+        PlanBuilder {
+            steps: Vec::with_capacity(steps),
+        }
     }
 
     /// Number of steps, counting nested branches.
@@ -189,11 +202,19 @@ impl PlanBuilder {
         }
     }
 
-    /// Pure delay.
+    /// Pure delay; a zero delay adds no step.
     pub fn delay(mut self, d: SimDuration) -> Self {
         if d != SimDuration::ZERO {
             self.steps.push(Step::Delay(d));
         }
+        self
+    }
+
+    /// Pure delay that is a step of the plan even when `d` is zero — for
+    /// callers whose completion *is* the signal (a timer), and for step
+    /// lists that must not change shape with a configured latency.
+    pub fn wait(mut self, d: SimDuration) -> Self {
+        self.steps.push(Step::Delay(d));
         self
     }
 
@@ -214,6 +235,14 @@ impl PlanBuilder {
     pub fn join_quorum(mut self, branches: Vec<Plan>, need: usize) -> Self {
         assert!(need <= branches.len(), "quorum larger than branch count");
         self.steps.push(Step::Join { branches, need });
+        self
+    }
+
+    /// Unconditional failure after `latency`: the plan ends here with a
+    /// failed outcome, whatever the resources it would have crossed do
+    /// between planning and execution.
+    pub fn fail(mut self, latency: SimDuration) -> Self {
+        self.steps.push(Step::Fail { latency });
         self
     }
 
@@ -246,6 +275,17 @@ mod tests {
             .delay(SimDuration::ZERO)
             .finish();
         assert!(plan.0.is_empty());
+    }
+
+    #[test]
+    fn wait_keeps_a_zero_delay_and_fail_ends_the_plan() {
+        let plan = Plan::build()
+            .wait(SimDuration::ZERO)
+            .fail(SimDuration::from_micros(3))
+            .delay(SimDuration::from_micros(9))
+            .finish();
+        assert_eq!(plan.total_steps(), 3);
+        assert_eq!(plan.min_duration(), SimDuration::from_micros(3));
     }
 
     #[test]

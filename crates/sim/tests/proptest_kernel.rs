@@ -4,7 +4,7 @@
 
 use apm_core::keyspace::SplitRng;
 use apm_sim::kernel::{Engine, Token};
-use apm_sim::plan::{Plan, Step};
+use apm_sim::plan::Plan;
 use apm_sim::time::SimDuration;
 
 const CASES: u64 = 128;
@@ -19,17 +19,15 @@ fn random_leaf(rng: &mut SplitRng) -> Vec<(u8, u64)> {
 }
 
 fn build_plan(leaf: &[(u8, u64)], resources: &[apm_sim::ResourceId]) -> Plan {
-    let steps = leaf
-        .iter()
-        .map(|&(kind, amount)| match kind {
-            0 => Step::Delay(SimDuration::from_nanos(amount)),
-            _ => Step::Acquire {
-                resource: resources[(amount % resources.len() as u64) as usize],
-                service: SimDuration::from_nanos(amount),
-            },
+    leaf.iter()
+        .fold(Plan::build(), |b, &(kind, amount)| {
+            let d = SimDuration::from_nanos(amount);
+            match kind {
+                0 => b.delay(d),
+                _ => b.acquire(resources[(amount % resources.len() as u64) as usize], d),
+            }
         })
-        .collect();
-    Plan(steps)
+        .finish()
 }
 
 #[test]
@@ -109,13 +107,8 @@ fn capacity_one_resource_serialises_work() {
         let n_jobs = 2 + rng.next_below(18) as usize;
         let services: Vec<u64> = (0..n_jobs).map(|_| 1 + rng.next_below(9_999)).collect();
         for (i, &svc) in services.iter().enumerate() {
-            engine.submit(
-                Plan(vec![Step::Acquire {
-                    resource: disk,
-                    service: SimDuration::from_nanos(svc),
-                }]),
-                Token(i as u64),
-            );
+            let plan = Plan::build().acquire(disk, SimDuration::from_nanos(svc));
+            engine.submit(plan.finish(), Token(i as u64));
         }
         engine.run_to_idle();
         // A capacity-1 server finishing all jobs takes exactly the sum.
@@ -139,7 +132,7 @@ fn quorum_latency_never_exceeds_join_all() {
         let need = (1 + rng.next_below(3) as usize).min(branch_delays.len());
         let branches: Vec<Plan> = branch_delays
             .iter()
-            .map(|&d| Plan(vec![Step::Delay(SimDuration::from_nanos(d))]))
+            .map(|&d| Plan::build().delay(SimDuration::from_nanos(d)).finish())
             .collect();
         let mut all_engine = Engine::new();
         all_engine.submit(Plan::build().join_all(branches.clone()).finish(), Token(0));

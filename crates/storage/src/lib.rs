@@ -6,9 +6,9 @@
 //! - [`lsm`]: a log-structured merge tree (memtable → immutable sorted
 //!   runs with bloom filters, size-tiered compaction) — the write path of
 //!   Cassandra and HBase.
-//! - [`btree`] + [`bufferpool`]: a page-based B+tree over a buffer pool
-//!   with clock eviction — InnoDB (MySQL) and BerkeleyDB (the Voldemort
-//!   backend).
+//! - [`btree`] + [`bufferpool`], paired as [`paged::PagedTree`]: a
+//!   page-based B+tree over a buffer pool with clock eviction — InnoDB
+//!   (MySQL), BerkeleyDB (the Voldemort backend) and mmapv1 (MongoDB).
 //! - [`hashstore`]: an in-memory hash table with an ordered index and a
 //!   byte-accurate memory budget — Redis.
 //! - [`partition`]: a serially-executed partition table — a VoltDB site.
@@ -29,6 +29,7 @@ pub mod hashstore;
 pub mod lsm;
 pub mod memtable;
 pub mod merge;
+pub mod paged;
 pub mod partition;
 pub mod receipt;
 pub mod sstable;

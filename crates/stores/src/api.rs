@@ -1,14 +1,19 @@
-//! The common interface of the six stores plus shared plan-building
-//! helpers (client/server network hops, receipt → plan conversion).
+//! The common interface of the six stores plus the vocabulary their
+//! planners describe work in ([`StorePlan`]: node CPU, disk, NIC, WAL,
+//! client round trip).
 
 use apm_core::keyspace::{key_for_seq, record_for_seq};
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::{MetricKey, Record};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::cluster::NodeResources;
+use apm_sim::kernel::ResourceId;
 use apm_sim::kernel::Token;
-use apm_sim::{ClusterSpec, Engine, FailMode, FaultEvent, FaultKind, Plan, SimDuration, Step};
+use apm_sim::{
+    ClusterSpec, Engine, FailMode, FaultEvent, FaultKind, IoPattern, Plan, PlanBuilder, SimDuration,
+};
 use apm_storage::receipt::{CostReceipt, DiskIo};
+use apm_storage::wal::WalReceipt;
 use std::ops::Range;
 
 /// Bit marking a token as a background job rather than a client op.
@@ -230,95 +235,195 @@ pub struct CostModel {
 impl CostModel {
     /// Core time for `receipt`.
     pub fn cpu(&self, receipt: &CostReceipt) -> SimDuration {
+        self.cpu_for(receipt.probes, receipt.bytes_touched)
+    }
+
+    /// Core time for an operation that made `probes` data-structure
+    /// probes (pages visited, for the page-based engines) and touched
+    /// `bytes` of payload.
+    pub fn cpu_for(&self, probes: u64, bytes: u64) -> SimDuration {
         SimDuration::from_nanos(
-            self.base_ns
-                + receipt.probes * self.per_probe_ns
-                + receipt.bytes_touched * self.per_byte_ns,
+            self.base_ns + probes * self.per_probe_ns + bytes * self.per_byte_ns,
         )
     }
 }
 
-/// Builds the server-local steps for an operation: CPU work, then each
-/// disk access queued on the node's disk.
-pub fn server_steps(
-    node: &NodeResources,
-    cluster: &ClusterSpec,
-    cpu: SimDuration,
-    ios: &[DiskIo],
-) -> Vec<Step> {
-    let mut steps = Vec::with_capacity(1 + ios.len());
-    if cpu != SimDuration::ZERO {
-        steps.push(Step::Acquire {
-            resource: node.cpu,
-            service: cpu,
-        });
+/// What it costs a store's client library to issue one request: CPU on
+/// the client machine and bytes on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Request {
+    /// Client-side CPU per request (serialisation, routing).
+    pub client_cpu: SimDuration,
+    /// Request size on the wire.
+    pub bytes: u64,
+}
+
+impl Request {
+    /// A request costing `client_cpu` and `bytes`.
+    pub const fn new(client_cpu: SimDuration, bytes: u64) -> Request {
+        Request { client_cpu, bytes }
     }
-    for io in ios {
+
+    /// The same request as one leg of a scatter-gather, whose client CPU
+    /// is paid once, around the fan-out.
+    pub const fn leg(self) -> Request {
+        Request::new(SimDuration::ZERO, self.bytes)
+    }
+}
+
+/// A plan under construction in a store's own vocabulary: which node's
+/// CPU, disk and NIC an operation crosses, not which `ResourceId`s and
+/// service-time conversions that means. Started by [`StoreCtx::plan`];
+/// a thin layer over [`PlanBuilder`], so every step lands in one `Vec`.
+///
+/// Elision: [`cpu`](Self::cpu) and [`client_cpu`](Self::client_cpu) add
+/// nothing for a zero duration (engines report zero-cost phases);
+/// everything else — NIC transfers of zero bytes and zero delays
+/// included — is always a step, so a plan's shape never depends on a
+/// configured size or latency.
+#[derive(Debug)]
+pub struct StorePlan<'a> {
+    ctx: &'a StoreCtx,
+    b: PlanBuilder,
+}
+
+impl StorePlan<'_> {
+    /// Core time on server `node`; a zero `d` adds no step.
+    pub fn cpu(mut self, node: usize, d: SimDuration) -> Self {
+        self.b = self.b.acquire_nonzero(self.ctx.servers[node].cpu, d);
+        self
+    }
+
+    /// Core time on `client`'s machine; a zero `d` adds no step.
+    pub fn client_cpu(mut self, client: u32, d: SimDuration) -> Self {
+        self.b = self
+            .b
+            .acquire_nonzero(self.ctx.client_machine(client).cpu, d);
+        self
+    }
+
+    /// One access on `node`'s disk, random or sequential as `io` says.
+    pub fn disk(self, node: usize, io: &DiskIo) -> Self {
         let pattern = if io.class.is_random() {
-            apm_sim::IoPattern::Random
+            IoPattern::Random
         } else {
-            apm_sim::IoPattern::Sequential
+            IoPattern::Sequential
         };
-        steps.push(Step::Acquire {
-            resource: node.disk,
-            service: cluster.node.disk.service(io.bytes, pattern),
-        });
+        let service = self.ctx.cluster.node.disk.service(io.bytes, pattern);
+        let disk = self.ctx.servers[node].disk;
+        self.acquire(disk, service)
     }
-    steps
+
+    /// Each of `ios` in turn on `node`'s disk.
+    pub fn disks(self, node: usize, ios: &[DiskIo]) -> Self {
+        ios.iter().fold(self, |plan, io| plan.disk(node, io))
+    }
+
+    /// A sequential transfer of `bytes` on `node`'s disk.
+    pub fn disk_seq(self, node: usize, bytes: u64) -> Self {
+        self.disk(node, &DiskIo::seq_write(bytes))
+    }
+
+    /// The foreground cost of a commit-log append on `node`: its sync
+    /// I/O if the policy has one, then the wait for the group-commit
+    /// boundary if it has one. A deferred log adds nothing.
+    pub fn wal(mut self, node: usize, append: &WalReceipt) -> Self {
+        if let Some(io) = &append.io {
+            self = self.disk_seq(node, io.bytes);
+        }
+        if let Some(window) = append.align {
+            self.b = self.b.align_to(window, SimDuration::ZERO);
+        }
+        self
+    }
+
+    /// `bytes` through server `node`'s NIC.
+    pub fn nic(self, node: usize, bytes: u64) -> Self {
+        let service = self.ctx.cluster.net.transfer(bytes);
+        let nic = self.ctx.servers[node].nic;
+        self.acquire(nic, service)
+    }
+
+    /// One trip over the wire.
+    pub fn latency(self) -> Self {
+        let one_way = self.ctx.cluster.net.one_way_latency;
+        self.wait(one_way)
+    }
+
+    /// Server `from` sends `bytes` to another server: its NIC, then the
+    /// wire. (The receiving side is the caller's: a DataNode charges its
+    /// xceiver, a bootstrapping node its NIC.)
+    pub fn hop(self, from: usize, bytes: u64) -> Self {
+        self.nic(from, bytes).latency()
+    }
+
+    /// Holds a store-private resource (an event loop, a site, a lock, an
+    /// xceiver pool) for `service`.
+    pub fn acquire(mut self, resource: ResourceId, service: SimDuration) -> Self {
+        self.b = self.b.acquire(resource, service);
+        self
+    }
+
+    /// Pure delay.
+    pub fn wait(mut self, d: SimDuration) -> Self {
+        self.b = self.b.wait(d);
+        self
+    }
+
+    /// The request was refused when it was routed: the plan ends failed
+    /// after the crash-error latency, whatever restarts in the meantime.
+    pub fn refused(mut self) -> Self {
+        self.b = self.b.fail(apm_sim::fault::CRASH_ERROR_LATENCY);
+        self
+    }
+
+    /// Parallel fan-out; the plan goes on when `need` branches are done.
+    pub fn join(mut self, branches: Vec<Plan>, need: usize) -> Self {
+        self.b = self.b.join_quorum(branches, need);
+        self
+    }
+
+    /// Finishes the plan.
+    pub fn finish(self) -> Plan {
+        self.b.finish()
+    }
 }
 
-/// Wraps server-side steps into a full client round trip:
-/// client CPU → client NIC → wire → server NIC → *server steps* →
-/// server NIC → wire → client NIC.
-#[allow(clippy::too_many_arguments)]
-pub fn round_trip_plan(
-    ctx: &StoreCtx,
-    client_id: u32,
-    server: &NodeResources,
-    client_cpu: SimDuration,
-    request_bytes: u64,
-    response_bytes: u64,
-    server_plan: Vec<Step>,
-) -> Plan {
-    let client = ctx.client_machine(client_id);
-    let net = &ctx.cluster.net;
-    let mut steps = Vec::with_capacity(server_plan.len() + 7);
-    if client_cpu != SimDuration::ZERO {
-        steps.push(Step::Acquire {
-            resource: client.cpu,
-            service: client_cpu,
-        });
+impl StoreCtx {
+    /// Starts a plan against this environment, with room for a round
+    /// trip's seven envelope steps and five of the server's: most plans
+    /// are built in one allocation.
+    pub fn plan(&self) -> StorePlan<'_> {
+        StorePlan {
+            ctx: self,
+            b: Plan::build_for(12),
+        }
     }
-    steps.push(Step::Acquire {
-        resource: client.nic,
-        service: net.transfer(request_bytes),
-    });
-    steps.push(Step::Delay(net.one_way_latency));
-    steps.push(Step::Acquire {
-        resource: server.nic,
-        service: net.transfer(request_bytes),
-    });
-    steps.extend(server_plan);
-    steps.push(Step::Acquire {
-        resource: server.nic,
-        service: net.transfer(response_bytes),
-    });
-    steps.push(Step::Delay(net.one_way_latency));
-    steps.push(Step::Acquire {
-        resource: client.nic,
-        service: net.transfer(response_bytes),
-    });
-    Plan(steps)
-}
 
-/// A client-local plan (for rejected operations: the error is produced
-/// without contacting a server, e.g. Voldemort scans).
-pub fn client_only_plan(ctx: &StoreCtx, client_id: u32, cpu: SimDuration) -> Plan {
-    let client = ctx.client_machine(client_id);
-    Plan(vec![Step::Acquire {
-        resource: client.cpu,
-        service: cpu,
-    }])
+    /// A full client round trip to server `node`: client CPU → client NIC
+    /// → wire → server NIC → *`server`'s steps* → server NIC → wire →
+    /// client NIC.
+    pub fn round_trip<'a>(
+        &'a self,
+        client: u32,
+        node: usize,
+        request: Request,
+        response_bytes: u64,
+        server: impl FnOnce(StorePlan<'a>) -> StorePlan<'a>,
+    ) -> Plan {
+        let (client_nic, net) = (self.client_machine(client).nic, self.cluster.net);
+        let arrived = self
+            .plan()
+            .client_cpu(client, request.client_cpu)
+            .acquire(client_nic, net.transfer(request.bytes))
+            .latency()
+            .nic(node, request.bytes);
+        server(arrived)
+            .nic(node, response_bytes)
+            .latency()
+            .acquire(client_nic, net.transfer(response_bytes))
+            .finish()
+    }
 }
 
 /// Worker count of the load phase: one per CPU the process may run on.
@@ -483,15 +588,17 @@ pub trait DistributedStore {
     /// job queues, failure bookkeeping) for a checkpoint. Configuration
     /// that the constructor re-derives (topology sizes, budgets, cost
     /// models) is *not* written. The default writes nothing — correct only
-    /// for stores whose state is fully reconstructed by `load`.
+    /// for a store with no state at all.
     fn snap_state(&self, w: &mut SnapWriter) {
         let _ = w;
     }
 
     /// Restores the state written by [`DistributedStore::snap_state`] into
-    /// a freshly constructed *and loaded* store built from the same
-    /// config. Implementations must leave the store byte-equivalent to
-    /// the one that was snapshotted, including any topology grown mid-run.
+    /// a freshly *constructed* store built from the same config — never
+    /// loaded: the stream carries every byte `load` and the run produced,
+    /// and whatever the store held before is replaced. Implementations
+    /// must leave the store byte-equivalent to the one that was
+    /// snapshotted, including any topology grown mid-run.
     fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError> {
         let _ = (r, engine);
         Ok(())
@@ -501,7 +608,6 @@ pub trait DistributedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apm_sim::SimTime;
 
     #[test]
     fn token_split_roundtrips() {
@@ -693,30 +799,79 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_plan_includes_both_nics_and_latency() {
+    fn round_trip_crosses_both_nics_and_two_latencies() {
         let mut engine = Engine::new();
         let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 1, 1, 0.1, 1);
-        let server = ctx.servers[0];
-        let plan = round_trip_plan(
-            &ctx,
-            0,
-            &server,
-            SimDuration::from_micros(10),
-            100,
-            200,
-            vec![Step::Acquire {
-                resource: server.cpu,
-                service: SimDuration::from_micros(50),
-            }],
-        );
+        let request = Request::new(SimDuration::from_micros(10), 100);
+        let plan = ctx.round_trip(0, 0, request, 200, |server| {
+            server.cpu(0, SimDuration::from_micros(50))
+        });
+        // Client CPU, 2 × (client NIC, wire, server NIC), server work.
+        assert_eq!(plan.total_steps(), 8);
         // Minimum duration: client cpu + 2 latencies + transfers + server work.
         let expected_floor = SimDuration::from_micros(10 + 80 + 80 + 50);
         assert!(plan.min_duration() >= expected_floor);
-        // Executes cleanly on the engine.
+        // Executes cleanly on the engine, through every resource once or
+        // (the NICs) twice.
         engine.submit(plan, Token(1));
         let c = engine.next_completion().expect("plan runs");
+        assert!(c.outcome.is_ok());
         assert!(c.latency() >= expected_floor);
-        assert!(c.finished > SimTime::ZERO);
+        let (client, server) = (ctx.clients[0], ctx.servers[0]);
+        let served = [client.cpu, client.nic, server.nic, server.cpu].map(|r| engine.served(r));
+        assert_eq!(served, [1, 2, 2, 1]);
+    }
+
+    /// What each verb adds for a zero input: only the two CPU verbs
+    /// elide; sizes and latencies never change a plan's shape.
+    #[test]
+    fn only_zero_cpu_is_elided() {
+        let mut engine = Engine::new();
+        let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 2, 1, 0.1, 1);
+        let zero = SimDuration::ZERO;
+        let (io, align) = (Some(DiskIo::seq_write(0)), Some(zero));
+        let steps_at_zero = [
+            ("cpu", ctx.plan().cpu(0, zero), 0),
+            ("client_cpu", ctx.plan().client_cpu(0, zero), 0),
+            ("acquire", ctx.plan().acquire(ResourceId(0), zero), 1),
+            ("wait", ctx.plan().wait(zero), 1),
+            ("nic", ctx.plan().nic(0, 0), 1),
+            ("hop", ctx.plan().hop(0, 0), 2),
+            ("disk_seq", ctx.plan().disk_seq(0, 0), 1),
+            (
+                "deferred wal",
+                ctx.plan().wal(
+                    0,
+                    &WalReceipt {
+                        io: None,
+                        align: None,
+                    },
+                ),
+                0,
+            ),
+            (
+                "group-commit wal",
+                ctx.plan().wal(0, &WalReceipt { io, align }),
+                2,
+            ),
+        ];
+        for (verb, plan, steps) in steps_at_zero {
+            assert_eq!(plan.finish().total_steps(), steps, "{verb}");
+        }
+        // A zero client CPU leaves the round trip's six network steps,
+        // and `refused` ends the plan: nothing after it counts.
+        let empty = Request::new(zero, 0);
+        assert_eq!(
+            ctx.round_trip(0, 1, empty, 0, |server| server)
+                .total_steps(),
+            6
+        );
+        let refused = ctx.round_trip(0, 1, empty, 0, StorePlan::refused);
+        let refusal = ctx.cluster.net.one_way_latency + apm_sim::fault::CRASH_ERROR_LATENCY;
+        assert_eq!(
+            (refused.total_steps(), refused.min_duration()),
+            (7, refusal)
+        );
     }
 
     #[test]

@@ -16,19 +16,17 @@
 //!   reads").
 
 use crate::api::{
-    background_token, load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore,
-    StoreCtx,
+    background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
 };
 use crate::cache::PageCache;
 use crate::routing::{TokenAssignment, TokenRing};
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use apm_sim::{Engine, Plan, SimDuration, Step};
+use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{cassandra_format, StorageFormat};
 use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
-use apm_storage::receipt::DiskIo;
-use apm_storage::wal::{CommitLog, SyncPolicy};
+use apm_storage::wal::{CommitLog, SyncPolicy, WalReceipt};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -53,8 +51,9 @@ const SCAN_COST: CostModel = CostModel {
     per_probe_ns: 8_000,
     per_byte_ns: 30,
 };
-/// Client-side cost per operation (Hector/thrift serialisation).
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(20);
+/// Client-side cost per operation (Hector/thrift serialisation) and the
+/// request's size on the wire (thrift framing + payload).
+const REQUEST: Request = Request::new(SimDuration::from_micros(20), 120);
 /// Commit log group-commit window. Calibrated to Cassandra's effective
 /// mutation-acknowledgement batching under load: writes ride a periodic
 /// sync/batch boundary, which is why Cassandra's write latency is the
@@ -63,8 +62,7 @@ const CLIENT_CPU: SimDuration = SimDuration::from_micros(20);
 const COMMIT_WINDOW: SimDuration = SimDuration::from_millis(2);
 /// Fraction of node RAM available as OS page cache (rest is JVM heap).
 const PAGE_CACHE_FRACTION: f64 = 0.6;
-/// Request/response sizes on the wire (thrift framing + payload).
-const REQ_BYTES: u64 = 120;
+/// Response sizes on the wire.
 const RESP_READ_BYTES: u64 = 220;
 const RESP_WRITE_BYTES: u64 = 60;
 
@@ -180,23 +178,7 @@ impl CassandraStore {
             .unwrap_or(((64u64 << 20) as f64 * ctx.scale) as u64)
             .max(64 << 10);
         let cache_bytes = (ctx.scaled_ram() as f64 * PAGE_CACHE_FRACTION) as u64;
-        let nodes = (0..n)
-            .map(|i| Node {
-                lsm: LsmTree::new(LsmConfig {
-                    memtable_flush_bytes: flush_bytes,
-                    strategy: config.strategy,
-                    ..LsmConfig::default()
-                }),
-                log: CommitLog::new(
-                    SyncPolicy::GroupCommit {
-                        window: COMMIT_WINDOW,
-                    },
-                    30,
-                ),
-                cache: PageCache::new(cache_bytes, ctx.seed ^ (i as u64) << 8),
-            })
-            .collect();
-        CassandraStore {
+        let mut store = CassandraStore {
             ring: TokenRing::new(n, config.tokens),
             format: cassandra_format(),
             replication: config.replication.max(1),
@@ -207,7 +189,7 @@ impl CassandraStore {
             cache_bytes,
             strategy: config.strategy,
             ctx,
-            nodes,
+            nodes: Vec::new(),
             down: vec![false; n],
             hints: vec![Vec::new(); n],
             #[cfg(feature = "audit")]
@@ -216,11 +198,13 @@ impl CassandraStore {
             stream_jobs: std::collections::BTreeSet::new(),
             streamed_bytes: 0,
             next_job: 1,
-        }
+        };
+        store.nodes = (0..n).map(|i| store.fresh_node(i)).collect();
+        store
     }
 
-    /// Builds an empty node shell from the store's config; the restore
-    /// path fills it from a snapshot.
+    /// Builds an empty node from the store's config (construction,
+    /// bootstrap, and the shells the restore path fills).
     fn fresh_node(&self, idx: usize) -> Node {
         Node {
             lsm: LsmTree::new(LsmConfig {
@@ -255,20 +239,8 @@ impl CassandraStore {
             nic: engine.add_resource(format!("node{new_idx}.nic"), 1),
         };
         self.ctx.servers.push(res);
-        self.nodes.push(Node {
-            lsm: LsmTree::new(LsmConfig {
-                memtable_flush_bytes: self.flush_bytes,
-                strategy: self.strategy,
-                ..LsmConfig::default()
-            }),
-            log: CommitLog::new(
-                SyncPolicy::GroupCommit {
-                    window: COMMIT_WINDOW,
-                },
-                30,
-            ),
-            cache: PageCache::new(self.cache_bytes, self.ctx.seed ^ ((new_idx as u64) << 8)),
-        });
+        let node = self.fresh_node(new_idx);
+        self.nodes.push(node);
         self.down.push(false);
         self.hints.push(Vec::new());
         // Stream: every victim record the extended ring now routes to the
@@ -291,35 +263,14 @@ impl CassandraStore {
         let id = self.next_job;
         self.next_job += 1;
         self.stream_jobs.insert(id);
-        let net = cluster.net;
-        engine.submit(
-            Plan(vec![
-                Step::Acquire {
-                    resource: self.ctx.servers[victim].disk,
-                    service: cluster
-                        .node
-                        .disk
-                        .service(bytes, apm_sim::IoPattern::Sequential),
-                },
-                Step::Acquire {
-                    resource: self.ctx.servers[victim].nic,
-                    service: net.transfer(bytes),
-                },
-                Step::Delay(net.one_way_latency),
-                Step::Acquire {
-                    resource: self.ctx.servers[new_idx].nic,
-                    service: net.transfer(bytes),
-                },
-                Step::Acquire {
-                    resource: self.ctx.servers[new_idx].disk,
-                    service: cluster
-                        .node
-                        .disk
-                        .service(bytes, apm_sim::IoPattern::Sequential),
-                },
-            ]),
-            crate::api::background_token(id),
-        );
+        let stream = self
+            .ctx
+            .plan()
+            .disk_seq(victim, bytes)
+            .hop(victim, bytes)
+            .nic(new_idx, bytes)
+            .disk_seq(new_idx, bytes);
+        engine.submit(stream.finish(), background_token(id));
         (victim, bytes)
     }
 
@@ -387,61 +338,34 @@ impl CassandraStore {
         let id = self.next_job;
         self.next_job += 1;
         self.stream_jobs.insert(id);
-        let res = self.ctx.servers[node];
-        engine.submit(
-            Plan(vec![
-                Step::Acquire {
-                    resource: res.nic,
-                    service: self.ctx.cluster.net.transfer(bytes),
-                },
-                Step::Acquire {
-                    resource: res.disk,
-                    service: self
-                        .ctx
-                        .cluster
-                        .node
-                        .disk
-                        .service(bytes, apm_sim::IoPattern::Sequential),
-                },
-            ]),
-            background_token(id),
-        );
+        let stream = self.ctx.plan().nic(node, bytes).disk_seq(node, bytes);
+        engine.submit(stream.finish(), background_token(id));
     }
 
     /// Submits the plan of an announced LSM background job.
     fn schedule_job(&mut self, node: usize, job: BackgroundJob, engine: &mut Engine) {
         let id = self.next_job;
         self.next_job += 1;
-        let res = self.ctx.servers[node];
-        let mut steps = Vec::new();
+        let mut plan = self.ctx.plan();
         // Compaction reads its inputs (sequential, may be cached).
         if job.read_bytes > 0 {
-            steps.push(Step::Acquire {
-                resource: res.disk,
-                service: self
-                    .ctx
-                    .cluster
-                    .node
-                    .disk
-                    .service(self.expand(job.read_bytes), apm_sim::IoPattern::Sequential),
-            });
+            plan = plan.disk_seq(node, self.expand(job.read_bytes));
         }
-        // CPU to serialise/merge.
-        steps.push(Step::Acquire {
-            resource: res.cpu,
-            service: SimDuration::from_nanos(self.expand(job.write_bytes) * 12),
-        });
-        steps.push(Step::Acquire {
-            resource: res.disk,
-            service: self
-                .ctx
-                .cluster
-                .node
-                .disk
-                .service(self.expand(job.write_bytes), apm_sim::IoPattern::Sequential),
-        });
+        let written = self.expand(job.write_bytes);
+        // CPU to serialise/merge, then the new run goes out.
+        plan = plan
+            .cpu(node, SimDuration::from_nanos(written * 12))
+            .disk_seq(node, written);
         self.jobs.insert(id, (node, job));
-        engine.submit(Plan(steps), background_token(id));
+        engine.submit(plan.finish(), background_token(id));
+    }
+
+    /// The replica a request for `replicas`' key goes to: the first that
+    /// is up. With all of them down there is nowhere to go and the
+    /// request fails against the crashed first one.
+    fn coordinator(&self, replicas: &[usize]) -> usize {
+        let live = replicas.iter().copied().find(|&n| !self.down[n]);
+        live.unwrap_or(replicas[0])
     }
 
     fn read_plan(&mut self, client: u32, node: usize, op: &Operation) -> (OpOutcome, Plan) {
@@ -450,10 +374,7 @@ impl CassandraStore {
         let (outcome, receipt, cost, resp) = match op {
             Operation::Read { key } => {
                 let (found, receipt) = node_state.lsm.get(key);
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
+                let outcome = OpOutcome::read(key, found);
                 (outcome, receipt, READ_COST, RESP_READ_BYTES)
             }
             Operation::Scan { start, len } => {
@@ -467,18 +388,11 @@ impl CassandraStore {
             }
             _ => unreachable!("write ops handled in write_plan"),
         };
-        let ios: Vec<DiskIo> = node_state.cache.filter_ios(&receipt.io, data_bytes);
+        let ios = node_state.cache.filter_ios(&receipt.io, data_bytes);
         let cpu = cost.cpu(&receipt) + self.compression_cpu(receipt.read_ios());
-        let steps = server_steps(&self.ctx.servers[node], &self.ctx.cluster, cpu, &ios);
-        let plan = round_trip_plan(
-            &self.ctx,
-            client,
-            &self.ctx.servers[node],
-            CLIENT_CPU,
-            REQ_BYTES,
-            resp,
-            steps,
-        );
+        let plan = self.ctx.round_trip(client, node, REQUEST, resp, |server| {
+            server.cpu(node, cpu).disks(node, &ios)
+        });
         (outcome, plan)
     }
 
@@ -489,29 +403,17 @@ impl CassandraStore {
         engine: &mut Engine,
     ) -> (OpOutcome, Plan) {
         let replicas = self.ring.replicas(&record.key, self.replication);
-        if replicas.iter().all(|&n| self.down[n]) {
-            // Every replica is down: nothing applies, nothing is hinted —
-            // the request dies against the crashed coordinator. The abort
-            // is unconditional (Step::Fail, not an acquire against the
-            // crashed node): the refusal was decided here, and a replica
-            // restarting before the plan reaches the server must not turn
-            // it into a success the store never applied.
-            let primary = self.ctx.servers[replicas[0]];
-            let plan = round_trip_plan(
-                &self.ctx,
-                client,
-                &primary,
-                CLIENT_CPU,
-                REQ_BYTES,
-                RESP_WRITE_BYTES,
-                vec![Step::Fail {
-                    latency: apm_sim::fault::CRASH_ERROR_LATENCY,
-                }],
-            );
-            return (OpOutcome::Done, plan);
-        }
-        let mut branches: Vec<Plan> = Vec::with_capacity(replicas.len());
-        for &node in &replicas {
+        let primary = self.coordinator(&replicas);
+        // With every replica down nothing applies and nothing is hinted:
+        // the request dies against the crashed coordinator.
+        let targets = if self.down[primary] {
+            &[]
+        } else {
+            &replicas[..]
+        };
+        // What each live replica does: (node, CPU, commit-log append).
+        let mut applied = Vec::with_capacity(targets.len());
+        for &node in targets {
             if self.down[node] {
                 // Hinted handoff: the live coordinator stores the mutation
                 // and replays it when the replica rejoins.
@@ -524,58 +426,41 @@ impl CassandraStore {
             let wal = self.nodes[node]
                 .log
                 .append(record.fields.len() as u64 + record.key.len() as u64);
-            let res = self.ctx.servers[node];
-            let mut steps = vec![Step::Acquire {
-                resource: res.cpu,
-                service: WRITE_COST.cpu(&receipt),
-            }];
-            if let Some(io) = wal.io {
-                steps.push(Step::Acquire {
-                    resource: res.disk,
-                    service: self
-                        .ctx
-                        .cluster
-                        .node
-                        .disk
-                        .service(io.bytes, apm_sim::IoPattern::Sequential),
-                });
-            }
-            if let Some(window) = wal.align {
-                // Periodic commit log: the write acknowledges at the next
-                // group sync — Cassandra's signature high, stable write
-                // latency (Fig 5).
-                steps.push(Step::AlignTo {
-                    period: window,
-                    extra: SimDuration::ZERO,
-                });
-            }
-            branches.push(Plan(steps));
+            applied.push((node, WRITE_COST.cpu(&receipt), wal));
             if let Some(job) = flush {
                 self.schedule_job(node, job, engine);
             }
         }
-        // Coordinator = first live replica; consistency ONE on rf=1 means
-        // the single branch; with rf>1 the client waits for one ack while
-        // the remaining replicas apply in the background.
-        let primary = replicas
-            .iter()
-            .copied()
-            .find(|&n| !self.down[n])
-            .expect("at least one live replica");
-        let server_plan = if branches.len() == 1 {
-            branches.pop().expect("one branch").0
-        } else {
-            vec![Step::Join { branches, need: 1 }]
-        };
-        let plan = round_trip_plan(
-            &self.ctx,
-            client,
-            &self.ctx.servers[primary],
-            CLIENT_CPU,
-            REQ_BYTES,
-            RESP_WRITE_BYTES,
-            server_plan,
-        );
+        // Periodic commit log: the write acknowledges at the next group
+        // sync — Cassandra's signature high, stable write latency (Fig 5).
+        fn apply<'a>(
+            plan: StorePlan<'a>,
+            &(node, cpu, wal): &(usize, SimDuration, WalReceipt),
+        ) -> StorePlan<'a> {
+            plan.cpu(node, cpu).wal(node, &wal)
+        }
+        let ctx = &self.ctx;
+        let plan =
+            ctx.round_trip(
+                client,
+                primary,
+                REQUEST,
+                RESP_WRITE_BYTES,
+                |server| match &applied[..] {
+                    // The refusal was decided here: a replica restarting
+                    // before the plan reaches the server must not turn it
+                    // into a success the store never applied.
+                    [] => server.refused(),
+                    // Consistency ONE on one live replica is that replica's
+                    // own work; with more the client waits for one ack while
+                    // the others apply in the background.
+                    [only] => apply(server, only),
+                    all => {
+                        let branches = all.iter().map(|a| apply(ctx.plan(), a).finish());
+                        server.join(branches.collect(), 1)
+                    }
+                },
+            );
         (OpOutcome::Done, plan)
     }
 }
@@ -616,15 +501,8 @@ impl DistributedStore for CassandraStore {
     fn plan_op(&mut self, client: u32, op: &Operation, engine: &mut Engine) -> (OpOutcome, Plan) {
         match op {
             Operation::Read { key } | Operation::Scan { start: key, .. } => {
-                // Coordinator-side failover: read from the first replica
-                // that is still up. With rf=1 there is nowhere to go and
-                // the request fails against the crashed node.
-                let replicas = self.ring.replicas(key, self.replication);
-                let node = replicas
-                    .iter()
-                    .copied()
-                    .find(|&n| !self.down[n])
-                    .unwrap_or(replicas[0]);
+                // Coordinator-side failover.
+                let node = self.coordinator(&self.ring.replicas(key, self.replication));
                 self.read_plan(client, node, op)
             }
             Operation::Insert { record } | Operation::Update { record } => {
@@ -636,14 +514,7 @@ impl DistributedStore for CassandraStore {
     fn plan_target(&self, op: &Operation) -> Option<usize> {
         // The node the coordinator-side failover in [`Self::plan_op`]
         // would read from (writes target the same primary replica).
-        let replicas = self.ring.replicas(op.routing_key(), self.replication);
-        Some(
-            replicas
-                .iter()
-                .copied()
-                .find(|&n| !self.down[n])
-                .unwrap_or(replicas[0]),
-        )
+        Some(self.coordinator(&self.ring.replicas(op.routing_key(), self.replication)))
     }
 
     fn hedge_read_plan(
@@ -660,11 +531,7 @@ impl DistributedStore for CassandraStore {
         // replica in ring order that is up and is not the node the
         // primary attempt targeted.
         let replicas = self.ring.replicas(key, self.replication);
-        let primary = replicas
-            .iter()
-            .copied()
-            .find(|&n| !self.down[n])
-            .unwrap_or(replicas[0]);
+        let primary = self.coordinator(&replicas);
         let alt = replicas
             .iter()
             .copied()

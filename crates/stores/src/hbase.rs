@@ -18,7 +18,7 @@
 //!   which is also why HBase is the least disk-efficient store (Fig 17).
 
 use crate::api::{
-    background_token, load_partitioned, round_trip_plan, CostModel, DistributedStore, StoreCtx,
+    background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
 };
 use crate::cache::PageCache;
 use crate::hdfs::{Hdfs, HdfsConfig};
@@ -26,9 +26,10 @@ use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use apm_sim::{Engine, Plan, SimDuration, Step};
+use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{hbase_format, StorageFormat};
 use apm_storage::lsm::{BackgroundJob, LsmConfig, LsmTree};
+use apm_storage::receipt::DiskIo;
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -54,14 +55,13 @@ const SCAN_COST: CostModel = CostModel {
     per_probe_ns: 10_000,
     per_byte_ns: 30,
 };
-/// Client (HTable) cost per op.
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(25);
+/// Client (HTable) cost per op and the request's size on the wire.
+const REQUEST: Request = Request::new(SimDuration::from_micros(25), 150);
 /// Page-cache share of RAM on the DataNodes (rest is the two JVMs).
 const PAGE_CACHE_FRACTION: f64 = 0.5;
 /// Regions per server (pre-split steady state).
 const REGIONS_PER_SERVER: usize = 4;
-/// Wire sizes.
-const REQ_BYTES: u64 = 150;
+/// Response sizes on the wire.
 const RESP_READ_BYTES: u64 = 260;
 const RESP_WRITE_BYTES: u64 = 40;
 /// Master failure-detection delay before a dead server's regions are
@@ -167,22 +167,41 @@ impl HbaseStore {
 
     /// A request to a region whose server is dead and not yet reassigned:
     /// it dies with a connection-refused error and no store-state side
-    /// effects. The abort is unconditional (Step::Fail) because the
-    /// refusal was decided at routing time — the server restarting before
-    /// the plan executes must not turn it into a phantom success.
+    /// effects. The abort is unconditional because the refusal was
+    /// decided at routing time — the server restarting before the plan
+    /// executes must not turn it into a phantom success.
     fn dead_region_plan(&self, client: u32, server: usize) -> Plan {
-        let res = self.ctx.servers[server];
-        round_trip_plan(
-            &self.ctx,
+        self.ctx.round_trip(
             client,
-            &res,
-            CLIENT_CPU,
-            REQ_BYTES,
+            server,
+            REQUEST,
             RESP_WRITE_BYTES,
-            vec![Step::Fail {
-                latency: apm_sim::fault::CRASH_ERROR_LATENCY,
-            }],
+            StorePlan::refused,
         )
+    }
+
+    /// A read or scan of `server`'s data served by `host`: CPU, then every
+    /// HFile block consulted goes through the DataNode (a page-cache hit
+    /// skips only the disk).
+    fn read_plan(
+        &mut self,
+        client: u32,
+        server: usize,
+        host: usize,
+        cpu: SimDuration,
+        blocks: &[DiskIo],
+        response_bytes: u64,
+    ) -> Plan {
+        let data_bytes = self
+            .format
+            .disk_usage(self.servers_state[server].lsm.record_count());
+        let (hdfs, cache) = (&self.hdfs, &mut self.servers_state[host].cache);
+        self.ctx
+            .round_trip(client, host, REQUEST, response_bytes, |plan| {
+                blocks.iter().fold(plan.cpu(host, cpu), |plan, io| {
+                    hdfs.read(plan, host, io.bytes, cache.sample_hit(data_bytes))
+                })
+            })
     }
 
     fn schedule_job(&mut self, server: usize, job: BackgroundJob, engine: &mut Engine) {
@@ -191,29 +210,22 @@ impl HbaseStore {
         // Background work for a dead server's regions runs on whichever
         // node re-opened them (the job stays keyed by the region owner).
         let host = self.host_for(server).unwrap_or(server);
-        let mut plan_steps: Vec<Step> = Vec::new();
-        // Compaction first streams its inputs back in from HDFS.
+        let mut plan = self.ctx.plan();
+        // Compaction first streams its inputs back in from HDFS (usually
+        // warm, so cached).
         if job.read_bytes > 0 {
-            plan_steps.extend(self.hdfs.read_steps(
-                &self.ctx,
-                host,
-                self.expand(job.read_bytes),
-                true, // compaction inputs are usually warm
-            ));
+            plan = self
+                .hdfs
+                .read(plan, host, self.expand(job.read_bytes), true);
         }
-        plan_steps.push(Step::Acquire {
-            resource: self.ctx.servers[host].cpu,
-            service: SimDuration::from_nanos(self.expand(job.write_bytes) * 10),
-        });
+        let written = self.expand(job.write_bytes);
+        plan = plan.cpu(host, SimDuration::from_nanos(written * 10));
         // Flush/compaction output is pipeline-written with replication;
         // piggy-back the deferred WAL backlog on the same sync.
         let wal_bytes = std::mem::take(&mut self.wal_backlog[server]);
-        let write = self
-            .hdfs
-            .write_plan(&self.ctx, host, self.expand(job.write_bytes) + wal_bytes);
-        plan_steps.extend(write.0);
+        plan = self.hdfs.write(plan, host, written + wal_bytes);
         self.jobs.insert(id, (server, job));
-        engine.submit(Plan(plan_steps), background_token(id));
+        engine.submit(plan.finish(), background_token(id));
     }
 }
 
@@ -255,32 +267,10 @@ impl DistributedStore for HbaseStore {
                 let Some(host) = self.host_for(server) else {
                     return (OpOutcome::Missing, self.dead_region_plan(client, server));
                 };
-                let state = &mut self.servers_state[server];
-                let (found, receipt) = state.lsm.get(key);
-                let data_bytes = self.format.disk_usage(state.lsm.record_count());
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
-                // Every HFile block consulted goes through the DataNode.
-                let mut steps = vec![Step::Acquire {
-                    resource: self.ctx.servers[host].cpu,
-                    service: READ_COST.cpu(&receipt),
-                }];
-                for io in &receipt.io {
-                    let cached = self.servers_state[host].cache.sample_hit(data_bytes);
-                    steps.extend(self.hdfs.read_steps(&self.ctx, host, io.bytes, cached));
-                }
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[host],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_READ_BYTES,
-                    steps,
-                );
-                (outcome, plan)
+                let (found, receipt) = self.servers_state[server].lsm.get(key);
+                let cpu = READ_COST.cpu(&receipt);
+                let plan = self.read_plan(client, server, host, cpu, &receipt.io, RESP_READ_BYTES);
+                (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let server = self.regions.route(&record.key);
@@ -293,19 +283,11 @@ impl DistributedStore for HbaseStore {
                 let wal = self.servers_state[server].wal.append(75 * 5); // one WALEdit per KeyValue
                 debug_assert!(wal.io.is_none(), "deferred WAL");
                 self.wal_backlog[server] += self.servers_state[server].wal.take_unflushed();
-                let steps = vec![Step::Acquire {
-                    resource: self.ctx.servers[host].cpu,
-                    service: WRITE_COST.cpu(&receipt),
-                }];
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[host],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_WRITE_BYTES,
-                    steps,
-                );
+                let plan = self
+                    .ctx
+                    .round_trip(client, host, REQUEST, RESP_WRITE_BYTES, |plan| {
+                        plan.cpu(host, WRITE_COST.cpu(&receipt))
+                    });
                 if let Some(job) = flush {
                     self.schedule_job(server, job, engine);
                 }
@@ -320,27 +302,10 @@ impl DistributedStore for HbaseStore {
                 let Some(host) = self.host_for(server) else {
                     return (OpOutcome::Scanned(0), self.dead_region_plan(client, server));
                 };
-                let state = &mut self.servers_state[server];
-                let (rows, receipt) = state.lsm.scan_count(start, *len);
-                let data_bytes = self.format.disk_usage(state.lsm.record_count());
-                let mut steps = vec![Step::Acquire {
-                    resource: self.ctx.servers[host].cpu,
-                    service: SCAN_COST.cpu(&receipt),
-                }];
-                for io in &receipt.io {
-                    let cached = self.servers_state[host].cache.sample_hit(data_bytes);
-                    steps.extend(self.hdfs.read_steps(&self.ctx, host, io.bytes, cached));
-                }
+                let (rows, receipt) = self.servers_state[server].lsm.scan_count(start, *len);
+                let cpu = SCAN_COST.cpu(&receipt);
                 let resp = RESP_READ_BYTES * rows.max(1) as u64 / 2;
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[host],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    resp,
-                    steps,
-                );
+                let plan = self.read_plan(client, server, host, cpu, &receipt.io, resp);
                 (OpOutcome::Scanned(rows), plan)
             }
         }
@@ -368,14 +333,13 @@ impl DistributedStore for HbaseStore {
                     let replay = self.expand(backlog) + MIN_REPLAY_BYTES;
                     let id = self.next_job;
                     self.next_job += 1;
-                    let mut steps = vec![Step::Delay(DETECTION_DELAY)];
-                    steps.extend(self.hdfs.read_steps(&self.ctx, sub, replay, false));
-                    steps.push(Step::Acquire {
-                        resource: self.ctx.servers[sub].cpu,
-                        service: SimDuration::from_nanos(replay * 10),
-                    });
+                    let detected = self.ctx.plan().wait(DETECTION_DELAY);
+                    let recovery = self
+                        .hdfs
+                        .read(detected, sub, replay, false)
+                        .cpu(sub, SimDuration::from_nanos(replay * 10));
                     self.recovery_jobs.insert(id, dead);
-                    engine.submit(Plan(steps), background_token(id));
+                    engine.submit(recovery.finish(), background_token(id));
                 }
             }
             apm_sim::FaultKind::Restart => {

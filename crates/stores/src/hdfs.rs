@@ -11,10 +11,10 @@
 //! DataNodes in a chain; each link adds a network hop and a sequential
 //! disk write.
 
-use crate::api::StoreCtx;
+use crate::api::{StoreCtx, StorePlan};
 use apm_sim::kernel::ResourceId;
-use apm_sim::plan::{Plan, Step};
-use apm_sim::{Engine, IoPattern, SimDuration};
+use apm_sim::{Engine, NetSpec, SimDuration};
+use apm_storage::receipt::DiskIo;
 
 /// HDFS configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,6 +45,7 @@ impl Default for HdfsConfig {
 #[derive(Clone, Debug)]
 pub struct Hdfs {
     config: HdfsConfig,
+    net: NetSpec,
     xceivers: Vec<ResourceId>,
 }
 
@@ -54,7 +55,11 @@ impl Hdfs {
         let xceivers = (0..ctx.servers.len())
             .map(|i| engine.add_resource(format!("datanode{i}.xceiver"), config.xceivers_per_node))
             .collect();
-        Hdfs { config, xceivers }
+        Hdfs {
+            config,
+            net: ctx.cluster.net,
+            xceivers,
+        }
     }
 
     /// Effective replication given the cluster size.
@@ -62,51 +67,41 @@ impl Hdfs {
         self.config.replication.min(nodes as u32)
     }
 
-    /// Steps for a region server on `node` reading `bytes` from a block
-    /// via its local DataNode. `cached` skips the disk access (OS page
-    /// cache on the DataNode) but never the stream overhead.
-    pub fn read_steps(&self, ctx: &StoreCtx, node: usize, bytes: u64, cached: bool) -> Vec<Step> {
-        let mut steps = vec![Step::Acquire {
-            resource: self.xceivers[node],
-            service: self.config.stream_overhead + ctx.cluster.net.transfer(bytes),
-        }];
-        if !cached {
-            steps.push(Step::Acquire {
-                resource: ctx.servers[node].disk,
-                service: ctx.cluster.node.disk.service(bytes, IoPattern::Random),
-            });
+    /// A region server on `node` reads `bytes` from a block via its
+    /// local DataNode. `cached` skips the disk access (OS page cache on
+    /// the DataNode) but never the stream overhead.
+    pub fn read<'a>(
+        &self,
+        plan: StorePlan<'a>,
+        node: usize,
+        bytes: u64,
+        cached: bool,
+    ) -> StorePlan<'a> {
+        let stream = self.config.stream_overhead + self.net.transfer(bytes);
+        let plan = plan.acquire(self.xceivers[node], stream);
+        if cached {
+            plan
+        } else {
+            plan.disk(node, &DiskIo::random_read(bytes))
         }
-        steps
     }
 
-    /// Plan for pipeline-writing `bytes` starting at `node`: the primary
-    /// replica writes locally, then the chain streams to the next
+    /// Pipeline-writes `bytes` starting at `node`: the primary replica
+    /// writes locally, then the chain streams to the next
     /// `replication - 1` nodes (NIC hop + sequential write each).
-    pub fn write_plan(&self, ctx: &StoreCtx, node: usize, bytes: u64) -> Plan {
-        let nodes = ctx.servers.len();
-        let reps = self.effective_replication(nodes) as usize;
-        let mut steps = Vec::new();
-        for i in 0..reps {
+    pub fn write<'a>(&self, mut plan: StorePlan<'a>, node: usize, bytes: u64) -> StorePlan<'a> {
+        let nodes = self.xceivers.len();
+        for i in 0..self.effective_replication(nodes) as usize {
             let target = (node + i) % nodes;
             if i > 0 {
                 // Pipeline hop: previous node's NIC pushes the block on.
-                let prev = (node + i - 1) % nodes;
-                steps.push(Step::Acquire {
-                    resource: ctx.servers[prev].nic,
-                    service: ctx.cluster.net.transfer(bytes),
-                });
-                steps.push(Step::Delay(ctx.cluster.net.one_way_latency));
+                plan = plan.hop((node + i - 1) % nodes, bytes);
             }
-            steps.push(Step::Acquire {
-                resource: self.xceivers[target],
-                service: self.config.stream_overhead,
-            });
-            steps.push(Step::Acquire {
-                resource: ctx.servers[target].disk,
-                service: ctx.cluster.node.disk.service(bytes, IoPattern::Sequential),
-            });
+            plan = plan
+                .acquire(self.xceivers[target], self.config.stream_overhead)
+                .disk_seq(target, bytes);
         }
-        Plan(steps)
+        plan
     }
 }
 
@@ -134,8 +129,8 @@ mod tests {
     #[test]
     fn cached_read_skips_disk_but_pays_stream_overhead() {
         let (mut engine, ctx, hdfs) = setup(2);
-        let cached = Plan(hdfs.read_steps(&ctx, 0, 65_536, true));
-        let uncached = Plan(hdfs.read_steps(&ctx, 0, 65_536, false));
+        let cached = hdfs.read(ctx.plan(), 0, 65_536, true).finish();
+        let uncached = hdfs.read(ctx.plan(), 0, 65_536, false).finish();
         assert!(cached.min_duration() >= SimDuration::from_micros(1_500));
         assert!(uncached.min_duration().as_nanos() > cached.min_duration().as_nanos() + 7_000_000);
         engine.submit(cached, Token(0));
@@ -147,7 +142,7 @@ mod tests {
         let (mut engine, ctx, hdfs) = setup(1);
         // 8 concurrent cached reads on a pool of 4 → two waves.
         for i in 0..8 {
-            engine.submit(Plan(hdfs.read_steps(&ctx, 0, 1_000, true)), Token(i));
+            engine.submit(hdfs.read(ctx.plan(), 0, 1_000, true).finish(), Token(i));
         }
         let completions = engine.run_to_idle();
         assert_eq!(completions.len(), 8);
@@ -170,7 +165,7 @@ mod tests {
     #[test]
     fn write_pipeline_touches_all_replicas() {
         let (mut engine, ctx, hdfs) = setup(3);
-        engine.submit(hdfs.write_plan(&ctx, 0, 1 << 20), Token(1));
+        engine.submit(hdfs.write(ctx.plan(), 0, 1 << 20).finish(), Token(1));
         engine.run_to_idle();
         // Every node's disk saw one sequential write.
         for node in &ctx.servers {
@@ -181,7 +176,7 @@ mod tests {
     #[test]
     fn single_node_pipeline_writes_once() {
         let (mut engine, ctx, hdfs) = setup(1);
-        engine.submit(hdfs.write_plan(&ctx, 0, 1 << 20), Token(1));
+        engine.submit(hdfs.write(ctx.plan(), 0, 1 << 20).finish(), Token(1));
         engine.run_to_idle();
         assert_eq!(engine.served(ctx.servers[0].disk), 1);
     }

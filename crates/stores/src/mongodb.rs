@@ -23,19 +23,16 @@
 //!   (field-name strings repeated per document, 16-byte ObjectId-style
 //!   padding, power-of-two allocation).
 
-use crate::api::{
-    load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx,
-};
+use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx};
 use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
-use apm_sim::{Engine, Plan, SimDuration, Step};
-use apm_storage::btree::{BTree, BTreeConfig, PageTrace};
-use apm_storage::bufferpool::{Access, BufferPool};
+use apm_sim::{Engine, Plan, SimDuration};
+use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::StorageFormat;
-use apm_storage::receipt::{CostReceipt, DiskIo};
+use apm_storage::paged::PagedTree;
 use std::ops::Range;
 
 /// Read cost: BSON decode + `_id` index walk.
@@ -59,8 +56,9 @@ const SCAN_COST: CostModel = CostModel {
     per_probe_ns: 6_000,
     per_byte_ns: 20,
 };
-/// Client (driver + mongos hop folded in) cost per op.
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(25);
+/// Client (driver + mongos hop folded in) cost per op and the request's
+/// size on the wire.
+const REQUEST: Request = Request::new(SimDuration::from_micros(25), 140);
 /// mmapv1 page cache: essentially all of RAM.
 const CACHE_FRACTION: f64 = 0.9;
 /// BSON document layout: ~390 B per 75-B record (see module docs).
@@ -79,49 +77,21 @@ const MONGO_PAGE: BTreeConfig = BTreeConfig {
 };
 /// Chunks per shard (pre-split, like the HBase region map).
 const CHUNKS_PER_SHARD: usize = 8;
-/// Wire sizes.
-const REQ_BYTES: u64 = 140;
+/// Response sizes on the wire.
 const RESP_READ_BYTES: u64 = 420;
 const RESP_WRITE_BYTES: u64 = 60;
 const RESP_ROW_BYTES: u64 = 400;
 
 struct Shard {
-    tree: BTree,
-    pool: BufferPool,
+    pages: PagedTree,
     write_lock: ResourceId,
 }
 
 impl Shard {
     /// Load-phase insert: warms the pool, discarding the IO (untimed).
     fn load(&mut self, record: &Record) {
-        let (_, trace) = self.tree.insert(record.key, record.fields);
-        let _ = self.replay(&trace);
-    }
-
-    fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
-        let mut ios = Vec::new();
-        let page_bytes = self.tree.page_bytes();
-        for page in trace.read.iter().chain(&trace.written) {
-            let access = if trace.written.contains(page) {
-                Access::Write
-            } else {
-                Access::Read
-            };
-            let r = self.pool.access(*page, access);
-            if !r.hit {
-                ios.push(DiskIo::random_read(page_bytes));
-            }
-            if r.writeback.is_some() {
-                ios.push(DiskIo::random_write(page_bytes));
-            }
-        }
-        for page in &trace.allocated {
-            let r = self.pool.access(*page, Access::Write);
-            if r.writeback.is_some() {
-                ios.push(DiskIo::random_write(page_bytes));
-            }
-        }
-        ios
+        let (_, trace) = self.pages.tree.insert(record.key, record.fields);
+        let _ = self.pages.replay(&trace);
     }
 }
 
@@ -140,8 +110,7 @@ impl MongoStore {
             .max(16) as usize;
         let shards = (0..ctx.node_count())
             .map(|i| Shard {
-                tree: BTree::new(MONGO_PAGE),
-                pool: BufferPool::new(pool_pages),
+                pages: PagedTree::new(MONGO_PAGE, pool_pages),
                 write_lock: engine.add_resource(format!("mongod{i}.writelock"), 1),
             })
             .collect();
@@ -182,73 +151,33 @@ impl DistributedStore for MongoStore {
             Operation::Read { key } => {
                 let shard_idx = self.chunks.route(key);
                 let shard = &mut self.shards[shard_idx];
-                let (found, trace) = shard.tree.get(key);
-                let ios = shard.replay(&trace);
-                let mut receipt = CostReceipt::new();
-                receipt.probe(trace.read.len() as u64).touch(390);
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
-                let steps = server_steps(
-                    &self.ctx.servers[shard_idx],
-                    &self.ctx.cluster,
-                    READ_COST.cpu(&receipt),
-                    &ios,
-                );
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[shard_idx],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_READ_BYTES,
-                    steps,
-                );
-                (outcome, plan)
+                let (found, trace) = shard.pages.tree.get(key);
+                let ios = shard.pages.replay(&trace);
+                let cpu = READ_COST.cpu_for(trace.read.len() as u64, 390);
+                let plan =
+                    self.ctx
+                        .round_trip(client, shard_idx, REQUEST, RESP_READ_BYTES, |plan| {
+                            plan.cpu(shard_idx, cpu).disks(shard_idx, &ios)
+                        });
+                (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let shard_idx = self.chunks.route(&record.key);
                 let shard = &mut self.shards[shard_idx];
-                let (_, trace) = shard.tree.insert(record.key, record.fields);
-                let ios = shard.replay(&trace);
-                let mut receipt = CostReceipt::new();
-                receipt
-                    .probe((trace.read.len() + trace.written.len()) as u64)
-                    .touch(390);
-                let server = &self.ctx.servers[shard_idx];
-                let mut steps = vec![
-                    Step::Acquire {
-                        resource: server.cpu,
-                        service: WRITE_CPU,
-                    },
-                    // The global write lock: serialises all writers on
-                    // this mongod.
-                    Step::Acquire {
-                        resource: shard.write_lock,
-                        service: WRITE_LOCK_COST.cpu(&receipt),
-                    },
-                ];
-                for io in &ios {
-                    let pattern = if io.class.is_random() {
-                        apm_sim::IoPattern::Random
-                    } else {
-                        apm_sim::IoPattern::Sequential
-                    };
-                    steps.push(Step::Acquire {
-                        resource: server.disk,
-                        service: self.ctx.cluster.node.disk.service(io.bytes, pattern),
-                    });
-                }
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    server,
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_WRITE_BYTES,
-                    steps,
-                );
+                let (_, trace) = shard.pages.tree.insert(record.key, record.fields);
+                let ios = shard.pages.replay(&trace);
+                let pages = trace.read.len() + trace.written.len();
+                let locked = WRITE_LOCK_COST.cpu_for(pages as u64, 390);
+                let write_lock = shard.write_lock;
+                let plan =
+                    self.ctx
+                        .round_trip(client, shard_idx, REQUEST, RESP_WRITE_BYTES, |plan| {
+                            // The global write lock serialises all writers on
+                            // this mongod.
+                            plan.cpu(shard_idx, WRITE_CPU)
+                                .acquire(write_lock, locked)
+                                .disks(shard_idx, &ios)
+                        });
                 (OpOutcome::Done, plan)
             }
             Operation::Scan { start, len } => {
@@ -260,27 +189,15 @@ impl DistributedStore for MongoStore {
                     .first()
                     .expect("scan has a home chunk");
                 let shard = &mut self.shards[shard_idx];
-                let (rows, trace) = shard.tree.scan_count(start, *len);
-                let ios = shard.replay(&trace);
-                let mut receipt = CostReceipt::new();
-                receipt
-                    .probe(trace.read.len() as u64)
-                    .touch(390 * rows as u64);
-                let steps = server_steps(
-                    &self.ctx.servers[shard_idx],
-                    &self.ctx.cluster,
-                    SCAN_COST.cpu(&receipt),
-                    &ios,
-                );
-                let resp = RESP_ROW_BYTES * rows.max(1) as u64;
-                let plan = round_trip_plan(
-                    &self.ctx,
+                let (rows, trace) = shard.pages.tree.scan_count(start, *len);
+                let ios = shard.pages.replay(&trace);
+                let cpu = SCAN_COST.cpu_for(trace.read.len() as u64, 390 * rows as u64);
+                let plan = self.ctx.round_trip(
                     client,
-                    &self.ctx.servers[shard_idx],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    resp,
-                    steps,
+                    shard_idx,
+                    REQUEST,
+                    RESP_ROW_BYTES * rows.max(1) as u64,
+                    |plan| plan.cpu(shard_idx, cpu).disks(shard_idx, &ios),
                 );
                 (OpOutcome::Scanned(rows), plan)
             }
@@ -288,21 +205,19 @@ impl DistributedStore for MongoStore {
     }
 
     fn disk_bytes_per_node(&self) -> Option<u64> {
-        let records: u64 = self.shards.iter().map(|s| s.tree.len()).sum();
+        let records: u64 = self.shards.iter().map(|s| s.pages.tree.len()).sum();
         Some(mongo_format().disk_usage(records) / self.shards.len() as u64)
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
         for shard in &self.shards {
-            shard.tree.snap_state(w);
-            shard.pool.snap_state(w);
+            shard.pages.snap_state(w);
         }
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for shard in &mut self.shards {
-            shard.tree.restore_state(r)?;
-            shard.pool.restore_state(r, shard.tree.page_count())?;
+            shard.pages.restore_state(r)?;
         }
         Ok(())
     }

@@ -23,18 +23,15 @@
 //!   collapses RSW throughput to tens of ops/s and below one op/s on
 //!   larger clusters (§5.5, Fig 14).
 
-use crate::api::{
-    load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore, StoreCtx,
-};
+use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx};
 use crate::routing::RdbmsShards;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use apm_sim::{Engine, Plan, SimDuration, SimTime, Step};
-use apm_storage::btree::{BTree, BTreeConfig, PageTrace};
-use apm_storage::bufferpool::{Access, BufferPool};
+use apm_sim::{Engine, Plan, SimDuration, SimTime};
+use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::{mysql_format, StorageFormat};
-use apm_storage::receipt::{CostReceipt, DiskIo};
+use apm_storage::paged::PagedTree;
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::ops::Range;
 
@@ -60,8 +57,8 @@ const SCAN_COST: CostModel = CostModel {
 };
 /// CPU per row of a degraded full table scan.
 const FULL_SCAN_NS_PER_ROW: u64 = 2_500;
-/// Client JDBC cost per statement.
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(20);
+/// Client JDBC cost per statement and its size on the wire.
+const REQUEST: Request = Request::new(SimDuration::from_micros(20), 130);
 /// Redo/binlog group-commit window.
 const COMMIT_WINDOW: SimDuration = SimDuration::from_millis(1);
 /// InnoDB buffer pool share of RAM (§6: "the size of the buffer pool
@@ -81,15 +78,13 @@ const INNODB_PAGE: BTreeConfig = BTreeConfig {
     internal_capacity: 300,
     page_bytes: 16 << 10,
 };
-/// Wire sizes (MySQL protocol).
-const REQ_BYTES: u64 = 130;
+/// Response sizes on the wire (MySQL protocol).
 const RESP_READ_BYTES: u64 = 190;
 const RESP_WRITE_BYTES: u64 = 60;
 const RESP_ROW_BYTES: u64 = 110;
 
 struct Shard {
-    tree: BTree,
-    pool: BufferPool,
+    pages: PagedTree,
     log: CommitLog,
     /// Insert-rate estimator: window start + count.
     rate_window_start: SimTime,
@@ -101,36 +96,9 @@ struct Shard {
 impl Shard {
     /// Load-phase insert: warms the pool, discarding the IO (untimed).
     fn load(&mut self, record: &Record) {
-        let (_, trace) = self.tree.insert(record.key, record.fields);
-        let _ = self.replay(&trace);
+        let (_, trace) = self.pages.tree.insert(record.key, record.fields);
+        let _ = self.pages.replay(&trace);
         self.log.append(75);
-    }
-
-    fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
-        let mut ios = Vec::new();
-        let page_bytes = self.tree.page_bytes();
-        for page in trace.read.iter().chain(&trace.written) {
-            let access = if trace.written.contains(page) {
-                Access::Write
-            } else {
-                Access::Read
-            };
-            let r = self.pool.access(*page, access);
-            if !r.hit {
-                ios.push(DiskIo::random_read(page_bytes));
-            }
-            if r.writeback.is_some() {
-                ios.push(DiskIo::random_write(page_bytes));
-            }
-        }
-        for page in &trace.allocated {
-            // Fresh split pages need no read, only eventual write-back.
-            let r = self.pool.access(*page, Access::Write);
-            if r.writeback.is_some() {
-                ios.push(DiskIo::random_write(page_bytes));
-            }
-        }
-        ios
     }
 
     fn note_insert(&mut self, now: SimTime) {
@@ -170,8 +138,7 @@ impl MysqlStore {
             .max(16) as usize;
         let shards = (0..ctx.node_count())
             .map(|_| Shard {
-                tree: BTree::new(INNODB_PAGE),
-                pool: BufferPool::new(pool_pages),
+                pages: PagedTree::new(INNODB_PAGE, pool_pages),
                 log: CommitLog::new(
                     SyncPolicy::GroupCommit {
                         window: COMMIT_WINDOW,
@@ -206,72 +173,46 @@ impl MysqlStore {
         start: &apm_core::record::MetricKey,
         len: usize,
     ) -> (OpOutcome, Plan) {
-        let net = self.ctx.cluster.net;
         let n = self.shards.len();
         let mut branches = Vec::with_capacity(n);
         let mut total = 0usize;
-        for shard_idx in 0..n {
-            let churning = self.shards[shard_idx].stats_churning();
-            let rows_in_shard = self.shards[shard_idx].tree.len();
-            let (returned, trace) = self.shards[shard_idx].tree.scan_count(start, len);
+        for (shard_idx, shard) in self.shards.iter_mut().enumerate() {
+            let churning = shard.stats_churning();
+            let rows_in_shard = shard.pages.tree.len();
+            let (returned, trace) = shard.pages.tree.scan_count(start, len);
             total += returned;
-            let ios = self.shards[shard_idx].replay(&trace);
-            let mut receipt = CostReceipt::new();
-            receipt
-                .probe(trace.read.len() as u64)
-                .touch((returned * 75) as u64);
+            let ios = shard.pages.replay(&trace);
+            let cpu = SCAN_COST.cpu_for(trace.read.len() as u64, (returned * 75) as u64);
             let (cpu, resp_bytes) = if churning {
                 // Degraded plan: full table scan, and the driver streams
                 // the *unbounded* result set ("all records with a key
                 // equal or greater than the start key", §5.4) — on
                 // average half the shard — to the client.
                 (
-                    SCAN_COST.cpu(&receipt)
-                        + SimDuration::from_nanos(rows_in_shard * FULL_SCAN_NS_PER_ROW),
+                    cpu + SimDuration::from_nanos(rows_in_shard * FULL_SCAN_NS_PER_ROW),
                     RESP_ROW_BYTES * (rows_in_shard / 2).max(returned as u64),
                 )
             } else {
-                (
-                    SCAN_COST.cpu(&receipt),
-                    RESP_ROW_BYTES * returned.max(1) as u64,
-                )
+                (cpu, RESP_ROW_BYTES * returned.max(1) as u64)
             };
-            let server = &self.ctx.servers[shard_idx];
-            let mut steps = vec![
-                Step::Acquire {
-                    resource: self.ctx.client_machine(client).nic,
-                    service: net.transfer(REQ_BYTES),
-                },
-                Step::Delay(net.one_way_latency),
-                Step::Acquire {
-                    resource: server.nic,
-                    service: net.transfer(REQ_BYTES),
-                },
-            ];
-            steps.extend(server_steps(server, &self.ctx.cluster, cpu, &ios));
-            steps.push(Step::Acquire {
-                resource: server.nic,
-                service: net.transfer(resp_bytes),
-            });
-            steps.push(Step::Delay(net.one_way_latency));
-            steps.push(Step::Acquire {
-                resource: self.ctx.client_machine(client).nic,
-                service: net.transfer(resp_bytes),
-            });
-            branches.push(Plan(steps));
+            // One statement of the scatter-gather: the client CPU is paid
+            // once, around the fan-out.
+            branches.push(self.ctx.round_trip(
+                client,
+                shard_idx,
+                REQUEST.leg(),
+                resp_bytes,
+                |plan| plan.cpu(shard_idx, cpu).disks(shard_idx, &ios),
+            ));
         }
-        let client_res = self.ctx.client_machine(client);
-        let plan = Plan(vec![
-            Step::Acquire {
-                resource: client_res.cpu,
-                service: CLIENT_CPU,
-            },
-            Step::Join { branches, need: n },
-            Step::Acquire {
-                resource: client_res.cpu,
-                service: SimDuration::from_nanos(3_000 + 400 * (n * len) as u64),
-            },
-        ]);
+        let merge = SimDuration::from_nanos(3_000 + 400 * (n * len) as u64);
+        let plan = self
+            .ctx
+            .plan()
+            .client_cpu(client, REQUEST.client_cpu)
+            .join(branches, n)
+            .client_cpu(client, merge)
+            .finish();
         // Shards hold disjoint keys, so the client-side merge keeps the
         // `len` smallest of `total` distinct rows.
         (OpOutcome::Scanned(total.min(len)), plan)
@@ -307,85 +248,34 @@ impl DistributedStore for MysqlStore {
             Operation::Read { key } => {
                 let shard_idx = self.shards_map.route(key);
                 let shard = &mut self.shards[shard_idx];
-                let (found, trace) = shard.tree.get(key);
-                let ios = shard.replay(&trace);
-                let mut receipt = CostReceipt::new();
-                receipt.probe(trace.read.len() as u64).touch(75);
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
-                let steps = server_steps(
-                    &self.ctx.servers[shard_idx],
-                    &self.ctx.cluster,
-                    POINT_COST.cpu(&receipt),
-                    &ios,
-                );
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[shard_idx],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_READ_BYTES,
-                    steps,
-                );
-                (outcome, plan)
+                let (found, trace) = shard.pages.tree.get(key);
+                let ios = shard.pages.replay(&trace);
+                let cpu = POINT_COST.cpu_for(trace.read.len() as u64, 75);
+                let plan =
+                    self.ctx
+                        .round_trip(client, shard_idx, REQUEST, RESP_READ_BYTES, |plan| {
+                            plan.cpu(shard_idx, cpu).disks(shard_idx, &ios)
+                        });
+                (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let shard_idx = self.shards_map.route(&record.key);
                 let now = engine.now();
                 let shard = &mut self.shards[shard_idx];
                 shard.note_insert(now);
-                let (_, trace) = shard.tree.insert(record.key, record.fields);
-                let mut ios = shard.replay(&trace);
+                let (_, trace) = shard.pages.tree.insert(record.key, record.fields);
+                let ios = shard.pages.replay(&trace);
                 let wal = shard.log.append(75);
-                let mut receipt = CostReceipt::new();
-                receipt
-                    .probe((trace.read.len() + trace.written.len()) as u64)
-                    .touch(75);
-                let server = &self.ctx.servers[shard_idx];
-                let mut steps = vec![Step::Acquire {
-                    resource: server.cpu,
-                    service: WRITE_COST.cpu(&receipt),
-                }];
-                for io in ios.drain(..) {
-                    let pattern = if io.class.is_random() {
-                        apm_sim::IoPattern::Random
-                    } else {
-                        apm_sim::IoPattern::Sequential
-                    };
-                    steps.push(Step::Acquire {
-                        resource: server.disk,
-                        service: self.ctx.cluster.node.disk.service(io.bytes, pattern),
-                    });
-                }
-                if let Some(io) = wal.io {
-                    steps.push(Step::Acquire {
-                        resource: server.disk,
-                        service: self
-                            .ctx
-                            .cluster
-                            .node
-                            .disk
-                            .service(io.bytes, apm_sim::IoPattern::Sequential),
-                    });
-                }
-                if let Some(window) = wal.align {
-                    steps.push(Step::AlignTo {
-                        period: window,
-                        extra: SimDuration::ZERO,
-                    });
-                }
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    server,
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_WRITE_BYTES,
-                    steps,
-                );
+                let pages = trace.read.len() + trace.written.len();
+                let cpu = WRITE_COST.cpu_for(pages as u64, 75);
+                // Redo + binlog are group committed after the page work.
+                let plan =
+                    self.ctx
+                        .round_trip(client, shard_idx, REQUEST, RESP_WRITE_BYTES, |plan| {
+                            plan.cpu(shard_idx, cpu)
+                                .disks(shard_idx, &ios)
+                                .wal(shard_idx, &wal)
+                        });
                 (OpOutcome::Done, plan)
             }
             Operation::Scan { start, len } => self.scan_plan(client, start, *len),
@@ -393,14 +283,13 @@ impl DistributedStore for MysqlStore {
     }
 
     fn disk_bytes_per_node(&self) -> Option<u64> {
-        let records: u64 = self.shards.iter().map(|s| s.tree.len()).sum();
+        let records: u64 = self.shards.iter().map(|s| s.pages.tree.len()).sum();
         Some(self.format.disk_usage(records) / self.shards.len() as u64)
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
         for shard in &self.shards {
-            shard.tree.snap_state(w);
-            shard.pool.snap_state(w);
+            shard.pages.snap_state(w);
             shard.log.snap_state(w);
             w.put(&shard.rate_window_start);
             w.put_u64(shard.rate_window_count);
@@ -411,8 +300,7 @@ impl DistributedStore for MysqlStore {
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for shard in &mut self.shards {
-            shard.tree.restore_state(r)?;
-            shard.pool.restore_state(r, shard.tree.page_count())?;
+            shard.pages.restore_state(r)?;
             shard.log.restore_state(r)?;
             shard.rate_window_start = r.get()?;
             shard.rate_window_count = r.u64()?;

@@ -21,13 +21,13 @@
 //! * fewer client threads (§6: "we were forced to use a smaller number
 //!   of threads") but twice the client machines (§5.1).
 
-use crate::api::{load_partitioned, round_trip_plan, CostModel, DistributedStore, StoreCtx};
+use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx};
 use crate::routing::{JedisHash, JedisRing};
 use apm_core::ops::{OpOutcome, Operation, RejectReason};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
-use apm_sim::{Engine, Plan, SimDuration, Step};
+use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::hashstore::HashStore;
 use std::ops::Range;
 
@@ -38,10 +38,9 @@ const CMD_COST: CostModel = CostModel {
     per_probe_ns: 1_200,
     per_byte_ns: 8,
 };
-/// Client-side Jedis cost per command.
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(15);
-/// Wire sizes (RESP protocol framing).
-const REQ_BYTES: u64 = 110;
+/// Client-side Jedis cost per command and its size on the wire.
+const REQUEST: Request = Request::new(SimDuration::from_micros(15), 110);
+/// Response sizes on the wire (RESP protocol framing).
 const RESP_READ_BYTES: u64 = 140;
 const RESP_WRITE_BYTES: u64 = 30;
 /// Client thread budget. §6: every YCSB thread must hold a connection to
@@ -142,25 +141,21 @@ impl RedisStore {
         self.ring.route_with(self.hash, key)
     }
 
+    /// One command on `shard`'s event loop for `base` (stretched while
+    /// the instance swaps).
     fn command_plan(
         &self,
         client: u32,
+        request: Request,
         shard: usize,
-        service: SimDuration,
+        base: SimDuration,
         resp_bytes: u64,
     ) -> Plan {
-        round_trip_plan(
-            &self.ctx,
-            client,
-            &self.ctx.servers[shard],
-            CLIENT_CPU,
-            REQ_BYTES,
-            resp_bytes,
-            vec![Step::Acquire {
-                resource: self.instances[shard].event_loop,
-                service,
-            }],
-        )
+        let (event_loop, service) = (self.instances[shard].event_loop, self.service(shard, base));
+        self.ctx
+            .round_trip(client, shard, request, resp_bytes, |plan| {
+                plan.acquire(event_loop, service)
+            })
     }
 
     /// Memory fill fraction of the hottest instance (diagnostics).
@@ -245,93 +240,51 @@ impl DistributedStore for RedisStore {
             Operation::Read { key } => {
                 let shard = self.shard(key);
                 let (found, receipt) = self.instances[shard].store.get(key);
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
-                let service = self.service(shard, CMD_COST.cpu(&receipt));
-                (
-                    outcome,
-                    self.command_plan(client, shard, service, RESP_READ_BYTES),
-                )
+                let cost = CMD_COST.cpu(&receipt);
+                let plan = self.command_plan(client, REQUEST, shard, cost, RESP_READ_BYTES);
+                (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let shard = self.shard(&record.key);
-                match self.instances[shard]
+                let (outcome, cost) = match self.instances[shard]
                     .store
                     .insert(record.key, record.fields)
                 {
-                    Ok(receipt) => {
-                        let service = self.service(shard, CMD_COST.cpu(&receipt));
-                        (
-                            OpOutcome::Done,
-                            self.command_plan(client, shard, service, RESP_WRITE_BYTES),
-                        )
-                    }
-                    Err(_) => {
-                        // `-OOM command not allowed`: the server still
-                        // parses and answers, the client sees an error.
-                        let service =
-                            self.service(shard, SimDuration::from_nanos(CMD_COST.base_ns));
-                        (
-                            OpOutcome::Rejected(RejectReason::OutOfMemory),
-                            self.command_plan(client, shard, service, RESP_WRITE_BYTES),
-                        )
-                    }
-                }
+                    Ok(receipt) => (OpOutcome::Done, CMD_COST.cpu(&receipt)),
+                    // `-OOM command not allowed`: the server still parses
+                    // and answers, the client sees an error.
+                    Err(_) => (
+                        OpOutcome::Rejected(RejectReason::OutOfMemory),
+                        SimDuration::from_nanos(CMD_COST.base_ns),
+                    ),
+                };
+                let plan = self.command_plan(client, REQUEST, shard, cost, RESP_WRITE_BYTES);
+                (outcome, plan)
             }
             Operation::Scan { start, len } => {
                 // ZRANGEBYLEX + per-key HGETALL, fanned out to every
                 // shard (hash sharding scatters a key range everywhere),
                 // merged client-side. The slowest shard gates.
-                let mut branches = Vec::with_capacity(self.instances.len());
                 let mut total = 0usize;
-                for (shard, instance) in self.instances.iter().enumerate() {
-                    let (rows, receipt) = instance.store.scan_count(start, *len);
-                    total += rows;
-                    let net = &self.ctx.cluster.net;
-                    let resp = RESP_READ_BYTES * rows.max(1) as u64;
-                    branches.push(Plan(vec![
-                        Step::Acquire {
-                            resource: self.ctx.client_machine(client).nic,
-                            service: net.transfer(REQ_BYTES),
-                        },
-                        Step::Delay(net.one_way_latency),
-                        Step::Acquire {
-                            resource: self.ctx.servers[shard].nic,
-                            service: net.transfer(REQ_BYTES),
-                        },
-                        Step::Acquire {
-                            resource: self.instances[shard].event_loop,
-                            service: self.service(shard, CMD_COST.cpu(&receipt)),
-                        },
-                        Step::Acquire {
-                            resource: self.ctx.servers[shard].nic,
-                            service: net.transfer(resp),
-                        },
-                        Step::Delay(net.one_way_latency),
-                        Step::Acquire {
-                            resource: self.ctx.client_machine(client).nic,
-                            service: net.transfer(resp),
-                        },
-                    ]));
-                }
-                let client_res = self.ctx.client_machine(client);
-                let plan = Plan(vec![
-                    Step::Acquire {
-                        resource: client_res.cpu,
-                        service: CLIENT_CPU,
-                    },
-                    Step::Join {
-                        branches,
-                        need: self.instances.len(),
-                    },
-                    // Client-side merge of n × len candidates.
-                    Step::Acquire {
-                        resource: client_res.cpu,
-                        service: SimDuration::from_nanos(2_000 + 300 * total as u64),
-                    },
-                ]);
+                let branches = (0..self.instances.len())
+                    .map(|shard| {
+                        let (rows, receipt) = self.instances[shard].store.scan_count(start, *len);
+                        total += rows;
+                        let resp = RESP_READ_BYTES * rows.max(1) as u64;
+                        // The client CPU is paid once, around the fan-out.
+                        let cost = CMD_COST.cpu(&receipt);
+                        self.command_plan(client, REQUEST.leg(), shard, cost, resp)
+                    })
+                    .collect();
+                // Client-side merge of n × len candidates.
+                let merge = SimDuration::from_nanos(2_000 + 300 * total as u64);
+                let plan = self
+                    .ctx
+                    .plan()
+                    .client_cpu(client, REQUEST.client_cpu)
+                    .join(branches, self.instances.len())
+                    .client_cpu(client, merge)
+                    .finish();
                 (OpOutcome::Scanned(total.min(*len)), plan)
             }
         }

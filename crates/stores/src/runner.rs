@@ -8,8 +8,8 @@
 //! issues to hit a target aggregate rate.
 
 use crate::api::{
-    attempt_token, client_only_plan, fault_token, hedge_token, hedge_trigger_token,
-    split_attempt_token, split_fault_token, split_token, AttemptKind, DistributedStore,
+    attempt_token, fault_token, hedge_token, hedge_trigger_token, split_attempt_token,
+    split_fault_token, split_token, AttemptKind, DistributedStore,
 };
 use crate::resilience::{
     backoff_delay, AdmissionBudget, Breaker, BreakerDecision, BreakerState, HedgeTracker,
@@ -22,7 +22,7 @@ use apm_core::snap::{self, fnv1a64, Snap, SnapError, SnapReader, SnapWriter, Sna
 use apm_core::stats::{pairwise_sum, BenchStats, ResilienceCounters, ResourceSample, Telemetry};
 use apm_core::workload::{Workload, WorkloadGenerator};
 use apm_sim::kernel::{Completion, PlanHandle, ResourceId, Token};
-use apm_sim::{Engine, FaultSchedule, Outcome, Plan, SimDuration, SimTime, Step};
+use apm_sim::{Engine, FaultSchedule, Outcome, Plan, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of one benchmark run.
@@ -401,26 +401,27 @@ pub fn run_benchmark_masked(
     config: &RunConfig,
     mask: Option<&[bool]>,
 ) -> RunResult {
-    let total_records = load_phase(store, config);
-    run_transactions(engine, store, config, total_records, mask)
+    // Load phase (untimed; the paper reinstalls and reloads per run).
+    store.load_range(0..total_records(config));
+    store.finish_load();
+    run_transactions(engine, store, config, mask)
 }
 
-/// Load phase (untimed; the paper reinstalls and reloads per run).
-/// Returns the number of records loaded.
-fn load_phase(store: &mut dyn DistributedStore, config: &RunConfig) -> u64 {
-    let total_records = config.records_per_node * u64::from(config.nodes);
-    store.load_range(0..total_records);
-    store.finish_load();
-    total_records
+/// Records the load phase of `config` puts in the store — the key space
+/// the workload generator starts from.
+fn total_records(config: &RunConfig) -> u64 {
+    config.records_per_node * u64::from(config.nodes)
 }
 
 /// Resumes the transaction phase from a sealed checkpoint, continuing
 /// to the end of the measurement window. The engine and store must be
-/// freshly constructed against the *same* `config` that produced the
-/// snapshot (the fingerprint in the header enforces this); the load
-/// phase reruns here, then the snapshot overwrites every piece of
-/// mutable state, so the continuation is byte-identical to the portion
-/// of the from-scratch run after the checkpoint.
+/// freshly *constructed* against the same `config` that produced the
+/// snapshot (the fingerprint in the header enforces this) and nothing
+/// more: the load phase is not part of the run being resumed — the
+/// snapshot carries every byte of loaded and mutated state and
+/// overwrites whatever the store held — so the continuation is
+/// byte-identical to the portion of the from-scratch run after the
+/// checkpoint.
 pub fn resume_benchmark(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
@@ -456,12 +457,10 @@ pub fn resume_benchmark_masked(
         });
     }
 
-    // The restore contract: stores restore into a freshly loaded self.
-    let total_records = load_phase(store, config);
     let mut r = SnapReader::new(body);
     store.restore_state(&mut r, engine)?;
     engine.restore_state(&mut r)?;
-    let mut d = Driver::restore_state(config, total_records, store, &mut r)?;
+    let mut d = Driver::restore_state(config, store, &mut r)?;
     r.finish()?;
     let checkpoints = drive(engine, store, config, &mut d, mask);
     Ok(finalize(engine, store, d, checkpoints))
@@ -676,12 +675,11 @@ impl Driver {
 
     fn restore_state(
         config: &RunConfig,
-        total_records: u64,
         store: &dyn DistributedStore,
         r: &mut SnapReader,
     ) -> Result<Driver, SnapError> {
         let mut generator =
-            WorkloadGenerator::new(config.workload.clone(), total_records, config.seed);
+            WorkloadGenerator::new(config.workload.clone(), total_records(config), config.seed);
         generator.restore_state(r)?;
         let slots: Vec<ClientSlot> = r.get()?;
         // The loop indexes slots by the client id in each completion
@@ -788,8 +786,8 @@ impl Driver {
                         slot.shed = true;
                         slot.ok = true;
                         slot.missing = false;
-                        let plan = client_only_plan(store.ctx(), client, SHED_COST);
-                        slot.primary = Some(engine.submit_at(start, plan, token));
+                        let plan = store.ctx().plan().client_cpu(client, SHED_COST);
+                        slot.primary = Some(engine.submit_at(start, plan.finish(), token));
                         return;
                     }
                 }
@@ -805,9 +803,9 @@ impl Driver {
         // signal to launch the speculative duplicate read.
         if let Some(hp) = &self.policy.hedge {
             if slot.op.kind() == OpKind::Read && !slot.hedge_used {
-                let delay = Plan(vec![Step::Delay(self.ps.tracker.delay(hp))]);
+                let delay = Plan::build().wait(self.ps.tracker.delay(hp));
                 let token = hedge_trigger_token(client, slot.epoch);
-                slot.trigger = Some(engine.submit_at(start, delay, token));
+                slot.trigger = Some(engine.submit_at(start, delay.finish(), token));
             }
         }
     }
@@ -848,7 +846,6 @@ fn run_transactions(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
     config: &RunConfig,
-    total_records: u64,
     mask: Option<&[bool]>,
 ) -> RunResult {
     let connections = connection_count(store, config);
@@ -862,7 +859,11 @@ fn run_transactions(
         .map(SimDuration::from_secs_f64);
     let policy = config.resilience.clone().unwrap_or_default();
     let mut d = Driver {
-        generator: WorkloadGenerator::new(config.workload.clone(), total_records, config.seed),
+        generator: WorkloadGenerator::new(
+            config.workload.clone(),
+            total_records(config),
+            config.seed,
+        ),
         slots: Vec::with_capacity(connections as usize),
         stats: BenchStats::new(),
         sampler: config
@@ -1229,7 +1230,7 @@ fn capture_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{round_trip_plan, StoreCtx};
+    use crate::api::{Request, StoreCtx};
     use apm_core::driver::Throttle;
     use apm_core::ops::Operation;
     use apm_core::record::Record;
@@ -1243,6 +1244,9 @@ mod tests {
         cpu_us: u64,
         /// Offer hedge plans (duplicate read against the same node).
         hedged: bool,
+        /// Calls of `load` — which is also what the provided `load_range`
+        /// comes down to.
+        loads: u64,
     }
 
     impl FixtureStore {
@@ -1253,23 +1257,15 @@ mod tests {
                 data: BTreeMap::new(),
                 cpu_us,
                 hedged: false,
+                loads: 0,
             }
         }
 
         fn read_plan(&self, client: u32) -> Plan {
-            let server = self.ctx.servers[0];
-            round_trip_plan(
-                &self.ctx,
-                client,
-                &server,
-                SimDuration::from_micros(5),
-                100,
-                175,
-                vec![apm_sim::Step::Acquire {
-                    resource: server.cpu,
-                    service: SimDuration::from_micros(self.cpu_us),
-                }],
-            )
+            let cpu = SimDuration::from_micros(self.cpu_us);
+            let request = Request::new(SimDuration::from_micros(5), 100);
+            self.ctx
+                .round_trip(client, 0, request, 175, |plan| plan.cpu(0, cpu))
         }
     }
 
@@ -1283,6 +1279,7 @@ mod tests {
         }
 
         fn load(&mut self, record: &Record) {
+            self.loads += 1;
             self.data.insert(record.key, *record);
         }
 
@@ -1293,10 +1290,9 @@ mod tests {
             _engine: &mut Engine,
         ) -> (OpOutcome, Plan) {
             let outcome = match op {
-                Operation::Read { key } => match self.data.get(key) {
-                    Some(r) => OpOutcome::Found(*r),
-                    None => OpOutcome::Missing,
-                },
+                Operation::Read { key } => {
+                    OpOutcome::read(key, self.data.get(key).map(|r| r.fields))
+                }
                 Operation::Insert { record } | Operation::Update { record } => {
                     self.data.insert(record.key, *record);
                     OpOutcome::Done
@@ -1655,11 +1651,10 @@ mod tests {
         cfg.client.connections = connections;
         let mut engine = Engine::new();
         let mut store = FixtureStore::new(&mut engine, 100);
-        let total_records = load_phase(&mut store, &cfg);
         let mut r = SnapReader::new(body);
         store.restore_state(&mut r, &mut engine)?;
         engine.restore_state(&mut r)?;
-        Driver::restore_state(&cfg, total_records, &store, &mut r).map(|d| d.slots.len())
+        Driver::restore_state(&cfg, &store, &mut r).map(|d| d.slots.len())
     }
 
     #[test]
@@ -1876,11 +1871,15 @@ mod tests {
         let mut store = FixtureStore::new(&mut engine, 100);
         let straight = run_benchmark(&mut engine, &mut store, &cfg);
         assert!(straight.checkpoints.len() >= 3);
+        assert_eq!(store.loads, 1_000, "a run loads every record once");
         for cp in &straight.checkpoints {
             let mut engine2 = Engine::new();
             let mut store2 = FixtureStore::new(&mut engine2, 100);
             let resumed = resume_benchmark(&mut engine2, &mut store2, &cfg, &cp.bytes)
                 .expect("resume succeeds");
+            // The snapshot is the loaded state: a resume restores into a
+            // store that was constructed and nothing more.
+            assert_eq!(store2.loads, 0, "a resume must not reload");
             assert_eq!(
                 result_sig(&resumed),
                 result_sig(&straight),

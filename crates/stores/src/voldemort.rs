@@ -24,8 +24,7 @@
 //!   write path never reads: ×3 from R to W on Cluster D (Fig 18).
 
 use crate::api::{
-    background_token, load_partitioned, round_trip_plan, server_steps, CostModel, DistributedStore,
-    StoreCtx,
+    background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx,
 };
 use crate::routing::PartitionMap;
 use apm_core::keyspace::SplitRng;
@@ -33,10 +32,11 @@ use apm_core::ops::{OpOutcome, Operation, RejectReason};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration};
-use apm_storage::btree::{BTree, BTreeConfig, PageTrace};
-use apm_storage::bufferpool::{Access, BufferPool};
+use apm_storage::btree::{BTreeConfig, PageTrace};
+use apm_storage::bufferpool::Access;
 use apm_storage::encoding::{voldemort_format, StorageFormat};
-use apm_storage::receipt::{CostReceipt, DiskIo};
+use apm_storage::paged::PagedTree;
+use apm_storage::receipt::DiskIo;
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -47,8 +47,9 @@ const SERVER_COST: CostModel = CostModel {
     per_probe_ns: 5_000,
     per_byte_ns: 20,
 };
-/// Client-side routing/versioning cost per operation — the fat client.
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(200);
+/// Client-side routing/versioning cost per operation — the fat client —
+/// and the request's size on the wire.
+const REQUEST: Request = Request::new(SimDuration::from_micros(200), 110);
 /// Connections per node the throttled client sustains (§6's thread and
 /// connection limits; calibrated to ≈12 K ops/s per node, Fig 3).
 const CONNECTIONS_PER_NODE: u32 = 5;
@@ -70,14 +71,12 @@ const CACHE_FRACTION: f64 = 0.8;
 const WRITE_MISS_READ_PROB: f64 = 0.35;
 /// JE log flush granularity (background).
 const LOG_FLUSH_BYTES: u64 = 4 << 20;
-/// Wire sizes.
-const REQ_BYTES: u64 = 110;
+/// Response sizes on the wire.
 const RESP_READ_BYTES: u64 = 160;
 const RESP_WRITE_BYTES: u64 = 50;
 
 struct Node {
-    tree: BTree,
-    pool: BufferPool,
+    pages: PagedTree,
     log: CommitLog,
     rng: SplitRng,
 }
@@ -85,7 +84,7 @@ struct Node {
 impl Node {
     /// Load-phase insert: warms the pool, discarding the IO (untimed).
     fn load(&mut self, record: &Record) {
-        let (_, trace) = self.tree.insert(record.key, record.fields);
+        let (_, trace) = self.pages.tree.insert(record.key, record.fields);
         let _ = self.replay(&trace);
     }
 
@@ -94,9 +93,9 @@ impl Node {
     /// log, i.e. sequentially.
     fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
         let mut ios = Vec::new();
-        let page_bytes = self.tree.page_bytes();
+        let page_bytes = self.pages.tree.page_bytes();
         for page in &trace.read {
-            let r = self.pool.access(*page, Access::Read);
+            let r = self.pages.pool.access(*page, Access::Read);
             if !r.hit {
                 ios.push(DiskIo::random_read(page_bytes));
             }
@@ -105,7 +104,7 @@ impl Node {
             }
         }
         for page in &trace.written {
-            let r = self.pool.access(*page, Access::Write);
+            let r = self.pages.pool.access(*page, Access::Write);
             if !r.hit {
                 ios.push(DiskIo::random_read(page_bytes));
             }
@@ -115,7 +114,7 @@ impl Node {
         }
         for page in &trace.allocated {
             // Fresh split pages are dirtied in place — no read needed.
-            let r = self.pool.access(*page, Access::Write);
+            let r = self.pages.pool.access(*page, Access::Write);
             if r.writeback.is_some() {
                 ios.push(DiskIo::seq_write(page_bytes));
             }
@@ -128,7 +127,7 @@ impl Node {
     /// [`WRITE_MISS_READ_PROB`]); write-backs are sequential log traffic.
     fn replay_write(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
         let mut ios = Vec::new();
-        let page_bytes = self.tree.page_bytes();
+        let page_bytes = self.pages.tree.page_bytes();
         for (page, dirtying) in trace
             .read
             .iter()
@@ -140,7 +139,7 @@ impl Node {
             } else {
                 Access::Read
             };
-            let r = self.pool.access(*page, access);
+            let r = self.pages.pool.access(*page, access);
             if !r.hit && self.rng.next_f64() < WRITE_MISS_READ_PROB {
                 ios.push(DiskIo::random_read(page_bytes));
             }
@@ -149,7 +148,7 @@ impl Node {
             }
         }
         for page in &trace.allocated {
-            let r = self.pool.access(*page, Access::Write);
+            let r = self.pages.pool.access(*page, Access::Write);
             if r.writeback.is_some() {
                 ios.push(DiskIo::seq_write(page_bytes));
             }
@@ -177,8 +176,7 @@ impl VoldemortStore {
             .max(16) as usize;
         let nodes = (0..ctx.node_count())
             .map(|i| Node {
-                tree: BTree::new(BDB_PAGE),
-                pool: BufferPool::new(cache_pages),
+                pages: PagedTree::new(BDB_PAGE, cache_pages),
                 log: CommitLog::new(SyncPolicy::Deferred, 50),
                 rng: SplitRng::new(ctx.seed ^ ((i as u64) << 24)),
             })
@@ -204,19 +202,8 @@ impl VoldemortStore {
         let id = self.next_job;
         self.next_job += 1;
         self.jobs.insert(id, node);
-        let res = self.ctx.servers[node];
-        engine.submit(
-            Plan(vec![apm_sim::Step::Acquire {
-                resource: res.disk,
-                service: self
-                    .ctx
-                    .cluster
-                    .node
-                    .disk
-                    .service(pending, apm_sim::IoPattern::Sequential),
-            }]),
-            background_token(id),
-        );
+        let flush = self.ctx.plan().disk_seq(node, pending);
+        engine.submit(flush.finish(), background_token(id));
     }
 }
 
@@ -249,61 +236,33 @@ impl DistributedStore for VoldemortStore {
             Operation::Read { key } => {
                 let node_idx = self.map.route(key);
                 let node = &mut self.nodes[node_idx];
-                let (found, trace) = node.tree.get(key);
+                let (found, trace) = node.pages.tree.get(key);
                 let ios = node.replay(&trace);
-                let mut receipt = CostReceipt::new();
-                receipt.probe(trace.read.len() as u64).touch(75);
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
-                let steps = server_steps(
-                    &self.ctx.servers[node_idx],
-                    &self.ctx.cluster,
-                    SERVER_COST.cpu(&receipt),
-                    &ios,
-                );
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[node_idx],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_READ_BYTES,
-                    steps,
-                );
-                (outcome, plan)
+                let cpu = SERVER_COST.cpu_for(trace.read.len() as u64, 75);
+                let plan =
+                    self.ctx
+                        .round_trip(client, node_idx, REQUEST, RESP_READ_BYTES, |plan| {
+                            plan.cpu(node_idx, cpu).disks(node_idx, &ios)
+                        });
+                (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let node_idx = self.map.route(&record.key);
                 let node = &mut self.nodes[node_idx];
-                let (_, trace) = node.tree.insert(record.key, record.fields);
-                let mut ios = node.replay_write(&trace);
+                let (_, trace) = node.pages.tree.insert(record.key, record.fields);
+                let ios = node.replay_write(&trace);
                 // JE appends the record to its log asynchronously.
                 let wal = node
                     .log
                     .append(record.fields.len() as u64 + record.key.len() as u64);
                 debug_assert!(wal.io.is_none(), "deferred log must not sync inline");
-                ios.retain(|io| io.bytes > 0);
-                let mut receipt = CostReceipt::new();
-                receipt
-                    .probe(trace.read.len() as u64 + trace.written.len() as u64)
-                    .touch(75);
-                let steps = server_steps(
-                    &self.ctx.servers[node_idx],
-                    &self.ctx.cluster,
-                    SERVER_COST.cpu(&receipt),
-                    &ios,
-                );
-                let plan = round_trip_plan(
-                    &self.ctx,
-                    client,
-                    &self.ctx.servers[node_idx],
-                    CLIENT_CPU,
-                    REQ_BYTES,
-                    RESP_WRITE_BYTES,
-                    steps,
-                );
+                let pages = trace.read.len() + trace.written.len();
+                let cpu = SERVER_COST.cpu_for(pages as u64, 75);
+                let plan =
+                    self.ctx
+                        .round_trip(client, node_idx, REQUEST, RESP_WRITE_BYTES, |plan| {
+                            plan.cpu(node_idx, cpu).disks(node_idx, &ios)
+                        });
                 self.maybe_flush_log(node_idx, engine);
                 (OpOutcome::Done, plan)
             }
@@ -311,9 +270,15 @@ impl DistributedStore for VoldemortStore {
                 // §5.4: "the existing YCSB client for Project Voldemort
                 // ... does not support scans. Therefore, we omitted
                 // Project Voldemort in the following experiments."
-                let plan =
-                    crate::api::client_only_plan(&self.ctx, client, SimDuration::from_micros(5));
-                (OpOutcome::Rejected(RejectReason::Unsupported), plan)
+                // The error is produced without contacting a server.
+                let plan = self
+                    .ctx
+                    .plan()
+                    .client_cpu(client, SimDuration::from_micros(5));
+                (
+                    OpOutcome::Rejected(RejectReason::Unsupported),
+                    plan.finish(),
+                )
             }
         }
     }
@@ -340,14 +305,13 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn disk_bytes_per_node(&self) -> Option<u64> {
-        let records: u64 = self.nodes.iter().map(|n| n.tree.len()).sum();
+        let records: u64 = self.nodes.iter().map(|n| n.pages.tree.len()).sum();
         Some(self.format.disk_usage(records) / self.nodes.len() as u64)
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
         for node in &self.nodes {
-            node.tree.snap_state(w);
-            node.pool.snap_state(w);
+            node.pages.snap_state(w);
             node.log.snap_state(w);
             w.put(&node.rng);
         }
@@ -357,8 +321,7 @@ impl DistributedStore for VoldemortStore {
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
         for node in &mut self.nodes {
-            node.tree.restore_state(r)?;
-            node.pool.restore_state(r, node.tree.page_count())?;
+            node.pages.restore_state(r)?;
             node.log.restore_state(r)?;
             node.rng = r.get()?;
         }
@@ -477,7 +440,7 @@ mod tests {
         for seq in (0..40_000).step_by(199) {
             let r = record_for_seq(seq);
             let node = s.map.route(&r.key);
-            let (_, trace) = s.nodes[node].tree.get(&r.key);
+            let (_, trace) = s.nodes[node].pages.tree.get(&r.key);
             io_reads += s.nodes[node].replay(&trace).len();
         }
         assert!(

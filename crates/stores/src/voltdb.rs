@@ -16,13 +16,13 @@
 //! added — reproduced here by a capacity-1 "global initiator" resource
 //! whose per-transaction service is proportional to the node count.
 
-use crate::api::{load_partitioned, round_trip_plan, CostModel, DistributedStore, StoreCtx};
+use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan};
 use crate::routing::SiteMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
-use apm_sim::{Engine, Plan, SimDuration, Step};
+use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::partition::PartitionTable;
 use std::ops::Range;
 
@@ -40,14 +40,14 @@ const FRAGMENT_COST: CostModel = CostModel {
     per_probe_ns: 2_000,
     per_byte_ns: 20,
 };
-/// Client-side cost per call (VoltDB wire protocol is lean).
-const CLIENT_CPU: SimDuration = SimDuration::from_micros(15);
+/// Client-side cost per call (VoltDB wire protocol is lean) and the
+/// call's size on the wire.
+const REQUEST: Request = Request::new(SimDuration::from_micros(15), 90);
 /// Per-transaction global ordering cost per cluster node (n > 1). At
 /// 20 µs × n on a serial initiator the cluster tops out at 1/(20 µs × n):
 /// ≈25 K at 2 nodes, ≈6 K at 8 — the measured decline.
 const ORDERING_NS_PER_NODE: u64 = 20_000;
-/// Wire sizes.
-const REQ_BYTES: u64 = 90;
+/// Response sizes on the wire.
 const RESP_READ_BYTES: u64 = 130;
 const RESP_WRITE_BYTES: u64 = 40;
 
@@ -84,20 +84,17 @@ impl VoltDbStore {
         }
     }
 
-    fn ordering_steps(&self, multi_partition: bool) -> Vec<Step> {
+    /// The global ordering stage every transaction passes on a cluster of
+    /// more than one node: a sequencing round in which the initiator
+    /// touches every node.
+    fn ordered<'a>(&self, plan: StorePlan<'a>, multi_partition: bool) -> StorePlan<'a> {
         let n = self.ctx.node_count() as u64;
         if n <= 1 {
-            return Vec::new();
+            return plan;
         }
         let factor = if multi_partition { 2 } else { 1 };
-        vec![
-            // Sequencing round: the initiator touches every node.
-            Step::Acquire {
-                resource: self.initiator,
-                service: SimDuration::from_nanos(ORDERING_NS_PER_NODE * n * factor),
-            },
-            Step::Delay(self.ctx.cluster.net.one_way_latency),
-        ]
+        let sequencing = SimDuration::from_nanos(ORDERING_NS_PER_NODE * n * factor);
+        plan.acquire(self.initiator, sequencing).latency()
     }
 
     fn single_partition_plan(
@@ -108,39 +105,20 @@ impl VoltDbStore {
     ) -> (OpOutcome, Plan) {
         let site = self.map.site(key);
         let node = site / self.map.sites_per_host;
-        let (outcome, receipt) = match write {
+        let (outcome, receipt, resp) = match write {
             Some(record) => {
                 let receipt = self.partitions[site].insert(record.key, record.fields);
-                (OpOutcome::Done, receipt)
+                (OpOutcome::Done, receipt, RESP_WRITE_BYTES)
             }
             None => {
                 let (found, receipt) = self.partitions[site].get(key);
-                let outcome = match found {
-                    Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-                    None => OpOutcome::Missing,
-                };
-                (outcome, receipt)
+                (OpOutcome::read(key, found), receipt, RESP_READ_BYTES)
             }
         };
-        let mut server = self.ordering_steps(false);
-        server.push(Step::Acquire {
-            resource: self.site_res[site],
-            service: PROC_COST.cpu(&receipt),
+        let plan = self.ctx.round_trip(client, node, REQUEST, resp, |plan| {
+            self.ordered(plan, false)
+                .acquire(self.site_res[site], PROC_COST.cpu(&receipt))
         });
-        let resp = if write.is_some() {
-            RESP_WRITE_BYTES
-        } else {
-            RESP_READ_BYTES
-        };
-        let plan = round_trip_plan(
-            &self.ctx,
-            client,
-            &self.ctx.servers[node],
-            CLIENT_CPU,
-            REQ_BYTES,
-            resp,
-            server,
-        );
         (outcome, plan)
     }
 
@@ -154,51 +132,39 @@ impl VoltDbStore {
         // fragment to every site, merges, and responds.
         let coordinator_site = self.map.site(start);
         let coordinator_node = coordinator_site / self.map.sites_per_host;
-        let net = self.ctx.cluster.net;
         let mut branches = Vec::with_capacity(self.map.sites());
         let mut total = 0usize;
         for site in 0..self.map.sites() {
             let (row_count, receipt) = self.partitions[site].scan_count(start, len);
             total += row_count;
             let node = site / self.map.sites_per_host;
-            let mut steps = Vec::new();
-            if node != coordinator_node {
-                steps.push(Step::Delay(net.one_way_latency));
-            }
-            steps.push(Step::Acquire {
-                resource: self.site_res[site],
-                service: FRAGMENT_COST.cpu(&receipt),
-            });
-            if node != coordinator_node {
-                steps.push(Step::Acquire {
-                    resource: self.ctx.servers[node].nic,
-                    service: net.transfer(RESP_READ_BYTES * row_count.max(1) as u64),
-                });
-                steps.push(Step::Delay(net.one_way_latency));
-            }
-            branches.push(Plan(steps));
+            let fragment = FRAGMENT_COST.cpu(&receipt);
+            let branch = if node == coordinator_node {
+                self.ctx.plan().acquire(self.site_res[site], fragment)
+            } else {
+                // The fragment travels out, its rows travel back.
+                self.ctx
+                    .plan()
+                    .latency()
+                    .acquire(self.site_res[site], fragment)
+                    .hop(node, RESP_READ_BYTES * row_count.max(1) as u64)
+            };
+            branches.push(branch.finish());
         }
         // Partitions hold disjoint keys, so the coordinator's merge keeps
         // the `len` smallest of `total` distinct rows.
         let returned = total.min(len);
-        let mut server = self.ordering_steps(true);
-        server.push(Step::Join {
-            branches,
-            need: self.map.sites(),
-        });
-        // Coordinator merge.
-        server.push(Step::Acquire {
-            resource: self.ctx.servers[coordinator_node].cpu,
-            service: SimDuration::from_nanos(20_000 + 500 * total as u64),
-        });
-        let plan = round_trip_plan(
-            &self.ctx,
+        let merge = SimDuration::from_nanos(20_000 + 500 * total as u64);
+        let plan = self.ctx.round_trip(
             client,
-            &self.ctx.servers[coordinator_node],
-            CLIENT_CPU,
-            REQ_BYTES,
+            coordinator_node,
+            REQUEST,
             RESP_READ_BYTES * returned.max(1) as u64,
-            server,
+            |plan| {
+                self.ordered(plan, true)
+                    .join(branches, self.map.sites())
+                    .cpu(coordinator_node, merge)
+            },
         );
         (OpOutcome::Scanned(returned), plan)
     }
