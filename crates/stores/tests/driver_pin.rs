@@ -15,15 +15,22 @@
 //! policy-free constants were captured on the commit *before* the two
 //! drivers were merged (d46ae38), the fourth on the commit before the
 //! driver's plans went through `PlanBuilder` (7b2de44).
+//!
+//! A second table pins what a checkpoint *holds*: FNV-1a over the body
+//! (`snap::open(..).1` — store, kernel and driver state, container
+//! envelope excluded) of checkpoint 0 of shape (d) for an LSM store, Redis
+//! and Voldemort, captured on the commit before the container went to
+//! version 3 (31f4d39). Work on the envelope — how a checkpoint is
+//! buffered, sealed and checksummed — must leave every body byte alone.
 
 mod common;
 
 use apm_core::driver::{ClientConfig, Throttle};
-use apm_core::snap::{fnv1a64, SnapWriter};
+use apm_core::snap::{self, fnv1a64, SnapWriter};
 use apm_core::workload::Workload;
 use apm_sim::{ClusterSpec, Engine, FaultSchedule, SimDuration, SimTime};
 use apm_stores::resilience::{AdmissionPolicy, BreakerPolicy, HedgePolicy, RetryPolicy};
-use apm_stores::runner::{run_benchmark, RunConfig};
+use apm_stores::runner::{run_benchmark, CheckpointSpec, RunConfig, RunResult};
 use apm_stores::ResiliencePolicy;
 
 const NODES: u32 = 4;
@@ -60,12 +67,16 @@ fn shapes() -> [RunConfig; 4] {
     [base(Workload::rw()), throttled, faulty, resilient]
 }
 
+fn run(name: &str, config: &RunConfig) -> RunResult {
+    let mut engine = Engine::new();
+    let ctx = common::ctx_on(name, &mut engine, ClusterSpec::cluster_m(), NODES, SCALE);
+    let mut store = common::build(name, &mut engine, ctx);
+    run_benchmark(&mut engine, store.as_mut(), config)
+}
+
 fn fingerprints(name: &str) -> [u64; 4] {
     shapes().map(|config| {
-        let mut engine = Engine::new();
-        let ctx = common::ctx_on(name, &mut engine, ClusterSpec::cluster_m(), NODES, SCALE);
-        let mut store = common::build(name, &mut engine, ctx);
-        let r = run_benchmark(&mut engine, store.as_mut(), &config);
+        let r = run(name, &config);
         let mut w = SnapWriter::new();
         w.put(&r.stats);
         w.put_u64(r.issued);
@@ -145,6 +156,38 @@ fn policy_free_runs_are_pinned() {
     assert!(
         moved.is_empty(),
         "[max RW, throttled R, faulty RW, resilient faulty RW] moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// Stores with the FNV-1a of the body of checkpoint 0 of shape (d),
+/// checkpointed every 0.2 s, and the body's length.
+const BODY_PINS: [(&str, u64, usize); 3] = [
+    ("cassandra", 0x3384_e815_1d98_77eb, 4_036_027),
+    ("redis", 0xcf9a_f41a_8750_b33d, 1_995_151),
+    ("voldemort", 0x8fd8_23fa_01ab_c9c7, 2_601_976),
+];
+
+#[test]
+fn checkpoint_bodies_are_pinned() {
+    let [.., mut resilient] = shapes();
+    resilient.checkpoints = Some(CheckpointSpec::every(0.2));
+    let moved: Vec<String> = BODY_PINS
+        .iter()
+        .filter_map(|&(name, want, want_len)| {
+            let r = run(name, &resilient);
+            let (_, body) = snap::open(&r.checkpoints[0].bytes).expect("own checkpoint opens");
+            let (got, len) = (fnv1a64(body), body.len());
+            ((got, len) != (want, want_len)).then(|| {
+                format!(
+                    "{name}: got {got:#018x} over {len} bytes, pinned {want:#018x} over {want_len}"
+                )
+            })
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "checkpoint 0 bodies moved:\n{}",
         moved.join("\n")
     );
 }
