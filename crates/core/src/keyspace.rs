@@ -285,6 +285,18 @@ mod tests {
     }
 
     #[test]
+    fn key_for_seq_is_the_key_of_record_for_seq() {
+        // Reads and scans draw only the key; the op stream is the same
+        // only if it is the key the loaded record carries.
+        let mut rng = SplitRng::new(0x6B65_7931);
+        let edges = [0, 1, 35, 36, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        let scrambled = (0..4_096).map(|_| rng.next_u64());
+        for seq in edges.into_iter().chain(0..4_096).chain(scrambled) {
+            assert_eq!(key_for_seq(seq), record_for_seq(seq).key, "seq {seq}");
+        }
+    }
+
+    #[test]
     fn rng_streams_are_deterministic_and_seed_dependent() {
         let mut a = SplitRng::new(42);
         let mut b = SplitRng::new(42);

@@ -7,7 +7,7 @@
 //! models, and the benchmark driver implement so a run can be frozen at a
 //! virtual-time boundary and resumed byte-identically.
 //!
-//! ## Container layout (version 1)
+//! ## Container layout (version 3)
 //!
 //! ```text
 //! offset  size  field
@@ -20,8 +20,37 @@
 //! ..      8     virtual time of the checkpoint in ns (u64 LE)
 //! ..      8     body length (u64 LE)
 //! ..      var   body (Snap-encoded sections)
-//! end-8   8     FNV-1a 64 checksum over everything before it (u64 LE)
+//! end-8   8     checksum64 over everything before it (u64 LE)
 //! ```
+//!
+//! [`seal_with`] is the one function that writes this layout and
+//! [`open`] the one that reads it: magic, then version, then checksum,
+//! then the fields — so a container of another version is refused as
+//! such, whatever checksum that version used.
+//!
+//! ## The checksum
+//!
+//! [`checksum64`] reads its input as little-endian `u64` words, so it
+//! moves eight bytes per step where byte-serial FNV-1a moves one, and
+//! keeps four independent lanes so the multiplies overlap. With
+//! `step(s, w) = ((s ^ w) * P).rotate_left(31)` and `P` odd:
+//!
+//! ```text
+//! lanes  = [L0, L1, L2, L3]                      four fixed seeds
+//! for each 32-byte stripe (words w0..w3):        lanes[i] = step(lanes[i], w_i)
+//! h      = step(step(step(step(len, lanes[0]), lanes[1]), lanes[2]), lanes[3])
+//! for each whole word w left (at most three):    h = step(h, w)
+//! h      = step(h, the last 0..=7 bytes, zero-padded to a word)
+//! sum    = avalanche(h)                          xor-shift / odd-multiply rounds
+//! ```
+//!
+//! `step` is a bijection of its state for a fixed word and of the word
+//! for a fixed state, and so are the lane fold and the avalanche. Two
+//! inputs of one length that differ in a single word therefore *always*
+//! differ in their sums — the guarantee FNV-1a gives for a single byte,
+//! kept at word width. Anything wider is caught with probability
+//! 1 − 2⁻⁶⁴. The length seeds the fold, which tells apart inputs that
+//! differ only in trailing zero bytes.
 //!
 //! All integers are little-endian. Floats are encoded via
 //! [`f64::to_bits`], so round-trips are bit-exact. Collections are
@@ -42,18 +71,20 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"APMS";
 /// Current container format version. Version 2 dropped the driver-mode
 /// byte and the policy-free slot layout from the driver section (one
-/// closed-loop driver, one slot codec), so version-1 checkpoints are
-/// refused rather than misread.
-pub const VERSION: u16 = 2;
+/// closed-loop driver, one slot codec); version 3 changed the trailing
+/// checksum from [`fnv1a64`] to [`checksum64`] and nothing else. Older
+/// checkpoints are refused rather than misread.
+pub const VERSION: u16 = 3;
 
 /// Feature-flag bit recorded when the writer was built with `audit`.
 pub const FEATURE_AUDIT: u8 = 1 << 0;
 /// Feature-flag bit recorded when the writer was built with `trace`.
 pub const FEATURE_TRACE: u8 = 1 << 1;
 
-/// FNV-1a 64-bit hash — the checksum and fingerprint primitive used
-/// throughout the snapshot layer (same family the kernel auditor uses
-/// for its rolling fingerprint).
+/// FNV-1a 64-bit hash — the fingerprint primitive for configs, results
+/// and pins (same family the kernel auditor uses for its rolling
+/// fingerprint). Byte-serial, so right for kilobytes; checkpoint-sized
+/// input goes through [`checksum64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -61,6 +92,49 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The container's trailing checksum and the hash bisection compares
+/// checkpoint bodies by: four multiply lanes over 32-byte stripes of
+/// little-endian words, length and byte tail folded in (definition and
+/// guarantee in the module docs). Not a fingerprint anything persists —
+/// those stay [`fnv1a64`].
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    // Odd multipliers (the xxHash64 primes): the lane step, then the two
+    // avalanche rounds. Lane seeds are xxHash64's for seed 0.
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const LANES: [u64; 4] = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    #[inline]
+    fn step(state: u64, word: u64) -> u64 {
+        (state ^ word).wrapping_mul(P1).rotate_left(31)
+    }
+    #[inline]
+    fn word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+    }
+
+    let mut lanes = LANES;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    let mut h = lanes.into_iter().fold(bytes.len() as u64, step);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = step(h, word(w));
+    }
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(last));
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Everything that can go wrong opening or decoding a snapshot.
@@ -89,7 +163,7 @@ pub enum SnapError {
         /// The offending tag value.
         tag: u64,
     },
-    /// The trailing FNV-1a checksum does not match the contents.
+    /// The trailing [`checksum64`] does not match the contents.
     ChecksumMismatch {
         /// Checksum stored in the container.
         stored: u64,
@@ -304,6 +378,23 @@ impl<'a> SnapReader<'a> {
         let len = self.u64()? as usize;
         let raw = self.take(len)?;
         String::from_utf8(raw.to_vec()).map_err(|_| SnapError::BadUtf8)
+    }
+
+    /// Reads a `u64` element count a decoder is about to allocate for,
+    /// and refuses it unless the bytes left can hold that many elements
+    /// of at least `min_elem_bytes` each — a length prefix is outside
+    /// input, and the allocation it asks for must be bounded by the
+    /// input's own size.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
+        let count = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
+        let wanted = count.saturating_mul(min_elem_bytes);
+        if wanted > self.remaining() {
+            return Err(SnapError::UnexpectedEof {
+                wanted,
+                remaining: self.remaining(),
+            });
+        }
+        Ok(count)
     }
 
     /// Reads any [`Snap`] value.
@@ -526,9 +617,25 @@ pub struct SnapshotHeader {
     pub virtual_time_ns: u64,
 }
 
-/// Seals `body` into a versioned, checksummed container.
-pub fn seal(header: &SnapshotHeader, body: &[u8]) -> Vec<u8> {
-    let mut w = SnapWriter::new();
+/// Bytes a container adds around its scenario string and its body.
+const ENVELOPE_BYTES: usize = MAGIC.len() + 2 + 8 + 8 + 1 + 4 + 8 + 8 + 8;
+
+/// Seals whatever `write_body` appends into a versioned, checksummed
+/// container, in one buffer: the header goes in first, the body is
+/// written straight behind it, the body-length slot is patched once the
+/// body's length is known and the checksum appended. `body_hint` sizes
+/// the buffer (a guess; a low one only costs the `Vec`'s usual growth).
+///
+/// The writer handed to `write_body` already holds the header, so its
+/// `len()` and `bytes()` count from the start of the container.
+pub fn seal_with(
+    header: &SnapshotHeader,
+    body_hint: usize,
+    write_body: impl FnOnce(&mut SnapWriter),
+) -> Vec<u8> {
+    let mut w = SnapWriter {
+        buf: Vec::with_capacity(ENVELOPE_BYTES + header.scenario.len() + body_hint),
+    };
     w.put_bytes(&MAGIC);
     w.put_u16(VERSION);
     w.put_str(&header.scenario);
@@ -536,15 +643,25 @@ pub fn seal(header: &SnapshotHeader, body: &[u8]) -> Vec<u8> {
     w.put_u8(header.features);
     w.put_u32(header.checkpoint_index);
     w.put_u64(header.virtual_time_ns);
-    w.put_u64(body.len() as u64);
-    w.put_bytes(body);
-    let checksum = fnv1a64(w.bytes());
+    w.put_u64(0);
+    let body_at = w.len();
+    write_body(&mut w);
+    let body_len = (w.len() - body_at) as u64;
+    w.buf[body_at - 8..body_at].copy_from_slice(&body_len.to_le_bytes());
+    let checksum = checksum64(w.bytes());
     w.put_u64(checksum);
     w.into_bytes()
 }
 
-/// Opens a sealed container: verifies magic, version and checksum, then
-/// returns the header and the body bytes.
+/// Seals `body` into a versioned, checksummed container.
+pub fn seal(header: &SnapshotHeader, body: &[u8]) -> Vec<u8> {
+    seal_with(header, body.len(), |w| w.put_bytes(body))
+}
+
+/// Opens a sealed container: verifies magic, version and checksum — in
+/// that order, so another version's container is refused by its version,
+/// not by a checksum this build computes differently — then returns the
+/// header and the body bytes.
 pub fn open(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), SnapError> {
     if bytes.len() < MAGIC.len() + 2 + 8 {
         return Err(SnapError::UnexpectedEof {
@@ -552,23 +669,22 @@ pub fn open(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), SnapError> {
             remaining: bytes.len(),
         });
     }
-    if bytes[..MAGIC.len()] != MAGIC {
+    let (contents, tail) = bytes.split_at(bytes.len() - 8);
+    let mut r = SnapReader::new(contents);
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(SnapError::BadMagic);
     }
-    let (contents, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("len 8"));
-    let computed = fnv1a64(contents);
-    if stored != computed {
-        return Err(SnapError::ChecksumMismatch { stored, computed });
-    }
-    let mut r = SnapReader::new(contents);
-    r.bytes(MAGIC.len())?;
     let version = r.u16()?;
     if version != VERSION {
         return Err(SnapError::VersionMismatch {
             found: version,
             expected: VERSION,
         });
+    }
+    let stored = u64::from_le_bytes(tail.try_into().expect("len 8"));
+    let computed = checksum64(contents);
+    if stored != computed {
+        return Err(SnapError::ChecksumMismatch { stored, computed });
     }
     let scenario = r.str()?;
     let config_fingerprint = r.u64()?;
@@ -722,20 +838,20 @@ mod tests {
 
     #[test]
     fn container_rejects_version_mismatch() {
-        // Rewrite the version field and re-seal the checksum so only the
-        // version check can fail: a newer writer's container, and the
-        // version-1 layout (two driver sections behind a mode byte) this
-        // format replaced.
-        for found in [VERSION + 1, 1] {
+        // A newer writer's container and the two layouts this format
+        // replaced. The version is read before the checksum — another
+        // version's checksum is another function — so each is refused as
+        // that version with its checksum stale, and again re-sealed so
+        // that only the version check can fail.
+        for found in [VERSION + 1, 2, 1] {
             let mut sealed = seal(&header(), b"x");
             sealed[4..6].copy_from_slice(&found.to_le_bytes());
+            let refusal = Err(SnapError::VersionMismatch { found, expected: 3 });
+            assert_eq!(open(&sealed), refusal);
             let len = sealed.len();
-            let checksum = fnv1a64(&sealed[..len - 8]).to_le_bytes();
+            let checksum = checksum64(&sealed[..len - 8]).to_le_bytes();
             sealed[len - 8..].copy_from_slice(&checksum);
-            assert_eq!(
-                open(&sealed),
-                Err(SnapError::VersionMismatch { found, expected: 2 })
-            );
+            assert_eq!(open(&sealed), refusal);
         }
     }
 
@@ -748,6 +864,134 @@ mod tests {
             open(&sealed),
             Err(SnapError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// Byte `i` of the checksum tests' input.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + (i >> 8)) as u8).collect()
+    }
+
+    #[test]
+    fn checksum64_matches_known_answers() {
+        // From an independent implementation of the module doc's
+        // definition, over `pattern`: below, at and past the word and
+        // stripe boundaries, and a megabyte.
+        for (len, want) in [
+            (0, 0xca12_b869_027a_f833),
+            (1, 0x2da1_d014_1c25_aef5),
+            (7, 0xbdb8_bba0_bcd7_86b9),
+            (8, 0x3998_f46d_ffe6_c28e),
+            (31, 0xe5a3_0dc6_f18d_a2bf),
+            (32, 0x2ab2_3aac_ebc8_c50a),
+            (33, 0x0074_ac12_8797_578c),
+            (64, 0x2973_02b3_b8c2_40cd),
+            (1 << 20, 0xabfa_50ad_e819_d806u64),
+        ] {
+            assert_eq!(checksum64(&pattern(len)), want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn checksum64_catches_every_bit_flip_and_short_truncation() {
+        // 4 KiB + 5: whole stripes, a whole word and a byte tail.
+        let mut buf = pattern(4096 + 8 + 5);
+        let sum = checksum64(&buf);
+        for bit in 0..buf.len() * 8 {
+            buf[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&buf), sum, "flip of bit {bit} went unseen");
+            buf[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 1..=40 {
+            assert_ne!(
+                checksum64(&buf[..buf.len() - cut]),
+                sum,
+                "truncation by {cut} went unseen"
+            );
+        }
+        // Trailing zeros are not free either.
+        buf.push(0);
+        assert_ne!(checksum64(&buf), sum);
+    }
+
+    #[test]
+    fn checksum64_catches_any_single_word_replacement() {
+        // The word-width guarantee: with everything else fixed the sum is
+        // a bijection of any one word, so no replacement can collide.
+        let mut buf = pattern(200);
+        let sum = checksum64(&buf);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for at in (0..200).step_by(8) {
+            let original = buf[at..at + 8].to_vec();
+            for _ in 0..64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                buf[at..at + 8].copy_from_slice(&x.to_le_bytes());
+                if buf[at..at + 8] != original[..] {
+                    assert_ne!(checksum64(&buf), sum, "word at {at} replaced by {x:#x}");
+                }
+            }
+            buf[at..at + 8].copy_from_slice(&original);
+        }
+    }
+
+    #[test]
+    fn seal_with_pieces_equals_seal_whatever_the_hint() {
+        // One body, written whole through `seal` and in uneven `put_*`
+        // pieces through `seal_with` — pre-sized exactly, not at all, and
+        // to half of what it takes (so the buffer grows mid-body).
+        let mut body = SnapWriter::new();
+        body.put_u8(7);
+        body.put_u16(0xBEEF);
+        body.put_u64(u64::MAX - 1);
+        body.put_str("a scenario-sized string");
+        body.put_bytes(&pattern(10_000));
+        body.put_u128(1 << 100);
+        body.put_f64(-0.0);
+        let whole = seal(&header(), body.bytes());
+        assert_eq!(open(&whole).unwrap().1, body.bytes());
+        for hint in [body.len(), 0, body.len() / 2] {
+            let pieced = seal_with(&header(), hint, |w| {
+                w.put_u8(7);
+                w.put_u16(0xBEEF);
+                w.put_u64(u64::MAX - 1);
+                w.put_str("a scenario-sized string");
+                for piece in pattern(10_000).chunks(977) {
+                    w.put_bytes(piece);
+                }
+                w.put_u128(1 << 100);
+                w.put_f64(-0.0);
+            });
+            assert_eq!(pieced, whole, "hint {hint}");
+        }
+        assert_eq!(
+            whole.len(),
+            ENVELOPE_BYTES + "test-scenario".len() + body.len()
+        );
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_left() {
+        let mut w = SnapWriter::new();
+        w.put_u64(3);
+        w.put_bytes(&[0; 30]);
+        let bytes = w.into_bytes();
+        assert_eq!(SnapReader::new(&bytes).count(10), Ok(3));
+        assert_eq!(
+            SnapReader::new(&bytes).count(11),
+            Err(SnapError::UnexpectedEof {
+                wanted: 33,
+                remaining: 30
+            })
+        );
+        let inflated = u64::MAX.to_le_bytes();
+        assert_eq!(
+            SnapReader::new(&inflated).count(75),
+            Err(SnapError::UnexpectedEof {
+                wanted: usize::MAX,
+                remaining: 0
+            })
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! §3 further fixes: scan length 50 records, all fields fetched, uniform
 //! access, 10 million records loaded per server node, 600-second runs.
 
-use crate::keyspace::{record_for_seq, KeyChooser, KeyDistribution, SplitRng};
+use crate::keyspace::{key_for_seq, record_for_seq, KeyChooser, KeyDistribution, SplitRng};
 use crate::ops::{OpKind, Operation};
 use crate::record::MetricKey;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
@@ -217,13 +217,13 @@ impl WorkloadGenerator {
             OpKind::Read => {
                 let seq = self.chooser.choose(self.acked);
                 Operation::Read {
-                    key: record_for_seq(seq).key,
+                    key: key_for_seq(seq),
                 }
             }
             OpKind::Scan => {
                 let seq = self.chooser.choose(self.acked);
                 Operation::Scan {
-                    start: record_for_seq(seq).key,
+                    start: key_for_seq(seq),
                     len: self.workload.scan_length,
                 }
             }
@@ -254,7 +254,7 @@ impl WorkloadGenerator {
 
     /// Expected key for sequence `seq` (test helper re-export).
     pub fn key_for(seq: u64) -> MetricKey {
-        record_for_seq(seq).key
+        key_for_seq(seq)
     }
 
     /// Serializes the generator's mutable state (RNG streams, chooser

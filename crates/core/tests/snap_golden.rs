@@ -9,11 +9,15 @@ use apm_core::snap::{self, SnapError, SnapReader, SnapWriter, SnapshotHeader};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
+fn data_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("data")
-        .join("snap_golden.bin")
+        .join(file)
+}
+
+fn golden_path() -> PathBuf {
+    data_path("snap_golden.bin")
 }
 
 /// A fixed structure exercising every primitive the format defines.
@@ -104,7 +108,7 @@ fn version_bump_is_rejected() {
     bytes[4] = bumped[0];
     bytes[5] = bumped[1];
     let len = bytes.len();
-    let checksum = snap::fnv1a64(&bytes[..len - 8]).to_le_bytes();
+    let checksum = snap::checksum64(&bytes[..len - 8]).to_le_bytes();
     bytes[len - 8..].copy_from_slice(&checksum);
     assert_eq!(
         snap::open(&bytes).unwrap_err(),
@@ -113,4 +117,30 @@ fn version_bump_is_rejected() {
             expected: snap::VERSION
         }
     );
+}
+
+/// `snap_v2.bin` is the golden file as version 2 sealed it: the same
+/// header and body under an FNV-1a checksum.
+#[test]
+fn a_version_2_container_is_refused_by_its_version() {
+    let v2 = std::fs::read(data_path("snap_v2.bin")).expect("v2 fixture present");
+    let refusal = snap::open(&v2).unwrap_err();
+    assert_eq!(
+        refusal,
+        SnapError::VersionMismatch {
+            found: 2,
+            expected: 3
+        }
+    );
+    assert_eq!(
+        refusal.to_string(),
+        "snapshot format v2, this build reads v3"
+    );
+    // Version 3 changed the envelope and nothing inside it: the version
+    // field and the trailing checksum are the only bytes that differ.
+    let golden = std::fs::read(golden_path()).expect("golden file present");
+    assert_eq!(golden.len(), v2.len());
+    let differing: Vec<usize> = (0..golden.len()).filter(|&i| golden[i] != v2[i]).collect();
+    let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= golden.len() - 8;
+    assert!(differing.iter().all(envelope), "{differing:?}");
 }

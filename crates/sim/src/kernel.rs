@@ -131,6 +131,10 @@ pub struct PlanHandle(ExecRef);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PreparedPlan(PlanId);
 
+/// Fewest bytes one exec slot takes in a snapshot (an empty plan, no
+/// parent): what bounds the slot count a snapshot may claim.
+const EXEC_MIN_SNAP_BYTES: usize = 8 + 4 + 8 + 8 + 1 + 4 + 4 + 1 + 4 + 1;
+
 #[derive(Debug)]
 struct Exec {
     /// The (arena-interned) plan this exec runs; the exec owns one
@@ -1067,7 +1071,7 @@ impl Engine {
         self.queue.rebuild(self.now, entries);
         self.resources = r.get()?;
         self.arena = PlanArena::new();
-        let exec_count = r.u64()? as usize;
+        let exec_count = r.count(EXEC_MIN_SNAP_BYTES)?;
         let mut execs = Vec::with_capacity(exec_count);
         for _ in 0..exec_count {
             let plan: Plan = r.get()?;
@@ -1994,6 +1998,48 @@ mod tests {
             engine.tracer().fingerprint(),
             resumed.tracer().fingerprint(),
             "trace fingerprint must survive the round trip"
+        );
+    }
+
+    #[test]
+    fn inflated_exec_count_is_refused_before_allocating() {
+        let mut engine = Engine::new();
+        let disk = engine.add_resource("disk", 1);
+        for i in 0..4 {
+            engine.submit(Plan::build().acquire(disk, us(10)).finish(), Token(i));
+        }
+        engine.run_until(SimTime(15_000));
+        let mut w = SnapWriter::new();
+        engine.snap_state(&mut w);
+        let mut body = w.into_bytes();
+        // The slot count follows the features byte, the clock, the
+        // sequence counter, the event list and the resources.
+        let mut before = SnapWriter::new();
+        before.put_u8(Engine::snap_features());
+        before.put(&engine.now);
+        before.put_u64(engine.seq);
+        before.put(&engine.queue.sorted_entries());
+        before.put(&engine.resources);
+        let at = before.len();
+        assert_eq!(body[at..at + 8], (engine.execs.len() as u64).to_le_bytes());
+        body[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // Sealed-valid: past the container's checksum, only the decoder
+        // stands between the count and the allocator.
+        let header = apm_core::snap::SnapshotHeader {
+            scenario: "kernel".to_string(),
+            config_fingerprint: 0,
+            features: Engine::snap_features(),
+            checkpoint_index: 0,
+            virtual_time_ns: engine.now.0,
+        };
+        let sealed = apm_core::snap::seal(&header, &body);
+        let (_, body) = apm_core::snap::open(&sealed).expect("sealed-valid");
+        let mut fresh = Engine::new();
+        fresh.add_resource("disk", 1);
+        let refused = fresh.restore_state(&mut SnapReader::new(body));
+        assert!(
+            matches!(refused, Err(SnapError::UnexpectedEof { .. })),
+            "{refused:?}"
         );
     }
 

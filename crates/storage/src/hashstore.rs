@@ -192,7 +192,7 @@ impl HashStore {
     /// Restores the state written by [`HashStore::snap_state`] into a
     /// store built with the same memory budget.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let len = r.u64()? as usize;
+        let len = r.count(RAW_RECORD_SIZE)?;
         self.map = HashMap::with_capacity(len);
         self.index = BTreeSet::new();
         for _ in 0..len {
@@ -210,6 +210,7 @@ impl HashStore {
 mod tests {
     use super::*;
     use apm_core::keyspace::record_for_seq;
+    use apm_core::snap::{self, SnapshotHeader};
 
     #[test]
     fn insert_get_roundtrip() {
@@ -304,6 +305,36 @@ mod tests {
             .restore_state(&mut SnapReader::new(&bytes))
             .unwrap();
         assert!(!restored.is_consistent());
+    }
+
+    #[test]
+    fn inflated_record_count_is_refused_before_allocating() {
+        let mut store = HashStore::new(None);
+        for seq in 0..200 {
+            let r = record_for_seq(seq);
+            store.insert(r.key, r.fields).unwrap();
+        }
+        let mut w = SnapWriter::new();
+        store.snap_state(&mut w);
+        let mut body = w.into_bytes();
+        body[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // Sealed-valid: the container's checksum vouches for these bytes,
+        // so the decoder is all that stands between the count and the
+        // allocator.
+        let header = SnapshotHeader {
+            scenario: "hashstore".to_string(),
+            config_fingerprint: 0,
+            features: 0,
+            checkpoint_index: 0,
+            virtual_time_ns: 0,
+        };
+        let sealed = snap::seal(&header, &body);
+        let (_, body) = snap::open(&sealed).expect("sealed-valid");
+        let refused = HashStore::new(None).restore_state(&mut SnapReader::new(body));
+        assert!(
+            matches!(refused, Err(SnapError::UnexpectedEof { .. })),
+            "{refused:?}"
+        );
     }
 
     #[test]

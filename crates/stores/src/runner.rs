@@ -127,13 +127,14 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// FNV-1a fingerprint of the container *body* (store + kernel +
+    /// [`snap::checksum64`] of the container *body* (store + kernel +
     /// driver state). Headers are excluded so a clean and a perturbed
     /// run — whose config fingerprints necessarily differ — still hash
-    /// equal while their states agree; bisection compares these.
+    /// equal while their states agree; bisection compares these. Compared
+    /// in-process only, never persisted.
     pub fn state_hash(&self) -> u64 {
         let (_, body) = snap::open(&self.bytes).expect("own checkpoint is well-formed");
-        fnv1a64(body)
+        snap::checksum64(body)
     }
 
     /// The sealed header (scenario, fingerprint, index, virtual time).
@@ -977,7 +978,7 @@ fn drive(
         .map(|secs| d.warmup_end + SimDuration::from_secs_f64(secs))
         .filter(|&at| engine.now() < at);
 
-    let mut checkpoints = Vec::new();
+    let mut checkpoints: Vec<Checkpoint> = Vec::new();
     // Completions arrive in batches — everything the kernel buffered in
     // one pass — cutting a kernel round-trip per same-timestamp
     // completion; the per-completion body is unchanged.
@@ -1158,7 +1159,12 @@ fn drive(
             while d.checkpoint_due(every) <= now {
                 let index = d.next_checkpoint;
                 d.next_checkpoint += 1;
-                checkpoints.push(capture_checkpoint(engine, store, config, d, index));
+                // State grows slowly: the run's previous checkpoint is
+                // the best guess at this one's size.
+                let size_hint = checkpoints.last().map_or(0, |c| c.bytes.len());
+                checkpoints.push(capture_checkpoint(
+                    engine, store, config, d, index, size_hint,
+                ));
             }
         }
     }
@@ -1197,9 +1203,10 @@ fn event_enabled(mask: Option<&[bool]>, index: usize) -> bool {
     }
 }
 
-/// Seals checkpoint `index`: store state, kernel state, driver state.
-/// The caller advances the driver's checkpoint counter *before*
-/// serializing, so the stored counter already points past this
+/// Seals checkpoint `index`: store state, kernel state, driver state,
+/// each written straight into the container's buffer (`size_hint` bytes
+/// to start with). The caller advances the driver's checkpoint counter
+/// *before* serializing, so the stored counter already points past this
 /// checkpoint — exactly what a resumed run needs to continue the
 /// numbering.
 fn capture_checkpoint(
@@ -1208,11 +1215,8 @@ fn capture_checkpoint(
     config: &RunConfig,
     d: &Driver,
     index: u32,
+    size_hint: usize,
 ) -> Checkpoint {
-    let mut w = SnapWriter::new();
-    store.snap_state(&mut w);
-    engine.snap_state(&mut w);
-    d.snap_state(&mut w);
     let header = SnapshotHeader {
         scenario: store.name().to_string(),
         config_fingerprint: config_fingerprint(store.name(), config),
@@ -1223,7 +1227,11 @@ fn capture_checkpoint(
     Checkpoint {
         index,
         at: engine.now(),
-        bytes: snap::seal(&header, w.bytes()),
+        bytes: snap::seal_with(&header, size_hint, |w| {
+            store.snap_state(w);
+            engine.snap_state(w);
+            d.snap_state(w);
+        }),
     }
 }
 
