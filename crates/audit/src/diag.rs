@@ -26,11 +26,13 @@
 //! }
 //! ```
 //!
-//! The JSON is emitted and parsed by hand (the crate is dependency-free
-//! by design); the parser accepts exactly the subset the renderer
-//! produces plus arbitrary whitespace.
+//! Report and baseline are laid out by hand — one finding or
+//! suppression per line, pinned by the golden file — with string
+//! escaping from [`apm_core::json::quote`]; the baseline is read back
+//! through [`apm_core::json::parse`], the repository's one JSON grammar.
 
 use crate::rules::{severity, Severity, Violation};
+use apm_core::json::{self, quote, Json};
 
 /// Output format selected by `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,35 +189,17 @@ pub fn render_json(findings: &[Finding], summary: Summary) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"severity\": {}, \"message\": {}}}",
-            json_str(&f.file),
+            quote(&f.file),
             f.line,
-            json_str(f.rule),
-            json_str(severity_str(f.severity)),
-            json_str(&f.message)
+            quote(f.rule),
+            quote(severity_str(f.severity)),
+            quote(&f.message)
         ));
     }
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
-    out
-}
-
-/// Serialize a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -311,9 +295,9 @@ impl Baseline {
             }
             out.push_str(&format!(
                 "\n    {{\"rule\": {}, \"file\": {}, \"message\": {}}}",
-                json_str(&s.rule),
-                json_str(&s.file),
-                json_str(&s.message)
+                quote(&s.rule),
+                quote(&s.file),
+                quote(&s.message)
             ));
         }
         if !self.suppressions.is_empty() {
@@ -323,34 +307,31 @@ impl Baseline {
         out
     }
 
-    /// Parse `audit-baseline.json`. Accepts the subset of JSON the
-    /// renderer produces (objects, arrays, strings, integers) with any
-    /// whitespace; rejects everything else with a position-tagged error.
+    /// Parse `audit-baseline.json`: any JSON document of the rendered
+    /// shape; everything else is rejected with a typed message.
     pub fn parse(src: &str) -> Result<Baseline, String> {
-        let v = Json::parse(src)?;
-        let obj = v.as_object().ok_or("baseline root must be an object")?;
-        match obj.iter().find(|(k, _)| k == "version").map(|(_, v)| v) {
-            Some(Json::Num(1)) => {}
+        let doc = json::parse(src).map_err(|e| e.to_string())?;
+        if !matches!(doc, Json::Obj(_)) {
+            return Err("baseline root must be an object".into());
+        }
+        match doc.get("version") {
+            Some(Json::Num(v)) if *v == 1.0 => {}
             Some(_) => return Err("unsupported baseline version".into()),
             None => return Err("baseline missing \"version\"".into()),
         }
         let mut out = Baseline::default();
-        let Some(sups) = obj
-            .iter()
-            .find(|(k, _)| k == "suppressions")
-            .map(|(_, v)| v)
-        else {
+        let Some(sups) = doc.get("suppressions") else {
             return Ok(out);
         };
-        let arr = sups.as_array().ok_or("\"suppressions\" must be an array")?;
+        let arr = sups.as_arr().ok_or("\"suppressions\" must be an array")?;
         for (i, entry) in arr.iter().enumerate() {
-            let e = entry
-                .as_object()
-                .ok_or_else(|| format!("suppression #{i} must be an object"))?;
+            if !matches!(entry, Json::Obj(_)) {
+                return Err(format!("suppression #{i} must be an object"));
+            }
             let field = |name: &str| -> Result<String, String> {
-                e.iter()
-                    .find(|(k, _)| k == name)
-                    .and_then(|(_, v)| v.as_str())
+                entry
+                    .get(name)
+                    .and_then(Json::as_str)
                     .map(str::to_string)
                     .ok_or_else(|| format!("suppression #{i} missing string \"{name}\""))
             };
@@ -362,177 +343,6 @@ impl Baseline {
         }
         Ok(out)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser (baseline input only)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value — just enough structure for the baseline file.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(i64),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn parse(src: &str) -> Result<Json, String> {
-        let bytes: Vec<char> = src.chars().collect();
-        let mut pos = 0usize;
-        let v = parse_value(&bytes, &mut pos)?;
-        skip_ws(&bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at offset {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(src: &[char], pos: &mut usize) {
-    while *pos < src.len() && src[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(src: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    skip_ws(src, pos);
-    if src.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{c}' at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(src: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(src, pos);
-    match src.get(*pos) {
-        Some('"') => parse_string(src, pos).map(Json::Str),
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(src, pos);
-            if src.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(src, pos)?);
-                skip_ws(src, pos);
-                match src.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(src, pos);
-            if src.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(src, pos);
-                let key = parse_string(src, pos)?;
-                expect(src, pos, ':')?;
-                let val = parse_value(src, pos)?;
-                fields.push((key, val));
-                skip_ws(src, pos);
-                match src.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == '-' => {
-            let start = *pos;
-            if src[*pos] == '-' {
-                *pos += 1;
-            }
-            while *pos < src.len() && src[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let text: String = src[start..*pos].iter().collect();
-            text.parse::<i64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number at offset {start}: {e}"))
-        }
-        _ => Err(format!("unexpected input at offset {pos}", pos = *pos)),
-    }
-}
-
-fn parse_string(src: &[char], pos: &mut usize) -> Result<String, String> {
-    if src.get(*pos) != Some(&'"') {
-        return Err(format!("expected string at offset {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = src.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = src
-                    .get(*pos)
-                    .copied()
-                    .ok_or("unterminated escape in string")?;
-                *pos += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    'u' => {
-                        let hex: String = src
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")?
-                            .iter()
-                            .collect();
-                        *pos += 4;
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                    }
-                    other => return Err(format!("unsupported escape '\\{other}'")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[cfg(test)]
@@ -554,7 +364,7 @@ mod tests {
         let base = Baseline {
             suppressions: vec![Suppression {
                 rule: "clock".into(),
-                file: "crates/bench/src/runner.rs".into(),
+                file: "apmbench/src/run.rs".into(),
                 message: "wall-clock `Instant::now()` with \"quotes\"".into(),
             }],
         };
@@ -606,10 +416,43 @@ mod tests {
 
     #[test]
     fn json_report_escapes_strings() {
-        let f = vec![finding("clock", "a.rs", 3, "say \"hi\"\\")];
+        let message = "say \"hi\"\\ \r\u{1}";
+        let f = vec![finding("clock", "a.rs", 3, message)];
         let out = render_json(&f, Summary::tally(&f, 1, 0));
-        assert!(out.contains(r#""message": "say \"hi\"\\""#), "{out}");
-        // The report must itself parse with the baseline JSON parser.
-        Json::parse(&out).expect("report is valid JSON");
+        assert!(
+            out.contains(r#""message": "say \"hi\"\\ \r\u0001""#),
+            "{out}"
+        );
+        // The report is a document of the repository's one JSON grammar
+        // and gives the message back.
+        let doc = json::parse(&out).expect("report is valid JSON");
+        let findings = doc
+            .get("findings")
+            .and_then(Json::as_arr)
+            .expect("findings");
+        assert_eq!(
+            findings[0].get("message").and_then(Json::as_str),
+            Some(message)
+        );
+    }
+
+    #[test]
+    fn malformed_baselines_get_typed_messages() {
+        for (src, want) in [
+            ("[]", "baseline root must be an object"),
+            (r#"{"suppressions": []}"#, "baseline missing \"version\""),
+            (r#"{"version": 2}"#, "unsupported baseline version"),
+            (r#"{"version": "1"}"#, "unsupported baseline version"),
+            (
+                r#"{"version": 1, "suppressions": [{"rule": "clock", "file": 3}]}"#,
+                "suppression #0 missing string \"file\"",
+            ),
+        ] {
+            assert_eq!(Baseline::parse(src).unwrap_err(), want, "{src}");
+        }
+        // The version is a number: both spellings of one are version 1.
+        for src in [r#"{"version": 1}"#, r#"{"version": 1.0}"#] {
+            assert_eq!(Baseline::parse(src), Ok(Baseline::default()), "{src}");
+        }
     }
 }

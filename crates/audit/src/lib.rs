@@ -1,4 +1,5 @@
-//! apm-audit — dependency-free determinism & invariant auditor.
+//! apm-audit — determinism & invariant auditor with no external crate
+//! (its one dependency is `apm-core`, for the JSON codec `diag` uses).
 //!
 //! Static half of the audit story (the dynamic half is the
 //! `KernelAuditor` behind apm-sim's `audit` feature): a structural

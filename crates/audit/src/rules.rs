@@ -5,11 +5,12 @@
 //! rules walk the item structure recovered by [`crate::items`] (structs
 //! with fields and feature gates, impl blocks with method bodies, match
 //! arms) — still no `syn`. Rules are deliberately scoped by crate
-//! (derived from the file path); `bench` joined the D1/D2 net with this
-//! revision — it times real hardware, so its wall-clock reads carry
-//! explicit `audit:allow(clock)` justifications instead of a blanket
-//! exemption. The kernel hot-path modules introduced by the
-//! calendar-queue/arena overhaul (`sim::queue`, the future-event list,
+//! (derived from the file path); `bench` — the benchmark package under
+//! `apmbench/` — is inside the D1/D2 net: it times real hardware, so its
+//! wall-clock reads carry explicit `audit:allow(clock)` justifications
+//! instead of a blanket exemption. The kernel hot-path modules
+//! introduced by the calendar-queue/arena overhaul (`sim::queue`, the
+//! future-event list,
 //! and `sim::arena`, the flat plan store) sit inside the D1/D2 net via
 //! the `sim` crate scope; the fixture suite trips each rule in each of
 //! them so a future per-module scope list cannot silently drop the
@@ -106,11 +107,11 @@ pub fn severity(rule: &str) -> Severity {
 /// The audited crate, derived from a workspace-relative path.
 fn crate_of(path: &str) -> &str {
     let mut parts = path.split('/');
-    if parts.next() == Some("crates") {
-        parts.next().unwrap_or("")
-    } else {
+    match parts.next() {
+        Some("crates") => parts.next().unwrap_or(""),
+        Some("apmbench") => "bench",
         // Root package sources (`src/`, `tests/`).
-        "root"
+        _ => "root",
     }
 }
 
@@ -141,10 +142,7 @@ fn is_chaos_path(path: &str) -> bool {
 }
 
 fn is_bin(path: &str) -> bool {
-    path.contains("/bin/")
-        || path.contains("/benches/")
-        || path.ends_with("/main.rs")
-        || path == "main.rs"
+    path.contains("/bin/") || path.ends_with("/main.rs") || path == "main.rs"
 }
 
 /// Runs every rule over the file set and returns all findings,
@@ -212,8 +210,8 @@ fn rule_clock(f: &SourceFile, out: &mut Vec<Violation>) {
 /// crates. Iteration order over hashed collections varies run-to-run,
 /// which silently breaks event-ordering determinism — use
 /// `BTreeMap`/`BTreeSet` (or sort before iterating and annotate the
-/// line). `bench` is covered because its emitted artifacts
-/// (`BENCH_*.json`) must serialize identically across runs.
+/// line). `bench` is covered because the exact half of its emitted
+/// `results.json` (counts, fingerprints) must repeat across runs.
 fn rule_hash_order(f: &SourceFile, out: &mut Vec<Violation>) {
     if !matches!(crate_of(&f.path), "sim" | "stores" | "bench") && !is_obs_path(&f.path) {
         return;
@@ -654,23 +652,21 @@ mod tests {
     #[test]
     fn crate_classification() {
         assert_eq!(crate_of("crates/sim/src/kernel.rs"), "sim");
+        assert_eq!(crate_of("apmbench/src/probes.rs"), "bench");
         assert_eq!(crate_of("src/lib.rs"), "root");
         assert_eq!(crate_of("tests/determinism.rs"), "root");
     }
 
     #[test]
     fn clock_rule_scoped_to_deterministic_crates() {
-        // bench joined the determinism net; core (pure data structures,
-        // no clocks to misuse) stays outside it.
+        // The benchmark package is inside the determinism net; core (pure
+        // data structures, no clocks to misuse) stays outside it.
         let bad = file("crates/sim/src/x.rs", "fn f() { let t = Instant::now(); }");
-        let bad_bench = file(
-            "crates/bench/src/x.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
+        let bad_bench = file("apmbench/src/x.rs", "fn f() { let t = Instant::now(); }");
         let ok = file("crates/core/src/x.rs", "fn f() { let t = Instant::now(); }");
         let v = audit_files(&[bad, bad_bench, ok]);
         let files: Vec<&str> = v.iter().map(|x| x.file.as_str()).collect();
-        assert_eq!(files, ["crates/bench/src/x.rs", "crates/sim/src/x.rs"]);
+        assert_eq!(files, ["apmbench/src/x.rs", "crates/sim/src/x.rs"]);
         assert!(v.iter().all(|x| x.rule == "clock"));
     }
 

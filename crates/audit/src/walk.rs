@@ -8,12 +8,13 @@ use crate::lexer::lex;
 use crate::rules::SourceFile;
 
 /// Collects every `.rs` file under the workspace root that the audit
-/// covers: `crates/*/src`, `crates/*/tests`, root `src/` and `tests/`.
-/// `target/` and hidden directories are never entered. Paths come back
-/// workspace-relative with `/` separators, sorted for stable output.
+/// covers: `crates/*/src`, `crates/*/tests`, root `src/` and `tests/`,
+/// and the benchmark package's `apmbench/src`. `target/` and hidden
+/// directories are never entered. Paths come back workspace-relative
+/// with `/` separators, sorted for stable output.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut paths: BTreeSet<PathBuf> = BTreeSet::new();
-    for top in ["src", "tests"] {
+    for top in ["src", "tests", "apmbench/src"] {
         collect_rs(&root.join(top), &mut paths)?;
     }
     let crates_dir = root.join("crates");
@@ -23,7 +24,7 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             if !entry.file_type()?.is_dir() {
                 continue;
             }
-            for sub in ["src", "tests", "benches"] {
+            for sub in ["src", "tests"] {
                 collect_rs(&entry.path().join(sub), &mut paths)?;
             }
         }

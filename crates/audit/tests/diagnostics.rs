@@ -8,6 +8,7 @@
 
 use apm_audit::diag::{render, render_json, resolve, Baseline, Format, Summary};
 use apm_audit::{audit_files, lexer::lex, SourceFile};
+use apm_core::json::{self, Json};
 
 fn file(path: &str, src: &str) -> SourceFile {
     SourceFile {
@@ -44,10 +45,13 @@ fn json_report_matches_golden() {
 
 #[test]
 fn golden_report_parses_as_baseline_compatible_json() {
-    // The baseline parser accepts the same JSON subset the renderer
-    // emits, so the golden file doubles as a parser fixture: a baseline
-    // built from the report's own findings suppresses all of them.
+    // Report and baseline are documents of the repository's one JSON
+    // grammar: the golden file parses with it, and a baseline built from
+    // the report's own findings suppresses all of them.
     let (_, findings) = fixture_findings();
+    let report = json::parse(include_str!("golden/diagnostics.json")).expect("golden parses");
+    let listed = report.get("findings").and_then(Json::as_arr);
+    assert_eq!(listed.map(<[Json]>::len), Some(findings.len()));
     let base = Baseline::from_findings(&findings);
     let reparsed = Baseline::parse(&base.render()).expect("baseline roundtrip");
     let applied = reparsed.apply(findings);

@@ -53,8 +53,8 @@ fn d1_seeded_rand_call_with_args_is_fine() {
 
 #[test]
 fn d1_does_not_apply_outside_deterministic_crates() {
-    // core holds pure data structures with no clock to misuse; bench is
-    // inside the determinism net since the S-rules PR.
+    // core holds pure data structures with no clock to misuse; the
+    // benchmark package is inside the determinism net (next test).
     let f = file(
         "crates/core/src/shape.rs",
         "fn wall() -> Instant { Instant::now() }",
@@ -65,7 +65,7 @@ fn d1_does_not_apply_outside_deterministic_crates() {
 #[test]
 fn d1_applies_to_bench() {
     let f = file(
-        "crates/bench/src/runner.rs",
+        "apmbench/src/run.rs",
         "fn wall() -> Instant { Instant::now() }",
     );
     assert_eq!(rules_hit(&[f]), ["clock"]);

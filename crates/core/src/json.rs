@@ -1,10 +1,14 @@
-//! Minimal JSON reader/writer used by result persistence.
+//! The repository's one JSON reader/writer: `results.json`, the chaos
+//! campaign reports, the Chrome trace export, the benchmark's result
+//! files and apm-audit's report and baseline all go through it.
 //!
 //! The workspace builds offline with no external crates, so the small
-//! subset of JSON the harness needs (objects, arrays, strings, finite
-//! numbers, booleans, null) is implemented here. The writer emits
+//! subset of JSON those need (objects, arrays, strings, finite numbers,
+//! booleans, null) is implemented here. The writer emits
 //! 2-space-indented output compatible with what earlier serde-based
-//! builds wrote, and the parser accepts any standard JSON document.
+//! builds wrote, and the parser accepts any standard JSON document
+//! nested at most 128 deep — input comes from files named on a command
+//! line, so depth is bounded rather than left to the stack.
 
 use std::fmt;
 
@@ -146,6 +150,14 @@ fn write_number(out: &mut String, v: f64) {
     }
 }
 
+/// `s` as a JSON string literal, quotes included — for writers that lay
+/// their document out by hand (apm-audit's one-finding-per-line report).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s);
+    out
+}
+
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -164,12 +176,17 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the repository writes nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document; trailing whitespace is allowed,
 /// trailing garbage is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -183,6 +200,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -223,8 +242,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -232,6 +251,22 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level further in; the recursion
+    /// `value` → `array` / `object` → `value` goes through here, so its
+    /// depth is bounded whatever the input.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -359,27 +394,46 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        // Digit by digit: `from_str_radix` would take a sign.
+        let mut cp = 0;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            cp = cp * 16 + digit;
+        }
         self.pos += 4;
         // Leave pos on the last hex digit's successor; the caller's
         // `continue` skips the usual single-byte advance.
         Ok(cp)
     }
 
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, and the
+    /// literal must be a finite `f64`: the writer has no token for
+    /// anything else, so accepting `1e400` would break parse → write.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        if int_digits == 0 || (leading_zero && int_digits > 1) {
+            return Err(self.err("bad number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -387,15 +441,16 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
+            .filter(|v| v.is_finite())
             .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+            .ok_or_else(|| self.err("bad number"))
     }
 }
 
@@ -452,9 +507,55 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        for bad in ["", "{", "[1,", "\"abc", "{\"a\":}", "nul", "1 2", "[1] x"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\":}",
+            "nul",
+            "1 2",
+            "[1] x",
+            // Not finite: the writer could only answer `null`.
+            "1e400",
+            "-1e400",
+            // Four hex digits, not whatever `from_str_radix` takes.
+            "\"\\u+041\"",
+            "\"\\u 041\"",
+            // A digit on each side of `.` and after `e`, no leading zero.
+            "-.5",
+            ".5",
+            "1.",
+            "1.e3",
+            "1e",
+            "1e+",
+            "01",
+            "-01",
+            "-",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_left_to_the_stack() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "0" + &"}".repeat(n);
+        for doc in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            parse(&doc).expect("MAX_DEPTH levels parse");
+        }
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            // 100 KB of openers: a typed error, not a stack overflow.
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let err = parse(&doc).expect_err("too deep");
+            assert_eq!(err.msg, "nesting deeper than 128");
+        }
+        // The bound is on depth, not on how many containers a document has.
+        parse(&format!("[{}]", vec!["[[]]"; 1_000].join(","))).expect("wide, not deep");
     }
 
     #[test]
@@ -465,5 +566,10 @@ mod tests {
         out.clear();
         write_number(&mut out, 0.125);
         assert_eq!(out, "0.125");
+        // And back: what the writer emits for a finite number parses to it.
+        for x in [25000.0, 0.125, -0.0, 1e15, 1e-7] {
+            let text = Json::Num(x).to_pretty();
+            assert_eq!(parse(&text).expect(&text), Json::Num(x), "{text}");
+        }
     }
 }

@@ -17,6 +17,7 @@
 
 pub mod chaos;
 pub mod driver;
+pub mod json;
 pub mod keyspace;
 pub mod metric;
 pub mod ops;

@@ -581,12 +581,6 @@ impl Telemetry {
         self.window_ns
     }
 
-    /// Index of the window containing `offset_ns` past the measurement
-    /// start.
-    pub fn window_index(&self, offset_ns: u64) -> usize {
-        (offset_ns / self.window_ns) as usize
-    }
-
     fn window_at(&mut self, index: usize) -> &mut TelemetryWindow {
         if index >= self.windows.len() {
             self.windows

@@ -34,11 +34,11 @@
 //! and the campaign report is a pure function of (store, seed, budget).
 
 use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind, StoreSpec};
-use crate::json::Json;
 use apm_core::chaos::{
     CampaignReport, ChaosEventRecord, MinimizedRepro, OracleKind, OracleVerdict, ScheduleOutcome,
     ScheduleRecord, CAMPAIGN_FORMAT_VERSION,
 };
+use apm_core::json::Json;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::rng::SplitMix64;
 use apm_core::snap::{fnv1a64, SnapWriter};

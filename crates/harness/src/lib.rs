@@ -49,7 +49,6 @@ pub mod experiment;
 pub mod extensions;
 pub mod faults;
 pub mod figures;
-pub mod json;
 pub mod obs;
 pub mod output;
 pub mod reference;
@@ -57,5 +56,17 @@ pub mod resilience;
 pub mod shape;
 pub mod snap;
 
+/// The repository's JSON codec, under the path `apmbench` imports it by.
+pub use apm_core::json;
 pub use experiment::{ExperimentProfile, StoreKind};
 pub use figures::{all_figures, figure_by_id, FigureSpec};
+
+#[cfg(test)]
+mod tests {
+    /// Only type-checks while `apm_harness::json` and `apm_core::json`
+    /// name one type: the re-export must not become a copy.
+    #[test]
+    fn json_is_the_core_codec_re_exported() {
+        let _: apm_core::json::Json = crate::json::Json::Null;
+    }
+}

@@ -175,7 +175,7 @@ pub fn telemetry_timeline(profile: &ExperimentProfile) -> Table {
 /// ring into a JSON document loadable by Perfetto / `chrome://tracing`.
 #[cfg(feature = "trace")]
 pub mod chrome {
-    use crate::json::Json;
+    use apm_core::json::Json;
     use apm_sim::kernel::Token;
     use apm_sim::{TraceEvent, TraceEventKind};
     use apm_stores::api::{
@@ -427,13 +427,13 @@ mod tests {
         let (second, fp_second) = capture_trace_demo();
         assert_eq!(fp_first, fp_second, "trace fingerprint must be stable");
         assert_eq!(first, second, "exported JSON must be byte-identical");
-        let doc = crate::json::parse(&first).expect("valid JSON");
+        let doc = apm_core::json::parse(&first).expect("valid JSON");
         let events = doc
             .get("traceEvents")
             .and_then(|e| e.as_arr())
             .expect("traceEvents array");
         assert!(!events.is_empty());
-        let phase = |e: &crate::json::Json| e.get("ph").unwrap().as_str().unwrap().to_string();
+        let phase = |e: &apm_core::json::Json| e.get("ph").unwrap().as_str().unwrap().to_string();
         let begins = events.iter().filter(|e| phase(e) == "B").count();
         let ends = events.iter().filter(|e| phase(e) == "E").count();
         assert_eq!(begins, ends, "every span must balance");

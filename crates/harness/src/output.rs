@@ -4,9 +4,9 @@
 //! into a JSON results file; `render_experiments_md` builds the
 //! paper-vs-measured report that becomes EXPERIMENTS.md.
 
-use crate::json::{self, Json, JsonError};
 use crate::reference::{for_figure, Provenance};
 use crate::shape::ShapeResult;
+use apm_core::json::{self, Json, JsonError};
 use apm_core::report::Table;
 use std::fmt::Write as _;
 use std::fs;

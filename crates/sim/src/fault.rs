@@ -103,16 +103,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Node `node` crashes at `at` and never restarts within the run.
-    pub fn crash_forever(mut self, node: usize, at: SimTime) -> FaultSchedule {
-        self.push(FaultEvent {
-            at,
-            node,
-            kind: FaultKind::Crash,
-        });
-        self
-    }
-
     /// Node `node`'s disk runs `factor`× slower between `at` and `until`.
     pub fn slow_disk(
         mut self,

@@ -208,14 +208,6 @@ impl EventQueue {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Calendar(q) => q.is_empty(),
-            #[cfg(test)]
-            EventQueue::Reference(q) => q.is_empty(),
-        }
-    }
-
     fn sorted_entries(&self) -> Vec<(SimTime, u64, Event)> {
         match self {
             EventQueue::Calendar(q) => q.sorted_entries(),
@@ -290,14 +282,6 @@ impl Engine {
     #[cfg(feature = "trace")]
     pub fn tracer(&self) -> &crate::trace::Tracer {
         &self.tracer
-    }
-
-    /// Replaces the span recorder with an empty one holding at most
-    /// `capacity` events (only with the `trace` feature). Call before the
-    /// run of interest; the fingerprint restarts from zero.
-    #[cfg(feature = "trace")]
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.tracer = crate::trace::Tracer::with_capacity(capacity);
     }
 
     /// Records a plan-level trace event for `exec` at the current time.
@@ -984,11 +968,6 @@ impl Engine {
     pub fn run_to_idle(&mut self) -> Vec<Completion> {
         while self.step_event() {}
         self.completions.drain(..).collect()
-    }
-
-    /// True if no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Bit set in the snapshot feature byte when `audit` is compiled in.

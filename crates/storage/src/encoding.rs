@@ -116,17 +116,6 @@ pub fn raw_format() -> StorageFormat {
     }
 }
 
-/// All disk-resident formats in Figure 17's legend order.
-pub fn figure17_formats() -> Vec<StorageFormat> {
-    vec![
-        cassandra_format(),
-        hbase_format(),
-        voldemort_format(),
-        mysql_format(),
-        raw_format(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -453,11 +453,6 @@ impl LsmTree {
         self.stats
     }
 
-    /// Whether any background job is in flight.
-    pub fn has_background_work(&self) -> bool {
-        !self.flushing.is_empty() || !self.compacting_inputs.is_empty()
-    }
-
     /// Serializes the tree's mutable state (the config is the caller's and
     /// is re-supplied at construction). Hash maps are written in sorted
     /// key order so equal trees always produce equal bytes.

@@ -4,7 +4,7 @@
 //! captures are byte-identical with equal kernel fingerprints.
 #![cfg(feature = "trace")]
 
-use apm_repro::harness::json::{self, Json};
+use apm_repro::core::json::{self, Json};
 use apm_repro::harness::obs::capture_trace_demo;
 use std::collections::BTreeMap;
 
