@@ -22,6 +22,8 @@
 //! and Voldemort, captured on the commit before the container went to
 //! version 3 (31f4d39). Work on the envelope — how a checkpoint is
 //! buffered, sealed and checksummed — must leave every body byte alone.
+//! The feature-on triples were captured on bf8e6f3, the commit before the
+//! load phase went to one node at a time.
 
 mod common;
 
@@ -161,18 +163,50 @@ fn policy_free_runs_are_pinned() {
 }
 
 /// Stores with the FNV-1a of the body of checkpoint 0 of shape (d),
-/// checkpointed every 0.2 s, and the body's length.
-const BODY_PINS: [(&str, u64, usize); 3] = [
+/// checkpointed every 0.2 s, and the body's length — one triple per
+/// feature set, because a checkpoint also carries the observers' state:
+/// `audit` adds the auditor sections, `trace` the tracer's ring buffer
+/// (~1.46 MB a checkpoint). CI tests the default set and `trace,audit`.
+type BodyPins = [(&'static str, u64, usize); 3];
+
+const BODY_PINS: BodyPins = [
     ("cassandra", 0x3384_e815_1d98_77eb, 4_036_027),
     ("redis", 0xcf9a_f41a_8750_b33d, 1_995_151),
     ("voldemort", 0x8fd8_23fa_01ab_c9c7, 2_601_976),
 ];
 
+const BODY_PINS_AUDIT: BodyPins = [
+    ("cassandra", 0xfbdc_6aa4_87c6_ada9, 4_036_116),
+    ("redis", 0x0554_7581_e857_31d8, 1_995_216),
+    ("voldemort", 0xc484_f923_65b1_8e22, 2_602_041),
+];
+
+const BODY_PINS_TRACE: BodyPins = [
+    ("cassandra", 0x3d63_d866_97e3_7067, 5_502_811),
+    ("redis", 0x6502_7368_822e_0346, 3_454_075),
+    ("voldemort", 0x34ea_fd94_3127_8a4e, 4_056_984),
+];
+
+const BODY_PINS_TRACE_AUDIT: BodyPins = [
+    ("cassandra", 0x3704_9a45_e3a4_458d, 5_502_900),
+    ("redis", 0x04a7_6b6a_78b7_1f57, 3_454_140),
+    ("voldemort", 0x9972_15f0_cfa8_31a3, 4_057_049),
+];
+
+fn body_pins() -> &'static BodyPins {
+    match (cfg!(feature = "trace"), cfg!(feature = "audit")) {
+        (false, false) => &BODY_PINS,
+        (false, true) => &BODY_PINS_AUDIT,
+        (true, false) => &BODY_PINS_TRACE,
+        (true, true) => &BODY_PINS_TRACE_AUDIT,
+    }
+}
+
 #[test]
 fn checkpoint_bodies_are_pinned() {
     let [.., mut resilient] = shapes();
     resilient.checkpoints = Some(CheckpointSpec::every(0.2));
-    let moved: Vec<String> = BODY_PINS
+    let moved: Vec<String> = body_pins()
         .iter()
         .filter_map(|&(name, want, want_len)| {
             let r = run(name, &resilient);
