@@ -97,25 +97,6 @@ pub fn mysql_format() -> StorageFormat {
     }
 }
 
-/// MySQL without the binary log (the §5.7 aside).
-pub fn mysql_format_no_binlog() -> StorageFormat {
-    let with = mysql_format();
-    StorageFormat {
-        name: "mysql-nobinlog",
-        bytes_per_record: with.bytes_per_record / 2,
-        includes_log: false,
-    }
-}
-
-/// The raw data baseline plotted in Figure 17.
-pub fn raw_format() -> StorageFormat {
-    StorageFormat {
-        name: "raw",
-        bytes_per_record: RAW_RECORD_SIZE as u64,
-        includes_log: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,11 +116,6 @@ mod tests {
     fn mysql_matches_paper_5_gb_with_binlog() {
         let gb = gb_per_10m(&mysql_format());
         assert!((gb - 5.0).abs() < 0.5, "mysql: {gb} GB, paper: 5 GB");
-        let without = gb_per_10m(&mysql_format_no_binlog());
-        assert!(
-            (without - 2.5).abs() < 0.3,
-            "mysql sans binlog: {without} GB, paper: ~half"
-        );
     }
 
     #[test]
@@ -161,8 +137,7 @@ mod tests {
         let m = mysql_format().bytes_per_record;
         let v = voldemort_format().bytes_per_record;
         let h = hbase_format().bytes_per_record;
-        let raw = raw_format().bytes_per_record;
-        assert!(raw < c && c < m && m <= v && v < h);
+        assert!(RAW_RECORD_SIZE as u64 <= c && c < m && m <= v && v < h);
     }
 
     #[test]

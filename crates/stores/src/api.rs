@@ -431,18 +431,26 @@ fn load_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// Sequences routed before their nodes are built: the transient lists
+/// are at most 4 bytes × this × the replication factor, whatever the
+/// load's size (DESIGN.md §15 has the sweep).
+const BLOCK_SEQS: u32 = 1 << 17;
+
 /// The load phase of a sharded store: applies `insert(node, record)` for
 /// `record_for_seq(seq)` of every `seq` in `seqs`, ascending, to each
 /// node `owners(&record.key)` names — the per-node engines are disjoint
-/// state, so they are built side by side.
+/// state, so they are built side by side, each in one uninterrupted run.
 ///
-/// `nodes` is split into at most `workers` contiguous groups. Every
-/// worker walks all of `seqs`, derives each key and its owners, and
-/// applies only the inserts that land in its own group: a node sees
-/// exactly the inserts, in exactly the order, of the one-thread loop,
-/// whatever the group split, so no byte of its state can depend on
-/// `workers`. Group 0 runs on the calling thread — one node or one CPU
-/// spawns nothing, and each spawned thread costs a malloc arena.
+/// `seqs` is taken a block at a time, each block in two passes. *Route:*
+/// the block is cut into `workers` contiguous slices and every slice's
+/// keys and owners are derived once, into one list of sequences per
+/// node. *Build:* `nodes` is split into at most `workers` contiguous
+/// groups and each worker finishes its nodes one after the other from
+/// their lists, slice by slice. A node sees exactly the inserts, in
+/// exactly the order, of the one-thread loop, whatever either split, so
+/// no byte of its state can depend on `workers`. Slice 0 and group 0
+/// run on the calling thread — one CPU spawns nothing, and each spawned
+/// thread costs a malloc arena.
 pub fn load_partitioned<N: Send, O: IntoIterator<Item = usize>>(
     nodes: &mut [N],
     seqs: Range<u64>,
@@ -450,29 +458,81 @@ pub fn load_partitioned<N: Send, O: IntoIterator<Item = usize>>(
     owners: impl Fn(&MetricKey) -> O + Sync,
     insert: impl Fn(&mut N, &Record) + Sync,
 ) {
-    let group_len = nodes.len().div_ceil(workers.max(1)).max(1);
-    let build = |first: usize, group: &mut [N]| {
-        for seq in seqs.clone() {
-            // The fields are only worth deriving for a record that stays.
-            let mut record = None;
-            for owner in owners(&key_for_seq(seq)) {
-                if let Some(node) = owner.checked_sub(first).and_then(|i| group.get_mut(i)) {
-                    insert(node, record.get_or_insert_with(|| record_for_seq(seq)));
-                }
+    load_in_blocks(nodes, seqs, workers, BLOCK_SEQS, owners, insert);
+}
+
+/// Runs `work` on every item at once: the first on the calling thread,
+/// each other on a thread of its own, and returns when all have
+/// *exited*. A scope's end only waits for its closures to return; a
+/// thread still holding its malloc arena when the next pass spawns makes
+/// glibc open a fresh arena for that pass, and what is built there
+/// stays there (`load_disk` peaked at 58–72 MB run to run instead of
+/// 58–60).
+fn side_by_side<T: Send>(items: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
+    std::thread::scope(|scope| {
+        let (mut items, work) = (items.into_iter(), &work);
+        let own = items.next();
+        let spawned: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        if let Some(item) = own {
+            work(item);
+        }
+        for worker in spawned {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
             }
         }
-    };
-    std::thread::scope(|scope| {
-        let mut groups = nodes.chunks_mut(group_len).enumerate();
-        let own = groups.next();
-        for (g, group) in groups {
-            let build = &build;
-            scope.spawn(move || build(g * group_len, group));
-        }
-        if let Some((_, group)) = own {
-            build(0, group);
-        }
     });
+}
+
+/// [`load_partitioned`] with the block length as an argument.
+fn load_in_blocks<N: Send, O: IntoIterator<Item = usize>>(
+    nodes: &mut [N],
+    seqs: Range<u64>,
+    workers: usize,
+    block_seqs: u32,
+    owners: impl Fn(&MetricKey) -> O + Sync,
+    insert: impl Fn(&mut N, &Record) + Sync,
+) {
+    let node_count = nodes.len();
+    // At most one worker a node, in both passes: a second thread's route
+    // slice buys a 1-node load nothing (measured, DESIGN.md §15).
+    let workers = workers.clamp(1, node_count.max(1));
+    let block_seqs = u64::from(block_seqs.max(1));
+    let group_len = node_count.div_ceil(workers).max(1);
+    let mut base = seqs.start;
+    while base < seqs.end {
+        let end = seqs.end.min(base.saturating_add(block_seqs));
+        let slice_len = (end - base).div_ceil(workers as u64);
+        // Per slice, per node: the offsets from `base` the node owns.
+        let mut routed: Vec<(Range<u64>, Vec<Vec<u32>>)> = (base..end)
+            .step_by(slice_len as usize)
+            .map(|from| from..end.min(from.saturating_add(slice_len)))
+            .map(|slice| (slice, vec![Vec::new(); node_count]))
+            .collect();
+        side_by_side(routed.iter_mut(), |(slice, lists)| {
+            for seq in slice.clone() {
+                for owner in owners(&key_for_seq(seq)) {
+                    debug_assert!(
+                        owner < node_count,
+                        "owner {owner} of seq {seq} is not one of {node_count} nodes"
+                    );
+                    lists[owner].push((seq - base) as u32); // < block_seqs <= u32::MAX
+                }
+            }
+        });
+        // A node is finished before the next starts, so its engine stays
+        // cache-resident for its whole run of inserts.
+        side_by_side(nodes.chunks_mut(group_len).enumerate(), |(g, group)| {
+            for (node, index) in group.iter_mut().zip(g * group_len..) {
+                for (_, lists) in &routed {
+                    for &offset in &lists[index] {
+                        insert(node, &record_for_seq(base + u64::from(offset)));
+                    }
+                }
+            }
+        });
+        base = end;
+    }
 }
 
 /// The interface every benchmarked store implements.
@@ -608,6 +668,7 @@ pub trait DistributedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apm_core::keyspace::scramble;
 
     #[test]
     fn token_split_roundtrips() {
@@ -879,5 +940,70 @@ mod tests {
     fn out_of_range_scale_panics() {
         let mut engine = Engine::new();
         StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 1, 1, 0.0, 1);
+    }
+
+    /// `rf` ring neighbours starting at the key's home node (the same
+    /// node more than once where the ring is shorter than `rf`).
+    fn ring_owners(key: &MetricKey, nodes: usize, rf: usize) -> impl Iterator<Item = usize> {
+        let home = key.to_id().expect("a benchmark key") as usize % nodes;
+        (0..rf).map(move |r| (home + r) % nodes)
+    }
+
+    /// A toy node is the ids of the records it was handed, in order.
+    fn toy_insert(node: &mut Vec<u64>, record: &Record) {
+        let id = record.key.to_id().expect("a benchmark key");
+        assert_eq!(*record, Record::from_id(id), "not the record of its key");
+        node.push(id);
+    }
+
+    #[test]
+    fn load_in_blocks_hands_every_node_what_the_one_thread_loop_does() {
+        const N: u64 = 1_500;
+        for seqs in [0..0, 0..N, 7_777..12_345] {
+            for nodes in [1usize, 2, 5, 12] {
+                for rf in 1..=3usize {
+                    let mut want = vec![Vec::new(); nodes];
+                    for seq in seqs.clone() {
+                        let record = record_for_seq(seq);
+                        for owner in ring_owners(&record.key, nodes, rf) {
+                            toy_insert(&mut want[owner], &record);
+                        }
+                    }
+                    let mut handed: Vec<u64> = want.concat();
+                    handed.sort_unstable();
+                    let mut owed: Vec<u64> = seqs
+                        .clone()
+                        .flat_map(|seq| std::iter::repeat_n(scramble(seq), rf))
+                        .collect();
+                    owed.sort_unstable();
+                    assert_eq!(handed, owed, "the reference loop itself");
+                    for block in [1, 7, 1_000, u32::MAX] {
+                        for workers in [1usize, 2, 3, 5, 64] {
+                            let mut got = vec![Vec::new(); nodes];
+                            load_in_blocks(
+                                &mut got,
+                                seqs.clone(),
+                                workers,
+                                block,
+                                |key| ring_owners(key, nodes, rf),
+                                toy_insert,
+                            );
+                            assert!(
+                                got == want,
+                                "{seqs:?}, {nodes} nodes, rf {rf}, block {block}, {workers} workers"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "owner 5 of seq 0 is not one of 5 nodes")]
+    fn an_owner_that_is_no_node_is_a_routing_bug_not_a_dropped_record() {
+        let mut nodes = vec![Vec::new(); 5];
+        load_partitioned(&mut nodes, 0..10, 1, |_| [5], toy_insert);
     }
 }

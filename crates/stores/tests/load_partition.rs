@@ -54,26 +54,38 @@ fn snapshot(store: &dyn DistributedStore) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Asserts that a fresh store loaded with `seqs` at any worker count
-/// (and through `load_range` itself) snapshots to the bytes of one
-/// loaded by the per-record loop.
-fn assert_worker_independent(name: &str, nodes: u32, seqs: Range<u64>) {
+/// Asserts that a fresh store of `nodes` nodes at `scale` loaded with
+/// `seqs` each way in `vias` snapshots to the bytes of one loaded by the
+/// per-record loop.
+fn assert_loads_like_the_loop(
+    name: &str,
+    (nodes, scale): (u32, f64),
+    seqs: Range<u64>,
+    vias: &[Via],
+) {
     let loaded = |via: Via| {
         let mut engine = Engine::new();
-        let ctx = ctx(&mut engine, nodes, SCALE);
+        let ctx = ctx(&mut engine, nodes, scale);
         let mut store = common::build(name, &mut engine, ctx);
         load_via(store.as_mut(), seqs.clone(), via);
         store.finish_load();
         snapshot(store.as_ref())
     };
     let reference = loaded(Via::PerRecord);
-    let sweep = [1, 2, 3, nodes as usize].map(Via::Workers);
-    for via in sweep.into_iter().chain([Via::HostCpus]) {
+    for &via in vias {
         assert!(
             loaded(via) == reference,
             "{name}, {nodes} nodes, {via:?}: snapshot differs from the per-record load's"
         );
     }
+}
+
+/// [`assert_loads_like_the_loop`] at any worker count and through
+/// `load_range` itself.
+fn assert_worker_independent(name: &str, nodes: u32, seqs: Range<u64>) {
+    let sweep = [1, 2, 3, nodes as usize].map(Via::Workers);
+    let vias = [&sweep[..], &[Via::HostCpus]].concat();
+    assert_loads_like_the_loop(name, (nodes, SCALE), seqs, &vias);
 }
 
 #[test]
@@ -95,6 +107,24 @@ fn replicas_that_straddle_groups_land_on_every_owner() {
         for nodes in [2u32, 5] {
             assert_worker_independent(name, nodes, 0..RECORDS_PER_NODE * u64::from(nodes));
         }
+    }
+    // 12 nodes on 5 workers: four groups of three, fewer than workers,
+    // and every record's three replicas in up to two of them.
+    let seqs = 0..RECORDS_PER_NODE * 12;
+    assert_loads_like_the_loop("cassandra rf=3", (12, SCALE), seqs, &[Via::Workers(5)]);
+}
+
+#[test]
+fn a_load_longer_than_one_block_builds_the_same_bytes() {
+    // `load_partitioned` routes 128 Ki sequences at a time (`BLOCK_SEQS`
+    // in api.rs): this range ends a few thousand into its third block,
+    // on the two stores cheapest to load, sized to hold it. (The
+    // in-module sweep in api.rs crosses block lengths 1, 7 and 1 000
+    // with every worker and node count over a toy node.)
+    let seqs = 0..(2u64 << 17) + 4_321;
+    for name in ["voltdb", "redis"] {
+        let vias = [Via::Workers(1), Via::Workers(2)];
+        assert_loads_like_the_loop(name, (3, 0.03), seqs.clone(), &vias);
     }
 }
 
