@@ -18,12 +18,15 @@
 //!
 //! A second table pins what a checkpoint *holds*: FNV-1a over the body
 //! (`snap::open(..).1` — store, kernel and driver state, container
-//! envelope excluded) of checkpoint 0 of shape (d) for an LSM store, Redis
-//! and Voldemort, captured on the commit before the container went to
-//! version 3 (31f4d39). Work on the envelope — how a checkpoint is
-//! buffered, sealed and checksummed — must leave every body byte alone.
-//! The feature-on triples were captured on bf8e6f3, the commit before the
-//! load phase went to one node at a time.
+//! envelope excluded) of checkpoint 0 of shape (d) for each of the six
+//! stores. Cassandra, Redis and Voldemort were captured on the commit
+//! before the container went to version 3 (31f4d39). Work on the envelope
+//! — how a checkpoint is buffered, sealed and checksummed — must leave
+//! every body byte alone. The feature-on triples were captured on bf8e6f3,
+//! the commit before the load phase went to one node at a time; HBase,
+//! MySQL and VoltDB (`PartitionTable`, the HDFS / region state,
+//! `PagedTree`) under every feature set on 356f657, the commit before the
+//! codecs were generated from one field list.
 
 mod common;
 
@@ -167,30 +170,42 @@ fn policy_free_runs_are_pinned() {
 /// feature set, because a checkpoint also carries the observers' state:
 /// `audit` adds the auditor sections, `trace` the tracer's ring buffer
 /// (~1.46 MB a checkpoint). CI tests the default set and `trace,audit`.
-type BodyPins = [(&'static str, u64, usize); 3];
+type BodyPins = [(&'static str, u64, usize); 6];
 
 const BODY_PINS: BodyPins = [
     ("cassandra", 0x3384_e815_1d98_77eb, 4_036_027),
     ("redis", 0xcf9a_f41a_8750_b33d, 1_995_151),
     ("voldemort", 0x8fd8_23fa_01ab_c9c7, 2_601_976),
+    ("hbase", 0xf285_1bd7_71f0_bbe2, 2_168_076),
+    ("mysql", 0xd10d_370e_1d1a_a910, 4_004_621),
+    ("voltdb", 0x637c_24a8_c124_b5ce, 1_963_619),
 ];
 
 const BODY_PINS_AUDIT: BodyPins = [
     ("cassandra", 0xfbdc_6aa4_87c6_ada9, 4_036_116),
     ("redis", 0x0554_7581_e857_31d8, 1_995_216),
     ("voldemort", 0xc484_f923_65b1_8e22, 2_602_041),
+    ("hbase", 0x8206_c656_c266_2887, 2_168_141),
+    ("mysql", 0x0e0f_d2d3_25eb_70c9, 4_004_686),
+    ("voltdb", 0xa5b2_e82b_b738_192c, 1_963_684),
 ];
 
 const BODY_PINS_TRACE: BodyPins = [
     ("cassandra", 0x3d63_d866_97e3_7067, 5_502_811),
     ("redis", 0x6502_7368_822e_0346, 3_454_075),
     ("voldemort", 0x34ea_fd94_3127_8a4e, 4_056_984),
+    ("hbase", 0x110a_55a5_3b53_5596, 3_590_100),
+    ("mysql", 0x7f74_87bd_fc48_a49f, 5_471_417),
+    ("voltdb", 0x6a32_d880_4eed_e84d, 3_427_399),
 ];
 
 const BODY_PINS_TRACE_AUDIT: BodyPins = [
     ("cassandra", 0x3704_9a45_e3a4_458d, 5_502_900),
     ("redis", 0x04a7_6b6a_78b7_1f57, 3_454_140),
     ("voldemort", 0x9972_15f0_cfa8_31a3, 4_057_049),
+    ("hbase", 0x03fb_7daf_6d11_91cf, 3_590_165),
+    ("mysql", 0x073b_73da_3996_98de, 5_471_482),
+    ("voltdb", 0xf794_650e_cbc2_f35f, 3_427_464),
 ];
 
 fn body_pins() -> &'static BodyPins {
