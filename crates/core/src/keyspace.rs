@@ -13,7 +13,8 @@
 //! splits non-trivial, and scans hit arbitrary record populations.
 
 use crate::record::{MetricKey, Record};
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap_struct;
 
 /// Stateless 64-bit mix (SplitMix64 finaliser). Bijective, so scrambled
 /// identifiers never collide. Thin alias for [`crate::rng::mix`], the
@@ -96,30 +97,9 @@ impl SplitRng {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// The raw generator state, for snapshots.
-    pub fn state(&self) -> (u64, u64) {
-        (self.s0, self.s1)
-    }
-
-    /// Rebuilds a generator from a snapshotted [`Self::state`].
-    pub fn from_state(s0: u64, s1: u64) -> SplitRng {
-        SplitRng { s0, s1 }
-    }
 }
 
-impl Snap for SplitRng {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.s0);
-        w.put_u64(self.s1);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(SplitRng {
-            s0: r.u64()?,
-            s1: r.u64()?,
-        })
-    }
-}
+snap_struct! { SplitRng { s0, s1 } }
 
 /// Chooses existing record sequence numbers according to a distribution.
 ///
@@ -183,24 +163,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
     }
 }
 
-impl Snap for ZipfState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.n);
-        w.put_f64(self.theta);
-        w.put_f64(self.alpha);
-        w.put_f64(self.zetan);
-        w.put_f64(self.eta);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ZipfState {
-            n: r.u64()?,
-            theta: r.f64()?,
-            alpha: r.f64()?,
-            zetan: r.f64()?,
-            eta: r.f64()?,
-        })
-    }
-}
+snap_struct! { ZipfState { n, theta, alpha, zetan, eta } }
 
 impl KeyChooser {
     /// Creates a chooser with its own RNG stream.

@@ -6,7 +6,7 @@
 //! Updates are still modelled because two extension experiments use them.
 
 use crate::record::{FieldValues, MetricKey, Record};
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap_enum;
 
 /// Kind of a benchmark operation, in a fixed reporting order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,28 +42,7 @@ impl OpKind {
     }
 }
 
-impl Snap for OpKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            OpKind::Read => 0,
-            OpKind::Scan => 1,
-            OpKind::Insert => 2,
-            OpKind::Update => 3,
-        });
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(OpKind::Read),
-            1 => Ok(OpKind::Scan),
-            2 => Ok(OpKind::Insert),
-            3 => Ok(OpKind::Update),
-            tag => Err(SnapError::BadTag {
-                what: "OpKind",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+snap_enum!(OpKind { 0 => Read, 1 => Scan, 2 => Insert, 3 => Update });
 
 /// A fully-specified operation ready to be issued against a store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,44 +78,12 @@ impl Operation {
     }
 }
 
-impl Snap for Operation {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Operation::Read { key } => {
-                w.put_u8(0);
-                w.put(key);
-            }
-            Operation::Scan { start, len } => {
-                w.put_u8(1);
-                w.put(start);
-                w.put(len);
-            }
-            Operation::Insert { record } => {
-                w.put_u8(2);
-                w.put(record);
-            }
-            Operation::Update { record } => {
-                w.put_u8(3);
-                w.put(record);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Operation::Read { key: r.get()? }),
-            1 => Ok(Operation::Scan {
-                start: r.get()?,
-                len: r.get()?,
-            }),
-            2 => Ok(Operation::Insert { record: r.get()? }),
-            3 => Ok(Operation::Update { record: r.get()? }),
-            tag => Err(SnapError::BadTag {
-                what: "Operation",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+snap_enum!(Operation {
+    0 => Read { key },
+    1 => Scan { start, len },
+    2 => Insert { record },
+    3 => Update { record },
+});
 
 /// Result of executing an operation against a store, as seen by the
 /// benchmark client (used for correctness checks, not timing).

@@ -54,15 +54,23 @@
 //!
 //! All integers are little-endian. Floats are encoded via
 //! [`f64::to_bits`], so round-trips are bit-exact. Collections are
-//! length-prefixed (`u64` count); map/set entries are written in the
+//! length-prefixed (`u64` count, refused on decode unless the bytes left
+//! could hold that many elements); map/set entries are written in the
 //! container's own iteration order (`BTreeMap`/`BTreeSet` — i.e. sorted),
 //! never in hash order, so identical logical state always serializes to
 //! identical bytes.
 //!
 //! The encoding is deliberately schema-free: readers must consume fields
-//! in exactly the order writers produced them. Cross-version migration is
-//! out of scope — a [`SnapError::VersionMismatch`] tells the caller to
-//! regenerate the checkpoint, which a deterministic run can always do.
+//! in exactly the order writers produced them.
+//! [`snap_struct!`](crate::snap_struct) and
+//! [`snap_enum!`](crate::snap_enum) make that true by construction — both
+//! halves of a codec come from one field list — and are how a type gets
+//! its [`Snap`] impl unless its codec validates, skips construction-time
+//! config, writes bytes in bulk or gates a section on a feature; those
+//! are written by hand and say why where they stand. Cross-version
+//! migration is out of scope — a [`SnapError::VersionMismatch`] tells the
+//! caller to regenerate the checkpoint, which a deterministic run can
+//! always do.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -500,6 +508,26 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// Decodes a length-prefixed run of `T`s into the collection `new`
+/// starts, the one place the four collection decoders read their prefix.
+/// The prefix is outside input: [`SnapReader::count`] refuses one the
+/// bytes left cannot hold (no `Snap` element encodes to less than one
+/// byte), and `new` is asked to reserve no more memory than there are
+/// bytes left. What `push` returns (a set's `bool`, a map's displaced
+/// value) is dropped.
+fn restore_seq<T: Snap, C, R>(
+    r: &mut SnapReader,
+    new: impl FnOnce(usize) -> C,
+    mut push: impl FnMut(&mut C, T) -> R,
+) -> Result<C, SnapError> {
+    let len = r.count(1)?;
+    let mut out = new(len.min(r.remaining() / std::mem::size_of::<T>().max(1)));
+    for _ in 0..len {
+        push(&mut out, T::restore(r)?);
+    }
+    Ok(out)
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.len() as u64);
@@ -508,12 +536,7 @@ impl<T: Snap> Snap for Vec<T> {
         }
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let len = r.u64()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(T::restore(r)?);
-        }
-        Ok(out)
+        restore_seq(r, Vec::with_capacity, Vec::push)
     }
 }
 
@@ -525,12 +548,7 @@ impl<T: Snap> Snap for VecDeque<T> {
         }
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let len = r.u64()? as usize;
-        let mut out = VecDeque::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push_back(T::restore(r)?);
-        }
-        Ok(out)
+        restore_seq(r, VecDeque::with_capacity, VecDeque::push_back)
     }
 }
 
@@ -543,14 +561,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let len = r.u64()? as usize;
-        let mut out = BTreeMap::new();
-        for _ in 0..len {
-            let k = K::restore(r)?;
-            let v = V::restore(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        restore_seq(r, |_| BTreeMap::new(), |map, (k, v)| map.insert(k, v))
     }
 }
 
@@ -562,12 +573,7 @@ impl<T: Snap + Ord> Snap for BTreeSet<T> {
         }
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let len = r.u64()? as usize;
-        let mut out = BTreeSet::new();
-        for _ in 0..len {
-            out.insert(T::restore(r)?);
-        }
-        Ok(out)
+        restore_seq(r, |_| BTreeSet::new(), BTreeSet::insert)
     }
 }
 
@@ -599,6 +605,129 @@ impl<const N: usize> Snap for [u8; N] {
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         Ok(r.bytes(N)?.try_into().expect("exact length"))
     }
+}
+
+/// Implements [`Snap`] for structs from their field lists, each written
+/// once: `snap` puts the fields in the order listed and `restore` is the
+/// struct literal over the same list, so decode order is encode order and
+/// a field left out does not compile. Tuple structs list their indices.
+/// One invocation takes a module's whole table, a type a line. For the
+/// codecs that are "every field, nothing checked"; one that validates,
+/// skips a field or writes bytes in bulk is written by hand.
+///
+/// ```
+/// use apm_core::snap::{SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     start: u64,
+///     len: u32,
+/// }
+/// #[derive(Debug, PartialEq)]
+/// struct Id(u64);
+/// apm_core::snap_struct! {
+///     Span { start, len }
+///     Id { 0 }
+/// }
+///
+/// let mut w = SnapWriter::new();
+/// w.put(&(Span { start: 7, len: 2 }, Id(9)));
+/// assert_eq!(w.bytes(), [7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+/// let back = SnapReader::new(w.bytes()).get::<(Span, Id)>();
+/// assert_eq!(back, Ok((Span { start: 7, len: 2 }, Id(9))));
+/// ```
+///
+/// A field missing from the list is a missing field of the literal:
+///
+/// ```compile_fail,E0063
+/// struct Span {
+///     start: u64,
+///     len: u32,
+/// }
+/// apm_core::snap_struct! { Span { start } }
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    ($($ty:ident { $($field:tt),* $(,)? })+) => {$(
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                $(w.put(&self.$field);)*
+            }
+            fn restore(
+                r: &mut $crate::snap::SnapReader,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok($ty { $($field: r.get()?),* })
+            }
+        }
+    )+};
+}
+
+/// Implements [`Snap`] for an enum from one `tag => Variant` list: a
+/// `u8` tag, then the variant's fields in the order listed. `snap` is an
+/// exhaustive `match`, so a variant left out does not compile; a tag not
+/// in the list decodes to [`SnapError::BadTag`] naming the type.
+///
+/// ```
+/// use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Point,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+/// apm_core::snap_enum!(Shape { 0 => Point, 1 => Circle(r), 4 => Rect { w, h } });
+///
+/// let mut w = SnapWriter::new();
+/// w.put(&Shape::Rect { w: 3, h: 4 });
+/// assert_eq!(w.bytes(), [4, 3, 0, 0, 0, 4, 0, 0, 0]);
+/// assert_eq!(
+///     SnapReader::new(&[2]).get::<Shape>(),
+///     Err(SnapError::BadTag { what: "Shape", tag: 2 })
+/// );
+/// ```
+///
+/// A variant missing from the list is a non-exhaustive `match`:
+///
+/// ```compile_fail,E0004
+/// enum Shape {
+///     Point,
+///     Circle(u32),
+/// }
+/// apm_core::snap_enum!(Shape { 0 => Point });
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident $(( $($elem:ident),* ))? $({ $($field:ident),* })?
+    ),* $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {$(
+                    $ty::$variant $(( $($elem),* ))? $({ $($field),* })? => {
+                        w.put_u8($tag);
+                        $($(w.put($elem);)*)?
+                        $($(w.put($field);)*)?
+                    }
+                )*}
+            }
+            fn restore(
+                r: &mut $crate::snap::SnapReader,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $elem = r.get()?;)*)?
+                        $($(let $field = r.get()?;)*)?
+                        Ok($ty::$variant $(( $($elem),* ))? $({ $($field),* })?)
+                    })*
+                    tag => Err($crate::snap::SnapError::BadTag {
+                        what: stringify!($ty),
+                        tag: u64::from(tag),
+                    }),
+                }
+            }
+        }
+    };
 }
 
 /// Identifying metadata sealed into every snapshot container.
@@ -992,6 +1121,114 @@ mod tests {
                 remaining: 0
             })
         );
+    }
+
+    #[test]
+    fn inflated_collection_prefixes_are_refused_before_anything_is_reserved() {
+        // A prefix of five elements over four bytes, then one of
+        // `u64::MAX`: each decoder stops right after the prefix.
+        fn refuses<T: Snap + fmt::Debug>() {
+            for (claimed, wanted) in [(5, 5), (u64::MAX, usize::MAX)] {
+                let mut w = SnapWriter::new();
+                w.put_u64(claimed);
+                w.put_bytes(&[1; 4]);
+                let mut r = SnapReader::new(w.bytes());
+                let eof = SnapError::UnexpectedEof {
+                    wanted,
+                    remaining: 4,
+                };
+                assert_eq!(r.get::<T>().unwrap_err(), eof);
+                assert_eq!(r.remaining(), 4);
+            }
+        }
+        refuses::<Vec<u8>>();
+        refuses::<VecDeque<u8>>();
+        refuses::<BTreeMap<u8, u8>>();
+        refuses::<BTreeSet<u8>>();
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Named {
+        id: u64,
+        len: usize,
+        live: bool,
+        tags: Vec<u16>,
+    }
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Newtype(u32);
+    #[derive(Clone, Debug, PartialEq)]
+    enum Shapes {
+        Unit,
+        Tuple(Newtype, f64),
+        Fields { at: u64, what: Option<Newtype> },
+    }
+    snap_struct! {
+        Named { id, len, live, tags }
+        Newtype { 0 }
+    }
+    snap_enum!(Shapes { 0 => Unit, 1 => Tuple(a, b), 4 => Fields { at, what } });
+
+    #[test]
+    fn macro_codecs_write_the_layout_they_replace_and_round_trip() {
+        let named = Named {
+            id: 7,
+            len: 3,
+            live: true,
+            tags: vec![1, 2],
+        };
+        let shapes = [
+            Shapes::Unit,
+            Shapes::Tuple(Newtype(9), -0.0),
+            Shapes::Fields {
+                at: u64::MAX,
+                what: Some(Newtype(5)),
+            },
+        ];
+        let mut w = SnapWriter::new();
+        w.put(&named);
+        w.put(&shapes.to_vec());
+        // The hand-written form: fields in list order, `usize` as `u64`,
+        // a `u8` tag before a variant's fields.
+        let mut by_hand = SnapWriter::new();
+        by_hand.put_u64(7);
+        by_hand.put_u64(3);
+        by_hand.put_u8(1);
+        by_hand.put_u64(2);
+        by_hand.put_u16(1);
+        by_hand.put_u16(2);
+        by_hand.put_u64(3);
+        by_hand.put_u8(0);
+        by_hand.put_u8(1);
+        by_hand.put_u32(9);
+        by_hand.put_f64(-0.0);
+        by_hand.put_u8(4);
+        by_hand.put_u64(u64::MAX);
+        by_hand.put_u8(1);
+        by_hand.put_u32(5);
+        assert_eq!(w.bytes(), by_hand.bytes());
+        let mut r = SnapReader::new(w.bytes());
+        assert_eq!(r.get::<Named>(), Ok(named));
+        assert_eq!(r.get::<Vec<Shapes>>(), Ok(shapes.to_vec()));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn macro_enums_refuse_unlisted_tags_by_type_name() {
+        // 2 and 3 sit between the listed tags, 5 past them.
+        for tag in [2u8, 3, 5, u8::MAX] {
+            assert_eq!(
+                SnapReader::new(&[tag]).get::<Shapes>(),
+                Err(SnapError::BadTag {
+                    what: "Shapes",
+                    tag: u64::from(tag)
+                })
+            );
+        }
+        // A listed tag whose fields are cut short is an EOF, not a tag.
+        assert!(matches!(
+            SnapReader::new(&[1, 9, 0]).get::<Shapes>(),
+            Err(SnapError::UnexpectedEof { .. })
+        ));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::ops::OpKind;
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap_struct;
 use std::collections::BTreeMap;
 
 /// Number of linear sub-buckets per power-of-two bucket. 32 sub-buckets
@@ -138,6 +139,8 @@ impl Histogram {
     }
 }
 
+// Hand-written: sparse — only occupied slots are written, and `restore`
+// refuses a slot index past the table.
 impl Snap for Histogram {
     fn snap(&self, w: &mut SnapWriter) {
         // Sparse encoding: most of the 1920 slots are empty in short runs.
@@ -201,24 +204,7 @@ impl ResilienceCounters {
     }
 }
 
-impl Snap for ResilienceCounters {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.retries);
-        w.put_u64(self.hedges);
-        w.put_u64(self.hedge_wins);
-        w.put_u64(self.breaker_transitions);
-        w.put_u64(self.shed);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ResilienceCounters {
-            retries: r.u64()?,
-            hedges: r.u64()?,
-            hedge_wins: r.u64()?,
-            breaker_transitions: r.u64()?,
-            shed: r.u64()?,
-        })
-    }
-}
+snap_struct! { ResilienceCounters { retries, hedges, hedge_wins, breaker_transitions, shed } }
 
 /// Aggregated results of one benchmark run.
 #[derive(Clone, Debug, Default)]
@@ -417,27 +403,8 @@ impl BenchStats {
     }
 }
 
-impl Snap for BenchStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.per_kind);
-        w.put(&self.rejected);
-        w.put(&self.errors);
-        w.put_u64(self.window_ns);
-        w.put(&self.timeline);
-        w.put(&self.error_timeline);
-        w.put(&self.resilience);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(BenchStats {
-            per_kind: r.get()?,
-            rejected: r.get()?,
-            errors: r.get()?,
-            window_ns: r.u64()?,
-            timeline: r.get()?,
-            error_timeline: r.get()?,
-            resilience: r.get()?,
-        })
-    }
+snap_struct! {
+    BenchStats { per_kind, rejected, errors, window_ns, timeline, error_timeline, resilience }
 }
 
 /// Utilisation and queue depth of one resource class over one window.
@@ -449,18 +416,7 @@ pub struct ResourceSample {
     pub queue_depth: f64,
 }
 
-impl Snap for ResourceSample {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.utilization);
-        w.put_f64(self.queue_depth);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ResourceSample {
-            utilization: r.f64()?,
-            queue_depth: r.f64()?,
-        })
-    }
-}
+snap_struct! { ResourceSample { utilization, queue_depth } }
 
 /// One telemetry window: op counts, a latency histogram, and per-class
 /// resource samples.
@@ -533,24 +489,7 @@ impl TelemetryWindow {
     }
 }
 
-impl Snap for TelemetryWindow {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.ops);
-        w.put_u64(self.errors);
-        w.put_u64(self.rejected);
-        w.put(&self.latency);
-        w.put(&self.resources);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(TelemetryWindow {
-            ops: r.u64()?,
-            errors: r.u64()?,
-            rejected: r.u64()?,
-            latency: r.get()?,
-            resources: r.get()?,
-        })
-    }
-}
+snap_struct! { TelemetryWindow { ops, errors, rejected, latency, resources } }
 
 /// Windowed benchmark telemetry: the generalisation of [`BenchStats`]'s
 /// one-second `timeline`. Each fixed-size window holds completed/errored
@@ -645,6 +584,8 @@ impl Telemetry {
     }
 }
 
+// Hand-written: `restore` refuses `window_ns == 0`, which every offset is
+// divided by.
 impl Snap for Telemetry {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.window_ns);

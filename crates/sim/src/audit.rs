@@ -28,7 +28,7 @@
 //! simulation's results are meaningless, and the feature is opt-in.
 
 use crate::time::SimTime;
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 
 /// Per-engine invariant state; embedded in [`crate::Engine`] behind the
 /// `audit` feature.
@@ -120,28 +120,11 @@ impl KernelAuditor {
     pub fn completed(&self) -> u64 {
         self.completed
     }
-
-    /// Serializes the auditor so a resumed run continues the rolling
-    /// fingerprint and conservation counters instead of restarting them.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.last_pop);
-        w.put_u64(self.pops);
-        w.put_u64(self.fingerprint);
-        w.put_u64(self.issued);
-        w.put_u64(self.completed);
-    }
-
-    /// Rebuilds an auditor from [`KernelAuditor::snap_state`] bytes.
-    pub fn restore_state(r: &mut SnapReader) -> Result<KernelAuditor, SnapError> {
-        Ok(KernelAuditor {
-            last_pop: r.get()?,
-            pops: r.u64()?,
-            fingerprint: r.u64()?,
-            issued: r.u64()?,
-            completed: r.u64()?,
-        })
-    }
 }
+
+// So a resumed run continues the rolling fingerprint and the conservation
+// counters instead of restarting them.
+snap_struct! { KernelAuditor { last_pop, pops, fingerprint, issued, completed } }
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 use crate::disk::DiskSpec;
 use crate::kernel::{Engine, ResourceId};
 use crate::net::NetSpec;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 
 /// Hardware of a single server node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -105,20 +105,7 @@ pub struct NodeResources {
     pub nic: ResourceId,
 }
 
-impl Snap for NodeResources {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.cpu);
-        w.put(&self.disk);
-        w.put(&self.nic);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(NodeResources {
-            cpu: r.get()?,
-            disk: r.get()?,
-            nic: r.get()?,
-        })
-    }
-}
+snap_struct! { NodeResources { cpu, disk, nic } }
 
 #[cfg(test)]
 mod tests {

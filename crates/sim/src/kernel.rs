@@ -15,7 +15,8 @@ use crate::arena::{FlatStep, PlanArena, PlanId};
 use crate::plan::Plan;
 use crate::queue::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::{snap_enum, snap_struct};
 use std::collections::VecDeque;
 
 /// Identifies a resource registered with [`Engine::add_resource`].
@@ -1027,7 +1028,7 @@ impl Engine {
         w.put(&self.ready);
         w.put(&self.completions);
         #[cfg(feature = "audit")]
-        self.auditor.snap_state(w);
+        w.put(&self.auditor);
         #[cfg(feature = "trace")]
         self.tracer.snap_state(w);
     }
@@ -1087,7 +1088,7 @@ impl Engine {
         self.completions = r.get()?;
         #[cfg(feature = "audit")]
         {
-            self.auditor = crate::audit::KernelAuditor::restore_state(r)?;
+            self.auditor = r.get()?;
         }
         #[cfg(feature = "trace")]
         {
@@ -1097,165 +1098,17 @@ impl Engine {
     }
 }
 
-impl Snap for ResourceId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ResourceId(r.u32()?))
-    }
+snap_struct! {
+    ResourceId { 0 }
+    Token { 0 }
+    Completion { token, submitted, finished, outcome }
+    ExecRef { idx, generation }
+    PlanHandle { 0 }
+    Resource { name, capacity, busy, waiting, busy_ns, waited_ns, served, down, slowdown }
 }
-
-impl Snap for Token {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Token(r.u64()?))
-    }
-}
-
-impl Snap for Outcome {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Outcome::Ok => 0,
-            Outcome::Failed => 1,
-            Outcome::TimedOut => 2,
-            Outcome::Cancelled => 3,
-        });
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Outcome::Ok),
-            1 => Ok(Outcome::Failed),
-            2 => Ok(Outcome::TimedOut),
-            3 => Ok(Outcome::Cancelled),
-            tag => Err(SnapError::BadTag {
-                what: "Outcome",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Snap for FailMode {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            FailMode::Reject { latency } => {
-                w.put_u8(0);
-                w.put(latency);
-            }
-            FailMode::Stall => w.put_u8(1),
-        }
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(FailMode::Reject { latency: r.get()? }),
-            1 => Ok(FailMode::Stall),
-            tag => Err(SnapError::BadTag {
-                what: "FailMode",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Snap for Completion {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.token);
-        w.put(&self.submitted);
-        w.put(&self.finished);
-        w.put(&self.outcome);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Completion {
-            token: r.get()?,
-            submitted: r.get()?,
-            finished: r.get()?,
-            outcome: r.get()?,
-        })
-    }
-}
-
-impl Snap for ExecRef {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.idx);
-        w.put_u32(self.generation);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ExecRef {
-            idx: r.u32()?,
-            generation: r.u32()?,
-        })
-    }
-}
-
-impl Snap for PlanHandle {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(PlanHandle(r.get()?))
-    }
-}
-
-impl Snap for Resource {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.name);
-        w.put_u32(self.capacity);
-        w.put_u32(self.busy);
-        w.put(&self.waiting);
-        w.put_u128(self.busy_ns);
-        w.put_u128(self.waited_ns);
-        w.put_u64(self.served);
-        w.put(&self.down);
-        w.put_u32(self.slowdown);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Resource {
-            name: r.get()?,
-            capacity: r.u32()?,
-            busy: r.u32()?,
-            waiting: r.get()?,
-            busy_ns: r.u128()?,
-            waited_ns: r.u128()?,
-            served: r.u64()?,
-            down: r.get()?,
-            slowdown: r.u32()?,
-        })
-    }
-}
-
-impl Snap for Event {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Resume(exec) => {
-                w.put_u8(0);
-                w.put(exec);
-            }
-            Event::AcquireDone(exec, resource) => {
-                w.put_u8(1);
-                w.put(exec);
-                w.put(resource);
-            }
-            Event::Timeout(exec) => {
-                w.put_u8(2);
-                w.put(exec);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Event::Resume(r.get()?)),
-            1 => Ok(Event::AcquireDone(r.get()?, r.get()?)),
-            2 => Ok(Event::Timeout(r.get()?)),
-            tag => Err(SnapError::BadTag {
-                what: "Event",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+snap_enum!(Outcome { 0 => Ok, 1 => Failed, 2 => TimedOut, 3 => Cancelled });
+snap_enum!(FailMode { 0 => Reject { latency }, 1 => Stall });
+snap_enum!(Event { 0 => Resume(exec), 1 => AcquireDone(exec, resource), 2 => Timeout(exec) });
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 
 use crate::kernel::ResourceId;
 use crate::time::SimDuration;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::{snap_enum, snap_struct};
 
 /// One step of a plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,66 +118,14 @@ impl Plan {
     }
 }
 
-impl Snap for Step {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Step::Acquire { resource, service } => {
-                w.put_u8(0);
-                w.put(resource);
-                w.put(service);
-            }
-            Step::Delay(d) => {
-                w.put_u8(1);
-                w.put(d);
-            }
-            Step::AlignTo { period, extra } => {
-                w.put_u8(2);
-                w.put(period);
-                w.put(extra);
-            }
-            Step::Join { branches, need } => {
-                w.put_u8(3);
-                w.put(branches);
-                w.put(need);
-            }
-            Step::Fail { latency } => {
-                w.put_u8(4);
-                w.put(latency);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Step::Acquire {
-                resource: r.get()?,
-                service: r.get()?,
-            }),
-            1 => Ok(Step::Delay(r.get()?)),
-            2 => Ok(Step::AlignTo {
-                period: r.get()?,
-                extra: r.get()?,
-            }),
-            3 => Ok(Step::Join {
-                branches: r.get()?,
-                need: r.get()?,
-            }),
-            4 => Ok(Step::Fail { latency: r.get()? }),
-            tag => Err(SnapError::BadTag {
-                what: "Step",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Snap for Plan {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Plan(r.get()?))
-    }
-}
+snap_enum!(Step {
+    0 => Acquire { resource, service },
+    1 => Delay(d),
+    2 => AlignTo { period, extra },
+    3 => Join { branches, need },
+    4 => Fail { latency },
+});
+snap_struct! { Plan { 0 } }
 
 /// Fluent builder for plans.
 #[derive(Clone, Debug)]

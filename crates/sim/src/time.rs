@@ -4,7 +4,7 @@
 //! and give the arithmetic saturating semantics (a simulation must never
 //! wrap).
 
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -97,22 +97,9 @@ impl SimDuration {
     }
 }
 
-impl Snap for SimTime {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(SimTime(r.u64()?))
-    }
-}
-
-impl Snap for SimDuration {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(SimDuration(r.u64()?))
-    }
+snap_struct! {
+    SimTime { 0 }
+    SimDuration { 0 }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -14,7 +14,8 @@
 //! * **Bounded memory** — events land in a pre-allocated ring buffer
 //!   ([`Tracer::with_capacity`]); when it fills, the oldest events are
 //!   overwritten and counted in [`Tracer::dropped`]. No allocation
-//!   happens per event.
+//!   happens per event (a ring restored from a snapshot grows to its
+//!   capacity first).
 //! * **Determinism** — every recorded event (including ones later
 //!   evicted from the ring) is folded into a rolling
 //!   [`Tracer::fingerprint`]; two runs of the same seeded workload must
@@ -24,6 +25,7 @@
 use crate::kernel::{Outcome, ResourceId, Token};
 use crate::time::SimTime;
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 
 /// Default ring capacity: 64 Ki events ≈ 2 MiB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
@@ -50,8 +52,9 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// Small stable code folded into the trace fingerprint.
-    fn code(self) -> u64 {
+    /// Small stable code: folded into the trace fingerprint, and the
+    /// kind's snapshot tag.
+    fn code(self) -> u8 {
         match self {
             TraceEventKind::Submit => 1,
             TraceEventKind::Enqueue => 2,
@@ -88,7 +91,8 @@ pub struct Tracer {
     // Declaration order is the snapshot stream order (audited by S1).
     /// Ring size; `buf` never grows past it.
     capacity: usize,
-    /// Ring storage, pre-allocated to `capacity`.
+    /// Ring storage, pre-allocated to `capacity` by [`Tracer::with_capacity`]
+    /// (a restored ring grows on push instead).
     buf: Vec<TraceEvent>,
     /// Index of the next write when the ring is full.
     head: usize,
@@ -133,7 +137,7 @@ impl Tracer {
             ^ event
                 .resource
                 .map_or(0, |r| u64::from(r.0 + 1).rotate_left(41))
-            ^ event.kind.code();
+            ^ u64::from(event.kind.code());
         if self.buf.len() < self.capacity {
             self.buf.push(event);
         } else {
@@ -199,34 +203,24 @@ impl Tracer {
                 tag: head as u64,
             });
         }
-        let mut t = Tracer {
+        // `capacity` is stream input and only checked against the ring it
+        // came with, so nothing is reserved for it: the ring grows on push.
+        Ok(Tracer {
             buf,
             head,
             recorded: r.u64()?,
             dropped: r.u64()?,
             fingerprint: r.u64()?,
             capacity,
-        };
-        t.buf.reserve(capacity - t.buf.len());
-        Ok(t)
+        })
     }
 }
 
+// Hand-written: `Complete`'s outcome is folded into the tag — the code
+// the fingerprint hashes — not written as a nested enum.
 impl Snap for TraceEventKind {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            TraceEventKind::Submit => 1,
-            TraceEventKind::Enqueue => 2,
-            TraceEventKind::ServiceStart => 3,
-            TraceEventKind::ServiceEnd => 4,
-            TraceEventKind::Complete(Outcome::Ok) => 5,
-            TraceEventKind::Complete(Outcome::Failed) => 6,
-            TraceEventKind::Complete(Outcome::TimedOut) => 7,
-            TraceEventKind::ResourceDown => 8,
-            TraceEventKind::ResourceRestored => 9,
-            TraceEventKind::Slowdown => 10,
-            TraceEventKind::Complete(Outcome::Cancelled) => 11,
-        });
+        w.put_u8(self.code());
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         match r.u8()? {
@@ -249,22 +243,7 @@ impl Snap for TraceEventKind {
     }
 }
 
-impl Snap for TraceEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.at);
-        w.put(&self.token);
-        w.put(&self.resource);
-        w.put(&self.kind);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(TraceEvent {
-            at: r.get()?,
-            token: r.get()?,
-            resource: r.get()?,
-            kind: r.get()?,
-        })
-    }
-}
+snap_struct! { TraceEvent { at, token, resource, kind } }
 
 #[cfg(test)]
 mod tests {
@@ -328,6 +307,85 @@ mod tests {
         for v in variants {
             assert_ne!(fp(base), fp(v), "{v:?} must hash differently");
         }
+    }
+
+    #[test]
+    fn a_kind_decodes_from_the_code_it_is_written_as() {
+        // Eleven kinds (seven plain, `Complete` of four outcomes) and
+        // eleven tags: each tag decoding to a kind with that code makes
+        // `restore` the inverse of `code`.
+        for tag in 1..=11u8 {
+            let kind: TraceEventKind = SnapReader::new(&[tag]).get().expect("a listed tag");
+            assert_eq!(kind.code(), tag);
+        }
+        for tag in [0u8, 12] {
+            let refused = SnapReader::new(&[tag]).get::<TraceEventKind>();
+            assert!(matches!(refused, Err(SnapError::BadTag { .. })), "{tag}");
+        }
+    }
+
+    /// Restores a tracer from a sealed-valid body holding `capacity`, a
+    /// ring of `ring` events behind a length prefix of `prefix`, `head`
+    /// and the three counters — past the checksum, so only the decoder
+    /// stands between the stream and the allocator.
+    fn restore_sealed(
+        capacity: u64,
+        prefix: u64,
+        ring: u64,
+        head: u64,
+    ) -> Result<Tracer, SnapError> {
+        let header = apm_core::snap::SnapshotHeader {
+            scenario: "tracer".to_string(),
+            config_fingerprint: 0,
+            features: apm_core::snap::FEATURE_TRACE,
+            checkpoint_index: 0,
+            virtual_time_ns: 0,
+        };
+        let sealed = apm_core::snap::seal_with(&header, 0, |w| {
+            w.put_u64(capacity);
+            w.put_u64(prefix);
+            for i in 0..ring {
+                w.put(&ev(i, i, TraceEventKind::Enqueue));
+            }
+            w.put_u64(head);
+            w.put_u64(ring);
+            w.put_u64(0);
+            w.put_u64(0x5EED);
+        });
+        let (_, body) = apm_core::snap::open(&sealed).expect("sealed-valid");
+        let mut r = SnapReader::new(body);
+        let tracer = Tracer::restore_state(&mut r)?;
+        r.finish()?;
+        Ok(tracer)
+    }
+
+    #[test]
+    fn hostile_ring_header_is_ok_or_a_typed_error_never_a_panic() {
+        // An empty ring claiming every event the address space could hold
+        // passes the ring check; it used to be reserved for ("capacity
+        // overflow"). It restores, and records.
+        let mut huge = restore_sealed(u64::MAX, 0, 0, 0).expect("an empty ring fits any capacity");
+        huge.record(ev(1, 1, TraceEventKind::Submit));
+        assert_eq!((huge.len(), huge.recorded(), huge.dropped()), (1, 1, 0));
+        assert_eq!(restore_sealed(4, 2, 2, 1).map(|t| t.len()), Ok(2));
+        for (capacity, prefix, ring, head) in [(0, 0, 0, 0), (1, 2, 2, 0), (4, 2, 2, 2)] {
+            let refused = restore_sealed(capacity, prefix, ring, head);
+            assert!(
+                matches!(
+                    refused,
+                    Err(SnapError::BadTag {
+                        what: "Tracer ring",
+                        ..
+                    })
+                ),
+                "{refused:?}"
+            );
+        }
+        let inflated = restore_sealed(u64::MAX, u64::MAX, 0, 0);
+        assert!(
+            matches!(inflated, Err(SnapError::UnexpectedEof { .. })),
+            "{inflated:?}"
+        );
     }
 
     #[test]

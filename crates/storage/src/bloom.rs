@@ -82,6 +82,8 @@ impl Bloom {
     }
 }
 
+// Hand-written: `restore` refuses a mask that does not match the bit
+// table it indexes.
 impl Snap for Bloom {
     fn snap(&self, w: &mut SnapWriter) {
         w.put(&self.bits);

@@ -9,7 +9,8 @@
 
 use crate::bufferpool::PageId;
 use apm_core::record::{FieldValues, MetricKey};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_enum;
 
 /// Tree shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -327,38 +328,7 @@ impl BTree {
     }
 }
 
-impl Snap for Node {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Node::Internal { keys, children } => {
-                w.put_u8(0);
-                w.put(keys);
-                w.put(children);
-            }
-            Node::Leaf { entries, next } => {
-                w.put_u8(1);
-                w.put(entries);
-                w.put(next);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Node::Internal {
-                keys: r.get()?,
-                children: r.get()?,
-            }),
-            1 => Ok(Node::Leaf {
-                entries: r.get()?,
-                next: r.get()?,
-            }),
-            tag => Err(SnapError::BadTag {
-                what: "BTree node",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+snap_enum!(Node { 0 => Internal { keys, children }, 1 => Leaf { entries, next } });
 
 #[cfg(test)]
 mod tests {

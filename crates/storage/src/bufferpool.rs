@@ -6,7 +6,8 @@
 //! the whole working set; on Cluster D (4 GB RAM, 10.5 GB data) it
 //! thrashes — which is exactly the regime change the paper's §5.8 shows.
 
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 
 /// Identifies a page (the B-tree uses node ids as page ids).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -214,45 +215,10 @@ impl BufferPool {
     }
 }
 
-impl Snap for PageId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(PageId(r.u64()?))
-    }
-}
-
-impl Snap for PoolStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.evictions);
-        w.put_u64(self.dirty_writebacks);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(PoolStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-            dirty_writebacks: r.u64()?,
-        })
-    }
-}
-
-impl Snap for Frame {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.page);
-        w.put(&self.referenced);
-        w.put(&self.dirty);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Frame {
-            page: r.get()?,
-            referenced: r.get()?,
-            dirty: r.get()?,
-        })
-    }
+snap_struct! {
+    PageId { 0 }
+    PoolStats { hits, misses, evictions, dirty_writebacks }
+    Frame { page, referenced, dirty }
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@ use crate::merge::MergeCursor;
 use crate::receipt::CostReceipt;
 use crate::sstable::{SsTable, TableProbe};
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::{snap_enum, snap_struct};
 use std::collections::HashMap;
 
 /// Compaction strategy.
@@ -92,41 +93,8 @@ pub struct BackgroundJob {
     pub write_bytes: u64,
 }
 
-impl Snap for JobKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            JobKind::Flush => 0,
-            JobKind::Compaction => 1,
-        });
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(JobKind::Flush),
-            1 => Ok(JobKind::Compaction),
-            tag => Err(SnapError::BadTag {
-                what: "JobKind",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Snap for BackgroundJob {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put(&self.kind);
-        w.put_u64(self.read_bytes);
-        w.put_u64(self.write_bytes);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(BackgroundJob {
-            id: r.u64()?,
-            kind: r.get()?,
-            read_bytes: r.u64()?,
-            write_bytes: r.u64()?,
-        })
-    }
-}
+snap_enum!(JobKind { 0 => Flush, 1 => Compaction });
+snap_struct! { BackgroundJob { id, kind, read_bytes, write_bytes } }
 
 /// Cumulative engine statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -490,30 +458,10 @@ impl LsmTree {
     }
 }
 
-impl Snap for LsmStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.inserts);
-        w.put_u64(self.reads);
-        w.put_u64(self.scans);
-        w.put_u64(self.tables_consulted);
-        w.put_u64(self.bloom_skips);
-        w.put_u64(self.flushes);
-        w.put_u64(self.compactions);
-        w.put_u64(self.bytes_flushed);
-        w.put_u64(self.bytes_compacted);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(LsmStats {
-            inserts: r.u64()?,
-            reads: r.u64()?,
-            scans: r.u64()?,
-            tables_consulted: r.u64()?,
-            bloom_skips: r.u64()?,
-            flushes: r.u64()?,
-            compactions: r.u64()?,
-            bytes_flushed: r.u64()?,
-            bytes_compacted: r.u64()?,
-        })
+snap_struct! {
+    LsmStats {
+        inserts, reads, scans, tables_consulted, bloom_skips, flushes, compactions,
+        bytes_flushed, bytes_compacted
     }
 }
 

@@ -6,7 +6,7 @@
 //! memtable return the actual stored bytes.
 
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 use std::collections::{btree_map, BTreeMap};
 
 /// A sorted in-memory write buffer with byte accounting.
@@ -68,18 +68,7 @@ impl Memtable {
     }
 }
 
-impl Snap for Memtable {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.entries);
-        w.put_u64(self.bytes);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Memtable {
-            entries: r.get()?,
-            bytes: r.u64()?,
-        })
-    }
-}
+snap_struct! { Memtable { entries, bytes } }
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 
 use crate::receipt::CostReceipt;
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 use std::collections::{btree_map, BTreeMap};
 
 /// One VoltDB-style partition: an in-memory table with a tree index.
@@ -105,14 +105,7 @@ impl PartitionTable {
     }
 }
 
-impl Snap for PartitionTable {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.rows);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(PartitionTable { rows: r.get()? })
-    }
-}
+snap_struct! { PartitionTable { rows } }
 
 #[cfg(test)]
 mod tests {

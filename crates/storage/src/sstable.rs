@@ -9,7 +9,7 @@ use crate::bloom::Bloom;
 use crate::merge::MergeCursor;
 use crate::receipt::{CostReceipt, DiskIo};
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 
 /// Result of probing one SSTable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -150,22 +150,7 @@ impl SsTable {
     }
 }
 
-impl Snap for SsTable {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put(&self.entries);
-        w.put(&self.bloom);
-        w.put_u64(self.block_bytes);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(SsTable {
-            id: r.u64()?,
-            entries: r.get()?,
-            bloom: r.get()?,
-            block_bytes: r.u64()?,
-        })
-    }
-}
+snap_struct! { SsTable { id, entries, bloom, block_bytes } }
 
 #[cfg(test)]
 mod tests {

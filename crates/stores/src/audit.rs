@@ -18,7 +18,7 @@
 //! means the recovery results are meaningless.
 
 use crate::resilience::{breaker_transition_is_legal, BreakerState};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::{snap_enum, snap_struct};
 use apm_sim::SimTime;
 
 /// One hint lifecycle transition, stamped with the virtual clock.
@@ -116,56 +116,10 @@ impl HintAuditor {
     }
 }
 
-impl Snap for HintEventKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            HintEventKind::Queued => w.put_u8(0),
-            HintEventKind::Replayed { count } => {
-                w.put_u8(1);
-                w.put_u64(*count);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(HintEventKind::Queued),
-            1 => Ok(HintEventKind::Replayed { count: r.u64()? }),
-            tag => Err(SnapError::BadTag {
-                what: "HintEventKind",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Snap for HintEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.at);
-        w.put_u64(self.node as u64);
-        w.put(&self.kind);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(HintEvent {
-            at: r.get()?,
-            node: r.u64()? as usize,
-            kind: r.get()?,
-        })
-    }
-}
-
-impl Snap for HintAuditor {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.events);
-        w.put(&self.queued);
-        w.put(&self.replayed);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(HintAuditor {
-            events: r.get()?,
-            queued: r.get()?,
-            replayed: r.get()?,
-        })
-    }
+snap_enum!(HintEventKind { 0 => Queued, 1 => Replayed { count } });
+snap_struct! {
+    HintEvent { at, node, kind }
+    HintAuditor { events, queued, replayed }
 }
 
 /// Watches the resilient driver's policy engine: every circuit-breaker
@@ -209,18 +163,7 @@ impl RetryAuditor {
     }
 }
 
-impl Snap for RetryAuditor {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.transitions);
-        w.put_u64(self.retries);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(RetryAuditor {
-            transitions: r.u64()?,
-            retries: r.u64()?,
-        })
-    }
-}
+snap_struct! { RetryAuditor { transitions, retries } }
 
 /// Asserts HBase's region-reassignment map is a bijection from dead
 /// region servers onto *distinct live* hosts: every reassigned region

@@ -621,8 +621,10 @@ impl DistributedStore for CassandraStore {
         self.ctx.servers = r.get()?;
         self.ring = r.get()?;
         // Bootstrap may have grown the cluster since the snapshot's run
-        // started; rebuild node shells before filling them.
-        let n = r.u64()? as usize;
+        // started; rebuild node shells before filling them — as many as
+        // the stream has bytes for at most (a node's three sections are
+        // far more than one).
+        let n = r.count(1)?;
         while self.nodes.len() < n {
             let idx = self.nodes.len();
             let shell = self.fresh_node(idx);
@@ -682,6 +684,27 @@ mod tests {
             5,
         );
         run_benchmark(&mut engine, &mut s, &config)
+    }
+
+    #[test]
+    fn an_inflated_node_count_is_refused_before_any_node_is_built() {
+        let mut engine = Engine::new();
+        let mut s = store(&mut engine, 3);
+        let mut w = SnapWriter::new();
+        s.snap_state(&mut w);
+        // The count follows the server handles and the ring.
+        let mut before = SnapWriter::new();
+        before.put(&s.ctx.servers);
+        before.put(&s.ring);
+        let mut body = w.into_bytes();
+        let left = body.len() - before.len() - 8;
+        body[before.len()..][..8].copy_from_slice(&(left as u64 + 1).to_le_bytes());
+        let refused = s.restore_state(&mut SnapReader::new(&body), &mut engine);
+        let eof = SnapError::UnexpectedEof {
+            wanted: left + 1,
+            remaining: left,
+        };
+        assert_eq!(refused, Err(eof));
     }
 
     #[test]

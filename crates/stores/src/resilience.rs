@@ -30,8 +30,8 @@
 //! bytes as before there was a policy layer.
 
 use apm_core::ops::OpKind;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use apm_core::stats::Histogram;
+use apm_core::{snap_enum, snap_struct};
 use apm_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -394,71 +394,12 @@ pub struct ResiliencePolicy {
 /// generator `apm_sim::fault` uses for random schedules).
 pub type JitterRng = apm_core::rng::SplitMix64;
 
-impl Snap for HedgeTracker {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.latencies);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(HedgeTracker {
-            latencies: r.get()?,
-        })
-    }
+snap_struct! {
+    HedgeTracker { latencies }
+    Breaker { state, outcomes, errors_in_window, opened_at, probe_in_flight }
+    AdmissionBudget { credit_micros, cap_micros, ratio_micros }
 }
-
-impl Snap for BreakerState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        });
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(BreakerState::Closed),
-            1 => Ok(BreakerState::Open),
-            2 => Ok(BreakerState::HalfOpen),
-            tag => Err(SnapError::BadTag {
-                what: "BreakerState",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Snap for Breaker {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.state);
-        w.put(&self.outcomes);
-        w.put(&(self.errors_in_window as u64));
-        w.put(&self.opened_at);
-        w.put(&self.probe_in_flight);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Breaker {
-            state: r.get()?,
-            outcomes: r.get()?,
-            errors_in_window: r.u64()? as usize,
-            opened_at: r.get()?,
-            probe_in_flight: r.get()?,
-        })
-    }
-}
-
-impl Snap for AdmissionBudget {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.credit_micros);
-        w.put_u64(self.cap_micros);
-        w.put_u64(self.ratio_micros);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(AdmissionBudget {
-            credit_micros: r.u64()?,
-            cap_micros: r.u64()?,
-            ratio_micros: r.u64()?,
-        })
-    }
-}
+snap_enum!(BreakerState { 0 => Closed, 1 => Open, 2 => HalfOpen });
 
 #[cfg(test)]
 mod tests {

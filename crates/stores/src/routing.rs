@@ -9,7 +9,7 @@
 
 use crate::hashes::{md5_u128, murmur2_64a};
 use apm_core::record::MetricKey;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap_struct;
 use std::collections::BTreeMap;
 
 /// Reports how evenly a router spreads a key sample over `n` nodes.
@@ -160,17 +160,7 @@ impl TokenRing {
     }
 }
 
-impl Snap for TokenRing {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.tokens);
-        w.put_u64(self.nodes as u64);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let tokens: Vec<(u128, usize)> = r.get()?;
-        let nodes = r.u64()? as usize;
-        Ok(TokenRing { tokens, nodes })
-    }
-}
+snap_struct! { TokenRing { tokens, nodes } }
 
 /// The Jedis `ShardedJedisPool` ring: 160 weighted virtual nodes per
 /// shard, hashed with MurmurHash (the library's default; §5.1 footnote 7:

@@ -19,6 +19,7 @@ use apm_core::driver::ClientConfig;
 use apm_core::ops::{OpKind, OpOutcome, Operation};
 use apm_core::record::MetricKey;
 use apm_core::snap::{self, fnv1a64, Snap, SnapError, SnapReader, SnapWriter, SnapshotHeader};
+use apm_core::snap_struct;
 use apm_core::stats::{pairwise_sum, BenchStats, ResilienceCounters, ResourceSample, Telemetry};
 use apm_core::workload::{Workload, WorkloadGenerator};
 use apm_sim::kernel::{Completion, PlanHandle, ResourceId, Token};
@@ -205,22 +206,7 @@ pub struct RunLedger {
     pub rejected: u64,
 }
 
-impl Snap for RunLedger {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.acked_inserts);
-        w.put_u64(self.logical);
-        w.put_u64(self.resolved);
-        w.put_u64(self.rejected);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(RunLedger {
-            acked_inserts: r.get()?,
-            logical: r.u64()?,
-            resolved: r.u64()?,
-            rejected: r.u64()?,
-        })
-    }
-}
+snap_struct! { RunLedger { acked_inserts, logical, resolved, rejected } }
 
 /// Result of one benchmark run.
 #[derive(Clone, Debug)]
@@ -355,24 +341,7 @@ impl TelemetrySampler {
     }
 }
 
-impl Snap for TelemetrySampler {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.telemetry);
-        w.put(&self.window);
-        w.put(&self.warmup_end);
-        w.put_u64(self.boundary);
-        w.put(&self.prev_busy);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(TelemetrySampler {
-            telemetry: r.get()?,
-            window: r.get()?,
-            warmup_end: r.get()?,
-            boundary: r.u64()?,
-            prev_busy: r.get()?,
-        })
-    }
-}
+snap_struct! { TelemetrySampler { telemetry, window, warmup_end, boundary, prev_busy } }
 
 /// Runs the load phase then the transaction phase of one benchmark.
 ///
@@ -503,42 +472,10 @@ struct ClientSlot {
     trigger: Option<PlanHandle>,
 }
 
-impl Snap for ClientSlot {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.op);
-        w.put(&self.ok);
-        w.put(&self.missing);
-        w.put(&self.next_issue);
-        w.put_u64(self.epoch);
-        w.put(&self.logical_start);
-        w.put_u32(self.retries_used);
-        w.put_f64(self.jitter);
-        w.put(&self.target);
-        w.put(&self.was_probe);
-        w.put(&self.shed);
-        w.put(&self.hedge_used);
-        w.put(&self.primary);
-        w.put(&self.hedge);
-        w.put(&self.trigger);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(ClientSlot {
-            op: r.get()?,
-            ok: r.get()?,
-            missing: r.get()?,
-            next_issue: r.get()?,
-            epoch: r.u64()?,
-            logical_start: r.get()?,
-            retries_used: r.u32()?,
-            jitter: r.f64()?,
-            target: r.get()?,
-            was_probe: r.get()?,
-            shed: r.get()?,
-            hedge_used: r.get()?,
-            primary: r.get()?,
-            hedge: r.get()?,
-            trigger: r.get()?,
-        })
+snap_struct! {
+    ClientSlot {
+        op, ok, missing, next_issue, epoch, logical_start, retries_used, jitter, target,
+        was_probe, shed, hedge_used, primary, hedge, trigger
     }
 }
 
@@ -586,7 +523,8 @@ impl PolicyState {
 }
 
 /// The breaker vector carries its own length, so topology growth mid-run
-/// survives a round trip.
+/// survives a round trip. Hand-written: the auditor section is
+/// `#[cfg(feature)]`-gated (S2 guards it) and the rng goes by its state.
 impl Snap for PolicyState {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.rng.state());
