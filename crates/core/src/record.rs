@@ -86,18 +86,20 @@ impl MetricKey {
     /// rendering of the identifier — so that identifiers map to unique,
     /// fixed-width, alphanumeric keys.
     pub fn from_id(id: u64) -> Self {
+        /// 36⁷: the identifier is rendered as two seven-digit halves.
+        const HALF: u64 = 36u64.pow(7);
         let mut buf = [b'0'; KEY_SIZE];
         buf[0] = b'm';
-        // Render `id` in base 36, right-aligned.
-        let mut v = id;
-        let mut i = KEY_SIZE;
-        loop {
-            i -= 1;
-            buf[i] = ALPHABET[(v % 36) as usize];
-            v /= 36;
-            if v == 0 {
-                break;
-            }
+        // Base 36, right-aligned, always seven steps of two independent
+        // chains: a loop that stops at `v == 0` mispredicts its exit on
+        // the quarter of scrambled ids that need twelve digits instead of
+        // thirteen. `hi < 2⁶⁴ / 36⁷ < 36⁶`, so `buf[11]` is written '0'.
+        let (mut hi, mut lo) = (id / HALF, id % HALF);
+        for i in (0..7).rev() {
+            buf[11 + i] = ALPHABET[(hi % 36) as usize];
+            buf[18 + i] = ALPHABET[(lo % 36) as usize];
+            hi /= 36;
+            lo /= 36;
         }
         MetricKey(buf)
     }
@@ -165,18 +167,29 @@ impl FieldValues {
     /// Deterministically derives field content from a seed, mimicking
     /// YCSB's random field generation while staying reproducible.
     pub fn from_seed(seed: u64) -> Self {
-        let mut fields = [[0u8; FIELD_SIZE]; FIELD_COUNT];
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        for field in &mut fields {
-            for byte in field.iter_mut() {
-                // xorshift64* — cheap, deterministic, good enough for filler.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                *byte = ALPHABET[(state % 36) as usize];
+        let [fields] = Self::from_seeds([seed]);
+        fields
+    }
+
+    /// [`FieldValues::from_seed`] of every seed, stepping the `N`
+    /// generators together: one chain is 50 dependent xorshift rounds, so
+    /// independent chains side by side fill the time one spends waiting
+    /// on itself.
+    pub fn from_seeds<const N: usize>(seeds: [u64; N]) -> [FieldValues; N] {
+        let mut states = seeds.map(|seed| seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut out = [FieldValues([[0u8; FIELD_SIZE]; FIELD_COUNT]); N];
+        for field in 0..FIELD_COUNT {
+            for byte in 0..FIELD_SIZE {
+                for (state, fields) in states.iter_mut().zip(&mut out) {
+                    // xorshift64* — cheap, deterministic, good enough for filler.
+                    *state ^= *state << 13;
+                    *state ^= *state >> 7;
+                    *state ^= *state << 17;
+                    fields.0[field][byte] = ALPHABET[(*state % 36) as usize];
+                }
             }
         }
-        FieldValues(fields)
+        out
     }
 
     /// Total payload size in bytes.
@@ -232,10 +245,18 @@ pub struct Record {
 impl Record {
     /// Builds the canonical record for identifier `id`.
     pub fn from_id(id: u64) -> Self {
-        Record {
-            key: MetricKey::from_id(id),
-            fields: FieldValues::from_seed(id),
-        }
+        let [record] = Self::from_ids([id]);
+        record
+    }
+
+    /// [`Record::from_id`] of every identifier, the field generators
+    /// stepped together ([`FieldValues::from_seeds`]).
+    pub fn from_ids<const N: usize>(ids: [u64; N]) -> [Record; N] {
+        let fields = FieldValues::from_seeds(ids);
+        std::array::from_fn(|lane| Record {
+            key: MetricKey::from_id(ids[lane]),
+            fields: fields[lane],
+        })
     }
 
     /// Raw size of the record (always 75 bytes).
@@ -346,6 +367,78 @@ mod tests {
             let key = MetricKey::from_id(id);
             assert_eq!(key.to_id(), Some(id), "id {id} failed to round-trip");
         }
+    }
+
+    /// `from_id` as it was first written: one digit a step until the
+    /// value runs out.
+    fn from_id_reference(id: u64) -> MetricKey {
+        let mut buf = [b'0'; KEY_SIZE];
+        buf[0] = b'm';
+        let (mut v, mut i) = (id, KEY_SIZE);
+        loop {
+            i -= 1;
+            buf[i] = ALPHABET[(v % 36) as usize];
+            v /= 36;
+            if v == 0 {
+                return MetricKey(buf);
+            }
+        }
+    }
+
+    /// `from_seed` as it was first written: one generator, byte by byte.
+    fn from_seed_reference(seed: u64) -> FieldValues {
+        let mut fields = [[0u8; FIELD_SIZE]; FIELD_COUNT];
+        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+        for byte in fields.iter_mut().flatten() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = ALPHABET[(state % 36) as usize];
+        }
+        FieldValues(fields)
+    }
+
+    /// The digit-count edges of the two-chain render, then `budget`
+    /// scrambled ids.
+    fn sweep_ids(budget: u64) -> impl Iterator<Item = u64> {
+        let p = |e| 36u64.pow(e);
+        let edges = [0, 35, 36, p(7) - 1, p(7), p(12) - 1, p(12), u64::MAX];
+        edges.into_iter().chain((0..budget).map(crate::rng::mix))
+    }
+
+    fn kernels_match_their_references(budget: u64) {
+        let mut lanes = [0u64; 4];
+        for (n, id) in sweep_ids(budget).enumerate() {
+            let key = MetricKey::from_id(id);
+            assert_eq!(key, from_id_reference(id), "id {id}");
+            assert_eq!(key.to_id(), Some(id), "id {id}");
+            assert_eq!(
+                FieldValues::from_seed(id),
+                from_seed_reference(id),
+                "id {id}"
+            );
+            // Four at a time, each id passing through every lane.
+            lanes.rotate_left(1);
+            lanes[3] = id;
+            if n >= 3 {
+                let want = lanes.map(|id| Record {
+                    key: from_id_reference(id),
+                    fields: from_seed_reference(id),
+                });
+                assert_eq!(Record::from_ids(lanes), want, "ids {lanes:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_equivalence_of_key_render_and_field_lanes() {
+        kernels_match_their_references(1 << 12);
+    }
+
+    #[test]
+    #[ignore = "2^20 ids: CI runs it in the release profile"]
+    fn kernel_equivalence_of_key_render_and_field_lanes_at_the_large_budget() {
+        kernels_match_their_references(1 << 20);
     }
 
     #[test]

@@ -45,6 +45,15 @@ pub struct PageTrace {
     pub allocated: Vec<PageId>,
 }
 
+impl PageTrace {
+    /// Empties the three lists, keeping their capacity.
+    pub fn clear(&mut self) {
+        self.read.clear();
+        self.written.clear();
+        self.allocated.clear();
+    }
+}
+
 #[derive(Clone, Debug)]
 enum Node {
     Internal {
@@ -149,7 +158,21 @@ impl BTree {
     /// (split pages appear in `written`).
     pub fn insert(&mut self, key: MetricKey, value: FieldValues) -> (bool, PageTrace) {
         let mut trace = PageTrace::default();
-        let leaf = self.leaf_for(&key, &mut trace);
+        let new = self.insert_into(key, value, &mut trace);
+        (new, trace)
+    }
+
+    /// [`BTree::insert`] with the trace written over `trace`, whatever it
+    /// held: a caller that keeps one across inserts allocates nothing
+    /// once its lists have grown to the tree's depth.
+    pub fn insert_into(
+        &mut self,
+        key: MetricKey,
+        value: FieldValues,
+        trace: &mut PageTrace,
+    ) -> bool {
+        trace.clear();
+        let leaf = self.leaf_for(&key, trace);
         trace.written.push(PageId(leaf as u64));
         let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
             unreachable!()
@@ -169,9 +192,9 @@ impl BTree {
             Node::Leaf { entries, .. } => entries.len() > self.config.leaf_capacity,
             Node::Internal { .. } => unreachable!(),
         } {
-            self.split(leaf, &mut trace);
+            self.split(leaf, trace);
         }
-        (new, trace)
+        new
     }
 
     /// Splits an over-full node, recursing up through its ancestors. The
@@ -391,6 +414,31 @@ mod tests {
         let (_, trace) = tree.insert(r.key, r.fields);
         assert_eq!(trace.written.len(), 1);
         assert_eq!(trace.read.len(), 1);
+    }
+
+    #[test]
+    fn a_reused_trace_is_the_trace_a_fresh_one_would_be() {
+        // Two trees in lockstep, through leaf splits, internal splits and
+        // root growth; a long trace (a split chain) is followed by short
+        // ones, so anything `insert_into` left behind would show.
+        let (mut fresh, mut reusing) = (BTree::new(tiny()), BTree::new(tiny()));
+        let mut trace = PageTrace::default();
+        let (mut grew_root, mut longest) = (0, 0);
+        for seq in 0..2_000 {
+            let r = record_for_seq(seq);
+            let depth = fresh.depth();
+            let (new, want) = fresh.insert(r.key, r.fields);
+            assert_eq!(reusing.insert_into(r.key, r.fields, &mut trace), new);
+            assert_eq!(trace, want, "seq {seq}");
+            grew_root += u32::from(fresh.depth() > depth);
+            longest = longest.max(want.written.len() + want.allocated.len());
+        }
+        assert!(grew_root >= 2 && longest >= 5, "{grew_root} {longest}");
+        // An overwrite after all that: one leaf written, nothing allocated.
+        let r = record_for_seq(7);
+        assert!(!reusing.insert_into(r.key, r.fields, &mut trace));
+        assert_eq!((trace.written.len(), trace.allocated.len()), (1, 0));
+        assert_eq!(trace.read.len(), reusing.depth() as usize);
     }
 
     #[test]

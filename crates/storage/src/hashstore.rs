@@ -10,6 +10,7 @@
 use crate::receipt::CostReceipt;
 use apm_core::record::{FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use std::collections::hash_map::Entry;
 use std::collections::{btree_set, BTreeSet, HashMap};
 
 /// Redis-era per-entry memory overhead, in bytes: robj headers, dict
@@ -73,22 +74,26 @@ impl HashStore {
     ) -> Result<CostReceipt, OutOfMemory> {
         let mut receipt = CostReceipt::new();
         receipt.touch(RAW_RECORD_SIZE as u64);
-        if let Some(existing) = self.map.get_mut(&key) {
-            receipt.probe(1);
-            *existing = value;
-            return Ok(receipt);
-        }
-        let needed = self.mem_bytes + Self::bytes_per_record();
-        if let Some(budget) = self.max_memory {
-            if needed > budget {
-                return Err(OutOfMemory { needed, budget });
+        // One hash and one table walk, whichever way it goes.
+        match self.map.entry(key) {
+            Entry::Occupied(mut existing) => {
+                receipt.probe(1);
+                existing.insert(value);
+            }
+            Entry::Vacant(slot) => {
+                let needed = self.mem_bytes + Self::bytes_per_record();
+                if let Some(budget) = self.max_memory {
+                    if needed > budget {
+                        return Err(OutOfMemory { needed, budget });
+                    }
+                }
+                // Hash insert + skiplist/sorted-set insert.
+                receipt.probe(2);
+                slot.insert(value);
+                self.index.insert(key);
+                self.mem_bytes = needed;
             }
         }
-        // Hash insert + skiplist/sorted-set insert.
-        receipt.probe(2);
-        self.map.insert(key, value);
-        self.index.insert(key);
-        self.mem_bytes = needed;
         Ok(receipt)
     }
 
@@ -247,6 +252,43 @@ mod tests {
         store.insert(r.key, record_for_seq(2).fields).unwrap();
         assert_eq!(store.mem_bytes(), before);
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn insert_receipts_and_accounting_by_case() {
+        let per = HashStore::bytes_per_record();
+        let mut store = HashStore::new(Some(per * 2));
+        let (a, b, c) = (record_for_seq(1), record_for_seq(2), record_for_seq(3));
+        let receipt = |probes| {
+            let mut r = CostReceipt::new();
+            r.touch(RAW_RECORD_SIZE as u64).probe(probes);
+            r
+        };
+        let state = |s: &HashStore| (s.len(), s.mem_bytes(), s.is_consistent());
+        // A new key: hash insert + sorted-set insert.
+        assert_eq!(store.insert(a.key, a.fields), Ok(receipt(2)));
+        assert_eq!(state(&store), (1, per, true));
+        // An overwrite: one probe, nothing grows, the value is replaced.
+        assert_eq!(store.insert(a.key, b.fields), Ok(receipt(1)));
+        assert_eq!(state(&store), (1, per, true));
+        assert_eq!(store.get(&a.key).0, Some(b.fields));
+        assert_eq!(store.insert(b.key, b.fields), Ok(receipt(2)));
+        assert_eq!(state(&store), (2, per * 2, true));
+        // Over budget: refused with nothing written — and a refused key
+        // stays absent however often it is tried.
+        let refused = Err(OutOfMemory {
+            needed: per * 3,
+            budget: per * 2,
+        });
+        for _ in 0..2 {
+            assert_eq!(store.insert(c.key, c.fields), refused);
+            assert_eq!(state(&store), (2, per * 2, true));
+            assert_eq!(store.get(&c.key).0, None);
+            assert_eq!(store.scan_count(&MetricKey::MIN, 10).0, 2);
+        }
+        // A full store still takes overwrites.
+        assert_eq!(store.insert(b.key, a.fields), Ok(receipt(1)));
+        assert_eq!(state(&store), (2, per * 2, true));
     }
 
     #[test]

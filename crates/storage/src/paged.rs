@@ -31,6 +31,13 @@ impl PagedTree {
     /// eviction a random page write-back.
     pub fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
         let mut ios = Vec::new();
+        self.replay_into(trace, |io| ios.push(io));
+        ios
+    }
+
+    /// [`PagedTree::replay`] handing each I/O to `io` as it is incurred;
+    /// a load, which is untimed, passes a sink that drops them.
+    pub fn replay_into(&mut self, trace: &PageTrace, mut io: impl FnMut(DiskIo)) {
         let page_bytes = self.tree.page_bytes();
         for page in trace.read.iter().chain(&trace.written) {
             let access = if trace.written.contains(page) {
@@ -40,20 +47,19 @@ impl PagedTree {
             };
             let r = self.pool.access(*page, access);
             if !r.hit {
-                ios.push(DiskIo::random_read(page_bytes));
+                io(DiskIo::random_read(page_bytes));
             }
             if r.writeback.is_some() {
-                ios.push(DiskIo::random_write(page_bytes));
+                io(DiskIo::random_write(page_bytes));
             }
         }
         for page in &trace.allocated {
             // Fresh split pages need no read, only eventual write-back.
             let r = self.pool.access(*page, Access::Write);
             if r.writeback.is_some() {
-                ios.push(DiskIo::random_write(page_bytes));
+                io(DiskIo::random_write(page_bytes));
             }
         }
-        ios
     }
 
     /// Serializes tree, then pool.
@@ -67,5 +73,48 @@ impl PagedTree {
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.tree.restore_state(r)?;
         self.pool.restore_state(r, self.tree.page_count())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apm_core::keyspace::record_for_seq;
+
+    #[test]
+    fn the_sink_sees_replays_ios_and_leaves_replays_pool() {
+        // A pool far smaller than the tree: misses, evictions and dirty
+        // write-backs on most inserts.
+        let config = BTreeConfig {
+            leaf_capacity: 8,
+            internal_capacity: 8,
+            page_bytes: 1 << 10,
+        };
+        let build = || PagedTree::new(config, 16);
+        let (mut collected, mut sunk, mut dropped) = (build(), build(), build());
+        let mut scratch = PageTrace::default();
+        for seq in 0..3_000 {
+            let r = record_for_seq(seq);
+            let (_, trace) = collected.tree.insert(r.key, r.fields);
+            let want = collected.replay(&trace);
+            for paged in [&mut sunk, &mut dropped] {
+                paged.tree.insert_into(r.key, r.fields, &mut scratch);
+                assert_eq!(scratch, trace);
+            }
+            let mut got = Vec::new();
+            sunk.replay_into(&scratch, |io| got.push(io));
+            assert_eq!(got, want, "seq {seq}");
+            dropped.replay_into(&scratch, |_| {});
+        }
+        let stats = collected.pool.stats();
+        assert!(stats.dirty_writebacks > 1_000, "{stats:?}");
+        // Tree, frame table, clock hand and `PoolStats`, byte for byte.
+        let state = |paged: &PagedTree| {
+            let mut w = SnapWriter::new();
+            paged.snap_state(&mut w);
+            w.into_bytes()
+        };
+        assert!(state(&sunk) == state(&collected));
+        assert!(state(&dropped) == state(&collected));
     }
 }

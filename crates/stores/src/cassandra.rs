@@ -363,9 +363,13 @@ impl CassandraStore {
     /// The replica a request for `replicas`' key goes to: the first that
     /// is up. With all of them down there is nowhere to go and the
     /// request fails against the crashed first one.
-    fn coordinator(&self, replicas: &[usize]) -> usize {
-        let live = replicas.iter().copied().find(|&n| !self.down[n]);
-        live.unwrap_or(replicas[0])
+    fn coordinator(&self, replicas: impl IntoIterator<Item = usize>) -> usize {
+        let mut replicas = replicas.into_iter();
+        let first = replicas.next().expect("a key has a replica");
+        let live = std::iter::once(first)
+            .chain(replicas)
+            .find(|&n| !self.down[n]);
+        live.unwrap_or(first)
     }
 
     fn read_plan(&mut self, client: u32, node: usize, op: &Operation) -> (OpOutcome, Plan) {
@@ -403,7 +407,7 @@ impl CassandraStore {
         engine: &mut Engine,
     ) -> (OpOutcome, Plan) {
         let replicas = self.ring.replicas(&record.key, self.replication);
-        let primary = self.coordinator(&replicas);
+        let primary = self.coordinator(replicas.iter().copied());
         // With every replica down nothing applies and nothing is hinted:
         // the request dies against the crashed coordinator.
         let targets = if self.down[primary] {
@@ -475,7 +479,7 @@ impl DistributedStore for CassandraStore {
     }
 
     fn load(&mut self, record: &Record) {
-        for node in self.ring.replicas(&record.key, self.replication) {
+        for node in self.ring.replica_walk(&record.key, self.replication) {
             self.nodes[node].insert_settled(record);
         }
     }
@@ -486,7 +490,7 @@ impl DistributedStore for CassandraStore {
             &mut self.nodes,
             seqs,
             workers,
-            |key| ring.replicas(key, rf),
+            |key| ring.replica_walk(key, rf),
             Node::insert_settled,
         );
     }
@@ -502,7 +506,7 @@ impl DistributedStore for CassandraStore {
         match op {
             Operation::Read { key } | Operation::Scan { start: key, .. } => {
                 // Coordinator-side failover.
-                let node = self.coordinator(&self.ring.replicas(key, self.replication));
+                let node = self.coordinator(self.ring.replica_walk(key, self.replication));
                 self.read_plan(client, node, op)
             }
             Operation::Insert { record } | Operation::Update { record } => {
@@ -514,7 +518,7 @@ impl DistributedStore for CassandraStore {
     fn plan_target(&self, op: &Operation) -> Option<usize> {
         // The node the coordinator-side failover in [`Self::plan_op`]
         // would read from (writes target the same primary replica).
-        Some(self.coordinator(&self.ring.replicas(op.routing_key(), self.replication)))
+        Some(self.coordinator(self.ring.replica_walk(op.routing_key(), self.replication)))
     }
 
     fn hedge_read_plan(
@@ -531,7 +535,7 @@ impl DistributedStore for CassandraStore {
         // replica in ring order that is up and is not the node the
         // primary attempt targeted.
         let replicas = self.ring.replicas(key, self.replication);
-        let primary = self.coordinator(&replicas);
+        let primary = self.coordinator(replicas.iter().copied());
         let alt = replicas
             .iter()
             .copied()

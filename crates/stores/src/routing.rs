@@ -86,39 +86,39 @@ impl TokenRing {
         TokenRing { tokens, nodes }
     }
 
-    /// Node owning `key`: the node whose token is the greatest token
+    /// Ring position owning `key`: that of the greatest token
     /// `<= hash(key)` (Cassandra semantics: a token owns the range
     /// (previous token, token], we use the equivalent successor form).
-    pub fn route(&self, key: &MetricKey) -> usize {
+    fn owner_pos(&self, key: &MetricKey) -> usize {
         let h = md5_u128(key.as_bytes()) % TOKEN_SPACE;
         match self.tokens.binary_search_by(|(t, _)| t.cmp(&h)) {
-            Ok(i) => self.tokens[i].1,
-            Err(0) => self.tokens[self.tokens.len() - 1].1,
-            Err(i) => self.tokens[i - 1].1,
+            Ok(i) => i,
+            Err(0) => self.tokens.len() - 1,
+            Err(i) => i - 1,
         }
     }
 
-    /// Nodes holding replicas of `key` for replication factor `rf`:
-    /// the owner plus the next `rf - 1` ring successors (SimpleStrategy).
+    /// Node owning `key`.
+    pub fn route(&self, key: &MetricKey) -> usize {
+        self.tokens[self.owner_pos(key)].1
+    }
+
+    /// Nodes holding replicas of `key` for replication factor `rf`, in
+    /// ring order: the owner, then the next `rf - 1` distinct ring
+    /// successors (SimpleStrategy). Walks the ring in place — the load
+    /// route and every planned op ask, and none of them keeps the list.
+    pub fn replica_walk(&self, key: &MetricKey, rf: usize) -> impl Iterator<Item = usize> + '_ {
+        let (start, len) = (self.owner_pos(key), self.tokens.len());
+        let at = move |step: usize| self.tokens[(start + step) % len].1;
+        (0..len)
+            .filter(move |&step| (0..step).all(|earlier| at(earlier) != at(step)))
+            .map(at)
+            .take(rf.min(self.nodes))
+    }
+
+    /// [`TokenRing::replica_walk`] as a list, for callers that keep it.
     pub fn replicas(&self, key: &MetricKey, rf: usize) -> Vec<usize> {
-        let owner_pos = {
-            let h = md5_u128(key.as_bytes()) % TOKEN_SPACE;
-            match self.tokens.binary_search_by(|(t, _)| t.cmp(&h)) {
-                Ok(i) => i,
-                Err(0) => self.tokens.len() - 1,
-                Err(i) => i - 1,
-            }
-        };
-        let mut out = Vec::with_capacity(rf.min(self.nodes));
-        let mut pos = owner_pos;
-        while out.len() < rf.min(self.nodes) {
-            let node = self.tokens[pos].1;
-            if !out.contains(&node) {
-                out.push(node);
-            }
-            pos = (pos + 1) % self.tokens.len();
-        }
-        out
+        self.replica_walk(key, rf).collect()
     }
 
     /// Number of nodes.
@@ -491,6 +491,48 @@ mod tests {
         assert_eq!(distinct.len(), 3);
         // rf larger than the cluster clamps.
         assert_eq!(ring.replicas(&k, 10).len(), 6);
+    }
+
+    #[test]
+    fn replica_walk_yields_what_the_collecting_loop_did() {
+        // `replicas` as it was first written: collect ring successors,
+        // skipping nodes already taken, until `rf` (or every node) is in.
+        fn reference(ring: &TokenRing, key: &MetricKey, rf: usize) -> Vec<usize> {
+            let mut out = Vec::new();
+            let mut pos = ring
+                .tokens
+                .iter()
+                .position(|&(_, node)| node == ring.route(key))
+                .expect("the owner holds a token");
+            while out.len() < rf.min(ring.nodes) {
+                let node = ring.tokens[pos].1;
+                if !out.contains(&node) {
+                    out.push(node);
+                }
+                pos = (pos + 1) % ring.tokens.len();
+            }
+            out
+        }
+        for assignment in [
+            TokenAssignment::Optimal,
+            TokenAssignment::Random { seed: 9 },
+        ] {
+            for nodes in [1, 2, 5] {
+                let mut ring = TokenRing::new(nodes, assignment);
+                for grown in 0..3 {
+                    for rf in [1, 2, 3, ring.nodes() + 2] {
+                        for key in (0..200).map(key_for_seq) {
+                            let walked: Vec<usize> = ring.replica_walk(&key, rf).collect();
+                            let case = format!("{assignment:?} {nodes}+{grown} rf {rf} {key}");
+                            assert_eq!(walked, reference(&ring, &key, rf), "{case}");
+                            assert_eq!(ring.replicas(&key, rf), walked, "{case}");
+                            assert_eq!(walked[0], ring.route(&key), "{case}");
+                        }
+                    }
+                    ring.extend();
+                }
+            }
+        }
     }
 
     #[test]

@@ -119,12 +119,27 @@ fn a_load_longer_than_one_block_builds_the_same_bytes() {
     // `load_partitioned` routes 128 Ki sequences at a time (`BLOCK_SEQS`
     // in api.rs): this range ends a few thousand into its third block,
     // on the two stores cheapest to load, sized to hold it. (The
-    // in-module sweep in api.rs crosses block lengths 1, 7 and 1 000
+    // in-module sweep in api.rs crosses block lengths 1, 3, 5 and 1 000
     // with every worker and node count over a toy node.)
     let seqs = 0..(2u64 << 17) + 4_321;
     for name in ["voltdb", "redis"] {
         let vias = [Via::Workers(1), Via::Workers(2)];
         assert_loads_like_the_loop(name, (3, 0.03), seqs.clone(), &vias);
+    }
+}
+
+#[test]
+fn a_node_list_of_any_length_mod_four_builds_the_same_bytes() {
+    // The build pass takes a node's sequences four at a time and the
+    // rest one by one. On one node the list is the range, so these are
+    // lists with nothing, one, two and three left over — and, at 0..r,
+    // lists that are all tail.
+    for name in STORES {
+        for rest in 0..4 {
+            let vias = [Via::Workers(1)];
+            assert_loads_like_the_loop(name, (1, SCALE), 0..RECORDS_PER_NODE + rest, &vias);
+            assert_loads_like_the_loop(name, (1, SCALE), 0..rest, &vias);
+        }
     }
 }
 
