@@ -27,6 +27,17 @@
 //! MySQL and VoltDB (`PartitionTable`, the HDFS / region state,
 //! `PagedTree`) under every feature set on 356f657, the commit before the
 //! codecs were generated from one field list.
+//!
+//! The `… on D` rows of that table pin a buffer pool *under thrash*.
+//! Everything else here runs on Cluster M at scale 0.0005, where no pool
+//! ever evicts; the paged stores (MySQL, MongoDB, Voldemort) are run again
+//! on Cluster D with 40 000 records a node — 98 / 117 / 104 frames under
+//! trees of some 900 / 1 460 / 2 130 pages — and 20 s of a write-heavy mix
+//! (3 206 / 5 109 / 9 932 ops), so checkpoint 0 holds a frame table, clock
+//! hand and `PoolStats` shaped by evictions (27–38 k a node, nearly all of
+//! them dirty write-backs) and, for Voldemort, the rng draw of every
+//! write-path miss. Captured on 32da731, the commit before the three pool
+//! walks became `PagedTree`'s one.
 
 mod common;
 
@@ -72,16 +83,16 @@ fn shapes() -> [RunConfig; 4] {
     [base(Workload::rw()), throttled, faulty, resilient]
 }
 
-fn run(name: &str, config: &RunConfig) -> RunResult {
+fn run(name: &str, cluster: ClusterSpec, config: &RunConfig) -> RunResult {
     let mut engine = Engine::new();
-    let ctx = common::ctx_on(name, &mut engine, ClusterSpec::cluster_m(), NODES, SCALE);
+    let ctx = common::ctx_on(name, &mut engine, cluster, NODES, SCALE);
     let mut store = common::build(name, &mut engine, ctx);
     run_benchmark(&mut engine, store.as_mut(), config)
 }
 
 fn fingerprints(name: &str) -> [u64; 4] {
     shapes().map(|config| {
-        let r = run(name, &config);
+        let r = run(name, ClusterSpec::cluster_m(), &config);
         let mut w = SnapWriter::new();
         w.put(&r.stats);
         w.put_u64(r.issued);
@@ -166,11 +177,12 @@ fn policy_free_runs_are_pinned() {
 }
 
 /// Stores with the FNV-1a of the body of checkpoint 0 of shape (d),
-/// checkpointed every 0.2 s, and the body's length — one triple per
+/// checkpointed every 0.2 s — or, `on D`, of [`thrashing`] — and the
+/// body's length; one triple per
 /// feature set, because a checkpoint also carries the observers' state:
 /// `audit` adds the auditor sections, `trace` the tracer's ring buffer
 /// (~1.46 MB a checkpoint). CI tests the default set and `trace,audit`.
-type BodyPins = [(&'static str, u64, usize); 6];
+type BodyPins = [(&'static str, u64, usize); 9];
 
 const BODY_PINS: BodyPins = [
     ("cassandra", 0x3384_e815_1d98_77eb, 4_036_027),
@@ -179,6 +191,9 @@ const BODY_PINS: BodyPins = [
     ("hbase", 0xf285_1bd7_71f0_bbe2, 2_168_076),
     ("mysql", 0xd10d_370e_1d1a_a910, 4_004_621),
     ("voltdb", 0x637c_24a8_c124_b5ce, 1_963_619),
+    ("mysql on D", 0x8ebd_8f2a_215d_1a8a, 12_380_962),
+    ("mongodb on D", 0x0170_f101_ad11_58d3, 12_573_470),
+    ("voldemort on D", 0x3565_0bfa_3cab_4baa, 12_933_969),
 ];
 
 const BODY_PINS_AUDIT: BodyPins = [
@@ -188,6 +203,9 @@ const BODY_PINS_AUDIT: BodyPins = [
     ("hbase", 0x8206_c656_c266_2887, 2_168_141),
     ("mysql", 0x0e0f_d2d3_25eb_70c9, 4_004_686),
     ("voltdb", 0xa5b2_e82b_b738_192c, 1_963_684),
+    ("mysql on D", 0xc6c0_10b8_9245_438e, 12_381_027),
+    ("mongodb on D", 0x911d_a0f8_1d14_0ea7, 12_573_535),
+    ("voldemort on D", 0x5574_e705_70cb_9552, 12_934_034),
 ];
 
 const BODY_PINS_TRACE: BodyPins = [
@@ -197,6 +215,9 @@ const BODY_PINS_TRACE: BodyPins = [
     ("hbase", 0x110a_55a5_3b53_5596, 3_590_100),
     ("mysql", 0x7f74_87bd_fc48_a49f, 5_471_417),
     ("voltdb", 0x6a32_d880_4eed_e84d, 3_427_399),
+    ("mysql on D", 0x7a2e_3033_14f5_0834, 13_872_458),
+    ("mongodb on D", 0x4f64_a483_2e6a_5979, 14_055_078),
+    ("voldemort on D", 0x829b_8b01_4730_f8de, 14_411_397),
 ];
 
 const BODY_PINS_TRACE_AUDIT: BodyPins = [
@@ -206,6 +227,9 @@ const BODY_PINS_TRACE_AUDIT: BodyPins = [
     ("hbase", 0x03fb_7daf_6d11_91cf, 3_590_165),
     ("mysql", 0x073b_73da_3996_98de, 5_471_482),
     ("voltdb", 0xf794_650e_cbc2_f35f, 3_427_464),
+    ("mysql on D", 0xfe32_d04c_8eaf_c7b0, 13_872_523),
+    ("mongodb on D", 0x9ee7_3c9a_6cd6_45a5, 14_055_143),
+    ("voldemort on D", 0x1a96_ad94_55e6_82ea, 14_411_462),
 ];
 
 fn body_pins() -> &'static BodyPins {
@@ -217,6 +241,19 @@ fn body_pins() -> &'static BodyPins {
     }
 }
 
+/// `store` on Cluster D, its trees 9–20× their pools, checkpointed 20 s
+/// into Workload RSW — RW for Voldemort, which plans no scan.
+fn thrashing(store: &str) -> RunResult {
+    let workload = match store {
+        "voldemort" => Workload::rw(),
+        _ => Workload::rsw(),
+    };
+    let client = ClientConfig::cluster_d(NODES).with_window(0.5, 20.5);
+    let mut config = RunConfig::new(workload, client, 40_000, NODES, 0xD21F);
+    config.checkpoints = Some(CheckpointSpec::every(20.0));
+    run(store, ClusterSpec::cluster_d(), &config)
+}
+
 #[test]
 fn checkpoint_bodies_are_pinned() {
     let [.., mut resilient] = shapes();
@@ -224,7 +261,10 @@ fn checkpoint_bodies_are_pinned() {
     let moved: Vec<String> = body_pins()
         .iter()
         .filter_map(|&(name, want, want_len)| {
-            let r = run(name, &resilient);
+            let r = match name.strip_suffix(" on D") {
+                Some(store) => thrashing(store),
+                None => run(name, ClusterSpec::cluster_m(), &resilient),
+            };
             let (_, body) = snap::open(&r.checkpoints[0].bytes).expect("own checkpoint opens");
             let (got, len) = (fnv1a64(body), body.len());
             ((got, len) != (want, want_len)).then(|| {
