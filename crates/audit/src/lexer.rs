@@ -7,8 +7,7 @@
 //! * comments (line, nested block) and string/char literals are stripped
 //!   from the token stream — a `HashMap` inside a doc comment or an error
 //!   message never trips a rule — but **string literal contents are kept**
-//!   as [`Tok::Str`] tokens, because rule D5 reads experiment ids out of
-//!   them and rule D3 needs to see `expect("")`;
+//!   as [`Tok::Str`] tokens, because rule D3 needs to see `expect("")`;
 //! * every token carries its line number and whether it sits inside test
 //!   code (`#[cfg(test)]` / `#[test]` item bodies);
 //! * the enclosing function name is tracked so rules can bless helpers by

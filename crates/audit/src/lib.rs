@@ -6,7 +6,7 @@
 //! lint pass over the workspace sources enforcing the determinism
 //! rules catalogued in DESIGN.md §8. The pipeline is
 //! `lexer` (tokens + cfg/test regions) → `items` (structs, impls,
-//! matches) → `rules` (D1–D5 token rules, S1–S3 structural rules) →
+//! matches) → `rules` (D1–D4 token rules, S1–S3 structural rules) →
 //! `diag` (human/JSON/GitHub rendering + baseline suppression). Run it
 //! with `cargo run -p apm-audit -- --deny-all`.
 //!

@@ -1,4 +1,4 @@
-//! The project-specific lint rules: token-level D1–D5 and structural
+//! The project-specific lint rules: token-level D1–D4 and structural
 //! S1–S3.
 //!
 //! The D rules walk the raw token stream from [`crate::lexer`]; the S
@@ -24,7 +24,6 @@
 //! | `hash-order`       | D2    | sim, stores, bench + obs/snap/chaos/experiment | deny |
 //! | `unwrap`           | D3    | all non-test library code              | warn    |
 //! | `float-sum`        | D4    | core::stats, core::timeseries         | warn    |
-//! | `shape-coverage`   | D5    | harness extensions vs shape            | deny    |
 //! | `snap-drift`       | S1    | every file with a Snap codec pair      | deny    |
 //! | `feature-symmetry` | S2    | every file with feature-gated fields   | deny    |
 //! | `wildcard-match`   | S3    | all non-test, non-bin library code     | deny    |
@@ -159,7 +158,6 @@ pub fn audit_files(files: &[SourceFile]) -> Vec<Violation> {
         rule_feature_symmetry(f, &parsed, &mut out);
         rule_wildcard_match(f, &parsed, &mut out);
     }
-    rule_shape_coverage(files, &mut out);
     out.retain(|v| {
         let file = files.iter().find(|f| f.path == v.file);
         !file.is_some_and(|f| f.lexed.allowed(v.line, v.rule))
@@ -299,54 +297,6 @@ fn rule_float_sum(f: &SourceFile, out: &mut Vec<Violation>) {
                 line: t.line,
                 rule: "float-sum",
                 message: format!("{msg}; use integer sums or `kahan_sum`"),
-            });
-        }
-    }
-}
-
-/// D5 `shape-coverage`: every experiment id registered in
-/// `harness/src/extensions.rs::all_extensions` must appear in at least
-/// one shape check in `harness/src/shape.rs`. A figure nobody sanity-
-/// checks is a figure that can silently drift.
-fn rule_shape_coverage(files: &[SourceFile], out: &mut Vec<Violation>) {
-    let Some(ext) = files
-        .iter()
-        .find(|f| f.path.ends_with("harness/src/extensions.rs"))
-    else {
-        return;
-    };
-    let Some(shape) = files
-        .iter()
-        .find(|f| f.path.ends_with("harness/src/shape.rs"))
-    else {
-        return;
-    };
-    // Registered ids: non-test "ext-*" string literals inside
-    // `all_extensions` (test modules register fakes like "ext-nope").
-    let mut ids: Vec<(String, u32)> = Vec::new();
-    for t in &ext.lexed.tokens {
-        if t.in_test || t.in_fn.as_deref() != Some("all_extensions") {
-            continue;
-        }
-        if let Tok::Str(s) = &t.tok {
-            if s.starts_with("ext-") && !ids.iter().any(|(id, _)| id == s) {
-                ids.push((s.clone(), t.line));
-            }
-        }
-    }
-    // Covered ids: any non-test string literal in shape.rs mentioning
-    // the id (the `checks_for` match arms).
-    for (id, line) in ids {
-        let covered =
-            shape.lexed.tokens.iter().any(|t| {
-                !t.in_test && matches!(&t.tok, Tok::Str(s) if s == &id || s.contains(&id))
-            });
-        if !covered {
-            out.push(Violation {
-                file: ext.path.clone(),
-                line,
-                rule: "shape-coverage",
-                message: format!("experiment `{id}` has no shape check in harness/src/shape.rs"),
             });
         }
     }
@@ -707,22 +657,6 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "float-sum");
         assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn shape_coverage_cross_file() {
-        let ext = file(
-            "crates/harness/src/extensions.rs",
-            "pub fn all_extensions() -> Vec<(&'static str, &'static str)> {\n    vec![(\"ext-covered\", \"t\"), (\"ext-bare\", \"t\")]\n}",
-        );
-        let shape = file(
-            "crates/harness/src/shape.rs",
-            "pub fn checks_for(figure: &str) { match figure { \"ext-covered\" => {}, _ => {} } }",
-        );
-        let v = audit_files(&[ext, shape]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "shape-coverage");
-        assert!(v[0].message.contains("ext-bare"));
     }
 
     #[test]

@@ -15,8 +15,11 @@ use apm_harness::output::{
     render_experiments_md, write_csv, write_gnuplot, FigureResult, ResultsFile,
 };
 use apm_harness::shape::checks_for;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::slice::Iter;
+use std::str::FromStr;
 
 struct Args {
     ids: Vec<String>,
@@ -30,6 +33,12 @@ fn usage() -> &'static str {
     "usage: repro <list | all | table1 | fig3..fig20 | ext-*>... [--scale F] [--secs S] [--warmup S] [--seed N] [--out DIR]\n       repro render <results.json>...   # merge result files and print EXPERIMENTS markdown\n       repro snapshot <store>           # run with checkpoints, write snap-<store>-<k>.bin\n       repro resume <snapshot.bin>      # resume a run from a sealed checkpoint\n       repro bisect <store>             # inject a divergence and localize its window\n       repro chaos <store | broken-cassandra> [--budget N] [--resilient] [--seed S] [--out DIR]\n                                        # seeded chaos campaign: oracles + schedule shrinking,\n                                        # writes chaos-<store>.json"
 }
 
+/// The value that follows `flag`, parsed.
+fn value<T: FromStr<Err: Display>>(it: &mut Iter<String>, flag: &str) -> Result<T, String> {
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut ids = Vec::new();
     let mut profile = ExperimentProfile::quick();
@@ -40,52 +49,30 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                profile.scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
+                profile.scale = value(&mut it, "--scale")?;
                 // Written so that NaN fails too.
                 if !(profile.scale > 0.0 && profile.scale <= 1.0) {
                     return Err("--scale must be in (0, 1]".into());
                 }
             }
             "--secs" => {
-                profile.measure_secs = it
-                    .next()
-                    .ok_or("--secs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --secs: {e}"))?;
+                profile.measure_secs = value(&mut it, "--secs")?;
                 if !(profile.measure_secs > 0.0 && profile.measure_secs.is_finite()) {
                     return Err("--secs must be a positive number of seconds".into());
                 }
             }
             "--warmup" => {
-                profile.warmup_secs = it
-                    .next()
-                    .ok_or("--warmup needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --warmup: {e}"))?;
+                profile.warmup_secs = value(&mut it, "--warmup")?;
                 if !(profile.warmup_secs >= 0.0 && profile.warmup_secs.is_finite()) {
                     return Err("--warmup must be zero or a positive number of seconds".into());
                 }
             }
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
+            "--seed" => profile.seed = value(&mut it, "--seed")?,
             "--out" => {
                 out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?));
             }
             "--budget" => {
-                budget = it
-                    .next()
-                    .ok_or("--budget needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --budget: {e}"))?;
+                budget = value(&mut it, "--budget")?;
                 if budget == 0 {
                     return Err("--budget must be at least 1".into());
                 }
@@ -131,28 +118,26 @@ fn store_arg(args: &Args) -> Result<StoreKind, String> {
     StoreKind::by_name(name).ok_or_else(|| format!("unknown store {name:?}"))
 }
 
+/// `--out`, or the working directory; created if it is not there.
+fn out_dir(args: &Args) -> Result<PathBuf, String> {
+    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 /// `repro snapshot <store>` — run the canonical checkpointed scenario and
 /// write every sealed checkpoint as `snap-<store>-<k>.bin`.
-fn cmd_snapshot(args: &Args) -> ExitCode {
-    let kind = match store_arg(args) {
-        Ok(k) => k,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_snapshot(args: &Args) -> Result<(), String> {
+    let kind = store_arg(args)?;
     let run = apm_harness::snap::snapshot_run(kind, &args.profile);
-    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
+    let dir = out_dir(args)?;
     for cp in &run.result.checkpoints {
         let path = dir.join(format!("snap-{}-{}.bin", kind.name(), cp.index));
-        if let Err(e) = std::fs::write(&path, &cp.bytes) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(&path, &cp.bytes)?;
         println!(
             "wrote {} (t = {:.3} s, state hash {:#018x})",
             path.display(),
@@ -166,73 +151,39 @@ fn cmd_snapshot(args: &Args) -> ExitCode {
         run.result.checkpoints.len(),
         run.fingerprint
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro resume <snapshot.bin>` — reopen a sealed checkpoint, rebuild the
 /// scenario its header names, and run it to completion.
-fn cmd_resume(args: &Args) -> ExitCode {
-    let path = match args.ids.get(1) {
-        Some(p) => p,
-        None => {
-            eprintln!("expected a snapshot file");
-            return ExitCode::FAILURE;
-        }
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (header, _) = match apm_core::snap::open(&bytes) {
-        Ok(parts) => parts,
-        Err(e) => {
-            eprintln!("{path} is not a valid snapshot: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let kind = match StoreKind::by_name(&header.scenario) {
-        Some(k) => k,
-        None => {
-            eprintln!("snapshot names unknown scenario {:?}", header.scenario);
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_resume(args: &Args) -> Result<(), String> {
+    let path = args.ids.get(1).ok_or("expected a snapshot file")?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (header, _) =
+        apm_core::snap::open(&bytes).map_err(|e| format!("{path} is not a valid snapshot: {e}"))?;
+    let kind = StoreKind::by_name(&header.scenario)
+        .ok_or_else(|| format!("snapshot names unknown scenario {:?}", header.scenario))?;
     println!(
         "resuming {} from checkpoint {} (t = {:.3} s)",
         header.scenario,
         header.checkpoint_index,
         header.virtual_time_ns as f64 / 1e9
     );
-    match apm_harness::snap::resume_run(kind, &args.profile, &bytes) {
-        Ok(run) => {
-            println!(
-                "{}: resumed run finished, final fingerprint {:#018x}",
-                kind.name(),
-                run.fingerprint
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("resume failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let run = apm_harness::snap::resume_run(kind, &args.profile, &bytes)
+        .map_err(|e| format!("resume failed: {e}"))?;
+    println!(
+        "{}: resumed run finished, final fingerprint {:#018x}",
+        kind.name(),
+        run.fingerprint
+    );
+    Ok(())
 }
 
 /// `repro bisect <store>` — run the scenario clean and with an injected
 /// one-draw perturbation, then bisect the checkpoint streams to localize
 /// the first divergent virtual-time window.
-fn cmd_bisect(args: &Args) -> ExitCode {
-    let kind = match store_arg(args) {
-        Ok(k) => k,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_bisect(args: &Args) -> Result<(), String> {
+    let kind = store_arg(args)?;
     let perturb_at = args.profile.measure_secs * 0.55;
     let outcome = apm_harness::snap::bisect_run(kind, &args.profile, perturb_at);
     println!(
@@ -250,35 +201,25 @@ fn cmd_bisect(args: &Args) -> ExitCode {
         }
         _ => println!("no divergence detected"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro chaos <store | broken-cassandra>` — run a seeded chaos-search
 /// campaign, print per-schedule verdicts, and write the machine-readable
 /// report as `chaos-<store>.json` (byte-identical for the same seed).
-fn cmd_chaos(args: &Args) -> ExitCode {
+/// The exit code is the campaign's verdict, which is no error message.
+fn cmd_chaos(args: &Args) -> Result<ExitCode, String> {
     use apm_harness::chaos::{report_to_json, run_campaign, ChaosOptions, ChaosTarget};
 
-    let name = match args.ids.get(1) {
-        Some(n) => n.as_str(),
-        None => {
-            eprintln!(
-                "expected a store name (cassandra, hbase, voldemort, voltdb, redis, mysql) \
-                 or the broken-cassandra fixture"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+    let name = args.ids.get(1).ok_or(
+        "expected a store name (cassandra, hbase, voldemort, voltdb, redis, mysql) \
+         or the broken-cassandra fixture",
+    )?;
     let target = if name == "broken-cassandra" {
         ChaosTarget::broken_cassandra()
     } else {
-        match StoreKind::by_name(name) {
-            Some(kind) => ChaosTarget::store(kind),
-            None => {
-                eprintln!("unknown store {name:?}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let kind = StoreKind::by_name(name).ok_or_else(|| format!("unknown store {name:?}"))?;
+        ChaosTarget::store(kind)
     };
     let opts = ChaosOptions {
         seed: args.profile.seed,
@@ -327,17 +268,9 @@ fn cmd_chaos(args: &Args) -> ExitCode {
             ),
         }
     }
-    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let path = dir.join(format!("chaos-{}.json", target.label()));
+    let path = out_dir(args)?.join(format!("chaos-{}.json", target.label()));
     let json = report_to_json(&outcome.report).to_pretty();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
+    write_file(&path, json.as_bytes())?;
     println!("wrote {}", path.display());
     let violations = outcome.report.violations();
     // The broken fixture is *supposed* to trip its oracle; a campaign
@@ -359,88 +292,76 @@ fn cmd_chaos(args: &Args) -> ExitCode {
             ""
         }
     );
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    })
+}
+
+/// `repro render <results.json>...` — merge result files and print the
+/// EXPERIMENTS markdown.
+fn cmd_render(paths: &[String]) -> Result<(), String> {
+    let mut merged = ResultsFile::default();
+    for path in paths {
+        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let file =
+            ResultsFile::from_json(&json).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        if merged.profile.is_empty() {
+            merged.profile = file.profile;
+        }
+        for mut figure in file.figures {
+            // Recompute shape checks against the current claim set (they
+            // may have been refined since the run was recorded).
+            let checks = checks_for(&figure.id, &figure.to_table());
+            if !checks.is_empty() {
+                figure.checks = checks
+                    .iter()
+                    .map(|c| (c.claim.to_string(), c.pass, c.detail.clone()))
+                    .collect();
+            }
+            merged.figures.push(figure);
+        }
     }
+    print!("{}", render_experiments_md(&merged));
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
+    match parse_args(&argv).and_then(|args| run(&args)) {
+        Ok(code) => code,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    match args.ids.first().map(String::as_str) {
-        Some("snapshot") => return cmd_snapshot(&args),
-        Some("resume") => return cmd_resume(&args),
-        Some("bisect") => return cmd_bisect(&args),
-        Some("chaos") => return cmd_chaos(&args),
-        _ => {}
     }
+}
 
-    if args.ids.first().map(String::as_str) == Some("render") {
-        let mut merged = ResultsFile::default();
-        for path in &args.ids[1..] {
-            let json = match std::fs::read_to_string(path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match ResultsFile::from_json(&json) {
-                Ok(file) => {
-                    if merged.profile.is_empty() {
-                        merged.profile = file.profile;
-                    }
-                    for mut figure in file.figures {
-                        // Recompute shape checks against the current
-                        // claim set (they may have been refined since
-                        // the run was recorded).
-                        let checks = checks_for(&figure.id, &figure.to_table());
-                        if !checks.is_empty() {
-                            figure.checks = checks
-                                .iter()
-                                .map(|c| (c.claim.to_string(), c.pass, c.detail.clone()))
-                                .collect();
-                        }
-                        merged.figures.push(figure);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+fn run(args: &Args) -> Result<ExitCode, String> {
+    match args.ids.first().map(String::as_str) {
+        Some("snapshot") => cmd_snapshot(args)?,
+        Some("resume") => cmd_resume(args)?,
+        Some("bisect") => cmd_bisect(args)?,
+        Some("chaos") => return cmd_chaos(args),
+        Some("render") => cmd_render(&args.ids[1..])?,
+        _ if args.ids.iter().any(|i| i == "list") => {
+            for spec in all_figures() {
+                println!("{:16} {}", spec.id, spec.title);
+            }
+            for spec in all_extensions() {
+                println!("{:16} {}", spec.id, spec.title);
             }
         }
-        print!("{}", render_experiments_md(&merged));
-        return ExitCode::SUCCESS;
+        _ => cmd_artifacts(args)?,
     }
+    Ok(ExitCode::SUCCESS)
+}
 
-    if args.ids.iter().any(|i| i == "list") {
-        for spec in all_figures() {
-            println!("{:16} {}", spec.id, spec.title);
-        }
-        for spec in all_extensions() {
-            println!("{:16} {}", spec.id, spec.title);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let ids = match artifact_ids(&args.ids) {
-        Ok(ids) => ids,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+/// `repro <id>...` — generate the named artifacts, print each table with
+/// its shape checks, and write them under `--out`.
+fn cmd_artifacts(args: &Args) -> Result<(), String> {
+    let ids = artifact_ids(&args.ids)?;
     let profile = args.profile;
     let profile_desc = format!(
         "scale {} ({} records/node), warmup {} s, window {} s, seed {}",
@@ -500,11 +421,9 @@ fn main() -> ExitCode {
             started.elapsed().as_secs_f64()
         );
         if let Some(dir) = &args.out {
-            if let Err(e) = write_csv(dir, id, &table).and_then(|_| write_gnuplot(dir, id, &table))
-            {
-                eprintln!("failed to write CSV/plot for {id}: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_csv(dir, id, &table)
+                .and_then(|_| write_gnuplot(dir, id, &table))
+                .map_err(|e| format!("failed to write CSV/plot for {id}: {e}"))?;
         }
         results
             .figures
@@ -514,12 +433,9 @@ fn main() -> ExitCode {
     if let Some(dir) = &args.out {
         let json_path = dir.join("results.json");
         let md_path = dir.join("EXPERIMENTS.generated.md");
-        if let Err(e) = std::fs::write(&json_path, results.to_json())
+        std::fs::write(&json_path, results.to_json())
             .and_then(|_| std::fs::write(&md_path, render_experiments_md(&results)))
-        {
-            eprintln!("failed to write results: {e}");
-            return ExitCode::FAILURE;
-        }
+            .map_err(|e| format!("failed to write results: {e}"))?;
         println!("wrote {} and {}", json_path.display(), md_path.display());
     }
 
@@ -528,22 +444,18 @@ fn main() -> ExitCode {
     #[cfg(feature = "trace")]
     if let Some(dir) = &args.out {
         let (json, fingerprint) = apm_harness::obs::capture_trace_demo();
-        match apm_harness::output::write_chrome_trace(dir, "trace-demo", &json) {
-            Ok(path) => println!(
-                "wrote {} (trace fingerprint {fingerprint:#018x})",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("failed to write trace demo: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let path = apm_harness::output::write_chrome_trace(dir, "trace-demo", &json)
+            .map_err(|e| format!("failed to write trace demo: {e}"))?;
+        println!(
+            "wrote {} (trace fingerprint {fingerprint:#018x})",
+            path.display()
+        );
     }
 
     if failed_checks > 0 {
         println!("{failed_checks} shape check(s) failed");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,17 +12,19 @@
 //! 2. Each schedule runs against the store and four correctness
 //!    *oracles* judge the outcome ([`apm_core::chaos::OracleKind`]):
 //!    durability (every client-acked insert readable after all
-//!    recoveries, via the runner's [`RunLedger`]), conservation (logical
+//!    recoveries, via the runner's
+//!    [`RunLedger`](apm_stores::runner::RunLedger)), conservation (logical
 //!    op accounting balances), an availability floor, and
 //!    recovery-convergence (post-fault throughput returns to a band of
 //!    the fault-free baseline).
 //! 3. A delta-debugging *shrinker* minimizes every failing schedule to
 //!    a 1-minimal set of fault windows. Probes are masked replays of
-//!    the original run ([`run_benchmark_masked`]) and resume from the
-//!    last checkpoint the full run captured before the first suppressed
-//!    event instead of replaying from t = 0; schedules that fail to
-//!    replay identically are flagged non-deterministic and localized
-//!    with [`bisect_divergence`] instead of shrunk.
+//!    the original run
+//!    ([`run_benchmark_masked`](apm_stores::runner::run_benchmark_masked))
+//!    and resume from the last checkpoint the full run captured before
+//!    the first suppressed event instead of replaying from t = 0;
+//!    schedules that fail to replay identically are flagged
+//!    non-deterministic and localized with [`bisect_divergence`] instead of shrunk.
 //!
 //! Shrinking works on windows, not raw events, so a probe never strands
 //! a `Crash` without its matching `Restart` — which would make the

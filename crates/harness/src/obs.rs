@@ -184,7 +184,7 @@ pub mod chrome {
     };
 
     /// Process id for op spans (one Chrome "thread" per connection and
-    /// attempt role, see [`lane_key`]).
+    /// attempt role, see `lane_key`).
     pub const OPS_PID: u64 = 1;
     /// Process id for resource fault instants (one "thread" per
     /// resource) — separate from [`OPS_PID`] so resource ids never

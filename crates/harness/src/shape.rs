@@ -862,8 +862,8 @@ mod tests {
 
     #[test]
     fn every_extension_has_checks() {
-        // The apm-audit `shape-coverage` rule enforces the same at the
-        // token level; this is the runtime twin.
+        // Asked of the real registry and the real `checks_for`: an
+        // experiment nobody sanity-checks can drift without failing.
         let dummy = table(&[("1", &[("a", 1.0)])]);
         for spec in crate::extensions::all_extensions() {
             assert!(

@@ -8,7 +8,7 @@
 //! a distribution where almost every event lands within a handful of
 //! microsecond-scale "days". The [`CalendarQueue`] exploits that: time is
 //! divided into fixed-width days (`1 << BUCKET_SHIFT` ns); a wheel of
-//! [`NUM_BUCKETS`] sorted day-buckets covers the near future, and the
+//! `NUM_BUCKETS` sorted day-buckets covers the near future, and the
 //! rare far-future event (client think times, long deadlines, fault
 //! timers) parks in a `BTreeMap` overflow tier keyed by the same
 //! `(time, seq)` order the heap used.
@@ -17,7 +17,7 @@
 //! `(SimTime, u64)` with the sequence number breaking time ties in
 //! submission order — so every artifact, trace fingerprint, and snapshot
 //! byte produced through it is identical to the binary-heap kernel's.
-//! The retired heap survives as [`ReferenceQueue`] behind `#[cfg(test)]`,
+//! The retired heap survives as `ReferenceQueue` behind `#[cfg(test)]`,
 //! and the equivalence suite drives both through seeded mixed schedules.
 //!
 //! # Order invariants

@@ -333,22 +333,63 @@ impl BTree {
     }
 
     /// Restores the state written by [`BTree::snap_state`] into a tree
-    /// built with the same config.
+    /// built with the same config. The arena is input: a stream whose
+    /// checksum passes can still hold a page graph that is no tree, so
+    /// everything the walks index by is checked first.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let nodes: Vec<Node> = r.get()?;
         let root: usize = r.get()?;
-        if nodes.is_empty() || root >= nodes.len() {
-            return Err(SnapError::BadTag {
-                what: "BTree root",
-                tag: root as u64,
-            });
-        }
-        self.nodes = nodes;
-        self.root = root;
-        self.len = r.u64()?;
-        self.depth = r.u32()?;
+        let len = r.u64()?;
+        let depth = r.u32()?;
+        check_shape(&nodes, root, len, depth)?;
+        (self.nodes, self.root, self.len, self.depth) = (nodes, root, len, depth);
         Ok(())
     }
+}
+
+/// Refuses a page arena the tree's walks would index out of, loop in or
+/// miscount: from `root`, every edge stays inside the arena and reaches
+/// every page exactly once, an internal page has one more child than
+/// keys, every leaf sits at `depth` and links to the next leaf in key
+/// order (the last to none), and the leaves hold `len` records.
+fn check_shape(nodes: &[Node], root: usize, len: u64, depth: u32) -> Result<(), SnapError> {
+    let bad_page = |page: usize| SnapError::BadTag {
+        what: "BTree page",
+        tag: page as u64,
+    };
+    let mut reached = vec![false; nodes.len()];
+    // Pages to visit with their level (the root's is 1), leftmost on top.
+    let mut stack = vec![(root, 1)];
+    // The previous leaf's `next`, once a leaf has been met.
+    let (mut link, mut records) = (None, 0u64);
+    while let Some((page, level)) = stack.pop() {
+        let node = nodes.get(page).ok_or(bad_page(page))?;
+        if std::mem::replace(&mut reached[page], true) {
+            return Err(bad_page(page));
+        }
+        match node {
+            Node::Internal { keys, children } => {
+                if children.len() != keys.len() + 1 {
+                    return Err(bad_page(page));
+                }
+                stack.extend(children.iter().rev().map(|&child| (child, level + 1)));
+            }
+            Node::Leaf { entries, next } => {
+                if level != depth as usize || link.is_some_and(|next| next != Some(page)) {
+                    return Err(bad_page(page));
+                }
+                link = Some(*next);
+                records += entries.len() as u64;
+            }
+        }
+    }
+    if link != Some(None) || records != len || reached.contains(&false) {
+        return Err(SnapError::BadTag {
+            what: "BTree shape",
+            tag: records,
+        });
+    }
+    Ok(())
 }
 
 snap_enum!(Node { 0 => Internal { keys, children }, 1 => Leaf { entries, next } });
@@ -485,6 +526,91 @@ mod tests {
         // 10_000 records / 150 per leaf ≈ 67 leaves (+ internals).
         assert!(tree.page_count() < 200, "pages: {}", tree.page_count());
         assert!(tree.depth() <= 3);
+    }
+
+    /// The root page of the 200-record, three-level tree of [`restored`].
+    const ROOT: usize = 11;
+
+    /// What `PagedTree::restore_state` makes of that tree once `corrupt`
+    /// has been at it.
+    fn restored(corrupt: impl FnOnce(&mut BTree)) -> Result<(), SnapError> {
+        use crate::paged::{PagedTree, WriteBack};
+        let mut tree = BTree::new(tiny());
+        load(&mut tree, 0..200);
+        assert_eq!((tree.depth(), tree.root), (3, ROOT));
+        corrupt(&mut tree);
+        let mut w = SnapWriter::new();
+        tree.snap_state(&mut w);
+        crate::bufferpool::BufferPool::new(4).snap_state(&mut w);
+        PagedTree::new(tiny(), 4, WriteBack::InPlace).restore_state(&mut SnapReader::new(w.bytes()))
+    }
+
+    fn children(tree: &mut BTree, page: usize) -> &mut Vec<usize> {
+        match &mut tree.nodes[page] {
+            Node::Internal { children, .. } => children,
+            Node::Leaf { .. } => panic!("page {page} is a leaf"),
+        }
+    }
+
+    fn bad(what: &'static str, tag: usize) -> Result<(), SnapError> {
+        Err(SnapError::BadTag {
+            what,
+            tag: tag as u64,
+        })
+    }
+
+    #[test]
+    fn restore_accepts_its_own_tree_and_refuses_a_miscounted_one() {
+        assert_eq!(restored(|_| {}), Ok(()));
+        assert_eq!(restored(|tree| tree.len = 201), bad("BTree shape", 200));
+        // Every leaf is at level 3; the first one met is page 0.
+        assert_eq!(restored(|tree| tree.depth = 2), bad("BTree page", 0));
+        // A page no edge reaches.
+        let orphan = restored(|tree| tree.nodes.push(tree.nodes[0].clone()));
+        assert_eq!(orphan, bad("BTree shape", 200));
+    }
+
+    #[test]
+    fn restore_refuses_a_child_past_the_arena() {
+        // 200 records in pages of 8 come nowhere near page 1 000.
+        let past = bad("BTree page", 1_000);
+        assert_eq!(restored(|tree| tree.root = 1_000), past);
+        assert_eq!(restored(|tree| children(tree, ROOT)[0] = 1_000), past);
+    }
+
+    #[test]
+    fn restore_refuses_a_leaf_link_that_is_not_the_next_leaf() {
+        let link = |from: &'static MetricKey, to| {
+            restored(move |tree| {
+                let leaf = tree.leaf_for(from, &mut PageTrace::default());
+                let Node::Leaf { next, .. } = &mut tree.nodes[leaf] else {
+                    unreachable!()
+                };
+                *next = to;
+            })
+        };
+        // Past the arena, refused at the leaf that should have been
+        // linked to; and the last leaf, which links to nothing, back to
+        // the first — a scan of empty tail leaves would never end.
+        let past = link(&MetricKey::MIN, Some(1_000));
+        assert!(format!("{past:?}").contains("BTree page"), "{past:?}");
+        assert_eq!(link(&MetricKey::MAX, Some(0)), bad("BTree shape", 200));
+    }
+
+    #[test]
+    fn restore_refuses_an_internal_page_with_a_child_missing() {
+        let short = restored(|tree| children(tree, ROOT).truncate(1));
+        assert_eq!(short, bad("BTree page", ROOT));
+    }
+
+    #[test]
+    fn restore_refuses_an_edge_back_up() {
+        // A grandchild slot naming the root: `leaf_for` would never return.
+        let looped = restored(|tree| {
+            let child = children(tree, ROOT)[0];
+            children(tree, child)[0] = ROOT;
+        });
+        assert_eq!(looped, bad("BTree page", ROOT));
     }
 
     #[test]

@@ -158,16 +158,6 @@ impl BufferPool {
         }
     }
 
-    /// Number of resident pages.
-    pub fn resident(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Pool capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> PoolStats {
         self.stats

@@ -235,15 +235,10 @@ pub struct CostModel {
 impl CostModel {
     /// Core time for `receipt`.
     pub fn cpu(&self, receipt: &CostReceipt) -> SimDuration {
-        self.cpu_for(receipt.probes, receipt.bytes_touched)
-    }
-
-    /// Core time for an operation that made `probes` data-structure
-    /// probes (pages visited, for the page-based engines) and touched
-    /// `bytes` of payload.
-    pub fn cpu_for(&self, probes: u64, bytes: u64) -> SimDuration {
         SimDuration::from_nanos(
-            self.base_ns + probes * self.per_probe_ns + bytes * self.per_byte_ns,
+            self.base_ns
+                + receipt.probes * self.per_probe_ns
+                + receipt.bytes_touched * self.per_byte_ns,
         )
     }
 }

@@ -30,23 +30,25 @@ use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration};
-use apm_storage::btree::{BTreeConfig, PageTrace};
+use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::StorageFormat;
-use apm_storage::paged::PagedTree;
+use apm_storage::paged::{PagedTree, WriteBack};
 use std::ops::Range;
 
-/// Read cost: BSON decode + `_id` index walk.
+/// Read cost: BSON decode + `_id` index walk. A receipt counts the 75
+/// raw bytes of a record; every `per_byte_ns` here is 390 / 75 of the
+/// cost of a document byte (40, 30 and 20 ns), the BSON bloat below.
 const READ_COST: CostModel = CostModel {
     base_ns: 190_000,
     per_probe_ns: 6_000,
-    per_byte_ns: 40,
+    per_byte_ns: 208,
 };
 /// Write cost while holding the global write lock: BSON encode, index
 /// insert, mmap page dirtying.
 const WRITE_LOCK_COST: CostModel = CostModel {
     base_ns: 90_000,
     per_probe_ns: 4_000,
-    per_byte_ns: 30,
+    per_byte_ns: 156,
 };
 /// Write-path CPU outside the lock (message parse, validation).
 const WRITE_CPU: SimDuration = SimDuration::from_micros(120);
@@ -54,7 +56,7 @@ const WRITE_CPU: SimDuration = SimDuration::from_micros(120);
 const SCAN_COST: CostModel = CostModel {
     base_ns: 420_000,
     per_probe_ns: 6_000,
-    per_byte_ns: 20,
+    per_byte_ns: 104,
 };
 /// Client (driver + mongos hop folded in) cost per op and the request's
 /// size on the wire.
@@ -85,18 +87,6 @@ const RESP_ROW_BYTES: u64 = 400;
 struct Shard {
     pages: PagedTree,
     write_lock: ResourceId,
-    /// The load phase's insert trace, reused record after record; holds
-    /// nothing between inserts.
-    scratch: PageTrace, // audit:allow(snap-drift)
-}
-
-impl Shard {
-    /// Load-phase insert: warms the pool, discarding the IO (untimed).
-    fn load(&mut self, record: &Record) {
-        let tree = &mut self.pages.tree;
-        tree.insert_into(record.key, record.fields, &mut self.scratch);
-        self.pages.replay_into(&self.scratch, |_| {});
-    }
 }
 
 /// The store.
@@ -114,9 +104,8 @@ impl MongoStore {
             .max(16) as usize;
         let shards = (0..ctx.node_count())
             .map(|i| Shard {
-                pages: PagedTree::new(MONGO_PAGE, pool_pages),
+                pages: PagedTree::new(MONGO_PAGE, pool_pages, WriteBack::InPlace),
                 write_lock: engine.add_resource(format!("mongod{i}.writelock"), 1),
-                scratch: PageTrace::default(),
             })
             .collect();
         MongoStore {
@@ -137,7 +126,8 @@ impl DistributedStore for MongoStore {
     }
 
     fn load(&mut self, record: &Record) {
-        self.shards[self.chunks.route(&record.key)].load(record);
+        let shard = &mut self.shards[self.chunks.route(&record.key)];
+        shard.pages.load(record.key, record.fields);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -147,7 +137,7 @@ impl DistributedStore for MongoStore {
             seqs,
             workers,
             |key| [chunks.route(key)],
-            Shard::load,
+            |shard, record| shard.pages.load(record.key, record.fields),
         );
     }
 
@@ -156,23 +146,20 @@ impl DistributedStore for MongoStore {
             Operation::Read { key } => {
                 let shard_idx = self.chunks.route(key);
                 let shard = &mut self.shards[shard_idx];
-                let (found, trace) = shard.pages.tree.get(key);
-                let ios = shard.pages.replay(&trace);
-                let cpu = READ_COST.cpu_for(trace.read.len() as u64, 390);
+                let (found, receipt) = shard.pages.get(key);
+                let cpu = READ_COST.cpu(&receipt);
                 let plan =
                     self.ctx
                         .round_trip(client, shard_idx, REQUEST, RESP_READ_BYTES, |plan| {
-                            plan.cpu(shard_idx, cpu).disks(shard_idx, &ios)
+                            plan.cpu(shard_idx, cpu).disks(shard_idx, &receipt.io)
                         });
                 (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let shard_idx = self.chunks.route(&record.key);
                 let shard = &mut self.shards[shard_idx];
-                let (_, trace) = shard.pages.tree.insert(record.key, record.fields);
-                let ios = shard.pages.replay(&trace);
-                let pages = trace.read.len() + trace.written.len();
-                let locked = WRITE_LOCK_COST.cpu_for(pages as u64, 390);
+                let receipt = shard.pages.insert(record.key, record.fields);
+                let locked = WRITE_LOCK_COST.cpu(&receipt);
                 let write_lock = shard.write_lock;
                 let plan =
                     self.ctx
@@ -181,7 +168,7 @@ impl DistributedStore for MongoStore {
                             // this mongod.
                             plan.cpu(shard_idx, WRITE_CPU)
                                 .acquire(write_lock, locked)
-                                .disks(shard_idx, &ios)
+                                .disks(shard_idx, &receipt.io)
                         });
                 (OpOutcome::Done, plan)
             }
@@ -194,15 +181,14 @@ impl DistributedStore for MongoStore {
                     .first()
                     .expect("scan has a home chunk");
                 let shard = &mut self.shards[shard_idx];
-                let (rows, trace) = shard.pages.tree.scan_count(start, *len);
-                let ios = shard.pages.replay(&trace);
-                let cpu = SCAN_COST.cpu_for(trace.read.len() as u64, 390 * rows as u64);
+                let (rows, receipt) = shard.pages.scan_count(start, *len);
+                let cpu = SCAN_COST.cpu(&receipt);
                 let plan = self.ctx.round_trip(
                     client,
                     shard_idx,
                     REQUEST,
                     RESP_ROW_BYTES * rows.max(1) as u64,
-                    |plan| plan.cpu(shard_idx, cpu).disks(shard_idx, &ios),
+                    |plan| plan.cpu(shard_idx, cpu).disks(shard_idx, &receipt.io),
                 );
                 (OpOutcome::Scanned(rows), plan)
             }
@@ -210,7 +196,7 @@ impl DistributedStore for MongoStore {
     }
 
     fn disk_bytes_per_node(&self) -> Option<u64> {
-        let records: u64 = self.shards.iter().map(|s| s.pages.tree.len()).sum();
+        let records: u64 = self.shards.iter().map(|s| s.pages.record_count()).sum();
         Some(mongo_format().disk_usage(records) / self.shards.len() as u64)
     }
 

@@ -29,9 +29,9 @@ use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration, SimTime};
-use apm_storage::btree::{BTreeConfig, PageTrace};
+use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::{mysql_format, StorageFormat};
-use apm_storage::paged::PagedTree;
+use apm_storage::paged::{PagedTree, WriteBack};
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::ops::Range;
 
@@ -91,17 +91,12 @@ struct Shard {
     rate_window_count: u64,
     insert_rate: f64,
     churning: bool,
-    /// The load phase's insert trace, reused record after record; holds
-    /// nothing between inserts.
-    scratch: PageTrace, // audit:allow(snap-drift)
 }
 
 impl Shard {
     /// Load-phase insert: warms the pool, discarding the IO (untimed).
     fn load(&mut self, record: &Record) {
-        let tree = &mut self.pages.tree;
-        tree.insert_into(record.key, record.fields, &mut self.scratch);
-        self.pages.replay_into(&self.scratch, |_| {});
+        self.pages.load(record.key, record.fields);
         self.log.append(75);
     }
 
@@ -142,7 +137,7 @@ impl MysqlStore {
             .max(16) as usize;
         let shards = (0..ctx.node_count())
             .map(|_| Shard {
-                pages: PagedTree::new(INNODB_PAGE, pool_pages),
+                pages: PagedTree::new(INNODB_PAGE, pool_pages, WriteBack::InPlace),
                 log: CommitLog::new(
                     SyncPolicy::GroupCommit {
                         window: COMMIT_WINDOW,
@@ -153,7 +148,6 @@ impl MysqlStore {
                 rate_window_count: 0,
                 insert_rate: 0.0,
                 churning: false,
-                scratch: PageTrace::default(),
             })
             .collect();
         MysqlStore {
@@ -183,11 +177,10 @@ impl MysqlStore {
         let mut total = 0usize;
         for (shard_idx, shard) in self.shards.iter_mut().enumerate() {
             let churning = shard.stats_churning();
-            let rows_in_shard = shard.pages.tree.len();
-            let (returned, trace) = shard.pages.tree.scan_count(start, len);
+            let rows_in_shard = shard.pages.record_count();
+            let (returned, receipt) = shard.pages.scan_count(start, len);
             total += returned;
-            let ios = shard.pages.replay(&trace);
-            let cpu = SCAN_COST.cpu_for(trace.read.len() as u64, (returned * 75) as u64);
+            let cpu = SCAN_COST.cpu(&receipt);
             let (cpu, resp_bytes) = if churning {
                 // Degraded plan: full table scan, and the driver streams
                 // the *unbounded* result set ("all records with a key
@@ -207,7 +200,7 @@ impl MysqlStore {
                 shard_idx,
                 REQUEST.leg(),
                 resp_bytes,
-                |plan| plan.cpu(shard_idx, cpu).disks(shard_idx, &ios),
+                |plan| plan.cpu(shard_idx, cpu).disks(shard_idx, &receipt.io),
             ));
         }
         let merge = SimDuration::from_nanos(3_000 + 400 * (n * len) as u64);
@@ -253,13 +246,12 @@ impl DistributedStore for MysqlStore {
             Operation::Read { key } => {
                 let shard_idx = self.shards_map.route(key);
                 let shard = &mut self.shards[shard_idx];
-                let (found, trace) = shard.pages.tree.get(key);
-                let ios = shard.pages.replay(&trace);
-                let cpu = POINT_COST.cpu_for(trace.read.len() as u64, 75);
+                let (found, receipt) = shard.pages.get(key);
+                let cpu = POINT_COST.cpu(&receipt);
                 let plan =
                     self.ctx
                         .round_trip(client, shard_idx, REQUEST, RESP_READ_BYTES, |plan| {
-                            plan.cpu(shard_idx, cpu).disks(shard_idx, &ios)
+                            plan.cpu(shard_idx, cpu).disks(shard_idx, &receipt.io)
                         });
                 (OpOutcome::read(key, found), plan)
             }
@@ -268,17 +260,15 @@ impl DistributedStore for MysqlStore {
                 let now = engine.now();
                 let shard = &mut self.shards[shard_idx];
                 shard.note_insert(now);
-                let (_, trace) = shard.pages.tree.insert(record.key, record.fields);
-                let ios = shard.pages.replay(&trace);
+                let receipt = shard.pages.insert(record.key, record.fields);
                 let wal = shard.log.append(75);
-                let pages = trace.read.len() + trace.written.len();
-                let cpu = WRITE_COST.cpu_for(pages as u64, 75);
+                let cpu = WRITE_COST.cpu(&receipt);
                 // Redo + binlog are group committed after the page work.
                 let plan =
                     self.ctx
                         .round_trip(client, shard_idx, REQUEST, RESP_WRITE_BYTES, |plan| {
                             plan.cpu(shard_idx, cpu)
-                                .disks(shard_idx, &ios)
+                                .disks(shard_idx, &receipt.io)
                                 .wal(shard_idx, &wal)
                         });
                 (OpOutcome::Done, plan)
@@ -288,7 +278,7 @@ impl DistributedStore for MysqlStore {
     }
 
     fn disk_bytes_per_node(&self) -> Option<u64> {
-        let records: u64 = self.shards.iter().map(|s| s.pages.tree.len()).sum();
+        let records: u64 = self.shards.iter().map(|s| s.pages.record_count()).sum();
         Some(self.format.disk_usage(records) / self.shards.len() as u64)
     }
 
@@ -452,6 +442,34 @@ mod tests {
             s.shards[0].stats_churning(),
             "10 K inserts/s must trip the estimator"
         );
+    }
+
+    #[test]
+    fn resume_refuses_a_sealed_checkpoint_whose_page_arena_is_no_tree() {
+        use crate::runner::{resume_benchmark, CheckpointSpec};
+        use apm_core::record::{FieldValues, MetricKey};
+        let client = ClientConfig::cluster_m(1).with_window(0.1, 0.4);
+        let mut config = RunConfig::new(Workload::rw(), client, 2_000, 1, 31);
+        config.checkpoints = Some(CheckpointSpec::every(0.2));
+        let mut engine = Engine::new();
+        let mut s = make(&mut engine, 1, 0.01);
+        let run = run_benchmark(&mut engine, &mut s, &config);
+        let (header, body) = apm_core::snap::open(&run.checkpoints[0].bytes).unwrap();
+        // The body opens with shard 0's page arena: the page count, then
+        // page 0, the first leaf — tag, entries, `Some(next)`.
+        let mut r = SnapReader::new(body);
+        assert!(r.u64().unwrap() > 1 && r.u8().unwrap() == 1);
+        r.get::<Vec<(MetricKey, FieldValues)>>().unwrap();
+        assert_eq!(r.u8(), Ok(1));
+        let next = body.len() - r.remaining();
+        let mut hostile = body.to_vec();
+        hostile[next..next + 8].fill(0xFF);
+        // Re-sealed, so the container's checksum passes.
+        let sealed = apm_core::snap::seal(&header, &hostile);
+        let mut engine = Engine::new();
+        let mut s = make(&mut engine, 1, 0.01);
+        let refused = resume_benchmark(&mut engine, &mut s, &config, &sealed).map(|_| ());
+        assert!(format!("{refused:?}").contains("BTree page"), "{refused:?}");
     }
 
     #[test]

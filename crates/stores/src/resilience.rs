@@ -176,7 +176,7 @@ pub enum BreakerState {
 }
 
 /// True when a `from → to` breaker transition is one the state machine
-/// can legally make (the invariant [`crate::audit::RetryAuditor`] checks).
+/// can legally make (the invariant `crate::audit::RetryAuditor` checks).
 pub fn breaker_transition_is_legal(from: BreakerState, to: BreakerState) -> bool {
     matches!(
         (from, to),

@@ -162,15 +162,42 @@ impl TokenRing {
 
 snap_struct! { TokenRing { tokens, nodes } }
 
+/// A consistent-hash ring of virtual nodes: every shard sits at `vnodes`
+/// hashed positions, and a hash belongs to the shard of the first
+/// position at or after it, wrapping to the ring's first.
+#[derive(Clone, Debug)]
+struct VnodeRing {
+    ring: BTreeMap<u64, usize>,
+    shards: usize,
+}
+
+impl VnodeRing {
+    /// Places vnode `n` of shard `i` at `position(i, n)`.
+    fn new(shards: usize, vnodes: usize, position: impl Fn(usize, usize) -> u64) -> VnodeRing {
+        assert!(shards > 0);
+        let mut ring = BTreeMap::new();
+        for shard in 0..shards {
+            for vnode in 0..vnodes {
+                ring.insert(position(shard, vnode), shard);
+            }
+        }
+        VnodeRing { ring, shards }
+    }
+
+    fn owner(&self, hash: u64) -> usize {
+        match self.ring.range(hash..).next() {
+            Some((_, shard)) => *shard,
+            None => *self.ring.values().next().expect("non-empty ring"),
+        }
+    }
+}
+
 /// The Jedis `ShardedJedisPool` ring: 160 weighted virtual nodes per
 /// shard, hashed with MurmurHash (the library's default; §5.1 footnote 7:
 /// "We tried both supported hashing algorithms in Jedis, MurMurHash and
 /// MD5, with the same result").
 #[derive(Clone, Debug)]
-pub struct JedisRing {
-    ring: BTreeMap<u64, usize>,
-    shards: usize,
-}
+pub struct JedisRing(VnodeRing);
 
 /// Virtual nodes per shard, matching Jedis's `Hashing.MURMUR_HASH` setup.
 pub const JEDIS_VNODES: usize = 160;
@@ -188,16 +215,9 @@ impl JedisRing {
     /// Builds the ring exactly the way Jedis does: vnode `n` of shard `i`
     /// hashes the string `"SHARD-{i}-NODE-{n}"`.
     pub fn new(shards: usize, hash: JedisHash) -> JedisRing {
-        assert!(shards > 0);
-        let mut ring = BTreeMap::new();
-        for shard in 0..shards {
-            for vnode in 0..JEDIS_VNODES {
-                let name = format!("SHARD-{shard}-NODE-{vnode}");
-                let h = Self::hash_with(hash, name.as_bytes());
-                ring.insert(h, shard);
-            }
-        }
-        JedisRing { ring, shards }
+        JedisRing(VnodeRing::new(shards, JEDIS_VNODES, |shard, vnode| {
+            Self::hash_with(hash, format!("SHARD-{shard}-NODE-{vnode}").as_bytes())
+        }))
     }
 
     fn hash_with(hash: JedisHash, data: &[u8]) -> u64 {
@@ -212,11 +232,7 @@ impl JedisRing {
 
     /// Shard owning `key` (successor vnode on the ring).
     pub fn route_with(&self, hash: JedisHash, key: &MetricKey) -> usize {
-        let h = Self::hash_with(hash, key.as_bytes());
-        match self.ring.range(h..).next() {
-            Some((_, shard)) => *shard,
-            None => *self.ring.values().next().expect("non-empty ring"),
-        }
+        self.0.owner(Self::hash_with(hash, key.as_bytes()))
     }
 
     /// Shard owning `key`, using the default Murmur hasher.
@@ -226,15 +242,15 @@ impl JedisRing {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.0.shards
     }
 
     /// Virtual nodes each shard owns on the ring — the conserved weight:
     /// Jedis always places [`JEDIS_VNODES`] per shard, and a hash
     /// collision that silently dropped one would skew key distribution.
     pub fn vnode_weights(&self) -> Vec<u64> {
-        let mut weights = vec![0u64; self.shards];
-        for &shard in self.ring.values() {
+        let mut weights = vec![0u64; self.0.shards];
+        for &shard in self.0.ring.values() {
             weights[shard] += 1;
         }
         weights
@@ -245,39 +261,26 @@ impl JedisRing {
 /// better than the Jedis library" (§5.1). Modelled as a ring with many
 /// more virtual nodes per shard, which is what flattens the imbalance.
 #[derive(Clone, Debug)]
-pub struct RdbmsShards {
-    ring: BTreeMap<u64, usize>,
-    shards: usize,
-}
+pub struct RdbmsShards(VnodeRing);
 
 const RDBMS_VNODES: usize = 1024;
 
 impl RdbmsShards {
     /// Builds the sharding ring.
     pub fn new(shards: usize) -> RdbmsShards {
-        assert!(shards > 0);
-        let mut ring = BTreeMap::new();
-        for shard in 0..shards {
-            for vnode in 0..RDBMS_VNODES {
-                let h = murmur2_64a(format!("jdbc:{shard}:{vnode}").as_bytes(), 97);
-                ring.insert(h, shard);
-            }
-        }
-        RdbmsShards { ring, shards }
+        RdbmsShards(VnodeRing::new(shards, RDBMS_VNODES, |shard, vnode| {
+            murmur2_64a(format!("jdbc:{shard}:{vnode}").as_bytes(), 97)
+        }))
     }
 
     /// Shard owning `key`.
     pub fn route(&self, key: &MetricKey) -> usize {
-        let h = murmur2_64a(key.as_bytes(), 97);
-        match self.ring.range(h..).next() {
-            Some((_, shard)) => *shard,
-            None => *self.ring.values().next().expect("non-empty ring"),
-        }
+        self.0.owner(murmur2_64a(key.as_bytes(), 97))
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.0.shards
     }
 }
 

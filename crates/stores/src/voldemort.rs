@@ -32,11 +32,9 @@ use apm_core::ops::{OpOutcome, Operation, RejectReason};
 use apm_core::record::Record;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration};
-use apm_storage::btree::{BTreeConfig, PageTrace};
-use apm_storage::bufferpool::Access;
+use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::{voldemort_format, StorageFormat};
-use apm_storage::paged::PagedTree;
-use apm_storage::receipt::DiskIo;
+use apm_storage::paged::{PagedTree, WriteBack};
 use apm_storage::wal::{CommitLog, SyncPolicy};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -79,85 +77,6 @@ struct Node {
     pages: PagedTree,
     log: CommitLog,
     rng: SplitRng,
-    /// The load phase's insert trace, reused record after record; holds
-    /// nothing between inserts.
-    scratch: PageTrace, // audit:allow(snap-drift)
-}
-
-impl Node {
-    /// Load-phase insert: warms the pool, discarding the IO (untimed).
-    fn load(&mut self, record: &Record) {
-        let tree = &mut self.pages.tree;
-        tree.insert_into(record.key, record.fields, &mut self.scratch);
-        replay_into(&mut self.pages, &self.scratch, |_| {});
-    }
-
-    /// Replays a read-path page trace through the buffer pool: every miss
-    /// is a random log fetch; evicted dirty pages go out through JE's
-    /// log, i.e. sequentially.
-    fn replay(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
-        let mut ios = Vec::new();
-        replay_into(&mut self.pages, trace, |io| ios.push(io));
-        ios
-    }
-
-    /// Replays a write-path trace: JE appends the record to its log, so
-    /// a page miss only sometimes requires a physical read (see
-    /// [`WRITE_MISS_READ_PROB`]); write-backs are sequential log traffic.
-    fn replay_write(&mut self, trace: &PageTrace) -> Vec<DiskIo> {
-        let mut ios = Vec::new();
-        let page_bytes = self.pages.tree.page_bytes();
-        for (page, dirtying) in trace
-            .read
-            .iter()
-            .map(|p| (p, false))
-            .chain(trace.written.iter().map(|p| (p, true)))
-        {
-            let access = if dirtying {
-                Access::Write
-            } else {
-                Access::Read
-            };
-            let r = self.pages.pool.access(*page, access);
-            if !r.hit && self.rng.next_f64() < WRITE_MISS_READ_PROB {
-                ios.push(DiskIo::random_read(page_bytes));
-            }
-            if r.writeback.is_some() {
-                ios.push(DiskIo::seq_write(page_bytes));
-            }
-        }
-        for page in &trace.allocated {
-            let r = self.pages.pool.access(*page, Access::Write);
-            if r.writeback.is_some() {
-                ios.push(DiskIo::seq_write(page_bytes));
-            }
-        }
-        ios
-    }
-}
-
-/// [`Node::replay`] handing each I/O to `io` as it is incurred (a load
-/// passes a sink that drops them).
-fn replay_into(pages: &mut PagedTree, trace: &PageTrace, mut io: impl FnMut(DiskIo)) {
-    let page_bytes = pages.tree.page_bytes();
-    let reads = trace.read.iter().map(|page| (page, Access::Read));
-    let writes = trace.written.iter().map(|page| (page, Access::Write));
-    for (page, access) in reads.chain(writes) {
-        let r = pages.pool.access(*page, access);
-        if !r.hit {
-            io(DiskIo::random_read(page_bytes));
-        }
-        if r.writeback.is_some() {
-            io(DiskIo::seq_write(page_bytes));
-        }
-    }
-    for page in &trace.allocated {
-        // Fresh split pages are dirtied in place — no read needed.
-        let r = pages.pool.access(*page, Access::Write);
-        if r.writeback.is_some() {
-            io(DiskIo::seq_write(page_bytes));
-        }
-    }
 }
 
 /// The store.
@@ -179,10 +98,9 @@ impl VoldemortStore {
             .max(16) as usize;
         let nodes = (0..ctx.node_count())
             .map(|i| Node {
-                pages: PagedTree::new(BDB_PAGE, cache_pages),
+                pages: PagedTree::new(BDB_PAGE, cache_pages, WriteBack::Log),
                 log: CommitLog::new(SyncPolicy::Deferred, 50),
                 rng: SplitRng::new(ctx.seed ^ ((i as u64) << 24)),
-                scratch: PageTrace::default(),
             })
             .collect();
         VoldemortStore {
@@ -221,7 +139,8 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn load(&mut self, record: &Record) {
-        self.nodes[self.map.route(&record.key)].load(record);
+        let node = &mut self.nodes[self.map.route(&record.key)];
+        node.pages.load(record.key, record.fields);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -231,7 +150,7 @@ impl DistributedStore for VoldemortStore {
             seqs,
             workers,
             |key| [map.route(key)],
-            Node::load,
+            |node, record| node.pages.load(record.key, record.fields),
         );
     }
 
@@ -240,32 +159,36 @@ impl DistributedStore for VoldemortStore {
             Operation::Read { key } => {
                 let node_idx = self.map.route(key);
                 let node = &mut self.nodes[node_idx];
-                let (found, trace) = node.pages.tree.get(key);
-                let ios = node.replay(&trace);
-                let cpu = SERVER_COST.cpu_for(trace.read.len() as u64, 75);
+                let (found, receipt) = node.pages.get(key);
+                let cpu = SERVER_COST.cpu(&receipt);
                 let plan =
                     self.ctx
                         .round_trip(client, node_idx, REQUEST, RESP_READ_BYTES, |plan| {
-                            plan.cpu(node_idx, cpu).disks(node_idx, &ios)
+                            plan.cpu(node_idx, cpu).disks(node_idx, &receipt.io)
                         });
                 (OpOutcome::read(key, found), plan)
             }
             Operation::Insert { record } | Operation::Update { record } => {
                 let node_idx = self.map.route(&record.key);
                 let node = &mut self.nodes[node_idx];
-                let (_, trace) = node.pages.tree.insert(record.key, record.fields);
-                let ios = node.replay_write(&trace);
-                // JE appends the record to its log asynchronously.
+                let mut receipt = node.pages.insert(record.key, record.fields);
+                // JE appends the record to its log, so a page the write
+                // path missed only sometimes has to be read: one draw a
+                // miss, in page order.
+                let rng = &mut node.rng;
+                receipt
+                    .io
+                    .retain(|io| !io.class.is_read() || rng.next_f64() < WRITE_MISS_READ_PROB);
+                // The append itself is asynchronous.
                 let wal = node
                     .log
                     .append(record.fields.len() as u64 + record.key.len() as u64);
                 debug_assert!(wal.io.is_none(), "deferred log must not sync inline");
-                let pages = trace.read.len() + trace.written.len();
-                let cpu = SERVER_COST.cpu_for(pages as u64, 75);
+                let cpu = SERVER_COST.cpu(&receipt);
                 let plan =
                     self.ctx
                         .round_trip(client, node_idx, REQUEST, RESP_WRITE_BYTES, |plan| {
-                            plan.cpu(node_idx, cpu).disks(node_idx, &ios)
+                            plan.cpu(node_idx, cpu).disks(node_idx, &receipt.io)
                         });
                 self.maybe_flush_log(node_idx, engine);
                 (OpOutcome::Done, plan)
@@ -309,7 +232,7 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn disk_bytes_per_node(&self) -> Option<u64> {
-        let records: u64 = self.nodes.iter().map(|n| n.pages.tree.len()).sum();
+        let records: u64 = self.nodes.iter().map(|n| n.pages.record_count()).sum();
         Some(self.format.disk_usage(records) / self.nodes.len() as u64)
     }
 
@@ -444,8 +367,7 @@ mod tests {
         for seq in (0..40_000).step_by(199) {
             let r = record_for_seq(seq);
             let node = s.map.route(&r.key);
-            let (_, trace) = s.nodes[node].pages.tree.get(&r.key);
-            io_reads += s.nodes[node].replay(&trace).len();
+            io_reads += s.nodes[node].pages.get(&r.key).1.read_ios();
         }
         assert!(
             io_reads > 50,
@@ -454,19 +376,18 @@ mod tests {
     }
 
     #[test]
-    fn load_touches_the_pool_exactly_as_insert_and_replay_do() {
+    fn load_touches_the_pool_exactly_as_insert_does() {
         // Same thrashing pool as above; one store loads, the other takes
-        // the collecting path record by record.
+        // the receipt-building path record by record.
         let mut engine = Engine::new();
         let mut loaded = make(&mut engine, ClusterSpec::cluster_d(), 2, 0.002);
-        let mut replayed = make(&mut engine, ClusterSpec::cluster_d(), 2, 0.002);
+        let mut inserted = make(&mut engine, ClusterSpec::cluster_d(), 2, 0.002);
         let mut ios = 0;
         for seq in 0..40_000 {
             let r = record_for_seq(seq);
             loaded.load(&r);
-            let node = &mut replayed.nodes[replayed.map.route(&r.key)];
-            let (_, trace) = node.pages.tree.insert(r.key, r.fields);
-            ios += node.replay(&trace).len();
+            let node = &mut inserted.nodes[inserted.map.route(&r.key)];
+            ios += node.pages.insert(r.key, r.fields).io.len();
         }
         assert!(ios > 10_000, "the pool must thrash: {ios} I/Os");
         let state = |s: &VoldemortStore| {
@@ -474,7 +395,7 @@ mod tests {
             s.snap_state(&mut w);
             w.into_bytes()
         };
-        assert!(state(&loaded) == state(&replayed));
+        assert!(state(&loaded) == state(&inserted));
     }
 
     #[test]
