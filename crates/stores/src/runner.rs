@@ -1902,6 +1902,132 @@ mod tests {
             Err(SnapError::ChecksumMismatch { .. }) => {}
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
+
+        // A body written by a build with other observers compiled in is
+        // refused by the container's feature byte before any codec reads
+        // it — the only thing that keeps a gated field's bytes out of a
+        // build without that field.
+        let (mut header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
+        let active = Engine::snap_features();
+        for flip in [snap::FEATURE_AUDIT, snap::FEATURE_TRACE] {
+            header.features = active ^ flip;
+            let resealed = snap::seal(&header, body);
+            let mut engine4 = Engine::new();
+            let mut store4 = FixtureStore::new(&mut engine4, 100);
+            match resume_benchmark(&mut engine4, &mut store4, &cfg, &resealed) {
+                Err(SnapError::FeatureMismatch { stored, active: a })
+                    if stored == active ^ flip && a == active => {}
+                other => panic!("expected FeatureMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    /// `name` built over four nodes of `cluster` at scale 0.0005, with the
+    /// client fleet the harness gives it (Redis' is doubled, §5.1).
+    fn store_named(
+        name: &str,
+        engine: &mut Engine,
+        cluster: ClusterSpec,
+    ) -> Box<dyn DistributedStore> {
+        let clients = match name {
+            "redis" => crate::redis::RedisStore::client_machines(4),
+            _ => StoreCtx::standard_client_machines(4),
+        };
+        let ctx = StoreCtx::new(engine, cluster, 4, clients, 0.0005, 29);
+        match name {
+            "cassandra" => Box::new(crate::cassandra::CassandraStore::new(
+                ctx,
+                crate::cassandra::CassandraConfig::default(),
+            )),
+            "hbase" => Box::new(crate::hbase::HbaseStore::new(ctx, engine)),
+            "voldemort" => Box::new(crate::voldemort::VoldemortStore::new(ctx, engine)),
+            "voltdb" => Box::new(crate::voltdb::VoltDbStore::new(ctx, engine)),
+            "redis" => Box::new(crate::redis::RedisStore::new(
+                ctx,
+                engine,
+                crate::routing::JedisHash::Murmur,
+            )),
+            "mysql" => Box::new(crate::mysql::MysqlStore::new(ctx, engine)),
+            "mongodb" => Box::new(crate::mongodb::MongoStore::new(ctx, engine)),
+            other => panic!("no store called {other:?}"),
+        }
+    }
+
+    /// Restores `cp` into a freshly constructed engine, store and driver,
+    /// in [`resume_benchmark`]'s order, and seals that state again through
+    /// [`capture_checkpoint`].
+    fn recapture(name: &str, cluster: ClusterSpec, cfg: &RunConfig, cp: &Checkpoint) -> Vec<u8> {
+        let mut engine = Engine::new();
+        let mut store = store_named(name, &mut engine, cluster);
+        let (header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
+        let mut r = SnapReader::new(body);
+        store
+            .restore_state(&mut r, &mut engine)
+            .expect("store restores");
+        engine.restore_state(&mut r).expect("kernel restores");
+        let d = Driver::restore_state(cfg, store.as_ref(), &mut r).expect("driver restores");
+        r.finish().expect("nothing trails the driver");
+        capture_checkpoint(&engine, store.as_ref(), cfg, &d, header.checkpoint_index, 0).bytes
+    }
+
+    #[test]
+    fn a_restored_checkpoint_recaptures_byte_identically() {
+        // Decode order is encode order: a decoder that reads two fields in
+        // swapped order restores a state that re-encodes differently. Every
+        // in-place codec pair is in one of these bodies — the stores' own,
+        // their engines (LSM, B+tree, buffer pool, paged tree, hash store,
+        // commit log, page cache), the kernel (and its tracer under
+        // `trace`), and the driver with its generator and key chooser.
+        let mut resilient = RunConfig::new(
+            Workload::rw(),
+            ClientConfig::cluster_m(4).with_window(0.2, 0.8),
+            5_000,
+            4,
+            0xD21F,
+        );
+        resilient.faults =
+            FaultSchedule::none().crash(1, SimTime(200_000_000), SimTime(500_000_000));
+        resilient.op_deadline = Some(SimDuration::from_millis(50));
+        resilient.telemetry_window_secs = Some(0.2);
+        resilient.checkpoints = Some(CheckpointSpec::every(0.2));
+        resilient.resilience = Some(ResiliencePolicy {
+            retry: Some(RetryPolicy::standard()),
+            hedge: Some(HedgePolicy::standard()),
+            breaker: Some(BreakerPolicy::standard()),
+            admission: Some(AdmissionPolicy::standard()),
+        });
+        // The paged stores again on Cluster D, their trees 9–20× their
+        // pools, so the body holds a frame table shaped by evictions.
+        let thrashing = |workload: Workload| {
+            let client = ClientConfig::cluster_d(4).with_window(0.5, 20.5);
+            let mut cfg = RunConfig::new(workload, client, 40_000, 4, 0xD21F);
+            cfg.checkpoints = Some(CheckpointSpec::every(20.0));
+            cfg
+        };
+        let m = ClusterSpec::cluster_m();
+        let d = ClusterSpec::cluster_d();
+        let runs = [
+            ("cassandra", m, resilient.clone()),
+            ("hbase", m, resilient.clone()),
+            ("voldemort", m, resilient.clone()),
+            ("voltdb", m, resilient.clone()),
+            ("redis", m, resilient.clone()),
+            ("mysql", m, resilient.clone()),
+            ("mongodb", m, resilient),
+            ("mysql", d, thrashing(Workload::rsw())),
+            ("mongodb", d, thrashing(Workload::rsw())),
+            ("voldemort", d, thrashing(Workload::rw())),
+        ];
+        for (name, cluster, cfg) in runs {
+            let mut engine = Engine::new();
+            let mut store = store_named(name, &mut engine, cluster);
+            let run = run_benchmark(&mut engine, store.as_mut(), &cfg);
+            let cp = &run.checkpoints[0];
+            assert!(
+                recapture(name, cluster, &cfg, cp) == cp.bytes,
+                "{name}: checkpoint 0 re-encodes differently after a restore"
+            );
+        }
     }
 
     #[test]
