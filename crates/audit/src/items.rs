@@ -1,12 +1,10 @@
-//! A brace-aware item parser over the token stream from [`crate::lexer`].
+//! A brace-aware `match` parser over the token stream from
+//! [`crate::lexer`].
 //!
 //! Still no `syn` (the workspace builds offline): this module recovers
-//! just enough structure for the S-series rules — struct definitions
-//! with named fields and their `#[cfg(feature = "...")]` gates, enum
-//! definitions with their variants, `impl` blocks with their target
-//! type and method bodies, and `match` expressions with their arms.
-//! Everything is positional: an item records the token-index ranges the
-//! rules scan, so rules stay cheap token walks over a pre-carved
+//! just enough structure for S3 — `match` expressions with their arms.
+//! Everything is positional: an arm records the token-index range of its
+//! pattern, so the rule stays a cheap token walk over a pre-carved
 //! stream rather than a real AST interpretation.
 //!
 //! The parser is deliberately forgiving: anything it cannot shape (macro
@@ -17,60 +15,6 @@
 use std::ops::Range;
 
 use crate::lexer::{LexedFile, Tok, Token};
-
-/// One named field of a struct definition.
-#[derive(Clone, Debug)]
-pub struct FieldDef {
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: u32,
-    /// Feature gates on the field itself (struct-level gates excluded).
-    pub cfg: Vec<String>,
-}
-
-/// A struct definition. Tuple and unit structs carry no fields.
-#[derive(Clone, Debug)]
-pub struct StructDef {
-    pub name: String,
-    pub line: u32,
-    /// Named fields, in declaration order; empty for tuple/unit structs.
-    pub fields: Vec<FieldDef>,
-    /// True when the struct has a named-field body (`struct S { .. }`).
-    pub named: bool,
-    pub in_test: bool,
-}
-
-/// An enum definition with its variant names.
-#[derive(Clone, Debug)]
-pub struct EnumDef {
-    pub name: String,
-    pub line: u32,
-    pub variants: Vec<(String, u32)>,
-    pub in_test: bool,
-}
-
-/// One `fn` inside an `impl` block (or at module level).
-#[derive(Clone, Debug)]
-pub struct FnItem {
-    pub name: String,
-    pub line: u32,
-    /// Token-index range of the body, braces included; empty for
-    /// body-less trait signatures.
-    pub body: Range<usize>,
-}
-
-/// An `impl` block: `impl Target { .. }` or `impl Trait for Target { .. }`.
-#[derive(Clone, Debug)]
-pub struct ImplDef {
-    /// Last path segment of the trait, e.g. `Snap` for
-    /// `impl core::snap::Snap for T`; `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// First identifier of the target type (`Engine`, `Option`, ...).
-    pub target: String,
-    pub line: u32,
-    pub fns: Vec<FnItem>,
-    pub in_test: bool,
-}
 
 /// One arm of a `match` expression.
 #[derive(Clone, Debug)]
@@ -88,15 +32,6 @@ pub struct MatchDef {
     pub line: u32,
     pub arms: Vec<MatchArm>,
     pub in_test: bool,
-}
-
-/// Everything [`parse`] recovers from one file.
-#[derive(Clone, Debug, Default)]
-pub struct Items {
-    pub structs: Vec<StructDef>,
-    pub enums: Vec<EnumDef>,
-    pub impls: Vec<ImplDef>,
-    pub matches: Vec<MatchDef>,
 }
 
 /// True when `toks[i]` is the identifier `kw`.
@@ -128,10 +63,8 @@ fn matching_brace(toks: &[Token], open: usize) -> usize {
 
 /// Tracks `()`/`[]`/`{}` nesting while scanning a token range. Angle
 /// brackets are deliberately *not* tracked — `<` is ambiguous with
-/// comparison operators, and every split this parser performs (field
-/// commas, arm arrows) tolerates generic-argument commas because the
-/// follow-up extraction requires an `ident:`/pattern shape that generic
-/// tails never form.
+/// comparison operators, and the split this parser performs (arm
+/// arrows) never meets a generic argument list at ground level.
 #[derive(Default)]
 struct Balance {
     paren: i32,
@@ -157,19 +90,17 @@ impl Balance {
     }
 }
 
-/// Parses the item structure of one lexed file.
-pub fn parse(lexed: &LexedFile) -> Items {
+/// Every `match` expression of one lexed file, nested ones included.
+pub fn parse(lexed: &LexedFile) -> Vec<MatchDef> {
     let toks = &lexed.tokens;
-    let mut out = Items::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Ident(kw) if kw == "struct" => i = parse_struct(toks, i, &mut out),
-            Tok::Ident(kw) if kw == "enum" => i = parse_enum(toks, i, &mut out),
-            Tok::Ident(kw) if kw == "impl" => i = parse_impl(toks, i, &mut out),
-            Tok::Ident(kw) if kw == "match" => i = parse_match(toks, i, &mut out),
-            _ => i += 1,
-        }
+        i = if ident_at(toks, i, "match") {
+            parse_match(toks, i, &mut out)
+        } else {
+            i + 1
+        };
     }
     out
 }
@@ -197,236 +128,8 @@ fn skip_attrs(toks: &[Token], mut i: usize, end: usize) -> usize {
     i
 }
 
-/// `struct Name<..> { fields }` / `struct Name(..);` / `struct Name;`
-fn parse_struct(toks: &[Token], kw: usize, out: &mut Items) -> usize {
-    let Some(Tok::Ident(name)) = toks.get(kw + 1).map(|t| &t.tok) else {
-        return kw + 1;
-    };
-    let base_cfg = &toks[kw].cfg_features;
-    let mut def = StructDef {
-        name: name.clone(),
-        line: toks[kw].line,
-        fields: Vec::new(),
-        named: false,
-        in_test: toks[kw].in_test,
-    };
-    // Scan past generics / where clauses for the body opener.
-    let mut bal = Balance::default();
-    let mut j = kw + 2;
-    while j < toks.len() {
-        if bal.grounded() {
-            match toks[j].tok {
-                Tok::Punct(';') => {
-                    out.structs.push(def);
-                    return j + 1;
-                }
-                Tok::Punct('(') => {
-                    // Tuple struct: no named fields to cross-check.
-                    out.structs.push(def);
-                    return j;
-                }
-                Tok::Punct('{') => break,
-                _ => {}
-            }
-        }
-        bal.feed(toks, j);
-        j += 1;
-    }
-    if j >= toks.len() {
-        return kw + 2;
-    }
-    let close = matching_brace(toks, j);
-    def.named = true;
-    // Split the body into `,`-separated field segments.
-    let mut seg_start = j + 1;
-    let mut bal = Balance::default();
-    let mut k = j + 1;
-    while k <= close {
-        if (k == close || (punct(toks, k, ',') && bal.grounded())) && k > seg_start {
-            if let Some(field) = parse_field(toks, seg_start..k, base_cfg) {
-                def.fields.push(field);
-            }
-            seg_start = k + 1;
-        }
-        if k < close {
-            bal.feed(toks, k);
-        }
-        k += 1;
-    }
-    out.structs.push(def);
-    close + 1
-}
-
-/// Extracts `name` from one field segment: the first identifier followed
-/// by a single `:` (skipping attributes and visibility modifiers).
-fn parse_field(toks: &[Token], seg: Range<usize>, base_cfg: &[String]) -> Option<FieldDef> {
-    let mut i = skip_attrs(toks, seg.start, seg.end);
-    let mut bal = Balance::default();
-    while i < seg.end {
-        if let Tok::Ident(name) = &toks[i].tok {
-            if bal.grounded() && punct(toks, i + 1, ':') && !punct(toks, i + 2, ':') {
-                let cfg = toks[i]
-                    .cfg_features
-                    .iter()
-                    .filter(|f| !base_cfg.contains(f))
-                    .cloned()
-                    .collect();
-                return Some(FieldDef {
-                    name: name.clone(),
-                    line: toks[i].line,
-                    cfg,
-                });
-            }
-        }
-        bal.feed(toks, i);
-        i += 1;
-    }
-    None
-}
-
-/// `enum Name { Variant, Variant(..), Variant { .. } }`
-fn parse_enum(toks: &[Token], kw: usize, out: &mut Items) -> usize {
-    let Some(Tok::Ident(name)) = toks.get(kw + 1).map(|t| &t.tok) else {
-        return kw + 1;
-    };
-    let mut def = EnumDef {
-        name: name.clone(),
-        line: toks[kw].line,
-        variants: Vec::new(),
-        in_test: toks[kw].in_test,
-    };
-    let mut bal = Balance::default();
-    let mut j = kw + 2;
-    while j < toks.len() && !(bal.grounded() && punct(toks, j, '{')) {
-        if bal.grounded() && punct(toks, j, ';') {
-            return j + 1; // `enum` used oddly; bail out
-        }
-        bal.feed(toks, j);
-        j += 1;
-    }
-    if j >= toks.len() {
-        return kw + 2;
-    }
-    let close = matching_brace(toks, j);
-    let mut k = j + 1;
-    let mut at_variant = true;
-    let mut bal = Balance::default();
-    while k < close {
-        if at_variant {
-            k = skip_attrs(toks, k, close);
-            if let Some(Tok::Ident(v)) = toks.get(k).map(|t| &t.tok) {
-                def.variants.push((v.clone(), toks[k].line));
-            }
-            at_variant = false;
-        }
-        if k < close {
-            if punct(toks, k, ',') && bal.grounded() {
-                at_variant = true;
-            }
-            bal.feed(toks, k);
-        }
-        k += 1;
-    }
-    out.enums.push(def);
-    close + 1
-}
-
-/// `impl<..> [Trait for] Target { fn .. }`
-fn parse_impl(toks: &[Token], kw: usize, out: &mut Items) -> usize {
-    // `impl` in type position (`-> impl Trait`, `x: impl Fn()`) always
-    // follows a punct; a real impl item follows `}`/`;`/`]`/an ident or
-    // starts the file.
-    if kw > 0 {
-        if let Tok::Punct(p) = toks[kw - 1].tok {
-            if !matches!(p, '}' | ';' | ']' | '{') {
-                return kw + 1;
-            }
-        }
-    }
-    // Head: everything up to the body brace.
-    let mut bal = Balance::default();
-    let mut j = kw + 1;
-    let mut for_at: Option<usize> = None;
-    while j < toks.len() && !(bal.grounded() && punct(toks, j, '{')) {
-        if bal.grounded() && punct(toks, j, ';') {
-            return j + 1;
-        }
-        // `for<'a>` higher-ranked bounds are not the trait/target split.
-        if bal.grounded() && ident_at(toks, j, "for") && !punct(toks, j + 1, '<') {
-            for_at = Some(j);
-        }
-        bal.feed(toks, j);
-        j += 1;
-    }
-    if j >= toks.len() {
-        return kw + 1;
-    }
-    let trait_name = for_at.and_then(|f| {
-        toks[kw + 1..f].iter().rev().find_map(|t| match &t.tok {
-            Tok::Ident(s) => Some(s.clone()),
-            _ => None,
-        })
-    });
-    let target_from = for_at.map_or(kw + 1, |f| f + 1);
-    let target = toks[target_from..j].iter().find_map(|t| match &t.tok {
-        Tok::Ident(s) if s != "mut" && s != "dyn" && s != "const" => Some(s.clone()),
-        _ => None,
-    });
-    let Some(target) = target else {
-        return j;
-    };
-    let close = matching_brace(toks, j);
-    let mut def = ImplDef {
-        trait_name,
-        target,
-        line: toks[kw].line,
-        fns: Vec::new(),
-        in_test: toks[kw].in_test,
-    };
-    // Methods at the impl body's top level.
-    let mut k = j + 1;
-    let mut bal = Balance::default();
-    while k < close {
-        if bal.grounded() && ident_at(toks, k, "fn") {
-            if let Some(Tok::Ident(fname)) = toks.get(k + 1).map(|t| &t.tok) {
-                // Find the body `{` (or a `;` for body-less signatures).
-                let mut sig = Balance::default();
-                let mut b = k + 2;
-                while b < close && !(sig.grounded() && (punct(toks, b, '{') || punct(toks, b, ';')))
-                {
-                    sig.feed(toks, b);
-                    b += 1;
-                }
-                if b < close && punct(toks, b, '{') {
-                    let fn_close = matching_brace(toks, b);
-                    def.fns.push(FnItem {
-                        name: fname.clone(),
-                        line: toks[k].line,
-                        body: b..fn_close + 1,
-                    });
-                    k = fn_close + 1;
-                    continue;
-                }
-                def.fns.push(FnItem {
-                    name: fname.clone(),
-                    line: toks[k].line,
-                    body: 0..0,
-                });
-                k = b + 1;
-                continue;
-            }
-        }
-        bal.feed(toks, k);
-        k += 1;
-    }
-    out.impls.push(def);
-    // Return the body start, not `close + 1`: the top-level scanner must
-    // descend into method bodies to find the matches inside them.
-    j + 1
-}
-
 /// `match scrutinee { pat => body, .. }`
-fn parse_match(toks: &[Token], kw: usize, out: &mut Items) -> usize {
+fn parse_match(toks: &[Token], kw: usize, out: &mut Vec<MatchDef>) -> usize {
     // The arms open at the first grounded `{` after the scrutinee.
     let mut bal = Balance::default();
     let mut j = kw + 1;
@@ -483,7 +186,7 @@ fn parse_match(toks: &[Token], kw: usize, out: &mut Items) -> usize {
             k += 1; // past `,` (or the arms' close)
         }
     }
-    out.matches.push(def);
+    out.push(def);
     // Descend into the arms so nested matches are recorded too.
     j + 1
 }
@@ -494,104 +197,11 @@ mod tests {
     use crate::lexer::lex;
 
     #[test]
-    fn named_struct_fields_are_recovered_in_order() {
-        let items = parse(&lex(
-            "pub struct Engine {\n    now: SimTime,\n    pub seq: u64,\n    events: BinaryHeap<Reverse<(SimTime, u64, usize)>>,\n}",
-        ));
-        let s = &items.structs[0];
-        assert_eq!(s.name, "Engine");
-        assert!(s.named);
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["now", "seq", "events"]);
-        assert_eq!(s.fields[1].line, 3);
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_have_no_named_fields() {
-        let items = parse(&lex("pub struct Token(pub u64);\nstruct Marker;"));
-        assert_eq!(items.structs.len(), 2);
-        assert!(items
-            .structs
-            .iter()
-            .all(|s| !s.named && s.fields.is_empty()));
-    }
-
-    #[test]
-    fn feature_gated_fields_carry_their_gate() {
-        let items = parse(&lex(
-            "pub struct Engine {\n    seq: u64,\n    #[cfg(feature = \"audit\")]\n    auditor: KernelAuditor,\n    #[cfg(feature = \"trace\")]\n    tracer: Tracer,\n}",
-        ));
-        let s = &items.structs[0];
-        assert_eq!(s.fields.len(), 3);
-        assert!(s.fields[0].cfg.is_empty());
-        assert_eq!(s.fields[1].cfg, ["audit"]);
-        assert_eq!(s.fields[2].cfg, ["trace"]);
-    }
-
-    #[test]
-    fn generic_field_types_do_not_split_fields() {
-        let items = parse(&lex(
-            "struct S { jobs: BTreeMap<u64, Vec<(u64, u64)>>, next: u64 }",
-        ));
-        let names: Vec<&str> = items.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, ["jobs", "next"]);
-    }
-
-    #[test]
-    fn enum_variants_are_recovered() {
-        let items = parse(&lex(
-            "pub enum Outcome { Ok, Failed { code: u32 }, TimedOut(u64), Cancelled }",
-        ));
-        let e = &items.enums[0];
-        assert_eq!(e.name, "Outcome");
-        let names: Vec<&str> = e.variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(names, ["Ok", "Failed", "TimedOut", "Cancelled"]);
-    }
-
-    #[test]
-    fn trait_impl_target_and_methods_are_recovered() {
-        let items = parse(&lex(
-            "impl core::snap::Snap for Completion {\n    fn snap(&self, w: &mut SnapWriter) { w.put(&self.token); }\n    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> { Ok(Completion { token: r.get()? }) }\n}",
-        ));
-        let im = &items.impls[0];
-        assert_eq!(im.trait_name.as_deref(), Some("Snap"));
-        assert_eq!(im.target, "Completion");
-        let names: Vec<&str> = im.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["snap", "restore"]);
-        assert!(!im.fns[0].body.is_empty());
-    }
-
-    #[test]
-    fn generic_trait_impls_parse() {
-        let items = parse(&lex(
-            "impl<T: Snap> Snap for Vec<T> { fn snap(&self, w: &mut SnapWriter) {} }",
-        ));
-        let im = &items.impls[0];
-        assert_eq!(im.trait_name.as_deref(), Some("Snap"));
-        assert_eq!(im.target, "Vec");
-    }
-
-    #[test]
-    fn inherent_impls_have_no_trait() {
-        let items = parse(&lex(
-            "impl Engine { pub fn snap_state(&self, w: &mut SnapWriter) { w.put(&self.now); } }",
-        ));
-        let im = &items.impls[0];
-        assert_eq!(im.trait_name, None);
-        assert_eq!(im.target, "Engine");
-        assert_eq!(im.fns[0].name, "snap_state");
-    }
-
-    #[test]
     fn match_arms_and_wildcards_are_recovered() {
-        let items = parse(&lex(
+        let matches = parse(&lex(
             "fn f(o: Outcome) -> u32 { match o { Outcome::Ok => 0, Outcome::Failed => { 1 } _ => 2, } }",
         ));
-        let m = &items.matches[0];
+        let m = &matches[0];
         assert_eq!(m.arms.len(), 3);
         assert!(!m.arms[0].wildcard);
         assert!(!m.arms[1].wildcard);
@@ -600,30 +210,30 @@ mod tests {
 
     #[test]
     fn nested_matches_are_both_found() {
-        let items = parse(&lex(
+        let matches = parse(&lex(
             "fn f() { match a { X::A => match b { Y::B => 1, _ => 2, }, X::B => 3, } }",
         ));
-        assert_eq!(items.matches.len(), 2);
+        assert_eq!(matches.len(), 2);
         // The outer match is pushed first (it finishes parsing before the
         // scanner descends); the inner one carries the wildcard arm.
-        assert!(!items.matches[0].arms.iter().any(|a| a.wildcard));
-        assert!(items.matches[1].arms[1].wildcard);
+        assert!(!matches[0].arms.iter().any(|a| a.wildcard));
+        assert!(matches[1].arms[1].wildcard);
     }
 
     #[test]
     fn binding_subpatterns_are_not_wildcards() {
-        let items = parse(&lex(
+        let matches = parse(&lex(
             "fn f(o: Option<u32>) -> u32 { match o { Some(_) => 1, None => 0 } }",
         ));
-        assert!(items.matches[0].arms.iter().all(|a| !a.wildcard));
+        assert!(matches[0].arms.iter().all(|a| !a.wildcard));
     }
 
     #[test]
     fn guarded_wildcard_is_still_a_wildcard() {
-        let items = parse(&lex(
+        let matches = parse(&lex(
             "fn f(x: u32) -> u32 { match k { K::A => 1, _ if x > 2 => 2, _ => 3 } }",
         ));
-        let m = &items.matches[0];
+        let m = &matches[0];
         assert!(m.arms[1].wildcard && m.arms[2].wildcard);
     }
 }

@@ -12,11 +12,6 @@
 //!   code (`#[cfg(test)]` / `#[test]` item bodies);
 //! * the enclosing function name is tracked so rules can bless helpers by
 //!   name (D4 exempts `*kahan*` / `*pairwise*` summation helpers);
-//! * `#[cfg(feature = "...")]` attributes are tracked as token regions —
-//!   an attribute gates the next braced item/block wholesale, or, when no
-//!   brace opens first, the statement/field up to the next `;`/`,` at the
-//!   arming depth. Every token carries the set of feature names gating it
-//!   (rules S1/S2 read them); `not(...)`-negated gates are not recorded;
 //! * `// audit:allow(<rule>)` comments are collected per line; an
 //!   annotation silences a rule on its own line and on the following
 //!   line, so both trailing and preceding placement work.
@@ -47,9 +42,6 @@ pub struct Token {
     pub in_test: bool,
     /// Name of the innermost enclosing `fn`, if any.
     pub in_fn: Option<String>,
-    /// Feature names from every enclosing `#[cfg(feature = "...")]`
-    /// attribute, outermost first; empty for unconditional code.
-    pub cfg_features: Vec<String>,
 }
 
 /// The lexed view of one source file.
@@ -91,32 +83,6 @@ enum TestState {
     },
 }
 
-/// Region tracker for one `#[cfg(feature = "...")]` attribute. The gate
-/// covers the next braced body (plus the signature tokens before it) —
-/// or, if a `;`/`,` at the arming depth arrives first, just that
-/// statement or struct field.
-#[derive(Debug)]
-struct CfgFrame {
-    features: Vec<String>,
-    state: CfgState,
-}
-
-#[derive(Debug, PartialEq)]
-enum CfgState {
-    /// Attribute seen; waiting for a brace or a terminator.
-    Pending { arm_depth: u32, arm_paren: i32 },
-    /// Gating a braced body; pops when its `}` closes.
-    Block { open_depth: u32 },
-}
-
-/// Identifier-and-string content of one `#[...]` attribute, buffered so
-/// the `]` handler can classify it (`cfg(test)`, `cfg(feature = "x")`).
-#[derive(Debug, Default)]
-struct AttrBuf {
-    idents: String,
-    strings: Vec<String>,
-}
-
 /// Lexes one Rust source file.
 pub fn lex(source: &str) -> LexedFile {
     let bytes = source.as_bytes();
@@ -129,32 +95,18 @@ pub fn lex(source: &str) -> LexedFile {
     let mut pending_fn: Option<String> = None;
     let mut prev_ident: Option<String> = None;
     let mut test = TestState::Outside;
-    // Attribute scanning state for `#[cfg(test)]` / `#[test]` /
-    // `#[cfg(feature = "...")]`.
-    let mut attr_buf: Option<AttrBuf> = None;
-    // Active feature gates, outermost first.
-    let mut cfg_stack: Vec<CfgFrame> = Vec::new();
-    // Paren/bracket nesting, so a `,` inside `f(a, b)` or `[a, b]` never
-    // terminates a pending cfg gate.
-    let mut paren: i32 = 0;
+    // The identifiers of the `#[...]` attribute being scanned, run
+    // together so the `]` handler can spot `#[test]` / `#[cfg(test)]`.
+    let mut attr_buf: Option<String> = None;
 
     macro_rules! push_tok {
         ($tok:expr) => {{
             let in_test = matches!(test, TestState::Armed | TestState::Inside { .. });
-            let mut cfg_features: Vec<String> = Vec::new();
-            for frame in &cfg_stack {
-                for feat in &frame.features {
-                    if !cfg_features.contains(feat) {
-                        cfg_features.push(feat.clone());
-                    }
-                }
-            }
             out.tokens.push(Token {
                 tok: $tok,
                 line,
                 in_test,
                 in_fn: fn_stack.last().map(|f| f.name.clone()),
-                cfg_features,
             });
         }};
     }
@@ -207,9 +159,6 @@ pub fn lex(source: &str) -> LexedFile {
             '"' => {
                 let (s, consumed, newlines) = lex_string(&source[i..]);
                 line += newlines;
-                if let Some(buf) = attr_buf.as_mut() {
-                    buf.strings.push(s.clone());
-                }
                 push_tok!(Tok::Str(s));
                 i += consumed;
             }
@@ -259,7 +208,7 @@ pub fn lex(source: &str) -> LexedFile {
                 }
                 prev_ident = Some(ident.to_string());
                 if let Some(buf) = attr_buf.as_mut() {
-                    buf.idents.push_str(ident);
+                    buf.push_str(ident);
                 }
                 push_tok!(Tok::Ident(ident.to_string()));
             }
@@ -278,9 +227,8 @@ pub fn lex(source: &str) -> LexedFile {
                 prev_ident = None;
             }
             '#' if bytes.get(i + 1) == Some(&b'[') => {
-                // Attribute: buffer its identifiers and string literals to
-                // spot test markers and feature gates.
-                attr_buf = Some(AttrBuf::default());
+                // Attribute: buffer its identifiers to spot test markers.
+                attr_buf = Some(String::new());
                 push_tok!(Tok::Punct('#'));
                 i += 1;
             }
@@ -291,12 +239,6 @@ pub fn lex(source: &str) -> LexedFile {
                 }
                 if test == TestState::Armed {
                     test = TestState::Inside { open_depth: depth };
-                }
-                // Every pending feature gate claims this braced body.
-                for frame in &mut cfg_stack {
-                    if matches!(frame.state, CfgState::Pending { .. }) {
-                        frame.state = CfgState::Block { open_depth: depth };
-                    }
                 }
                 push_tok!(Tok::Punct('{'));
                 i += 1;
@@ -312,71 +254,28 @@ pub fn lex(source: &str) -> LexedFile {
                     fn_stack.pop();
                 }
                 push_tok!(Tok::Punct('}'));
-                cfg_stack.retain(
-                    |f| !matches!(f.state, CfgState::Block { open_depth } if open_depth == depth),
-                );
                 depth = depth.saturating_sub(1);
                 i += 1;
                 prev_ident = None;
             }
-            '(' | '[' => {
-                paren += 1;
-                push_tok!(Tok::Punct(c));
-                i += 1;
-                if c == '[' {
-                    prev_ident = None;
-                }
-            }
-            ')' => {
-                paren -= 1;
-                push_tok!(Tok::Punct(')'));
-                i += 1;
-            }
             ']' => {
-                paren -= 1;
                 if let Some(buf) = attr_buf.take() {
-                    let is_test_attr = buf.idents == "test" || buf.idents.starts_with("cfgtest");
+                    let is_test_attr = buf == "test" || buf.starts_with("cfgtest");
                     if is_test_attr && test == TestState::Outside {
                         test = TestState::Armed;
-                    }
-                    // `#[cfg(feature = "...")]` (incl. `all(...)`/`any(...)`
-                    // combinations) arms a feature gate; `cfg_attr` and
-                    // `not(...)` forms are skipped — a negated gate does not
-                    // put code behind the feature.
-                    let is_feature_gate = buf.idents.starts_with("cfg")
-                        && !buf.idents.starts_with("cfgattr")
-                        && buf.idents.contains("feature")
-                        && !buf.idents.contains("not")
-                        && !buf.strings.is_empty();
-                    if is_feature_gate {
-                        cfg_stack.push(CfgFrame {
-                            features: buf.strings,
-                            state: CfgState::Pending {
-                                arm_depth: depth,
-                                arm_paren: paren,
-                            },
-                        });
                     }
                 }
                 push_tok!(Tok::Punct(']'));
                 i += 1;
                 prev_ident = None;
             }
-            ';' | ',' => {
-                // An attribute can arm on a `use`-like item or a struct
-                // field; a terminator at the armed depth means the gated
-                // item had no body.
-                if c == ';' && test == TestState::Armed {
+            ';' => {
+                // An attribute can arm on a `use`-like item; a `;` means
+                // the marked item had no body.
+                if test == TestState::Armed {
                     test = TestState::Outside;
                 }
-                push_tok!(Tok::Punct(c));
-                cfg_stack.retain(|f| {
-                    !matches!(
-                        f.state,
-                        CfgState::Pending { arm_depth, arm_paren }
-                            if arm_depth == depth && arm_paren == paren
-                    )
-                });
+                push_tok!(Tok::Punct(';'));
                 i += 1;
                 prev_ident = None;
             }

@@ -5,10 +5,9 @@
 //! `KernelAuditor` behind apm-sim's `audit` feature): a structural
 //! lint pass over the workspace sources enforcing the determinism
 //! rules catalogued in DESIGN.md §8. The pipeline is
-//! `lexer` (tokens + cfg/test regions) → `items` (structs, impls,
-//! matches) → `rules` (D1–D4 token rules, S1–S3 structural rules) →
-//! `diag` (human/JSON/GitHub rendering + baseline suppression). Run it
-//! with `cargo run -p apm-audit -- --deny-all`.
+//! `lexer` (tokens + test regions) → `items` (`match` arms) → `rules`
+//! (D1–D4 token rules, S3) → `diag` (human/JSON/GitHub rendering). Every
+//! finding is an error. Run it with `cargo run -p apm-audit`.
 //!
 //! The crate is a library + thin binary so the fixture tests in
 //! `tests/fixtures.rs` can drive the rules over inline snippets.
@@ -19,4 +18,4 @@ pub mod lexer;
 pub mod rules;
 pub mod walk;
 
-pub use rules::{audit_files, severity, Severity, SourceFile, Violation};
+pub use rules::{audit_files, SourceFile, Violation};

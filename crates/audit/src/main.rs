@@ -3,55 +3,32 @@
 //! Lints the workspace sources against the determinism rules (DESIGN.md
 //! §8). Flags:
 //!
-//! * `--deny-all` — promote warn-severity rules (unwrap, float-sum) to
-//!   errors; CI runs this mode.
 //! * `--format human|json|github` — output format (default `human`).
 //!   `github` emits `::error file=,line=` workflow commands so findings
 //!   annotate PRs inline.
-//! * `--baseline PATH` — suppression file (default
-//!   `<root>/audit-baseline.json` when it exists). Suppressions match on
-//!   exact `(rule, file, message)`; any suppression matching nothing is
-//!   *stale* and fails the run.
-//! * `--update-baseline` — rewrite the baseline to suppress exactly the
-//!   current findings, then exit 0. An empty finding set writes an empty
-//!   baseline, so on a clean tree this is how CI checks freshness
-//!   (`--update-baseline` + `git diff --exit-code`).
 //! * `--out PATH` — additionally write the JSON report to PATH
 //!   regardless of `--format` (CI uploads it as an artifact).
 //!
-//! Exit code: 1 when any error-severity finding survives the baseline or
-//! the baseline is stale; 0 otherwise.
+//! Exit code: 1 when there is any finding; 0 otherwise.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use apm_audit::diag::{self, Baseline, Format, Summary};
+use apm_audit::diag::{self, Format, Summary};
 use apm_audit::{audit_files, walk};
 
 fn main() -> ExitCode {
-    let mut deny_all = false;
     let mut format = Format::Human;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut out_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--deny-all" => deny_all = true,
-            "--update-baseline" => update_baseline = true,
             "--format" => match args.next().as_deref().and_then(Format::parse) {
                 Some(f) => format = f,
                 None => {
                     eprintln!("apm-audit: --format expects human|json|github");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("apm-audit: --baseline expects a path");
                     return ExitCode::FAILURE;
                 }
             },
@@ -64,10 +41,14 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: apm-audit [--deny-all] [--format human|json|github] \
-                     [--baseline PATH] [--update-baseline] [--out PATH] [workspace-root]"
+                    "usage: apm-audit [--format human|json|github] [--out PATH] [workspace-root]"
                 );
                 return ExitCode::SUCCESS;
+            }
+            // An unknown flag is an error, not a workspace root with no sources.
+            flag if flag.starts_with("--") => {
+                eprintln!("apm-audit: unknown flag {flag}; see --help");
+                return ExitCode::FAILURE;
             }
             other => root = Some(PathBuf::from(other)),
         }
@@ -84,78 +65,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let findings = diag::resolve(&audit_files(&files), deny_all);
-
-    // Default baseline: <root>/audit-baseline.json, but only when it
-    // exists — a missing default is not an error, a missing explicit
-    // `--baseline` is.
-    let baseline_path = baseline_path.or_else(|| {
-        let p = root.join("audit-baseline.json");
-        p.exists().then_some(p)
-    });
-
-    if update_baseline {
-        let path = baseline_path.unwrap_or_else(|| root.join("audit-baseline.json"));
-        let base = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&path, base.render()) {
-            eprintln!("apm-audit: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "apm-audit: wrote {} ({} suppression(s))",
-            path.display(),
-            base.suppressions.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let applied = match &baseline_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("apm-audit: cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(b) => b.apply(findings),
-                Err(e) => {
-                    eprintln!("apm-audit: {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => diag::Applied {
-            remaining: findings,
-            suppressed: 0,
-            stale: Vec::new(),
-        },
+    let findings = audit_files(&files);
+    let summary = Summary {
+        files: files.len(),
+        errors: findings.len(),
     };
-
-    let summary = Summary::tally(&applied.remaining, files.len(), applied.suppressed);
-    print!("{}", diag::render(format, &applied.remaining, summary));
+    print!("{}", diag::render(format, &findings, summary));
 
     if let Some(path) = out_path {
-        let report = diag::render_json(&applied.remaining, summary);
-        if let Err(e) = std::fs::write(&path, report) {
+        if let Err(e) = std::fs::write(&path, diag::render_json(&findings, summary)) {
             eprintln!("apm-audit: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
     }
 
-    let mut failed = summary.errors > 0;
-    for s in &applied.stale {
-        eprintln!(
-            "apm-audit: stale baseline suppression (no matching finding): \
-             [{}] {} — {}; rerun with --update-baseline",
-            s.rule, s.file, s.message
-        );
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

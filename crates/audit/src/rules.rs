@@ -1,10 +1,9 @@
 //! The project-specific lint rules: token-level D1–D4 and structural
-//! S1–S3.
+//! S3.
 //!
-//! The D rules walk the raw token stream from [`crate::lexer`]; the S
-//! rules walk the item structure recovered by [`crate::items`] (structs
-//! with fields and feature gates, impl blocks with method bodies, match
-//! arms) — still no `syn`. Rules are deliberately scoped by crate
+//! The D rules walk the raw token stream from [`crate::lexer`]; S3 walks
+//! the `match` arms recovered by [`crate::items`] — still no `syn`.
+//! Rules are deliberately scoped by crate
 //! (derived from the file path); `bench` — the benchmark package under
 //! `apmbench/` — is inside the D1/D2 net: it times real hardware, so its
 //! wall-clock reads carry explicit `audit:allow(clock)` justifications
@@ -18,29 +17,17 @@
 //! cursor behind every LSM scan and compaction, which defines *version*
 //! order) is covered and pinned the same way through the `storage` scope.
 //!
-//! | rule               | issue | scope                                  | default |
-//! |--------------------|-------|----------------------------------------|---------|
-//! | `clock`            | D1    | sim, stores, storage, bench + obs/snap/chaos/experiment | deny |
-//! | `hash-order`       | D2    | sim, stores, bench + obs/snap/chaos/experiment | deny |
-//! | `unwrap`           | D3    | all non-test library code              | warn    |
-//! | `float-sum`        | D4    | core::stats, core::timeseries         | warn    |
-//! | `snap-drift`       | S1    | every file with a Snap codec pair      | deny    |
-//! | `feature-symmetry` | S2    | every file with feature-gated fields   | deny    |
-//! | `wildcard-match`   | S3    | all non-test, non-bin library code     | deny    |
+//! | rule               | issue | scope                                  |
+//! |--------------------|-------|----------------------------------------|
+//! | `clock`            | D1    | sim, stores, storage, bench + obs/snap/chaos/experiment |
+//! | `hash-order`       | D2    | sim, stores, bench + obs/snap/chaos/experiment |
+//! | `unwrap`           | D3    | all non-test library code              |
+//! | `float-sum`        | D4    | core::stats, core::timeseries         |
+//! | `wildcard-match`   | S3    | all non-test, non-bin library code     |
 //!
-//! **S1 `snap-drift`** — for a `impl Snap for T` (`snap`/`restore`) or a
-//! `snap_state`/`restore_state` pair whose target struct is defined in
-//! the same file, every named field of the struct must be referenced in
-//! both the encode and the decode body, and the decode must first-mention
-//! fields in declaration order. A field added to `Engine` but not to its
-//! codec is a CI failure here, not a divergence hunt three days into a
-//! resumed run.
-//!
-//! **S2 `feature-symmetry`** — a field gated `#[cfg(feature = "...")]`
-//! may only be accessed (`.field`) from code carrying the same gate, and
-//! a feature-gated region inside a snapshot codec body must sit in a
-//! function that consults the feature-bits header (`snap_features` /
-//! `FEATURE_*`), protecting the default-off byte-identity invariant.
+//! Snapshot-codec coverage and feature-gate symmetry are not lint rules:
+//! every hand-written codec destructures `Self` exhaustively, so the
+//! compiler and clippy check them (DESIGN.md §8).
 //!
 //! **S3 `wildcard-match`** — no `_` arm in a `match` whose patterns name
 //! one of the tree's semantic enums ([`PROTECTED_ENUMS`]): a new
@@ -66,10 +53,10 @@
 //! `Scenario`, which lives there — the scope follows the code that
 //! moved.
 //!
-//! `--deny-all` promotes warnings to errors. Any rule is silenced on a
-//! line with `// audit:allow(<rule>)` on that line or the line above.
+//! Every finding is an error. Any rule is silenced on a line with
+//! `// audit:allow(<rule>)` on that line or the line above.
 
-use crate::items::{self, Items};
+use crate::items::{self, MatchDef};
 use crate::lexer::{LexedFile, Tok};
 
 /// One source file ready for auditing.
@@ -79,13 +66,6 @@ pub struct SourceFile {
     pub lexed: LexedFile,
 }
 
-/// Rule severity before `--deny-all`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    Deny,
-    Warn,
-}
-
 /// A single finding.
 #[derive(Clone, Debug)]
 pub struct Violation {
@@ -93,14 +73,6 @@ pub struct Violation {
     pub line: u32,
     pub rule: &'static str,
     pub message: String,
-}
-
-/// Default severity per rule (promoted to Deny by `--deny-all`).
-pub fn severity(rule: &str) -> Severity {
-    match rule {
-        "unwrap" | "float-sum" => Severity::Warn,
-        _ => Severity::Deny,
-    }
 }
 
 /// The audited crate, derived from a workspace-relative path.
@@ -153,10 +125,7 @@ pub fn audit_files(files: &[SourceFile]) -> Vec<Violation> {
         rule_hash_order(f, &mut out);
         rule_unwrap(f, &mut out);
         rule_float_sum(f, &mut out);
-        let parsed = items::parse(&f.lexed);
-        rule_snap_drift(f, &parsed, &mut out);
-        rule_feature_symmetry(f, &parsed, &mut out);
-        rule_wildcard_match(f, &parsed, &mut out);
+        rule_wildcard_match(f, &items::parse(&f.lexed), &mut out);
     }
     out.retain(|v| {
         let file = files.iter().find(|f| f.path == v.file);
@@ -302,212 +271,6 @@ fn rule_float_sum(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// The encode/decode method-name pairs S1 recognizes as a snapshot
-/// codec: the `Snap` trait's own pair, and the `snap_state` /
-/// `restore_state` convention used by the kernel, the stores, the
-/// storage engines, and the drivers.
-const CODEC_PAIRS: [(&str, &str); 2] = [("snap", "restore"), ("snap_state", "restore_state")];
-
-/// S1 `snap-drift`: every named field of a snapshotted struct must be
-/// referenced in both halves of its codec, and the decode half must
-/// first-mention fields in declaration order. Catches the "added a field
-/// to `Engine`, forgot the codec" class of resume divergence at lint
-/// time. The struct definition must live in the same file as the codec
-/// (true throughout this tree); impls whose target is defined elsewhere
-/// are skipped rather than guessed at.
-fn rule_snap_drift(f: &SourceFile, parsed: &Items, out: &mut Vec<Violation>) {
-    let toks = &f.lexed.tokens;
-    for imp in parsed.impls.iter().filter(|i| !i.in_test) {
-        let pair = CODEC_PAIRS.iter().find(|(enc, dec)| {
-            let ok_trait = match &imp.trait_name {
-                // `impl Snap for T` carries the pair as trait methods.
-                Some(t) => t == "Snap" && *enc == "snap",
-                // Inherent/store-trait impls use the *_state convention.
-                None => *enc == "snap_state",
-            };
-            ok_trait
-                && imp.fns.iter().any(|m| m.name == *enc && !m.body.is_empty())
-                && imp.fns.iter().any(|m| m.name == *dec && !m.body.is_empty())
-        });
-        // `snap_state` pairs also appear inside trait impls (e.g. the
-        // stores' `DistributedStore`); accept the pair wherever it lives.
-        let pair = pair.or_else(|| {
-            CODEC_PAIRS.iter().find(|(enc, dec)| {
-                *enc == "snap_state"
-                    && imp.fns.iter().any(|m| m.name == *enc && !m.body.is_empty())
-                    && imp.fns.iter().any(|m| m.name == *dec && !m.body.is_empty())
-            })
-        });
-        let Some((enc_name, dec_name)) = pair else {
-            continue;
-        };
-        let Some(def) = parsed
-            .structs
-            .iter()
-            .find(|s| s.named && !s.in_test && s.name == imp.target)
-        else {
-            continue;
-        };
-        let enc = imp
-            .fns
-            .iter()
-            .find(|m| m.name == *enc_name)
-            .expect("pair matched above");
-        let dec = imp
-            .fns
-            .iter()
-            .find(|m| m.name == *dec_name)
-            .expect("pair matched above");
-        let mentions = |body: &std::ops::Range<usize>, name: &str| {
-            toks[body.clone()]
-                .iter()
-                .position(|t| matches!(&t.tok, Tok::Ident(s) if s == name))
-        };
-        let mut dec_order: Vec<(usize, &str, u32)> = Vec::new();
-        for field in &def.fields {
-            // Fields absent from the encode stream (justified config that
-            // restore re-derives) don't constrain decode order — restore
-            // may consult them for validation at any point.
-            let mut streamed = true;
-            if mentions(&enc.body, &field.name).is_none() {
-                streamed = false;
-                out.push(Violation {
-                    file: f.path.clone(),
-                    line: field.line,
-                    rule: "snap-drift",
-                    message: format!(
-                        "field `{}` of `{}` is never referenced in `{}` — \
-                         state that isn't snapshotted silently diverges on resume",
-                        field.name, def.name, enc_name
-                    ),
-                });
-            }
-            match mentions(&dec.body, &field.name) {
-                None => out.push(Violation {
-                    file: f.path.clone(),
-                    line: field.line,
-                    rule: "snap-drift",
-                    message: format!(
-                        "field `{}` of `{}` is never referenced in `{}` — \
-                         the decoder cannot rebuild it",
-                        field.name, def.name, dec_name
-                    ),
-                }),
-                Some(pos) if streamed => {
-                    let line = toks[dec.body.start + pos].line;
-                    dec_order.push((pos, &field.name, line));
-                }
-                Some(_) => {}
-            }
-        }
-        // Decode first-mention order must match declaration order — a
-        // schema-free byte stream is only readable in write order.
-        for w in dec_order.windows(2) {
-            let ((a_pos, a_name, _), (b_pos, b_name, b_line)) = (&w[0], &w[1]);
-            if b_pos < a_pos {
-                out.push(Violation {
-                    file: f.path.clone(),
-                    line: *b_line,
-                    rule: "snap-drift",
-                    message: format!(
-                        "`{}` decodes `{}` before `{}`, but `{}` declares them in the \
-                         opposite order — decode order must match the struct declaration",
-                        dec_name, b_name, a_name, def.name
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Guard identifiers S2 accepts as "this codec consults the feature-bits
-/// header": `Engine::snap_features()` and the `FEATURE_*` /
-/// `SNAP_FEATURE_*` constants of `core::snap`.
-fn is_feature_guard(name: &str) -> bool {
-    name == "snap_features" || name.starts_with("FEATURE_") || name.starts_with("SNAP_FEATURE_")
-}
-
-/// S2 `feature-symmetry`: (a) a struct field gated behind
-/// `#[cfg(feature = "...")]` may only be accessed from code carrying the
-/// same gate — asymmetric access either breaks the default-off build or
-/// hides feature-on-only behavior in shared paths; (b) a feature-gated
-/// region inside a snapshot codec body must live in a function that
-/// consults the feature-bits header (`snap_features` / `FEATURE_*`), so
-/// optional observer bytes can never be read into a build that didn't
-/// write them.
-fn rule_feature_symmetry(f: &SourceFile, parsed: &Items, out: &mut Vec<Violation>) {
-    let toks = &f.lexed.tokens;
-    // (a) gated-field access symmetry, same-file scope.
-    for s in parsed.structs.iter().filter(|s| !s.in_test) {
-        for field in s.fields.iter().filter(|fd| !fd.cfg.is_empty()) {
-            for (i, t) in toks.iter().enumerate() {
-                let Tok::Ident(name) = &t.tok else { continue };
-                if name != &field.name || t.in_test || i == 0 || !punct_at(toks, i - 1, '.') {
-                    continue;
-                }
-                let missing: Vec<&str> = field
-                    .cfg
-                    .iter()
-                    .filter(|g| !t.cfg_features.contains(g))
-                    .map(String::as_str)
-                    .collect();
-                if !missing.is_empty() {
-                    out.push(Violation {
-                        file: f.path.clone(),
-                        line: t.line,
-                        rule: "feature-symmetry",
-                        message: format!(
-                            "`.{}` is gated behind feature \"{}\" on `{}` but this access \
-                             is not under the same `#[cfg(feature = ...)]` gate",
-                            field.name,
-                            missing.join("\", \""),
-                            s.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    // (b) feature-gated snapshot bytes need the feature-bits header.
-    for imp in parsed.impls.iter().filter(|i| !i.in_test) {
-        for m in &imp.fns {
-            if !CODEC_PAIRS
-                .iter()
-                .any(|(enc, dec)| m.name == *enc || m.name == *dec)
-                || m.body.is_empty()
-            {
-                continue;
-            }
-            let body = &toks[m.body.clone()];
-            // The fn's own baseline gate (a wholly feature-gated impl or
-            // module) is not a *mixed* stream; only gates opening inside
-            // the body count.
-            let baseline = &toks[m.body.start].cfg_features;
-            let gated = body
-                .iter()
-                .find(|t| t.cfg_features.iter().any(|g| !baseline.contains(g)) && !t.in_test);
-            let Some(gated) = gated else { continue };
-            let guarded = body
-                .iter()
-                .any(|t| matches!(&t.tok, Tok::Ident(s) if is_feature_guard(s)));
-            if !guarded {
-                out.push(Violation {
-                    file: f.path.clone(),
-                    line: gated.line,
-                    rule: "feature-symmetry",
-                    message: format!(
-                        "`{}` writes/reads feature-gated snapshot bytes but never consults \
-                         the feature-bits header (`snap_features`/`FEATURE_*`) — a build \
-                         without the feature would mis-parse the stream (annotate if the \
-                         container header already carries the bits)",
-                        m.name
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// The semantic enums S3 protects: op outcomes, kernel completion
 /// outcomes and fault modes, fault kinds, plan steps, breaker states and
 /// decisions, rejection reasons, attempt kinds, LSM background-job
@@ -536,12 +299,12 @@ pub const PROTECTED_ENUMS: [&str; 14] = [
 /// mentions in the arms themselves (token level — the scrutinee's type
 /// is invisible), so `use Enum::*`-style matches escape; the tree
 /// doesn't use that style.
-fn rule_wildcard_match(f: &SourceFile, parsed: &Items, out: &mut Vec<Violation>) {
+fn rule_wildcard_match(f: &SourceFile, matches: &[MatchDef], out: &mut Vec<Violation>) {
     if is_bin(&f.path) {
         return;
     }
     let toks = &f.lexed.tokens;
-    for m in parsed.matches.iter().filter(|m| !m.in_test) {
+    for m in matches.iter().filter(|m| !m.in_test) {
         let mut named: Option<&str> = None;
         for arm in &m.arms {
             for i in arm.pat.clone() {

@@ -3,7 +3,7 @@
 //! the auditor's own regression suite — if a rule stops firing on its
 //! fixture, the lint has silently rotted.
 
-use apm_audit::{audit_files, lexer::lex, severity, Severity, SourceFile};
+use apm_audit::{audit_files, lexer::lex, SourceFile};
 
 fn file(path: &str, src: &str) -> SourceFile {
     SourceFile {
@@ -317,12 +317,6 @@ fn d3_allow_escape_passes() {
     assert!(rules_hit(&[f]).is_empty());
 }
 
-#[test]
-fn d3_is_warn_severity_by_default() {
-    assert_eq!(severity("unwrap"), Severity::Warn);
-    assert_eq!(severity("hash-order"), Severity::Deny);
-}
-
 // ---------------------------------------------------------------- D4
 
 #[test]
@@ -386,242 +380,6 @@ fn multiple_rules_sort_by_file_and_line() {
             ("crates/sim/src/a.rs", 2, "clock"),
         ]
     );
-}
-
-// ---------------------------------------------------------------- S1
-
-/// A struct + codec pair that is in sync: the baseline every S1 fixture
-/// perturbs.
-const SNAP_CLEAN: &str = "pub struct Counter {
-    hits: u64,
-    misses: u64,
-}
-impl Snap for Counter {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let hits = r.u64()?;
-        let misses = r.u64()?;
-        Ok(Counter { hits, misses })
-    }
-}
-";
-
-#[test]
-fn s1_clean_snap_impl_passes() {
-    let f = file("crates/sim/src/counter.rs", SNAP_CLEAN);
-    assert!(rules_hit(&[f]).is_empty());
-}
-
-#[test]
-fn s1_seeded_drift_regression() {
-    // The end-to-end guarantee: add a field to a Snap struct without
-    // touching the codec, and S1 must fire — in both halves, at the
-    // inserted field's exact file and line.
-    let drifted = SNAP_CLEAN.replace("misses: u64,", "misses: u64,\n    evictions: u64,");
-    assert_ne!(drifted, SNAP_CLEAN, "seed edit must apply");
-    let line = drifted
-        .lines()
-        .position(|l| l.contains("evictions"))
-        .expect("inserted field present") as u32
-        + 1;
-    let v = audit_files(&[file("crates/sim/src/counter.rs", &drifted)]);
-    assert_eq!(v.len(), 2, "one finding per codec half: {v:?}");
-    for finding in &v {
-        assert_eq!(finding.rule, "snap-drift");
-        assert_eq!(finding.file, "crates/sim/src/counter.rs");
-        assert_eq!(finding.line, line);
-        assert!(
-            finding.message.contains("`evictions`"),
-            "{}",
-            finding.message
-        );
-    }
-    assert!(v[0].message.contains("snap"));
-    assert!(v[1].message.contains("restore"));
-}
-
-#[test]
-fn s1_decode_order_mismatch_trips() {
-    let swapped = SNAP_CLEAN.replace(
-        "let hits = r.u64()?;\n        let misses = r.u64()?;",
-        "let misses = r.u64()?;\n        let hits = r.u64()?;",
-    );
-    assert_ne!(swapped, SNAP_CLEAN, "swap edit must apply");
-    let v = audit_files(&[file("crates/sim/src/counter.rs", &swapped)]);
-    assert_eq!(
-        rules_hit(&[file("crates/sim/src/counter.rs", &swapped)]),
-        ["snap-drift"]
-    );
-    assert!(v[0].message.contains("decode order"), "{}", v[0].message);
-}
-
-#[test]
-fn s1_snap_state_pair_is_covered_too() {
-    // The `snap_state`/`restore_state` convention (kernel, stores,
-    // storage engines) is held to the same standard as `impl Snap`.
-    let src = "pub struct Pool {
-    frames: u64,
-    hand: u64,
-}
-impl Pool {
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.frames);
-    }
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.frames = r.u64()?;
-        Ok(())
-    }
-}
-";
-    let v = audit_files(&[file("crates/storage/src/pool.rs", src)]);
-    assert_eq!(v.len(), 2, "{v:?}");
-    assert!(v
-        .iter()
-        .all(|x| x.rule == "snap-drift" && x.message.contains("`hand`")));
-}
-
-#[test]
-fn s1_allow_escape_passes() {
-    let justified = SNAP_CLEAN.replace(
-        "misses: u64,",
-        "misses: u64,\n    // config, not snapshotted. audit:allow(snap-drift)\n    limit: u64,",
-    );
-    assert_ne!(justified, SNAP_CLEAN, "edit must apply");
-    assert!(rules_hit(&[file("crates/sim/src/counter.rs", &justified)]).is_empty());
-}
-
-#[test]
-fn s1_ignores_test_code_and_foreign_structs() {
-    // A Snap impl whose struct lives in another file is skipped (no
-    // definition to cross-check), and test-module impls are exempt.
-    let foreign = "impl Snap for Elsewhere {
-    fn snap(&self, w: &mut SnapWriter) {}
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> { Ok(Elsewhere) }
-}
-";
-    assert!(rules_hit(&[file("crates/sim/src/x.rs", foreign)]).is_empty());
-}
-
-// ---------------------------------------------------------------- S2
-
-#[test]
-fn s2_ungated_access_to_gated_field_trips() {
-    let src = "pub struct Engine {
-    now: u64,
-    #[cfg(feature = \"trace\")]
-    tracer: u32,
-}
-impl Engine {
-    fn tick(&mut self) {
-        self.now += 1;
-        self.tracer += 1;
-    }
-}
-";
-    let v = audit_files(&[file("crates/sim/src/engine.rs", src)]);
-    assert_eq!(
-        rules_hit(&[file("crates/sim/src/engine.rs", src)]),
-        ["feature-symmetry"]
-    );
-    assert_eq!(v[0].line, 9);
-    assert!(v[0].message.contains("`.tracer`"), "{}", v[0].message);
-}
-
-#[test]
-fn s2_similarly_gated_access_passes() {
-    let src = "pub struct Engine {
-    now: u64,
-    #[cfg(feature = \"trace\")]
-    tracer: u32,
-}
-impl Engine {
-    #[cfg(feature = \"trace\")]
-    fn tick(&mut self) {
-        self.tracer += 1;
-    }
-}
-";
-    assert!(rules_hit(&[file("crates/sim/src/engine.rs", src)]).is_empty());
-}
-
-#[test]
-fn s2_unguarded_feature_gated_snap_bytes_trip() {
-    let src = "pub struct S {
-    a: u64,
-}
-impl S {
-    fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.a);
-        #[cfg(feature = \"audit\")]
-        w.put_u8(1);
-    }
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.a = r.u64()?;
-        #[cfg(feature = \"audit\")]
-        {
-            r.u8()?;
-        }
-        Ok(())
-    }
-}
-";
-    assert_eq!(
-        rules_hit(&[file("crates/stores/src/s.rs", src)]),
-        ["feature-symmetry", "feature-symmetry"]
-    );
-}
-
-#[test]
-fn s2_feature_bits_guard_passes() {
-    let src = "pub struct S {
-    a: u64,
-}
-impl S {
-    fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u8(Engine::snap_features());
-        w.put_u64(self.a);
-        #[cfg(feature = \"audit\")]
-        w.put_u8(1);
-    }
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let bits = r.u8()?;
-        if bits != Engine::snap_features() {
-            return Err(SnapError::FeatureMismatch { bits });
-        }
-        self.a = r.u64()?;
-        #[cfg(feature = \"audit\")]
-        {
-            r.u8()?;
-        }
-        Ok(())
-    }
-}
-";
-    assert!(rules_hit(&[file("crates/stores/src/s.rs", src)]).is_empty());
-}
-
-#[test]
-fn s2_allow_escape_passes() {
-    let src = "pub struct S {
-    a: u64,
-}
-impl S {
-    fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.a);
-        // container header carries the bits
-        #[cfg(feature = \"audit\")] // audit:allow(feature-symmetry)
-        w.put_u8(1);
-    }
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.a = r.u64()?;
-        Ok(())
-    }
-}
-";
-    assert!(rules_hit(&[file("crates/stores/src/s.rs", src)]).is_empty());
 }
 
 // ---------------------------------------------------------------- S3

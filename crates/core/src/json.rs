@@ -1,6 +1,6 @@
 //! The repository's one JSON reader/writer: `results.json`, the chaos
 //! campaign reports, the Chrome trace export, the benchmark's result
-//! files and apm-audit's report and baseline all go through it.
+//! files and apm-audit's report all go through it.
 //!
 //! The workspace builds offline with no external crates, so the small
 //! subset of JSON those need (objects, arrays, strings, finite numbers,

@@ -116,8 +116,7 @@ snap_struct! { SplitRng { s0, s1 } }
 /// `AcknowledgedCounterGenerator`.
 #[derive(Clone, Debug)]
 pub struct KeyChooser {
-    /// Construction-time config; not part of the snapshot stream.
-    dist: KeyDistribution, // audit:allow(snap-drift)
+    dist: KeyDistribution,
     rng: SplitRng,
     /// Cached Zipfian state (recomputed when `count` grows by >10 %).
     zipf: Option<ZipfState>,
@@ -186,15 +185,18 @@ impl KeyChooser {
     /// Serializes the mutable chooser state (RNG position + Zipf cache).
     /// The distribution is configuration and is not written.
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.rng);
-        w.put(&self.zipf);
+        // `dist` is construction-time config, not part of the stream.
+        let KeyChooser { dist: _, rng, zipf } = self;
+        w.put(rng);
+        w.put(zipf);
     }
 
     /// Restores state written by [`Self::snap_state`] into a chooser
     /// built with the same distribution.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.rng = r.get()?;
-        self.zipf = r.get()?;
+        let KeyChooser { dist: _, rng, zipf } = self;
+        *rng = r.get()?;
+        *zipf = r.get()?;
         Ok(())
     }
 

@@ -209,7 +209,8 @@ impl FieldValues {
 // array of them).
 impl Snap for FieldValues {
     fn snap(&self, w: &mut SnapWriter) {
-        for field in &self.0 {
+        let FieldValues(fields) = self;
+        for field in fields {
             w.put_bytes(field);
         }
     }

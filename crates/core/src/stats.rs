@@ -143,35 +143,43 @@ impl Histogram {
 // refuses a slot index past the table.
 impl Snap for Histogram {
     fn snap(&self, w: &mut SnapWriter) {
+        let Histogram {
+            counts,
+            total,
+            sum,
+            min,
+            max,
+        } = self;
         // Sparse encoding: most of the 1920 slots are empty in short runs.
-        let occupied: Vec<(u64, u64)> = self
-            .counts
+        let occupied: Vec<(u64, u64)> = counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
             .map(|(i, &c)| (i as u64, c))
             .collect();
         w.put(&occupied);
-        w.put_u64(self.total);
-        w.put_u128(self.sum);
-        w.put_u64(self.min);
-        w.put_u64(self.max);
+        w.put_u64(*total);
+        w.put_u128(*sum);
+        w.put_u64(*min);
+        w.put_u64(*max);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         let occupied: Vec<(u64, u64)> = r.get()?;
-        let mut h = Histogram::new();
+        let mut counts = Histogram::new().counts;
         for (i, c) in occupied {
-            let slot = h.counts.get_mut(i as usize).ok_or(SnapError::BadTag {
+            let slot = counts.get_mut(i as usize).ok_or(SnapError::BadTag {
                 what: "Histogram slot",
                 tag: i,
             })?;
             *slot = c;
         }
-        h.total = r.u64()?;
-        h.sum = r.u128()?;
-        h.min = r.u64()?;
-        h.max = r.u64()?;
-        Ok(h)
+        Ok(Histogram {
+            counts,
+            total: r.u64()?,
+            sum: r.u128()?,
+            min: r.u64()?,
+            max: r.u64()?,
+        })
     }
 }
 
@@ -588,8 +596,9 @@ impl Telemetry {
 // divided by.
 impl Snap for Telemetry {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.window_ns);
-        w.put(&self.windows);
+        let Telemetry { window_ns, windows } = self;
+        w.put_u64(*window_ns);
+        w.put(windows);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         let window_ns = r.u64()?;

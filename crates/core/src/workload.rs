@@ -170,8 +170,7 @@ impl Workload {
 /// matches YCSB's global acknowledged-insert counter.
 #[derive(Clone, Debug)]
 pub struct WorkloadGenerator {
-    /// Construction-time config; not part of the snapshot stream.
-    workload: Workload, // audit:allow(snap-drift)
+    workload: Workload,
     chooser: KeyChooser,
     rng: SplitRng,
     /// Sequence number of the next insert.
@@ -261,19 +260,34 @@ impl WorkloadGenerator {
     /// cache, sequence counters). The workload itself is configuration
     /// and is re-derived from the run config on restore.
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.chooser.snap_state(w);
-        w.put(&self.rng);
-        w.put(&self.next_seq);
-        w.put(&self.acked);
+        // `workload` is construction-time config, not part of the stream.
+        let WorkloadGenerator {
+            workload: _,
+            chooser,
+            rng,
+            next_seq,
+            acked,
+        } = self;
+        chooser.snap_state(w);
+        w.put(rng);
+        w.put(next_seq);
+        w.put(acked);
     }
 
     /// Restores state written by [`Self::snap_state`] into a generator
     /// built from the same workload/seed configuration.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.chooser.restore_state(r)?;
-        self.rng = r.get()?;
-        self.next_seq = r.u64()?;
-        self.acked = r.u64()?;
+        let WorkloadGenerator {
+            workload: _,
+            chooser,
+            rng,
+            next_seq,
+            acked,
+        } = self;
+        chooser.restore_state(r)?;
+        *rng = r.get()?;
+        *next_seq = r.u64()?;
+        *acked = r.u64()?;
         Ok(())
     }
 }

@@ -1001,36 +1001,63 @@ impl Engine {
     /// restored engine is byte-identical to a snapshot of the original
     /// at the same point regardless of either arena's internal layout.
     pub fn snap_state(&self, w: &mut SnapWriter) {
+        let Engine {
+            now,
+            seq,
+            queue,
+            resources,
+            arena,
+            execs,
+            free_execs,
+            ready,
+            completions,
+            #[cfg(feature = "audit")]
+            auditor,
+            #[cfg(feature = "trace")]
+            tracer,
+        } = self;
         w.put_u8(Engine::snap_features());
-        w.put(&self.now);
-        w.put_u64(self.seq);
-        w.put(&self.queue.sorted_entries());
-        w.put(&self.resources);
-        w.put_u64(self.execs.len() as u64);
-        for slot in &self.execs {
-            let plan = if slot.live {
-                self.arena.materialize(slot.plan)
+        w.put(now);
+        w.put_u64(*seq);
+        w.put(&queue.sorted_entries());
+        w.put(resources);
+        w.put_u64(execs.len() as u64);
+        for Exec {
+            plan,
+            pc,
+            token,
+            submitted,
+            parent,
+            join_need,
+            join_pending,
+            outcome,
+            generation,
+            live,
+        } in execs
+        {
+            let plan = if *live {
+                arena.materialize(*plan)
             } else {
                 Plan::empty()
             };
             w.put(&plan);
-            w.put_u32(slot.pc);
-            w.put(&slot.token);
-            w.put(&slot.submitted);
-            w.put(&slot.parent);
-            w.put_u32(slot.join_need);
-            w.put_u32(slot.join_pending);
-            w.put(&slot.outcome);
-            w.put_u32(slot.generation);
-            w.put(&slot.live);
+            w.put_u32(*pc);
+            w.put(token);
+            w.put(submitted);
+            w.put(parent);
+            w.put_u32(*join_need);
+            w.put_u32(*join_pending);
+            w.put(outcome);
+            w.put_u32(*generation);
+            w.put(live);
         }
-        w.put(&self.free_execs);
-        w.put(&self.ready);
-        w.put(&self.completions);
+        w.put(free_execs);
+        w.put(ready);
+        w.put(completions);
         #[cfg(feature = "audit")]
-        w.put(&self.auditor);
+        w.put(auditor);
         #[cfg(feature = "trace")]
-        self.tracer.snap_state(w);
+        tracer.snap_state(w);
     }
 
     /// Replaces the engine's mutable state with a previously serialized
@@ -1045,14 +1072,29 @@ impl Engine {
         if stored != active {
             return Err(SnapError::FeatureMismatch { stored, active });
         }
-        self.now = r.get()?;
-        self.seq = r.u64()?;
+        let Engine {
+            now,
+            seq,
+            queue,
+            resources,
+            arena,
+            execs,
+            free_execs,
+            ready,
+            completions,
+            #[cfg(feature = "audit")]
+            auditor,
+            #[cfg(feature = "trace")]
+            tracer,
+        } = self;
+        *now = r.get()?;
+        *seq = r.u64()?;
         let entries: Vec<(SimTime, u64, Event)> = r.get()?;
-        self.queue.rebuild(self.now, entries);
-        self.resources = r.get()?;
-        self.arena = PlanArena::new();
+        queue.rebuild(*now, entries);
+        *resources = r.get()?;
+        *arena = PlanArena::new();
         let exec_count = r.count(EXEC_MIN_SNAP_BYTES)?;
-        let mut execs = Vec::with_capacity(exec_count);
+        let mut restored = Vec::with_capacity(exec_count);
         for _ in 0..exec_count {
             let plan: Plan = r.get()?;
             let pc = r.u32()?;
@@ -1065,11 +1107,11 @@ impl Engine {
             let generation = r.u32()?;
             let live: bool = r.get()?;
             let plan = if live {
-                self.arena.intern(&plan)
+                arena.intern(&plan)
             } else {
                 PlanId::NONE
             };
-            execs.push(Exec {
+            restored.push(Exec {
                 plan,
                 pc,
                 token,
@@ -1082,17 +1124,17 @@ impl Engine {
                 live,
             });
         }
-        self.execs = execs;
-        self.free_execs = r.get()?;
-        self.ready = r.get()?;
-        self.completions = r.get()?;
+        *execs = restored;
+        *free_execs = r.get()?;
+        *ready = r.get()?;
+        *completions = r.get()?;
         #[cfg(feature = "audit")]
         {
-            self.auditor = r.get()?;
+            *auditor = r.get()?;
         }
         #[cfg(feature = "trace")]
         {
-            self.tracer = crate::trace::Tracer::restore_state(r)?;
+            *tracer = crate::trace::Tracer::restore_state(r)?;
         }
         Ok(())
     }

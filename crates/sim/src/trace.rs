@@ -88,7 +88,6 @@ pub struct TraceEvent {
 /// embedded in [`crate::Engine`] behind the `trace` feature.
 #[derive(Clone, Debug)]
 pub struct Tracer {
-    // Declaration order is the snapshot stream order (audited by S1).
     /// Ring size; `buf` never grows past it.
     capacity: usize,
     /// Ring storage, pre-allocated to `capacity` by [`Tracer::with_capacity`]
@@ -184,12 +183,20 @@ impl Tracer {
     /// Serializes the tracer — ring contents, eviction cursor, counters,
     /// and the rolling fingerprint — so a resumed run traces seamlessly.
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.capacity);
-        w.put(&self.buf);
-        w.put(&self.head);
-        w.put_u64(self.recorded);
-        w.put_u64(self.dropped);
-        w.put_u64(self.fingerprint);
+        let Tracer {
+            capacity,
+            buf,
+            head,
+            recorded,
+            dropped,
+            fingerprint,
+        } = self;
+        w.put(capacity);
+        w.put(buf);
+        w.put(head);
+        w.put_u64(*recorded);
+        w.put_u64(*dropped);
+        w.put_u64(*fingerprint);
     }
 
     /// Rebuilds a tracer from [`Tracer::snap_state`] bytes.

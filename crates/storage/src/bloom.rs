@@ -108,10 +108,16 @@ impl Bloom {
 // table it indexes.
 impl Snap for Bloom {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.bits);
-        w.put_u64(self.mask);
-        w.put_u32(self.k);
-        w.put_u64(self.inserted);
+        let Bloom {
+            bits,
+            mask,
+            k,
+            inserted,
+        } = self;
+        w.put(bits);
+        w.put_u64(*mask);
+        w.put_u32(*k);
+        w.put_u64(*inserted);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         let bits: Vec<u64> = r.get()?;

@@ -69,8 +69,7 @@ enum Node {
 /// The B+tree.
 #[derive(Clone, Debug)]
 pub struct BTree {
-    /// Construction-time config; not part of the snapshot stream.
-    config: BTreeConfig, // audit:allow(snap-drift)
+    config: BTreeConfig,
     nodes: Vec<Node>,
     root: usize,
     len: u64,
@@ -326,10 +325,17 @@ impl BTree {
     /// Serializes the page arena and tree shape (the config is re-supplied
     /// at construction).
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.nodes);
-        w.put(&self.root);
-        w.put_u64(self.len);
-        w.put_u32(self.depth);
+        let BTree {
+            config: _,
+            nodes,
+            root,
+            len,
+            depth,
+        } = self;
+        w.put(nodes);
+        w.put(root);
+        w.put_u64(*len);
+        w.put_u32(*depth);
     }
 
     /// Restores the state written by [`BTree::snap_state`] into a tree
@@ -337,12 +343,16 @@ impl BTree {
     /// checksum passes can still hold a page graph that is no tree, so
     /// everything the walks index by is checked first.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let nodes: Vec<Node> = r.get()?;
-        let root: usize = r.get()?;
-        let len = r.u64()?;
-        let depth = r.u32()?;
-        check_shape(&nodes, root, len, depth)?;
-        (self.nodes, self.root, self.len, self.depth) = (nodes, root, len, depth);
+        let BTree {
+            config: _,
+            nodes,
+            root,
+            len,
+            depth,
+        } = self;
+        let restored = (r.get::<Vec<Node>>()?, r.get::<usize>()?, r.u64()?, r.u32()?);
+        check_shape(&restored.0, restored.1, restored.2, restored.3)?;
+        (*nodes, *root, *len, *depth) = restored;
         Ok(())
     }
 }

@@ -62,14 +62,13 @@ struct Frame {
 /// The buffer pool.
 #[derive(Clone, Debug)]
 pub struct BufferPool {
-    /// Construction-time config; restore only validates against it.
-    capacity: usize, // audit:allow(snap-drift)
+    capacity: usize,
     frames: Vec<Frame>,
-    /// Derived index, rebuilt from `frames` on restore: `slots[page]` is
-    /// the page's frame index + 1, or 0 when the page is not resident.
-    /// Dense because page ids are B-tree node indices; grown on demand,
-    /// so it costs 4 bytes per page up to the largest id accessed.
-    slots: Vec<u32>, // audit:allow(snap-drift)
+    /// `slots[page]` is the page's frame index + 1, or 0 when the page is
+    /// not resident. Dense because page ids are B-tree node indices;
+    /// grown on demand, so it costs 4 bytes per page up to the largest
+    /// id accessed.
+    slots: Vec<u32>,
     hand: usize,
     stats: PoolStats,
 }
@@ -166,9 +165,18 @@ impl BufferPool {
     /// Serializes the frame table, clock hand, and stats (the capacity is
     /// re-supplied at construction; the page map is rebuilt on restore).
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.frames);
-        w.put(&self.hand);
-        w.put(&self.stats);
+        // `capacity` is construction-time config, which restore validates
+        // against; `slots` is derived from `frames` and rebuilt on restore.
+        let BufferPool {
+            capacity: _,
+            frames,
+            slots: _,
+            hand,
+            stats,
+        } = self;
+        w.put(frames);
+        w.put(hand);
+        w.put(stats);
     }
 
     /// Restores the state written by [`BufferPool::snap_state`] into a
@@ -177,17 +185,24 @@ impl BufferPool {
     /// frame naming a page the tree does not have, or a page held by two
     /// frames, is a corrupt stream — and must not size the slot table.
     pub fn restore_state(&mut self, r: &mut SnapReader, page_count: u64) -> Result<(), SnapError> {
-        let frames: Vec<Frame> = r.get()?;
-        let hand: usize = r.get()?;
-        if frames.len() > self.capacity || (hand != 0 && hand >= self.capacity) {
+        let BufferPool {
+            capacity,
+            frames,
+            slots,
+            hand,
+            stats,
+        } = self;
+        let table: Vec<Frame> = r.get()?;
+        let clock: usize = r.get()?;
+        if table.len() > *capacity || (clock != 0 && clock >= *capacity) {
             return Err(SnapError::BadTag {
                 what: "BufferPool frames",
-                tag: frames.len() as u64,
+                tag: table.len() as u64,
             });
         }
-        let mut slots = vec![0u32; page_count as usize];
-        for (i, frame) in frames.iter().enumerate() {
-            match slots.get_mut(frame.page.0 as usize) {
+        let mut index = vec![0u32; page_count as usize];
+        for (i, frame) in table.iter().enumerate() {
+            match index.get_mut(frame.page.0 as usize) {
                 Some(slot) if *slot == 0 => *slot = i as u32 + 1,
                 _ => {
                     return Err(SnapError::BadTag {
@@ -197,10 +212,8 @@ impl BufferPool {
                 }
             }
         }
-        self.slots = slots;
-        self.frames = frames;
-        self.hand = hand;
-        self.stats = r.get()?;
+        (*frames, *slots, *hand) = (table, index, clock);
+        *stats = r.get()?;
         Ok(())
     }
 }

@@ -46,8 +46,7 @@ pub struct HashStore {
     /// Sorted-set index over keys, maintained for scans.
     index: BTreeSet<MetricKey>,
     mem_bytes: u64,
-    /// Construction-time config; not part of the snapshot stream.
-    max_memory: Option<u64>, // audit:allow(snap-drift)
+    max_memory: Option<u64>,
 }
 
 impl HashStore {
@@ -186,27 +185,40 @@ impl HashStore {
     /// Serializes the contents in sorted key order (the memory budget is
     /// re-supplied at construction).
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.index.len() as u64);
-        for key in &self.index {
+        // `max_memory` is construction-time config, not part of the stream.
+        let HashStore {
+            map,
+            index,
+            mem_bytes,
+            max_memory: _,
+        } = self;
+        w.put_u64(index.len() as u64);
+        for key in index {
             w.put(key);
-            w.put(self.map.get(key).expect("index entry has a hash entry"));
+            w.put(map.get(key).expect("index entry has a hash entry"));
         }
-        w.put_u64(self.mem_bytes);
+        w.put_u64(*mem_bytes);
     }
 
     /// Restores the state written by [`HashStore::snap_state`] into a
     /// store built with the same memory budget.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let HashStore {
+            map,
+            index,
+            mem_bytes,
+            max_memory: _,
+        } = self;
         let len = r.count(RAW_RECORD_SIZE)?;
-        self.map = HashMap::with_capacity(len);
-        self.index = BTreeSet::new();
+        *map = HashMap::with_capacity(len);
+        *index = BTreeSet::new();
         for _ in 0..len {
             let key: MetricKey = r.get()?;
             let value: FieldValues = r.get()?;
-            self.map.insert(key, value);
-            self.index.insert(key);
+            map.insert(key, value);
+            index.insert(key);
         }
-        self.mem_bytes = r.u64()?;
+        *mem_bytes = r.u64()?;
         Ok(())
     }
 }

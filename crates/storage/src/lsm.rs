@@ -126,8 +126,7 @@ impl LsmStats {
 /// The LSM tree.
 #[derive(Debug)]
 pub struct LsmTree {
-    /// Construction-time config; not part of the snapshot stream.
-    config: LsmConfig, // audit:allow(snap-drift)
+    config: LsmConfig,
     memtable: Memtable,
     /// All immutable runs, newest first (descending id).
     tables: Vec<SsTable>,
@@ -425,35 +424,52 @@ impl LsmTree {
     /// is re-supplied at construction). Hash maps are written in sorted
     /// key order so equal trees always produce equal bytes.
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.memtable);
-        w.put(&self.tables);
-        let mut flushing: Vec<(u64, u64)> = self.flushing.iter().map(|(k, v)| (*k, *v)).collect();
+        let LsmTree {
+            config: _,
+            memtable,
+            tables,
+            flushing,
+            compacting_inputs,
+            next_table_id,
+            next_job_id,
+            stats,
+        } = self;
+        w.put(memtable);
+        w.put(tables);
+        let mut flushing: Vec<(u64, u64)> = flushing.iter().map(|(k, v)| (*k, *v)).collect();
         flushing.sort_unstable();
         w.put(&flushing);
-        let mut compacting: Vec<(u64, Vec<u64>)> = self
-            .compacting_inputs
+        let mut compacting: Vec<(u64, Vec<u64>)> = compacting_inputs
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect();
         compacting.sort_unstable_by_key(|(k, _)| *k);
         w.put(&compacting);
-        w.put_u64(self.next_table_id);
-        w.put_u64(self.next_job_id);
-        w.put(&self.stats);
+        w.put_u64(*next_table_id);
+        w.put_u64(*next_job_id);
+        w.put(stats);
     }
 
     /// Restores the mutable state written by [`LsmTree::snap_state`] into
     /// a tree built with the same config.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.memtable = r.get()?;
-        self.tables = r.get()?;
-        let flushing: Vec<(u64, u64)> = r.get()?;
-        self.flushing = flushing.into_iter().collect();
-        let compacting: Vec<(u64, Vec<u64>)> = r.get()?;
-        self.compacting_inputs = compacting.into_iter().collect();
-        self.next_table_id = r.u64()?;
-        self.next_job_id = r.u64()?;
-        self.stats = r.get()?;
+        let LsmTree {
+            config: _,
+            memtable,
+            tables,
+            flushing,
+            compacting_inputs,
+            next_table_id,
+            next_job_id,
+            stats,
+        } = self;
+        *memtable = r.get()?;
+        *tables = r.get()?;
+        *flushing = r.get::<Vec<(u64, u64)>>()?.into_iter().collect();
+        *compacting_inputs = r.get::<Vec<(u64, Vec<u64>)>>()?.into_iter().collect();
+        *next_table_id = r.u64()?;
+        *next_job_id = r.u64()?;
+        *stats = r.get()?;
         Ok(())
     }
 }

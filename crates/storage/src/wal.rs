@@ -47,10 +47,9 @@ pub struct WalReceipt {
 /// An append-only commit log with byte accounting.
 #[derive(Clone, Debug)]
 pub struct CommitLog {
-    /// Construction-time config; not part of the snapshot stream.
-    policy: SyncPolicy, // audit:allow(snap-drift)
+    policy: SyncPolicy,
     /// Per-record log entry overhead (framing, checksum, mutation header).
-    entry_overhead: u64, // audit:allow(snap-drift)
+    entry_overhead: u64,
     appended_bytes: u64,
     appends: u64,
     /// Bytes accumulated since the last background flush (Deferred mode).
@@ -130,17 +129,31 @@ impl CommitLog {
     /// Serializes the log counters (the policy and overhead are
     /// re-supplied at construction).
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.appended_bytes);
-        w.put_u64(self.appends);
-        w.put_u64(self.unflushed);
+        let CommitLog {
+            policy: _,
+            entry_overhead: _,
+            appended_bytes,
+            appends,
+            unflushed,
+        } = self;
+        w.put_u64(*appended_bytes);
+        w.put_u64(*appends);
+        w.put_u64(*unflushed);
     }
 
     /// Restores the counters written by [`CommitLog::snap_state`] into a
     /// log built with the same policy.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.appended_bytes = r.u64()?;
-        self.appends = r.u64()?;
-        self.unflushed = r.u64()?;
+        let CommitLog {
+            policy: _,
+            entry_overhead: _,
+            appended_bytes,
+            appends,
+            unflushed,
+        } = self;
+        *appended_bytes = r.u64()?;
+        *appends = r.u64()?;
+        *unflushed = r.u64()?;
         Ok(())
     }
 }

@@ -19,8 +19,7 @@ use apm_storage::receipt::DiskIo;
 /// Per-node page cache model.
 #[derive(Clone, Debug)]
 pub struct PageCache {
-    /// Construction-time config; not part of the snapshot stream.
-    capacity_bytes: u64, // audit:allow(snap-drift)
+    capacity_bytes: u64,
     rng: SplitRng,
 }
 
@@ -57,13 +56,21 @@ impl PageCache {
     /// Serializes the sampling stream (the capacity is re-supplied at
     /// construction).
     pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.rng);
+        let PageCache {
+            capacity_bytes: _,
+            rng,
+        } = self;
+        w.put(rng);
     }
 
     /// Restores the stream written by [`PageCache::snap_state`] into a
     /// cache built with the same capacity.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.rng = r.get()?;
+        let PageCache {
+            capacity_bytes: _,
+            rng,
+        } = self;
+        *rng = r.get()?;
         Ok(())
     }
 

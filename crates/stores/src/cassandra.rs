@@ -139,16 +139,14 @@ impl Node {
 pub struct CassandraStore {
     ctx: StoreCtx,
     ring: TokenRing,
-    // Construction-time config below; not part of the snapshot stream
-    // (`ctx.servers` and the ring, which bootstrap mutates, are).
-    format: StorageFormat,        // audit:allow(snap-drift)
-    replication: usize,           // audit:allow(snap-drift)
-    compression: bool,            // audit:allow(snap-drift)
-    bootstrap_on_event: bool,     // audit:allow(snap-drift)
-    skip_hint_replay: bool,       // audit:allow(snap-drift)
-    flush_bytes: u64,             // audit:allow(snap-drift)
-    cache_bytes: u64,             // audit:allow(snap-drift)
-    strategy: CompactionStrategy, // audit:allow(snap-drift)
+    format: StorageFormat,
+    replication: usize,
+    compression: bool,
+    bootstrap_on_event: bool,
+    skip_hint_replay: bool,
+    flush_bytes: u64,
+    cache_bytes: u64,
+    strategy: CompactionStrategy,
     nodes: Vec<Node>,
     /// Per-node crash flag: a down node takes no reads, writes, or hints.
     down: Vec<bool>,
@@ -601,29 +599,50 @@ impl DistributedStore for CassandraStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.ctx.servers);
-        w.put(&self.ring);
-        w.put_u64(self.nodes.len() as u64);
-        for node in &self.nodes {
-            node.lsm.snap_state(w);
-            node.log.snap_state(w);
-            node.cache.snap_state(w);
+        // Construction-time config is not part of the stream; of `ctx`,
+        // `servers` is, and so is the ring: a bootstrap grows both.
+        let CassandraStore {
+            ctx,
+            ring,
+            format: _,
+            replication: _,
+            compression: _,
+            bootstrap_on_event: _,
+            skip_hint_replay: _,
+            flush_bytes: _,
+            cache_bytes: _,
+            strategy: _,
+            nodes,
+            down,
+            hints,
+            #[cfg(feature = "audit")]
+            hint_audit,
+            jobs,
+            stream_jobs,
+            streamed_bytes,
+            next_job,
+        } = self;
+        w.put(&ctx.servers);
+        w.put(ring);
+        w.put_u64(nodes.len() as u64);
+        for Node { lsm, log, cache } in nodes {
+            lsm.snap_state(w);
+            log.snap_state(w);
+            cache.snap_state(w);
         }
-        w.put(&self.down);
-        w.put(&self.hints);
-        // The sealed container's feature byte (checked in `open`) rejects
-        // cross-feature streams before this codec runs.
-        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
-        w.put(&self.hint_audit);
-        w.put(&self.jobs);
-        w.put(&self.stream_jobs);
-        w.put_u64(self.streamed_bytes);
-        w.put_u64(self.next_job);
+        w.put(down);
+        w.put(hints);
+        #[cfg(feature = "audit")]
+        w.put(hint_audit);
+        w.put(jobs);
+        w.put(stream_jobs);
+        w.put_u64(*streamed_bytes);
+        w.put_u64(*next_job);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        self.ctx.servers = r.get()?;
-        self.ring = r.get()?;
+        let servers = r.get()?;
+        let grown_ring = r.get()?;
         // Bootstrap may have grown the cluster since the snapshot's run
         // started; rebuild node shells before filling them — as many as
         // the stream has bytes for at most (a node's three sections are
@@ -635,22 +654,43 @@ impl DistributedStore for CassandraStore {
             self.nodes.push(shell);
         }
         self.nodes.truncate(n);
-        for node in &mut self.nodes {
-            node.lsm.restore_state(r)?;
-            node.log.restore_state(r)?;
-            node.cache.restore_state(r)?;
+        let CassandraStore {
+            ctx,
+            ring,
+            format: _,
+            replication: _,
+            compression: _,
+            bootstrap_on_event: _,
+            skip_hint_replay: _,
+            flush_bytes: _,
+            cache_bytes: _,
+            strategy: _,
+            nodes,
+            down,
+            hints,
+            #[cfg(feature = "audit")]
+            hint_audit,
+            jobs,
+            stream_jobs,
+            streamed_bytes,
+            next_job,
+        } = self;
+        (ctx.servers, *ring) = (servers, grown_ring);
+        for Node { lsm, log, cache } in nodes {
+            lsm.restore_state(r)?;
+            log.restore_state(r)?;
+            cache.restore_state(r)?;
         }
-        self.down = r.get()?;
-        self.hints = r.get()?;
-        // Container feature byte guards this read; see `snap_state`.
-        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
+        *down = r.get()?;
+        *hints = r.get()?;
+        #[cfg(feature = "audit")]
         {
-            self.hint_audit = r.get()?;
+            *hint_audit = r.get()?;
         }
-        self.jobs = r.get()?;
-        self.stream_jobs = r.get()?;
-        self.streamed_bytes = r.u64()?;
-        self.next_job = r.u64()?;
+        *jobs = r.get()?;
+        *stream_jobs = r.get()?;
+        *streamed_bytes = r.u64()?;
+        *next_job = r.u64()?;
         Ok(())
     }
 }

@@ -90,20 +90,18 @@ impl Server {
 
 /// The store.
 pub struct HbaseStore {
-    // Construction-time config/topology below; not part of the snapshot
-    // stream (region layout and the HDFS model are static for a run).
-    ctx: StoreCtx,         // audit:allow(snap-drift)
-    regions: RegionMap,    // audit:allow(snap-drift)
-    hdfs: Hdfs,            // audit:allow(snap-drift)
-    format: StorageFormat, // audit:allow(snap-drift)
+    ctx: StoreCtx,
+    regions: RegionMap,
+    hdfs: Hdfs,
+    format: StorageFormat,
     servers_state: Vec<Server>,
     jobs: BTreeMap<u64, (usize, BackgroundJob)>,
     next_job: u64,
     /// Pending deferred-WAL bytes per server (flushed with memstores).
     wal_backlog: Vec<u64>,
     /// Block-cache budget per server (kept to rebuild a cold cache after
-    /// a crash). Construction-time config.
-    cache_bytes: u64, // audit:allow(snap-drift)
+    /// a crash).
+    cache_bytes: u64,
     /// Crashed region servers (no requests served until reassignment).
     down: Vec<bool>,
     /// Regions of a dead server re-opened on a substitute: dead → host.
@@ -394,31 +392,61 @@ impl DistributedStore for HbaseStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        for server in &self.servers_state {
-            server.lsm.snap_state(w);
-            server.wal.snap_state(w);
-            server.cache.snap_state(w);
+        // Construction-time config and topology are not part of the
+        // stream: region layout and the HDFS model are static for a run.
+        let HbaseStore {
+            ctx: _,
+            regions: _,
+            hdfs: _,
+            format: _,
+            servers_state,
+            jobs,
+            next_job,
+            wal_backlog,
+            cache_bytes: _,
+            down,
+            reassigned,
+            recovery_jobs,
+        } = self;
+        for Server { lsm, wal, cache } in servers_state {
+            lsm.snap_state(w);
+            wal.snap_state(w);
+            cache.snap_state(w);
         }
-        w.put(&self.jobs);
-        w.put_u64(self.next_job);
-        w.put(&self.wal_backlog);
-        w.put(&self.down);
-        w.put(&self.reassigned);
-        w.put(&self.recovery_jobs);
+        w.put(jobs);
+        w.put_u64(*next_job);
+        w.put(wal_backlog);
+        w.put(down);
+        w.put(reassigned);
+        w.put(recovery_jobs);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        for server in &mut self.servers_state {
-            server.lsm.restore_state(r)?;
-            server.wal.restore_state(r)?;
-            server.cache.restore_state(r)?;
+        let HbaseStore {
+            ctx: _,
+            regions: _,
+            hdfs: _,
+            format: _,
+            servers_state,
+            jobs,
+            next_job,
+            wal_backlog,
+            cache_bytes: _,
+            down,
+            reassigned,
+            recovery_jobs,
+        } = self;
+        for Server { lsm, wal, cache } in servers_state {
+            lsm.restore_state(r)?;
+            wal.restore_state(r)?;
+            cache.restore_state(r)?;
         }
-        self.jobs = r.get()?;
-        self.next_job = r.u64()?;
-        self.wal_backlog = r.get()?;
-        self.down = r.get()?;
-        self.reassigned = r.get()?;
-        self.recovery_jobs = r.get()?;
+        *jobs = r.get()?;
+        *next_job = r.u64()?;
+        *wal_backlog = r.get()?;
+        *down = r.get()?;
+        *reassigned = r.get()?;
+        *recovery_jobs = r.get()?;
         Ok(())
     }
 }

@@ -91,9 +91,8 @@ struct Shard {
 
 /// The store.
 pub struct MongoStore {
-    // Construction-time config/topology; not part of the snapshot stream.
-    ctx: StoreCtx,     // audit:allow(snap-drift)
-    chunks: RegionMap, // audit:allow(snap-drift)
+    ctx: StoreCtx,
+    chunks: RegionMap,
     shards: Vec<Shard>,
 }
 
@@ -201,14 +200,33 @@ impl DistributedStore for MongoStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        for shard in &self.shards {
-            shard.pages.snap_state(w);
+        // Construction-time config and topology are not part of the stream.
+        let MongoStore {
+            ctx: _,
+            chunks: _,
+            shards,
+        } = self;
+        for Shard {
+            pages,
+            write_lock: _,
+        } in shards
+        {
+            pages.snap_state(w);
         }
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        for shard in &mut self.shards {
-            shard.pages.restore_state(r)?;
+        let MongoStore {
+            ctx: _,
+            chunks: _,
+            shards,
+        } = self;
+        for Shard {
+            pages,
+            write_lock: _,
+        } in shards
+        {
+            pages.restore_state(r)?;
         }
         Ok(())
     }

@@ -122,10 +122,9 @@ impl Shard {
 
 /// The store.
 pub struct MysqlStore {
-    // Construction-time config/topology; not part of the snapshot stream.
-    ctx: StoreCtx,           // audit:allow(snap-drift)
-    shards_map: RdbmsShards, // audit:allow(snap-drift)
-    format: StorageFormat,   // audit:allow(snap-drift)
+    ctx: StoreCtx,
+    shards_map: RdbmsShards,
+    format: StorageFormat,
     shards: Vec<Shard>,
 }
 
@@ -283,24 +282,53 @@ impl DistributedStore for MysqlStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        for shard in &self.shards {
-            shard.pages.snap_state(w);
-            shard.log.snap_state(w);
-            w.put(&shard.rate_window_start);
-            w.put_u64(shard.rate_window_count);
-            w.put_f64(shard.insert_rate);
-            w.put(&shard.churning);
+        // Construction-time config and topology are not part of the stream.
+        let MysqlStore {
+            ctx: _,
+            shards_map: _,
+            format: _,
+            shards,
+        } = self;
+        for Shard {
+            pages,
+            log,
+            rate_window_start,
+            rate_window_count,
+            insert_rate,
+            churning,
+        } in shards
+        {
+            pages.snap_state(w);
+            log.snap_state(w);
+            w.put(rate_window_start);
+            w.put_u64(*rate_window_count);
+            w.put_f64(*insert_rate);
+            w.put(churning);
         }
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        for shard in &mut self.shards {
-            shard.pages.restore_state(r)?;
-            shard.log.restore_state(r)?;
-            shard.rate_window_start = r.get()?;
-            shard.rate_window_count = r.u64()?;
-            shard.insert_rate = r.f64()?;
-            shard.churning = r.get()?;
+        let MysqlStore {
+            ctx: _,
+            shards_map: _,
+            format: _,
+            shards,
+        } = self;
+        for Shard {
+            pages,
+            log,
+            rate_window_start,
+            rate_window_count,
+            insert_rate,
+            churning,
+        } in shards
+        {
+            pages.restore_state(r)?;
+            log.restore_state(r)?;
+            *rate_window_start = r.get()?;
+            *rate_window_count = r.u64()?;
+            *insert_rate = r.f64()?;
+            *churning = r.get()?;
         }
         Ok(())
     }

@@ -88,15 +88,13 @@ impl Instance {
 
 /// The store.
 pub struct RedisStore {
-    // Construction-time config/topology; not part of the snapshot stream
-    // (sharded Jedis has no rebalancing — the ring never changes).
-    ctx: StoreCtx,   // audit:allow(snap-drift)
-    ring: JedisRing, // audit:allow(snap-drift)
-    hash: JedisHash, // audit:allow(snap-drift)
+    ctx: StoreCtx,
+    ring: JedisRing,
+    hash: JedisHash,
     instances: Vec<Instance>,
     /// Hard allocation limit per instance (kept to rebuild a wiped
-    /// instance after a crash). Construction-time config.
-    hard_limit: u64, // audit:allow(snap-drift)
+    /// instance after a crash).
+    hard_limit: u64,
     /// Load-phase inserts refused by a full instance (the §5.1 incident).
     load_rejections: u64,
 }
@@ -349,23 +347,50 @@ impl DistributedStore for RedisStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        for instance in &self.instances {
-            instance.store.snap_state(w);
+        // Construction-time config and topology are not part of the
+        // stream (sharded Jedis has no rebalancing — the ring never
+        // changes).
+        let RedisStore {
+            ctx: _,
+            ring: _,
+            hash: _,
+            instances,
+            hard_limit: _,
+            load_rejections,
+        } = self;
+        for Instance {
+            store,
+            event_loop: _,
+        } in instances
+        {
+            store.snap_state(w);
         }
-        w.put_u64(self.load_rejections);
+        w.put_u64(*load_rejections);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        for instance in &mut self.instances {
-            instance.store.restore_state(r)?;
+        let RedisStore {
+            ctx: _,
+            ring: _,
+            hash: _,
+            instances,
+            hard_limit: _,
+            load_rejections,
+        } = self;
+        for Instance {
+            store,
+            event_loop: _,
+        } in instances.iter_mut()
+        {
+            store.restore_state(r)?;
         }
         // Reads no stream bytes: the same stream decodes with or without
         // the feature.
-        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
-        for (shard, instance) in self.instances.iter().enumerate() {
+        #[cfg(feature = "audit")]
+        for (shard, instance) in instances.iter().enumerate() {
             crate::audit::assert_hash_store_consistent(shard, &instance.store);
         }
-        self.load_rejections = r.u64()?;
+        *load_rejections = r.u64()?;
         Ok(())
     }
 }

@@ -524,18 +524,25 @@ impl PolicyState {
 
 /// The breaker vector carries its own length, so topology growth mid-run
 /// survives a round trip. Hand-written: the auditor section is
-/// `#[cfg(feature)]`-gated (S2 guards it) and the rng goes by its state.
+/// `#[cfg(feature)]`-gated and the rng goes by its state.
 impl Snap for PolicyState {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rng.state());
-        w.put(&self.tracker);
-        w.put(&self.breakers);
-        w.put(&self.budget);
-        w.put(&self.counters);
-        // The sealed container's feature byte (checked in `open`) rejects
-        // cross-feature streams before this codec runs.
-        #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
-        w.put(&self.auditor);
+        let PolicyState {
+            rng,
+            tracker,
+            breakers,
+            budget,
+            counters,
+            #[cfg(feature = "audit")]
+            auditor,
+        } = self;
+        w.put_u64(rng.state());
+        w.put(tracker);
+        w.put(breakers);
+        w.put(budget);
+        w.put(counters);
+        #[cfg(feature = "audit")]
+        w.put(auditor);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         Ok(PolicyState {
@@ -544,8 +551,7 @@ impl Snap for PolicyState {
             breakers: r.get()?,
             budget: r.get()?,
             counters: r.get()?,
-            // Container feature byte guards this read; see `snap`.
-            #[cfg(feature = "audit")] // audit:allow(feature-symmetry)
+            #[cfg(feature = "audit")]
             auditor: r.get()?,
         })
     }
@@ -559,7 +565,7 @@ struct Driver {
     /// (`None` is the empty policy). A component that is `None` costs
     /// nothing per op: every piece of per-op policy work below is gated
     /// on the component that reads its result.
-    policy: ResiliencePolicy, // audit:allow(snap-drift)
+    policy: ResiliencePolicy,
     generator: WorkloadGenerator,
     slots: Vec<ClientSlot>,
     stats: BenchStats,
@@ -599,17 +605,31 @@ fn submit_attempt(
 
 impl Driver {
     fn snap_state(&self, w: &mut SnapWriter) {
-        self.generator.snap_state(w);
-        w.put(&self.slots);
-        w.put(&self.stats);
-        w.put(&self.sampler);
-        w.put_u64(self.issued);
-        w.put(&self.warmup_end);
-        w.put(&self.measure_end);
-        w.put(&self.event_at);
-        w.put_u32(self.next_checkpoint);
-        w.put(&self.ledger);
-        w.put(&self.ps);
+        let Driver {
+            policy: _,
+            generator,
+            slots,
+            stats,
+            sampler,
+            issued,
+            warmup_end,
+            measure_end,
+            event_at,
+            next_checkpoint,
+            ledger,
+            ps,
+        } = self;
+        generator.snap_state(w);
+        w.put(slots);
+        w.put(stats);
+        w.put(sampler);
+        w.put_u64(*issued);
+        w.put(warmup_end);
+        w.put(measure_end);
+        w.put(event_at);
+        w.put_u32(*next_checkpoint);
+        w.put(ledger);
+        w.put(ps);
     }
 
     fn restore_state(
@@ -1905,8 +1925,9 @@ mod tests {
 
         // A body written by a build with other observers compiled in is
         // refused by the container's feature byte before any codec reads
-        // it — the only thing that keeps a gated field's bytes out of a
-        // build without that field.
+        // it: the store's gated sections come before the kernel's own
+        // feature byte, so nothing else keeps their bytes out of a build
+        // without those fields.
         let (mut header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
         let active = Engine::snap_features();
         for flip in [snap::FEATURE_AUDIT, snap::FEATURE_TRACE] {

@@ -81,10 +81,9 @@ struct Node {
 
 /// The store.
 pub struct VoldemortStore {
-    // Construction-time config/topology; not part of the snapshot stream.
-    ctx: StoreCtx,         // audit:allow(snap-drift)
-    map: PartitionMap,     // audit:allow(snap-drift)
-    format: StorageFormat, // audit:allow(snap-drift)
+    ctx: StoreCtx,
+    map: PartitionMap,
+    format: StorageFormat,
     nodes: Vec<Node>,
     /// Outstanding background log flushes (job id → node).
     jobs: BTreeMap<u64, usize>,
@@ -237,23 +236,40 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        for node in &self.nodes {
-            node.pages.snap_state(w);
-            node.log.snap_state(w);
-            w.put(&node.rng);
+        // Construction-time config and topology are not part of the stream.
+        let VoldemortStore {
+            ctx: _,
+            map: _,
+            format: _,
+            nodes,
+            jobs,
+            next_job,
+        } = self;
+        for Node { pages, log, rng } in nodes {
+            pages.snap_state(w);
+            log.snap_state(w);
+            w.put(rng);
         }
-        w.put(&self.jobs);
-        w.put_u64(self.next_job);
+        w.put(jobs);
+        w.put_u64(*next_job);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        for node in &mut self.nodes {
-            node.pages.restore_state(r)?;
-            node.log.restore_state(r)?;
-            node.rng = r.get()?;
+        let VoldemortStore {
+            ctx: _,
+            map: _,
+            format: _,
+            nodes,
+            jobs,
+            next_job,
+        } = self;
+        for Node { pages, log, rng } in nodes {
+            pages.restore_state(r)?;
+            log.restore_state(r)?;
+            *rng = r.get()?;
         }
-        self.jobs = r.get()?;
-        self.next_job = r.u64()?;
+        *jobs = r.get()?;
+        *next_job = r.u64()?;
         Ok(())
     }
 }

@@ -53,17 +53,14 @@ const RESP_WRITE_BYTES: u64 = 40;
 
 /// The store.
 pub struct VoltDbStore {
-    // Construction-time config/topology; not part of the snapshot stream.
-    ctx: StoreCtx, // audit:allow(snap-drift)
-    map: SiteMap,  // audit:allow(snap-drift)
-    /// One serial executor resource per site (engine handles are stable
-    /// across restore — the engine snapshots resources itself).
-    site_res: Vec<ResourceId>, // audit:allow(snap-drift)
+    ctx: StoreCtx,
+    map: SiteMap,
+    /// One serial executor resource per site.
+    site_res: Vec<ResourceId>,
     /// One partition table per site (real data).
     partitions: Vec<PartitionTable>,
     /// Global transaction initiator/sequencer (meaningful when nodes > 1).
-    /// Engine handle, stable across restore.
-    initiator: ResourceId, // audit:allow(snap-drift)
+    initiator: ResourceId,
 }
 
 impl VoltDbStore {
@@ -213,11 +210,28 @@ impl DistributedStore for VoltDbStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        w.put(&self.partitions);
+        // Construction-time config and topology are not part of the
+        // stream; engine handles are stable across restore (the engine
+        // snapshots resources itself).
+        let VoltDbStore {
+            ctx: _,
+            map: _,
+            site_res: _,
+            partitions,
+            initiator: _,
+        } = self;
+        w.put(partitions);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        self.partitions = r.get()?;
+        let VoltDbStore {
+            ctx: _,
+            map: _,
+            site_res: _,
+            partitions,
+            initiator: _,
+        } = self;
+        *partitions = r.get()?;
         Ok(())
     }
 }
