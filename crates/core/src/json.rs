@@ -1,6 +1,6 @@
 //! The repository's one JSON reader/writer: `results.json`, the chaos
-//! campaign reports, the Chrome trace export, the benchmark's result
-//! files and apm-audit's report all go through it.
+//! campaign reports, the Chrome trace export and the benchmark's result
+//! files all go through it.
 //!
 //! The workspace builds offline with no external crates, so the small
 //! subset of JSON those need (objects, arrays, strings, finite numbers,
@@ -42,38 +42,28 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let Json::Obj(pairs) = self else { return None };
+        pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+        let Json::Str(s) = self else { return None };
+        Some(s)
     }
 
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
+        let Json::Num(v) = self else { return None };
+        Some(*v)
     }
 
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
+        let Json::Bool(b) = self else { return None };
+        Some(*b)
     }
 
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+        let Json::Arr(items) = self else { return None };
+        Some(items)
     }
 
     /// Serialises with 2-space indentation.
@@ -148,14 +138,6 @@ fn write_number(out: &mut String, v: f64) {
         // Rust's f64 Display is the shortest round-trippable form.
         out.push_str(&format!("{v}"));
     }
-}
-
-/// `s` as a JSON string literal, quotes included — for writers that lay
-/// their document out by hand (apm-audit's one-finding-per-line report).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_string(&mut out, s);
-    out
 }
 
 fn write_string(out: &mut String, s: &str) {

@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn scramble_is_injective_on_a_sample() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seq in 0..10_000u64 {
             assert!(seen.insert(scramble(seq)), "collision at {seq}");
         }

@@ -15,6 +15,8 @@
 //! consume [`ops::Operation`]s produced by [`workload::WorkloadGenerator`]
 //! and report latencies into [`stats::BenchStats`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
+
 pub mod chaos;
 pub mod driver;
 pub mod json;

@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn metric_names_are_unique_per_host() {
-        let names: std::collections::HashSet<_> = (0..1000).map(|i| metric_name(1, i)).collect();
+        let names: std::collections::BTreeSet<_> = (0..1000).map(|i| metric_name(1, i)).collect();
         assert_eq!(names.len(), 1000);
     }
 

@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let labels: std::collections::HashSet<_> = OpKind::ALL.iter().map(|k| k.label()).collect();
+        let labels: std::collections::BTreeSet<_> = OpKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), OpKind::ALL.len());
     }
 }

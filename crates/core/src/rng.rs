@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn mix_is_injective_on_a_sample() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for v in 0..10_000u64 {
             assert!(seen.insert(mix(v)), "collision at {v}");
         }

@@ -620,8 +620,7 @@ impl Snap for Telemetry {
 /// The one blessed way to reduce floats in this module: the running
 /// compensation term keeps the result independent of magnitude ordering
 /// to within one ulp, so aggregate stats stay bit-identical however a
-/// caller happens to order its samples. The apm-audit `float-sum` rule
-/// bans ad-hoc `fold` reductions here outside kahan/pairwise helpers.
+/// caller happens to order its samples.
 pub fn kahan_sum(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
     let mut compensation = 0.0;
@@ -635,7 +634,7 @@ pub fn kahan_sum(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Pairwise (cascade) summation over a float slice — `kahan_sum`'s twin
-/// and the other blessed reduction under the apm-audit `float-sum` rule.
+/// and this module's other blessed reduction.
 ///
 /// Splitting recursively halves the number of additions any term flows
 /// through, bounding the error growth at O(log n) instead of the O(n) of

@@ -307,7 +307,7 @@ pub fn table1() -> [(&'static str, u8, u8, u8); 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn table1_matches_named_constructors() {
@@ -337,7 +337,7 @@ mod tests {
     fn generated_mix_matches_requested_percentages() {
         for workload in Workload::all() {
             let mut generator = WorkloadGenerator::new(workload.clone(), 10_000, 99);
-            let mut counts: HashMap<OpKind, u64> = HashMap::new();
+            let mut counts: BTreeMap<OpKind, u64> = BTreeMap::new();
             let total = 40_000u64;
             for _ in 0..total {
                 let op = generator.next_op();

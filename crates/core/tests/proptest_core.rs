@@ -91,14 +91,14 @@ fn key_scramble_is_injective_and_keys_roundtrip() {
         let mut rng = root.split(case);
         let len = 1 + rng.next_below(199) as usize;
         let seqs: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-        let mut unique = std::collections::HashSet::new();
+        let mut unique = std::collections::BTreeSet::new();
         for &seq in &seqs {
             unique.insert(scramble(seq));
             let key = key_for_seq(seq);
             assert_eq!(MetricKey::from_id(scramble(seq)), key, "case {case}");
             assert_eq!(key.to_id(), Some(scramble(seq)), "case {case}");
         }
-        let distinct_inputs: std::collections::HashSet<_> = seqs.iter().collect();
+        let distinct_inputs: std::collections::BTreeSet<_> = seqs.iter().collect();
         assert_eq!(unique.len(), distinct_inputs.len(), "case {case}");
     }
 }
@@ -120,7 +120,7 @@ fn arbitrary_valid_mixes_generate_conforming_streams() {
         };
         let mut generator = WorkloadGenerator::new(workload, 1_000, 11);
         let total = 5_000u64;
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..total {
             let op = generator.next_op();
             if op.kind() == OpKind::Insert {

@@ -383,6 +383,9 @@ fn cmd_artifacts(args: &Args) -> Result<(), String> {
     // the rest wait here until their turn to print.
     let mut rendered: Vec<(&str, apm_core::report::Table)> = Vec::new();
     for id in &ids {
+        // Times the host for the "(… took X.Xs)" line; nothing simulated
+        // or written to a file reads it.
+        #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
         let mut shared = String::new();
         let table = if let Some(table) = generate_extension(id, &profile) {

@@ -128,9 +128,10 @@ impl StoreSpec {
         scale: f64,
         seed: u64,
     ) -> Box<dyn DistributedStore> {
-        let client_machines = match self {
-            StoreSpec::Kind(StoreKind::Redis) => RedisStore::client_machines(nodes),
-            _ => StoreCtx::standard_client_machines(nodes),
+        let client_machines = if matches!(self, StoreSpec::Kind(StoreKind::Redis)) {
+            RedisStore::client_machines(nodes)
+        } else {
+            StoreCtx::standard_client_machines(nodes)
         };
         let ctx = StoreCtx::new(engine, cluster, nodes, client_machines, scale, seed);
         match self {

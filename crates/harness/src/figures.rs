@@ -44,7 +44,7 @@ impl Metric {
     fn unit(self) -> &'static str {
         match self {
             Metric::Throughput => "ops/sec",
-            _ => "ms",
+            Metric::ReadLatency | Metric::WriteLatency | Metric::ScanLatency => "ms",
         }
     }
 

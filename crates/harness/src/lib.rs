@@ -44,6 +44,8 @@
 //! repro table1                 # print the workload table
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
+
 pub mod chaos;
 pub mod experiment;
 pub mod extensions;

@@ -250,6 +250,16 @@ pub mod chrome {
             }
             out.push(event("op", "E", OPS_PID, tid, ts));
         };
+        // A resource fault transition: a global-scope instant on the
+        // resource's own thread.
+        let fault_instant = |e: &TraceEvent, name: &str| {
+            let tid = e.resource.map_or(0, |r| u64::from(r.0));
+            let mut instant = event(name, "i", RESOURCES_PID, tid, e.at.as_nanos());
+            if let Json::Obj(fields) = &mut instant {
+                fields.push(("s".into(), Json::Str("g".into())));
+            }
+            instant
+        };
         for e in events {
             let ts = e.at.as_nanos();
             match e.kind {
@@ -294,24 +304,9 @@ pub mod chrome {
                     };
                     close_all(&mut out, tid, open, ts);
                 }
-                TraceEventKind::ResourceDown
-                | TraceEventKind::ResourceRestored
-                | TraceEventKind::Slowdown => {
-                    let name = match e.kind {
-                        TraceEventKind::ResourceDown => "fault:down",
-                        TraceEventKind::ResourceRestored => "fault:restored",
-                        // The enclosing arm constrains `kind` to the three
-                        // fault transitions, so this catch-all is Slowdown.
-                        // audit:allow(wildcard-match)
-                        _ => "fault:slowdown",
-                    };
-                    let tid = e.resource.map_or(0, |r| u64::from(r.0));
-                    let mut instant = event(name, "i", RESOURCES_PID, tid, ts);
-                    if let Json::Obj(fields) = &mut instant {
-                        fields.push(("s".into(), Json::Str("g".into())));
-                    }
-                    out.push(instant);
-                }
+                TraceEventKind::ResourceDown => out.push(fault_instant(e, "fault:down")),
+                TraceEventKind::ResourceRestored => out.push(fault_instant(e, "fault:restored")),
+                TraceEventKind::Slowdown => out.push(fault_instant(e, "fault:slowdown")),
                 TraceEventKind::Enqueue => {}
             }
         }

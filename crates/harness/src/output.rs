@@ -150,7 +150,9 @@ impl FigureResult {
                     .map(|cell| match cell {
                         Json::Null => Ok(None),
                         Json::Num(v) => Ok(Some(*v)),
-                        _ => Err(shape_err("cells")),
+                        Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => {
+                            Err(shape_err("cells"))
+                        }
                     })
                     .collect::<Result<Vec<_>, _>>()
             })

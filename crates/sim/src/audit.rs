@@ -1,8 +1,8 @@
 //! Runtime invariant checking for the event kernel (`audit` feature).
 //!
-//! The static lint pass (`apm-audit`) keeps nondeterminism *sources* out
-//! of the kernel; this module is the dynamic complement — it rides along
-//! inside [`crate::Engine`] when the crate is built with
+//! Clippy's determinism lints (DESIGN.md §8) keep nondeterminism
+//! *sources* out of the kernel; this module is the dynamic complement —
+//! it rides along inside [`crate::Engine`] when the crate is built with
 //! `--features audit` and checks, on every event pop:
 //!
 //! * **virtual-time monotonicity** — the clock never moves backwards;

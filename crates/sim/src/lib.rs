@@ -20,6 +20,8 @@
 //! seeded `SplitRng` streams upstream, so every simulation run is exactly
 //! repeatable.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
+
 pub mod arena;
 #[cfg(feature = "audit")]
 pub mod audit;

@@ -11,7 +11,13 @@ use crate::receipt::CostReceipt;
 use apm_core::record::{FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::hash_map::Entry;
-use std::collections::{btree_set, BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeSet};
+
+/// The record table. Lookup-only, on the point-op path: every ordered
+/// walk (scans, snapshots) goes through the `BTreeSet` index, so hash
+/// order never reaches an output.
+#[allow(clippy::disallowed_types)]
+type RecordMap = std::collections::HashMap<MetricKey, FieldValues>;
 
 /// Redis-era per-entry memory overhead, in bytes: robj headers, dict
 /// entry, sds headers for the key and each of the five field values, plus
@@ -42,7 +48,7 @@ impl std::error::Error for OutOfMemory {}
 /// The hash store.
 #[derive(Clone, Debug)]
 pub struct HashStore {
-    map: HashMap<MetricKey, FieldValues>,
+    map: RecordMap,
     /// Sorted-set index over keys, maintained for scans.
     index: BTreeSet<MetricKey>,
     mem_bytes: u64,
@@ -53,7 +59,7 @@ impl HashStore {
     /// Creates a store with an optional memory budget in bytes.
     pub fn new(max_memory: Option<u64>) -> HashStore {
         HashStore {
-            map: HashMap::new(),
+            map: RecordMap::new(),
             index: BTreeSet::new(),
             mem_bytes: 0,
             max_memory,
@@ -210,7 +216,7 @@ impl HashStore {
             max_memory: _,
         } = self;
         let len = r.count(RAW_RECORD_SIZE)?;
-        *map = HashMap::with_capacity(len);
+        *map = RecordMap::with_capacity(len);
         *index = BTreeSet::new();
         for _ in 0..len {
             let key: MetricKey = r.get()?;

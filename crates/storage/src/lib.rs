@@ -21,6 +21,8 @@
 //! split keeps the engines testable in isolation and keeps simulated time
 //! out of the data path.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
+
 pub mod bloom;
 pub mod btree;
 pub mod bufferpool;

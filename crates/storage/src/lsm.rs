@@ -22,7 +22,7 @@ use crate::sstable::{SsTable, TableProbe};
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_core::{snap_enum, snap_struct};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Compaction strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -131,9 +131,9 @@ pub struct LsmTree {
     /// All immutable runs, newest first (descending id).
     tables: Vec<SsTable>,
     /// Table ids currently being flushed (not yet durable / compactable).
-    flushing: HashMap<u64, u64>, // table id -> job id
+    flushing: BTreeMap<u64, u64>, // table id -> job id
     /// Table ids consumed by an in-flight compaction.
-    compacting_inputs: HashMap<u64, Vec<u64>>, // job id -> input table ids
+    compacting_inputs: BTreeMap<u64, Vec<u64>>, // job id -> input table ids
     next_table_id: u64,
     next_job_id: u64,
     stats: LsmStats,
@@ -146,8 +146,8 @@ impl LsmTree {
             config,
             memtable: Memtable::new(),
             tables: Vec::new(),
-            flushing: HashMap::new(),
-            compacting_inputs: HashMap::new(),
+            flushing: BTreeMap::new(),
+            compacting_inputs: BTreeMap::new(),
             next_table_id: 1,
             next_job_id: 1,
             stats: LsmStats::default(),
@@ -240,7 +240,7 @@ impl LsmTree {
         let busy: Vec<u64> = self.flushing.keys().copied().collect();
         let mut inputs = match self.config.strategy {
             CompactionStrategy::SizeTiered => {
-                let mut buckets: HashMap<u32, Vec<u64>> = HashMap::new();
+                let mut buckets: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
                 for table in &self.tables {
                     if busy.contains(&table.id) || table.is_empty() {
                         continue;
@@ -421,8 +421,7 @@ impl LsmTree {
     }
 
     /// Serializes the tree's mutable state (the config is the caller's and
-    /// is re-supplied at construction). Hash maps are written in sorted
-    /// key order so equal trees always produce equal bytes.
+    /// is re-supplied at construction).
     pub fn snap_state(&self, w: &mut SnapWriter) {
         let LsmTree {
             config: _,
@@ -436,15 +435,8 @@ impl LsmTree {
         } = self;
         w.put(memtable);
         w.put(tables);
-        let mut flushing: Vec<(u64, u64)> = flushing.iter().map(|(k, v)| (*k, *v)).collect();
-        flushing.sort_unstable();
-        w.put(&flushing);
-        let mut compacting: Vec<(u64, Vec<u64>)> = compacting_inputs
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        compacting.sort_unstable_by_key(|(k, _)| *k);
-        w.put(&compacting);
+        w.put(flushing);
+        w.put(compacting_inputs);
         w.put_u64(*next_table_id);
         w.put_u64(*next_job_id);
         w.put(stats);
@@ -465,8 +457,8 @@ impl LsmTree {
         } = self;
         *memtable = r.get()?;
         *tables = r.get()?;
-        *flushing = r.get::<Vec<(u64, u64)>>()?.into_iter().collect();
-        *compacting_inputs = r.get::<Vec<(u64, Vec<u64>)>>()?.into_iter().collect();
+        *flushing = r.get()?;
+        *compacting_inputs = r.get()?;
         *next_table_id = r.u64()?;
         *next_job_id = r.u64()?;
         *stats = r.get()?;

@@ -388,7 +388,9 @@ impl CassandraStore {
                     RESP_READ_BYTES * (*len as u64) / 2,
                 )
             }
-            _ => unreachable!("write ops handled in write_plan"),
+            Operation::Insert { .. } | Operation::Update { .. } => {
+                unreachable!("write ops handled in write_plan")
+            }
         };
         let ios = node_state.cache.filter_ios(&receipt.io, data_bytes);
         let cpu = cost.cpu(&receipt) + self.compression_cpu(receipt.read_ios());
@@ -583,7 +585,11 @@ impl DistributedStore for CassandraStore {
         if self.stream_jobs.remove(&job_id) {
             return; // bootstrap stream finished
         }
-        let (node, job) = self.jobs.remove(&job_id).expect("known background job");
+        // A job id no job holds (only a forged snapshot can hold one) is
+        // ignored, as the driver ignores a stray fault sentinel.
+        let Some((node, job)) = self.jobs.remove(&job_id) else {
+            return;
+        };
         if let Some(next) = self.nodes[node].lsm.complete(job) {
             self.schedule_job(node, next, engine);
         }

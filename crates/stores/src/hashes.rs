@@ -203,8 +203,7 @@ mod tests {
     #[test]
     fn murmur_tail_lengths_all_distinct() {
         let hashes: Vec<u64> = (0..8).map(|n| murmur2_64a(&vec![7u8; n], 0)).collect();
-        // Cardinality check only, never iterated. audit:allow(hash-order)
-        let distinct: std::collections::HashSet<_> = hashes.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = hashes.iter().collect();
         assert_eq!(distinct.len(), hashes.len());
     }
 

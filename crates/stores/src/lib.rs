@@ -22,6 +22,8 @@
 //! describing the operation's physical footprint. The closed-loop
 //! benchmark driver lives in [`runner`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
+
 pub mod api;
 #[cfg(feature = "audit")]
 pub mod audit;

@@ -489,8 +489,7 @@ mod tests {
         let reps = ring.replicas(&k, 3);
         assert_eq!(reps.len(), 3);
         assert_eq!(reps[0], ring.route(&k));
-        // Cardinality check only, never iterated. audit:allow(hash-order)
-        let distinct: std::collections::HashSet<_> = reps.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = reps.iter().collect();
         assert_eq!(distinct.len(), 3);
         // rf larger than the cluster clamps.
         assert_eq!(ring.replicas(&k, 10).len(), 6);

@@ -980,7 +980,10 @@ fn drive(
             continue;
         }
         let (client, epoch, attempt_kind) = split_attempt_token(completion.token);
-        let slot = &mut d.slots[client as usize];
+        // So is a token naming no client slot.
+        let Some(slot) = d.slots.get_mut(client as usize) else {
+            continue;
+        };
         if epoch != slot.epoch || completion.outcome == Outcome::Cancelled {
             // A cancelled loser, a stale trigger, or a straggler from a
             // superseded attempt: never recorded, so a hedged op can
@@ -1196,7 +1199,7 @@ fn capture_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Request, StoreCtx};
+    use crate::api::{background_token, Request, StoreCtx};
     use apm_core::driver::Throttle;
     use apm_core::ops::Operation;
     use apm_core::record::Record;
@@ -1635,20 +1638,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_fault_sentinel_beyond_the_schedule_is_ignored() {
-        let cfg = quick_config(Workload::rw());
+    /// Runs `cfg` with `token` completing at 0.9 s, inside the measurement
+    /// window, though nothing issued it (only a forged or re-sealed
+    /// snapshot can hold such a token), and again without it: the stray
+    /// must change nothing the run reports.
+    fn assert_stray_token_is_ignored(
+        make: impl Fn(&mut Engine) -> Box<dyn DistributedStore>,
+        cfg: &RunConfig,
+        token: Token,
+    ) {
         let mut engine = Engine::new();
-        let mut store = FixtureStore::new(&mut engine, 100);
-        // Inside the measurement window, indexing a schedule with no events.
-        engine.submit_at(SimTime(900_000_000), Plan::empty(), fault_token(7));
-        let stray = run_benchmark(&mut engine, &mut store, &cfg);
+        let mut store = make(&mut engine);
+        engine.submit_at(SimTime(900_000_000), Plan::empty(), token);
+        let stray = run_benchmark(&mut engine, store.as_mut(), cfg);
 
-        let mut engine2 = Engine::new();
-        let mut store2 = FixtureStore::new(&mut engine2, 100);
-        let clean = run_benchmark(&mut engine2, &mut store2, &cfg);
+        let mut engine = Engine::new();
+        let mut store = make(&mut engine);
+        let clean = run_benchmark(&mut engine, store.as_mut(), cfg);
         assert_eq!(result_sig(&stray), result_sig(&clean));
         assert_eq!(stray.ledger, clean.ledger);
+    }
+
+    fn fixture(engine: &mut Engine) -> Box<dyn DistributedStore> {
+        Box::new(FixtureStore::new(engine, 100))
+    }
+
+    #[test]
+    fn a_fault_sentinel_beyond_the_schedule_is_ignored() {
+        // Indexes a schedule with no events.
+        assert_stray_token_is_ignored(fixture, &quick_config(Workload::rw()), fault_token(7));
+    }
+
+    #[test]
+    fn an_attempt_token_naming_no_client_slot_is_ignored() {
+        let cfg = quick_config(Workload::rw());
+        assert_stray_token_is_ignored(fixture, &cfg, attempt_token(999_999, 1));
+    }
+
+    #[test]
+    fn a_background_token_naming_no_job_is_ignored() {
+        // Voldemort keeps a table of its in-flight log flushes.
+        let cfg = RunConfig::new(
+            Workload::rw(),
+            ClientConfig::cluster_m(4).with_window(0.5, 1.0),
+            5_000,
+            4,
+            9,
+        );
+        let voldemort =
+            |engine: &mut Engine| store_named("voldemort", engine, ClusterSpec::cluster_m());
+        assert_stray_token_is_ignored(voldemort, &cfg, background_token(999_999));
     }
 
     #[test]

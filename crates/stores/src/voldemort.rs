@@ -210,7 +210,9 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn on_background(&mut self, job_id: u64, _engine: &mut Engine) {
-        self.jobs.remove(&job_id).expect("known log flush job");
+        // A job id no flush holds (only a forged snapshot can hold one)
+        // is ignored, as the driver ignores a stray fault sentinel.
+        self.jobs.remove(&job_id);
     }
 
     fn supports_scans(&self) -> bool {

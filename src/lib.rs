@@ -21,6 +21,8 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the full system
 //! inventory and substitution rationale.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
+
 pub use apm_core as core;
 pub use apm_harness as harness;
 pub use apm_sim as sim;
