@@ -144,3 +144,13 @@ fn a_version_2_container_is_refused_by_its_version() {
     let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= golden.len() - 8;
     assert!(differing.iter().all(envelope), "{differing:?}");
 }
+
+/// `snap_v3.bin` is the golden file as version 3 sealed it, kept so the
+/// next format version can show it refuses that container by version.
+#[test]
+fn the_version_3_fixture_is_the_golden_file() {
+    let v3 = std::fs::read(data_path("snap_v3.bin")).expect("v3 fixture present");
+    let golden = std::fs::read(golden_path()).expect("golden file present");
+    assert_eq!(snap::VERSION, 3);
+    assert_eq!(v3, golden);
+}

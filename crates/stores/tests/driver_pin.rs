@@ -46,7 +46,7 @@ use apm_core::snap::{self, fnv1a64, SnapWriter};
 use apm_core::workload::Workload;
 use apm_sim::{ClusterSpec, Engine, FaultSchedule, SimDuration, SimTime};
 use apm_stores::resilience::{AdmissionPolicy, BreakerPolicy, HedgePolicy, RetryPolicy};
-use apm_stores::runner::{run_benchmark, CheckpointSpec, RunConfig, RunResult};
+use apm_stores::runner::{resume_benchmark, run_benchmark, CheckpointSpec, RunConfig, RunResult};
 use apm_stores::ResiliencePolicy;
 
 const NODES: u32 = 4;
@@ -177,7 +177,7 @@ fn policy_free_runs_are_pinned() {
 }
 
 /// Stores with the FNV-1a of the body of checkpoint 0 of shape (d),
-/// checkpointed every 0.2 s — or, `on D`, of [`thrashing`] — and the
+/// checkpointed every 0.2 s — or, `on D`, of [`thrashing_config`] — and the
 /// body's length; one triple per
 /// feature set, because a checkpoint also carries the observers' state:
 /// `audit` adds the auditor sections, `trace` the tracer's ring buffer
@@ -243,7 +243,7 @@ fn body_pins() -> &'static BodyPins {
 
 /// `store` on Cluster D, its trees 9–20× their pools, checkpointed 20 s
 /// into Workload RSW — RW for Voldemort, which plans no scan.
-fn thrashing(store: &str) -> RunResult {
+fn thrashing_config(store: &str) -> RunConfig {
     let workload = match store {
         "voldemort" => Workload::rw(),
         _ => Workload::rsw(),
@@ -251,20 +251,29 @@ fn thrashing(store: &str) -> RunResult {
     let client = ClientConfig::cluster_d(NODES).with_window(0.5, 20.5);
     let mut config = RunConfig::new(workload, client, 40_000, NODES, 0xD21F);
     config.checkpoints = Some(CheckpointSpec::every(20.0));
-    run(store, ClusterSpec::cluster_d(), &config)
+    config
+}
+
+/// The store, cluster and config of the body-pin row called `name`:
+/// shape (d) checkpointed every 0.2 s on Cluster M, or [`thrashing_config`].
+fn pinned_scenario(name: &str) -> (&str, ClusterSpec, RunConfig) {
+    match name.strip_suffix(" on D") {
+        Some(store) => (store, ClusterSpec::cluster_d(), thrashing_config(store)),
+        None => {
+            let [.., mut resilient] = shapes();
+            resilient.checkpoints = Some(CheckpointSpec::every(0.2));
+            (name, ClusterSpec::cluster_m(), resilient)
+        }
+    }
 }
 
 #[test]
 fn checkpoint_bodies_are_pinned() {
-    let [.., mut resilient] = shapes();
-    resilient.checkpoints = Some(CheckpointSpec::every(0.2));
     let moved: Vec<String> = body_pins()
         .iter()
         .filter_map(|&(name, want, want_len)| {
-            let r = match name.strip_suffix(" on D") {
-                Some(store) => thrashing(store),
-                None => run(name, ClusterSpec::cluster_m(), &resilient),
-            };
+            let (store, cluster, config) = pinned_scenario(name);
+            let r = run(store, cluster, &config);
             let (_, body) = snap::open(&r.checkpoints[0].bytes).expect("own checkpoint opens");
             let (got, len) = (fnv1a64(body), body.len());
             ((got, len) != (want, want_len)).then(|| {
@@ -278,5 +287,43 @@ fn checkpoint_bodies_are_pinned() {
         moved.is_empty(),
         "checkpoint 0 bodies moved:\n{}",
         moved.join("\n")
+    );
+}
+
+/// What a run reports, snap-encoded: statistics, issued count, ledger.
+fn reported(r: &RunResult) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put(&r.stats);
+    w.put_u64(r.issued);
+    w.put(&r.ledger);
+    w.into_bytes()
+}
+
+/// The safety net under the body pins that no format change moves: each
+/// pinned checkpoint 0, restored into a freshly constructed store, runs
+/// on to exactly what the full run reported.
+#[test]
+fn every_pinned_checkpoint_resumes_to_the_full_run() {
+    let drifted: Vec<&str> = BODY_PINS
+        .iter()
+        .filter_map(|&(name, ..)| {
+            let (store, cluster, config) = pinned_scenario(name);
+            let full = run(store, cluster, &config);
+            let mut engine = Engine::new();
+            let ctx = common::ctx_on(store, &mut engine, cluster, NODES, SCALE);
+            let mut fresh = common::build(store, &mut engine, ctx);
+            let resumed = resume_benchmark(
+                &mut engine,
+                fresh.as_mut(),
+                &config,
+                &full.checkpoints[0].bytes,
+            )
+            .expect("own checkpoint resumes");
+            (reported(&resumed) != reported(&full)).then_some(name)
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "resumed from checkpoint 0, these runs report otherwise than in full: {drifted:?}"
     );
 }
