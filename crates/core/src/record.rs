@@ -23,6 +23,31 @@ pub const RAW_RECORD_SIZE: usize = KEY_SIZE + FIELD_COUNT * FIELD_SIZE;
 /// Alphabet used when rendering numeric identifiers into alphanumeric keys.
 const ALPHABET: &[u8; 36] = b"0123456789abcdefghijklmnopqrstuvwxyz";
 
+/// 36⁷: [`MetricKey::from_id`] renders an identifier as two seven-digit
+/// halves.
+const HALF: u64 = 36u64.pow(7);
+
+/// What every key [`MetricKey::from_id`] renders starts with: the prefix
+/// and the eleven zeros above a `u64`'s thirteen base-36 digits.
+const ID_PREFIX: &[u8; 12] = b"m00000000000";
+
+/// Digit value of each byte of [`ALPHABET`]; `0xFF`, whose top bit no
+/// digit has, for every other byte.
+const DIGIT_VALUE: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut digit = 0;
+    while digit < ALPHABET.len() {
+        table[ALPHABET[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
+/// The fewest snapshot bytes one `(MetricKey, FieldValues)` pair encodes
+/// to: a key written as its id (tag + `u64`) and fields written as its
+/// seed's (one tag). What a decoder bounds a record count by.
+pub const MIN_RECORD_SNAP_BYTES: usize = 10;
+
 /// A fixed-size 25-byte alphanumeric record key.
 ///
 /// Keys order lexicographically by their byte content, which is what every
@@ -86,8 +111,6 @@ impl MetricKey {
     /// rendering of the identifier — so that identifiers map to unique,
     /// fixed-width, alphanumeric keys.
     pub fn from_id(id: u64) -> Self {
-        /// 36⁷: the identifier is rendered as two seven-digit halves.
-        const HALF: u64 = 36u64.pow(7);
         let mut buf = [b'0'; KEY_SIZE];
         buf[0] = b'm';
         // Base 36, right-aligned, always seven steps of two independent
@@ -106,20 +129,49 @@ impl MetricKey {
 
     /// Recovers the numeric identifier from a key produced by
     /// [`MetricKey::from_id`]. Returns `None` for foreign keys.
+    ///
+    /// Every snapshot encode of a key asks this, so it parses the way
+    /// `from_id` renders: a fixed prefix, then the two halves as two
+    /// independent chains, off-alphabet bytes caught by one test at the
+    /// end.
     pub fn to_id(&self) -> Option<u64> {
-        if self.0[0] != b'm' {
+        if self.0[..12] != ID_PREFIX[..] {
             return None;
         }
-        let mut v: u64 = 0;
-        for &b in &self.0[1..] {
-            let d = match b {
-                b'0'..=b'9' => (b - b'0') as u64,
-                b'a'..=b'z' => (b - b'a') as u64 + 10,
-                _ => return None,
-            };
-            v = v.checked_mul(36)?.checked_add(d)?;
+        let (mut hi, mut lo, mut seen) = (0u64, 0u64, 0u8);
+        for i in 0..7 {
+            let d = DIGIT_VALUE[usize::from(self.0[18 + i])];
+            seen |= d;
+            lo = lo * 36 + u64::from(d);
+            if i < 6 {
+                let d = DIGIT_VALUE[usize::from(self.0[12 + i])];
+                seen |= d;
+                hi = hi * 36 + u64::from(d);
+            }
         }
-        Some(v)
+        if seen & 0x80 != 0 {
+            return None;
+        }
+        hi.checked_mul(HALF)?.checked_add(lo)
+    }
+
+    /// Reads a key written as its 25 bytes, `w.put(key.as_bytes())`: the
+    /// spelling outside the record codec, for values a run *reports*,
+    /// whose bytes are hashed by result fingerprints that must not follow
+    /// the checkpoint format. Refuses a byte [`MetricKey::from_bytes`]
+    /// would panic on.
+    pub fn restore_bytes(r: &mut SnapReader) -> Result<MetricKey, SnapError> {
+        let bytes: [u8; KEY_SIZE] = r.get()?;
+        match bytes
+            .iter()
+            .find(|b| !(b.is_ascii_lowercase() || b.is_ascii_digit()))
+        {
+            Some(&b) => Err(SnapError::BadTag {
+                what: "MetricKey byte",
+                tag: u64::from(b),
+            }),
+            None => Ok(MetricKey(bytes)),
+        }
     }
 
     /// Raw bytes of the key.
@@ -142,7 +194,117 @@ impl MetricKey {
     }
 }
 
-snap_struct! { MetricKey { 0 } }
+/// Key tag: the key is [`MetricKey::from_id`] of the `u64` that follows.
+const KEY_ID: u8 = 0;
+/// Key tag: the key's 25 bytes follow.
+const KEY_LITERAL: u8 = 1;
+/// Fields tag: the fields are [`FieldValues::from_seed`] of the last
+/// key's id.
+const FIELDS_SEEDED: u8 = 0;
+/// Fields tag: the five 10-byte fields follow.
+const FIELDS_LITERAL: u8 = 1;
+
+/// Writes `key`, whose id is `id` (`key.to_id()`), and makes `id` the
+/// writer's record context.
+fn put_key(w: &mut SnapWriter, key: &MetricKey, id: Option<u64>) {
+    match id {
+        Some(id) => {
+            w.put_u8(KEY_ID);
+            w.put_u64(id);
+        }
+        None => {
+            w.put_u8(KEY_LITERAL);
+            w.put_bytes(&key.0);
+        }
+    }
+    w.record_id = id;
+}
+
+/// Writes `fields`, which `seeded` says are `from_seed` of the writer's
+/// record context.
+fn put_fields(w: &mut SnapWriter, fields: &FieldValues, seeded: bool) {
+    if seeded {
+        w.put_u8(FIELDS_SEEDED);
+    } else {
+        w.put_u8(FIELDS_LITERAL);
+        for field in &fields.0 {
+            w.put_bytes(field);
+        }
+    }
+}
+
+/// Decoded fields before their seed is expanded.
+#[derive(Clone, Copy)]
+enum Fields {
+    /// `from_seed` of this id.
+    Seeded(u64),
+    Literal(FieldValues),
+}
+
+/// Reads one fields encoding against the reader's record context. Both
+/// refusals keep the encoding one-to-one: seeded fields need a key id
+/// before them, and literal fields may not be the ones that id seeds.
+fn get_fields(r: &mut SnapReader) -> Result<Fields, SnapError> {
+    match r.u8()? {
+        FIELDS_SEEDED => r.record_id.map(Fields::Seeded).ok_or(SnapError::BadTag {
+            what: "FieldValues seeded without a key id",
+            tag: u64::from(FIELDS_SEEDED),
+        }),
+        FIELDS_LITERAL => {
+            let mut fields = [[0u8; FIELD_SIZE]; FIELD_COUNT];
+            for field in &mut fields {
+                field.copy_from_slice(r.bytes(FIELD_SIZE)?);
+            }
+            let fields = FieldValues(fields);
+            if r.record_id.map(FieldValues::from_seed) == Some(fields) {
+                return Err(SnapError::BadTag {
+                    what: "FieldValues literal of seeded fields",
+                    tag: u64::from(FIELDS_LITERAL),
+                });
+            }
+            Ok(Fields::Literal(fields))
+        }
+        tag => Err(SnapError::BadTag {
+            what: "FieldValues",
+            tag: u64::from(tag),
+        }),
+    }
+}
+
+// Hand-written: a key `from_id` renders is written as its id (`snap`
+// module docs, *Records*), and the id is the record context the next
+// fields are read against.
+impl Snap for MetricKey {
+    fn snap(&self, w: &mut SnapWriter) {
+        put_key(w, self, self.to_id());
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let (key, id) = match r.u8()? {
+            KEY_ID => {
+                let id = r.u64()?;
+                (MetricKey::from_id(id), Some(id))
+            }
+            KEY_LITERAL => {
+                let key = MetricKey(r.get()?);
+                if key.to_id().is_some() {
+                    return Err(SnapError::BadTag {
+                        what: "MetricKey literal of an id's key",
+                        tag: u64::from(KEY_LITERAL),
+                    });
+                }
+                (key, None)
+            }
+            tag => {
+                return Err(SnapError::BadTag {
+                    what: "MetricKey",
+                    tag: u64::from(tag),
+                })
+            }
+        };
+        r.record_id = id;
+        Ok(key)
+    }
+}
 
 impl fmt::Debug for MetricKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -205,22 +367,83 @@ impl FieldValues {
     }
 }
 
-// Hand-written: five raw 10-byte runs (`Snap` covers `[u8; N]`, not an
-// array of them).
+// Hand-written: fields the last key's id seeds are written as one tag
+// (`snap` module docs, *Records*).
 impl Snap for FieldValues {
     fn snap(&self, w: &mut SnapWriter) {
-        let FieldValues(fields) = self;
-        for field in fields {
-            w.put_bytes(field);
-        }
+        let seeded = w
+            .record_id
+            .is_some_and(|id| *self == FieldValues::from_seed(id));
+        put_fields(w, self, seeded);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let mut fields = [[0u8; FIELD_SIZE]; FIELD_COUNT];
-        for field in &mut fields {
-            field.copy_from_slice(r.bytes(FIELD_SIZE)?);
-        }
-        Ok(FieldValues(fields))
+        Ok(match get_fields(r)? {
+            Fields::Seeded(id) => FieldValues::from_seed(id),
+            Fields::Literal(fields) => fields,
+        })
     }
+}
+
+/// Writes `records` as `w.put(key); w.put(fields)` of each in turn would,
+/// byte for byte, but tests four records' fields against their seeds at a
+/// time ([`FieldValues::from_seeds`]): the encode path of the containers
+/// that hold a store's bulk — SSTable runs and the hash store. The caller
+/// writes any length prefix.
+pub fn snap_records<'a>(
+    w: &mut SnapWriter,
+    records: impl IntoIterator<Item = (&'a MetricKey, &'a FieldValues)>,
+) {
+    let mut records = records.into_iter().fuse();
+    loop {
+        let lanes: [_; 4] = std::array::from_fn(|_| records.next());
+        let [Some(a), Some(b), Some(c), Some(d)] = lanes else {
+            for (key, fields) in lanes.into_iter().flatten() {
+                w.put(key);
+                w.put(fields);
+            }
+            return;
+        };
+        let batch = [a, b, c, d];
+        let ids = batch.map(|(key, _)| key.to_id());
+        let seeds = FieldValues::from_seeds(ids.map(|id| id.unwrap_or(0)));
+        for (((key, fields), id), seeded) in batch.into_iter().zip(ids).zip(seeds) {
+            put_key(w, key, id);
+            put_fields(w, fields, id.is_some() && *fields == seeded);
+        }
+    }
+}
+
+/// Reads `len` records written by [`snap_records`] — or by one `put` of
+/// each key and fields — and hands each to `push`, expanding four
+/// records' seeded fields at a time.
+pub fn restore_records(
+    r: &mut SnapReader,
+    len: usize,
+    mut push: impl FnMut(MetricKey, FieldValues),
+) -> Result<(), SnapError> {
+    for _ in 0..len / 4 {
+        let mut keys = [MetricKey::MIN; 4];
+        let mut fields = [Fields::Seeded(0); 4];
+        for (key, fields) in keys.iter_mut().zip(&mut fields) {
+            *key = r.get()?;
+            *fields = get_fields(r)?;
+        }
+        let seeds = fields.map(|fields| match fields {
+            Fields::Seeded(id) => id,
+            Fields::Literal(_) => 0,
+        });
+        let seeded = FieldValues::from_seeds(seeds);
+        for ((key, fields), seeded) in keys.into_iter().zip(fields).zip(seeded) {
+            match fields {
+                Fields::Seeded(_) => push(key, seeded),
+                Fields::Literal(fields) => push(key, fields),
+            }
+        }
+    }
+    for _ in 0..len % 4 {
+        push(r.get()?, r.get()?);
+    }
+    Ok(())
 }
 
 impl fmt::Debug for FieldValues {
@@ -532,6 +755,248 @@ mod tests {
         assert_eq!(back.timestamp, 1_332_988_833);
         assert_eq!(back.duration, 15);
         assert_eq!(rec.key.to_id(), Some(99));
+    }
+
+    /// `to_id` as it was first written: a checked parse of all 24 digits.
+    fn to_id_reference(key: &MetricKey) -> Option<u64> {
+        if key.0[0] != b'm' {
+            return None;
+        }
+        let mut v: u64 = 0;
+        for &b in &key.0[1..] {
+            let d = match b {
+                b'0'..=b'9' => (b - b'0') as u64,
+                b'a'..=b'z' => (b - b'a') as u64 + 10,
+                _ => return None,
+            };
+            v = v.checked_mul(36)?.checked_add(d)?;
+        }
+        Some(v)
+    }
+
+    #[test]
+    fn to_id_matches_the_checked_parse_on_foreign_keys() {
+        // Every id key of the sweep with each position overwritten by
+        // bytes on and off the alphabet (including the one past '9' and
+        // the one before 'a', and bytes with the top bit set), then
+        // random byte strings and the two sentinels.
+        let swaps = [
+            b'0', b'1', b'9', b':', b'`', b'a', b'm', b'z', b'{', b'A', 0x80, 0xFF,
+        ];
+        let mut keys = vec![MetricKey::MIN, MetricKey::MAX];
+        for id in sweep_ids(64) {
+            let key = MetricKey::from_id(id);
+            for pos in 0..KEY_SIZE {
+                for &b in &swaps {
+                    let mut near = key;
+                    near.0[pos] = b;
+                    keys.push(near);
+                }
+            }
+        }
+        let mut rng = crate::keyspace::SplitRng::new(36);
+        for _ in 0..4_096 {
+            let mut key = [0u8; KEY_SIZE];
+            key[..12].copy_from_slice(ID_PREFIX);
+            for b in &mut key[12..] {
+                *b = ALPHABET[rng.next_below(36) as usize];
+            }
+            keys.push(MetricKey(key));
+        }
+        for key in &keys {
+            assert_eq!(key.to_id(), to_id_reference(key), "{key:?}");
+        }
+    }
+
+    /// One record encoded through the per-element codecs.
+    fn encoded(records: &[Record]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        for record in records {
+            w.put(record);
+        }
+        w.into_bytes()
+    }
+
+    /// Records off the generator: measurement packing (an id key, other
+    /// fields), the sentinels and a `from_bytes` key (literal keys), and
+    /// an id key carrying another id's fields, as merge tests write them.
+    fn foreign_records() -> Vec<Record> {
+        let m = ApmMeasurement {
+            metric: "HostA/AgentX/ServletB/AverageResponseTime".into(),
+            value: 4,
+            min: 1,
+            max: 6,
+            timestamp: 1_332_988_833,
+            duration: 15,
+        };
+        vec![
+            m.to_record(99),
+            Record {
+                key: MetricKey::MIN,
+                fields: FieldValues::ZERO,
+            },
+            Record {
+                key: MetricKey::MAX,
+                fields: FieldValues::from_seed(99),
+            },
+            Record {
+                key: MetricKey::from_bytes(*b"user00000000000000000042x"),
+                fields: FieldValues::from_seed(42),
+            },
+            Record {
+                key: MetricKey::from_id(7),
+                fields: FieldValues::from_seed(30),
+            },
+        ]
+    }
+
+    #[test]
+    fn a_record_encodes_by_how_it_was_generated() {
+        assert_eq!(encoded(&[Record::from_id(5)]).len(), MIN_RECORD_SNAP_BYTES);
+        let [measured, min, max, named, versioned] = foreign_records()[..] else {
+            panic!("five foreign records");
+        };
+        let literal_key = 1 + KEY_SIZE;
+        let literal_fields = 1 + FIELD_COUNT * FIELD_SIZE;
+        assert_eq!(encoded(&[measured]).len(), 9 + literal_fields);
+        assert_eq!(encoded(&[min]).len(), literal_key + literal_fields);
+        assert_eq!(encoded(&[max]).len(), literal_key + literal_fields);
+        assert_eq!(encoded(&[named]).len(), literal_key + literal_fields);
+        assert_eq!(encoded(&[versioned]).len(), 9 + literal_fields);
+        // A literal key clears the id a later field could be seeded by.
+        let after = Record {
+            key: MetricKey::MAX,
+            fields: FieldValues::from_seed(5),
+        };
+        assert_eq!(
+            encoded(&[Record::from_id(5), after]).len(),
+            MIN_RECORD_SNAP_BYTES + literal_key + literal_fields
+        );
+    }
+
+    /// A mix of id records and [`foreign_records`], `len` long.
+    fn mixed_records(rng: &mut crate::keyspace::SplitRng, len: usize) -> Vec<Record> {
+        let foreign = foreign_records();
+        (0..len)
+            .map(|_| match rng.next_below(3) {
+                0 => foreign[rng.next_below(foreign.len() as u64) as usize],
+                _ => Record::from_id(crate::rng::mix(rng.next_u64())),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_four_lane_record_codec_writes_and_reads_the_per_record_bytes() {
+        let mut rng = crate::keyspace::SplitRng::new(4);
+        for case in 0..400 {
+            let records = mixed_records(&mut rng, case % 14);
+            let want = encoded(&records);
+            let mut w = SnapWriter::new();
+            snap_records(&mut w, records.iter().map(|r| (&r.key, &r.fields)));
+            assert_eq!(w.bytes(), &want[..], "case {case}: {records:?}");
+            let mut decoded = Vec::new();
+            let mut r = SnapReader::new(&want);
+            restore_records(&mut r, records.len(), |key, fields| {
+                decoded.push(Record { key, fields })
+            })
+            .expect("own bytes decode");
+            r.finish().expect("every byte read");
+            assert_eq!(decoded, records, "case {case}");
+            let mut r = SnapReader::new(&want);
+            let one_by_one: Vec<Record> = (0..records.len())
+                .map(|_| r.get().expect("own bytes decode"))
+                .collect();
+            assert_eq!(one_by_one, records, "case {case}");
+        }
+    }
+
+    #[test]
+    fn hostile_record_tags_are_typed_errors() {
+        let bad = |what: &'static str, tag: u8| SnapError::BadTag {
+            what,
+            tag: u64::from(tag),
+        };
+        let decode = |bytes: &[u8]| -> Result<Vec<Record>, SnapError> {
+            // Through both decoders: per record, and four at a time.
+            let one = SnapReader::new(bytes).get::<Record>().map(|r| vec![r]);
+            let mut four = Vec::new();
+            let batch = restore_records(&mut SnapReader::new(bytes), 4, |key, fields| {
+                four.push(Record { key, fields })
+            });
+            assert_eq!(one.clone().err(), batch.err(), "{bytes:?}");
+            one
+        };
+        let seeded = |id: u64| {
+            let mut b = vec![KEY_ID];
+            b.extend_from_slice(&id.to_le_bytes());
+            b.push(FIELDS_SEEDED);
+            b
+        };
+        let literal_key = |key: &MetricKey| {
+            let mut b = vec![KEY_LITERAL];
+            b.extend_from_slice(key.as_bytes());
+            b
+        };
+        let literal_fields = |fields: &FieldValues| {
+            let mut b = vec![FIELDS_LITERAL];
+            b.extend(fields.0.iter().flatten());
+            b
+        };
+        // Seeded fields with no key id before them: none at all, then
+        // after a literal key, which clears the id before it.
+        let mut orphan = literal_key(&MetricKey::MAX);
+        orphan.push(FIELDS_SEEDED);
+        assert_eq!(
+            decode(&orphan),
+            Err(bad("FieldValues seeded without a key id", 0))
+        );
+        let mut cleared = seeded(3);
+        cleared.extend(&orphan);
+        let mut r = SnapReader::new(&cleared);
+        assert_eq!(r.get::<Record>(), Ok(Record::from_id(3)));
+        assert_eq!(
+            r.get::<Record>(),
+            Err(bad("FieldValues seeded without a key id", 0))
+        );
+        let mut first = vec![FIELDS_SEEDED];
+        first.extend(seeded(3));
+        assert_eq!(
+            SnapReader::new(&first).get::<FieldValues>(),
+            Err(bad("FieldValues seeded without a key id", 0))
+        );
+        // Unknown tags.
+        for tag in [2u8, 7, 0xFF] {
+            let mut key = seeded(3);
+            key[0] = tag;
+            assert_eq!(decode(&key), Err(bad("MetricKey", tag)));
+            let mut fields = seeded(3);
+            fields[9] = tag;
+            assert_eq!(decode(&fields), Err(bad("FieldValues", tag)));
+        }
+        // The longer spelling of what has a short one.
+        let mut spelled = literal_key(&MetricKey::from_id(3));
+        spelled.extend(literal_fields(&FieldValues::ZERO));
+        assert_eq!(
+            decode(&spelled),
+            Err(bad("MetricKey literal of an id's key", 1))
+        );
+        let mut spelled = seeded(3);
+        spelled.pop();
+        spelled.extend(literal_fields(&FieldValues::from_seed(3)));
+        assert_eq!(
+            decode(&spelled),
+            Err(bad("FieldValues literal of seeded fields", 1))
+        );
+        // Truncated anywhere: an EOF, never a panic.
+        let whole = encoded(&foreign_records());
+        for cut in 0..whole.len() {
+            let mut r = SnapReader::new(&whole[..cut]);
+            let all: Result<Vec<Record>, SnapError> = (0..5).map(|_| r.get()).collect();
+            assert!(
+                matches!(all, Err(SnapError::UnexpectedEof { .. })),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! models, and the benchmark driver implement so a run can be frozen at a
 //! virtual-time boundary and resumed byte-identically.
 //!
-//! ## Container layout (version 3)
+//! ## Container layout (version 4)
 //!
 //! ```text
 //! offset  size  field
@@ -71,6 +71,27 @@
 //! migration is out of scope — a [`SnapError::VersionMismatch`] tells the
 //! caller to regenerate the checkpoint, which a deterministic run can
 //! always do.
+//!
+//! ## Records
+//!
+//! A benchmark record is generated, not collected: its key is
+//! [`MetricKey::from_id`](crate::record::MetricKey::from_id) of an id and
+//! its fields [`FieldValues::from_seed`](crate::record::FieldValues::from_seed)
+//! of the same id. So a key `from_id` renders is written as tag `0` and
+//! its `u64` id, any other key as tag `1` and its 25 bytes; fields equal
+//! to `from_seed` of the last key's id as the one tag `0`, any others as
+//! tag `1` and their 50 bytes. The writer and the reader each keep the id
+//! of the last key they handled (none after a literal key), and only key
+//! codecs change it — decode order being encode order, both sides hold the
+//! same id at every field, in every container, with no per-container code.
+//! A generated record costs 10 bytes instead of 75.
+//!
+//! ```text
+//! key     tag 0 | id (u64 LE)          a key MetricKey::from_id renders
+//!         tag 1 | 25 bytes             any other key
+//! fields  tag 0                        FieldValues::from_seed(last key's id)
+//!         tag 1 | 5 x 10 bytes         any other fields
+//! ```
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -80,9 +101,10 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// Current container format version. Version 2 dropped the driver-mode
 /// byte and the policy-free slot layout from the driver section (one
 /// closed-loop driver, one slot codec); version 3 changed the trailing
-/// checksum from [`fnv1a64`] to [`checksum64`] and nothing else. Older
+/// checksum from [`fnv1a64`] to [`checksum64`] and nothing else; version 4
+/// writes a generated record as its id (module docs, *Records*). Older
 /// checkpoints are refused rather than misread.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Feature-flag bit recorded when the writer was built with `audit`.
 pub const FEATURE_AUDIT: u8 = 1 << 0;
@@ -239,6 +261,10 @@ impl std::error::Error for SnapError {}
 #[derive(Clone, Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// Id of the last [`MetricKey`](crate::record::MetricKey) written,
+    /// `None` before the first or after a key that is not an id's: the
+    /// context the record codecs share (module docs, *Records*).
+    pub(crate) record_id: Option<u64>,
 }
 
 impl SnapWriter {
@@ -319,12 +345,19 @@ impl SnapWriter {
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Id of the last [`MetricKey`](crate::record::MetricKey) read — the
+    /// writer's `record_id`, rebuilt in the same order.
+    pub(crate) record_id: Option<u64>,
 }
 
 impl<'a> SnapReader<'a> {
     /// A reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> SnapReader<'a> {
-        SnapReader { buf, pos: 0 }
+        SnapReader {
+            buf,
+            pos: 0,
+            record_id: None,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -764,6 +797,7 @@ pub fn seal_with(
 ) -> Vec<u8> {
     let mut w = SnapWriter {
         buf: Vec::with_capacity(ENVELOPE_BYTES + header.scenario.len() + body_hint),
+        record_id: None,
     };
     w.put_bytes(&MAGIC);
     w.put_u16(VERSION);
@@ -967,15 +1001,15 @@ mod tests {
 
     #[test]
     fn container_rejects_version_mismatch() {
-        // A newer writer's container and the two layouts this format
+        // A newer writer's container and the three layouts this format
         // replaced. The version is read before the checksum — another
         // version's checksum is another function — so each is refused as
         // that version with its checksum stale, and again re-sealed so
         // that only the version check can fail.
-        for found in [VERSION + 1, 2, 1] {
+        for found in [VERSION + 1, 3, 2, 1] {
             let mut sealed = seal(&header(), b"x");
             sealed[4..6].copy_from_slice(&found.to_le_bytes());
-            let refusal = Err(SnapError::VersionMismatch { found, expected: 3 });
+            let refusal = Err(SnapError::VersionMismatch { found, expected: 4 });
             assert_eq!(open(&sealed), refusal);
             let len = sealed.len();
             let checksum = checksum64(&sealed[..len - 8]).to_le_bytes();

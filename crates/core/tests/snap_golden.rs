@@ -5,6 +5,7 @@
 //! format change — which must also bump `apm_core::snap::VERSION`). Any
 //! unintentional encoding drift fails the byte comparison.
 
+use apm_core::record::{ApmMeasurement, FieldValues, MetricKey, Record};
 use apm_core::snap::{self, SnapError, SnapReader, SnapWriter, SnapshotHeader};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -18,6 +19,30 @@ fn data_path(file: &str) -> PathBuf {
 
 fn golden_path() -> PathBuf {
     data_path("snap_golden.bin")
+}
+
+/// Records in each of the four key/fields encodings: an id's key with
+/// its seed's fields, then with other fields, a literal key with fields
+/// that no key id before them seeds, and an id's key after it.
+fn golden_records() -> [Record; 4] {
+    let other = ApmMeasurement {
+        metric: String::new(),
+        value: 4,
+        min: 1,
+        max: 6,
+        timestamp: 1_332_988_833,
+        duration: 15,
+    }
+    .to_record(7);
+    [
+        Record::from_id(0x0123_4567_89AB_CDEF),
+        other,
+        Record {
+            key: MetricKey::MAX,
+            fields: FieldValues::from_seed(7),
+        },
+        Record::from_id(u64::MAX),
+    ]
 }
 
 /// A fixed structure exercising every primitive the format defines.
@@ -41,6 +66,9 @@ fn golden_bytes() -> Vec<u8> {
             .into_iter()
             .collect::<BTreeMap<String, u64>>(),
     );
+    for record in golden_records() {
+        w.put(&record);
+    }
     let header = SnapshotHeader {
         scenario: "golden".to_string(),
         config_fingerprint: 0xF1F2_F3F4_F5F6_F7F8,
@@ -98,6 +126,9 @@ fn golden_file_still_opens_and_decodes() {
     let map: BTreeMap<String, u64> = r.get().unwrap();
     assert_eq!(map.get("lsm"), Some(&1));
     assert_eq!(map.get("wal"), Some(&2));
+    for record in golden_records() {
+        assert_eq!(r.get::<Record>().unwrap(), record);
+    }
     r.finish().unwrap();
 }
 
@@ -129,28 +160,37 @@ fn a_version_2_container_is_refused_by_its_version() {
         refusal,
         SnapError::VersionMismatch {
             found: 2,
-            expected: 3
+            expected: 4
         }
     );
     assert_eq!(
         refusal.to_string(),
-        "snapshot format v2, this build reads v3"
+        "snapshot format v2, this build reads v4"
     );
     // Version 3 changed the envelope and nothing inside it: the version
     // field and the trailing checksum are the only bytes that differ.
-    let golden = std::fs::read(golden_path()).expect("golden file present");
-    assert_eq!(golden.len(), v2.len());
-    let differing: Vec<usize> = (0..golden.len()).filter(|&i| golden[i] != v2[i]).collect();
-    let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= golden.len() - 8;
+    let v3 = std::fs::read(data_path("snap_v3.bin")).expect("v3 fixture present");
+    assert_eq!(v3.len(), v2.len());
+    let differing: Vec<usize> = (0..v3.len()).filter(|&i| v3[i] != v2[i]).collect();
+    let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= v3.len() - 8;
     assert!(differing.iter().all(envelope), "{differing:?}");
 }
 
-/// `snap_v3.bin` is the golden file as version 3 sealed it, kept so the
-/// next format version can show it refuses that container by version.
+/// `snap_v3.bin` is the golden file as version 3 sealed it, before the
+/// record encoding wrote a generated record as its id.
 #[test]
-fn the_version_3_fixture_is_the_golden_file() {
+fn a_version_3_container_is_refused_by_its_version() {
     let v3 = std::fs::read(data_path("snap_v3.bin")).expect("v3 fixture present");
-    let golden = std::fs::read(golden_path()).expect("golden file present");
-    assert_eq!(snap::VERSION, 3);
-    assert_eq!(v3, golden);
+    let refusal = snap::open(&v3).unwrap_err();
+    assert_eq!(
+        refusal,
+        SnapError::VersionMismatch {
+            found: 3,
+            expected: 4
+        }
+    );
+    assert_eq!(
+        refusal.to_string(),
+        "snapshot format v3, this build reads v4"
+    );
 }

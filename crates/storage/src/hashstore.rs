@@ -8,7 +8,10 @@
 //! and it *"consistently ran out of memory"* (§5.1).
 
 use crate::receipt::CostReceipt;
-use apm_core::record::{FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
+use apm_core::record::{
+    restore_records, snap_records, FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE,
+    MIN_RECORD_SNAP_BYTES, RAW_RECORD_SIZE,
+};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::hash_map::Entry;
 use std::collections::{btree_set, BTreeSet};
@@ -199,10 +202,10 @@ impl HashStore {
             max_memory: _,
         } = self;
         w.put_u64(index.len() as u64);
-        for key in index {
-            w.put(key);
-            w.put(map.get(key).expect("index entry has a hash entry"));
-        }
+        let records = index
+            .iter()
+            .map(|key| (key, map.get(key).expect("index entry has a hash entry")));
+        snap_records(w, records);
         w.put_u64(*mem_bytes);
     }
 
@@ -215,15 +218,13 @@ impl HashStore {
             mem_bytes,
             max_memory: _,
         } = self;
-        let len = r.count(RAW_RECORD_SIZE)?;
+        let len = r.count(MIN_RECORD_SNAP_BYTES)?;
         *map = RecordMap::with_capacity(len);
         *index = BTreeSet::new();
-        for _ in 0..len {
-            let key: MetricKey = r.get()?;
-            let value: FieldValues = r.get()?;
+        restore_records(r, len, |key, value| {
             map.insert(key, value);
             index.insert(key);
-        }
+        })?;
         *mem_bytes = r.u64()?;
         Ok(())
     }
@@ -376,25 +377,65 @@ mod tests {
         }
         let mut w = SnapWriter::new();
         store.snap_state(&mut w);
-        let mut body = w.into_bytes();
-        body[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        // Sealed-valid: the container's checksum vouches for these bytes,
-        // so the decoder is all that stands between the count and the
-        // allocator.
-        let header = SnapshotHeader {
-            scenario: "hashstore".to_string(),
-            config_fingerprint: 0,
-            features: 0,
-            checkpoint_index: 0,
-            virtual_time_ns: 0,
-        };
-        let sealed = snap::seal(&header, &body);
-        let (_, body) = snap::open(&sealed).expect("sealed-valid");
-        let refused = HashStore::new(None).restore_state(&mut SnapReader::new(body));
-        assert!(
-            matches!(refused, Err(SnapError::UnexpectedEof { .. })),
-            "{refused:?}"
-        );
+        let valid = w.into_bytes();
+        // The fewest records the bytes after the count cannot hold at the
+        // smallest record encoding, and the largest count there is.
+        let unholdable = (valid.len() - 8) / MIN_RECORD_SNAP_BYTES + 1;
+        for count in [unholdable as u64, u64::MAX] {
+            let mut body = valid.clone();
+            body[..8].copy_from_slice(&count.to_le_bytes());
+            // Sealed-valid: the container's checksum vouches for these
+            // bytes, so the decoder is all that stands between the count
+            // and the allocator.
+            let header = SnapshotHeader {
+                scenario: "hashstore".to_string(),
+                config_fingerprint: 0,
+                features: 0,
+                checkpoint_index: 0,
+                virtual_time_ns: 0,
+            };
+            let sealed = snap::seal(&header, &body);
+            let (_, body) = snap::open(&sealed).expect("sealed-valid");
+            let refused = HashStore::new(None).restore_state(&mut SnapReader::new(body));
+            assert!(
+                matches!(refused, Err(SnapError::UnexpectedEof { .. })),
+                "count {count}: {refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_store_of_generated_and_foreign_records_restores_to_its_own_bytes() {
+        // Generated records are ten bytes each, so a record count bounded
+        // by the raw 75-byte width would refuse this body; the foreign
+        // ones (literal key, literal fields) ride the same walk.
+        let mut store = HashStore::new(None);
+        for seq in 0..1_000 {
+            let r = record_for_seq(seq);
+            store.insert(r.key, r.fields).unwrap();
+        }
+        let foreign = [
+            (MetricKey::MIN, FieldValues::ZERO),
+            (MetricKey::MAX, FieldValues::from_seed(3)),
+            (record_for_seq(3).key, FieldValues::from_seed(30)),
+        ];
+        for (key, fields) in foreign {
+            store.insert(key, fields).unwrap();
+        }
+        let mut w = SnapWriter::new();
+        store.snap_state(&mut w);
+        assert!(w.len() < 1_003 * 16, "{} bytes", w.len());
+        let mut restored = HashStore::new(None);
+        let mut r = SnapReader::new(w.bytes());
+        restored.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert!(restored.is_consistent());
+        for (key, fields) in foreign {
+            assert_eq!(restored.get(&key).0, Some(fields));
+        }
+        let mut again = SnapWriter::new();
+        restored.snap_state(&mut again);
+        assert!(again.bytes() == w.bytes());
     }
 
     #[test]

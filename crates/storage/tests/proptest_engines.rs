@@ -8,13 +8,15 @@
 //! `lsm_regression_sequence_matches_model`.
 
 use apm_core::keyspace::{record_for_seq, SplitRng};
-use apm_core::record::{FieldValues, MetricKey};
+use apm_core::record::{ApmMeasurement, FieldValues, MetricKey};
+use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::hashstore::HashStore;
 use apm_storage::lsm::{LsmConfig, LsmTree};
 use apm_storage::memtable::Memtable;
+use apm_storage::paged::{PagedTree, WriteBack};
 use apm_storage::partition::PartitionTable;
-use apm_storage::sstable::SsTable;
+use apm_storage::sstable::{SsTable, TableProbe};
 use apm_storage::CostReceipt;
 use std::collections::BTreeMap;
 
@@ -709,5 +711,142 @@ fn sstable_merge_equals_collect_sort_dedup_reference() {
             );
             assert_eq!(got, want, "case {case}: seq {seq}");
         }
+    }
+}
+
+/// Generated records, then records off the generator spliced in and
+/// written over some: measurement packing (an id key, other fields), the
+/// two sentinel keys, a `from_bytes` key, and generated keys carrying
+/// another id's fields, as the merge tests write versions.
+fn mixed_records() -> Vec<(MetricKey, FieldValues)> {
+    let measured = ApmMeasurement {
+        metric: "HostA/AgentX/ServletB/AverageResponseTime".into(),
+        value: 4,
+        min: 1,
+        max: 6,
+        timestamp: 1_332_988_833,
+        duration: 15,
+    }
+    .to_record(7);
+    let foreign = [
+        (measured.key, measured.fields),
+        (MetricKey::MIN, FieldValues::ZERO),
+        (MetricKey::MAX, FieldValues::from_seed(5)),
+        (
+            MetricKey::from_bytes(*b"user00000000000000000042x"),
+            FieldValues::from_seed(42),
+        ),
+    ];
+    let mut records: Vec<_> = (0..600).map(|seq| (key(seq), value(seq))).collect();
+    for (i, record) in foreign.into_iter().enumerate() {
+        records.insert(150 * i + 3, record);
+    }
+    records.extend(
+        (0..600)
+            .step_by(7)
+            .map(|seq| (key(seq), FieldValues::from_seed(1_000 + seq))),
+    );
+    records
+}
+
+/// `engine` snapshotted, restored into `fresh` and snapshotted again:
+/// both snapshots must be the same bytes. Returns the restored engine.
+fn restored<E>(
+    engine: &E,
+    mut fresh: E,
+    snap: impl Fn(&E, &mut SnapWriter),
+    restore: impl FnOnce(&mut E, &mut SnapReader) -> Result<(), SnapError>,
+) -> E {
+    let mut w = SnapWriter::new();
+    snap(engine, &mut w);
+    let mut r = SnapReader::new(w.bytes());
+    restore(&mut fresh, &mut r).expect("own bytes restore");
+    r.finish().expect("every byte read");
+    let mut again = SnapWriter::new();
+    snap(&fresh, &mut again);
+    assert!(again.bytes() == w.bytes(), "re-encodes differently");
+    fresh
+}
+
+fn put<T: Snap>(value: &T, w: &mut SnapWriter) {
+    w.put(value);
+}
+
+fn get<T: Snap>(value: &mut T, r: &mut SnapReader) -> Result<(), SnapError> {
+    *value = r.get()?;
+    Ok(())
+}
+
+#[test]
+fn foreign_records_round_trip_every_engine_codec() {
+    let records = mixed_records();
+    let model: BTreeMap<MetricKey, FieldValues> = records.iter().copied().collect();
+    let lsm_config = LsmConfig {
+        memtable_flush_bytes: 75 * 64,
+        ..LsmConfig::default()
+    };
+    let btree_config = BTreeConfig {
+        leaf_capacity: 8,
+        internal_capacity: 8,
+        page_bytes: 1 << 10,
+    };
+    let mut memtable = Memtable::new();
+    let mut lsm = LsmTree::new(lsm_config);
+    let mut btree = BTree::new(btree_config);
+    let mut paged = PagedTree::new(btree_config, 16, WriteBack::InPlace);
+    let mut hash = HashStore::new(None);
+    let mut partition = PartitionTable::new();
+    for &(k, v) in &records {
+        memtable.insert(k, v);
+        let (_, job) = lsm.insert(k, v);
+        lsm.settle(job);
+        btree.insert(k, v);
+        paged.insert(k, v);
+        hash.insert(k, v).expect("no budget");
+        partition.insert(k, v);
+    }
+    let run = SsTable::from_sorted(9, model.iter().map(|(k, v)| (*k, *v)).collect(), 4096, 10);
+
+    let memtable = restored(&memtable, Memtable::new(), put, get);
+    let run = restored(&run, SsTable::from_sorted(0, Vec::new(), 1, 1), put, get);
+    let mut lsm = restored(
+        &lsm,
+        LsmTree::new(lsm_config),
+        LsmTree::snap_state,
+        LsmTree::restore_state,
+    );
+    assert!(lsm.table_count() > 1, "records must reach several runs");
+    let btree = restored(
+        &btree,
+        BTree::new(btree_config),
+        BTree::snap_state,
+        BTree::restore_state,
+    );
+    let mut paged = restored(
+        &paged,
+        PagedTree::new(btree_config, 16, WriteBack::InPlace),
+        PagedTree::snap_state,
+        PagedTree::restore_state,
+    );
+    let hash = restored(
+        &hash,
+        HashStore::new(None),
+        HashStore::snap_state,
+        HashStore::restore_state,
+    );
+    let partition = restored(&partition, PartitionTable::new(), put, get);
+    for (k, v) in &model {
+        assert_eq!(memtable.get(k), Some(v), "memtable {k:?}");
+        let mut receipt = CostReceipt::new();
+        assert_eq!(
+            run.get(k, &mut receipt),
+            TableProbe::Checked(Some(*v)),
+            "run {k:?}"
+        );
+        assert_eq!(lsm.get(k).0, Some(*v), "lsm {k:?}");
+        assert_eq!(btree.get(k).0, Some(*v), "btree {k:?}");
+        assert_eq!(paged.get(k).0, Some(*v), "paged {k:?}");
+        assert_eq!(hash.get(k).0, Some(*v), "hash store {k:?}");
+        assert_eq!(partition.get(k).0, Some(*v), "partition {k:?}");
     }
 }

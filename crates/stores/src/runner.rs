@@ -17,7 +17,7 @@ use crate::resilience::{
 };
 use apm_core::driver::ClientConfig;
 use apm_core::ops::{OpKind, OpOutcome, Operation};
-use apm_core::record::MetricKey;
+use apm_core::record::{MetricKey, KEY_SIZE};
 use apm_core::snap::{self, fnv1a64, Snap, SnapError, SnapReader, SnapWriter, SnapshotHeader};
 use apm_core::snap_struct;
 use apm_core::stats::{pairwise_sum, BenchStats, ResilienceCounters, ResourceSample, Telemetry};
@@ -206,7 +206,41 @@ pub struct RunLedger {
     pub rejected: u64,
 }
 
-snap_struct! { RunLedger { acked_inserts, logical, resolved, rejected } }
+// Hand-written: acked keys are written as their 25 bytes, not through
+// the record codec. The ledger is part of what a run reports, and the
+// fingerprints of reported results (`scenario_pin.rs`, `driver_pin.rs`,
+// the chaos replay check) hash its encoding: they must not move when the
+// checkpoint format learns a shorter spelling of a key.
+impl Snap for RunLedger {
+    fn snap(&self, w: &mut SnapWriter) {
+        let RunLedger {
+            acked_inserts,
+            logical,
+            resolved,
+            rejected,
+        } = self;
+        w.put_u64(acked_inserts.len() as u64);
+        for key in acked_inserts {
+            w.put(key.as_bytes());
+        }
+        w.put_u64(*logical);
+        w.put_u64(*resolved);
+        w.put_u64(*rejected);
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let len = r.count(KEY_SIZE)?;
+        let mut acked_inserts = Vec::with_capacity(len);
+        for _ in 0..len {
+            acked_inserts.push(MetricKey::restore_bytes(r)?);
+        }
+        Ok(RunLedger {
+            acked_inserts,
+            logical: r.u64()?,
+            resolved: r.u64()?,
+            rejected: r.u64()?,
+        })
+    }
+}
 
 /// Result of one benchmark run.
 #[derive(Clone, Debug)]
