@@ -5,10 +5,8 @@
 //! ([`crate::sstable::SsTable`]). The map is real — reads served from the
 //! memtable return the actual stored bytes.
 
-use apm_core::record::{
-    restore_records, snap_records, FieldValues, MetricKey, MIN_RECORD_SNAP_BYTES, RAW_RECORD_SIZE,
-};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
+use apm_core::snap_struct;
 use std::collections::{btree_map, BTreeMap};
 
 /// A sorted in-memory write buffer with byte accounting.
@@ -70,28 +68,7 @@ impl Memtable {
     }
 }
 
-// Hand-written: a memtable holds up to a flush threshold of records per
-// node, so its records go through the four-lane record codec (the bytes
-// the `BTreeMap` codec would write).
-impl Snap for Memtable {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Memtable { entries, bytes } = self;
-        w.put_u64(entries.len() as u64);
-        snap_records(w, entries);
-        w.put(bytes);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let len = r.count(MIN_RECORD_SNAP_BYTES)?;
-        let mut entries = BTreeMap::new();
-        restore_records(r, len, |key, fields| {
-            entries.insert(key, fields);
-        })?;
-        Ok(Memtable {
-            entries,
-            bytes: r.get()?,
-        })
-    }
-}
+snap_struct! { Memtable { entries, bytes } }
 
 #[cfg(test)]
 mod tests {
@@ -101,26 +78,6 @@ mod tests {
     fn rec(seq: u64) -> (MetricKey, FieldValues) {
         let r = record_for_seq(seq);
         (r.key, r.fields)
-    }
-
-    #[test]
-    fn snapshot_bytes_are_the_map_codecs() {
-        let mut m = Memtable::new();
-        for seq in 0..103 {
-            let (k, v) = rec(seq);
-            m.insert(k, v);
-        }
-        m.insert(rec(5).0, FieldValues::from_seed(1));
-        m.insert(MetricKey::MAX, FieldValues::ZERO);
-        let mut want = SnapWriter::new();
-        want.put(&m.entries);
-        want.put(&m.bytes);
-        let mut got = SnapWriter::new();
-        got.put(&m);
-        assert_eq!(got.bytes(), want.bytes());
-        let back: Memtable = SnapReader::new(got.bytes()).get().expect("own bytes");
-        assert_eq!(back.entries, m.entries);
-        assert_eq!(back.bytes, m.bytes);
     }
 
     #[test]
