@@ -388,86 +388,62 @@ impl Snap for FieldValues {
 /// byte for byte, but tests four records' fields against their seeds at a
 /// time ([`FieldValues::from_seeds`]): the encode path of the containers
 /// that hold a store's bulk — SSTable runs and the hash store. The caller
-/// writes any length prefix. Returns whether every record was generated
-/// (its key an id's, its fields that id's seed's).
+/// writes any length prefix.
 pub fn snap_records<'a>(
     w: &mut SnapWriter,
     records: impl IntoIterator<Item = (&'a MetricKey, &'a FieldValues)>,
-) -> bool {
+) {
     let mut records = records.into_iter().fuse();
-    let mut generated = true;
     loop {
         let lanes: [_; 4] = std::array::from_fn(|_| records.next());
-        if lanes[0].is_none() {
-            return generated;
-        }
-        let ids = lanes.map(|lane| lane.and_then(|(key, _)| key.to_id()));
+        let [Some(a), Some(b), Some(c), Some(d)] = lanes else {
+            for (key, fields) in lanes.into_iter().flatten() {
+                w.put(key);
+                w.put(fields);
+            }
+            return;
+        };
+        let batch = [a, b, c, d];
+        let ids = batch.map(|(key, _)| key.to_id());
         let seeds = FieldValues::from_seeds(ids.map(|id| id.unwrap_or(0)));
-        for ((lane, id), seed) in lanes.into_iter().zip(ids).zip(seeds) {
-            let Some((key, fields)) = lane else {
-                break;
-            };
-            let seeded = id.is_some() && *fields == seed;
+        for (((key, fields), id), seeded) in batch.into_iter().zip(ids).zip(seeds) {
             put_key(w, key, id);
-            put_fields(w, fields, seeded);
-            generated &= seeded;
+            put_fields(w, fields, id.is_some() && *fields == seeded);
         }
-    }
-}
-
-/// Writes the records [`snap_records`] found to be all generated, by
-/// their keys alone: the same bytes without a field tested, for a
-/// container that cannot change once it was found so.
-///
-/// # Panics
-/// Panics on a key that is not an id's — a broken promise of the caller.
-pub fn snap_generated_records<'a>(
-    w: &mut SnapWriter,
-    keys: impl IntoIterator<Item = &'a MetricKey>,
-) {
-    for key in keys {
-        let id = key.to_id();
-        assert!(id.is_some(), "{key:?} in a run of generated records");
-        put_key(w, key, id);
-        w.put_u8(FIELDS_SEEDED);
     }
 }
 
 /// Reads `len` records written by [`snap_records`] — or by one `put` of
 /// each key and fields — and hands each to `push`, expanding four
-/// records' seeded fields at a time. Returns whether every record was
-/// generated.
+/// records' seeded fields at a time.
 pub fn restore_records(
     r: &mut SnapReader,
     len: usize,
     mut push: impl FnMut(MetricKey, FieldValues),
-) -> Result<bool, SnapError> {
-    let mut generated = true;
-    let mut left = len;
-    while left > 0 {
-        let lanes = left.min(4);
+) -> Result<(), SnapError> {
+    for _ in 0..len / 4 {
         let mut keys = [MetricKey::MIN; 4];
         let mut fields = [Fields::Seeded(0); 4];
-        for (key, fields) in keys.iter_mut().zip(&mut fields).take(lanes) {
+        for (key, fields) in keys.iter_mut().zip(&mut fields) {
             *key = r.get()?;
             *fields = get_fields(r)?;
         }
-        let seeds = FieldValues::from_seeds(fields.map(|fields| match fields {
+        let seeds = fields.map(|fields| match fields {
             Fields::Seeded(id) => id,
             Fields::Literal(_) => 0,
-        }));
-        for ((key, fields), seeded) in keys.into_iter().zip(fields).zip(seeds).take(lanes) {
+        });
+        let seeded = FieldValues::from_seeds(seeds);
+        for ((key, fields), seeded) in keys.into_iter().zip(fields).zip(seeded) {
             match fields {
                 Fields::Seeded(_) => push(key, seeded),
-                Fields::Literal(fields) => {
-                    generated = false;
-                    push(key, fields);
-                }
+                Fields::Literal(fields) => push(key, fields),
             }
         }
-        left -= lanes;
     }
-    Ok(generated)
+    for _ in 0..len % 4 {
+        push(r.get()?, r.get()?);
+    }
+    Ok(())
 }
 
 impl fmt::Debug for FieldValues {
@@ -915,25 +891,15 @@ mod tests {
         for case in 0..400 {
             let records = mixed_records(&mut rng, case % 14);
             let want = encoded(&records);
-            let generated = records
-                .iter()
-                .all(|r| r.key.to_id().map(FieldValues::from_seed) == Some(r.fields));
             let mut w = SnapWriter::new();
-            let all = snap_records(&mut w, records.iter().map(|r| (&r.key, &r.fields)));
+            snap_records(&mut w, records.iter().map(|r| (&r.key, &r.fields)));
             assert_eq!(w.bytes(), &want[..], "case {case}: {records:?}");
-            assert_eq!(all, generated, "case {case}");
-            if generated {
-                let mut w = SnapWriter::new();
-                snap_generated_records(&mut w, records.iter().map(|r| &r.key));
-                assert_eq!(w.bytes(), &want[..], "case {case}: {records:?}");
-            }
             let mut decoded = Vec::new();
             let mut r = SnapReader::new(&want);
-            let all = restore_records(&mut r, records.len(), |key, fields| {
+            restore_records(&mut r, records.len(), |key, fields| {
                 decoded.push(Record { key, fields })
             })
             .expect("own bytes decode");
-            assert_eq!(all, generated, "case {case}");
             r.finish().expect("every byte read");
             assert_eq!(decoded, records, "case {case}");
             let mut r = SnapReader::new(&want);

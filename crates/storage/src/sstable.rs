@@ -9,11 +9,9 @@ use crate::bloom::Bloom;
 use crate::merge::MergeCursor;
 use crate::receipt::{CostReceipt, DiskIo};
 use apm_core::record::{
-    restore_records, snap_generated_records, snap_records, FieldValues, MetricKey,
-    MIN_RECORD_SNAP_BYTES, RAW_RECORD_SIZE,
+    restore_records, snap_records, FieldValues, MetricKey, MIN_RECORD_SNAP_BYTES, RAW_RECORD_SIZE,
 };
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::sync::OnceLock;
 
 /// Result of probing one SSTable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,10 +31,6 @@ pub struct SsTable {
     bloom: Bloom,
     /// Data block size used for I/O accounting (Cassandra/HBase: 64 KB).
     block_bytes: u64,
-    /// Whether every entry is a generated record, once a snapshot encode
-    /// or decode has found out: a run never changes, so every later
-    /// checkpoint writes it without testing a field against its seed.
-    generated: OnceLock<bool>,
 }
 
 impl SsTable {
@@ -63,7 +57,6 @@ impl SsTable {
             entries,
             bloom,
             block_bytes,
-            generated: OnceLock::new(),
         }
     }
 
@@ -161,7 +154,7 @@ impl SsTable {
 
 // Hand-written: the run is the bulk of an LSM store's state, so its
 // records go through the four-lane record codec (the bytes the `Vec` codec
-// would write), and `generated` is derived state, not written.
+// would write).
 impl Snap for SsTable {
     fn snap(&self, w: &mut SnapWriter) {
         let SsTable {
@@ -169,16 +162,10 @@ impl Snap for SsTable {
             entries,
             bloom,
             block_bytes,
-            generated,
         } = self;
         w.put(id);
         w.put_u64(entries.len() as u64);
-        if generated.get() == Some(&true) {
-            snap_generated_records(w, entries.iter().map(|(key, _)| key));
-        } else {
-            let all = snap_records(w, entries.iter().map(|(key, fields)| (key, fields)));
-            let _ = generated.set(all);
-        }
+        snap_records(w, entries.iter().map(|(key, fields)| (key, fields)));
         w.put(bloom);
         w.put(block_bytes);
     }
@@ -186,13 +173,12 @@ impl Snap for SsTable {
         let id = r.get()?;
         let len = r.count(MIN_RECORD_SNAP_BYTES)?;
         let mut entries = Vec::with_capacity(len);
-        let generated = restore_records(r, len, |key, fields| entries.push((key, fields)))?;
+        restore_records(r, len, |key, fields| entries.push((key, fields)))?;
         Ok(SsTable {
             id,
             entries,
             bloom: r.get()?,
             block_bytes: r.get()?,
-            generated: OnceLock::from(generated),
         })
     }
 }
@@ -201,7 +187,6 @@ impl Snap for SsTable {
 mod tests {
     use super::*;
     use apm_core::keyspace::record_for_seq;
-    use apm_core::snap::SnapReader;
 
     fn build(id: u64, seqs: impl Iterator<Item = u64>) -> SsTable {
         let mut entries: Vec<(MetricKey, FieldValues)> = seqs
@@ -212,38 +197,6 @@ mod tests {
             .collect();
         entries.sort_by_key(|(k, _)| *k);
         SsTable::from_sorted(id, entries, 65_536, 10)
-    }
-
-    #[test]
-    fn a_run_encodes_as_its_entries_would_once_found_generated_or_not() {
-        let generated = build(3, 0..203);
-        let mut entries = generated.entries.clone();
-        entries[77].1 = FieldValues::from_seed(1);
-        let mixed = SsTable::from_sorted(4, entries, 65_536, 10);
-        for (table, all) in [(generated, true), (mixed, false)] {
-            // What the generic codecs write for the same fields.
-            let mut want = SnapWriter::new();
-            generic_bytes(&mut want, &table);
-            let encode = |t: &SsTable| {
-                let mut w = SnapWriter::new();
-                w.put(t);
-                w.into_bytes()
-            };
-            let first = encode(&table);
-            assert_eq!(table.generated.get(), Some(&all));
-            assert_eq!(first, want.into_bytes());
-            assert_eq!(encode(&table), first, "encoded again from what it found");
-            let restored: SsTable = SnapReader::new(&first).get().expect("own bytes");
-            assert_eq!(restored.generated.get(), Some(&all));
-            assert_eq!(encode(&restored), first);
-        }
-    }
-
-    fn generic_bytes(w: &mut SnapWriter, table: &SsTable) {
-        w.put(&table.id);
-        w.put(&table.entries);
-        w.put(&table.bloom);
-        w.put(&table.block_bytes);
     }
 
     #[test]
