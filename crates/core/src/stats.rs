@@ -125,39 +125,6 @@ impl Histogram {
         self.max
     }
 
-    /// [`Histogram::record`] that keeps `cursor` a cursor over this
-    /// histogram.
-    pub fn record_under(&mut self, value: u64, cursor: &mut QuantileCursor) {
-        if Self::index_for(value) < cursor.slot {
-            cursor.below += 1;
-        }
-        self.record(value);
-    }
-
-    /// [`Histogram::quantile`], the same value, found by moving `cursor`
-    /// from where the last call left it rather than walking up from slot
-    /// 0: a quantile that is read after every few samples moves a slot or
-    /// two between reads. `cursor` must have seen every sample since it
-    /// was made ([`Histogram::record_under`]).
-    pub fn quantile_at(&self, q: f64, cursor: &mut QuantileCursor) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0)) * self.total as f64).ceil().max(1.0) as u64;
-        // The answer is the first slot whose running count reaches
-        // `target`: down while the slots below the cursor already do, up
-        // while the cursor's own does not.
-        while cursor.below >= target {
-            cursor.slot -= 1;
-            cursor.below -= self.counts[cursor.slot];
-        }
-        while cursor.below + self.counts[cursor.slot] < target {
-            cursor.below += self.counts[cursor.slot];
-            cursor.slot += 1;
-        }
-        Self::value_for(cursor.slot).clamp(self.min, self.max)
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -170,16 +137,6 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
     }
-}
-
-/// A position in a [`Histogram`]'s slots and the samples below it: the
-/// state of an exact running quantile ([`Histogram::quantile_at`]). A
-/// new cursor stands at slot 0, which is right for any histogram.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QuantileCursor {
-    slot: usize,
-    /// Samples in the slots below `slot`.
-    below: u64,
 }
 
 // Hand-written: sparse — only occupied slots are written, and `restore`

@@ -30,8 +30,7 @@
 //! bytes as before there was a policy layer.
 
 use apm_core::ops::OpKind;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use apm_core::stats::{Histogram, QuantileCursor};
+use apm_core::stats::Histogram;
 use apm_core::{snap_enum, snap_struct};
 use apm_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -119,28 +118,21 @@ impl HedgePolicy {
 #[derive(Clone, Debug, Default)]
 pub struct HedgeTracker {
     latencies: Histogram,
-    /// Where the last delay's quantile was found: derived state, rebuilt
-    /// from slot 0 after a restore.
-    cursor: QuantileCursor,
 }
 
 impl HedgeTracker {
     /// Records one successful read attempt's latency.
     pub fn record(&mut self, latency_ns: u64) {
-        self.latencies.record_under(latency_ns, &mut self.cursor);
+        self.latencies.record(latency_ns);
     }
 
     /// Current hedge delay: the tracked quantile once warmed up, floored
-    /// at `min_delay`; just the floor before warm-up. Asked once per read,
-    /// so the quantile is the running one ([`Histogram::quantile_at`]),
-    /// not a walk over the histogram.
-    pub fn delay(&mut self, policy: &HedgePolicy) -> SimDuration {
+    /// at `min_delay`; just the floor before warm-up.
+    pub fn delay(&self, policy: &HedgePolicy) -> SimDuration {
         if self.latencies.count() < policy.warmup_samples {
             return policy.min_delay;
         }
-        let q = self
-            .latencies
-            .quantile_at(policy.delay_quantile, &mut self.cursor);
+        let q = self.latencies.quantile(policy.delay_quantile);
         SimDuration::from_nanos(q.max(policy.min_delay.as_nanos()))
     }
 
@@ -402,24 +394,8 @@ pub struct ResiliencePolicy {
 /// generator `apm_sim::fault` uses for random schedules).
 pub type JitterRng = apm_core::rng::SplitMix64;
 
-// Hand-written: the cursor is derived from the histogram, not state.
-impl Snap for HedgeTracker {
-    fn snap(&self, w: &mut SnapWriter) {
-        let HedgeTracker {
-            latencies,
-            cursor: _,
-        } = self;
-        w.put(latencies);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(HedgeTracker {
-            latencies: r.get()?,
-            cursor: QuantileCursor::default(),
-        })
-    }
-}
-
 snap_struct! {
+    HedgeTracker { latencies }
     Breaker { state, outcomes, errors_in_window, opened_at, probe_in_flight }
     AdmissionBudget { credit_micros, cap_micros, ratio_micros }
 }
@@ -488,48 +464,6 @@ mod tests {
         assert_eq!(policy.budget(OpKind::Scan), 5);
         assert_eq!(policy.budget(OpKind::Insert), 2);
         assert_eq!(policy.budget(OpKind::Update), 2);
-    }
-
-    #[test]
-    fn hedge_delay_is_the_histogram_quantile_under_any_interleaving() {
-        // Seeded interleavings of samples and delay reads: each case runs
-        // phases whose latencies sit at different scales (so the quantile
-        // moves up and back down across many slots), reads delays before,
-        // at and after the warm-up count, and restores the tracker from
-        // its snapshot part-way through.
-        let mut rng = JitterRng::new(0x4ED6);
-        for case in 0..240 {
-            let policy = HedgePolicy {
-                delay_quantile: [0.0, 0.5, 0.9, 0.95, 0.999, 1.0][case % 6],
-                min_delay: SimDuration::from_nanos(rng.next_u64() % 4_000),
-                warmup_samples: rng.next_u64() % 40,
-            };
-            let mut tracker = HedgeTracker::default();
-            let mut reference = Histogram::new();
-            for phase in 0..4 {
-                let scale = 1u64 << (rng.next_u64() % 36);
-                for _ in 0..rng.next_u64() % 300 {
-                    if rng.next_frac() < 1.0 / 3.0 {
-                        let want = if reference.count() < policy.warmup_samples {
-                            policy.min_delay
-                        } else {
-                            let q = reference.quantile(policy.delay_quantile);
-                            SimDuration::from_nanos(q.max(policy.min_delay.as_nanos()))
-                        };
-                        assert_eq!(tracker.delay(&policy), want, "case {case}");
-                    } else {
-                        let latency = scale + rng.next_u64() % (scale * 3);
-                        tracker.record(latency);
-                        reference.record(latency);
-                    }
-                }
-                if phase == 1 {
-                    let mut w = SnapWriter::new();
-                    w.put(&tracker);
-                    tracker = SnapReader::new(w.bytes()).get().expect("own bytes");
-                }
-            }
-        }
     }
 
     #[test]
