@@ -106,7 +106,8 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// checkpoints are refused rather than misread.
 pub const VERSION: u16 = 4;
 
-/// Feature-flag bit recorded when the writer was built with `audit`.
+/// Feature-flag bit for the auditor sections. Every build writes them now
+/// and sets this bit; it used to mean "built with the `audit` feature".
 pub const FEATURE_AUDIT: u8 = 1 << 0;
 /// Feature-flag bit recorded when the writer was built with `trace`.
 pub const FEATURE_TRACE: u8 = 1 << 1;
@@ -208,7 +209,11 @@ pub enum SnapError {
     /// A string field held invalid UTF-8.
     BadUtf8,
     /// The snapshot was taken under different `audit`/`trace` features
-    /// than this build — fingerprints could not be compared.
+    /// than this build — fingerprints could not be compared. The `audit`
+    /// bit is set in every build now that the auditors are always
+    /// compiled in: a checkpoint from an older build without the `audit`
+    /// feature is refused with this error, one from an older build with
+    /// it resumes.
     FeatureMismatch {
         /// Flags stored in the container.
         stored: u8,

@@ -43,9 +43,9 @@ fn snap_scenario(store: StoreKind, profile: &ExperimentProfile, spec: Checkpoint
 pub struct SnapRun {
     pub result: RunResult,
     /// FNV-1a over the reported statistics *and* the final store and
-    /// kernel state. The kernel serializes its observers, so under
-    /// `--features trace,audit` the trace and audit fingerprints
-    /// participate — two equal fingerprints mean two runs were
+    /// kernel state. The kernel serializes its observers, so the audit
+    /// fingerprint — and under `--features trace` the trace fingerprint —
+    /// participates: two equal fingerprints mean two runs were
     /// indistinguishable end to end.
     pub fingerprint: u64,
 }

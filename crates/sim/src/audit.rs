@@ -1,9 +1,9 @@
-//! Runtime invariant checking for the event kernel (`audit` feature).
+//! Runtime invariant checking for the event kernel.
 //!
 //! Clippy's determinism lints (DESIGN.md §8) keep nondeterminism
 //! *sources* out of the kernel; this module is the dynamic complement —
-//! it rides along inside [`crate::Engine`] when the crate is built with
-//! `--features audit` and checks, on every event pop:
+//! it rides along inside every [`crate::Engine`] and checks, on every
+//! event pop:
 //!
 //! * **virtual-time monotonicity** — the clock never moves backwards;
 //! * **deterministic FIFO tie-breaking** — events popped at the same
@@ -25,13 +25,15 @@
 //! single event, not just the aggregate results.
 //!
 //! All checks `panic!` on violation: an invariant breach means the
-//! simulation's results are meaningless, and the feature is opt-in.
+//! simulation's results are meaningless. A checkpoint cannot smuggle one
+//! in: `KernelAuditor::check_restored` refuses, with a typed error, any
+//! restored auditor or event list a later check would panic on.
 
 use crate::time::SimTime;
+use apm_core::snap::SnapError;
 use apm_core::snap_struct;
 
-/// Per-engine invariant state; embedded in [`crate::Engine`] behind the
-/// `audit` feature.
+/// Per-engine invariant state; embedded in every [`crate::Engine`].
 #[derive(Clone, Debug, Default)]
 pub struct KernelAuditor {
     /// Time and sequence number of the previous event pop.
@@ -98,6 +100,43 @@ impl KernelAuditor {
             "kernel audit: {} ops issued but {} completed at drain",
             self.issued, self.completed
         );
+    }
+
+    /// Checks a restored auditor against the engine it was restored
+    /// into, so no checkpoint body can make a later check panic. `owed`
+    /// counts the live parentless execs (each owes one completion),
+    /// `next_seq` is the engine's next sequence number and `pending` the
+    /// `(time, seq)` keys of the restored event list. Refused with
+    /// [`SnapError::BadTag`]: counters that do not balance to `owed`, a
+    /// last pop after `now` or with a sequence number not yet handed
+    /// out, and a pending event [`Self::on_pop`] would not accept — one
+    /// before `now`, not after the last pop, with an unissued or a
+    /// repeated key.
+    pub(crate) fn check_restored(
+        &self,
+        now: SimTime,
+        next_seq: u64,
+        owed: u64,
+        mut pending: Vec<(SimTime, u64)>,
+    ) -> Result<(), SnapError> {
+        let bad = |what, tag| Err(SnapError::BadTag { what, tag });
+        if self.completed > self.issued || self.issued - self.completed != owed {
+            return bad("KernelAuditor completions", self.completed);
+        }
+        if let Some((at, seq)) = self.last_pop {
+            if at > now || seq >= next_seq {
+                return bad("KernelAuditor last pop", seq);
+            }
+        }
+        pending.sort_unstable();
+        let mut prev = self.last_pop;
+        for (at, seq) in pending {
+            if at < now || seq >= next_seq || prev.is_some_and(|p| p >= (at, seq)) {
+                return bad("event list entry", seq);
+            }
+            prev = Some((at, seq));
+        }
+        Ok(())
     }
 
     /// Events popped so far.
@@ -197,5 +236,38 @@ mod tests {
         c.on_pop(t(10), 0);
         c.on_pop(t(10), 1);
         assert_eq!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn restored_state_a_later_check_would_panic_on_is_refused() {
+        let mut a = KernelAuditor::default();
+        a.on_issue();
+        a.on_issue();
+        a.on_complete();
+        a.on_pop(t(10), 4);
+        let what = |pending: Vec<(SimTime, u64)>, now, next_seq, owed| match a.check_restored(
+            t(now),
+            next_seq,
+            owed,
+            pending,
+        ) {
+            Ok(()) => "ok",
+            Err(SnapError::BadTag { what, .. }) => what,
+            Err(other) => panic!("{other}"),
+        };
+        // At t=10 with seqs 0..6 handed out and one op still owed.
+        assert_eq!(what(vec![(t(12), 0), (t(10), 5)], 10, 6, 1), "ok");
+        assert_eq!(what(vec![], 10, 6, 0), "KernelAuditor completions");
+        assert_eq!(what(vec![], 10, 6, 2), "KernelAuditor completions");
+        assert_eq!(what(vec![], 9, 6, 1), "KernelAuditor last pop");
+        assert_eq!(what(vec![], 10, 4, 1), "KernelAuditor last pop");
+        for pending in [
+            vec![(t(10), 3)],
+            vec![(t(9), 5)],
+            vec![(t(11), 6)],
+            vec![(t(11), 5), (t(11), 5)],
+        ] {
+            assert_eq!(what(pending, 10, 6, 1), "event list entry");
+        }
     }
 }

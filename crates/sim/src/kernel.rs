@@ -243,7 +243,6 @@ pub struct Engine {
     completions: VecDeque<Completion>,
     /// Runtime invariant checker (monotonicity, tie-breaks, op
     /// conservation, fault causality) — see `crate::audit`.
-    #[cfg(feature = "audit")]
     auditor: crate::audit::KernelAuditor,
     /// Span recorder (bounded ring + run fingerprint) — see `crate::trace`.
     #[cfg(feature = "trace")]
@@ -272,9 +271,8 @@ impl Engine {
         self.now
     }
 
-    /// The runtime invariant checker (only with the `audit` feature).
-    /// Its fingerprint lets callers cross-check two runs event-by-event.
-    #[cfg(feature = "audit")]
+    /// The runtime invariant checker. Its fingerprint lets callers
+    /// cross-check two runs event-by-event.
     pub fn auditor(&self) -> &crate::audit::KernelAuditor {
         &self.auditor
     }
@@ -394,7 +392,6 @@ impl Engine {
         let r = &mut self.resources[resource.0 as usize];
         // Fault causality: in-service requests may outlive a crash, but
         // a down node must never *start* serving new work.
-        #[cfg(feature = "audit")]
         assert!(
             r.down.is_none(),
             "kernel audit: service began on failed resource `{}`",
@@ -616,7 +613,6 @@ impl Engine {
     ) -> ExecRef {
         // Parentless execs (top-level submissions and fire-and-forget
         // join branches) each owe the driver exactly one completion.
-        #[cfg(feature = "audit")]
         if parent.is_none() {
             self.auditor.on_issue();
         }
@@ -823,7 +819,6 @@ impl Engine {
                 // ignores the straggler: its ref is stale or join_need==0.
             }
             None => {
-                #[cfg(feature = "audit")]
                 self.auditor.on_complete();
                 #[cfg(feature = "trace")]
                 self.tracer.record(crate::trace::TraceEvent {
@@ -852,12 +847,10 @@ impl Engine {
 
     /// Processes one event from the queue. Returns `false` when idle.
     fn step_event(&mut self) -> bool {
-        let Some((at, _seq, event)) = self.queue.pop() else {
+        let Some((at, seq, event)) = self.queue.pop() else {
             return false;
         };
-        #[cfg(feature = "audit")]
-        self.auditor.on_pop(at, _seq);
-        debug_assert!(at >= self.now, "time went backwards");
+        self.auditor.on_pop(at, seq);
         self.now = at;
         // The popped event's own exec advances directly — `ready` is empty
         // between events, so queueing it first and popping it right back
@@ -971,19 +964,20 @@ impl Engine {
         self.completions.drain(..).collect()
     }
 
-    /// Bit set in the snapshot feature byte when `audit` is compiled in.
+    /// Bit set in the snapshot feature byte for the auditor's section.
+    /// Set in every build: the auditor is always compiled in. It was once
+    /// the `audit` cargo feature, so a checkpoint written by a build
+    /// without that feature (bit clear) is refused with
+    /// [`SnapError::FeatureMismatch`], and one written with it resumes.
     pub const SNAP_FEATURE_AUDIT: u8 = 1 << 0;
     /// Bit set in the snapshot feature byte when `trace` is compiled in.
     pub const SNAP_FEATURE_TRACE: u8 = 1 << 1;
 
-    /// Feature byte describing which optional observers this build of the
-    /// engine carries. A snapshot can only be restored into a build with
-    /// the same byte — otherwise observer state would be silently lost.
+    /// Feature byte describing which observers this build of the engine
+    /// carries. A snapshot can only be restored into a build with the
+    /// same byte — otherwise observer state would be silently lost.
     pub fn snap_features() -> u8 {
-        let mut f = 0u8;
-        if cfg!(feature = "audit") {
-            f |= Engine::SNAP_FEATURE_AUDIT;
-        }
+        let mut f = Engine::SNAP_FEATURE_AUDIT;
         if cfg!(feature = "trace") {
             f |= Engine::SNAP_FEATURE_TRACE;
         }
@@ -1011,7 +1005,6 @@ impl Engine {
             free_execs,
             ready,
             completions,
-            #[cfg(feature = "audit")]
             auditor,
             #[cfg(feature = "trace")]
             tracer,
@@ -1054,7 +1047,6 @@ impl Engine {
         w.put(free_execs);
         w.put(ready);
         w.put(completions);
-        #[cfg(feature = "audit")]
         w.put(auditor);
         #[cfg(feature = "trace")]
         tracer.snap_state(w);
@@ -1082,7 +1074,6 @@ impl Engine {
             free_execs,
             ready,
             completions,
-            #[cfg(feature = "audit")]
             auditor,
             #[cfg(feature = "trace")]
             tracer,
@@ -1090,22 +1081,25 @@ impl Engine {
         *now = r.get()?;
         *seq = r.u64()?;
         let entries: Vec<(SimTime, u64, Event)> = r.get()?;
+        let pending: Vec<(SimTime, u64)> = entries.iter().map(|&(at, seq, _)| (at, seq)).collect();
         queue.rebuild(*now, entries);
         *resources = r.get()?;
         *arena = PlanArena::new();
         let exec_count = r.count(EXEC_MIN_SNAP_BYTES)?;
         let mut restored = Vec::with_capacity(exec_count);
+        let mut owed = 0u64;
         for _ in 0..exec_count {
             let plan: Plan = r.get()?;
             let pc = r.u32()?;
             let token = r.get()?;
             let submitted = r.get()?;
-            let parent = r.get()?;
+            let parent: Option<ExecRef> = r.get()?;
             let join_need = r.u32()?;
             let join_pending = r.u32()?;
             let outcome = r.get()?;
             let generation = r.u32()?;
             let live: bool = r.get()?;
+            owed += u64::from(live && parent.is_none());
             let plan = if live {
                 arena.intern(&plan)
             } else {
@@ -1128,10 +1122,8 @@ impl Engine {
         *free_execs = r.get()?;
         *ready = r.get()?;
         *completions = r.get()?;
-        #[cfg(feature = "audit")]
-        {
-            *auditor = r.get()?;
-        }
+        *auditor = r.get()?;
+        auditor.check_restored(*now, *seq, owed, pending)?;
         #[cfg(feature = "trace")]
         {
             *tracer = crate::trace::Tracer::restore_state(r)?;
@@ -1754,6 +1746,7 @@ mod tests {
         let all = engine.run_to_idle();
         assert_eq!(all.len(), 1, "cancel must not double-complete: {all:?}");
         assert_eq!(all[0].outcome, Outcome::Cancelled);
+        engine.auditor().assert_conserved();
     }
 
     #[test]
@@ -1785,6 +1778,7 @@ mod tests {
         assert_eq!(all[1].outcome, Outcome::Ok);
         // The stale queue entry is skipped when the server frees up.
         assert_eq!(engine.served(disk), 1);
+        engine.auditor().assert_conserved();
     }
 
     #[test]
@@ -1861,7 +1855,6 @@ mod tests {
             (out, e.now())
         };
         assert_eq!(drive(&mut engine), drive(&mut resumed));
-        #[cfg(feature = "audit")]
         assert_eq!(
             engine.auditor().fingerprint(),
             resumed.auditor().fingerprint(),
@@ -1915,21 +1908,6 @@ mod tests {
             matches!(refused, Err(SnapError::UnexpectedEof { .. })),
             "{refused:?}"
         );
-    }
-
-    #[cfg(feature = "audit")]
-    #[test]
-    fn cancellation_preserves_op_conservation() {
-        let mut engine = Engine::new();
-        let disk = engine.add_resource("disk", 1);
-        for i in 0..4 {
-            let handle = engine.submit(Plan::build().acquire(disk, us(10)).finish(), Token(i));
-            if i % 2 == 0 {
-                engine.cancel(handle);
-            }
-        }
-        engine.run_to_idle();
-        engine.auditor().assert_conserved();
     }
 
     #[test]
@@ -2127,7 +2105,6 @@ mod tests {
         );
         assert_eq!(calendar_out, reference_out, "completion streams diverged");
         assert_eq!(calendar.now(), reference.now());
-        #[cfg(feature = "audit")]
         assert_eq!(
             calendar.auditor().fingerprint(),
             reference.auditor().fingerprint(),

@@ -23,7 +23,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
 
 pub mod arena;
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod cluster;
 pub mod disk;
@@ -36,7 +35,6 @@ pub mod time;
 #[cfg(feature = "trace")]
 pub mod trace;
 
-#[cfg(feature = "audit")]
 pub use audit::KernelAuditor;
 pub use cluster::{ClusterSpec, NodeResources, NodeSpec};
 pub use disk::{DiskSpec, IoPattern};

@@ -210,7 +210,11 @@ impl HashStore {
     }
 
     /// Restores the state written by [`HashStore::snap_state`] into a
-    /// store built with the same memory budget.
+    /// store built with the same memory budget. Memory accounting that
+    /// disagrees with the records is refused: count-only scans answer
+    /// from the index, so a restored store must be one
+    /// [`HashStore::is_consistent`] accepts. Map and index are filled
+    /// from one stream, so only the accounting is left to check.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let HashStore {
             map,
@@ -226,6 +230,12 @@ impl HashStore {
             index.insert(key);
         })?;
         *mem_bytes = r.u64()?;
+        if Some(*mem_bytes) != (map.len() as u64).checked_mul(Self::bytes_per_record()) {
+            return Err(SnapError::BadTag {
+                what: "HashStore memory accounting",
+                tag: *mem_bytes,
+            });
+        }
         Ok(())
     }
 }
@@ -347,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn tampered_snapshot_accounting_is_inconsistent() {
+    fn tampered_snapshot_accounting_is_refused() {
         let mut store = HashStore::new(None);
         for seq in 0..200 {
             let r = record_for_seq(seq);
@@ -355,17 +365,24 @@ mod tests {
         }
         assert!(store.is_consistent());
         // A snapshot whose memory accounting disagrees with its records
-        // restores without error; the consistency check is what sees it.
+        // is refused.
         let mut w = SnapWriter::new();
         store.snap_state(&mut w);
         let mut bytes = w.into_bytes();
         let tail = bytes.len() - 8;
         bytes[tail] ^= 1;
         let mut restored = HashStore::new(None);
-        restored
-            .restore_state(&mut SnapReader::new(&bytes))
-            .unwrap();
-        assert!(!restored.is_consistent());
+        let refused = restored.restore_state(&mut SnapReader::new(&bytes));
+        assert!(
+            matches!(
+                refused,
+                Err(SnapError::BadTag {
+                    what: "HashStore memory accounting",
+                    ..
+                })
+            ),
+            "{refused:?}"
+        );
     }
 
     #[test]

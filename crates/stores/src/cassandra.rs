@@ -154,7 +154,6 @@ pub struct CassandraStore {
     /// it when it rejoins the ring (Cassandra's hinted handoff).
     hints: Vec<Vec<Record>>,
     /// Hinted-handoff drain auditor (see `crate::audit`).
-    #[cfg(feature = "audit")]
     hint_audit: crate::audit::HintAuditor,
     /// Global background job id → (node index, engine-local job).
     jobs: BTreeMap<u64, (usize, BackgroundJob)>,
@@ -190,7 +189,6 @@ impl CassandraStore {
             nodes: Vec::new(),
             down: vec![false; n],
             hints: vec![Vec::new(); n],
-            #[cfg(feature = "audit")]
             hint_audit: crate::audit::HintAuditor::default(),
             jobs: BTreeMap::new(),
             stream_jobs: std::collections::BTreeSet::new(),
@@ -314,7 +312,6 @@ impl CassandraStore {
     /// that competes with recovering foreground traffic.
     fn replay_hints(&mut self, node: usize, engine: &mut Engine) {
         let hints = std::mem::take(&mut self.hints[node]);
-        #[cfg(feature = "audit")]
         self.hint_audit
             .on_replayed(engine.now(), node, hints.len() as u64);
         if hints.is_empty() {
@@ -422,7 +419,6 @@ impl CassandraStore {
                 // Hinted handoff: the live coordinator stores the mutation
                 // and replays it when the replica rejoins.
                 self.hints[node].push(*record);
-                #[cfg(feature = "audit")]
                 self.hint_audit.on_queued(engine.now(), node);
                 continue;
             }
@@ -566,7 +562,6 @@ impl DistributedStore for CassandraStore {
                 self.replay_hints(event.node, engine);
                 // Hinted handoff must drain: the rejoined replica's queue
                 // is empty and queued/replayed totals balance.
-                #[cfg(feature = "audit")]
                 self.hint_audit
                     .assert_drained(event.node, self.hints[event.node].len());
             }
@@ -621,7 +616,6 @@ impl DistributedStore for CassandraStore {
             nodes,
             down,
             hints,
-            #[cfg(feature = "audit")]
             hint_audit,
             jobs,
             stream_jobs,
@@ -638,7 +632,6 @@ impl DistributedStore for CassandraStore {
         }
         w.put(down);
         w.put(hints);
-        #[cfg(feature = "audit")]
         w.put(hint_audit);
         w.put(jobs);
         w.put(stream_jobs);
@@ -674,7 +667,6 @@ impl DistributedStore for CassandraStore {
             nodes,
             down,
             hints,
-            #[cfg(feature = "audit")]
             hint_audit,
             jobs,
             stream_jobs,
@@ -689,9 +681,13 @@ impl DistributedStore for CassandraStore {
         }
         *down = r.get()?;
         *hints = r.get()?;
-        #[cfg(feature = "audit")]
-        {
-            *hint_audit = r.get()?;
+        *hint_audit = r.get()?;
+        let remaining: Vec<usize> = hints.iter().map(Vec::len).collect();
+        if let Some(node) = hint_audit.unbalanced_node(&remaining) {
+            return Err(SnapError::BadTag {
+                what: "Cassandra hint balance",
+                tag: node as u64,
+            });
         }
         *jobs = r.get()?;
         *stream_jobs = r.get()?;
@@ -961,7 +957,6 @@ mod tests {
     /// The store auditor's evidence stream must balance: every hint
     /// queued while the replica was down is replayed exactly once on
     /// rejoin, and all Queued events precede the Replayed event.
-    #[cfg(feature = "audit")]
     #[test]
     fn hint_auditor_evidence_stream_balances_on_rejoin() {
         use crate::audit::HintEventKind;
@@ -1070,5 +1065,27 @@ mod tests {
         }
         let total: u64 = s.nodes.iter().map(|n| n.lsm.record_count()).sum();
         assert_eq!(total, 600, "rf=2 must store each record twice");
+    }
+
+    /// Hints queued for a node balance those replayed plus those still
+    /// queued at every instant; a checkpoint whose auditor says otherwise
+    /// is refused on resume, not left for the node's rejoin to panic on.
+    #[test]
+    fn forged_hint_balance_is_refused_on_resume() {
+        let refused = crate::runner::tests::resume_forged(
+            |engine| store(engine, 4),
+            |s| s.hint_audit.on_queued(apm_sim::SimTime(0), 2),
+            |_, _| {},
+        );
+        assert!(
+            matches!(
+                refused,
+                Err(SnapError::BadTag {
+                    what: "Cassandra hint balance",
+                    tag: 2
+                })
+            ),
+            "{refused:?}"
+        );
     }
 }

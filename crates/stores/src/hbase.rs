@@ -159,6 +159,16 @@ impl HbaseStore {
             .filter(|&h| !self.down[h])
     }
 
+    /// Store audit: see [`crate::audit::region_reassignment_is_bijective`].
+    fn assert_reassignment_bijective(&self) {
+        assert!(
+            crate::audit::region_reassignment_is_bijective(&self.reassigned, &self.down),
+            "store audit: region reassignment {:?} is not a bijection onto distinct hosts (down: {:?})",
+            self.reassigned,
+            self.down
+        );
+    }
+
     fn expand(&self, bytes: u64) -> u64 {
         (bytes as f64 * self.format.expansion()).round() as u64
     }
@@ -345,8 +355,7 @@ impl DistributedStore for HbaseStore {
                 // back (a cheap reopen — the data never left HDFS).
                 self.down[event.node] = false;
                 self.reassigned.remove(&event.node);
-                #[cfg(feature = "audit")]
-                crate::audit::assert_region_reassignment_bijection(&self.reassigned, &self.down);
+                self.assert_reassignment_bijective();
             }
             // Slowdowns and partitions are applied uniformly by
             // `apply_node_fault`; no HBase-specific bookkeeping.
@@ -367,11 +376,7 @@ impl DistributedStore for HbaseStore {
                 let sub = (dead + 1) % self.servers_state.len();
                 if !self.down[sub] {
                     self.reassigned.insert(dead, sub);
-                    #[cfg(feature = "audit")]
-                    crate::audit::assert_region_reassignment_bijection(
-                        &self.reassigned,
-                        &self.down,
-                    );
+                    self.assert_reassignment_bijective();
                 }
             }
             return;
@@ -440,7 +445,7 @@ impl DistributedStore for HbaseStore {
             reassigned,
             recovery_jobs,
         } = self;
-        for Server { lsm, wal, cache } in servers_state {
+        for Server { lsm, wal, cache } in servers_state.iter_mut() {
             lsm.restore_state(r)?;
             wal.restore_state(r)?;
             cache.restore_state(r)?;
@@ -451,6 +456,20 @@ impl DistributedStore for HbaseStore {
         *down = r.get()?;
         *reassigned = r.get()?;
         *recovery_jobs = r.get()?;
+        // Every later index by server number — and the runtime bijection
+        // assert — must hold for what a body can say.
+        let servers = servers_state.len();
+        if down.len() != servers
+            || wal_backlog.len() != servers
+            || jobs.values().any(|&(server, _)| server >= servers)
+            || recovery_jobs.values().any(|&dead| dead >= servers)
+            || !crate::audit::region_reassignment_is_bijective(reassigned, down)
+        {
+            return Err(SnapError::BadTag {
+                what: "HBase region reassignment",
+                tag: reassigned.len() as u64,
+            });
+        }
         Ok(())
     }
 }
@@ -656,5 +675,68 @@ mod tests {
         let per_node = s.disk_bytes_per_node().unwrap();
         assert_eq!(per_node, hbase_format().disk_usage(5_000));
         assert!(per_node > 9 * 75 * 5_000, "≈10× raw (§5.7)");
+    }
+
+    /// A substitute that crashes while it holds a dead server's regions
+    /// leaves a reassignment onto a down host: legal (the regions serve
+    /// nothing until one of the two restarts), so neither the recovery
+    /// that follows nor the restarts trip the bijection check.
+    #[test]
+    fn a_substitute_crashing_with_borrowed_regions_keeps_the_bijection() {
+        use apm_sim::{FaultEvent, FaultKind, SimTime};
+        let mut engine = Engine::new();
+        let mut s = make(&mut engine, 3, 0.01);
+        for seq in 0..3_000 {
+            s.load(&record_for_seq(seq));
+        }
+        s.finish_load();
+        let fault = |s: &mut HbaseStore, engine: &mut Engine, node, kind| {
+            s.on_fault(
+                &FaultEvent {
+                    at: SimTime(0),
+                    node,
+                    kind,
+                },
+                engine,
+            );
+            while let Some(c) = engine.next_completion() {
+                let (bg, id) = crate::api::split_token(c.token);
+                if bg {
+                    s.on_background(id, engine);
+                }
+            }
+        };
+        fault(&mut s, &mut engine, 1, FaultKind::Crash);
+        assert_eq!(s.host_for(1), Some(2));
+        // Node 2 dies holding node 1's regions; its own go to node 0.
+        fault(&mut s, &mut engine, 2, FaultKind::Crash);
+        assert_eq!((s.host_for(1), s.host_for(2)), (None, Some(0)));
+        fault(&mut s, &mut engine, 2, FaultKind::Restart);
+        assert_eq!((s.host_for(1), s.host_for(2)), (Some(2), Some(2)));
+        fault(&mut s, &mut engine, 1, FaultKind::Restart);
+        assert_eq!(s.host_for(1), Some(1));
+    }
+
+    /// A checkpoint whose reassignment map is no bijection — here a live
+    /// server's regions "reassigned" — is refused on resume.
+    #[test]
+    fn forged_region_reassignment_is_refused_on_resume() {
+        let refused = crate::runner::tests::resume_forged(
+            |engine| make(engine, 4, 0.01),
+            |s| {
+                s.reassigned.insert(0, 1);
+            },
+            |_, _| {},
+        );
+        assert!(
+            matches!(
+                refused,
+                Err(SnapError::BadTag {
+                    what: "HBase region reassignment",
+                    ..
+                })
+            ),
+            "{refused:?}"
+        );
     }
 }

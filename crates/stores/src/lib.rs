@@ -25,7 +25,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
 
 pub mod api;
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod cache;
 pub mod cassandra;

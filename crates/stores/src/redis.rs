@@ -120,7 +120,6 @@ impl RedisStore {
             })
             .collect();
         let ring = JedisRing::new(ctx.node_count(), hash);
-        #[cfg(feature = "audit")]
         crate::audit::assert_ring_weight_conserved(
             &ring.vnode_weights(),
             crate::routing::JEDIS_VNODES as u64,
@@ -384,12 +383,6 @@ impl DistributedStore for RedisStore {
         {
             store.restore_state(r)?;
         }
-        // Reads no stream bytes: the same stream decodes with or without
-        // the feature.
-        #[cfg(feature = "audit")]
-        for (shard, instance) in instances.iter().enumerate() {
-            crate::audit::assert_hash_store_consistent(shard, &instance.store);
-        }
         *load_rejections = r.u64()?;
         Ok(())
     }
@@ -622,5 +615,31 @@ mod tests {
             "§6: thread budget barely grows"
         );
         assert_eq!(s12.disk_bytes_per_node(), None);
+    }
+
+    /// A shard whose memory accounting disagrees with its records —
+    /// which count-only scans would answer from silently — is refused on
+    /// resume in every build.
+    #[test]
+    fn forged_hash_store_accounting_is_refused_on_resume() {
+        let refused = crate::runner::tests::resume_forged(
+            |engine| make(engine, 4, 0.01),
+            |_| {},
+            |body, store_len| {
+                // The store section ends with the last shard's `mem_bytes`
+                // and then `load_rejections`.
+                body[store_len - 16] ^= 1;
+            },
+        );
+        assert!(
+            matches!(
+                refused,
+                Err(SnapError::BadTag {
+                    what: "HashStore memory accounting",
+                    ..
+                })
+            ),
+            "{refused:?}"
+        );
     }
 }

@@ -521,7 +521,6 @@ struct PolicyState {
     breakers: Vec<Breaker>,
     budget: Option<AdmissionBudget>,
     counters: ResilienceCounters,
-    #[cfg(feature = "audit")]
     auditor: crate::audit::RetryAuditor,
 }
 
@@ -533,16 +532,14 @@ impl PolicyState {
             breakers: (0..targets).map(|_| Breaker::default()).collect(),
             budget: policy.admission.as_ref().map(AdmissionBudget::new),
             counters: ResilienceCounters::default(),
-            #[cfg(feature = "audit")]
             auditor: crate::audit::RetryAuditor::default(),
         }
     }
 
     fn note_transition(&mut self, transition: Option<(BreakerState, BreakerState)>) {
-        if let Some((_from, _to)) = transition {
+        if let Some((from, to)) = transition {
             self.counters.breaker_transitions += 1;
-            #[cfg(feature = "audit")]
-            self.auditor.on_transition(_from, _to);
+            self.auditor.on_transition(from, to);
         }
     }
 
@@ -557,8 +554,7 @@ impl PolicyState {
 }
 
 /// The breaker vector carries its own length, so topology growth mid-run
-/// survives a round trip. Hand-written: the auditor section is
-/// `#[cfg(feature)]`-gated and the rng goes by its state.
+/// survives a round trip. Hand-written: the rng goes by its state.
 impl Snap for PolicyState {
     fn snap(&self, w: &mut SnapWriter) {
         let PolicyState {
@@ -567,7 +563,6 @@ impl Snap for PolicyState {
             breakers,
             budget,
             counters,
-            #[cfg(feature = "audit")]
             auditor,
         } = self;
         w.put_u64(rng.state());
@@ -575,7 +570,6 @@ impl Snap for PolicyState {
         w.put(breakers);
         w.put(budget);
         w.put(counters);
-        #[cfg(feature = "audit")]
         w.put(auditor);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
@@ -585,7 +579,6 @@ impl Snap for PolicyState {
             breakers: r.get()?,
             budget: r.get()?,
             counters: r.get()?,
-            #[cfg(feature = "audit")]
             auditor: r.get()?,
         })
     }
@@ -1076,7 +1069,6 @@ fn drive(
                     if d.ps.try_extra() {
                         slot.retries_used = used + 1;
                         d.ps.counters.retries += 1;
-                        #[cfg(feature = "audit")]
                         d.ps.auditor.on_retry(used + 1, rp.budget(kind));
                         d.issue_attempt(engine, store, client, re_at, deadline);
                         continue;
@@ -1231,7 +1223,7 @@ fn capture_checkpoint(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::api::{background_token, Request, StoreCtx};
     use apm_core::driver::Throttle;
@@ -1338,6 +1330,48 @@ mod tests {
             self.data = r.get()?;
             Ok(())
         }
+    }
+
+    /// Test support for the restore-time invariant checks: resumes checkpoint
+    /// 0 of a short four-node RW run of the store `make` builds, forged. The
+    /// body is decoded into a fresh store, which `forge` may change before it
+    /// is encoded again in front of the kernel and driver sections; `edit`
+    /// then gets the whole body and the length of its store section. The
+    /// container is sealed again, so its checksum vouches for the forgery.
+    pub(crate) fn resume_forged<S: DistributedStore>(
+        make: impl Fn(&mut Engine) -> S,
+        forge: impl FnOnce(&mut S),
+        edit: impl FnOnce(&mut Vec<u8>, usize),
+    ) -> Result<RunResult, SnapError> {
+        let mut config = RunConfig::new(
+            Workload::rw(),
+            ClientConfig::cluster_m(4).with_window(0.2, 0.6),
+            5_000,
+            4,
+            0xF0F6,
+        );
+        config.checkpoints = Some(CheckpointSpec::every(0.2));
+        let mut engine = Engine::new();
+        let mut store = make(&mut engine);
+        let run = run_benchmark(&mut engine, &mut store, &config);
+        let (header, body) = snap::open(&run.checkpoints[0].bytes).expect("own checkpoint opens");
+        let mut engine = Engine::new();
+        let mut store = make(&mut engine);
+        let mut r = SnapReader::new(body);
+        store
+            .restore_state(&mut r, &mut engine)
+            .expect("own checkpoint restores");
+        forge(&mut store);
+        let mut w = SnapWriter::new();
+        store.snap_state(&mut w);
+        let store_len = w.len();
+        let mut forged = w.into_bytes();
+        forged.extend_from_slice(&body[body.len() - r.remaining()..]);
+        edit(&mut forged, store_len);
+        let sealed = snap::seal_with(&header, forged.len(), |w| w.put_bytes(&forged));
+        let mut engine = Engine::new();
+        let mut store = make(&mut engine);
+        resume_benchmark(&mut engine, &mut store, &config, &sealed)
     }
 
     fn quick_config(workload: Workload) -> RunConfig {
@@ -1998,9 +2032,10 @@ mod tests {
 
         // A body written by a build with other observers compiled in is
         // refused by the container's feature byte before any codec reads
-        // it: the store's gated sections come before the kernel's own
-        // feature byte, so nothing else keeps their bytes out of a build
-        // without those fields.
+        // it — with the audit bit cleared, a body from a build that
+        // predates the always-on auditors, whose store sections lack
+        // them: they come before the kernel's own feature byte, so
+        // nothing else would keep those bytes from being misread.
         let (mut header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
         let active = Engine::snap_features();
         for flip in [snap::FEATURE_AUDIT, snap::FEATURE_TRACE] {
@@ -2012,6 +2047,61 @@ mod tests {
                 Err(SnapError::FeatureMismatch { stored, active: a })
                     if stored == active ^ flip && a == active => {}
                 other => panic!("expected FeatureMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    /// The kernel auditor's counters and last pop, forged in a real
+    /// checkpoint, are refused on restore — not left for the first pop or
+    /// completion after it to panic on. Unforged, the same re-sealed body
+    /// resumes.
+    #[test]
+    fn forged_kernel_auditor_is_refused_on_resume() {
+        let make = |engine: &mut Engine| {
+            let ctx = StoreCtx::new(engine, ClusterSpec::cluster_m(), 4, 2, 0.0005, 29);
+            crate::voldemort::VoldemortStore::new(ctx, engine)
+        };
+        // Offset of the auditor's `pops` in the body: found by value, the
+        // fingerprint making the 32 bytes of its four counters unique.
+        let auditor_at = |body: &[u8], store_len: usize| {
+            let mut engine = Engine::new();
+            engine
+                .restore_state(&mut SnapReader::new(&body[store_len..]))
+                .expect("kernel section restores");
+            let a = engine.auditor();
+            let counters: Vec<u8> = [a.pops(), a.fingerprint(), a.issued(), a.completed()]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            let at = body.windows(32).position(|w| w == counters);
+            assert_eq!(at, body.windows(32).rposition(|w| w == counters));
+            (at.expect("auditor section found"), a.issued())
+        };
+        assert!(resume_forged(make, |_| {}, |_, _| {}).is_ok());
+        let completed_past_issued = resume_forged(
+            make,
+            |_| {},
+            |body, store_len| {
+                let (at, issued) = auditor_at(body, store_len);
+                body[at + 24..at + 32].copy_from_slice(&(issued + 1).to_le_bytes());
+            },
+        );
+        let unissued_last_pop = resume_forged(
+            make,
+            |_| {},
+            |body, store_len| {
+                // `last_pop` is `Some((time, seq))` right before `pops`.
+                let (at, _) = auditor_at(body, store_len);
+                body[at - 8..at].copy_from_slice(&u64::MAX.to_le_bytes());
+            },
+        );
+        for (refused, what) in [
+            (completed_past_issued, "KernelAuditor completions"),
+            (unissued_last_pop, "KernelAuditor last pop"),
+        ] {
+            match refused {
+                Err(SnapError::BadTag { what: got, .. }) if got == what => {}
+                other => panic!("expected BadTag {{ {what} }}, got {other:?}"),
             }
         }
     }

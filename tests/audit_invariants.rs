@@ -1,15 +1,13 @@
-//! Kernel invariant checks under the `audit` feature.
+//! Kernel invariant checks on the real engine.
 //!
-//! Compile-gated: `cargo test -p apm-sim --features audit`. Each test
-//! drives the real engine — not the auditor in isolation — through
+//! Each test drives the engine — not the auditor in isolation — through
 //! queueing, quorum joins, deadlines, and fault windows, and lets the
-//! embedded `KernelAuditor` verify monotonicity, tie-breaking, op
-//! conservation, and fault causality on every event pop. The twice-run
-//! tests then assert the event-pop *fingerprints* match across runs:
+//! `KernelAuditor` every engine carries verify monotonicity, tie-breaking,
+//! op conservation, and fault causality on every event pop. The twice-run
+//! test then asserts the event-pop *fingerprints* match across runs:
 //! determinism checked at the granularity of single events.
-#![cfg(feature = "audit")]
 
-use apm_sim::{Engine, FailMode, Plan, SimDuration, SimTime, Token};
+use apm_repro::sim::{Engine, FailMode, Plan, SimDuration, SimTime, Token};
 
 fn us(n: u64) -> SimDuration {
     SimDuration::from_micros(n)
@@ -81,22 +79,12 @@ fn drive(engine: &mut Engine) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn invariants_hold_through_faults_joins_and_deadlines() {
-    let mut engine = Engine::new();
-    let completions = drive(&mut engine);
-    assert!(!completions.is_empty());
-    let auditor = engine.auditor();
-    assert!(auditor.pops() > 0);
-    assert_eq!(auditor.issued(), auditor.completed());
-    auditor.assert_conserved();
-}
-
-#[test]
 fn identical_runs_pop_identical_event_sequences() {
     let mut a = Engine::new();
     let mut b = Engine::new();
     let ca = drive(&mut a);
     let cb = drive(&mut b);
+    assert!(!ca.is_empty() && a.auditor().pops() > 0);
     assert_eq!(ca, cb, "completion streams diverged");
     assert_eq!(
         a.auditor().fingerprint(),

@@ -7,7 +7,7 @@
 use apm_repro::core::ops::OpKind;
 use apm_repro::core::workload::Workload;
 use apm_repro::harness::experiment::{run_point, ExperimentProfile, StoreKind};
-use apm_repro::harness::faults::crash_failover;
+use apm_repro::harness::faults::{crash_failover, partition, slow_disk};
 use apm_repro::sim::ClusterSpec;
 
 fn fingerprint(store: StoreKind, seed: u64) -> (u64, u64, u64, Option<u64>) {
@@ -53,18 +53,31 @@ fn different_seeds_change_the_operation_stream() {
 /// faults — which iterates those maps during failover and hint replay —
 /// could diverge between executions. With `BTreeMap` the whole fault
 /// table (availability, error counts, phase throughputs, recovery
-/// times) must be bit-identical across two runs.
+/// times) must be bit-identical across two runs. The slow-disk and
+/// partition experiments likewise; every engine in them carries the
+/// kernel auditor, so an invariant breach anywhere panics the test.
 #[test]
 fn fault_experiments_are_deterministic_across_runs() {
     let profile = ExperimentProfile::test();
-    let a = crash_failover(&profile);
-    let b = crash_failover(&profile);
-    assert_eq!(a.rows, b.rows, "row set diverged");
-    assert_eq!(a.columns, b.columns, "column set diverged");
-    assert_eq!(
-        a.cells, b.cells,
-        "cell values diverged across identical runs"
-    );
+    for (name, gen) in [
+        (
+            "ext-faults-crash",
+            crash_failover as fn(&ExperimentProfile) -> _,
+        ),
+        ("ext-faults-slowdisk", slow_disk),
+        ("ext-faults-partition", partition),
+    ] {
+        let a = gen(&profile);
+        let b = gen(&profile);
+        assert_eq!(a.rows, b.rows, "{name}: row set diverged");
+        assert_eq!(a.columns, b.columns, "{name}: column set diverged");
+        // Option<f64> equality is bitwise for the finite values the
+        // tables hold — byte-identical or bust.
+        assert_eq!(
+            a.cells, b.cells,
+            "{name}: cell values diverged across identical runs"
+        );
+    }
 }
 
 /// The observability additions must be as replayable as the runs they
