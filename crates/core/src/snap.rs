@@ -66,7 +66,7 @@
 //! [`snap_enum!`](crate::snap_enum) make that true by construction — both
 //! halves of a codec come from one field list — and are how a type gets
 //! its [`Snap`] impl unless its codec validates, skips construction-time
-//! config, writes bytes in bulk or gates a section on a feature; those
+//! config, writes bytes in bulk or gates a section on a feature bit; those
 //! are written by hand and say why where they stand. Cross-version
 //! migration is out of scope — a [`SnapError::VersionMismatch`] tells the
 //! caller to regenerate the checkpoint, which a deterministic run can
@@ -106,11 +106,26 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// checkpoints are refused rather than misread.
 pub const VERSION: u16 = 4;
 
-/// Feature-flag bit for the auditor sections. Every build writes them now
-/// and sets this bit; it used to mean "built with the `audit` feature".
+/// Feature-flag bit for the auditor sections. Every engine writes them
+/// and sets this bit; it once meant "built with the `audit` feature", so a
+/// checkpoint from a build without that feature has it clear.
 pub const FEATURE_AUDIT: u8 = 1 << 0;
-/// Feature-flag bit recorded when the writer was built with `trace`.
+/// Feature-flag bit for the kernel's span-tracer section, set when the
+/// writing engine had tracing on.
 pub const FEATURE_TRACE: u8 = 1 << 1;
+
+/// Refuses a feature byte no engine writes: one without [`FEATURE_AUDIT`]
+/// (whose store sections lack the auditors' state) or with a bit other
+/// than it and [`FEATURE_TRACE`]. The trace bit is the writer's to set,
+/// not the reader's: a traced checkpoint restores traced.
+pub fn check_features(stored: u8) -> Result<(), SnapError> {
+    let active = FEATURE_AUDIT | stored & FEATURE_TRACE;
+    if stored == active {
+        Ok(())
+    } else {
+        Err(SnapError::FeatureMismatch { stored, active })
+    }
+}
 
 /// FNV-1a 64-bit hash — the fingerprint primitive for configs, results
 /// and pins (same family the kernel auditor uses for its rolling
@@ -208,16 +223,14 @@ pub enum SnapError {
     },
     /// A string field held invalid UTF-8.
     BadUtf8,
-    /// The snapshot was taken under different `audit`/`trace` features
-    /// than this build — fingerprints could not be compared. The `audit`
-    /// bit is set in every build now that the auditors are always
-    /// compiled in: a checkpoint from an older build without the `audit`
-    /// feature is refused with this error, one from an older build with
-    /// it resumes.
+    /// The snapshot's feature byte is one this build cannot read (see
+    /// [`check_features`]) — a checkpoint from an older build without the
+    /// `audit` feature, say — or a header's byte disagrees with the
+    /// kernel section it seals.
     FeatureMismatch {
-        /// Flags stored in the container.
+        /// Flags stored in the container (or its header).
         stored: u8,
-        /// Flags of the running build.
+        /// Flags this build would write in their place.
         active: u8,
     },
     /// The snapshot belongs to a different run configuration.
@@ -776,7 +789,7 @@ pub struct SnapshotHeader {
     /// FNV-1a fingerprint of the run configuration, so a snapshot cannot
     /// be resumed against a different config.
     pub config_fingerprint: u64,
-    /// [`FEATURE_AUDIT`] | [`FEATURE_TRACE`] bits of the writing build.
+    /// [`FEATURE_AUDIT`] | [`FEATURE_TRACE`] bits of the writing engine.
     pub features: u8,
     /// Zero-based index of this checkpoint within its run.
     pub checkpoint_index: u32,
@@ -885,6 +898,24 @@ mod tests {
             features: FEATURE_AUDIT | FEATURE_TRACE,
             checkpoint_index: 3,
             virtual_time_ns: 45_000_000_000,
+        }
+    }
+
+    #[test]
+    fn only_the_two_bytes_an_engine_writes_are_readable() {
+        for readable in [FEATURE_AUDIT, FEATURE_AUDIT | FEATURE_TRACE] {
+            assert_eq!(check_features(readable), Ok(()));
+        }
+        for (stored, active) in [
+            (0, FEATURE_AUDIT),
+            (FEATURE_TRACE, FEATURE_AUDIT | FEATURE_TRACE),
+            (FEATURE_AUDIT | 1 << 7, FEATURE_AUDIT),
+            (0xFF, FEATURE_AUDIT | FEATURE_TRACE),
+        ] {
+            assert_eq!(
+                check_features(stored),
+                Err(SnapError::FeatureMismatch { stored, active })
+            );
         }
     }
 

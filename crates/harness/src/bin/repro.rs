@@ -6,6 +6,7 @@
 //! repro all                          # generate everything
 //! repro all --out results            # also write CSV/JSON/EXPERIMENTS.md
 //! repro fig3 --scale 0.02 --secs 20  # higher-fidelity run
+//! repro trace --out traces           # export a Perfetto-loadable span trace
 //! ```
 
 use apm_harness::experiment::{ExperimentProfile, StoreKind};
@@ -30,7 +31,7 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: repro <list | all | table1 | fig3..fig20 | ext-*>... [--scale F] [--secs S] [--warmup S] [--seed N] [--out DIR]\n       repro render <results.json>...   # merge result files and print EXPERIMENTS markdown\n       repro snapshot <store>           # run with checkpoints, write snap-<store>-<k>.bin\n       repro resume <snapshot.bin>      # resume a run from a sealed checkpoint\n       repro bisect <store>             # inject a divergence and localize its window\n       repro chaos <store | broken-cassandra> [--budget N] [--resilient] [--seed S] [--out DIR]\n                                        # seeded chaos campaign: oracles + schedule shrinking,\n                                        # writes chaos-<store>.json"
+    "usage: repro <list | all | table1 | fig3..fig20 | ext-*>... [--scale F] [--secs S] [--warmup S] [--seed N] [--out DIR]\n       repro render <results.json>...   # merge result files and print EXPERIMENTS markdown\n       repro snapshot <store>           # run with checkpoints, write snap-<store>-<k>.bin\n       repro resume <snapshot.bin>      # resume a run from a sealed checkpoint\n       repro bisect <store>             # inject a divergence and localize its window\n       repro trace [--out DIR]          # trace a small fault-laden run, write trace-demo.trace.json\n       repro chaos <store | broken-cassandra> [--budget N] [--resilient] [--seed S] [--out DIR]\n                                        # seeded chaos campaign: oracles + schedule shrinking,\n                                        # writes chaos-<store>.json"
 }
 
 /// The value that follows `flag`, parsed.
@@ -127,6 +128,24 @@ fn out_dir(args: &Args) -> Result<PathBuf, String> {
 
 fn write_file(path: &Path, bytes: &[u8]) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// `repro trace [--out DIR]` — run the small fault-laden Cassandra demo
+/// with the kernel's span tracer on and write it as Chrome trace-event
+/// JSON (Perfetto, `chrome://tracing`).
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    if let Some(extra) = args.ids.get(1) {
+        return Err(format!("repro trace takes no ids, got {extra:?}"));
+    }
+    let dir = out_dir(args)?;
+    let (json, fingerprint) = apm_harness::obs::capture_trace_demo();
+    let path = apm_harness::output::write_chrome_trace(&dir, "trace-demo", &json)
+        .map_err(|e| format!("failed to write trace demo: {e}"))?;
+    println!(
+        "wrote {} (trace fingerprint {fingerprint:#018x})",
+        path.display()
+    );
+    Ok(())
 }
 
 /// `repro snapshot <store>` — run the canonical checkpointed scenario and
@@ -345,6 +364,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         Some("bisect") => cmd_bisect(args)?,
         Some("chaos") => return cmd_chaos(args),
         Some("render") => cmd_render(&args.ids[1..])?,
+        Some("trace") => cmd_trace(args)?,
         _ if args.ids.iter().any(|i| i == "list") => {
             for spec in all_figures() {
                 println!("{:16} {}", spec.id, spec.title);
@@ -442,19 +462,6 @@ fn cmd_artifacts(args: &Args) -> Result<(), String> {
         println!("wrote {} and {}", json_path.display(), md_path.display());
     }
 
-    // With span tracing compiled in, also export a Perfetto-loadable
-    // demo trace (small fault-laden Cassandra run) next to the results.
-    #[cfg(feature = "trace")]
-    if let Some(dir) = &args.out {
-        let (json, fingerprint) = apm_harness::obs::capture_trace_demo();
-        let path = apm_harness::output::write_chrome_trace(dir, "trace-demo", &json)
-            .map_err(|e| format!("failed to write trace demo: {e}"))?;
-        println!(
-            "wrote {} (trace fingerprint {fingerprint:#018x})",
-            path.display()
-        );
-    }
-
     if failed_checks > 0 {
         println!("{failed_checks} shape check(s) failed");
     }
@@ -493,6 +500,18 @@ mod tests {
         assert_eq!(args.profile.measure_secs, 4.0);
         assert_eq!(args.profile.warmup_secs, 0.0);
         assert_eq!(args.profile.scale, 1.0);
+    }
+
+    /// `trace` is a subcommand, not an artifact: it names nothing in the
+    /// index, and `--out` is where it writes.
+    #[test]
+    fn trace_is_a_subcommand_with_an_optional_out_dir() {
+        let args = parse("trace --out traces").expect("parses");
+        assert_eq!(args.ids, ["trace"]);
+        assert_eq!(args.out, Some(PathBuf::from("traces")));
+        assert_eq!(parse("trace").expect("parses").out, None);
+        assert!(artifact_ids(&args.ids).is_err());
+        assert!(usage().contains("repro trace [--out DIR]"));
     }
 
     #[test]

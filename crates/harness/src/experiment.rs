@@ -338,7 +338,21 @@ impl Scenario {
     /// [`Scenario::run`] under a fault-event mask (see
     /// [`run_benchmark_masked`]).
     pub fn run_masked(&self, mask: Option<&[bool]>) -> ScenarioRun {
+        self.run_with(false, mask)
+    }
+
+    /// [`Scenario::run`] with the kernel's span tracer on
+    /// ([`Engine::enable_trace`]): the same run and report, and the
+    /// returned engine holds the tracer.
+    pub fn run_traced(&self) -> ScenarioRun {
+        self.run_with(true, None)
+    }
+
+    fn run_with(&self, trace: bool, mask: Option<&[bool]>) -> ScenarioRun {
         let (mut engine, mut store) = self.build();
+        if trace {
+            engine.enable_trace();
+        }
         let result = run_benchmark_masked(&mut engine, store.as_mut(), &self.config, mask);
         ScenarioRun {
             engine,

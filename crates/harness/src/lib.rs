@@ -23,8 +23,7 @@
 //!   admission control switched on, policy-on vs policy-off per table.
 //! * [`obs`] — the observability experiments: virtual-time profiling
 //!   (queue-wait vs. service per resource class) and the windowed
-//!   telemetry timeline, plus the Chrome trace exporter (`trace`
-//!   feature).
+//!   telemetry timeline, plus the Chrome trace exporter (`repro trace`).
 //! * [`snap`] — checkpoint/resume equivalence and divergence bisection:
 //!   sealed mid-run snapshots, byte-identical resumption, and binary
 //!   search over checkpoint streams to localize a divergence

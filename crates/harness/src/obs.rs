@@ -1,6 +1,6 @@
 //! Observability experiments: the virtual-time profiler and the
-//! telemetry timeline (plus, behind the `trace` feature, the Chrome
-//! trace-event exporter).
+//! telemetry timeline, plus the Chrome trace-event exporter behind
+//! `repro trace`.
 //!
 //! The paper's §5 tables report *what* each store achieved; this module
 //! reports *where the virtual time went*. The kernel keeps two always-on
@@ -171,9 +171,8 @@ pub fn telemetry_timeline(profile: &ExperimentProfile) -> Table {
     table
 }
 
-/// Chrome trace-event export (`trace` feature): turns the kernel's span
-/// ring into a JSON document loadable by Perfetto / `chrome://tracing`.
-#[cfg(feature = "trace")]
+/// Chrome trace-event export: turns the kernel's span ring into a JSON
+/// document loadable by Perfetto / `chrome://tracing`.
 pub mod chrome {
     use apm_core::json::Json;
     use apm_sim::kernel::Token;
@@ -324,7 +323,6 @@ pub mod chrome {
 /// Runs a small fault-laden Cassandra benchmark with tracing on and
 /// exports it: returns the Chrome trace JSON plus the kernel's trace
 /// fingerprint. Deterministic — two calls return identical strings.
-#[cfg(feature = "trace")]
 pub fn capture_trace_demo() -> (String, u64) {
     use apm_sim::{FaultSchedule, SimDuration, SimTime};
 
@@ -349,11 +347,11 @@ pub fn capture_trace_demo() -> (String, u64) {
     scenario.config.faults =
         FaultSchedule::none().crash(1, SimTime(300_000_000), SimTime(600_000_000));
     scenario.config.op_deadline = Some(SimDuration::from_millis(100));
-    let engine = scenario.run().engine;
-    let json = chrome::trace_to_json(&engine.tracer().events());
-    let mut text = json.to_pretty();
+    let engine = scenario.run_traced().engine;
+    let tracer = engine.tracer().expect("a traced run keeps its tracer");
+    let mut text = chrome::trace_to_json(&tracer.events()).to_pretty();
     text.push('\n');
-    (text, engine.tracer().fingerprint())
+    (text, tracer.fingerprint())
 }
 
 #[cfg(test)]
@@ -413,28 +411,5 @@ mod tests {
             let cpu = t.get(row, "cpu_util").unwrap();
             assert!(cpu > 0.0 && cpu < 1.2, "window {row}: cpu_util {cpu}");
         }
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn chrome_export_balances_spans_and_is_deterministic() {
-        let (first, fp_first) = capture_trace_demo();
-        let (second, fp_second) = capture_trace_demo();
-        assert_eq!(fp_first, fp_second, "trace fingerprint must be stable");
-        assert_eq!(first, second, "exported JSON must be byte-identical");
-        let doc = apm_core::json::parse(&first).expect("valid JSON");
-        let events = doc
-            .get("traceEvents")
-            .and_then(|e| e.as_arr())
-            .expect("traceEvents array");
-        assert!(!events.is_empty());
-        let phase = |e: &apm_core::json::Json| e.get("ph").unwrap().as_str().unwrap().to_string();
-        let begins = events.iter().filter(|e| phase(e) == "B").count();
-        let ends = events.iter().filter(|e| phase(e) == "E").count();
-        assert_eq!(begins, ends, "every span must balance");
-        assert!(
-            events.iter().any(|e| phase(e) == "i"),
-            "the injected crash must appear as instants"
-        );
     }
 }

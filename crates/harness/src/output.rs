@@ -226,8 +226,7 @@ pub fn write_csv(dir: &Path, id: &str, table: &Table) -> io::Result<std::path::P
 
 /// Writes a Chrome trace-event JSON document (load it in Perfetto or
 /// `chrome://tracing`) and returns the path written. The text comes from
-/// the `trace`-feature exporter in [`crate::obs`]; this writer itself is
-/// feature-independent so callers can persist pre-rendered traces.
+/// the exporter in [`crate::obs::chrome`] (`repro trace`).
 pub fn write_chrome_trace(dir: &Path, id: &str, json: &str) -> io::Result<std::path::PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{id}.trace.json"));

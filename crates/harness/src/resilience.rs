@@ -214,22 +214,6 @@ pub fn retry_storm(profile: &ExperimentProfile) -> Table {
     table
 }
 
-/// Runs the retry experiment's policy-on configuration once and returns
-/// the kernel trace fingerprint — the strongest equality the simulator
-/// offers: two identical-seed runs must replay the exact event stream.
-#[cfg(feature = "trace")]
-pub fn retry_trace_fingerprint(profile: &ExperimentProfile) -> u64 {
-    let w = FaultWindow::for_profile(profile);
-    let mut scenario = w.cassandra(1, profile, w.crash());
-    scenario.config.resilience = Some(ResiliencePolicy {
-        retry: Some(RetryPolicy::standard()),
-        hedge: Some(HedgePolicy::standard()),
-        breaker: Some(BreakerPolicy::standard()),
-        admission: Some(AdmissionPolicy::standard()),
-    });
-    scenario.run().engine.tracer().fingerprint()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,13 +329,27 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
+    /// The kernel trace fingerprint is the strongest equality the
+    /// simulator offers: two identical-seed runs of the retry experiment's
+    /// crash with every policy on must replay the exact event stream.
     #[test]
     fn full_policy_run_replays_to_the_same_trace_fingerprint() {
         let p = profile();
+        let fingerprint = || {
+            let w = FaultWindow::for_profile(&p);
+            let mut scenario = w.cassandra(1, &p, w.crash());
+            scenario.config.resilience = Some(ResiliencePolicy {
+                retry: Some(RetryPolicy::standard()),
+                hedge: Some(HedgePolicy::standard()),
+                breaker: Some(BreakerPolicy::standard()),
+                admission: Some(AdmissionPolicy::standard()),
+            });
+            let run = scenario.run_traced();
+            run.engine.tracer().expect("a traced run").fingerprint()
+        };
         assert_eq!(
-            retry_trace_fingerprint(&p),
-            retry_trace_fingerprint(&p),
+            fingerprint(),
+            fingerprint(),
             "kernel event stream must replay identically with all policies on"
         );
     }

@@ -5,8 +5,8 @@
 //! extension. The invariant under test everywhere here: resuming from
 //! any checkpoint reproduces the from-scratch run *byte-identically* —
 //! same stats, same telemetry, same final kernel and store state, and
-//! (when the `audit`/`trace` features are compiled in) the same
-//! observer fingerprints, for every store architecture.
+//! the same observer fingerprints (the auditors', and the span tracer's
+//! when the checkpoint was traced), for every store architecture.
 
 use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind};
 use apm_core::report::Table;
@@ -44,9 +44,10 @@ pub struct SnapRun {
     pub result: RunResult,
     /// FNV-1a over the reported statistics *and* the final store and
     /// kernel state. The kernel serializes its observers, so the audit
-    /// fingerprint — and under `--features trace` the trace fingerprint —
-    /// participates: two equal fingerprints mean two runs were
-    /// indistinguishable end to end.
+    /// fingerprint — and, on an engine with tracing on, the trace
+    /// fingerprint — participates: two equal fingerprints mean two runs
+    /// were indistinguishable end to end. A traced checkpoint resumes
+    /// traced, so resuming one reproduces its traced run's fingerprint.
     pub fingerprint: u64,
 }
 

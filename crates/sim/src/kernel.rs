@@ -15,7 +15,8 @@ use crate::arena::{FlatStep, PlanArena, PlanId};
 use crate::plan::Plan;
 use crate::queue::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use crate::trace::{TraceEvent, TraceEventKind, Tracer};
+use apm_core::snap::{self, SnapError, SnapReader, SnapWriter};
 use apm_core::{snap_enum, snap_struct};
 use std::collections::VecDeque;
 
@@ -155,6 +156,13 @@ struct Exec {
     live: bool,
 }
 
+impl Exec {
+    /// True while this slot still runs the exec `exec` refers to.
+    fn holds(&self, exec: ExecRef) -> bool {
+        self.live && self.generation == exec.generation
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// Re-run the exec's step loop (after Delay/AlignTo or at submission).
@@ -244,9 +252,23 @@ pub struct Engine {
     /// Runtime invariant checker (monotonicity, tie-breaks, op
     /// conservation, fault causality) — see `crate::audit`.
     auditor: crate::audit::KernelAuditor,
-    /// Span recorder (bounded ring + run fingerprint) — see `crate::trace`.
-    #[cfg(feature = "trace")]
-    tracer: crate::trace::Tracer,
+    /// Span recorder (bounded ring + run fingerprint) — see `crate::trace`;
+    /// `None` unless [`Engine::enable_trace`] turned it on.
+    tracer: Option<Tracer>,
+}
+
+/// Where a trace event's time, token and resource come from. Resolved
+/// only when a tracer is on, so an untraced engine never reads an exec
+/// slot for a token.
+#[derive(Clone, Copy)]
+enum TraceAt {
+    /// A step of `exec` on a resource, now. A stale ref (e.g. a timed-out
+    /// plan whose service completes later) is recorded without a token.
+    Step(ExecRef, ResourceId),
+    /// A plan-level event (submit, complete) of a token at a time.
+    Plan(Token, SimTime),
+    /// A resource fault transition, now.
+    Resource(ResourceId),
 }
 
 impl Engine {
@@ -277,40 +299,53 @@ impl Engine {
         &self.auditor
     }
 
-    /// The span recorder (only with the `trace` feature).
-    #[cfg(feature = "trace")]
-    pub fn tracer(&self) -> &crate::trace::Tracer {
-        &self.tracer
+    /// Turns span tracing on: installs an empty [`Tracer`] with the
+    /// default ring, so every lifecycle transition from here on is
+    /// recorded and every snapshot carries the ring. Call it before the
+    /// run. An engine without it records nothing, and each record site
+    /// costs it one branch.
+    pub fn enable_trace(&mut self) {
+        self.tracer = Some(Tracer::default());
     }
 
-    /// Records a plan-level trace event for `exec` at the current time.
-    /// Stale exec refs (e.g. a timed-out plan whose service completes
-    /// later) are recorded without a token.
-    #[cfg(feature = "trace")]
-    fn trace_op(
-        &mut self,
-        exec: ExecRef,
-        resource: Option<ResourceId>,
-        kind: crate::trace::TraceEventKind,
+    /// The span recorder, if tracing is on.
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
+    }
+
+    /// Records a trace event when tracing is on. Every record site of the
+    /// kernel goes through here, so an untraced engine pays this one
+    /// `if let` and never enters the recorder.
+    #[inline(always)]
+    fn trace(&mut self, kind: TraceEventKind, at: TraceAt) {
+        if let Some(tracer) = &mut self.tracer {
+            Engine::record_trace(tracer, &self.execs, self.now, kind, at);
+        }
+    }
+
+    /// The recorder behind [`Engine::trace`], out of line so that the hot
+    /// paths it sits on stay as small as they are untraced.
+    #[cold]
+    #[inline(never)]
+    fn record_trace(
+        tracer: &mut Tracer,
+        execs: &[Exec],
+        now: SimTime,
+        kind: TraceEventKind,
+        at: TraceAt,
     ) {
-        let token = self
-            .is_current(exec)
-            .then(|| self.execs[exec.idx as usize].token);
-        self.tracer.record(crate::trace::TraceEvent {
-            at: self.now,
+        let (at, token, resource) = match at {
+            TraceAt::Step(exec, resource) => {
+                let slot = &execs[exec.idx as usize];
+                (now, slot.holds(exec).then_some(slot.token), Some(resource))
+            }
+            TraceAt::Plan(token, at) => (at, Some(token), None),
+            TraceAt::Resource(resource) => (now, None, Some(resource)),
+        };
+        tracer.record(TraceEvent {
+            at,
             token,
             resource,
-            kind,
-        });
-    }
-
-    /// Records a resource fault-transition trace event.
-    #[cfg(feature = "trace")]
-    fn trace_resource(&mut self, resource: ResourceId, kind: crate::trace::TraceEventKind) {
-        self.tracer.record(crate::trace::TraceEvent {
-            at: self.now,
-            token: None,
-            resource: Some(resource),
             kind,
         });
     }
@@ -342,8 +377,7 @@ impl Engine {
     /// until [`Engine::restore_resource`]. Requests already *in service*
     /// finish normally — they left the node before it died.
     pub fn fail_resource(&mut self, resource: ResourceId, mode: FailMode) {
-        #[cfg(feature = "trace")]
-        self.trace_resource(resource, crate::trace::TraceEventKind::ResourceDown);
+        self.trace(TraceEventKind::ResourceDown, TraceAt::Resource(resource));
         let r = &mut self.resources[resource.0 as usize];
         r.down = Some(mode);
         if let FailMode::Reject { latency } = mode {
@@ -357,8 +391,10 @@ impl Engine {
     /// Clears `resource`'s fault state and starts serving any stalled
     /// queue entries.
     pub fn restore_resource(&mut self, resource: ResourceId) {
-        #[cfg(feature = "trace")]
-        self.trace_resource(resource, crate::trace::TraceEventKind::ResourceRestored);
+        self.trace(
+            TraceEventKind::ResourceRestored,
+            TraceAt::Resource(resource),
+        );
         self.resources[resource.0 as usize].down = None;
         self.kick(resource);
     }
@@ -376,8 +412,7 @@ impl Engine {
     /// Panics if `factor` is zero.
     pub fn set_resource_slowdown(&mut self, resource: ResourceId, factor: u32) {
         assert!(factor > 0, "slowdown factor must be positive");
-        #[cfg(feature = "trace")]
-        self.trace_resource(resource, crate::trace::TraceEventKind::Slowdown);
+        self.trace(TraceEventKind::Slowdown, TraceAt::Resource(resource));
         self.resources[resource.0 as usize].slowdown = factor;
     }
 
@@ -402,12 +437,7 @@ impl Engine {
         r.busy_ns += u128::from(scaled.as_nanos());
         let at = self.now + scaled;
         self.schedule(at, Event::AcquireDone(exec, resource));
-        #[cfg(feature = "trace")]
-        self.trace_op(
-            exec,
-            Some(resource),
-            crate::trace::TraceEventKind::ServiceStart,
-        );
+        self.trace(TraceEventKind::ServiceStart, TraceAt::Step(exec, resource));
     }
 
     /// Fills free server slots from the waiting queue (after a restore).
@@ -571,13 +601,7 @@ impl Engine {
         if let Some(deadline) = deadline {
             self.schedule(start + deadline, Event::Timeout(exec));
         }
-        #[cfg(feature = "trace")]
-        self.tracer.record(crate::trace::TraceEvent {
-            at: start,
-            token: Some(token),
-            resource: None,
-            kind: crate::trace::TraceEventKind::Submit,
-        });
+        self.trace(TraceEventKind::Submit, TraceAt::Plan(token, start));
         PlanHandle(exec)
     }
 
@@ -661,8 +685,7 @@ impl Engine {
     }
 
     fn is_current(&self, exec: ExecRef) -> bool {
-        let slot = &self.execs[exec.idx as usize];
-        slot.live && slot.generation == exec.generation
+        self.execs[exec.idx as usize].holds(exec)
     }
 
     #[inline]
@@ -713,28 +736,15 @@ impl Engine {
                         Some(FailMode::Reject { latency }) => {
                             self.abort_exec(exec, Outcome::Failed, latency);
                         }
-                        Some(FailMode::Stall) => {
-                            r.waiting.push_back((exec, service, self.now));
-                            #[cfg(feature = "trace")]
-                            self.trace_op(
-                                exec,
-                                Some(resource),
-                                crate::trace::TraceEventKind::Enqueue,
-                            );
+                        None if r.busy < r.capacity => {
+                            r.busy += 1;
+                            self.begin_service(resource, exec, service);
                         }
-                        None => {
-                            if r.busy < r.capacity {
-                                r.busy += 1;
-                                self.begin_service(resource, exec, service);
-                            } else {
-                                r.waiting.push_back((exec, service, self.now));
-                                #[cfg(feature = "trace")]
-                                self.trace_op(
-                                    exec,
-                                    Some(resource),
-                                    crate::trace::TraceEventKind::Enqueue,
-                                );
-                            }
+                        // A stalled resource queues like a busy one (its
+                        // restore kicks the queue).
+                        Some(FailMode::Stall) | None => {
+                            r.waiting.push_back((exec, service, self.now));
+                            self.trace(TraceEventKind::Enqueue, TraceAt::Step(exec, resource));
                         }
                     }
                     return;
@@ -755,13 +765,7 @@ impl Engine {
                             let token = self.execs[exec.idx as usize].token;
                             let child = self.alloc_exec(branch, token, self.now, None);
                             self.ready.push_back(child);
-                            #[cfg(feature = "trace")]
-                            self.tracer.record(crate::trace::TraceEvent {
-                                at: self.now,
-                                token: Some(token),
-                                resource: None,
-                                kind: crate::trace::TraceEventKind::Submit,
-                            });
+                            self.trace(TraceEventKind::Submit, TraceAt::Plan(token, self.now));
                         }
                         continue;
                     }
@@ -820,13 +824,10 @@ impl Engine {
             }
             None => {
                 self.auditor.on_complete();
-                #[cfg(feature = "trace")]
-                self.tracer.record(crate::trace::TraceEvent {
-                    at: self.now,
-                    token: Some(token),
-                    resource: None,
-                    kind: crate::trace::TraceEventKind::Complete(outcome),
-                });
+                self.trace(
+                    TraceEventKind::Complete(outcome),
+                    TraceAt::Plan(token, self.now),
+                );
                 self.completions.push_back(Completion {
                     token,
                     submitted,
@@ -864,12 +865,7 @@ impl Engine {
                 }
             }
             Event::AcquireDone(exec, resource) => {
-                #[cfg(feature = "trace")]
-                self.trace_op(
-                    exec,
-                    Some(resource),
-                    crate::trace::TraceEventKind::ServiceEnd,
-                );
+                self.trace(TraceEventKind::ServiceEnd, TraceAt::Step(exec, resource));
                 let r = &mut self.resources[resource.0 as usize];
                 r.served += 1;
                 // Hand the slot straight to the next waiter — unless the
@@ -964,24 +960,22 @@ impl Engine {
         self.completions.drain(..).collect()
     }
 
-    /// Bit set in the snapshot feature byte for the auditor's section.
-    /// Set in every build: the auditor is always compiled in. It was once
-    /// the `audit` cargo feature, so a checkpoint written by a build
-    /// without that feature (bit clear) is refused with
-    /// [`SnapError::FeatureMismatch`], and one written with it resumes.
-    pub const SNAP_FEATURE_AUDIT: u8 = 1 << 0;
-    /// Bit set in the snapshot feature byte when `trace` is compiled in.
-    pub const SNAP_FEATURE_TRACE: u8 = 1 << 1;
-
-    /// Feature byte describing which observers this build of the engine
-    /// carries. A snapshot can only be restored into a build with the
-    /// same byte — otherwise observer state would be silently lost.
+    /// The feature byte an untraced engine writes: [`snap::FEATURE_AUDIT`]
+    /// alone. [`Engine::features`] is an engine's own byte, traced or not:
+    /// what a checkpoint's header should carry.
     pub fn snap_features() -> u8 {
-        let mut f = Engine::SNAP_FEATURE_AUDIT;
-        if cfg!(feature = "trace") {
-            f |= Engine::SNAP_FEATURE_TRACE;
+        snap::FEATURE_AUDIT
+    }
+
+    /// The feature byte this engine's snapshots carry, in the kernel
+    /// section and in a checkpoint's header: [`snap::FEATURE_AUDIT`] (the
+    /// auditor's section is always written) and [`snap::FEATURE_TRACE`]
+    /// while a tracer is on (its ring follows the auditor's).
+    pub fn features(&self) -> u8 {
+        match self.tracer {
+            Some(_) => snap::FEATURE_AUDIT | snap::FEATURE_TRACE,
+            None => snap::FEATURE_AUDIT,
         }
-        f
     }
 
     /// Serializes the engine's entire mutable state — clock, sequence
@@ -1006,10 +1000,9 @@ impl Engine {
             ready,
             completions,
             auditor,
-            #[cfg(feature = "trace")]
             tracer,
         } = self;
-        w.put_u8(Engine::snap_features());
+        w.put_u8(self.features());
         w.put(now);
         w.put_u64(*seq);
         w.put(&queue.sorted_entries());
@@ -1048,22 +1041,22 @@ impl Engine {
         w.put(ready);
         w.put(completions);
         w.put(auditor);
-        #[cfg(feature = "trace")]
-        tracer.snap_state(w);
+        if let Some(tracer) = tracer {
+            tracer.snap_state(w);
+        }
     }
 
     /// Replaces the engine's mutable state with a previously serialized
-    /// one. The caller provides an engine whose build features match the
-    /// snapshot; registered resources are overwritten wholesale (resource
-    /// ids are dense indices, and registration order is deterministic, so
-    /// ids held by stores remain valid). Live exec plans are re-interned
-    /// into a fresh arena.
+    /// one. Registered resources are overwritten wholesale (resource ids
+    /// are dense indices, and registration order is deterministic, so ids
+    /// held by stores remain valid). Live exec plans are re-interned into
+    /// a fresh arena. The snapshot's feature byte decides the tracer: a
+    /// traced snapshot restores traced whatever the engine was, an
+    /// untraced one untraced; a byte no engine writes is refused
+    /// ([`snap::check_features`]).
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let stored = r.u8()?;
-        let active = Engine::snap_features();
-        if stored != active {
-            return Err(SnapError::FeatureMismatch { stored, active });
-        }
+        snap::check_features(stored)?;
         let Engine {
             now,
             seq,
@@ -1075,7 +1068,6 @@ impl Engine {
             ready,
             completions,
             auditor,
-            #[cfg(feature = "trace")]
             tracer,
         } = self;
         *now = r.get()?;
@@ -1124,10 +1116,9 @@ impl Engine {
         *completions = r.get()?;
         *auditor = r.get()?;
         auditor.check_restored(*now, *seq, owed, pending)?;
-        #[cfg(feature = "trace")]
-        {
-            *tracer = crate::trace::Tracer::restore_state(r)?;
-        }
+        *tracer = (stored & snap::FEATURE_TRACE != 0)
+            .then(|| Tracer::restore_state(r))
+            .transpose()?;
         Ok(())
     }
 }
@@ -1614,18 +1605,24 @@ mod tests {
         assert_eq!(engine.queue_wait_ns(disk), 0);
     }
 
-    #[cfg(feature = "trace")]
+    /// An engine with its tracer on.
+    fn traced() -> Engine {
+        let mut engine = Engine::new();
+        engine.enable_trace();
+        engine
+    }
+
     #[test]
     fn trace_records_the_full_op_lifecycle_in_order() {
         use crate::trace::TraceEventKind as K;
-        let mut engine = Engine::new();
+        let mut engine = traced();
         let disk = engine.add_resource("disk", 1);
         for i in 0..2 {
             engine.submit(Plan::build().acquire(disk, us(10)).finish(), Token(i));
         }
         engine.run_to_idle();
-        let got: Vec<(Option<u64>, K)> = engine
-            .tracer()
+        let tracer = engine.tracer().expect("tracing on");
+        let got: Vec<(Option<u64>, K)> = tracer
             .events()
             .iter()
             .map(|e| (e.token.map(|t| t.0), e.kind))
@@ -1646,7 +1643,7 @@ mod tests {
         );
         // Each op event carries the resource it touched (plan-level
         // submit/complete events carry none).
-        for e in engine.tracer().events() {
+        for e in tracer.events() {
             match e.kind {
                 K::Submit | K::Complete(_) => assert_eq!(e.resource, None),
                 _ => assert_eq!(e.resource, Some(disk)),
@@ -1654,11 +1651,10 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_records_fault_transitions_and_timeouts() {
         use crate::trace::TraceEventKind as K;
-        let mut engine = Engine::new();
+        let mut engine = traced();
         let nic = engine.add_resource("nic", 1);
         engine.fail_resource(nic, FailMode::Stall);
         engine.submit_at_with_deadline(
@@ -1671,18 +1667,23 @@ mod tests {
         engine.restore_resource(nic);
         engine.set_resource_slowdown(nic, 2);
         engine.run_to_idle();
-        let kinds: Vec<K> = engine.tracer().events().iter().map(|e| e.kind).collect();
+        let kinds: Vec<K> = engine
+            .tracer()
+            .expect("tracing on")
+            .events()
+            .iter()
+            .map(|e| e.kind)
+            .collect();
         assert!(kinds.contains(&K::ResourceDown));
         assert!(kinds.contains(&K::ResourceRestored));
         assert!(kinds.contains(&K::Slowdown));
         assert!(kinds.contains(&K::Complete(Outcome::TimedOut)));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_fingerprints_match_across_identical_runs() {
         let run = |seed: u64| {
-            let mut engine = Engine::new();
+            let mut engine = traced();
             let disk = engine.add_resource("disk", 2);
             for i in 0..20 {
                 engine.submit(
@@ -1691,7 +1692,7 @@ mod tests {
                 );
             }
             engine.run_to_idle();
-            engine.tracer().fingerprint()
+            engine.tracer().expect("tracing on").fingerprint()
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4), "different workloads must differ");
@@ -1800,15 +1801,27 @@ mod tests {
         assert_eq!((engine.served(a), engine.served(b)), (1, 1));
     }
 
+    /// Untraced and traced alike; the engine restored into is traced
+    /// exactly when the snapshot is not, and comes back as the snapshot
+    /// says.
     #[test]
     fn engine_snapshot_restores_to_an_identical_future() {
-        let build = || {
+        for trace in [false, true] {
+            snapshot_restores_to_an_identical_future(trace);
+        }
+    }
+
+    fn snapshot_restores_to_an_identical_future(trace: bool) {
+        let build = |trace: bool| {
             let mut e = Engine::new();
+            if trace {
+                e.enable_trace();
+            }
             let disk = e.add_resource("disk", 1);
             let nic = e.add_resource("nic", 2);
             (e, disk, nic)
         };
-        let (mut engine, disk, nic) = build();
+        let (mut engine, disk, nic) = build(trace);
         // Contended disk queue, a stalled NIC with a pending deadline, a
         // quorum join in flight, and an already-buffered completion.
         engine.fail_resource(nic, FailMode::Stall);
@@ -1832,10 +1845,12 @@ mod tests {
         engine.snap_state(&mut w);
         let bytes = w.into_bytes();
 
-        let (mut resumed, _, _) = build();
+        let (mut resumed, _, _) = build(!trace);
         let mut r = SnapReader::new(&bytes);
         resumed.restore_state(&mut r).unwrap();
         r.finish().unwrap();
+        assert_eq!(resumed.features(), engine.features());
+        assert_eq!(resumed.tracer().is_some(), trace);
 
         // Re-snapshotting the restored engine reproduces the same bytes.
         let mut w2 = SnapWriter::new();
@@ -1860,10 +1875,9 @@ mod tests {
             resumed.auditor().fingerprint(),
             "audit fingerprint must survive the round trip"
         );
-        #[cfg(feature = "trace")]
         assert_eq!(
-            engine.tracer().fingerprint(),
-            resumed.tracer().fingerprint(),
+            engine.tracer().map(Tracer::fingerprint),
+            resumed.tracer().map(Tracer::fingerprint),
             "trace fingerprint must survive the round trip"
         );
     }
@@ -1882,7 +1896,7 @@ mod tests {
         // The slot count follows the features byte, the clock, the
         // sequence counter, the event list and the resources.
         let mut before = SnapWriter::new();
-        before.put_u8(Engine::snap_features());
+        before.put_u8(engine.features());
         before.put(&engine.now);
         before.put_u64(engine.seq);
         before.put(&engine.queue.sorted_entries());
@@ -1895,7 +1909,7 @@ mod tests {
         let header = apm_core::snap::SnapshotHeader {
             scenario: "kernel".to_string(),
             config_fingerprint: 0,
-            features: Engine::snap_features(),
+            features: engine.features(),
             checkpoint_index: 0,
             virtual_time_ns: engine.now.0,
         };
@@ -2008,8 +2022,8 @@ mod tests {
     /// AlignTo, quorum joins, Fail steps, deadlines, cancels, and fault
     /// events) must play out identically through the calendar queue and
     /// the retired binary-heap reference — same completion stream, same
-    /// clock, and (under the features) same audit/trace fingerprints,
-    /// which pin the exact `(time, seq)` pop order.
+    /// clock, and same audit and trace fingerprints, which pin the exact
+    /// `(time, seq)` pop order.
     #[test]
     fn calendar_and_reference_queues_drive_identical_schedules() {
         fn drive(mut engine: Engine) -> (Vec<Completion>, Engine) {
@@ -2096,8 +2110,10 @@ mod tests {
             out.extend(engine.run_to_idle());
             (out, engine)
         }
-        let (calendar_out, calendar) = drive(Engine::new());
-        let (reference_out, reference) = drive(Engine::with_reference_queue());
+        let mut reference = Engine::with_reference_queue();
+        reference.enable_trace();
+        let (calendar_out, calendar) = drive(traced());
+        let (reference_out, reference) = drive(reference);
         assert_eq!(
             calendar_out.len(),
             reference_out.len(),
@@ -2110,10 +2126,9 @@ mod tests {
             reference.auditor().fingerprint(),
             "audit fingerprint pins the exact pop order"
         );
-        #[cfg(feature = "trace")]
         assert_eq!(
-            calendar.tracer().fingerprint(),
-            reference.tracer().fingerprint(),
+            calendar.tracer().map(Tracer::fingerprint),
+            reference.tracer().map(Tracer::fingerprint),
             "trace fingerprint must match across queue implementations"
         );
     }

@@ -32,7 +32,6 @@ pub mod net;
 pub mod plan;
 pub mod queue;
 pub mod time;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use audit::KernelAuditor;
@@ -45,5 +44,4 @@ pub use kernel::{
 pub use net::NetSpec;
 pub use plan::{Plan, PlanBuilder};
 pub use time::{SimDuration, SimTime};
-#[cfg(feature = "trace")]
 pub use trace::{TraceEvent, TraceEventKind, Tracer};

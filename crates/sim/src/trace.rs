@@ -1,7 +1,7 @@
-//! Span tracing for the event kernel (`trace` feature).
+//! Span tracing for the event kernel.
 //!
-//! When the crate is built with `--features trace`, [`crate::Engine`]
-//! records every per-op lifecycle transition — submit, enqueue,
+//! Once [`crate::Engine::enable_trace`] is called, the engine records
+//! every per-op lifecycle transition — submit, enqueue,
 //! service-start, service-end, completion, and resource fault
 //! transitions — as a [`TraceEvent`] stamped with the *virtual* clock.
 //! Events carry the op [`Token`] and the [`ResourceId`] they touched, so
@@ -9,25 +9,35 @@
 //! can be reassembled into nested spans by an exporter (see the Chrome
 //! trace-event writer in the harness).
 //!
-//! Two properties the feature guarantees:
+//! An engine without it holds no tracer: each of the kernel's record
+//! sites costs it one branch (the recorder is out of line), and its
+//! snapshots carry no tracer section. A traced engine's snapshots carry
+//! the tracer, so a traced checkpoint resumes traced.
+//!
+//! Three properties tracing guarantees:
 //!
 //! * **Bounded memory** — events land in a pre-allocated ring buffer
 //!   ([`Tracer::with_capacity`]); when it fills, the oldest events are
 //!   overwritten and counted in [`Tracer::dropped`]. No allocation
 //!   happens per event (a ring restored from a snapshot grows to its
-//!   capacity first).
+//!   capacity first). A snapshot's capacity is bounded by
+//!   [`DEFAULT_TRACE_CAPACITY`], the one an engine writes, so a forged
+//!   one cannot lift the bound.
 //! * **Determinism** — every recorded event (including ones later
 //!   evicted from the ring) is folded into a rolling
 //!   [`Tracer::fingerprint`]; two runs of the same seeded workload must
-//!   produce equal fingerprints. The recorder itself only ever reads the
-//!   virtual clock, so enabling tracing cannot perturb the simulation.
+//!   produce equal fingerprints.
+//! * **Neutrality** — the recorder only ever reads the virtual clock, so
+//!   enabling tracing cannot perturb the simulation: a traced run reports
+//!   what an untraced one does.
 
 use crate::kernel::{Outcome, ResourceId, Token};
 use crate::time::SimTime;
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use apm_core::snap_struct;
 
-/// Default ring capacity: 64 Ki events ≈ 2 MiB.
+/// Default ring capacity: 64 Ki events ≈ 2 MiB. The ring an engine
+/// installs, and the largest a snapshot may restore.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Which lifecycle transition a [`TraceEvent`] records.
@@ -85,7 +95,7 @@ pub struct TraceEvent {
 }
 
 /// Bounded ring buffer of [`TraceEvent`]s plus a whole-run fingerprint;
-/// embedded in [`crate::Engine`] behind the `trace` feature.
+/// held by a [`crate::Engine`] with tracing on.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     /// Ring size; `buf` never grows past it.
@@ -199,19 +209,27 @@ impl Tracer {
         w.put_u64(*fingerprint);
     }
 
-    /// Rebuilds a tracer from [`Tracer::snap_state`] bytes.
+    /// Rebuilds a tracer from [`Tracer::snap_state`] bytes. A capacity
+    /// above [`DEFAULT_TRACE_CAPACITY`] is refused: no engine writes one,
+    /// and the ring would keep whatever a resumed run recorded.
     pub fn restore_state(r: &mut SnapReader) -> Result<Tracer, SnapError> {
         let capacity: usize = r.get()?;
         let buf: Vec<TraceEvent> = r.get()?;
         let head: usize = r.get()?;
+        if capacity > DEFAULT_TRACE_CAPACITY {
+            return Err(SnapError::BadTag {
+                what: "Tracer capacity",
+                tag: capacity as u64,
+            });
+        }
         if capacity == 0 || buf.len() > capacity || (head != 0 && head >= buf.len()) {
             return Err(SnapError::BadTag {
                 what: "Tracer ring",
                 tag: head as u64,
             });
         }
-        // `capacity` is stream input and only checked against the ring it
-        // came with, so nothing is reserved for it: the ring grows on push.
+        // `capacity` is stream input, so nothing is reserved for it: the
+        // ring grows on push, up to at most the default's.
         Ok(Tracer {
             buf,
             head,
@@ -369,11 +387,22 @@ mod tests {
     #[test]
     fn hostile_ring_header_is_ok_or_a_typed_error_never_a_panic() {
         // An empty ring claiming every event the address space could hold
-        // passes the ring check; it used to be reserved for ("capacity
-        // overflow"). It restores, and records.
-        let mut huge = restore_sealed(u64::MAX, 0, 0, 0).expect("an empty ring fits any capacity");
-        huge.record(ev(1, 1, TraceEventKind::Submit));
-        assert_eq!((huge.len(), huge.recorded(), huge.dropped()), (1, 1, 0));
+        // would record without bound: it is refused, as is any capacity
+        // past the one an engine writes. That one restores, and records.
+        let max = DEFAULT_TRACE_CAPACITY as u64;
+        for capacity in [u64::MAX, max + 1] {
+            let huge = restore_sealed(capacity, 0, 0, 0);
+            assert_eq!(
+                huge.map(|t| t.len()),
+                Err(SnapError::BadTag {
+                    what: "Tracer capacity",
+                    tag: capacity
+                })
+            );
+        }
+        let mut empty = restore_sealed(max, 0, 0, 0).expect("an empty default ring");
+        empty.record(ev(1, 1, TraceEventKind::Submit));
+        assert_eq!((empty.len(), empty.recorded(), empty.dropped()), (1, 1, 0));
         assert_eq!(restore_sealed(4, 2, 2, 1).map(|t| t.len()), Ok(2));
         for (capacity, prefix, ring, head) in [(0, 0, 0, 0), (1, 2, 2, 0), (4, 2, 2, 2)] {
             let refused = restore_sealed(capacity, prefix, ring, head);

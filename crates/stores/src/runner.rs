@@ -425,7 +425,8 @@ fn total_records(config: &RunConfig) -> u64 {
 /// snapshot carries every byte of loaded and mutated state and
 /// overwrites whatever the store held — so the continuation is
 /// byte-identical to the portion of the from-scratch run after the
-/// checkpoint.
+/// checkpoint. Whether it is traced is the checkpoint's to say, not the
+/// engine's: a traced checkpoint resumes traced into [`Engine::new`].
 pub fn resume_benchmark(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
@@ -447,12 +448,9 @@ pub fn resume_benchmark_masked(
     mask: Option<&[bool]>,
 ) -> Result<RunResult, SnapError> {
     let (header, body) = snap::open(snapshot)?;
-    if header.features != Engine::snap_features() {
-        return Err(SnapError::FeatureMismatch {
-            stored: header.features,
-            active: Engine::snap_features(),
-        });
-    }
+    // Checked before any codec reads the body: the store sections come
+    // before the kernel's own feature byte.
+    snap::check_features(header.features)?;
     let active = config_fingerprint(store.name(), config);
     if header.config_fingerprint != active {
         return Err(SnapError::ConfigMismatch {
@@ -464,6 +462,12 @@ pub fn resume_benchmark_masked(
     let mut r = SnapReader::new(body);
     store.restore_state(&mut r, engine)?;
     engine.restore_state(&mut r)?;
+    if engine.features() != header.features {
+        return Err(SnapError::FeatureMismatch {
+            stored: header.features,
+            active: engine.features(),
+        });
+    }
     let mut d = Driver::restore_state(config, store, &mut r)?;
     r.finish()?;
     let checkpoints = drive(engine, store, config, &mut d, mask);
@@ -1207,7 +1211,7 @@ fn capture_checkpoint(
     let header = SnapshotHeader {
         scenario: store.name().to_string(),
         config_fingerprint: config_fingerprint(store.name(), config),
-        features: Engine::snap_features(),
+        features: engine.features(),
         checkpoint_index: index,
         virtual_time_ns: engine.now().0,
     };
@@ -1338,6 +1342,7 @@ pub(crate) mod tests {
     /// is encoded again in front of the kernel and driver sections; `edit`
     /// then gets the whole body and the length of its store section. The
     /// container is sealed again, so its checksum vouches for the forgery.
+    /// A `make` that turns the engine's tracer on forges a traced checkpoint.
     pub(crate) fn resume_forged<S: DistributedStore>(
         make: impl Fn(&mut Engine) -> S,
         forge: impl FnOnce(&mut S),
@@ -2003,9 +2008,18 @@ pub(crate) mod tests {
 
     #[test]
     fn resume_rejects_a_mismatched_config() {
+        for trace in [false, true] {
+            rejects_a_mismatched_config(trace);
+        }
+    }
+
+    fn rejects_a_mismatched_config(trace: bool) {
         let mut cfg = quick_config(Workload::rw());
         cfg.checkpoints = Some(CheckpointSpec::every(0.5));
         let mut engine = Engine::new();
+        if trace {
+            engine.enable_trace();
+        }
         let mut store = FixtureStore::new(&mut engine, 100);
         let straight = run_benchmark(&mut engine, &mut store, &cfg);
         let cp = &straight.checkpoints[0];
@@ -2030,14 +2044,15 @@ pub(crate) mod tests {
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
 
-        // A body written by a build with other observers compiled in is
-        // refused by the container's feature byte before any codec reads
-        // it — with the audit bit cleared, a body from a build that
-        // predates the always-on auditors, whose store sections lack
-        // them: they come before the kernel's own feature byte, so
-        // nothing else would keep those bytes from being misread.
+        // With the audit bit cleared, the header claims a body from a
+        // build that predates the always-on auditors, whose store sections
+        // lack them: it is refused before any codec reads the body, since
+        // those sections come before the kernel's own feature byte. With
+        // the trace bit flipped, the header disagrees with the kernel
+        // section it seals — traced or not — and is refused too.
         let (mut header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
-        let active = Engine::snap_features();
+        let active = engine.features();
+        assert_eq!(header.features, active);
         for flip in [snap::FEATURE_AUDIT, snap::FEATURE_TRACE] {
             header.features = active ^ flip;
             let resealed = snap::seal(&header, body);
@@ -2104,6 +2119,52 @@ pub(crate) mod tests {
                 other => panic!("expected BadTag {{ {what} }}, got {other:?}"),
             }
         }
+    }
+
+    /// A traced checkpoint 0 resumes; forged to a ring capacity past the
+    /// one an engine writes — which would keep every event a resumed run
+    /// records — it is refused.
+    #[test]
+    fn forged_tracer_capacity_is_refused_on_resume() {
+        let make = |engine: &mut Engine| {
+            engine.enable_trace();
+            let ctx = StoreCtx::new(engine, ClusterSpec::cluster_m(), 4, 2, 0.0005, 29);
+            crate::voldemort::VoldemortStore::new(ctx, engine)
+        };
+        // The tracer's section ends the kernel's, and opens with its
+        // capacity.
+        let capacity_at = |body: &[u8], store_len: usize| {
+            let mut engine = Engine::new();
+            let mut r = SnapReader::new(&body[store_len..]);
+            engine
+                .restore_state(&mut r)
+                .expect("kernel section restores");
+            let mut w = SnapWriter::new();
+            engine
+                .tracer()
+                .expect("a traced checkpoint restores traced")
+                .snap_state(&mut w);
+            body.len() - r.remaining() - w.len()
+        };
+        assert!(resume_forged(make, |_| {}, |_, _| {}).is_ok());
+        let unbounded = resume_forged(
+            make,
+            |_| {},
+            |body, store_len| {
+                let at = capacity_at(body, store_len);
+                body[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            },
+        );
+        assert!(
+            matches!(
+                unbounded,
+                Err(SnapError::BadTag {
+                    what: "Tracer capacity",
+                    tag: u64::MAX
+                })
+            ),
+            "{unbounded:?}"
+        );
     }
 
     /// `name` built over four nodes of `cluster` at scale 0.0005, with the

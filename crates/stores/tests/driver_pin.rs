@@ -26,11 +26,13 @@
 //! the commit before the load phase went to one node at a time; HBase,
 //! MySQL and VoltDB (`PartitionTable`, the HDFS / region state,
 //! `PagedTree`) under every feature set on 356f657, the commit before the
-//! codecs were generated from one field list. There are two sets now:
-//! the auditors, once the `audit` feature, are in every build, so the
-//! default build checks the table that feature pinned and `trace` the
-//! one `trace` and `audit` together pinned, neither recaptured (f918e3a
-//! is the commit before).
+//! codecs were generated from one field list. The auditors, once the
+//! `audit` feature, are in every engine, and the span tracer, once the
+//! `trace` feature, is switched on per engine: one build checks an engine
+//! as `Engine::new()` makes it against the table the `audit` build pinned
+//! and a traced one against the table `trace` and `audit` together
+//! pinned, neither recaptured (f918e3a and ad9d4d6 are the commits
+//! before).
 //!
 //! The `… on D` rows of that table pin a buffer pool *under thrash*.
 //! Everything else here runs on Cluster M at scale 0.0005, where no pool
@@ -49,7 +51,8 @@
 //! format-bound constant: each pinned checkpoint 0, resumed into a fresh
 //! store, runs on to exactly the statistics, issued count and ledger of
 //! its full run (added on 03bf0c7, the commit before the bump, where it
-//! passed against the version-3 bodies).
+//! passed against the version-3 bodies) — a traced one resumed into an
+//! untraced engine, to its full run's trace fingerprint too.
 
 mod common;
 
@@ -96,10 +99,23 @@ fn shapes() -> [RunConfig; 4] {
 }
 
 fn run(name: &str, cluster: ClusterSpec, config: &RunConfig) -> RunResult {
+    run_on(&mut Engine::new(), name, cluster, config)
+}
+
+/// [`run`] on `engine`, which may have its tracer on.
+fn run_on(engine: &mut Engine, name: &str, cluster: ClusterSpec, config: &RunConfig) -> RunResult {
+    let ctx = common::ctx_on(name, engine, cluster, NODES, SCALE);
+    let mut store = common::build(name, engine, ctx);
+    run_benchmark(engine, store.as_mut(), config)
+}
+
+/// A fresh engine, its span tracer on when `trace` is.
+fn engine(trace: bool) -> Engine {
     let mut engine = Engine::new();
-    let ctx = common::ctx_on(name, &mut engine, cluster, NODES, SCALE);
-    let mut store = common::build(name, &mut engine, ctx);
-    run_benchmark(&mut engine, store.as_mut(), config)
+    if trace {
+        engine.enable_trace();
+    }
+    engine
 }
 
 fn fingerprints(name: &str) -> [u64; 4] {
@@ -190,12 +206,14 @@ fn policy_free_runs_are_pinned() {
 
 /// Stores with the FNV-1a of the body of checkpoint 0 of shape (d),
 /// checkpointed every 0.2 s — or, `on D`, of [`thrashing_config`] — and the
-/// body's length; one table per feature set, because a checkpoint also
-/// carries the observers' state: every build writes the auditor sections,
-/// `trace` adds the tracer's ring buffer (~1.46 MB a checkpoint). CI tests
-/// both sets. The auditors were once the `audit` feature; these are the
-/// tables that build pinned (`BODY_PINS_AUDIT` and `BODY_PINS_TRACE_AUDIT`),
-/// renamed when it became the only build, no constant recaptured.
+/// body's length; one table for an untraced engine and one for a traced
+/// one, because a checkpoint also carries the observers' state: every
+/// engine writes the auditor sections, a traced one adds the tracer's ring
+/// buffer (~1.46 MB a checkpoint). The auditors and the tracer were once
+/// the `audit` and `trace` features; these are the tables the `audit`
+/// build and the `trace` + `audit` build pinned (`BODY_PINS_AUDIT` and
+/// `BODY_PINS_TRACE_AUDIT`), renamed when the features went, no constant
+/// recaptured.
 type BodyPins = [(&'static str, u64, usize); 9];
 
 const BODY_PINS: BodyPins = [
@@ -221,14 +239,6 @@ const BODY_PINS_TRACE: BodyPins = [
     ("mongodb on D", 0xe216_718f_24fa_3f5a, 3_397_512),
     ("voldemort on D", 0x1ab2_bb1d_255d_c43f, 3_559_361),
 ];
-
-fn body_pins() -> &'static BodyPins {
-    if cfg!(feature = "trace") {
-        &BODY_PINS_TRACE
-    } else {
-        &BODY_PINS
-    }
-}
 
 /// `store` on Cluster D, its trees 9–20× their pools, checkpointed 20 s
 /// into Workload RSW — RW for Voldemort, which plans no scan.
@@ -256,18 +266,24 @@ fn pinned_scenario(name: &str) -> (&str, ClusterSpec, RunConfig) {
     }
 }
 
+/// The two tables: `BODY_PINS` for an untraced engine, `BODY_PINS_TRACE`
+/// for a traced one.
+const TABLES: [(bool, &BodyPins); 2] = [(false, &BODY_PINS), (true, &BODY_PINS_TRACE)];
+
 #[test]
 fn checkpoint_bodies_are_pinned() {
-    let moved: Vec<String> = body_pins()
+    let moved: Vec<String> = TABLES
         .iter()
-        .filter_map(|&(name, want, want_len)| {
+        .flat_map(|&(trace, pins)| pins.iter().map(move |&pin| (trace, pin)))
+        .filter_map(|(trace, (name, want, want_len))| {
             let (store, cluster, config) = pinned_scenario(name);
-            let r = run(store, cluster, &config);
+            let r = run_on(&mut engine(trace), store, cluster, &config);
             let (_, body) = snap::open(&r.checkpoints[0].bytes).expect("own checkpoint opens");
             let (got, len) = (fnv1a64(body), body.len());
             ((got, len) != (want, want_len)).then(|| {
                 format!(
-                    "{name}: got {got:#018x} over {len} bytes, pinned {want:#018x} over {want_len}"
+                    "{name} (traced: {trace}): got {got:#018x} over {len} bytes, \
+                     pinned {want:#018x} over {want_len}"
                 )
             })
         })
@@ -289,15 +305,18 @@ fn reported(r: &RunResult) -> Vec<u8> {
 }
 
 /// The safety net under the body pins that no format change moves: each
-/// pinned checkpoint 0, restored into a freshly constructed store, runs
-/// on to exactly what the full run reported.
+/// pinned checkpoint 0, restored into a freshly constructed store over
+/// `Engine::new()`, runs on to exactly what the full run reported — and a
+/// traced one, which resumes traced, to the full run's trace fingerprint.
 #[test]
 fn every_pinned_checkpoint_resumes_to_the_full_run() {
-    let drifted: Vec<&str> = BODY_PINS
+    let drifted: Vec<(&str, bool)> = TABLES
         .iter()
-        .filter_map(|&(name, ..)| {
+        .flat_map(|&(trace, pins)| pins.iter().map(move |&(name, ..)| (name, trace)))
+        .filter(|&(name, trace)| {
             let (store, cluster, config) = pinned_scenario(name);
-            let full = run(store, cluster, &config);
+            let mut full_engine = engine(trace);
+            let full = run_on(&mut full_engine, store, cluster, &config);
             let mut engine = Engine::new();
             let ctx = common::ctx_on(store, &mut engine, cluster, NODES, SCALE);
             let mut fresh = common::build(store, &mut engine, ctx);
@@ -308,12 +327,14 @@ fn every_pinned_checkpoint_resumes_to_the_full_run() {
                 &full.checkpoints[0].bytes,
             )
             .expect("own checkpoint resumes");
-            (reported(&resumed) != reported(&full)).then_some(name)
+            let traced = |e: &Engine| e.tracer().map(|t| t.fingerprint());
+            reported(&resumed) != reported(&full) || traced(&engine) != traced(&full_engine)
         })
         .collect();
     assert!(
         drifted.is_empty(),
-        "resumed from checkpoint 0, these runs report otherwise than in full: {drifted:?}"
+        "resumed from checkpoint 0, these (store, traced) runs report otherwise than in full: \
+         {drifted:?}"
     );
 }
 

@@ -1,8 +1,7 @@
-//! Trace-feature integration (`--features trace`): the Chrome
-//! trace-event export is well-formed — spans balance per thread,
+//! Span-tracing integration (`repro trace`): the Chrome trace-event
+//! export of a traced engine is well-formed — spans balance per thread,
 //! timestamps are monotone per thread — and two identically seeded
 //! captures are byte-identical with equal kernel fingerprints.
-#![cfg(feature = "trace")]
 
 use apm_repro::core::json::{self, Json};
 use apm_repro::harness::obs::capture_trace_demo;
