@@ -1325,12 +1325,21 @@ mod tests {
             resilient: false,
         };
         let outcome = run_campaign(&ChaosTarget::broken_cassandra(), &p, &opts);
-        let schema = report_schema(&report_to_json(&outcome.report)).join("\n") + "\n";
+        let report = report_to_json(&outcome.report);
+        let schema = report_schema(&report).join("\n") + "\n";
         let golden = include_str!("../golden/chaos-report-schema.txt");
         assert_eq!(
             schema, golden,
             "report schema drifted; update crates/harness/golden/chaos-report-schema.txt \
              and bump CAMPAIGN_FORMAT_VERSION if the change is structural"
+        );
+        // The bytes, not just the shape: this campaign has full and
+        // minimized event lists, so every event field and fault-kind
+        // name the writer renders is pinned here.
+        assert_eq!(
+            fnv1a64(report.to_pretty().as_bytes()),
+            0xa645_1baf_93ac_6fef,
+            "fixture campaign report bytes moved"
         );
     }
 }

@@ -259,6 +259,53 @@ mod tests {
         assert_eq!(schedule.events().len(), 6);
     }
 
+    /// Every builder expands to its documented begin/end pair, in time
+    /// order; a storm pairs every node.
+    #[test]
+    fn every_window_expands_to_its_documented_pair() {
+        use FaultKind::*;
+        let (at, until) = (secs(10), secs(20));
+        let event = |at, node, kind| FaultEvent { at, node, kind };
+        let cases = [
+            (
+                FaultSchedule::none().crash(2, at, until),
+                vec![event(at, 2, Crash), event(until, 2, Restart)],
+            ),
+            (
+                FaultSchedule::none().slow_disk(1, at, until, 6),
+                vec![
+                    event(at, 1, DiskSlow { factor: 6 }),
+                    event(until, 1, DiskRestore),
+                ],
+            ),
+            (
+                FaultSchedule::none().partition(3, at, until),
+                vec![event(at, 3, PartitionStart), event(until, 3, PartitionEnd)],
+            ),
+            (
+                FaultSchedule::none().fail_slow(0, at, until, 8),
+                vec![
+                    event(at, 0, FailSlow { factor: 8 }),
+                    event(until, 0, FailSlowEnd),
+                ],
+            ),
+            (
+                FaultSchedule::none().storm(3, at, until, 16),
+                vec![
+                    event(at, 0, FailSlow { factor: 16 }),
+                    event(at, 1, FailSlow { factor: 16 }),
+                    event(at, 2, FailSlow { factor: 16 }),
+                    event(until, 0, FailSlowEnd),
+                    event(until, 1, FailSlowEnd),
+                    event(until, 2, FailSlowEnd),
+                ],
+            ),
+        ];
+        for (schedule, expected) in cases {
+            assert_eq!(schedule.events(), &expected[..]);
+        }
+    }
+
     #[test]
     fn crash_window_has_matching_restart() {
         let schedule = FaultSchedule::none().crash(3, secs(10), secs(25));
