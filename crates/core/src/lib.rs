@@ -17,7 +17,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::wildcard_enum_match_arm))]
 
-pub mod chaos;
 pub mod driver;
 pub mod json;
 pub mod keyspace;

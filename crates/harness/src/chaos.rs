@@ -5,12 +5,13 @@
 //! seed:
 //!
 //! 1. A [`ChaosGenerator`] samples random-but-reproducible
-//!    [`ChaosSchedule`]s — time-disjoint fault *windows* (crash/restart,
-//!    fail-slow, disk slowdown, network partition, cluster-wide deadline
-//!    storms) drawn from a SplitMix64 stream — optionally composed with
-//!    a client-side [`ResiliencePolicy`] under test.
+//!    [`ChaosSchedule`]s — time-disjoint fault *windows*
+//!    ([`FaultWindow`]: crash/restart, fail-slow, disk slowdown, network
+//!    partition, cluster-wide deadline storms) drawn from a SplitMix64
+//!    stream — optionally composed with a client-side
+//!    [`ResiliencePolicy`] under test.
 //! 2. Each schedule runs against the store and four correctness
-//!    *oracles* judge the outcome ([`apm_core::chaos::OracleKind`]):
+//!    *oracles* judge the outcome ([`OracleKind`]):
 //!    durability (every client-acked insert readable after all
 //!    recoveries, via the runner's
 //!    [`RunLedger`](apm_stores::runner::RunLedger)), conservation (logical
@@ -36,17 +37,15 @@
 //! and the campaign report is a pure function of (store, seed, budget).
 
 use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind, StoreSpec};
-use apm_core::chaos::{
-    CampaignReport, ChaosEventRecord, MinimizedRepro, OracleKind, OracleVerdict, ScheduleOutcome,
-    ScheduleRecord, CAMPAIGN_FORMAT_VERSION,
-};
 use apm_core::json::Json;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::rng::SplitMix64;
 use apm_core::snap::{fnv1a64, SnapWriter};
 use apm_core::stats::BenchStats;
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, FaultEvent, FaultKind, FaultSchedule, SimDuration, SimTime};
+use apm_sim::{
+    ClusterSpec, FaultEvent, FaultSchedule, FaultWindow, SimDuration, SimTime, WindowShape,
+};
 use apm_stores::cassandra::CassandraConfig;
 use apm_stores::resilience::{ResiliencePolicy, RetryPolicy};
 use apm_stores::runner::{bisect_divergence, Checkpoint, CheckpointSpec, RunResult};
@@ -64,89 +63,156 @@ pub const DEFAULT_BUDGET: u32 = 4;
 const OP_DEADLINE: SimDuration = SimDuration::from_millis(250);
 
 // ---------------------------------------------------------------------------
-// Fault windows and schedules
+// Campaign data model: which schedules were tried, which oracles fired,
+// and what the minimized reproducers look like. Plain data with
+// deterministic ordering: serialising the same campaign twice yields
+// identical bytes.
 
-/// What happens inside one fault window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WindowShape {
-    /// One node crashes at the window start and restarts at its end.
-    Crash,
-    /// One node's disk degrades to `factor`× service times.
-    SlowDisk {
-        /// Service-time multiplier.
-        factor: u32,
-    },
-    /// One node is network-partitioned (requests stall until the
-    /// client deadline fires).
-    Partition,
-    /// One node fail-slows to `factor`× while still answering.
-    FailSlow {
-        /// Service-time multiplier.
-        factor: u32,
-    },
-    /// Deadline storm: *every* node fail-slows to `factor`×
-    /// simultaneously, surfacing as a cluster-wide burst of timeouts.
-    Storm {
-        /// Service-time multiplier.
-        factor: u32,
-    },
+/// Version stamp written into every serialized campaign report. Bump on
+/// any structural change so downstream consumers can reject reports
+/// they do not understand.
+pub const CAMPAIGN_FORMAT_VERSION: u32 = 1;
+
+/// The correctness invariants evaluated over each chaos run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OracleKind {
+    /// Every client-acknowledged insert is readable after all
+    /// recoveries complete (requires the runner's acked-write ledger).
+    Durability,
+    /// Logical-operation accounting balances: every issued op resolves
+    /// at most once and the in-flight residue is bounded by the client
+    /// population.
+    Conservation,
+    /// Availability over the whole run stays above a lenient floor —
+    /// faults may dent throughput but must not zero it.
+    AvailabilityFloor,
+    /// After the last fault event the per-second throughput returns to
+    /// within a band of the fault-free baseline.
+    RecoveryConvergence,
 }
 
-/// One fault window: a shape applied to a node (or, for storms, the
-/// whole cluster) over `[start, until)`. Times are offsets from the
-/// start of the measurement window, like [`FaultEvent::at`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultWindow {
-    /// Target node (ignored by [`WindowShape::Storm`]).
-    pub node: usize,
-    /// Window start, offset from the measurement-window start.
-    pub start: SimTime,
-    /// Window end (restart/restore/heal), same clock.
-    pub until: SimTime,
-    pub shape: WindowShape,
-}
+impl OracleKind {
+    /// All oracles, in evaluation order.
+    pub const ALL: [OracleKind; 4] = [
+        OracleKind::Durability,
+        OracleKind::Conservation,
+        OracleKind::AvailabilityFloor,
+        OracleKind::RecoveryConvergence,
+    ];
 
-impl FaultWindow {
-    /// The fault events this window expands to, paired start/end per
-    /// affected node.
-    fn events(&self, nodes: usize) -> Vec<FaultEvent> {
-        let pair = |node: usize, begin: FaultKind, end: FaultKind| {
-            vec![
-                FaultEvent {
-                    at: self.start,
-                    node,
-                    kind: begin,
-                },
-                FaultEvent {
-                    at: self.until,
-                    node,
-                    kind: end,
-                },
-            ]
-        };
-        match self.shape {
-            WindowShape::Crash => pair(self.node, FaultKind::Crash, FaultKind::Restart),
-            WindowShape::SlowDisk { factor } => pair(
-                self.node,
-                FaultKind::DiskSlow { factor },
-                FaultKind::DiskRestore,
-            ),
-            WindowShape::Partition => pair(
-                self.node,
-                FaultKind::PartitionStart,
-                FaultKind::PartitionEnd,
-            ),
-            WindowShape::FailSlow { factor } => pair(
-                self.node,
-                FaultKind::FailSlow { factor },
-                FaultKind::FailSlowEnd,
-            ),
-            WindowShape::Storm { factor } => (0..nodes)
-                .flat_map(|node| pair(node, FaultKind::FailSlow { factor }, FaultKind::FailSlowEnd))
-                .collect(),
+    /// Stable identifier used in reports and CLI output.
+    pub fn name(self) -> &'static str {
+        match self {
+            OracleKind::Durability => "durability",
+            OracleKind::Conservation => "conservation",
+            OracleKind::AvailabilityFloor => "availability-floor",
+            OracleKind::RecoveryConvergence => "recovery-convergence",
         }
     }
 }
+
+/// One oracle's verdict over one run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct OracleVerdict {
+    pub kind: OracleKind,
+    pub pass: bool,
+    /// Human-readable evidence (counts, ratios, offending keys).
+    pub detail: String,
+}
+
+/// How one sampled schedule resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScheduleOutcome {
+    /// Every oracle held.
+    Pass,
+    /// At least one oracle fired; a minimized reproducer was attempted.
+    Violation,
+    /// Two identical replays of the schedule disagreed — a determinism
+    /// bug in the stack itself. Shrinking is skipped and the divergence
+    /// is localized by checkpoint bisection instead.
+    NonDeterministic,
+}
+
+impl ScheduleOutcome {
+    /// Stable identifier used in reports and CLI output.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScheduleOutcome::Pass => "pass",
+            ScheduleOutcome::Violation => "violation",
+            ScheduleOutcome::NonDeterministic => "non-deterministic",
+        }
+    }
+}
+
+/// One schedule tried by the campaign.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ScheduleRecord {
+    /// Zero-based index within the campaign.
+    pub index: u32,
+    /// The schedule's fault events, in dispatch order.
+    pub events: Vec<FaultEvent>,
+    pub outcome: ScheduleOutcome,
+    /// Verdicts in [`OracleKind::ALL`] order (oracles the configuration
+    /// disabled are simply absent).
+    pub verdicts: Vec<OracleVerdict>,
+}
+
+/// A minimized failing reproducer produced by the delta-debugging
+/// shrinker.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MinimizedRepro {
+    /// Index of the originating [`ScheduleRecord`].
+    pub schedule_index: u32,
+    /// Event count of the original failing schedule.
+    pub original_events: usize,
+    /// Event count after shrinking.
+    pub minimized_events: usize,
+    /// The minimal failing schedule's events, in dispatch order.
+    pub events: Vec<FaultEvent>,
+    /// Probe runs the shrinker spent.
+    pub probes: u32,
+    /// Of those, probes that resumed from a pre-divergence checkpoint
+    /// instead of replaying from t=0.
+    pub resumed_probes: u32,
+    /// Oracles that still fire on the minimized schedule.
+    pub failing_oracles: Vec<OracleKind>,
+    /// For [`ScheduleOutcome::NonDeterministic`] schedules: the first
+    /// divergent checkpoint window located by bisection (no shrinking
+    /// was performed).
+    pub divergent_checkpoint: Option<u32>,
+}
+
+/// A full search campaign over one store.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CampaignReport {
+    /// [`CAMPAIGN_FORMAT_VERSION`] at serialisation time.
+    pub version: u32,
+    /// Store legend name (`cassandra`, `redis`, …).
+    pub store: String,
+    /// Campaign seed; the whole report is a pure function of it.
+    pub seed: u64,
+    /// Schedules sampled.
+    pub budget: u32,
+    /// Whether a resilience policy was composed under test.
+    pub resilient: bool,
+    /// One record per sampled schedule, in sample order.
+    pub schedules: Vec<ScheduleRecord>,
+    /// One minimized reproducer per non-passing schedule.
+    pub minimized: Vec<MinimizedRepro>,
+}
+
+impl CampaignReport {
+    /// Number of schedules whose outcome was not a clean pass.
+    pub fn violations(&self) -> usize {
+        self.schedules
+            .iter()
+            .filter(|s| s.outcome != ScheduleOutcome::Pass)
+            .count()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Schedules
 
 /// A sampled schedule: the windows, the flattened [`FaultSchedule`] fed
 /// to the runner, and the event → window mapping the shrinker masks by.
@@ -162,26 +228,22 @@ pub struct ChaosSchedule {
 
 impl ChaosSchedule {
     /// Flattens windows into one time-sorted schedule, tagging every
-    /// event with its owning window. The insertion rule is the same
-    /// stable sort [`FaultSchedule::push`] uses, so index `i` of `tags`
-    /// lines up with index `i` of `schedule.events()` — which is the
-    /// index the runner's fault mask addresses.
+    /// event with its owning window at the index [`FaultSchedule::push`]
+    /// put it, so index `i` of `tags` lines up with index `i` of
+    /// `schedule.events()` — which is the index the runner's fault mask
+    /// addresses.
     pub fn from_windows(windows: Vec<FaultWindow>, nodes: usize) -> ChaosSchedule {
-        let mut tagged: Vec<(FaultEvent, usize)> = Vec::new();
+        let mut schedule = FaultSchedule::none();
+        let mut tags = Vec::new();
         for (tag, window) in windows.iter().enumerate() {
             for event in window.events(nodes) {
-                let pos = tagged.partition_point(|(e, _)| e.at <= event.at);
-                tagged.insert(pos, (event, tag));
+                tags.insert(schedule.push(event), tag);
             }
-        }
-        let mut schedule = FaultSchedule::none();
-        for (event, _) in &tagged {
-            schedule.push(*event);
         }
         ChaosSchedule {
             windows,
             schedule,
-            tags: tagged.into_iter().map(|(_, tag)| tag).collect(),
+            tags,
         }
     }
 
@@ -234,7 +296,9 @@ impl ChaosGenerator {
             // Start in the first 40 % of the slot, last 24–60 % of it:
             // the window always ends inside its own slot.
             let start = base + self.rng.next_u64() % (slot * 2 / 5).max(1);
-            let len = slot * 6 / 25 + self.rng.next_u64() % (slot * 9 / 25).max(1);
+            // At least a nanosecond, so a tiny measurement window still
+            // yields windows that end after they start.
+            let len = (slot * 6 / 25 + self.rng.next_u64() % (slot * 9 / 25).max(1)).max(1);
             let node = (self.rng.next_u64() % self.nodes as u64) as usize;
             let shape = match self.rng.next_u64() % 5 {
                 0 => WindowShape::Crash,
@@ -583,24 +647,6 @@ fn run_fingerprint(result: &RunResult) -> u64 {
     fnv1a64(w.bytes())
 }
 
-fn event_record(event: &FaultEvent) -> ChaosEventRecord {
-    let kind = match event.kind {
-        FaultKind::Crash => "crash".to_string(),
-        FaultKind::Restart => "restart".to_string(),
-        FaultKind::DiskSlow { factor } => format!("disk-slow(x{factor})"),
-        FaultKind::DiskRestore => "disk-restore".to_string(),
-        FaultKind::PartitionStart => "partition-start".to_string(),
-        FaultKind::PartitionEnd => "partition-end".to_string(),
-        FaultKind::FailSlow { factor } => format!("fail-slow(x{factor})"),
-        FaultKind::FailSlowEnd => "fail-slow-end".to_string(),
-    };
-    ChaosEventRecord {
-        at_ns: event.at.as_nanos(),
-        node: event.node,
-        kind,
-    }
-}
-
 /// The shrinker's probe engine: runs window subsets of one fixed
 /// schedule, resuming from the full run's checkpoints where sound, and
 /// memoizes verdicts per subset.
@@ -749,15 +795,8 @@ pub fn run_campaign(
             opts.resilient,
         );
         let mut full = scenario.run();
-        let all_events: Vec<FaultEvent> = chaos.schedule.events().to_vec();
-        let verdicts = evaluate_oracles(
-            &target.oracles,
-            &scenario,
-            &mut full,
-            &all_events,
-            &baseline,
-        );
-        let events: Vec<ChaosEventRecord> = all_events.iter().map(event_record).collect();
+        let events = chaos.schedule.events().to_vec();
+        let verdicts = evaluate_oracles(&target.oracles, &scenario, &mut full, &events, &baseline);
         let failing = failing_kinds(&verdicts);
 
         if failing.is_empty() {
@@ -774,13 +813,8 @@ pub fn run_campaign(
         // shrinking; a replay mismatch is a determinism bug in the
         // stack itself, localized by checkpoint bisection instead.
         let mut replay = scenario.run();
-        let replay_verdicts = evaluate_oracles(
-            &target.oracles,
-            &scenario,
-            &mut replay,
-            &all_events,
-            &baseline,
-        );
+        let replay_verdicts =
+            evaluate_oracles(&target.oracles, &scenario, &mut replay, &events, &baseline);
         if run_fingerprint(&full.result) != run_fingerprint(&replay.result)
             || verdicts != replay_verdicts
         {
@@ -820,11 +854,7 @@ pub fn run_campaign(
         let enabled = ddmin(&mut prober, chaos.windows.len());
         let failing_oracles = prober.failing(&enabled);
         let (probes, resumed_probes) = (prober.probes, prober.resumed_probes);
-        let minimized_events: Vec<ChaosEventRecord> = chaos
-            .enabled_events(&enabled)
-            .iter()
-            .map(event_record)
-            .collect();
+        let minimized_events = chaos.enabled_events(&enabled);
         minimized.push(MinimizedRepro {
             schedule_index: index,
             original_events: events.len(),
@@ -895,15 +925,15 @@ pub fn probe_schedule(
 // ---------------------------------------------------------------------------
 // Report serialisation
 
-fn events_to_json(events: &[ChaosEventRecord]) -> Json {
+fn events_to_json(events: &[FaultEvent]) -> Json {
     Json::Arr(
         events
             .iter()
             .map(|e| {
                 Json::Obj(vec![
-                    ("at_ns".to_string(), Json::Num(e.at_ns as f64)),
+                    ("at_ns".to_string(), Json::Num(e.at.as_nanos() as f64)),
                     ("node".to_string(), Json::Num(e.node as f64)),
-                    ("kind".to_string(), Json::Str(e.kind.clone())),
+                    ("kind".to_string(), Json::Str(e.kind.to_string())),
                 ])
             })
             .collect(),
@@ -1171,9 +1201,48 @@ pub const FIXTURE_BUDGET: u32 = 3;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apm_sim::FaultKind;
 
     fn profile() -> ExperimentProfile {
         ExperimentProfile::test()
+    }
+
+    #[test]
+    fn oracle_names_are_stable_and_distinct() {
+        let names: Vec<&str> = OracleKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            vec![
+                "durability",
+                "conservation",
+                "availability-floor",
+                "recovery-convergence"
+            ]
+        );
+    }
+
+    #[test]
+    fn violations_counts_non_passing_schedules() {
+        let schedule = |index, outcome| ScheduleRecord {
+            index,
+            events: Vec::new(),
+            outcome,
+            verdicts: Vec::new(),
+        };
+        let report = CampaignReport {
+            version: CAMPAIGN_FORMAT_VERSION,
+            store: "fixture".into(),
+            seed: 7,
+            budget: 3,
+            resilient: false,
+            schedules: vec![
+                schedule(0, ScheduleOutcome::Pass),
+                schedule(1, ScheduleOutcome::Violation),
+                schedule(2, ScheduleOutcome::NonDeterministic),
+            ],
+            minimized: Vec::new(),
+        };
+        assert_eq!(report.violations(), 2);
     }
 
     #[test]
@@ -1196,6 +1265,16 @@ mod tests {
                 assert!(w.start.as_nanos() >= 8_000_000_000 / 20);
                 assert!(w.until.as_nanos() <= 8_000_000_000 * 3 / 5);
             }
+        }
+    }
+
+    #[test]
+    fn a_tiny_measurement_window_still_samples_well_formed_windows() {
+        let mut generator = ChaosGenerator::new(5, 4);
+        for _ in 0..8 {
+            // `events` asserts every window ends after it starts.
+            let chaos = generator.sample(1e-8);
+            assert!(chaos.windows.iter().all(|w| w.start < w.until));
         }
     }
 
@@ -1244,7 +1323,7 @@ mod tests {
             durability.minimized_events
         );
         assert!(
-            durability.events.iter().any(|e| e.kind == "crash"),
+            durability.events.iter().any(|e| e.kind == FaultKind::Crash),
             "minimized schedule lost the crash: {:?}",
             durability.events
         );

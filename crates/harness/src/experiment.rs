@@ -7,7 +7,7 @@
 //! `Scenario` that was built, adjusted through its public
 //! [`RunConfig`], and run.
 
-use apm_core::driver::{ClientConfig, Throttle};
+use apm_core::driver::ClientConfig;
 use apm_core::ops::OpKind;
 use apm_core::snap::SnapError;
 use apm_core::workload::Workload;
@@ -223,7 +223,8 @@ impl Point {
     }
 }
 
-/// Runs one point at maximum throughput.
+/// Runs one point at maximum throughput. Anything more — a throttle
+/// (§5.6), faults, a deadline — is a [`Scenario`] with that field set.
 pub fn run_point(
     store: StoreKind,
     cluster: ClusterSpec,
@@ -231,32 +232,13 @@ pub fn run_point(
     workload: &Workload,
     profile: &ExperimentProfile,
 ) -> Point {
-    run_point_throttled(
-        store,
-        cluster,
-        nodes,
-        workload,
-        profile,
-        Throttle::Unlimited,
-    )
-}
-
-/// Runs one point with an explicit throttle (§5.6 bounded-throughput).
-pub fn run_point_throttled(
-    store: StoreKind,
-    cluster: ClusterSpec,
-    nodes: u32,
-    workload: &Workload,
-    profile: &ExperimentProfile,
-    throttle: Throttle,
-) -> Point {
-    let mut scenario = Scenario::new(store, cluster, nodes, workload, profile);
-    scenario.config.client.throttle = throttle;
     Point {
         store,
         nodes,
         workload: workload.name,
-        result: scenario.run().result,
+        result: Scenario::new(store, cluster, nodes, workload, profile)
+            .run()
+            .result,
     }
 }
 

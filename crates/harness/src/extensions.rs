@@ -293,10 +293,7 @@ pub fn elasticity(profile: &ExperimentProfile) -> Table {
     let window = profile.measure_secs.max(8.0) * 2.0;
     let add_at = window / 2.0;
     let mut scenario = Scenario::new(
-        CassandraConfig {
-            bootstrap_on_event: true,
-            ..CassandraConfig::default()
-        },
+        StoreKind::Cassandra,
         ClusterSpec::cluster_m(),
         nodes,
         &Workload::r(),

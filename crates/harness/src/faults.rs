@@ -17,13 +17,13 @@ use crate::experiment::{ExperimentProfile, Scenario, StoreKind, StoreSpec};
 use apm_core::report::Table;
 use apm_core::stats::{BenchStats, Telemetry};
 use apm_core::workload::Workload;
-use apm_sim::{ClusterSpec, FaultSchedule, SimDuration, SimTime};
+use apm_sim::{ClusterSpec, FaultSchedule, FaultWindow, SimDuration, SimTime, WindowShape};
 use apm_stores::cassandra::CassandraConfig;
 use apm_stores::runner::RunResult;
 
 /// Which node the schedules target. Node 1 rather than node 0 so that
 /// ring/routing bookkeeping is exercised on a non-trivial index.
-pub(crate) const VICTIM: usize = 1;
+const VICTIM: usize = 1;
 
 /// Every fault and resilience experiment runs on four nodes.
 const NODES: u32 = 4;
@@ -32,32 +32,44 @@ const NODES: u32 = 4;
 /// fraction of the pre-fault mean (the within-10% acceptance bar).
 const RECOVERY_THRESHOLD: f64 = 0.9;
 
-pub(crate) fn secs(s: f64) -> SimTime {
+fn secs(s: f64) -> SimTime {
     SimTime((s * 1e9) as u64)
 }
 
 /// Common fault timing: the measurement window split in thirds —
 /// healthy, faulted, recovered. Times are offsets from warmup end,
 /// matching [`FaultSchedule`] semantics.
-pub(crate) struct FaultWindow {
+pub(crate) struct Phases {
     pub(crate) window: f64,
     pub(crate) fault: f64,
     pub(crate) restore: f64,
 }
 
-impl FaultWindow {
-    pub(crate) fn for_profile(profile: &ExperimentProfile) -> FaultWindow {
+impl Phases {
+    pub(crate) fn for_profile(profile: &ExperimentProfile) -> Phases {
         // At least 9 s so each third spans several telemetry windows.
         let window = profile.measure_secs.max(9.0);
-        FaultWindow {
+        Phases {
             window,
             fault: window / 3.0,
             restore: window * 2.0 / 3.0,
         }
     }
 
+    /// One `shape` fault window on the victim node over the faulted
+    /// third.
+    pub(crate) fn faults(&self, shape: WindowShape) -> FaultSchedule {
+        let window = FaultWindow {
+            node: VICTIM,
+            start: secs(self.fault),
+            until: secs(self.restore),
+            shape,
+        };
+        FaultSchedule::none().with_window(window, NODES as usize)
+    }
+
     pub(crate) fn crash(&self) -> FaultSchedule {
-        FaultSchedule::none().crash(VICTIM, secs(self.fault), secs(self.restore))
+        self.faults(WindowShape::Crash)
     }
 
     /// The scenario every fault and resilience experiment starts from:
@@ -78,7 +90,7 @@ impl FaultWindow {
         scenario
     }
 
-    /// [`FaultWindow::scenario`] for workload R on Cluster-M Cassandra at
+    /// [`Phases::scenario`] for workload R on Cluster-M Cassandra at
     /// replication factor `rf` — where half the fault and resilience
     /// tables start.
     pub(crate) fn cassandra(
@@ -152,7 +164,7 @@ fn summary_columns(table: &mut Table) {
     ];
 }
 
-fn summary_row(result: &RunResult, window: &FaultWindow) -> Vec<Option<f64>> {
+fn summary_row(result: &RunResult, window: &Phases) -> Vec<Option<f64>> {
     let telemetry = result
         .telemetry
         .as_ref()
@@ -176,7 +188,7 @@ fn summary_row(result: &RunResult, window: &FaultWindow) -> Vec<Option<f64>> {
 /// hints the missed writes, so availability rides through the crash and
 /// the restart only costs the hint-replay stream.
 pub fn crash_failover(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
+    let w = Phases::for_profile(profile);
     let mut table = Table::new(
         &format!(
             "Extension: single-node crash at t={:.0}s, restart at t={:.0}s (Cassandra, workload R, 4 nodes)",
@@ -208,7 +220,7 @@ pub fn slow_disk(profile: &ExperimentProfile) -> Table {
         data_factor: 1.875,
         ..*profile
     };
-    let w = FaultWindow::for_profile(&d_profile);
+    let w = Phases::for_profile(&d_profile);
     let mut table = Table::new(
         &format!(
             "Extension: one fail-slow disk from t={:.0}s to t={:.0}s (HBase, workload R, 4 nodes, Cluster D)",
@@ -220,7 +232,7 @@ pub fn slow_disk(profile: &ExperimentProfile) -> Table {
     summary_columns(&mut table);
     for factor in [1u32, 4, 16] {
         let faults = if factor > 1 {
-            FaultSchedule::none().slow_disk(VICTIM, secs(w.fault), secs(w.restore), factor)
+            w.faults(WindowShape::SlowDisk { factor })
         } else {
             FaultSchedule::none()
         };
@@ -258,8 +270,8 @@ pub(crate) fn read_only() -> Workload {
 /// the stalls into timeout errors and keeps the surviving shards
 /// serving their share.
 pub fn partition(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
-    let faults = FaultSchedule::none().partition(VICTIM, secs(w.fault), secs(w.restore));
+    let w = Phases::for_profile(profile);
+    let faults = w.faults(WindowShape::Partition);
     let mut table = Table::new(
         &format!(
             "Extension: one shard partitioned from t={:.0}s to t={:.0}s (Redis, read-only, 4 nodes)",
@@ -293,7 +305,7 @@ pub fn partition(profile: &ExperimentProfile) -> Table {
 /// no persistence: the shard's data is gone and reads keep missing even
 /// after the process returns).
 pub fn failover_comparison(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
+    let w = Phases::for_profile(profile);
     let mut table = Table::new(
         &format!(
             "Extension: crash recovery compared, crash t={:.0}s restart t={:.0}s (workload R, 4 nodes)",

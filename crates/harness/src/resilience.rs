@@ -13,11 +13,11 @@
 //! heap, so the same seed reproduces byte-identical tables.
 
 use crate::experiment::{ExperimentProfile, StoreKind};
-use crate::faults::{read_only, secs, FaultWindow, VICTIM};
+use crate::faults::{read_only, Phases};
 use apm_core::driver::Throttle;
 use apm_core::ops::OpKind;
 use apm_core::report::Table;
-use apm_sim::{ClusterSpec, FaultSchedule, SimDuration};
+use apm_sim::{ClusterSpec, FaultSchedule, SimDuration, WindowShape};
 use apm_stores::resilience::{AdmissionPolicy, BreakerPolicy, HedgePolicy, RetryPolicy};
 use apm_stores::runner::RunResult;
 use apm_stores::ResiliencePolicy;
@@ -62,7 +62,7 @@ fn policy_row(result: &RunResult) -> Vec<Option<f64>> {
 /// wait it out instead of erroring: availability rises to ~1 while the
 /// errors column collapses.
 pub fn retry_masking(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
+    let w = Phases::for_profile(profile);
     let mut table = Table::new(
         &format!(
             "Extension: retries vs a crash window, crash t={:.0}s restart t={:.0}s (Cassandra rf=1, workload R, 4 nodes)",
@@ -94,14 +94,15 @@ pub fn retry_masking(profile: &ExperimentProfile) -> Table {
 /// against the other replica; the healthy replica wins, the slow attempt
 /// is cancelled, and the read p99 drops back toward the baseline.
 pub fn hedged_reads(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
+    let w = Phases::for_profile(profile);
     // The hedging experiment needs spare capacity: a speculative
     // duplicate only helps when the healthy replica has headroom to
     // answer it.
     let healthy = w.cassandra(2, profile, FaultSchedule::none());
     let target = healthy.run().result.throughput() * 0.6;
-    let faults =
-        FaultSchedule::none().fail_slow(VICTIM, secs(w.fault), secs(w.restore), FAIL_SLOW_FACTOR);
+    let faults = w.faults(WindowShape::FailSlow {
+        factor: FAIL_SLOW_FACTOR,
+    });
     let mut table = Table::new(
         &format!(
             "Extension: hedged reads vs a {FAIL_SLOW_FACTOR}x fail-slow node, t={:.0}s to t={:.0}s (Cassandra rf=2, workload R, 4 nodes, 60% load)",
@@ -133,8 +134,8 @@ pub fn hedged_reads(profile: &ExperimentProfile) -> Table {
 /// breaker closes. Errors drop by orders of magnitude and the loop
 /// spends its time on the healthy shards.
 pub fn breaker_shedding(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
-    let faults = FaultSchedule::none().partition(VICTIM, secs(w.fault), secs(w.restore));
+    let w = Phases::for_profile(profile);
+    let faults = w.faults(WindowShape::Partition);
     let deadline = Some(SimDuration::from_millis(10));
     let mut table = Table::new(
         &format!(
@@ -184,7 +185,7 @@ fn storm_retry() -> RetryPolicy {
 /// seconds of the outage and the storm is shed on the client instead of
 /// amplifying the failure.
 pub fn retry_storm(profile: &ExperimentProfile) -> Table {
-    let w = FaultWindow::for_profile(profile);
+    let w = Phases::for_profile(profile);
     let mut table = Table::new(
         &format!(
             "Extension: admission control vs a retry storm, crash t={:.0}s restart t={:.0}s (Cassandra rf=1, workload R, 4 nodes)",
@@ -336,7 +337,7 @@ mod tests {
     fn full_policy_run_replays_to_the_same_trace_fingerprint() {
         let p = profile();
         let fingerprint = || {
-            let w = FaultWindow::for_profile(&p);
+            let w = Phases::for_profile(&p);
             let mut scenario = w.cassandra(1, &p, w.crash());
             scenario.config.resilience = Some(ResiliencePolicy {
                 retry: Some(RetryPolicy::standard()),

@@ -84,13 +84,22 @@ impl ClusterSpec {
             self.name,
             self.max_nodes
         );
-        (0..n)
-            .map(|i| NodeResources {
-                cpu: engine.add_resource(format!("node{i}.cpu"), self.node.cores),
-                disk: engine.add_resource(format!("node{i}.disk"), self.node.spindles),
-                nic: engine.add_resource(format!("node{i}.nic"), 1),
-            })
+        (0..n as usize)
+            .map(|i| self.instantiate_node(engine, i))
             .collect()
+    }
+
+    /// Registers server node `i`'s CPU pool, disk and NIC — in that
+    /// order, as `node{i}.cpu` / `.disk` / `.nic` — and returns their
+    /// handles. [`ClusterSpec::instantiate`] registers the initial nodes
+    /// through it, and a store growing its cluster mid-run (Cassandra's
+    /// bootstrap) registers each newcomer the same way.
+    pub fn instantiate_node(&self, engine: &mut Engine, i: usize) -> NodeResources {
+        NodeResources {
+            cpu: engine.add_resource(format!("node{i}.cpu"), self.node.cores),
+            disk: engine.add_resource(format!("node{i}.disk"), self.node.spindles),
+            nic: engine.add_resource(format!("node{i}.nic"), 1),
+        }
     }
 }
 

@@ -1,15 +1,19 @@
-//! Deterministic fault injection: a [`FaultSchedule`] lists node-level
-//! fault transitions (crash/restart, disk slowdown, network partition,
-//! fail-slow degradation) at fixed simulated times.
+//! Deterministic fault injection, in one vocabulary: a [`FaultWindow`]
+//! describes a fault over a span of simulated time, [`FaultWindow::events`]
+//! expands it into its begin/end [`FaultEvent`] pairs, a [`FaultSchedule`]
+//! keeps those time-sorted, [`FaultKind`]'s `Display` names each
+//! transition, and [`FaultKind::apply`] turns one into kernel calls
+//! ([`crate::Engine::fail_resource`] and friends).
 //!
 //! The schedule itself is pure data — the benchmark runner walks it and
-//! translates each [`FaultEvent`] into kernel resource-state changes
-//! ([`crate::Engine::fail_resource`] and friends) plus a store-level
-//! recovery hook, so that the same schedule replayed against the same
-//! seed yields byte-identical results.
+//! hands each event to the store, which applies the kernel half here and
+//! layers its recovery path on top — so the same schedule replayed
+//! against the same seed yields byte-identical results.
 
+use crate::cluster::NodeResources;
+use crate::kernel::{Engine, FailMode, ResourceId};
 use crate::time::{SimDuration, SimTime};
-use apm_core::rng::SplitMix64;
+use std::fmt;
 
 /// Client-visible latency of a connection-refused error from a crashed
 /// node (TCP reset plus client error handling).
@@ -47,6 +51,75 @@ pub enum FaultKind {
     FailSlowEnd,
 }
 
+impl FaultKind {
+    /// Applies this transition to one node's kernel resources: its CPU,
+    /// disk and NIC, then `cpu_class` — store-private resources that live
+    /// and die with the node's processor (Redis's event loop). Those
+    /// crash, restart and fail-slow with the node; disk and network
+    /// faults leave them alone. The call order is part of the result:
+    /// failing a resource refuses its queued waiters, and each refusal
+    /// takes the next event sequence number.
+    pub fn apply(self, engine: &mut Engine, node: &NodeResources, cpu_class: &[ResourceId]) {
+        let base = [node.cpu, node.disk, node.nic];
+        let all = || base.into_iter().chain(cpu_class.iter().copied());
+        match self {
+            FaultKind::Crash => {
+                let reject = FailMode::Reject {
+                    latency: CRASH_ERROR_LATENCY,
+                };
+                for resource in all() {
+                    engine.fail_resource(resource, reject);
+                }
+            }
+            FaultKind::Restart => {
+                for resource in base {
+                    engine.restore_resource(resource);
+                }
+                for resource in base {
+                    engine.set_resource_slowdown(resource, 1);
+                }
+                for &resource in cpu_class {
+                    engine.restore_resource(resource);
+                    engine.set_resource_slowdown(resource, 1);
+                }
+            }
+            FaultKind::DiskSlow { factor } => {
+                engine.set_resource_slowdown(node.disk, factor.max(1))
+            }
+            FaultKind::DiskRestore => engine.set_resource_slowdown(node.disk, 1),
+            FaultKind::PartitionStart => engine.fail_resource(node.nic, FailMode::Stall),
+            FaultKind::PartitionEnd => engine.restore_resource(node.nic),
+            FaultKind::FailSlow { factor } => {
+                for resource in all() {
+                    engine.set_resource_slowdown(resource, factor.max(1));
+                }
+            }
+            FaultKind::FailSlowEnd => {
+                for resource in all() {
+                    engine.set_resource_slowdown(resource, 1);
+                }
+            }
+        }
+    }
+}
+
+/// The stable name of a transition, as campaign reports print it:
+/// `crash`, `disk-slow(x4)`, `fail-slow-end`, …
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultKind::Crash => f.write_str("crash"),
+            FaultKind::Restart => f.write_str("restart"),
+            FaultKind::DiskSlow { factor } => write!(f, "disk-slow(x{factor})"),
+            FaultKind::DiskRestore => f.write_str("disk-restore"),
+            FaultKind::PartitionStart => f.write_str("partition-start"),
+            FaultKind::PartitionEnd => f.write_str("partition-end"),
+            FaultKind::FailSlow { factor } => write!(f, "fail-slow(x{factor})"),
+            FaultKind::FailSlowEnd => f.write_str("fail-slow-end"),
+        }
+    }
+}
+
 /// One scheduled fault transition on one node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -56,6 +129,92 @@ pub struct FaultEvent {
     pub node: usize,
     /// What happens.
     pub kind: FaultKind,
+}
+
+/// What happens inside one fault window.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WindowShape {
+    /// One node crashes at the window start and restarts at its end.
+    Crash,
+    /// One node's disk degrades to `factor`× service times.
+    SlowDisk {
+        /// Service-time multiplier.
+        factor: u32,
+    },
+    /// One node is network-partitioned (requests stall until the
+    /// client deadline fires).
+    Partition,
+    /// One node fail-slows to `factor`× while still answering.
+    FailSlow {
+        /// Service-time multiplier.
+        factor: u32,
+    },
+    /// Deadline storm: *every* node fail-slows to `factor`×
+    /// simultaneously, surfacing as a cluster-wide burst of timeouts.
+    Storm {
+        /// Service-time multiplier.
+        factor: u32,
+    },
+}
+
+/// One fault window: a shape applied to a node (or, for storms, the
+/// whole cluster) over `[start, until)`. Times are offsets from the
+/// start of the measurement window, like [`FaultEvent::at`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaultWindow {
+    /// Target node (ignored by [`WindowShape::Storm`]).
+    pub node: usize,
+    /// Window start, offset from the measurement-window start.
+    pub start: SimTime,
+    /// Window end (restart/restore/heal), same clock.
+    pub until: SimTime,
+    pub shape: WindowShape,
+}
+
+impl FaultWindow {
+    /// The fault events this window expands to on a `nodes`-node
+    /// cluster: the shape's begin at `start` and its end at `until`, for
+    /// the target node — or, for a storm, for every node in turn.
+    ///
+    /// # Panics
+    /// Panics unless `start` precedes `until`.
+    pub fn events(&self, nodes: usize) -> Vec<FaultEvent> {
+        assert!(
+            self.start < self.until,
+            "a fault window's start must precede its end: {self:?}"
+        );
+        let (begin, end) = match self.shape {
+            WindowShape::Crash => (FaultKind::Crash, FaultKind::Restart),
+            WindowShape::SlowDisk { factor } => {
+                (FaultKind::DiskSlow { factor }, FaultKind::DiskRestore)
+            }
+            WindowShape::Partition => (FaultKind::PartitionStart, FaultKind::PartitionEnd),
+            WindowShape::FailSlow { factor } | WindowShape::Storm { factor } => {
+                (FaultKind::FailSlow { factor }, FaultKind::FailSlowEnd)
+            }
+        };
+        let targets = if matches!(self.shape, WindowShape::Storm { .. }) {
+            0..nodes
+        } else {
+            self.node..self.node + 1
+        };
+        targets
+            .flat_map(|node| {
+                [
+                    FaultEvent {
+                        at: self.start,
+                        node,
+                        kind: begin,
+                    },
+                    FaultEvent {
+                        at: self.until,
+                        node,
+                        kind: end,
+                    },
+                ]
+            })
+            .collect()
+    }
 }
 
 /// An ordered list of fault transitions, applied by the benchmark
@@ -81,156 +240,63 @@ impl FaultSchedule {
         &self.events
     }
 
-    /// Adds one event, keeping the list time-sorted (stable for ties).
-    pub fn push(&mut self, event: FaultEvent) {
+    /// Adds one event, keeping the list time-sorted (stable for ties),
+    /// and returns the index it landed at.
+    pub fn push(&mut self, event: FaultEvent) -> usize {
         let pos = self.events.partition_point(|e| e.at <= event.at);
         self.events.insert(pos, event);
+        pos
     }
 
-    /// Node `node` crashes at `at` and restarts at `until`.
-    pub fn crash(mut self, node: usize, at: SimTime, until: SimTime) -> FaultSchedule {
-        assert!(at < until, "crash must precede restart");
-        self.push(FaultEvent {
-            at,
-            node,
-            kind: FaultKind::Crash,
-        });
-        self.push(FaultEvent {
-            at: until,
-            node,
-            kind: FaultKind::Restart,
-        });
-        self
-    }
-
-    /// Node `node`'s disk runs `factor`× slower between `at` and `until`.
-    pub fn slow_disk(
-        mut self,
-        node: usize,
-        at: SimTime,
-        until: SimTime,
-        factor: u32,
-    ) -> FaultSchedule {
-        assert!(at < until, "slowdown must precede restore");
-        self.push(FaultEvent {
-            at,
-            node,
-            kind: FaultKind::DiskSlow { factor },
-        });
-        self.push(FaultEvent {
-            at: until,
-            node,
-            kind: FaultKind::DiskRestore,
-        });
-        self
-    }
-
-    /// Node `node` is network-partitioned between `at` and `until`.
-    pub fn partition(mut self, node: usize, at: SimTime, until: SimTime) -> FaultSchedule {
-        assert!(at < until, "partition must precede heal");
-        self.push(FaultEvent {
-            at,
-            node,
-            kind: FaultKind::PartitionStart,
-        });
-        self.push(FaultEvent {
-            at: until,
-            node,
-            kind: FaultKind::PartitionEnd,
-        });
-        self
-    }
-
-    /// Node `node` fail-slows to `factor`× between `at` and `until`.
-    pub fn fail_slow(
-        mut self,
-        node: usize,
-        at: SimTime,
-        until: SimTime,
-        factor: u32,
-    ) -> FaultSchedule {
-        assert!(at < until, "degradation must precede recovery");
-        self.push(FaultEvent {
-            at,
-            node,
-            kind: FaultKind::FailSlow { factor },
-        });
-        self.push(FaultEvent {
-            at: until,
-            node,
-            kind: FaultKind::FailSlowEnd,
-        });
-        self
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Merges another schedule into this one, keeping the combined list
-    /// time-sorted (ties keep `self`'s events first, then `other`'s in
-    /// order — the same stable rule as [`FaultSchedule::push`]). This is
-    /// how composed scenarios are built: sample independent fault
-    /// windows, then merge them into one schedule.
-    pub fn merge(mut self, other: FaultSchedule) -> FaultSchedule {
-        for event in other.events {
+    /// Adds every event `window` expands to on a `nodes`-node cluster.
+    pub fn with_window(mut self, window: FaultWindow, nodes: usize) -> FaultSchedule {
+        for event in window.events(nodes) {
             self.push(event);
         }
         self
     }
 
-    /// A cluster-wide "deadline storm": every one of `nodes` fail-slows
-    /// to `factor`× between `at` and `until` simultaneously. Paired with
-    /// a client-side op deadline, the storm surfaces as a burst of
-    /// timeouts rather than a partial slowdown.
-    pub fn storm(
-        mut self,
-        nodes: usize,
+    /// A builder's window: it names one node, so only that node needs to
+    /// exist.
+    fn on_node(
+        self,
+        node: usize,
         at: SimTime,
         until: SimTime,
-        factor: u32,
+        shape: WindowShape,
     ) -> FaultSchedule {
-        for node in 0..nodes {
-            self = self.fail_slow(node, at, until, factor);
-        }
-        self
+        let window = FaultWindow {
+            node,
+            start: at,
+            until,
+            shape,
+        };
+        self.with_window(window, node + 1)
     }
 
-    /// A seeded random schedule: `count` fault windows drawn uniformly
-    /// over `(start, end)` and over `nodes`, mixing crashes, disk
-    /// slowdowns, partitions, and fail-slow episodes. Deterministic in
-    /// `seed`.
-    pub fn random(
-        seed: u64,
-        nodes: usize,
-        start: SimTime,
-        end: SimTime,
-        count: u32,
-    ) -> FaultSchedule {
-        assert!(nodes > 0, "need at least one node");
-        assert!(start < end, "empty fault window");
-        let mut rng = SplitMix64::new(seed);
-        let mut schedule = FaultSchedule::none();
-        let span = end.as_nanos() - start.as_nanos();
-        for _ in 0..count {
-            let node = (rng.next_u64() % nodes as u64) as usize;
-            // Window: begins in the first 3/4 of the span, lasts 1/8–1/4.
-            let begin = start.as_nanos() + rng.next_u64() % (span * 3 / 4).max(1);
-            let len = span / 8 + rng.next_u64() % (span / 8).max(1);
-            let at = SimTime(begin);
-            let until = SimTime((begin + len).min(end.as_nanos()));
-            if at >= until {
-                continue;
-            }
-            schedule = match rng.next_u64() % 4 {
-                0 => schedule.crash(node, at, until),
-                1 => schedule.slow_disk(node, at, until, 2 + (rng.next_u64() % 7) as u32),
-                2 => schedule.partition(node, at, until),
-                _ => schedule.fail_slow(node, at, until, 2 + (rng.next_u64() % 3) as u32),
-            };
-        }
-        schedule
+    /// Node `node` crashes at `at` and restarts at `until`.
+    pub fn crash(self, node: usize, at: SimTime, until: SimTime) -> FaultSchedule {
+        self.on_node(node, at, until, WindowShape::Crash)
+    }
+
+    /// Node `node`'s disk runs `factor`× slower between `at` and `until`.
+    pub fn slow_disk(self, node: usize, at: SimTime, until: SimTime, factor: u32) -> FaultSchedule {
+        self.on_node(node, at, until, WindowShape::SlowDisk { factor })
+    }
+
+    /// Node `node` is network-partitioned between `at` and `until`.
+    pub fn partition(self, node: usize, at: SimTime, until: SimTime) -> FaultSchedule {
+        self.on_node(node, at, until, WindowShape::Partition)
+    }
+
+    /// Node `node` fail-slows to `factor`× between `at` and `until`.
+    pub fn fail_slow(self, node: usize, at: SimTime, until: SimTime, factor: u32) -> FaultSchedule {
+        self.on_node(node, at, until, WindowShape::FailSlow { factor })
+    }
+
+    /// Number of scheduled events.
+    pub fn len(&self) -> usize {
+        self.events.len()
     }
 }
 
@@ -259,38 +325,55 @@ mod tests {
         assert_eq!(schedule.events().len(), 6);
     }
 
-    /// Every builder expands to its documented begin/end pair, in time
-    /// order; a storm pairs every node.
+    /// Every builder and every window shape expands to its documented
+    /// begin/end pair, in time order; a storm pairs every node of the
+    /// cluster, whichever node its window names.
     #[test]
     fn every_window_expands_to_its_documented_pair() {
         use FaultKind::*;
         let (at, until) = (secs(10), secs(20));
         let event = |at, node, kind| FaultEvent { at, node, kind };
+        let window = |node, shape| {
+            FaultSchedule::none().with_window(
+                FaultWindow {
+                    node,
+                    start: at,
+                    until,
+                    shape,
+                },
+                3,
+            )
+        };
+        let crash = vec![event(at, 2, Crash), event(until, 2, Restart)];
+        let slow_disk = vec![
+            event(at, 1, DiskSlow { factor: 6 }),
+            event(until, 1, DiskRestore),
+        ];
+        let partition = vec![event(at, 3, PartitionStart), event(until, 3, PartitionEnd)];
+        let fail_slow = vec![
+            event(at, 0, FailSlow { factor: 8 }),
+            event(until, 0, FailSlowEnd),
+        ];
         let cases = [
-            (
-                FaultSchedule::none().crash(2, at, until),
-                vec![event(at, 2, Crash), event(until, 2, Restart)],
-            ),
+            (FaultSchedule::none().crash(2, at, until), crash.clone()),
+            (window(2, WindowShape::Crash), crash),
             (
                 FaultSchedule::none().slow_disk(1, at, until, 6),
-                vec![
-                    event(at, 1, DiskSlow { factor: 6 }),
-                    event(until, 1, DiskRestore),
-                ],
+                slow_disk.clone(),
             ),
+            (window(1, WindowShape::SlowDisk { factor: 6 }), slow_disk),
             (
                 FaultSchedule::none().partition(3, at, until),
-                vec![event(at, 3, PartitionStart), event(until, 3, PartitionEnd)],
+                partition.clone(),
             ),
+            (window(3, WindowShape::Partition), partition),
             (
                 FaultSchedule::none().fail_slow(0, at, until, 8),
-                vec![
-                    event(at, 0, FailSlow { factor: 8 }),
-                    event(until, 0, FailSlowEnd),
-                ],
+                fail_slow.clone(),
             ),
+            (window(0, WindowShape::FailSlow { factor: 8 }), fail_slow),
             (
-                FaultSchedule::none().storm(3, at, until, 16),
+                window(1, WindowShape::Storm { factor: 16 }),
                 vec![
                     event(at, 0, FailSlow { factor: 16 }),
                     event(at, 1, FailSlow { factor: 16 }),
@@ -307,81 +390,39 @@ mod tests {
     }
 
     #[test]
-    fn crash_window_has_matching_restart() {
-        let schedule = FaultSchedule::none().crash(3, secs(10), secs(25));
+    fn kinds_print_their_report_names() {
+        use FaultKind::*;
+        let names: Vec<String> = [
+            Crash,
+            Restart,
+            DiskSlow { factor: 4 },
+            DiskRestore,
+            PartitionStart,
+            PartitionEnd,
+            FailSlow { factor: 8 },
+            FailSlowEnd,
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
         assert_eq!(
-            schedule.events()[0],
-            FaultEvent {
-                at: secs(10),
-                node: 3,
-                kind: FaultKind::Crash
-            }
+            names,
+            [
+                "crash",
+                "restart",
+                "disk-slow(x4)",
+                "disk-restore",
+                "partition-start",
+                "partition-end",
+                "fail-slow(x8)",
+                "fail-slow-end"
+            ]
         );
-        assert_eq!(
-            schedule.events()[1],
-            FaultEvent {
-                at: secs(25),
-                node: 3,
-                kind: FaultKind::Restart
-            }
-        );
-    }
-
-    #[test]
-    fn random_schedules_are_deterministic_in_the_seed() {
-        let a = FaultSchedule::random(42, 4, secs(5), secs(60), 6);
-        let b = FaultSchedule::random(42, 4, secs(5), secs(60), 6);
-        let c = FaultSchedule::random(43, 4, secs(5), secs(60), 6);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(!a.is_empty());
-        for event in a.events() {
-            assert!(event.node < 4);
-            assert!(event.at >= secs(5) && event.at <= secs(60));
-        }
     }
 
     #[test]
     #[should_panic(expected = "precede")]
     fn inverted_crash_window_panics() {
         let _ = FaultSchedule::none().crash(0, secs(20), secs(10));
-    }
-
-    #[test]
-    fn merge_interleaves_and_stays_sorted() {
-        let a = FaultSchedule::none().crash(0, secs(10), secs(20));
-        let b = FaultSchedule::none().partition(1, secs(5), secs(15));
-        let merged = a.merge(b);
-        assert_eq!(merged.len(), 4);
-        let times: Vec<u64> = merged
-            .events()
-            .iter()
-            .map(|e| e.at.as_nanos() / 1_000_000_000)
-            .collect();
-        assert_eq!(times, vec![5, 10, 15, 20]);
-        // Merging is order-sensitive only for exact ties; disjoint
-        // windows commute.
-        let a2 = FaultSchedule::none().crash(0, secs(10), secs(20));
-        let b2 = FaultSchedule::none().partition(1, secs(5), secs(15));
-        assert_eq!(merged, b2.merge(a2));
-    }
-
-    #[test]
-    fn storm_degrades_every_node_in_lockstep() {
-        let schedule = FaultSchedule::none().storm(3, secs(10), secs(12), 16);
-        assert_eq!(schedule.len(), 6);
-        let starts: Vec<usize> = schedule
-            .events()
-            .iter()
-            .filter(|e| e.kind == FaultKind::FailSlow { factor: 16 })
-            .map(|e| e.node)
-            .collect();
-        assert_eq!(starts, vec![0, 1, 2]);
-        let ends = schedule
-            .events()
-            .iter()
-            .filter(|e| e.kind == FaultKind::FailSlowEnd)
-            .count();
-        assert_eq!(ends, 3);
     }
 }

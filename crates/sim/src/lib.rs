@@ -37,7 +37,7 @@ pub mod trace;
 pub use audit::KernelAuditor;
 pub use cluster::{ClusterSpec, NodeResources, NodeSpec};
 pub use disk::{DiskSpec, IoPattern};
-pub use fault::{FaultEvent, FaultKind, FaultSchedule};
+pub use fault::{FaultEvent, FaultKind, FaultSchedule, FaultWindow, WindowShape};
 pub use kernel::{
     Completion, Engine, FailMode, Outcome, PlanHandle, PreparedPlan, ResourceId, Token,
 };

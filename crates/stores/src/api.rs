@@ -9,9 +9,7 @@ use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::cluster::NodeResources;
 use apm_sim::kernel::ResourceId;
 use apm_sim::kernel::Token;
-use apm_sim::{
-    ClusterSpec, Engine, FailMode, FaultEvent, FaultKind, IoPattern, Plan, PlanBuilder, SimDuration,
-};
+use apm_sim::{ClusterSpec, Engine, FaultEvent, IoPattern, Plan, PlanBuilder, SimDuration};
 use apm_storage::receipt::{CostReceipt, DiskIo};
 use apm_storage::wal::WalReceipt;
 use std::ops::Range;
@@ -106,47 +104,21 @@ pub fn split_attempt_token(token: Token) -> (u32, u64, AttemptKind) {
 }
 
 /// Applies a fault transition to the kernel resources of the affected
-/// node: the engine-level half of failure injection, common to every
-/// store. Stores layer their recovery logic (replica failover, hinted
-/// handoff, region reassignment, data loss) on top in
-/// [`DistributedStore::on_fault`].
-pub fn apply_node_fault(ctx: &StoreCtx, engine: &mut Engine, event: &FaultEvent) {
-    if event.node >= ctx.servers.len() {
-        return; // schedule refers to a node this run doesn't have
-    }
-    let node = &ctx.servers[event.node];
-    let reject = FailMode::Reject {
-        latency: apm_sim::fault::CRASH_ERROR_LATENCY,
-    };
-    match event.kind {
-        FaultKind::Crash => {
-            engine.fail_resource(node.cpu, reject);
-            engine.fail_resource(node.disk, reject);
-            engine.fail_resource(node.nic, reject);
-        }
-        FaultKind::Restart => {
-            engine.restore_resource(node.cpu);
-            engine.restore_resource(node.disk);
-            engine.restore_resource(node.nic);
-            engine.set_resource_slowdown(node.cpu, 1);
-            engine.set_resource_slowdown(node.disk, 1);
-            engine.set_resource_slowdown(node.nic, 1);
-        }
-        FaultKind::DiskSlow { factor } => engine.set_resource_slowdown(node.disk, factor.max(1)),
-        FaultKind::DiskRestore => engine.set_resource_slowdown(node.disk, 1),
-        FaultKind::PartitionStart => engine.fail_resource(node.nic, FailMode::Stall),
-        FaultKind::PartitionEnd => engine.restore_resource(node.nic),
-        FaultKind::FailSlow { factor } => {
-            let factor = factor.max(1);
-            engine.set_resource_slowdown(node.cpu, factor);
-            engine.set_resource_slowdown(node.disk, factor);
-            engine.set_resource_slowdown(node.nic, factor);
-        }
-        FaultKind::FailSlowEnd => {
-            engine.set_resource_slowdown(node.cpu, 1);
-            engine.set_resource_slowdown(node.disk, 1);
-            engine.set_resource_slowdown(node.nic, 1);
-        }
+/// node — [`FaultKind::apply`](apm_sim::FaultKind::apply) on its CPU,
+/// disk and NIC, then on `cpu_class`, the node's store-private resources
+/// that share its CPU's fate (Redis passes its event loop). This is the
+/// engine-level half of failure injection, common to every store. Stores
+/// layer their recovery logic (replica failover, hinted handoff, region
+/// reassignment, data loss) on top in [`DistributedStore::on_fault`].
+pub fn apply_node_fault(
+    ctx: &StoreCtx,
+    engine: &mut Engine,
+    event: &FaultEvent,
+    cpu_class: &[ResourceId],
+) {
+    // A schedule may name a node this run doesn't have.
+    if let Some(node) = ctx.servers.get(event.node) {
+        event.kind.apply(engine, node, cpu_class);
     }
 }
 
@@ -599,7 +571,7 @@ pub trait DistributedStore {
     /// to add failover, hinted handoff, WAL replay, or data loss, and
     /// must still call [`apply_node_fault`] for the kernel half.
     fn on_fault(&mut self, event: &FaultEvent, engine: &mut Engine) {
-        apply_node_fault(self.ctx(), engine, event);
+        apply_node_fault(self.ctx(), engine, event, &[]);
     }
 
     /// The server node the store's client-side routing would send `op`
@@ -743,67 +715,49 @@ mod tests {
 
     #[test]
     fn apply_node_fault_drives_kernel_resource_state() {
-        use apm_sim::SimTime;
+        use apm_sim::{FaultKind, SimTime};
         let mut engine = Engine::new();
         let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 2, 1, 0.1, 1);
-        let node = ctx.servers[1];
-        let at = SimTime::ZERO;
-        apply_node_fault(
-            &ctx,
-            &mut engine,
-            &FaultEvent {
-                at,
-                node: 1,
-                kind: FaultKind::Crash,
-            },
+        let event_loop = engine.add_resource("store1.loop", 1);
+        let mut fault = |node, kind| {
+            let event = FaultEvent {
+                at: SimTime::ZERO,
+                node,
+                kind,
+            };
+            apply_node_fault(&ctx, &mut engine, &event, &[event_loop]);
+            let n = ctx.servers[1];
+            (
+                [n.cpu, n.disk, n.nic, event_loop].map(|r| engine.resource_is_down(r)),
+                [n.cpu, n.disk, n.nic, event_loop].map(|r| engine.resource_slowdown(r)),
+                engine.resource_is_down(ctx.servers[0].cpu),
+            )
+        };
+        let (down, _, other) = fault(1, FaultKind::Crash);
+        assert_eq!(
+            down, [true; 4],
+            "crash fails cpu, disk, nic and the cpu class"
         );
-        assert!(engine.resource_is_down(node.cpu));
-        assert!(engine.resource_is_down(node.disk));
-        assert!(engine.resource_is_down(node.nic));
-        assert!(
-            !engine.resource_is_down(ctx.servers[0].cpu),
-            "other nodes unaffected"
+        assert!(!other, "other nodes unaffected");
+        let (down, _, _) = fault(1, FaultKind::Restart);
+        assert_eq!(down, [false; 4]);
+        let (_, slow, _) = fault(1, FaultKind::FailSlow { factor: 5 });
+        assert_eq!(slow, [5; 4], "fail-slow reaches the cpu class");
+        let (_, slow, _) = fault(1, FaultKind::FailSlowEnd);
+        assert_eq!(slow, [1; 4]);
+        let (_, slow, _) = fault(1, FaultKind::DiskSlow { factor: 6 });
+        assert_eq!(slow, [1, 6, 1, 1], "a slow disk spares the cpu class");
+        let (_, slow, _) = fault(1, FaultKind::DiskRestore);
+        assert_eq!(slow, [1; 4]);
+        let (down, _, _) = fault(1, FaultKind::PartitionStart);
+        assert_eq!(
+            down,
+            [false, false, true, false],
+            "a partition downs the nic"
         );
-        apply_node_fault(
-            &ctx,
-            &mut engine,
-            &FaultEvent {
-                at,
-                node: 1,
-                kind: FaultKind::Restart,
-            },
-        );
-        assert!(!engine.resource_is_down(node.cpu));
-        apply_node_fault(
-            &ctx,
-            &mut engine,
-            &FaultEvent {
-                at,
-                node: 1,
-                kind: FaultKind::DiskSlow { factor: 6 },
-            },
-        );
-        assert_eq!(engine.resource_slowdown(node.disk), 6);
-        apply_node_fault(
-            &ctx,
-            &mut engine,
-            &FaultEvent {
-                at,
-                node: 1,
-                kind: FaultKind::DiskRestore,
-            },
-        );
-        assert_eq!(engine.resource_slowdown(node.disk), 1);
         // Out-of-range node indices are ignored, not a panic.
-        apply_node_fault(
-            &ctx,
-            &mut engine,
-            &FaultEvent {
-                at,
-                node: 99,
-                kind: FaultKind::Crash,
-            },
-        );
+        let (down, _, _) = fault(99, FaultKind::Crash);
+        assert_eq!(down, [false, false, true, false]);
     }
 
     #[test]

@@ -84,10 +84,6 @@ pub struct CassandraConfig {
     /// Compaction strategy (paper/Cassandra 1.0 default: size-tiered;
     /// the compaction ablation compares against the leveled policy).
     pub strategy: CompactionStrategy,
-    /// When set, the store bootstraps one extra node the first time the
-    /// benchmark driver fires its timed event (elasticity experiment;
-    /// cf. the Konstantinou et al. elasticity study cited in §7).
-    pub bootstrap_on_event: bool,
     /// **Test-only known bug**: a rejoining node *discards* its hint
     /// queue instead of replaying it, silently losing every write acked
     /// via hinted handoff during its downtime. The node still tells the
@@ -107,7 +103,6 @@ impl Default for CassandraConfig {
             compression: false,
             memtable_flush_bytes: None,
             strategy: CompactionStrategy::SizeTiered,
-            bootstrap_on_event: false,
             skip_hint_replay: false,
         }
     }
@@ -142,7 +137,6 @@ pub struct CassandraStore {
     format: StorageFormat,
     replication: usize,
     compression: bool,
-    bootstrap_on_event: bool,
     skip_hint_replay: bool,
     flush_bytes: u64,
     cache_bytes: u64,
@@ -180,7 +174,6 @@ impl CassandraStore {
             format: cassandra_format(),
             replication: config.replication.max(1),
             compression: config.compression,
-            bootstrap_on_event: config.bootstrap_on_event,
             skip_hint_replay: config.skip_hint_replay,
             flush_bytes,
             cache_bytes,
@@ -228,12 +221,7 @@ impl CassandraStore {
         use apm_core::record::MetricKey;
         let victim = self.ring.extend();
         let new_idx = self.nodes.len();
-        let cluster = self.ctx.cluster;
-        let res = apm_sim::cluster::NodeResources {
-            cpu: engine.add_resource(format!("node{new_idx}.cpu"), cluster.node.cores),
-            disk: engine.add_resource(format!("node{new_idx}.disk"), cluster.node.spindles),
-            nic: engine.add_resource(format!("node{new_idx}.nic"), 1),
-        };
+        let res = self.ctx.cluster.instantiate_node(engine, new_idx);
         self.ctx.servers.push(res);
         let node = self.fresh_node(new_idx);
         self.nodes.push(node);
@@ -539,14 +527,15 @@ impl DistributedStore for CassandraStore {
         Some(self.read_plan(client, alt, op).1)
     }
 
+    /// The timed event is a bootstrap: one node joins the ring
+    /// (elasticity experiment; cf. the Konstantinou et al. elasticity
+    /// study cited in §7).
     fn on_timed_event(&mut self, engine: &mut Engine) {
-        if self.bootstrap_on_event {
-            self.add_node(engine);
-        }
+        self.add_node(engine);
     }
 
     fn on_fault(&mut self, event: &apm_sim::FaultEvent, engine: &mut Engine) {
-        crate::api::apply_node_fault(&self.ctx, engine, event);
+        crate::api::apply_node_fault(&self.ctx, engine, event, &[]);
         if event.node >= self.nodes.len() {
             return;
         }
@@ -608,7 +597,6 @@ impl DistributedStore for CassandraStore {
             format: _,
             replication: _,
             compression: _,
-            bootstrap_on_event: _,
             skip_hint_replay: _,
             flush_bytes: _,
             cache_bytes: _,
@@ -659,7 +647,6 @@ impl DistributedStore for CassandraStore {
             format: _,
             replication: _,
             compression: _,
-            bootstrap_on_event: _,
             skip_hint_replay: _,
             flush_bytes: _,
             cache_bytes: _,

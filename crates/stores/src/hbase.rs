@@ -320,7 +320,7 @@ impl DistributedStore for HbaseStore {
     }
 
     fn on_fault(&mut self, event: &apm_sim::FaultEvent, engine: &mut Engine) {
-        crate::api::apply_node_fault(&self.ctx, engine, event);
+        crate::api::apply_node_fault(&self.ctx, engine, event, &[]);
         if event.node >= self.servers_state.len() {
             return;
         }

@@ -288,44 +288,16 @@ impl DistributedStore for RedisStore {
     }
 
     fn on_fault(&mut self, event: &apm_sim::FaultEvent, engine: &mut Engine) {
-        use apm_sim::{FailMode, FaultKind};
-        crate::api::apply_node_fault(&self.ctx, engine, event);
-        if event.node >= self.instances.len() {
-            return;
-        }
-        // The event loop is a store-private resource, so the generic
-        // node-fault handler does not know about it.
-        let event_loop = self.instances[event.node].event_loop;
-        match event.kind {
-            FaultKind::Crash => {
-                engine.fail_resource(
-                    event_loop,
-                    FailMode::Reject {
-                        latency: apm_sim::fault::CRASH_ERROR_LATENCY,
-                    },
-                );
-                // No persistence in the paper's deployment: the shard's
-                // dataset dies with the process. Reads of these keys miss
-                // forever after — real data loss, not just downtime.
-                self.instances[event.node].store = HashStore::new(Some(self.hard_limit));
-            }
-            FaultKind::Restart => {
-                engine.restore_resource(event_loop);
-                engine.set_resource_slowdown(event_loop, 1);
-            }
-            FaultKind::FailSlow { factor } => {
-                engine.set_resource_slowdown(event_loop, factor.max(1));
-            }
-            FaultKind::FailSlowEnd => {
-                engine.set_resource_slowdown(event_loop, 1);
-            }
-            // Disk faults and partitions touch only the node-level
-            // resources, which `apply_node_fault` already covered; the
-            // event loop itself is unaffected.
-            FaultKind::DiskSlow { .. }
-            | FaultKind::DiskRestore
-            | FaultKind::PartitionStart
-            | FaultKind::PartitionEnd => {}
+        // The event loop is a store-private resource on the node's CPU:
+        // it crashes, restarts and fail-slows with the node.
+        let instance = self.instances.get_mut(event.node);
+        let event_loop = instance.as_ref().map(|i| i.event_loop);
+        crate::api::apply_node_fault(&self.ctx, engine, event, event_loop.as_slice());
+        if let (Some(instance), apm_sim::FaultKind::Crash) = (instance, event.kind) {
+            // No persistence in the paper's deployment: the shard's
+            // dataset dies with the process. Reads of these keys miss
+            // forever after — real data loss, not just downtime.
+            instance.store = HashStore::new(Some(self.hard_limit));
         }
     }
 

@@ -26,11 +26,9 @@ pub const STORES: [&str; 7] = [
 
 /// Constructs the store called `name` over `ctx`.
 pub fn build(name: &str, engine: &mut Engine, ctx: StoreCtx) -> Box<dyn DistributedStore> {
-    // Every Cassandra bootstraps a node when asked to by a timed event.
     let cassandra = |ctx, replication| {
         let config = CassandraConfig {
             replication,
-            bootstrap_on_event: true,
             ..CassandraConfig::default()
         };
         Box::new(CassandraStore::new(ctx, config))

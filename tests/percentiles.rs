@@ -4,9 +4,7 @@
 use apm_repro::core::driver::Throttle;
 use apm_repro::core::ops::OpKind;
 use apm_repro::core::workload::Workload;
-use apm_repro::harness::experiment::{
-    run_point, run_point_throttled, ExperimentProfile, StoreKind,
-};
+use apm_repro::harness::experiment::{run_point, ExperimentProfile, Scenario, StoreKind};
 use apm_repro::sim::ClusterSpec;
 
 #[test]
@@ -49,18 +47,13 @@ fn saturated_tail_exceeds_median_and_throttling_compresses_it() {
     let h_max = max.result.stats.histogram(OpKind::Read).unwrap();
     let saturated_spread = h_max.quantile(0.99) as f64 / h_max.quantile(0.5).max(1) as f64;
 
-    let half = run_point_throttled(
-        store,
-        ClusterSpec::cluster_m(),
-        2,
-        &Workload::r(),
-        &profile,
-        Throttle::TargetOps(max.throughput() * 0.5),
-    );
-    let h_half = half.result.stats.histogram(OpKind::Read).unwrap();
+    let mut half = Scenario::new(store, ClusterSpec::cluster_m(), 2, &Workload::r(), &profile);
+    half.config.client.throttle = Throttle::TargetOps(max.throughput() * 0.5);
+    let half = half.run().result;
+    let h_half = half.stats.histogram(OpKind::Read).unwrap();
     // §5.6: latencies collapse once the system is not saturated.
     assert!(
-        (h_half.mean() as f64) < h_max.mean() * 0.7,
+        h_half.mean() < h_max.mean() * 0.7,
         "throttled mean {} vs saturated {}",
         h_half.mean(),
         h_max.mean()
