@@ -15,7 +15,7 @@
 //! 4       2     format version (u16 LE)
 //! 6       var   scenario id (u64 LE length + UTF-8 bytes)
 //! ..      8     config fingerprint (u64 LE) — FNV-1a over the run config
-//! ..      1     feature flags (bit 0 = audit, bit 1 = trace)
+//! ..      1     feature flags (bit 0 = audit; nothing else is read)
 //! ..      4     checkpoint index (u32 LE)
 //! ..      8     virtual time of the checkpoint in ns (u64 LE)
 //! ..      8     body length (u64 LE)
@@ -110,20 +110,20 @@ pub const VERSION: u16 = 4;
 /// and sets this bit; it once meant "built with the `audit` feature", so a
 /// checkpoint from a build without that feature has it clear.
 pub const FEATURE_AUDIT: u8 = 1 << 0;
-/// Feature-flag bit for the kernel's span-tracer section, set when the
-/// writing engine had tracing on.
-pub const FEATURE_TRACE: u8 = 1 << 1;
 
-/// Refuses a feature byte no engine writes: one without [`FEATURE_AUDIT`]
-/// (whose store sections lack the auditors' state) or with a bit other
-/// than it and [`FEATURE_TRACE`]. The trace bit is the writer's to set,
-/// not the reader's: a traced checkpoint restores traced.
+/// Refuses a feature byte no engine writes: every byte but
+/// [`FEATURE_AUDIT`]. A checkpoint whose byte lacks it predates the
+/// always-on auditors, so its store sections lack their state; one with
+/// another bit set (an older build's span-tracer bit, say) carries a
+/// section this build does not read.
 pub fn check_features(stored: u8) -> Result<(), SnapError> {
-    let active = FEATURE_AUDIT | stored & FEATURE_TRACE;
-    if stored == active {
+    if stored == FEATURE_AUDIT {
         Ok(())
     } else {
-        Err(SnapError::FeatureMismatch { stored, active })
+        Err(SnapError::FeatureMismatch {
+            stored,
+            active: FEATURE_AUDIT,
+        })
     }
 }
 
@@ -223,10 +223,10 @@ pub enum SnapError {
     },
     /// A string field held invalid UTF-8.
     BadUtf8,
-    /// The snapshot's feature byte is one this build cannot read (see
-    /// [`check_features`]) — a checkpoint from an older build without the
-    /// `audit` feature, say — or a header's byte disagrees with the
-    /// kernel section it seals.
+    /// A feature byte, in a header or in the kernel section, is one this
+    /// build cannot read (see [`check_features`]) — a checkpoint from an
+    /// older build without the `audit` feature or with a traced engine,
+    /// say.
     FeatureMismatch {
         /// Flags stored in the container (or its header).
         stored: u8,
@@ -789,7 +789,8 @@ pub struct SnapshotHeader {
     /// FNV-1a fingerprint of the run configuration, so a snapshot cannot
     /// be resumed against a different config.
     pub config_fingerprint: u64,
-    /// [`FEATURE_AUDIT`] | [`FEATURE_TRACE`] bits of the writing engine.
+    /// Feature byte of the writing engine: [`FEATURE_AUDIT`], the one
+    /// [`check_features`] accepts.
     pub features: u8,
     /// Zero-based index of this checkpoint within its run.
     pub checkpoint_index: u32,
@@ -895,26 +896,24 @@ mod tests {
         SnapshotHeader {
             scenario: "test-scenario".to_string(),
             config_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-            features: FEATURE_AUDIT | FEATURE_TRACE,
+            features: FEATURE_AUDIT,
             checkpoint_index: 3,
             virtual_time_ns: 45_000_000_000,
         }
     }
 
     #[test]
-    fn only_the_two_bytes_an_engine_writes_are_readable() {
-        for readable in [FEATURE_AUDIT, FEATURE_AUDIT | FEATURE_TRACE] {
-            assert_eq!(check_features(readable), Ok(()));
-        }
-        for (stored, active) in [
-            (0, FEATURE_AUDIT),
-            (FEATURE_TRACE, FEATURE_AUDIT | FEATURE_TRACE),
-            (FEATURE_AUDIT | 1 << 7, FEATURE_AUDIT),
-            (0xFF, FEATURE_AUDIT | FEATURE_TRACE),
-        ] {
+    fn only_the_byte_an_engine_writes_is_readable() {
+        assert_eq!(check_features(FEATURE_AUDIT), Ok(()));
+        // 0: a build before the always-on auditors; 1 << 1: an older
+        // build's span-tracer section.
+        for stored in [0, 1 << 1, FEATURE_AUDIT | 1 << 1, 1 << 7, 0xFF] {
             assert_eq!(
                 check_features(stored),
-                Err(SnapError::FeatureMismatch { stored, active })
+                Err(SnapError::FeatureMismatch {
+                    stored,
+                    active: FEATURE_AUDIT
+                })
             );
         }
     }

@@ -152,8 +152,8 @@ pub struct ScheduleRecord {
     /// The schedule's fault events, in dispatch order.
     pub events: Vec<FaultEvent>,
     pub outcome: ScheduleOutcome,
-    /// Verdicts in [`OracleKind::ALL`] order (oracles the configuration
-    /// disabled are simply absent).
+    /// Verdicts in [`OracleKind::ALL`] order (the durability oracle is
+    /// absent for a target it does not judge).
     pub verdicts: Vec<OracleVerdict>,
 }
 
@@ -327,32 +327,12 @@ impl ChaosGenerator {
 // ---------------------------------------------------------------------------
 // Oracles
 
-/// Which oracles run and how lenient they are.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OracleConfig {
-    /// Read back every acked insert after the run. Off for stores whose
-    /// crash semantics legitimately lose acked data (Redis holds its
-    /// shard purely in memory — a crash *is* data loss there, by
-    /// design, not by bug).
-    pub durability: bool,
-    /// Whole-run throughput must stay above this fraction of the
-    /// fault-free baseline.
-    pub availability_floor: f64,
-    /// Post-fault tail throughput must return to this fraction of the
-    /// baseline's tail.
-    pub convergence_band: f64,
-}
-
-impl OracleConfig {
-    /// The oracle set for a store legend name.
-    pub fn for_store(name: &str) -> OracleConfig {
-        OracleConfig {
-            durability: name != "redis",
-            availability_floor: 0.05,
-            convergence_band: 0.5,
-        }
-    }
-}
+/// Whole-run throughput must stay above this fraction of the fault-free
+/// baseline.
+const AVAILABILITY_FLOOR: f64 = 0.05;
+/// Post-fault tail throughput must return to this fraction of the
+/// baseline's tail.
+const CONVERGENCE_BAND: f64 = 0.5;
 
 /// The fault-free reference the availability and convergence oracles
 /// compare against. `resolution` is the per-second count of resolved
@@ -381,9 +361,11 @@ fn resolution_timeline(stats: &BenchStats) -> Vec<u64> {
 
 /// Judges one completed run. `enabled` lists the fault events that
 /// actually dispatched (the mask's view of the schedule); the
-/// convergence oracle measures the tail after the last of them.
+/// convergence oracle measures the tail after the last of them. The
+/// durability oracle runs when `durability` is set (see
+/// [`ChaosTarget`]).
 fn evaluate_oracles(
-    oracles: &OracleConfig,
+    durability: bool,
     scenario: &Scenario,
     run: &mut ScenarioRun,
     enabled: &[FaultEvent],
@@ -397,7 +379,7 @@ fn evaluate_oracles(
     let client = &scenario.config.client;
     let mut verdicts = Vec::new();
 
-    if oracles.durability {
+    if durability {
         let mut lost = 0u64;
         let mut first_lost = None;
         for key in &result.ledger.acked_inserts {
@@ -454,7 +436,7 @@ fn evaluate_oracles(
     }
 
     {
-        let floor = oracles.availability_floor * baseline.throughput;
+        let floor = AVAILABILITY_FLOOR * baseline.throughput;
         let throughput = result.throughput();
         verdicts.push(OracleVerdict {
             kind: OracleKind::AvailabilityFloor,
@@ -483,7 +465,7 @@ fn evaluate_oracles(
                     let base_tail: u64 = (tail_from..total_secs)
                         .map(|s| timeline_count(&baseline.resolution, s))
                         .sum();
-                    let need = oracles.convergence_band * base_tail as f64;
+                    let need = CONVERGENCE_BAND * base_tail as f64;
                     (
                         base_tail == 0 || run_tail as f64 >= need,
                         format!(
@@ -514,10 +496,15 @@ fn failing_kinds(verdicts: &[OracleVerdict]) -> Vec<OracleKind> {
 // ---------------------------------------------------------------------------
 // Campaign targets and options
 
-/// What a campaign runs against: a store plus its oracle set.
+/// What a campaign runs against: a store, and whether the durability
+/// oracle judges it.
 pub struct ChaosTarget {
     label: String,
-    oracles: OracleConfig,
+    /// Read back every acked insert after the run. Off for stores whose
+    /// crash semantics legitimately lose acked data (Redis holds its
+    /// shard purely in memory — a crash *is* data loss there, by
+    /// design, not by bug).
+    durability: bool,
     store: StoreSpec,
 }
 
@@ -526,7 +513,7 @@ impl ChaosTarget {
     pub fn store(kind: StoreKind) -> ChaosTarget {
         ChaosTarget {
             label: kind.name().to_string(),
-            oracles: OracleConfig::for_store(kind.name()),
+            durability: kind != StoreKind::Redis,
             store: kind.into(),
         }
     }
@@ -539,7 +526,7 @@ impl ChaosTarget {
     pub fn broken_cassandra() -> ChaosTarget {
         ChaosTarget {
             label: "cassandra-skip-hints".to_string(),
-            oracles: OracleConfig::for_store("cassandra"),
+            durability: true,
             store: StoreSpec::Cassandra(CassandraConfig {
                 replication: 2,
                 skip_hint_replay: true,
@@ -651,7 +638,7 @@ fn run_fingerprint(result: &RunResult) -> u64 {
 /// schedule, resuming from the full run's checkpoints where sound, and
 /// memoizes verdicts per subset.
 struct Prober<'a> {
-    oracles: &'a OracleConfig,
+    durability: bool,
     scenario: &'a Scenario,
     schedule: &'a ChaosSchedule,
     baseline: &'a Baseline,
@@ -699,7 +686,7 @@ impl Prober<'_> {
         let mut run = resumed.unwrap_or_else(|| self.scenario.run_masked(Some(&mask)));
         let enabled_events = self.schedule.enabled_events(enabled);
         let verdicts = evaluate_oracles(
-            self.oracles,
+            self.durability,
             self.scenario,
             &mut run,
             &enabled_events,
@@ -796,7 +783,8 @@ pub fn run_campaign(
         );
         let mut full = scenario.run();
         let events = chaos.schedule.events().to_vec();
-        let verdicts = evaluate_oracles(&target.oracles, &scenario, &mut full, &events, &baseline);
+        let verdicts =
+            evaluate_oracles(target.durability, &scenario, &mut full, &events, &baseline);
         let failing = failing_kinds(&verdicts);
 
         if failing.is_empty() {
@@ -813,8 +801,13 @@ pub fn run_campaign(
         // shrinking; a replay mismatch is a determinism bug in the
         // stack itself, localized by checkpoint bisection instead.
         let mut replay = scenario.run();
-        let replay_verdicts =
-            evaluate_oracles(&target.oracles, &scenario, &mut replay, &events, &baseline);
+        let replay_verdicts = evaluate_oracles(
+            target.durability,
+            &scenario,
+            &mut replay,
+            &events,
+            &baseline,
+        );
         if run_fingerprint(&full.result) != run_fingerprint(&replay.result)
             || verdicts != replay_verdicts
         {
@@ -839,7 +832,7 @@ pub fn run_campaign(
         }
 
         let mut prober = Prober {
-            oracles: &target.oracles,
+            durability: target.durability,
             scenario: &scenario,
             schedule: &chaos,
             baseline: &baseline,
@@ -913,7 +906,7 @@ pub fn probe_schedule(
     let mut run = scenario.run_masked(Some(&schedule.mask(enabled)));
     let enabled_events = schedule.enabled_events(enabled);
     let verdicts = evaluate_oracles(
-        &target.oracles,
+        target.durability,
         &scenario,
         &mut run,
         &enabled_events,

@@ -5,8 +5,7 @@
 //! extension. The invariant under test everywhere here: resuming from
 //! any checkpoint reproduces the from-scratch run *byte-identically* —
 //! same stats, same telemetry, same final kernel and store state, and
-//! the same observer fingerprints (the auditors', and the span tracer's
-//! when the checkpoint was traced), for every store architecture.
+//! the same auditor fingerprints, for every store architecture.
 
 use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind};
 use apm_core::report::Table;
@@ -43,11 +42,10 @@ fn snap_scenario(store: StoreKind, profile: &ExperimentProfile, spec: Checkpoint
 pub struct SnapRun {
     pub result: RunResult,
     /// FNV-1a over the reported statistics *and* the final store and
-    /// kernel state. The kernel serializes its observers, so the audit
-    /// fingerprint — and, on an engine with tracing on, the trace
-    /// fingerprint — participates: two equal fingerprints mean two runs
-    /// were indistinguishable end to end. A traced checkpoint resumes
-    /// traced, so resuming one reproduces its traced run's fingerprint.
+    /// kernel state. The kernel serializes its auditor, so the audit
+    /// fingerprint participates: two equal fingerprints mean two runs
+    /// were indistinguishable end to end. A trace's never does — the span
+    /// tracer is not kernel state — so tracing moves no fingerprint.
     pub fingerprint: u64,
 }
 

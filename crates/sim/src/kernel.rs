@@ -253,7 +253,8 @@ pub struct Engine {
     /// conservation, fault causality) — see `crate::audit`.
     auditor: crate::audit::KernelAuditor,
     /// Span recorder (bounded ring + run fingerprint) — see `crate::trace`;
-    /// `None` unless [`Engine::enable_trace`] turned it on.
+    /// `None` unless [`Engine::enable_trace`] turned it on. An observer,
+    /// not state: snapshots neither write nor restore it.
     tracer: Option<Tracer>,
 }
 
@@ -301,9 +302,9 @@ impl Engine {
 
     /// Turns span tracing on: installs an empty [`Tracer`] with the
     /// default ring, so every lifecycle transition from here on is
-    /// recorded and every snapshot carries the ring. Call it before the
-    /// run. An engine without it records nothing, and each record site
-    /// costs it one branch.
+    /// recorded. Call it before the run, or before a restore to trace a
+    /// resumed run; snapshots never carry the tracer. An engine without
+    /// it records nothing, and each record site costs it one branch.
     pub fn enable_trace(&mut self) {
         self.tracer = Some(Tracer::default());
     }
@@ -927,18 +928,6 @@ impl Engine {
         true
     }
 
-    /// Returns an undelivered batch remainder to the front of the
-    /// engine's completion buffer, preserving order. Drivers that
-    /// checkpoint mid-batch call this first, so serialized engine state
-    /// is exactly what one-at-a-time delivery would have produced; the
-    /// next [`Engine::drain_completions`] re-delivers the remainder
-    /// without stepping any events.
-    pub fn requeue_completions(&mut self, pending: &mut VecDeque<Completion>) {
-        while let Some(completion) = pending.pop_back() {
-            self.completions.push_front(completion);
-        }
-    }
-
     /// Runs all events with `time <= until`, advancing the clock to
     /// exactly `until`, and returns the completions that occurred.
     pub fn run_until(&mut self, until: SimTime) -> Vec<Completion> {
@@ -960,22 +949,11 @@ impl Engine {
         self.completions.drain(..).collect()
     }
 
-    /// The feature byte an untraced engine writes: [`snap::FEATURE_AUDIT`]
-    /// alone. [`Engine::features`] is an engine's own byte, traced or not:
-    /// what a checkpoint's header should carry.
+    /// The feature byte every engine writes, in the kernel section and
+    /// in a checkpoint's header: [`snap::FEATURE_AUDIT`], since the
+    /// auditors' sections are always written.
     pub fn snap_features() -> u8 {
         snap::FEATURE_AUDIT
-    }
-
-    /// The feature byte this engine's snapshots carry, in the kernel
-    /// section and in a checkpoint's header: [`snap::FEATURE_AUDIT`] (the
-    /// auditor's section is always written) and [`snap::FEATURE_TRACE`]
-    /// while a tracer is on (its ring follows the auditor's).
-    pub fn features(&self) -> u8 {
-        match self.tracer {
-            Some(_) => snap::FEATURE_AUDIT | snap::FEATURE_TRACE,
-            None => snap::FEATURE_AUDIT,
-        }
     }
 
     /// Serializes the engine's entire mutable state — clock, sequence
@@ -988,6 +966,8 @@ impl Engine {
     /// (portable [`Plan`] values, not arena indices), so a snapshot of a
     /// restored engine is byte-identical to a snapshot of the original
     /// at the same point regardless of either arena's internal layout.
+    /// The span tracer is an observer, not state: it is never written, so
+    /// a traced engine's snapshot is an untraced one's.
     pub fn snap_state(&self, w: &mut SnapWriter) {
         let Engine {
             now,
@@ -1000,9 +980,9 @@ impl Engine {
             ready,
             completions,
             auditor,
-            tracer,
+            tracer: _,
         } = self;
-        w.put_u8(self.features());
+        w.put_u8(Engine::snap_features());
         w.put(now);
         w.put_u64(*seq);
         w.put(&queue.sorted_entries());
@@ -1041,22 +1021,17 @@ impl Engine {
         w.put(ready);
         w.put(completions);
         w.put(auditor);
-        if let Some(tracer) = tracer {
-            tracer.snap_state(w);
-        }
     }
 
     /// Replaces the engine's mutable state with a previously serialized
     /// one. Registered resources are overwritten wholesale (resource ids
     /// are dense indices, and registration order is deterministic, so ids
     /// held by stores remain valid). Live exec plans are re-interned into
-    /// a fresh arena. The snapshot's feature byte decides the tracer: a
-    /// traced snapshot restores traced whatever the engine was, an
-    /// untraced one untraced; a byte no engine writes is refused
-    /// ([`snap::check_features`]).
+    /// a fresh arena. A feature byte no engine writes is refused
+    /// ([`snap::check_features`]). The engine's tracer is left as it was:
+    /// a traced engine traces on from the snapshot's point.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let stored = r.u8()?;
-        snap::check_features(stored)?;
+        snap::check_features(r.u8()?)?;
         let Engine {
             now,
             seq,
@@ -1068,7 +1043,7 @@ impl Engine {
             ready,
             completions,
             auditor,
-            tracer,
+            tracer: _,
         } = self;
         *now = r.get()?;
         *seq = r.u64()?;
@@ -1115,11 +1090,7 @@ impl Engine {
         *ready = r.get()?;
         *completions = r.get()?;
         *auditor = r.get()?;
-        auditor.check_restored(*now, *seq, owed, pending)?;
-        *tracer = (stored & snap::FEATURE_TRACE != 0)
-            .then(|| Tracer::restore_state(r))
-            .transpose()?;
-        Ok(())
+        auditor.check_restored(*now, *seq, owed, pending)
     }
 }
 
@@ -1801,17 +1772,20 @@ mod tests {
         assert_eq!((engine.served(a), engine.served(b)), (1, 1));
     }
 
-    /// Untraced and traced alike; the engine restored into is traced
-    /// exactly when the snapshot is not, and comes back as the snapshot
-    /// says.
+    /// Untraced and traced alike: a traced engine's snapshot is an
+    /// untraced one's, and the engine restored into — traced exactly when
+    /// the snapshotted one is not — keeps its own tracer.
     #[test]
     fn engine_snapshot_restores_to_an_identical_future() {
-        for trace in [false, true] {
-            snapshot_restores_to_an_identical_future(trace);
-        }
+        let untraced = snapshot_restores_to_an_identical_future(false);
+        let traced = snapshot_restores_to_an_identical_future(true);
+        assert_eq!(untraced, traced, "a tracer must not reach the snapshot");
     }
 
-    fn snapshot_restores_to_an_identical_future(trace: bool) {
+    /// Snapshots a busy engine, traced when `trace` is, restores it into
+    /// one traced when it is not, and checks both play out the same
+    /// future. Returns the snapshot bytes.
+    fn snapshot_restores_to_an_identical_future(trace: bool) -> Vec<u8> {
         let build = |trace: bool| {
             let mut e = Engine::new();
             if trace {
@@ -1849,8 +1823,11 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         resumed.restore_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(resumed.features(), engine.features());
-        assert_eq!(resumed.tracer().is_some(), trace);
+        assert_eq!(
+            resumed.tracer().map(Tracer::recorded),
+            (!trace).then_some(0),
+            "the restored engine keeps its own tracer"
+        );
 
         // Re-snapshotting the restored engine reproduces the same bytes.
         let mut w2 = SnapWriter::new();
@@ -1875,11 +1852,7 @@ mod tests {
             resumed.auditor().fingerprint(),
             "audit fingerprint must survive the round trip"
         );
-        assert_eq!(
-            engine.tracer().map(Tracer::fingerprint),
-            resumed.tracer().map(Tracer::fingerprint),
-            "trace fingerprint must survive the round trip"
-        );
+        bytes
     }
 
     #[test]
@@ -1896,7 +1869,7 @@ mod tests {
         // The slot count follows the features byte, the clock, the
         // sequence counter, the event list and the resources.
         let mut before = SnapWriter::new();
-        before.put_u8(engine.features());
+        before.put_u8(Engine::snap_features());
         before.put(&engine.now);
         before.put_u64(engine.seq);
         before.put(&engine.queue.sorted_entries());
@@ -1909,7 +1882,7 @@ mod tests {
         let header = apm_core::snap::SnapshotHeader {
             scenario: "kernel".to_string(),
             config_fingerprint: 0,
-            features: engine.features(),
+            features: Engine::snap_features(),
             checkpoint_index: 0,
             virtual_time_ns: engine.now.0,
         };
@@ -1990,7 +1963,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_completions_batches_and_requeue_restores_delivery_order() {
+    fn drain_completions_delivers_the_buffer_as_one_batch() {
         let mut engine = Engine::new();
         let handles: Vec<PlanHandle> = (0..3)
             .map(|i| engine.submit(Plan::build().delay(us(10)).finish(), Token(i)))
@@ -2000,17 +1973,12 @@ mod tests {
         }
         let mut batch = VecDeque::new();
         assert!(engine.drain_completions(&mut batch));
-        assert_eq!(batch.len(), 3, "buffered completions arrive as one batch");
-        let first = batch.pop_front().expect("batch has three entries");
-        assert_eq!(first.token, Token(0));
-        // A checkpointing driver hands the unprocessed remainder back...
-        engine.requeue_completions(&mut batch);
-        assert!(batch.is_empty());
-        // ...and delivery resumes in the original order, with no events
-        // stepped in between.
-        assert!(engine.drain_completions(&mut batch));
-        let rest: Vec<Token> = batch.drain(..).map(|c| c.token).collect();
-        assert_eq!(rest, vec![Token(1), Token(2)]);
+        let tokens: Vec<Token> = batch.drain(..).map(|c| c.token).collect();
+        assert_eq!(
+            tokens,
+            vec![Token(0), Token(1), Token(2)],
+            "buffered completions arrive as one batch, in delivery order"
+        );
         assert!(
             !engine.drain_completions(&mut batch),
             "only stale resume events remain"

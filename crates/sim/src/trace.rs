@@ -10,19 +10,21 @@
 //! trace-event writer in the harness).
 //!
 //! An engine without it holds no tracer: each of the kernel's record
-//! sites costs it one branch (the recorder is out of line), and its
-//! snapshots carry no tracer section. A traced engine's snapshots carry
-//! the tracer, so a traced checkpoint resumes traced.
+//! sites costs it one branch (the recorder is out of line).
+//!
+//! The tracer is an observer attached to one engine, not part of the
+//! simulation: an engine's snapshots never carry it, so a traced
+//! engine's checkpoint is byte for byte an untraced one's, and restoring
+//! a checkpoint leaves the engine's tracer as it was. A freshly traced
+//! engine resumed from any checkpoint records from the checkpoint's
+//! virtual time on; its counters and fingerprint cover that part only.
 //!
 //! Three properties tracing guarantees:
 //!
 //! * **Bounded memory** — events land in a pre-allocated ring buffer
 //!   ([`Tracer::with_capacity`]); when it fills, the oldest events are
 //!   overwritten and counted in [`Tracer::dropped`]. No allocation
-//!   happens per event (a ring restored from a snapshot grows to its
-//!   capacity first). A snapshot's capacity is bounded by
-//!   [`DEFAULT_TRACE_CAPACITY`], the one an engine writes, so a forged
-//!   one cannot lift the bound.
+//!   happens per event.
 //! * **Determinism** — every recorded event (including ones later
 //!   evicted from the ring) is folded into a rolling
 //!   [`Tracer::fingerprint`]; two runs of the same seeded workload must
@@ -33,11 +35,9 @@
 
 use crate::kernel::{Outcome, ResourceId, Token};
 use crate::time::SimTime;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use apm_core::snap_struct;
 
 /// Default ring capacity: 64 Ki events ≈ 2 MiB. The ring an engine
-/// installs, and the largest a snapshot may restore.
+/// installs.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Which lifecycle transition a [`TraceEvent`] records.
@@ -62,8 +62,7 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// Small stable code: folded into the trace fingerprint, and the
-    /// kind's snapshot tag.
+    /// Small stable code, folded into the trace fingerprint.
     fn code(self) -> u8 {
         match self {
             TraceEventKind::Submit => 1,
@@ -100,8 +99,7 @@ pub struct TraceEvent {
 pub struct Tracer {
     /// Ring size; `buf` never grows past it.
     capacity: usize,
-    /// Ring storage, pre-allocated to `capacity` by [`Tracer::with_capacity`]
-    /// (a restored ring grows on push instead).
+    /// Ring storage, pre-allocated to `capacity` by [`Tracer::with_capacity`].
     buf: Vec<TraceEvent>,
     /// Index of the next write when the ring is full.
     head: usize,
@@ -189,86 +187,7 @@ impl Tracer {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// Serializes the tracer — ring contents, eviction cursor, counters,
-    /// and the rolling fingerprint — so a resumed run traces seamlessly.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        let Tracer {
-            capacity,
-            buf,
-            head,
-            recorded,
-            dropped,
-            fingerprint,
-        } = self;
-        w.put(capacity);
-        w.put(buf);
-        w.put(head);
-        w.put_u64(*recorded);
-        w.put_u64(*dropped);
-        w.put_u64(*fingerprint);
-    }
-
-    /// Rebuilds a tracer from [`Tracer::snap_state`] bytes. A capacity
-    /// above [`DEFAULT_TRACE_CAPACITY`] is refused: no engine writes one,
-    /// and the ring would keep whatever a resumed run recorded.
-    pub fn restore_state(r: &mut SnapReader) -> Result<Tracer, SnapError> {
-        let capacity: usize = r.get()?;
-        let buf: Vec<TraceEvent> = r.get()?;
-        let head: usize = r.get()?;
-        if capacity > DEFAULT_TRACE_CAPACITY {
-            return Err(SnapError::BadTag {
-                what: "Tracer capacity",
-                tag: capacity as u64,
-            });
-        }
-        if capacity == 0 || buf.len() > capacity || (head != 0 && head >= buf.len()) {
-            return Err(SnapError::BadTag {
-                what: "Tracer ring",
-                tag: head as u64,
-            });
-        }
-        // `capacity` is stream input, so nothing is reserved for it: the
-        // ring grows on push, up to at most the default's.
-        Ok(Tracer {
-            buf,
-            head,
-            recorded: r.u64()?,
-            dropped: r.u64()?,
-            fingerprint: r.u64()?,
-            capacity,
-        })
-    }
 }
-
-// Hand-written: `Complete`'s outcome is folded into the tag — the code
-// the fingerprint hashes — not written as a nested enum.
-impl Snap for TraceEventKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.code());
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        match r.u8()? {
-            1 => Ok(TraceEventKind::Submit),
-            2 => Ok(TraceEventKind::Enqueue),
-            3 => Ok(TraceEventKind::ServiceStart),
-            4 => Ok(TraceEventKind::ServiceEnd),
-            5 => Ok(TraceEventKind::Complete(Outcome::Ok)),
-            6 => Ok(TraceEventKind::Complete(Outcome::Failed)),
-            7 => Ok(TraceEventKind::Complete(Outcome::TimedOut)),
-            8 => Ok(TraceEventKind::ResourceDown),
-            9 => Ok(TraceEventKind::ResourceRestored),
-            10 => Ok(TraceEventKind::Slowdown),
-            11 => Ok(TraceEventKind::Complete(Outcome::Cancelled)),
-            tag => Err(SnapError::BadTag {
-                what: "TraceEventKind",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-snap_struct! { TraceEvent { at, token, resource, kind } }
 
 #[cfg(test)]
 mod tests {
@@ -332,96 +251,6 @@ mod tests {
         for v in variants {
             assert_ne!(fp(base), fp(v), "{v:?} must hash differently");
         }
-    }
-
-    #[test]
-    fn a_kind_decodes_from_the_code_it_is_written_as() {
-        // Eleven kinds (seven plain, `Complete` of four outcomes) and
-        // eleven tags: each tag decoding to a kind with that code makes
-        // `restore` the inverse of `code`.
-        for tag in 1..=11u8 {
-            let kind: TraceEventKind = SnapReader::new(&[tag]).get().expect("a listed tag");
-            assert_eq!(kind.code(), tag);
-        }
-        for tag in [0u8, 12] {
-            let refused = SnapReader::new(&[tag]).get::<TraceEventKind>();
-            assert!(matches!(refused, Err(SnapError::BadTag { .. })), "{tag}");
-        }
-    }
-
-    /// Restores a tracer from a sealed-valid body holding `capacity`, a
-    /// ring of `ring` events behind a length prefix of `prefix`, `head`
-    /// and the three counters — past the checksum, so only the decoder
-    /// stands between the stream and the allocator.
-    fn restore_sealed(
-        capacity: u64,
-        prefix: u64,
-        ring: u64,
-        head: u64,
-    ) -> Result<Tracer, SnapError> {
-        let header = apm_core::snap::SnapshotHeader {
-            scenario: "tracer".to_string(),
-            config_fingerprint: 0,
-            features: apm_core::snap::FEATURE_TRACE,
-            checkpoint_index: 0,
-            virtual_time_ns: 0,
-        };
-        let sealed = apm_core::snap::seal_with(&header, 0, |w| {
-            w.put_u64(capacity);
-            w.put_u64(prefix);
-            for i in 0..ring {
-                w.put(&ev(i, i, TraceEventKind::Enqueue));
-            }
-            w.put_u64(head);
-            w.put_u64(ring);
-            w.put_u64(0);
-            w.put_u64(0x5EED);
-        });
-        let (_, body) = apm_core::snap::open(&sealed).expect("sealed-valid");
-        let mut r = SnapReader::new(body);
-        let tracer = Tracer::restore_state(&mut r)?;
-        r.finish()?;
-        Ok(tracer)
-    }
-
-    #[test]
-    fn hostile_ring_header_is_ok_or_a_typed_error_never_a_panic() {
-        // An empty ring claiming every event the address space could hold
-        // would record without bound: it is refused, as is any capacity
-        // past the one an engine writes. That one restores, and records.
-        let max = DEFAULT_TRACE_CAPACITY as u64;
-        for capacity in [u64::MAX, max + 1] {
-            let huge = restore_sealed(capacity, 0, 0, 0);
-            assert_eq!(
-                huge.map(|t| t.len()),
-                Err(SnapError::BadTag {
-                    what: "Tracer capacity",
-                    tag: capacity
-                })
-            );
-        }
-        let mut empty = restore_sealed(max, 0, 0, 0).expect("an empty default ring");
-        empty.record(ev(1, 1, TraceEventKind::Submit));
-        assert_eq!((empty.len(), empty.recorded(), empty.dropped()), (1, 1, 0));
-        assert_eq!(restore_sealed(4, 2, 2, 1).map(|t| t.len()), Ok(2));
-        for (capacity, prefix, ring, head) in [(0, 0, 0, 0), (1, 2, 2, 0), (4, 2, 2, 2)] {
-            let refused = restore_sealed(capacity, prefix, ring, head);
-            assert!(
-                matches!(
-                    refused,
-                    Err(SnapError::BadTag {
-                        what: "Tracer ring",
-                        ..
-                    })
-                ),
-                "{refused:?}"
-            );
-        }
-        let inflated = restore_sealed(u64::MAX, u64::MAX, 0, 0);
-        assert!(
-            matches!(inflated, Err(SnapError::UnexpectedEof { .. })),
-            "{inflated:?}"
-        );
     }
 
     #[test]

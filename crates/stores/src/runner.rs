@@ -22,9 +22,9 @@ use apm_core::snap::{self, fnv1a64, Snap, SnapError, SnapReader, SnapWriter, Sna
 use apm_core::snap_struct;
 use apm_core::stats::{pairwise_sum, BenchStats, ResilienceCounters, ResourceSample, Telemetry};
 use apm_core::workload::{Workload, WorkloadGenerator};
-use apm_sim::kernel::{Completion, PlanHandle, ResourceId, Token};
+use apm_sim::kernel::{PlanHandle, ResourceId, Token};
 use apm_sim::{Engine, FaultSchedule, Outcome, Plan, SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Configuration of one benchmark run.
 #[derive(Clone, Debug)]
@@ -333,6 +333,9 @@ impl TelemetrySampler {
     /// Samples every boundary at or before `now`.
     fn advance_to(&mut self, engine: &Engine, now: SimTime) {
         while self.boundary_time(self.boundary) <= now {
+            // A node that joined mid-run registered its resources after
+            // the sampler was sized: they start from a zero baseline.
+            self.prev_busy.resize(engine.resource_count(), 0);
             let k = self.boundary;
             self.boundary += 1;
             if k == 0 {
@@ -425,8 +428,9 @@ fn total_records(config: &RunConfig) -> u64 {
 /// snapshot carries every byte of loaded and mutated state and
 /// overwrites whatever the store held — so the continuation is
 /// byte-identical to the portion of the from-scratch run after the
-/// checkpoint. Whether it is traced is the checkpoint's to say, not the
-/// engine's: a traced checkpoint resumes traced into [`Engine::new`].
+/// checkpoint. Whether it is traced is the engine's choice: a checkpoint
+/// holds no tracer, and an engine with [`Engine::enable_trace`] on
+/// records the resumed part of the run.
 pub fn resume_benchmark(
     engine: &mut Engine,
     store: &mut dyn DistributedStore,
@@ -462,12 +466,6 @@ pub fn resume_benchmark_masked(
     let mut r = SnapReader::new(body);
     store.restore_state(&mut r, engine)?;
     engine.restore_state(&mut r)?;
-    if engine.features() != header.features {
-        return Err(SnapError::FeatureMismatch {
-            stored: header.features,
-            active: engine.features(),
-        });
-    }
     let mut d = Driver::restore_state(config, store, &mut r)?;
     r.finish()?;
     let checkpoints = drive(engine, store, config, &mut d, mask);
@@ -918,23 +916,6 @@ fn run_transactions(
     finalize(engine, store, d, checkpoints)
 }
 
-/// Pops the next completion from the driver-local batch, refilling it
-/// through the kernel's batched delivery when it runs dry. Delivery
-/// order is identical to calling [`Engine::next_completion`] per op —
-/// the kernel buffers whole batches before handing anything out either
-/// way — but the event loop pays one kernel call per batch instead of
-/// one per completion.
-fn next_batched(engine: &mut Engine, batch: &mut VecDeque<Completion>) -> Option<Completion> {
-    if let Some(completion) = batch.pop_front() {
-        return Some(completion);
-    }
-    if engine.drain_completions(batch) {
-        batch.pop_front()
-    } else {
-        None
-    }
-}
-
 /// The event loop: consume completions, settle hedge races, retry,
 /// record, reissue, capture checkpoints, stop at the window end. Both a
 /// fresh run and a resumed one enter here; all mutable state lives in
@@ -968,11 +949,7 @@ fn drive(
         .filter(|&at| engine.now() < at);
 
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    // Completions arrive in batches — everything the kernel buffered in
-    // one pass — cutting a kernel round-trip per same-timestamp
-    // completion; the per-completion body is unchanged.
-    let mut batch: VecDeque<Completion> = VecDeque::new();
-    while let Some(completion) = next_batched(engine, &mut batch) {
+    while let Some(completion) = engine.next_completion() {
         let now = completion.finished;
         if let Some(sampler) = d.sampler.as_mut() {
             sampler.advance_to(engine, now.min(d.measure_end));
@@ -1140,13 +1117,6 @@ fn drive(
         // The bottom of the iteration is a consistent cut: the completion
         // is fully absorbed and the follow-up op submitted.
         if let Some(every) = every {
-            if d.checkpoint_due(every) <= now {
-                // Batching invariant: hand the undelivered remainder back
-                // to the kernel before serializing, so checkpoint bytes
-                // match one-at-a-time delivery exactly; the next refill
-                // re-delivers it without stepping any events.
-                engine.requeue_completions(&mut batch);
-            }
             while d.checkpoint_due(every) <= now {
                 let index = d.next_checkpoint;
                 d.next_checkpoint += 1;
@@ -1211,7 +1181,7 @@ fn capture_checkpoint(
     let header = SnapshotHeader {
         scenario: store.name().to_string(),
         config_fingerprint: config_fingerprint(store.name(), config),
-        features: engine.features(),
+        features: Engine::snap_features(),
         checkpoint_index: index,
         virtual_time_ns: engine.now().0,
     };
@@ -1342,7 +1312,6 @@ pub(crate) mod tests {
     /// is encoded again in front of the kernel and driver sections; `edit`
     /// then gets the whole body and the length of its store section. The
     /// container is sealed again, so its checksum vouches for the forgery.
-    /// A `make` that turns the engine's tracer on forges a traced checkpoint.
     pub(crate) fn resume_forged<S: DistributedStore>(
         make: impl Fn(&mut Engine) -> S,
         forge: impl FnOnce(&mut S),
@@ -1908,6 +1877,32 @@ pub(crate) mod tests {
         w.into_bytes()
     }
 
+    /// A node joining mid-run registers its resources after the telemetry
+    /// sampler was sized: the next boundary samples them from a zero
+    /// baseline rather than indexing past the sampler's end.
+    #[test]
+    fn telemetry_samples_a_node_that_joins_mid_run() {
+        let mut cfg = RunConfig::new(
+            Workload::rw(),
+            ClientConfig::cluster_m(4).with_window(0.5, 1.5),
+            5_000,
+            4,
+            0xD21F,
+        );
+        cfg.event_at_secs = Some(0.5);
+        cfg.telemetry_window_secs = Some(0.25);
+        let mut engine = Engine::new();
+        let mut store = store_named("cassandra", &mut engine, ClusterSpec::cluster_m());
+        let before = engine.resource_count();
+        let result = run_benchmark(&mut engine, store.as_mut(), &cfg);
+        assert_eq!(engine.resource_count(), before + 3, "a node joined");
+        let telemetry = result.telemetry.expect("telemetry on");
+        assert_eq!(telemetry.windows().len(), 6);
+        assert!(telemetry.windows().iter().all(|w| w
+            .resource("cpu")
+            .is_some_and(|cpu| cpu.utilization.is_finite())));
+    }
+
     #[test]
     fn checkpoints_are_captured_on_schedule() {
         let mut engine = Engine::new();
@@ -2006,20 +2001,63 @@ pub(crate) mod tests {
         }
     }
 
+    /// A checkpoint holds no tracer: a traced `Engine::new()` resumed
+    /// from an untraced checkpoint keeps its own, records from the
+    /// checkpoint's virtual time on, and reports — checkpoints included —
+    /// what the untraced full run did.
     #[test]
-    fn resume_rejects_a_mismatched_config() {
-        for trace in [false, true] {
-            rejects_a_mismatched_config(trace);
-        }
+    fn a_traced_engine_traces_on_from_an_untraced_checkpoint() {
+        // Throttled, so that the ring keeps every event the resumed part
+        // records; the crash window spans the checkpoint.
+        let mut cfg = quick_config(Workload::rw());
+        cfg.client = cfg.client.with_throttle(Throttle::TargetOps(2_000.0));
+        cfg.faults = FaultSchedule::none().crash(0, SimTime(300_000_000), SimTime(700_000_000));
+        cfg.checkpoints = Some(CheckpointSpec::every(0.5));
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        let straight = run_benchmark(&mut engine, &mut store, &cfg);
+        let cp = straight.checkpoints.first().expect("a checkpoint");
+
+        let mut traced = Engine::new();
+        traced.enable_trace();
+        let mut store2 = FixtureStore::new(&mut traced, 100);
+        let resumed =
+            resume_benchmark(&mut traced, &mut store2, &cfg, &cp.bytes).expect("resume succeeds");
+        let tracer = traced.tracer().expect("the engine keeps its tracer");
+        let events = tracer.events();
+        assert!(tracer.dropped() == 0 && events.len() as u64 == tracer.recorded());
+        assert!(
+            events.iter().all(|e| e.at >= cp.at),
+            "an event before the checkpoint at {:?}",
+            cp.at
+        );
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == apm_sim::TraceEventKind::ResourceRestored),
+            "the restart after the checkpoint is traced"
+        );
+        assert_eq!(result_sig(&resumed), result_sig(&straight));
+        let later: Vec<&[u8]> = straight.checkpoints[1..]
+            .iter()
+            .map(|c| c.bytes.as_slice())
+            .collect();
+        let recaptured: Vec<&[u8]> = resumed
+            .checkpoints
+            .iter()
+            .map(|c| c.bytes.as_slice())
+            .collect();
+        assert_eq!(
+            recaptured, later,
+            "a traced engine checkpoints untraced bytes"
+        );
     }
 
-    fn rejects_a_mismatched_config(trace: bool) {
+    #[test]
+    fn resume_rejects_a_mismatched_config() {
         let mut cfg = quick_config(Workload::rw());
         cfg.checkpoints = Some(CheckpointSpec::every(0.5));
         let mut engine = Engine::new();
-        if trace {
-            engine.enable_trace();
-        }
         let mut store = FixtureStore::new(&mut engine, 100);
         let straight = run_benchmark(&mut engine, &mut store, &cfg);
         let cp = &straight.checkpoints[0];
@@ -2046,14 +2084,14 @@ pub(crate) mod tests {
 
         // With the audit bit cleared, the header claims a body from a
         // build that predates the always-on auditors, whose store sections
-        // lack them: it is refused before any codec reads the body, since
-        // those sections come before the kernel's own feature byte. With
-        // the trace bit flipped, the header disagrees with the kernel
-        // section it seals — traced or not — and is refused too.
+        // lack them; with bit 1 set, one from an older traced engine,
+        // whose kernel section ends in a ring. Either is refused before
+        // any codec reads the body, since the store sections come before
+        // the kernel's own feature byte.
         let (mut header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
-        let active = engine.features();
+        let active = Engine::snap_features();
         assert_eq!(header.features, active);
-        for flip in [snap::FEATURE_AUDIT, snap::FEATURE_TRACE] {
+        for flip in [snap::FEATURE_AUDIT, 1 << 1] {
             header.features = active ^ flip;
             let resealed = snap::seal(&header, body);
             let mut engine4 = Engine::new();
@@ -2121,52 +2159,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// A traced checkpoint 0 resumes; forged to a ring capacity past the
-    /// one an engine writes — which would keep every event a resumed run
-    /// records — it is refused.
-    #[test]
-    fn forged_tracer_capacity_is_refused_on_resume() {
-        let make = |engine: &mut Engine| {
-            engine.enable_trace();
-            let ctx = StoreCtx::new(engine, ClusterSpec::cluster_m(), 4, 2, 0.0005, 29);
-            crate::voldemort::VoldemortStore::new(ctx, engine)
-        };
-        // The tracer's section ends the kernel's, and opens with its
-        // capacity.
-        let capacity_at = |body: &[u8], store_len: usize| {
-            let mut engine = Engine::new();
-            let mut r = SnapReader::new(&body[store_len..]);
-            engine
-                .restore_state(&mut r)
-                .expect("kernel section restores");
-            let mut w = SnapWriter::new();
-            engine
-                .tracer()
-                .expect("a traced checkpoint restores traced")
-                .snap_state(&mut w);
-            body.len() - r.remaining() - w.len()
-        };
-        assert!(resume_forged(make, |_| {}, |_, _| {}).is_ok());
-        let unbounded = resume_forged(
-            make,
-            |_| {},
-            |body, store_len| {
-                let at = capacity_at(body, store_len);
-                body[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            },
-        );
-        assert!(
-            matches!(
-                unbounded,
-                Err(SnapError::BadTag {
-                    what: "Tracer capacity",
-                    tag: u64::MAX
-                })
-            ),
-            "{unbounded:?}"
-        );
-    }
-
     /// `name` built over four nodes of `cluster` at scale 0.0005, with the
     /// client fleet the harness gives it (Redis' is doubled, §5.1).
     fn store_named(
@@ -2221,8 +2213,8 @@ pub(crate) mod tests {
         // swapped order restores a state that re-encodes differently. Every
         // in-place codec pair is in one of these bodies — the stores' own,
         // their engines (LSM, B+tree, buffer pool, paged tree, hash store,
-        // commit log, page cache), the kernel (and its tracer under
-        // `trace`), and the driver with its generator and key chooser.
+        // commit log, page cache), the kernel, and the driver with its
+        // generator and key chooser.
         let mut resilient = RunConfig::new(
             Workload::rw(),
             ClientConfig::cluster_m(4).with_window(0.2, 0.8),

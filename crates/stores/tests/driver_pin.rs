@@ -27,12 +27,12 @@
 //! MySQL and VoltDB (`PartitionTable`, the HDFS / region state,
 //! `PagedTree`) under every feature set on 356f657, the commit before the
 //! codecs were generated from one field list. The auditors, once the
-//! `audit` feature, are in every engine, and the span tracer, once the
-//! `trace` feature, is switched on per engine: one build checks an engine
-//! as `Engine::new()` makes it against the table the `audit` build pinned
-//! and a traced one against the table `trace` and `audit` together
-//! pinned, neither recaptured (f918e3a and ad9d4d6 are the commits
-//! before).
+//! `audit` feature, are in every engine; the table is the one the `audit`
+//! build pinned, not recaptured (f918e3a is the commit before). The span
+//! tracer, once the `trace` feature and then a per-engine switch whose
+//! ring every checkpoint carried, is an observer a checkpoint never
+//! holds: an engine as `Engine::new()` makes it and a traced one are both
+//! checked against that one table.
 //!
 //! The `… on D` rows of that table pin a buffer pool *under thrash*.
 //! Everything else here runs on Cluster M at scale 0.0005, where no pool
@@ -46,13 +46,12 @@
 //! walks became `PagedTree`'s one.
 //!
 //! Container version 4 writes a generated record as its id, so every body
-//! of that table was recaptured with it (2.9–6.8× shorter without `trace`). What
-//! the bodies hold did not move, and a third test says so without a
+//! of that table was recaptured with it (2.9–6.8× shorter). What the
+//! bodies hold did not move, and a third test says so without a
 //! format-bound constant: each pinned checkpoint 0, resumed into a fresh
 //! store, runs on to exactly the statistics, issued count and ledger of
 //! its full run (added on 03bf0c7, the commit before the bump, where it
-//! passed against the version-3 bodies) — a traced one resumed into an
-//! untraced engine, to its full run's trace fingerprint too.
+//! passed against the version-3 bodies).
 
 mod common;
 
@@ -206,17 +205,11 @@ fn policy_free_runs_are_pinned() {
 
 /// Stores with the FNV-1a of the body of checkpoint 0 of shape (d),
 /// checkpointed every 0.2 s — or, `on D`, of [`thrashing_config`] — and the
-/// body's length; one table for an untraced engine and one for a traced
-/// one, because a checkpoint also carries the observers' state: every
-/// engine writes the auditor sections, a traced one adds the tracer's ring
-/// buffer (~1.46 MB a checkpoint). The auditors and the tracer were once
-/// the `audit` and `trace` features; these are the tables the `audit`
-/// build and the `trace` + `audit` build pinned (`BODY_PINS_AUDIT` and
-/// `BODY_PINS_TRACE_AUDIT`), renamed when the features went, no constant
+/// body's length. Every engine writes the auditor sections; the auditors
+/// were once the `audit` feature, and this is the table that build pinned
+/// (`BODY_PINS_AUDIT`), renamed when the feature went, no constant
 /// recaptured.
-type BodyPins = [(&'static str, u64, usize); 9];
-
-const BODY_PINS: BodyPins = [
+const BODY_PINS: [(&str, u64, usize); 9] = [
     ("cassandra", 0x161b_f0ff_b7d3_42eb, 1_332_667),
     ("redis", 0x033f_b1ef_862b_5c18, 693_536),
     ("voldemort", 0xc895_ce0c_5980_6584, 665_938),
@@ -226,18 +219,6 @@ const BODY_PINS: BodyPins = [
     ("mysql on D", 0xb4db_5f27_ded5_27d8, 1_819_602),
     ("mongodb on D", 0x821f_0550_5c2f_62e8, 1_915_904),
     ("voldemort on D", 0xefd9_8e86_69f9_8b13, 2_081_933),
-];
-
-const BODY_PINS_TRACE: BodyPins = [
-    ("cassandra", 0x995a_7a90_bb5d_bec3, 2_799_451),
-    ("redis", 0x2cb2_e822_3b8c_eaff, 2_152_460),
-    ("voldemort", 0x83c6_2155_7b92_d361, 2_120_946),
-    ("hbase", 0x38ef_3118_ac47_ab2a, 2_020_656),
-    ("mysql", 0xc456_339c_f0c1_5401, 2_742_677),
-    ("voltdb", 0x46b9_d950_0fbe_03b4, 1_927_508),
-    ("mysql on D", 0x472e_3e41_95c5_56d2, 3_311_098),
-    ("mongodb on D", 0xe216_718f_24fa_3f5a, 3_397_512),
-    ("voldemort on D", 0x1ab2_bb1d_255d_c43f, 3_559_361),
 ];
 
 /// `store` on Cluster D, its trees 9–20× their pools, checkpointed 20 s
@@ -266,15 +247,13 @@ fn pinned_scenario(name: &str) -> (&str, ClusterSpec, RunConfig) {
     }
 }
 
-/// The two tables: `BODY_PINS` for an untraced engine, `BODY_PINS_TRACE`
-/// for a traced one.
-const TABLES: [(bool, &BodyPins); 2] = [(false, &BODY_PINS), (true, &BODY_PINS_TRACE)];
-
+/// One table, two engines: a traced engine's checkpoint holds no tracer,
+/// so it is the untraced engine's byte for byte.
 #[test]
 fn checkpoint_bodies_are_pinned() {
-    let moved: Vec<String> = TABLES
-        .iter()
-        .flat_map(|&(trace, pins)| pins.iter().map(move |&pin| (trace, pin)))
+    let moved: Vec<String> = [false, true]
+        .into_iter()
+        .flat_map(|trace| BODY_PINS.iter().map(move |&pin| (trace, pin)))
         .filter_map(|(trace, (name, want, want_len))| {
             let (store, cluster, config) = pinned_scenario(name);
             let r = run_on(&mut engine(trace), store, cluster, &config);
@@ -306,17 +285,15 @@ fn reported(r: &RunResult) -> Vec<u8> {
 
 /// The safety net under the body pins that no format change moves: each
 /// pinned checkpoint 0, restored into a freshly constructed store over
-/// `Engine::new()`, runs on to exactly what the full run reported — and a
-/// traced one, which resumes traced, to the full run's trace fingerprint.
+/// `Engine::new()`, runs on to exactly what the full run reported.
 #[test]
 fn every_pinned_checkpoint_resumes_to_the_full_run() {
-    let drifted: Vec<(&str, bool)> = TABLES
+    let drifted: Vec<&str> = BODY_PINS
         .iter()
-        .flat_map(|&(trace, pins)| pins.iter().map(move |&(name, ..)| (name, trace)))
-        .filter(|&(name, trace)| {
+        .map(|&(name, ..)| name)
+        .filter(|&name| {
             let (store, cluster, config) = pinned_scenario(name);
-            let mut full_engine = engine(trace);
-            let full = run_on(&mut full_engine, store, cluster, &config);
+            let full = run(store, cluster, &config);
             let mut engine = Engine::new();
             let ctx = common::ctx_on(store, &mut engine, cluster, NODES, SCALE);
             let mut fresh = common::build(store, &mut engine, ctx);
@@ -327,14 +304,12 @@ fn every_pinned_checkpoint_resumes_to_the_full_run() {
                 &full.checkpoints[0].bytes,
             )
             .expect("own checkpoint resumes");
-            let traced = |e: &Engine| e.tracer().map(|t| t.fingerprint());
-            reported(&resumed) != reported(&full) || traced(&engine) != traced(&full_engine)
+            reported(&resumed) != reported(&full)
         })
         .collect();
     assert!(
         drifted.is_empty(),
-        "resumed from checkpoint 0, these (store, traced) runs report otherwise than in full: \
-         {drifted:?}"
+        "resumed from checkpoint 0, these runs report otherwise than in full: {drifted:?}"
     );
 }
 
