@@ -7,7 +7,7 @@
 //! models, and the benchmark driver implement so a run can be frozen at a
 //! virtual-time boundary and resumed byte-identically.
 //!
-//! ## Container layout (version 4)
+//! ## Container layout (version 5)
 //!
 //! ```text
 //! offset  size  field
@@ -102,9 +102,12 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// byte and the policy-free slot layout from the driver section (one
 /// closed-loop driver, one slot codec); version 3 changed the trailing
 /// checksum from [`fnv1a64`] to [`checksum64`] and nothing else; version 4
-/// writes a generated record as its id (module docs, *Records*). Older
-/// checkpoints are refused rather than misread.
-pub const VERSION: u16 = 4;
+/// writes a generated record as its id (module docs, *Records*); version 5
+/// holds each fact of a run once — no second feature byte in the kernel
+/// section, no auditor evidence or copied counters, no value the run
+/// config fixes — and leaves the envelope as it was. Older checkpoints
+/// are refused rather than misread.
+pub const VERSION: u16 = 5;
 
 /// Feature-flag bit for the auditor sections. Every engine writes them
 /// and sets this bit; it once meant "built with the `audit` feature", so a
@@ -1036,15 +1039,15 @@ mod tests {
 
     #[test]
     fn container_rejects_version_mismatch() {
-        // A newer writer's container and the three layouts this format
+        // A newer writer's container and the four layouts this format
         // replaced. The version is read before the checksum — another
         // version's checksum is another function — so each is refused as
         // that version with its checksum stale, and again re-sealed so
         // that only the version check can fail.
-        for found in [VERSION + 1, 3, 2, 1] {
+        for found in [VERSION + 1, 4, 3, 2, 1] {
             let mut sealed = seal(&header(), b"x");
             sealed[4..6].copy_from_slice(&found.to_le_bytes());
-            let refusal = Err(SnapError::VersionMismatch { found, expected: 4 });
+            let refusal = Err(SnapError::VersionMismatch { found, expected: 5 });
             assert_eq!(open(&sealed), refusal);
             let len = sealed.len();
             let checksum = checksum64(&sealed[..len - 8]).to_le_bytes();

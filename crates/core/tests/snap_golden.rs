@@ -150,47 +150,31 @@ fn version_bump_is_rejected() {
     );
 }
 
-/// `snap_v2.bin` is the golden file as version 2 sealed it: the same
-/// header and body under an FNV-1a checksum.
+/// The golden file as each retired version sealed it: `snap_v2.bin` (an
+/// FNV-1a checksum), `snap_v3.bin` (before a generated record was written
+/// as its id) and `snap_v4.bin` (before a body held each fact once). Each
+/// is refused by its version, never misread.
 #[test]
-fn a_version_2_container_is_refused_by_its_version() {
-    let v2 = std::fs::read(data_path("snap_v2.bin")).expect("v2 fixture present");
-    let refusal = snap::open(&v2).unwrap_err();
-    assert_eq!(
-        refusal,
-        SnapError::VersionMismatch {
-            found: 2,
-            expected: 4
-        }
-    );
-    assert_eq!(
-        refusal.to_string(),
-        "snapshot format v2, this build reads v4"
-    );
-    // Version 3 changed the envelope and nothing inside it: the version
+fn retired_container_versions_are_refused_by_their_version() {
+    let read = |version: u16| {
+        std::fs::read(data_path(&format!("snap_v{version}.bin"))).expect("fixture present")
+    };
+    for found in [2, 3, 4] {
+        let refusal = snap::open(&read(found)).unwrap_err();
+        assert_eq!(refusal, SnapError::VersionMismatch { found, expected: 5 });
+        assert_eq!(
+            refusal.to_string(),
+            format!("snapshot format v{found}, this build reads v5")
+        );
+    }
+    // Version 3 changed the envelope and nothing inside it, and so did
+    // version 5 over version 4's golden body: in each pair the version
     // field and the trailing checksum are the only bytes that differ.
-    let v3 = std::fs::read(data_path("snap_v3.bin")).expect("v3 fixture present");
-    assert_eq!(v3.len(), v2.len());
-    let differing: Vec<usize> = (0..v3.len()).filter(|&i| v3[i] != v2[i]).collect();
-    let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= v3.len() - 8;
-    assert!(differing.iter().all(envelope), "{differing:?}");
-}
-
-/// `snap_v3.bin` is the golden file as version 3 sealed it, before the
-/// record encoding wrote a generated record as its id.
-#[test]
-fn a_version_3_container_is_refused_by_its_version() {
-    let v3 = std::fs::read(data_path("snap_v3.bin")).expect("v3 fixture present");
-    let refusal = snap::open(&v3).unwrap_err();
-    assert_eq!(
-        refusal,
-        SnapError::VersionMismatch {
-            found: 3,
-            expected: 4
-        }
-    );
-    assert_eq!(
-        refusal.to_string(),
-        "snapshot format v3, this build reads v4"
-    );
+    let golden = std::fs::read(golden_path()).expect("golden file present");
+    for (old, new) in [(read(2), read(3)), (read(4), golden)] {
+        assert_eq!(old.len(), new.len());
+        let differing: Vec<usize> = (0..new.len()).filter(|&i| old[i] != new[i]).collect();
+        let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= new.len() - 8;
+        assert!(differing.iter().all(envelope), "{differing:?}");
+    }
 }

@@ -38,8 +38,6 @@ use apm_core::snap_struct;
 pub struct KernelAuditor {
     /// Time and sequence number of the previous event pop.
     last_pop: Option<(SimTime, u64)>,
-    /// Total events popped.
-    pops: u64,
     /// FNV-style rolling hash of every popped `(time, seq)` pair.
     fingerprint: u64,
     /// Top-level executions allocated (each owes one completion).
@@ -68,7 +66,6 @@ impl KernelAuditor {
             );
         }
         self.last_pop = Some((at, seq));
-        self.pops += 1;
         self.fingerprint = self.fingerprint.wrapping_mul(0x0000_0100_0000_01b3)
             ^ at.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ seq;
@@ -139,11 +136,6 @@ impl KernelAuditor {
         Ok(())
     }
 
-    /// Events popped so far.
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
     /// Rolling hash of every `(time, seq)` event pop. Equal seeds must
     /// yield equal fingerprints across runs.
     pub fn fingerprint(&self) -> u64 {
@@ -163,7 +155,7 @@ impl KernelAuditor {
 
 // So a resumed run continues the rolling fingerprint and the conservation
 // counters instead of restarting them.
-snap_struct! { KernelAuditor { last_pop, pops, fingerprint, issued, completed } }
+snap_struct! { KernelAuditor { last_pop, fingerprint, issued, completed } }
 
 #[cfg(test)]
 mod tests {
@@ -179,7 +171,7 @@ mod tests {
         a.on_pop(t(10), 0);
         a.on_pop(t(10), 3);
         a.on_pop(t(20), 1);
-        assert_eq!(a.pops(), 3);
+        assert_eq!(a.last_pop, Some((t(20), 1)));
     }
 
     #[test]

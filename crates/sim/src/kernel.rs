@@ -949,9 +949,11 @@ impl Engine {
         self.completions.drain(..).collect()
     }
 
-    /// The feature byte every engine writes, in the kernel section and
-    /// in a checkpoint's header: [`snap::FEATURE_AUDIT`], since the
-    /// auditors' sections are always written.
+    /// The feature byte every engine's checkpoint carries in its header:
+    /// [`snap::FEATURE_AUDIT`], since the auditors' sections are always
+    /// written. The kernel section does not repeat it; whoever opens a
+    /// container checks the header's copy ([`snap::check_features`])
+    /// before any codec reads the body.
     pub fn snap_features() -> u8 {
         snap::FEATURE_AUDIT
     }
@@ -982,7 +984,6 @@ impl Engine {
             auditor,
             tracer: _,
         } = self;
-        w.put_u8(Engine::snap_features());
         w.put(now);
         w.put_u64(*seq);
         w.put(&queue.sorted_entries());
@@ -1027,11 +1028,9 @@ impl Engine {
     /// one. Registered resources are overwritten wholesale (resource ids
     /// are dense indices, and registration order is deterministic, so ids
     /// held by stores remain valid). Live exec plans are re-interned into
-    /// a fresh arena. A feature byte no engine writes is refused
-    /// ([`snap::check_features`]). The engine's tracer is left as it was:
-    /// a traced engine traces on from the snapshot's point.
+    /// a fresh arena. The engine's tracer is left as it was: a traced
+    /// engine traces on from the snapshot's point.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        snap::check_features(r.u8()?)?;
         let Engine {
             now,
             seq,
@@ -1866,10 +1865,9 @@ mod tests {
         let mut w = SnapWriter::new();
         engine.snap_state(&mut w);
         let mut body = w.into_bytes();
-        // The slot count follows the features byte, the clock, the
-        // sequence counter, the event list and the resources.
+        // The slot count follows the clock, the sequence counter, the
+        // event list and the resources.
         let mut before = SnapWriter::new();
-        before.put_u8(Engine::snap_features());
         before.put(&engine.now);
         before.put_u64(engine.seq);
         before.put(&engine.queue.sorted_entries());

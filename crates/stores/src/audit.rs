@@ -8,11 +8,17 @@
 //! Seeded check: **Cassandra hinted handoff drains**. While a replica is
 //! down, coordinators queue its missed writes as hints; when the replica
 //! rejoins, `replay_hints` must stream every queued hint back and leave
-//! the queue empty. The auditor mirrors the span-tracing design of
-//! `apm_sim::trace`: each hint transition is recorded as a
-//! virtual-time-stamped [`HintEvent`], and the drain assertion is checked
-//! against that evidence stream — queued and replayed totals must
-//! balance per node, and the queue must be empty after a restore.
+//! the queue empty. [`HintAuditor`] keeps two counts per node — hints
+//! queued and hints replayed over the run — and the drain assertion is
+//! that they balance and the queue is empty once the node has rejoined.
+//! The counts are the whole of it: a checkpoint holds them and no
+//! per-hint record, since `replay_hints` empties a queue in one step and
+//! so orders every queued hint before its replay by construction.
+//!
+//! The resilient driver's breaker transitions and retries are checked as
+//! they happen ([`assert_breaker_transition_legal`],
+//! [`assert_retry_within_budget`]); what they count is the driver's
+//! `ResilienceCounters`, not a second copy here.
 //!
 //! Violations `panic!`, like every audit check: an undrained hint queue
 //! means the recovery results are meaningless. What a checkpoint body
@@ -21,38 +27,11 @@
 //! [`region_reassignment_is_bijective`] are the restore-time halves.
 
 use crate::resilience::{breaker_transition_is_legal, BreakerState};
-use apm_core::{snap_enum, snap_struct};
-use apm_sim::SimTime;
+use apm_core::snap_struct;
 
-/// One hint lifecycle transition, stamped with the virtual clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HintEvent {
-    /// Virtual time of the transition.
-    pub at: SimTime,
-    /// Replica node the hint belongs to.
-    pub node: usize,
-    /// Which transition happened.
-    pub kind: HintEventKind,
-}
-
-/// Which hint transition a [`HintEvent`] records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HintEventKind {
-    /// A coordinator queued one missed write for a down replica.
-    Queued,
-    /// A rejoining replica replayed `count` queued hints.
-    Replayed {
-        /// Hints streamed back in this replay.
-        count: u64,
-    },
-}
-
-/// Evidence stream and balance counters for hinted handoff; embedded in
-/// the Cassandra store.
+/// Balance counters for hinted handoff; embedded in the Cassandra store.
 #[derive(Clone, Debug, Default)]
 pub struct HintAuditor {
-    /// Every hint transition, in virtual-time order.
-    events: Vec<HintEvent>,
     /// Hints queued per node over the run.
     queued: Vec<u64>,
     /// Hints replayed per node over the run.
@@ -68,23 +47,13 @@ impl HintAuditor {
     }
 
     /// Records one hint queued for a down `node`.
-    pub fn on_queued(&mut self, at: SimTime, node: usize) {
+    pub fn on_queued(&mut self, node: usize) {
         *Self::node_slot(&mut self.queued, node) += 1;
-        self.events.push(HintEvent {
-            at,
-            node,
-            kind: HintEventKind::Queued,
-        });
     }
 
     /// Records a rejoining `node` replaying `count` hints.
-    pub fn on_replayed(&mut self, at: SimTime, node: usize, count: u64) {
+    pub fn on_replayed(&mut self, node: usize, count: u64) {
         *Self::node_slot(&mut self.replayed, node) += count;
-        self.events.push(HintEvent {
-            at,
-            node,
-            kind: HintEventKind::Replayed { count },
-        });
     }
 
     /// Asserts the hinted-handoff drain invariant for `node` after a
@@ -119,11 +88,6 @@ impl HintAuditor {
         })
     }
 
-    /// The recorded evidence stream, in virtual-time order.
-    pub fn events(&self) -> &[HintEvent] {
-        &self.events
-    }
-
     /// Total hints queued for `node` over the run.
     pub fn queued(&self, node: usize) -> u64 {
         self.queued.get(node).copied().unwrap_or(0)
@@ -135,54 +99,27 @@ impl HintAuditor {
     }
 }
 
-snap_enum!(HintEventKind { 0 => Queued, 1 => Replayed { count } });
-snap_struct! {
-    HintEvent { at, node, kind }
-    HintAuditor { events, queued, replayed }
+snap_struct! { HintAuditor { queued, replayed } }
+
+/// Asserts a circuit-breaker `from → to` transition is one the
+/// Closed→Open→HalfOpen machine can legally make; the resilient driver
+/// calls it on every transition it counts.
+pub fn assert_breaker_transition_legal(from: BreakerState, to: BreakerState) {
+    assert!(
+        breaker_transition_is_legal(from, to),
+        "store audit: illegal breaker transition {from:?} -> {to:?}"
+    );
 }
 
-/// Watches the resilient driver's policy engine: every circuit-breaker
-/// transition must be one the Closed→Open→HalfOpen machine can legally
-/// make, and no logical op may retry past its configured budget.
-/// Embedded in the driver's policy state.
-#[derive(Clone, Debug, Default)]
-pub struct RetryAuditor {
-    transitions: u64,
-    retries: u64,
+/// Asserts retry number `used` of a logical op stays within its
+/// configured `budget`; the resilient driver calls it on every retry it
+/// counts.
+pub fn assert_retry_within_budget(used: u32, budget: u32) {
+    assert!(
+        used <= budget,
+        "store audit: retry {used} exceeds the configured budget of {budget}"
+    );
 }
-
-impl RetryAuditor {
-    /// Records one breaker transition; panics if it is not legal.
-    pub fn on_transition(&mut self, from: BreakerState, to: BreakerState) {
-        assert!(
-            breaker_transition_is_legal(from, to),
-            "store audit: illegal breaker transition {from:?} -> {to:?}"
-        );
-        self.transitions += 1;
-    }
-
-    /// Records one retry as number `used` of a logical op; panics if the
-    /// op has now retried past `budget`.
-    pub fn on_retry(&mut self, used: u32, budget: u32) {
-        assert!(
-            used <= budget,
-            "store audit: retry {used} exceeds the configured budget of {budget}"
-        );
-        self.retries += 1;
-    }
-
-    /// Breaker transitions observed.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Retries observed.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-}
-
-snap_struct! { RetryAuditor { transitions, retries } }
 
 /// Whether HBase's region-reassignment map is a bijection from dead
 /// region servers onto distinct hosts: every reassigned region server is
@@ -223,13 +160,12 @@ mod tests {
     #[test]
     fn balanced_queue_and_replay_pass() {
         let mut a = HintAuditor::default();
-        a.on_queued(SimTime(10), 1);
-        a.on_queued(SimTime(20), 1);
-        a.on_replayed(SimTime(30), 1, 2);
+        a.on_queued(1);
+        a.on_queued(1);
+        a.on_replayed(1, 2);
         a.assert_drained(1, 0);
         assert_eq!(a.queued(1), 2);
         assert_eq!(a.replayed(1), 2);
-        assert_eq!(a.events().len(), 3);
     }
 
     #[test]
@@ -242,17 +178,17 @@ mod tests {
     #[should_panic(expected = "queued 2 hints but replayed 1")]
     fn lost_hint_panics() {
         let mut a = HintAuditor::default();
-        a.on_queued(SimTime(10), 0);
-        a.on_queued(SimTime(11), 0);
-        a.on_replayed(SimTime(20), 0, 1);
+        a.on_queued(0);
+        a.on_queued(0);
+        a.on_replayed(0, 1);
         a.assert_drained(0, 0);
     }
 
     #[test]
     fn nodes_are_tracked_independently() {
         let mut a = HintAuditor::default();
-        a.on_queued(SimTime(5), 2);
-        a.on_replayed(SimTime(9), 2, 1);
+        a.on_queued(2);
+        a.on_replayed(2, 1);
         a.assert_drained(2, 0);
         a.assert_drained(7, 0); // never-touched node is trivially drained
         assert_eq!(a.queued(0), 0);
@@ -261,7 +197,6 @@ mod tests {
     #[test]
     fn legal_breaker_cycle_and_bounded_retries_pass() {
         use BreakerState::*;
-        let mut a = RetryAuditor::default();
         for (from, to) in [
             (Closed, Open),
             (Open, HalfOpen),
@@ -269,24 +204,22 @@ mod tests {
             (Open, HalfOpen),
             (HalfOpen, Closed),
         ] {
-            a.on_transition(from, to);
+            assert_breaker_transition_legal(from, to);
         }
-        a.on_retry(1, 3);
-        a.on_retry(3, 3);
-        assert_eq!(a.transitions(), 5);
-        assert_eq!(a.retries(), 2);
+        assert_retry_within_budget(1, 3);
+        assert_retry_within_budget(3, 3);
     }
 
     #[test]
     #[should_panic(expected = "illegal breaker transition")]
     fn breaker_skipping_half_open_panics() {
-        RetryAuditor::default().on_transition(BreakerState::Open, BreakerState::Closed);
+        assert_breaker_transition_legal(BreakerState::Open, BreakerState::Closed);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the configured budget")]
     fn retry_past_budget_panics() {
-        RetryAuditor::default().on_retry(4, 3);
+        assert_retry_within_budget(4, 3);
     }
 
     #[test]

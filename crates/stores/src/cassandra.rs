@@ -86,9 +86,10 @@ pub struct CassandraConfig {
     pub strategy: CompactionStrategy,
     /// **Test-only known bug**: a rejoining node *discards* its hint
     /// queue instead of replaying it, silently losing every write acked
-    /// via hinted handoff during its downtime. The node still tells the
-    /// hint auditor the queue drained — modelling a recovery path whose
-    /// internal bookkeeping believes it succeeded — so only an
+    /// via hinted handoff during its downtime. The node still counts the
+    /// whole queue as replayed in the hint auditor, so its queued and
+    /// replayed counts balance — modelling a recovery path whose
+    /// internal bookkeeping believes it succeeded — and only an
     /// end-to-end durability oracle (the chaos harness's acked-write
     /// readback) can catch it. Exists to prove that oracle and the
     /// schedule shrinker work; never set outside tests and fixtures.
@@ -300,8 +301,7 @@ impl CassandraStore {
     /// that competes with recovering foreground traffic.
     fn replay_hints(&mut self, node: usize, engine: &mut Engine) {
         let hints = std::mem::take(&mut self.hints[node]);
-        self.hint_audit
-            .on_replayed(engine.now(), node, hints.len() as u64);
+        self.hint_audit.on_replayed(node, hints.len() as u64);
         if hints.is_empty() {
             return;
         }
@@ -407,7 +407,7 @@ impl CassandraStore {
                 // Hinted handoff: the live coordinator stores the mutation
                 // and replays it when the replica rejoins.
                 self.hints[node].push(*record);
-                self.hint_audit.on_queued(engine.now(), node);
+                self.hint_audit.on_queued(node);
                 continue;
             }
             let (receipt, flush) = self.nodes[node].lsm.insert(record.key, record.fields);
@@ -941,12 +941,10 @@ mod tests {
         engine.run_to_idle();
     }
 
-    /// The store auditor's evidence stream must balance: every hint
-    /// queued while the replica was down is replayed exactly once on
-    /// rejoin, and all Queued events precede the Replayed event.
+    /// The store auditor's counts must balance: every hint queued while
+    /// the replica was down is replayed exactly once on rejoin.
     #[test]
     fn hint_auditor_evidence_stream_balances_on_rejoin() {
-        use crate::audit::HintEventKind;
         use apm_sim::{FaultEvent, FaultKind, SimTime};
         let mut engine = Engine::new();
         let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 3, 1, 0.01, 3);
@@ -985,17 +983,6 @@ mod tests {
         let queued = s.hint_audit.queued(1);
         assert!(queued > 0, "crash window must have queued hints");
         assert_eq!(s.hint_audit.replayed(1), queued);
-        let events = s.hint_audit.events();
-        let replay = events
-            .iter()
-            .position(|e| matches!(e.kind, HintEventKind::Replayed { .. }))
-            .expect("replay recorded");
-        assert!(
-            events[..replay]
-                .iter()
-                .all(|e| e.kind == HintEventKind::Queued && e.node == 1),
-            "every hint must be queued before the replay"
-        );
         engine.run_to_idle();
     }
 
@@ -1061,7 +1048,7 @@ mod tests {
     fn forged_hint_balance_is_refused_on_resume() {
         let refused = crate::runner::tests::resume_forged(
             |engine| store(engine, 4),
-            |s| s.hint_audit.on_queued(apm_sim::SimTime(0), 2),
+            |s| s.hint_audit.on_queued(2),
             |_, _| {},
         );
         assert!(

@@ -176,7 +176,8 @@ pub enum BreakerState {
 }
 
 /// True when a `from → to` breaker transition is one the state machine
-/// can legally make (the invariant `crate::audit::RetryAuditor` checks).
+/// can legally make (the invariant
+/// [`crate::audit::assert_breaker_transition_legal`] checks).
 pub fn breaker_transition_is_legal(from: BreakerState, to: BreakerState) -> bool {
     matches!(
         (from, to),

@@ -303,11 +303,11 @@ pub fn server_resource_class(name: &str) -> Option<&'static str> {
 /// Samples per-class server-resource state at telemetry window
 /// boundaries. A boundary is detected at the first completion at or past
 /// it, so samples lag the nominal boundary by at most one op latency —
-/// deterministic, and negligible against one-second windows.
+/// deterministic, and negligible against one-second windows. The window
+/// is the telemetry's own and boundary 0 is the driver's warm-up end, so
+/// neither is held twice.
 struct TelemetrySampler {
     telemetry: Telemetry,
-    window: SimDuration,
-    warmup_end: SimTime,
     /// Next unsampled boundary index; boundary `k` closes window `k - 1`.
     boundary: u64,
     /// Service-busy nanoseconds per resource at the previous boundary.
@@ -315,24 +315,24 @@ struct TelemetrySampler {
 }
 
 impl TelemetrySampler {
-    fn new(engine: &Engine, window_secs: f64, warmup_end: SimTime) -> TelemetrySampler {
-        let window = SimDuration::from_secs_f64(window_secs);
+    fn new(engine: &Engine, window_secs: f64) -> TelemetrySampler {
         TelemetrySampler {
-            telemetry: Telemetry::new(window.as_nanos()),
-            window,
-            warmup_end,
+            telemetry: Telemetry::new(SimDuration::from_secs_f64(window_secs).as_nanos()),
             boundary: 0,
             prev_busy: vec![0; engine.resource_count()],
         }
     }
 
-    fn boundary_time(&self, k: u64) -> SimTime {
-        self.warmup_end + SimDuration::from_nanos(self.window.as_nanos() * k)
+    /// Boundary `k` of windows that start at `warmup_end`. Saturating: a
+    /// boundary index read from a checkpoint may be any `u64`, and one
+    /// too far out is a boundary that never comes.
+    fn boundary_time(&self, warmup_end: SimTime, k: u64) -> SimTime {
+        warmup_end + SimDuration::from_nanos(self.telemetry.window_ns()).saturating_mul(k)
     }
 
     /// Samples every boundary at or before `now`.
-    fn advance_to(&mut self, engine: &Engine, now: SimTime) {
-        while self.boundary_time(self.boundary) <= now {
+    fn advance_to(&mut self, engine: &Engine, warmup_end: SimTime, now: SimTime) {
+        while self.boundary_time(warmup_end, self.boundary) <= now {
             // A node that joined mid-run registered its resources after
             // the sampler was sized: they start from a zero baseline.
             self.prev_busy.resize(engine.resource_count(), 0);
@@ -356,7 +356,7 @@ impl TelemetrySampler {
     fn sample_window(&mut self, engine: &Engine, index: usize) {
         let mut utils: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
         let mut queues: BTreeMap<&'static str, f64> = BTreeMap::new();
-        let window_ns = self.window.as_nanos() as f64;
+        let window_ns = self.telemetry.window_ns() as f64;
         for i in 0..engine.resource_count() {
             let id = ResourceId(i as u32);
             let Some(class) = server_resource_class(engine.resource_name(id)) else {
@@ -378,7 +378,7 @@ impl TelemetrySampler {
     }
 }
 
-snap_struct! { TelemetrySampler { telemetry, window, warmup_end, boundary, prev_busy } }
+snap_struct! { TelemetrySampler { telemetry, boundary, prev_busy } }
 
 /// Runs the load phase then the transaction phase of one benchmark.
 ///
@@ -452,8 +452,8 @@ pub fn resume_benchmark_masked(
     mask: Option<&[bool]>,
 ) -> Result<RunResult, SnapError> {
     let (header, body) = snap::open(snapshot)?;
-    // Checked before any codec reads the body: the store sections come
-    // before the kernel's own feature byte.
+    // The header's is the one feature byte a checkpoint holds: checked
+    // before any codec reads the body.
     snap::check_features(header.features)?;
     let active = config_fingerprint(store.name(), config);
     if header.config_fingerprint != active {
@@ -516,14 +516,14 @@ snap_struct! {
 }
 
 /// Mutable state of the policy engine, shared by all connections. The
-/// [`ResiliencePolicy`] itself is config and lives on the [`Driver`].
+/// [`ResiliencePolicy`] itself is config and lives on the [`Driver`];
+/// what the policies did is counted in the driver's
+/// [`BenchStats::resilience`].
 struct PolicyState {
     rng: JitterRng,
     tracker: HedgeTracker,
     breakers: Vec<Breaker>,
     budget: Option<AdmissionBudget>,
-    counters: ResilienceCounters,
-    auditor: crate::audit::RetryAuditor,
 }
 
 impl PolicyState {
@@ -533,15 +533,6 @@ impl PolicyState {
             tracker: HedgeTracker::default(),
             breakers: (0..targets).map(|_| Breaker::default()).collect(),
             budget: policy.admission.as_ref().map(AdmissionBudget::new),
-            counters: ResilienceCounters::default(),
-            auditor: crate::audit::RetryAuditor::default(),
-        }
-    }
-
-    fn note_transition(&mut self, transition: Option<(BreakerState, BreakerState)>) {
-        if let Some((from, to)) = transition {
-            self.counters.breaker_transitions += 1;
-            self.auditor.on_transition(from, to);
         }
     }
 
@@ -564,15 +555,11 @@ impl Snap for PolicyState {
             tracker,
             breakers,
             budget,
-            counters,
-            auditor,
         } = self;
         w.put_u64(rng.state());
         w.put(tracker);
         w.put(breakers);
         w.put(budget);
-        w.put(counters);
-        w.put(auditor);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         Ok(PolicyState {
@@ -580,15 +567,14 @@ impl Snap for PolicyState {
             tracker: r.get()?,
             breakers: r.get()?,
             budget: r.get()?,
-            counters: r.get()?,
-            auditor: r.get()?,
         })
     }
 }
 
 /// Loop state of the closed-loop driver — everything the event loop
 /// mutates, extracted so a checkpoint can serialize it and a resumed
-/// run can re-enter [`drive`] mid-window.
+/// run can re-enter [`drive`] mid-window. `measure_end` is not written:
+/// a resumed run derives it from `warmup_end` and the config.
 struct Driver {
     /// Config, re-derived from [`RunConfig::resilience`] at construction
     /// (`None` is the empty policy). A component that is `None` costs
@@ -642,7 +628,7 @@ impl Driver {
             sampler,
             issued,
             warmup_end,
-            measure_end,
+            measure_end: _,
             event_at,
             next_checkpoint,
             ledger,
@@ -654,7 +640,6 @@ impl Driver {
         w.put(sampler);
         w.put_u64(*issued);
         w.put(warmup_end);
-        w.put(measure_end);
         w.put(event_at);
         w.put_u32(*next_checkpoint);
         w.put(ledger);
@@ -678,15 +663,19 @@ impl Driver {
                 tag: slots.len() as u64,
             });
         }
+        let stats = r.get()?;
+        let sampler = r.get()?;
+        let issued = r.u64()?;
+        let warmup_end = r.get()?;
         Ok(Driver {
             policy: config.resilience.clone().unwrap_or_default(),
             generator,
             slots,
-            stats: r.get()?,
-            sampler: r.get()?,
-            issued: r.u64()?,
-            warmup_end: r.get()?,
-            measure_end: r.get()?,
+            stats,
+            sampler,
+            issued,
+            warmup_end,
+            measure_end: measure_end(config, warmup_end),
             event_at: r.get()?,
             next_checkpoint: r.u32()?,
             ledger: r.get()?,
@@ -694,10 +683,11 @@ impl Driver {
         })
     }
 
-    /// Virtual time of the next checkpoint boundary.
+    /// Virtual time of the next checkpoint boundary. Saturating, like
+    /// [`TelemetrySampler::boundary_time`]: the counter comes from the
+    /// checkpoint.
     fn checkpoint_due(&self, every: SimDuration) -> SimTime {
-        self.warmup_end
-            + SimDuration::from_nanos(every.as_nanos() * (u64::from(self.next_checkpoint) + 1))
+        self.warmup_end + every.saturating_mul(u64::from(self.next_checkpoint) + 1)
     }
 
     /// Draws the next logical op and its jitter fraction, and credits
@@ -765,12 +755,12 @@ impl Driver {
             slot.target = store.plan_target(&slot.op);
             if let Some(t) = slot.target {
                 let (decision, transition) = self.ps.breakers[t].admit(start, bp);
-                self.ps.note_transition(transition);
+                note_transition(self.stats.resilience_mut(), transition);
                 match decision {
                     BreakerDecision::Admit => {}
                     BreakerDecision::Probe => slot.was_probe = true,
                     BreakerDecision::Shed => {
-                        self.ps.counters.shed += 1;
+                        self.stats.resilience_mut().shed += 1;
                         slot.shed = true;
                         slot.ok = true;
                         slot.missing = false;
@@ -820,12 +810,29 @@ impl Driver {
         let Some(plan) = store.hedge_read_plan(client, &slot.op, engine) else {
             return; // no alternative replica to hedge to
         };
-        self.ps.counters.hedges += 1;
+        self.stats.resilience_mut().hedges += 1;
         slot.hedge_used = true;
         self.issued += 1;
         let (now, token) = (engine.now(), hedge_token(client, slot.epoch));
         slot.hedge = Some(submit_attempt(engine, now, plan, token, deadline));
     }
+}
+
+/// Counts a breaker transition, if `admit` or `on_outcome` made one,
+/// after checking it is legal.
+fn note_transition(
+    counters: &mut ResilienceCounters,
+    transition: Option<(BreakerState, BreakerState)>,
+) {
+    if let Some((from, to)) = transition {
+        crate::audit::assert_breaker_transition_legal(from, to);
+        counters.breaker_transitions += 1;
+    }
+}
+
+/// End of the measurement window that starts at `warmup_end`.
+fn measure_end(config: &RunConfig, warmup_end: SimTime) -> SimTime {
+    warmup_end + SimDuration::from_secs_f64(config.client.measure_secs)
 }
 
 /// Fresh transaction phase: arm faults, prime the connections, then
@@ -840,7 +847,7 @@ fn run_transactions(
     assert!(connections > 0, "no client connections");
     let start = engine.now();
     let warmup_end = start + SimDuration::from_secs_f64(config.client.warmup_secs);
-    let measure_end = warmup_end + SimDuration::from_secs_f64(config.client.measure_secs);
+    let measure_end = measure_end(config, warmup_end);
     let issue_interval = config
         .client
         .issue_interval_secs()
@@ -856,7 +863,7 @@ fn run_transactions(
         stats: BenchStats::new(),
         sampler: config
             .telemetry_window_secs
-            .map(|secs| TelemetrySampler::new(engine, secs, warmup_end)),
+            .map(|secs| TelemetrySampler::new(engine, secs)),
         issued: 0,
         warmup_end,
         measure_end,
@@ -952,7 +959,7 @@ fn drive(
     while let Some(completion) = engine.next_completion() {
         let now = completion.finished;
         if let Some(sampler) = d.sampler.as_mut() {
-            sampler.advance_to(engine, now.min(d.measure_end));
+            sampler.advance_to(engine, d.warmup_end, now.min(d.measure_end));
         }
         if now > d.measure_end {
             break;
@@ -1020,7 +1027,7 @@ fn drive(
         slot.primary = None;
         slot.hedge = None;
         if winner_was_hedge && !failed {
-            d.ps.counters.hedge_wins += 1;
+            d.stats.resilience_mut().hedge_wins += 1;
         }
 
         // Feed the breaker and the hedge-latency tracker (shed attempts
@@ -1029,7 +1036,7 @@ fn drive(
         if !slot.shed {
             if let (Some(bp), Some(target)) = (&d.policy.breaker, slot.target) {
                 let transition = d.ps.breakers[target].on_outcome(now, !failed, slot.was_probe, bp);
-                d.ps.note_transition(transition);
+                note_transition(d.stats.resilience_mut(), transition);
             }
             if d.policy.hedge.is_some()
                 && !failed
@@ -1049,13 +1056,13 @@ fn drive(
                 if used < rp.budget(kind) && re_at < d.measure_end {
                     if d.ps.try_extra() {
                         slot.retries_used = used + 1;
-                        d.ps.counters.retries += 1;
-                        d.ps.auditor.on_retry(used + 1, rp.budget(kind));
+                        crate::audit::assert_retry_within_budget(used + 1, rp.budget(kind));
+                        d.stats.resilience_mut().retries += 1;
                         d.issue_attempt(engine, store, client, re_at, deadline);
                         continue;
                     }
                     // Admission control declined: the storm stops here.
-                    d.ps.counters.shed += 1;
+                    d.stats.resilience_mut().shed += 1;
                 }
             }
         }
@@ -1140,11 +1147,10 @@ fn finalize(
 ) -> RunResult {
     d.stats
         .set_window_ns(d.measure_end.since(d.warmup_end).as_nanos());
-    *d.stats.resilience_mut() = d.ps.counters;
     // Flush the final boundary (the loop stops at the first completion
     // past the window, which may itself lie beyond it).
     if let Some(sampler) = d.sampler.as_mut() {
-        sampler.advance_to(engine, d.measure_end);
+        sampler.advance_to(engine, d.warmup_end, d.measure_end);
     }
     RunResult {
         stats: d.stats,
@@ -1306,6 +1312,19 @@ pub(crate) mod tests {
         }
     }
 
+    /// The short four-node RW run [`resume_forged`] forges checkpoint 0 of.
+    fn forged_run_config() -> RunConfig {
+        let mut config = RunConfig::new(
+            Workload::rw(),
+            ClientConfig::cluster_m(4).with_window(0.2, 0.6),
+            5_000,
+            4,
+            0xF0F6,
+        );
+        config.checkpoints = Some(CheckpointSpec::every(0.2));
+        config
+    }
+
     /// Test support for the restore-time invariant checks: resumes checkpoint
     /// 0 of a short four-node RW run of the store `make` builds, forged. The
     /// body is decoded into a fresh store, which `forge` may change before it
@@ -1317,17 +1336,19 @@ pub(crate) mod tests {
         forge: impl FnOnce(&mut S),
         edit: impl FnOnce(&mut Vec<u8>, usize),
     ) -> Result<RunResult, SnapError> {
-        let mut config = RunConfig::new(
-            Workload::rw(),
-            ClientConfig::cluster_m(4).with_window(0.2, 0.6),
-            5_000,
-            4,
-            0xF0F6,
-        );
-        config.checkpoints = Some(CheckpointSpec::every(0.2));
+        resume_forged_under(&forged_run_config(), make, forge, edit)
+    }
+
+    /// [`resume_forged`] of a run under `config`.
+    fn resume_forged_under<S: DistributedStore>(
+        config: &RunConfig,
+        make: impl Fn(&mut Engine) -> S,
+        forge: impl FnOnce(&mut S),
+        edit: impl FnOnce(&mut Vec<u8>, usize),
+    ) -> Result<RunResult, SnapError> {
         let mut engine = Engine::new();
         let mut store = make(&mut engine);
-        let run = run_benchmark(&mut engine, &mut store, &config);
+        let run = run_benchmark(&mut engine, &mut store, config);
         let (header, body) = snap::open(&run.checkpoints[0].bytes).expect("own checkpoint opens");
         let mut engine = Engine::new();
         let mut store = make(&mut engine);
@@ -1345,7 +1366,70 @@ pub(crate) mod tests {
         let sealed = snap::seal_with(&header, forged.len(), |w| w.put_bytes(&forged));
         let mut engine = Engine::new();
         let mut store = make(&mut engine);
-        resume_benchmark(&mut engine, &mut store, &config, &sealed)
+        resume_benchmark(&mut engine, &mut store, config, &sealed)
+    }
+
+    /// An `edit` for [`resume_forged_under`] over the fixture store: the
+    /// driver section, decoded under `config`, changed by `forge` and
+    /// written back in place.
+    fn forge_driver<'a>(
+        config: &'a RunConfig,
+        forge: impl FnOnce(&mut Driver) + 'a,
+    ) -> impl FnOnce(&mut Vec<u8>, usize) + 'a {
+        move |body, store_len| {
+            let mut r = SnapReader::new(&body[store_len..]);
+            Engine::new()
+                .restore_state(&mut r)
+                .expect("kernel section restores");
+            let driver_at = body.len() - r.remaining();
+            let store = FixtureStore::new(&mut Engine::new(), 100);
+            let mut d = Driver::restore_state(config, &store, &mut r).expect("driver restores");
+            forge(&mut d);
+            let mut w = SnapWriter::new();
+            d.snap_state(&mut w);
+            body.truncate(driver_at);
+            body.extend_from_slice(w.bytes());
+        }
+    }
+
+    /// A telemetry boundary index read from a checkpoint may be any `u64`;
+    /// one too far out is a boundary that never comes, not an overflow in
+    /// `boundary_time` (or, wrapped, one already past).
+    #[test]
+    fn a_forged_telemetry_boundary_resumes() {
+        let mut config = forged_run_config();
+        config.telemetry_window_secs = Some(0.1);
+        for boundary in [1 << 63, u64::MAX] {
+            let resumed = resume_forged_under(
+                &config,
+                |engine| FixtureStore::new(engine, 1_000),
+                |_| {},
+                forge_driver(&config, |d| {
+                    d.sampler.as_mut().expect("telemetry is on").boundary = boundary;
+                }),
+            );
+            assert!(resumed.is_ok(), "{boundary:#x}: {:?}", resumed.err());
+        }
+    }
+
+    /// Likewise the index of the next checkpoint: `u32::MAX` of them 5 s
+    /// apart lie beyond `u64` nanoseconds, so none is due.
+    #[test]
+    fn a_forged_checkpoint_counter_resumes() {
+        let mut config = forged_run_config();
+        config.client = ClientConfig::cluster_m(4).with_window(0.2, 5.4);
+        config.checkpoints = Some(CheckpointSpec::every(5.0));
+        let resumed = resume_forged_under(
+            &config,
+            |engine| FixtureStore::new(engine, 1_000),
+            |_| {},
+            forge_driver(&config, |d| d.next_checkpoint = u32::MAX),
+        );
+        assert!(
+            resumed.as_ref().is_ok_and(|r| r.checkpoints.is_empty()),
+            "{:?}",
+            resumed.err()
+        );
     }
 
     fn quick_config(workload: Workload) -> RunConfig {
@@ -2086,8 +2170,7 @@ pub(crate) mod tests {
         // build that predates the always-on auditors, whose store sections
         // lack them; with bit 1 set, one from an older traced engine,
         // whose kernel section ends in a ring. Either is refused before
-        // any codec reads the body, since the store sections come before
-        // the kernel's own feature byte.
+        // any codec reads the body: the header's is the one feature byte.
         let (mut header, body) = snap::open(&cp.bytes).expect("own checkpoint opens");
         let active = Engine::snap_features();
         assert_eq!(header.features, active);
@@ -2114,20 +2197,21 @@ pub(crate) mod tests {
             let ctx = StoreCtx::new(engine, ClusterSpec::cluster_m(), 4, 2, 0.0005, 29);
             crate::voldemort::VoldemortStore::new(ctx, engine)
         };
-        // Offset of the auditor's `pops` in the body: found by value, the
-        // fingerprint making the 32 bytes of its four counters unique.
+        // Offset of the auditor's `fingerprint` in the body: found by
+        // value, the fingerprint making the 24 bytes of its three counters
+        // unique.
         let auditor_at = |body: &[u8], store_len: usize| {
             let mut engine = Engine::new();
             engine
                 .restore_state(&mut SnapReader::new(&body[store_len..]))
                 .expect("kernel section restores");
             let a = engine.auditor();
-            let counters: Vec<u8> = [a.pops(), a.fingerprint(), a.issued(), a.completed()]
+            let counters: Vec<u8> = [a.fingerprint(), a.issued(), a.completed()]
                 .iter()
                 .flat_map(|v| v.to_le_bytes())
                 .collect();
-            let at = body.windows(32).position(|w| w == counters);
-            assert_eq!(at, body.windows(32).rposition(|w| w == counters));
+            let at = body.windows(24).position(|w| w == counters);
+            assert_eq!(at, body.windows(24).rposition(|w| w == counters));
             (at.expect("auditor section found"), a.issued())
         };
         assert!(resume_forged(make, |_| {}, |_, _| {}).is_ok());
@@ -2136,14 +2220,15 @@ pub(crate) mod tests {
             |_| {},
             |body, store_len| {
                 let (at, issued) = auditor_at(body, store_len);
-                body[at + 24..at + 32].copy_from_slice(&(issued + 1).to_le_bytes());
+                body[at + 16..at + 24].copy_from_slice(&(issued + 1).to_le_bytes());
             },
         );
         let unissued_last_pop = resume_forged(
             make,
             |_| {},
             |body, store_len| {
-                // `last_pop` is `Some((time, seq))` right before `pops`.
+                // `last_pop` is `Some((time, seq))` right before the
+                // fingerprint.
                 let (at, _) = auditor_at(body, store_len);
                 body[at - 8..at].copy_from_slice(&u64::MAX.to_le_bytes());
             },

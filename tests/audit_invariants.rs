@@ -84,14 +84,14 @@ fn identical_runs_pop_identical_event_sequences() {
     let mut b = Engine::new();
     let ca = drive(&mut a);
     let cb = drive(&mut b);
-    assert!(!ca.is_empty() && a.auditor().pops() > 0);
+    // Something was popped: the fingerprint left a fresh engine's.
+    assert!(!ca.is_empty() && a.auditor().fingerprint() != Engine::new().auditor().fingerprint());
     assert_eq!(ca, cb, "completion streams diverged");
     assert_eq!(
         a.auditor().fingerprint(),
         b.auditor().fingerprint(),
         "event-pop sequences diverged between identical runs"
     );
-    assert_eq!(a.auditor().pops(), b.auditor().pops());
     a.auditor().assert_conserved();
     b.auditor().assert_conserved();
 }
