@@ -220,6 +220,52 @@ fn put_key(w: &mut SnapWriter, key: &MetricKey, id: Option<u64>) {
     w.record_id = id;
 }
 
+/// A decoded key before an id is rendered.
+enum Key {
+    /// [`MetricKey::from_id`] of this id.
+    Id(u64),
+    Literal(MetricKey),
+}
+
+impl Key {
+    fn render(self) -> MetricKey {
+        match self {
+            Key::Id(id) => MetricKey::from_id(id),
+            Key::Literal(key) => key,
+        }
+    }
+}
+
+/// Reads one key encoding and makes its id the reader's record context.
+/// The refusal keeps the encoding one-to-one: a literal key may not be
+/// one an id renders.
+fn get_key(r: &mut SnapReader) -> Result<Key, SnapError> {
+    let key = match r.u8()? {
+        KEY_ID => Key::Id(r.u64()?),
+        KEY_LITERAL => {
+            let key = MetricKey(r.get()?);
+            if key.to_id().is_some() {
+                return Err(SnapError::BadTag {
+                    what: "MetricKey literal of an id's key",
+                    tag: u64::from(KEY_LITERAL),
+                });
+            }
+            Key::Literal(key)
+        }
+        tag => {
+            return Err(SnapError::BadTag {
+                what: "MetricKey",
+                tag: u64::from(tag),
+            })
+        }
+    };
+    r.record_id = match key {
+        Key::Id(id) => Some(id),
+        Key::Literal(_) => None,
+    };
+    Ok(key)
+}
+
 /// Writes `fields`, which `seeded` says are `from_seed` of the writer's
 /// record context.
 fn put_fields(w: &mut SnapWriter, fields: &FieldValues, seeded: bool) {
@@ -279,30 +325,7 @@ impl Snap for MetricKey {
         put_key(w, self, self.to_id());
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let (key, id) = match r.u8()? {
-            KEY_ID => {
-                let id = r.u64()?;
-                (MetricKey::from_id(id), Some(id))
-            }
-            KEY_LITERAL => {
-                let key = MetricKey(r.get()?);
-                if key.to_id().is_some() {
-                    return Err(SnapError::BadTag {
-                        what: "MetricKey literal of an id's key",
-                        tag: u64::from(KEY_LITERAL),
-                    });
-                }
-                (key, None)
-            }
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "MetricKey",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        r.record_id = id;
-        Ok(key)
+        get_key(r).map(Key::render)
     }
 }
 
@@ -442,6 +465,86 @@ pub fn restore_records(
     }
     for _ in 0..len % 4 {
         push(r.get()?, r.get()?);
+    }
+    Ok(())
+}
+
+/// A record as the record codec spells it: [`Record::from_id`] of an id,
+/// held as the id, or any other key and fields. What a table that keeps
+/// generated records as their ids stores, writes and reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Row {
+    /// [`Record::from_id`] of this id.
+    Generated(u64),
+    /// Any other record.
+    Literal(MetricKey, FieldValues),
+}
+
+impl Row {
+    /// The row of `key` and `fields`: generated when `key` is an id's and
+    /// `fields` that id's seed's, told apart with one `from_seed`.
+    pub fn new(key: MetricKey, fields: FieldValues) -> Row {
+        match key.to_id() {
+            Some(id) if fields == FieldValues::from_seed(id) => Row::Generated(id),
+            _ => Row::Literal(key, fields),
+        }
+    }
+
+    /// The row's key.
+    pub fn key(&self) -> MetricKey {
+        match self {
+            Row::Generated(id) => MetricKey::from_id(*id),
+            Row::Literal(key, _) => *key,
+        }
+    }
+
+    /// The row's record, generated fields expanded.
+    pub fn record(&self) -> Record {
+        match self {
+            Row::Generated(id) => Record::from_id(*id),
+            Row::Literal(key, fields) => Record {
+                key: *key,
+                fields: *fields,
+            },
+        }
+    }
+}
+
+/// Writes `row` as `w.put(key); w.put(fields)` of its record would, byte
+/// for byte: a generated row straight from its id, with no `to_id` parse
+/// and no `from_seed`.
+pub fn snap_row(w: &mut SnapWriter, row: &Row) {
+    match row {
+        Row::Generated(id) => {
+            w.put_u8(KEY_ID);
+            w.put_u64(*id);
+            w.record_id = Some(*id);
+            w.put_u8(FIELDS_SEEDED);
+        }
+        Row::Literal(key, fields) => {
+            w.put(key);
+            w.put(fields);
+        }
+    }
+}
+
+/// Reads `len` records written by [`snap_row`], [`snap_records`] or one
+/// `put` of each key and fields, and hands each to `push` as the [`Row`]
+/// it was written as: a record whose fields were written seeded comes back
+/// as its id, unexpanded. Refuses what [`restore_records`] refuses.
+pub fn restore_rows(
+    r: &mut SnapReader,
+    len: usize,
+    mut push: impl FnMut(Row) -> Result<(), SnapError>,
+) -> Result<(), SnapError> {
+    for _ in 0..len {
+        let key = get_key(r)?;
+        // Seeded fields are seeded by the key just read: a literal key
+        // leaves no id for them, and `get_fields` refuses that.
+        push(match get_fields(r)? {
+            Fields::Seeded(id) => Row::Generated(id),
+            Fields::Literal(fields) => Row::Literal(key.render(), fields),
+        })?;
     }
     Ok(())
 }
@@ -907,6 +1010,24 @@ mod tests {
                 .map(|_| r.get().expect("own bytes decode"))
                 .collect();
             assert_eq!(one_by_one, records, "case {case}");
+            // Row by row: a generated record as its id, both ways.
+            let rows: Vec<Row> = records.iter().map(|r| Row::new(r.key, r.fields)).collect();
+            let mut w = SnapWriter::new();
+            for row in &rows {
+                snap_row(&mut w, row);
+            }
+            assert_eq!(w.bytes(), &want[..], "case {case}: {rows:?}");
+            let mut decoded = Vec::new();
+            let mut r = SnapReader::new(&want);
+            restore_rows(&mut r, rows.len(), |row| {
+                decoded.push(row);
+                Ok(())
+            })
+            .expect("own bytes decode");
+            r.finish().expect("every byte read");
+            assert_eq!(decoded, rows, "case {case}");
+            let expanded: Vec<Record> = rows.iter().map(Row::record).collect();
+            assert_eq!(expanded, records, "case {case}");
         }
     }
 
@@ -924,6 +1045,8 @@ mod tests {
                 four.push(Record { key, fields })
             });
             assert_eq!(one.clone().err(), batch.err(), "{bytes:?}");
+            let rows = restore_rows(&mut SnapReader::new(bytes), 1, |_| Ok(()));
+            assert_eq!(one.clone().err(), rows.err(), "{bytes:?}");
             one
         };
         let seeded = |id: u64| {

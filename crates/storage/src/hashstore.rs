@@ -6,25 +6,21 @@
 //! memory accounting, because the paper's 12-node Redis incident was a
 //! memory blow-up: the sharding ring sent one node more than its share
 //! and it *"consistently ran out of memory"* (§5.1).
+//!
+//! The accounting is of the modelled server ([`ENTRY_OVERHEAD_BYTES`]:
+//! Redis's dict entry and skiplist node); the host does not mirror those
+//! two structures. It keeps one [`RecordTable`], which answers point
+//! lookups and range walks alike and holds a generated record as its id.
 
 use crate::receipt::CostReceipt;
-use apm_core::record::{
-    restore_records, snap_records, FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE,
-    MIN_RECORD_SNAP_BYTES, RAW_RECORD_SIZE,
-};
+use crate::table::RecordTable;
+use apm_core::record::{FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use std::collections::hash_map::Entry;
-use std::collections::{btree_set, BTreeSet};
-
-/// The record table. Lookup-only, on the point-op path: every ordered
-/// walk (scans, snapshots) goes through the `BTreeSet` index, so hash
-/// order never reaches an output.
-#[allow(clippy::disallowed_types)]
-type RecordMap = std::collections::HashMap<MetricKey, FieldValues>;
 
 /// Redis-era per-entry memory overhead, in bytes: robj headers, dict
 /// entry, sds headers for the key and each of the five field values, plus
-/// the skiplist node for the sorted-set index entry.
+/// the skiplist node for the sorted-set index entry. Accounting only: the
+/// host holds neither structure (module docs).
 pub const ENTRY_OVERHEAD_BYTES: u64 = 16 + 24 + (3 + FIELD_COUNT as u64 * 3) * 16 + 64;
 
 /// Error returned when an insert would exceed the memory budget.
@@ -48,12 +44,11 @@ impl std::fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
-/// The hash store.
+/// The hash store: a record table and the modelled server's memory
+/// accounting.
 #[derive(Clone, Debug)]
 pub struct HashStore {
-    map: RecordMap,
-    /// Sorted-set index over keys, maintained for scans.
-    index: BTreeSet<MetricKey>,
+    table: RecordTable,
     mem_bytes: u64,
     max_memory: Option<u64>,
 }
@@ -62,8 +57,7 @@ impl HashStore {
     /// Creates a store with an optional memory budget in bytes.
     pub fn new(max_memory: Option<u64>) -> HashStore {
         HashStore {
-            map: RecordMap::new(),
-            index: BTreeSet::new(),
+            table: RecordTable::new(),
             mem_bytes: 0,
             max_memory,
         }
@@ -74,33 +68,27 @@ impl HashStore {
         RAW_RECORD_SIZE as u64 + KEY_SIZE as u64 /* second key copy in the index */ + ENTRY_OVERHEAD_BYTES
     }
 
-    /// Inserts a record (no eviction — Redis `noeviction` semantics).
+    /// Inserts a record (no eviction — Redis `noeviction` semantics). A
+    /// new key over the budget is refused with nothing written.
     pub fn insert(
         &mut self,
         key: MetricKey,
         value: FieldValues,
     ) -> Result<CostReceipt, OutOfMemory> {
+        let needed = self.mem_bytes + Self::bytes_per_record();
+        if let Some(budget) = self.max_memory.filter(|&budget| needed > budget) {
+            if !self.table.contains(&key) {
+                return Err(OutOfMemory { needed, budget });
+            }
+        }
         let mut receipt = CostReceipt::new();
         receipt.touch(RAW_RECORD_SIZE as u64);
-        // One hash and one table walk, whichever way it goes.
-        match self.map.entry(key) {
-            Entry::Occupied(mut existing) => {
-                receipt.probe(1);
-                existing.insert(value);
-            }
-            Entry::Vacant(slot) => {
-                let needed = self.mem_bytes + Self::bytes_per_record();
-                if let Some(budget) = self.max_memory {
-                    if needed > budget {
-                        return Err(OutOfMemory { needed, budget });
-                    }
-                }
-                // Hash insert + skiplist/sorted-set insert.
-                receipt.probe(2);
-                slot.insert(value);
-                self.index.insert(key);
-                self.mem_bytes = needed;
-            }
+        if self.table.insert(key, value) {
+            // Hash insert + skiplist/sorted-set insert.
+            receipt.probe(2);
+            self.mem_bytes = needed;
+        } else {
+            receipt.probe(1);
         }
         Ok(receipt)
     }
@@ -109,21 +97,11 @@ impl HashStore {
     pub fn get(&self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
         let mut receipt = CostReceipt::new();
         receipt.probe(1);
-        let value = self.map.get(key).copied();
+        let value = self.table.get(key);
         if value.is_some() {
             receipt.touch(RAW_RECORD_SIZE as u64);
         }
         (value, receipt)
-    }
-
-    /// The one range walk (ZRANGEBYLEX): the first `len` index keys at
-    /// or after `start`.
-    fn window(
-        &self,
-        start: &MetricKey,
-        len: usize,
-    ) -> std::iter::Take<btree_set::Range<'_, MetricKey>> {
-        self.index.range(start..).take(len)
     }
 
     /// ZRANGEBYLEX walk + one HGETALL per hit.
@@ -134,48 +112,40 @@ impl HashStore {
         receipt
     }
 
-    /// Range scan over the sorted-set index.
+    /// Range scan over the sorted-set index: the first `len` records at
+    /// or after `start`.
     pub fn scan(
         &self,
         start: &MetricKey,
         len: usize,
     ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
-        let out: Vec<(MetricKey, FieldValues)> = self
-            .window(start, len)
-            .filter_map(|k| {
-                let value = self.map.get(k);
-                debug_assert!(value.is_some(), "index key {k:?} has no hash entry");
-                value.map(|v| (*k, *v))
-            })
-            .collect();
+        let out = self.table.scan(start, len);
         let receipt = Self::scan_receipt(out.len());
         (out, receipt)
     }
 
     /// [`HashStore::scan`] for callers that only need the row count: the
-    /// same index walk and receipt without the hash lookups. `insert` is
-    /// the only mutator and writes both structures, so index hits are rows.
+    /// same walk and receipt with no record rendered.
     pub fn scan_count(&self, start: &MetricKey, len: usize) -> (usize, CostReceipt) {
-        let rows = self.window(start, len).count();
+        let rows = self.table.scan_count(start, len);
         (rows, Self::scan_receipt(rows))
     }
 
-    /// Whether index, hash and memory accounting agree. `insert` keeps
-    /// this true; a decoded snapshot is the only other way state gets in.
+    /// Whether the memory accounting agrees with the records. `insert`
+    /// keeps this true; a decoded snapshot is the only other way state
+    /// gets in.
     pub fn is_consistent(&self) -> bool {
-        self.index.len() == self.map.len()
-            && self.index.iter().all(|k| self.map.contains_key(k))
-            && self.mem_bytes == self.map.len() as u64 * Self::bytes_per_record()
+        self.mem_bytes == self.table.len() as u64 * Self::bytes_per_record()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.table.len()
     }
 
     /// True when the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.table.is_empty()
     }
 
     /// Bytes of memory in use.
@@ -196,41 +166,27 @@ impl HashStore {
     pub fn snap_state(&self, w: &mut SnapWriter) {
         // `max_memory` is construction-time config, not part of the stream.
         let HashStore {
-            map,
-            index,
+            table,
             mem_bytes,
             max_memory: _,
         } = self;
-        w.put_u64(index.len() as u64);
-        let records = index
-            .iter()
-            .map(|key| (key, map.get(key).expect("index entry has a hash entry")));
-        snap_records(w, records);
+        w.put(table);
         w.put_u64(*mem_bytes);
     }
 
     /// Restores the state written by [`HashStore::snap_state`] into a
     /// store built with the same memory budget. Memory accounting that
-    /// disagrees with the records is refused: count-only scans answer
-    /// from the index, so a restored store must be one
-    /// [`HashStore::is_consistent`] accepts. Map and index are filled
-    /// from one stream, so only the accounting is left to check.
+    /// disagrees with the records is refused: a restored store must be
+    /// one [`HashStore::is_consistent`] accepts.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let HashStore {
-            map,
-            index,
+            table,
             mem_bytes,
             max_memory: _,
         } = self;
-        let len = r.count(MIN_RECORD_SNAP_BYTES)?;
-        *map = RecordMap::with_capacity(len);
-        *index = BTreeSet::new();
-        restore_records(r, len, |key, value| {
-            map.insert(key, value);
-            index.insert(key);
-        })?;
+        *table = r.get()?;
         *mem_bytes = r.u64()?;
-        if Some(*mem_bytes) != (map.len() as u64).checked_mul(Self::bytes_per_record()) {
+        if Some(*mem_bytes) != (table.len() as u64).checked_mul(Self::bytes_per_record()) {
             return Err(SnapError::BadTag {
                 what: "HashStore memory accounting",
                 tag: *mem_bytes,
@@ -244,7 +200,23 @@ impl HashStore {
 mod tests {
     use super::*;
     use apm_core::keyspace::record_for_seq;
+    use apm_core::record::{snap_row, Row, MIN_RECORD_SNAP_BYTES};
     use apm_core::snap::{self, SnapshotHeader};
+
+    /// `body` sealed and opened again: the container's checksum vouches
+    /// for these bytes, so the decoder is all that stands between them
+    /// and the store.
+    fn sealed_valid(body: &[u8]) -> Vec<u8> {
+        let header = SnapshotHeader {
+            scenario: "hashstore".to_string(),
+            config_fingerprint: 0,
+            features: 0,
+            checkpoint_index: 0,
+            virtual_time_ns: 0,
+        };
+        let sealed = snap::seal(&header, body);
+        snap::open(&sealed).expect("sealed-valid").1.to_vec()
+    }
 
     #[test]
     fn insert_get_roundtrip() {
@@ -401,22 +373,49 @@ mod tests {
         for count in [unholdable as u64, u64::MAX] {
             let mut body = valid.clone();
             body[..8].copy_from_slice(&count.to_le_bytes());
-            // Sealed-valid: the container's checksum vouches for these
-            // bytes, so the decoder is all that stands between the count
-            // and the allocator.
-            let header = SnapshotHeader {
-                scenario: "hashstore".to_string(),
-                config_fingerprint: 0,
-                features: 0,
-                checkpoint_index: 0,
-                virtual_time_ns: 0,
-            };
-            let sealed = snap::seal(&header, &body);
-            let (_, body) = snap::open(&sealed).expect("sealed-valid");
-            let refused = HashStore::new(None).restore_state(&mut SnapReader::new(body));
+            let body = sealed_valid(&body);
+            let refused = HashStore::new(None).restore_state(&mut SnapReader::new(&body));
             assert!(
                 matches!(refused, Err(SnapError::UnexpectedEof { .. })),
                 "count {count}: {refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_out_of_key_order_are_refused() {
+        // Sealed-valid bodies whose accounting matches their row count: a
+        // duplicate (as an id twice, and as an id and a literal row of
+        // the same key) and a descending pair (ids, literal keys).
+        let literal = |key, fields| Row::Literal(key, fields);
+        let forged = [
+            vec![Row::Generated(1), Row::Generated(1)],
+            vec![
+                Row::Generated(1),
+                literal(MetricKey::from_id(1), FieldValues::ZERO),
+            ],
+            vec![Row::Generated(2), Row::Generated(1)],
+            vec![
+                literal(MetricKey::MAX, FieldValues::ZERO),
+                literal(MetricKey::MIN, FieldValues::ZERO),
+            ],
+        ];
+        for rows in forged {
+            let mut w = SnapWriter::new();
+            w.put_u64(rows.len() as u64);
+            for row in &rows {
+                snap_row(&mut w, row);
+            }
+            w.put_u64(rows.len() as u64 * HashStore::bytes_per_record());
+            let body = sealed_valid(w.bytes());
+            let refused = HashStore::new(None).restore_state(&mut SnapReader::new(&body));
+            assert_eq!(
+                refused,
+                Err(SnapError::BadTag {
+                    what: "RecordTable row not after the one before it",
+                    tag: 1,
+                }),
+                "{rows:?}"
             );
         }
     }

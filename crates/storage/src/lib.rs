@@ -9,9 +9,13 @@
 //! - [`btree`] + [`bufferpool`], paired as [`paged::PagedTree`]: a
 //!   page-based B+tree over a buffer pool with clock eviction — InnoDB
 //!   (MySQL), BerkeleyDB (the Voldemort backend) and mmapv1 (MongoDB).
-//! - [`hashstore`]: an in-memory hash table with an ordered index and a
-//!   byte-accurate memory budget — Redis.
+//! - [`hashstore`]: an in-memory store with a byte-accurate memory budget
+//!   that models Redis's hash table and sorted-set index — Redis. The
+//!   modelled dict and skiplist are accounting only: the host keeps the
+//!   rows in one [`table::RecordTable`].
 //! - [`partition`]: a serially-executed partition table — a VoltDB site.
+//! - [`table`]: the ordered record table under both, which holds a
+//!   generated record as its id.
 //! - [`wal`]: commit-log cost model with group-commit windows.
 //!
 //! Engines do *real* work on real data structures; each mutating or
@@ -35,6 +39,7 @@ pub mod paged;
 pub mod partition;
 pub mod receipt;
 pub mod sstable;
+pub mod table;
 pub mod wal;
 
 pub use receipt::{CostReceipt, DiskIo, IoClass};

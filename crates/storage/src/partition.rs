@@ -6,17 +6,18 @@
 //! partition here is an in-memory table with a primary-key tree index;
 //! serial execution is enforced by the simulator (each site is a
 //! capacity-1 resource), so the data structure needs no synchronisation —
-//! exactly like the real engine.
+//! exactly like the real engine. The host's table is a [`RecordTable`],
+//! which holds a generated record as its id.
 
 use crate::receipt::CostReceipt;
+use crate::table::RecordTable;
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
 use apm_core::snap_struct;
-use std::collections::{btree_map, BTreeMap};
 
 /// One VoltDB-style partition: an in-memory table with a tree index.
 #[derive(Clone, Debug, Default)]
 pub struct PartitionTable {
-    rows: BTreeMap<MetricKey, FieldValues>,
+    rows: RecordTable,
 }
 
 impl PartitionTable {
@@ -47,20 +48,11 @@ impl PartitionTable {
     pub fn get(&self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
         let mut receipt = CostReceipt::new();
         receipt.probe(self.index_probes());
-        let value = self.rows.get(key).copied();
+        let value = self.rows.get(key);
         if value.is_some() {
             receipt.touch(RAW_RECORD_SIZE as u64);
         }
         (value, receipt)
-    }
-
-    /// The one range walk: the first `len` rows at or after `start`.
-    fn window(
-        &self,
-        start: &MetricKey,
-        len: usize,
-    ) -> std::iter::Take<btree_map::Range<'_, MetricKey, FieldValues>> {
-        self.rows.range(start..).take(len)
     }
 
     fn scan_receipt(&self, rows: usize) -> CostReceipt {
@@ -76,16 +68,15 @@ impl PartitionTable {
         start: &MetricKey,
         len: usize,
     ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
-        let out: Vec<(MetricKey, FieldValues)> =
-            self.window(start, len).map(|(k, v)| (*k, *v)).collect();
+        let out = self.rows.scan(start, len);
         let receipt = self.scan_receipt(out.len());
         (out, receipt)
     }
 
     /// [`PartitionTable::scan`] for callers that only need the row count:
-    /// the same index walk and receipt, with no row copied.
+    /// the same index walk and receipt, with no row rendered.
     pub fn scan_count(&self, start: &MetricKey, len: usize) -> (usize, CostReceipt) {
-        let rows = self.window(start, len).count();
+        let rows = self.rows.scan_count(start, len);
         (rows, self.scan_receipt(rows))
     }
 
@@ -97,11 +88,6 @@ impl PartitionTable {
     /// True when the partition holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Memory footprint estimate (rows + tree nodes).
-    pub fn mem_bytes(&self) -> u64 {
-        self.rows.len() as u64 * (RAW_RECORD_SIZE as u64 + 48)
     }
 }
 
@@ -132,13 +118,54 @@ mod tests {
     }
 
     #[test]
+    fn rows_out_of_key_order_are_refused() {
+        use apm_core::record::{snap_row, Row};
+        use apm_core::snap::{self, SnapError, SnapReader, SnapWriter, SnapshotHeader};
+        // A partition's body is its table's rows. A `BTreeMap` decoder
+        // would keep the last of two equal keys, and the table would
+        // re-encode shorter than it decoded.
+        let forged = [
+            [Row::Generated(7), Row::Generated(7)],
+            [Row::Generated(8), Row::Generated(7)],
+            [
+                Row::Literal(MetricKey::MIN, FieldValues::from_seed(1)),
+                Row::Literal(MetricKey::MIN, FieldValues::ZERO),
+            ],
+        ];
+        for rows in forged {
+            let mut w = SnapWriter::new();
+            w.put_u64(rows.len() as u64);
+            for row in &rows {
+                snap_row(&mut w, row);
+            }
+            let header = SnapshotHeader {
+                scenario: "partition".to_string(),
+                config_fingerprint: 0,
+                features: 0,
+                checkpoint_index: 0,
+                virtual_time_ns: 0,
+            };
+            let sealed = snap::seal(&header, w.bytes());
+            let (_, body) = snap::open(&sealed).expect("sealed-valid");
+            assert_eq!(
+                SnapReader::new(body).get::<PartitionTable>().err(),
+                Some(SnapError::BadTag {
+                    what: "RecordTable row not after the one before it",
+                    tag: 1,
+                }),
+                "{rows:?}"
+            );
+        }
+    }
+
+    #[test]
     fn probes_grow_logarithmically() {
         let mut p = PartitionTable::new();
         let r = record_for_seq(0);
         let small = p.insert(r.key, r.fields).probes;
         for seq in 1..100_000 {
             let r = record_for_seq(seq);
-            p.rows.insert(r.key, r.fields);
+            p.insert(r.key, r.fields);
         }
         let big = p.get(&record_for_seq(50).key).1.probes;
         assert!(big > small, "probe count must grow with table size");
@@ -151,15 +178,5 @@ mod tests {
         let (v, receipt) = p.get(&record_for_seq(1).key);
         assert_eq!(v, None);
         assert_eq!(receipt.bytes_touched, 0);
-    }
-
-    #[test]
-    fn mem_bytes_scale_with_rows() {
-        let mut p = PartitionTable::new();
-        for seq in 0..100 {
-            let r = record_for_seq(seq);
-            p.insert(r.key, r.fields);
-        }
-        assert_eq!(p.mem_bytes(), 100 * (75 + 48));
     }
 }
