@@ -60,14 +60,6 @@ impl ClientConfig {
         }
     }
 
-    /// Caps the total connection count (the Voldemort client was limited
-    /// to far fewer threads/connections, §6; Redis needed fewer threads
-    /// per client node, §6).
-    pub fn with_max_connections(mut self, max: u32) -> Self {
-        self.connections = self.connections.min(max);
-        self
-    }
-
     /// Replaces the throttle.
     pub fn with_throttle(mut self, throttle: Throttle) -> Self {
         self.throttle = throttle;
@@ -109,19 +101,6 @@ mod tests {
     fn cluster_d_uses_2_connections_per_core() {
         // Cluster D nodes have 2×dual-core CPUs = 4 cores; 2/core = 8/node.
         assert_eq!(ClientConfig::cluster_d(8).connections, 64);
-    }
-
-    #[test]
-    fn connection_cap_applies() {
-        let cfg = ClientConfig::cluster_m(12).with_max_connections(60);
-        assert_eq!(cfg.connections, 60);
-        // A cap above the population is a no-op.
-        assert_eq!(
-            ClientConfig::cluster_m(1)
-                .with_max_connections(10_000)
-                .connections,
-            128
-        );
     }
 
     #[test]

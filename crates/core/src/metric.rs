@@ -159,11 +159,6 @@ impl AgentReporter {
             })
             .collect()
     }
-
-    /// UNIX timestamp the next batch will carry.
-    pub fn next_timestamp(&self) -> u64 {
-        self.timestamp
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +219,6 @@ mod tests {
         assert!(batch_a
             .iter()
             .all(|m| m.timestamp == 1_000 && m.duration == 10));
-        assert_eq!(a.next_timestamp(), 1_010);
         let second = a.next_batch();
         assert!(second.iter().all(|m| m.timestamp == 1_010));
     }

@@ -7,7 +7,7 @@
 //! models, and the benchmark driver implement so a run can be frozen at a
 //! virtual-time boundary and resumed byte-identically.
 //!
-//! ## Container layout (version 5)
+//! ## Container layout (version 6)
 //!
 //! ```text
 //! offset  size  field
@@ -105,9 +105,13 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// writes a generated record as its id (module docs, *Records*); version 5
 /// holds each fact of a run once — no second feature byte in the kernel
 /// section, no auditor evidence or copied counters, no value the run
-/// config fixes — and leaves the envelope as it was. Older checkpoints
-/// are refused rather than misread.
-pub const VERSION: u16 = 5;
+/// config fixes — and leaves the envelope as it was; version 6 does the
+/// same for the storage engines — a sorted run holds its records and not
+/// its bloom filter, which restore rebuilds, a memtable its entries and
+/// not their byte count, an LSM tree or buffer pool no statistics, a
+/// store no ledger of jobs nothing reads. Older checkpoints are refused
+/// rather than misread.
+pub const VERSION: u16 = 6;
 
 /// Feature-flag bit for the auditor sections. Every engine writes them
 /// and sets this bit; it once meant "built with the `audit` feature", so a
@@ -1039,15 +1043,15 @@ mod tests {
 
     #[test]
     fn container_rejects_version_mismatch() {
-        // A newer writer's container and the four layouts this format
+        // A newer writer's container and the five layouts this format
         // replaced. The version is read before the checksum — another
         // version's checksum is another function — so each is refused as
         // that version with its checksum stale, and again re-sealed so
         // that only the version check can fail.
-        for found in [VERSION + 1, 4, 3, 2, 1] {
+        for found in [VERSION + 1, 5, 4, 3, 2, 1] {
             let mut sealed = seal(&header(), b"x");
             sealed[4..6].copy_from_slice(&found.to_le_bytes());
-            let refusal = Err(SnapError::VersionMismatch { found, expected: 5 });
+            let refusal = Err(SnapError::VersionMismatch { found, expected: 6 });
             assert_eq!(open(&sealed), refusal);
             let len = sealed.len();
             let checksum = checksum64(&sealed[..len - 8]).to_le_bytes();

@@ -490,11 +490,6 @@ impl TelemetryWindow {
     pub fn resource(&self, class: &str) -> Option<ResourceSample> {
         self.resources.get(class).copied()
     }
-
-    /// All resource classes sampled in this window, in key order.
-    pub fn resource_classes(&self) -> impl Iterator<Item = &str> {
-        self.resources.keys().map(String::as_str)
-    }
 }
 
 snap_struct! { TelemetryWindow { ops, errors, rejected, latency, resources } }
@@ -573,23 +568,6 @@ impl Telemetry {
             .get(index)
             .map_or(0.0, |w| w.ops as f64 * 1e9 / self.window_ns as f64)
     }
-
-    /// Mean utilisation of `class` across all windows that sampled it,
-    /// reduced with [`pairwise_sum`] so the result is independent of how
-    /// callers ordered their windows.
-    pub fn mean_utilization(&self, class: &str) -> f64 {
-        let samples: Vec<f64> = self
-            .windows
-            .iter()
-            .filter_map(|w| w.resource(class))
-            .map(|s| s.utilization)
-            .collect();
-        if samples.is_empty() {
-            0.0
-        } else {
-            pairwise_sum(&samples) / samples.len() as f64
-        }
-    }
 }
 
 // Hand-written: `restore` refuses `window_ns == 0`, which every offset is
@@ -615,26 +593,8 @@ impl Snap for Telemetry {
     }
 }
 
-/// Compensated (Kahan) summation over a float slice.
-///
-/// The one blessed way to reduce floats in this module: the running
-/// compensation term keeps the result independent of magnitude ordering
-/// to within one ulp, so aggregate stats stay bit-identical however a
-/// caller happens to order its samples.
-pub fn kahan_sum(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut compensation = 0.0;
-    for v in values {
-        let y = v - compensation;
-        let t = sum + y;
-        compensation = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
-/// Pairwise (cascade) summation over a float slice — `kahan_sum`'s twin
-/// and this module's other blessed reduction.
+/// Pairwise (cascade) summation over a float slice — this module's
+/// blessed reduction.
 ///
 /// Splitting recursively halves the number of additions any term flows
 /// through, bounding the error growth at O(log n) instead of the O(n) of
@@ -657,21 +617,6 @@ pub fn pairwise_sum(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kahan_sum_is_order_insensitive_where_naive_fold_is_not() {
-        // 1e16 + 1.0 + ... + 1.0 loses every unit under naive folding
-        // when the big term comes first; Kahan keeps them all.
-        let mut values = vec![1e16];
-        values.resize(1001, 1.0);
-        let naive: f64 = values.iter().sum();
-        let kahan = kahan_sum(values.iter().copied());
-        assert_eq!(kahan, 1e16 + 1000.0);
-        assert_ne!(naive, kahan, "naive sum should demonstrate the loss");
-        // Reversed order gives the identical Kahan result.
-        values.reverse();
-        assert_eq!(kahan_sum(values.into_iter()), kahan);
-    }
 
     #[test]
     fn pairwise_sum_is_order_insensitive_where_naive_fold_is_not() {
@@ -719,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_resource_samples_average_pairwise() {
+    fn telemetry_keeps_one_resource_sample_per_window_and_class() {
         let mut t = Telemetry::new(1_000_000_000);
         for (i, util) in [0.2, 0.4, 0.6].into_iter().enumerate() {
             t.sample_resource(
@@ -731,8 +676,6 @@ mod tests {
                 },
             );
         }
-        assert!((t.mean_utilization("cpu") - 0.4).abs() < 1e-12);
-        assert_eq!(t.mean_utilization("disk"), 0.0);
         assert_eq!(
             t.windows()[1].resource("cpu"),
             Some(ResourceSample {
@@ -740,10 +683,7 @@ mod tests {
                 queue_depth: 1.0
             })
         );
-        assert_eq!(
-            t.windows()[0].resource_classes().collect::<Vec<_>>(),
-            vec!["cpu"]
-        );
+        assert_eq!(t.windows()[0].resource("disk"), None);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::keyspace::{key_for_seq, record_for_seq, KeyChooser, KeyDistribution, SplitRng};
 use crate::ops::{OpKind, Operation};
-use crate::record::MetricKey;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// The paper's fixed scan length (§3: "a scan-length of 50 records").
@@ -54,11 +53,6 @@ impl OpMix {
     /// excluded from such workloads, §5.4).
     pub fn has_scans(&self) -> bool {
         self.scan_pct > 0
-    }
-
-    /// Fraction of operations that are writes.
-    pub fn write_fraction(&self) -> f64 {
-        (self.insert_pct + self.update_pct) as f64 / 100.0
     }
 
     /// Picks an operation kind from the mix given a uniform draw in [0,100).
@@ -203,12 +197,6 @@ impl WorkloadGenerator {
         self.acked
     }
 
-    /// Iterator over the sequence numbers of the load phase
-    /// (`0..initial`), in insert order.
-    pub fn load_sequence(initial_records: u64) -> impl Iterator<Item = crate::record::Record> {
-        (0..initial_records).map(record_for_seq)
-    }
-
     /// Produces the next operation.
     pub fn next_op(&mut self) -> Operation {
         let draw = (self.rng.next_below(100)) as u8;
@@ -249,11 +237,6 @@ impl WorkloadGenerator {
     /// YCSB behaviour that keeps reads from missing.
     pub fn ack_insert(&mut self) {
         self.acked += 1;
-    }
-
-    /// Expected key for sequence `seq` (test helper re-export).
-    pub fn key_for(seq: u64) -> MetricKey {
-        key_for_seq(seq)
     }
 
     /// Serializes the generator's mutable state (RNG streams, chooser
@@ -372,15 +355,15 @@ mod tests {
         for _ in 0..5_000 {
             match generator.next_op() {
                 Operation::Insert { record } => {
-                    assert_eq!(record.key, WorkloadGenerator::key_for(next_expected));
+                    assert_eq!(record.key, key_for_seq(next_expected));
                     next_expected += 1;
                     generator.ack_insert();
                 }
                 Operation::Read { key } | Operation::Scan { start: key, .. } => {
                     let id = key.to_id().expect("benchmark key");
                     // The read target must be one of the acked records.
-                    let acked_ids: bool = (0..generator.record_count())
-                        .any(|s| WorkloadGenerator::key_for(s).to_id() == Some(id));
+                    let acked_ids: bool =
+                        (0..generator.record_count()).any(|s| key_for_seq(s).to_id() == Some(id));
                     // Exhaustive check is quadratic; only sample early on.
                     if generator.record_count() <= 200 {
                         assert!(acked_ids, "read targeted unacked record");
@@ -388,15 +371,6 @@ mod tests {
                 }
                 Operation::Update { .. } => unreachable!("Table-1 workloads have no updates"),
             }
-        }
-    }
-
-    #[test]
-    fn load_sequence_yields_initial_records_in_seq_order() {
-        let records: Vec<_> = WorkloadGenerator::load_sequence(10).collect();
-        assert_eq!(records.len(), 10);
-        for (seq, rec) in records.iter().enumerate() {
-            assert_eq!(rec.key, WorkloadGenerator::key_for(seq as u64));
         }
     }
 
@@ -438,9 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn write_fraction_reflects_table1() {
-        assert!((Workload::w().mix.write_fraction() - 0.99).abs() < 1e-9);
-        assert!((Workload::r().mix.write_fraction() - 0.05).abs() < 1e-9);
+    fn scan_mixes_reflect_table1() {
         assert!(Workload::rs().mix.has_scans());
         assert!(!Workload::rw().mix.has_scans());
     }

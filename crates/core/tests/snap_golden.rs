@@ -152,26 +152,28 @@ fn version_bump_is_rejected() {
 
 /// The golden file as each retired version sealed it: `snap_v2.bin` (an
 /// FNV-1a checksum), `snap_v3.bin` (before a generated record was written
-/// as its id) and `snap_v4.bin` (before a body held each fact once). Each
-/// is refused by its version, never misread.
+/// as its id), `snap_v4.bin` (before a body held each fact of a run once)
+/// and `snap_v5.bin` (before a storage engine's section did). Each is
+/// refused by its version, never misread.
 #[test]
 fn retired_container_versions_are_refused_by_their_version() {
     let read = |version: u16| {
         std::fs::read(data_path(&format!("snap_v{version}.bin"))).expect("fixture present")
     };
-    for found in [2, 3, 4] {
+    for found in [2, 3, 4, 5] {
         let refusal = snap::open(&read(found)).unwrap_err();
-        assert_eq!(refusal, SnapError::VersionMismatch { found, expected: 5 });
+        assert_eq!(refusal, SnapError::VersionMismatch { found, expected: 6 });
         assert_eq!(
             refusal.to_string(),
-            format!("snapshot format v{found}, this build reads v5")
+            format!("snapshot format v{found}, this build reads v6")
         );
     }
     // Version 3 changed the envelope and nothing inside it, and so did
-    // version 5 over version 4's golden body: in each pair the version
-    // field and the trailing checksum are the only bytes that differ.
+    // versions 5 and 6 over the golden body before them: in each pair the
+    // version field and the trailing checksum are the only bytes that
+    // differ.
     let golden = std::fs::read(golden_path()).expect("golden file present");
-    for (old, new) in [(read(2), read(3)), (read(4), golden)] {
+    for (old, new) in [(read(2), read(3)), (read(4), read(5)), (read(5), golden)] {
         assert_eq!(old.len(), new.len());
         let differing: Vec<usize> = (0..new.len()).filter(|&i| old[i] != new[i]).collect();
         let envelope = |i: &usize| *i == 4 || *i == 5 || *i >= new.len() - 8;

@@ -165,10 +165,11 @@ fn cmd_snapshot(args: &Args) -> Result<(), String> {
         );
     }
     println!(
-        "{}: {} checkpoints, final fingerprint {:#018x}",
+        "{}: {} checkpoints, final fingerprint {:#018x}, results fingerprint {:#018x}",
         kind.name(),
         run.result.checkpoints.len(),
-        run.fingerprint
+        run.fingerprint,
+        run.result.results_fingerprint()
     );
     Ok(())
 }
@@ -191,9 +192,10 @@ fn cmd_resume(args: &Args) -> Result<(), String> {
     let run = apm_harness::snap::resume_run(kind, &args.profile, &bytes)
         .map_err(|e| format!("resume failed: {e}"))?;
     println!(
-        "{}: resumed run finished, final fingerprint {:#018x}",
+        "{}: resumed run finished, final fingerprint {:#018x}, results fingerprint {:#018x}",
         kind.name(),
-        run.fingerprint
+        run.fingerprint,
+        run.result.results_fingerprint()
     );
     Ok(())
 }

@@ -39,6 +39,12 @@ fn snap_scenario(store: StoreKind, profile: &ExperimentProfile, spec: Checkpoint
 }
 
 /// A completed (straight or resumed) run plus its end-state fingerprint.
+///
+/// Two fingerprints tell "same run" from "same encoding":
+/// [`RunResult::results_fingerprint`] covers what the run reports and
+/// holds across checkpoint formats; [`SnapRun::fingerprint`] also covers
+/// the final state as this build encodes it, so a format change moves it
+/// while every reported number stands.
 pub struct SnapRun {
     pub result: RunResult,
     /// FNV-1a over the reported statistics *and* the final store and

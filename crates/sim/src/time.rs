@@ -67,11 +67,6 @@ impl SimDuration {
         SimDuration((secs.max(0.0) * 1e9).min(u64::MAX as f64) as u64)
     }
 
-    /// Builds a duration from floating-point microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration::from_secs_f64(us / 1e6)
-    }
-
     /// Duration in nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! FNV-style hashes of the key bytes.
 
 use apm_core::record::MetricKey;
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A fixed-size bloom filter keyed by [`MetricKey`].
 #[derive(Clone, Debug)]
@@ -101,39 +100,6 @@ impl Bloom {
     /// Size of the filter in bytes (contributes to SSTable disk size).
     pub fn size_bytes(&self) -> u64 {
         self.bits.len() as u64 * 8
-    }
-}
-
-// Hand-written: `restore` refuses a mask that does not match the bit
-// table it indexes.
-impl Snap for Bloom {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Bloom {
-            bits,
-            mask,
-            k,
-            inserted,
-        } = self;
-        w.put(bits);
-        w.put_u64(*mask);
-        w.put_u32(*k);
-        w.put_u64(*inserted);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let bits: Vec<u64> = r.get()?;
-        let mask = r.u64()?;
-        if bits.len() as u64 * 64 != mask + 1 {
-            return Err(SnapError::BadTag {
-                what: "Bloom mask",
-                tag: mask,
-            });
-        }
-        Ok(Bloom {
-            bits,
-            mask,
-            k: r.u32()?,
-            inserted: r.u64()?,
-        })
     }
 }
 

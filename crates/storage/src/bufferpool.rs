@@ -31,7 +31,8 @@ pub struct PoolResult {
     pub writeback: Option<PageId>,
 }
 
-/// Cumulative pool statistics.
+/// Cumulative pool statistics, an observer's: nothing a run does reads
+/// them, and a checkpoint does not hold them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     pub hits: u64,
@@ -157,30 +158,31 @@ impl BufferPool {
         }
     }
 
-    /// Statistics so far.
+    /// Statistics since construction or the last restore.
     pub fn stats(&self) -> PoolStats {
         self.stats
     }
 
-    /// Serializes the frame table, clock hand, and stats (the capacity is
+    /// Serializes the frame table and clock hand (the capacity is
     /// re-supplied at construction; the page map is rebuilt on restore).
     pub fn snap_state(&self, w: &mut SnapWriter) {
         // `capacity` is construction-time config, which restore validates
-        // against; `slots` is derived from `frames` and rebuilt on restore.
+        // against; `slots` is derived from `frames` and rebuilt on restore;
+        // `stats` is an observer's.
         let BufferPool {
             capacity: _,
             frames,
             slots: _,
             hand,
-            stats,
+            stats: _,
         } = self;
         w.put(frames);
         w.put(hand);
-        w.put(stats);
     }
 
     /// Restores the state written by [`BufferPool::snap_state`] into a
-    /// pool built with the same capacity. `page_count` is the restored
+    /// pool built with the same capacity, and zeroes its statistics.
+    /// `page_count` is the restored
     /// owning tree's [`page_count`](crate::btree::BTree::page_count): a
     /// frame naming a page the tree does not have, or a page held by two
     /// frames, is a corrupt stream — and must not size the slot table.
@@ -213,14 +215,13 @@ impl BufferPool {
             }
         }
         (*frames, *slots, *hand) = (table, index, clock);
-        *stats = r.get()?;
+        *stats = PoolStats::default();
         Ok(())
     }
 }
 
 snap_struct! {
     PageId { 0 }
-    PoolStats { hits, misses, evictions, dirty_writebacks }
     Frame { page, referenced, dirty }
 }
 
@@ -337,6 +338,7 @@ mod tests {
         back.restore_state(&mut SnapReader::new(&bytes), 10)
             .expect("own snapshot restores");
         assert_eq!(snapshot(&back), bytes);
+        assert_eq!(back.stats(), PoolStats::default());
         for page in 0..10 {
             assert_eq!(
                 back.access(PageId(page), Access::Read),

@@ -50,13 +50,10 @@ pub struct LsmConfig {
     /// Minimum similar-size runs before a compaction is scheduled
     /// (Cassandra `min_compaction_threshold`, default 4).
     pub min_compaction_inputs: usize,
-    /// Maximum runs merged by one compaction (Cassandra default 32).
-    pub max_compaction_inputs: usize,
-    /// Data block size for I/O accounting.
-    pub block_bytes: u64,
-    /// Bloom filter density.
-    pub bloom_bits_per_key: usize,
 }
+
+/// Maximum runs merged by one compaction (Cassandra's default 32).
+pub const MAX_COMPACTION_INPUTS: usize = 32;
 
 impl Default for LsmConfig {
     fn default() -> Self {
@@ -64,9 +61,6 @@ impl Default for LsmConfig {
             memtable_flush_bytes: 4 << 20,
             strategy: CompactionStrategy::SizeTiered,
             min_compaction_inputs: 4,
-            max_compaction_inputs: 32,
-            block_bytes: 64 << 10,
-            bloom_bits_per_key: 10,
         }
     }
 }
@@ -96,7 +90,8 @@ pub struct BackgroundJob {
 snap_enum!(JobKind { 0 => Flush, 1 => Compaction });
 snap_struct! { BackgroundJob { id, kind, read_bytes, write_bytes } }
 
-/// Cumulative engine statistics.
+/// Cumulative engine statistics, an observer's: nothing a run does reads
+/// them, and a checkpoint does not hold them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LsmStats {
     pub inserts: u64,
@@ -179,12 +174,7 @@ impl LsmTree {
     fn start_flush(&mut self) -> BackgroundJob {
         debug_assert!(!self.memtable.is_empty());
         let entries = self.memtable.drain_sorted();
-        let table = SsTable::from_sorted(
-            self.next_table_id,
-            entries,
-            self.config.block_bytes,
-            self.config.bloom_bits_per_key,
-        );
+        let table = SsTable::from_sorted(self.next_table_id, entries);
         self.next_table_id += 1;
         let job = BackgroundJob {
             id: self.next_job_id,
@@ -267,7 +257,7 @@ impl LsmTree {
                 idle
             }
         };
-        inputs.truncate(self.config.max_compaction_inputs);
+        inputs.truncate(MAX_COMPACTION_INPUTS);
         let read_bytes: u64 = self
             .tables
             .iter()
@@ -301,12 +291,7 @@ impl LsmTree {
             .filter(|t| inputs.contains(&t.id))
             .collect();
         debug_assert_eq!(input_tables.len(), inputs.len());
-        let merged = SsTable::merge(
-            self.next_table_id,
-            &input_tables,
-            self.config.block_bytes,
-            self.config.bloom_bits_per_key,
-        );
+        let merged = SsTable::merge(self.next_table_id, &input_tables);
         self.next_table_id += 1;
         self.stats.compactions += 1;
         self.stats.bytes_compacted += merged.disk_bytes();
@@ -415,13 +400,22 @@ impl LsmTree {
         self.tables.iter().map(SsTable::disk_bytes).sum()
     }
 
-    /// Engine statistics.
+    /// Engine statistics since construction or the last restore.
     pub fn stats(&self) -> LsmStats {
         self.stats
     }
 
+    /// Whether `job` is one the tree has announced and not yet seen
+    /// completed — what [`LsmTree::complete`] needs not to panic.
+    pub fn in_flight(&self, job: &BackgroundJob) -> bool {
+        match job.kind {
+            JobKind::Flush => self.flushing.values().any(|&id| id == job.id),
+            JobKind::Compaction => self.compacting_inputs.contains_key(&job.id),
+        }
+    }
+
     /// Serializes the tree's mutable state (the config is the caller's and
-    /// is re-supplied at construction).
+    /// is re-supplied at construction; the statistics are an observer's).
     pub fn snap_state(&self, w: &mut SnapWriter) {
         let LsmTree {
             config: _,
@@ -431,7 +425,7 @@ impl LsmTree {
             compacting_inputs,
             next_table_id,
             next_job_id,
-            stats,
+            stats: _,
         } = self;
         w.put(memtable);
         w.put(tables);
@@ -439,11 +433,12 @@ impl LsmTree {
         w.put(compacting_inputs);
         w.put_u64(*next_table_id);
         w.put_u64(*next_job_id);
-        w.put(stats);
     }
 
     /// Restores the mutable state written by [`LsmTree::snap_state`] into
-    /// a tree built with the same config.
+    /// a tree built with the same config, and zeroes its statistics. A job
+    /// naming a run the tree does not hold is refused: completing it
+    /// would merge or account a run that is not there.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let LsmTree {
             config: _,
@@ -461,15 +456,19 @@ impl LsmTree {
         *compacting_inputs = r.get()?;
         *next_table_id = r.u64()?;
         *next_job_id = r.u64()?;
-        *stats = r.get()?;
+        *stats = LsmStats::default();
+        let held = |id: &u64| tables.iter().any(|t| t.id == *id);
+        if let Some(&id) = flushing
+            .keys()
+            .chain(compacting_inputs.values().flatten())
+            .find(|id| !held(id))
+        {
+            return Err(SnapError::BadTag {
+                what: "LsmTree job run",
+                tag: id,
+            });
+        }
         Ok(())
-    }
-}
-
-snap_struct! {
-    LsmStats {
-        inserts, reads, scans, tables_consulted, bloom_skips, flushes, compactions,
-        bytes_flushed, bytes_compacted
     }
 }
 
@@ -713,7 +712,6 @@ mod tests {
             memtable_flush_bytes: 75 * 50,
             strategy: CompactionStrategy::Leveled,
             min_compaction_inputs: 4,
-            ..LsmConfig::default()
         });
         load(&mut tiered, 0..2_000);
         load(&mut leveled, 0..2_000);
@@ -728,5 +726,49 @@ mod tests {
             leveled.stats().read_amplification(),
             tiered.stats().read_amplification()
         );
+    }
+
+    fn restored(tree: &LsmTree) -> Result<LsmTree, SnapError> {
+        let mut w = SnapWriter::new();
+        tree.snap_state(&mut w);
+        let mut back = LsmTree::new(small_config());
+        back.restore_state(&mut SnapReader::new(w.bytes()))?;
+        Ok(back)
+    }
+
+    #[test]
+    fn restore_keeps_the_jobs_in_flight_and_zeroes_the_statistics() {
+        let mut tree = LsmTree::new(small_config());
+        let mut announced = Vec::new();
+        for seq in 0..500 {
+            let r = record_for_seq(seq);
+            let (_, job) = tree.insert(r.key, r.fields);
+            announced.extend(job);
+        }
+        // Four of the five flushes done announce a compaction.
+        let compaction = announced.drain(..4).filter_map(|j| tree.complete(j)).last();
+        announced.push(compaction.expect("four runs compact"));
+        let back = restored(&tree).expect("own state restores");
+        assert!(announced.iter().all(|job| back.in_flight(job)));
+        assert_eq!(back.stats(), LsmStats::default());
+        assert_eq!(back.record_count(), tree.record_count());
+    }
+
+    #[test]
+    fn a_job_naming_no_run_is_refused() {
+        let mut flush = LsmTree::new(small_config());
+        flush.flushing.insert(99, 1);
+        let mut compaction = LsmTree::new(small_config());
+        load(&mut compaction, 0..200);
+        compaction.compacting_inputs.insert(7, vec![1, 99]);
+        for forged in [flush, compaction] {
+            assert_eq!(
+                restored(&forged).map(|t| t.table_count()),
+                Err(SnapError::BadTag {
+                    what: "LsmTree job run",
+                    tag: 99
+                })
+            );
+        }
     }
 }

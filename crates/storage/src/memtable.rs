@@ -13,8 +13,6 @@ use std::collections::{btree_map, BTreeMap};
 #[derive(Clone, Debug, Default)]
 pub struct Memtable {
     entries: BTreeMap<MetricKey, FieldValues>,
-    /// Raw payload bytes buffered (75 bytes per distinct record).
-    bytes: u64,
 }
 
 impl Memtable {
@@ -25,11 +23,7 @@ impl Memtable {
 
     /// Inserts or replaces a record. Returns `true` if the key was new.
     pub fn insert(&mut self, key: MetricKey, value: FieldValues) -> bool {
-        let new = self.entries.insert(key, value).is_none();
-        if new {
-            self.bytes += RAW_RECORD_SIZE as u64;
-        }
-        new
+        self.entries.insert(key, value).is_none()
     }
 
     /// Point lookup.
@@ -56,19 +50,18 @@ impl Memtable {
         self.entries.is_empty()
     }
 
-    /// Raw payload bytes buffered.
+    /// Raw payload bytes buffered (75 bytes per distinct record).
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        (self.entries.len() * RAW_RECORD_SIZE) as u64
     }
 
     /// Freezes the buffer: returns the sorted contents and resets.
     pub fn drain_sorted(&mut self) -> Vec<(MetricKey, FieldValues)> {
-        self.bytes = 0;
         std::mem::take(&mut self.entries).into_iter().collect()
     }
 }
 
-snap_struct! { Memtable { entries, bytes } }
+snap_struct! { Memtable { entries } }
 
 #[cfg(test)]
 mod tests {

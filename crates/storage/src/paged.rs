@@ -221,7 +221,10 @@ mod tests {
                 stats.evictions > stats.dirty_writebacks + 1_000,
                 "{stats:?}"
             );
-            // Tree, frame table, clock hand and `PoolStats`, byte for byte.
+            // Tree, frame table and clock hand, byte for byte, and the
+            // statistics, which a checkpoint does not hold.
+            assert_eq!(paged.pool.stats(), stats);
+            assert_eq!(loaded.pool.stats(), stats);
             let state = |tree: &BTree, pool: &BufferPool| {
                 let mut w = SnapWriter::new();
                 tree.snap_state(&mut w);

@@ -3,7 +3,9 @@
 //! A run is a sorted vector of records plus a bloom filter and an implicit
 //! block index: lookups binary-search the vector (real work) and report
 //! the block read that a disk-resident file would need. Runs are produced
-//! by memtable flushes and merged by compaction.
+//! by memtable flushes and merged by compaction. The filter is a function
+//! of the run's keys, so a checkpoint holds the records alone and restore
+//! rebuilds the filter the way a flush does.
 
 use crate::bloom::Bloom;
 use crate::merge::MergeCursor;
@@ -12,6 +14,12 @@ use apm_core::record::{
     restore_records, snap_records, FieldValues, MetricKey, MIN_RECORD_SNAP_BYTES, RAW_RECORD_SIZE,
 };
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+
+/// Data block size of every run's I/O accounting (Cassandra's and HBase's
+/// 64 KB).
+pub const BLOCK_BYTES: u64 = 64 << 10;
+/// Bloom filter density of every run (≈ 1 % false positives).
+pub const BLOOM_BITS_PER_KEY: usize = 10;
 
 /// Result of probing one SSTable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,8 +37,6 @@ pub struct SsTable {
     pub id: u64,
     entries: Vec<(MetricKey, FieldValues)>,
     bloom: Bloom,
-    /// Data block size used for I/O accounting (Cassandra/HBase: 64 KB).
-    block_bytes: u64,
 }
 
 impl SsTable {
@@ -38,38 +44,23 @@ impl SsTable {
     ///
     /// # Panics
     /// Panics (debug) if `entries` are not strictly sorted by key.
-    pub fn from_sorted(
-        id: u64,
-        entries: Vec<(MetricKey, FieldValues)>,
-        block_bytes: u64,
-        bloom_bits_per_key: usize,
-    ) -> SsTable {
+    pub fn from_sorted(id: u64, entries: Vec<(MetricKey, FieldValues)>) -> SsTable {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "entries must be strictly sorted"
         );
-        let mut bloom = Bloom::with_capacity(entries.len(), bloom_bits_per_key);
+        let mut bloom = Bloom::with_capacity(entries.len(), BLOOM_BITS_PER_KEY);
         for (key, _) in &entries {
             bloom.insert(key);
         }
-        SsTable {
-            id,
-            entries,
-            bloom,
-            block_bytes,
-        }
+        SsTable { id, entries, bloom }
     }
 
     /// Merges several tables into one by streaming them through a
     /// [`MergeCursor`]. On key collisions the value from the table with
     /// the highest id (the newest run) wins, whatever the order of
     /// `inputs`.
-    pub fn merge(
-        id: u64,
-        inputs: &[&SsTable],
-        block_bytes: u64,
-        bloom_bits_per_key: usize,
-    ) -> SsTable {
+    pub fn merge(id: u64, inputs: &[&SsTable]) -> SsTable {
         let mut cursor = MergeCursor::with_capacity(inputs.len());
         for table in inputs {
             cursor.push_run(table.id, &table.entries);
@@ -79,7 +70,7 @@ impl SsTable {
         let mut entries = Vec::with_capacity(inputs.iter().map(|t| t.entries.len()).sum());
         entries.extend(cursor.map(|(k, v)| (*k, *v)));
         entries.shrink_to_fit();
-        SsTable::from_sorted(id, entries, block_bytes, bloom_bits_per_key)
+        SsTable::from_sorted(id, entries)
     }
 
     /// Probes for a key, reporting physical cost into `receipt`.
@@ -88,7 +79,7 @@ impl SsTable {
         if !self.bloom.may_contain(key) {
             return TableProbe::BloomNegative;
         }
-        receipt.add_io(DiskIo::random_read(self.block_bytes));
+        receipt.add_io(DiskIo::random_read(BLOCK_BYTES));
         match self.entries.binary_search_by(|(k, _)| k.cmp(key)) {
             Ok(i) => {
                 receipt.touch(RAW_RECORD_SIZE as u64);
@@ -114,9 +105,9 @@ impl SsTable {
         if !window.is_empty() {
             // One positioning access, then sequential blocks.
             let bytes = (window.len() * RAW_RECORD_SIZE) as u64;
-            receipt.add_io(DiskIo::random_read(self.block_bytes));
-            if bytes > self.block_bytes {
-                receipt.add_io(DiskIo::seq_read(bytes - self.block_bytes));
+            receipt.add_io(DiskIo::random_read(BLOCK_BYTES));
+            if bytes > BLOCK_BYTES {
+                receipt.add_io(DiskIo::seq_read(bytes - BLOCK_BYTES));
             }
             receipt.touch(bytes);
         }
@@ -142,44 +133,36 @@ impl SsTable {
     pub fn disk_bytes(&self) -> u64 {
         self.raw_bytes() + self.bloom.size_bytes() + (self.entries.len() as u64 / 128 + 1) * 32
     }
-
-    /// Smallest and largest key, or `None` when empty.
-    pub fn key_range(&self) -> Option<(MetricKey, MetricKey)> {
-        match (self.entries.first(), self.entries.last()) {
-            (Some((lo, _)), Some((hi, _))) => Some((*lo, *hi)),
-            _ => None,
-        }
-    }
 }
 
 // Hand-written: the run is the bulk of an LSM store's state, so its
 // records go through the four-lane record codec (the bytes the `Vec` codec
-// would write).
+// would write); the bloom filter is rebuilt from them by `from_sorted`,
+// which is why restore refuses keys out of order rather than trusting them
+// to the debug assertion there.
 impl Snap for SsTable {
     fn snap(&self, w: &mut SnapWriter) {
         let SsTable {
             id,
             entries,
-            bloom,
-            block_bytes,
+            bloom: _,
         } = self;
         w.put(id);
         w.put_u64(entries.len() as u64);
         snap_records(w, entries.iter().map(|(key, fields)| (key, fields)));
-        w.put(bloom);
-        w.put(block_bytes);
     }
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         let id = r.get()?;
         let len = r.count(MIN_RECORD_SNAP_BYTES)?;
         let mut entries = Vec::with_capacity(len);
         restore_records(r, len, |key, fields| entries.push((key, fields)))?;
-        Ok(SsTable {
-            id,
-            entries,
-            bloom: r.get()?,
-            block_bytes: r.get()?,
-        })
+        if let Some(i) = entries.windows(2).position(|w| w[0].0 >= w[1].0) {
+            return Err(SnapError::BadTag {
+                what: "SsTable row not after the one before it",
+                tag: i as u64 + 1,
+            });
+        }
+        Ok(SsTable::from_sorted(id, entries))
     }
 }
 
@@ -196,7 +179,7 @@ mod tests {
             })
             .collect();
         entries.sort_by_key(|(k, _)| *k);
-        SsTable::from_sorted(id, entries, 65_536, 10)
+        SsTable::from_sorted(id, entries)
     }
 
     #[test]
@@ -263,7 +246,7 @@ mod tests {
         // check count, then spot-check precedence via distinct tables.
         let old = build(1, 0..100);
         let new = build(2, 50..150);
-        let merged = SsTable::merge(3, &[&new, &old], 65_536, 10);
+        let merged = SsTable::merge(3, &[&new, &old]);
         assert_eq!(merged.len(), 150, "overlap must be deduplicated");
         let mut receipt = CostReceipt::new();
         let probe = merged.get(&record_for_seq(75).key, &mut receipt);
@@ -276,9 +259,9 @@ mod tests {
         let key = record_for_seq(7).key;
         let v_old = FieldValues::from_seed(111);
         let v_new = FieldValues::from_seed(222);
-        let old = SsTable::from_sorted(1, vec![(key, v_old)], 65_536, 10);
-        let new = SsTable::from_sorted(2, vec![(key, v_new)], 65_536, 10);
-        let merged = SsTable::merge(3, &[&old, &new], 65_536, 10);
+        let old = SsTable::from_sorted(1, vec![(key, v_old)]);
+        let new = SsTable::from_sorted(2, vec![(key, v_new)]);
+        let merged = SsTable::merge(3, &[&old, &new]);
         let mut receipt = CostReceipt::new();
         match merged.get(&key, &mut receipt) {
             TableProbe::Checked(Some(v)) => assert_eq!(v, v_new, "newer table id must win"),
@@ -293,11 +276,48 @@ mod tests {
         assert!(table.disk_bytes() > table.raw_bytes());
     }
 
+    fn snapshot(table: &SsTable) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put(table);
+        w.into_bytes()
+    }
+
     #[test]
-    fn key_range_brackets_contents() {
-        let table = build(1, 0..100);
-        let (lo, hi) = table.key_range().unwrap();
-        assert!(lo < hi);
-        assert!(build(9, 0..0).key_range().is_none());
+    fn restore_rebuilds_the_bloom_filter() {
+        let table = build(4, 0..1000);
+        let bytes = snapshot(&table);
+        let mut r = SnapReader::new(&bytes);
+        let back: SsTable = r.get().expect("own snapshot restores");
+        r.finish().expect("nothing left over");
+        assert_eq!((back.id, back.disk_bytes()), (table.id, table.disk_bytes()));
+        let (mut want, mut got) = (CostReceipt::new(), CostReceipt::new());
+        for seq in 0..2000 {
+            let key = record_for_seq(seq).key;
+            assert_eq!(
+                back.get(&key, &mut got),
+                table.get(&key, &mut want),
+                "{seq}"
+            );
+        }
+        assert_eq!(got.read_ios(), want.read_ios());
+    }
+
+    #[test]
+    fn rows_out_of_key_order_are_refused() {
+        let table = build(4, 0..10);
+        let mut descending = table.clone();
+        descending.entries.swap(3, 4);
+        let mut duplicate = table.clone();
+        duplicate.entries[6] = duplicate.entries[5];
+        for (forged, row) in [(descending, 4), (duplicate, 6)] {
+            let bytes = snapshot(&forged);
+            assert_eq!(
+                SnapReader::new(&bytes).get::<SsTable>().map(|t| t.id),
+                Err(SnapError::BadTag {
+                    what: "SsTable row not after the one before it",
+                    tag: row,
+                })
+            );
+        }
     }
 }

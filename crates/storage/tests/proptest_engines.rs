@@ -690,7 +690,7 @@ fn sstable_merge_equals_collect_sort_dedup_reference() {
                         (key(seq), FieldValues::from_seed(id * 1_000 + seq))
                     })
                     .collect();
-                SsTable::from_sorted(id, rows.into_iter().collect(), 4_096, 10)
+                SsTable::from_sorted(id, rows.into_iter().collect())
             })
             .collect();
         // Precedence is by table id, whatever order the inputs come in.
@@ -698,8 +698,8 @@ fn sstable_merge_equals_collect_sort_dedup_reference() {
             tables.swap(i, rng.next_below(i as u64 + 1) as usize);
         }
         let inputs: Vec<&SsTable> = tables.iter().collect();
-        let merged = SsTable::merge(99, &inputs, 4_096, 10);
-        let reference = SsTable::from_sorted(99, reference_merge(&inputs), 4_096, 10);
+        let merged = SsTable::merge(99, &inputs);
+        let reference = SsTable::from_sorted(99, reference_merge(&inputs));
         assert_eq!(entries_of(&merged), entries_of(&reference), "case {case}");
         assert_eq!(merged.disk_bytes(), reference.disk_bytes(), "case {case}");
         for seq in 0..200 {
@@ -805,10 +805,10 @@ fn foreign_records_round_trip_every_engine_codec() {
         hash.insert(k, v).expect("no budget");
         partition.insert(k, v);
     }
-    let run = SsTable::from_sorted(9, model.iter().map(|(k, v)| (*k, *v)).collect(), 4096, 10);
+    let run = SsTable::from_sorted(9, model.iter().map(|(k, v)| (*k, *v)).collect());
 
     let memtable = restored(&memtable, Memtable::new(), put, get);
-    let run = restored(&run, SsTable::from_sorted(0, Vec::new(), 1, 1), put, get);
+    let run = restored(&run, SsTable::from_sorted(0, Vec::new()), put, get);
     let mut lsm = restored(
         &lsm,
         LsmTree::new(lsm_config),

@@ -596,12 +596,6 @@ pub trait DistributedStore {
         None
     }
 
-    /// Whether the store's YCSB client supports scans (§5.4: Voldemort's
-    /// does not).
-    fn supports_scans(&self) -> bool {
-        true
-    }
-
     /// Client connection cap, if the store's client library imposes one
     /// (§6: Voldemort).
     fn connection_cap(&self) -> Option<u32> {

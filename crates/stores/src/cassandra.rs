@@ -26,6 +26,7 @@ use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{cassandra_format, StorageFormat};
 use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
+use apm_storage::sstable::BLOCK_BYTES;
 use apm_storage::wal::{CommitLog, SyncPolicy, WalReceipt};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -150,10 +151,10 @@ pub struct CassandraStore {
     hints: Vec<Vec<Record>>,
     /// Hinted-handoff drain auditor (see `crate::audit`).
     hint_audit: crate::audit::HintAuditor,
-    /// Global background job id → (node index, engine-local job).
+    /// Global background job id → (node index, engine-local job). The
+    /// ids of bootstrap and hint streams are in no map: nothing follows
+    /// their completion.
     jobs: BTreeMap<u64, (usize, BackgroundJob)>,
-    /// Background jobs that are bootstrap streams, not LSM jobs.
-    stream_jobs: std::collections::BTreeSet<u64>,
     /// Bytes streamed by completed/running bootstraps (diagnostics).
     streamed_bytes: u64,
     next_job: u64,
@@ -185,7 +186,6 @@ impl CassandraStore {
             hints: vec![Vec::new(); n],
             hint_audit: crate::audit::HintAuditor::default(),
             jobs: BTreeMap::new(),
-            stream_jobs: std::collections::BTreeSet::new(),
             streamed_bytes: 0,
             next_job: 1,
         };
@@ -247,7 +247,6 @@ impl CassandraStore {
         // foreground traffic on both nodes while it runs.
         let id = self.next_job;
         self.next_job += 1;
-        self.stream_jobs.insert(id);
         let stream = self
             .ctx
             .plan()
@@ -287,9 +286,7 @@ impl CassandraStore {
     /// Extra CPU to decompress the blocks a read touched.
     fn compression_cpu(&self, blocks_read: usize) -> SimDuration {
         if self.compression {
-            SimDuration::from_nanos(
-                blocks_read as u64 * LsmConfig::default().block_bytes * DECOMPRESS_NS_PER_BYTE,
-            )
+            SimDuration::from_nanos(blocks_read as u64 * BLOCK_BYTES * DECOMPRESS_NS_PER_BYTE)
         } else {
             SimDuration::ZERO
         }
@@ -320,7 +317,6 @@ impl CassandraStore {
         let bytes = self.expand(raw);
         let id = self.next_job;
         self.next_job += 1;
-        self.stream_jobs.insert(id);
         let stream = self.ctx.plan().nic(node, bytes).disk_seq(node, bytes);
         engine.submit(stream.finish(), background_token(id));
     }
@@ -566,11 +562,9 @@ impl DistributedStore for CassandraStore {
     }
 
     fn on_background(&mut self, job_id: u64, engine: &mut Engine) {
-        if self.stream_jobs.remove(&job_id) {
-            return; // bootstrap stream finished
-        }
-        // A job id no job holds (only a forged snapshot can hold one) is
-        // ignored, as the driver ignores a stray fault sentinel.
+        // A finished bootstrap or hint stream holds no job, and neither
+        // does an id only a forged snapshot can hold: both are ignored, as
+        // the driver ignores a stray fault sentinel.
         let Some((node, job)) = self.jobs.remove(&job_id) else {
             return;
         };
@@ -606,7 +600,6 @@ impl DistributedStore for CassandraStore {
             hints,
             hint_audit,
             jobs,
-            stream_jobs,
             streamed_bytes,
             next_job,
         } = self;
@@ -622,7 +615,6 @@ impl DistributedStore for CassandraStore {
         w.put(hints);
         w.put(hint_audit);
         w.put(jobs);
-        w.put(stream_jobs);
         w.put_u64(*streamed_bytes);
         w.put_u64(*next_job);
     }
@@ -656,18 +648,26 @@ impl DistributedStore for CassandraStore {
             hints,
             hint_audit,
             jobs,
-            stream_jobs,
             streamed_bytes,
             next_job,
         } = self;
         (ctx.servers, *ring) = (servers, grown_ring);
-        for Node { lsm, log, cache } in nodes {
+        for Node { lsm, log, cache } in nodes.iter_mut() {
             lsm.restore_state(r)?;
             log.restore_state(r)?;
             cache.restore_state(r)?;
         }
         *down = r.get()?;
         *hints = r.get()?;
+        // Every later index by node number — the coordinator's `down`, the
+        // write path's `hints`, the plans' server handles, a route — must
+        // hold for what a body can say.
+        if ctx.servers.len() != n || down.len() != n || hints.len() != n || !ring.spans(n) {
+            return Err(SnapError::BadTag {
+                what: "Cassandra node count",
+                tag: n as u64,
+            });
+        }
         *hint_audit = r.get()?;
         let remaining: Vec<usize> = hints.iter().map(Vec::len).collect();
         if let Some(node) = hint_audit.unbalanced_node(&remaining) {
@@ -677,7 +677,14 @@ impl DistributedStore for CassandraStore {
             });
         }
         *jobs = r.get()?;
-        *stream_jobs = r.get()?;
+        if let Some(id) =
+            crate::audit::lsm_job_not_in_flight(jobs, |i| nodes.get(i).map(|n| &n.lsm))
+        {
+            return Err(SnapError::BadTag {
+                what: "Cassandra background job",
+                tag: id,
+            });
+        }
         *streamed_bytes = r.u64()?;
         *next_job = r.u64()?;
         Ok(())
@@ -1061,5 +1068,79 @@ mod tests {
             ),
             "{refused:?}"
         );
+    }
+
+    /// A flush in flight on node 0 that no job of the store holds yet.
+    fn unscheduled_flush(s: &mut CassandraStore) -> BackgroundJob {
+        let r = record_for_seq(1 << 40);
+        let (_, job) = s.nodes[0].lsm.insert(r.key, r.fields);
+        job.or_else(|| s.nodes[0].lsm.force_flush())
+            .expect("a non-empty memtable flushes")
+    }
+
+    /// A body whose node-indexed state disagrees with its node count, or
+    /// whose job map holds a job no node's tree has in flight, is refused
+    /// on resume — not left for the coordinator, the write path or a
+    /// background completion to index out of bounds or panic on.
+    #[test]
+    fn forged_node_state_and_jobs_are_refused_on_resume() {
+        use apm_storage::lsm::JobKind;
+        const ID: u64 = 1 << 40;
+        let idle = BackgroundJob {
+            id: 1 << 20,
+            kind: JobKind::Compaction,
+            read_bytes: 0,
+            write_bytes: 0,
+        };
+        let resumed = |forge: &dyn Fn(&mut CassandraStore)| {
+            crate::runner::tests::resume_forged(|engine| store(engine, 4), forge, |_, _| {})
+                .map(|r| r.issued > 0)
+        };
+        let count = Err(SnapError::BadTag {
+            what: "Cassandra node count",
+            tag: 4,
+        });
+        assert_eq!(resumed(&|s| s.down.push(false)), count);
+        assert_eq!(
+            resumed(&|s| {
+                s.hints.pop();
+            }),
+            count
+        );
+        assert_eq!(
+            resumed(&|s| {
+                s.ring.extend();
+            }),
+            count
+        );
+        let job = |id| {
+            Err(SnapError::BadTag {
+                what: "Cassandra background job",
+                tag: id,
+            })
+        };
+        assert_eq!(
+            resumed(&|s| {
+                s.jobs.insert(ID, (4, idle));
+            }),
+            job(ID)
+        );
+        assert_eq!(
+            resumed(&|s| {
+                s.jobs.insert(ID, (0, idle));
+            }),
+            job(ID)
+        );
+        let twice = |s: &mut CassandraStore| {
+            let flush = unscheduled_flush(s);
+            s.jobs.insert(ID, (0, flush));
+            s.jobs.insert(ID + 1, (0, flush));
+        };
+        assert_eq!(resumed(&twice), job(ID + 1));
+        let once = |s: &mut CassandraStore| {
+            let flush = unscheduled_flush(s);
+            s.jobs.insert(ID, (0, flush));
+        };
+        assert_eq!(resumed(&once), Ok(true));
     }
 }

@@ -21,7 +21,7 @@ use crate::api::{
     background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
 };
 use crate::cache::PageCache;
-use crate::hdfs::{Hdfs, HdfsConfig};
+use crate::hdfs::Hdfs;
 use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Record;
@@ -129,7 +129,7 @@ impl HbaseStore {
                 cache: PageCache::new(cache_bytes, ctx.seed ^ ((i as u64) << 16)),
             })
             .collect();
-        let hdfs = Hdfs::new(engine, &ctx, HdfsConfig::default());
+        let hdfs = Hdfs::new(engine, &ctx);
         HbaseStore {
             regions: RegionMap::new(n, REGIONS_PER_SERVER),
             hdfs,
@@ -461,13 +461,19 @@ impl DistributedStore for HbaseStore {
         let servers = servers_state.len();
         if down.len() != servers
             || wal_backlog.len() != servers
-            || jobs.values().any(|&(server, _)| server >= servers)
             || recovery_jobs.values().any(|&dead| dead >= servers)
             || !crate::audit::region_reassignment_is_bijective(reassigned, down)
         {
             return Err(SnapError::BadTag {
                 what: "HBase region reassignment",
                 tag: reassigned.len() as u64,
+            });
+        }
+        let lsm = |i: usize| servers_state.get(i).map(|s| &s.lsm);
+        if let Some(id) = crate::audit::lsm_job_not_in_flight(jobs, lsm) {
+            return Err(SnapError::BadTag {
+                what: "HBase background job",
+                tag: id,
             });
         }
         Ok(())
@@ -738,5 +744,60 @@ mod tests {
             ),
             "{refused:?}"
         );
+    }
+
+    /// A job map entry its server's tree cannot complete — a server out of
+    /// range, a job not in flight, one job named twice — is refused on
+    /// resume, not left for a background completion to panic on.
+    #[test]
+    fn forged_background_jobs_are_refused_on_resume() {
+        use apm_storage::lsm::JobKind;
+        const ID: u64 = 1 << 40;
+        let idle = BackgroundJob {
+            id: 1 << 20,
+            kind: JobKind::Flush,
+            read_bytes: 0,
+            write_bytes: 0,
+        };
+        let unscheduled_flush = |s: &mut HbaseStore| {
+            let r = record_for_seq(1 << 40);
+            let lsm = &mut s.servers_state[0].lsm;
+            let (_, job) = lsm.insert(r.key, r.fields);
+            job.or_else(|| lsm.force_flush())
+                .expect("a non-empty memtable flushes")
+        };
+        let resumed = |forge: &dyn Fn(&mut HbaseStore)| {
+            crate::runner::tests::resume_forged(|engine| make(engine, 4, 0.01), forge, |_, _| {})
+                .map(|r| r.issued > 0)
+        };
+        let job = |id| {
+            Err(SnapError::BadTag {
+                what: "HBase background job",
+                tag: id,
+            })
+        };
+        assert_eq!(
+            resumed(&|s| {
+                s.jobs.insert(ID, (4, idle));
+            }),
+            job(ID)
+        );
+        assert_eq!(
+            resumed(&|s| {
+                s.jobs.insert(ID, (0, idle));
+            }),
+            job(ID)
+        );
+        let twice = |s: &mut HbaseStore| {
+            let flush = unscheduled_flush(s);
+            s.jobs.insert(ID, (0, flush));
+            s.jobs.insert(ID + 1, (0, flush));
+        };
+        assert_eq!(resumed(&twice), job(ID + 1));
+        let once = |s: &mut HbaseStore| {
+            let flush = unscheduled_flush(s);
+            s.jobs.insert(ID, (0, flush));
+        };
+        assert_eq!(resumed(&once), Ok(true));
     }
 }

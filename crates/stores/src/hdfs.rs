@@ -16,47 +16,31 @@ use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, NetSpec, SimDuration};
 use apm_storage::receipt::DiskIo;
 
-/// HDFS configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HdfsConfig {
-    /// Block replication factor (default 3; the paper's single-node HBase
-    /// setups implicitly degrade to 1).
-    pub replication: u32,
-    /// Concurrent block streams a DataNode serves (xceiver threads that
-    /// matter for small random reads — bounded by disk/stream setup).
-    pub xceivers_per_node: u32,
-    /// Fixed DataNode overhead per block access: stream setup, checksum,
-    /// buffer copies. Calibrated so a single region server sustains
-    /// ≈2.5 K reads/s (§5.1, Fig 3).
-    pub stream_overhead: SimDuration,
-}
-
-impl Default for HdfsConfig {
-    fn default() -> Self {
-        HdfsConfig {
-            replication: 3,
-            xceivers_per_node: 4,
-            stream_overhead: SimDuration::from_micros(1_500),
-        }
-    }
-}
+/// Block replication factor (the paper's single-node HBase setups
+/// implicitly degrade to 1).
+const REPLICATION: u32 = 3;
+/// Concurrent block streams a DataNode serves (xceiver threads that
+/// matter for small random reads — bounded by disk/stream setup).
+const XCEIVERS_PER_NODE: u32 = 4;
+/// Fixed DataNode overhead per block access: stream setup, checksum,
+/// buffer copies. Calibrated so a single region server sustains
+/// ≈2.5 K reads/s (§5.1, Fig 3).
+const STREAM_OVERHEAD: SimDuration = SimDuration::from_micros(1_500);
 
 /// The instantiated HDFS layer: one xceiver pool per DataNode.
 #[derive(Clone, Debug)]
 pub struct Hdfs {
-    config: HdfsConfig,
     net: NetSpec,
     xceivers: Vec<ResourceId>,
 }
 
 impl Hdfs {
     /// Registers DataNode resources (one pool per server node).
-    pub fn new(engine: &mut Engine, ctx: &StoreCtx, config: HdfsConfig) -> Hdfs {
+    pub fn new(engine: &mut Engine, ctx: &StoreCtx) -> Hdfs {
         let xceivers = (0..ctx.servers.len())
-            .map(|i| engine.add_resource(format!("datanode{i}.xceiver"), config.xceivers_per_node))
+            .map(|i| engine.add_resource(format!("datanode{i}.xceiver"), XCEIVERS_PER_NODE))
             .collect();
         Hdfs {
-            config,
             net: ctx.cluster.net,
             xceivers,
         }
@@ -64,7 +48,7 @@ impl Hdfs {
 
     /// Effective replication given the cluster size.
     pub fn effective_replication(&self, nodes: usize) -> u32 {
-        self.config.replication.min(nodes as u32)
+        REPLICATION.min(nodes as u32)
     }
 
     /// A region server on `node` reads `bytes` from a block via its
@@ -77,7 +61,7 @@ impl Hdfs {
         bytes: u64,
         cached: bool,
     ) -> StorePlan<'a> {
-        let stream = self.config.stream_overhead + self.net.transfer(bytes);
+        let stream = STREAM_OVERHEAD + self.net.transfer(bytes);
         let plan = plan.acquire(self.xceivers[node], stream);
         if cached {
             plan
@@ -98,7 +82,7 @@ impl Hdfs {
                 plan = plan.hop((node + i - 1) % nodes, bytes);
             }
             plan = plan
-                .acquire(self.xceivers[target], self.config.stream_overhead)
+                .acquire(self.xceivers[target], STREAM_OVERHEAD)
                 .disk_seq(target, bytes);
         }
         plan
@@ -114,7 +98,7 @@ mod tests {
     fn setup(nodes: u32) -> (Engine, StoreCtx, Hdfs) {
         let mut engine = Engine::new();
         let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), nodes, 1, 0.1, 7);
-        let hdfs = Hdfs::new(&mut engine, &ctx, HdfsConfig::default());
+        let hdfs = Hdfs::new(&mut engine, &ctx);
         (engine, ctx, hdfs)
     }
 

@@ -43,13 +43,3 @@ pub mod voltdb;
 pub use api::{DistributedStore, StoreCtx};
 pub use resilience::ResiliencePolicy;
 pub use runner::{run_benchmark, RunConfig, RunResult};
-
-/// The store names in the paper's legend order.
-pub const STORE_NAMES: [&str; 6] = [
-    "cassandra",
-    "hbase",
-    "voldemort",
-    "voltdb",
-    "redis",
-    "mysql",
-];

@@ -157,14 +157,6 @@ impl MysqlStore {
         }
     }
 
-    /// Diagnostic view of each shard's (insert-rate, churning) state.
-    pub fn churn_debug(&self) -> Vec<(f64, bool)> {
-        self.shards
-            .iter()
-            .map(|s| (s.insert_rate, s.stats_churning()))
-            .collect()
-    }
-
     fn scan_plan(
         &mut self,
         client: u32,

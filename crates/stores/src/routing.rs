@@ -126,6 +126,13 @@ impl TokenRing {
         self.nodes
     }
 
+    /// Whether the ring is one of exactly `nodes` nodes that routes every
+    /// key to one of them: what a restored ring must be before a route
+    /// indexes a node's state.
+    pub fn spans(&self, nodes: usize) -> bool {
+        self.nodes == nodes && !self.tokens.is_empty() && self.tokens.iter().all(|t| t.1 < nodes)
+    }
+
     /// Bootstraps a new node into the ring the way Cassandra operators
     /// did it in 1.0: the newcomer takes a token in the middle of the
     /// *largest* existing range, claiming half of one node's data.

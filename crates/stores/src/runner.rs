@@ -271,6 +271,20 @@ impl RunResult {
     pub fn mean_latency_ms(&self, kind: OpKind) -> Option<f64> {
         self.stats.mean_latency_ms(kind)
     }
+
+    /// FNV-1a over everything the run reports — statistics, issued
+    /// count, disk usage, telemetry and ledger, snap-encoded — and nothing
+    /// it holds: two runs with one results fingerprint reported the same,
+    /// whatever format their checkpoints were written in.
+    pub fn results_fingerprint(&self) -> u64 {
+        let mut w = SnapWriter::new();
+        w.put(&self.stats);
+        w.put_u64(self.issued);
+        w.put(&self.disk_bytes_per_node);
+        w.put(&self.telemetry);
+        w.put(&self.ledger);
+        fnv1a64(w.bytes())
+    }
 }
 
 /// Resource class (`cpu` / `disk` / `net`) of a *server* resource name;

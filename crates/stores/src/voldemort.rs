@@ -36,7 +36,6 @@ use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::{voldemort_format, StorageFormat};
 use apm_storage::paged::{PagedTree, WriteBack};
 use apm_storage::wal::{CommitLog, SyncPolicy};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Server-side request cost (protobuf parse, store lookup dispatch).
@@ -85,8 +84,8 @@ pub struct VoldemortStore {
     map: PartitionMap,
     format: StorageFormat,
     nodes: Vec<Node>,
-    /// Outstanding background log flushes (job id → node).
-    jobs: BTreeMap<u64, usize>,
+    /// Id of the next background log flush. Nothing follows a flush's
+    /// completion, so no flush is kept; the id only names its token.
     next_job: u64,
 }
 
@@ -107,7 +106,6 @@ impl VoldemortStore {
             format: voldemort_format(),
             ctx,
             nodes,
-            jobs: BTreeMap::new(),
             next_job: 1,
         }
     }
@@ -122,7 +120,6 @@ impl VoldemortStore {
         let pending = self.nodes[node].log.take_unflushed();
         let id = self.next_job;
         self.next_job += 1;
-        self.jobs.insert(id, node);
         let flush = self.ctx.plan().disk_seq(node, pending);
         engine.submit(flush.finish(), background_token(id));
     }
@@ -209,16 +206,6 @@ impl DistributedStore for VoldemortStore {
         }
     }
 
-    fn on_background(&mut self, job_id: u64, _engine: &mut Engine) {
-        // A job id no flush holds (only a forged snapshot can hold one)
-        // is ignored, as the driver ignores a stray fault sentinel.
-        self.jobs.remove(&job_id);
-    }
-
-    fn supports_scans(&self) -> bool {
-        false
-    }
-
     fn connection_cap(&self) -> Option<u32> {
         if self.ctx.cluster.name == "D" {
             // §5.8/§6: on the disk-bound cluster the client ran with the
@@ -244,7 +231,6 @@ impl DistributedStore for VoldemortStore {
             map: _,
             format: _,
             nodes,
-            jobs,
             next_job,
         } = self;
         for Node { pages, log, rng } in nodes {
@@ -252,7 +238,6 @@ impl DistributedStore for VoldemortStore {
             log.snap_state(w);
             w.put(rng);
         }
-        w.put(jobs);
         w.put_u64(*next_job);
     }
 
@@ -262,7 +247,6 @@ impl DistributedStore for VoldemortStore {
             map: _,
             format: _,
             nodes,
-            jobs,
             next_job,
         } = self;
         for Node { pages, log, rng } in nodes {
@@ -270,7 +254,6 @@ impl DistributedStore for VoldemortStore {
             log.restore_state(r)?;
             *rng = r.get()?;
         }
-        *jobs = r.get()?;
         *next_job = r.u64()?;
         Ok(())
     }
@@ -367,7 +350,6 @@ mod tests {
             &mut engine,
         );
         assert_eq!(outcome, OpOutcome::Rejected(RejectReason::Unsupported));
-        assert!(!s.supports_scans());
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn rs_plans_and_closed_loops_are_pinned() {
 
 /// MySQL's range scan degrades to a full table scan once a shard has
 /// seen more than 2 000 inserts/s for a second. 38 000 ops of Workload RSW
-/// trip the estimator (`MysqlStore::churn_debug` on the capturing commit);
+/// trip the estimator (each shard's churn flag, read on the capturing commit);
 /// from then on the churn branch plans.
 #[test]
 fn mysql_rsw_churn_plans_are_pinned() {

@@ -4,31 +4,21 @@
 //! `Scenario` is the one value that *is* a benchmark point; it must keep
 //! building exactly the run `run_point` built before it existed. Per
 //! store: the `config_fingerprint` of the configuration handed to the
-//! driver (4 nodes, Cluster M, workload RW, test profile) and FNV-1a
-//! over everything the run reports, snap-encoded. Captured on the commit
+//! driver (4 nodes, Cluster M, workload RW, test profile) and the run's
+//! `RunResult::results_fingerprint` — FNV-1a over everything the run
+//! reports, snap-encoded. Captured on the commit
 //! *before* the cutover (81a1572), from `run_point` and a spelled-out
 //! `RunConfig` literal.
 
 use apm_repro::core::driver::ClientConfig;
-use apm_repro::core::snap::{fnv1a64, SnapWriter};
 use apm_repro::core::workload::Workload;
 use apm_repro::harness::experiment::{run_point, ExperimentProfile, Scenario, StoreKind};
 use apm_repro::sim::ClusterSpec;
 use apm_repro::stores::redis::RedisStore;
-use apm_repro::stores::runner::{config_fingerprint, RunResult};
+use apm_repro::stores::runner::config_fingerprint;
 use apm_repro::stores::StoreCtx;
 
 const NODES: u32 = 4;
-
-fn result_fingerprint(r: &RunResult) -> u64 {
-    let mut w = SnapWriter::new();
-    w.put(&r.stats);
-    w.put_u64(r.issued);
-    w.put(&r.disk_bytes_per_node);
-    w.put(&r.telemetry);
-    w.put(&r.ledger);
-    fnv1a64(w.bytes())
-}
 
 /// `(store, config fingerprint, result fingerprint)`.
 const PINS: [(StoreKind, u64, u64); 6] = [
@@ -74,10 +64,10 @@ fn scenario_and_run_point_are_pinned_for_every_store() {
             let scenario =
                 Scenario::new(kind, ClusterSpec::cluster_m(), NODES, &workload, &profile);
             let got_config = config_fingerprint(kind.name(), &scenario.config);
-            let got_result = result_fingerprint(&scenario.run().result);
+            let got_result = scenario.run().result.results_fingerprint();
             let point = run_point(kind, ClusterSpec::cluster_m(), NODES, &workload, &profile);
             assert_eq!(
-                result_fingerprint(&point.result),
+                point.result.results_fingerprint(),
                 got_result,
                 "{kind:?}: run_point is no longer Scenario::run"
             );
