@@ -892,6 +892,57 @@ mod tests {
         assert!(s.streamed_bytes() >= bytes);
     }
 
+    /// Resumed from any checkpoint after a bootstrap, a run reports what
+    /// the full run reported, ends with as many kernel resources, and
+    /// captures every later checkpoint byte for byte: the resumed store
+    /// holds the node the bootstrap added, wired as the bootstrap wired it.
+    #[test]
+    fn a_resume_after_a_bootstrap_matches_the_full_run() {
+        use crate::runner::{resume_benchmark, CheckpointSpec};
+        let mut config = RunConfig::new(
+            Workload::rw(),
+            ClientConfig::cluster_m(3).with_window(0.2, 0.8),
+            5_000,
+            3,
+            0xB007,
+        );
+        config.event_at_secs = Some(0.3);
+        config.checkpoints = Some(CheckpointSpec::every(0.2));
+        let mut engine = Engine::new();
+        let mut s = store(&mut engine, 3);
+        let full = run_benchmark(&mut engine, &mut s, &config);
+        assert_eq!(s.node_count(), 4, "the timed event bootstraps a node");
+        let bootstrap = apm_sim::SimTime(500_000_000);
+        let after: Vec<usize> = (0..full.checkpoints.len())
+            .filter(|&k| full.checkpoints[k].at > bootstrap)
+            .collect();
+        assert!(after.len() >= 2, "{:?}", full.checkpoints.len());
+        for k in after {
+            let mut resumed_engine = Engine::new();
+            let mut fresh = store(&mut resumed_engine, 3);
+            let resumed = resume_benchmark(
+                &mut resumed_engine,
+                &mut fresh,
+                &config,
+                &full.checkpoints[k].bytes,
+            )
+            .expect("own checkpoint resumes");
+            assert_eq!(
+                resumed.results_fingerprint(),
+                full.results_fingerprint(),
+                "checkpoint {k}"
+            );
+            assert_eq!(resumed_engine.resource_count(), engine.resource_count());
+            let later: Vec<&[u8]> = full.checkpoints[k + 1..]
+                .iter()
+                .map(|cp| &cp.bytes[..])
+                .collect();
+            let recaptured: Vec<&[u8]> =
+                resumed.checkpoints.iter().map(|cp| &cp.bytes[..]).collect();
+            assert_eq!(recaptured, later, "checkpoints after {k}");
+        }
+    }
+
     #[test]
     fn crashed_replica_catches_up_through_hinted_handoff() {
         use apm_sim::{FaultEvent, FaultKind, SimTime};
