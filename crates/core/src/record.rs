@@ -585,12 +585,6 @@ impl Record {
             fields: fields[lane],
         })
     }
-
-    /// Raw size of the record (always 75 bytes).
-    #[inline]
-    pub const fn raw_size(&self) -> usize {
-        RAW_RECORD_SIZE
-    }
 }
 
 snap_struct! { Record { key, fields } }
@@ -610,7 +604,7 @@ snap_struct! { Record { key, fields } }
 ///     duration: 15,
 /// };
 /// let rec = m.to_record(42);
-/// assert_eq!(rec.raw_size(), 75);
+/// assert_eq!(ApmMeasurement::from_record(&rec).timestamp, 1_332_988_833);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ApmMeasurement {
@@ -685,7 +679,6 @@ mod tests {
     fn raw_record_size_is_75_bytes() {
         // §3: "a single record has a raw size of 75 bytes".
         assert_eq!(RAW_RECORD_SIZE, 75);
-        assert_eq!(Record::from_id(0).raw_size(), 75);
     }
 
     #[test]

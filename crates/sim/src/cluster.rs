@@ -11,7 +11,6 @@
 use crate::disk::DiskSpec;
 use crate::kernel::{Engine, ResourceId};
 use crate::net::NetSpec;
-use apm_core::snap_struct;
 
 /// Hardware of a single server node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -113,8 +112,6 @@ pub struct NodeResources {
     /// Network interface (capacity 1).
     pub nic: ResourceId,
 }
-
-snap_struct! { NodeResources { cpu, disk, nic } }
 
 #[cfg(test)]
 mod tests {

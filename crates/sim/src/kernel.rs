@@ -108,6 +108,55 @@ struct Resource {
     slowdown: u32,
 }
 
+impl Resource {
+    /// Writes what a run changes of the resource. Its name and capacity
+    /// are topology, fixed by whoever registered it, and not written.
+    fn snap_run_state(&self, w: &mut SnapWriter) {
+        let Resource {
+            name: _,
+            capacity: _,
+            busy,
+            waiting,
+            busy_ns,
+            waited_ns,
+            served,
+            down,
+            slowdown,
+        } = self;
+        w.put_u32(*busy);
+        w.put(waiting);
+        w.put_u128(*busy_ns);
+        w.put_u128(*waited_ns);
+        w.put_u64(*served);
+        w.put(down);
+        w.put_u32(*slowdown);
+    }
+
+    /// Reads what [`Resource::snap_run_state`] wrote into a resource
+    /// registered as the written one was.
+    fn restore_run_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let Resource {
+            name: _,
+            capacity: _,
+            busy,
+            waiting,
+            busy_ns,
+            waited_ns,
+            served,
+            down,
+            slowdown,
+        } = self;
+        *busy = r.u32()?;
+        *waiting = r.get()?;
+        *busy_ns = r.u128()?;
+        *waited_ns = r.u128()?;
+        *served = r.u64()?;
+        *down = r.get()?;
+        *slowdown = r.u32()?;
+        Ok(())
+    }
+}
+
 /// Reference to an execution slot, protected by a generation counter so
 /// stale references (e.g. a quorum parent that already resumed) are inert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -627,6 +676,12 @@ impl Engine {
         true
     }
 
+    /// Whether `handle` names an exec slot this engine has. A handle read
+    /// from a checkpoint must, before [`Engine::cancel`] indexes by it.
+    pub fn has_slot(&self, handle: PlanHandle) -> bool {
+        (handle.0.idx as usize) < self.execs.len()
+    }
+
     /// Takes ownership of one arena reference to `plan` (the caller
     /// interned or retained it) and binds it to a fresh exec slot.
     fn alloc_exec(
@@ -961,7 +1016,9 @@ impl Engine {
     /// Serializes the engine's entire mutable state — clock, sequence
     /// counter, future-event list, resource queues and counters, exec
     /// slots (including dead slots, so generation-protected handles stay
-    /// valid), and the pending ready/completion queues.
+    /// valid), and the pending ready/completion queues. Resource names
+    /// and capacities are topology, not state: [`Engine::restore_state`]
+    /// takes them from the engine it restores into.
     ///
     /// The future-event list is written in sorted `(time, seq)` order
     /// with events inline, and exec plans are written *materialized*
@@ -987,7 +1044,10 @@ impl Engine {
         w.put(now);
         w.put_u64(*seq);
         w.put(&queue.sorted_entries());
-        w.put(resources);
+        w.put_u64(resources.len() as u64);
+        for resource in resources {
+            resource.snap_run_state(w);
+        }
         w.put_u64(execs.len() as u64);
         for Exec {
             plan,
@@ -1025,11 +1085,14 @@ impl Engine {
     }
 
     /// Replaces the engine's mutable state with a previously serialized
-    /// one. Registered resources are overwritten wholesale (resource ids
-    /// are dense indices, and registration order is deterministic, so ids
-    /// held by stores remain valid). Live exec plans are re-interned into
-    /// a fresh arena. The engine's tracer is left as it was: a traced
-    /// engine traces on from the snapshot's point.
+    /// one. Topology is construction, not state: the engine must already
+    /// hold the resources the snapshot's run had registered, in the same
+    /// order, and only their run state is read — a snapshot of any other
+    /// resource count is refused. So is one whose events, queues, exec
+    /// slots or plans name an exec slot or resource past the tables it
+    /// restores. Live exec plans are re-interned into a fresh arena. The
+    /// engine's tracer is left as it was: a traced engine traces on from
+    /// the snapshot's point.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let Engine {
             now,
@@ -1047,9 +1110,16 @@ impl Engine {
         *now = r.get()?;
         *seq = r.u64()?;
         let entries: Vec<(SimTime, u64, Event)> = r.get()?;
-        let pending: Vec<(SimTime, u64)> = entries.iter().map(|&(at, seq, _)| (at, seq)).collect();
-        queue.rebuild(*now, entries);
-        *resources = r.get()?;
+        let count = r.u64()?;
+        if count != resources.len() as u64 {
+            return Err(SnapError::BadTag {
+                what: "Engine resource count",
+                tag: count,
+            });
+        }
+        for resource in resources.iter_mut() {
+            resource.restore_run_state(r)?;
+        }
         *arena = PlanArena::new();
         let exec_count = r.count(EXEC_MIN_SNAP_BYTES)?;
         let mut restored = Vec::with_capacity(exec_count);
@@ -1066,6 +1136,12 @@ impl Engine {
             let generation = r.u32()?;
             let live: bool = r.get()?;
             owed += u64::from(live && parent.is_none());
+            if let Some(resource) = plan.resource_past(resources.len()) {
+                return Err(past_resource(resource));
+            }
+            if let Some(parent) = parent {
+                slot_within(parent.idx, exec_count)?;
+            }
             let plan = if live {
                 arena.intern(&plan)
             } else {
@@ -1089,7 +1165,50 @@ impl Engine {
         *ready = r.get()?;
         *completions = r.get()?;
         *auditor = r.get()?;
+        // Every exec slot and resource an event, a queue or the free list
+        // names is one the tables just restored have: the kernel indexes
+        // them unchecked from here on.
+        for &(_, _, event) in &entries {
+            let (Event::Resume(exec) | Event::Timeout(exec) | Event::AcquireDone(exec, _)) = event;
+            slot_within(exec.idx, exec_count)?;
+            if let Event::AcquireDone(_, resource) = event {
+                if resource.0 as usize >= resources.len() {
+                    return Err(past_resource(resource));
+                }
+            }
+        }
+        let queued = resources
+            .iter()
+            .flat_map(|res| res.waiting.iter().map(|w| w.0.idx));
+        let slots = queued.chain(ready.iter().map(|e| e.idx));
+        for idx in slots.chain(free_execs.iter().copied()) {
+            slot_within(idx, exec_count)?;
+        }
+        let pending: Vec<(SimTime, u64)> = entries.iter().map(|&(at, seq, _)| (at, seq)).collect();
+        queue.rebuild(*now, entries);
         auditor.check_restored(*now, *seq, owed, pending)
+    }
+}
+
+/// Refuses an exec slot index a restored body names past the `len` slots
+/// it restores.
+fn slot_within(idx: u32, len: usize) -> Result<(), SnapError> {
+    if (idx as usize) < len {
+        Ok(())
+    } else {
+        Err(SnapError::BadTag {
+            what: "Engine exec slot",
+            tag: u64::from(idx),
+        })
+    }
+}
+
+/// The refusal of a resource id a restored body names past the engine's
+/// registered resources.
+fn past_resource(resource: ResourceId) -> SnapError {
+    SnapError::BadTag {
+        what: "Engine resource",
+        tag: u64::from(resource.0),
     }
 }
 
@@ -1099,7 +1218,6 @@ snap_struct! {
     Completion { token, submitted, finished, outcome }
     ExecRef { idx, generation }
     PlanHandle { 0 }
-    Resource { name, capacity, busy, waiting, busy_ns, waited_ns, served, down, slowdown }
 }
 snap_enum!(Outcome { 0 => Ok, 1 => Failed, 2 => TimedOut, 3 => Cancelled });
 snap_enum!(FailMode { 0 => Reject { latency }, 1 => Stall });
@@ -1871,7 +1989,10 @@ mod tests {
         before.put(&engine.now);
         before.put_u64(engine.seq);
         before.put(&engine.queue.sorted_entries());
-        before.put(&engine.resources);
+        before.put_u64(engine.resources.len() as u64);
+        for resource in &engine.resources {
+            resource.snap_run_state(&mut before);
+        }
         let at = before.len();
         assert_eq!(body[at..at + 8], (engine.execs.len() as u64).to_le_bytes());
         body[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());

@@ -49,7 +49,6 @@ impl std::error::Error for OutOfMemory {}
 #[derive(Clone, Debug)]
 pub struct HashStore {
     table: RecordTable,
-    mem_bytes: u64,
     max_memory: Option<u64>,
 }
 
@@ -58,7 +57,6 @@ impl HashStore {
     pub fn new(max_memory: Option<u64>) -> HashStore {
         HashStore {
             table: RecordTable::new(),
-            mem_bytes: 0,
             max_memory,
         }
     }
@@ -75,7 +73,7 @@ impl HashStore {
         key: MetricKey,
         value: FieldValues,
     ) -> Result<CostReceipt, OutOfMemory> {
-        let needed = self.mem_bytes + Self::bytes_per_record();
+        let needed = self.mem_bytes() + Self::bytes_per_record();
         if let Some(budget) = self.max_memory.filter(|&budget| needed > budget) {
             if !self.table.contains(&key) {
                 return Err(OutOfMemory { needed, budget });
@@ -86,7 +84,6 @@ impl HashStore {
         if self.table.insert(key, value) {
             // Hash insert + skiplist/sorted-set insert.
             receipt.probe(2);
-            self.mem_bytes = needed;
         } else {
             receipt.probe(1);
         }
@@ -131,13 +128,6 @@ impl HashStore {
         (rows, Self::scan_receipt(rows))
     }
 
-    /// Whether the memory accounting agrees with the records. `insert`
-    /// keeps this true; a decoded snapshot is the only other way state
-    /// gets in.
-    pub fn is_consistent(&self) -> bool {
-        self.mem_bytes == self.table.len() as u64 * Self::bytes_per_record()
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -148,15 +138,16 @@ impl HashStore {
         self.table.is_empty()
     }
 
-    /// Bytes of memory in use.
+    /// Bytes of memory in use: every record costs
+    /// [`HashStore::bytes_per_record`].
     pub fn mem_bytes(&self) -> u64 {
-        self.mem_bytes
+        self.table.len() as u64 * Self::bytes_per_record()
     }
 
     /// Fraction of the budget used (0 when unlimited).
     pub fn mem_fraction(&self) -> f64 {
         match self.max_memory {
-            Some(budget) if budget > 0 => self.mem_bytes as f64 / budget as f64,
+            Some(budget) if budget > 0 => self.mem_bytes() as f64 / budget as f64,
             _ => 0.0,
         }
     }
@@ -167,31 +158,19 @@ impl HashStore {
         // `max_memory` is construction-time config, not part of the stream.
         let HashStore {
             table,
-            mem_bytes,
             max_memory: _,
         } = self;
         w.put(table);
-        w.put_u64(*mem_bytes);
     }
 
     /// Restores the state written by [`HashStore::snap_state`] into a
-    /// store built with the same memory budget. Memory accounting that
-    /// disagrees with the records is refused: a restored store must be
-    /// one [`HashStore::is_consistent`] accepts.
+    /// store built with the same memory budget.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let HashStore {
             table,
-            mem_bytes,
             max_memory: _,
         } = self;
         *table = r.get()?;
-        *mem_bytes = r.u64()?;
-        if Some(*mem_bytes) != (table.len() as u64).checked_mul(Self::bytes_per_record()) {
-            return Err(SnapError::BadTag {
-                what: "HashStore memory accounting",
-                tag: *mem_bytes,
-            });
-        }
         Ok(())
     }
 }
@@ -265,16 +244,16 @@ mod tests {
             r.touch(RAW_RECORD_SIZE as u64).probe(probes);
             r
         };
-        let state = |s: &HashStore| (s.len(), s.mem_bytes(), s.is_consistent());
+        let state = |s: &HashStore| (s.len(), s.mem_bytes());
         // A new key: hash insert + sorted-set insert.
         assert_eq!(store.insert(a.key, a.fields), Ok(receipt(2)));
-        assert_eq!(state(&store), (1, per, true));
+        assert_eq!(state(&store), (1, per));
         // An overwrite: one probe, nothing grows, the value is replaced.
         assert_eq!(store.insert(a.key, b.fields), Ok(receipt(1)));
-        assert_eq!(state(&store), (1, per, true));
+        assert_eq!(state(&store), (1, per));
         assert_eq!(store.get(&a.key).0, Some(b.fields));
         assert_eq!(store.insert(b.key, b.fields), Ok(receipt(2)));
-        assert_eq!(state(&store), (2, per * 2, true));
+        assert_eq!(state(&store), (2, per * 2));
         // Over budget: refused with nothing written — and a refused key
         // stays absent however often it is tried.
         let refused = Err(OutOfMemory {
@@ -283,13 +262,13 @@ mod tests {
         });
         for _ in 0..2 {
             assert_eq!(store.insert(c.key, c.fields), refused);
-            assert_eq!(state(&store), (2, per * 2, true));
+            assert_eq!(state(&store), (2, per * 2));
             assert_eq!(store.get(&c.key).0, None);
             assert_eq!(store.scan_count(&MetricKey::MIN, 10).0, 2);
         }
         // A full store still takes overwrites.
         assert_eq!(store.insert(b.key, a.fields), Ok(receipt(1)));
-        assert_eq!(state(&store), (2, per * 2, true));
+        assert_eq!(state(&store), (2, per * 2));
     }
 
     #[test]
@@ -329,35 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn tampered_snapshot_accounting_is_refused() {
-        let mut store = HashStore::new(None);
-        for seq in 0..200 {
-            let r = record_for_seq(seq);
-            store.insert(r.key, r.fields).unwrap();
-        }
-        assert!(store.is_consistent());
-        // A snapshot whose memory accounting disagrees with its records
-        // is refused.
-        let mut w = SnapWriter::new();
-        store.snap_state(&mut w);
-        let mut bytes = w.into_bytes();
-        let tail = bytes.len() - 8;
-        bytes[tail] ^= 1;
-        let mut restored = HashStore::new(None);
-        let refused = restored.restore_state(&mut SnapReader::new(&bytes));
-        assert!(
-            matches!(
-                refused,
-                Err(SnapError::BadTag {
-                    what: "HashStore memory accounting",
-                    ..
-                })
-            ),
-            "{refused:?}"
-        );
-    }
-
-    #[test]
     fn inflated_record_count_is_refused_before_allocating() {
         let mut store = HashStore::new(None);
         for seq in 0..200 {
@@ -384,9 +334,9 @@ mod tests {
 
     #[test]
     fn rows_out_of_key_order_are_refused() {
-        // Sealed-valid bodies whose accounting matches their row count: a
-        // duplicate (as an id twice, and as an id and a literal row of
-        // the same key) and a descending pair (ids, literal keys).
+        // Sealed-valid bodies: a duplicate (as an id twice, and as an id
+        // and a literal row of the same key) and a descending pair (ids,
+        // literal keys).
         let literal = |key, fields| Row::Literal(key, fields);
         let forged = [
             vec![Row::Generated(1), Row::Generated(1)],
@@ -406,7 +356,6 @@ mod tests {
             for row in &rows {
                 snap_row(&mut w, row);
             }
-            w.put_u64(rows.len() as u64 * HashStore::bytes_per_record());
             let body = sealed_valid(w.bytes());
             let refused = HashStore::new(None).restore_state(&mut SnapReader::new(&body));
             assert_eq!(
@@ -445,7 +394,6 @@ mod tests {
         let mut r = SnapReader::new(w.bytes());
         restored.restore_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert!(restored.is_consistent());
         for (key, fields) in foreign {
             assert_eq!(restored.get(&key).0, Some(fields));
         }

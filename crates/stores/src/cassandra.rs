@@ -220,14 +220,8 @@ impl CassandraStore {
     /// Returns (victim node, bytes streamed).
     pub fn add_node(&mut self, engine: &mut Engine) -> (usize, u64) {
         use apm_core::record::MetricKey;
-        let victim = self.ring.extend();
         let new_idx = self.nodes.len();
-        let res = self.ctx.cluster.instantiate_node(engine, new_idx);
-        self.ctx.servers.push(res);
-        let node = self.fresh_node(new_idx);
-        self.nodes.push(node);
-        self.down.push(false);
-        self.hints.push(Vec::new());
+        let victim = self.grow(engine);
         // Stream: every victim record the extended ring now routes to the
         // newcomer. Real data moves between real LSM trees.
         let total = self.nodes[victim].lsm.record_count() as usize;
@@ -256,6 +250,23 @@ impl CassandraStore {
             .disk_seq(new_idx, bytes);
         engine.submit(stream.finish(), background_token(id));
         (victim, bytes)
+    }
+
+    /// The topology half of a bootstrap: registers the next node's
+    /// resources, gives it a token in the ring and adds it empty, up and
+    /// with no hints. Returns the node whose range the newcomer split.
+    /// [`CassandraStore::add_node`] and a restore that finds the cluster
+    /// grew both call it, so a restored node is built as it first was.
+    fn grow(&mut self, engine: &mut Engine) -> usize {
+        let idx = self.nodes.len();
+        let res = self.ctx.cluster.instantiate_node(engine, idx);
+        self.ctx.servers.push(res);
+        let victim = self.ring.extend();
+        let node = self.fresh_node(idx);
+        self.nodes.push(node);
+        self.down.push(false);
+        self.hints.push(Vec::new());
+        victim
     }
 
     /// Current node count (grows when bootstraps happen).
@@ -583,11 +594,12 @@ impl DistributedStore for CassandraStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config is not part of the stream; of `ctx`,
-        // `servers` is, and so is the ring: a bootstrap grows both.
+        // Construction-time config is not part of the stream, and nor is
+        // topology: the node count alone says how many bootstraps to
+        // replay on restore.
         let CassandraStore {
-            ctx,
-            ring,
+            ctx: _,
+            ring: _,
             format: _,
             replication: _,
             compression: _,
@@ -603,8 +615,6 @@ impl DistributedStore for CassandraStore {
             streamed_bytes,
             next_job,
         } = self;
-        w.put(&ctx.servers);
-        w.put(ring);
         w.put_u64(nodes.len() as u64);
         for Node { lsm, log, cache } in nodes {
             lsm.snap_state(w);
@@ -619,23 +629,32 @@ impl DistributedStore for CassandraStore {
         w.put_u64(*next_job);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        let servers = r.get()?;
-        let grown_ring = r.get()?;
-        // Bootstrap may have grown the cluster since the snapshot's run
-        // started; rebuild node shells before filling them — as many as
-        // the stream has bytes for at most (a node's three sections are
-        // far more than one).
+    fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError> {
+        // A node past the constructed cluster joined by bootstrap; `grow`
+        // rebuilds it — resources, token, shell — before its sections are
+        // read, and before the kernel section reads a state for each
+        // resource. A node is grown only once the stream has had bytes
+        // for the nodes before it, so an inflated count costs a short
+        // read, not a cluster.
         let n = r.count(1)?;
-        while self.nodes.len() < n {
-            let idx = self.nodes.len();
-            let shell = self.fresh_node(idx);
-            self.nodes.push(shell);
+        if n < self.nodes.len() {
+            return Err(SnapError::BadTag {
+                what: "Cassandra node count",
+                tag: n as u64,
+            });
         }
-        self.nodes.truncate(n);
+        for idx in 0..n {
+            if idx == self.nodes.len() {
+                self.grow(engine);
+            }
+            let Node { lsm, log, cache } = &mut self.nodes[idx];
+            lsm.restore_state(r)?;
+            log.restore_state(r)?;
+            cache.restore_state(r)?;
+        }
         let CassandraStore {
-            ctx,
-            ring,
+            ctx: _,
+            ring: _,
             format: _,
             replication: _,
             compression: _,
@@ -651,18 +670,11 @@ impl DistributedStore for CassandraStore {
             streamed_bytes,
             next_job,
         } = self;
-        (ctx.servers, *ring) = (servers, grown_ring);
-        for Node { lsm, log, cache } in nodes.iter_mut() {
-            lsm.restore_state(r)?;
-            log.restore_state(r)?;
-            cache.restore_state(r)?;
-        }
         *down = r.get()?;
         *hints = r.get()?;
         // Every later index by node number — the coordinator's `down`, the
-        // write path's `hints`, the plans' server handles, a route — must
-        // hold for what a body can say.
-        if ctx.servers.len() != n || down.len() != n || hints.len() != n || !ring.spans(n) {
+        // write path's `hints` — must hold for what a body can say.
+        if down.len() != n || hints.len() != n {
             return Err(SnapError::BadTag {
                 what: "Cassandra node count",
                 tag: n as u64,
@@ -732,13 +744,10 @@ mod tests {
         let mut s = store(&mut engine, 3);
         let mut w = SnapWriter::new();
         s.snap_state(&mut w);
-        // The count follows the server handles and the ring.
-        let mut before = SnapWriter::new();
-        before.put(&s.ctx.servers);
-        before.put(&s.ring);
+        // The count opens the section.
         let mut body = w.into_bytes();
-        let left = body.len() - before.len() - 8;
-        body[before.len()..][..8].copy_from_slice(&(left as u64 + 1).to_le_bytes());
+        let left = body.len() - 8;
+        body[..8].copy_from_slice(&(left as u64 + 1).to_le_bytes());
         let refused = s.restore_state(&mut SnapReader::new(&body), &mut engine);
         let eof = SnapError::UnexpectedEof {
             wanted: left + 1,
@@ -1155,12 +1164,6 @@ mod tests {
         assert_eq!(
             resumed(&|s| {
                 s.hints.pop();
-            }),
-            count
-        );
-        assert_eq!(
-            resumed(&|s| {
-                s.ring.extend();
             }),
             count
         );

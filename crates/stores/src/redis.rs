@@ -155,14 +155,6 @@ impl RedisStore {
             })
     }
 
-    /// Memory fill fraction of the hottest instance (diagnostics).
-    pub fn hottest_fill(&self) -> f64 {
-        self.instances
-            .iter()
-            .map(|i| i.store.mem_fraction())
-            .fold(0.0, f64::max)
-    }
-
     /// Load-phase inserts refused because an instance was full.
     pub fn load_rejections(&self) -> u64 {
         self.load_rejections
@@ -435,10 +427,11 @@ mod tests {
             for seq in 0..per_node * u64::from(nodes) {
                 s.load(&record_for_seq(seq));
             }
+            let hottest_fill = s.instances.iter().map(|i| i.store.mem_fraction());
             (
                 s.swapping_instances(),
                 s.load_rejections(),
-                s.hottest_fill(),
+                hottest_fill.fold(0.0, f64::max),
             )
         };
         let (swap2, rej2, fill2) = swap_state(2);
@@ -587,31 +580,5 @@ mod tests {
             "§6: thread budget barely grows"
         );
         assert_eq!(s12.disk_bytes_per_node(), None);
-    }
-
-    /// A shard whose memory accounting disagrees with its records —
-    /// which count-only scans would answer from silently — is refused on
-    /// resume in every build.
-    #[test]
-    fn forged_hash_store_accounting_is_refused_on_resume() {
-        let refused = crate::runner::tests::resume_forged(
-            |engine| make(engine, 4, 0.01),
-            |_| {},
-            |body, store_len| {
-                // The store section ends with the last shard's `mem_bytes`
-                // and then `load_rejections`.
-                body[store_len - 16] ^= 1;
-            },
-        );
-        assert!(
-            matches!(
-                refused,
-                Err(SnapError::BadTag {
-                    what: "HashStore memory accounting",
-                    ..
-                })
-            ),
-            "{refused:?}"
-        );
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::hashes::{md5_u128, murmur2_64a};
 use apm_core::record::MetricKey;
-use apm_core::snap_struct;
 use std::collections::BTreeMap;
 
 /// Reports how evenly a router spreads a key sample over `n` nodes.
@@ -126,13 +125,6 @@ impl TokenRing {
         self.nodes
     }
 
-    /// Whether the ring is one of exactly `nodes` nodes that routes every
-    /// key to one of them: what a restored ring must be before a route
-    /// indexes a node's state.
-    pub fn spans(&self, nodes: usize) -> bool {
-        self.nodes == nodes && !self.tokens.is_empty() && self.tokens.iter().all(|t| t.1 < nodes)
-    }
-
     /// Bootstraps a new node into the ring the way Cassandra operators
     /// did it in 1.0: the newcomer takes a token in the middle of the
     /// *largest* existing range, claiming half of one node's data.
@@ -166,8 +158,6 @@ impl TokenRing {
         victim
     }
 }
-
-snap_struct! { TokenRing { tokens, nodes } }
 
 /// A consistent-hash ring of virtual nodes: every shard sits at `vnodes`
 /// hashed positions, and a hash belongs to the shard of the first

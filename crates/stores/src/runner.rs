@@ -480,7 +480,7 @@ pub fn resume_benchmark_masked(
     let mut r = SnapReader::new(body);
     store.restore_state(&mut r, engine)?;
     engine.restore_state(&mut r)?;
-    let mut d = Driver::restore_state(config, store, &mut r)?;
+    let mut d = Driver::restore_state(config, store, engine, &mut r)?;
     r.finish()?;
     let checkpoints = drive(engine, store, config, &mut d, mask);
     Ok(finalize(engine, store, d, checkpoints))
@@ -663,6 +663,7 @@ impl Driver {
     fn restore_state(
         config: &RunConfig,
         store: &dyn DistributedStore,
+        engine: &Engine,
         r: &mut SnapReader,
     ) -> Result<Driver, SnapError> {
         let mut generator =
@@ -675,6 +676,17 @@ impl Driver {
             return Err(SnapError::BadTag {
                 what: "client slot count",
                 tag: slots.len() as u64,
+            });
+        }
+        // A slot's handles go to `Engine::cancel`, which indexes by them.
+        let stray = slots.iter().position(|s| {
+            let handles = [s.primary, s.hedge, s.trigger];
+            handles.into_iter().flatten().any(|h| !engine.has_slot(h))
+        });
+        if let Some(client) = stray {
+            return Err(SnapError::BadTag {
+                what: "client slot plan handle",
+                tag: client as u64,
             });
         }
         let stats = r.get()?;
@@ -1392,18 +1404,293 @@ pub(crate) mod tests {
     ) -> impl FnOnce(&mut Vec<u8>, usize) + 'a {
         move |body, store_len| {
             let mut r = SnapReader::new(&body[store_len..]);
-            Engine::new()
+            let mut engine = Engine::new();
+            let store = FixtureStore::new(&mut engine, 100);
+            engine
                 .restore_state(&mut r)
                 .expect("kernel section restores");
             let driver_at = body.len() - r.remaining();
-            let store = FixtureStore::new(&mut Engine::new(), 100);
-            let mut d = Driver::restore_state(config, &store, &mut r).expect("driver restores");
+            let mut d =
+                Driver::restore_state(config, &store, &engine, &mut r).expect("driver restores");
             forge(&mut d);
             let mut w = SnapWriter::new();
             d.snap_state(&mut w);
             body.truncate(driver_at);
             body.extend_from_slice(w.bytes());
         }
+    }
+
+    /// Body offsets of the exec-slot and resource indices in a kernel
+    /// section, found by walking the layout `Engine::snap_state` writes:
+    /// what the forged-kernel tests overwrite.
+    #[derive(Debug, Default)]
+    struct KernelIndices {
+        /// Each queued event's exec slot, and each `AcquireDone`'s resource.
+        event_slots: Vec<usize>,
+        done_resources: Vec<usize>,
+        /// Each waiting-queue entry's exec slot.
+        waiting_slots: Vec<usize>,
+        /// The resource of each `Acquire` step in a live exec's plan, and
+        /// each live exec's parent slot.
+        plan_resources: Vec<usize>,
+        parent_slots: Vec<usize>,
+        /// The length prefixes of the free-slot list and the ready queue.
+        free_list: usize,
+        ready: usize,
+    }
+
+    /// A cursor over a body for [`kernel_indices`].
+    struct Walk<'a> {
+        body: &'a [u8],
+        pos: usize,
+    }
+
+    impl Walk<'_> {
+        /// Steps over `n` bytes and returns where they start.
+        fn skip(&mut self, n: usize) -> usize {
+            self.pos += n;
+            self.pos - n
+        }
+
+        fn u8(&mut self) -> u8 {
+            self.body[self.skip(1)]
+        }
+
+        fn u64(&mut self) -> u64 {
+            let at = self.skip(8);
+            u64::from_le_bytes(self.body[at..at + 8].try_into().expect("8 bytes"))
+        }
+
+        /// Steps over a plan, noting where each `Acquire` names its resource.
+        fn plan(&mut self, resources: &mut Vec<usize>) {
+            for _ in 0..self.u64() {
+                match self.u8() {
+                    0 => {
+                        resources.push(self.skip(4));
+                        self.skip(8);
+                    }
+                    1 | 4 => _ = self.skip(8),
+                    2 => _ = self.skip(16),
+                    _ => {
+                        for _ in 0..self.u64() {
+                            self.plan(resources);
+                        }
+                        self.skip(8);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`KernelIndices`] of the kernel section at `at` in `body`.
+    fn kernel_indices(body: &[u8], at: usize) -> KernelIndices {
+        let mut w = Walk { body, pos: at + 16 };
+        let mut k = KernelIndices::default();
+        for _ in 0..w.u64() {
+            w.skip(16);
+            let done = w.u8() == 1;
+            k.event_slots.push(w.skip(8));
+            if done {
+                k.done_resources.push(w.skip(4));
+            }
+        }
+        for _ in 0..w.u64() {
+            w.skip(4);
+            for _ in 0..w.u64() {
+                k.waiting_slots.push(w.skip(24));
+            }
+            w.skip(16 + 16 + 8);
+            if w.u8() == 1 && w.u8() == 0 {
+                w.skip(8);
+            }
+            w.skip(4);
+        }
+        for _ in 0..w.u64() {
+            let mut resources = Vec::new();
+            w.plan(&mut resources);
+            w.skip(4 + 8 + 8);
+            let parent = (w.u8() == 1).then(|| w.skip(8));
+            w.skip(4 + 4 + 1 + 4);
+            if w.u8() == 1 {
+                k.plan_resources.extend(resources);
+                k.parent_slots.extend(parent);
+            }
+        }
+        k.free_list = w.pos;
+        let free = w.u64() as usize;
+        w.skip(4 * free);
+        k.ready = w.pos;
+        k
+    }
+
+    /// Resumes checkpoint 0 of a three-way replicated Cassandra run — one
+    /// whose kernel section holds queued events and work, join children and
+    /// free slots — with that section changed by `edit`, which gets the
+    /// section's [`KernelIndices`].
+    fn resume_forged_kernel(
+        edit: impl FnOnce(&mut Vec<u8>, &KernelIndices),
+    ) -> Result<RunResult, SnapError> {
+        let make = |engine: &mut Engine| {
+            let ctx = StoreCtx::new(engine, ClusterSpec::cluster_m(), 4, 2, 0.0005, 29);
+            let config = crate::cassandra::CassandraConfig {
+                replication: 3,
+                ..Default::default()
+            };
+            crate::cassandra::CassandraStore::new(ctx, config)
+        };
+        resume_forged(
+            make,
+            |_| {},
+            |body, store_len| {
+                let k = kernel_indices(body, store_len);
+                edit(body, &k);
+            },
+        )
+    }
+
+    /// An exec slot or resource index past any table a run builds.
+    const FAR: u32 = 1 << 30;
+
+    /// Writes `value` over the `u32` at `at`.
+    fn put_u32_at(body: &mut [u8], at: usize, value: u32) {
+        body[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// The `u64` length prefix at `at`.
+    fn kernel_list_len(body: &[u8], at: usize) -> usize {
+        u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes")) as usize
+    }
+
+    /// Adds one to the `u64` length prefix at `at` and inserts `entry` at
+    /// `end`, where its list ends.
+    fn push_entry(body: &mut Vec<u8>, at: usize, end: usize, entry: &[u8]) {
+        let len = kernel_list_len(body, at) as u64;
+        body[at..at + 8].copy_from_slice(&(len + 1).to_le_bytes());
+        body.splice(end..end, entry.iter().copied());
+    }
+
+    fn assert_refused(resumed: Result<RunResult, SnapError>, what: &str, tag: u64) {
+        match resumed {
+            Err(SnapError::BadTag { what: got, tag: t }) if (got, t) == (what, tag) => {}
+            Err(other) => panic!("expected BadTag {{ {what}, {tag} }}, got {other:?}"),
+            Ok(_) => panic!("expected BadTag {{ {what}, {tag} }}, resumed"),
+        }
+    }
+
+    /// The run [`resume_forged_kernel`] forges holds every index its tests
+    /// overwrite, and resumes as it was captured.
+    #[test]
+    fn the_kernel_section_to_forge_holds_every_kind_of_index() {
+        let mut found = [0; 5];
+        let resumed = resume_forged_kernel(|_, k| {
+            found = [
+                k.event_slots.len(),
+                k.done_resources.len(),
+                k.waiting_slots.len(),
+                k.plan_resources.len(),
+                k.parent_slots.len(),
+            ];
+        });
+        assert!(resumed.is_ok(), "{:?}", resumed.err());
+        assert!(found.iter().all(|&n| n > 0), "{found:?}");
+    }
+
+    #[test]
+    fn a_forged_event_exec_slot_is_refused_on_resume() {
+        let resumed = resume_forged_kernel(|body, k| put_u32_at(body, k.event_slots[0], FAR));
+        assert_refused(resumed, "Engine exec slot", FAR.into());
+    }
+
+    #[test]
+    fn a_forged_acquire_done_resource_is_refused_on_resume() {
+        let resumed = resume_forged_kernel(|body, k| put_u32_at(body, k.done_resources[0], FAR));
+        assert_refused(resumed, "Engine resource", FAR.into());
+    }
+
+    #[test]
+    fn a_forged_waiting_exec_slot_is_refused_on_resume() {
+        let resumed = resume_forged_kernel(|body, k| put_u32_at(body, k.waiting_slots[0], FAR));
+        assert_refused(resumed, "Engine exec slot", FAR.into());
+    }
+
+    #[test]
+    fn a_forged_ready_exec_slot_is_refused_on_resume() {
+        let far = [FAR.to_le_bytes(), 0u32.to_le_bytes()].concat();
+        let resumed = resume_forged_kernel(|body, k| {
+            let end = k.ready + 8 + 8 * kernel_list_len(body, k.ready);
+            push_entry(body, k.ready, end, &far);
+        });
+        assert_refused(resumed, "Engine exec slot", FAR.into());
+    }
+
+    #[test]
+    fn a_forged_parent_exec_slot_is_refused_on_resume() {
+        let resumed = resume_forged_kernel(|body, k| {
+            for &at in &k.parent_slots {
+                put_u32_at(body, at, FAR);
+            }
+        });
+        assert_refused(resumed, "Engine exec slot", FAR.into());
+    }
+
+    #[test]
+    fn a_forged_free_exec_slot_is_refused_on_resume() {
+        let resumed = resume_forged_kernel(|body, k| {
+            push_entry(body, k.free_list, k.ready, &FAR.to_le_bytes())
+        });
+        assert_refused(resumed, "Engine exec slot", FAR.into());
+    }
+
+    #[test]
+    fn a_forged_plan_resource_is_refused_on_resume() {
+        let resumed = resume_forged_kernel(|body, k| {
+            for &at in &k.plan_resources {
+                put_u32_at(body, at, FAR);
+            }
+        });
+        assert_refused(resumed, "Engine resource", FAR.into());
+    }
+
+    /// A client slot's plan handle past the exec table is refused on
+    /// resume, not left for the `Engine::cancel` of the slot's next
+    /// completion to index by.
+    #[test]
+    fn a_forged_client_plan_handle_is_refused_on_resume() {
+        let config = forged_run_config();
+        let far = [FAR.to_le_bytes(), 0u32.to_le_bytes()].concat();
+        let far: PlanHandle = SnapReader::new(&far).get().expect("a handle's bytes");
+        let resumed = resume_forged_under(
+            &config,
+            |engine| FixtureStore::new(engine, 1_000),
+            |_| {},
+            forge_driver(&config, |d| {
+                for slot in &mut d.slots {
+                    slot.trigger = Some(far);
+                }
+            }),
+        );
+        assert_refused(resumed, "client slot plan handle", 0);
+    }
+
+    /// A checkpoint resumes only into an engine that registered the
+    /// resources its run had: one more is a typed refusal, not a misread.
+    #[test]
+    fn a_checkpoint_is_refused_by_an_engine_of_another_resource_count() {
+        let config = forged_run_config();
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        let run = run_benchmark(&mut engine, &mut store, &config);
+        let count = engine.resource_count() as u64;
+        let resume = |spare: bool| {
+            let mut engine = Engine::new();
+            if spare {
+                engine.add_resource("spare", 1);
+            }
+            let mut store = FixtureStore::new(&mut engine, 100);
+            resume_benchmark(&mut engine, &mut store, &config, &run.checkpoints[0].bytes)
+        };
+        assert!(resume(false).is_ok());
+        assert_refused(resume(true), "Engine resource count", count);
     }
 
     /// A telemetry boundary index read from a checkpoint may be any `u64`;
@@ -1763,7 +2050,7 @@ pub(crate) mod tests {
         let mut r = SnapReader::new(body);
         store.restore_state(&mut r, &mut engine)?;
         engine.restore_state(&mut r)?;
-        Driver::restore_state(&cfg, &store, &mut r).map(|d| d.slots.len())
+        Driver::restore_state(&cfg, &store, &engine, &mut r).map(|d| d.slots.len())
     }
 
     #[test]
@@ -2216,6 +2503,7 @@ pub(crate) mod tests {
         // unique.
         let auditor_at = |body: &[u8], store_len: usize| {
             let mut engine = Engine::new();
+            make(&mut engine);
             engine
                 .restore_state(&mut SnapReader::new(&body[store_len..]))
                 .expect("kernel section restores");
@@ -2301,7 +2589,8 @@ pub(crate) mod tests {
             .restore_state(&mut r, &mut engine)
             .expect("store restores");
         engine.restore_state(&mut r).expect("kernel restores");
-        let d = Driver::restore_state(cfg, store.as_ref(), &mut r).expect("driver restores");
+        let d =
+            Driver::restore_state(cfg, store.as_ref(), &engine, &mut r).expect("driver restores");
         r.finish().expect("nothing trails the driver");
         capture_checkpoint(&engine, store.as_ref(), cfg, &d, header.checkpoint_index, 0).bytes
     }
