@@ -109,11 +109,9 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// same for the storage engines — a sorted run holds its records and not
 /// its bloom filter, which restore rebuilds, a memtable its entries and
 /// not their byte count, an LSM tree or buffer pool no statistics, a
-/// store no ledger of jobs nothing reads; version 7 does it for topology
-/// — the kernel section holds each resource's run state and not its name
-/// or capacity, Cassandra's section its node count and not its server
-/// handles or token ring, all of which a restore rebuilds by
-/// registration, and a Redis shard its records and not their memory
+/// store no ledger of jobs nothing reads; version 7 leaves out topology,
+/// which construction rebuilds — resource names and capacities,
+/// Cassandra's server handles and ring — and a Redis shard's memory
 /// total. Older checkpoints are refused rather than misread.
 pub const VERSION: u16 = 7;
 

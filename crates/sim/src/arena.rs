@@ -158,6 +158,18 @@ impl PlanArena {
             && self.recs[id.idx as usize].generation == id.generation
     }
 
+    /// The highest resource id an `Acquire` step in the arena's storage
+    /// names, freed ranges included: exact for the fresh arena a restore
+    /// interns into.
+    pub fn max_resource(&self) -> Option<ResourceId> {
+        let acquired = self.steps.iter().filter_map(|step| match *step {
+            FlatStep::Acquire { resource, .. } => Some(resource),
+            FlatStep::Delay(_) | FlatStep::AlignTo { .. } => None,
+            FlatStep::Join { .. } | FlatStep::Fail { .. } => None,
+        });
+        acquired.max()
+    }
+
     /// Number of top-level steps of `id`'s plan.
     #[inline]
     pub fn step_len(&self, id: PlanId) -> u32 {

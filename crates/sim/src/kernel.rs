@@ -91,8 +91,15 @@ impl Completion {
 /// A FIFO multi-server queueing station.
 #[derive(Debug)]
 struct Resource {
+    /// Registration, fixed for the engine's lifetime.
     name: String,
     capacity: u32,
+    /// What a run changes: all a snapshot holds of the resource.
+    run: ResourceRun,
+}
+
+#[derive(Debug)]
+struct ResourceRun {
     busy: u32,
     /// Waiting queue: exec, its service demand, and when it enqueued.
     waiting: VecDeque<(ExecRef, SimDuration, SimTime)>,
@@ -106,55 +113,6 @@ struct Resource {
     down: Option<FailMode>,
     /// Service-time multiplier (1 = healthy; >1 = fail-slow / degraded).
     slowdown: u32,
-}
-
-impl Resource {
-    /// Writes what a run changes of the resource. Its name and capacity
-    /// are topology, fixed by whoever registered it, and not written.
-    fn snap_run_state(&self, w: &mut SnapWriter) {
-        let Resource {
-            name: _,
-            capacity: _,
-            busy,
-            waiting,
-            busy_ns,
-            waited_ns,
-            served,
-            down,
-            slowdown,
-        } = self;
-        w.put_u32(*busy);
-        w.put(waiting);
-        w.put_u128(*busy_ns);
-        w.put_u128(*waited_ns);
-        w.put_u64(*served);
-        w.put(down);
-        w.put_u32(*slowdown);
-    }
-
-    /// Reads what [`Resource::snap_run_state`] wrote into a resource
-    /// registered as the written one was.
-    fn restore_run_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let Resource {
-            name: _,
-            capacity: _,
-            busy,
-            waiting,
-            busy_ns,
-            waited_ns,
-            served,
-            down,
-            slowdown,
-        } = self;
-        *busy = r.u32()?;
-        *waiting = r.get()?;
-        *busy_ns = r.u128()?;
-        *waited_ns = r.u128()?;
-        *served = r.u64()?;
-        *down = r.get()?;
-        *slowdown = r.u32()?;
-        Ok(())
-    }
 }
 
 /// Reference to an execution slot, protected by a generation counter so
@@ -410,13 +368,15 @@ impl Engine {
         self.resources.push(Resource {
             name: name.into(),
             capacity,
-            busy: 0,
-            waiting: VecDeque::new(),
-            busy_ns: 0,
-            waited_ns: 0,
-            served: 0,
-            down: None,
-            slowdown: 1,
+            run: ResourceRun {
+                busy: 0,
+                waiting: VecDeque::new(),
+                busy_ns: 0,
+                waited_ns: 0,
+                served: 0,
+                down: None,
+                slowdown: 1,
+            },
         });
         id
     }
@@ -429,9 +389,9 @@ impl Engine {
     pub fn fail_resource(&mut self, resource: ResourceId, mode: FailMode) {
         self.trace(TraceEventKind::ResourceDown, TraceAt::Resource(resource));
         let r = &mut self.resources[resource.0 as usize];
-        r.down = Some(mode);
+        r.run.down = Some(mode);
         if let FailMode::Reject { latency } = mode {
-            let waiting: Vec<(ExecRef, SimDuration, SimTime)> = r.waiting.drain(..).collect();
+            let waiting: Vec<(ExecRef, SimDuration, SimTime)> = r.run.waiting.drain(..).collect();
             for (exec, _service, _enqueued) in waiting {
                 self.abort_exec(exec, Outcome::Failed, latency);
             }
@@ -445,13 +405,13 @@ impl Engine {
             TraceEventKind::ResourceRestored,
             TraceAt::Resource(resource),
         );
-        self.resources[resource.0 as usize].down = None;
+        self.resources[resource.0 as usize].run.down = None;
         self.kick(resource);
     }
 
     /// True while `resource` is failed.
     pub fn resource_is_down(&self, resource: ResourceId) -> bool {
-        self.resources[resource.0 as usize].down.is_some()
+        self.resources[resource.0 as usize].run.down.is_some()
     }
 
     /// Multiplies `resource`'s service times by `factor` (fail-slow /
@@ -463,12 +423,12 @@ impl Engine {
     pub fn set_resource_slowdown(&mut self, resource: ResourceId, factor: u32) {
         assert!(factor > 0, "slowdown factor must be positive");
         self.trace(TraceEventKind::Slowdown, TraceAt::Resource(resource));
-        self.resources[resource.0 as usize].slowdown = factor;
+        self.resources[resource.0 as usize].run.slowdown = factor;
     }
 
     /// Current service-time multiplier of `resource`.
     pub fn resource_slowdown(&self, resource: ResourceId) -> u32 {
-        self.resources[resource.0 as usize].slowdown
+        self.resources[resource.0 as usize].run.slowdown
     }
 
     /// Starts service for `exec` on `resource`. The caller has already
@@ -478,13 +438,13 @@ impl Engine {
         // Fault causality: in-service requests may outlive a crash, but
         // a down node must never *start* serving new work.
         assert!(
-            r.down.is_none(),
+            r.run.down.is_none(),
             "kernel audit: service began on failed resource `{}`",
             r.name
         );
         let scaled =
-            SimDuration::from_nanos(service.as_nanos().saturating_mul(u64::from(r.slowdown)));
-        r.busy_ns += u128::from(scaled.as_nanos());
+            SimDuration::from_nanos(service.as_nanos().saturating_mul(u64::from(r.run.slowdown)));
+        r.run.busy_ns += u128::from(scaled.as_nanos());
         let at = self.now + scaled;
         self.schedule(at, Event::AcquireDone(exec, resource));
         self.trace(TraceEventKind::ServiceStart, TraceAt::Step(exec, resource));
@@ -494,14 +454,14 @@ impl Engine {
     fn kick(&mut self, resource: ResourceId) {
         loop {
             let r = &mut self.resources[resource.0 as usize];
-            if r.busy >= r.capacity || r.down.is_some() {
+            if r.run.busy >= r.capacity || r.run.down.is_some() {
                 return;
             }
-            let Some((next, service, enqueued)) = r.waiting.pop_front() else {
+            let Some((next, service, enqueued)) = r.run.waiting.pop_front() else {
                 return;
             };
-            r.busy += 1;
-            r.waited_ns += u128::from(self.now.since(enqueued).as_nanos());
+            r.run.busy += 1;
+            r.run.waited_ns += u128::from(self.now.since(enqueued).as_nanos());
             self.begin_service(resource, next, service);
         }
     }
@@ -526,13 +486,13 @@ impl Engine {
         if denom == 0 {
             0.0
         } else {
-            r.busy_ns as f64 / denom as f64
+            r.run.busy_ns as f64 / denom as f64
         }
     }
 
     /// Number of requests `resource` has finished serving.
     pub fn served(&self, resource: ResourceId) -> u64 {
-        self.resources[resource.0 as usize].served
+        self.resources[resource.0 as usize].run.served
     }
 
     /// Number of resources registered so far. Resource ids are dense:
@@ -549,14 +509,14 @@ impl Engine {
     /// Accumulated server-busy nanoseconds of `resource` (the numerator
     /// of [`Engine::utilization`]; pure service time, excluding queueing).
     pub fn service_ns(&self, resource: ResourceId) -> u128 {
-        self.resources[resource.0 as usize].busy_ns
+        self.resources[resource.0 as usize].run.busy_ns
     }
 
     /// Accumulated nanoseconds requests spent waiting in `resource`'s
     /// queue before reaching service. Waits that never reach service
     /// (aborted by a crash, still queued) are not attributed.
     pub fn queue_wait_ns(&self, resource: ResourceId) -> u128 {
-        self.resources[resource.0 as usize].waited_ns
+        self.resources[resource.0 as usize].run.waited_ns
     }
 
     /// Name a resource was registered with.
@@ -566,7 +526,7 @@ impl Engine {
 
     /// Current queue length (waiting, not in service) at `resource`.
     pub fn queue_len(&self, resource: ResourceId) -> usize {
-        self.resources[resource.0 as usize].waiting.len()
+        self.resources[resource.0 as usize].run.waiting.len()
     }
 
     /// Submits a plan now.
@@ -676,10 +636,16 @@ impl Engine {
         true
     }
 
-    /// Whether `handle` names an exec slot this engine has. A handle read
-    /// from a checkpoint must, before [`Engine::cancel`] indexes by it.
-    pub fn has_slot(&self, handle: PlanHandle) -> bool {
-        (handle.0.idx as usize) < self.execs.len()
+    /// Refuses a plan handle read from a checkpoint that names an exec
+    /// slot this engine does not have: [`Engine::cancel`] indexes by it.
+    pub fn check_handles(
+        &self,
+        handles: impl IntoIterator<Item = PlanHandle>,
+    ) -> Result<(), SnapError> {
+        let slots = self.execs.len();
+        handles
+            .into_iter()
+            .try_for_each(|h| within("Engine exec slot", h.0.idx, slots))
     }
 
     /// Takes ownership of one arena reference to `plan` (the caller
@@ -788,18 +754,18 @@ impl Engine {
                 }
                 FlatStep::Acquire { resource, service } => {
                     let r = &mut self.resources[resource.0 as usize];
-                    match r.down {
+                    match r.run.down {
                         Some(FailMode::Reject { latency }) => {
                             self.abort_exec(exec, Outcome::Failed, latency);
                         }
-                        None if r.busy < r.capacity => {
-                            r.busy += 1;
+                        None if r.run.busy < r.capacity => {
+                            r.run.busy += 1;
                             self.begin_service(resource, exec, service);
                         }
                         // A stalled resource queues like a busy one (its
                         // restore kicks the queue).
                         Some(FailMode::Stall) | None => {
-                            r.waiting.push_back((exec, service, self.now));
+                            r.run.waiting.push_back((exec, service, self.now));
                             self.trace(TraceEventKind::Enqueue, TraceAt::Step(exec, resource));
                         }
                     }
@@ -923,18 +889,18 @@ impl Engine {
             Event::AcquireDone(exec, resource) => {
                 self.trace(TraceEventKind::ServiceEnd, TraceAt::Step(exec, resource));
                 let r = &mut self.resources[resource.0 as usize];
-                r.served += 1;
+                r.run.served += 1;
                 // Hand the slot straight to the next waiter — unless the
                 // resource is down (a stalled queue drains on restore).
-                if r.down.is_none() {
-                    if let Some((next, service, enqueued)) = r.waiting.pop_front() {
-                        r.waited_ns += u128::from(self.now.since(enqueued).as_nanos());
+                if r.run.down.is_none() {
+                    if let Some((next, service, enqueued)) = r.run.waiting.pop_front() {
+                        r.run.waited_ns += u128::from(self.now.since(enqueued).as_nanos());
                         self.begin_service(resource, next, service);
                     } else {
-                        r.busy -= 1;
+                        r.run.busy -= 1;
                     }
                 } else {
-                    r.busy -= 1;
+                    r.run.busy -= 1;
                 }
                 if self.is_current(exec) {
                     self.advance(exec);
@@ -1016,9 +982,8 @@ impl Engine {
     /// Serializes the engine's entire mutable state — clock, sequence
     /// counter, future-event list, resource queues and counters, exec
     /// slots (including dead slots, so generation-protected handles stay
-    /// valid), and the pending ready/completion queues. Resource names
-    /// and capacities are topology, not state: [`Engine::restore_state`]
-    /// takes them from the engine it restores into.
+    /// valid), and the pending ready/completion queues — of a resource
+    /// its run state, not its name or capacity, which registration fixes.
     ///
     /// The future-event list is written in sorted `(time, seq)` order
     /// with events inline, and exec plans are written *materialized*
@@ -1046,7 +1011,7 @@ impl Engine {
         w.put(&queue.sorted_entries());
         w.put_u64(resources.len() as u64);
         for resource in resources {
-            resource.snap_run_state(w);
+            w.put(&resource.run);
         }
         w.put_u64(execs.len() as u64);
         for Exec {
@@ -1085,14 +1050,12 @@ impl Engine {
     }
 
     /// Replaces the engine's mutable state with a previously serialized
-    /// one. Topology is construction, not state: the engine must already
-    /// hold the resources the snapshot's run had registered, in the same
-    /// order, and only their run state is read — a snapshot of any other
-    /// resource count is refused. So is one whose events, queues, exec
-    /// slots or plans name an exec slot or resource past the tables it
-    /// restores. Live exec plans are re-interned into a fresh arena. The
-    /// engine's tracer is left as it was: a traced engine traces on from
-    /// the snapshot's point.
+    /// one into an engine that registered the snapshot's resources, in
+    /// order: only their run state is read, and a snapshot of another
+    /// resource count is refused, as is one naming an exec slot or
+    /// resource past the tables it restores. Live exec plans are
+    /// re-interned into a fresh arena. The engine's tracer is left as it
+    /// was: a traced engine traces on from the snapshot's point.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let Engine {
             now,
@@ -1118,7 +1081,7 @@ impl Engine {
             });
         }
         for resource in resources.iter_mut() {
-            resource.restore_run_state(r)?;
+            resource.run = r.get()?;
         }
         *arena = PlanArena::new();
         let exec_count = r.count(EXEC_MIN_SNAP_BYTES)?;
@@ -1136,12 +1099,6 @@ impl Engine {
             let generation = r.u32()?;
             let live: bool = r.get()?;
             owed += u64::from(live && parent.is_none());
-            if let Some(resource) = plan.resource_past(resources.len()) {
-                return Err(past_resource(resource));
-            }
-            if let Some(parent) = parent {
-                slot_within(parent.idx, exec_count)?;
-            }
             let plan = if live {
                 arena.intern(&plan)
             } else {
@@ -1165,24 +1122,26 @@ impl Engine {
         *ready = r.get()?;
         *completions = r.get()?;
         *auditor = r.get()?;
-        // Every exec slot and resource an event, a queue or the free list
-        // names is one the tables just restored have: the kernel indexes
-        // them unchecked from here on.
+        // Every exec slot and resource the restored sections name is in
+        // the restored tables: the kernel indexes both unchecked.
+        let (slots, registered) = (execs.len(), resources.len());
         for &(_, _, event) in &entries {
             let (Event::Resume(exec) | Event::Timeout(exec) | Event::AcquireDone(exec, _)) = event;
-            slot_within(exec.idx, exec_count)?;
-            if let Event::AcquireDone(_, resource) = event {
-                if resource.0 as usize >= resources.len() {
-                    return Err(past_resource(resource));
-                }
+            within("Engine exec slot", exec.idx, slots)?;
+            if let Event::AcquireDone(_, id) = event {
+                within("Engine resource", id.0, registered)?;
             }
+        }
+        if let Some(id) = arena.max_resource() {
+            within("Engine resource", id.0, registered)?;
         }
         let queued = resources
             .iter()
-            .flat_map(|res| res.waiting.iter().map(|w| w.0.idx));
-        let slots = queued.chain(ready.iter().map(|e| e.idx));
-        for idx in slots.chain(free_execs.iter().copied()) {
-            slot_within(idx, exec_count)?;
+            .flat_map(|res| res.run.waiting.iter().map(|w| w.0));
+        let parents = execs.iter().filter_map(|e| e.parent);
+        let refs = queued.chain(parents).chain(ready.iter().copied());
+        for idx in refs.map(|e| e.idx).chain(free_execs.iter().copied()) {
+            within("Engine exec slot", idx, slots)?;
         }
         let pending: Vec<(SimTime, u64)> = entries.iter().map(|&(at, seq, _)| (at, seq)).collect();
         queue.rebuild(*now, entries);
@@ -1190,26 +1149,16 @@ impl Engine {
     }
 }
 
-/// Refuses an exec slot index a restored body names past the `len` slots
-/// it restores.
-fn slot_within(idx: u32, len: usize) -> Result<(), SnapError> {
-    if (idx as usize) < len {
-        Ok(())
-    } else {
-        Err(SnapError::BadTag {
-            what: "Engine exec slot",
-            tag: u64::from(idx),
-        })
+/// Refuses an `index` a restored body names past the `len` entries of
+/// the table it indexes.
+fn within(what: &'static str, index: u32, len: usize) -> Result<(), SnapError> {
+    if (index as usize) < len {
+        return Ok(());
     }
-}
-
-/// The refusal of a resource id a restored body names past the engine's
-/// registered resources.
-fn past_resource(resource: ResourceId) -> SnapError {
-    SnapError::BadTag {
-        what: "Engine resource",
-        tag: u64::from(resource.0),
-    }
+    Err(SnapError::BadTag {
+        what,
+        tag: u64::from(index),
+    })
 }
 
 snap_struct! {
@@ -1218,6 +1167,7 @@ snap_struct! {
     Completion { token, submitted, finished, outcome }
     ExecRef { idx, generation }
     PlanHandle { 0 }
+    ResourceRun { busy, waiting, busy_ns, waited_ns, served, down, slowdown }
 }
 snap_enum!(Outcome { 0 => Ok, 1 => Failed, 2 => TimedOut, 3 => Cancelled });
 snap_enum!(FailMode { 0 => Reject { latency }, 1 => Stall });
@@ -1991,7 +1941,7 @@ mod tests {
         before.put(&engine.queue.sorted_entries());
         before.put_u64(engine.resources.len() as u64);
         for resource in &engine.resources {
-            resource.snap_run_state(&mut before);
+            before.put(&resource.run);
         }
         let at = before.len();
         assert_eq!(body[at..at + 8], (engine.execs.len() as u64).to_le_bytes());

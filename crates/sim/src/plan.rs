@@ -116,17 +116,6 @@ impl Plan {
         }
         total
     }
-
-    /// The first resource a step acquires, nested branches included, whose
-    /// id is not below `count`: what a plan restored into an engine with
-    /// `count` resources must not name.
-    pub(crate) fn resource_past(&self, count: usize) -> Option<ResourceId> {
-        self.0.iter().find_map(|s| match s {
-            Step::Acquire { resource, .. } => (resource.0 as usize >= count).then_some(*resource),
-            Step::Join { branches, .. } => branches.iter().find_map(|b| b.resource_past(count)),
-            Step::Delay(_) | Step::AlignTo { .. } | Step::Fail { .. } => None,
-        })
-    }
 }
 
 snap_enum!(Step {

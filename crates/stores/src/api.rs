@@ -615,24 +615,19 @@ pub trait DistributedStore {
     }
 
     /// Serializes all run-varying store state (data structures, background
-    /// job queues, failure bookkeeping) for a checkpoint. Configuration
-    /// that the constructor re-derives (topology sizes, budgets, cost
-    /// models) is *not* written. The default writes nothing — correct only
-    /// for a store with no state at all.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let _ = w;
-    }
+    /// job queues, failure bookkeeping) for a checkpoint. What the
+    /// constructor builds from the config (topology — nodes, resources,
+    /// routing —, budgets, cost models) is *not* written.
+    fn snap_state(&self, w: &mut SnapWriter);
 
     /// Restores the state written by [`DistributedStore::snap_state`] into
     /// a freshly *constructed* store built from the same config — never
     /// loaded: the stream carries every byte `load` and the run produced,
     /// and whatever the store held before is replaced. Implementations
     /// must leave the store byte-equivalent to the one that was
-    /// snapshotted, including any topology grown mid-run.
-    fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError> {
-        let _ = (r, engine);
-        Ok(())
-    }
+    /// snapshotted, and rebuild any topology grown mid-run — registering
+    /// its resources on `engine` — before the kernel section is restored.
+    fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError>;
 }
 
 #[cfg(test)]

@@ -252,26 +252,17 @@ impl CassandraStore {
         (victim, bytes)
     }
 
-    /// The topology half of a bootstrap: registers the next node's
-    /// resources, gives it a token in the ring and adds it empty, up and
-    /// with no hints. Returns the node whose range the newcomer split.
-    /// [`CassandraStore::add_node`] and a restore that finds the cluster
-    /// grew both call it, so a restored node is built as it first was.
+    /// The topology half of a bootstrap, which a restore replays: registers
+    /// the next node's resources, gives it a token and adds it empty, up
+    /// and hint-free. Returns the node whose range the newcomer split.
     fn grow(&mut self, engine: &mut Engine) -> usize {
         let idx = self.nodes.len();
         let res = self.ctx.cluster.instantiate_node(engine, idx);
         self.ctx.servers.push(res);
-        let victim = self.ring.extend();
-        let node = self.fresh_node(idx);
-        self.nodes.push(node);
+        self.nodes.push(self.fresh_node(idx));
         self.down.push(false);
         self.hints.push(Vec::new());
-        victim
-    }
-
-    /// Current node count (grows when bootstraps happen).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.ring.extend()
     }
 
     /// Bytes on disk at a node, in the store's on-disk format.
@@ -630,19 +621,10 @@ impl DistributedStore for CassandraStore {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError> {
-        // A node past the constructed cluster joined by bootstrap; `grow`
-        // rebuilds it — resources, token, shell — before its sections are
-        // read, and before the kernel section reads a state for each
-        // resource. A node is grown only once the stream has had bytes
-        // for the nodes before it, so an inflated count costs a short
-        // read, not a cluster.
+        // A node past the constructed cluster joined by bootstrap: `grow`
+        // rebuilds it before its sections (and the kernel's) are read, and
+        // only once the stream held the nodes before it.
         let n = r.count(1)?;
-        if n < self.nodes.len() {
-            return Err(SnapError::BadTag {
-                what: "Cassandra node count",
-                tag: n as u64,
-            });
-        }
         for idx in 0..n {
             if idx == self.nodes.len() {
                 self.grow(engine);
@@ -674,7 +656,7 @@ impl DistributedStore for CassandraStore {
         *hints = r.get()?;
         // Every later index by node number — the coordinator's `down`, the
         // write path's `hints` — must hold for what a body can say.
-        if down.len() != n || hints.len() != n {
+        if nodes.len() != n || down.len() != n || hints.len() != n {
             return Err(SnapError::BadTag {
                 what: "Cassandra node count",
                 tag: n as u64,
@@ -884,7 +866,7 @@ mod tests {
         let (victim, bytes) = s.add_node(&mut engine);
         assert!(victim < 4);
         assert!(bytes > 0, "bootstrap must stream data");
-        assert_eq!(s.node_count(), 5);
+        assert_eq!(s.ctx().node_count(), 5);
         // The newcomer owns real data and every record routes correctly.
         assert!(s.nodes[4].lsm.record_count() > 0, "new node got nothing");
         for seq in (0..4_000).step_by(97) {
@@ -920,7 +902,7 @@ mod tests {
         let mut engine = Engine::new();
         let mut s = store(&mut engine, 3);
         let full = run_benchmark(&mut engine, &mut s, &config);
-        assert_eq!(s.node_count(), 4, "the timed event bootstraps a node");
+        assert_eq!(s.ctx().node_count(), 4, "the timed event bootstraps a node");
         let bootstrap = apm_sim::SimTime(500_000_000);
         let after: Vec<usize> = (0..full.checkpoints.len())
             .filter(|&k| full.checkpoints[k].at > bootstrap)
@@ -1161,6 +1143,16 @@ mod tests {
             tag: 4,
         });
         assert_eq!(resumed(&|s| s.down.push(false)), count);
+        let fewer = Err(SnapError::BadTag {
+            what: "Cassandra node count",
+            tag: 3,
+        });
+        assert_eq!(
+            resumed(&|s| {
+                s.nodes.pop();
+            }),
+            fewer
+        );
         assert_eq!(
             resumed(&|s| {
                 s.hints.pop();

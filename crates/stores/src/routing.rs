@@ -57,9 +57,8 @@ pub enum TokenAssignment {
 /// Cassandra's token ring over the `RandomPartitioner` (MD5) key space.
 #[derive(Clone, Debug)]
 pub struct TokenRing {
-    /// Sorted (token, node) pairs.
+    /// Sorted (token, node) pairs, one a node.
     tokens: Vec<(u128, usize)>,
-    nodes: usize,
 }
 
 /// The RandomPartitioner token space is `[0, 2^127)`.
@@ -82,7 +81,7 @@ impl TokenRing {
                 .collect(),
         };
         tokens.sort_unstable();
-        TokenRing { tokens, nodes }
+        TokenRing { tokens }
     }
 
     /// Ring position owning `key`: that of the greatest token
@@ -112,7 +111,7 @@ impl TokenRing {
         (0..len)
             .filter(move |&step| (0..step).all(|earlier| at(earlier) != at(step)))
             .map(at)
-            .take(rf.min(self.nodes))
+            .take(rf.min(len))
     }
 
     /// [`TokenRing::replica_walk`] as a list, for callers that keep it.
@@ -120,17 +119,12 @@ impl TokenRing {
         self.replica_walk(key, rf).collect()
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Bootstraps a new node into the ring the way Cassandra operators
     /// did it in 1.0: the newcomer takes a token in the middle of the
     /// *largest* existing range, claiming half of one node's data.
     /// Returns the index of the node whose range was split.
     pub fn extend(&mut self) -> usize {
-        let new_node = self.nodes;
+        let new_node = self.tokens.len();
         // Find the largest circular gap between consecutive tokens.
         let mut best = (0u128, 0usize);
         for i in 0..self.tokens.len() {
@@ -154,7 +148,6 @@ impl TokenRing {
         let new_token = (self.tokens[i].0 + gap / 2) % TOKEN_SPACE;
         self.tokens.push((new_token, new_node));
         self.tokens.sort_unstable();
-        self.nodes += 1;
         victim
     }
 }
@@ -503,7 +496,7 @@ mod tests {
                 .iter()
                 .position(|&(_, node)| node == ring.route(key))
                 .expect("the owner holds a token");
-            while out.len() < rf.min(ring.nodes) {
+            while out.len() < rf.min(ring.tokens.len()) {
                 let node = ring.tokens[pos].1;
                 if !out.contains(&node) {
                     out.push(node);
@@ -519,7 +512,7 @@ mod tests {
             for nodes in [1, 2, 5] {
                 let mut ring = TokenRing::new(nodes, assignment);
                 for grown in 0..3 {
-                    for rf in [1, 2, 3, ring.nodes() + 2] {
+                    for rf in [1, 2, 3, ring.tokens.len() + 2] {
                         for key in (0..200).map(key_for_seq) {
                             let walked: Vec<usize> = ring.replica_walk(&key, rf).collect();
                             let case = format!("{assignment:?} {nodes}+{grown} rf {rf} {key}");
@@ -540,7 +533,7 @@ mod tests {
         let before = balance_of(4, 40_000, |k| ring.route(k));
         let victim = ring.extend();
         assert!(victim < 4);
-        assert_eq!(ring.nodes(), 5);
+        assert_eq!(ring.tokens.len(), 5);
         let after = balance_of(5, 40_000, |k| ring.route(k));
         // The newcomer and the victim each hold ≈ half the old share.
         let new_share = after.shares[4];

@@ -679,16 +679,8 @@ impl Driver {
             });
         }
         // A slot's handles go to `Engine::cancel`, which indexes by them.
-        let stray = slots.iter().position(|s| {
-            let handles = [s.primary, s.hedge, s.trigger];
-            handles.into_iter().flatten().any(|h| !engine.has_slot(h))
-        });
-        if let Some(client) = stray {
-            return Err(SnapError::BadTag {
-                what: "client slot plan handle",
-                tag: client as u64,
-            });
-        }
+        let handles = slots.iter().flat_map(|s| [s.primary, s.hedge, s.trigger]);
+        engine.check_handles(handles.flatten())?;
         let stats = r.get()?;
         let sampler = r.get()?;
         let issued = r.u64()?;
@@ -1669,7 +1661,7 @@ pub(crate) mod tests {
                 }
             }),
         );
-        assert_refused(resumed, "client slot plan handle", 0);
+        assert_refused(resumed, "Engine exec slot", FAR.into());
     }
 
     /// A checkpoint resumes only into an engine that registered the

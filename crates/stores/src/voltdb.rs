@@ -210,9 +210,8 @@ impl DistributedStore for VoltDbStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config and topology are not part of the
-        // stream; engine handles are stable across restore (the engine
-        // snapshots resources itself).
+        // Construction-time config and topology, engine handles among
+        // them, are not part of the stream.
         let VoltDbStore {
             ctx: _,
             map: _,
