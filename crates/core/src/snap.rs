@@ -110,9 +110,8 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// its bloom filter, which restore rebuilds, a memtable its entries and
 /// not their byte count, an LSM tree or buffer pool no statistics, a
 /// store no ledger of jobs nothing reads; version 7 leaves out topology,
-/// which construction rebuilds — resource names and capacities,
-/// Cassandra's server handles and ring — and a Redis shard's memory
-/// total. Older checkpoints are refused rather than misread.
+/// which construction rebuilds, and a Redis shard's memory total. Older
+/// checkpoints are refused rather than misread.
 pub const VERSION: u16 = 7;
 
 /// Feature-flag bit for the auditor sections. Every engine writes them

@@ -159,13 +159,13 @@ impl PlanArena {
     }
 
     /// The highest resource id an `Acquire` step in the arena's storage
-    /// names, freed ranges included: exact for the fresh arena a restore
-    /// interns into.
+    /// names, freed ranges too: exact for a restore's fresh arena.
     pub fn max_resource(&self) -> Option<ResourceId> {
-        let acquired = self.steps.iter().filter_map(|step| match *step {
-            FlatStep::Acquire { resource, .. } => Some(resource),
-            FlatStep::Delay(_) | FlatStep::AlignTo { .. } => None,
-            FlatStep::Join { .. } | FlatStep::Fail { .. } => None,
+        let acquired = self.steps.iter().filter_map(|step| {
+            let FlatStep::Acquire { resource, .. } = *step else {
+                return None;
+            };
+            Some(resource)
         });
         acquired.max()
     }

@@ -638,14 +638,11 @@ impl Engine {
 
     /// Refuses a plan handle read from a checkpoint that names an exec
     /// slot this engine does not have: [`Engine::cancel`] indexes by it.
-    pub fn check_handles(
-        &self,
-        handles: impl IntoIterator<Item = PlanHandle>,
-    ) -> Result<(), SnapError> {
-        let slots = self.execs.len();
-        handles
-            .into_iter()
-            .try_for_each(|h| within("Engine exec slot", h.0.idx, slots))
+    pub fn check_handles(&self, all: impl Iterator<Item = PlanHandle>) -> Result<(), SnapError> {
+        for handle in all {
+            within("Engine exec slot", handle.0.idx, self.execs.len())?;
+        }
+        Ok(())
     }
 
     /// Takes ownership of one arena reference to `plan` (the caller
@@ -982,8 +979,7 @@ impl Engine {
     /// Serializes the engine's entire mutable state — clock, sequence
     /// counter, future-event list, resource queues and counters, exec
     /// slots (including dead slots, so generation-protected handles stay
-    /// valid), and the pending ready/completion queues — of a resource
-    /// its run state, not its name or capacity, which registration fixes.
+    /// valid), and the pending ready/completion queues.
     ///
     /// The future-event list is written in sorted `(time, seq)` order
     /// with events inline, and exec plans are written *materialized*
@@ -1073,12 +1069,10 @@ impl Engine {
         *now = r.get()?;
         *seq = r.u64()?;
         let entries: Vec<(SimTime, u64, Event)> = r.get()?;
-        let count = r.u64()?;
-        if count != resources.len() as u64 {
-            return Err(SnapError::BadTag {
-                what: "Engine resource count",
-                tag: count,
-            });
+        let tag = r.u64()?;
+        if tag != resources.len() as u64 {
+            let what = "Engine resource count";
+            return Err(SnapError::BadTag { what, tag });
         }
         for resource in resources.iter_mut() {
             resource.run = r.get()?;
@@ -1132,9 +1126,9 @@ impl Engine {
                 within("Engine resource", id.0, registered)?;
             }
         }
-        if let Some(id) = arena.max_resource() {
-            within("Engine resource", id.0, registered)?;
-        }
+        arena
+            .max_resource()
+            .map_or(Ok(()), |id| within("Engine resource", id.0, registered))?;
         let queued = resources
             .iter()
             .flat_map(|res| res.run.waiting.iter().map(|w| w.0));
@@ -1152,13 +1146,9 @@ impl Engine {
 /// Refuses an `index` a restored body names past the `len` entries of
 /// the table it indexes.
 fn within(what: &'static str, index: u32, len: usize) -> Result<(), SnapError> {
-    if (index as usize) < len {
-        return Ok(());
-    }
-    Err(SnapError::BadTag {
-        what,
-        tag: u64::from(index),
-    })
+    let tag = u64::from(index);
+    let refused = SnapError::BadTag { what, tag };
+    ((index as usize) < len).then_some(()).ok_or(refused)
 }
 
 snap_struct! {

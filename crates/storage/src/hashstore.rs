@@ -144,14 +144,6 @@ impl HashStore {
         self.table.len() as u64 * Self::bytes_per_record()
     }
 
-    /// Fraction of the budget used (0 when unlimited).
-    pub fn mem_fraction(&self) -> f64 {
-        match self.max_memory {
-            Some(budget) if budget > 0 => self.mem_bytes() as f64 / budget as f64,
-            _ => 0.0,
-        }
-    }
-
     /// Serializes the contents in sorted key order (the memory budget is
     /// re-supplied at construction).
     pub fn snap_state(&self, w: &mut SnapWriter) {
@@ -400,17 +392,5 @@ mod tests {
         let mut again = SnapWriter::new();
         restored.snap_state(&mut again);
         assert!(again.bytes() == w.bytes());
-    }
-
-    #[test]
-    fn mem_fraction_tracks_budget() {
-        let budget = HashStore::bytes_per_record() * 10;
-        let mut store = HashStore::new(Some(budget));
-        for seq in 0..5 {
-            let r = record_for_seq(seq);
-            store.insert(r.key, r.fields).unwrap();
-        }
-        assert!((store.mem_fraction() - 0.5).abs() < 1e-9);
-        assert_eq!(HashStore::new(None).mem_fraction(), 0.0);
     }
 }

@@ -252,9 +252,8 @@ impl CassandraStore {
         (victim, bytes)
     }
 
-    /// The topology half of a bootstrap, which a restore replays: registers
-    /// the next node's resources, gives it a token and adds it empty, up
-    /// and hint-free. Returns the node whose range the newcomer split.
+    /// The topology half of a bootstrap, which restore replays: the next
+    /// node's resources, token and empty shell. Returns the node it split.
     fn grow(&mut self, engine: &mut Engine) -> usize {
         let idx = self.nodes.len();
         let res = self.ctx.cluster.instantiate_node(engine, idx);
@@ -585,9 +584,8 @@ impl DistributedStore for CassandraStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config is not part of the stream, and nor is
-        // topology: the node count alone says how many bootstraps to
-        // replay on restore.
+        // Construction-time config and topology are not part of the stream:
+        // the node count says how many bootstraps a restore replays.
         let CassandraStore {
             ctx: _,
             ring: _,
@@ -621,9 +619,8 @@ impl DistributedStore for CassandraStore {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError> {
-        // A node past the constructed cluster joined by bootstrap: `grow`
-        // rebuilds it before its sections (and the kernel's) are read, and
-        // only once the stream held the nodes before it.
+        // `grow` rebuilds a bootstrapped node before its sections (and the
+        // kernel's) are read, once the stream held the nodes before it.
         let n = r.count(1)?;
         for idx in 0..n {
             if idx == self.nodes.len() {

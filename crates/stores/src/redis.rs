@@ -427,11 +427,11 @@ mod tests {
             for seq in 0..per_node * u64::from(nodes) {
                 s.load(&record_for_seq(seq));
             }
-            let hottest_fill = s.instances.iter().map(|i| i.store.mem_fraction());
+            let hottest = s.instances.iter().map(|i| i.store.mem_bytes()).max();
             (
                 s.swapping_instances(),
                 s.load_rejections(),
-                hottest_fill.fold(0.0, f64::max),
+                hottest.unwrap_or(0) as f64 / s.hard_limit as f64,
             )
         };
         let (swap2, rej2, fill2) = swap_state(2);

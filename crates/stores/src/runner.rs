@@ -1569,24 +1569,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The run [`resume_forged_kernel`] forges holds every index its tests
-    /// overwrite, and resumes as it was captured.
-    #[test]
-    fn the_kernel_section_to_forge_holds_every_kind_of_index() {
-        let mut found = [0; 5];
-        let resumed = resume_forged_kernel(|_, k| {
-            found = [
-                k.event_slots.len(),
-                k.done_resources.len(),
-                k.waiting_slots.len(),
-                k.plan_resources.len(),
-                k.parent_slots.len(),
-            ];
-        });
-        assert!(resumed.is_ok(), "{:?}", resumed.err());
-        assert!(found.iter().all(|&n| n > 0), "{found:?}");
-    }
-
     #[test]
     fn a_forged_event_exec_slot_is_refused_on_resume() {
         let resumed = resume_forged_kernel(|body, k| put_u32_at(body, k.event_slots[0], FAR));
