@@ -20,6 +20,14 @@
 //!   captured on the commit *before* the planners were cut over to
 //!   `PlanBuilder` (7b2de44). The driver's own plans (hedge trigger,
 //!   breaker shed) are pinned next door, in `driver_pin.rs`.
+//! * A background completion is folded as `(background, finished,
+//!   outcome)`, without its token: a background token's value is the
+//!   store's own name for the job, not something it plans, and the
+//!   encoding of that name may change while every plan and completion
+//!   time holds. The closed-loop pins of Cassandra, HBase and Voldemort
+//!   and the two fault-time pins (the only ones with background
+//!   completions) were recaptured for this fold on a14e8f7, the commit
+//!   whose tokens were still counter values; every other constant held.
 
 mod common;
 
@@ -119,12 +127,13 @@ impl ClosedLoop {
             return false;
         };
         let (token, finished, outcome) = (c.token, c.finished, c.outcome);
-        self.fold(format_args!("{token:?}|{finished:?}|{outcome:?}"));
-        let (background, id) = split_token(c.token);
+        let (background, id) = split_token(token);
         if background {
+            self.fold(format_args!("background|{finished:?}|{outcome:?}"));
             self.background += 1;
             self.store.on_background(id, &mut self.engine);
         } else {
+            self.fold(format_args!("{token:?}|{finished:?}|{outcome:?}"));
             self.in_flight -= 1;
             self.refused += usize::from(!c.outcome.is_ok());
         }
@@ -190,22 +199,22 @@ const PINS: [(&str, Pin, Pin); 8] = [
     (
         "cassandra",
         (0xcd2b_9637_d852_d13c, 883, 44_102),
-        (0x0353_8a69_b3fa_acaa, 8, 0),
+        (0x25ee_a674_b015_d9e5, 8, 0),
     ),
     (
         "cassandra rf=3",
         (0x3ea7_b8ef_b2fd_0501, 883, 44_150),
-        (0xfae2_e8ba_e360_5fa4, 24, 0),
+        (0xc177_8944_5f1d_1bc8, 24, 0),
     ),
     (
         "hbase",
         (0xae0e_85aa_37db_f4ec, 883, 44_098),
-        (0x425f_5d60_81a1_f06c, 8, 0),
+        (0x0ef3_f0b7_34c9_018d, 8, 0),
     ),
     (
         "voldemort",
         (0xb35c_c551_f39d_7868, 0, 0),
-        (0x7685_c0b8_5a11_68ea, 4, 1_010),
+        (0xca61_3638_5bad_690c, 4, 1_010),
     ),
     (
         "voltdb",
@@ -280,7 +289,7 @@ fn cassandra_fault_time_plans_are_pinned() {
     run.store.on_timed_event(&mut run.engine); // bootstraps a fifth node
     run.ops(300);
     let got = run.drain();
-    assert_eq!(got, (0x5cb0_568e_678c_db3a, 4, 203), "got (hex) {got:x?}");
+    assert_eq!(got, (0x35f4_4261_0a3f_7885, 4, 203), "got (hex) {got:x?}");
 }
 
 /// HBase's fault-time plans: requests to a dead server's regions
@@ -298,5 +307,5 @@ fn hbase_fault_time_plans_are_pinned() {
     run.fault(1, FaultKind::Restart);
     run.ops(300);
     let got = run.drain();
-    assert_eq!(got, (0x4ccd_6dea_4d8b_62ef, 1, 172), "got (hex) {got:x?}");
+    assert_eq!(got, (0xe687_84e2_41ca_4487, 1, 172), "got (hex) {got:x?}");
 }
