@@ -7,7 +7,7 @@
 //! models, and the benchmark driver implement so a run can be frozen at a
 //! virtual-time boundary and resumed byte-identically.
 //!
-//! ## Container layout (version 7)
+//! ## Container layout (version 8)
 //!
 //! ```text
 //! offset  size  field
@@ -110,9 +110,11 @@ pub const MAGIC: [u8; 4] = *b"APMS";
 /// its bloom filter, which restore rebuilds, a memtable its entries and
 /// not their byte count, an LSM tree or buffer pool no statistics, a
 /// store no ledger of jobs nothing reads; version 7 leaves out topology,
-/// which construction rebuilds, and a Redis shard's memory total. Older
+/// which construction rebuilds, and a Redis shard's memory total; version
+/// 8 leaves out the LSM stores' job ledgers and every store's job counter,
+/// since a background plan's token names the job it completes. Older
 /// checkpoints are refused rather than misread.
-pub const VERSION: u16 = 7;
+pub const VERSION: u16 = 8;
 
 /// Feature-flag bit for the auditor sections. Every engine writes them
 /// and sets this bit; it once meant "built with the `audit` feature", so a
@@ -1044,15 +1046,15 @@ mod tests {
 
     #[test]
     fn container_rejects_version_mismatch() {
-        // A newer writer's container and the six layouts this format
+        // A newer writer's container and the seven layouts this format
         // replaced. The version is read before the checksum — another
         // version's checksum is another function — so each is refused as
         // that version with its checksum stale, and again re-sealed so
         // that only the version check can fail.
-        for found in [VERSION + 1, 6, 5, 4, 3, 2, 1] {
+        for found in [VERSION + 1, 7, 6, 5, 4, 3, 2, 1] {
             let mut sealed = seal(&header(), b"x");
             sealed[4..6].copy_from_slice(&found.to_le_bytes());
-            let refusal = Err(SnapError::VersionMismatch { found, expected: 7 });
+            let refusal = Err(SnapError::VersionMismatch { found, expected: 8 });
             assert_eq!(open(&sealed), refusal);
             let len = sealed.len();
             let checksum = checksum64(&sealed[..len - 8]).to_le_bytes();

@@ -153,24 +153,25 @@ fn version_bump_is_rejected() {
 /// The golden file as each retired version sealed it: `snap_v2.bin` (an
 /// FNV-1a checksum), `snap_v3.bin` (before a generated record was written
 /// as its id), `snap_v4.bin` (before a body held each fact of a run once),
-/// `snap_v5.bin` (before a storage engine's section did) and `snap_v6.bin`
-/// (before topology left the kernel and store sections). Each is refused
-/// by its version, never misread.
+/// `snap_v5.bin` (before a storage engine's section did), `snap_v6.bin`
+/// (before topology left the kernel and store sections) and `snap_v7.bin`
+/// (before the stores' job ledgers and counters left them). Each is
+/// refused by its version, never misread.
 #[test]
 fn retired_container_versions_are_refused_by_their_version() {
     let read = |version: u16| {
         std::fs::read(data_path(&format!("snap_v{version}.bin"))).expect("fixture present")
     };
-    for found in [2, 3, 4, 5, 6] {
+    for found in [2, 3, 4, 5, 6, 7] {
         let refusal = snap::open(&read(found)).unwrap_err();
-        assert_eq!(refusal, SnapError::VersionMismatch { found, expected: 7 });
+        assert_eq!(refusal, SnapError::VersionMismatch { found, expected: 8 });
         assert_eq!(
             refusal.to_string(),
-            format!("snapshot format v{found}, this build reads v7")
+            format!("snapshot format v{found}, this build reads v8")
         );
     }
     // Version 3 changed the envelope and nothing inside it, and so did
-    // versions 5, 6 and 7 over the golden body before them: in each pair
+    // versions 5, 6, 7 and 8 over the golden body before them: in each pair
     // the version field and the trailing checksum are the only bytes that
     // differ.
     let golden = std::fs::read(golden_path()).expect("golden file present");
@@ -178,7 +179,8 @@ fn retired_container_versions_are_refused_by_their_version() {
         (read(2), read(3)),
         (read(4), read(5)),
         (read(5), read(6)),
-        (read(6), golden),
+        (read(6), read(7)),
+        (read(7), golden),
     ];
     for (old, new) in pairs {
         assert_eq!(old.len(), new.len());

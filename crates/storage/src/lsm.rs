@@ -21,7 +21,6 @@ use crate::receipt::CostReceipt;
 use crate::sstable::{SsTable, TableProbe};
 use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use apm_core::{snap_enum, snap_struct};
 use std::collections::BTreeMap;
 
 /// Compaction strategy.
@@ -86,9 +85,6 @@ pub struct BackgroundJob {
     /// Bytes the job writes to disk.
     pub write_bytes: u64,
 }
-
-snap_enum!(JobKind { 0 => Flush, 1 => Compaction });
-snap_struct! { BackgroundJob { id, kind, read_bytes, write_bytes } }
 
 /// Cumulative engine statistics, an observer's: nothing a run does reads
 /// them, and a checkpoint does not hold them.
@@ -405,13 +401,27 @@ impl LsmTree {
         self.stats
     }
 
-    /// Whether `job` is one the tree has announced and not yet seen
-    /// completed — what [`LsmTree::complete`] needs not to panic.
-    pub fn in_flight(&self, job: &BackgroundJob) -> bool {
-        match job.kind {
-            JobKind::Flush => self.flushing.values().any(|&id| id == job.id),
-            JobKind::Compaction => self.compacting_inputs.contains_key(&job.id),
-        }
+    /// The job with id `id`, as announced, if the tree has announced it
+    /// and not yet seen it completed — what [`LsmTree::complete`] needs
+    /// not to panic.
+    pub fn in_flight(&self, id: u64) -> Option<BackgroundJob> {
+        let (kind, runs) = match self.flushing.iter().find(|&(_, &job)| job == id) {
+            Some((run, _)) => (JobKind::Flush, std::slice::from_ref(run)),
+            None => (JobKind::Compaction, &self.compacting_inputs.get(&id)?[..]),
+        };
+        let held = self.tables.iter().filter(|t| runs.contains(&t.id));
+        let write_bytes = held.map(SsTable::disk_bytes).sum();
+        let read_bytes = if kind == JobKind::Flush {
+            0
+        } else {
+            write_bytes
+        };
+        Some(BackgroundJob {
+            id,
+            kind,
+            read_bytes,
+            write_bytes,
+        })
     }
 
     /// Serializes the tree's mutable state (the config is the caller's and
@@ -749,7 +759,10 @@ mod tests {
         let compaction = announced.drain(..4).filter_map(|j| tree.complete(j)).last();
         announced.push(compaction.expect("four runs compact"));
         let back = restored(&tree).expect("own state restores");
-        assert!(announced.iter().all(|job| back.in_flight(job)));
+        for job in &announced {
+            assert_eq!(back.in_flight(job.id), Some(*job));
+        }
+        assert_eq!(back.in_flight(1 << 20), None);
         assert_eq!(back.stats(), LsmStats::default());
         assert_eq!(back.record_count(), tree.record_count());
     }

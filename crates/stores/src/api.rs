@@ -21,10 +21,59 @@ pub const BACKGROUND_BIT: u64 = 1 << 63;
 /// runner's timers for node crash/restart/slowdown transitions).
 pub const FAULT_BIT: u64 = 1 << 62;
 
-/// Builds the token for background job `job_id`.
+/// Builds the token of a background plan from its payload, which
+/// [`BackgroundWork::token`] encodes.
 pub fn background_token(job_id: u64) -> Token {
     debug_assert!(job_id & (BACKGROUND_BIT | FAULT_BIT) == 0);
     Token(BACKGROUND_BIT | job_id)
+}
+
+/// What a store's background plan completes, at which node. The plan's
+/// token carries it, so a store keeps no table from token to job and a
+/// checkpoint holds each plan's work once, in the kernel section.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BackgroundWork {
+    /// Bytes streamed to or written at the node, which nothing follows:
+    /// a bootstrap or hint stream, a commit-log flush.
+    Stream(usize),
+    /// The node's LSM tree job with this id (a flush or compaction).
+    TreeJob(usize, u64),
+    /// Recovery of the node, a crashed server: HBase's master re-opens
+    /// its regions on the substitute.
+    Recovery(usize),
+}
+
+/// Bits of a background payload carrying the node; then two of kind,
+/// then the tree job id up to bit 61, so [`FAULT_BIT`] stays clear.
+const NODE_BITS: u32 = 20;
+const JOB_SHIFT: u32 = NODE_BITS + 2;
+const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
+
+impl BackgroundWork {
+    /// The token of the plan that does this work.
+    pub fn token(self) -> Token {
+        let (kind, node, job) = match self {
+            BackgroundWork::Stream(node) => (0, node, 0),
+            BackgroundWork::TreeJob(node, job) => (1, node, job),
+            BackgroundWork::Recovery(node) => (2, node, 0),
+        };
+        debug_assert!(node as u64 <= NODE_MASK && job < 1 << (62 - JOB_SHIFT));
+        background_token(job << JOB_SHIFT | kind << NODE_BITS | node as u64)
+    }
+
+    /// The work a background token's payload names — `None` for a payload
+    /// no [`BackgroundWork::token`] makes. The node and job are the
+    /// token's word only: a store checks them against what it holds.
+    pub fn from_payload(payload: u64) -> Option<BackgroundWork> {
+        let node = (payload & NODE_MASK) as usize;
+        let work = match (payload >> NODE_BITS) & 3 {
+            0 => BackgroundWork::Stream(node),
+            1 => BackgroundWork::TreeJob(node, payload >> JOB_SHIFT),
+            2 => BackgroundWork::Recovery(node),
+            _ => return None,
+        };
+        (payload & (BACKGROUND_BIT | FAULT_BIT) == 0).then_some(work)
+    }
 }
 
 /// Builds the sentinel token for fault-schedule event `index`.
@@ -550,11 +599,13 @@ pub trait DistributedStore {
 
     /// Executes `op` against real state and returns the outcome plus the
     /// physical plan for the simulator. May submit background plans on
-    /// `engine` (tagged with [`background_token`]).
+    /// `engine` (tagged with [`BackgroundWork::token`]).
     fn plan_op(&mut self, client_id: u32, op: &Operation, engine: &mut Engine)
         -> (OpOutcome, Plan);
 
-    /// Called when a background job's plan completes.
+    /// Called when a background plan completes, with its token's payload
+    /// ([`BackgroundWork::from_payload`]); one naming no node or no job
+    /// in flight is ignored, as the driver ignores a stray fault sentinel.
     fn on_background(&mut self, job_id: u64, engine: &mut Engine) {
         let _ = (job_id, engine);
     }
@@ -648,6 +699,28 @@ mod tests {
             let (bg, back) = split_token(background_token(id));
             assert!(bg, "id {id} lost the background bit");
             assert_eq!(back, id, "id {id} did not roundtrip");
+        }
+    }
+
+    #[test]
+    fn background_work_roundtrips_through_its_token() {
+        let works = [
+            BackgroundWork::Stream(0),
+            BackgroundWork::TreeJob(3, 1),
+            BackgroundWork::TreeJob(23, (1 << 40) - 1),
+            BackgroundWork::Recovery((1 << 20) - 1),
+        ];
+        for work in works {
+            let (bg, payload) = split_token(work.token());
+            assert!(bg, "{work:?} lost the background bit");
+            assert!(
+                !split_fault_token(work.token()).0,
+                "{work:?} reads as a fault"
+            );
+            assert_eq!(BackgroundWork::from_payload(payload), Some(work));
+        }
+        for stray in [3 << 20, FAULT_BIT, u64::MAX] {
+            assert_eq!(BackgroundWork::from_payload(stray), None, "{stray:#x}");
         }
     }
 

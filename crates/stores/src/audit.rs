@@ -23,13 +23,13 @@
 //! Violations `panic!`, like every audit check: an undrained hint queue
 //! means the recovery results are meaningless. What a checkpoint body
 //! could break is refused on restore instead, with a typed error:
-//! [`HintAuditor::unbalanced_node`],
-//! [`region_reassignment_is_bijective`] and [`lsm_job_not_in_flight`]
-//! are the restore-time halves.
+//! [`HintAuditor::unbalanced_node`] and
+//! [`region_reassignment_is_bijective`] are the restore-time halves.
+//! A background job needs none: its plan's token names the node and the
+//! tree job it completes, and a store ignores one naming neither.
 
 use crate::resilience::{breaker_transition_is_legal, BreakerState};
 use apm_core::snap_struct;
-use apm_storage::lsm::{BackgroundJob, LsmTree};
 
 /// Balance counters for hinted handoff; embedded in the Cassandra store.
 #[derive(Clone, Debug, Default)]
@@ -139,21 +139,6 @@ pub fn region_reassignment_is_bijective(
             && host < down.len()
             && dead != host
             && hosts.insert(host)
-    })
-}
-
-/// The first id of an LSM store's job map whose job cannot be completed:
-/// its node has no tree in `lsm`, its tree does not have that job in
-/// flight, or an earlier entry names the same job of the same node.
-/// `None` when [`LsmTree::complete`] can run on every entry.
-pub fn lsm_job_not_in_flight<'a>(
-    jobs: &std::collections::BTreeMap<u64, (usize, BackgroundJob)>,
-    lsm: impl Fn(usize) -> Option<&'a LsmTree>,
-) -> Option<u64> {
-    let mut named = std::collections::BTreeSet::new();
-    jobs.iter().find_map(|(&id, &(node, job))| {
-        let live = lsm(node).is_some_and(|tree| tree.in_flight(&job));
-        (!live || !named.insert((node, job.id))).then_some(id)
     })
 }
 

@@ -16,7 +16,7 @@
 //!   reads").
 
 use crate::api::{
-    background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
+    load_partitioned, BackgroundWork, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
 };
 use crate::cache::PageCache;
 use crate::routing::{TokenAssignment, TokenRing};
@@ -28,7 +28,6 @@ use apm_storage::encoding::{cassandra_format, StorageFormat};
 use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
 use apm_storage::sstable::BLOCK_BYTES;
 use apm_storage::wal::{CommitLog, SyncPolicy, WalReceipt};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Read path CPU model (thrift parse, row resolution, merge).
@@ -151,13 +150,8 @@ pub struct CassandraStore {
     hints: Vec<Vec<Record>>,
     /// Hinted-handoff drain auditor (see `crate::audit`).
     hint_audit: crate::audit::HintAuditor,
-    /// Global background job id → (node index, engine-local job). The
-    /// ids of bootstrap and hint streams are in no map: nothing follows
-    /// their completion.
-    jobs: BTreeMap<u64, (usize, BackgroundJob)>,
     /// Bytes streamed by completed/running bootstraps (diagnostics).
     streamed_bytes: u64,
-    next_job: u64,
 }
 
 impl CassandraStore {
@@ -185,9 +179,7 @@ impl CassandraStore {
             down: vec![false; n],
             hints: vec![Vec::new(); n],
             hint_audit: crate::audit::HintAuditor::default(),
-            jobs: BTreeMap::new(),
             streamed_bytes: 0,
-            next_job: 1,
         };
         store.nodes = (0..n).map(|i| store.fresh_node(i)).collect();
         store
@@ -239,8 +231,6 @@ impl CassandraStore {
         // Charge the stream: sequential read at the victim, transfer over
         // both NICs, sequential write at the newcomer — interfering with
         // foreground traffic on both nodes while it runs.
-        let id = self.next_job;
-        self.next_job += 1;
         let stream = self
             .ctx
             .plan()
@@ -248,7 +238,7 @@ impl CassandraStore {
             .hop(victim, bytes)
             .nic(new_idx, bytes)
             .disk_seq(new_idx, bytes);
-        engine.submit(stream.finish(), background_token(id));
+        engine.submit(stream.finish(), BackgroundWork::Stream(new_idx).token());
         (victim, bytes)
     }
 
@@ -316,16 +306,12 @@ impl CassandraStore {
             self.nodes[node].insert_settled(record);
         }
         let bytes = self.expand(raw);
-        let id = self.next_job;
-        self.next_job += 1;
         let stream = self.ctx.plan().nic(node, bytes).disk_seq(node, bytes);
-        engine.submit(stream.finish(), background_token(id));
+        engine.submit(stream.finish(), BackgroundWork::Stream(node).token());
     }
 
     /// Submits the plan of an announced LSM background job.
     fn schedule_job(&mut self, node: usize, job: BackgroundJob, engine: &mut Engine) {
-        let id = self.next_job;
-        self.next_job += 1;
         let mut plan = self.ctx.plan();
         // Compaction reads its inputs (sequential, may be cached).
         if job.read_bytes > 0 {
@@ -336,8 +322,7 @@ impl CassandraStore {
         plan = plan
             .cpu(node, SimDuration::from_nanos(written * 12))
             .disk_seq(node, written);
-        self.jobs.insert(id, (node, job));
-        engine.submit(plan.finish(), background_token(id));
+        engine.submit(plan.finish(), BackgroundWork::TreeJob(node, job.id).token());
     }
 
     /// The replica a request for `replicas`' key goes to: the first that
@@ -563,13 +548,14 @@ impl DistributedStore for CassandraStore {
     }
 
     fn on_background(&mut self, job_id: u64, engine: &mut Engine) {
-        // A finished bootstrap or hint stream holds no job, and neither
-        // does an id only a forged snapshot can hold: both are ignored, as
-        // the driver ignores a stray fault sentinel.
-        let Some((node, job)) = self.jobs.remove(&job_id) else {
+        // A finished bootstrap or hint stream completes nothing, and
+        // neither does a token only a forged snapshot can hold — a node
+        // past the count, a job its tree does not have in flight.
+        let Some(BackgroundWork::TreeJob(node, id)) = BackgroundWork::from_payload(job_id) else {
             return;
         };
-        if let Some(next) = self.nodes[node].lsm.complete(job) {
+        let lsm = self.nodes.get_mut(node).map(|n| &mut n.lsm);
+        if let Some(next) = lsm.and_then(|t| t.in_flight(id).and_then(|job| t.complete(job))) {
             self.schedule_job(node, next, engine);
         }
     }
@@ -600,9 +586,7 @@ impl DistributedStore for CassandraStore {
             down,
             hints,
             hint_audit,
-            jobs,
             streamed_bytes,
-            next_job,
         } = self;
         w.put_u64(nodes.len() as u64);
         for Node { lsm, log, cache } in nodes {
@@ -613,9 +597,7 @@ impl DistributedStore for CassandraStore {
         w.put(down);
         w.put(hints);
         w.put(hint_audit);
-        w.put(jobs);
         w.put_u64(*streamed_bytes);
-        w.put_u64(*next_job);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, engine: &mut Engine) -> Result<(), SnapError> {
@@ -645,9 +627,7 @@ impl DistributedStore for CassandraStore {
             down,
             hints,
             hint_audit,
-            jobs,
             streamed_bytes,
-            next_job,
         } = self;
         *down = r.get()?;
         *hints = r.get()?;
@@ -667,17 +647,7 @@ impl DistributedStore for CassandraStore {
                 tag: node as u64,
             });
         }
-        *jobs = r.get()?;
-        if let Some(id) =
-            crate::audit::lsm_job_not_in_flight(jobs, |i| nodes.get(i).map(|n| &n.lsm))
-        {
-            return Err(SnapError::BadTag {
-                what: "Cassandra background job",
-                tag: id,
-            });
-        }
         *streamed_bytes = r.u64()?;
-        *next_job = r.u64()?;
         Ok(())
     }
 }
@@ -848,8 +818,17 @@ mod tests {
                 }
             }
         }
+        while let Some(c) = engine.next_completion() {
+            let (bg, id) = crate::api::split_token(c.token);
+            if bg {
+                s.on_background(id, &mut engine);
+            }
+        }
         assert!(s.nodes[0].lsm.stats().flushes > 0, "flush never completed");
-        assert!(s.jobs.is_empty(), "jobs left dangling");
+        // 1 000 inserts announce at most a flush each, and each flush at
+        // most one compaction: ids past 2 000 were never handed out.
+        let left = (0..=2_000).find(|&id| s.nodes[0].lsm.in_flight(id).is_some());
+        assert_eq!(left, None, "a job left in flight once the engine drained");
     }
 
     #[test]
@@ -884,9 +863,12 @@ mod tests {
     /// the full run reported, ends with as many kernel resources, and
     /// captures every later checkpoint byte for byte: the resumed store
     /// holds the node the bootstrap added, wired as the bootstrap wired it.
+    /// With circuit breaking on, the driver's breaker table grows to the
+    /// new node when the first op routes to it.
     #[test]
     fn a_resume_after_a_bootstrap_matches_the_full_run() {
-        use crate::runner::{resume_benchmark, CheckpointSpec};
+        use crate::resilience::BreakerPolicy;
+        use crate::ResiliencePolicy;
         let mut config = RunConfig::new(
             Workload::rw(),
             ClientConfig::cluster_m(3).with_window(0.2, 0.8),
@@ -895,10 +877,21 @@ mod tests {
             0xB007,
         );
         config.event_at_secs = Some(0.3);
-        config.checkpoints = Some(CheckpointSpec::every(0.2));
+        config.checkpoints = Some(crate::runner::CheckpointSpec::every(0.2));
+        let mut breaking = config.clone();
+        breaking.resilience = Some(ResiliencePolicy {
+            breaker: Some(BreakerPolicy::standard()),
+            ..ResiliencePolicy::default()
+        });
+        assert_resumes_after_a_bootstrap_match(&config);
+        assert_resumes_after_a_bootstrap_match(&breaking);
+    }
+
+    fn assert_resumes_after_a_bootstrap_match(config: &RunConfig) {
+        use crate::runner::resume_benchmark;
         let mut engine = Engine::new();
         let mut s = store(&mut engine, 3);
-        let full = run_benchmark(&mut engine, &mut s, &config);
+        let full = run_benchmark(&mut engine, &mut s, config);
         assert_eq!(s.ctx().node_count(), 4, "the timed event bootstraps a node");
         let bootstrap = apm_sim::SimTime(500_000_000);
         let after: Vec<usize> = (0..full.checkpoints.len())
@@ -911,7 +904,7 @@ mod tests {
             let resumed = resume_benchmark(
                 &mut resumed_engine,
                 &mut fresh,
-                &config,
+                config,
                 &full.checkpoints[k].bytes,
             )
             .expect("own checkpoint resumes");
@@ -1109,28 +1102,11 @@ mod tests {
         );
     }
 
-    /// A flush in flight on node 0 that no job of the store holds yet.
-    fn unscheduled_flush(s: &mut CassandraStore) -> BackgroundJob {
-        let r = record_for_seq(1 << 40);
-        let (_, job) = s.nodes[0].lsm.insert(r.key, r.fields);
-        job.or_else(|| s.nodes[0].lsm.force_flush())
-            .expect("a non-empty memtable flushes")
-    }
-
-    /// A body whose node-indexed state disagrees with its node count, or
-    /// whose job map holds a job no node's tree has in flight, is refused
-    /// on resume — not left for the coordinator, the write path or a
-    /// background completion to index out of bounds or panic on.
+    /// A body whose node-indexed state disagrees with its node count is
+    /// refused on resume — not left for the coordinator or the write path
+    /// to index out of bounds on.
     #[test]
-    fn forged_node_state_and_jobs_are_refused_on_resume() {
-        use apm_storage::lsm::JobKind;
-        const ID: u64 = 1 << 40;
-        let idle = BackgroundJob {
-            id: 1 << 20,
-            kind: JobKind::Compaction,
-            read_bytes: 0,
-            write_bytes: 0,
-        };
+    fn forged_node_state_is_refused_on_resume() {
         let resumed = |forge: &dyn Fn(&mut CassandraStore)| {
             crate::runner::tests::resume_forged(|engine| store(engine, 4), forge, |_, _| {})
                 .map(|r| r.issued > 0)
@@ -1156,34 +1132,5 @@ mod tests {
             }),
             count
         );
-        let job = |id| {
-            Err(SnapError::BadTag {
-                what: "Cassandra background job",
-                tag: id,
-            })
-        };
-        assert_eq!(
-            resumed(&|s| {
-                s.jobs.insert(ID, (4, idle));
-            }),
-            job(ID)
-        );
-        assert_eq!(
-            resumed(&|s| {
-                s.jobs.insert(ID, (0, idle));
-            }),
-            job(ID)
-        );
-        let twice = |s: &mut CassandraStore| {
-            let flush = unscheduled_flush(s);
-            s.jobs.insert(ID, (0, flush));
-            s.jobs.insert(ID + 1, (0, flush));
-        };
-        assert_eq!(resumed(&twice), job(ID + 1));
-        let once = |s: &mut CassandraStore| {
-            let flush = unscheduled_flush(s);
-            s.jobs.insert(ID, (0, flush));
-        };
-        assert_eq!(resumed(&once), Ok(true));
     }
 }

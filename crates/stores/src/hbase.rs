@@ -18,7 +18,7 @@
 //!   which is also why HBase is the least disk-efficient store (Fig 17).
 
 use crate::api::{
-    background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
+    load_partitioned, BackgroundWork, CostModel, DistributedStore, Request, StoreCtx, StorePlan,
 };
 use crate::cache::PageCache;
 use crate::hdfs::Hdfs;
@@ -95,8 +95,6 @@ pub struct HbaseStore {
     hdfs: Hdfs,
     format: StorageFormat,
     servers_state: Vec<Server>,
-    jobs: BTreeMap<u64, (usize, BackgroundJob)>,
-    next_job: u64,
     /// Pending deferred-WAL bytes per server (flushed with memstores).
     wal_backlog: Vec<u64>,
     /// Block-cache budget per server (kept to rebuild a cold cache after
@@ -108,9 +106,6 @@ pub struct HbaseStore {
     /// The data lives in HDFS, so the substitute serves it with its own
     /// CPU/disk/NIC once WAL replay finishes.
     reassigned: BTreeMap<usize, usize>,
-    /// In-flight master-recovery jobs (detection + WAL replay): job id →
-    /// dead server.
-    recovery_jobs: BTreeMap<u64, usize>,
 }
 
 impl HbaseStore {
@@ -135,13 +130,10 @@ impl HbaseStore {
             hdfs,
             format: hbase_format(),
             servers_state,
-            jobs: BTreeMap::new(),
-            next_job: 1,
             wal_backlog: vec![0; n],
             cache_bytes,
             down: vec![false; n],
             reassigned: BTreeMap::new(),
-            recovery_jobs: BTreeMap::new(),
             ctx,
         }
     }
@@ -213,10 +205,8 @@ impl HbaseStore {
     }
 
     fn schedule_job(&mut self, server: usize, job: BackgroundJob, engine: &mut Engine) {
-        let id = self.next_job;
-        self.next_job += 1;
         // Background work for a dead server's regions runs on whichever
-        // node re-opened them (the job stays keyed by the region owner).
+        // node re-opened them (its token names the region owner).
         let host = self.host_for(server).unwrap_or(server);
         let mut plan = self.ctx.plan();
         // Compaction first streams its inputs back in from HDFS (usually
@@ -232,8 +222,8 @@ impl HbaseStore {
         // piggy-back the deferred WAL backlog on the same sync.
         let wal_bytes = std::mem::take(&mut self.wal_backlog[server]);
         plan = self.hdfs.write(plan, host, written + wal_bytes);
-        self.jobs.insert(id, (server, job));
-        engine.submit(plan.finish(), background_token(id));
+        let token = BackgroundWork::TreeJob(server, job.id).token();
+        engine.submit(plan.finish(), token);
     }
 }
 
@@ -339,15 +329,12 @@ impl DistributedStore for HbaseStore {
                     // this job completes, the regions serve nothing.
                     let backlog = std::mem::take(&mut self.wal_backlog[dead]);
                     let replay = self.expand(backlog) + MIN_REPLAY_BYTES;
-                    let id = self.next_job;
-                    self.next_job += 1;
                     let detected = self.ctx.plan().wait(DETECTION_DELAY);
                     let recovery = self
                         .hdfs
                         .read(detected, sub, replay, false)
                         .cpu(sub, SimDuration::from_nanos(replay * 10));
-                    self.recovery_jobs.insert(id, dead);
-                    engine.submit(recovery.finish(), background_token(id));
+                    engine.submit(recovery.finish(), BackgroundWork::Recovery(dead).token());
                 }
             }
             apm_sim::FaultKind::Restart => {
@@ -369,25 +356,30 @@ impl DistributedStore for HbaseStore {
     }
 
     fn on_background(&mut self, job_id: u64, engine: &mut Engine) {
-        if let Some(dead) = self.recovery_jobs.remove(&job_id) {
+        // A token naming a server past the count or a job its tree does
+        // not have in flight (only a forged snapshot can hold one) is
+        // ignored, as the driver ignores a stray fault sentinel.
+        let servers = self.servers_state.len();
+        match BackgroundWork::from_payload(job_id) {
             // WAL replay finished: the substitute re-opens the regions —
-            // unless the dead server already restarted in the meantime.
-            if self.down[dead] {
-                let sub = (dead + 1) % self.servers_state.len();
-                if !self.down[sub] {
+            // unless the dead server already restarted in the meantime. A
+            // substitute already hosting regions hosts its predecessor's
+            // (or, in a forged checkpoint, another server's): no change.
+            Some(BackgroundWork::Recovery(dead)) if dead < servers && self.down[dead] => {
+                let sub = (dead + 1) % servers;
+                if !self.down[sub] && !self.reassigned.values().any(|&h| h == sub) {
                     self.reassigned.insert(dead, sub);
                     self.assert_reassignment_bijective();
                 }
             }
-            return;
-        }
-        // A job id no job holds (only a forged snapshot can hold one) is
-        // ignored, as the driver ignores a stray fault sentinel.
-        let Some((server, job)) = self.jobs.remove(&job_id) else {
-            return;
-        };
-        if let Some(next) = self.servers_state[server].lsm.complete(job) {
-            self.schedule_job(server, next, engine);
+            Some(BackgroundWork::TreeJob(server, id)) if server < servers => {
+                let lsm = &mut self.servers_state[server].lsm;
+                if let Some(next) = lsm.in_flight(id).and_then(|job| lsm.complete(job)) {
+                    self.schedule_job(server, next, engine);
+                }
+            }
+            Some(BackgroundWork::Recovery(_) | BackgroundWork::TreeJob(..)) => {}
+            Some(BackgroundWork::Stream(_)) | None => {}
         }
     }
 
@@ -409,25 +401,19 @@ impl DistributedStore for HbaseStore {
             hdfs: _,
             format: _,
             servers_state,
-            jobs,
-            next_job,
             wal_backlog,
             cache_bytes: _,
             down,
             reassigned,
-            recovery_jobs,
         } = self;
         for Server { lsm, wal, cache } in servers_state {
             lsm.snap_state(w);
             wal.snap_state(w);
             cache.snap_state(w);
         }
-        w.put(jobs);
-        w.put_u64(*next_job);
         w.put(wal_backlog);
         w.put(down);
         w.put(reassigned);
-        w.put(recovery_jobs);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
@@ -437,43 +423,29 @@ impl DistributedStore for HbaseStore {
             hdfs: _,
             format: _,
             servers_state,
-            jobs,
-            next_job,
             wal_backlog,
             cache_bytes: _,
             down,
             reassigned,
-            recovery_jobs,
         } = self;
         for Server { lsm, wal, cache } in servers_state.iter_mut() {
             lsm.restore_state(r)?;
             wal.restore_state(r)?;
             cache.restore_state(r)?;
         }
-        *jobs = r.get()?;
-        *next_job = r.u64()?;
         *wal_backlog = r.get()?;
         *down = r.get()?;
         *reassigned = r.get()?;
-        *recovery_jobs = r.get()?;
         // Every later index by server number — and the runtime bijection
         // assert — must hold for what a body can say.
         let servers = servers_state.len();
         if down.len() != servers
             || wal_backlog.len() != servers
-            || recovery_jobs.values().any(|&dead| dead >= servers)
             || !crate::audit::region_reassignment_is_bijective(reassigned, down)
         {
             return Err(SnapError::BadTag {
                 what: "HBase region reassignment",
                 tag: reassigned.len() as u64,
-            });
-        }
-        let lsm = |i: usize| servers_state.get(i).map(|s| &s.lsm);
-        if let Some(id) = crate::audit::lsm_job_not_in_flight(jobs, lsm) {
-            return Err(SnapError::BadTag {
-                what: "HBase background job",
-                tag: id,
             });
         }
         Ok(())
@@ -590,13 +562,11 @@ mod tests {
                 }
             }
         }
-        engine.run_to_idle();
-        while !s.jobs.is_empty() {
-            let ids: Vec<u64> = s.jobs.keys().copied().collect();
-            for id in ids {
+        while let Some(c) = engine.next_completion() {
+            let (bg, id) = crate::api::split_token(c.token);
+            if bg {
                 s.on_background(id, &mut engine);
             }
-            engine.run_to_idle();
         }
         let flushed: u64 = s.servers_state.iter().map(|x| x.lsm.stats().flushes).sum();
         assert!(flushed > 0, "no memstore flush happened");
@@ -632,17 +602,17 @@ mod tests {
         );
         // Detection + WAL replay pending: the regions serve nothing.
         assert_eq!(s.host_for(1), None);
-        assert!(
-            !s.recovery_jobs.is_empty(),
-            "crash must start a recovery job"
-        );
         // Drain the recovery job.
+        let recovery = Some(BackgroundWork::Recovery(1));
+        let mut recoveries = 0;
         while let Some(c) = engine.next_completion() {
             let (bg, id) = crate::api::split_token(c.token);
             if bg {
+                recoveries += usize::from(BackgroundWork::from_payload(id) == recovery);
                 s.on_background(id, &mut engine);
             }
         }
+        assert_eq!(recoveries, 1, "crash must start a recovery job");
         assert_eq!(
             s.host_for(1),
             Some(2),
@@ -723,6 +693,21 @@ mod tests {
         assert_eq!(s.host_for(1), Some(1));
     }
 
+    /// A recovery token whose substitute already hosts another dead
+    /// server's regions — a forged checkpoint can pair such a map with
+    /// such a token — re-opens nothing rather than break the bijection.
+    #[test]
+    fn a_recovery_onto_a_substitute_hosting_others_is_ignored() {
+        let mut engine = Engine::new();
+        let mut s = make(&mut engine, 4, 0.01);
+        s.down[0] = true;
+        s.down[1] = true;
+        s.reassigned.insert(0, 2);
+        let (_, payload) = crate::api::split_token(BackgroundWork::Recovery(1).token());
+        s.on_background(payload, &mut engine);
+        assert_eq!((s.host_for(0), s.host_for(1)), (Some(2), None));
+    }
+
     /// A checkpoint whose reassignment map is no bijection — here a live
     /// server's regions "reassigned" — is refused on resume.
     #[test]
@@ -744,60 +729,5 @@ mod tests {
             ),
             "{refused:?}"
         );
-    }
-
-    /// A job map entry its server's tree cannot complete — a server out of
-    /// range, a job not in flight, one job named twice — is refused on
-    /// resume, not left for a background completion to panic on.
-    #[test]
-    fn forged_background_jobs_are_refused_on_resume() {
-        use apm_storage::lsm::JobKind;
-        const ID: u64 = 1 << 40;
-        let idle = BackgroundJob {
-            id: 1 << 20,
-            kind: JobKind::Flush,
-            read_bytes: 0,
-            write_bytes: 0,
-        };
-        let unscheduled_flush = |s: &mut HbaseStore| {
-            let r = record_for_seq(1 << 40);
-            let lsm = &mut s.servers_state[0].lsm;
-            let (_, job) = lsm.insert(r.key, r.fields);
-            job.or_else(|| lsm.force_flush())
-                .expect("a non-empty memtable flushes")
-        };
-        let resumed = |forge: &dyn Fn(&mut HbaseStore)| {
-            crate::runner::tests::resume_forged(|engine| make(engine, 4, 0.01), forge, |_, _| {})
-                .map(|r| r.issued > 0)
-        };
-        let job = |id| {
-            Err(SnapError::BadTag {
-                what: "HBase background job",
-                tag: id,
-            })
-        };
-        assert_eq!(
-            resumed(&|s| {
-                s.jobs.insert(ID, (4, idle));
-            }),
-            job(ID)
-        );
-        assert_eq!(
-            resumed(&|s| {
-                s.jobs.insert(ID, (0, idle));
-            }),
-            job(ID)
-        );
-        let twice = |s: &mut HbaseStore| {
-            let flush = unscheduled_flush(s);
-            s.jobs.insert(ID, (0, flush));
-            s.jobs.insert(ID + 1, (0, flush));
-        };
-        assert_eq!(resumed(&twice), job(ID + 1));
-        let once = |s: &mut HbaseStore| {
-            let flush = unscheduled_flush(s);
-            s.jobs.insert(ID, (0, flush));
-        };
-        assert_eq!(resumed(&once), Ok(true));
     }
 }

@@ -685,7 +685,7 @@ impl Driver {
         let sampler = r.get()?;
         let issued = r.u64()?;
         let warmup_end = r.get()?;
-        Ok(Driver {
+        let d = Driver {
             policy: config.resilience.clone().unwrap_or_default(),
             generator,
             slots,
@@ -698,7 +698,16 @@ impl Driver {
             next_checkpoint: r.u32()?,
             ledger: r.get()?,
             ps: r.get()?,
-        })
+        };
+        // A slot's target indexes the breaker table on its completion.
+        let targets = d.slots.iter().filter_map(|s| s.target);
+        match targets.max().filter(|&t| t >= d.ps.breakers.len()) {
+            Some(t) => Err(SnapError::BadTag {
+                what: "client slot target",
+                tag: t as u64,
+            }),
+            None => Ok(d),
+        }
     }
 
     /// Virtual time of the next checkpoint boundary. Saturating, like
@@ -772,6 +781,11 @@ impl Driver {
         if let Some(bp) = &self.policy.breaker {
             slot.target = store.plan_target(&slot.op);
             if let Some(t) = slot.target {
+                // A node the store grew mid-run (a bootstrap) gets its
+                // breaker when the first op routes to it.
+                if t >= self.ps.breakers.len() {
+                    self.ps.breakers.resize_with(t + 1, Breaker::default);
+                }
                 let (decision, transition) = self.ps.breakers[t].admit(start, bp);
                 note_transition(self.stats.resilience_mut(), transition);
                 match decision {
@@ -1223,7 +1237,7 @@ fn capture_checkpoint(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::api::{background_token, Request, StoreCtx};
+    use crate::api::{background_token, BackgroundWork, Request, StoreCtx};
     use apm_core::driver::Throttle;
     use apm_core::ops::Operation;
     use apm_core::record::Record;
@@ -1646,6 +1660,29 @@ pub(crate) mod tests {
         assert_refused(resumed, "Engine exec slot", FAR.into());
     }
 
+    /// A client slot's breaker target past the restored breaker table is
+    /// refused on resume, not left for the slot's next completion to
+    /// index the table by.
+    #[test]
+    fn a_forged_client_slot_target_is_refused_on_resume() {
+        let mut config = forged_run_config();
+        config.resilience = Some(ResiliencePolicy {
+            breaker: Some(crate::resilience::BreakerPolicy::standard()),
+            ..ResiliencePolicy::default()
+        });
+        let resumed = resume_forged_under(
+            &config,
+            |engine| FixtureStore::new(engine, 1_000),
+            |_| {},
+            forge_driver(&config, |d| {
+                for slot in &mut d.slots {
+                    slot.target = Some(1 << 20);
+                }
+            }),
+        );
+        assert_refused(resumed, "client slot target", 1 << 20);
+    }
+
     /// A checkpoint resumes only into an engine that registered the
     /// resources its run had: one more is a typed refusal, not a misread.
     #[test]
@@ -2039,25 +2076,29 @@ pub(crate) mod tests {
         }
     }
 
-    /// Runs `cfg` with `token` completing at 0.9 s, inside the measurement
-    /// window, though nothing issued it (only a forged or re-sealed
-    /// snapshot can hold such a token), and again without it: the stray
-    /// must change nothing the run reports.
-    fn assert_stray_token_is_ignored(
+    /// Runs `cfg` without a stray token, then once with each of `tokens`
+    /// completing at 0.9 s, inside the measurement window, though nothing
+    /// issued it (only a forged or re-sealed snapshot can hold such a
+    /// token): a stray must change nothing the run reports.
+    fn assert_stray_tokens_are_ignored(
         make: impl Fn(&mut Engine) -> Box<dyn DistributedStore>,
         cfg: &RunConfig,
-        token: Token,
+        tokens: &[Token],
     ) {
-        let mut engine = Engine::new();
-        let mut store = make(&mut engine);
-        engine.submit_at(SimTime(900_000_000), Plan::empty(), token);
-        let stray = run_benchmark(&mut engine, store.as_mut(), cfg);
-
-        let mut engine = Engine::new();
-        let mut store = make(&mut engine);
-        let clean = run_benchmark(&mut engine, store.as_mut(), cfg);
-        assert_eq!(result_sig(&stray), result_sig(&clean));
-        assert_eq!(stray.ledger, clean.ledger);
+        let run = |stray: Option<Token>| {
+            let mut engine = Engine::new();
+            let mut store = make(&mut engine);
+            if let Some(token) = stray {
+                engine.submit_at(SimTime(900_000_000), Plan::empty(), token);
+            }
+            run_benchmark(&mut engine, store.as_mut(), cfg)
+        };
+        let clean = run(None);
+        for &token in tokens {
+            let stray = run(Some(token));
+            assert_eq!(result_sig(&stray), result_sig(&clean), "{token:?}");
+            assert_eq!(stray.ledger, clean.ledger, "{token:?}");
+        }
     }
 
     fn fixture(engine: &mut Engine) -> Box<dyn DistributedStore> {
@@ -2067,18 +2108,21 @@ pub(crate) mod tests {
     #[test]
     fn a_fault_sentinel_beyond_the_schedule_is_ignored() {
         // Indexes a schedule with no events.
-        assert_stray_token_is_ignored(fixture, &quick_config(Workload::rw()), fault_token(7));
+        assert_stray_tokens_are_ignored(fixture, &quick_config(Workload::rw()), &[fault_token(7)]);
     }
 
     #[test]
     fn an_attempt_token_naming_no_client_slot_is_ignored() {
         let cfg = quick_config(Workload::rw());
-        assert_stray_token_is_ignored(fixture, &cfg, attempt_token(999_999, 1));
+        assert_stray_tokens_are_ignored(fixture, &cfg, &[attempt_token(999_999, 1)]);
     }
 
+    /// A background token is the store's word for what its completion
+    /// does: one naming a node past the count, a tree job no node has in
+    /// flight, or the recovery of a server past the count completes
+    /// nothing — and a store with no job to complete ignores any.
     #[test]
     fn a_background_token_naming_no_job_is_ignored() {
-        // Voldemort keeps a table of its in-flight log flushes.
         let cfg = RunConfig::new(
             Workload::rw(),
             ClientConfig::cluster_m(4).with_window(0.5, 1.0),
@@ -2086,9 +2130,16 @@ pub(crate) mod tests {
             4,
             9,
         );
-        let voldemort =
-            |engine: &mut Engine| store_named("voldemort", engine, ClusterSpec::cluster_m());
-        assert_stray_token_is_ignored(voldemort, &cfg, background_token(999_999));
+        let strays = [
+            BackgroundWork::TreeJob(1 << 19, 1).token(),
+            BackgroundWork::TreeJob(0, 1 << 39).token(),
+            BackgroundWork::Recovery(1 << 19).token(),
+            background_token(3 << 20),
+        ];
+        for name in ["cassandra", "hbase", "voldemort"] {
+            let make = |engine: &mut Engine| store_named(name, engine, ClusterSpec::cluster_m());
+            assert_stray_tokens_are_ignored(make, &cfg, &strays);
+        }
     }
 
     #[test]

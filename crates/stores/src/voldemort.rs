@@ -24,7 +24,7 @@
 //!   write path never reads: ×3 from R to W on Cluster D (Fig 18).
 
 use crate::api::{
-    background_token, load_partitioned, CostModel, DistributedStore, Request, StoreCtx,
+    load_partitioned, BackgroundWork, CostModel, DistributedStore, Request, StoreCtx,
 };
 use crate::routing::PartitionMap;
 use apm_core::keyspace::SplitRng;
@@ -84,9 +84,6 @@ pub struct VoldemortStore {
     map: PartitionMap,
     format: StorageFormat,
     nodes: Vec<Node>,
-    /// Id of the next background log flush. Nothing follows a flush's
-    /// completion, so no flush is kept; the id only names its token.
-    next_job: u64,
 }
 
 impl VoldemortStore {
@@ -106,7 +103,6 @@ impl VoldemortStore {
             format: voldemort_format(),
             ctx,
             nodes,
-            next_job: 1,
         }
     }
 
@@ -118,10 +114,9 @@ impl VoldemortStore {
             return;
         }
         let pending = self.nodes[node].log.take_unflushed();
-        let id = self.next_job;
-        self.next_job += 1;
+        // Nothing follows a flush's completion.
         let flush = self.ctx.plan().disk_seq(node, pending);
-        engine.submit(flush.finish(), background_token(id));
+        engine.submit(flush.finish(), BackgroundWork::Stream(node).token());
     }
 }
 
@@ -231,14 +226,12 @@ impl DistributedStore for VoldemortStore {
             map: _,
             format: _,
             nodes,
-            next_job,
         } = self;
         for Node { pages, log, rng } in nodes {
             pages.snap_state(w);
             log.snap_state(w);
             w.put(rng);
         }
-        w.put_u64(*next_job);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
@@ -247,14 +240,12 @@ impl DistributedStore for VoldemortStore {
             map: _,
             format: _,
             nodes,
-            next_job,
         } = self;
         for Node { pages, log, rng } in nodes {
             pages.restore_state(r)?;
             log.restore_state(r)?;
             *rng = r.get()?;
         }
-        *next_job = r.u64()?;
         Ok(())
     }
 }
