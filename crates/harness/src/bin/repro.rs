@@ -200,17 +200,17 @@ fn cmd_resume(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `repro bisect <store>` — run the scenario clean and with an injected
-/// one-draw perturbation, then bisect the checkpoint streams to localize
-/// the first divergent virtual-time window.
+/// `repro bisect <store>` — run the scenario twice under one fail-slow
+/// window, dispatched in one run and masked in the other, then bisect the
+/// checkpoint streams to localize the first divergent virtual-time window.
 fn cmd_bisect(args: &Args) -> Result<(), String> {
     let kind = store_arg(args)?;
-    let perturb_at = args.profile.measure_secs * 0.55;
-    let outcome = apm_harness::snap::bisect_run(kind, &args.profile, perturb_at);
+    let outcome = apm_harness::snap::bisect_run(kind, &args.profile);
     println!(
-        "{}: {} common checkpoints (perturbation injected {perturb_at:.3} s after warm-up)",
+        "{}: {} common checkpoints (fail-slow dispatched in one run {:.3} s after warm-up)",
         kind.name(),
-        outcome.checkpoints
+        outcome.checkpoints,
+        outcome.diverge_at_secs
     );
     match (outcome.first_divergent, outcome.window_ns) {
         (Some(k), Some((start, end))) => {

@@ -1373,6 +1373,48 @@ mod tests {
     }
 
     #[test]
+    fn a_resilient_campaign_replays_and_retries() {
+        let p = profile();
+        let opts = ChaosOptions {
+            seed: FIXTURE_SEED,
+            budget: 1,
+            resilient: true,
+        };
+        let target = ChaosTarget::store(StoreKind::Cassandra);
+        let outcome = run_campaign(&target, &p, &opts);
+        assert!(outcome.report.resilient);
+        assert_eq!(outcome.report.schedules.len(), 1);
+        // Each sampled schedule, run twice from scratch under the
+        // standard retry policy: the same bytes both times, and retries.
+        let spec = CheckpointSpec::every(p.measure_secs / 4.0);
+        let mut generator = ChaosGenerator::new(opts.seed, NODES as usize);
+        for record in &outcome.report.schedules {
+            assert_ne!(record.outcome, ScheduleOutcome::NonDeterministic);
+            let chaos = generator.sample(p.measure_secs);
+            assert_eq!(chaos.schedule.events(), &record.events[..]);
+            let scenario = chaos_scenario(
+                &target,
+                &p,
+                chaos.schedule,
+                Some(spec.clone()),
+                opts.resilient,
+            );
+            let (first, replay) = (scenario.run(), scenario.run());
+            assert_eq!(
+                run_fingerprint(&first.result),
+                run_fingerprint(&replay.result),
+                "schedule {} replayed differently",
+                record.index
+            );
+            assert!(
+                first.result.stats.resilience().retries > 0,
+                "schedule {} recorded no retry",
+                record.index
+            );
+        }
+    }
+
+    #[test]
     fn same_seed_yields_byte_identical_reports() {
         let p = profile();
         let opts = ChaosOptions {

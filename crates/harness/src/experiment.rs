@@ -18,7 +18,6 @@ use apm_stores::hbase::HbaseStore;
 use apm_stores::mongodb::MongoStore;
 use apm_stores::mysql::MysqlStore;
 use apm_stores::redis::RedisStore;
-use apm_stores::routing::JedisHash;
 use apm_stores::runner::{resume_benchmark_masked, run_benchmark_masked, RunConfig, RunResult};
 use apm_stores::voldemort::VoldemortStore;
 use apm_stores::voltdb::VoltDbStore;
@@ -142,9 +141,7 @@ impl StoreSpec {
             StoreSpec::Kind(StoreKind::HBase) => Box::new(HbaseStore::new(ctx, engine)),
             StoreSpec::Kind(StoreKind::Voldemort) => Box::new(VoldemortStore::new(ctx, engine)),
             StoreSpec::Kind(StoreKind::VoltDb) => Box::new(VoltDbStore::new(ctx, engine)),
-            StoreSpec::Kind(StoreKind::Redis) => {
-                Box::new(RedisStore::new(ctx, engine, JedisHash::Murmur))
-            }
+            StoreSpec::Kind(StoreKind::Redis) => Box::new(RedisStore::new(ctx, engine)),
             StoreSpec::Kind(StoreKind::Mysql) => Box::new(MysqlStore::new(ctx, engine)),
             StoreSpec::Mongo => Box::new(MongoStore::new(ctx, engine)),
         }

@@ -6,8 +6,8 @@
 //! 24/7). These experiments drive the calibrated stores through seeded
 //! [`FaultSchedule`]s — node crashes, a fail-slow disk, a network
 //! partition — and read availability, error counts, and post-fault
-//! recovery off the run's one-second [`Telemetry`] windows (phase means)
-//! and the error timeline (recovery detection).
+//! recovery off the run's per-second throughput timeline (phase means
+//! and recovery detection).
 //!
 //! Every run is fully deterministic: the same seed plus the same fault
 //! schedule reproduces byte-identical tables (run `repro --out` twice
@@ -15,7 +15,7 @@
 
 use crate::experiment::{ExperimentProfile, Scenario, StoreKind, StoreSpec};
 use apm_core::report::Table;
-use apm_core::stats::{BenchStats, Telemetry};
+use apm_core::stats::BenchStats;
 use apm_core::workload::Workload;
 use apm_sim::{ClusterSpec, FaultSchedule, FaultWindow, SimDuration, SimTime, WindowShape};
 use apm_stores::cassandra::CassandraConfig;
@@ -47,7 +47,7 @@ pub(crate) struct Phases {
 
 impl Phases {
     pub(crate) fn for_profile(profile: &ExperimentProfile) -> Phases {
-        // At least 9 s so each third spans several telemetry windows.
+        // At least 9 s so each third spans several seconds.
         let window = profile.measure_secs.max(9.0);
         Phases {
             window,
@@ -73,8 +73,7 @@ impl Phases {
     }
 
     /// The scenario every fault and resilience experiment starts from:
-    /// this window as the measurement window, `faults` injected into it,
-    /// one-second telemetry for the phase means.
+    /// this window as the measurement window, `faults` injected into it.
     pub(crate) fn scenario(
         &self,
         store: impl Into<StoreSpec>,
@@ -86,7 +85,6 @@ impl Phases {
         let mut scenario = Scenario::new(store, cluster, NODES, workload, profile);
         scenario.config.client.measure_secs = self.window;
         scenario.config.faults = faults;
-        scenario.config.telemetry_window_secs = Some(1.0);
         scenario
     }
 
@@ -113,18 +111,12 @@ impl Phases {
     }
 
     /// Per-second throughput means of the three phases, read off the
-    /// run's one-second [`Telemetry`] windows (`responded` = completed +
-    /// rejected, the same semantics the old `BenchStats` timeline had).
-    /// The transition windows (the fault second and the restore second)
-    /// are excluded — they mix regimes.
-    pub(crate) fn phase_means(&self, telemetry: &Telemetry) -> (f64, f64, f64) {
-        let mut timeline: Vec<u64> = telemetry.windows().iter().map(|w| w.responded()).collect();
-        // The sampler materialises every window up to the measurement
-        // end; the throughput timeline only ever extended to the last
-        // second that saw a response.
-        while timeline.last() == Some(&0) {
-            timeline.pop();
-        }
+    /// run's [`BenchStats::timeline`] (completed + rejected per second,
+    /// up to the last second that saw one). The transition seconds (the
+    /// fault second and the restore second) are excluded — they mix
+    /// regimes.
+    pub(crate) fn phase_means(&self, stats: &BenchStats) -> (f64, f64, f64) {
+        let timeline = stats.timeline();
         let mean = |lo: usize, hi: usize| -> f64 {
             let lo = lo.min(timeline.len());
             let hi = hi.min(timeline.len());
@@ -165,11 +157,7 @@ fn summary_columns(table: &mut Table) {
 }
 
 fn summary_row(result: &RunResult, window: &Phases) -> Vec<Option<f64>> {
-    let telemetry = result
-        .telemetry
-        .as_ref()
-        .expect("fault runs sample one-second telemetry windows");
-    let (pre, mid, post) = window.phase_means(telemetry);
+    let (pre, mid, post) = window.phase_means(&result.stats);
     vec![
         Some(result.stats.availability()),
         Some(result.stats.total_errors() as f64),

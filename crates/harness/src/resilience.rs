@@ -169,8 +169,7 @@ pub fn breaker_shedding(profile: &ExperimentProfile) -> Table {
 /// anti-pattern (1 ms base, 4 ms cap, no jitter, eight attempts).
 fn storm_retry() -> RetryPolicy {
     RetryPolicy {
-        max_retries_read: 8,
-        max_retries_write: 8,
+        max_retries: 8,
         base_backoff: SimDuration::from_millis(1),
         backoff_cap: SimDuration::from_millis(4),
         jitter: 0.0,

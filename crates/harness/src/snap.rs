@@ -11,11 +11,16 @@ use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind};
 use apm_core::report::Table;
 use apm_core::snap::{fnv1a64, SnapError, SnapWriter};
 use apm_core::workload::Workload;
-use apm_sim::ClusterSpec;
+use apm_sim::{ClusterSpec, FaultSchedule, SimDuration, SimTime};
 use apm_stores::runner::{bisect_divergence, CheckpointSpec, RunResult};
 
 /// Node count of the canonical snapshot scenario (Cluster M).
 pub const NODES: u32 = 4;
+
+/// Where the bisection's fail-slow window opens, as a fraction of the
+/// measurement window: inside checkpoint window 2 of 4 (boundaries
+/// every quarter window; 0.55 ∈ (0.5, 0.75]).
+pub const DIVERGE_AT: f64 = 0.55;
 
 /// The checkpoint cadence used by the subcommands and the extension:
 /// four checkpoints across the measurement window.
@@ -73,11 +78,9 @@ impl From<ScenarioRun> for SnapRun {
 
 /// Runs the canonical scenario with checkpoints enabled.
 pub fn snapshot_run(store: StoreKind, profile: &ExperimentProfile) -> SnapRun {
-    run_with_spec(store, profile, default_spec(profile))
-}
-
-fn run_with_spec(store: StoreKind, profile: &ExperimentProfile, spec: CheckpointSpec) -> SnapRun {
-    snap_scenario(store, profile, spec).run().into()
+    snap_scenario(store, profile, default_spec(profile))
+        .run()
+        .into()
 }
 
 /// Resumes the canonical scenario from a sealed checkpoint.
@@ -92,6 +95,9 @@ pub fn resume_run(
 
 /// Result of localizing an injected divergence.
 pub struct BisectOutcome {
+    /// Offset from warm-up end at which one run dispatches the fail-slow
+    /// window the other masks.
+    pub diverge_at_secs: f64,
     /// Checkpoints the two runs have in common.
     pub checkpoints: usize,
     /// Index of the first divergent checkpoint, if any.
@@ -102,26 +108,27 @@ pub struct BisectOutcome {
     pub window_ns: Option<(u64, u64)>,
 }
 
-/// Runs the scenario clean and with a one-draw perturbation injected
-/// `perturb_at_secs` after warm-up, then bisects the checkpoint streams
-/// to localize the first divergent virtual-time window.
-pub fn bisect_run(
-    store: StoreKind,
-    profile: &ExperimentProfile,
-    perturb_at_secs: f64,
-) -> BisectOutcome {
-    let every = default_spec(profile);
-    let clean = run_with_spec(store, profile, every.clone());
-    let perturbed = run_with_spec(
-        store,
-        profile,
-        CheckpointSpec {
-            perturb_at_secs: Some(perturb_at_secs),
-            ..every
-        },
+/// Runs the canonical scenario twice under one config holding one
+/// fail-slow window (node 1, 8× slower from [`DIVERGE_AT`] of the
+/// window to its end): one run dispatches it, the other masks it, as the
+/// chaos shrinker's probes do. The two stay byte-identical up to the
+/// dispatch; bisecting their checkpoint streams localizes the first
+/// divergent virtual-time window.
+pub fn bisect_run(store: StoreKind, profile: &ExperimentProfile) -> BisectOutcome {
+    let diverge_at_secs = profile.measure_secs * DIVERGE_AT;
+    let offset = |secs: f64| SimTime(SimDuration::from_secs_f64(secs).as_nanos());
+    let mut scenario = snap_scenario(store, profile, default_spec(profile));
+    scenario.config.faults = FaultSchedule::none().fail_slow(
+        1,
+        offset(diverge_at_secs),
+        offset(profile.measure_secs),
+        8,
     );
+    let masked = vec![false; scenario.config.faults.len()];
+    let clean = scenario.run_masked(Some(&masked));
+    let slowed = scenario.run();
     let a = &clean.result.checkpoints;
-    let b = &perturbed.result.checkpoints;
+    let b = &slowed.result.checkpoints;
     let first_divergent = bisect_divergence(a, b);
     let window_ns = first_divergent.map(|k| {
         let end = a[k as usize].at.0;
@@ -129,6 +136,7 @@ pub fn bisect_run(
         (start, end)
     });
     BisectOutcome {
+        diverge_at_secs,
         checkpoints: a.len().min(b.len()),
         first_divergent,
         window_ns,
@@ -137,13 +145,11 @@ pub fn bisect_run(
 
 /// `ext-snap-resume`: for every store, checkpoint the canonical run,
 /// resume it from the middle checkpoint, and verify the continuation is
-/// byte-identical; then inject a divergence and bisect it. Columns:
+/// byte-identical; then dispatch a fail-slow in one of two otherwise
+/// identical runs and bisect them ([`bisect_run`]). Columns:
 /// checkpoint count, resume fingerprint match (1 = identical), and the
 /// checkpoint index the bisection localized the divergence to.
 pub fn snap_resume(profile: &ExperimentProfile) -> Table {
-    // Perturb 55% of the way through the window: inside checkpoint
-    // window 2 of 4 (boundaries every quarter window; 0.55 ∈ (0.5, 0.75]).
-    let perturb_at = profile.measure_secs * 0.55;
     let mut table = Table::new(
         "Extension: snapshot/resume equivalence and divergence bisection (workload RW, 4 nodes)",
         "store",
@@ -159,7 +165,7 @@ pub fn snap_resume(profile: &ExperimentProfile) -> Table {
         let middle = &straight.result.checkpoints[straight.result.checkpoints.len() / 2];
         let resumed = resume_run(kind, profile, &middle.bytes).expect("resume succeeds");
         let matched = resumed.fingerprint == straight.fingerprint;
-        let bisect = bisect_run(kind, profile, perturb_at);
+        let bisect = bisect_run(kind, profile);
         table.push_row(
             kind.name(),
             vec![
@@ -199,17 +205,17 @@ mod tests {
     }
 
     #[test]
-    fn bisect_localizes_the_injected_draw() {
+    fn bisect_localizes_the_dispatched_fail_slow() {
         let p = profile();
-        let outcome = bisect_run(StoreKind::Redis, &p, p.measure_secs * 0.55);
+        let outcome = bisect_run(StoreKind::Redis, &p);
         assert_eq!(outcome.first_divergent, Some(2));
         let (start, end) = outcome.window_ns.expect("window");
         assert!(start < end);
-        // The perturbation time lies inside the reported window.
-        let perturb_ns = ((p.warmup_secs + p.measure_secs * 0.55) * 1e9) as u64;
+        // The dispatch time lies inside the reported window.
+        let dispatch_ns = ((p.warmup_secs + outcome.diverge_at_secs) * 1e9) as u64;
         assert!(
-            (start..=end).contains(&perturb_ns),
-            "perturbation at {perturb_ns} outside window {start}..{end}"
+            (start..=end).contains(&dispatch_ns),
+            "dispatch at {dispatch_ns} outside window {start}..{end}"
         );
     }
 

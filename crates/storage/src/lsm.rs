@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CompactionStrategy {
     /// Cassandra 1.0's default: merge runs of similar size once
-    /// `min_compaction_inputs` accumulate. Low write amplification, read
+    /// [`MIN_COMPACTION_INPUTS`] accumulate. Low write amplification, read
     /// amplification grows between merges.
     #[default]
     SizeTiered,
@@ -46,10 +46,11 @@ pub struct LsmConfig {
     pub memtable_flush_bytes: u64,
     /// Compaction policy.
     pub strategy: CompactionStrategy,
-    /// Minimum similar-size runs before a compaction is scheduled
-    /// (Cassandra `min_compaction_threshold`, default 4).
-    pub min_compaction_inputs: usize,
 }
+
+/// Minimum similar-size runs before a compaction is scheduled
+/// (Cassandra's default `min_compaction_threshold`).
+pub const MIN_COMPACTION_INPUTS: usize = 4;
 
 /// Maximum runs merged by one compaction (Cassandra's default 32).
 pub const MAX_COMPACTION_INPUTS: usize = 32;
@@ -59,7 +60,6 @@ impl Default for LsmConfig {
         LsmConfig {
             memtable_flush_bytes: 4 << 20,
             strategy: CompactionStrategy::SizeTiered,
-            min_compaction_inputs: 4,
         }
     }
 }
@@ -216,7 +216,7 @@ impl LsmTree {
 
     /// Size-tiered bucket selection: runs whose record counts share the
     /// same power-of-two magnitude form a bucket; a bucket with at least
-    /// `min_compaction_inputs` idle runs triggers a merge.
+    /// [`MIN_COMPACTION_INPUTS`] idle runs triggers a merge.
     fn maybe_compact(&mut self) -> Option<BackgroundJob> {
         if !self.compacting_inputs.is_empty() {
             // One compaction at a time (Cassandra 1.0 default behaviour
@@ -236,7 +236,7 @@ impl LsmTree {
                 }
                 buckets
                     .into_iter()
-                    .filter(|(_, ids)| ids.len() >= self.config.min_compaction_inputs)
+                    .filter(|(_, ids)| ids.len() >= MIN_COMPACTION_INPUTS)
                     .min_by_key(|(mag, _)| *mag)?
                     .1
             }
@@ -247,7 +247,7 @@ impl LsmTree {
                     .filter(|t| !busy.contains(&t.id) && !t.is_empty())
                     .map(|t| t.id)
                     .collect();
-                if idle.len() < self.config.min_compaction_inputs {
+                if idle.len() < MIN_COMPACTION_INPUTS {
                     return None;
                 }
                 idle
@@ -502,6 +502,17 @@ mod tests {
         }
     }
 
+    /// [`load`], but the first compaction a flush announces is left in
+    /// flight: one runs at a time, so every later run piles up unmerged.
+    fn load_leaving_a_compaction_in_flight(tree: &mut LsmTree, seqs: std::ops::Range<u64>) {
+        for seq in seqs {
+            let r = record_for_seq(seq);
+            if let (_, Some(flush)) = tree.insert(r.key, r.fields) {
+                let _in_flight = tree.complete(flush);
+            }
+        }
+    }
+
     #[test]
     fn reads_see_all_written_data() {
         let mut tree = LsmTree::new(small_config());
@@ -587,13 +598,11 @@ mod tests {
 
     #[test]
     fn read_amplification_grows_with_unmerged_runs() {
-        // Disable compaction by requiring many inputs.
         let mut tree = LsmTree::new(LsmConfig {
             memtable_flush_bytes: 75 * 50,
-            min_compaction_inputs: 1_000,
             ..LsmConfig::default()
         });
-        load(&mut tree, 0..1_000);
+        load_leaving_a_compaction_in_flight(&mut tree, 0..1_000);
         assert!(tree.table_count() >= 20);
         for seq in 0..200 {
             let r = record_for_seq(seq);
@@ -715,15 +724,13 @@ mod tests {
     fn leveled_reads_consult_fewer_runs() {
         let mut tiered = LsmTree::new(LsmConfig {
             memtable_flush_bytes: 75 * 50,
-            min_compaction_inputs: 8, // let runs pile up
             ..LsmConfig::default()
         });
         let mut leveled = LsmTree::new(LsmConfig {
             memtable_flush_bytes: 75 * 50,
             strategy: CompactionStrategy::Leveled,
-            min_compaction_inputs: 4,
         });
-        load(&mut tiered, 0..2_000);
+        load_leaving_a_compaction_in_flight(&mut tiered, 0..2_000);
         load(&mut leveled, 0..2_000);
         for seq in 0..500 {
             let r = record_for_seq(seq);

@@ -21,8 +21,6 @@ use apm_sim::SimDuration;
 /// Log sync discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// fsync on every write (InnoDB `innodb_flush_log_at_trx_commit=1`).
-    PerWrite,
     /// Writes acknowledge at the next periodic group sync (Cassandra
     /// `periodic` commit log mode).
     GroupCommit {
@@ -68,21 +66,12 @@ impl CommitLog {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     /// Appends a record of `payload_bytes` and returns the foreground cost.
     pub fn append(&mut self, payload_bytes: u64) -> WalReceipt {
         let entry = payload_bytes + self.entry_overhead;
         self.appended_bytes += entry;
         self.appends += 1;
         match self.policy {
-            SyncPolicy::PerWrite => WalReceipt {
-                io: Some(DiskIo::seq_write(entry)),
-                align: None,
-            },
             SyncPolicy::GroupCommit { window } => {
                 // The group's sync writes all accumulated entries at the
                 // boundary; each writer is charged its own bytes (the sum
@@ -164,23 +153,15 @@ mod tests {
     use crate::receipt::IoClass;
 
     #[test]
-    fn per_write_syncs_every_append() {
-        let mut log = CommitLog::new(SyncPolicy::PerWrite, 25);
+    fn group_commit_aligns_to_window() {
+        let window = SimDuration::from_millis(10);
+        let mut log = CommitLog::new(SyncPolicy::GroupCommit { window }, 25);
         let r = log.append(75);
-        let io = r.io.expect("sync write");
+        assert_eq!(r.align, Some(window));
+        let io = r.io.expect("group sync write");
         assert_eq!(io.bytes, 100);
         assert_eq!(io.class, IoClass::SeqWrite);
         assert!(!io.cacheable);
-        assert!(r.align.is_none());
-    }
-
-    #[test]
-    fn group_commit_aligns_to_window() {
-        let window = SimDuration::from_millis(10);
-        let mut log = CommitLog::new(SyncPolicy::GroupCommit { window }, 0);
-        let r = log.append(75);
-        assert_eq!(r.align, Some(window));
-        assert_eq!(r.io.unwrap().bytes, 75);
     }
 
     #[test]

@@ -240,6 +240,13 @@ impl StoreCtx {
     pub fn scaled_ram(&self) -> u64 {
         (self.cluster.node.ram_bytes as f64 * self.scale) as u64
     }
+
+    /// The LSM stores' memtable flush threshold: 64 MB at paper scale,
+    /// shrunk with the dataset so the flush/compaction cadence per record
+    /// matches, and never below 64 KB.
+    pub fn memtable_flush_bytes(&self) -> u64 {
+        (((64u64 << 20) as f64 * self.scale) as u64).max(64 << 10)
+    }
 }
 
 /// CPU service-demand model converting a [`CostReceipt`] into core time.

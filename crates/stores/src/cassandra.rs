@@ -78,9 +78,6 @@ pub struct CassandraConfig {
     /// compression which, however, will decrease the throughput"; the
     /// compression extension turns it on).
     pub compression: bool,
-    /// Memtable flush threshold in raw bytes, already scale-adjusted by
-    /// [`CassandraStore::new`] when left at the default.
-    pub memtable_flush_bytes: Option<u64>,
     /// Compaction strategy (paper/Cassandra 1.0 default: size-tiered;
     /// the compaction ablation compares against the leveled policy).
     pub strategy: CompactionStrategy,
@@ -102,7 +99,6 @@ impl Default for CassandraConfig {
             tokens: TokenAssignment::Optimal,
             replication: 1,
             compression: false,
-            memtable_flush_bytes: None,
             strategy: CompactionStrategy::SizeTiered,
             skip_hint_replay: false,
         }
@@ -139,7 +135,6 @@ pub struct CassandraStore {
     replication: usize,
     compression: bool,
     skip_hint_replay: bool,
-    flush_bytes: u64,
     cache_bytes: u64,
     strategy: CompactionStrategy,
     nodes: Vec<Node>,
@@ -158,12 +153,6 @@ impl CassandraStore {
     /// Creates the store over an instantiated context.
     pub fn new(ctx: StoreCtx, config: CassandraConfig) -> CassandraStore {
         let n = ctx.node_count();
-        // 64 MB memtables at paper scale, shrunk with the dataset so the
-        // flush/compaction cadence per record matches.
-        let flush_bytes = config
-            .memtable_flush_bytes
-            .unwrap_or(((64u64 << 20) as f64 * ctx.scale) as u64)
-            .max(64 << 10);
         let cache_bytes = (ctx.scaled_ram() as f64 * PAGE_CACHE_FRACTION) as u64;
         let mut store = CassandraStore {
             ring: TokenRing::new(n, config.tokens),
@@ -171,7 +160,6 @@ impl CassandraStore {
             replication: config.replication.max(1),
             compression: config.compression,
             skip_hint_replay: config.skip_hint_replay,
-            flush_bytes,
             cache_bytes,
             strategy: config.strategy,
             ctx,
@@ -190,9 +178,8 @@ impl CassandraStore {
     fn fresh_node(&self, idx: usize) -> Node {
         Node {
             lsm: LsmTree::new(LsmConfig {
-                memtable_flush_bytes: self.flush_bytes,
+                memtable_flush_bytes: self.ctx.memtable_flush_bytes(),
                 strategy: self.strategy,
-                ..LsmConfig::default()
             }),
             log: CommitLog::new(
                 SyncPolicy::GroupCommit {
@@ -579,7 +566,6 @@ impl DistributedStore for CassandraStore {
             replication: _,
             compression: _,
             skip_hint_replay: _,
-            flush_bytes: _,
             cache_bytes: _,
             strategy: _,
             nodes,
@@ -620,7 +606,6 @@ impl DistributedStore for CassandraStore {
             replication: _,
             compression: _,
             skip_hint_replay: _,
-            flush_bytes: _,
             cache_bytes: _,
             strategy: _,
             nodes,
@@ -795,14 +780,10 @@ mod tests {
     #[test]
     fn background_jobs_are_scheduled_and_completed() {
         let mut engine = Engine::new();
-        let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 1, 1, 0.01, 3);
-        let mut s = CassandraStore::new(
-            ctx,
-            CassandraConfig {
-                memtable_flush_bytes: Some(75 * 500),
-                ..CassandraConfig::default()
-            },
-        );
+        // At this scale the memtable flushes at its 64 KB floor.
+        let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 1, 1, 1e-4, 3);
+        assert_eq!(ctx.memtable_flush_bytes(), 64 << 10);
+        let mut s = CassandraStore::new(ctx, CassandraConfig::default());
         // Insert enough through plan_op to trip a flush.
         for seq in 0..1_000 {
             let record = record_for_seq(seq);

@@ -111,7 +111,7 @@ pub struct HbaseStore {
 impl HbaseStore {
     /// Creates the store.
     pub fn new(ctx: StoreCtx, engine: &mut Engine) -> HbaseStore {
-        let flush_bytes = (((64u64 << 20) as f64 * ctx.scale) as u64).max(64 << 10);
+        let flush_bytes = ctx.memtable_flush_bytes();
         let cache_bytes = (ctx.scaled_ram() as f64 * PAGE_CACHE_FRACTION) as u64;
         let n = ctx.node_count();
         let servers_state = (0..n)

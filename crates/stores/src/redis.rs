@@ -90,7 +90,6 @@ impl Instance {
 pub struct RedisStore {
     ctx: StoreCtx,
     ring: JedisRing,
-    hash: JedisHash,
     instances: Vec<Instance>,
     /// Hard allocation limit per instance (kept to rebuild a wiped
     /// instance after a crash).
@@ -107,7 +106,7 @@ impl RedisStore {
     }
 
     /// Creates the store; one instance per server node.
-    pub fn new(ctx: StoreCtx, engine: &mut Engine, hash: JedisHash) -> RedisStore {
+    pub fn new(ctx: StoreCtx, engine: &mut Engine) -> RedisStore {
         let planned_records_per_node = 10_000_000.0 * ctx.scale;
         let hard_limit = (planned_records_per_node
             * HashStore::bytes_per_record() as f64
@@ -119,14 +118,13 @@ impl RedisStore {
                 event_loop: engine.add_resource(format!("redis{i}.eventloop"), 1),
             })
             .collect();
-        let ring = JedisRing::new(ctx.node_count(), hash);
+        let ring = JedisRing::new(ctx.node_count(), JedisHash::Murmur);
         crate::audit::assert_ring_weight_conserved(
             &ring.vnode_weights(),
             crate::routing::JEDIS_VNODES as u64,
         );
         RedisStore {
             ring,
-            hash,
             ctx,
             instances,
             hard_limit,
@@ -135,7 +133,7 @@ impl RedisStore {
     }
 
     fn shard(&self, key: &apm_core::record::MetricKey) -> usize {
-        self.ring.route_with(self.hash, key)
+        self.ring.route(key)
     }
 
     /// One command on `shard`'s event loop for `base` (stretched while
@@ -208,14 +206,14 @@ impl DistributedStore for RedisStore {
         // Each instance carries its own rejection tally through the
         // build, so the workers share nothing; the store's counter is
         // their sum.
-        let (ring, hash) = (&self.ring, self.hash);
+        let ring = &self.ring;
         let mut tallied: Vec<(&mut Instance, u64)> =
             self.instances.iter_mut().map(|i| (i, 0)).collect();
         load_partitioned(
             &mut tallied,
             seqs,
             workers,
-            |key| [ring.route_with(hash, key)],
+            |key| [ring.route(key)],
             |(instance, rejections), record| instance.load(record, rejections),
         );
         self.load_rejections += tallied
@@ -316,7 +314,6 @@ impl DistributedStore for RedisStore {
         let RedisStore {
             ctx: _,
             ring: _,
-            hash: _,
             instances,
             hard_limit: _,
             load_rejections,
@@ -335,7 +332,6 @@ impl DistributedStore for RedisStore {
         let RedisStore {
             ctx: _,
             ring: _,
-            hash: _,
             instances,
             hard_limit: _,
             load_rejections,
@@ -371,7 +367,7 @@ mod tests {
             scale,
             13,
         );
-        RedisStore::new(ctx, engine, JedisHash::Murmur)
+        RedisStore::new(ctx, engine)
     }
 
     fn quick_run(nodes: u32, workload: Workload, records: u64) -> crate::runner::RunResult {

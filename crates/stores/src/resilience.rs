@@ -29,19 +29,16 @@
 //! paper's policy-free runs go through the same loop and report the same
 //! bytes as before there was a policy layer.
 
-use apm_core::ops::OpKind;
 use apm_core::stats::Histogram;
 use apm_core::{snap_enum, snap_struct};
 use apm_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Per-op-kind retry budgets with capped exponential backoff.
+/// A retry budget with capped exponential backoff.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RetryPolicy {
-    /// Maximum retries (beyond the primary attempt) for reads and scans.
-    pub max_retries_read: u32,
-    /// Maximum retries for writes (insert/update).
-    pub max_retries_write: u32,
+    /// Maximum retries beyond the primary attempt, for every op kind.
+    pub max_retries: u32,
     /// Backoff before the first retry; doubles per retry.
     pub base_backoff: SimDuration,
     /// Upper bound on any single backoff delay.
@@ -57,20 +54,10 @@ impl RetryPolicy {
     /// retries, 50 ms base, 2 s cap, 25 % jitter.
     pub fn standard() -> RetryPolicy {
         RetryPolicy {
-            max_retries_read: 6,
-            max_retries_write: 6,
+            max_retries: 6,
             base_backoff: SimDuration::from_millis(50),
             backoff_cap: SimDuration::from_secs_f64(2.0),
             jitter: 0.25,
-        }
-    }
-
-    /// Retry budget for `kind`.
-    pub fn budget(&self, kind: OpKind) -> u32 {
-        if kind.is_write() {
-            self.max_retries_write
-        } else {
-            self.max_retries_read
         }
     }
 }
@@ -92,11 +79,12 @@ pub fn backoff_delay(policy: &RetryPolicy, retry_index: u32, jitter_frac: f64) -
     SimDuration::from_nanos(jittered.min(policy.backoff_cap.as_nanos()))
 }
 
-/// Speculative duplicate reads after a latency-quantile delay.
+/// Read-latency quantile the hedge delay tracks.
+pub const HEDGE_QUANTILE: f64 = 0.95;
+
+/// Speculative duplicate reads after a [`HEDGE_QUANTILE`] latency delay.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HedgePolicy {
-    /// Read-latency quantile the hedge delay tracks (e.g. 0.95).
-    pub delay_quantile: f64,
     /// Delay floor, also used until the tracker has warmed up.
     pub min_delay: SimDuration,
     /// Successful reads observed before the quantile is trusted.
@@ -107,7 +95,6 @@ impl HedgePolicy {
     /// p95-tracking hedges with a 1 ms floor after 200 samples.
     pub fn standard() -> HedgePolicy {
         HedgePolicy {
-            delay_quantile: 0.95,
             min_delay: SimDuration::from_millis(1),
             warmup_samples: 200,
         }
@@ -132,7 +119,7 @@ impl HedgeTracker {
         if self.latencies.count() < policy.warmup_samples {
             return policy.min_delay;
         }
-        let q = self.latencies.quantile(policy.delay_quantile);
+        let q = self.latencies.quantile(HEDGE_QUANTILE);
         SimDuration::from_nanos(q.max(policy.min_delay.as_nanos()))
     }
 
@@ -142,13 +129,16 @@ impl HedgeTracker {
     }
 }
 
-/// Windowed-error-rate circuit breaking per target node.
+/// Attempt outcomes per target in a breaker's sliding window.
+pub const BREAKER_WINDOW: usize = 20;
+
+/// Error fraction at which a full window trips a breaker open.
+pub const BREAKER_ERROR_THRESHOLD: f64 = 0.5;
+
+/// Circuit breaking per target node over a [`BREAKER_WINDOW`]-outcome
+/// window, tripping at [`BREAKER_ERROR_THRESHOLD`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct BreakerPolicy {
-    /// Attempt outcomes per target in the sliding window.
-    pub window: usize,
-    /// Error fraction at which a full window trips the breaker open.
-    pub error_threshold: f64,
     /// Time the breaker stays open before admitting a half-open probe.
     pub open_for: SimDuration,
 }
@@ -157,8 +147,6 @@ impl BreakerPolicy {
     /// Trip at ≥50 % errors over 20 attempts, re-probe after 500 ms.
     pub fn standard() -> BreakerPolicy {
         BreakerPolicy {
-            window: 20,
-            error_threshold: 0.5,
             open_for: SimDuration::from_millis(500),
         }
     }
@@ -275,7 +263,6 @@ impl Breaker {
         now: SimTime,
         ok: bool,
         was_probe: bool,
-        policy: &BreakerPolicy,
     ) -> Option<(BreakerState, BreakerState)> {
         if was_probe && self.state == BreakerState::HalfOpen {
             self.probe_in_flight = false;
@@ -296,14 +283,14 @@ impl Breaker {
         if !ok {
             self.errors_in_window += 1;
         }
-        while self.outcomes.len() > policy.window {
+        while self.outcomes.len() > BREAKER_WINDOW {
             if self.outcomes.pop_front() == Some(true) {
                 self.errors_in_window -= 1;
             }
         }
-        let full = self.outcomes.len() >= policy.window;
+        let full = self.outcomes.len() >= BREAKER_WINDOW;
         let tripped =
-            self.errors_in_window as f64 >= policy.error_threshold * self.outcomes.len() as f64;
+            self.errors_in_window as f64 >= BREAKER_ERROR_THRESHOLD * self.outcomes.len() as f64;
         if full && tripped {
             self.opened_at = now;
             self.outcomes.clear();
@@ -414,8 +401,7 @@ mod tests {
     fn backoff_is_monotone_nondecreasing_and_cap_bounded() {
         // Property-style sweep: many jitter factors × long attempt runs.
         let policy = RetryPolicy {
-            max_retries_read: 64,
-            max_retries_write: 64,
+            max_retries: 64,
             base_backoff: SimDuration::from_micros(500),
             backoff_cap: ms(1_800),
             jitter: 0.4,
@@ -455,22 +441,8 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_is_per_op_kind() {
-        let policy = RetryPolicy {
-            max_retries_read: 5,
-            max_retries_write: 2,
-            ..RetryPolicy::standard()
-        };
-        assert_eq!(policy.budget(OpKind::Read), 5);
-        assert_eq!(policy.budget(OpKind::Scan), 5);
-        assert_eq!(policy.budget(OpKind::Insert), 2);
-        assert_eq!(policy.budget(OpKind::Update), 2);
-    }
-
-    #[test]
     fn hedge_tracker_uses_floor_until_warm_then_quantile() {
         let policy = HedgePolicy {
-            delay_quantile: 0.95,
             min_delay: ms(2),
             warmup_samples: 10,
         };
@@ -491,34 +463,27 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_a_full_window_of_errors() {
-        let policy = BreakerPolicy {
-            window: 4,
-            error_threshold: 0.5,
-            open_for: ms(100),
-        };
+        let policy = BreakerPolicy { open_for: ms(100) };
         let mut b = Breaker::default();
         let now = SimTime(1_000);
         assert_eq!(b.admit(now, &policy).0, BreakerDecision::Admit);
-        // Three errors in a window of four: not full yet, stays closed.
-        for _ in 0..3 {
-            assert_eq!(b.on_outcome(now, false, false, &policy), None);
+        // One error short of a full window: stays closed.
+        for _ in 1..BREAKER_WINDOW {
+            assert_eq!(b.on_outcome(now, false, false), None);
         }
         assert_eq!(b.state(), BreakerState::Closed);
-        let t = b.on_outcome(now, false, false, &policy);
+        let t = b.on_outcome(now, false, false);
         assert_eq!(t, Some((BreakerState::Closed, BreakerState::Open)));
         assert_eq!(b.admit(now, &policy).0, BreakerDecision::Shed);
     }
 
     #[test]
     fn breaker_half_open_probe_closes_on_success_and_reopens_on_failure() {
-        let policy = BreakerPolicy {
-            window: 2,
-            error_threshold: 0.5,
-            open_for: ms(100),
-        };
+        let policy = BreakerPolicy { open_for: ms(100) };
         let mut b = Breaker::default();
-        b.on_outcome(SimTime(0), false, false, &policy);
-        b.on_outcome(SimTime(0), false, false, &policy);
+        for _ in 0..BREAKER_WINDOW {
+            b.on_outcome(SimTime(0), false, false);
+        }
         assert_eq!(b.state(), BreakerState::Open);
         // Before the open interval elapses: shed.
         assert_eq!(b.admit(SimTime(1_000), &policy).0, BreakerDecision::Shed);
@@ -529,28 +494,23 @@ mod tests {
         assert_eq!(t, Some((BreakerState::Open, BreakerState::HalfOpen)));
         assert_eq!(b.admit(at, &policy).0, BreakerDecision::Shed);
         // Failed probe re-opens and re-arms the timer.
-        let t = b.on_outcome(at, false, true, &policy);
+        let t = b.on_outcome(at, false, true);
         assert_eq!(t, Some((BreakerState::HalfOpen, BreakerState::Open)));
         assert_eq!(b.admit(at, &policy).0, BreakerDecision::Shed);
         // Next probe succeeds: closed, admitting again.
         let at2 = SimTime(at.as_nanos() + ms(100).as_nanos());
         assert_eq!(b.admit(at2, &policy).0, BreakerDecision::Probe);
-        let t = b.on_outcome(at2, true, true, &policy);
+        let t = b.on_outcome(at2, true, true);
         assert_eq!(t, Some((BreakerState::HalfOpen, BreakerState::Closed)));
         assert_eq!(b.admit(at2, &policy).0, BreakerDecision::Admit);
     }
 
     #[test]
     fn breaker_window_slides_and_recovers_with_successes() {
-        let policy = BreakerPolicy {
-            window: 4,
-            error_threshold: 0.75,
-            open_for: ms(1),
-        };
         let mut b = Breaker::default();
-        // Alternating outcomes never reach 75 % of a full window.
-        for i in 0..40 {
-            assert_eq!(b.on_outcome(SimTime(i), i % 2 == 0, false, &policy), None);
+        // One error in three never reaches half of a full window.
+        for i in 0..4 * BREAKER_WINDOW as u64 {
+            assert_eq!(b.on_outcome(SimTime(i), i % 3 != 0, false), None);
         }
         assert_eq!(b.state(), BreakerState::Closed);
     }

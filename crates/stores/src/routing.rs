@@ -187,7 +187,11 @@ impl VnodeRing {
 /// "We tried both supported hashing algorithms in Jedis, MurMurHash and
 /// MD5, with the same result").
 #[derive(Clone, Debug)]
-pub struct JedisRing(VnodeRing);
+pub struct JedisRing {
+    ring: VnodeRing,
+    /// The hasher that placed the vnodes; keys are hashed with it too.
+    hash: JedisHash,
+}
 
 /// Virtual nodes per shard, matching Jedis's `Hashing.MURMUR_HASH` setup.
 pub const JEDIS_VNODES: usize = 160;
@@ -205,9 +209,10 @@ impl JedisRing {
     /// Builds the ring exactly the way Jedis does: vnode `n` of shard `i`
     /// hashes the string `"SHARD-{i}-NODE-{n}"`.
     pub fn new(shards: usize, hash: JedisHash) -> JedisRing {
-        JedisRing(VnodeRing::new(shards, JEDIS_VNODES, |shard, vnode| {
+        let ring = VnodeRing::new(shards, JEDIS_VNODES, |shard, vnode| {
             Self::hash_with(hash, format!("SHARD-{shard}-NODE-{vnode}").as_bytes())
-        }))
+        });
+        JedisRing { ring, hash }
     }
 
     fn hash_with(hash: JedisHash, data: &[u8]) -> u64 {
@@ -220,27 +225,23 @@ impl JedisRing {
         }
     }
 
-    /// Shard owning `key` (successor vnode on the ring).
-    pub fn route_with(&self, hash: JedisHash, key: &MetricKey) -> usize {
-        self.0.owner(Self::hash_with(hash, key.as_bytes()))
-    }
-
-    /// Shard owning `key`, using the default Murmur hasher.
+    /// Shard owning `key` (successor vnode on the ring), the key hashed
+    /// with the ring's own hasher.
     pub fn route(&self, key: &MetricKey) -> usize {
-        self.route_with(JedisHash::Murmur, key)
+        self.ring.owner(Self::hash_with(self.hash, key.as_bytes()))
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.0.shards
+        self.ring.shards
     }
 
     /// Virtual nodes each shard owns on the ring — the conserved weight:
     /// Jedis always places [`JEDIS_VNODES`] per shard, and a hash
     /// collision that silently dropped one would skew key distribution.
     pub fn vnode_weights(&self) -> Vec<u64> {
-        let mut weights = vec![0u64; self.0.shards];
-        for &shard in self.0.ring.values() {
+        let mut weights = vec![0u64; self.ring.shards];
+        for &shard in self.ring.ring.values() {
             weights[shard] += 1;
         }
         weights
@@ -585,11 +586,28 @@ mod tests {
     fn jedis_md5_variant_shows_the_same_imbalance() {
         // Footnote 7: both hashing algorithms gave "the same result".
         let ring = JedisRing::new(12, JedisHash::Md5);
-        let report = balance_of(12, 48_000, |k| ring.route_with(JedisHash::Md5, k));
+        let report = balance_of(12, 48_000, |k| ring.route(k));
         assert!(
             report.max_over_mean > 1.1,
             "md5 ring too balanced: {}",
             report.max_over_mean
+        );
+    }
+
+    #[test]
+    fn an_md5_ring_routes_keys_with_md5() {
+        // The MD5 owners of the first 1 000 keys: an MD5-built ring
+        // hashes its keys with MD5 too (Murmur-hashed keys agree with
+        // only 78 of these owners).
+        let ring = JedisRing::new(12, JedisHash::Md5);
+        let owners: Vec<u8> = (0..1_000)
+            .map(|seq| ring.route(&key_for_seq(seq)) as u8)
+            .collect();
+        assert_eq!(&owners[..8], &[11, 4, 11, 7, 6, 6, 1, 9]);
+        assert_eq!(
+            apm_core::snap::fnv1a64(&owners),
+            0xb91b_9f3a_1b7f_b823,
+            "an MD5-built ring routed a key with another hasher"
         );
     }
 

@@ -97,20 +97,12 @@ pub struct CheckpointSpec {
     /// Capture a checkpoint every this many virtual seconds after the
     /// warm-up ends (checkpoint `k` covers `warmup_end + every·(k+1)`).
     pub every_secs: f64,
-    /// Burn one extra workload draw at this offset from warm-up end —
-    /// an injected divergence, used to validate bisection. The clock of
-    /// the perturbation is virtual, so the clean and perturbed runs stay
-    /// byte-identical up to it and differ everywhere after.
-    pub perturb_at_secs: Option<f64>,
 }
 
 impl CheckpointSpec {
-    /// Checkpoints every `every_secs` virtual seconds, no perturbation.
+    /// Checkpoints every `every_secs` virtual seconds.
     pub fn every(every_secs: f64) -> CheckpointSpec {
-        CheckpointSpec {
-            every_secs,
-            perturb_at_secs: None,
-        }
+        CheckpointSpec { every_secs }
     }
 }
 
@@ -129,10 +121,9 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// [`snap::checksum64`] of the container *body* (store + kernel +
-    /// driver state). Headers are excluded so a clean and a perturbed
-    /// run — whose config fingerprints necessarily differ — still hash
-    /// equal while their states agree; bisection compares these. Compared
-    /// in-process only, never persisted.
+    /// driver state): two runs hash equal while their states agree, and
+    /// bisection compares these. Compared in-process only, never
+    /// persisted.
     pub fn state_hash(&self) -> u64 {
         let (_, body) = snap::open(&self.bytes).expect("own checkpoint is well-formed");
         snap::checksum64(body)
@@ -977,15 +968,6 @@ fn drive(
         .checkpoints
         .as_ref()
         .map(|spec| SimDuration::from_secs_f64(spec.every_secs));
-    // The perturbation is derived, never serialized: a resumed run
-    // recomputes whether it still lies ahead, so pre-perturbation
-    // checkpoints of a clean and a perturbed run stay byte-identical.
-    let mut perturb_at = config
-        .checkpoints
-        .as_ref()
-        .and_then(|spec| spec.perturb_at_secs)
-        .map(|secs| d.warmup_end + SimDuration::from_secs_f64(secs))
-        .filter(|&at| engine.now() < at);
 
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     while let Some(completion) = engine.next_completion() {
@@ -1000,14 +982,6 @@ fn drive(
             if now >= at {
                 d.event_at = None;
                 store.on_timed_event(engine);
-            }
-        }
-        if let Some(at) = perturb_at {
-            if now >= at {
-                perturb_at = None;
-                // Injected divergence: burn one draw, shifting every
-                // subsequent op in the stream.
-                let _ = d.generator.next_op();
             }
         }
         let (is_fault, fault_index) = split_fault_token(completion.token);
@@ -1066,8 +1040,8 @@ fn drive(
         // never touched the target, so they are invisible to both).
         let kind = slot.op.kind();
         if !slot.shed {
-            if let (Some(bp), Some(target)) = (&d.policy.breaker, slot.target) {
-                let transition = d.ps.breakers[target].on_outcome(now, !failed, slot.was_probe, bp);
+            if let (Some(_), Some(target)) = (&d.policy.breaker, slot.target) {
+                let transition = d.ps.breakers[target].on_outcome(now, !failed, slot.was_probe);
                 note_transition(d.stats.resilience_mut(), transition);
             }
             if d.policy.hedge.is_some()
@@ -1085,10 +1059,10 @@ fn drive(
             if let Some(rp) = &d.policy.retry {
                 let used = slot.retries_used;
                 let re_at = now + backoff_delay(rp, used, slot.jitter);
-                if used < rp.budget(kind) && re_at < d.measure_end {
+                if used < rp.max_retries && re_at < d.measure_end {
                     if d.ps.try_extra() {
                         slot.retries_used = used + 1;
-                        crate::audit::assert_retry_within_budget(used + 1, rp.budget(kind));
+                        crate::audit::assert_retry_within_budget(used + 1, rp.max_retries);
                         d.stats.resilience_mut().retries += 1;
                         d.issue_attempt(engine, store, client, re_at, deadline);
                         continue;
@@ -2009,7 +1983,6 @@ pub(crate) mod tests {
         cfg.resilience = Some(ResiliencePolicy {
             retry: Some(RetryPolicy::standard()),
             hedge: Some(HedgePolicy {
-                delay_quantile: 0.95,
                 min_delay: SimDuration::from_micros(500),
                 warmup_samples: 50,
             }),
@@ -2176,7 +2149,6 @@ pub(crate) mod tests {
         let mut cfg = quick_config(Workload::r());
         cfg.resilience = Some(ResiliencePolicy {
             hedge: Some(HedgePolicy {
-                delay_quantile: 0.95,
                 min_delay: SimDuration::ZERO,
                 warmup_samples: u64::MAX, // pin the delay to the floor
             }),
@@ -2215,8 +2187,6 @@ pub(crate) mod tests {
         };
         let bare = run(None);
         let broken = run(Some(BreakerPolicy {
-            window: 20,
-            error_threshold: 0.5,
             open_for: SimDuration::from_millis(200),
         }));
         let counters = *broken.stats.resilience();
@@ -2248,8 +2218,7 @@ pub(crate) mod tests {
             cfg.resilience = Some(ResiliencePolicy {
                 retry: Some(RetryPolicy {
                     // An aggressive client: many cheap retries.
-                    max_retries_read: 8,
-                    max_retries_write: 8,
+                    max_retries: 8,
                     base_backoff: SimDuration::from_millis(1),
                     backoff_cap: SimDuration::from_millis(4),
                     jitter: 0.0,
@@ -2591,11 +2560,7 @@ pub(crate) mod tests {
             "hbase" => Box::new(crate::hbase::HbaseStore::new(ctx, engine)),
             "voldemort" => Box::new(crate::voldemort::VoldemortStore::new(ctx, engine)),
             "voltdb" => Box::new(crate::voltdb::VoltDbStore::new(ctx, engine)),
-            "redis" => Box::new(crate::redis::RedisStore::new(
-                ctx,
-                engine,
-                crate::routing::JedisHash::Murmur,
-            )),
+            "redis" => Box::new(crate::redis::RedisStore::new(ctx, engine)),
             "mysql" => Box::new(crate::mysql::MysqlStore::new(ctx, engine)),
             "mongodb" => Box::new(crate::mongodb::MongoStore::new(ctx, engine)),
             other => panic!("no store called {other:?}"),
@@ -2682,19 +2647,21 @@ pub(crate) mod tests {
 
     #[test]
     fn bisect_localizes_an_injected_divergence() {
-        let run = |perturb_at_secs: Option<f64>| {
+        // One config, one fail-slow window 1.1 s after warm-up; the
+        // masked runs never dispatch it, the other does.
+        let mut cfg = quick_config(Workload::rw());
+        cfg.checkpoints = Some(CheckpointSpec::every(0.25));
+        cfg.faults =
+            FaultSchedule::none().fail_slow(0, SimTime(1_100_000_000), SimTime(1_900_000_000), 8);
+        let run = |mask: Option<&[bool]>| {
             let mut engine = Engine::new();
             let mut store = FixtureStore::new(&mut engine, 100);
-            let mut cfg = quick_config(Workload::rw());
-            cfg.checkpoints = Some(CheckpointSpec {
-                every_secs: 0.25,
-                perturb_at_secs,
-            });
-            run_benchmark(&mut engine, &mut store, &cfg)
+            run_benchmark_masked(&mut engine, &mut store, &cfg, mask)
         };
-        let clean = run(None);
-        let twin = run(None);
-        let perturbed = run(Some(1.1));
+        let masked = [false; 2];
+        let clean = run(Some(&masked));
+        let twin = run(Some(&masked));
+        let slowed = run(None);
 
         // Identical runs: no divergence at any common checkpoint.
         assert_eq!(
@@ -2706,21 +2673,19 @@ pub(crate) mod tests {
             None
         );
 
-        // The perturbation burns one workload draw 1.1 s after warm-up:
-        // inside checkpoint window 4 (boundaries every 0.25 s, checkpoint
-        // k at 0.25·(k+1); 1.1 s lies in (1.0, 1.25]).
-        let first = bisect_divergence(&clean.checkpoints, &perturbed.checkpoints);
+        // The fail-slow lands inside checkpoint window 4 (boundaries every
+        // 0.25 s, checkpoint k at 0.25·(k+1); 1.1 s lies in (1.0, 1.25]).
+        let first = bisect_divergence(&clean.checkpoints, &slowed.checkpoints);
         assert_eq!(first, Some(4), "divergence localized to the wrong window");
         for k in 0..4 {
             assert_eq!(
-                clean.checkpoints[k].state_hash(),
-                perturbed.checkpoints[k].state_hash(),
-                "pre-perturbation checkpoint {k} diverged"
+                clean.checkpoints[k].bytes, slowed.checkpoints[k].bytes,
+                "checkpoint {k} before the dispatch diverged"
             );
         }
         assert_ne!(
             clean.checkpoints[4].state_hash(),
-            perturbed.checkpoints[4].state_hash()
+            slowed.checkpoints[4].state_hash()
         );
     }
 

@@ -7,7 +7,6 @@ use apm_stores::hbase::HbaseStore;
 use apm_stores::mongodb::MongoStore;
 use apm_stores::mysql::MysqlStore;
 use apm_stores::redis::RedisStore;
-use apm_stores::routing::JedisHash;
 use apm_stores::voldemort::VoldemortStore;
 use apm_stores::voltdb::VoltDbStore;
 use apm_stores::{DistributedStore, StoreCtx};
@@ -40,7 +39,7 @@ pub fn build(name: &str, engine: &mut Engine, ctx: StoreCtx) -> Box<dyn Distribu
         "hbase" => Box::new(HbaseStore::new(ctx, engine)),
         "voldemort" => Box::new(VoldemortStore::new(ctx, engine)),
         "voltdb" => Box::new(VoltDbStore::new(ctx, engine)),
-        "redis" => Box::new(RedisStore::new(ctx, engine, JedisHash::Murmur)),
+        "redis" => Box::new(RedisStore::new(ctx, engine)),
         "mysql" => Box::new(MysqlStore::new(ctx, engine)),
         "mongodb" => Box::new(MongoStore::new(ctx, engine)),
         other => panic!("no store called {other:?}"),

@@ -15,7 +15,6 @@ use apm_core::keyspace::record_for_seq;
 use apm_core::snap::SnapWriter;
 use apm_sim::{ClusterSpec, Engine};
 use apm_stores::redis::RedisStore;
-use apm_stores::routing::JedisHash;
 use apm_stores::{DistributedStore, StoreCtx};
 use common::STORES;
 use std::ops::Range;
@@ -162,7 +161,7 @@ fn redis_rejections_and_survivors_match_the_loop() {
     let loaded = |parts: &[(Range<u64>, Via)]| {
         let mut engine = Engine::new();
         let ctx = ctx(&mut engine, nodes, 0.0001);
-        let mut store = RedisStore::new(ctx, &mut engine, JedisHash::Murmur);
+        let mut store = RedisStore::new(ctx, &mut engine);
         for (seqs, via) in parts {
             load_via(&mut store, seqs.clone(), *via);
         }
