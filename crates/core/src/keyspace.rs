@@ -33,15 +33,7 @@ pub fn key_for_seq(seq: u64) -> MetricKey {
 /// Produces the full record for sequence number `seq`.
 #[inline]
 pub fn record_for_seq(seq: u64) -> Record {
-    let [record] = records_for_seqs([seq]);
-    record
-}
-
-/// [`record_for_seq`] of every sequence number, built side by side
-/// ([`Record::from_ids`]): what the load phase calls four at a time.
-#[inline]
-pub fn records_for_seqs<const N: usize>(seqs: [u64; N]) -> [Record; N] {
-    Record::from_ids(seqs.map(scramble))
+    Record::from_id(scramble(seq))
 }
 
 /// Key-choosing distribution for read/scan operations.
@@ -266,17 +258,6 @@ mod tests {
         let scrambled = (0..4_096).map(|_| rng.next_u64());
         for seq in edges.into_iter().chain(0..4_096).chain(scrambled) {
             assert_eq!(key_for_seq(seq), record_for_seq(seq).key, "seq {seq}");
-        }
-    }
-
-    #[test]
-    fn kernel_equivalence_of_records_for_seqs_lane_by_lane() {
-        let mut rng = SplitRng::new(0x6C61_6E65);
-        for base in [0, 1, u64::MAX - 3].into_iter().chain(0..1_024) {
-            // Neighbours (a load's usual step) and strangers side by side.
-            let seqs = [base, base.wrapping_add(1), rng.next_u64(), rng.next_u64()];
-            assert_eq!(records_for_seqs(seqs), seqs.map(record_for_seq), "{seqs:?}");
-            assert_eq!(records_for_seqs([base; 4]), [record_for_seq(base); 4]);
         }
     }
 

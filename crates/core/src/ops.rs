@@ -5,7 +5,7 @@
 //! are unused (*"we only included insert, read, and scan operations"*, §3).
 //! Updates are still modelled because two extension experiments use them.
 
-use crate::record::{FieldValues, MetricKey, Record};
+use crate::record::{MetricKey, Row};
 use crate::snap_enum;
 
 /// Kind of a benchmark operation, in a fixed reporting order.
@@ -51,10 +51,10 @@ pub enum Operation {
     Read { key: MetricKey },
     /// Fetch up to `len` records starting at `start` in key order.
     Scan { start: MetricKey, len: usize },
-    /// Append `record`.
-    Insert { record: Record },
-    /// Replace the record under `record.key`.
-    Update { record: Record },
+    /// Append `row`.
+    Insert { row: Row },
+    /// Replace the record under `row`'s key.
+    Update { row: Row },
 }
 
 impl Operation {
@@ -69,11 +69,11 @@ impl Operation {
     }
 
     /// The key the operation is routed by (scan: the start key).
-    pub fn routing_key(&self) -> &MetricKey {
+    pub fn routing_key(&self) -> MetricKey {
         match self {
-            Operation::Read { key } => key,
-            Operation::Scan { start, .. } => start,
-            Operation::Insert { record } | Operation::Update { record } => &record.key,
+            Operation::Read { key } => *key,
+            Operation::Scan { start, .. } => *start,
+            Operation::Insert { row } | Operation::Update { row } => row.key(),
         }
     }
 }
@@ -81,16 +81,16 @@ impl Operation {
 snap_enum!(Operation {
     0 => Read { key },
     1 => Scan { start, len },
-    2 => Insert { record },
-    3 => Update { record },
+    2 => Insert { row },
+    3 => Update { row },
 });
 
 /// Result of executing an operation against a store, as seen by the
 /// benchmark client (used for correctness checks, not timing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpOutcome {
-    /// Read found the record.
-    Found(Record),
+    /// Read found the record; a generated one as its id.
+    Found(Row),
     /// Read missed (only possible for foreign keys — a benchmark error).
     Missing,
     /// Scan returned `n` records.
@@ -115,13 +115,9 @@ pub enum RejectReason {
 }
 
 impl OpOutcome {
-    /// The outcome of a point read of `key` that found `fields`, or
-    /// nothing.
-    pub fn read(key: &MetricKey, found: Option<FieldValues>) -> OpOutcome {
-        match found {
-            Some(fields) => OpOutcome::Found(Record { key: *key, fields }),
-            None => OpOutcome::Missing,
-        }
+    /// The outcome of a point read that found `row`, or nothing.
+    pub fn read(found: Option<Row>) -> OpOutcome {
+        found.map_or(OpOutcome::Missing, OpOutcome::Found)
     }
 
     /// Whether the outcome counts as a benchmark-visible success.
@@ -133,7 +129,7 @@ impl OpOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
+    use crate::record::{FieldValues, Record};
 
     #[test]
     fn kinds_report_write_flag() {
@@ -152,24 +148,30 @@ mod tests {
                 start: rec.key,
                 len: 50,
             },
-            Operation::Insert { record: rec },
-            Operation::Update { record: rec },
+            Operation::Insert {
+                row: Row::Generated(5),
+            },
+            Operation::Update {
+                row: Row::Literal(rec.key, FieldValues::ZERO),
+            },
         ];
         for (op, kind) in ops.iter().zip(OpKind::ALL) {
             assert_eq!(op.kind(), kind);
-            assert_eq!(op.routing_key(), &rec.key);
+            assert_eq!(op.routing_key(), rec.key);
         }
     }
 
     #[test]
     fn outcome_success_classification() {
-        let rec = Record::from_id(1);
+        let row = Row::Generated(1);
+        assert_eq!(OpOutcome::read(Some(row)), OpOutcome::Found(row));
+        assert_eq!(OpOutcome::read(None), OpOutcome::Missing);
+        assert!(OpOutcome::Found(row).is_ok());
+        // A hit prints the record it found, fields expanded.
         assert_eq!(
-            OpOutcome::read(&rec.key, Some(rec.fields)),
-            OpOutcome::Found(rec)
+            format!("{:?}", OpOutcome::Found(row)),
+            format!("Found({:?})", Record::from_id(1))
         );
-        assert_eq!(OpOutcome::read(&rec.key, None), OpOutcome::Missing);
-        assert!(OpOutcome::Found(Record::from_id(1)).is_ok());
         assert!(OpOutcome::Scanned(50).is_ok());
         assert!(OpOutcome::Done.is_ok());
         assert!(!OpOutcome::Missing.is_ok());

@@ -350,31 +350,20 @@ impl FieldValues {
     pub const ZERO: FieldValues = FieldValues([[b'0'; FIELD_SIZE]; FIELD_COUNT]);
 
     /// Deterministically derives field content from a seed, mimicking
-    /// YCSB's random field generation while staying reproducible.
+    /// YCSB's random field generation while staying reproducible: one
+    /// xorshift64 generator, a byte a step — 50 dependent steps, which is
+    /// why no operation or load path runs it (a generated row is held,
+    /// written and read as its id, [`Row`]).
     pub fn from_seed(seed: u64) -> Self {
-        let [fields] = Self::from_seeds([seed]);
-        fields
-    }
-
-    /// [`FieldValues::from_seed`] of every seed, stepping the `N`
-    /// generators together: one chain is 50 dependent xorshift rounds, so
-    /// independent chains side by side fill the time one spends waiting
-    /// on itself.
-    pub fn from_seeds<const N: usize>(seeds: [u64; N]) -> [FieldValues; N] {
-        let mut states = seeds.map(|seed| seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut out = [FieldValues([[0u8; FIELD_SIZE]; FIELD_COUNT]); N];
-        for field in 0..FIELD_COUNT {
-            for byte in 0..FIELD_SIZE {
-                for (state, fields) in states.iter_mut().zip(&mut out) {
-                    // xorshift64* — cheap, deterministic, good enough for filler.
-                    *state ^= *state << 13;
-                    *state ^= *state >> 7;
-                    *state ^= *state << 17;
-                    fields.0[field][byte] = ALPHABET[(*state % 36) as usize];
-                }
-            }
+        let mut fields = [[0u8; FIELD_SIZE]; FIELD_COUNT];
+        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+        for byte in fields.iter_mut().flatten() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = ALPHABET[(state % 36) as usize];
         }
-        out
+        FieldValues(fields)
     }
 
     /// Total payload size in bytes.
@@ -407,72 +396,16 @@ impl Snap for FieldValues {
     }
 }
 
-/// Writes `records` as `w.put(key); w.put(fields)` of each in turn would,
-/// byte for byte, but tests four records' fields against their seeds at a
-/// time ([`FieldValues::from_seeds`]): the encode path of the containers
-/// that hold a store's bulk — SSTable runs and the hash store. The caller
-/// writes any length prefix.
-pub fn snap_records<'a>(
-    w: &mut SnapWriter,
-    records: impl IntoIterator<Item = (&'a MetricKey, &'a FieldValues)>,
-) {
-    let mut records = records.into_iter().fuse();
-    loop {
-        let lanes: [_; 4] = std::array::from_fn(|_| records.next());
-        let [Some(a), Some(b), Some(c), Some(d)] = lanes else {
-            for (key, fields) in lanes.into_iter().flatten() {
-                w.put(key);
-                w.put(fields);
-            }
-            return;
-        };
-        let batch = [a, b, c, d];
-        let ids = batch.map(|(key, _)| key.to_id());
-        let seeds = FieldValues::from_seeds(ids.map(|id| id.unwrap_or(0)));
-        for (((key, fields), id), seeded) in batch.into_iter().zip(ids).zip(seeds) {
-            put_key(w, key, id);
-            put_fields(w, fields, id.is_some() && *fields == seeded);
-        }
-    }
-}
-
-/// Reads `len` records written by [`snap_records`] — or by one `put` of
-/// each key and fields — and hands each to `push`, expanding four
-/// records' seeded fields at a time.
-pub fn restore_records(
-    r: &mut SnapReader,
-    len: usize,
-    mut push: impl FnMut(MetricKey, FieldValues),
-) -> Result<(), SnapError> {
-    for _ in 0..len / 4 {
-        let mut keys = [MetricKey::MIN; 4];
-        let mut fields = [Fields::Seeded(0); 4];
-        for (key, fields) in keys.iter_mut().zip(&mut fields) {
-            *key = r.get()?;
-            *fields = get_fields(r)?;
-        }
-        let seeds = fields.map(|fields| match fields {
-            Fields::Seeded(id) => id,
-            Fields::Literal(_) => 0,
-        });
-        let seeded = FieldValues::from_seeds(seeds);
-        for ((key, fields), seeded) in keys.into_iter().zip(fields).zip(seeded) {
-            match fields {
-                Fields::Seeded(_) => push(key, seeded),
-                Fields::Literal(fields) => push(key, fields),
-            }
-        }
-    }
-    for _ in 0..len % 4 {
-        push(r.get()?, r.get()?);
-    }
-    Ok(())
-}
-
 /// A record as the record codec spells it: [`Record::from_id`] of an id,
-/// held as the id, or any other key and fields. What a table that keeps
-/// generated records as their ids stores, writes and reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// held as the id, or any other key and fields. What every storage
+/// engine keeps, an operation writes and a read hit returns; the fields
+/// of a generated row are expanded only where their bytes are wanted.
+///
+/// A `Literal` row never holds a generated record: [`Row::new`] tells
+/// the two apart, the generator makes `Generated` rows, and the codec
+/// refuses literal fields that an id's key seeds. So two rows are equal
+/// exactly when their records are.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Row {
     /// [`Record::from_id`] of this id.
     Generated(u64),
@@ -498,6 +431,14 @@ impl Row {
         }
     }
 
+    /// The row's fields, a generated row's expanded.
+    pub fn fields(&self) -> FieldValues {
+        match self {
+            Row::Generated(id) => FieldValues::from_seed(*id),
+            Row::Literal(_, fields) => *fields,
+        }
+    }
+
     /// The row's record, generated fields expanded.
     pub fn record(&self) -> Record {
         match self {
@@ -507,6 +448,32 @@ impl Row {
                 fields: *fields,
             },
         }
+    }
+}
+
+impl From<Record> for Row {
+    fn from(record: Record) -> Row {
+        Row::new(record.key, record.fields)
+    }
+}
+
+impl From<Row> for Record {
+    fn from(row: Row) -> Record {
+        row.record()
+    }
+}
+
+impl From<(MetricKey, FieldValues)> for Record {
+    fn from((key, fields): (MetricKey, FieldValues)) -> Record {
+        Record { key, fields }
+    }
+}
+
+/// Prints the row's record: a read outcome that carries a row reads
+/// the way one that carried the record did.
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.record(), f)
     }
 }
 
@@ -528,23 +495,33 @@ pub fn snap_row(w: &mut SnapWriter, row: &Row) {
     }
 }
 
-/// Reads `len` records written by [`snap_row`], [`snap_records`] or one
-/// `put` of each key and fields, and hands each to `push` as the [`Row`]
-/// it was written as: a record whose fields were written seeded comes back
-/// as its id, unexpanded. Refuses what [`restore_records`] refuses.
+// Hand-written: a row is written as its record is ([`snap_row`]) and
+// read back as it was written, a record whose fields were written seeded
+// as its id, unexpanded.
+impl Snap for Row {
+    fn snap(&self, w: &mut SnapWriter) {
+        snap_row(w, self);
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let key = get_key(r)?;
+        // Seeded fields are seeded by the key just read: a literal key
+        // leaves no id for them, and `get_fields` refuses that.
+        Ok(match get_fields(r)? {
+            Fields::Seeded(id) => Row::Generated(id),
+            Fields::Literal(fields) => Row::Literal(key.render(), fields),
+        })
+    }
+}
+
+/// Reads `len` records written by [`snap_row`] or one `put` of each key
+/// and fields, and hands each to `push` as the [`Row`] it was written as.
 pub fn restore_rows(
     r: &mut SnapReader,
     len: usize,
     mut push: impl FnMut(Row) -> Result<(), SnapError>,
 ) -> Result<(), SnapError> {
     for _ in 0..len {
-        let key = get_key(r)?;
-        // Seeded fields are seeded by the key just read: a literal key
-        // leaves no id for them, and `get_fields` refuses that.
-        push(match get_fields(r)? {
-            Fields::Seeded(id) => Row::Generated(id),
-            Fields::Literal(fields) => Row::Literal(key.render(), fields),
-        })?;
+        push(r.get()?)?;
     }
     Ok(())
 }
@@ -572,18 +549,10 @@ pub struct Record {
 impl Record {
     /// Builds the canonical record for identifier `id`.
     pub fn from_id(id: u64) -> Self {
-        let [record] = Self::from_ids([id]);
-        record
-    }
-
-    /// [`Record::from_id`] of every identifier, the field generators
-    /// stepped together ([`FieldValues::from_seeds`]).
-    pub fn from_ids<const N: usize>(ids: [u64; N]) -> [Record; N] {
-        let fields = FieldValues::from_seeds(ids);
-        std::array::from_fn(|lane| Record {
-            key: MetricKey::from_id(ids[lane]),
-            fields: fields[lane],
-        })
+        Record {
+            key: MetricKey::from_id(id),
+            fields: FieldValues::from_seed(id),
+        }
     }
 }
 
@@ -727,8 +696,7 @@ mod tests {
     }
 
     fn kernels_match_their_references(budget: u64) {
-        let mut lanes = [0u64; 4];
-        for (n, id) in sweep_ids(budget).enumerate() {
+        for id in sweep_ids(budget) {
             let key = MetricKey::from_id(id);
             assert_eq!(key, from_id_reference(id), "id {id}");
             assert_eq!(key.to_id(), Some(id), "id {id}");
@@ -737,27 +705,17 @@ mod tests {
                 from_seed_reference(id),
                 "id {id}"
             );
-            // Four at a time, each id passing through every lane.
-            lanes.rotate_left(1);
-            lanes[3] = id;
-            if n >= 3 {
-                let want = lanes.map(|id| Record {
-                    key: from_id_reference(id),
-                    fields: from_seed_reference(id),
-                });
-                assert_eq!(Record::from_ids(lanes), want, "ids {lanes:?}");
-            }
         }
     }
 
     #[test]
-    fn kernel_equivalence_of_key_render_and_field_lanes() {
+    fn kernel_equivalence_of_key_render_and_field_fill() {
         kernels_match_their_references(1 << 12);
     }
 
     #[test]
     #[ignore = "2^20 ids: CI runs it in the release profile"]
-    fn kernel_equivalence_of_key_render_and_field_lanes_at_the_large_budget() {
+    fn kernel_equivalence_of_key_render_and_field_fill_at_the_large_budget() {
         kernels_match_their_references(1 << 20);
     }
 
@@ -982,22 +940,11 @@ mod tests {
     }
 
     #[test]
-    fn the_four_lane_record_codec_writes_and_reads_the_per_record_bytes() {
+    fn the_row_codec_writes_and_reads_the_per_record_bytes() {
         let mut rng = crate::keyspace::SplitRng::new(4);
         for case in 0..400 {
             let records = mixed_records(&mut rng, case % 14);
             let want = encoded(&records);
-            let mut w = SnapWriter::new();
-            snap_records(&mut w, records.iter().map(|r| (&r.key, &r.fields)));
-            assert_eq!(w.bytes(), &want[..], "case {case}: {records:?}");
-            let mut decoded = Vec::new();
-            let mut r = SnapReader::new(&want);
-            restore_records(&mut r, records.len(), |key, fields| {
-                decoded.push(Record { key, fields })
-            })
-            .expect("own bytes decode");
-            r.finish().expect("every byte read");
-            assert_eq!(decoded, records, "case {case}");
             let mut r = SnapReader::new(&want);
             let one_by_one: Vec<Record> = (0..records.len())
                 .map(|_| r.get().expect("own bytes decode"))
@@ -1031,13 +978,8 @@ mod tests {
             tag: u64::from(tag),
         };
         let decode = |bytes: &[u8]| -> Result<Vec<Record>, SnapError> {
-            // Through both decoders: per record, and four at a time.
+            // Through both decoders: as a record, and as a row.
             let one = SnapReader::new(bytes).get::<Record>().map(|r| vec![r]);
-            let mut four = Vec::new();
-            let batch = restore_records(&mut SnapReader::new(bytes), 4, |key, fields| {
-                four.push(Record { key, fields })
-            });
-            assert_eq!(one.clone().err(), batch.err(), "{bytes:?}");
             let rows = restore_rows(&mut SnapReader::new(bytes), 1, |_| Ok(()));
             assert_eq!(one.clone().err(), rows.err(), "{bytes:?}");
             one

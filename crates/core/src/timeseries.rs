@@ -17,7 +17,7 @@
 //! metric series are adjacent keys — window arithmetic, and aggregate
 //! evaluation over any engine that can range-scan.
 
-use crate::record::{ApmMeasurement, FieldValues, MetricKey, Record};
+use crate::record::{ApmMeasurement, MetricKey, Record};
 
 /// Key codec for time-series data: the 64-bit record id is
 /// `series_id << 24 | slot`, so one series' consecutive reporting slots
@@ -149,21 +149,27 @@ pub enum ApmQuery {
 /// `scan` receives a start key and a record count and returns the stored
 /// records from that position — the exact operation the benchmark's scan
 /// workloads exercise.
-pub fn execute<F>(codec: &SeriesCodec, query: &ApmQuery, now: u64, mut scan: F) -> WindowAggregate
+pub fn execute<F, R>(
+    codec: &SeriesCodec,
+    query: &ApmQuery,
+    now: u64,
+    mut scan: F,
+) -> WindowAggregate
 where
-    F: FnMut(MetricKey, usize) -> Vec<(MetricKey, FieldValues)>,
+    F: FnMut(MetricKey, usize) -> Vec<R>,
+    R: Into<Record>,
 {
     let mut total = WindowAggregate::new();
     let one_series = |codec: &SeriesCodec, series: u64, window: u64, scan: &mut F| {
         let (start, len) = codec.window_scan(series, now, window);
         let mut agg = WindowAggregate::new();
-        for (key, fields) in scan(start, len) {
+        for row in scan(start, len) {
+            let record: Record = row.into();
             // A range scan may run past the series' last slot into the
             // next series: filter by the series id.
-            match codec.decode(&key) {
+            match codec.decode(&record.key) {
                 Some((s, _)) if s == series => {
-                    let m = ApmMeasurement::from_record(&Record { key, fields });
-                    agg.add(&m);
+                    agg.add(&ApmMeasurement::from_record(&record));
                 }
                 _ => {}
             }
@@ -192,6 +198,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FieldValues;
     use std::collections::BTreeMap;
     use std::ops::Bound;
 

@@ -13,8 +13,9 @@
 //! §3 further fixes: scan length 50 records, all fields fetched, uniform
 //! access, 10 million records loaded per server node, 600-second runs.
 
-use crate::keyspace::{key_for_seq, record_for_seq, KeyChooser, KeyDistribution, SplitRng};
+use crate::keyspace::{key_for_seq, scramble, KeyChooser, KeyDistribution, SplitRng};
 use crate::ops::{OpKind, Operation};
+use crate::record::Row;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// The paper's fixed scan length (§3: "a scan-length of 50 records").
@@ -218,13 +219,13 @@ impl WorkloadGenerator {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 Operation::Insert {
-                    record: record_for_seq(seq),
+                    row: Row::Generated(scramble(seq)),
                 }
             }
             OpKind::Update => {
                 let seq = self.chooser.choose(self.acked);
                 Operation::Update {
-                    record: record_for_seq(seq),
+                    row: Row::Generated(scramble(seq)),
                 }
             }
         }
@@ -354,8 +355,9 @@ mod tests {
         let mut next_expected = 100u64;
         for _ in 0..5_000 {
             match generator.next_op() {
-                Operation::Insert { record } => {
-                    assert_eq!(record.key, key_for_seq(next_expected));
+                Operation::Insert { row } => {
+                    assert_eq!(row, Row::Generated(scramble(next_expected)));
+                    assert_eq!(row.key(), key_for_seq(next_expected));
                     next_expected += 1;
                     generator.ack_insert();
                 }

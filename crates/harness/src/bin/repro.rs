@@ -161,7 +161,7 @@ fn cmd_snapshot(args: &Args) -> Result<(), String> {
             "wrote {} (t = {:.3} s, state hash {:#018x})",
             path.display(),
             cp.at.0 as f64 / 1e9,
-            cp.state_hash()
+            cp.state_hash().map_err(|e| e.to_string())?
         );
     }
     println!(
@@ -205,7 +205,7 @@ fn cmd_resume(args: &Args) -> Result<(), String> {
 /// checkpoint streams to localize the first divergent virtual-time window.
 fn cmd_bisect(args: &Args) -> Result<(), String> {
     let kind = store_arg(args)?;
-    let outcome = apm_harness::snap::bisect_run(kind, &args.profile);
+    let outcome = apm_harness::snap::bisect_run(kind, &args.profile).map_err(|e| e.to_string())?;
     println!(
         "{}: {} common checkpoints (fail-slow dispatched in one run {:.3} s after warm-up)",
         kind.name(),

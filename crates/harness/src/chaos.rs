@@ -40,7 +40,7 @@ use crate::experiment::{ExperimentProfile, Scenario, ScenarioRun, StoreKind, Sto
 use apm_core::json::Json;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::rng::SplitMix64;
-use apm_core::snap::{fnv1a64, SnapWriter};
+use apm_core::snap::{fnv1a64, SnapError, SnapWriter};
 use apm_core::stats::BenchStats;
 use apm_core::workload::Workload;
 use apm_sim::{
@@ -622,16 +622,17 @@ fn baseline(target: &ChaosTarget, profile: &ExperimentProfile, opts: &ChaosOptio
 }
 
 /// Replay-equality fingerprint: stats, ledger, and every checkpoint's
-/// state hash. Two runs of the same schedule must agree on all of it.
-fn run_fingerprint(result: &RunResult) -> u64 {
+/// state hash. Two runs of the same schedule must agree on all of it; a
+/// checkpoint that does not open has no state hash to agree on.
+fn run_fingerprint(result: &RunResult) -> Result<u64, SnapError> {
     let mut w = SnapWriter::new();
     w.put(&result.stats);
     w.put_u64(result.issued);
     w.put(&result.ledger);
     for cp in &result.checkpoints {
-        w.put_u64(cp.state_hash());
+        w.put_u64(cp.state_hash()?);
     }
-    fnv1a64(w.bytes())
+    Ok(fnv1a64(w.bytes()))
 }
 
 /// The shrinker's probe engine: runs window subsets of one fixed
@@ -808,10 +809,17 @@ pub fn run_campaign(
             &events,
             &baseline,
         );
-        if run_fingerprint(&full.result) != run_fingerprint(&replay.result)
-            || verdicts != replay_verdicts
-        {
-            let divergent = bisect_divergence(&full.result.checkpoints, &replay.result.checkpoints);
+        let replayed = match (
+            run_fingerprint(&full.result),
+            run_fingerprint(&replay.result),
+        ) {
+            (Ok(full), Ok(replay)) => full == replay,
+            _ => false,
+        };
+        if !replayed || verdicts != replay_verdicts {
+            // An unopenable checkpoint localizes nothing.
+            let divergent = bisect_divergence(&full.result.checkpoints, &replay.result.checkpoints)
+                .unwrap_or(None);
             minimized.push(MinimizedRepro {
                 schedule_index: index,
                 original_events: events.len(),

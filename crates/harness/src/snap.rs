@@ -114,7 +114,10 @@ pub struct BisectOutcome {
 /// chaos shrinker's probes do. The two stay byte-identical up to the
 /// dispatch; bisecting their checkpoint streams localizes the first
 /// divergent virtual-time window.
-pub fn bisect_run(store: StoreKind, profile: &ExperimentProfile) -> BisectOutcome {
+pub fn bisect_run(
+    store: StoreKind,
+    profile: &ExperimentProfile,
+) -> Result<BisectOutcome, SnapError> {
     let diverge_at_secs = profile.measure_secs * DIVERGE_AT;
     let offset = |secs: f64| SimTime(SimDuration::from_secs_f64(secs).as_nanos());
     let mut scenario = snap_scenario(store, profile, default_spec(profile));
@@ -129,18 +132,18 @@ pub fn bisect_run(store: StoreKind, profile: &ExperimentProfile) -> BisectOutcom
     let slowed = scenario.run();
     let a = &clean.result.checkpoints;
     let b = &slowed.result.checkpoints;
-    let first_divergent = bisect_divergence(a, b);
+    let first_divergent = bisect_divergence(a, b)?;
     let window_ns = first_divergent.map(|k| {
         let end = a[k as usize].at.0;
         let start = if k == 0 { 0 } else { a[k as usize - 1].at.0 };
         (start, end)
     });
-    BisectOutcome {
+    Ok(BisectOutcome {
         diverge_at_secs,
         checkpoints: a.len().min(b.len()),
         first_divergent,
         window_ns,
-    }
+    })
 }
 
 /// `ext-snap-resume`: for every store, checkpoint the canonical run,
@@ -165,7 +168,7 @@ pub fn snap_resume(profile: &ExperimentProfile) -> Table {
         let middle = &straight.result.checkpoints[straight.result.checkpoints.len() / 2];
         let resumed = resume_run(kind, profile, &middle.bytes).expect("resume succeeds");
         let matched = resumed.fingerprint == straight.fingerprint;
-        let bisect = bisect_run(kind, profile);
+        let bisect = bisect_run(kind, profile).expect("own checkpoints open");
         table.push_row(
             kind.name(),
             vec![
@@ -207,7 +210,7 @@ mod tests {
     #[test]
     fn bisect_localizes_the_dispatched_fail_slow() {
         let p = profile();
-        let outcome = bisect_run(StoreKind::Redis, &p);
+        let outcome = bisect_run(StoreKind::Redis, &p).expect("own checkpoints open");
         assert_eq!(outcome.first_divergent, Some(2));
         let (start, end) = outcome.window_ns.expect("window");
         assert!(start < end);

@@ -5,12 +5,15 @@
 //! pages in an arena; every operation returns the list of pages it
 //! visited (and dirtied), which the caller replays through a
 //! [`crate::bufferpool::BufferPool`] to decide which accesses become disk
-//! I/O. Leaves are chained for range scans.
+//! I/O. Leaves are chained for range scans. A leaf's rows are a
+//! [`SortedRows`]: generated rows as their ids beside every other row,
+//! split at the same merged-order index a leaf of whole records would be,
+//! so the page graph — and every trace — is the one whole records give.
 
 use crate::bufferpool::PageId;
-use apm_core::record::{FieldValues, MetricKey};
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
-use apm_core::snap_enum;
+use crate::table::{RowRef, SortedRows, Window};
+use apm_core::record::{FieldValues, MetricKey, Row};
+use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Tree shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +64,7 @@ enum Node {
         children: Vec<usize>,
     },
     Leaf {
-        entries: Vec<(MetricKey, FieldValues)>,
+        rows: SortedRows,
         next: Option<usize>,
     },
 }
@@ -86,7 +89,7 @@ impl BTree {
         BTree {
             config,
             nodes: vec![Node::Leaf {
-                entries: Vec::new(),
+                rows: SortedRows::default(),
                 next: None,
             }],
             root: 0,
@@ -139,58 +142,38 @@ impl BTree {
         }
     }
 
-    /// Point lookup. Returns the value and the page trace.
-    pub fn get(&self, key: &MetricKey) -> (Option<FieldValues>, PageTrace) {
+    /// Point lookup. Returns the row and the page trace.
+    pub fn get(&self, key: &MetricKey) -> (Option<Row>, PageTrace) {
         let mut trace = PageTrace::default();
         let leaf = self.leaf_for(key, &mut trace);
-        let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
+        let Node::Leaf { rows, .. } = &self.nodes[leaf] else {
             unreachable!()
         };
-        let value = entries
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|i| entries[i].1);
-        (value, trace)
+        (rows.get(key), trace)
     }
 
-    /// Inserts or replaces. Returns whether the key was new plus the trace
-    /// (split pages appear in `written`).
+    /// Inserts or replaces the row of `key` and `value`. Returns whether
+    /// the key was new plus the trace (split pages appear in `written`).
     pub fn insert(&mut self, key: MetricKey, value: FieldValues) -> (bool, PageTrace) {
         let mut trace = PageTrace::default();
-        let new = self.insert_into(key, value, &mut trace);
+        let new = self.insert_into(Row::new(key, value), &mut trace);
         (new, trace)
     }
 
-    /// [`BTree::insert`] with the trace written over `trace`, whatever it
-    /// held: a caller that keeps one across inserts allocates nothing
-    /// once its lists have grown to the tree's depth.
-    pub fn insert_into(
-        &mut self,
-        key: MetricKey,
-        value: FieldValues,
-        trace: &mut PageTrace,
-    ) -> bool {
+    /// Inserts or replaces `row`, the trace written over `trace`,
+    /// whatever it held: a caller that keeps one across inserts allocates
+    /// nothing once its lists have grown to the tree's depth.
+    pub fn insert_into(&mut self, row: Row, trace: &mut PageTrace) -> bool {
         trace.clear();
-        let leaf = self.leaf_for(&key, trace);
+        let leaf = self.leaf_for(&row.key(), trace);
         trace.written.push(PageId(leaf as u64));
-        let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
+        let Node::Leaf { rows, .. } = &mut self.nodes[leaf] else {
             unreachable!()
         };
-        let new = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => {
-                entries[i].1 = value;
-                false
-            }
-            Err(i) => {
-                entries.insert(i, (key, value));
-                self.len += 1;
-                true
-            }
-        };
-        if match &self.nodes[leaf] {
-            Node::Leaf { entries, .. } => entries.len() > self.config.leaf_capacity,
-            Node::Internal { .. } => unreachable!(),
-        } {
+        let new = rows.insert(row);
+        let overfull = rows.len() > self.config.leaf_capacity;
+        self.len += u64::from(new);
+        if overfull {
             self.split(leaf, trace);
         }
         new
@@ -201,12 +184,14 @@ impl BTree {
     /// pointers (pages don't in InnoDB either; it uses a latched descent).
     fn split(&mut self, node_idx: usize, trace: &mut PageTrace) {
         let (sep, right_idx) = match &mut self.nodes[node_idx] {
-            Node::Leaf { entries, next } => {
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0;
+            Node::Leaf { rows, next } => {
+                let right_rows = rows.split_off(rows.len() / 2);
+                let Some(first) = right_rows.rows().next() else {
+                    unreachable!("an over-full leaf's upper half has rows")
+                };
+                let sep = first.key();
                 let right = Node::Leaf {
-                    entries: right_entries,
+                    rows: right_rows,
                     next: *next,
                 };
                 let right_idx = self.nodes.len();
@@ -282,19 +267,18 @@ impl BTree {
         &self,
         start: &MetricKey,
         len: usize,
-        mut visit: impl FnMut(&[(MetricKey, FieldValues)]),
+        mut visit: impl FnMut(Window<'_>),
     ) -> (usize, PageTrace) {
         let mut trace = PageTrace::default();
         let mut leaf = self.leaf_for(start, &mut trace);
         let mut seen = 0;
         loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
+            let Node::Leaf { rows, next } = &self.nodes[leaf] else {
                 unreachable!()
             };
-            let from = entries.partition_point(|(k, _)| k < start);
-            let rows = &entries[from..entries.len().min(from.saturating_add(len - seen))];
-            visit(rows);
-            seen += rows.len();
+            let window = rows.window(start, len - seen);
+            seen += window.len();
+            visit(window);
             match next {
                 Some(n) if seen < len => {
                     leaf = *n;
@@ -306,13 +290,11 @@ impl BTree {
     }
 
     /// Range scan of up to `len` records from `start`, following leaf links.
-    pub fn scan(
-        &self,
-        start: &MetricKey,
-        len: usize,
-    ) -> (Vec<(MetricKey, FieldValues)>, PageTrace) {
+    pub fn scan(&self, start: &MetricKey, len: usize) -> (Vec<Row>, PageTrace) {
         let mut out = Vec::with_capacity(len.min(self.len as usize));
-        let (_, trace) = self.walk(start, len, |rows| out.extend_from_slice(rows));
+        let (_, trace) = self.walk(start, len, |window| {
+            out.extend(window.rows().map(RowRef::to_row));
+        });
         (out, trace)
     }
 
@@ -357,22 +339,38 @@ impl BTree {
     }
 }
 
-/// Refuses a page arena the tree's walks would index out of, loop in or
-/// miscount: from `root`, every edge stays inside the arena and reaches
-/// every page exactly once, an internal page has one more child than
-/// keys, every leaf sits at `depth` and links to the next leaf in key
-/// order (the last to none), and the leaves hold `len` records.
+/// Refuses a page arena the tree's walks would index out of, loop in,
+/// miscount or split wrongly: from `root`, every edge stays inside the
+/// arena and reaches every page exactly once, an internal page has one
+/// more child than keys, every leaf sits at `depth` and links to the next
+/// leaf in key order (the last to none), and the leaves hold `len`
+/// records. And every key sits where a descent looks for it: an internal
+/// page's keys ascend strictly, and every key below a page — its own
+/// separators and its leaves' rows — lies in `[lo, hi)`, the range its
+/// ancestors' separators give it (a descent takes the child after every
+/// separator at or below the key). A row outside it would be found by
+/// no descent, and the next split through its page would look for a
+/// parent no descent reaches.
 fn check_shape(nodes: &[Node], root: usize, len: u64, depth: u32) -> Result<(), SnapError> {
     let bad_page = |page: usize| SnapError::BadTag {
         what: "BTree page",
         tag: page as u64,
     };
+    let out_of_range = |page: usize| SnapError::BadTag {
+        what: "BTree key outside its separators' range",
+        tag: page as u64,
+    };
+    let within = |key: &MetricKey, lo: Option<&MetricKey>, hi: Option<&MetricKey>| {
+        lo.is_none_or(|lo| lo <= key) && hi.is_none_or(|hi| key < hi)
+    };
     let mut reached = vec![false; nodes.len()];
-    // Pages to visit with their level (the root's is 1), leftmost on top.
-    let mut stack = vec![(root, 1)];
+    // Pages to visit with their level (the root's is 1) and key range,
+    // leftmost on top.
+    let mut stack: Vec<(usize, usize, Option<&MetricKey>, Option<&MetricKey>)> =
+        vec![(root, 1, None, None)];
     // The previous leaf's `next`, once a leaf has been met.
     let (mut link, mut records) = (None, 0u64);
-    while let Some((page, level)) = stack.pop() {
+    while let Some((page, level, lo, hi)) = stack.pop() {
         let node = nodes.get(page).ok_or(bad_page(page))?;
         if std::mem::replace(&mut reached[page], true) {
             return Err(bad_page(page));
@@ -382,14 +380,29 @@ fn check_shape(nodes: &[Node], root: usize, len: u64, depth: u32) -> Result<(), 
                 if children.len() != keys.len() + 1 {
                     return Err(bad_page(page));
                 }
-                stack.extend(children.iter().rev().map(|&child| (child, level + 1)));
+                let ascending = keys.windows(2).all(|pair| pair[0] < pair[1]);
+                if !ascending || !keys.iter().all(|key| within(key, lo, hi)) {
+                    return Err(out_of_range(page));
+                }
+                // Child `i` holds keys from separator `i - 1` up to `i`.
+                let bounds = (0..children.len()).map(|i| {
+                    let below = if i == 0 { lo } else { keys.get(i - 1) };
+                    (below, keys.get(i).or(hi))
+                });
+                let visits = children.iter().zip(bounds).rev();
+                stack.extend(visits.map(|(&child, (lo, hi))| (child, level + 1, lo, hi)));
             }
-            Node::Leaf { entries, next } => {
+            Node::Leaf { rows, next } => {
                 if level != depth as usize || link.is_some_and(|next| next != Some(page)) {
                     return Err(bad_page(page));
                 }
+                if let Some((first, last)) = rows.key_range() {
+                    if !within(&first, lo, hi) || !within(&last, lo, hi) {
+                        return Err(out_of_range(page));
+                    }
+                }
                 link = Some(*next);
-                records += entries.len() as u64;
+                records += rows.len() as u64;
             }
         }
     }
@@ -402,7 +415,41 @@ fn check_shape(nodes: &[Node], root: usize, len: u64, depth: u32) -> Result<(), 
     Ok(())
 }
 
-snap_enum!(Node { 0 => Internal { keys, children }, 1 => Leaf { entries, next } });
+// Hand-written: a leaf's rows are written merged, as the `Vec` of its
+// records would be, and read back refusing a row that is not after the
+// one before it.
+impl Snap for Node {
+    fn snap(&self, w: &mut SnapWriter) {
+        match self {
+            Node::Internal { keys, children } => {
+                w.put_u8(0);
+                w.put(keys);
+                w.put(children);
+            }
+            Node::Leaf { rows, next } => {
+                w.put_u8(1);
+                rows.snap(w);
+                w.put(next);
+            }
+        }
+    }
+    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(Node::Internal {
+                keys: r.get()?,
+                children: r.get()?,
+            }),
+            1 => Ok(Node::Leaf {
+                rows: SortedRows::restore(r, "BTree leaf row not after the one before it")?,
+                next: r.get()?,
+            }),
+            tag => Err(SnapError::BadTag {
+                what: "Node",
+                tag: u64::from(tag),
+            }),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -432,7 +479,7 @@ mod tests {
         assert!(tree.depth() >= 3, "tiny pages must force a deep tree");
         for seq in (0..2_000).step_by(97) {
             let r = record_for_seq(seq);
-            assert_eq!(tree.get(&r.key).0, Some(r.fields), "seq {seq} lost");
+            assert_eq!(tree.get(&r.key).0, Some(r.into()), "seq {seq} lost");
         }
         assert_eq!(tree.get(&record_for_seq(9_999).key).0, None);
     }
@@ -447,7 +494,7 @@ mod tests {
         let (new2, _) = tree.insert(key, v2);
         assert!(new1 && !new2);
         assert_eq!(tree.len(), 1);
-        assert_eq!(tree.get(&key).0, Some(v2));
+        assert_eq!(tree.get(&key).0, Some(Row::new(key, v2)));
     }
 
     #[test]
@@ -479,7 +526,7 @@ mod tests {
             let r = record_for_seq(seq);
             let depth = fresh.depth();
             let (new, want) = fresh.insert(r.key, r.fields);
-            assert_eq!(reusing.insert_into(r.key, r.fields, &mut trace), new);
+            assert_eq!(reusing.insert_into(r.into(), &mut trace), new);
             assert_eq!(trace, want, "seq {seq}");
             grew_root += u32::from(fresh.depth() > depth);
             longest = longest.max(want.written.len() + want.allocated.len());
@@ -487,7 +534,7 @@ mod tests {
         assert!(grew_root >= 2 && longest >= 5, "{grew_root} {longest}");
         // An overwrite after all that: one leaf written, nothing allocated.
         let r = record_for_seq(7);
-        assert!(!reusing.insert_into(r.key, r.fields, &mut trace));
+        assert!(!reusing.insert_into(r.into(), &mut trace));
         assert_eq!((trace.written.len(), trace.allocated.len()), (1, 0));
         assert_eq!(trace.read.len(), reusing.depth() as usize);
     }
@@ -499,7 +546,7 @@ mod tests {
         let mut keys: Vec<MetricKey> = (0..1_000).map(|s| record_for_seq(s).key).collect();
         keys.sort();
         let (result, trace) = tree.scan(&keys[200], 50);
-        let got: Vec<MetricKey> = result.iter().map(|(k, _)| *k).collect();
+        let got: Vec<MetricKey> = result.iter().map(Row::key).collect();
         assert_eq!(got, keys[200..250].to_vec());
         // A 50-record scan over 8-entry leaves crosses several leaves.
         assert!(
@@ -515,7 +562,7 @@ mod tests {
         load(&mut tree, 0..100);
         let (all, _) = tree.scan(&MetricKey::MIN, 1_000);
         assert_eq!(all.len(), 100);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(all.windows(2).all(|w| w[0].key() < w[1].key()));
         let (none, _) = tree.scan(&MetricKey::MAX, 10);
         assert!(none.len() <= 1);
     }
@@ -621,6 +668,82 @@ mod tests {
             children(tree, child)[0] = ROOT;
         });
         assert_eq!(looped, bad("BTree page", ROOT));
+    }
+
+    /// The page `key`'s descent ends at.
+    fn leaf_of(tree: &BTree, key: &MetricKey) -> usize {
+        tree.leaf_for(key, &mut PageTrace::default())
+    }
+
+    fn leaf_rows(tree: &mut BTree, page: usize) -> &mut SortedRows {
+        match &mut tree.nodes[page] {
+            Node::Leaf { rows, .. } => rows,
+            Node::Internal { .. } => panic!("page {page} is an internal page"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_rows_outside_their_separators() {
+        // The rightmost leaf refilled with as many of the smallest ids:
+        // the shape and the count hold, but no descent finds those rows,
+        // and the next split through that leaf looks for a parent by a
+        // separator no descent reaches.
+        let rightmost = |tree: &mut BTree| {
+            let page = leaf_of(tree, &MetricKey::MAX);
+            let rows = leaf_rows(tree, page);
+            *rows = (0..rows.len() as u64).map(Row::Generated).collect();
+            page
+        };
+        let mut page = 0;
+        let refused = restored(|tree| page = rightmost(tree));
+        assert_eq!(
+            refused,
+            bad("BTree key outside its separators' range", page)
+        );
+        // One row below its leaf's lower bound: the leftmost leaf's first
+        // row written over its right neighbour's first.
+        let spilled = restored(|tree| {
+            let first = leaf_of(tree, &MetricKey::MIN);
+            let Node::Leaf {
+                next: Some(second), ..
+            } = tree.nodes[first]
+            else {
+                panic!("a second leaf");
+            };
+            let below = leaf_rows(tree, first).rows().next().map(RowRef::to_row);
+            let mut rows: Vec<Row> = leaf_rows(tree, second).rows().map(RowRef::to_row).collect();
+            rows[0] = below.expect("a row");
+            rows.sort_by_key(Row::key);
+            *leaf_rows(tree, second) = rows.into_iter().collect();
+            page = second;
+        });
+        assert_eq!(
+            spilled,
+            bad("BTree key outside its separators' range", page)
+        );
+        // Separators out of order.
+        let swapped = restored(|tree| {
+            let Node::Internal { keys, .. } = &mut tree.nodes[ROOT] else {
+                panic!("the root is internal");
+            };
+            keys.swap(0, 1);
+        });
+        assert_eq!(
+            swapped,
+            bad("BTree key outside its separators' range", ROOT)
+        );
+        // A leaf whose rows descend is refused as it is decoded.
+        let descending = restored(|tree| {
+            let page = leaf_of(tree, &MetricKey::MIN);
+            let rows = leaf_rows(tree, page);
+            let mut ids: Vec<Row> = rows.rows().map(RowRef::to_row).collect();
+            ids.swap(0, 1);
+            *rows = ids.into_iter().collect();
+        });
+        assert_eq!(
+            descending,
+            bad("BTree leaf row not after the one before it", 1)
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::receipt::CostReceipt;
 use crate::table::RecordTable;
-use apm_core::record::{FieldValues, MetricKey, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
+use apm_core::record::{FieldValues, MetricKey, Row, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Redis-era per-entry memory overhead, in bytes: robj headers, dict
@@ -66,22 +66,27 @@ impl HashStore {
         RAW_RECORD_SIZE as u64 + KEY_SIZE as u64 /* second key copy in the index */ + ENTRY_OVERHEAD_BYTES
     }
 
-    /// Inserts a record (no eviction — Redis `noeviction` semantics). A
-    /// new key over the budget is refused with nothing written.
+    /// [`HashStore::insert_row`] of `key` and `value`.
     pub fn insert(
         &mut self,
         key: MetricKey,
         value: FieldValues,
     ) -> Result<CostReceipt, OutOfMemory> {
+        self.insert_row(Row::new(key, value))
+    }
+
+    /// Inserts a row (no eviction — Redis `noeviction` semantics). A new
+    /// key over the budget is refused with nothing written.
+    pub fn insert_row(&mut self, row: Row) -> Result<CostReceipt, OutOfMemory> {
         let needed = self.mem_bytes() + Self::bytes_per_record();
         if let Some(budget) = self.max_memory.filter(|&budget| needed > budget) {
-            if !self.table.contains(&key) {
+            if !self.table.contains(&row.key()) {
                 return Err(OutOfMemory { needed, budget });
             }
         }
         let mut receipt = CostReceipt::new();
         receipt.touch(RAW_RECORD_SIZE as u64);
-        if self.table.insert(key, value) {
+        if self.table.insert(row) {
             // Hash insert + skiplist/sorted-set insert.
             receipt.probe(2);
         } else {
@@ -91,7 +96,7 @@ impl HashStore {
     }
 
     /// Point lookup.
-    pub fn get(&self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
+    pub fn get(&self, key: &MetricKey) -> (Option<Row>, CostReceipt) {
         let mut receipt = CostReceipt::new();
         receipt.probe(1);
         let value = self.table.get(key);
@@ -111,11 +116,7 @@ impl HashStore {
 
     /// Range scan over the sorted-set index: the first `len` records at
     /// or after `start`.
-    pub fn scan(
-        &self,
-        start: &MetricKey,
-        len: usize,
-    ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
+    pub fn scan(&self, start: &MetricKey, len: usize) -> (Vec<Row>, CostReceipt) {
         let out = self.table.scan(start, len);
         let receipt = Self::scan_receipt(out.len());
         (out, receipt)
@@ -198,7 +199,7 @@ mod tests {
         }
         for seq in (0..1_000).step_by(53) {
             let r = record_for_seq(seq);
-            assert_eq!(store.get(&r.key).0, Some(r.fields));
+            assert_eq!(store.get(&r.key).0, Some(r.into()));
         }
         assert_eq!(store.get(&record_for_seq(2_000).key).0, None);
         assert_eq!(store.len(), 1_000);
@@ -243,7 +244,7 @@ mod tests {
         // An overwrite: one probe, nothing grows, the value is replaced.
         assert_eq!(store.insert(a.key, b.fields), Ok(receipt(1)));
         assert_eq!(state(&store), (1, per));
-        assert_eq!(store.get(&a.key).0, Some(b.fields));
+        assert_eq!(store.get(&a.key).0, Some(Row::new(a.key, b.fields)));
         assert_eq!(store.insert(b.key, b.fields), Ok(receipt(2)));
         assert_eq!(state(&store), (2, per * 2));
         // Over budget: refused with nothing written — and a refused key
@@ -278,7 +279,7 @@ mod tests {
         assert!(err.to_string().contains("out of memory"));
         // Reads still work after OOM (Redis keeps serving reads).
         let r0 = record_for_seq(0);
-        assert_eq!(store.get(&r0.key).0, Some(r0.fields));
+        assert_eq!(store.get(&r0.key).0, Some(r0.into()));
     }
 
     #[test]
@@ -291,7 +292,7 @@ mod tests {
         let mut keys: Vec<MetricKey> = (0..500).map(|s| record_for_seq(s).key).collect();
         keys.sort();
         let (result, receipt) = store.scan(&keys[100], 50);
-        let got: Vec<MetricKey> = result.iter().map(|(k, _)| *k).collect();
+        let got: Vec<MetricKey> = result.iter().map(Row::key).collect();
         assert_eq!(got, keys[100..150].to_vec());
         assert_eq!(
             receipt.probes, 51,
@@ -387,7 +388,7 @@ mod tests {
         restored.restore_state(&mut r).unwrap();
         r.finish().unwrap();
         for (key, fields) in foreign {
-            assert_eq!(restored.get(&key).0, Some(fields));
+            assert_eq!(restored.get(&key).0, Some(Row::new(key, fields)));
         }
         let mut again = SnapWriter::new();
         restored.snap_state(&mut again);

@@ -19,7 +19,8 @@ use crate::memtable::Memtable;
 use crate::merge::MergeCursor;
 use crate::receipt::CostReceipt;
 use crate::sstable::{SsTable, TableProbe};
-use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
+use crate::table::RowRef;
+use apm_core::record::{FieldValues, MetricKey, Row, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
@@ -145,17 +146,22 @@ impl LsmTree {
         }
     }
 
-    /// Inserts a record. Returns the operation receipt and, if the
-    /// memtable crossed its threshold, the flush job to schedule.
+    /// [`LsmTree::insert_row`] of `key` and `value`.
     pub fn insert(
         &mut self,
         key: MetricKey,
         value: FieldValues,
     ) -> (CostReceipt, Option<BackgroundJob>) {
+        self.insert_row(Row::new(key, value))
+    }
+
+    /// Inserts a row. Returns the operation receipt and, if the memtable
+    /// crossed its threshold, the flush job to schedule.
+    pub fn insert_row(&mut self, row: Row) -> (CostReceipt, Option<BackgroundJob>) {
         self.stats.inserts += 1;
         let mut receipt = CostReceipt::new();
         receipt.probe(1).touch(RAW_RECORD_SIZE as u64);
-        self.memtable.insert(key, value);
+        self.memtable.insert(row);
         let job = if self.memtable.bytes() >= self.config.memtable_flush_bytes {
             Some(self.start_flush())
         } else {
@@ -169,8 +175,8 @@ impl LsmTree {
     /// avoided: callers must not invoke this with an empty memtable.
     fn start_flush(&mut self) -> BackgroundJob {
         debug_assert!(!self.memtable.is_empty());
-        let entries = self.memtable.drain_sorted();
-        let table = SsTable::from_sorted(self.next_table_id, entries);
+        let rows = self.memtable.drain_sorted();
+        let table = SsTable::from_rows(self.next_table_id, rows);
         self.next_table_id += 1;
         let job = BackgroundJob {
             id: self.next_job_id,
@@ -316,13 +322,13 @@ impl LsmTree {
     }
 
     /// Point lookup: memtable, then runs newest-first.
-    pub fn get(&mut self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
+    pub fn get(&mut self, key: &MetricKey) -> (Option<Row>, CostReceipt) {
         self.stats.reads += 1;
         let mut receipt = CostReceipt::new();
         receipt.probe(1);
-        if let Some(v) = self.memtable.get(key) {
+        if let Some(row) = self.memtable.get(key) {
             receipt.touch(RAW_RECORD_SIZE as u64);
-            return (Some(*v), receipt);
+            return (Some(row), receipt);
         }
         for table in &self.tables {
             match table.get(key, &mut receipt) {
@@ -354,7 +360,7 @@ impl LsmTree {
         let mut receipt = CostReceipt::new();
         receipt.probe(1);
         let mut cursor = MergeCursor::with_capacity(1 + self.tables.len());
-        cursor.push_memtable(self.memtable.scan(start, len));
+        cursor.push_memtable(self.memtable.rows_from(start));
         for table in &self.tables {
             cursor.push_run(table.id, table.scan(start, len, &mut receipt));
         }
@@ -362,15 +368,11 @@ impl LsmTree {
     }
 
     /// Range scan merging the memtable and every run.
-    pub fn scan(
-        &mut self,
-        start: &MetricKey,
-        len: usize,
-    ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
+    pub fn scan(&mut self, start: &MetricKey, len: usize) -> (Vec<Row>, CostReceipt) {
         let capacity = len.min(self.record_count() as usize);
         self.scan_with(start, len, |winners| {
             let mut rows = Vec::with_capacity(capacity);
-            rows.extend(winners.map(|(k, v)| (*k, *v)));
+            rows.extend(winners.map(RowRef::to_row));
             rows
         })
     }
@@ -520,7 +522,7 @@ mod tests {
         for seq in (0..1_000).step_by(37) {
             let r = record_for_seq(seq);
             let (found, _) = tree.get(&r.key);
-            assert_eq!(found, Some(r.fields), "seq {seq} lost");
+            assert_eq!(found, Some(Row::from(r)), "seq {seq} lost");
         }
         let (missing, _) = tree.get(&record_for_seq(5_000).key);
         assert_eq!(missing, None);
@@ -559,7 +561,7 @@ mod tests {
             let r = record_for_seq(seq);
             assert_eq!(
                 tree.get(&r.key).0,
-                Some(r.fields),
+                Some(Row::from(r)),
                 "seq {seq} lost in compaction"
             );
         }
@@ -589,11 +591,11 @@ mod tests {
         let c = pending_compaction.expect("4 runs should trigger compaction");
         // Before completion: data still fully readable from input runs.
         let r = record_for_seq(123);
-        assert_eq!(tree.get(&r.key).0, Some(r.fields));
+        assert_eq!(tree.get(&r.key).0, Some(Row::from(r)));
         let before = tree.table_count();
         tree.complete_compaction(c.id);
         assert!(tree.table_count() < before);
-        assert_eq!(tree.get(&r.key).0, Some(r.fields));
+        assert_eq!(tree.get(&r.key).0, Some(Row::from(r)));
     }
 
     #[test]
@@ -630,7 +632,7 @@ mod tests {
         let (result, receipt) = tree.scan(&keys[100], 50);
         assert_eq!(result.len(), 50);
         let expected: Vec<MetricKey> = keys[100..150].to_vec();
-        let got: Vec<MetricKey> = result.iter().map(|(k, _)| *k).collect();
+        let got: Vec<MetricKey> = result.iter().map(Row::key).collect();
         assert_eq!(got, expected);
         assert!(receipt.read_ios() >= 1);
     }
@@ -648,7 +650,11 @@ mod tests {
         let (_, job) = tree.insert(key, v2);
         tree.settle(job);
         load(&mut tree, 2_000..2_400); // force compactions
-        assert_eq!(tree.get(&key).0, Some(v2), "older version resurrected");
+        assert_eq!(
+            tree.get(&key).0,
+            Some(Row::new(key, v2)),
+            "older version resurrected"
+        );
     }
 
     #[test]
@@ -714,7 +720,7 @@ mod tests {
             let r = record_for_seq(seq);
             assert_eq!(
                 leveled.get(&r.key).0,
-                Some(r.fields),
+                Some(Row::from(r)),
                 "leveled lost seq {seq}"
             );
         }

@@ -1,18 +1,20 @@
 //! The in-memory write buffer of an LSM tree.
 //!
-//! Writes land in a sorted map; when the buffer exceeds its flush
-//! threshold the tree freezes it into an immutable sorted run
-//! ([`crate::sstable::SsTable`]). The map is real — reads served from the
-//! memtable return the actual stored bytes.
+//! Writes land in a [`RecordTable`] — a generated row as its id, any
+//! other row whole; when the buffer exceeds its flush threshold the tree
+//! freezes it into an immutable sorted run ([`crate::sstable::SsTable`]).
+//! The table is real — reads served from the memtable return the stored
+//! rows — while its byte count is the simulated one: 75 bytes a row,
+//! whatever the host holds.
 
-use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
+use crate::table::{RecordTable, SortedRows, TableRows};
+use apm_core::record::{MetricKey, Row, RAW_RECORD_SIZE};
 use apm_core::snap_struct;
-use std::collections::{btree_map, BTreeMap};
 
 /// A sorted in-memory write buffer with byte accounting.
 #[derive(Clone, Debug, Default)]
 pub struct Memtable {
-    entries: BTreeMap<MetricKey, FieldValues>,
+    rows: RecordTable,
 }
 
 impl Memtable {
@@ -21,64 +23,59 @@ impl Memtable {
         Memtable::default()
     }
 
-    /// Inserts or replaces a record. Returns `true` if the key was new.
-    pub fn insert(&mut self, key: MetricKey, value: FieldValues) -> bool {
-        self.entries.insert(key, value).is_none()
+    /// Inserts or replaces a row. Returns `true` if the key was new.
+    pub fn insert(&mut self, row: Row) -> bool {
+        self.rows.insert(row)
     }
 
     /// Point lookup.
-    pub fn get(&self, key: &MetricKey) -> Option<&FieldValues> {
-        self.entries.get(key)
+    pub fn get(&self, key: &MetricKey) -> Option<Row> {
+        self.rows.get(key)
     }
 
-    /// Iterates at most `len` records starting at `start` in key order.
-    pub fn scan(
-        &self,
-        start: &MetricKey,
-        len: usize,
-    ) -> std::iter::Take<btree_map::Range<'_, MetricKey, FieldValues>> {
-        self.entries.range(start..).take(len)
+    /// Every buffered row at or after `start`, in key order.
+    pub fn rows_from(&self, start: &MetricKey) -> TableRows<'_> {
+        self.rows.rows_from(start)
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// True when no records are buffered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
     /// Raw payload bytes buffered (75 bytes per distinct record).
     pub fn bytes(&self) -> u64 {
-        (self.entries.len() * RAW_RECORD_SIZE) as u64
+        (self.rows.len() * RAW_RECORD_SIZE) as u64
     }
 
     /// Freezes the buffer: returns the sorted contents and resets.
-    pub fn drain_sorted(&mut self) -> Vec<(MetricKey, FieldValues)> {
-        std::mem::take(&mut self.entries).into_iter().collect()
+    pub fn drain_sorted(&mut self) -> SortedRows {
+        self.rows.drain_sorted()
     }
 }
 
-snap_struct! { Memtable { entries } }
+snap_struct! { Memtable { rows } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use apm_core::keyspace::record_for_seq;
+    use apm_core::record::FieldValues;
 
-    fn rec(seq: u64) -> (MetricKey, FieldValues) {
-        let r = record_for_seq(seq);
-        (r.key, r.fields)
+    fn row(seq: u64) -> Row {
+        record_for_seq(seq).into()
     }
 
     #[test]
     fn insert_and_get_roundtrip() {
         let mut m = Memtable::new();
-        let (k, v) = rec(1);
-        assert!(m.insert(k, v));
-        assert_eq!(m.get(&k), Some(&v));
+        assert!(m.insert(row(1)));
+        assert_eq!(m.get(&row(1).key()), Some(row(1)));
         assert_eq!(m.len(), 1);
         assert_eq!(m.bytes(), 75);
     }
@@ -86,25 +83,23 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_double_counting() {
         let mut m = Memtable::new();
-        let (k, v) = rec(1);
-        let v2 = record_for_seq(2).fields;
-        assert!(m.insert(k, v));
-        assert!(!m.insert(k, v2));
+        let (k, v2) = (row(1).key(), record_for_seq(2).fields);
+        assert!(m.insert(row(1)));
+        assert!(!m.insert(Row::new(k, v2)));
         assert_eq!(m.bytes(), 75);
-        assert_eq!(m.get(&k), Some(&v2));
+        assert_eq!(m.get(&k), Some(Row::Literal(k, v2)));
     }
 
     #[test]
     fn scan_returns_sorted_window_from_start() {
         let mut m = Memtable::new();
         for seq in 0..100 {
-            let (k, v) = rec(seq);
-            m.insert(k, v);
+            m.insert(row(seq));
         }
-        let mut keys: Vec<MetricKey> = (0..100).map(|s| rec(s).0).collect();
+        let mut keys: Vec<MetricKey> = (0..100).map(|s| row(s).key()).collect();
         keys.sort();
         let start = keys[40];
-        let got: Vec<MetricKey> = m.scan(&start, 10).map(|(k, _)| *k).collect();
+        let got: Vec<MetricKey> = m.rows_from(&start).take(10).map(|r| r.key()).collect();
         assert_eq!(got, keys[40..50].to_vec());
     }
 
@@ -112,23 +107,23 @@ mod tests {
     fn scan_past_the_end_is_short() {
         let mut m = Memtable::new();
         for seq in 0..5 {
-            let (k, v) = rec(seq);
-            m.insert(k, v);
+            m.insert(row(seq));
         }
-        assert!(m.scan(&MetricKey::MAX, 10).next().is_none());
-        assert_eq!(m.scan(&MetricKey::MIN, 10).count(), 5);
+        m.insert(Row::Literal(MetricKey::MIN, FieldValues::ZERO));
+        assert!(m.rows_from(&MetricKey::MAX).next().is_none());
+        assert_eq!(m.rows_from(&MetricKey::MIN).take(10).count(), 6);
     }
 
     #[test]
     fn drain_sorted_empties_and_sorts() {
         let mut m = Memtable::new();
         for seq in 0..50 {
-            let (k, v) = rec(seq);
-            m.insert(k, v);
+            m.insert(row(seq));
         }
         let drained = m.drain_sorted();
         assert_eq!(drained.len(), 50);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
+        let keys: Vec<MetricKey> = drained.rows().map(|r| r.key()).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
         assert!(m.is_empty());
         assert_eq!(m.bytes(), 0);
     }

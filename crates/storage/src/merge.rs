@@ -1,5 +1,5 @@
 //! A streaming k-way merge cursor over sorted sources — the one merge in
-//! the crate: LSM range scans (memtable window + one borrowed
+//! the crate: LSM range scans (the memtable's rows + one borrowed
 //! [`crate::sstable::SsTable`] window per run), their count-only form and
 //! compaction all pull from a [`MergeCursor`] instead of concatenating
 //! candidates and sorting them.
@@ -10,35 +10,34 @@
 //! first occurrence of each key — the newest version — by advancing every
 //! source that sits on the winning key: what sorting by
 //! `(key, Reverse(id))` and deduplicating produced, without materialising
-//! the losers. The minimum is a linear pass over the heads; DESIGN.md §14
-//! has why (measured against a heap).
+//! the losers. Rows are borrowed [`RowRef`]s, so two generated rows
+//! compare as their `u64` ids. The minimum is a linear pass over the
+//! heads; DESIGN.md §14 has why (measured against a heap).
 
-use apm_core::record::{FieldValues, MetricKey};
-use std::collections::btree_map;
-
-/// A borrowed entry of some source.
-pub type Entry<'a> = (&'a MetricKey, &'a FieldValues);
+use crate::table::{RowRef, RunRows, TableRows, Window};
+use std::iter::Take;
 
 /// Rank of the memtable: newer than any table id.
 const MEMTABLE_RANK: u64 = u64::MAX;
 
 enum Rest<'a> {
-    Map(std::iter::Take<btree_map::Range<'a, MetricKey, FieldValues>>),
-    Run(std::slice::Iter<'a, (MetricKey, FieldValues)>),
+    Table(TableRows<'a>),
+    Run(Take<RunRows<'a>>),
 }
 
 impl<'a> Rest<'a> {
-    fn next(&mut self) -> Option<Entry<'a>> {
+    #[inline]
+    fn next(&mut self) -> Option<RowRef<'a>> {
         match self {
-            Rest::Map(it) => it.next(),
-            Rest::Run(it) => it.next().map(|(k, v)| (k, v)),
+            Rest::Table(rows) => rows.next(),
+            Rest::Run(rows) => rows.next(),
         }
     }
 }
 
 /// A non-exhausted source: its current head and what follows it.
 struct Source<'a> {
-    head: Entry<'a>,
+    head: RowRef<'a>,
     rank: u64,
     rest: Rest<'a>,
 }
@@ -66,27 +65,24 @@ impl<'a> MergeCursor<'a> {
         }
     }
 
-    /// Adds a memtable window (ranked above every run).
-    pub fn push_memtable(
-        &mut self,
-        window: std::iter::Take<btree_map::Range<'a, MetricKey, FieldValues>>,
-    ) {
-        self.push(MEMTABLE_RANK, Rest::Map(window));
+    /// Adds the memtable's rows (ranked above every run).
+    pub fn push_memtable(&mut self, rows: TableRows<'a>) {
+        self.push(MEMTABLE_RANK, Rest::Table(rows));
     }
 
-    /// Adds a strictly sorted run window with precedence `rank`.
-    pub fn push_run(&mut self, rank: u64, window: &'a [(MetricKey, FieldValues)]) {
-        self.push(rank, Rest::Run(window.iter()));
+    /// Adds a run window with precedence `rank`.
+    pub fn push_run(&mut self, rank: u64, window: Window<'a>) {
+        self.push(rank, Rest::Run(window.rows()));
     }
 }
 
 impl<'a> Iterator for MergeCursor<'a> {
-    type Item = Entry<'a>;
+    type Item = RowRef<'a>;
 
-    fn next(&mut self) -> Option<Entry<'a>> {
+    fn next(&mut self) -> Option<RowRef<'a>> {
         let mut best = self.sources.first()?;
         for source in &self.sources[1..] {
-            let order = source.head.0.cmp(best.head.0);
+            let order = source.head.cmp_key(&best.head);
             if order.is_lt() || (order.is_eq() && source.rank > best.rank) {
                 best = source;
             }
@@ -98,7 +94,7 @@ impl<'a> Iterator for MergeCursor<'a> {
         let mut i = 0;
         while i < self.sources.len() {
             let source = &mut self.sources[i];
-            if source.head.0 == winner.0 {
+            if source.head.cmp_key(&winner).is_eq() {
                 match source.rest.next() {
                     Some(head) => source.head = head,
                     None => {
@@ -116,47 +112,62 @@ impl<'a> Iterator for MergeCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{RecordTable, SortedRows};
     use apm_core::keyspace::record_for_seq;
-    use std::collections::BTreeMap;
+    use apm_core::record::{FieldValues, MetricKey, Row};
 
-    fn run(seqs: &[u64], version: u64) -> Vec<(MetricKey, FieldValues)> {
-        let mut rows: Vec<_> = seqs
+    /// Rows of `seqs` with `version`'s fields — or, for version 0, their
+    /// own generated ones.
+    fn rows(seqs: &[u64], version: u64) -> Vec<Row> {
+        let mut rows: Vec<Row> = seqs
             .iter()
-            .map(|&s| (record_for_seq(s).key, FieldValues::from_seed(version)))
+            .map(|&s| {
+                let key = record_for_seq(s).key;
+                match version {
+                    0 => Row::Generated(key.to_id().expect("an id's key")),
+                    v => Row::Literal(key, FieldValues::from_seed(v)),
+                }
+            })
             .collect();
-        rows.sort_by_key(|(k, _)| *k);
+        rows.sort_by_key(Row::key);
         rows
     }
 
     #[test]
     fn empty_cursor_yields_nothing() {
         assert!(MergeCursor::with_capacity(0).next().is_none());
+        let empty = SortedRows::default();
         let mut cursor = MergeCursor::with_capacity(1);
-        cursor.push_run(1, &[]);
+        cursor.push_run(1, empty.all());
         assert!(cursor.next().is_none());
     }
 
     #[test]
     fn output_is_ascending_and_highest_rank_wins() {
-        let old = run(&[1, 2, 3, 4], 10);
-        let new = run(&[3, 4, 5], 20);
-        let mut mem = BTreeMap::new();
-        mem.insert(record_for_seq(4).key, FieldValues::from_seed(30));
+        // Generated and literal versions of one key meet in every order.
+        let old: SortedRows = rows(&[1, 2, 3, 4, 6], 10).into_iter().collect();
+        let new: SortedRows = rows(&[3, 4, 5, 6], 0).into_iter().collect();
+        let mut mem = RecordTable::new();
+        for row in rows(&[4], 30).into_iter().chain(rows(&[2], 0)) {
+            mem.insert(row);
+        }
         // Push order must not matter: precedence is the rank.
         let mut cursor = MergeCursor::with_capacity(3);
-        cursor.push_run(7, &new);
-        cursor.push_memtable(mem.range(MetricKey::MIN..).take(usize::MAX));
-        cursor.push_run(2, &old);
-        let got: Vec<(MetricKey, FieldValues)> = cursor.map(|(k, v)| (*k, *v)).collect();
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+        cursor.push_run(7, new.all());
+        cursor.push_memtable(mem.rows_from(&MetricKey::MIN));
+        cursor.push_run(2, old.all());
+        let got: Vec<Row> = cursor.map(RowRef::to_row).collect();
+        assert!(got.windows(2).all(|w| w[0].key() < w[1].key()));
         let version = |seq: u64| {
             let key = record_for_seq(seq).key;
-            got.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+            got.iter().find(|r| r.key() == key).copied()
         };
-        assert_eq!(got.len(), 5);
-        assert_eq!(version(1), Some(FieldValues::from_seed(10)));
-        assert_eq!(version(3), Some(FieldValues::from_seed(20)));
-        assert_eq!(version(4), Some(FieldValues::from_seed(30)));
-        assert_eq!(version(5), Some(FieldValues::from_seed(20)));
+        assert_eq!(got.len(), 6);
+        assert_eq!(version(1), rows(&[1], 10).first().copied());
+        assert_eq!(version(2), rows(&[2], 0).first().copied());
+        assert_eq!(version(3), rows(&[3], 0).first().copied());
+        assert_eq!(version(4), rows(&[4], 30).first().copied());
+        assert_eq!(version(5), rows(&[5], 0).first().copied());
+        assert_eq!(version(6), rows(&[6], 0).first().copied());
     }
 }

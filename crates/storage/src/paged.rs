@@ -7,7 +7,7 @@
 use crate::btree::{BTree, BTreeConfig, PageTrace};
 use crate::bufferpool::{Access, BufferPool};
 use crate::receipt::{CostReceipt, DiskIo};
-use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
+use apm_core::record::{MetricKey, Row, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 
 /// How an evicted dirty page reaches the disk — all that the pool walk
@@ -49,16 +49,16 @@ impl PagedTree {
 
     /// Point lookup. `probes` is the pages visited, `io` what reached the
     /// disk after the pool; a record's bytes are touched found or not.
-    pub fn get(&mut self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
-        let (value, trace) = self.tree.get(key);
+    pub fn get(&mut self, key: &MetricKey) -> (Option<Row>, CostReceipt) {
+        let (row, trace) = self.tree.get(key);
         self.trace = trace;
-        (value, self.receipt(1))
+        (row, self.receipt(1))
     }
 
     /// Inserts or replaces. `probes` counts the descent and every
     /// existing page dirtied (the leaf, and a parent per split).
-    pub fn insert(&mut self, key: MetricKey, value: FieldValues) -> CostReceipt {
-        self.tree.insert_into(key, value, &mut self.trace);
+    pub fn insert(&mut self, row: Row) -> CostReceipt {
+        self.tree.insert_into(row, &mut self.trace);
         self.receipt(1)
     }
 
@@ -72,8 +72,8 @@ impl PagedTree {
 
     /// [`PagedTree::insert`] for the untimed load phase: the same tree
     /// and pool afterwards, the I/O dropped unbuilt and no receipt.
-    pub fn load(&mut self, key: MetricKey, value: FieldValues) {
-        self.tree.insert_into(key, value, &mut self.trace);
+    pub fn load(&mut self, row: Row) {
+        self.tree.insert_into(row, &mut self.trace);
         self.walk(|_| {});
     }
 
@@ -199,8 +199,8 @@ mod tests {
                 let r = record_for_seq(seq);
                 let (_, trace) = tree.insert(r.key, r.fields);
                 let want = reference(&mut pool, &trace, write_back, 1);
-                assert_eq!(paged.insert(r.key, r.fields), want, "insert {seq}");
-                loaded.load(r.key, r.fields);
+                assert_eq!(paged.insert(r.into()), want, "insert {seq}");
+                loaded.load(r.into());
                 // Reads and scans between the inserts, so clean pages
                 // are evicted too; `loaded` takes the same ones.
                 let probe = record_for_seq(seq * 7 % (seq + 2)).key;

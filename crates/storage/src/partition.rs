@@ -11,7 +11,7 @@
 
 use crate::receipt::CostReceipt;
 use crate::table::RecordTable;
-use apm_core::record::{FieldValues, MetricKey, RAW_RECORD_SIZE};
+use apm_core::record::{MetricKey, Row, RAW_RECORD_SIZE};
 use apm_core::snap_struct;
 
 /// One VoltDB-style partition: an in-memory table with a tree index.
@@ -35,17 +35,17 @@ impl PartitionTable {
     }
 
     /// Inserts or replaces a row.
-    pub fn insert(&mut self, key: MetricKey, value: FieldValues) -> CostReceipt {
+    pub fn insert(&mut self, row: Row) -> CostReceipt {
         let mut receipt = CostReceipt::new();
         receipt
             .probe(self.index_probes())
             .touch(RAW_RECORD_SIZE as u64);
-        self.rows.insert(key, value);
+        self.rows.insert(row);
         receipt
     }
 
     /// Point lookup.
-    pub fn get(&self, key: &MetricKey) -> (Option<FieldValues>, CostReceipt) {
+    pub fn get(&self, key: &MetricKey) -> (Option<Row>, CostReceipt) {
         let mut receipt = CostReceipt::new();
         receipt.probe(self.index_probes());
         let value = self.rows.get(key);
@@ -63,11 +63,7 @@ impl PartitionTable {
     }
 
     /// Range scan within this partition.
-    pub fn scan(
-        &self,
-        start: &MetricKey,
-        len: usize,
-    ) -> (Vec<(MetricKey, FieldValues)>, CostReceipt) {
+    pub fn scan(&self, start: &MetricKey, len: usize) -> (Vec<Row>, CostReceipt) {
         let out = self.rows.scan(start, len);
         let receipt = self.scan_receipt(out.len());
         (out, receipt)
@@ -103,23 +99,23 @@ mod tests {
         let mut p = PartitionTable::new();
         for seq in 0..300 {
             let r = record_for_seq(seq);
-            p.insert(r.key, r.fields);
+            p.insert(r.into());
         }
         assert_eq!(p.len(), 300);
         let r = record_for_seq(123);
-        assert_eq!(p.get(&r.key).0, Some(r.fields));
+        assert_eq!(p.get(&r.key).0, Some(r.into()));
         let mut keys: Vec<MetricKey> = (0..300).map(|s| record_for_seq(s).key).collect();
         keys.sort();
         let (result, _) = p.scan(&keys[10], 20);
         assert_eq!(
-            result.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            result.iter().map(Row::key).collect::<Vec<_>>(),
             keys[10..30].to_vec()
         );
     }
 
     #[test]
     fn rows_out_of_key_order_are_refused() {
-        use apm_core::record::{snap_row, Row};
+        use apm_core::record::{snap_row, FieldValues};
         use apm_core::snap::{self, SnapError, SnapReader, SnapWriter, SnapshotHeader};
         // A partition's body is its table's rows. A `BTreeMap` decoder
         // would keep the last of two equal keys, and the table would
@@ -162,10 +158,10 @@ mod tests {
     fn probes_grow_logarithmically() {
         let mut p = PartitionTable::new();
         let r = record_for_seq(0);
-        let small = p.insert(r.key, r.fields).probes;
+        let small = p.insert(r.into()).probes;
         for seq in 1..100_000 {
             let r = record_for_seq(seq);
-            p.insert(r.key, r.fields);
+            p.insert(r.into());
         }
         let big = p.get(&record_for_seq(50).key).1.probes;
         assert!(big > small, "probe count must grow with table size");

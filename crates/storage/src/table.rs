@@ -1,17 +1,27 @@
-//! An ordered record table that holds a generated record as its id — the
-//! row store under Redis ([`crate::hashstore`]) and VoltDB
-//! ([`crate::partition`]).
+//! The ordered row containers of every engine, each holding a generated
+//! record as its id.
 //!
 //! Every record the benchmark makes is [`Record::from_id`] of an id
 //! (§3's 75-byte record is a function of one `u64`), so a row whose key is
 //! [`MetricKey::from_id`] of an id and whose fields are
-//! [`FieldValues::from_seed`] of the same id is kept as that id, in a
-//! `BTreeSet<u64>`: 8 bytes a row instead of 75. Every other row — a
-//! foreign key, or an id's key with other fields — is kept whole in a
-//! `BTreeMap`. A key lives in exactly one of the two. `from_id` preserves
-//! order, so id order is key order, and one walk merges the two halves in
-//! key order: point lookups, range scans and the codec all answer from
-//! the same structure.
+//! [`FieldValues::from_seed`] of the same id is kept as that id: 8 bytes a
+//! row instead of 75. Every other row — a foreign key, or an id's key with
+//! other fields — is kept whole. A container has the two halves side by
+//! side and a key lives in exactly one of them. `from_id` preserves
+//! order, so id order is key order, two ids compare as `u64`s, and one
+//! walk ([`Rows`]) merges the halves in key order: point lookups, range
+//! scans, merges and the codec all answer from the same structure.
+//!
+//! - [`RecordTable`]: ids in a `BTreeSet`, literal rows in a `BTreeMap` —
+//!   the mutable table of an LSM memtable ([`crate::memtable`]), Redis
+//!   ([`crate::hashstore`]) and VoltDB ([`crate::partition`]).
+//! - [`SortedRows`]: ids in a sorted `Vec<u64>`, literal rows in a sorted
+//!   `Vec` — an LSM run ([`crate::sstable`]) and a B+tree leaf
+//!   ([`crate::btree`]).
+//!
+//! Both write their rows merged, in key order, each as
+//! [`snap_row`] spells it: the bytes of a `Vec` (or `BTreeMap`) of
+//! `(MetricKey, FieldValues)` pairs of the same rows.
 //!
 //! [`Record::from_id`]: apm_core::record::Record::from_id
 
@@ -19,9 +29,106 @@ use apm_core::record::{
     restore_rows, snap_row, FieldValues, MetricKey, Row, MIN_RECORD_SNAP_BYTES,
 };
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use std::cmp::Ordering;
 use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
-use std::iter::Peekable;
+use std::iter::{Copied, Map, Peekable, Take};
 use std::ops::Bound;
+use std::slice;
+
+/// A row borrowed from a container: a generated row's id, or a literal
+/// row's key and fields.
+#[derive(Clone, Copy, Debug)]
+pub enum RowRef<'a> {
+    /// [`Row::Generated`] of this id.
+    Generated(u64),
+    /// [`Row::Literal`] of these.
+    Literal(&'a MetricKey, &'a FieldValues),
+}
+
+impl RowRef<'_> {
+    /// The row's key.
+    pub fn key(&self) -> MetricKey {
+        match self {
+            RowRef::Generated(id) => MetricKey::from_id(*id),
+            RowRef::Literal(key, _) => **key,
+        }
+    }
+
+    /// The owned row.
+    pub fn to_row(self) -> Row {
+        match self {
+            RowRef::Generated(id) => Row::Generated(id),
+            RowRef::Literal(key, fields) => Row::Literal(*key, *fields),
+        }
+    }
+
+    /// Key order. Two ids compare as `u64`s; a key is rendered only
+    /// where a literal row meets a generated one.
+    #[inline]
+    pub fn cmp_key(&self, other: &RowRef<'_>) -> Ordering {
+        match (self, other) {
+            (RowRef::Generated(a), RowRef::Generated(b)) => a.cmp(b),
+            (RowRef::Literal(a, _), RowRef::Literal(b, _)) => a.cmp(b),
+            (a, b) => a.key().cmp(&b.key()),
+        }
+    }
+}
+
+/// Whether `before` sorts strictly before `row`.
+fn ascending(before: &Row, row: &Row) -> bool {
+    match (before, row) {
+        (Row::Generated(a), Row::Generated(b)) => a < b,
+        (before, row) => before.key() < row.key(),
+    }
+}
+
+/// A key-ordered walk over the two halves of a container: ascending ids
+/// and ascending literal rows, no key in both.
+pub struct Rows<I: Iterator, L: Iterator> {
+    ids: Peekable<I>,
+    literal: Peekable<L>,
+}
+
+impl<'a, I, L> Iterator for Rows<I, L>
+where
+    I: Iterator<Item = u64>,
+    L: Iterator<Item = (&'a MetricKey, &'a FieldValues)>,
+{
+    type Item = RowRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        // No key is in both halves, so the two heads never tie.
+        let generated_first = match (self.ids.peek(), self.literal.peek()) {
+            (Some(&id), Some((key, _))) => MetricKey::from_id(id) < **key,
+            (ids, _) => ids.is_some(),
+        };
+        if generated_first {
+            self.ids.next().map(RowRef::Generated)
+        } else {
+            self.literal
+                .next()
+                .map(|(key, fields)| RowRef::Literal(key, fields))
+        }
+    }
+}
+
+/// The walk over a [`RecordTable`].
+pub type TableRows<'a> =
+    Rows<Copied<btree_set::Range<'a, u64>>, btree_map::Range<'a, MetricKey, FieldValues>>;
+
+/// A literal row of a [`SortedRows`], borrowed as a pair.
+type Pair<'a> = (&'a MetricKey, &'a FieldValues);
+
+fn pair(row: &(MetricKey, FieldValues)) -> Pair<'_> {
+    (&row.0, &row.1)
+}
+
+/// The walk over a [`SortedRows`] (or a window of one).
+pub type RunRows<'a> = Rows<
+    Copied<slice::Iter<'a, u64>>,
+    Map<slice::Iter<'a, (MetricKey, FieldValues)>, fn(&'a (MetricKey, FieldValues)) -> Pair<'a>>,
+>;
 
 /// The record table.
 #[derive(Clone, Debug, Default)]
@@ -53,22 +160,27 @@ impl RecordTable {
         key.to_id().is_some_and(|id| self.ids.contains(&id)) || self.literal.contains_key(key)
     }
 
-    /// The fields of `key`'s row; a generated row's are rebuilt from its
-    /// id.
-    pub fn get(&self, key: &MetricKey) -> Option<FieldValues> {
+    /// `key`'s row.
+    pub fn get(&self, key: &MetricKey) -> Option<Row> {
         match key.to_id() {
-            Some(id) if self.ids.contains(&id) => Some(FieldValues::from_seed(id)),
-            _ => self.literal.get(key).copied(),
+            Some(id) if self.ids.contains(&id) => Some(Row::Generated(id)),
+            _ => self
+                .literal
+                .get_key_value(key)
+                .map(|(key, fields)| Row::Literal(*key, *fields)),
         }
     }
 
-    /// Inserts or replaces `key`'s row; true when the key is new. A row
-    /// moves between the halves when its fields start or stop being its
-    /// id's.
-    pub fn insert(&mut self, key: MetricKey, fields: FieldValues) -> bool {
-        match Row::new(key, fields) {
+    /// Inserts or replaces `row`; true when its key is new. A row moves
+    /// between the halves when its fields start or stop being its id's.
+    pub fn insert(&mut self, row: Row) -> bool {
+        match row {
             // A key already among the ids is in no literal row.
-            Row::Generated(id) => self.ids.insert(id) && self.literal.remove(&key).is_none(),
+            Row::Generated(id) => {
+                self.ids.insert(id)
+                    && (self.literal.is_empty()
+                        || self.literal.remove(&MetricKey::from_id(id)).is_none())
+            }
             Row::Literal(key, fields) => {
                 let was_generated = key.to_id().is_some_and(|id| self.ids.remove(&id));
                 self.literal.insert(key, fields).is_none() && !was_generated
@@ -77,30 +189,37 @@ impl RecordTable {
     }
 
     /// Every row at or after `start`, in key order.
-    fn rows_from(&self, start: &MetricKey) -> Rows<'_> {
+    pub fn rows_from(&self, start: &MetricKey) -> TableRows<'_> {
         Rows {
             ids: self
                 .ids
                 .range((ids_from(start), Bound::Unbounded))
+                .copied()
                 .peekable(),
             literal: self.literal.range(start..).peekable(),
         }
     }
 
-    /// The first `len` rows at or after `start`, fields expanded.
-    pub fn scan(&self, start: &MetricKey, len: usize) -> Vec<(MetricKey, FieldValues)> {
+    /// The first `len` rows at or after `start`.
+    pub fn scan(&self, start: &MetricKey, len: usize) -> Vec<Row> {
         self.rows_from(start)
             .take(len)
-            .map(|row| {
-                let record = row.record();
-                (record.key, record.fields)
-            })
+            .map(RowRef::to_row)
             .collect()
     }
 
-    /// How many rows [`RecordTable::scan`] returns, with no row rendered.
+    /// How many rows [`RecordTable::scan`] returns, with no row copied.
     pub fn scan_count(&self, start: &MetricKey, len: usize) -> usize {
         self.rows_from(start).take(len).count()
+    }
+
+    /// Empties the table into a [`SortedRows`] of the same rows.
+    pub fn drain_sorted(&mut self) -> SortedRows {
+        let RecordTable { ids, literal } = std::mem::take(self);
+        SortedRows {
+            ids: ids.into_iter().collect(),
+            literal: literal.into_iter().collect(),
+        }
     }
 }
 
@@ -125,72 +244,270 @@ fn ids_from(start: &MetricKey) -> Bound<u64> {
     Bound::Included(lo)
 }
 
-/// A key-ordered walk over both halves of a [`RecordTable`].
-struct Rows<'a> {
-    ids: Peekable<btree_set::Range<'a, u64>>,
-    literal: Peekable<btree_map::Range<'a, MetricKey, FieldValues>>,
-}
-
-impl Iterator for Rows<'_> {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
-        // No key is in both halves, so the two heads never tie.
-        let generated_first = match (self.ids.peek(), self.literal.peek()) {
-            (Some(&&id), Some((key, _))) => MetricKey::from_id(id) < **key,
-            (ids, _) => ids.is_some(),
-        };
-        if generated_first {
-            self.ids.next().map(|&id| Row::Generated(id))
-        } else {
-            self.literal
-                .next()
-                .map(|(key, fields)| Row::Literal(*key, *fields))
-        }
-    }
-}
-
-// Hand-written: the rows are written merged, in key order, each as
-// `snap_row` spells it — the bytes of a `BTreeMap<MetricKey,
-// FieldValues>` of the same rows — and a row that does not sort strictly
-// after the one before it is refused, so a decoded table re-encodes to
-// the bytes it came from.
 impl Snap for RecordTable {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.len() as u64);
         for row in self.rows_from(&MetricKey::MIN) {
-            snap_row(w, &row);
+            snap_row(w, &row.to_row());
         }
     }
 
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let len = r.count(MIN_RECORD_SNAP_BYTES)?;
-        let (mut ids, mut literal) = (Vec::new(), Vec::new());
-        let mut last: Option<Row> = None;
-        restore_rows(r, len, |row| {
-            let ascending = match (last, row) {
-                (None, _) => true,
-                (Some(Row::Generated(a)), Row::Generated(b)) => a < b,
-                (Some(before), row) => before.key() < row.key(),
-            };
-            if !ascending {
-                return Err(SnapError::BadTag {
-                    what: "RecordTable row not after the one before it",
-                    tag: (ids.len() + literal.len()) as u64,
-                });
-            }
-            match row {
-                Row::Generated(id) => ids.push(id),
-                Row::Literal(key, fields) => literal.push((key, fields)),
-            }
-            last = Some(row);
-            Ok(())
-        })?;
+        let SortedRows { ids, literal } =
+            SortedRows::restore(r, "RecordTable row not after the one before it")?;
         // Sorted input: both trees are bulk-built, every node full.
         Ok(RecordTable {
             ids: ids.into_iter().collect(),
             literal: literal.into_iter().collect(),
         })
+    }
+}
+
+/// Rows in two sorted vectors: what a run or a leaf holds.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SortedRows {
+    /// Generated rows, as their ids, ascending.
+    ids: Vec<u64>,
+    /// Every other row, ascending; no key here is also in `ids`.
+    literal: Vec<(MetricKey, FieldValues)>,
+}
+
+/// Up to `len` rows of a [`SortedRows`] from some start key, borrowed.
+#[derive(Clone, Copy, Debug)]
+pub struct Window<'a> {
+    ids: &'a [u64],
+    literal: &'a [(MetricKey, FieldValues)],
+    len: usize,
+}
+
+impl<'a> Window<'a> {
+    /// Number of rows in the window.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the window holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The window's rows, in key order.
+    pub fn rows(&self) -> Take<RunRows<'a>> {
+        walk(self.ids, self.literal).take(self.len)
+    }
+}
+
+fn walk<'a>(ids: &'a [u64], literal: &'a [(MetricKey, FieldValues)]) -> RunRows<'a> {
+    Rows {
+        ids: ids.iter().copied().peekable(),
+        literal: literal
+            .iter()
+            .map(pair as fn(&'a (MetricKey, FieldValues)) -> Pair<'a>)
+            .peekable(),
+    }
+}
+
+impl SortedRows {
+    /// No rows, with room for `ids` generated ones.
+    pub fn with_capacity(ids: usize) -> SortedRows {
+        SortedRows {
+            ids: Vec::with_capacity(ids),
+            literal: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len() + self.literal.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty() && self.literal.is_empty()
+    }
+
+    /// Every row, in key order.
+    pub fn rows(&self) -> RunRows<'_> {
+        walk(&self.ids, &self.literal)
+    }
+
+    /// Every row's key, generated ones rendered, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = MetricKey> + '_ {
+        let ids = self.ids.iter().map(|&id| MetricKey::from_id(id));
+        ids.chain(self.literal.iter().map(|(key, _)| *key))
+    }
+
+    /// The smallest key and the largest, when there are rows.
+    pub fn key_range(&self) -> Option<(MetricKey, MetricKey)> {
+        let first = self.rows().next()?.key();
+        let last_id = self.ids.last().map(|&id| MetricKey::from_id(id));
+        let last = last_id.max(self.literal.last().map(|(key, _)| *key))?;
+        Some((first, last))
+    }
+
+    /// Appends `row`, which sorts after every row held.
+    pub fn push(&mut self, row: RowRef<'_>) {
+        match row {
+            RowRef::Generated(id) => self.ids.push(id),
+            RowRef::Literal(key, fields) => self.literal.push((*key, *fields)),
+        }
+    }
+
+    /// `key`'s row.
+    pub fn get(&self, key: &MetricKey) -> Option<Row> {
+        if let Some(id) = key.to_id() {
+            if self.ids.binary_search(&id).is_ok() {
+                return Some(Row::Generated(id));
+            }
+        }
+        let i = self.literal.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        let (key, fields) = self.literal[i];
+        Some(Row::Literal(key, fields))
+    }
+
+    /// Inserts or replaces `row`; true when its key is new. A row moves
+    /// between the halves when its fields start or stop being its id's.
+    pub fn insert(&mut self, row: Row) -> bool {
+        match row {
+            Row::Generated(id) => match self.ids.binary_search(&id) {
+                Ok(_) => false,
+                Err(i) => {
+                    self.ids.insert(i, id);
+                    self.literal.is_empty() || !self.remove_literal(&MetricKey::from_id(id))
+                }
+            },
+            Row::Literal(key, fields) => {
+                match self.literal.binary_search_by(|(k, _)| k.cmp(&key)) {
+                    Ok(i) => {
+                        self.literal[i].1 = fields;
+                        false
+                    }
+                    Err(i) => {
+                        self.literal.insert(i, (key, fields));
+                        let id = key.to_id();
+                        match id.map(|id| self.ids.binary_search(&id)) {
+                            Some(Ok(at)) => {
+                                self.ids.remove(at);
+                                false
+                            }
+                            _ => true,
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Removes `key`'s literal row; true when there was one.
+    fn remove_literal(&mut self, key: &MetricKey) -> bool {
+        match self.literal.binary_search_by(|(k, _)| k.cmp(key)) {
+            Ok(i) => {
+                self.literal.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Up to `len` rows at or after `start`.
+    pub fn window(&self, start: &MetricKey, len: usize) -> Window<'_> {
+        let ids_at = match start.to_id() {
+            Some(id) => self.ids.partition_point(|&x| x < id),
+            None => self
+                .ids
+                .partition_point(|&x| MetricKey::from_id(x) < *start),
+        };
+        let literal_at = self.literal.partition_point(|(k, _)| k < start);
+        let cut = |at: usize, total: usize| at..total.min(at.saturating_add(len));
+        let (ids, literal) = (
+            &self.ids[cut(ids_at, self.ids.len())],
+            &self.literal[cut(literal_at, self.literal.len())],
+        );
+        Window {
+            ids,
+            literal,
+            len: len.min(ids.len() + literal.len()),
+        }
+    }
+
+    /// Every row, as a window.
+    pub fn all(&self) -> Window<'_> {
+        Window {
+            ids: &self.ids,
+            literal: &self.literal,
+            len: self.len(),
+        }
+    }
+
+    /// Splits off every row from the `at`-th in key order on.
+    pub fn split_off(&mut self, at: usize) -> SortedRows {
+        let ids_left = if self.literal.is_empty() {
+            at.min(self.ids.len())
+        } else {
+            let left = self.rows().take(at);
+            left.filter(|row| matches!(row, RowRef::Generated(_)))
+                .count()
+        };
+        let literal_left = at.saturating_sub(ids_left).min(self.literal.len());
+        SortedRows {
+            ids: self.ids.split_off(ids_left),
+            literal: self.literal.split_off(literal_left),
+        }
+    }
+
+    /// Releases spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.literal.shrink_to_fit();
+    }
+
+    /// Writes the rows merged, as a `Vec<(MetricKey, FieldValues)>` of
+    /// them would be written.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(self.len() as u64);
+        for row in self.rows() {
+            snap_row(w, &row.to_row());
+        }
+    }
+
+    /// Reads rows written by [`SortedRows::snap`]. A row that does not
+    /// sort strictly after the one before it is refused as `what`, tagged
+    /// with its index, so the rows decoded re-encode to the bytes they
+    /// came from.
+    pub fn restore(r: &mut SnapReader, what: &'static str) -> Result<SortedRows, SnapError> {
+        let len = r.count(MIN_RECORD_SNAP_BYTES)?;
+        let mut rows = SortedRows::with_capacity(len);
+        let mut last: Option<Row> = None;
+        restore_rows(r, len, |row| {
+            if last.is_some_and(|before| !ascending(&before, &row)) {
+                return Err(SnapError::BadTag {
+                    what,
+                    tag: rows.len() as u64,
+                });
+            }
+            match row {
+                Row::Generated(id) => rows.ids.push(id),
+                Row::Literal(key, fields) => rows.literal.push((key, fields)),
+            }
+            last = Some(row);
+            Ok(())
+        })?;
+        rows.ids.shrink_to_fit();
+        Ok(rows)
+    }
+}
+
+impl FromIterator<Row> for SortedRows {
+    /// Rows given in strictly ascending key order.
+    fn from_iter<T: IntoIterator<Item = Row>>(rows: T) -> SortedRows {
+        let mut out = SortedRows::default();
+        for row in rows {
+            match row {
+                Row::Generated(id) => out.ids.push(id),
+                Row::Literal(key, fields) => out.literal.push((key, fields)),
+            }
+        }
+        out
     }
 }
 
@@ -203,20 +520,34 @@ mod tests {
     #[test]
     fn a_generated_row_is_held_as_its_id() {
         let mut table = RecordTable::new();
-        let r = Record::from_id(7);
-        assert!(table.insert(r.key, r.fields));
-        assert_eq!((table.ids.len(), table.literal.len()), (1, 0));
-        // Other fields move it to the literal half, its own back.
-        assert!(!table.insert(r.key, FieldValues::ZERO));
-        assert_eq!((table.ids.len(), table.literal.len()), (0, 1));
-        assert_eq!(table.get(&r.key), Some(FieldValues::ZERO));
-        assert!(!table.insert(r.key, r.fields));
-        assert_eq!((table.ids.len(), table.literal.len()), (1, 0));
-        assert_eq!(table.get(&r.key), Some(r.fields));
-        // A foreign key is literal whatever its fields.
-        assert!(table.insert(MetricKey::MAX, FieldValues::from_seed(7)));
-        assert_eq!((table.ids.len(), table.literal.len()), (1, 1));
+        let mut sorted = SortedRows::default();
+        let key = MetricKey::from_id(7);
+        let other = Row::Literal(key, FieldValues::ZERO);
+        let foreign = Row::Literal(MetricKey::MAX, FieldValues::from_seed(7));
+        let halves = |t: &RecordTable, s: &SortedRows| {
+            let both = (t.ids.len(), t.literal.len());
+            assert_eq!(both, (s.ids.len(), s.literal.len()));
+            both
+        };
+        for (row, new, after) in [
+            (Row::Generated(7), true, (1, 0)),
+            // Other fields move it to the literal half, its own back.
+            (other, false, (0, 1)),
+            (Row::Generated(7), false, (1, 0)),
+            (other, false, (0, 1)),
+            (other, false, (0, 1)),
+            (Row::Generated(7), false, (1, 0)),
+            // A foreign key is literal whatever its fields.
+            (foreign, true, (1, 1)),
+        ] {
+            assert_eq!((table.insert(row), sorted.insert(row)), (new, new));
+            assert_eq!(halves(&table, &sorted), after, "{row:?}");
+            assert_eq!(table.get(&row.key()), Some(row));
+            assert_eq!(sorted.get(&row.key()), Some(row));
+        }
         assert!(table.contains(&MetricKey::MAX) && !table.contains(&MetricKey::MIN));
+        assert_eq!(table.drain_sorted(), sorted);
+        assert!(table.is_empty());
     }
 
     /// A key of any 25 bytes, through the codec's literal spelling: the
@@ -267,6 +598,7 @@ mod tests {
         Insert(MetricKey, FieldValues),
         Get(MetricKey),
         Scan(MetricKey, usize),
+        Split(usize),
     }
 
     /// A key from a small id range, so ops collide; or a foreign one:
@@ -297,9 +629,10 @@ mod tests {
         (0..len)
             .map(|_| {
                 let key = random_key(rng);
-                match rng.next_below(5) {
-                    0 | 1 => Op::Insert(key, random_fields(rng, &key)),
-                    2 => Op::Get(key),
+                match rng.next_below(11) {
+                    0..=3 => Op::Insert(key, random_fields(rng, &key)),
+                    4 | 5 => Op::Get(key),
+                    6 => Op::Split(rng.next_below(70) as usize),
                     _ => Op::Scan(key, rng.next_below(12) as usize),
                 }
             })
@@ -317,6 +650,7 @@ mod tests {
         for case in 0..cases {
             let mut rng = root.split(case);
             let mut table = RecordTable::new();
+            let mut sorted = SortedRows::default();
             let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
             // Generated → literal → generated on one key, then the mix.
             let r = Record::from_id(5_000);
@@ -333,28 +667,57 @@ mod tests {
             for op in script {
                 match op {
                     Op::Insert(key, fields) => {
-                        let new = table.insert(key, fields);
-                        assert_eq!(new, model.insert(key, fields).is_none(), "case {case}");
+                        let new = model.insert(key, fields).is_none();
+                        assert_eq!(table.insert(Row::new(key, fields)), new, "case {case}");
+                        assert_eq!(sorted.insert(Row::new(key, fields)), new, "case {case}");
                     }
                     Op::Get(key) => {
-                        assert_eq!(table.get(&key), model.get(&key).copied(), "case {case}");
+                        let want = model.get(&key).map(|fields| Row::new(key, *fields));
+                        assert_eq!(table.get(&key), want, "case {case}");
+                        assert_eq!(sorted.get(&key), want, "case {case}");
                         assert_eq!(table.contains(&key), model.contains_key(&key));
                     }
                     Op::Scan(start, len) => {
-                        let want: Vec<(MetricKey, FieldValues)> = model
+                        let want: Vec<Row> = model
                             .range(start..)
                             .take(len)
-                            .map(|(k, v)| (*k, *v))
+                            .map(|(k, v)| Row::new(*k, *v))
                             .collect();
                         assert_eq!(table.scan(&start, len), want, "case {case}: {start:?}");
                         assert_eq!(table.scan_count(&start, len), want.len(), "case {case}");
+                        let window = sorted.window(&start, len);
+                        let got: Vec<Row> = window.rows().map(RowRef::to_row).collect();
+                        assert_eq!((got, window.len()), (want.clone(), want.len()));
+                    }
+                    Op::Split(at) => {
+                        // Split in merged order and put back together.
+                        let whole: Vec<Row> = sorted.rows().map(RowRef::to_row).collect();
+                        let right = sorted.split_off(at);
+                        assert_eq!(sorted.len(), at.min(whole.len()), "case {case}");
+                        let left_last = sorted.key_range().map(|(_, last)| last);
+                        let right_first = right.key_range().map(|(first, _)| first);
+                        if let (Some(last), Some(first)) = (left_last, right_first) {
+                            assert!(last < first, "case {case}: {at}");
+                        }
+                        sorted = sorted
+                            .rows()
+                            .chain(right.rows())
+                            .map(RowRef::to_row)
+                            .collect();
+                        let again: Vec<Row> = sorted.rows().map(RowRef::to_row).collect();
+                        assert_eq!(again, whole, "case {case}");
                     }
                 }
                 assert_eq!(table.len(), model.len(), "case {case}");
+                assert_eq!(sorted.len(), model.len(), "case {case}");
             }
             // A key lives in exactly one half.
             let key_in_both = |&id| table.literal.contains_key(&MetricKey::from_id(id));
             assert!(!table.ids.iter().any(key_in_both), "case {case}");
+            let key_in_both = |&id| sorted.get(&MetricKey::from_id(id)) != Some(Row::Generated(id));
+            assert!(!sorted.ids.iter().any(key_in_both), "case {case}");
+            let keys: BTreeSet<MetricKey> = sorted.keys().collect();
+            assert!(keys.iter().eq(model.keys()), "case {case}");
             // The codec writes the model's bytes and reads them back into
             // a table that writes them again.
             let bytes = encoded(&table);
@@ -367,6 +730,13 @@ mod tests {
                 restored.scan(&MetricKey::MIN, usize::MAX),
                 table.scan(&MetricKey::MIN, usize::MAX)
             );
+            let mut w = SnapWriter::new();
+            sorted.snap(&mut w);
+            assert_eq!(w.bytes(), &bytes[..], "case {case}");
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(SortedRows::restore(&mut r, "rows"), Ok(sorted.clone()));
+            r.finish().expect("every byte read");
+            assert_eq!(table.drain_sorted(), sorted, "case {case}");
         }
     }
 

@@ -8,15 +8,16 @@
 //! `lsm_regression_sequence_matches_model`.
 
 use apm_core::keyspace::{record_for_seq, SplitRng};
-use apm_core::record::{ApmMeasurement, FieldValues, MetricKey};
+use apm_core::record::{ApmMeasurement, FieldValues, MetricKey, Row};
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::hashstore::HashStore;
-use apm_storage::lsm::{BackgroundJob, LsmConfig, LsmTree};
+use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
 use apm_storage::memtable::Memtable;
 use apm_storage::paged::{PagedTree, WriteBack};
 use apm_storage::partition::PartitionTable;
 use apm_storage::sstable::{SsTable, TableProbe};
+use apm_storage::table::{RowRef, SortedRows};
 use apm_storage::CostReceipt;
 use std::collections::BTreeMap;
 
@@ -76,14 +77,14 @@ fn check_lsm_against_model(ops: &[Op], label: &str) {
             Op::Get(seq) => {
                 let (got, _) = tree.get(&key(seq));
                 assert_eq!(
-                    got.as_ref(),
+                    got.map(|row| row.fields()).as_ref(),
                     model.get(&key(seq)),
                     "{label}: get({seq}) diverged"
                 );
             }
             Op::Scan(seq, len) => {
                 let (rows, _) = tree.scan(&key(seq), len);
-                let got: Vec<MetricKey> = rows.iter().map(|(k, _)| *k).collect();
+                let got: Vec<MetricKey> = rows.iter().map(Row::key).collect();
                 assert_eq!(
                     got,
                     model_scan(&model, &key(seq), len),
@@ -413,7 +414,11 @@ fn btree_matches_sorted_map_model() {
                 }
                 Op::Get(seq) => {
                     let (got, trace) = tree.get(&key(seq));
-                    assert_eq!(got.as_ref(), model.get(&key(seq)), "case {case}");
+                    assert_eq!(
+                        got.map(|row| row.fields()).as_ref(),
+                        model.get(&key(seq)),
+                        "case {case}"
+                    );
                     assert_eq!(
                         trace.read.len(),
                         tree.depth() as usize,
@@ -422,7 +427,7 @@ fn btree_matches_sorted_map_model() {
                 }
                 Op::Scan(seq, len) => {
                     let (rows, _) = tree.scan(&key(seq), len);
-                    let got: Vec<MetricKey> = rows.iter().map(|(k, _)| *k).collect();
+                    let got: Vec<MetricKey> = rows.iter().map(Row::key).collect();
                     assert_eq!(got, model_scan(&model, &key(seq), len), "case {case}");
                 }
             }
@@ -447,11 +452,15 @@ fn hashstore_matches_model_and_memory_is_exact() {
                 }
                 Op::Get(seq) => {
                     let (got, _) = store.get(&key(seq));
-                    assert_eq!(got.as_ref(), model.get(&key(seq)), "case {case}");
+                    assert_eq!(
+                        got.map(|row| row.fields()).as_ref(),
+                        model.get(&key(seq)),
+                        "case {case}"
+                    );
                 }
                 Op::Scan(seq, len) => {
                     let (rows, _) = store.scan(&key(seq), len);
-                    let got: Vec<MetricKey> = rows.iter().map(|(k, _)| *k).collect();
+                    let got: Vec<MetricKey> = rows.iter().map(Row::key).collect();
                     assert_eq!(got, model_scan(&model, &key(seq), len), "case {case}");
                 }
             }
@@ -475,12 +484,12 @@ fn memtable_drain_returns_exactly_the_live_set() {
         let mut memtable = Memtable::new();
         let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
         for seq in seqs {
-            memtable.insert(key(seq), value(seq));
+            memtable.insert(Row::new(key(seq), value(seq)));
             model.insert(key(seq), value(seq));
         }
         assert_eq!(memtable.bytes(), model.len() as u64 * 75, "case {case}");
         let drained = memtable.drain_sorted();
-        let expect: Vec<(MetricKey, FieldValues)> = model.into_iter().collect();
+        let expect: SortedRows = model.into_iter().map(|(k, v)| Row::new(k, v)).collect();
         assert_eq!(drained, expect, "case {case}");
     }
 }
@@ -504,12 +513,12 @@ fn lsm_scans_never_return_duplicates_or_unsorted_keys() {
         let (rows, _) = tree.scan(&key(start), 50);
         for w in rows.windows(2) {
             assert!(
-                w[0].0 < w[1].0,
+                w[0].key() < w[1].key(),
                 "case {case}: scan output not strictly sorted"
             );
         }
         assert!(rows.len() <= 50, "case {case}");
-        assert!(rows.iter().all(|(k, _)| *k >= key(start)), "case {case}");
+        assert!(rows.iter().all(|r| r.key() >= key(start)), "case {case}");
     }
 }
 
@@ -588,10 +597,10 @@ fn lsm_scan_count_equals_scan_over_overlapping_runs() {
             let (start, len) = random_window(&mut rng, 120);
             let (rows, scan_receipt) = rows_tree.scan(&start, len);
             let (count, count_receipt) = count_tree.scan_count(&start, len);
-            let expect: Vec<(MetricKey, FieldValues)> = model
+            let expect: Vec<Row> = model
                 .range(start..)
                 .take(len)
-                .map(|(k, v)| (*k, *v))
+                .map(|(k, v)| Row::new(*k, *v))
                 .collect();
             assert_eq!(rows, expect, "case {case}: newest version must win");
             assert_eq!(count, rows.len(), "case {case}");
@@ -640,7 +649,7 @@ fn hashstore_and_partition_scan_count_equals_scan() {
         for _ in 0..rng.next_below(400) {
             let seq = rng.next_below(300);
             store.insert(key(seq), value(seq)).expect("no budget");
-            partition.insert(key(seq), value(seq));
+            partition.insert(Row::new(key(seq), value(seq)));
         }
         for _ in 0..40 {
             let (start, len) = random_window(&mut rng, 300);
@@ -658,24 +667,27 @@ fn hashstore_and_partition_scan_count_equals_scan() {
 
 // ------------------------------------------- compaction merge == oracle
 
-fn entries_of(table: &SsTable) -> Vec<(MetricKey, FieldValues)> {
-    table
-        .scan(&MetricKey::MIN, usize::MAX, &mut CostReceipt::new())
-        .to_vec()
+fn entries_of(table: &SsTable) -> Vec<Row> {
+    let window = table.scan(&MetricKey::MIN, usize::MAX, &mut CostReceipt::new());
+    window.rows().map(RowRef::to_row).collect()
 }
 
 /// The collect-sort-dedup merge `SsTable::merge` used before it streamed
 /// through the cursor, kept as the reference: concatenate every input row
 /// tagged with its table id, sort by (key, id descending), keep the first
 /// of each key.
-fn reference_merge(inputs: &[&SsTable]) -> Vec<(MetricKey, FieldValues)> {
-    let mut all: Vec<(u64, MetricKey, FieldValues)> = Vec::new();
+fn reference_merge(inputs: &[&SsTable]) -> SortedRows {
+    let mut all: Vec<(u64, MetricKey, Row)> = Vec::new();
     for table in inputs {
-        all.extend(entries_of(table).into_iter().map(|(k, v)| (table.id, k, v)));
+        all.extend(
+            entries_of(table)
+                .into_iter()
+                .map(|r| (table.id, r.key(), r)),
+        );
     }
     all.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
     all.dedup_by(|next, first| next.1 == first.1);
-    all.into_iter().map(|(_, k, v)| (k, v)).collect()
+    all.into_iter().map(|(_, _, row)| row).collect()
 }
 
 #[test]
@@ -689,13 +701,20 @@ fn sstable_merge_equals_collect_sort_dedup_reference() {
                 // Distinct ids in no particular order; overlapping key
                 // sets whose values name the table they came from.
                 let id = 1 + i * 3 + rng.next_below(3);
+                // Every fourth table holds the keys' own fields, so
+                // generated and literal versions of one key meet.
                 let rows: BTreeMap<MetricKey, FieldValues> = (0..rng.next_below(120))
                     .map(|_| {
                         let seq = rng.next_below(150);
-                        (key(seq), FieldValues::from_seed(id * 1_000 + seq))
+                        let version = if i % 4 == 3 {
+                            value(seq)
+                        } else {
+                            FieldValues::from_seed(id * 1_000 + seq)
+                        };
+                        (key(seq), version)
                     })
                     .collect();
-                SsTable::from_sorted(id, rows.into_iter().collect())
+                SsTable::from_rows(id, rows.into_iter().map(|(k, v)| Row::new(k, v)).collect())
             })
             .collect();
         // Precedence is by table id, whatever order the inputs come in.
@@ -704,7 +723,7 @@ fn sstable_merge_equals_collect_sort_dedup_reference() {
         }
         let inputs: Vec<&SsTable> = tables.iter().collect();
         let merged = SsTable::merge(99, &inputs);
-        let reference = SsTable::from_sorted(99, reference_merge(&inputs));
+        let reference = SsTable::from_rows(99, reference_merge(&inputs));
         assert_eq!(entries_of(&merged), entries_of(&reference), "case {case}");
         assert_eq!(merged.disk_bytes(), reference.disk_bytes(), "case {case}");
         for seq in 0..200 {
@@ -802,18 +821,18 @@ fn foreign_records_round_trip_every_engine_codec() {
     let mut hash = HashStore::new(None);
     let mut partition = PartitionTable::new();
     for &(k, v) in &records {
-        memtable.insert(k, v);
+        memtable.insert(Row::new(k, v));
         let (_, job) = lsm.insert(k, v);
         lsm.settle(job);
         btree.insert(k, v);
-        paged.insert(k, v);
+        paged.insert(Row::new(k, v));
         hash.insert(k, v).expect("no budget");
-        partition.insert(k, v);
+        partition.insert(Row::new(k, v));
     }
-    let run = SsTable::from_sorted(9, model.iter().map(|(k, v)| (*k, *v)).collect());
+    let run = SsTable::from_rows(9, model.iter().map(|(k, v)| Row::new(*k, *v)).collect());
 
     let memtable = restored(&memtable, Memtable::new(), put, get);
-    let run = restored(&run, SsTable::from_sorted(0, Vec::new()), put, get);
+    let run = restored(&run, SsTable::from_rows(0, SortedRows::default()), put, get);
     let mut lsm = restored(
         &lsm,
         LsmTree::new(lsm_config),
@@ -841,17 +860,363 @@ fn foreign_records_round_trip_every_engine_codec() {
     );
     let partition = restored(&partition, PartitionTable::new(), put, get);
     for (k, v) in &model {
-        assert_eq!(memtable.get(k), Some(v), "memtable {k:?}");
+        let v = Some(Row::new(*k, *v));
+        assert_eq!(memtable.get(k), v, "memtable {k:?}");
         let mut receipt = CostReceipt::new();
         assert_eq!(
             run.get(k, &mut receipt),
-            TableProbe::Checked(Some(*v)),
+            TableProbe::Checked(v),
             "run {k:?}"
         );
-        assert_eq!(lsm.get(k).0, Some(*v), "lsm {k:?}");
-        assert_eq!(btree.get(k).0, Some(*v), "btree {k:?}");
-        assert_eq!(paged.get(k).0, Some(*v), "paged {k:?}");
-        assert_eq!(hash.get(k).0, Some(*v), "hash store {k:?}");
-        assert_eq!(partition.get(k).0, Some(*v), "partition {k:?}");
+        assert_eq!(lsm.get(k).0, v, "lsm {k:?}");
+        assert_eq!(btree.get(k).0, v, "btree {k:?}");
+        assert_eq!(paged.get(k).0, v, "paged {k:?}");
+        assert_eq!(hash.get(k).0, v, "hash store {k:?}");
+        assert_eq!(partition.get(k).0, v, "partition {k:?}");
     }
+}
+
+// ------------------- rows: generated, id-keyed literal and foreign
+
+/// A key of any 25 bytes, through the codec's literal spelling: the one
+/// way to a key off the alphabet, which sorts between two ids' keys.
+fn raw_key(bytes: [u8; 25]) -> MetricKey {
+    let mut encoded = vec![1];
+    encoded.extend(bytes);
+    SnapReader::new(&encoded).get().expect("a literal key")
+}
+
+/// `id`'s key with its last digit replaced by `:`, which sorts after `9`
+/// and before `a`: a foreign key right after `id`'s.
+fn just_after(id: u64) -> MetricKey {
+    let mut bytes = *MetricKey::from_id(id).as_bytes();
+    bytes[24] = b':';
+    raw_key(bytes)
+}
+
+/// A key the ops of one case collide on: a generated record's, one just
+/// after it, or a sentinel.
+fn row_key(rng: &mut SplitRng) -> MetricKey {
+    let seq = rng.next_below(160);
+    match rng.next_below(12) {
+        0 => MetricKey::MIN,
+        1 => MetricKey::MAX,
+        2 => MetricKey::from_bytes(*b"user00000000000000000042x"),
+        3 | 4 => just_after(key(seq).to_id().expect("an id's key")),
+        _ => key(seq),
+    }
+}
+
+/// Fields for `key`: mostly its own generated ones (a generated row when
+/// the key is an id's), else other fields — which move an id's key to
+/// the literal half, and its own fields move it back.
+fn row_fields(rng: &mut SplitRng, key: &MetricKey) -> FieldValues {
+    match (rng.next_below(5), key.to_id()) {
+        (0, _) => FieldValues::ZERO,
+        (1, _) => FieldValues::from_seed(rng.next_below(160)),
+        (_, Some(id)) => FieldValues::from_seed(id),
+        (_, None) => FieldValues::from_seed(3),
+    }
+}
+
+/// One step of a row walk.
+#[derive(Clone, Copy, Debug)]
+enum RowOp {
+    Insert(MetricKey, FieldValues),
+    Get(MetricKey),
+    Scan(MetricKey, usize),
+}
+
+fn row_ops(rng: &mut SplitRng, len: usize) -> Vec<RowOp> {
+    // A generated row overwritten with other fields, and back, first.
+    let home = key(7);
+    let mut ops = vec![
+        RowOp::Insert(home, value(7)),
+        RowOp::Insert(home, FieldValues::ZERO),
+        RowOp::Get(home),
+        RowOp::Insert(home, value(7)),
+        RowOp::Get(home),
+    ];
+    ops.extend((0..len).map(|_| {
+        let key = row_key(rng);
+        match rng.next_below(8) {
+            0..=3 => RowOp::Insert(key, row_fields(rng, &key)),
+            4 | 5 => RowOp::Get(key),
+            _ => RowOp::Scan(key, rng.next_below(40) as usize),
+        }
+    }));
+    ops
+}
+
+fn model_rows(model: &BTreeMap<MetricKey, FieldValues>, start: &MetricKey, len: usize) -> Vec<Row> {
+    model
+        .range(start..)
+        .take(len)
+        .map(|(k, v)| Row::new(*k, *v))
+        .collect()
+}
+
+fn encoded(put: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    put(&mut w);
+    w.into_bytes()
+}
+
+/// `rows` as a row codec writes them, the rows at `swap` and `swap + 1`
+/// exchanged — out of key order, or a duplicate once `swap + 1` is
+/// written over with the row before it.
+fn forged_rows(rows: &[Row], swap: usize, duplicate: bool) -> Vec<u8> {
+    let mut rows = rows.to_vec();
+    if duplicate {
+        rows[swap + 1] = rows[swap];
+    } else {
+        rows.swap(swap, swap + 1);
+    }
+    encoded(|w| {
+        w.put_u64(rows.len() as u64);
+        for row in &rows {
+            w.put(row);
+        }
+    })
+}
+
+/// The memtable, a run, and an LSM tree against a `BTreeMap`, op by op:
+/// get, scan, `scan_count`, the codec's bytes (the model's own, where
+/// the engine writes a map or a run of its rows) and its round trip,
+/// and the refusal of rows out of key order.
+fn lsm_engines_match_the_model(cases: u64, ops: usize) {
+    let mut root = SplitRng::new(0x6C73_6D72);
+    for case in 0..cases {
+        let mut rng = root.split(case);
+        // Leveled: a size-tiered merge of older runs past a newer one
+        // takes the newest id, so once keys are rewritten the older
+        // version can win (the existing order, kept byte for byte; the
+        // benchmark rewrites no key).
+        let config = LsmConfig {
+            memtable_flush_bytes: 75 * (4 + rng.next_below(20)),
+            strategy: CompactionStrategy::Leveled,
+        };
+        let mut memtable = Memtable::new();
+        let mut lsm = LsmTree::new(config);
+        let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
+        for (step, op) in row_ops(&mut rng, ops).into_iter().enumerate() {
+            match op {
+                RowOp::Insert(k, v) => {
+                    let new = model.insert(k, v).is_none();
+                    assert_eq!(memtable.insert(Row::new(k, v)), new, "case {case}");
+                    let (_, job) = lsm.insert(k, v);
+                    lsm.settle(job);
+                }
+                RowOp::Get(k) => {
+                    let want = model.get(&k).map(|v| Row::new(k, *v));
+                    assert_eq!(memtable.get(&k), want, "case {case}: {k:?}");
+                    assert_eq!(lsm.get(&k).0, want, "case {case}: {k:?}");
+                }
+                RowOp::Scan(start, len) => {
+                    let want = model_rows(&model, &start, len);
+                    let got: Vec<Row> = memtable
+                        .rows_from(&start)
+                        .take(len)
+                        .map(RowRef::to_row)
+                        .collect();
+                    assert_eq!(got, want, "case {case}: memtable from {start:?}");
+                    let (rows, receipt) = lsm.scan(&start, len);
+                    assert_eq!(rows, want, "case {case}: lsm from {start:?}");
+                    assert_eq!(lsm.scan_count(&start, len), (want.len(), receipt));
+                }
+            }
+            if step % 64 != 63 {
+                continue;
+            }
+            // A run of the model's rows: every probe and window, and its
+            // bytes are an id and the `Vec` of the model's records.
+            let rows: Vec<Row> = model_rows(&model, &MetricKey::MIN, usize::MAX);
+            let run = SsTable::from_rows(step as u64, rows.iter().copied().collect());
+            assert_eq!(run.len(), model.len(), "case {case}");
+            for k in model
+                .keys()
+                .take(40)
+                .chain([MetricKey::MIN, MetricKey::MAX].iter())
+            {
+                let want = model.get(k).map(|v| Row::new(*k, *v));
+                match run.get(k, &mut CostReceipt::new()) {
+                    TableProbe::Checked(got) => assert_eq!(got, want, "case {case}: run {k:?}"),
+                    TableProbe::BloomNegative => assert_eq!(want, None, "case {case}: {k:?}"),
+                }
+                let window = run.scan(k, 17, &mut CostReceipt::new());
+                let got: Vec<Row> = window.rows().map(RowRef::to_row).collect();
+                assert_eq!(
+                    got,
+                    model_rows(&model, k, 17),
+                    "case {case}: run from {k:?}"
+                );
+                assert_eq!(window.len(), got.len(), "case {case}");
+            }
+            let pairs: Vec<(MetricKey, FieldValues)> =
+                model.iter().map(|(k, v)| (*k, *v)).collect();
+            let run_bytes = encoded(|w| w.put(&run));
+            assert!(
+                run_bytes
+                    == encoded(|w| {
+                        w.put_u64(step as u64);
+                        w.put(&pairs);
+                    }),
+                "case {case}: run bytes"
+            );
+            let run = restored(&run, SsTable::from_rows(0, SortedRows::default()), put, get);
+            assert_eq!(
+                run.disk_bytes(),
+                SsTable::from_rows(0, rows.iter().copied().collect()).disk_bytes()
+            );
+            assert!(
+                encoded(|w| w.put(&memtable)) == encoded(|w| w.put(&model)),
+                "case {case}"
+            );
+            memtable = restored(&memtable, Memtable::new(), put, get);
+            lsm = restored(
+                &lsm,
+                LsmTree::new(config),
+                LsmTree::snap_state,
+                LsmTree::restore_state,
+            );
+            // Rows out of key order, or twice, are refused by index.
+            if rows.len() >= 2 {
+                let at = rng.next_below(rows.len() as u64 - 1) as usize;
+                for duplicate in [false, true] {
+                    let body = forged_rows(&rows, at, duplicate);
+                    let refused = |what| {
+                        Err(SnapError::BadTag {
+                            what,
+                            tag: at as u64 + 1,
+                        })
+                    };
+                    let as_run = [&7u64.to_le_bytes()[..], &body].concat();
+                    assert_eq!(
+                        SnapReader::new(&as_run).get::<SsTable>().map(|t| t.len()),
+                        refused("SsTable row not after the one before it"),
+                        "case {case}: {at}"
+                    );
+                    assert_eq!(
+                        SnapReader::new(&body).get::<Memtable>().map(|m| m.len()),
+                        refused("RecordTable row not after the one before it"),
+                        "case {case}: {at}"
+                    );
+                }
+            }
+        }
+        assert!(lsm.record_count() >= model.len() as u64, "case {case}");
+        let all = model_rows(&model, &MetricKey::MIN, usize::MAX);
+        assert_eq!(lsm.scan(&MetricKey::MIN, usize::MAX).0, all, "case {case}");
+    }
+}
+
+#[test]
+fn kernel_equivalence_of_lsm_engines_and_btreemap() {
+    lsm_engines_match_the_model(48, 300);
+}
+
+#[test]
+#[ignore = "4096 cases: CI runs it in the release profile"]
+fn kernel_equivalence_of_lsm_engines_and_btreemap_at_the_large_budget() {
+    lsm_engines_match_the_model(4_096, 300);
+}
+
+/// A B+tree and a paged tree against a `BTreeMap`, op by op: get, scan,
+/// `scan_count` and the page traces of both, the codec's round trip at
+/// every checkpoint, and the refusal of a leaf whose rows are out of key
+/// order.
+fn page_engines_match_the_model(cases: u64, ops: usize) {
+    let mut root = SplitRng::new(0x7061_6765);
+    for case in 0..cases {
+        let mut rng = root.split(case);
+        let config = BTreeConfig {
+            leaf_capacity: 2 + rng.next_below(10) as usize,
+            internal_capacity: 3 + rng.next_below(8) as usize,
+            page_bytes: 512,
+        };
+        let class = [WriteBack::InPlace, WriteBack::Log][case as usize % 2];
+        let mut tree = BTree::new(config);
+        let mut paged = PagedTree::new(config, 6, class);
+        let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
+        for (step, op) in row_ops(&mut rng, ops).into_iter().enumerate() {
+            match op {
+                RowOp::Insert(k, v) => {
+                    let new = model.insert(k, v).is_none();
+                    assert_eq!(tree.insert(k, v).0, new, "case {case}");
+                    paged.insert(Row::new(k, v));
+                }
+                RowOp::Get(k) => {
+                    let want = model.get(&k).map(|v| Row::new(k, *v));
+                    let (got, trace) = tree.get(&k);
+                    assert_eq!(got, want, "case {case}: {k:?}");
+                    assert_eq!(trace.read.len(), tree.depth() as usize, "case {case}");
+                    assert_eq!(paged.get(&k).0, want, "case {case}: {k:?}");
+                }
+                RowOp::Scan(start, len) => {
+                    let want = model_rows(&model, &start, len);
+                    let (rows, trace) = tree.scan(&start, len);
+                    assert_eq!(rows, want, "case {case}: from {start:?}");
+                    assert_eq!(tree.scan_count(&start, len), (want.len(), trace));
+                    assert_eq!(paged.scan_count(&start, len).0, want.len(), "case {case}");
+                }
+            }
+            assert_eq!(tree.len(), model.len() as u64, "case {case}");
+            assert_eq!(paged.record_count(), model.len() as u64, "case {case}");
+            if step % 64 == 63 {
+                tree = restored(
+                    &tree,
+                    BTree::new(config),
+                    BTree::snap_state,
+                    BTree::restore_state,
+                );
+                paged = restored(
+                    &paged,
+                    PagedTree::new(config, 6, class),
+                    PagedTree::snap_state,
+                    PagedTree::restore_state,
+                );
+            }
+        }
+        let all = model_rows(&model, &MetricKey::MIN, usize::MAX);
+        assert_eq!(tree.scan(&MetricKey::MIN, usize::MAX).0, all, "case {case}");
+        // One leaf, its rows out of key order or twice: refused by index
+        // as the arena is decoded.
+        if all.len() >= 2 {
+            let at = rng.next_below(all.len() as u64 - 1) as usize;
+            for duplicate in [false, true] {
+                let mut w = SnapWriter::new();
+                w.put_u64(1); // one page: a leaf, the root
+                w.put_u8(1);
+                w.put_bytes(&forged_rows(&all, at, duplicate)[..]);
+                w.put(&None::<usize>);
+                w.put(&0usize);
+                w.put_u64(all.len() as u64);
+                w.put_u32(1);
+                let refused = BTree::new(BTreeConfig {
+                    leaf_capacity: all.len(),
+                    ..config
+                })
+                .restore_state(&mut SnapReader::new(w.bytes()));
+                assert_eq!(
+                    refused,
+                    Err(SnapError::BadTag {
+                        what: "BTree leaf row not after the one before it",
+                        tag: at as u64 + 1,
+                    }),
+                    "case {case}: {at}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_equivalence_of_page_engines_and_btreemap() {
+    page_engines_match_the_model(48, 300);
+}
+
+#[test]
+#[ignore = "4096 cases: CI runs it in the release profile"]
+fn kernel_equivalence_of_page_engines_and_btreemap_at_the_large_budget() {
+    page_engines_match_the_model(4_096, 300);
 }

@@ -2,9 +2,9 @@
 //! planners describe work in ([`StorePlan`]: node CPU, disk, NIC, WAL,
 //! client round trip).
 
-use apm_core::keyspace::{key_for_seq, record_for_seq, records_for_seqs};
+use apm_core::keyspace::{key_for_seq, scramble};
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::{MetricKey, Record};
+use apm_core::record::{MetricKey, Record, Row};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::cluster::NodeResources;
 use apm_sim::kernel::ResourceId;
@@ -459,10 +459,12 @@ fn load_workers() -> usize {
 /// load's size (DESIGN.md §15 has the sweep).
 const BLOCK_SEQS: u32 = 1 << 17;
 
-/// The load phase of a sharded store: applies `insert(node, record)` for
-/// `record_for_seq(seq)` of every `seq` in `seqs`, ascending, to each
-/// node `owners(&record.key)` names — the per-node engines are disjoint
-/// state, so they are built side by side, each in one uninterrupted run.
+/// The load phase of a sharded store: applies `insert(node, row)` for
+/// the row of every `seq` in `seqs` — `record_for_seq(seq)`, handed as
+/// `Row::Generated(scramble(seq))` with no field generated —, ascending,
+/// to each node `owners(&key_for_seq(seq))` names. The per-node engines
+/// are disjoint state, so they are built side by side, each in one
+/// uninterrupted run.
 ///
 /// `seqs` is taken a block at a time, each block in two passes. *Route:*
 /// the block is cut into `workers` contiguous slices and every slice's
@@ -479,7 +481,7 @@ pub fn load_partitioned<N: Send, O: IntoIterator<Item = usize>>(
     seqs: Range<u64>,
     workers: usize,
     owners: impl Fn(&MetricKey) -> O + Sync,
-    insert: impl Fn(&mut N, &Record) + Sync,
+    insert: impl Fn(&mut N, Row) + Sync,
 ) {
     load_in_blocks(nodes, seqs, workers, BLOCK_SEQS, owners, insert);
 }
@@ -514,7 +516,7 @@ fn load_in_blocks<N: Send, O: IntoIterator<Item = usize>>(
     workers: usize,
     block_seqs: u32,
     owners: impl Fn(&MetricKey) -> O + Sync,
-    insert: impl Fn(&mut N, &Record) + Sync,
+    insert: impl Fn(&mut N, Row) + Sync,
 ) {
     let node_count = nodes.len();
     // At most one worker a node, in both passes: a second thread's route
@@ -548,17 +550,8 @@ fn load_in_blocks<N: Send, O: IntoIterator<Item = usize>>(
         side_by_side(nodes.chunks_mut(group_len).enumerate(), |(g, group)| {
             for (node, index) in group.iter_mut().zip(g * group_len..) {
                 for (_, lists) in &routed {
-                    // Four records a step (their field generators run
-                    // side by side), then the 0–3 left over one by one.
-                    let mut fours = lists[index].chunks_exact(4);
-                    for four in &mut fours {
-                        let seqs = std::array::from_fn::<_, 4, _>(|i| base + u64::from(four[i]));
-                        for record in &records_for_seqs(seqs) {
-                            insert(node, record);
-                        }
-                    }
-                    for &offset in fours.remainder() {
-                        insert(node, &record_for_seq(base + u64::from(offset)));
+                    for &offset in &lists[index] {
+                        insert(node, Row::Generated(scramble(base + u64::from(offset))));
                     }
                 }
             }
@@ -578,12 +571,18 @@ pub trait DistributedStore {
 
     /// Load-phase insert: updates real state, settling any background
     /// work immediately (load time is not measured, §3 reloads per run).
-    fn load(&mut self, record: &Record);
+    fn load_row(&mut self, row: Row);
+
+    /// [`DistributedStore::load_row`] of `record`'s row.
+    fn load(&mut self, record: &Record) {
+        self.load_row(Row::new(record.key, record.fields));
+    }
 
     /// Load-phase insert of `record_for_seq(seq)` for every `seq` in
     /// `seqs`, ascending: the same state as calling
     /// [`DistributedStore::load`] per record, built with one worker per
-    /// CPU where the store's nodes allow it.
+    /// CPU where the store's nodes allow it. Each record is handed as its
+    /// id: no field is generated.
     fn load_range(&mut self, seqs: Range<u64>) {
         self.load_range_on(seqs, load_workers());
     }
@@ -597,7 +596,7 @@ pub trait DistributedStore {
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
         let _ = workers;
         for seq in seqs {
-            self.load(&record_for_seq(seq));
+            self.load_row(Row::Generated(scramble(seq)));
         }
     }
 
@@ -977,9 +976,10 @@ mod tests {
     }
 
     /// A toy node is the ids of the records it was handed, in order.
-    fn toy_insert(node: &mut Vec<u64>, record: &Record) {
-        let id = record.key.to_id().expect("a benchmark key");
-        assert_eq!(*record, Record::from_id(id), "not the record of its key");
+    fn toy_insert(node: &mut Vec<u64>, row: Row) {
+        let Row::Generated(id) = row else {
+            panic!("a generated record handed whole: {row:?}");
+        };
         node.push(id);
     }
 
@@ -991,9 +991,9 @@ mod tests {
                 for rf in 1..=3usize {
                     let mut want = vec![Vec::new(); nodes];
                     for seq in seqs.clone() {
-                        let record = record_for_seq(seq);
+                        let record = apm_core::keyspace::record_for_seq(seq);
                         for owner in ring_owners(&record.key, nodes, rf) {
-                            toy_insert(&mut want[owner], &record);
+                            toy_insert(&mut want[owner], record.into());
                         }
                     }
                     let mut handed: Vec<u64> = want.concat();
@@ -1004,9 +1004,8 @@ mod tests {
                         .collect();
                     owed.sort_unstable();
                     assert_eq!(handed, owed, "the reference loop itself");
-                    // Blocks of 1, 3 and 5 keep a node's lists shorter than
-                    // four (all tail) or at one four and a tail; the longer
-                    // ones leave every length mod 4.
+                    // Blocks of one sequence up to blocks longer than the
+                    // range: every way a node's lists can be cut.
                     for block in [1, 3, 5, 1_000, u32::MAX] {
                         for workers in [1usize, 2, 3, 5, 64] {
                             let mut got = vec![Vec::new(); nodes];

@@ -21,7 +21,7 @@ use crate::api::{
 use crate::cache::PageCache;
 use crate::routing::{TokenAssignment, TokenRing};
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::Record;
+use apm_core::record::{Row, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{cassandra_format, StorageFormat};
@@ -121,8 +121,8 @@ struct Node {
 impl Node {
     /// Untimed insert (load phase, bootstrap stream, hint replay): the
     /// flush and compaction work it triggers completes on the spot.
-    fn insert_settled(&mut self, record: &Record) {
-        let (_, job) = self.lsm.insert(record.key, record.fields);
+    fn insert_settled(&mut self, row: Row) {
+        let (_, job) = self.lsm.insert_row(row);
         self.lsm.settle(job);
     }
 }
@@ -142,7 +142,7 @@ pub struct CassandraStore {
     down: Vec<bool>,
     /// Hinted handoff queues: writes a down replica missed, replayed to
     /// it when it rejoins the ring (Cassandra's hinted handoff).
-    hints: Vec<Vec<Record>>,
+    hints: Vec<Vec<Row>>,
     /// Hinted-handoff drain auditor (see `crate::audit`).
     hint_audit: crate::audit::HintAuditor,
     /// Bytes streamed by completed/running bootstraps (diagnostics).
@@ -205,13 +205,13 @@ impl CassandraStore {
         // newcomer. Real data moves between real LSM trees.
         let total = self.nodes[victim].lsm.record_count() as usize;
         let (all, _) = self.nodes[victim].lsm.scan(&MetricKey::MIN, total);
-        let moving: Vec<_> = all
+        let moving: Vec<Row> = all
             .into_iter()
-            .filter(|(k, _)| self.ring.route(k) == new_idx)
+            .filter(|row| self.ring.route(&row.key()) == new_idx)
             .collect();
-        let moved_raw = (moving.len() * apm_core::record::RAW_RECORD_SIZE) as u64;
-        for (key, fields) in moving {
-            self.nodes[new_idx].insert_settled(&Record { key, fields });
+        let moved_raw = (moving.len() * RAW_RECORD_SIZE) as u64;
+        for row in moving {
+            self.nodes[new_idx].insert_settled(row);
         }
         let bytes = self.expand(moved_raw);
         self.streamed_bytes += bytes;
@@ -288,9 +288,9 @@ impl CassandraStore {
             // end-to-end durability oracle can observe this.
             return;
         }
-        let raw = (hints.len() * apm_core::record::RAW_RECORD_SIZE) as u64;
-        for record in &hints {
-            self.nodes[node].insert_settled(record);
+        let raw = (hints.len() * RAW_RECORD_SIZE) as u64;
+        for &row in &hints {
+            self.nodes[node].insert_settled(row);
         }
         let bytes = self.expand(raw);
         let stream = self.ctx.plan().nic(node, bytes).disk_seq(node, bytes);
@@ -330,7 +330,7 @@ impl CassandraStore {
         let (outcome, receipt, cost, resp) = match op {
             Operation::Read { key } => {
                 let (found, receipt) = node_state.lsm.get(key);
-                let outcome = OpOutcome::read(key, found);
+                let outcome = OpOutcome::read(found);
                 (outcome, receipt, READ_COST, RESP_READ_BYTES)
             }
             Operation::Scan { start, len } => {
@@ -354,13 +354,8 @@ impl CassandraStore {
         (outcome, plan)
     }
 
-    fn write_plan(
-        &mut self,
-        client: u32,
-        record: &Record,
-        engine: &mut Engine,
-    ) -> (OpOutcome, Plan) {
-        let replicas = self.ring.replicas(&record.key, self.replication);
+    fn write_plan(&mut self, client: u32, row: Row, engine: &mut Engine) -> (OpOutcome, Plan) {
+        let replicas = self.ring.replicas(&row.key(), self.replication);
         let primary = self.coordinator(replicas.iter().copied());
         // With every replica down nothing applies and nothing is hinted:
         // the request dies against the crashed coordinator.
@@ -375,14 +370,12 @@ impl CassandraStore {
             if self.down[node] {
                 // Hinted handoff: the live coordinator stores the mutation
                 // and replays it when the replica rejoins.
-                self.hints[node].push(*record);
+                self.hints[node].push(row);
                 self.hint_audit.on_queued(node);
                 continue;
             }
-            let (receipt, flush) = self.nodes[node].lsm.insert(record.key, record.fields);
-            let wal = self.nodes[node]
-                .log
-                .append(record.fields.len() as u64 + record.key.len() as u64);
+            let (receipt, flush) = self.nodes[node].lsm.insert_row(row);
+            let wal = self.nodes[node].log.append(RAW_RECORD_SIZE as u64);
             applied.push((node, WRITE_COST.cpu(&receipt), wal));
             if let Some(job) = flush {
                 self.schedule_job(node, job, engine);
@@ -431,9 +424,9 @@ impl DistributedStore for CassandraStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        for node in self.ring.replica_walk(&record.key, self.replication) {
-            self.nodes[node].insert_settled(record);
+    fn load_row(&mut self, row: Row) {
+        for node in self.ring.replica_walk(&row.key(), self.replication) {
+            self.nodes[node].insert_settled(row);
         }
     }
 
@@ -462,8 +455,8 @@ impl DistributedStore for CassandraStore {
                 let node = self.coordinator(self.ring.replica_walk(key, self.replication));
                 self.read_plan(client, node, op)
             }
-            Operation::Insert { record } | Operation::Update { record } => {
-                self.write_plan(client, record, engine)
+            Operation::Insert { row } | Operation::Update { row } => {
+                self.write_plan(client, *row, engine)
             }
         }
     }
@@ -471,7 +464,7 @@ impl DistributedStore for CassandraStore {
     fn plan_target(&self, op: &Operation) -> Option<usize> {
         // The node the coordinator-side failover in [`Self::plan_op`]
         // would read from (writes target the same primary replica).
-        Some(self.coordinator(self.ring.replica_walk(op.routing_key(), self.replication)))
+        Some(self.coordinator(self.ring.replica_walk(&op.routing_key(), self.replication)))
     }
 
     fn hedge_read_plan(
@@ -705,7 +698,7 @@ mod tests {
             let r = record_for_seq(seq);
             let node = s.ring.route(&r.key);
             let (found, _) = s.nodes[node].lsm.get(&r.key);
-            assert_eq!(found, Some(r.fields), "seq {seq} unreadable");
+            assert_eq!(found, Some(r.into()), "seq {seq} unreadable");
         }
     }
 
@@ -787,7 +780,8 @@ mod tests {
         // Insert enough through plan_op to trip a flush.
         for seq in 0..1_000 {
             let record = record_for_seq(seq);
-            let (outcome, plan) = s.plan_op(0, &Operation::Insert { record }, &mut engine);
+            let (outcome, plan) =
+                s.plan_op(0, &Operation::Insert { row: record.into() }, &mut engine);
             assert_eq!(outcome, OpOutcome::Done);
             engine.submit(plan, apm_sim::kernel::Token(0));
             while let Some(c) = engine.next_completion() {
@@ -832,7 +826,7 @@ mod tests {
             let (found, _) = s.nodes[node].lsm.get(&r.key);
             assert_eq!(
                 found,
-                Some(r.fields),
+                Some(r.into()),
                 "seq {seq} unreadable after bootstrap"
             );
         }
@@ -933,7 +927,7 @@ mod tests {
         let before = s.nodes[1].lsm.record_count();
         for seq in 200..400 {
             let record = record_for_seq(seq);
-            let (outcome, _) = s.plan_op(0, &Operation::Insert { record }, &mut engine);
+            let (outcome, _) = s.plan_op(0, &Operation::Insert { row: record.into() }, &mut engine);
             assert_eq!(outcome, OpOutcome::Done);
         }
         assert_eq!(
@@ -989,7 +983,7 @@ mod tests {
         );
         for seq in 100..200 {
             let record = record_for_seq(seq);
-            s.plan_op(0, &Operation::Insert { record }, &mut engine);
+            s.plan_op(0, &Operation::Insert { row: record.into() }, &mut engine);
         }
         // The drain invariant itself is asserted inside on_fault(Restart).
         s.on_fault(
@@ -1037,7 +1031,7 @@ mod tests {
             let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
             assert_eq!(
                 outcome,
-                OpOutcome::Found(r),
+                OpOutcome::Found(r.into()),
                 "seq {seq} lost during single-node crash"
             );
         }

@@ -24,7 +24,7 @@ use crate::cache::PageCache;
 use crate::hdfs::Hdfs;
 use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::Record;
+use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{hbase_format, StorageFormat};
@@ -82,8 +82,8 @@ struct Server {
 impl Server {
     /// Load-phase insert: the flush and compaction work it triggers
     /// completes on the spot (load time is not simulated).
-    fn load(&mut self, record: &Record) {
-        let (_, job) = self.lsm.insert(record.key, record.fields);
+    fn load(&mut self, row: Row) {
+        let (_, job) = self.lsm.insert_row(row);
         self.lsm.settle(job);
     }
 }
@@ -236,8 +236,8 @@ impl DistributedStore for HbaseStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        self.servers_state[self.regions.route(&record.key)].load(record);
+    fn load_row(&mut self, row: Row) {
+        self.servers_state[self.regions.route(&row.key())].load(row);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -268,16 +268,14 @@ impl DistributedStore for HbaseStore {
                 let (found, receipt) = self.servers_state[server].lsm.get(key);
                 let cpu = READ_COST.cpu(&receipt);
                 let plan = self.read_plan(client, server, host, cpu, &receipt.io, RESP_READ_BYTES);
-                (OpOutcome::read(key, found), plan)
+                (OpOutcome::read(found), plan)
             }
-            Operation::Insert { record } | Operation::Update { record } => {
-                let server = self.regions.route(&record.key);
+            Operation::Insert { row } | Operation::Update { row } => {
+                let server = self.regions.route(&row.key());
                 let Some(host) = self.host_for(server) else {
                     return (OpOutcome::Done, self.dead_region_plan(client, server));
                 };
-                let (receipt, flush) = self.servers_state[server]
-                    .lsm
-                    .insert(record.key, record.fields);
+                let (receipt, flush) = self.servers_state[server].lsm.insert_row(*row);
                 let wal = self.servers_state[server].wal.append(75 * 5); // one WALEdit per KeyValue
                 debug_assert!(wal.io.is_none(), "deferred WAL");
                 self.wal_backlog[server] += self.servers_state[server].wal.take_unflushed();
@@ -498,7 +496,7 @@ mod tests {
         for seq in (0..3_000).step_by(211) {
             let r = record_for_seq(seq);
             let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
-            assert_eq!(outcome, OpOutcome::Found(r), "seq {seq}");
+            assert_eq!(outcome, OpOutcome::Found(r.into()), "seq {seq}");
         }
     }
 
@@ -551,7 +549,7 @@ mod tests {
         // Insert through plan_op until a flush job fires.
         for seq in 0..3_000 {
             let record = record_for_seq(seq);
-            let (_, plan) = s.plan_op(0, &Operation::Insert { record }, &mut engine);
+            let (_, plan) = s.plan_op(0, &Operation::Insert { row: record.into() }, &mut engine);
             engine.submit(plan, apm_sim::kernel::Token(0));
             while let Some(c) = engine.next_completion() {
                 let (bg, id) = crate::api::split_token(c.token);
@@ -626,7 +624,11 @@ mod tests {
         for seq in (0..3_000).step_by(173) {
             let r = record_for_seq(seq);
             let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
-            assert_eq!(outcome, OpOutcome::Found(r), "seq {seq} lost in failover");
+            assert_eq!(
+                outcome,
+                OpOutcome::Found(r.into()),
+                "seq {seq} lost in failover"
+            );
         }
         // Restart: the regions move home.
         s.on_fault(

@@ -26,7 +26,7 @@
 use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx};
 use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::Record;
+use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration};
@@ -124,9 +124,8 @@ impl DistributedStore for MongoStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        let shard = &mut self.shards[self.chunks.route(&record.key)];
-        shard.pages.load(record.key, record.fields);
+    fn load_row(&mut self, row: Row) {
+        self.shards[self.chunks.route(&row.key())].pages.load(row);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -136,7 +135,7 @@ impl DistributedStore for MongoStore {
             seqs,
             workers,
             |key| [chunks.route(key)],
-            |shard, record| shard.pages.load(record.key, record.fields),
+            |shard, row| shard.pages.load(row),
         );
     }
 
@@ -152,12 +151,12 @@ impl DistributedStore for MongoStore {
                         .round_trip(client, shard_idx, REQUEST, RESP_READ_BYTES, |plan| {
                             plan.cpu(shard_idx, cpu).disks(shard_idx, &receipt.io)
                         });
-                (OpOutcome::read(key, found), plan)
+                (OpOutcome::read(found), plan)
             }
-            Operation::Insert { record } | Operation::Update { record } => {
-                let shard_idx = self.chunks.route(&record.key);
+            Operation::Insert { row } | Operation::Update { row } => {
+                let shard_idx = self.chunks.route(&row.key());
                 let shard = &mut self.shards[shard_idx];
-                let receipt = shard.pages.insert(record.key, record.fields);
+                let receipt = shard.pages.insert(*row);
                 let locked = WRITE_LOCK_COST.cpu(&receipt);
                 let write_lock = shard.write_lock;
                 let plan =
@@ -277,7 +276,7 @@ mod tests {
         for seq in (0..3_000).step_by(251) {
             let r = record_for_seq(seq);
             let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
-            assert_eq!(outcome, OpOutcome::Found(r), "seq {seq}");
+            assert_eq!(outcome, OpOutcome::Found(r.into()), "seq {seq}");
         }
     }
 

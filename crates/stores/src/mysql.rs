@@ -26,7 +26,7 @@
 use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx};
 use crate::routing::RdbmsShards;
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::Record;
+use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration, SimTime};
 use apm_storage::btree::BTreeConfig;
@@ -95,8 +95,8 @@ struct Shard {
 
 impl Shard {
     /// Load-phase insert: warms the pool, discarding the IO (untimed).
-    fn load(&mut self, record: &Record) {
-        self.pages.load(record.key, record.fields);
+    fn load(&mut self, row: Row) {
+        self.pages.load(row);
         self.log.append(75);
     }
 
@@ -217,8 +217,8 @@ impl DistributedStore for MysqlStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        self.shards[self.shards_map.route(&record.key)].load(record);
+    fn load_row(&mut self, row: Row) {
+        self.shards[self.shards_map.route(&row.key())].load(row);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -244,14 +244,14 @@ impl DistributedStore for MysqlStore {
                         .round_trip(client, shard_idx, REQUEST, RESP_READ_BYTES, |plan| {
                             plan.cpu(shard_idx, cpu).disks(shard_idx, &receipt.io)
                         });
-                (OpOutcome::read(key, found), plan)
+                (OpOutcome::read(found), plan)
             }
-            Operation::Insert { record } | Operation::Update { record } => {
-                let shard_idx = self.shards_map.route(&record.key);
+            Operation::Insert { row } | Operation::Update { row } => {
+                let shard_idx = self.shards_map.route(&row.key());
                 let now = engine.now();
                 let shard = &mut self.shards[shard_idx];
                 shard.note_insert(now);
-                let receipt = shard.pages.insert(record.key, record.fields);
+                let receipt = shard.pages.insert(*row);
                 let wal = shard.log.append(75);
                 let cpu = WRITE_COST.cpu(&receipt);
                 // Redo + binlog are group committed after the page work.
@@ -371,7 +371,7 @@ mod tests {
         for seq in (0..3_000).step_by(173) {
             let r = record_for_seq(seq);
             let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
-            assert_eq!(outcome, OpOutcome::Found(r), "seq {seq}");
+            assert_eq!(outcome, OpOutcome::Found(r.into()), "seq {seq}");
         }
     }
 

@@ -24,7 +24,7 @@
 use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx};
 use crate::routing::{JedisHash, JedisRing};
 use apm_core::ops::{OpOutcome, Operation, RejectReason};
-use apm_core::record::Record;
+use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration};
@@ -79,8 +79,8 @@ impl Instance {
     /// Load-phase insert. Loads past the hard allocation limit are
     /// dropped, exactly like the paper's OOM-ing node (reads of those
     /// keys will miss), and counted in `rejections`.
-    fn load(&mut self, record: &Record, rejections: &mut u64) {
-        if self.store.insert(record.key, record.fields).is_err() {
+    fn load(&mut self, row: Row, rejections: &mut u64) {
+        if self.store.insert_row(row).is_err() {
             *rejections += 1;
         }
     }
@@ -197,9 +197,9 @@ impl DistributedStore for RedisStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        let shard = self.shard(&record.key);
-        self.instances[shard].load(record, &mut self.load_rejections);
+    fn load_row(&mut self, row: Row) {
+        let shard = self.shard(&row.key());
+        self.instances[shard].load(row, &mut self.load_rejections);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -214,7 +214,7 @@ impl DistributedStore for RedisStore {
             seqs,
             workers,
             |key| [ring.route(key)],
-            |(instance, rejections), record| instance.load(record, rejections),
+            |(instance, rejections), row| instance.load(row, rejections),
         );
         self.load_rejections += tallied
             .iter()
@@ -229,14 +229,11 @@ impl DistributedStore for RedisStore {
                 let (found, receipt) = self.instances[shard].store.get(key);
                 let cost = CMD_COST.cpu(&receipt);
                 let plan = self.command_plan(client, REQUEST, shard, cost, RESP_READ_BYTES);
-                (OpOutcome::read(key, found), plan)
+                (OpOutcome::read(found), plan)
             }
-            Operation::Insert { record } | Operation::Update { record } => {
-                let shard = self.shard(&record.key);
-                let (outcome, cost) = match self.instances[shard]
-                    .store
-                    .insert(record.key, record.fields)
-                {
+            Operation::Insert { row } | Operation::Update { row } => {
+                let shard = self.shard(&row.key());
+                let (outcome, cost) = match self.instances[shard].store.insert_row(*row) {
                     Ok(receipt) => (OpOutcome::Done, CMD_COST.cpu(&receipt)),
                     // `-OOM command not allowed`: the server still parses
                     // and answers, the client sees an error.
@@ -294,7 +291,7 @@ impl DistributedStore for RedisStore {
     fn plan_target(&self, op: &Operation) -> Option<usize> {
         // Sharded Jedis pins every key to exactly one instance, so the
         // circuit breaker shards on the ring route.
-        Some(self.shard(op.routing_key()))
+        Some(self.shard(&op.routing_key()))
     }
 
     fn connection_cap(&self) -> Option<u32> {

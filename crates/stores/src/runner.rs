@@ -123,17 +123,16 @@ impl Checkpoint {
     /// [`snap::checksum64`] of the container *body* (store + kernel +
     /// driver state): two runs hash equal while their states agree, and
     /// bisection compares these. Compared in-process only, never
-    /// persisted.
-    pub fn state_hash(&self) -> u64 {
-        let (_, body) = snap::open(&self.bytes).expect("own checkpoint is well-formed");
-        snap::checksum64(body)
+    /// persisted. The bytes are a public field, so a container that does
+    /// not open is refused as [`snap::open`] refuses it.
+    pub fn state_hash(&self) -> Result<u64, SnapError> {
+        let (_, body) = snap::open(&self.bytes)?;
+        Ok(snap::checksum64(body))
     }
 
     /// The sealed header (scenario, fingerprint, index, virtual time).
-    pub fn header(&self) -> SnapshotHeader {
-        snap::open(&self.bytes)
-            .expect("own checkpoint is well-formed")
-            .0
+    pub fn header(&self) -> Result<SnapshotHeader, SnapError> {
+        snap::open(&self.bytes).map(|(header, _)| header)
     }
 }
 
@@ -149,27 +148,30 @@ pub fn config_fingerprint(scenario: &str, config: &RunConfig) -> u64 {
 /// binary search over the monotone predicate "prefixes agree". Returns
 /// `None` when the runs agree on every common checkpoint; otherwise the
 /// index `k` of the first divergent checkpoint — the divergence lies in
-/// the virtual-time window `(checkpoint k-1, checkpoint k]`.
-pub fn bisect_divergence(a: &[Checkpoint], b: &[Checkpoint]) -> Option<u32> {
+/// the virtual-time window `(checkpoint k-1, checkpoint k]`. A checkpoint
+/// the search opens that is no sealed container is refused
+/// ([`Checkpoint::state_hash`]).
+pub fn bisect_divergence(a: &[Checkpoint], b: &[Checkpoint]) -> Result<Option<u32>, SnapError> {
     let common = a.len().min(b.len());
     if common == 0 {
-        return None;
+        return Ok(None);
     }
+    let agree = |k: usize| Ok::<_, SnapError>(a[k].state_hash()? == b[k].state_hash()?);
     // Determinism makes divergence sticky: once states differ they never
     // re-converge, so "a[k] == b[k]" is monotone in k and bisectable.
-    if a[common - 1].state_hash() == b[common - 1].state_hash() {
-        return None;
+    if agree(common - 1)? {
+        return Ok(None);
     }
     let (mut lo, mut hi) = (0usize, common - 1); // hi: known divergent
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if a[mid].state_hash() == b[mid].state_hash() {
+        if agree(mid)? {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    Some(a[lo].index)
+    Ok(Some(a[lo].index))
 }
 
 /// Client-visible accounting threaded through the driver loop, kept
@@ -1107,12 +1109,12 @@ fn drive(
         }
         d.ledger.resolved += 1;
         d.ledger.rejected += u64::from(rejected);
-        if let Operation::Insert { record } = &slot.op {
+        if let Operation::Insert { row } = &slot.op {
             if slot.ok && !failed && !slot.shed {
                 // Acked to the client: the ledger records exactly the
                 // keys the client saw acknowledged.
                 d.generator.ack_insert();
-                d.ledger.acked_inserts.push(record.key);
+                d.ledger.acked_inserts.push(row.key());
             }
         }
         // Schedule the next logical op for this connection.
@@ -1214,14 +1216,14 @@ pub(crate) mod tests {
     use crate::api::{background_token, BackgroundWork, Request, StoreCtx};
     use apm_core::driver::Throttle;
     use apm_core::ops::Operation;
-    use apm_core::record::Record;
+    use apm_core::record::Row;
     use apm_sim::{ClusterSpec, Plan};
     use std::collections::BTreeMap;
 
     /// A minimal in-memory store with a fixed CPU cost, for driver tests.
     struct FixtureStore {
         ctx: StoreCtx,
-        data: BTreeMap<apm_core::record::MetricKey, Record>,
+        data: BTreeMap<apm_core::record::MetricKey, Row>,
         cpu_us: u64,
         /// Offer hedge plans (duplicate read against the same node).
         hedged: bool,
@@ -1259,9 +1261,9 @@ pub(crate) mod tests {
             &self.ctx
         }
 
-        fn load(&mut self, record: &Record) {
+        fn load_row(&mut self, row: Row) {
             self.loads += 1;
-            self.data.insert(record.key, *record);
+            self.data.insert(row.key(), row);
         }
 
         fn plan_op(
@@ -1271,11 +1273,9 @@ pub(crate) mod tests {
             _engine: &mut Engine,
         ) -> (OpOutcome, Plan) {
             let outcome = match op {
-                Operation::Read { key } => {
-                    OpOutcome::read(key, self.data.get(key).map(|r| r.fields))
-                }
-                Operation::Insert { record } | Operation::Update { record } => {
-                    self.data.insert(record.key, *record);
+                Operation::Read { key } => OpOutcome::read(self.data.get(key).copied()),
+                Operation::Insert { row } | Operation::Update { row } => {
+                    self.data.insert(row.key(), *row);
                     OpOutcome::Done
                 }
                 Operation::Scan { .. } => OpOutcome::Scanned(0),
@@ -2007,7 +2007,11 @@ pub(crate) mod tests {
             assert!(r.stats.total_errors() > 0 && r.checkpoints.len() >= 3);
             let mut w = SnapWriter::new();
             w.put(&r.ledger);
-            let states: Vec<u64> = r.checkpoints.iter().map(Checkpoint::state_hash).collect();
+            let states: Vec<u64> = r
+                .checkpoints
+                .iter()
+                .map(|cp| cp.state_hash().expect("own checkpoint opens"))
+                .collect();
             (result_sig(&r), w.into_bytes(), states)
         };
         // `None` and a bundle with every component disabled are one
@@ -2300,7 +2304,7 @@ pub(crate) mod tests {
         );
         for (i, cp) in result.checkpoints.iter().enumerate() {
             assert_eq!(cp.index, i as u32);
-            let header = cp.header();
+            let header = cp.header().expect("own checkpoint opens");
             assert_eq!(header.scenario, "fixture");
             assert_eq!(header.checkpoint_index, cp.index);
             assert_eq!(header.virtual_time_ns, cp.at.0);
@@ -2666,17 +2670,21 @@ pub(crate) mod tests {
         // Identical runs: no divergence at any common checkpoint.
         assert_eq!(
             bisect_divergence(&clean.checkpoints, &twin.checkpoints),
-            None
+            Ok(None)
         );
         assert_eq!(
             bisect_divergence(&clean.checkpoints, &clean.checkpoints),
-            None
+            Ok(None)
         );
 
         // The fail-slow lands inside checkpoint window 4 (boundaries every
         // 0.25 s, checkpoint k at 0.25·(k+1); 1.1 s lies in (1.0, 1.25]).
         let first = bisect_divergence(&clean.checkpoints, &slowed.checkpoints);
-        assert_eq!(first, Some(4), "divergence localized to the wrong window");
+        assert_eq!(
+            first,
+            Ok(Some(4)),
+            "divergence localized to the wrong window"
+        );
         for k in 0..4 {
             assert_eq!(
                 clean.checkpoints[k].bytes, slowed.checkpoints[k].bytes,
@@ -2687,6 +2695,39 @@ pub(crate) mod tests {
             clean.checkpoints[4].state_hash(),
             slowed.checkpoints[4].state_hash()
         );
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_open_is_refused_not_a_panic() {
+        // Every field is public, so any bytes can stand in a checkpoint.
+        let forged = |bytes: Vec<u8>| Checkpoint {
+            index: 0,
+            at: SimTime(0),
+            bytes,
+        };
+        let mut cfg = quick_config(Workload::rw());
+        cfg.checkpoints = Some(CheckpointSpec::every(0.5));
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        let own = run_benchmark(&mut engine, &mut store, &cfg).checkpoints;
+        assert!(own.len() >= 2, "{} checkpoints", own.len());
+        let mut flipped = own[0].bytes.clone();
+        flipped[20] ^= 1;
+        for bad in [vec![], b"APMSNAP".to_vec(), flipped] {
+            let want = snap::open(&bad).map(|_| ()).expect_err("no container");
+            let cp = forged(bad);
+            assert_eq!(cp.state_hash(), Err(want.clone()));
+            assert_eq!(cp.header().map(|_| ()), Err(want.clone()));
+            let cps = [cp];
+            assert_eq!(bisect_divergence(&cps, &cps), Err(want.clone()));
+            // Refused wherever the search opens it: the last common
+            // checkpoint first, then the midpoints.
+            let mut late = own.clone();
+            late[0].bytes = cps[0].bytes.clone();
+            assert_eq!(bisect_divergence(&own, &late), Ok(None));
+            late.last_mut().expect("checkpoints").bytes = cps[0].bytes.clone();
+            assert_eq!(bisect_divergence(&own, &late), Err(want));
+        }
     }
 
     #[test]

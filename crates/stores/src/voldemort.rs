@@ -29,7 +29,7 @@ use crate::api::{
 use crate::routing::PartitionMap;
 use apm_core::keyspace::SplitRng;
 use apm_core::ops::{OpOutcome, Operation, RejectReason};
-use apm_core::record::Record;
+use apm_core::record::{Row, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::btree::BTreeConfig;
@@ -129,9 +129,8 @@ impl DistributedStore for VoldemortStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        let node = &mut self.nodes[self.map.route(&record.key)];
-        node.pages.load(record.key, record.fields);
+    fn load_row(&mut self, row: Row) {
+        self.nodes[self.map.route(&row.key())].pages.load(row);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -141,7 +140,7 @@ impl DistributedStore for VoldemortStore {
             seqs,
             workers,
             |key| [map.route(key)],
-            |node, record| node.pages.load(record.key, record.fields),
+            |node, row| node.pages.load(row),
         );
     }
 
@@ -157,12 +156,12 @@ impl DistributedStore for VoldemortStore {
                         .round_trip(client, node_idx, REQUEST, RESP_READ_BYTES, |plan| {
                             plan.cpu(node_idx, cpu).disks(node_idx, &receipt.io)
                         });
-                (OpOutcome::read(key, found), plan)
+                (OpOutcome::read(found), plan)
             }
-            Operation::Insert { record } | Operation::Update { record } => {
-                let node_idx = self.map.route(&record.key);
+            Operation::Insert { row } | Operation::Update { row } => {
+                let node_idx = self.map.route(&row.key());
                 let node = &mut self.nodes[node_idx];
-                let mut receipt = node.pages.insert(record.key, record.fields);
+                let mut receipt = node.pages.insert(*row);
                 // JE appends the record to its log, so a page the write
                 // path missed only sometimes has to be read: one draw a
                 // miss, in page order.
@@ -171,9 +170,7 @@ impl DistributedStore for VoldemortStore {
                     .io
                     .retain(|io| !io.class.is_read() || rng.next_f64() < WRITE_MISS_READ_PROB);
                 // The append itself is asynchronous.
-                let wal = node
-                    .log
-                    .append(record.fields.len() as u64 + record.key.len() as u64);
+                let wal = node.log.append(RAW_RECORD_SIZE as u64);
                 debug_assert!(wal.io.is_none(), "deferred log must not sync inline");
                 let cpu = SERVER_COST.cpu(&receipt);
                 let plan =
@@ -295,7 +292,7 @@ mod tests {
         for seq in (0..3_000).step_by(151) {
             let r = record_for_seq(seq);
             let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
-            assert_eq!(outcome, OpOutcome::Found(r), "seq {seq}");
+            assert_eq!(outcome, OpOutcome::Found(r.into()), "seq {seq}");
         }
     }
 
@@ -378,7 +375,7 @@ mod tests {
             let r = record_for_seq(seq);
             loaded.load(&r);
             let node = &mut inserted.nodes[inserted.map.route(&r.key)];
-            ios += node.pages.insert(r.key, r.fields).io.len();
+            ios += node.pages.insert(r.into()).io.len();
         }
         assert!(ios > 10_000, "the pool must thrash: {ios} I/Os");
         let state = |s: &VoldemortStore| {

@@ -19,7 +19,7 @@
 use crate::api::{load_partitioned, CostModel, DistributedStore, Request, StoreCtx, StorePlan};
 use crate::routing::SiteMap;
 use apm_core::ops::{OpOutcome, Operation};
-use apm_core::record::Record;
+use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration};
@@ -98,18 +98,18 @@ impl VoltDbStore {
         &mut self,
         client: u32,
         key: &apm_core::record::MetricKey,
-        write: Option<&Record>,
+        write: Option<Row>,
     ) -> (OpOutcome, Plan) {
         let site = self.map.site(key);
         let node = site / self.map.sites_per_host;
         let (outcome, receipt, resp) = match write {
-            Some(record) => {
-                let receipt = self.partitions[site].insert(record.key, record.fields);
+            Some(row) => {
+                let receipt = self.partitions[site].insert(row);
                 (OpOutcome::Done, receipt, RESP_WRITE_BYTES)
             }
             None => {
                 let (found, receipt) = self.partitions[site].get(key);
-                (OpOutcome::read(key, found), receipt, RESP_READ_BYTES)
+                (OpOutcome::read(found), receipt, RESP_READ_BYTES)
             }
         };
         let plan = self.ctx.round_trip(client, node, REQUEST, resp, |plan| {
@@ -176,9 +176,9 @@ impl DistributedStore for VoltDbStore {
         &self.ctx
     }
 
-    fn load(&mut self, record: &Record) {
-        let site = self.map.site(&record.key);
-        self.partitions[site].insert(record.key, record.fields);
+    fn load_row(&mut self, row: Row) {
+        let site = self.map.site(&row.key());
+        self.partitions[site].insert(row);
     }
 
     fn load_range_on(&mut self, seqs: Range<u64>, workers: usize) {
@@ -188,8 +188,8 @@ impl DistributedStore for VoltDbStore {
             seqs,
             workers,
             |key| [map.site(key)],
-            |partition, record| {
-                partition.insert(record.key, record.fields);
+            |partition, row| {
+                partition.insert(row);
             },
         );
     }
@@ -197,8 +197,8 @@ impl DistributedStore for VoltDbStore {
     fn plan_op(&mut self, client: u32, op: &Operation, _engine: &mut Engine) -> (OpOutcome, Plan) {
         match op {
             Operation::Read { key } => self.single_partition_plan(client, key, None),
-            Operation::Insert { record } | Operation::Update { record } => {
-                self.single_partition_plan(client, &record.key, Some(record))
+            Operation::Insert { row } | Operation::Update { row } => {
+                self.single_partition_plan(client, &row.key(), Some(*row))
             }
             Operation::Scan { start, len } => self.scan_plan(client, start, *len),
         }
@@ -280,7 +280,7 @@ mod tests {
         // Reads find their records.
         let r = record_for_seq(123);
         let (outcome, _) = s.plan_op(0, &Operation::Read { key: r.key }, &mut engine);
-        assert_eq!(outcome, OpOutcome::Found(r));
+        assert_eq!(outcome, OpOutcome::Found(r.into()));
     }
 
     #[test]
@@ -339,7 +339,7 @@ mod tests {
         let ctx = StoreCtx::new(&mut engine, ClusterSpec::cluster_m(), 1, 1, 0.01, 17);
         let mut s = VoltDbStore::new(ctx, &mut engine);
         let r = record_for_seq(1);
-        let (_, plan) = s.plan_op(0, &Operation::Insert { record: r }, &mut engine);
+        let (_, plan) = s.plan_op(0, &Operation::Insert { row: r.into() }, &mut engine);
         // No initiator step on a single node: plan = client cpu + 4 nic
         // hops + 2 delays + site.
         assert!(

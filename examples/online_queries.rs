@@ -17,7 +17,7 @@
 //! ```
 
 use apm_repro::core::metric::AgentReporter;
-use apm_repro::core::record::{FieldValues, MetricKey};
+use apm_repro::core::record::{MetricKey, Row};
 use apm_repro::core::timeseries::{execute, ApmQuery, SeriesCodec, WindowAggregate};
 use apm_repro::storage::btree::{BTree, BTreeConfig};
 use apm_repro::storage::hashstore::HashStore;
@@ -74,7 +74,7 @@ fn main() {
         window_secs: 900,
     };
 
-    type ScanFn = Box<dyn FnMut(MetricKey, usize) -> Vec<(MetricKey, FieldValues)>>;
+    type ScanFn = Box<dyn FnMut(MetricKey, usize) -> Vec<Row>>;
     let engines: Vec<(&str, ScanFn)> = vec![
         (
             "lsm (cassandra/hbase engine)",
