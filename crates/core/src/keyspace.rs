@@ -13,8 +13,7 @@
 //! splits non-trivial, and scans hit arbitrary record populations.
 
 use crate::record::{MetricKey, Record};
-use crate::snap::{SnapError, SnapReader, SnapWriter};
-use crate::snap_struct;
+use crate::{snap_state, snap_struct};
 
 /// Stateless 64-bit mix (SplitMix64 finaliser). Bijective, so scrambled
 /// identifiers never collide. Thin alias for [`crate::rng::mix`], the
@@ -163,6 +162,8 @@ fn zeta(n: u64, theta: f64) -> f64 {
 }
 
 snap_struct! { ZipfState { n, theta, alpha, zetan, eta } }
+// The RNG position and the Zipf cache; the distribution is config.
+snap_state! { KeyChooser { dist: _, rng, zipf } }
 
 impl KeyChooser {
     /// Creates a chooser with its own RNG stream.
@@ -172,24 +173,6 @@ impl KeyChooser {
             rng,
             zipf: None,
         }
-    }
-
-    /// Serializes the mutable chooser state (RNG position + Zipf cache).
-    /// The distribution is configuration and is not written.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        // `dist` is construction-time config, not part of the stream.
-        let KeyChooser { dist: _, rng, zipf } = self;
-        w.put(rng);
-        w.put(zipf);
-    }
-
-    /// Restores state written by [`Self::snap_state`] into a chooser
-    /// built with the same distribution.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let KeyChooser { dist: _, rng, zipf } = self;
-        *rng = r.get()?;
-        *zipf = r.get()?;
-        Ok(())
     }
 
     /// Picks the sequence number of an existing record, given that

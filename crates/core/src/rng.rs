@@ -4,8 +4,8 @@
 //! (key scrambling in `keyspace`, random fault schedules in
 //! `apm_sim::fault`, resilience jitter in `apm_stores::resilience`). They
 //! now all route through this module so RNG state serializes uniformly in
-//! snapshots: a [`SplitMix64`] is exactly one `u64` of state, exposed via
-//! [`SplitMix64::state`] / [`SplitMix64::from_state`].
+//! snapshots: a [`SplitMix64`] is exactly one `u64` of state, and its
+//! [`Snap`](crate::snap::Snap) codec writes that word.
 //!
 //! SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) advances by the golden
 //! gamma and finalizes with a Stafford mix; the finalizer alone is a
@@ -31,20 +31,12 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+crate::snap_struct! { SplitMix64 { state } }
+
 impl SplitMix64 {
     /// A stream starting at `seed`.
     pub fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
-    }
-
-    /// Rebuilds a stream from a snapshotted [`Self::state`].
-    pub fn from_state(state: u64) -> SplitMix64 {
-        SplitMix64 { state }
-    }
-
-    /// The raw stream position, for snapshots.
-    pub fn state(&self) -> u64 {
-        self.state
     }
 
     /// Next raw 64-bit value.
@@ -78,7 +70,10 @@ mod tests {
         let mut a = SplitMix64::new(7);
         a.next_u64();
         a.next_u64();
-        let mut b = SplitMix64::from_state(a.state());
+        let mut w = crate::snap::SnapWriter::new();
+        w.put(&a);
+        assert_eq!(w.bytes(), a.state.to_le_bytes(), "the one word");
+        let mut b: SplitMix64 = crate::snap::SnapReader::new(w.bytes()).get().unwrap();
         assert_eq!(a.next_u64(), b.next_u64());
         assert_eq!(a.next_frac(), b.next_frac());
     }

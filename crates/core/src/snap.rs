@@ -62,12 +62,13 @@
 //!
 //! The encoding is deliberately schema-free: readers must consume fields
 //! in exactly the order writers produced them.
-//! [`snap_struct!`](crate::snap_struct) and
-//! [`snap_enum!`](crate::snap_enum) make that true by construction — both
-//! halves of a codec come from one field list — and are how a type gets
-//! its [`Snap`] impl unless its codec validates, skips construction-time
-//! config, writes bytes in bulk or gates a section on a feature bit; those
-//! are written by hand and say why where they stand. Cross-version
+//! [`snap_struct!`](crate::snap_struct), [`snap_enum!`](crate::snap_enum)
+//! and [`snap_state!`](crate::snap_state) make that true by construction —
+//! both halves of a codec come from one field list. The first two give a
+//! type its [`Snap`] impl; the third its [`SnapState`] impl, restored in
+//! place into a value built from config the stream leaves out. A codec
+//! that validates, writes bytes in bulk or reads against more than the
+//! stream is written by hand and says why where it stands. Cross-version
 //! migration is out of scope — a [`SnapError::VersionMismatch`] tells the
 //! caller to regenerate the checkpoint, which a deterministic run can
 //! always do.
@@ -673,8 +674,9 @@ impl<const N: usize> Snap for [u8; N] {
 /// struct literal over the same list, so decode order is encode order and
 /// a field left out does not compile. Tuple structs list their indices.
 /// One invocation takes a module's whole table, a type a line. For the
-/// codecs that are "every field, nothing checked"; one that validates,
-/// skips a field or writes bytes in bulk is written by hand.
+/// codecs that are "every field, nothing checked"; one that skips
+/// construction-time config is [`snap_state!`](crate::snap_state)'s, and
+/// one that validates or writes bytes in bulk is written by hand.
 ///
 /// ```
 /// use apm_core::snap::{SnapReader, SnapWriter};
@@ -789,6 +791,136 @@ macro_rules! snap_enum {
             }
         }
     };
+}
+
+/// In-place encoding for a value built from config: the state is written
+/// without the config and read back into a value built the same way.
+/// Every [`Snap`] value is one, restored by replacement; a type holding
+/// construction-time config gets its impl from
+/// [`snap_state!`](crate::snap_state), or by hand when its decoder
+/// refuses something.
+pub trait SnapState {
+    /// Appends this value's state to `w`.
+    fn snap_state(&self, w: &mut SnapWriter);
+    /// Reads the state [`SnapState::snap_state`] wrote into `self`, a
+    /// value built from the same config.
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> SnapState for T {
+    fn snap_state(&self, w: &mut SnapWriter) {
+        w.put(self);
+    }
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        *self = r.get()?;
+        Ok(())
+    }
+}
+
+/// Each element in place and no length prefix: construction fixed the
+/// count (a store's nodes), so a restore fills the elements it built.
+impl<T: SnapState> SnapState for [T] {
+    fn snap_state(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.snap_state(w);
+        }
+    }
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|v| v.restore_state(r))
+    }
+}
+
+/// Implements [`SnapState`] for structs from their field lists, each
+/// written once: both halves open with one exhaustive destructure of the
+/// list, so decode order is encode order and a field left out does not
+/// compile. Per field:
+///
+/// - `field` goes through its own [`SnapState`] impl — a [`Snap`] value
+///   whole (a `Vec` with its length prefix), anything else in place;
+/// - `field: _` is construction-time config or scratch: neither written
+///   nor overwritten;
+/// - `field: each` is a sequence whose length construction fixed (one
+///   entry a node): its elements in place, one after another, with no
+///   length prefix.
+///
+/// A codec that refuses something is written by hand and says what.
+///
+/// ```
+/// use apm_core::snap::{SnapReader, SnapState, SnapWriter};
+///
+/// struct Node {
+///     id: u64,
+///     hits: u32,
+/// }
+/// struct Cluster {
+///     name: &'static str,
+///     nodes: Vec<Node>,
+///     epoch: u64,
+/// }
+/// apm_core::snap_state! {
+///     Node { id: _, hits }
+///     Cluster { name: _, nodes: each, epoch }
+/// }
+///
+/// let build = |name| Cluster {
+///     name,
+///     nodes: vec![Node { id: 1, hits: 0 }, Node { id: 2, hits: 0 }],
+///     epoch: 0,
+/// };
+/// let mut live = build("live");
+/// live.nodes[1].hits = 5;
+/// live.epoch = 9;
+/// let mut w = SnapWriter::new();
+/// live.snap_state(&mut w);
+/// // Two `hits` and the epoch: no name, no ids, no node count.
+/// assert_eq!(w.bytes(), [0, 0, 0, 0, 5, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+///
+/// let mut back = build("back");
+/// back.nodes[0].id = 7;
+/// back.restore_state(&mut SnapReader::new(w.bytes())).unwrap();
+/// assert_eq!((back.name, back.nodes[0].id, back.nodes[1].hits, back.epoch), ("back", 7, 5, 9));
+/// ```
+///
+/// A field missing from the list is a field the destructure leaves out:
+///
+/// ```compile_fail,E0027
+/// struct Span {
+///     start: u64,
+///     len: u32,
+/// }
+/// apm_core::snap_state! { Span { start } }
+/// ```
+#[macro_export]
+macro_rules! snap_state {
+    (@pat $field:ident) => { $field };
+    (@pat $field:ident _) => { _ };
+    (@pat $field:ident each) => { $field };
+    (@snap $w:ident $field:ident) => { $crate::snap::SnapState::snap_state($field, $w) };
+    (@snap $w:ident $field:ident _) => {};
+    (@snap $w:ident $field:ident each) => {
+        $crate::snap::SnapState::snap_state(&$field[..], $w)
+    };
+    (@restore $r:ident $field:ident) => { $crate::snap::SnapState::restore_state($field, $r)? };
+    (@restore $r:ident $field:ident _) => {};
+    (@restore $r:ident $field:ident each) => {
+        $crate::snap::SnapState::restore_state(&mut $field[..], $r)?
+    };
+    ($($ty:ident { $($field:ident $(: $mode:tt)?),* $(,)? })+) => {$(
+        impl $crate::snap::SnapState for $ty {
+            fn snap_state(&self, w: &mut $crate::snap::SnapWriter) {
+                let $ty { $($field: $crate::snap_state!(@pat $field $($mode)?)),* } = self;
+                $($crate::snap_state!(@snap w $field $($mode)?);)*
+            }
+            fn restore_state(
+                &mut self,
+                r: &mut $crate::snap::SnapReader,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let $ty { $($field: $crate::snap_state!(@pat $field $($mode)?)),* } = self;
+                $($crate::snap_state!(@restore r $field $($mode)?);)*
+                Ok(())
+            }
+        }
+    )+};
 }
 
 /// Identifying metadata sealed into every snapshot container.

@@ -16,7 +16,7 @@
 use crate::keyspace::{key_for_seq, scramble, KeyChooser, KeyDistribution, SplitRng};
 use crate::ops::{OpKind, Operation};
 use crate::record::Row;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap_state;
 
 /// The paper's fixed scan length (§3: "a scan-length of 50 records").
 pub const SCAN_LENGTH: usize = 50;
@@ -239,42 +239,11 @@ impl WorkloadGenerator {
     pub fn ack_insert(&mut self) {
         self.acked += 1;
     }
-
-    /// Serializes the generator's mutable state (RNG streams, chooser
-    /// cache, sequence counters). The workload itself is configuration
-    /// and is re-derived from the run config on restore.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        // `workload` is construction-time config, not part of the stream.
-        let WorkloadGenerator {
-            workload: _,
-            chooser,
-            rng,
-            next_seq,
-            acked,
-        } = self;
-        chooser.snap_state(w);
-        w.put(rng);
-        w.put(next_seq);
-        w.put(acked);
-    }
-
-    /// Restores state written by [`Self::snap_state`] into a generator
-    /// built from the same workload/seed configuration.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let WorkloadGenerator {
-            workload: _,
-            chooser,
-            rng,
-            next_seq,
-            acked,
-        } = self;
-        chooser.restore_state(r)?;
-        *rng = r.get()?;
-        *next_seq = r.u64()?;
-        *acked = r.u64()?;
-        Ok(())
-    }
 }
+
+// RNG streams, chooser cache and sequence counters; the workload is
+// config, re-derived from the run config on restore.
+snap_state! { WorkloadGenerator { workload: _, chooser, rng, next_seq, acked } }
 
 /// Returns Table 1 as (name, read %, scan %, insert %) rows — used by the
 /// `repro table1` command and the documentation tests.
@@ -291,6 +260,7 @@ pub fn table1() -> [(&'static str, u8, u8, u8); 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{SnapReader, SnapState, SnapWriter};
     use std::collections::BTreeMap;
 
     #[test]

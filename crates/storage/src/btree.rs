@@ -13,7 +13,7 @@
 use crate::bufferpool::PageId;
 use crate::table::{RowRef, SortedRows, Window};
 use apm_core::record::{FieldValues, MetricKey, Row};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 
 /// Tree shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -303,10 +303,14 @@ impl BTree {
     pub fn scan_count(&self, start: &MetricKey, len: usize) -> (usize, PageTrace) {
         self.walk(start, len, |_| {})
     }
+}
 
+/// By hand: restore refuses a page arena that is not a tree, or whose
+/// keys a descent would not find (`check_shape`).
+impl SnapState for BTree {
     /// Serializes the page arena and tree shape (the config is re-supplied
     /// at construction).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
+    fn snap_state(&self, w: &mut SnapWriter) {
         let BTree {
             config: _,
             nodes,
@@ -324,7 +328,7 @@ impl BTree {
     /// built with the same config. The arena is input: a stream whose
     /// checksum passes can still hold a page graph that is no tree, so
     /// everything the walks index by is checked first.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let BTree {
             config: _,
             nodes,

@@ -15,7 +15,7 @@
 use crate::receipt::CostReceipt;
 use crate::table::RecordTable;
 use apm_core::record::{FieldValues, MetricKey, Row, FIELD_COUNT, KEY_SIZE, RAW_RECORD_SIZE};
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 
 /// Redis-era per-entry memory overhead, in bytes: robj headers, dict
 /// entry, sds headers for the key and each of the five field values, plus
@@ -144,36 +144,17 @@ impl HashStore {
     pub fn mem_bytes(&self) -> u64 {
         self.table.len() as u64 * Self::bytes_per_record()
     }
-
-    /// Serializes the contents in sorted key order (the memory budget is
-    /// re-supplied at construction).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        // `max_memory` is construction-time config, not part of the stream.
-        let HashStore {
-            table,
-            max_memory: _,
-        } = self;
-        w.put(table);
-    }
-
-    /// Restores the state written by [`HashStore::snap_state`] into a
-    /// store built with the same memory budget.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let HashStore {
-            table,
-            max_memory: _,
-        } = self;
-        *table = r.get()?;
-        Ok(())
-    }
 }
+
+// The rows in key order; the memory budget is config.
+snap_state! { HashStore { table, max_memory: _ } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use apm_core::keyspace::record_for_seq;
     use apm_core::record::{snap_row, Row, MIN_RECORD_SNAP_BYTES};
-    use apm_core::snap::{self, SnapshotHeader};
+    use apm_core::snap::{self, SnapError, SnapReader, SnapState, SnapWriter, SnapshotHeader};
 
     /// `body` sealed and opened again: the container's checksum vouches
     /// for these bytes, so the decoder is all that stands between them

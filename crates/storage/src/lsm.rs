@@ -21,7 +21,7 @@ use crate::receipt::CostReceipt;
 use crate::sstable::{SsTable, TableProbe};
 use crate::table::RowRef;
 use apm_core::record::{FieldValues, MetricKey, Row, RAW_RECORD_SIZE};
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use std::collections::BTreeMap;
 
 /// Compaction strategy.
@@ -425,10 +425,14 @@ impl LsmTree {
             write_bytes,
         })
     }
+}
 
+/// By hand: restore refuses an in-flight job naming a run the tree does
+/// not hold, and zeroes the statistics.
+impl SnapState for LsmTree {
     /// Serializes the tree's mutable state (the config is the caller's and
     /// is re-supplied at construction; the statistics are an observer's).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
+    fn snap_state(&self, w: &mut SnapWriter) {
         let LsmTree {
             config: _,
             memtable,
@@ -451,7 +455,7 @@ impl LsmTree {
     /// a tree built with the same config, and zeroes its statistics. A job
     /// naming a run the tree does not hold is refused: completing it
     /// would merge or account a run that is not there.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let LsmTree {
             config: _,
             memtable,

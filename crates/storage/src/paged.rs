@@ -8,7 +8,7 @@ use crate::btree::{BTree, BTreeConfig, PageTrace};
 use crate::bufferpool::{Access, BufferPool};
 use crate::receipt::{CostReceipt, DiskIo};
 use apm_core::record::{MetricKey, Row, RAW_RECORD_SIZE};
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 
 /// How an evicted dirty page reaches the disk — all that the pool walk
 /// of an update-in-place engine and of a log-structured one differ in.
@@ -113,9 +113,14 @@ impl PagedTree {
             }
         }
     }
+}
 
+/// By hand: the pool is read against the restored tree's page count, and
+/// refuses a frame naming a page the tree does not have
+/// ([`BufferPool::restore_state`]).
+impl SnapState for PagedTree {
     /// Serializes tree, then pool.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
+    fn snap_state(&self, w: &mut SnapWriter) {
         // `write_back` is construction-time config; `trace` is scratch
         // that the next operation writes over.
         let PagedTree {
@@ -130,7 +135,7 @@ impl PagedTree {
 
     /// Restores the state written by [`PagedTree::snap_state`] into a
     /// value built with the same config and pool size.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let PagedTree {
             tree,
             pool,

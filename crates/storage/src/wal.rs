@@ -15,7 +15,7 @@
 //! write must align to a group-commit epoch.
 
 use crate::receipt::DiskIo;
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::SimDuration;
 
 /// Log sync discipline.
@@ -114,38 +114,10 @@ impl CommitLog {
     pub fn appends(&self) -> u64 {
         self.appends
     }
-
-    /// Serializes the log counters (the policy and overhead are
-    /// re-supplied at construction).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        let CommitLog {
-            policy: _,
-            entry_overhead: _,
-            appended_bytes,
-            appends,
-            unflushed,
-        } = self;
-        w.put_u64(*appended_bytes);
-        w.put_u64(*appends);
-        w.put_u64(*unflushed);
-    }
-
-    /// Restores the counters written by [`CommitLog::snap_state`] into a
-    /// log built with the same policy.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let CommitLog {
-            policy: _,
-            entry_overhead: _,
-            appended_bytes,
-            appends,
-            unflushed,
-        } = self;
-        *appended_bytes = r.u64()?;
-        *appends = r.u64()?;
-        *unflushed = r.u64()?;
-        Ok(())
-    }
 }
+
+// The counters; the policy and the entry overhead are config.
+snap_state! { CommitLog { policy: _, entry_overhead: _, appended_bytes, appends, unflushed } }
 
 #[cfg(test)]
 mod tests {

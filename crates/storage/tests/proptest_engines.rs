@@ -9,7 +9,7 @@
 
 use apm_core::keyspace::{record_for_seq, SplitRng};
 use apm_core::record::{ApmMeasurement, FieldValues, MetricKey, Row};
-use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::hashstore::HashStore;
 use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};

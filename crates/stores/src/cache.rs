@@ -13,7 +13,7 @@
 //! so runs are repeatable.
 
 use apm_core::keyspace::SplitRng;
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 use apm_storage::receipt::DiskIo;
 
 /// Per-node page cache model.
@@ -53,27 +53,6 @@ impl PageCache {
         p >= 1.0 || self.rng.next_f64() < p
     }
 
-    /// Serializes the sampling stream (the capacity is re-supplied at
-    /// construction).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        let PageCache {
-            capacity_bytes: _,
-            rng,
-        } = self;
-        w.put(rng);
-    }
-
-    /// Restores the stream written by [`PageCache::snap_state`] into a
-    /// cache built with the same capacity.
-    pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let PageCache {
-            capacity_bytes: _,
-            rng,
-        } = self;
-        *rng = r.get()?;
-        Ok(())
-    }
-
     /// Filters a receipt's I/O list: cacheable reads are dropped when they
     /// hit; writes and uncacheable accesses always survive. Returns the
     /// accesses that actually reach the disk.
@@ -84,6 +63,9 @@ impl PageCache {
             .collect()
     }
 }
+
+// The sampling stream; the capacity is config.
+snap_state! { PageCache { capacity_bytes: _, rng } }
 
 #[cfg(test)]
 mod tests {

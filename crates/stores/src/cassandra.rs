@@ -22,7 +22,8 @@ use crate::cache::PageCache;
 use crate::routing::{TokenAssignment, TokenRing};
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::{Row, RAW_RECORD_SIZE};
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapState, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{cassandra_format, StorageFormat};
 use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
@@ -117,6 +118,8 @@ struct Node {
     log: CommitLog,
     cache: PageCache,
 }
+
+snap_state! { Node { lsm, log, cache } }
 
 impl Node {
     /// Untimed insert (load phase, bootstrap stream, hint replay): the
@@ -568,11 +571,7 @@ impl DistributedStore for CassandraStore {
             streamed_bytes,
         } = self;
         w.put_u64(nodes.len() as u64);
-        for Node { lsm, log, cache } in nodes {
-            lsm.snap_state(w);
-            log.snap_state(w);
-            cache.snap_state(w);
-        }
+        nodes[..].snap_state(w);
         w.put(down);
         w.put(hints);
         w.put(hint_audit);
@@ -587,10 +586,7 @@ impl DistributedStore for CassandraStore {
             if idx == self.nodes.len() {
                 self.grow(engine);
             }
-            let Node { lsm, log, cache } = &mut self.nodes[idx];
-            lsm.restore_state(r)?;
-            log.restore_state(r)?;
-            cache.restore_state(r)?;
+            self.nodes[idx].restore_state(r)?;
         }
         let CassandraStore {
             ctx: _,

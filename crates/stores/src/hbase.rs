@@ -25,7 +25,8 @@ use crate::hdfs::Hdfs;
 use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Row;
-use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap::{SnapError, SnapReader, SnapState, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::encoding::{hbase_format, StorageFormat};
 use apm_storage::lsm::{BackgroundJob, LsmConfig, LsmTree};
@@ -78,6 +79,8 @@ struct Server {
     wal: CommitLog,
     cache: PageCache,
 }
+
+snap_state! { Server { lsm, wal, cache } }
 
 impl Server {
     /// Load-phase insert: the flush and compaction work it triggers
@@ -404,11 +407,7 @@ impl DistributedStore for HbaseStore {
             down,
             reassigned,
         } = self;
-        for Server { lsm, wal, cache } in servers_state {
-            lsm.snap_state(w);
-            wal.snap_state(w);
-            cache.snap_state(w);
-        }
+        servers_state[..].snap_state(w);
         w.put(wal_backlog);
         w.put(down);
         w.put(reassigned);
@@ -426,11 +425,7 @@ impl DistributedStore for HbaseStore {
             down,
             reassigned,
         } = self;
-        for Server { lsm, wal, cache } in servers_state.iter_mut() {
-            lsm.restore_state(r)?;
-            wal.restore_state(r)?;
-            cache.restore_state(r)?;
-        }
+        servers_state[..].restore_state(r)?;
         *wal_backlog = r.get()?;
         *down = r.get()?;
         *reassigned = r.get()?;

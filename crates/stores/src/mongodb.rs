@@ -28,6 +28,7 @@ use crate::routing::RegionMap;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::btree::BTreeConfig;
@@ -199,36 +200,18 @@ impl DistributedStore for MongoStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config and topology are not part of the stream.
-        let MongoStore {
-            ctx: _,
-            chunks: _,
-            shards,
-        } = self;
-        for Shard {
-            pages,
-            write_lock: _,
-        } in shards
-        {
-            pages.snap_state(w);
-        }
+        apm_core::snap::SnapState::snap_state(self, w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        let MongoStore {
-            ctx: _,
-            chunks: _,
-            shards,
-        } = self;
-        for Shard {
-            pages,
-            write_lock: _,
-        } in shards
-        {
-            pages.restore_state(r)?;
-        }
-        Ok(())
+        apm_core::snap::SnapState::restore_state(self, r)
     }
+}
+
+// Construction-time config and topology are not part of the stream.
+snap_state! {
+    MongoStore { ctx: _, chunks: _, shards: each }
+    Shard { pages, write_lock: _ }
 }
 
 #[cfg(test)]

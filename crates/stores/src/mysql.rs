@@ -28,6 +28,7 @@ use crate::routing::RdbmsShards;
 use apm_core::ops::{OpOutcome, Operation};
 use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::{Engine, Plan, SimDuration, SimTime};
 use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::{mysql_format, StorageFormat};
@@ -274,56 +275,18 @@ impl DistributedStore for MysqlStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config and topology are not part of the stream.
-        let MysqlStore {
-            ctx: _,
-            shards_map: _,
-            format: _,
-            shards,
-        } = self;
-        for Shard {
-            pages,
-            log,
-            rate_window_start,
-            rate_window_count,
-            insert_rate,
-            churning,
-        } in shards
-        {
-            pages.snap_state(w);
-            log.snap_state(w);
-            w.put(rate_window_start);
-            w.put_u64(*rate_window_count);
-            w.put_f64(*insert_rate);
-            w.put(churning);
-        }
+        apm_core::snap::SnapState::snap_state(self, w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        let MysqlStore {
-            ctx: _,
-            shards_map: _,
-            format: _,
-            shards,
-        } = self;
-        for Shard {
-            pages,
-            log,
-            rate_window_start,
-            rate_window_count,
-            insert_rate,
-            churning,
-        } in shards
-        {
-            pages.restore_state(r)?;
-            log.restore_state(r)?;
-            *rate_window_start = r.get()?;
-            *rate_window_count = r.u64()?;
-            *insert_rate = r.f64()?;
-            *churning = r.get()?;
-        }
-        Ok(())
+        apm_core::snap::SnapState::restore_state(self, r)
     }
+}
+
+// Construction-time config and topology are not part of the stream.
+snap_state! {
+    MysqlStore { ctx: _, shards_map: _, format: _, shards: each }
+    Shard { pages, log, rate_window_start, rate_window_count, insert_rate, churning }
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ use crate::routing::{JedisHash, JedisRing};
 use apm_core::ops::{OpOutcome, Operation, RejectReason};
 use apm_core::record::Row;
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::kernel::ResourceId;
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::hashstore::HashStore;
@@ -305,44 +306,19 @@ impl DistributedStore for RedisStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config and topology are not part of the
-        // stream (sharded Jedis has no rebalancing — the ring never
-        // changes).
-        let RedisStore {
-            ctx: _,
-            ring: _,
-            instances,
-            hard_limit: _,
-            load_rejections,
-        } = self;
-        for Instance {
-            store,
-            event_loop: _,
-        } in instances
-        {
-            store.snap_state(w);
-        }
-        w.put_u64(*load_rejections);
+        apm_core::snap::SnapState::snap_state(self, w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        let RedisStore {
-            ctx: _,
-            ring: _,
-            instances,
-            hard_limit: _,
-            load_rejections,
-        } = self;
-        for Instance {
-            store,
-            event_loop: _,
-        } in instances.iter_mut()
-        {
-            store.restore_state(r)?;
-        }
-        *load_rejections = r.u64()?;
-        Ok(())
+        apm_core::snap::SnapState::restore_state(self, r)
     }
+}
+
+// Construction-time config and topology are not part of the stream
+// (sharded Jedis has no rebalancing — the ring never changes).
+snap_state! {
+    RedisStore { ctx: _, ring: _, instances: each, hard_limit: _, load_rejections }
+    Instance { store, event_loop: _ }
 }
 
 #[cfg(test)]

@@ -299,6 +299,15 @@ impl Breaker {
         }
         None
     }
+
+    /// Whether [`Breaker::on_outcome`] can have left this window: at most
+    /// [`BREAKER_WINDOW`] outcomes, with `errors_in_window` the errors
+    /// among them. A restored breaker is checkpoint input, and the count
+    /// goes down by one for each error that leaves the window.
+    pub(crate) fn window_is_consistent(&self) -> bool {
+        self.outcomes.len() <= BREAKER_WINDOW
+            && self.errors_in_window == self.outcomes.iter().filter(|&&error| error).count()
+    }
 }
 
 /// Retry-budget admission control (Finagle-style token bucket).
@@ -360,6 +369,16 @@ impl AdmissionBudget {
     /// Whole extra attempts currently banked.
     pub fn banked(&self) -> u64 {
         self.credit_micros / MICROS_PER_ATTEMPT
+    }
+
+    /// Whether this bucket is one [`AdmissionBudget::new`] built from
+    /// `policy` and its own calls left: the policy's cap and ratio, and
+    /// no more credit than the cap. A restored bucket is checkpoint input,
+    /// and crediting one past its cap can overflow.
+    pub(crate) fn is_from(&self, policy: &AdmissionPolicy) -> bool {
+        let built = AdmissionBudget::new(policy);
+        (self.cap_micros, self.ratio_micros) == (built.cap_micros, built.ratio_micros)
+            && self.credit_micros <= self.cap_micros
     }
 }
 

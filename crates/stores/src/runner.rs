@@ -18,7 +18,9 @@ use crate::resilience::{
 use apm_core::driver::ClientConfig;
 use apm_core::ops::{OpKind, OpOutcome, Operation};
 use apm_core::record::{MetricKey, KEY_SIZE};
-use apm_core::snap::{self, fnv1a64, Snap, SnapError, SnapReader, SnapWriter, SnapshotHeader};
+use apm_core::snap::{
+    self, fnv1a64, Snap, SnapError, SnapReader, SnapState, SnapWriter, SnapshotHeader,
+};
 use apm_core::snap_struct;
 use apm_core::stats::{pairwise_sum, BenchStats, ResilienceCounters, ResourceSample, Telemetry};
 use apm_core::workload::{Workload, WorkloadGenerator};
@@ -354,6 +356,15 @@ impl TelemetrySampler {
         }
     }
 
+    /// The first resource whose baseline no run of `engine` can have
+    /// sampled: one past its resources, or above its service time, which
+    /// the next window would subtract the baseline from.
+    fn baseline_past(&self, engine: &Engine) -> Option<usize> {
+        self.prev_busy.iter().enumerate().position(|(i, &busy)| {
+            i >= engine.resource_count() || busy > engine.service_ns(ResourceId(i as u32))
+        })
+    }
+
     fn snapshot_busy(&mut self, engine: &Engine) {
         for (i, prev) in self.prev_busy.iter_mut().enumerate() {
             *prev = engine.service_ns(ResourceId(i as u32));
@@ -553,30 +564,9 @@ impl PolicyState {
     }
 }
 
-/// The breaker vector carries its own length, so topology growth mid-run
-/// survives a round trip. Hand-written: the rng goes by its state.
-impl Snap for PolicyState {
-    fn snap(&self, w: &mut SnapWriter) {
-        let PolicyState {
-            rng,
-            tracker,
-            breakers,
-            budget,
-        } = self;
-        w.put_u64(rng.state());
-        w.put(tracker);
-        w.put(breakers);
-        w.put(budget);
-    }
-    fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(PolicyState {
-            rng: JitterRng::from_state(r.u64()?),
-            tracker: r.get()?,
-            breakers: r.get()?,
-            budget: r.get()?,
-        })
-    }
-}
+// The breaker vector carries its own length, so topology growth mid-run
+// survives a round trip.
+snap_struct! { PolicyState { rng, tracker, breakers, budget } }
 
 /// Loop state of the closed-loop driver — everything the event loop
 /// mutates, extracted so a checkpoint can serialize it and a resumed
@@ -625,6 +615,13 @@ fn submit_attempt(
     }
 }
 
+/// By hand, and no [`SnapState`]: restore builds the driver from the run
+/// config and checks it against the store and the restored engine. It
+/// refuses a slot count other than the run's connections, a slot's plan
+/// handle past the exec table or target past the breaker table, a
+/// telemetry baseline past a resource's service time, a breaker window
+/// `on_outcome` cannot have left and an admission bucket the policy did
+/// not build.
 impl Driver {
     fn snap_state(&self, w: &mut SnapWriter) {
         let Driver {
@@ -659,6 +656,10 @@ impl Driver {
         engine: &Engine,
         r: &mut SnapReader,
     ) -> Result<Driver, SnapError> {
+        let bad = |what, tag: usize| SnapError::BadTag {
+            what,
+            tag: tag as u64,
+        };
         let mut generator =
             WorkloadGenerator::new(config.workload.clone(), total_records(config), config.seed);
         generator.restore_state(r)?;
@@ -666,10 +667,7 @@ impl Driver {
         // The loop indexes slots by the client id in each completion
         // token; a slot vector of any other length is not this run's.
         if slots.len() != connection_count(store, config) as usize {
-            return Err(SnapError::BadTag {
-                what: "client slot count",
-                tag: slots.len() as u64,
-            });
+            return Err(bad("client slot count", slots.len()));
         }
         // A slot's handles go to `Engine::cancel`, which indexes by them.
         let handles = slots.iter().flat_map(|s| [s.primary, s.hedge, s.trigger]);
@@ -694,13 +692,28 @@ impl Driver {
         };
         // A slot's target indexes the breaker table on its completion.
         let targets = d.slots.iter().filter_map(|s| s.target);
-        match targets.max().filter(|&t| t >= d.ps.breakers.len()) {
-            Some(t) => Err(SnapError::BadTag {
-                what: "client slot target",
-                tag: t as u64,
-            }),
-            None => Ok(d),
+        if let Some(t) = targets.max().filter(|&t| t >= d.ps.breakers.len()) {
+            return Err(bad("client slot target", t));
         }
+        // The loop subtracts from a telemetry baseline, a breaker's error
+        // count and (adding to it) the admission credit: each must be one
+        // this run can have left.
+        if let Some(i) = d.sampler.as_ref().and_then(|s| s.baseline_past(engine)) {
+            return Err(bad("telemetry busy baseline", i));
+        }
+        if let Some(i) = d.ps.breakers.iter().position(|b| !b.window_is_consistent()) {
+            return Err(bad("breaker window", i));
+        }
+        let budget_ok = match (&d.ps.budget, &d.policy.admission) {
+            (None, None) => true,
+            (Some(budget), Some(policy)) => budget.is_from(policy),
+            _ => false,
+        };
+        if !budget_ok {
+            let banked = d.ps.budget.as_ref().map_or(0, AdmissionBudget::banked);
+            return Err(bad("admission budget", banked as usize));
+        }
+        Ok(d)
     }
 
     /// Virtual time of the next checkpoint boundary. Saturating, like
@@ -1375,14 +1388,14 @@ pub(crate) mod tests {
         resume_benchmark(&mut engine, &mut store, config, &sealed)
     }
 
-    /// An `edit` for [`resume_forged_under`] over the fixture store: the
-    /// driver section, decoded under `config`, changed by `forge` and
-    /// written back in place.
-    fn forge_driver<'a>(
-        config: &'a RunConfig,
-        forge: impl FnOnce(&mut Driver) + 'a,
-    ) -> impl FnOnce(&mut Vec<u8>, usize) + 'a {
-        move |body, store_len| {
+    /// [`resume_forged_under`] of the fixture store under `config`, its
+    /// driver section decoded, changed by `forge` and written back in
+    /// place.
+    fn forge_driver(
+        config: &RunConfig,
+        forge: impl FnOnce(&mut Driver),
+    ) -> Result<RunResult, SnapError> {
+        let edit = |body: &mut Vec<u8>, store_len: usize| {
             let mut r = SnapReader::new(&body[store_len..]);
             let mut engine = Engine::new();
             let store = FixtureStore::new(&mut engine, 100);
@@ -1397,7 +1410,13 @@ pub(crate) mod tests {
             d.snap_state(&mut w);
             body.truncate(driver_at);
             body.extend_from_slice(w.bytes());
-        }
+        };
+        resume_forged_under(
+            config,
+            |engine| FixtureStore::new(engine, 1_000),
+            |_| {},
+            edit,
+        )
     }
 
     /// Body offsets of the exec-slot and resource indices in a kernel
@@ -1621,16 +1640,11 @@ pub(crate) mod tests {
         let config = forged_run_config();
         let far = [FAR.to_le_bytes(), 0u32.to_le_bytes()].concat();
         let far: PlanHandle = SnapReader::new(&far).get().expect("a handle's bytes");
-        let resumed = resume_forged_under(
-            &config,
-            |engine| FixtureStore::new(engine, 1_000),
-            |_| {},
-            forge_driver(&config, |d| {
-                for slot in &mut d.slots {
-                    slot.trigger = Some(far);
-                }
-            }),
-        );
+        let resumed = forge_driver(&config, |d| {
+            for slot in &mut d.slots {
+                slot.trigger = Some(far);
+            }
+        });
         assert_refused(resumed, "Engine exec slot", FAR.into());
     }
 
@@ -1644,17 +1658,89 @@ pub(crate) mod tests {
             breaker: Some(crate::resilience::BreakerPolicy::standard()),
             ..ResiliencePolicy::default()
         });
-        let resumed = resume_forged_under(
-            &config,
-            |engine| FixtureStore::new(engine, 1_000),
-            |_| {},
-            forge_driver(&config, |d| {
-                for slot in &mut d.slots {
-                    slot.target = Some(1 << 20);
-                }
-            }),
-        );
+        let resumed = forge_driver(&config, |d| {
+            for slot in &mut d.slots {
+                slot.target = Some(1 << 20);
+            }
+        });
         assert_refused(resumed, "client slot target", 1 << 20);
+    }
+
+    /// A telemetry baseline above its resource's restored service time is
+    /// refused on resume, not subtracted from it at the next boundary.
+    #[test]
+    fn a_forged_telemetry_baseline_is_refused_on_resume() {
+        let mut config = forged_run_config();
+        config.telemetry_window_secs = Some(0.1);
+        let resumed = forge_driver(&config, |d| {
+            let sampler = d.sampler.as_mut().expect("telemetry is on");
+            sampler.prev_busy.fill(u128::MAX);
+        });
+        assert_refused(resumed, "telemetry busy baseline", 0);
+    }
+
+    /// A breaker as a checkpoint can spell it: closed, `outcomes` in its
+    /// window (`true` an error) and `errors` claimed among them.
+    fn forged_breaker(outcomes: &[bool], errors: usize) -> Breaker {
+        let mut w = SnapWriter::new();
+        w.put(&BreakerState::Closed);
+        w.put(&outcomes.to_vec());
+        w.put(&errors);
+        w.put(&SimTime::ZERO);
+        w.put(&false);
+        SnapReader::new(w.bytes()).get().expect("a breaker's bytes")
+    }
+
+    /// A breaker window `on_outcome` cannot have left — fewer errors
+    /// claimed than it holds, or more outcomes than the window — is
+    /// refused on resume, not counted down past zero as errors leave it.
+    #[test]
+    fn a_forged_breaker_window_is_refused_on_resume() {
+        let mut config = forged_run_config();
+        config.resilience = Some(ResiliencePolicy {
+            breaker: Some(BreakerPolicy::standard()),
+            ..ResiliencePolicy::default()
+        });
+        let full = [true; crate::resilience::BREAKER_WINDOW];
+        let long = [false; crate::resilience::BREAKER_WINDOW + 1];
+        for (outcomes, errors) in [(&full[..], 0), (&full[..], 19), (&long[..], 0)] {
+            let resumed = forge_driver(&config, |d| {
+                d.ps.breakers.fill(forged_breaker(outcomes, errors));
+            });
+            assert_refused(resumed, "breaker window", 0);
+        }
+    }
+
+    /// An admission bucket holding more credit than its cap, or a cap or
+    /// ratio its policy does not give, is refused on resume, not credited
+    /// past `u64::MAX`.
+    #[test]
+    fn a_forged_admission_budget_is_refused_on_resume() {
+        let mut config = forged_run_config();
+        config.resilience = Some(ResiliencePolicy {
+            admission: Some(AdmissionPolicy::standard()),
+            ..ResiliencePolicy::default()
+        });
+        // The standard policy's bucket: a cap of 10 attempts, a tenth of
+        // one a primary, in micro-attempts.
+        let (cap, ratio) = (10_000_000u64, 100_000u64);
+        for (credit, cap, ratio) in [
+            (u64::MAX, cap, ratio),
+            (cap + 1, cap, ratio),
+            (cap, cap + 1, ratio),
+            (cap, cap, ratio + 1),
+        ] {
+            let resumed = forge_driver(&config, |d| {
+                let bytes = [credit, cap, ratio].map(u64::to_le_bytes).concat();
+                d.ps.budget = Some(SnapReader::new(&bytes).get().expect("a bucket's bytes"));
+            });
+            assert_refused(resumed, "admission budget", credit / 1_000_000);
+        }
+        // A bucket in a run with no admission policy is not this run's.
+        let resumed = forge_driver(&forged_run_config(), |d| {
+            d.ps.budget = Some(AdmissionBudget::new(&AdmissionPolicy::standard()));
+        });
+        assert_refused(resumed, "admission budget", 10);
     }
 
     /// A checkpoint resumes only into an engine that registered the
@@ -1686,14 +1772,9 @@ pub(crate) mod tests {
         let mut config = forged_run_config();
         config.telemetry_window_secs = Some(0.1);
         for boundary in [1 << 63, u64::MAX] {
-            let resumed = resume_forged_under(
-                &config,
-                |engine| FixtureStore::new(engine, 1_000),
-                |_| {},
-                forge_driver(&config, |d| {
-                    d.sampler.as_mut().expect("telemetry is on").boundary = boundary;
-                }),
-            );
+            let resumed = forge_driver(&config, |d| {
+                d.sampler.as_mut().expect("telemetry is on").boundary = boundary;
+            });
             assert!(resumed.is_ok(), "{boundary:#x}: {:?}", resumed.err());
         }
     }
@@ -1705,12 +1786,7 @@ pub(crate) mod tests {
         let mut config = forged_run_config();
         config.client = ClientConfig::cluster_m(4).with_window(0.2, 5.4);
         config.checkpoints = Some(CheckpointSpec::every(5.0));
-        let resumed = resume_forged_under(
-            &config,
-            |engine| FixtureStore::new(engine, 1_000),
-            |_| {},
-            forge_driver(&config, |d| d.next_checkpoint = u32::MAX),
-        );
+        let resumed = forge_driver(&config, |d| d.next_checkpoint = u32::MAX);
         assert!(
             resumed.as_ref().is_ok_and(|r| r.checkpoints.is_empty()),
             "{:?}",

@@ -31,6 +31,7 @@ use apm_core::keyspace::SplitRng;
 use apm_core::ops::{OpOutcome, Operation, RejectReason};
 use apm_core::record::{Row, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapWriter};
+use apm_core::snap_state;
 use apm_sim::{Engine, Plan, SimDuration};
 use apm_storage::btree::BTreeConfig;
 use apm_storage::encoding::{voldemort_format, StorageFormat};
@@ -217,34 +218,18 @@ impl DistributedStore for VoldemortStore {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        // Construction-time config and topology are not part of the stream.
-        let VoldemortStore {
-            ctx: _,
-            map: _,
-            format: _,
-            nodes,
-        } = self;
-        for Node { pages, log, rng } in nodes {
-            pages.snap_state(w);
-            log.snap_state(w);
-            w.put(rng);
-        }
+        apm_core::snap::SnapState::snap_state(self, w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
-        let VoldemortStore {
-            ctx: _,
-            map: _,
-            format: _,
-            nodes,
-        } = self;
-        for Node { pages, log, rng } in nodes {
-            pages.restore_state(r)?;
-            log.restore_state(r)?;
-            *rng = r.get()?;
-        }
-        Ok(())
+        apm_core::snap::SnapState::restore_state(self, r)
     }
+}
+
+// Construction-time config and topology are not part of the stream.
+snap_state! {
+    VoldemortStore { ctx: _, map: _, format: _, nodes: each }
+    Node { pages, log, rng }
 }
 
 #[cfg(test)]

@@ -223,14 +223,24 @@ impl DistributedStore for VoltDbStore {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader, _engine: &mut Engine) -> Result<(), SnapError> {
+        // By hand: a partition table a site, and a body with any other
+        // count of them is refused — every op indexes the tables by its
+        // key's site.
         let VoltDbStore {
             ctx: _,
-            map: _,
+            map,
             site_res: _,
             partitions,
             initiator: _,
         } = self;
-        *partitions = r.get()?;
+        let restored: Vec<PartitionTable> = r.get()?;
+        if restored.len() != map.sites() {
+            return Err(SnapError::BadTag {
+                what: "VoltDB partition count",
+                tag: restored.len() as u64,
+            });
+        }
+        *partitions = restored;
         Ok(())
     }
 }
@@ -347,5 +357,29 @@ mod tests {
             "unexpected ordering steps: {}",
             plan.total_steps()
         );
+    }
+
+    /// A body with fewer or more partition tables than the cluster has
+    /// sites is refused on resume, not left for the first op on a site
+    /// past the tables to index out of them.
+    #[test]
+    fn a_forged_partition_count_is_refused_on_resume() {
+        let make = |engine: &mut Engine| {
+            let ctx = StoreCtx::new(engine, ClusterSpec::cluster_m(), 4, 1, 0.01, 17);
+            VoltDbStore::new(ctx, engine)
+        };
+        // Four hosts, six sites each.
+        for count in [1, 23, 25] {
+            let refused = crate::runner::tests::resume_forged(
+                make,
+                |s| s.partitions.resize_with(count, PartitionTable::new),
+                |_, _| {},
+            );
+            let refusal = SnapError::BadTag {
+                what: "VoltDB partition count",
+                tag: count as u64,
+            };
+            assert_eq!(refused.err(), Some(refusal), "{count} partitions");
+        }
     }
 }
