@@ -781,6 +781,149 @@ mod tests {
         }
     }
 
+    /// What a token names, spelled through the encode and split
+    /// functions: `token` picks the encoder, `of` splits in the driver's
+    /// order (fault bit, background bit, then the attempt fields).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Tag {
+        Attempt {
+            client: u32,
+            epoch: u64,
+            kind: AttemptKind,
+        },
+        Fault(u64),
+        Background(u64),
+    }
+
+    impl Tag {
+        fn token(self) -> Token {
+            match self {
+                Tag::Attempt {
+                    client,
+                    epoch,
+                    kind,
+                } => match kind {
+                    AttemptKind::Primary => attempt_token(client, epoch),
+                    AttemptKind::Hedge => hedge_token(client, epoch),
+                    AttemptKind::HedgeTrigger => hedge_trigger_token(client, epoch),
+                },
+                Tag::Fault(index) => fault_token(index),
+                Tag::Background(payload) => background_token(payload),
+            }
+        }
+
+        fn of(token: Token) -> Tag {
+            let (is_fault, index) = split_fault_token(token);
+            let (is_background, payload) = split_token(token);
+            let (client, epoch, kind) = split_attempt_token(token);
+            if is_fault {
+                Tag::Fault(index)
+            } else if is_background {
+                Tag::Background(payload)
+            } else {
+                Tag::Attempt {
+                    client,
+                    epoch,
+                    kind,
+                }
+            }
+        }
+    }
+
+    const fn attempt(client: u32, epoch: u64, kind: AttemptKind) -> Tag {
+        Tag::Attempt {
+            client,
+            epoch,
+            kind,
+        }
+    }
+
+    use AttemptKind::{Hedge, HedgeTrigger, Primary};
+    const CLIENT_MAX: u32 = (1 << 20) - 1;
+    const EPOCH_MAX: u64 = (1 << 40) - 1;
+
+    /// Every tag's exact word: each encodes to its word and decodes from
+    /// it.
+    const WORDS: [(u64, Tag); 16] = [
+        (0x0000_0000_0110_0003, attempt(3, 17, Primary)),
+        (0x2000_0000_0110_0003, attempt(3, 17, Hedge)),
+        (0x1000_0000_0110_0003, attempt(3, 17, HedgeTrigger)),
+        (
+            0x0FFF_FFFF_FFFF_FFFF,
+            attempt(CLIENT_MAX, EPOCH_MAX, Primary),
+        ),
+        (0x2FFF_FFFF_FFFF_FFFF, attempt(CLIENT_MAX, EPOCH_MAX, Hedge)),
+        (
+            0x1FFF_FFFF_FFFF_FFFF,
+            attempt(CLIENT_MAX, EPOCH_MAX, HedgeTrigger),
+        ),
+        (0x0000_0000_0000_0007, attempt(7, 0, Primary)),
+        (0x4000_0000_0000_0007, Tag::Fault(7)),
+        (0x4000_0000_0000_0000, Tag::Fault(0)),
+        (0x8000_0000_0000_0000, Tag::Background(0)),
+        (0x8000_0000_0050_0003, Tag::Background(0x50_0003)),
+        (
+            0xBFFF_FFFF_FFD0_0017,
+            Tag::Background(0x3FFF_FFFF_FFD0_0017),
+        ),
+        (0x8000_0000_002F_FFFF, Tag::Background(0x2F_FFFF)),
+        (0x8000_0000_0030_0000, Tag::Background(0x30_0000)),
+        (0x8000_0000_0000_002A, Tag::Background(42)),
+        (0xBFFF_FFFF_FFFF_FFFF, Tag::Background((1 << 62) - 1)),
+    ];
+
+    /// Words no encoder writes, and where the decode sends them: both high
+    /// bits are a fault, both hedge bits a hedge.
+    const STRAYS: [(u64, Tag); 3] = [
+        (0xC000_0000_0000_0005, Tag::Fault(0x8000_0000_0000_0005)),
+        (0x3000_0000_0110_0003, attempt(3, 17, Hedge)),
+        (u64::MAX, Tag::Fault(0xBFFF_FFFF_FFFF_FFFF)),
+    ];
+
+    /// Background payloads and the work each names (`None`: no work's).
+    const PAYLOADS: [(u64, Option<BackgroundWork>); 7] = [
+        (0, Some(BackgroundWork::Stream(0))),
+        (0x50_0003, Some(BackgroundWork::TreeJob(3, 1))),
+        (
+            0x3FFF_FFFF_FFD0_0017,
+            Some(BackgroundWork::TreeJob(23, EPOCH_MAX)),
+        ),
+        (
+            0x2F_FFFF,
+            Some(BackgroundWork::Recovery(CLIENT_MAX as usize)),
+        ),
+        (0x30_0000, None),
+        (0x4000_0000_0000_0000, None),
+        (u64::MAX, None),
+    ];
+
+    #[test]
+    fn token_words_are_pinned() {
+        for (word, tag) in WORDS {
+            assert_eq!(tag.token(), Token(word), "{tag:?}");
+            assert_eq!(Tag::of(Token(word)), tag, "{word:#x}");
+        }
+        for (word, tag) in STRAYS {
+            assert_eq!(Tag::of(Token(word)), tag, "{word:#x}");
+        }
+        for (payload, work) in PAYLOADS {
+            assert_eq!(BackgroundWork::from_payload(payload), work, "{payload:#x}");
+            if let Some(work) = work {
+                assert_eq!(work.token(), Tag::Background(payload).token(), "{work:?}");
+            }
+        }
+        let kinds = [Primary, Hedge, HedgeTrigger];
+        let fields = [(0, 0), (7, 1), (999, 12_345), (CLIENT_MAX, EPOCH_MAX)];
+        let attempts = fields
+            .into_iter()
+            .flat_map(|(client, epoch)| kinds.map(|kind| attempt(client, epoch, kind)));
+        let faults = [0, 1, 5, 1 << 10, (1 << 62) - 1].map(Tag::Fault);
+        let backgrounds = [0, 1, 2, 1 << 20, (1 << 62) - 1].map(Tag::Background);
+        for tag in attempts.chain(faults).chain(backgrounds) {
+            assert_eq!(Tag::of(tag.token()), tag);
+        }
+    }
+
     #[test]
     fn apply_node_fault_drives_kernel_resource_state() {
         use apm_sim::{FaultKind, SimTime};
