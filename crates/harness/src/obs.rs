@@ -177,10 +177,7 @@ pub mod chrome {
     use apm_core::json::Json;
     use apm_sim::kernel::Token;
     use apm_sim::{TraceEvent, TraceEventKind};
-    use apm_stores::api::{
-        attempt_token, hedge_token, hedge_trigger_token, split_attempt_token, split_fault_token,
-        split_token, AttemptKind,
-    };
+    use apm_stores::api::Tag;
 
     /// Process id for op spans (one Chrome "thread" per connection and
     /// attempt role, see `lane_key`).
@@ -209,14 +206,9 @@ pub mod chrome {
     /// overlap the primary, hence their own). Background jobs and fault
     /// sentinels keep one lane per token.
     fn lane_key(token: Token) -> u64 {
-        if split_fault_token(token).0 || split_token(token).0 {
-            return token.0;
-        }
-        let (client, _epoch, kind) = split_attempt_token(token);
-        match kind {
-            AttemptKind::Primary => attempt_token(client, 0).0,
-            AttemptKind::Hedge => hedge_token(client, 0).0,
-            AttemptKind::HedgeTrigger => hedge_trigger_token(client, 0).0,
+        match Tag::of(token) {
+            Tag::Attempt(client, _epoch, kind) => Tag::Attempt(client, 0, kind).token().0,
+            Tag::Fault(_) | Tag::Background(_) => token.0,
         }
     }
 

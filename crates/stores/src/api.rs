@@ -14,18 +14,97 @@ use apm_storage::receipt::{CostReceipt, DiskIo};
 use apm_storage::wal::WalReceipt;
 use std::ops::Range;
 
-/// Bit marking a token as a background job rather than a client op.
-pub const BACKGROUND_BIT: u64 = 1 << 63;
+/// What a plan's token names. [`Tag::token`] writes the word and
+/// [`Tag::of`] reads any word back, testing its bits in this order:
+///
+/// - bit 62: [`Tag::Fault`], the rest of the word its schedule index;
+/// - else bit 63: [`Tag::Background`], the rest its payload;
+/// - else an attempt: bit 61 a hedge, else bit 60 a hedge trigger, else
+///   a primary; then a 40-bit epoch above a 20-bit client.
+///
+/// A word no encoder writes reads as the first arm it matches: both high
+/// bits as a fault, both hedge bits as a hedge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tag {
+    /// `(client, epoch, kind)`: attempt `epoch` (below `1 << 40`) of
+    /// connection `client`'s (below `1 << 20`) logical op, in role `kind`.
+    /// Epochs advance on every attempt submission, so stale completions
+    /// (cancelled losers, late stragglers) are recognised by epoch
+    /// mismatch.
+    Attempt(u32, u64, AttemptKind),
+    /// The sentinel of fault-schedule event `index` (the benchmark
+    /// runner's timers for node crash/restart/slowdown transitions).
+    Fault(u64),
+    /// A store's background plan; [`BackgroundWork::token`] encodes the
+    /// payload.
+    Background(u64),
+}
 
-/// Bit marking a token as a fault-schedule sentinel (the benchmark
-/// runner's timers for node crash/restart/slowdown transitions).
-pub const FAULT_BIT: u64 = 1 << 62;
+const BACKGROUND_BIT: u64 = 1 << 63;
+const FAULT_BIT: u64 = 1 << 62;
+const HEDGE_BIT: u64 = 1 << 61;
+const HEDGE_TRIGGER_BIT: u64 = 1 << 60;
+const CLIENT_BITS: u32 = 20;
+const CLIENT_MASK: u64 = (1 << CLIENT_BITS) - 1;
+const EPOCH_MASK: u64 = (1 << (60 - CLIENT_BITS)) - 1;
 
-/// Builds the token of a background plan from its payload, which
-/// [`BackgroundWork::token`] encodes.
-pub fn background_token(job_id: u64) -> Token {
-    debug_assert!(job_id & (BACKGROUND_BIT | FAULT_BIT) == 0);
-    Token(BACKGROUND_BIT | job_id)
+/// Connections an attempt token can name: clients `0..MAX_CLIENTS`.
+pub(crate) const MAX_CLIENTS: u32 = 1 << CLIENT_BITS;
+
+impl Tag {
+    /// The token word of this tag.
+    pub fn token(self) -> Token {
+        match self {
+            Tag::Attempt(client, epoch, kind) => {
+                debug_assert!(client < MAX_CLIENTS && epoch <= EPOCH_MASK);
+                let role = match kind {
+                    AttemptKind::Primary => 0,
+                    AttemptKind::Hedge => HEDGE_BIT,
+                    AttemptKind::HedgeTrigger => HEDGE_TRIGGER_BIT,
+                };
+                Token(role | (epoch & EPOCH_MASK) << CLIENT_BITS | u64::from(client))
+            }
+            Tag::Fault(index) => {
+                debug_assert!(index & (BACKGROUND_BIT | FAULT_BIT) == 0);
+                Token(FAULT_BIT | index)
+            }
+            Tag::Background(payload) => {
+                debug_assert!(payload & (BACKGROUND_BIT | FAULT_BIT) == 0);
+                Token(BACKGROUND_BIT | payload)
+            }
+        }
+    }
+
+    /// The tag of any token word.
+    pub fn of(token: Token) -> Tag {
+        let word = token.0;
+        if word & FAULT_BIT != 0 {
+            Tag::Fault(word & !FAULT_BIT)
+        } else if word & BACKGROUND_BIT != 0 {
+            Tag::Background(word & !BACKGROUND_BIT)
+        } else {
+            let kind = if word & HEDGE_BIT != 0 {
+                AttemptKind::Hedge
+            } else if word & HEDGE_TRIGGER_BIT != 0 {
+                AttemptKind::HedgeTrigger
+            } else {
+                AttemptKind::Primary
+            };
+            let epoch = (word >> CLIENT_BITS) & EPOCH_MASK;
+            Tag::Attempt((word & CLIENT_MASK) as u32, epoch, kind)
+        }
+    }
+}
+
+/// Which role a client attempt plays.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AttemptKind {
+    /// The primary (or retried) attempt of a logical op.
+    Primary,
+    /// The speculative hedge attempt.
+    Hedge,
+    /// The delay event that fires to launch a hedge.
+    HedgeTrigger,
 }
 
 /// What a store's background plan completes, at which node. The plan's
@@ -44,7 +123,7 @@ pub enum BackgroundWork {
 }
 
 /// Bits of a background payload carrying the node; then two of kind,
-/// then the tree job id up to bit 61, so [`FAULT_BIT`] stays clear.
+/// then the tree job id up to bit 61, so the fault bit stays clear.
 const NODE_BITS: u32 = 20;
 const JOB_SHIFT: u32 = NODE_BITS + 2;
 const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
@@ -58,7 +137,7 @@ impl BackgroundWork {
             BackgroundWork::Recovery(node) => (2, node, 0),
         };
         debug_assert!(node as u64 <= NODE_MASK && job < 1 << (62 - JOB_SHIFT));
-        background_token(job << JOB_SHIFT | kind << NODE_BITS | node as u64)
+        Tag::Background(job << JOB_SHIFT | kind << NODE_BITS | node as u64).token()
     }
 
     /// The work a background token's payload names — `None` for a payload
@@ -76,80 +155,11 @@ impl BackgroundWork {
     }
 }
 
-/// Builds the sentinel token for fault-schedule event `index`.
-pub fn fault_token(index: u64) -> Token {
-    debug_assert!(index & (BACKGROUND_BIT | FAULT_BIT) == 0);
-    Token(FAULT_BIT | index)
-}
-
-/// Splits a completed token into `(is_background, id)`.
+/// Splits a completed token into `(is_background, payload)` by the
+/// background bit alone — `apmbench`'s, its only caller; [`Tag::of`]
+/// reads a word with both high bits as a fault sentinel instead.
 pub fn split_token(token: Token) -> (bool, u64) {
     (token.0 & BACKGROUND_BIT != 0, token.0 & !BACKGROUND_BIT)
-}
-
-/// Splits a completed token into `(is_fault_sentinel, index)`.
-pub fn split_fault_token(token: Token) -> (bool, u64) {
-    (token.0 & FAULT_BIT != 0, token.0 & !FAULT_BIT)
-}
-
-/// Bit marking a client token as a hedge attempt (the speculative
-/// duplicate read issued to an alternative replica).
-pub const HEDGE_BIT: u64 = 1 << 61;
-
-/// Bit marking a client token as a hedge *trigger*: the pure
-/// delay the driver arms alongside a primary read; its completion is the
-/// signal to launch the hedge, never a measured response.
-pub const HEDGE_TRIGGER_BIT: u64 = 1 << 60;
-
-/// Bits of a client token carrying the client id.
-pub const CLIENT_BITS: u32 = 20;
-
-const CLIENT_MASK: u64 = (1 << CLIENT_BITS) - 1;
-const EPOCH_MASK: u64 = (1 << (60 - CLIENT_BITS)) - 1;
-
-/// Which role a client attempt token plays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttemptKind {
-    /// The primary (or retried) attempt of a logical op.
-    Primary,
-    /// The speculative hedge attempt.
-    Hedge,
-    /// The delay event that fires to launch a hedge.
-    HedgeTrigger,
-}
-
-/// Builds the token for `client`'s attempt `epoch` — the token of every
-/// client op, with or without a policy. Epochs advance on every attempt
-/// submission, so stale completions (cancelled losers, late stragglers)
-/// are recognised by epoch mismatch.
-pub fn attempt_token(client: u32, epoch: u64) -> Token {
-    debug_assert!(u64::from(client) <= CLIENT_MASK && epoch <= EPOCH_MASK);
-    Token((epoch & EPOCH_MASK) << CLIENT_BITS | u64::from(client))
-}
-
-/// Builds the hedge-attempt token for `client`'s attempt `epoch`.
-pub fn hedge_token(client: u32, epoch: u64) -> Token {
-    Token(HEDGE_BIT | attempt_token(client, epoch).0)
-}
-
-/// Builds the hedge-trigger token for `client`'s attempt `epoch`.
-pub fn hedge_trigger_token(client: u32, epoch: u64) -> Token {
-    Token(HEDGE_TRIGGER_BIT | attempt_token(client, epoch).0)
-}
-
-/// Splits a client token into `(client, epoch, kind)`.
-/// Callers must have already excluded background and fault sentinels.
-pub fn split_attempt_token(token: Token) -> (u32, u64, AttemptKind) {
-    let kind = if token.0 & HEDGE_BIT != 0 {
-        AttemptKind::Hedge
-    } else if token.0 & HEDGE_TRIGGER_BIT != 0 {
-        AttemptKind::HedgeTrigger
-    } else {
-        AttemptKind::Primary
-    };
-    let client = (token.0 & CLIENT_MASK) as u32;
-    let epoch = (token.0 >> CLIENT_BITS) & EPOCH_MASK;
-    (client, epoch, kind)
 }
 
 /// Applies a fault transition to the kernel resources of the affected
@@ -692,150 +702,8 @@ mod tests {
     use super::*;
     use apm_core::keyspace::scramble;
 
-    #[test]
-    fn token_split_roundtrips() {
-        let t = background_token(42);
-        assert_eq!(split_token(t), (true, 42));
-        assert_eq!(split_token(Token(7)), (false, 7));
-    }
-
-    #[test]
-    fn background_token_roundtrips_across_the_id_space() {
-        for id in [0u64, 1, 2, 1 << 20, (1 << 62) - 1] {
-            let (bg, back) = split_token(background_token(id));
-            assert!(bg, "id {id} lost the background bit");
-            assert_eq!(back, id, "id {id} did not roundtrip");
-        }
-    }
-
-    #[test]
-    fn background_work_roundtrips_through_its_token() {
-        let works = [
-            BackgroundWork::Stream(0),
-            BackgroundWork::TreeJob(3, 1),
-            BackgroundWork::TreeJob(23, (1 << 40) - 1),
-            BackgroundWork::Recovery((1 << 20) - 1),
-        ];
-        for work in works {
-            let (bg, payload) = split_token(work.token());
-            assert!(bg, "{work:?} lost the background bit");
-            assert!(
-                !split_fault_token(work.token()).0,
-                "{work:?} reads as a fault"
-            );
-            assert_eq!(BackgroundWork::from_payload(payload), Some(work));
-        }
-        for stray in [3 << 20, FAULT_BIT, u64::MAX] {
-            assert_eq!(BackgroundWork::from_payload(stray), None, "{stray:#x}");
-        }
-    }
-
-    #[test]
-    fn fault_token_roundtrips_and_is_disjoint_from_background() {
-        for idx in [0u64, 1, 5, 1 << 10] {
-            let t = fault_token(idx);
-            let (is_fault, back) = split_fault_token(t);
-            assert!(is_fault);
-            assert_eq!(back, idx);
-            let (is_bg, _) = split_token(t);
-            assert!(!is_bg, "fault tokens must not read as background");
-        }
-        let (is_fault, _) = split_fault_token(background_token(3));
-        assert!(!is_fault, "background tokens must not read as fault");
-        let (is_fault, idx) = split_fault_token(Token(9));
-        assert_eq!((is_fault, idx), (false, 9));
-    }
-
-    #[test]
-    fn attempt_tokens_roundtrip_client_epoch_and_kind() {
-        for (client, epoch) in [
-            (0u32, 0u64),
-            (7, 1),
-            (999, 12_345),
-            ((1 << 20) - 1, (1 << 40) - 1),
-        ] {
-            assert_eq!(
-                split_attempt_token(attempt_token(client, epoch)),
-                (client, epoch, AttemptKind::Primary)
-            );
-            assert_eq!(
-                split_attempt_token(hedge_token(client, epoch)),
-                (client, epoch, AttemptKind::Hedge)
-            );
-            assert_eq!(
-                split_attempt_token(hedge_trigger_token(client, epoch)),
-                (client, epoch, AttemptKind::HedgeTrigger)
-            );
-        }
-    }
-
-    #[test]
-    fn attempt_tokens_are_disjoint_from_background_and_fault_sentinels() {
-        for t in [
-            attempt_token(3, 17),
-            hedge_token(3, 17),
-            hedge_trigger_token(3, 17),
-        ] {
-            assert!(!split_token(t).0, "attempt token read as background");
-            assert!(!split_fault_token(t).0, "attempt token read as fault");
-        }
-    }
-
-    /// What a token names, spelled through the encode and split
-    /// functions: `token` picks the encoder, `of` splits in the driver's
-    /// order (fault bit, background bit, then the attempt fields).
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    enum Tag {
-        Attempt {
-            client: u32,
-            epoch: u64,
-            kind: AttemptKind,
-        },
-        Fault(u64),
-        Background(u64),
-    }
-
-    impl Tag {
-        fn token(self) -> Token {
-            match self {
-                Tag::Attempt {
-                    client,
-                    epoch,
-                    kind,
-                } => match kind {
-                    AttemptKind::Primary => attempt_token(client, epoch),
-                    AttemptKind::Hedge => hedge_token(client, epoch),
-                    AttemptKind::HedgeTrigger => hedge_trigger_token(client, epoch),
-                },
-                Tag::Fault(index) => fault_token(index),
-                Tag::Background(payload) => background_token(payload),
-            }
-        }
-
-        fn of(token: Token) -> Tag {
-            let (is_fault, index) = split_fault_token(token);
-            let (is_background, payload) = split_token(token);
-            let (client, epoch, kind) = split_attempt_token(token);
-            if is_fault {
-                Tag::Fault(index)
-            } else if is_background {
-                Tag::Background(payload)
-            } else {
-                Tag::Attempt {
-                    client,
-                    epoch,
-                    kind,
-                }
-            }
-        }
-    }
-
     const fn attempt(client: u32, epoch: u64, kind: AttemptKind) -> Tag {
-        Tag::Attempt {
-            client,
-            epoch,
-            kind,
-        }
+        Tag::Attempt(client, epoch, kind)
     }
 
     use AttemptKind::{Hedge, HedgeTrigger, Primary};

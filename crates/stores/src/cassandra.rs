@@ -629,6 +629,7 @@ impl DistributedStore for CassandraStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Tag;
     use crate::runner::{run_benchmark, RunConfig};
     use apm_core::driver::ClientConfig;
     use apm_core::keyspace::record_for_seq;
@@ -781,17 +782,14 @@ mod tests {
             assert_eq!(outcome, OpOutcome::Done);
             engine.submit(plan, apm_sim::kernel::Token(0));
             while let Some(c) = engine.next_completion() {
-                let (bg, id) = crate::api::split_token(c.token);
-                if bg {
-                    s.on_background(id, &mut engine);
-                } else {
+                let Tag::Background(id) = Tag::of(c.token) else {
                     break;
-                }
+                };
+                s.on_background(id, &mut engine);
             }
         }
         while let Some(c) = engine.next_completion() {
-            let (bg, id) = crate::api::split_token(c.token);
-            if bg {
+            if let Tag::Background(id) = Tag::of(c.token) {
                 s.on_background(id, &mut engine);
             }
         }

@@ -448,6 +448,7 @@ impl DistributedStore for HbaseStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Tag;
     use crate::runner::{run_benchmark, RunConfig};
     use apm_core::driver::ClientConfig;
     use apm_core::keyspace::record_for_seq;
@@ -547,17 +548,14 @@ mod tests {
             let (_, plan) = s.plan_op(0, &Operation::Insert { row: record.into() }, &mut engine);
             engine.submit(plan, apm_sim::kernel::Token(0));
             while let Some(c) = engine.next_completion() {
-                let (bg, id) = crate::api::split_token(c.token);
-                if bg {
-                    s.on_background(id, &mut engine);
-                } else {
+                let Tag::Background(id) = Tag::of(c.token) else {
                     break;
-                }
+                };
+                s.on_background(id, &mut engine);
             }
         }
         while let Some(c) = engine.next_completion() {
-            let (bg, id) = crate::api::split_token(c.token);
-            if bg {
+            if let Tag::Background(id) = Tag::of(c.token) {
                 s.on_background(id, &mut engine);
             }
         }
@@ -599,8 +597,7 @@ mod tests {
         let recovery = Some(BackgroundWork::Recovery(1));
         let mut recoveries = 0;
         while let Some(c) = engine.next_completion() {
-            let (bg, id) = crate::api::split_token(c.token);
-            if bg {
+            if let Tag::Background(id) = Tag::of(c.token) {
                 recoveries += usize::from(BackgroundWork::from_payload(id) == recovery);
                 s.on_background(id, &mut engine);
             }
@@ -673,8 +670,7 @@ mod tests {
                 engine,
             );
             while let Some(c) = engine.next_completion() {
-                let (bg, id) = crate::api::split_token(c.token);
-                if bg {
+                if let Tag::Background(id) = Tag::of(c.token) {
                     s.on_background(id, engine);
                 }
             }
@@ -700,7 +696,9 @@ mod tests {
         s.down[0] = true;
         s.down[1] = true;
         s.reassigned.insert(0, 2);
-        let (_, payload) = crate::api::split_token(BackgroundWork::Recovery(1).token());
+        let Tag::Background(payload) = Tag::of(BackgroundWork::Recovery(1).token()) else {
+            panic!("a recovery token is a background one");
+        };
         s.on_background(payload, &mut engine);
         assert_eq!((s.host_for(0), s.host_for(1)), (Some(2), None));
     }

@@ -7,10 +7,7 @@
 //! them working as intensively as possible"); bounded mode (§5.6) spaces
 //! issues to hit a target aggregate rate.
 
-use crate::api::{
-    attempt_token, fault_token, hedge_token, hedge_trigger_token, split_attempt_token,
-    split_fault_token, split_token, AttemptKind, DistributedStore,
-};
+use crate::api::{AttemptKind, DistributedStore, Tag, MAX_CLIENTS};
 use crate::resilience::{
     backoff_delay, AdmissionBudget, Breaker, BreakerDecision, BreakerState, HedgeTracker,
     JitterRng, ResiliencePolicy,
@@ -21,9 +18,9 @@ use apm_core::record::{MetricKey, KEY_SIZE};
 use apm_core::snap::{
     self, fnv1a64, Snap, SnapError, SnapReader, SnapState, SnapWriter, SnapshotHeader,
 };
-use apm_core::snap_struct;
 use apm_core::stats::{pairwise_sum, BenchStats, ResilienceCounters, ResourceSample, Telemetry};
 use apm_core::workload::{Workload, WorkloadGenerator};
+use apm_core::{snap_state, snap_struct};
 use apm_sim::kernel::{PlanHandle, ResourceId, Token};
 use apm_sim::{Engine, FaultSchedule, Outcome, Plan, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -484,7 +481,7 @@ pub fn resume_benchmark_masked(
     let mut r = SnapReader::new(body);
     store.restore_state(&mut r, engine)?;
     engine.restore_state(&mut r)?;
-    let mut d = Driver::restore_state(config, store, engine, &mut r)?;
+    let mut d = Driver::resume(config, store, engine, &mut r)?;
     r.finish()?;
     let checkpoints = drive(engine, store, config, &mut d, mask);
     Ok(finalize(engine, store, d, checkpoints))
@@ -530,6 +527,33 @@ snap_struct! {
     ClientSlot {
         op, ok, missing, next_issue, epoch, logical_start, retries_used, jitter, target,
         was_probe, shed, hedge_used, primary, hedge, trigger
+    }
+}
+
+impl ClientSlot {
+    /// A connection before its first op, due at `next_issue`: its
+    /// placeholder read is never issued — [`Driver::issue_logical_op`]
+    /// draws the first op and sets every other field an attempt reads.
+    fn idle(next_issue: SimTime) -> ClientSlot {
+        ClientSlot {
+            op: Operation::Read {
+                key: MetricKey::MIN,
+            },
+            ok: true,
+            missing: false,
+            next_issue,
+            epoch: 0,
+            logical_start: next_issue,
+            retries_used: 0,
+            jitter: 0.0,
+            target: None,
+            was_probe: false,
+            shed: false,
+            hedge_used: false,
+            primary: None,
+            hedge: None,
+            trigger: None,
+        }
     }
 }
 
@@ -592,6 +616,15 @@ struct Driver {
     ps: PolicyState,
 }
 
+// The section checks nothing itself: `Driver::resume` checks the
+// restored driver against the store and the engine.
+snap_state! {
+    Driver {
+        policy: _, generator, slots, stats, sampler, issued, warmup_end, measure_end: _,
+        event_at, next_checkpoint, ledger, ps
+    }
+}
+
 /// Connections the run drives: the configured population, capped by the
 /// store's client library.
 fn connection_count(store: &dyn DistributedStore, config: &RunConfig) -> u32 {
@@ -615,42 +648,52 @@ fn submit_attempt(
     }
 }
 
-/// By hand, and no [`SnapState`]: restore builds the driver from the run
-/// config and checks it against the store and the restored engine. It
-/// refuses a slot count other than the run's connections, a slot's plan
-/// handle past the exec table or target past the breaker table, a
-/// telemetry baseline past a resource's service time, a breaker window
-/// `on_outcome` cannot have left and an admission bucket the policy did
-/// not build.
 impl Driver {
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let Driver {
-            policy: _,
-            generator,
-            slots,
-            stats,
-            sampler,
-            issued,
+    /// The driver of a transaction phase starting at `engine`'s clock:
+    /// every connection idle and due at its first issue — under
+    /// throttling staggered across one interval, so the target rate is
+    /// smooth — and nothing drawn, counted or sampled yet.
+    fn new(config: &RunConfig, store: &dyn DistributedStore, engine: &Engine) -> Driver {
+        let start = engine.now();
+        let warmup_end = start + SimDuration::from_secs_f64(config.client.warmup_secs);
+        let connections = connection_count(store, config);
+        let first_issue = |client: u32| {
+            let interval = issue_interval(config).map_or(0, |i| i.as_nanos());
+            start + SimDuration::from_nanos(interval * u64::from(client) / u64::from(connections))
+        };
+        let policy = config.resilience.clone().unwrap_or_default();
+        Driver {
+            generator: WorkloadGenerator::new(
+                config.workload.clone(),
+                total_records(config),
+                config.seed,
+            ),
+            slots: (0..connections)
+                .map(|client| ClientSlot::idle(first_issue(client)))
+                .collect(),
+            stats: BenchStats::new(),
+            sampler: config
+                .telemetry_window_secs
+                .map(|secs| TelemetrySampler::new(engine, secs)),
+            issued: 0,
             warmup_end,
-            measure_end: _,
-            event_at,
-            next_checkpoint,
-            ledger,
-            ps,
-        } = self;
-        generator.snap_state(w);
-        w.put(slots);
-        w.put(stats);
-        w.put(sampler);
-        w.put_u64(*issued);
-        w.put(warmup_end);
-        w.put(event_at);
-        w.put_u32(*next_checkpoint);
-        w.put(ledger);
-        w.put(ps);
+            measure_end: measure_end(config, warmup_end),
+            event_at: config
+                .event_at_secs
+                .map(|secs| warmup_end + SimDuration::from_secs_f64(secs)),
+            next_checkpoint: 0,
+            ledger: RunLedger::default(),
+            ps: PolicyState::new(&policy, config.seed, store.ctx().servers.len()),
+            policy,
+        }
     }
 
-    fn restore_state(
+    /// The driver a checkpoint's section holds: [`Driver::new`]'s, its
+    /// section restored in place and `measure_end` derived again from the
+    /// restored warm-up end. Refuses a population an attempt token cannot
+    /// address before it builds a slot, then a restored driver the loop
+    /// could not drive (each check below says why).
+    fn resume(
         config: &RunConfig,
         store: &dyn DistributedStore,
         engine: &Engine,
@@ -660,36 +703,21 @@ impl Driver {
             what,
             tag: tag as u64,
         };
-        let mut generator =
-            WorkloadGenerator::new(config.workload.clone(), total_records(config), config.seed);
-        generator.restore_state(r)?;
-        let slots: Vec<ClientSlot> = r.get()?;
+        let connections = connection_count(store, config);
+        if connections > MAX_CLIENTS {
+            return Err(bad("client population", connections as usize));
+        }
+        let mut d = Driver::new(config, store, engine);
+        d.restore_state(r)?;
+        d.measure_end = measure_end(config, d.warmup_end);
         // The loop indexes slots by the client id in each completion
         // token; a slot vector of any other length is not this run's.
-        if slots.len() != connection_count(store, config) as usize {
-            return Err(bad("client slot count", slots.len()));
+        if d.slots.len() != connections as usize {
+            return Err(bad("client slot count", d.slots.len()));
         }
         // A slot's handles go to `Engine::cancel`, which indexes by them.
-        let handles = slots.iter().flat_map(|s| [s.primary, s.hedge, s.trigger]);
+        let handles = d.slots.iter().flat_map(|s| [s.primary, s.hedge, s.trigger]);
         engine.check_handles(handles.flatten())?;
-        let stats = r.get()?;
-        let sampler = r.get()?;
-        let issued = r.u64()?;
-        let warmup_end = r.get()?;
-        let d = Driver {
-            policy: config.resilience.clone().unwrap_or_default(),
-            generator,
-            slots,
-            stats,
-            sampler,
-            issued,
-            warmup_end,
-            measure_end: measure_end(config, warmup_end),
-            event_at: r.get()?,
-            next_checkpoint: r.u32()?,
-            ledger: r.get()?,
-            ps: r.get()?,
-        };
         // A slot's target indexes the breaker table on its completion.
         let targets = d.slots.iter().filter_map(|s| s.target);
         if let Some(t) = targets.max().filter(|&t| t >= d.ps.breakers.len()) {
@@ -723,23 +751,10 @@ impl Driver {
         self.warmup_end + every.saturating_mul(u64::from(self.next_checkpoint) + 1)
     }
 
-    /// Draws the next logical op and its jitter fraction, and credits
-    /// admission control with one primary. The fraction only ever scales
-    /// a retry backoff, so it is drawn only under a retry policy.
-    fn draw_logical_op(&mut self) -> (Operation, f64) {
-        self.ledger.logical += 1;
-        if let Some(budget) = self.ps.budget.as_mut() {
-            budget.on_primary();
-        }
-        let jitter = match self.policy.retry {
-            Some(_) => self.ps.rng.next_frac(),
-            None => 0.0,
-        };
-        (self.generator.next_op(), jitter)
-    }
-
-    /// Starts a fresh logical op on `client` and issues its first
-    /// attempt.
+    /// Starts a fresh logical op on `client` — drawing the op and its
+    /// jitter fraction, and crediting admission control with one primary
+    /// — and issues its first attempt. The fraction only ever scales a
+    /// retry backoff, so it is drawn only under a retry policy.
     fn issue_logical_op(
         &mut self,
         engine: &mut Engine,
@@ -748,7 +763,15 @@ impl Driver {
         at: SimTime,
         deadline: Option<SimDuration>,
     ) {
-        let (op, jitter) = self.draw_logical_op();
+        self.ledger.logical += 1;
+        if let Some(budget) = self.ps.budget.as_mut() {
+            budget.on_primary();
+        }
+        let jitter = match self.policy.retry {
+            Some(_) => self.ps.rng.next_frac(),
+            None => 0.0,
+        };
+        let op = self.generator.next_op();
         let slot = &mut self.slots[client as usize];
         slot.op = op;
         slot.retries_used = 0;
@@ -778,7 +801,7 @@ impl Driver {
         slot.primary = None;
         slot.hedge = None;
         slot.trigger = None;
-        let token = attempt_token(client, slot.epoch);
+        let token = Tag::Attempt(client, slot.epoch, AttemptKind::Primary).token();
         self.issued += 1;
 
         // Circuit breaker: consult the per-target state machine first.
@@ -820,7 +843,7 @@ impl Driver {
         if let Some(hp) = &self.policy.hedge {
             if slot.op.kind() == OpKind::Read && !slot.hedge_used {
                 let delay = Plan::build().wait(self.ps.tracker.delay(hp));
-                let token = hedge_trigger_token(client, slot.epoch);
+                let token = Tag::Attempt(client, slot.epoch, AttemptKind::HedgeTrigger).token();
                 slot.trigger = Some(engine.submit_at(start, delay.finish(), token));
             }
         }
@@ -851,7 +874,8 @@ impl Driver {
         self.stats.resilience_mut().hedges += 1;
         slot.hedge_used = true;
         self.issued += 1;
-        let (now, token) = (engine.now(), hedge_token(client, slot.epoch));
+        let token = Tag::Attempt(client, slot.epoch, AttemptKind::Hedge).token();
+        let now = engine.now();
         slot.hedge = Some(submit_attempt(engine, now, plan, token, deadline));
     }
 }
@@ -873,6 +897,14 @@ fn measure_end(config: &RunConfig, warmup_end: SimTime) -> SimTime {
     warmup_end + SimDuration::from_secs_f64(config.client.measure_secs)
 }
 
+/// A connection's spacing between issues under throttling.
+fn issue_interval(config: &RunConfig) -> Option<SimDuration> {
+    config
+        .client
+        .issue_interval_secs()
+        .map(SimDuration::from_secs_f64)
+}
+
 /// Fresh transaction phase: arm faults, prime the connections, then
 /// enter the event loop.
 fn run_transactions(
@@ -883,78 +915,27 @@ fn run_transactions(
 ) -> RunResult {
     let connections = connection_count(store, config);
     assert!(connections > 0, "no client connections");
-    let start = engine.now();
-    let warmup_end = start + SimDuration::from_secs_f64(config.client.warmup_secs);
-    let measure_end = measure_end(config, warmup_end);
-    let issue_interval = config
-        .client
-        .issue_interval_secs()
-        .map(SimDuration::from_secs_f64);
-    let policy = config.resilience.clone().unwrap_or_default();
-    let mut d = Driver {
-        generator: WorkloadGenerator::new(
-            config.workload.clone(),
-            total_records(config),
-            config.seed,
-        ),
-        slots: Vec::with_capacity(connections as usize),
-        stats: BenchStats::new(),
-        sampler: config
-            .telemetry_window_secs
-            .map(|secs| TelemetrySampler::new(engine, secs)),
-        issued: 0,
-        warmup_end,
-        measure_end,
-        event_at: config
-            .event_at_secs
-            .map(|secs| warmup_end + SimDuration::from_secs_f64(secs)),
-        next_checkpoint: 0,
-        ledger: RunLedger::default(),
-        ps: PolicyState::new(&policy, config.seed, store.ctx().servers.len()),
-        policy,
-    };
+    assert!(
+        connections <= MAX_CLIENTS,
+        "{connections} connections: an attempt token addresses {MAX_CLIENTS}"
+    );
+    let mut d = Driver::new(config, store, engine);
 
     // Arm the fault schedule: one zero-cost sentinel plan per event, so
     // transitions fire at exact simulated times inside the event loop.
+    let start = engine.now();
     for (index, event) in config.faults.events().iter().enumerate() {
-        let at = warmup_end + SimDuration::from_nanos(event.at.as_nanos());
-        if at < measure_end {
-            engine.submit_at(at.max(start), Plan::empty(), fault_token(index as u64));
+        let at = d.warmup_end + SimDuration::from_nanos(event.at.as_nanos());
+        if at < d.measure_end {
+            let token = Tag::Fault(index as u64).token();
+            engine.submit_at(at.max(start), Plan::empty(), token);
         }
     }
 
-    // Prime every connection; a slot comes into being with its first op,
-    // so no slot ever exists without one. Under throttling, stagger the
-    // first issues across one interval so the target rate is smooth.
+    // Prime every connection with its first op.
     for client in 0..connections {
-        let at = match issue_interval {
-            Some(interval) => {
-                start
-                    + SimDuration::from_nanos(
-                        interval.as_nanos() * u64::from(client) / u64::from(connections),
-                    )
-            }
-            None => start,
-        };
-        let (op, jitter) = d.draw_logical_op();
-        d.slots.push(ClientSlot {
-            op,
-            ok: true,
-            missing: false,
-            next_issue: at,
-            epoch: 0,
-            logical_start: at.max(start),
-            retries_used: 0,
-            jitter,
-            target: None,
-            was_probe: false,
-            shed: false,
-            hedge_used: false,
-            primary: None,
-            hedge: None,
-            trigger: None,
-        });
-        d.issue_attempt(engine, store, client, at, config.op_deadline);
+        let at = d.slots[client as usize].next_issue;
+        d.issue_logical_op(engine, store, client, at, config.op_deadline);
     }
 
     let checkpoints = drive(engine, store, config, &mut d, mask);
@@ -975,10 +956,7 @@ fn drive(
     mask: Option<&[bool]>,
 ) -> Vec<Checkpoint> {
     let deadline = config.op_deadline;
-    let issue_interval = config
-        .client
-        .issue_interval_secs()
-        .map(SimDuration::from_secs_f64);
+    let issue_interval = issue_interval(config);
     let every = config
         .checkpoints
         .as_ref()
@@ -999,23 +977,23 @@ fn drive(
                 store.on_timed_event(engine);
             }
         }
-        let (is_fault, fault_index) = split_fault_token(completion.token);
-        if is_fault {
+        let (client, epoch, attempt) = match Tag::of(completion.token) {
             // A sentinel beyond the schedule (only a forged snapshot can
             // hold one) is ignored, as a masked one is.
-            if let Some(event) = config.faults.events().get(fault_index as usize) {
-                if event_enabled(mask, fault_index as usize) {
-                    store.on_fault(event, engine);
+            Tag::Fault(index) => {
+                if let Some(event) = config.faults.events().get(index as usize) {
+                    if event_enabled(mask, index as usize) {
+                        store.on_fault(event, engine);
+                    }
                 }
+                continue;
             }
-            continue;
-        }
-        let (is_background, id) = split_token(completion.token);
-        if is_background {
-            store.on_background(id, engine);
-            continue;
-        }
-        let (client, epoch, attempt_kind) = split_attempt_token(completion.token);
+            Tag::Background(payload) => {
+                store.on_background(payload, engine);
+                continue;
+            }
+            Tag::Attempt(client, epoch, attempt) => (client, epoch, attempt),
+        };
         // So is a token naming no client slot.
         let Some(slot) = d.slots.get_mut(client as usize) else {
             continue;
@@ -1026,19 +1004,18 @@ fn drive(
             // never double-count in the stats.
             continue;
         }
-        if attempt_kind == AttemptKind::HedgeTrigger {
-            d.launch_hedge(engine, store, client, deadline);
-            continue;
-        }
 
-        // ---- The current attempt resolved: settle the race first.
-        let failed = !completion.outcome.is_ok();
-        let (winner_was_hedge, loser) = match attempt_kind {
-            AttemptKind::Hedge => (true, slot.primary.take()),
-            // HedgeTrigger completions return early above, so only a
-            // primary can reach here; keep the arm for exhaustiveness.
-            AttemptKind::Primary | AttemptKind::HedgeTrigger => (false, slot.hedge.take()),
+        // ---- Unless it is a hedge trigger, the current attempt
+        // resolved: settle the race first.
+        let loser = match attempt {
+            AttemptKind::HedgeTrigger => {
+                d.launch_hedge(engine, store, client, deadline);
+                continue;
+            }
+            AttemptKind::Hedge => slot.primary.take(),
+            AttemptKind::Primary => slot.hedge.take(),
         };
+        let failed = !completion.outcome.is_ok();
         if let Some(handle) = loser {
             engine.cancel(handle);
         }
@@ -1047,7 +1024,7 @@ fn drive(
         }
         slot.primary = None;
         slot.hedge = None;
-        if winner_was_hedge && !failed {
+        if attempt == AttemptKind::Hedge && !failed {
             d.stats.resilience_mut().hedge_wins += 1;
         }
 
@@ -1226,7 +1203,7 @@ fn capture_checkpoint(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::api::{background_token, BackgroundWork, Request, StoreCtx};
+    use crate::api::{BackgroundWork, Request, StoreCtx};
     use apm_core::driver::Throttle;
     use apm_core::ops::Operation;
     use apm_core::record::Row;
@@ -1403,8 +1380,8 @@ pub(crate) mod tests {
                 .restore_state(&mut r)
                 .expect("kernel section restores");
             let driver_at = body.len() - r.remaining();
-            let mut d =
-                Driver::restore_state(config, &store, &engine, &mut r).expect("driver restores");
+            let mut d = Driver::new(config, &store, &engine);
+            d.restore_state(&mut r).expect("driver section decodes");
             forge(&mut d);
             let mut w = SnapWriter::new();
             d.snap_state(&mut w);
@@ -2114,7 +2091,7 @@ pub(crate) mod tests {
         let mut r = SnapReader::new(body);
         store.restore_state(&mut r, &mut engine)?;
         engine.restore_state(&mut r)?;
-        Driver::restore_state(&cfg, &store, &engine, &mut r).map(|d| d.slots.len())
+        Driver::resume(&cfg, &store, &engine, &mut r).map(|d| d.slots.len())
     }
 
     #[test]
@@ -2127,6 +2104,30 @@ pub(crate) mod tests {
             }) => {}
             other => panic!("expected a slot-count BadTag, got {other:?}"),
         }
+    }
+
+    /// An attempt token holds its client in 20 bits: client `2^20 + k`
+    /// would complete as slot `k`'s. Both entries refuse such a
+    /// population before they build a slot.
+    #[test]
+    fn restore_refuses_a_population_no_token_addresses() {
+        match restore_driver_under(MAX_CLIENTS + 1) {
+            Err(SnapError::BadTag {
+                what: "client population",
+                tag,
+            }) => assert_eq!(tag, u64::from(MAX_CLIENTS) + 1),
+            other => panic!("expected a population BadTag, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1048577 connections: an attempt token addresses 1048576")]
+    fn a_fresh_run_refuses_a_population_no_token_addresses() {
+        let mut cfg = quick_config(Workload::rw());
+        cfg.client.connections = MAX_CLIENTS + 1;
+        let mut engine = Engine::new();
+        let mut store = FixtureStore::new(&mut engine, 100);
+        run_benchmark(&mut engine, &mut store, &cfg);
     }
 
     /// Runs `cfg` without a stray token, then once with each of `tokens`
@@ -2161,13 +2162,15 @@ pub(crate) mod tests {
     #[test]
     fn a_fault_sentinel_beyond_the_schedule_is_ignored() {
         // Indexes a schedule with no events.
-        assert_stray_tokens_are_ignored(fixture, &quick_config(Workload::rw()), &[fault_token(7)]);
+        let stray = Tag::Fault(7).token();
+        assert_stray_tokens_are_ignored(fixture, &quick_config(Workload::rw()), &[stray]);
     }
 
     #[test]
     fn an_attempt_token_naming_no_client_slot_is_ignored() {
         let cfg = quick_config(Workload::rw());
-        assert_stray_tokens_are_ignored(fixture, &cfg, &[attempt_token(999_999, 1)]);
+        let stray = Tag::Attempt(999_999, 1, AttemptKind::Primary).token();
+        assert_stray_tokens_are_ignored(fixture, &cfg, &[stray]);
     }
 
     /// A background token is the store's word for what its completion
@@ -2187,7 +2190,7 @@ pub(crate) mod tests {
             BackgroundWork::TreeJob(1 << 19, 1).token(),
             BackgroundWork::TreeJob(0, 1 << 39).token(),
             BackgroundWork::Recovery(1 << 19).token(),
-            background_token(3 << 20),
+            Tag::Background(3 << 20).token(),
         ];
         for name in ["cassandra", "hbase", "voldemort"] {
             let make = |engine: &mut Engine| store_named(name, engine, ClusterSpec::cluster_m());
@@ -2659,8 +2662,7 @@ pub(crate) mod tests {
             .restore_state(&mut r, &mut engine)
             .expect("store restores");
         engine.restore_state(&mut r).expect("kernel restores");
-        let d =
-            Driver::restore_state(cfg, store.as_ref(), &engine, &mut r).expect("driver restores");
+        let d = Driver::resume(cfg, store.as_ref(), &engine, &mut r).expect("driver restores");
         r.finish().expect("nothing trails the driver");
         capture_checkpoint(&engine, store.as_ref(), cfg, &d, header.checkpoint_index, 0).bytes
     }

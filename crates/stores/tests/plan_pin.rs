@@ -35,7 +35,7 @@ use apm_core::ops::{OpOutcome, Operation};
 use apm_core::workload::{Workload, WorkloadGenerator};
 use apm_sim::kernel::Token;
 use apm_sim::{ClusterSpec, Engine, FaultEvent, FaultKind};
-use apm_stores::api::split_token;
+use apm_stores::api::Tag;
 use apm_stores::hashes::fnv1a64;
 use apm_stores::DistributedStore;
 
@@ -127,8 +127,7 @@ impl ClosedLoop {
             return false;
         };
         let (token, finished, outcome) = (c.token, c.finished, c.outcome);
-        let (background, id) = split_token(token);
-        if background {
+        if let Tag::Background(id) = Tag::of(token) {
             self.fold(format_args!("background|{finished:?}|{outcome:?}"));
             self.background += 1;
             self.store.on_background(id, &mut self.engine);

@@ -109,15 +109,16 @@ fn op_lanes_are_per_connection_not_per_op() {
     // per-attempt epoch, and two epochs of one connection must share a
     // lane while its hedge, a fault sentinel and a background job do not.
     use apm_repro::sim::{SimTime, TraceEvent, TraceEventKind};
-    use apm_repro::stores::api::{attempt_token, background_token, fault_token, hedge_token};
+    use apm_repro::stores::api::{AttemptKind, Tag};
     let tokens = [
-        attempt_token(3, 1),
-        attempt_token(3, 2),
-        hedge_token(3, 2),
-        attempt_token(4, 1),
-        fault_token(0),
-        background_token(3),
-    ];
+        Tag::Attempt(3, 1, AttemptKind::Primary),
+        Tag::Attempt(3, 2, AttemptKind::Primary),
+        Tag::Attempt(3, 2, AttemptKind::Hedge),
+        Tag::Attempt(4, 1, AttemptKind::Primary),
+        Tag::Fault(0),
+        Tag::Background(3),
+    ]
+    .map(Tag::token);
     let stream: Vec<TraceEvent> = tokens
         .iter()
         .enumerate()
