@@ -10,6 +10,11 @@
 //!   scanning stores' constants were captured on the commit *before* the
 //!   scan path was rewritten (0193663); a change here means outcomes,
 //!   receipts, page traces or buffer-pool replays moved.
+//! * **Tail of the key space** ([`tail_scans`]) — scans of 50 that start
+//!   where a source runs out before 50 rows: a shard's or a partition's
+//!   count below `len`, and every LSM window shorter than `len`. The
+//!   seeded RS ops almost never start there. Captured on the commit
+//!   before count-only scans stopped walking rows.
 //! * **Write, disk-bound, fault-time and background plans**
 //!   ([`ClosedLoop`]) — 64 ops in flight; every plan is also submitted
 //!   and the kernel's completion stream `(token, finished, outcome)` is
@@ -31,7 +36,10 @@
 
 mod common;
 
+use apm_core::keyspace::scramble;
 use apm_core::ops::{OpOutcome, Operation};
+use apm_core::record::MetricKey;
+use apm_core::snap::SnapReader;
 use apm_core::workload::{Workload, WorkloadGenerator};
 use apm_sim::kernel::Token;
 use apm_sim::{ClusterSpec, Engine, FaultEvent, FaultKind};
@@ -236,6 +244,73 @@ const PINS: [(&str, Pin, Pin); 8] = [
         (0xdf4b_83f4_7b16_bb6a, 0, 0),
     ),
 ];
+
+/// `id`'s key with its last digit replaced by `:`, which sorts after `9`
+/// and before `a`: a foreign key between `id`'s key and the next id's,
+/// spelled through the codec's literal form (the one way to a byte off
+/// the key alphabet).
+fn just_after(id: u64) -> MetricKey {
+    let mut encoded = vec![1];
+    encoded.extend(MetricKey::from_id(id).as_bytes());
+    *encoded.last_mut().expect("a key byte") = b':';
+    SnapReader::new(&encoded).get().expect("a literal key")
+}
+
+/// (fingerprint, scans seen, rows scanned) of scans of 50 at the tail of
+/// the key space against the store called `name`, after 500 seeded RS
+/// ops: from each of the last 60 loaded keys in key order, from a
+/// foreign key between two of them and from [`MetricKey::MAX`]. Here a
+/// shard's, a partition's or an LSM run's rows at or after the start run
+/// out before 50 — what the seeded RS ops almost never reach.
+fn tail_scans(name: &str) -> Pin {
+    let mut run = ClosedLoop::new(name, ClusterSpec::cluster_m(), Workload::rs(), RECORDS);
+    for _ in 0..500 {
+        run.plan_op();
+    }
+    let mut ids: Vec<u64> = (0..RECORDS).map(scramble).collect();
+    ids.sort_unstable();
+    let tail = &ids[ids.len() - 60..];
+    let mut starts: Vec<MetricKey> = tail.iter().map(|&id| MetricKey::from_id(id)).collect();
+    starts.extend([just_after(tail[30]), MetricKey::MAX]);
+    let (mut scans, mut rows) = (0, 0);
+    for (client, start) in starts.into_iter().enumerate() {
+        let op = Operation::Scan { start, len: 50 };
+        let (outcome, plan) = run.store.plan_op(client as u32, &op, &mut run.engine);
+        run.fold(format_args!("{outcome:?}|{plan:?}"));
+        if let OpOutcome::Scanned(n) = outcome {
+            scans += 1;
+            rows += n;
+        }
+    }
+    (run.fp, scans, rows)
+}
+
+/// Every scanning store and its [`tail_scans`] pin.
+const TAIL_PINS: [(&str, Pin); 7] = [
+    ("cassandra", (0x66f3_7ae9_ecab_4d17, 62, 513)),
+    ("cassandra rf=3", (0x6f2f_dc2e_d6fa_7e7c, 62, 1_406)),
+    ("hbase", (0x05d0_5d70_8919_fefd, 62, 1_805)),
+    ("voltdb", (0xdc13_c3f3_b2b7_97fa, 62, 1_805)),
+    ("redis", (0x6fe8_642f_7fff_7605, 62, 1_805)),
+    ("mysql", (0xd527_0869_21f0_a56a, 62, 1_805)),
+    ("mongodb", (0x990d_79cb_324a_76d0, 62, 1_805)),
+];
+
+#[test]
+fn tail_of_key_space_scans_are_pinned() {
+    let moved: Vec<String> = TAIL_PINS
+        .iter()
+        .filter_map(|&(name, pin)| {
+            let got = tail_scans(name);
+            (got != pin).then(|| format!("{name}: {got:x?}, pinned {pin:x?}"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "(fingerprint, scans, rows), in hex, moved:\n{}",
+        moved.join("\n")
+    );
+}
 
 #[test]
 fn rs_plans_and_closed_loops_are_pinned() {
