@@ -348,39 +348,43 @@ impl LsmTree {
     }
 
     /// The one range walk: charges the memtable probe and every run's
-    /// window to the receipt, then hands `finish` the merged stream of the
-    /// first `len` live keys (newest version of each).
+    /// window to the receipt, then hands `finish` the merge of the
+    /// memtable's rows and every window at or after `start` (newest
+    /// version of each key), which knows its widest source's count.
     fn scan_with<R>(
         &mut self,
         start: &MetricKey,
         len: usize,
-        finish: impl FnOnce(std::iter::Take<MergeCursor<'_>>) -> R,
+        finish: impl FnOnce(MergeCursor<'_>) -> R,
     ) -> (R, CostReceipt) {
         self.stats.scans += 1;
         let mut receipt = CostReceipt::new();
         receipt.probe(1);
         let mut cursor = MergeCursor::with_capacity(1 + self.tables.len());
-        cursor.push_memtable(self.memtable.rows_from(start));
+        cursor.push_memtable(&self.memtable, start, len);
         for table in &self.tables {
             cursor.push_run(table.id, table.scan(start, len, &mut receipt));
         }
-        (finish(cursor.take(len)), receipt)
+        (finish(cursor), receipt)
     }
 
     /// Range scan merging the memtable and every run.
     pub fn scan(&mut self, start: &MetricKey, len: usize) -> (Vec<Row>, CostReceipt) {
         let capacity = len.min(self.record_count() as usize);
-        self.scan_with(start, len, |winners| {
+        self.scan_with(start, len, |cursor| {
             let mut rows = Vec::with_capacity(capacity);
-            rows.extend(winners.map(RowRef::to_row));
+            rows.extend(cursor.take(len).map(RowRef::to_row));
             rows
         })
     }
 
     /// [`LsmTree::scan`] for callers that only need the row count: the
-    /// same walk, statistics and receipt, with no row copied.
+    /// same positioning, statistics and receipt, with no row copied. One
+    /// source holding `len` rows answers `len`, since the merge holds
+    /// every key of every source; only a scan where every source is
+    /// shorter, near the end of the key space, walks the merge.
     pub fn scan_count(&mut self, start: &MetricKey, len: usize) -> (usize, CostReceipt) {
-        self.scan_with(start, len, |winners| winners.count())
+        self.scan_with(start, len, |cursor| cursor.count_up_to(len))
     }
 
     /// Number of immutable runs.

@@ -1,7 +1,9 @@
 //! The in-memory write buffer of an LSM tree.
 //!
-//! Writes land in a [`RecordTable`] — a generated row as its id, any
-//! other row whole; when the buffer exceeds its flush threshold the tree
+//! Writes land in a [`RecordTable`] — a generated row as its id, kept in
+//! sorted chunks, any other row whole, so the rows at or after a key are
+//! counted without being read (what a count-only LSM scan asks of the
+//! memtable); when the buffer exceeds its flush threshold the tree
 //! freezes it into an immutable sorted run ([`crate::sstable::SsTable`]).
 //! The table is real — reads served from the memtable return the stored
 //! rows — while its byte count is the simulated one: 75 bytes a row,
@@ -36,6 +38,12 @@ impl Memtable {
     /// Every buffered row at or after `start`, in key order.
     pub fn rows_from(&self, start: &MetricKey) -> TableRows<'_> {
         self.rows.rows_from(start)
+    }
+
+    /// How many buffered rows there are at or after `start`, up to `len`,
+    /// with no row read.
+    pub fn scan_count(&self, start: &MetricKey, len: usize) -> usize {
+        self.rows.scan_count(start, len)
     }
 
     /// Number of buffered records.

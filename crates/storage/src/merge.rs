@@ -13,8 +13,16 @@
 //! the losers. Rows are borrowed [`RowRef`]s, so two generated rows
 //! compare as their `u64` ids. The minimum is a linear pass over the
 //! heads; DESIGN.md §14 has why (measured against a heap).
+//!
+//! **Counting.** The merged stream holds every key any source holds, once,
+//! so it is at least as long as its widest source. The cursor keeps the
+//! widest source's row count, and [`MergeCursor::count_up_to`] answers
+//! `len` from it whenever one source alone holds `len` rows; it walks the
+//! merge only when every source is shorter.
 
+use crate::memtable::Memtable;
 use crate::table::{RowRef, RunRows, TableRows, Window};
+use apm_core::record::MetricKey;
 use std::iter::Take;
 
 /// Rank of the memtable: newer than any table id.
@@ -45,6 +53,8 @@ struct Source<'a> {
 /// Merges sorted sources into one deduplicated ascending stream.
 pub struct MergeCursor<'a> {
     sources: Vec<Source<'a>>,
+    /// The most rows any one source was pushed with.
+    widest: usize,
 }
 
 impl<'a> MergeCursor<'a> {
@@ -52,10 +62,13 @@ impl<'a> MergeCursor<'a> {
     pub fn with_capacity(sources: usize) -> MergeCursor<'a> {
         MergeCursor {
             sources: Vec::with_capacity(sources),
+            widest: 0,
         }
     }
 
-    fn push(&mut self, rank: u64, mut rest: Rest<'a>) {
+    /// Adds a source of `rows` rows.
+    fn push(&mut self, rank: u64, rows: usize, mut rest: Rest<'a>) {
+        self.widest = self.widest.max(rows);
         if let Some(head) = rest.next() {
             debug_assert!(
                 self.sources.iter().all(|s| s.rank != rank),
@@ -65,14 +78,25 @@ impl<'a> MergeCursor<'a> {
         }
     }
 
-    /// Adds the memtable's rows (ranked above every run).
-    pub fn push_memtable(&mut self, rows: TableRows<'a>) {
-        self.push(MEMTABLE_RANK, Rest::Table(rows));
+    /// Adds the memtable's rows at or after `start` (ranked above every
+    /// run), counted up to `len`.
+    pub fn push_memtable(&mut self, memtable: &'a Memtable, start: &MetricKey, len: usize) {
+        let rows = memtable.scan_count(start, len);
+        self.push(MEMTABLE_RANK, rows, Rest::Table(memtable.rows_from(start)));
     }
 
     /// Adds a run window with precedence `rank`.
     pub fn push_run(&mut self, rank: u64, window: Window<'a>) {
-        self.push(rank, Rest::Run(window.rows()));
+        self.push(rank, window.len(), Rest::Run(window.rows()));
+    }
+
+    /// How many rows the first `len` of the stream hold: `len` outright
+    /// when one source holds that many, else a walk of the merge.
+    pub fn count_up_to(self, len: usize) -> usize {
+        if self.widest >= len {
+            return len;
+        }
+        self.take(len).count()
     }
 }
 
@@ -112,7 +136,7 @@ impl<'a> Iterator for MergeCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{RecordTable, SortedRows};
+    use crate::table::SortedRows;
     use apm_core::keyspace::record_for_seq;
     use apm_core::record::{FieldValues, MetricKey, Row};
 
@@ -147,14 +171,14 @@ mod tests {
         // Generated and literal versions of one key meet in every order.
         let old: SortedRows = rows(&[1, 2, 3, 4, 6], 10).into_iter().collect();
         let new: SortedRows = rows(&[3, 4, 5, 6], 0).into_iter().collect();
-        let mut mem = RecordTable::new();
+        let mut mem = Memtable::new();
         for row in rows(&[4], 30).into_iter().chain(rows(&[2], 0)) {
             mem.insert(row);
         }
         // Push order must not matter: precedence is the rank.
         let mut cursor = MergeCursor::with_capacity(3);
         cursor.push_run(7, new.all());
-        cursor.push_memtable(mem.rows_from(&MetricKey::MIN));
+        cursor.push_memtable(&mem, &MetricKey::MIN, usize::MAX);
         cursor.push_run(2, old.all());
         let got: Vec<Row> = cursor.map(RowRef::to_row).collect();
         assert!(got.windows(2).all(|w| w[0].key() < w[1].key()));

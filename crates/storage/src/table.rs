@@ -12,9 +12,11 @@
 //! walk ([`Rows`]) merges the halves in key order: point lookups, range
 //! scans, merges and the codec all answer from the same structure.
 //!
-//! - [`RecordTable`]: ids in a `BTreeSet`, literal rows in a `BTreeMap` —
-//!   the mutable table of an LSM memtable ([`crate::memtable`]), Redis
-//!   ([`crate::hashstore`]) and VoltDB ([`crate::partition`]).
+//! - [`RecordTable`]: ids in sorted chunks with each chunk's last id
+//!   beside them, literal rows in a `BTreeMap` — the mutable table of an
+//!   LSM memtable ([`crate::memtable`]), Redis ([`crate::hashstore`]) and
+//!   VoltDB ([`crate::partition`]). A count of the rows at or after a key
+//!   is one seek and a sum of chunk lengths, with no id read.
 //! - [`SortedRows`]: ids in a sorted `Vec<u64>`, literal rows in a sorted
 //!   `Vec` — an LSM run ([`crate::sstable`]) and a B+tree leaf
 //!   ([`crate::btree`]).
@@ -30,9 +32,8 @@ use apm_core::record::{
 };
 use apm_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::cmp::Ordering;
-use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
-use std::iter::{Copied, Map, Peekable, Take};
-use std::ops::Bound;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::{Chain, Copied, Flatten, Map, Peekable, Take};
 use std::slice;
 
 /// A row borrowed from a container: a generated row's id, or a literal
@@ -114,8 +115,7 @@ where
 }
 
 /// The walk over a [`RecordTable`].
-pub type TableRows<'a> =
-    Rows<Copied<btree_set::Range<'a, u64>>, btree_map::Range<'a, MetricKey, FieldValues>>;
+pub type TableRows<'a> = Rows<Ids<'a>, btree_map::Range<'a, MetricKey, FieldValues>>;
 
 /// A literal row of a [`SortedRows`], borrowed as a pair.
 type Pair<'a> = (&'a MetricKey, &'a FieldValues);
@@ -130,11 +130,152 @@ pub type RunRows<'a> = Rows<
     Map<slice::Iter<'a, (MetricKey, FieldValues)>, fn(&'a (MetricKey, FieldValues)) -> Pair<'a>>,
 >;
 
+/// Most ids one chunk of an [`IdSet`] holds. Chosen by a sweep of 128,
+/// 256, 512 and 1024 on the scan, point and checkpoint workloads
+/// (DESIGN.md §14).
+const CHUNK: usize = 512;
+
+/// A set of ids in ascending chunks of at most [`CHUNK`], with each
+/// chunk's last id beside them: the one-key-per-block sparse index of a
+/// sorted run, made mutable. A lookup is two binary searches (which
+/// chunk, then where in it); an insert or a remove shifts ids within one
+/// chunk, which splits in half when full and is dropped when empty; and
+/// the ids at or after a position are counted by adding chunk lengths.
+#[derive(Clone, Debug, Default)]
+struct IdSet {
+    /// Non-empty, ascending, every id after the chunk before's.
+    chunks: Vec<Vec<u64>>,
+    /// The last id of each chunk.
+    lasts: Vec<u64>,
+    len: usize,
+}
+
+/// A place in an [`IdSet`]: a chunk and an index in it. The chunk is
+/// past the last one when every id sorts before the place.
+type Place = (usize, usize);
+
+impl IdSet {
+    /// The set of `ids`, ascending, in full chunks.
+    fn from_sorted(ids: &[u64]) -> IdSet {
+        let chunks: Vec<Vec<u64>> = ids.chunks(CHUNK).map(<[u64]>::to_vec).collect();
+        IdSet {
+            lasts: chunks.iter().map(|chunk| chunk[chunk.len() - 1]).collect(),
+            chunks,
+            len: ids.len(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Where `id` is, or would go: the first chunk whose last id is not
+    /// below it, and its place there.
+    fn seek(&self, id: u64) -> Place {
+        let c = self.lasts.partition_point(|&last| last < id);
+        let at = self
+            .chunks
+            .get(c)
+            .map_or(0, |chunk| chunk.partition_point(|&x| x < id));
+        (c, at)
+    }
+
+    /// The place of the first id whose key sorts at or after `start`.
+    fn seek_key(&self, start: &MetricKey) -> Place {
+        match first_id_from(start) {
+            Some(id) => self.seek(id),
+            None => (self.chunks.len(), 0),
+        }
+    }
+
+    fn at(&self, (c, at): Place) -> Option<u64> {
+        self.chunks.get(c)?.get(at).copied()
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        self.at(self.seek(id)) == Some(id)
+    }
+
+    /// Adds `id`; true when it was not there.
+    fn insert(&mut self, id: u64) -> bool {
+        let (mut c, mut at) = self.seek(id);
+        if c == self.chunks.len() {
+            // Past every chunk's last id: it ends the last chunk.
+            let Some(last) = self.chunks.last() else {
+                self.chunks.push(vec![id]);
+                self.lasts.push(id);
+                self.len = 1;
+                return true;
+            };
+            (c, at) = (c - 1, last.len());
+        } else if self.chunks[c][at] == id {
+            return false;
+        }
+        if self.chunks[c].len() == CHUNK {
+            // Split before growing, so no chunk outgrows CHUNK.
+            let half = CHUNK / 2;
+            let right = self.chunks[c].split_off(half);
+            self.lasts.insert(c, self.chunks[c][half - 1]);
+            self.chunks.insert(c + 1, right);
+            if at > half {
+                (c, at) = (c + 1, at - half);
+            }
+        }
+        let chunk = &mut self.chunks[c];
+        chunk.insert(at, id);
+        self.lasts[c] = chunk[chunk.len() - 1];
+        self.len += 1;
+        true
+    }
+
+    /// Takes `id` out; true when it was there.
+    fn remove(&mut self, id: u64) -> bool {
+        let (c, at) = self.seek(id);
+        if self.at((c, at)) != Some(id) {
+            return false;
+        }
+        let chunk = &mut self.chunks[c];
+        chunk.remove(at);
+        match chunk.last() {
+            Some(&last) => self.lasts[c] = last,
+            None => {
+                self.chunks.remove(c);
+                self.lasts.remove(c);
+            }
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// The ids from `place` on, ascending.
+    fn iter_from(&self, (c, at): Place) -> Ids<'_> {
+        let chunk = self.chunks.get(c).map_or(&[][..], |chunk| &chunk[at..]);
+        let rest = self.chunks.get(c + 1..).unwrap_or_default();
+        chunk.iter().chain(rest.iter().flatten()).copied()
+    }
+
+    /// How many ids there are from `place` on, counted up to `len`.
+    fn count_from(&self, (c, at): Place, len: usize) -> usize {
+        let mut count = self.chunks.get(c).map_or(0, |chunk| chunk.len() - at);
+        for chunk in self.chunks.iter().skip(c + 1) {
+            if count >= len {
+                break;
+            }
+            count += chunk.len();
+        }
+        count.min(len)
+    }
+}
+
+/// The ids of a [`RecordTable`] from some place on, ascending: the rest
+/// of one chunk, then every chunk after it.
+pub type Ids<'a> = Copied<Chain<slice::Iter<'a, u64>, Flatten<slice::Iter<'a, Vec<u64>>>>>;
+
 /// The record table.
 #[derive(Clone, Debug, Default)]
 pub struct RecordTable {
     /// Generated rows, as their ids.
-    ids: BTreeSet<u64>,
+    ids: IdSet,
     /// Every other row; no key here is also in `ids`.
     literal: BTreeMap<MetricKey, FieldValues>,
 }
@@ -152,18 +293,18 @@ impl RecordTable {
 
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty() && self.literal.is_empty()
+        self.len() == 0
     }
 
     /// Whether `key` has a row.
     pub fn contains(&self, key: &MetricKey) -> bool {
-        key.to_id().is_some_and(|id| self.ids.contains(&id)) || self.literal.contains_key(key)
+        key.to_id().is_some_and(|id| self.ids.contains(id)) || self.literal.contains_key(key)
     }
 
     /// `key`'s row.
     pub fn get(&self, key: &MetricKey) -> Option<Row> {
         match key.to_id() {
-            Some(id) if self.ids.contains(&id) => Some(Row::Generated(id)),
+            Some(id) if self.ids.contains(id) => Some(Row::Generated(id)),
             _ => self
                 .literal
                 .get_key_value(key)
@@ -182,7 +323,7 @@ impl RecordTable {
                         || self.literal.remove(&MetricKey::from_id(id)).is_none())
             }
             Row::Literal(key, fields) => {
-                let was_generated = key.to_id().is_some_and(|id| self.ids.remove(&id));
+                let was_generated = key.to_id().is_some_and(|id| self.ids.remove(id));
                 self.literal.insert(key, fields).is_none() && !was_generated
             }
         }
@@ -191,11 +332,7 @@ impl RecordTable {
     /// Every row at or after `start`, in key order.
     pub fn rows_from(&self, start: &MetricKey) -> TableRows<'_> {
         Rows {
-            ids: self
-                .ids
-                .range((ids_from(start), Bound::Unbounded))
-                .copied()
-                .peekable(),
+            ids: self.ids.iter_from(self.ids.seek_key(start)).peekable(),
             literal: self.literal.range(start..).peekable(),
         }
     }
@@ -208,29 +345,33 @@ impl RecordTable {
             .collect()
     }
 
-    /// How many rows [`RecordTable::scan`] returns, with no row copied.
+    /// How many rows [`RecordTable::scan`] returns, with no row read: the
+    /// two halves are disjoint, so it is the ids at or after `start` (one
+    /// seek, then chunk lengths) plus the literal rows there, up to `len`.
     pub fn scan_count(&self, start: &MetricKey, len: usize) -> usize {
-        self.rows_from(start).take(len).count()
+        let ids = self.ids.count_from(self.ids.seek_key(start), len);
+        let literal = self.literal.range(start..).take(len).count();
+        len.min(ids + literal)
     }
 
     /// Empties the table into a [`SortedRows`] of the same rows.
     pub fn drain_sorted(&mut self) -> SortedRows {
         let RecordTable { ids, literal } = std::mem::take(self);
         SortedRows {
-            ids: ids.into_iter().collect(),
+            ids: ids.chunks.concat(),
             literal: literal.into_iter().collect(),
         }
     }
 }
 
-/// The lower bound of the ids whose keys sort at or after `start`. A
+/// The first id whose key sorts at or after `start`, if any does. A
 /// foreign `start` is placed by bisection: `from_id` is increasing.
-fn ids_from(start: &MetricKey) -> Bound<u64> {
+fn first_id_from(start: &MetricKey) -> Option<u64> {
     if let Some(id) = start.to_id() {
-        return Bound::Included(id);
+        return Some(id);
     }
     if MetricKey::from_id(u64::MAX) < *start {
-        return Bound::Excluded(u64::MAX);
+        return None;
     }
     let (mut lo, mut hi) = (0, u64::MAX);
     while lo < hi {
@@ -241,7 +382,7 @@ fn ids_from(start: &MetricKey) -> Bound<u64> {
             hi = mid;
         }
     }
-    Bound::Included(lo)
+    Some(lo)
 }
 
 impl Snap for RecordTable {
@@ -255,9 +396,9 @@ impl Snap for RecordTable {
     fn restore(r: &mut SnapReader) -> Result<Self, SnapError> {
         let SortedRows { ids, literal } =
             SortedRows::restore(r, "RecordTable row not after the one before it")?;
-        // Sorted input: both trees are bulk-built, every node full.
+        // Sorted input: the chunks and the tree are bulk-built, full.
         Ok(RecordTable {
-            ids: ids.into_iter().collect(),
+            ids: IdSet::from_sorted(&ids),
             literal: literal.into_iter().collect(),
         })
     }
@@ -516,6 +657,7 @@ mod tests {
     use super::*;
     use apm_core::keyspace::SplitRng;
     use apm_core::record::{Record, KEY_SIZE};
+    use std::collections::BTreeSet;
 
     #[test]
     fn a_generated_row_is_held_as_its_id() {
@@ -567,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn ids_from_is_the_first_id_whose_key_is_not_below_start() {
+    fn first_id_from_is_the_first_id_whose_key_is_not_below_start() {
         let key = MetricKey::from_id;
         let mut starts = vec![
             MetricKey::MIN,
@@ -579,15 +721,12 @@ mod tests {
             starts.extend([key(id), just_after(id)]);
         }
         for start in starts {
-            match ids_from(&start) {
-                Bound::Included(id) => {
+            match first_id_from(&start) {
+                Some(id) => {
                     assert!(key(id) >= start, "{start:?}: {id}");
                     assert!(id == 0 || key(id - 1) < start, "{start:?}: {id}");
                 }
-                bound => {
-                    assert_eq!(bound, Bound::Excluded(u64::MAX), "{start:?}");
-                    assert!(key(u64::MAX) < start, "{start:?}");
-                }
+                None => assert!(key(u64::MAX) < start, "{start:?}"),
             }
         }
     }
@@ -712,8 +851,8 @@ mod tests {
                 assert_eq!(sorted.len(), model.len(), "case {case}");
             }
             // A key lives in exactly one half.
-            let key_in_both = |&id| table.literal.contains_key(&MetricKey::from_id(id));
-            assert!(!table.ids.iter().any(key_in_both), "case {case}");
+            let key_in_both = |id| table.literal.contains_key(&MetricKey::from_id(id));
+            assert!(!table.ids.iter_from((0, 0)).any(key_in_both), "case {case}");
             let key_in_both = |&id| sorted.get(&MetricKey::from_id(id)) != Some(Row::Generated(id));
             assert!(!sorted.ids.iter().any(key_in_both), "case {case}");
             let keys: BTreeSet<MetricKey> = sorted.keys().collect();
@@ -738,6 +877,131 @@ mod tests {
             r.finish().expect("every byte read");
             assert_eq!(table.drain_sorted(), sorted, "case {case}");
         }
+    }
+
+    /// The chunks are non-empty, at most [`CHUNK`] long and ascending
+    /// across, each with its last id beside it, and they hold `len` ids.
+    fn assert_chunks_hold(ids: &IdSet) {
+        let IdSet { chunks, lasts, len } = ids;
+        assert_eq!(chunks.len(), lasts.len());
+        for (chunk, &last) in chunks.iter().zip(lasts) {
+            assert!(!chunk.is_empty() && chunk.len() <= CHUNK);
+            assert_eq!(chunk.last(), Some(&last));
+        }
+        let all = chunks.concat();
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(all.len(), *len);
+    }
+
+    /// Every read of `table` that a chunk boundary could get wrong, from
+    /// each chunk's first and last id, one past its last, and the foreign
+    /// key just after its last (between it and the next chunk), against
+    /// the model.
+    fn assert_reads_match(table: &RecordTable, model: &BTreeMap<MetricKey, FieldValues>) {
+        assert_chunks_hold(&table.ids);
+        let mut starts = vec![MetricKey::MIN, MetricKey::MAX];
+        for chunk in &table.ids.chunks {
+            let (first, last) = (chunk[0], chunk[chunk.len() - 1]);
+            starts.extend([first, last, last.wrapping_add(1)].map(MetricKey::from_id));
+            starts.push(just_after(last));
+        }
+        let keys: Vec<MetricKey> = model.keys().copied().collect();
+        for start in starts {
+            let want = model.get(&start).map(|fields| Row::new(start, *fields));
+            assert_eq!(table.get(&start), want, "{start:?}");
+            assert_eq!(table.contains(&start), want.is_some(), "{start:?}");
+            let rest = keys.len() - keys.partition_point(|key| *key < start);
+            for len in [0, 1, 50, CHUNK, CHUNK + 1, 3 * CHUNK] {
+                let want: Vec<Row> = model
+                    .range(start..)
+                    .take(len)
+                    .map(|(k, v)| Row::new(*k, *v))
+                    .collect();
+                assert_eq!(table.scan(&start, len), want, "{start:?} {len}");
+                assert_eq!(table.scan_count(&start, len), want.len(), "{start:?} {len}");
+            }
+            assert_eq!(table.scan_count(&start, usize::MAX), rest, "{start:?}");
+        }
+        assert_eq!(table.scan(&MetricKey::MIN, usize::MAX).len(), model.len());
+        // The codec writes the model's bytes; a restore bulk-builds full
+        // chunks that read and write the same.
+        let bytes = encoded(table);
+        assert_eq!(bytes, encoded(model));
+        let mut r = SnapReader::new(&bytes);
+        let restored: RecordTable = r.get().expect("own bytes decode");
+        r.finish().expect("every byte read");
+        assert_chunks_hold(&restored.ids);
+        assert_eq!(encoded(&restored), bytes);
+        for start in [
+            MetricKey::MIN,
+            *model.keys().nth(model.len() / 2).expect("rows"),
+        ] {
+            let len = 2 * CHUNK;
+            assert_eq!(restored.scan(&start, len), table.scan(&start, len));
+            assert_eq!(
+                restored.scan_count(&start, len),
+                table.scan_count(&start, len)
+            );
+        }
+    }
+
+    /// Inserts `row` into both, which must agree on whether it is new.
+    fn put(table: &mut RecordTable, model: &mut BTreeMap<MetricKey, FieldValues>, row: Row) {
+        let new = model.insert(row.key(), row.fields()).is_none();
+        assert_eq!(table.insert(row), new, "{row:?}");
+    }
+
+    /// `ids` random ids inserted in scrambled order, so the set holds many
+    /// chunks; then literal rows overwrite every id of some chunks, which
+    /// empties and drops them, and of a scattering of single ids, beside
+    /// foreign rows between chunks; then half the overwritten ids come
+    /// back as generated rows. Every stage is read against the model.
+    fn chunked_table_matches_the_btreemap_model(cases: u64, ids: usize) {
+        let mut root = SplitRng::new(0x6368_756E);
+        for case in 0..cases {
+            let mut rng = root.split(case);
+            let mut table = RecordTable::new();
+            let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
+            for _ in 0..ids {
+                put(&mut table, &mut model, Row::Generated(rng.next_u64()));
+            }
+            assert!(table.ids.chunks.len() > ids / CHUNK, "case {case}");
+            assert_reads_match(&table, &model);
+            let chunks = table.ids.chunks.clone();
+            let mut overwritten = Vec::new();
+            for (c, chunk) in chunks.iter().enumerate() {
+                let whole = c % 3 == 1;
+                for &id in chunk.iter().filter(|_| whole || rng.next_below(16) == 0) {
+                    overwritten.push(id);
+                    let other = Row::Literal(MetricKey::from_id(id), FieldValues::ZERO);
+                    put(&mut table, &mut model, other);
+                }
+                let foreign = just_after(chunk[chunk.len() - 1]);
+                let fields = FieldValues::from_seed(c as u64);
+                put(&mut table, &mut model, Row::Literal(foreign, fields));
+            }
+            assert!(
+                table.ids.chunks.len() < chunks.len(),
+                "case {case}: none emptied"
+            );
+            assert_reads_match(&table, &model);
+            for &id in overwritten.iter().step_by(2) {
+                put(&mut table, &mut model, Row::Generated(id));
+            }
+            assert_reads_match(&table, &model);
+            assert_eq!(table.drain_sorted().len(), model.len(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn kernel_equivalence_of_chunked_record_table_and_btreemap() {
+        chunked_table_matches_the_btreemap_model(2, 6 * CHUNK + 100);
+    }
+
+    #[test]
+    #[ignore = "64 cases of 20 chunks: CI runs it in the release profile"]
+    fn kernel_equivalence_of_chunked_record_table_and_btreemap_at_the_large_budget() {
+        chunked_table_matches_the_btreemap_model(64, 20 * CHUNK);
     }
 
     #[test]

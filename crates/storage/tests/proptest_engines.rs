@@ -559,9 +559,19 @@ fn random_window(rng: &mut SplitRng, key_space: u64) -> (MetricKey, usize) {
     (start, len)
 }
 
+/// Count-only scans against materialised ones over a memtable and several
+/// overlapping runs, half the writes generated rows and half literal.
+/// `scan_count` answers `len` outright when one source holds `len` rows
+/// and walks the merge only when every source is shorter; the test knows
+/// the memtable's rows (an insert that announces a flush has drained it),
+/// so it sees both branches taken for sure: the memtable alone holding
+/// `len` rows at or after the start, and fewer than `len` rows there in
+/// the whole tree. One case in eight holds more rows in its memtable than
+/// one chunk of the record table's id set, at any chunk size swept.
 #[test]
 fn lsm_scan_count_equals_scan_over_overlapping_runs() {
     let mut root = SplitRng::new(0x6373_6C73);
+    let (mut shortcuts, mut merges, mut wide_memtables) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = root.split(case);
         // Three cases in four leave the first compaction in flight (one
@@ -574,27 +584,40 @@ fn lsm_scan_count_equals_scan_over_overlapping_runs() {
             }
             job => tree.settle(job),
         };
+        let wide = case % 8 == 3;
+        let (flush_rows, key_space, writes) = match wide {
+            true => (1_200, 3_000, 6_000 + rng.next_below(1_000)),
+            false => (30, 120, 150 + rng.next_below(250)),
+        };
         let config = LsmConfig {
-            memtable_flush_bytes: 75 * 30,
+            memtable_flush_bytes: 75 * flush_rows,
             ..LsmConfig::default()
         };
         // Two trees fed the same calls: one materialises, one counts.
         let mut rows_tree = LsmTree::new(config);
         let mut count_tree = LsmTree::new(config);
         let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
-        let writes = 150 + rng.next_below(250);
+        let mut memtable: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
         for version in 0..writes {
-            let seq = rng.next_below(120);
-            let fields = FieldValues::from_seed(version);
+            let seq = rng.next_below(key_space);
+            let fields = match rng.next_below(2) {
+                0 => value(seq),
+                _ => FieldValues::from_seed(version),
+            };
             let (_, job) = rows_tree.insert(key(seq), fields);
             settle(&mut rows_tree, job);
             let (_, job) = count_tree.insert(key(seq), fields);
+            memtable.insert(key(seq), fields);
+            if job.is_some() {
+                memtable.clear();
+            }
             settle(&mut count_tree, job);
             model.insert(key(seq), fields);
+            wide_memtables += usize::from(memtable.len() > 1_024);
             if version % 7 != 0 {
                 continue;
             }
-            let (start, len) = random_window(&mut rng, 120);
+            let (start, len) = random_window(&mut rng, key_space);
             let (rows, scan_receipt) = rows_tree.scan(&start, len);
             let (count, count_receipt) = count_tree.scan_count(&start, len);
             let expect: Vec<Row> = model
@@ -605,12 +628,15 @@ fn lsm_scan_count_equals_scan_over_overlapping_runs() {
             assert_eq!(rows, expect, "case {case}: newest version must win");
             assert_eq!(count, rows.len(), "case {case}");
             assert_eq!(count_receipt, scan_receipt, "case {case}");
+            shortcuts += usize::from(len > 0 && memtable.range(start..).nth(len - 1).is_some());
+            merges += usize::from(rows.len() < len);
         }
         if !merging {
             assert!(rows_tree.table_count() >= 3, "case {case}: too few runs");
         }
         assert_eq!(rows_tree.stats(), count_tree.stats(), "case {case}");
     }
+    assert!(shortcuts > 0 && merges > 0 && wide_memtables > 0);
 }
 
 #[test]
