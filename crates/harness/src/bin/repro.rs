@@ -10,8 +10,7 @@
 //! ```
 
 use apm_harness::experiment::{ExperimentProfile, StoreKind};
-use apm_harness::extensions::{all_extensions, generate_extension};
-use apm_harness::figures::{all_figures, figure_by_id, generate_many};
+use apm_harness::figures::{tables, Rendered, ARTIFACTS};
 use apm_harness::output::{
     render_experiments_md, write_csv, write_gnuplot, FigureResult, ResultsFile,
 };
@@ -98,11 +97,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// Expands `all` and checks every id against the artifact index. Ids
 /// are exact: `FIG17` names nothing, here or in any lookup downstream.
 fn artifact_ids(requested: &[String]) -> Result<Vec<String>, String> {
-    let known: Vec<&str> = all_figures()
-        .iter()
-        .map(|f| f.id)
-        .chain(all_extensions().iter().map(|e| e.id))
-        .collect();
+    let known = ARTIFACTS.map(|a| a.id);
     if requested.iter().any(|id| id == "all") {
         return Ok(known.into_iter().map(str::to_string).collect());
     }
@@ -368,22 +363,30 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         Some("render") => cmd_render(&args.ids[1..])?,
         Some("trace") => cmd_trace(args)?,
         _ if args.ids.iter().any(|i| i == "list") => {
-            for spec in all_figures() {
-                println!("{:16} {}", spec.id, spec.title);
-            }
-            for spec in all_extensions() {
-                println!("{:16} {}", spec.id, spec.title);
+            for artifact in ARTIFACTS {
+                println!("{:16} {}", artifact.id, artifact.title);
             }
         }
-        _ => cmd_artifacts(args)?,
+        _ => return cmd_artifacts(args).map(exit_status),
     }
     Ok(ExitCode::SUCCESS)
 }
 
+/// An artifact run's exit status: a failure when any shape check failed.
+fn exit_status(failed_checks: usize) -> ExitCode {
+    if failed_checks == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 /// `repro <id>...` — generate the named artifacts, print each table with
-/// its shape checks, and write them under `--out`.
-fn cmd_artifacts(args: &Args) -> Result<(), String> {
+/// its shape checks as it is done, and write them under `--out`. Returns
+/// how many shape checks failed.
+fn cmd_artifacts(args: &Args) -> Result<usize, String> {
     let ids = artifact_ids(&args.ids)?;
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
     let profile = args.profile;
     let profile_desc = format!(
         "scale {} ({} records/node), warmup {} s, window {} s, seed {}",
@@ -400,38 +403,18 @@ fn cmd_artifacts(args: &Args) -> Result<(), String> {
         figures: Vec::new(),
     };
     let mut failed_checks = 0usize;
-    // Figures read out of the same sweep are rendered from one pass over
-    // it: the first one reached simulates for all that were asked for,
-    // the rest wait here until their turn to print.
-    let mut rendered: Vec<(&str, apm_core::report::Table)> = Vec::new();
-    for id in &ids {
-        // Times the host for the "(… took X.Xs)" line; nothing simulated
-        // or written to a file reads it.
-        #[allow(clippy::disallowed_methods)]
-        let started = std::time::Instant::now();
-        let mut shared = String::new();
-        let table = if let Some(table) = generate_extension(id, &profile) {
-            table
-        } else if let Some(at) = rendered.iter().position(|(done, _)| done == id) {
-            rendered.remove(at).1
-        } else {
-            let sweep_of = |id: &str| figure_by_id(id).and_then(|f| f.sweep());
-            let family: Vec<&str> = match sweep_of(id) {
-                None => vec![id.as_str()],
-                sweep => ids
-                    .iter()
-                    .map(String::as_str)
-                    .filter(|other| sweep_of(other) == sweep)
-                    .collect(),
-            };
-            if family.len() > 1 {
-                shared = format!("; one sweep for {}", family.join(" "));
-            }
-            let mut tables = generate_many(&family, &profile).into_iter();
-            let table = tables.next().expect("one table per requested id");
-            rendered.extend(family[1..].iter().copied().zip(tables));
-            table
-        };
+    // Times the host for the "(… took X.Xs)" lines; nothing simulated or
+    // written to a file reads it. Each artifact's time runs from the end
+    // of the one before, so it holds the sweep that artifact reached.
+    #[allow(clippy::disallowed_methods)]
+    let clock = std::time::Instant::now;
+    let mut started = clock();
+    for Rendered {
+        id,
+        table,
+        one_sweep_for,
+    } in tables(&ids, &profile)
+    {
         let checks = checks_for(id, &table);
         println!("{}", table.render());
         for check in &checks {
@@ -441,6 +424,11 @@ fn cmd_artifacts(args: &Args) -> Result<(), String> {
             }
             println!("  [{mark}] {} — {}", check.claim, check.detail);
         }
+        let shared = if one_sweep_for.is_empty() {
+            String::new()
+        } else {
+            format!("; one sweep for {}", one_sweep_for.join(" "))
+        };
         println!(
             "  ({id} took {:.1}s{shared})\n",
             started.elapsed().as_secs_f64()
@@ -453,6 +441,7 @@ fn cmd_artifacts(args: &Args) -> Result<(), String> {
         results
             .figures
             .push(FigureResult::capture(id, &table, &checks));
+        started = clock();
     }
 
     if let Some(dir) = &args.out {
@@ -467,7 +456,7 @@ fn cmd_artifacts(args: &Args) -> Result<(), String> {
     if failed_checks > 0 {
         println!("{failed_checks} shape check(s) failed");
     }
-    Ok(())
+    Ok(failed_checks)
 }
 
 #[cfg(test)]
@@ -528,7 +517,17 @@ mod tests {
             assert!(err.contains("unknown artifact"), "{bad}: {err}");
         }
         let all = ids("all").expect("all expands");
-        assert_eq!(all.len(), all_figures().len() + all_extensions().len());
+        assert_eq!(all.len(), ARTIFACTS.len());
         assert_eq!(all.first().map(String::as_str), Some("table1"));
+    }
+
+    /// A run whose artifacts fail any shape check exits non-zero, after
+    /// every table is printed and written.
+    #[test]
+    fn a_failed_shape_check_fails_the_run() {
+        assert_eq!(exit_status(0), ExitCode::SUCCESS);
+        for failed in [1, 2, 99] {
+            assert_eq!(exit_status(failed), ExitCode::FAILURE, "{failed}");
+        }
     }
 }

@@ -1097,7 +1097,7 @@ pub fn chaos_campaign(profile: &ExperimentProfile) -> Table {
         resilient: false,
     };
     let mut table = Table::new(
-        "Extension: chaos search campaign, 3 seeded schedules per store (workload RW, 4 nodes)",
+        crate::figures::title("ext-chaos-campaign"),
         "store",
         "count | count | 0/1",
     );
@@ -1140,7 +1140,7 @@ pub fn chaos_shrink(profile: &ExperimentProfile) -> Table {
     let target = ChaosTarget::broken_cassandra();
     let outcome = run_campaign(&target, profile, &opts);
     let mut table = Table::new(
-        "Extension: durability-bug shrink, Cassandra rf=2 with hint replay disabled (workload RW, 4 nodes)",
+        crate::figures::title("ext-chaos-shrink"),
         "fixture",
         "count | count | count | count | 0/1",
     );

@@ -7,7 +7,7 @@
 //! vs. skewed key popularity).
 
 use crate::experiment::{ExperimentProfile, Scenario, StoreKind, StoreSpec};
-use crate::figures::Generator;
+use crate::figures::title;
 use apm_core::keyspace::KeyDistribution;
 use apm_core::ops::OpKind;
 use apm_core::report::Table;
@@ -17,55 +17,6 @@ use apm_storage::lsm::CompactionStrategy;
 use apm_stores::cassandra::CassandraConfig;
 use apm_stores::routing::TokenAssignment;
 use apm_stores::runner::RunResult;
-
-/// One extension artifact: its id, its title, and its generator.
-#[derive(Clone, Copy)]
-pub struct ExtensionSpec {
-    pub id: &'static str,
-    pub title: &'static str,
-    pub generate: Generator,
-}
-
-/// Extension artifact descriptors.
-pub fn all_extensions() -> Vec<ExtensionSpec> {
-    #[rustfmt::skip]
-    let index: [(&str, &str, Generator); 20] = [
-        ("ext-replication", "Extension: Cassandra replication factor sweep (workload W, 4 nodes)", replication_sweep),
-        ("ext-compression", "Extension: SSTable compression on/off (workloads R and W, 4 nodes)", compression_ablation),
-        ("ext-tokens", "Extension: random vs. assigned Cassandra tokens (workload R, 8 nodes)", token_ablation),
-        ("ext-skew", "Extension: uniform vs. zipfian key popularity (workload R, 8 nodes)", skew_ablation),
-        ("ext-compaction", "Extension: size-tiered vs. leveled compaction (Cassandra, workloads R and W, 4 nodes)", compaction_ablation),
-        ("ext-mongodb", "Extension: the excluded document store (MongoDB-like) vs. Cassandra and HBase, 4 nodes", mongodb_comparison),
-        ("ext-elasticity", "Extension: live node bootstrap (Cassandra, workload R, 4→5 nodes mid-run)", elasticity),
-        ("ext-faults-crash", "Extension: single-node crash and restart, rf=1 vs rf=2 (Cassandra, workload R, 4 nodes)", crate::faults::crash_failover),
-        ("ext-faults-slowdisk", "Extension: one fail-slow disk, x1/x4/x16 (HBase, workload R, 4 nodes)", crate::faults::slow_disk),
-        ("ext-faults-partition", "Extension: one shard partitioned, stall vs client timeout (Redis, workload R, 4 nodes)", crate::faults::partition),
-        ("ext-faults-failover", "Extension: crash recovery compared across Cassandra rf=2, HBase, Redis (workload R, 4 nodes)", crate::faults::failover_comparison),
-        ("ext-obs-profile", "Extension: virtual-time attribution — queue-wait vs service per resource class (workload R, 4 nodes)", crate::obs::time_attribution),
-        ("ext-obs-telemetry", "Extension: windowed telemetry timeline at 70% load (Cassandra, workload R, 8 nodes)", crate::obs::telemetry_timeline),
-        ("ext-res-retry", "Extension: retries with capped backoff vs a node crash, rf=1 (Cassandra, workload R, 4 nodes)", crate::resilience::retry_masking),
-        ("ext-res-hedge", "Extension: hedged reads vs a fail-slow node, rf=2 (Cassandra, workload R, 4 nodes)", crate::resilience::hedged_reads),
-        ("ext-res-breaker", "Extension: circuit breaker vs a partitioned shard (Redis, read-only, 4 nodes)", crate::resilience::breaker_shedding),
-        ("ext-res-storm", "Extension: admission control vs an unbounded retry storm (Cassandra rf=1, workload R, 4 nodes)", crate::resilience::retry_storm),
-        ("ext-snap-resume", "Extension: snapshot/resume equivalence and divergence bisection (all stores, workload RW, 4 nodes)", crate::snap::snap_resume),
-        ("ext-chaos-campaign", "Extension: chaos search campaign, 3 seeded schedules per store (workload RW, 4 nodes)", crate::chaos::chaos_campaign),
-        ("ext-chaos-shrink", "Extension: durability-bug shrink, Cassandra rf=2 with hint replay disabled (workload RW, 4 nodes)", crate::chaos::chaos_shrink),
-    ];
-    let spec = |(id, title, generate)| ExtensionSpec {
-        id,
-        title,
-        generate,
-    };
-    index.into_iter().map(spec).collect()
-}
-
-/// Generates an extension table by id.
-pub fn generate_extension(id: &str, profile: &ExperimentProfile) -> Option<Table> {
-    all_extensions()
-        .into_iter()
-        .find(|e| e.id == id)
-        .map(|e| (e.generate)(profile))
-}
 
 fn run_cassandra(
     config: CassandraConfig,
@@ -83,11 +34,7 @@ fn run_cassandra(
 /// cluster performs `rf×` the physical write work.
 pub fn replication_sweep(profile: &ExperimentProfile) -> Table {
     let nodes = 4;
-    let mut table = Table::new(
-        "Extension: impact of replication (Cassandra, workload W, 4 nodes)",
-        "rf",
-        "ops/sec | ms | GB",
-    );
+    let mut table = Table::new(title("ext-replication"), "rf", "ops/sec | ms | GB");
     table.columns = vec![
         "throughput".into(),
         "write_ms".into(),
@@ -125,11 +72,7 @@ pub fn replication_sweep(profile: &ExperimentProfile) -> Table {
 /// block-decompression CPU cost on every read.
 pub fn compression_ablation(profile: &ExperimentProfile) -> Table {
     let nodes = 4;
-    let mut table = Table::new(
-        "Extension: impact of compression (Cassandra, 4 nodes)",
-        "config",
-        "ops/sec | GB",
-    );
+    let mut table = Table::new(title("ext-compression"), "config", "ops/sec | GB");
     table.columns = vec![
         "thr_R".into(),
         "thr_W".into(),
@@ -158,11 +101,7 @@ pub fn compression_ablation(profile: &ExperimentProfile) -> Table {
 /// in a highly unbalanced workload").
 pub fn token_ablation(profile: &ExperimentProfile) -> Table {
     let nodes = 8;
-    let mut table = Table::new(
-        "Extension: Cassandra token assignment (workload R, 8 nodes)",
-        "tokens",
-        "ops/sec | ms",
-    );
+    let mut table = Table::new(title("ext-tokens"), "tokens", "ops/sec | ms");
     table.columns = vec!["throughput".into(), "read_ms".into()];
     for (label, tokens) in [
         ("optimal", TokenAssignment::Optimal),
@@ -193,11 +132,7 @@ pub fn token_ablation(profile: &ExperimentProfile) -> Table {
 /// shards that own them.
 pub fn skew_ablation(profile: &ExperimentProfile) -> Table {
     let nodes = 8;
-    let mut table = Table::new(
-        "Extension: key popularity skew (Cassandra, workload R, 8 nodes)",
-        "distribution",
-        "ops/sec | ms",
-    );
+    let mut table = Table::new(title("ext-skew"), "distribution", "ops/sec | ms");
     table.columns = vec!["throughput".into(), "read_ms".into()];
     for (label, distribution) in [
         ("uniform", KeyDistribution::Uniform),
@@ -225,11 +160,7 @@ pub fn skew_ablation(profile: &ExperimentProfile) -> Table {
 /// for write amplification; the leveled policy does the opposite.
 pub fn compaction_ablation(profile: &ExperimentProfile) -> Table {
     let nodes = 4;
-    let mut table = Table::new(
-        "Extension: compaction strategy (Cassandra, 4 nodes)",
-        "strategy",
-        "ops/sec | ms",
-    );
+    let mut table = Table::new(title("ext-compaction"), "strategy", "ops/sec | ms");
     table.columns = vec!["thr_R".into(), "thr_W".into(), "read_ms_R".into()];
     for (label, strategy) in [
         ("size-tiered", CompactionStrategy::SizeTiered),
@@ -258,11 +189,7 @@ pub fn compaction_ablation(profile: &ExperimentProfile) -> Table {
 /// MongoDB-2.0-like store across the three scanless workloads.
 pub fn mongodb_comparison(profile: &ExperimentProfile) -> Table {
     let nodes = 4;
-    let mut table = Table::new(
-        "Extension: document store vs. the paper's winners (4 nodes, Cluster M)",
-        "workload",
-        "ops/sec",
-    );
+    let mut table = Table::new(title("ext-mongodb"), "workload", "ops/sec");
     table.columns = vec!["cassandra".into(), "hbase".into(), "mongodb".into()];
     for workload in [Workload::r(), Workload::rw(), Workload::w()] {
         let cells = [
@@ -369,16 +296,6 @@ mod tests {
             random < optimal * 0.97,
             "random tokens must cost throughput: {optimal} vs {random}"
         );
-    }
-
-    #[test]
-    fn extension_ids_are_unique_and_unknown_ids_generate_nothing() {
-        let ids: Vec<&str> = all_extensions().iter().map(|e| e.id).collect();
-        for (i, id) in ids.iter().enumerate() {
-            assert!(id.starts_with("ext-"), "{id}");
-            assert!(!ids[..i].contains(id), "duplicate extension {id}");
-        }
-        assert!(generate_extension("ext-nope", &profile()).is_none());
     }
 
     #[test]

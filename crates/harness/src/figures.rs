@@ -1,4 +1,5 @@
-//! The paper's figures as projections of a few sweeps.
+//! The artifact index and its one render path: the paper's figures as
+//! projections of a few sweeps, and every other artifact generated whole.
 //!
 //! Evaluation artifacts of the paper (see DESIGN.md §3 for the index):
 //! Figures 3–14 sweep node counts on Cluster M per workload; Figures
@@ -6,8 +7,9 @@
 //! Figures 18–20 run Cluster D at 8 nodes across workloads. Table 1 is
 //! the workload definition. Figures that differ only in the plotted
 //! metric (3/4/5, 6/7/8, …) share one [`Sweep`]: the grid is simulated
-//! once per [`generate_many`] call and each figure reads its column of
-//! numbers out of it.
+//! once per [`tables`] call and each figure reads its column of numbers
+//! out of it. The extensions (DESIGN.md §6) follow the paper's artifacts
+//! in [`ARTIFACTS`], each a [`Plot::Whole`] generator.
 
 use crate::experiment::{ExperimentProfile, Scenario, StoreKind};
 use apm_core::driver::Throttle;
@@ -84,104 +86,175 @@ pub enum Sweep {
 /// Generates one artifact's table on its own.
 pub type Generator = fn(&ExperimentProfile) -> Table;
 
-/// Where a figure's table comes from.
+/// Where an artifact's table comes from.
 #[derive(Clone, Copy, Debug)]
 pub enum Plot {
-    /// Generated whole: nothing else shares its work (Table 1, Fig 17).
+    /// Generated whole: nothing else shares its work (Table 1, Fig 17,
+    /// every extension).
     Whole(Generator),
     /// One metric of a sweep.
     Of(Sweep, Metric),
 }
 
-/// Descriptor of one reproducible figure.
+/// Descriptor of one reproducible artifact.
 #[derive(Clone, Copy, Debug)]
-pub struct FigureSpec {
-    /// Identifier ("fig3" … "fig20", "table1").
+pub struct Artifact {
+    /// Identifier ("table1", "fig3" … "fig20", "ext-…").
     pub id: &'static str,
-    /// The paper's caption.
+    /// The paper's caption, or the extension's title. A generator whose
+    /// table title is fixed reads it from here ([`title`]).
     pub title: &'static str,
     pub plot: Plot,
 }
 
-impl FigureSpec {
-    /// The sweep this figure is read out of, if it shares one.
-    pub fn sweep(&self) -> Option<Sweep> {
-        match self.plot {
-            Plot::Whole(_) => None,
-            Plot::Of(sweep, _) => Some(sweep),
-        }
-    }
-}
-
-/// All reproducible artifacts in paper order.
-pub fn all_figures() -> Vec<FigureSpec> {
+/// Every reproducible artifact: the paper's in paper order, then the
+/// extensions beyond it.
+#[rustfmt::skip]
+pub const ARTIFACTS: [Artifact; 39] = {
+    use crate::{chaos, extensions as ext, faults, obs, resilience, snap};
     use Metric::{ReadLatency, ScanLatency, Throughput, WriteLatency};
     use Plot::{Of, Whole};
     use Sweep::{BoundedLoad, ClusterD, Nodes};
-    #[rustfmt::skip]
-    let index: [(&str, &str, Plot); 19] = [
-        ("table1", "Table 1: Workload specifications", Whole(|_| table1_table())),
-        ("fig3", "Figure 3: Throughput for Workload R", Of(Nodes("R"), Throughput)),
-        ("fig4", "Figure 4: Read latency for Workload R", Of(Nodes("R"), ReadLatency)),
-        ("fig5", "Figure 5: Write latency for Workload R", Of(Nodes("R"), WriteLatency)),
-        ("fig6", "Figure 6: Throughput for Workload RW", Of(Nodes("RW"), Throughput)),
-        ("fig7", "Figure 7: Read latency for Workload RW", Of(Nodes("RW"), ReadLatency)),
-        ("fig8", "Figure 8: Write latency for Workload RW", Of(Nodes("RW"), WriteLatency)),
-        ("fig9", "Figure 9: Throughput for Workload W", Of(Nodes("W"), Throughput)),
-        ("fig10", "Figure 10: Read latency for Workload W", Of(Nodes("W"), ReadLatency)),
-        ("fig11", "Figure 11: Write latency for Workload W", Of(Nodes("W"), WriteLatency)),
-        ("fig12", "Figure 12: Throughput for Workload RS", Of(Nodes("RS"), Throughput)),
-        ("fig13", "Figure 13: Scan latency for Workload RS", Of(Nodes("RS"), ScanLatency)),
-        ("fig14", "Figure 14: Throughput for Workload RSW", Of(Nodes("RSW"), Throughput)),
-        ("fig15", "Figure 15: Read latency for bounded throughput (Workload R, 8 nodes)", Of(BoundedLoad, ReadLatency)),
-        ("fig16", "Figure 16: Write latency for bounded throughput (Workload R, 8 nodes)", Of(BoundedLoad, WriteLatency)),
-        ("fig17", "Figure 17: Disk usage for 10M records/node", Whole(disk_usage)),
-        ("fig18", "Figure 18: Throughput for 8 nodes in Cluster D", Of(ClusterD, Throughput)),
-        ("fig19", "Figure 19: Read latency for 8 nodes in Cluster D", Of(ClusterD, ReadLatency)),
-        ("fig20", "Figure 20: Write latency for 8 nodes in Cluster D", Of(ClusterD, WriteLatency)),
-    ];
-    let spec = |(id, title, plot)| FigureSpec { id, title, plot };
-    index.into_iter().map(spec).collect()
+    const fn a(id: &'static str, title: &'static str, plot: Plot) -> Artifact {
+        Artifact { id, title, plot }
+    }
+    [
+        a("table1", "Table 1: Workload specifications", Whole(|_| table1_table())),
+        a("fig3", "Figure 3: Throughput for Workload R", Of(Nodes("R"), Throughput)),
+        a("fig4", "Figure 4: Read latency for Workload R", Of(Nodes("R"), ReadLatency)),
+        a("fig5", "Figure 5: Write latency for Workload R", Of(Nodes("R"), WriteLatency)),
+        a("fig6", "Figure 6: Throughput for Workload RW", Of(Nodes("RW"), Throughput)),
+        a("fig7", "Figure 7: Read latency for Workload RW", Of(Nodes("RW"), ReadLatency)),
+        a("fig8", "Figure 8: Write latency for Workload RW", Of(Nodes("RW"), WriteLatency)),
+        a("fig9", "Figure 9: Throughput for Workload W", Of(Nodes("W"), Throughput)),
+        a("fig10", "Figure 10: Read latency for Workload W", Of(Nodes("W"), ReadLatency)),
+        a("fig11", "Figure 11: Write latency for Workload W", Of(Nodes("W"), WriteLatency)),
+        a("fig12", "Figure 12: Throughput for Workload RS", Of(Nodes("RS"), Throughput)),
+        a("fig13", "Figure 13: Scan latency for Workload RS", Of(Nodes("RS"), ScanLatency)),
+        a("fig14", "Figure 14: Throughput for Workload RSW", Of(Nodes("RSW"), Throughput)),
+        a("fig15", "Figure 15: Read latency for bounded throughput (Workload R, 8 nodes)", Of(BoundedLoad, ReadLatency)),
+        a("fig16", "Figure 16: Write latency for bounded throughput (Workload R, 8 nodes)", Of(BoundedLoad, WriteLatency)),
+        a("fig17", "Figure 17: Disk usage for 10M records/node", Whole(disk_usage)),
+        a("fig18", "Figure 18: Throughput for 8 nodes in Cluster D", Of(ClusterD, Throughput)),
+        a("fig19", "Figure 19: Read latency for 8 nodes in Cluster D", Of(ClusterD, ReadLatency)),
+        a("fig20", "Figure 20: Write latency for 8 nodes in Cluster D", Of(ClusterD, WriteLatency)),
+        a("ext-replication", "Extension: impact of replication (Cassandra, workload W, 4 nodes)", Whole(ext::replication_sweep)),
+        a("ext-compression", "Extension: impact of compression (Cassandra, 4 nodes)", Whole(ext::compression_ablation)),
+        a("ext-tokens", "Extension: Cassandra token assignment (workload R, 8 nodes)", Whole(ext::token_ablation)),
+        a("ext-skew", "Extension: key popularity skew (Cassandra, workload R, 8 nodes)", Whole(ext::skew_ablation)),
+        a("ext-compaction", "Extension: compaction strategy (Cassandra, 4 nodes)", Whole(ext::compaction_ablation)),
+        a("ext-mongodb", "Extension: document store vs. the paper's winners (4 nodes, Cluster M)", Whole(ext::mongodb_comparison)),
+        a("ext-elasticity", "Extension: live node bootstrap (Cassandra, workload R, 4→5 nodes mid-run)", Whole(ext::elasticity)),
+        a("ext-faults-crash", "Extension: single-node crash and restart, rf=1 vs rf=2 (Cassandra, workload R, 4 nodes)", Whole(faults::crash_failover)),
+        a("ext-faults-slowdisk", "Extension: one fail-slow disk, x1/x4/x16 (HBase, workload R, 4 nodes)", Whole(faults::slow_disk)),
+        a("ext-faults-partition", "Extension: one shard partitioned, stall vs client timeout (Redis, workload R, 4 nodes)", Whole(faults::partition)),
+        a("ext-faults-failover", "Extension: crash recovery compared across Cassandra rf=2, HBase, Redis (workload R, 4 nodes)", Whole(faults::failover_comparison)),
+        a("ext-obs-profile", "Extension: virtual-time attribution per op (workload R, 4 nodes)", Whole(obs::time_attribution)),
+        a("ext-obs-telemetry", "Extension: windowed telemetry timeline at 70% load (Cassandra, workload R, 8 nodes)", Whole(obs::telemetry_timeline)),
+        a("ext-res-retry", "Extension: retries with capped backoff vs a node crash, rf=1 (Cassandra, workload R, 4 nodes)", Whole(resilience::retry_masking)),
+        a("ext-res-hedge", "Extension: hedged reads vs a fail-slow node, rf=2 (Cassandra, workload R, 4 nodes)", Whole(resilience::hedged_reads)),
+        a("ext-res-breaker", "Extension: circuit breaker vs a partitioned shard (Redis, read-only, 4 nodes)", Whole(resilience::breaker_shedding)),
+        a("ext-res-storm", "Extension: admission control vs an unbounded retry storm (Cassandra rf=1, workload R, 4 nodes)", Whole(resilience::retry_storm)),
+        a("ext-snap-resume", "Extension: snapshot/resume equivalence and divergence bisection (workload RW, 4 nodes)", Whole(snap::snap_resume)),
+        a("ext-chaos-campaign", "Extension: chaos search campaign, 3 seeded schedules per store (workload RW, 4 nodes)", Whole(chaos::chaos_campaign)),
+        a("ext-chaos-shrink", "Extension: durability-bug shrink, Cassandra rf=2 with hint replay disabled (workload RW, 4 nodes)", Whole(chaos::chaos_shrink)),
+    ]
+};
+
+/// Looks up an artifact by its exact (lower-case) id.
+pub fn artifact(id: &str) -> Option<Artifact> {
+    ARTIFACTS.into_iter().find(|a| a.id == id)
 }
 
-/// Looks up a figure spec by its exact (lower-case) id.
-pub fn figure_by_id(id: &str) -> Option<FigureSpec> {
-    all_figures().into_iter().find(|f| f.id == id)
+/// The index title of a known artifact — the table title of every
+/// generator whose title is fixed, so the two cannot drift apart.
+pub fn title(id: &str) -> &'static str {
+    artifact(id).expect("an id in the artifact index").title
 }
 
-/// Generates a figure's table. Unknown ids panic (checked by the CLI).
+/// Generates an artifact's table. Unknown ids panic (checked by the CLI).
 pub fn generate(id: &str, profile: &ExperimentProfile) -> Table {
     generate_many(&[id], profile).remove(0)
 }
 
-/// Generates several figures' tables, in the order asked, simulating
-/// each sweep once however many of its figures are requested. Nothing
-/// outlives the call: asking again simulates again.
+/// Generates several artifacts' tables in the order asked: [`tables`],
+/// collected.
 pub fn generate_many(ids: &[&str], profile: &ExperimentProfile) -> Vec<Table> {
-    let specs: Vec<FigureSpec> = ids
+    tables(ids, profile)
+        .map(|rendered| rendered.table)
+        .collect()
+}
+
+/// The tables of `ids`, in the order asked, each handed over as soon as
+/// it is done. A sweep is simulated once, when the first of its
+/// requested figures is reached, and every requested figure it feeds is
+/// read out of it then; a [`Plot::Whole`] artifact is generated when
+/// reached. Nothing outlives the iterator: asking again simulates again.
+/// Unknown ids panic before anything is simulated.
+pub fn tables(ids: &[&str], profile: &ExperimentProfile) -> Tables {
+    let requested = ids
         .iter()
-        .map(|id| figure_by_id(id).unwrap_or_else(|| panic!("unknown figure id {id:?}")))
+        .map(|id| artifact(id).unwrap_or_else(|| panic!("unknown artifact id {id:?}")))
+        .map(|artifact| (artifact, None))
         .collect();
-    let mut tables: Vec<Option<Table>> = vec![None; specs.len()];
-    for (i, spec) in specs.iter().enumerate() {
-        if tables[i].is_some() {
-            continue;
-        }
-        match spec.plot {
-            Plot::Whole(generate) => tables[i] = Some(generate(profile)),
-            Plot::Of(sweep, _) => {
-                let grid = sweep.run(profile);
-                for (later, table) in specs.iter().zip(&mut tables).skip(i) {
-                    if let Plot::Of(s, metric) = later.plot {
-                        if s == sweep {
-                            *table = Some(grid.project(later.title, metric));
+    Tables {
+        requested,
+        profile: *profile,
+        next: 0,
+    }
+}
+
+/// One requested artifact's table, as [`tables`] hands it over.
+pub struct Rendered {
+    pub id: &'static str,
+    pub table: Table,
+    /// The requested ids read out of the sweep simulated when this
+    /// artifact was reached, this one first, when that is two or more;
+    /// else empty.
+    pub one_sweep_for: Vec<&'static str>,
+}
+
+/// The iterator [`tables`] returns.
+pub struct Tables {
+    /// Every requested artifact, with its table once it has been read
+    /// out of a sweep ahead of its turn.
+    requested: Vec<(Artifact, Option<Table>)>,
+    profile: ExperimentProfile,
+    next: usize,
+}
+
+impl Iterator for Tables {
+    type Item = Rendered;
+
+    fn next(&mut self) -> Option<Rendered> {
+        let ((artifact, ahead), later) = self.requested.get_mut(self.next..)?.split_first_mut()?;
+        self.next += 1;
+        let mut one_sweep_for = Vec::new();
+        let table = match (ahead.take(), artifact.plot) {
+            (Some(table), _) => table,
+            (None, Plot::Whole(generate)) => generate(&self.profile),
+            (None, Plot::Of(sweep, metric)) => {
+                let grid = sweep.run(&self.profile);
+                for (other, slot) in later {
+                    if let Plot::Of(shared, metric) = other.plot {
+                        if shared == sweep {
+                            *slot = Some(grid.project(other.title, metric));
+                            one_sweep_for.push(other.id);
                         }
                     }
                 }
+                if !one_sweep_for.is_empty() {
+                    one_sweep_for.insert(0, artifact.id);
+                }
+                grid.project(artifact.title, metric)
             }
-        }
+        };
+        Some(Rendered {
+            id: artifact.id,
+            table,
+            one_sweep_for,
+        })
     }
-    tables.into_iter().flatten().collect()
 }
 
 /// One pass over a sweep: every point reduced to its [`Reading`].
@@ -220,7 +293,7 @@ impl Sweep {
 
 /// Table 1 verbatim.
 pub fn table1_table() -> Table {
-    let mut t = Table::new("Table 1: Workload specifications", "workload", "%");
+    let mut t = Table::new(title("table1"), "workload", "%");
     t.columns = vec!["read".into(), "scan".into(), "insert".into()];
     for (name, read, scan, insert) in table1() {
         t.push_row(
@@ -314,14 +387,13 @@ fn bounded_load(profile: &ExperimentProfile) -> Grid {
 /// the raw data size; values are reported unscaled (the per-record
 /// formats are exact, so the scaled load extrapolates linearly).
 pub fn disk_usage(profile: &ExperimentProfile) -> Table {
-    let spec = figure_by_id("fig17").expect("known figure");
     let stores = [
         StoreKind::Cassandra,
         StoreKind::HBase,
         StoreKind::Voldemort,
         StoreKind::Mysql,
     ];
-    let mut table = Table::new(spec.title, "nodes", "GB total");
+    let mut table = Table::new(title("fig17"), "nodes", "GB total");
     table.columns = stores
         .iter()
         .map(|s| s.name().to_string())
@@ -390,20 +462,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn figure_index_is_complete() {
-        let figures = all_figures();
-        assert_eq!(figures.len(), 19, "table1 + figures 3..=20");
-        for n in 3..=20 {
+    fn artifact_ids_are_unique_and_unknown_ids_name_nothing() {
+        for (i, a) in ARTIFACTS.iter().enumerate() {
             assert!(
-                figure_by_id(&format!("fig{n}")).is_some(),
-                "figure {n} missing from the index"
+                ARTIFACTS[..i].iter().all(|b| b.id != a.id),
+                "duplicate {}",
+                a.id
             );
         }
-        assert!(figure_by_id("table1").is_some());
-        assert!(
-            figure_by_id("fig2").is_none(),
-            "fig 1/2 are illustrations, not experiments"
-        );
+        for unknown in ["fig2", "FIG17", "ext-nope"] {
+            assert!(artifact(unknown).is_none(), "{unknown}");
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! * [`experiment`] — one benchmark *point* as plain data (`Scenario`:
 //!   store × cluster × nodes × workload, plus the `RunConfig` it runs)
 //!   and the store factory; every simulated run in this crate is one.
-//! * [`figures`] — the paper's artifacts (Fig 3–20 plus Table 1) as one
-//!   table of `(sweep, metric)` projections, each yielding an
-//!   [`apm_core::report::Table`] with the same rows and series the paper
-//!   plots; figures that share a sweep are simulated once per request.
+//! * [`figures`] — the one artifact index and render path: the paper's
+//!   artifacts (Fig 3–20 plus Table 1) as `(sweep, metric)` projections,
+//!   each yielding an [`apm_core::report::Table`] with the same rows and
+//!   series the paper plots, then the extensions; figures that share a
+//!   sweep are simulated once per request.
 //! * [`mod@reference`] — the paper's reported numbers (digitized from the
 //!   text and figures) for paper-vs-measured comparison.
 //! * [`shape`] — qualitative assertions ("Cassandra scales linearly",
@@ -17,7 +18,8 @@
 //!   the EXPERIMENTS.md generator.
 //! * [`extensions`] — the paper's §8 future-work items (replication,
 //!   compression) and two §6-motivated ablations (token assignment, key
-//!   skew), implemented as additional experiments.
+//!   skew), implemented as additional experiments and indexed with the
+//!   paper's in [`figures::ARTIFACTS`].
 //! * [`resilience`] — the client-side policy experiments: the fault
 //!   schedules replayed with retries, hedged reads, circuit breakers and
 //!   admission control switched on, policy-on vs policy-off per table.
@@ -60,7 +62,6 @@ pub mod snap;
 /// The repository's JSON codec, under the path `apmbench` imports it by.
 pub use apm_core::json;
 pub use experiment::{ExperimentProfile, StoreKind};
-pub use figures::{all_figures, figure_by_id, FigureSpec};
 
 #[cfg(test)]
 mod tests {

@@ -86,11 +86,7 @@ pub fn attribute_time(engine: &Engine, ops: u64) -> Vec<(&'static str, ClassAttr
 /// time, and for the in-memory Redis the disk row is exactly zero.
 pub fn time_attribution(profile: &ExperimentProfile) -> Table {
     let nodes = 4;
-    let mut table = Table::new(
-        "Extension: virtual-time attribution per op (workload R, 4 nodes)",
-        "store",
-        "ms/op",
-    );
+    let mut table = Table::new(crate::figures::title("ext-obs-profile"), "store", "ms/op");
     table.columns = RESOURCE_CLASSES
         .iter()
         .flat_map(|class| [format!("{class}_queue_ms"), format!("{class}_service_ms")])

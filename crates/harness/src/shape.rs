@@ -843,33 +843,21 @@ mod tests {
     }
 
     #[test]
-    fn every_experiment_figure_has_checks_or_is_exempt() {
-        // Latency-only figures 7/8 and the bounded-write fig16 share
-        // their siblings' dynamics; everything else must have checks.
+    fn every_artifact_has_checks_or_is_exempt() {
+        // Asked of the real index and the real `checks_for`: an
+        // experiment nobody sanity-checks can drift without failing.
+        // Table 1 is the workload definition, and the latency-only
+        // figures 7/8 share their siblings' dynamics.
         let exempt = ["table1", "fig7", "fig8"];
-        for spec in crate::figures::all_figures() {
-            if exempt.contains(&spec.id) {
+        let dummy = table(&[("1", &[("a", 1.0)])]);
+        for artifact in crate::figures::ARTIFACTS {
+            if exempt.contains(&artifact.id) {
                 continue;
             }
-            let dummy = table(&[("1", &[("a", 1.0)])]);
             assert!(
-                !checks_for(spec.id, &dummy).is_empty(),
+                !checks_for(artifact.id, &dummy).is_empty(),
                 "{} has no shape checks",
-                spec.id
-            );
-        }
-    }
-
-    #[test]
-    fn every_extension_has_checks() {
-        // Asked of the real registry and the real `checks_for`: an
-        // experiment nobody sanity-checks can drift without failing.
-        let dummy = table(&[("1", &[("a", 1.0)])]);
-        for spec in crate::extensions::all_extensions() {
-            assert!(
-                !checks_for(spec.id, &dummy).is_empty(),
-                "{} has no shape checks",
-                spec.id
+                artifact.id
             );
         }
     }

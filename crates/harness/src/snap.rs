@@ -154,7 +154,7 @@ pub fn bisect_run(
 /// checkpoint index the bisection localized the divergence to.
 pub fn snap_resume(profile: &ExperimentProfile) -> Table {
     let mut table = Table::new(
-        "Extension: snapshot/resume equivalence and divergence bisection (workload RW, 4 nodes)",
+        crate::figures::title("ext-snap-resume"),
         "store",
         "count | 0/1 | index",
     );

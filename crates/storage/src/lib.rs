@@ -33,7 +33,6 @@ pub mod bufferpool;
 pub mod encoding;
 pub mod hashstore;
 pub mod lsm;
-pub mod memtable;
 pub mod merge;
 pub mod paged;
 pub mod partition;

@@ -15,11 +15,10 @@
 //! [`LsmTree::complete_flush`] / [`LsmTree::complete_compaction`], and
 //! only then does the real merge happen and read amplification drop.
 
-use crate::memtable::Memtable;
 use crate::merge::MergeCursor;
 use crate::receipt::CostReceipt;
 use crate::sstable::{SsTable, TableProbe};
-use crate::table::RowRef;
+use crate::table::{RecordTable, RowRef};
 use apm_core::record::{FieldValues, MetricKey, Row, RAW_RECORD_SIZE};
 use apm_core::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use std::collections::BTreeMap;
@@ -119,7 +118,9 @@ impl LsmStats {
 #[derive(Debug)]
 pub struct LsmTree {
     config: LsmConfig,
-    memtable: Memtable,
+    /// The write buffer; a row counts 75 bytes toward the flush
+    /// threshold, whatever the host holds.
+    memtable: RecordTable,
     /// All immutable runs, newest first (descending id).
     tables: Vec<SsTable>,
     /// Table ids currently being flushed (not yet durable / compactable).
@@ -136,7 +137,7 @@ impl LsmTree {
     pub fn new(config: LsmConfig) -> LsmTree {
         LsmTree {
             config,
-            memtable: Memtable::new(),
+            memtable: RecordTable::new(),
             tables: Vec::new(),
             flushing: BTreeMap::new(),
             compacting_inputs: BTreeMap::new(),
@@ -162,7 +163,8 @@ impl LsmTree {
         let mut receipt = CostReceipt::new();
         receipt.probe(1).touch(RAW_RECORD_SIZE as u64);
         self.memtable.insert(row);
-        let job = if self.memtable.bytes() >= self.config.memtable_flush_bytes {
+        let buffered = (self.memtable.len() * RAW_RECORD_SIZE) as u64;
+        let job = if buffered >= self.config.memtable_flush_bytes {
             Some(self.start_flush())
         } else {
             None
@@ -536,11 +538,17 @@ mod tests {
         assert_eq!(missing, None);
     }
 
+    /// 75 bytes a distinct row: a re-insert replaces its row and counts
+    /// once, so the 100th distinct row flushes, not the 100th insert.
     #[test]
     fn memtable_flushes_at_threshold() {
         let mut tree = LsmTree::new(small_config());
         let mut flush_jobs = 0;
+        let rewrite = Row::new(record_for_seq(0).key, record_for_seq(1).fields);
         for seq in 0..100 {
+            if seq == 99 {
+                assert!(tree.insert_row(rewrite).1.is_none(), "99 distinct rows");
+            }
             let r = record_for_seq(seq);
             let (_, job) = tree.insert(r.key, r.fields);
             if let Some(j) = job {

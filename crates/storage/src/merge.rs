@@ -20,8 +20,7 @@
 //! `len` from it whenever one source alone holds `len` rows; it walks the
 //! merge only when every source is shorter.
 
-use crate::memtable::Memtable;
-use crate::table::{RowRef, RunRows, TableRows, Window};
+use crate::table::{RecordTable, RowRef, RunRows, TableRows, Window};
 use apm_core::record::MetricKey;
 use std::iter::Take;
 
@@ -80,7 +79,7 @@ impl<'a> MergeCursor<'a> {
 
     /// Adds the memtable's rows at or after `start` (ranked above every
     /// run), counted up to `len`.
-    pub fn push_memtable(&mut self, memtable: &'a Memtable, start: &MetricKey, len: usize) {
+    pub fn push_memtable(&mut self, memtable: &'a RecordTable, start: &MetricKey, len: usize) {
         let rows = memtable.scan_count(start, len);
         self.push(MEMTABLE_RANK, rows, Rest::Table(memtable.rows_from(start)));
     }
@@ -171,7 +170,7 @@ mod tests {
         // Generated and literal versions of one key meet in every order.
         let old: SortedRows = rows(&[1, 2, 3, 4, 6], 10).into_iter().collect();
         let new: SortedRows = rows(&[3, 4, 5, 6], 0).into_iter().collect();
-        let mut mem = Memtable::new();
+        let mut mem = RecordTable::new();
         for row in rows(&[4], 30).into_iter().chain(rows(&[2], 0)) {
             mem.insert(row);
         }

@@ -14,7 +14,7 @@
 //!
 //! - [`RecordTable`]: ids in sorted chunks with each chunk's last id
 //!   beside them, literal rows in a `BTreeMap` — the mutable table of an
-//!   LSM memtable ([`crate::memtable`]), Redis ([`crate::hashstore`]) and
+//!   LSM memtable ([`crate::lsm`]), Redis ([`crate::hashstore`]) and
 //!   VoltDB ([`crate::partition`]). A count of the rows at or after a key
 //!   is one seek and a sum of chunk lengths, with no id read.
 //! - [`SortedRows`]: ids in a sorted `Vec<u64>`, literal rows in a sorted

@@ -13,11 +13,10 @@ use apm_core::snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 use apm_storage::btree::{BTree, BTreeConfig};
 use apm_storage::hashstore::HashStore;
 use apm_storage::lsm::{BackgroundJob, CompactionStrategy, LsmConfig, LsmTree};
-use apm_storage::memtable::Memtable;
 use apm_storage::paged::{PagedTree, WriteBack};
 use apm_storage::partition::PartitionTable;
 use apm_storage::sstable::{SsTable, TableProbe};
-use apm_storage::table::{RowRef, SortedRows};
+use apm_storage::table::{RecordTable, RowRef, SortedRows};
 use apm_storage::CostReceipt;
 use std::collections::BTreeMap;
 
@@ -475,22 +474,23 @@ fn hashstore_matches_model_and_memory_is_exact() {
 }
 
 #[test]
-fn memtable_drain_returns_exactly_the_live_set() {
+fn record_table_drain_returns_exactly_the_live_set() {
     let mut root = SplitRng::new(0x6D65_6D74);
     for case in 0..CASES {
         let mut rng = root.split(case);
         let len = 1 + rng.next_below(299) as usize;
         let seqs: Vec<u64> = (0..len).map(|_| rng.next_below(200)).collect();
-        let mut memtable = Memtable::new();
+        let mut table = RecordTable::new();
         let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
         for seq in seqs {
-            memtable.insert(Row::new(key(seq), value(seq)));
+            table.insert(Row::new(key(seq), value(seq)));
             model.insert(key(seq), value(seq));
         }
-        assert_eq!(memtable.bytes(), model.len() as u64 * 75, "case {case}");
-        let drained = memtable.drain_sorted();
+        assert_eq!(table.len(), model.len(), "case {case}");
+        let drained = table.drain_sorted();
         let expect: SortedRows = model.into_iter().map(|(k, v)| Row::new(k, v)).collect();
         assert_eq!(drained, expect, "case {case}");
+        assert!(table.is_empty(), "case {case}");
     }
 }
 
@@ -840,7 +840,7 @@ fn foreign_records_round_trip_every_engine_codec() {
         internal_capacity: 8,
         page_bytes: 1 << 10,
     };
-    let mut memtable = Memtable::new();
+    let mut memtable = RecordTable::new();
     let mut lsm = LsmTree::new(lsm_config);
     let mut btree = BTree::new(btree_config);
     let mut paged = PagedTree::new(btree_config, 16, WriteBack::InPlace);
@@ -857,7 +857,7 @@ fn foreign_records_round_trip_every_engine_codec() {
     }
     let run = SsTable::from_rows(9, model.iter().map(|(k, v)| Row::new(*k, *v)).collect());
 
-    let memtable = restored(&memtable, Memtable::new(), put, get);
+    let memtable = restored(&memtable, RecordTable::new(), put, get);
     let run = restored(&run, SsTable::from_rows(0, SortedRows::default()), put, get);
     let mut lsm = restored(
         &lsm,
@@ -1006,10 +1006,10 @@ fn forged_rows(rows: &[Row], swap: usize, duplicate: bool) -> Vec<u8> {
     })
 }
 
-/// The memtable, a run, and an LSM tree against a `BTreeMap`, op by op:
-/// get, scan, `scan_count`, the codec's bytes (the model's own, where
-/// the engine writes a map or a run of its rows) and its round trip,
-/// and the refusal of rows out of key order.
+/// A memtable's `RecordTable`, a run, and an LSM tree against a
+/// `BTreeMap`, op by op: get, scan, `scan_count`, the codec's bytes (the
+/// model's own, where the engine writes a map or a run of its rows) and
+/// its round trip, and the refusal of rows out of key order.
 fn lsm_engines_match_the_model(cases: u64, ops: usize) {
     let mut root = SplitRng::new(0x6C73_6D72);
     for case in 0..cases {
@@ -1022,7 +1022,7 @@ fn lsm_engines_match_the_model(cases: u64, ops: usize) {
             memtable_flush_bytes: 75 * (4 + rng.next_below(20)),
             strategy: CompactionStrategy::Leveled,
         };
-        let mut memtable = Memtable::new();
+        let mut memtable = RecordTable::new();
         let mut lsm = LsmTree::new(config);
         let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
         for (step, op) in row_ops(&mut rng, ops).into_iter().enumerate() {
@@ -1098,7 +1098,7 @@ fn lsm_engines_match_the_model(cases: u64, ops: usize) {
                 encoded(|w| w.put(&memtable)) == encoded(|w| w.put(&model)),
                 "case {case}"
             );
-            memtable = restored(&memtable, Memtable::new(), put, get);
+            memtable = restored(&memtable, RecordTable::new(), put, get);
             lsm = restored(
                 &lsm,
                 LsmTree::new(config),
@@ -1123,7 +1123,7 @@ fn lsm_engines_match_the_model(cases: u64, ops: usize) {
                         "case {case}: {at}"
                     );
                     assert_eq!(
-                        SnapReader::new(&body).get::<Memtable>().map(|m| m.len()),
+                        SnapReader::new(&body).get::<RecordTable>().map(|m| m.len()),
                         refused("RecordTable row not after the one before it"),
                         "case {case}: {at}"
                     );

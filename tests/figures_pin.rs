@@ -50,8 +50,16 @@ fn multi_figure_families_are_pinned() {
 #[test]
 fn one_pass_per_family_renders_what_per_figure_generation_does() {
     let profile = tiny();
-    // Out of family order, with a sweep-less artifact in between.
-    let ids = ["fig16", "fig20", "table1", "fig18", "fig15"];
+    // Out of family order, with sweep-less artifacts in between: a paper
+    // table and the cheapest extension at this profile.
+    let ids = [
+        "fig16",
+        "fig20",
+        "table1",
+        "ext-faults-slowdisk",
+        "fig18",
+        "fig15",
+    ];
     let together = generate_many(&ids, &profile);
     assert_eq!(together.len(), ids.len());
     for (id, table) in ids.iter().zip(&together) {

@@ -2,18 +2,24 @@
 //! shape checks, persistence.
 
 use apm_repro::harness::experiment::ExperimentProfile;
-use apm_repro::harness::figures::{all_figures, disk_usage, generate, table1_table};
+use apm_repro::harness::figures::{disk_usage, generate, table1_table, ARTIFACTS};
 use apm_repro::harness::output::{render_experiments_md, FigureResult, ResultsFile};
 use apm_repro::harness::reference::{for_figure, reference_points};
 use apm_repro::harness::shape::checks_for;
 
 #[test]
 fn the_artifact_index_covers_every_evaluation_figure() {
-    let ids: Vec<&str> = all_figures().iter().map(|f| f.id).collect();
-    // Table 1 plus figures 3..=20 — figures 1/2 are illustrations.
-    assert_eq!(ids.len(), 19);
+    // Table 1 plus figures 3..=20 — figures 1/2 are illustrations — then
+    // the twenty extensions.
+    let (paper, extensions) = ARTIFACTS.split_at(19);
+    let ids: Vec<&str> = paper.iter().map(|a| a.id).collect();
+    assert_eq!(ids[0], "table1");
     for n in 3..=20 {
         assert!(ids.contains(&format!("fig{n}").as_str()), "missing fig{n}");
+    }
+    assert_eq!(extensions.len(), 20);
+    for artifact in extensions {
+        assert!(artifact.id.starts_with("ext-"), "{}", artifact.id);
     }
 }
 
