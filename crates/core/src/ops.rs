@@ -3,7 +3,6 @@
 //! The paper's workloads (Table 1) consist of reads, small scans, and
 //! inserts — APM data is append-only, so YCSB's update/delete operations
 //! are unused (*"we only included insert, read, and scan operations"*, §3).
-//! Updates are still modelled because two extension experiments use them.
 
 use crate::record::{MetricKey, Row};
 use crate::snap_enum;
@@ -18,13 +17,11 @@ pub enum OpKind {
     Scan,
     /// Append of a new record (the dominant APM operation).
     Insert,
-    /// In-place overwrite of an existing record (extension only).
-    Update,
 }
 
 impl OpKind {
     /// All kinds, in reporting order.
-    pub const ALL: [OpKind; 4] = [OpKind::Read, OpKind::Scan, OpKind::Insert, OpKind::Update];
+    pub const ALL: [OpKind; 3] = [OpKind::Read, OpKind::Scan, OpKind::Insert];
 
     /// Stable lower-case label used in reports and CSV output.
     pub fn label(self) -> &'static str {
@@ -32,17 +29,11 @@ impl OpKind {
             OpKind::Read => "read",
             OpKind::Scan => "scan",
             OpKind::Insert => "insert",
-            OpKind::Update => "update",
         }
-    }
-
-    /// Whether this operation mutates the store.
-    pub fn is_write(self) -> bool {
-        matches!(self, OpKind::Insert | OpKind::Update)
     }
 }
 
-snap_enum!(OpKind { 0 => Read, 1 => Scan, 2 => Insert, 3 => Update });
+snap_enum!(OpKind { 0 => Read, 1 => Scan, 2 => Insert });
 
 /// A fully-specified operation ready to be issued against a store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,8 +44,6 @@ pub enum Operation {
     Scan { start: MetricKey, len: usize },
     /// Append `row`.
     Insert { row: Row },
-    /// Replace the record under `row`'s key.
-    Update { row: Row },
 }
 
 impl Operation {
@@ -64,7 +53,6 @@ impl Operation {
             Operation::Read { .. } => OpKind::Read,
             Operation::Scan { .. } => OpKind::Scan,
             Operation::Insert { .. } => OpKind::Insert,
-            Operation::Update { .. } => OpKind::Update,
         }
     }
 
@@ -73,7 +61,7 @@ impl Operation {
         match self {
             Operation::Read { key } => *key,
             Operation::Scan { start, .. } => *start,
-            Operation::Insert { row } | Operation::Update { row } => row.key(),
+            Operation::Insert { row } => row.key(),
         }
     }
 }
@@ -82,7 +70,6 @@ snap_enum!(Operation {
     0 => Read { key },
     1 => Scan { start, len },
     2 => Insert { row },
-    3 => Update { row },
 });
 
 /// Result of executing an operation against a store, as seen by the
@@ -129,15 +116,7 @@ impl OpOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{FieldValues, Record};
-
-    #[test]
-    fn kinds_report_write_flag() {
-        assert!(!OpKind::Read.is_write());
-        assert!(!OpKind::Scan.is_write());
-        assert!(OpKind::Insert.is_write());
-        assert!(OpKind::Update.is_write());
-    }
+    use crate::record::Record;
 
     #[test]
     fn operation_kind_and_routing_key_agree() {
@@ -150,9 +129,6 @@ mod tests {
             },
             Operation::Insert {
                 row: Row::Generated(5),
-            },
-            Operation::Update {
-                row: Row::Literal(rec.key, FieldValues::ZERO),
             },
         ];
         for (op, kind) in ops.iter().zip(OpKind::ALL) {

@@ -27,18 +27,12 @@ pub struct OpMix {
     pub read_pct: u8,
     pub scan_pct: u8,
     pub insert_pct: u8,
-    pub update_pct: u8,
 }
 
 impl OpMix {
     /// Creates a mix, validating that it sums to 100 %.
-    pub fn new(
-        read_pct: u8,
-        scan_pct: u8,
-        insert_pct: u8,
-        update_pct: u8,
-    ) -> Result<Self, MixError> {
-        let sum = read_pct as u16 + scan_pct as u16 + insert_pct as u16 + update_pct as u16;
+    pub fn new(read_pct: u8, scan_pct: u8, insert_pct: u8) -> Result<Self, MixError> {
+        let sum = read_pct as u16 + scan_pct as u16 + insert_pct as u16;
         if sum != 100 {
             return Err(MixError { sum });
         }
@@ -46,7 +40,6 @@ impl OpMix {
             read_pct,
             scan_pct,
             insert_pct,
-            update_pct,
         })
     }
 
@@ -67,11 +60,7 @@ impl OpMix {
         if d < self.scan_pct {
             return OpKind::Scan;
         }
-        d -= self.scan_pct;
-        if d < self.insert_pct {
-            return OpKind::Insert;
-        }
-        OpKind::Update
+        OpKind::Insert
     }
 }
 
@@ -107,7 +96,7 @@ impl Workload {
     fn table1(name: &'static str, read: u8, scan: u8, insert: u8) -> Workload {
         Workload {
             name,
-            mix: OpMix::new(read, scan, insert, 0).expect("Table-1 mixes sum to 100"),
+            mix: OpMix::new(read, scan, insert).expect("Table-1 mixes sum to 100"),
             distribution: KeyDistribution::Uniform,
             scan_length: SCAN_LENGTH,
         }
@@ -222,12 +211,6 @@ impl WorkloadGenerator {
                     row: Row::Generated(scramble(seq)),
                 }
             }
-            OpKind::Update => {
-                let seq = self.chooser.choose(self.acked);
-                Operation::Update {
-                    row: Row::Generated(scramble(seq)),
-                }
-            }
         }
     }
 
@@ -270,21 +253,17 @@ mod tests {
             assert_eq!(w.mix.read_pct, read, "{name} read%");
             assert_eq!(w.mix.scan_pct, scan, "{name} scan%");
             assert_eq!(w.mix.insert_pct, insert, "{name} insert%");
-            assert_eq!(
-                w.mix.update_pct, 0,
-                "{name} has no updates (append-only APM data)"
-            );
             assert_eq!(w.scan_length, 50, "{name} scan length (§3)");
         }
     }
 
     #[test]
     fn invalid_mix_is_rejected() {
-        assert!(OpMix::new(50, 0, 49, 0).is_err());
-        assert!(OpMix::new(50, 25, 25, 25).is_err());
-        let err = OpMix::new(10, 10, 10, 10).unwrap_err();
-        assert_eq!(err.sum, 40);
-        assert!(err.to_string().contains("40"));
+        assert!(OpMix::new(50, 0, 49).is_err());
+        assert!(OpMix::new(50, 25, 26).is_err());
+        let err = OpMix::new(10, 10, 10).unwrap_err();
+        assert_eq!(err.sum, 30);
+        assert!(err.to_string().contains("30"));
     }
 
     #[test]
@@ -341,7 +320,6 @@ mod tests {
                         assert!(acked_ids, "read targeted unacked record");
                     }
                 }
-                Operation::Update { .. } => unreachable!("Table-1 workloads have no updates"),
             }
         }
     }

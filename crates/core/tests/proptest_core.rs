@@ -111,7 +111,7 @@ fn arbitrary_valid_mixes_generate_conforming_streams() {
         let read = rng.next_below(101) as u8;
         let scan = (rng.next_below(101) as u8).min(100 - read);
         let insert = 100 - read - scan;
-        let mix = OpMix::new(read, scan, insert, 0).expect("sums to 100");
+        let mix = OpMix::new(read, scan, insert).expect("sums to 100");
         let workload = Workload {
             name: "prop",
             mix,

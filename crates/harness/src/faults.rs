@@ -245,7 +245,7 @@ pub(crate) fn read_only() -> Workload {
     let base = Workload::r();
     Workload {
         name: "read-only",
-        mix: apm_core::workload::OpMix::new(100, 0, 0, 0).expect("valid mix"),
+        mix: apm_core::workload::OpMix::new(100, 0, 0).expect("valid mix"),
         distribution: base.distribution,
         scan_length: base.scan_length,
     }

@@ -289,13 +289,16 @@ impl LsmTree {
             .compacting_inputs
             .remove(&job_id)
             .unwrap_or_else(|| panic!("unknown compaction job {job_id}"));
-        let input_tables: Vec<&SsTable> = self
+        // Runs left out but newer than an input: another size tier's, or
+        // one flushed while this compaction was in flight.
+        let oldest = inputs.iter().copied().min().unwrap_or(u64::MAX);
+        let (input_tables, newer): (Vec<&SsTable>, Vec<&SsTable>) = self
             .tables
             .iter()
-            .filter(|t| inputs.contains(&t.id))
-            .collect();
+            .filter(|t| t.id >= oldest)
+            .partition(|t| inputs.contains(&t.id));
         debug_assert_eq!(input_tables.len(), inputs.len());
-        let merged = SsTable::merge(self.next_table_id, &input_tables);
+        let merged = SsTable::merge(self.next_table_id, &input_tables, &newer);
         self.next_table_id += 1;
         self.stats.compactions += 1;
         self.stats.bytes_compacted += merged.disk_bytes();
@@ -671,6 +674,36 @@ mod tests {
             Some(Row::new(key, v2)),
             "older version resurrected"
         );
+
+        // A flush that lands while a compaction is in flight: the merged
+        // run takes an id above the flushed run's, so it must carry the
+        // flushed version of a key its inputs also hold.
+        let mut tree = LsmTree::new(small_config());
+        let insert = |tree: &mut LsmTree, seqs: std::ops::Range<u64>| {
+            let flushes = seqs.filter_map(|seq| {
+                let r = record_for_seq(seq);
+                tree.insert(r.key, r.fields).1
+            });
+            flushes.collect::<Vec<_>>()
+        };
+        assert_eq!(tree.insert(key, v1).1, None);
+        let flushes = insert(&mut tree, 1_000..1_399);
+        let compaction = flushes.into_iter().filter_map(|f| tree.complete(f)).last();
+        let compaction = compaction.expect("four runs compact");
+        assert_eq!(tree.insert(key, v2).1, None);
+        for flush in insert(&mut tree, 2_000..2_099) {
+            assert_eq!(tree.complete(flush), None, "one compaction at a time");
+        }
+        assert_eq!(tree.table_count(), 5);
+        tree.complete(compaction);
+        assert_eq!(tree.table_count(), 2);
+        let newest = Some(Row::new(key, v2));
+        assert_eq!(
+            tree.get(&key).0,
+            newest,
+            "flushed mid-compaction, then shadowed"
+        );
+        assert_eq!(tree.scan(&key, 1).0.first().copied(), newest);
     }
 
     #[test]

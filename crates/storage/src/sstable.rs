@@ -53,8 +53,11 @@ impl SsTable {
     /// Merges several tables into one by streaming them through a
     /// [`MergeCursor`]. On key collisions the row from the table with
     /// the highest id (the newest run) wins, whatever the order of
-    /// `inputs`.
-    pub fn merge(id: u64, inputs: &[&SsTable]) -> SsTable {
+    /// `inputs`. `newer` are runs left out of the merge with an id above
+    /// an input's: where one holds a key the inputs hold, its version wins
+    /// over every older run's, so the merged run holds the inputs' keys,
+    /// each at its newest version.
+    pub fn merge(id: u64, inputs: &[&SsTable], newer: &[&SsTable]) -> SsTable {
         let mut cursor = MergeCursor::with_capacity(inputs.len());
         for table in inputs {
             cursor.push_run(table.id, table.rows.all());
@@ -64,6 +67,14 @@ impl SsTable {
         let mut rows = SortedRows::with_capacity(inputs.iter().map(|t| t.len()).sum());
         for row in cursor {
             rows.push(row);
+        }
+        for run in newer {
+            for row in run.rows.rows() {
+                let shadows = |t: &&SsTable| t.id > run.id && t.rows.holds_key_of(row);
+                if rows.holds_key_of(row) && !inputs.iter().chain(newer).any(shadows) {
+                    rows.insert(row.to_row());
+                }
+            }
         }
         rows.shrink_to_fit();
         SsTable::from_rows(id, rows)
@@ -216,7 +227,7 @@ mod tests {
     fn merge_prefers_newer_tables_on_collision() {
         let old = build(1, 0..100);
         let new = build(2, 50..150);
-        let merged = SsTable::merge(3, &[&new, &old]);
+        let merged = SsTable::merge(3, &[&new, &old], &[]);
         assert_eq!(merged.len(), 150, "overlap must be deduplicated");
         let mut receipt = CostReceipt::new();
         let probe = merged.get(&row(75).key(), &mut receipt);
@@ -236,7 +247,7 @@ mod tests {
         for (old, new) in tables {
             let old = SsTable::from_rows(1, [old].into_iter().collect());
             let new_table = SsTable::from_rows(2, [new].into_iter().collect());
-            let merged = SsTable::merge(3, &[&old, &new_table]);
+            let merged = SsTable::merge(3, &[&old, &new_table], &[]);
             let mut receipt = CostReceipt::new();
             let probe = merged.get(&key, &mut receipt);
             assert_eq!(

@@ -506,6 +506,15 @@ impl SortedRows {
         Some(Row::Literal(key, fields))
     }
 
+    /// Whether `row`'s key is held; a generated row among no literal
+    /// ones is searched as its id, with no key rendered.
+    pub(crate) fn holds_key_of(&self, row: RowRef<'_>) -> bool {
+        match row {
+            RowRef::Generated(id) if self.literal.is_empty() => self.ids.binary_search(&id).is_ok(),
+            RowRef::Generated(_) | RowRef::Literal(..) => self.get(&row.key()).is_some(),
+        }
+    }
+
     /// Inserts or replaces `row`; true when its key is new. A row moves
     /// between the halves when its fields start or stop being its id's.
     pub fn insert(&mut self, row: Row) -> bool {

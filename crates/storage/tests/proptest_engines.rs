@@ -701,7 +701,8 @@ fn entries_of(table: &SsTable) -> Vec<Row> {
 /// The collect-sort-dedup merge `SsTable::merge` used before it streamed
 /// through the cursor, kept as the reference: concatenate every input row
 /// tagged with its table id, sort by (key, id descending), keep the first
-/// of each key.
+/// of each key. Runs newer than an input but left out of the merge are
+/// this reference over every run, kept to the inputs' keys.
 fn reference_merge(inputs: &[&SsTable]) -> SortedRows {
     let mut all: Vec<(u64, MetricKey, Row)> = Vec::new();
     for table in inputs {
@@ -747,9 +748,20 @@ fn sstable_merge_equals_collect_sort_dedup_reference() {
         for i in (1..tables.len()).rev() {
             tables.swap(i, rng.next_below(i as u64 + 1) as usize);
         }
-        let inputs: Vec<&SsTable> = tables.iter().collect();
-        let merged = SsTable::merge(99, &inputs);
-        let reference = SsTable::from_rows(99, reference_merge(&inputs));
+        // The first `k` merge; of the rest, those newer than an input
+        // stand outside the merge, and their versions win where newer.
+        let k = 1 + rng.next_below(tables.len() as u64) as usize;
+        let inputs: Vec<&SsTable> = tables[..k].iter().collect();
+        let oldest = inputs.iter().map(|t| t.id).min();
+        let newer: Vec<&SsTable> = tables[k..].iter().filter(|t| Some(t.id) > oldest).collect();
+        let merged = SsTable::merge(99, &inputs, &newer);
+        let keys = reference_merge(&inputs);
+        let every: Vec<&SsTable> = inputs.iter().chain(&newer).copied().collect();
+        let versions = SsTable::from_rows(0, reference_merge(&every));
+        let held = entries_of(&versions)
+            .into_iter()
+            .filter(|r| keys.get(&r.key()).is_some());
+        let reference = SsTable::from_rows(99, held.collect());
         assert_eq!(entries_of(&merged), entries_of(&reference), "case {case}");
         assert_eq!(merged.disk_bytes(), reference.disk_bytes(), "case {case}");
         for seq in 0..200 {
@@ -1006,32 +1018,45 @@ fn forged_rows(rows: &[Row], swap: usize, duplicate: bool) -> Vec<u8> {
     })
 }
 
+/// Completes one of `pending`, picked by `rng`, and holds the job its
+/// completion announces.
+fn complete_one(lsm: &mut LsmTree, pending: &mut Vec<BackgroundJob>, rng: &mut SplitRng) {
+    let job = pending.swap_remove(rng.next_below(pending.len() as u64) as usize);
+    pending.extend(lsm.complete(job));
+}
+
 /// A memtable's `RecordTable`, a run, and an LSM tree against a
 /// `BTreeMap`, op by op: get, scan, `scan_count`, the codec's bytes (the
 /// model's own, where the engine writes a map or a run of its rows) and
-/// its round trip, and the refusal of rows out of key order.
+/// its round trip, and the refusal of rows out of key order. Cases
+/// alternate the two compaction strategies, and the tree's background
+/// jobs are held and completed in a seeded order, so flushes land while
+/// a compaction is in flight and a size-tiered merge leaves newer runs
+/// out: a rewritten key must still read its newest version.
 fn lsm_engines_match_the_model(cases: u64, ops: usize) {
     let mut root = SplitRng::new(0x6C73_6D72);
     for case in 0..cases {
         let mut rng = root.split(case);
-        // Leveled: a size-tiered merge of older runs past a newer one
-        // takes the newest id, so once keys are rewritten the older
-        // version can win (the existing order, kept byte for byte; the
-        // benchmark rewrites no key).
         let config = LsmConfig {
             memtable_flush_bytes: 75 * (4 + rng.next_below(20)),
-            strategy: CompactionStrategy::Leveled,
+            strategy: [CompactionStrategy::SizeTiered, CompactionStrategy::Leveled]
+                [case as usize % 2],
         };
+        // One held job completes every `patience` ops, on average.
+        let patience = 1 + rng.next_below(6);
+        let mut pending: Vec<BackgroundJob> = Vec::new();
         let mut memtable = RecordTable::new();
         let mut lsm = LsmTree::new(config);
         let mut model: BTreeMap<MetricKey, FieldValues> = BTreeMap::new();
         for (step, op) in row_ops(&mut rng, ops).into_iter().enumerate() {
+            if !pending.is_empty() && rng.next_below(patience) == 0 {
+                complete_one(&mut lsm, &mut pending, &mut rng);
+            }
             match op {
                 RowOp::Insert(k, v) => {
                     let new = model.insert(k, v).is_none();
                     assert_eq!(memtable.insert(Row::new(k, v)), new, "case {case}");
-                    let (_, job) = lsm.insert(k, v);
-                    lsm.settle(job);
+                    pending.extend(lsm.insert(k, v).1);
                 }
                 RowOp::Get(k) => {
                     let want = model.get(&k).map(|v| Row::new(k, *v));
@@ -1105,6 +1130,9 @@ fn lsm_engines_match_the_model(cases: u64, ops: usize) {
                 LsmTree::snap_state,
                 LsmTree::restore_state,
             );
+            for job in &pending {
+                assert_eq!(lsm.in_flight(job.id), Some(*job), "case {case}");
+            }
             // Rows out of key order, or twice, are refused by index.
             if rows.len() >= 2 {
                 let at = rng.next_below(rows.len() as u64 - 1) as usize;
@@ -1132,6 +1160,10 @@ fn lsm_engines_match_the_model(cases: u64, ops: usize) {
         }
         assert!(lsm.record_count() >= model.len() as u64, "case {case}");
         let all = model_rows(&model, &MetricKey::MIN, usize::MAX);
+        assert_eq!(lsm.scan(&MetricKey::MIN, usize::MAX).0, all, "case {case}");
+        while !pending.is_empty() {
+            complete_one(&mut lsm, &mut pending, &mut rng);
+        }
         assert_eq!(lsm.scan(&MetricKey::MIN, usize::MAX).0, all, "case {case}");
     }
 }

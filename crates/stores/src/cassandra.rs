@@ -345,7 +345,7 @@ impl CassandraStore {
                     RESP_READ_BYTES * (*len as u64) / 2,
                 )
             }
-            Operation::Insert { .. } | Operation::Update { .. } => {
+            Operation::Insert { .. } => {
                 unreachable!("write ops handled in write_plan")
             }
         };
@@ -458,9 +458,7 @@ impl DistributedStore for CassandraStore {
                 let node = self.coordinator(self.ring.replica_walk(key, self.replication));
                 self.read_plan(client, node, op)
             }
-            Operation::Insert { row } | Operation::Update { row } => {
-                self.write_plan(client, *row, engine)
-            }
+            Operation::Insert { row } => self.write_plan(client, *row, engine),
         }
     }
 

@@ -273,7 +273,7 @@ impl DistributedStore for HbaseStore {
                 let plan = self.read_plan(client, server, host, cpu, &receipt.io, RESP_READ_BYTES);
                 (OpOutcome::read(found), plan)
             }
-            Operation::Insert { row } | Operation::Update { row } => {
+            Operation::Insert { row } => {
                 let server = self.regions.route(&row.key());
                 let Some(host) = self.host_for(server) else {
                     return (OpOutcome::Done, self.dead_region_plan(client, server));

@@ -154,7 +154,7 @@ impl DistributedStore for MongoStore {
                         });
                 (OpOutcome::read(found), plan)
             }
-            Operation::Insert { row } | Operation::Update { row } => {
+            Operation::Insert { row } => {
                 let shard_idx = self.chunks.route(&row.key());
                 let shard = &mut self.shards[shard_idx];
                 let receipt = shard.pages.insert(*row);

@@ -247,7 +247,7 @@ impl DistributedStore for MysqlStore {
                         });
                 (OpOutcome::read(found), plan)
             }
-            Operation::Insert { row } | Operation::Update { row } => {
+            Operation::Insert { row } => {
                 let shard_idx = self.shards_map.route(&row.key());
                 let now = engine.now();
                 let shard = &mut self.shards[shard_idx];

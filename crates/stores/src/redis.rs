@@ -232,7 +232,7 @@ impl DistributedStore for RedisStore {
                 let plan = self.command_plan(client, REQUEST, shard, cost, RESP_READ_BYTES);
                 (OpOutcome::read(found), plan)
             }
-            Operation::Insert { row } | Operation::Update { row } => {
+            Operation::Insert { row } => {
                 let shard = self.shard(&row.key());
                 let (outcome, cost) = match self.instances[shard].store.insert_row(*row) {
                     Ok(receipt) => (OpOutcome::Done, CMD_COST.cpu(&receipt)),

@@ -1264,7 +1264,7 @@ pub(crate) mod tests {
         ) -> (OpOutcome, Plan) {
             let outcome = match op {
                 Operation::Read { key } => OpOutcome::read(self.data.get(key).copied()),
-                Operation::Insert { row } | Operation::Update { row } => {
+                Operation::Insert { row } => {
                     self.data.insert(row.key(), *row);
                     OpOutcome::Done
                 }
@@ -1372,6 +1372,16 @@ pub(crate) mod tests {
         config: &RunConfig,
         forge: impl FnOnce(&mut Driver),
     ) -> Result<RunResult, SnapError> {
+        forge_driver_bytes(config, forge, |_, ()| {})
+    }
+
+    /// [`forge_driver`], whose re-encoded driver section `edit` then
+    /// changes as bytes, given what `forge` returned.
+    fn forge_driver_bytes<T>(
+        config: &RunConfig,
+        forge: impl FnOnce(&mut Driver) -> T,
+        edit: impl FnOnce(&mut [u8], T),
+    ) -> Result<RunResult, SnapError> {
         let edit = |body: &mut Vec<u8>, store_len: usize| {
             let mut r = SnapReader::new(&body[store_len..]);
             let mut engine = Engine::new();
@@ -1382,11 +1392,12 @@ pub(crate) mod tests {
             let driver_at = body.len() - r.remaining();
             let mut d = Driver::new(config, &store, &engine);
             d.restore_state(&mut r).expect("driver section decodes");
-            forge(&mut d);
+            let forged = forge(&mut d);
             let mut w = SnapWriter::new();
             d.snap_state(&mut w);
             body.truncate(driver_at);
             body.extend_from_slice(w.bytes());
+            edit(&mut body[driver_at..], forged);
         };
         resume_forged_under(
             config,
@@ -1718,6 +1729,54 @@ pub(crate) mod tests {
             d.ps.budget = Some(AdmissionBudget::new(&AdmissionPolicy::standard()));
         });
         assert_refused(resumed, "admission budget", 10);
+    }
+
+    /// Sets the byte at `at` of a driver section, an insert's tag, to 3:
+    /// an update's, a kind no workload issues, which neither `Operation`
+    /// nor `OpKind` has.
+    fn update_tag(section: &mut [u8], at: usize) {
+        assert_eq!(section[at], 2, "an insert's tag");
+        section[at] = 3;
+    }
+
+    /// A client slot's op with tag 3 is a typed refusal on resume.
+    #[test]
+    fn a_forged_update_op_is_refused_on_resume() {
+        let resumed = forge_driver_bytes(
+            &forged_run_config(),
+            |d| {
+                d.slots[0].op = Operation::Insert {
+                    row: Row::Generated(5),
+                };
+                // Slot 0's op follows the generator and the slots' count.
+                let mut w = SnapWriter::new();
+                d.generator.snap_state(&mut w);
+                w.len() + 8
+            },
+            update_tag,
+        );
+        assert_refused(resumed, "Operation", 3);
+    }
+
+    /// A statistics map keyed by `OpKind` tag 3 is a typed refusal on
+    /// resume.
+    #[test]
+    fn a_forged_update_stats_kind_is_refused_on_resume() {
+        let resumed = forge_driver_bytes(
+            &forged_run_config(),
+            |d| {
+                d.stats = BenchStats::new();
+                d.stats.record(OpKind::Insert, 1_000);
+                // The latency map's first key follows the generator, the
+                // slots and the map's count.
+                let mut w = SnapWriter::new();
+                d.generator.snap_state(&mut w);
+                w.put(&d.slots);
+                w.len() + 8
+            },
+            update_tag,
+        );
+        assert_refused(resumed, "OpKind", 3);
     }
 
     /// A checkpoint resumes only into an engine that registered the

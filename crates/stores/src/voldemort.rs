@@ -159,7 +159,7 @@ impl DistributedStore for VoldemortStore {
                         });
                 (OpOutcome::read(found), plan)
             }
-            Operation::Insert { row } | Operation::Update { row } => {
+            Operation::Insert { row } => {
                 let node_idx = self.map.route(&row.key());
                 let node = &mut self.nodes[node_idx];
                 let mut receipt = node.pages.insert(*row);

@@ -197,9 +197,7 @@ impl DistributedStore for VoltDbStore {
     fn plan_op(&mut self, client: u32, op: &Operation, _engine: &mut Engine) -> (OpOutcome, Plan) {
         match op {
             Operation::Read { key } => self.single_partition_plan(client, key, None),
-            Operation::Insert { row } | Operation::Update { row } => {
-                self.single_partition_plan(client, &row.key(), Some(*row))
-            }
+            Operation::Insert { row } => self.single_partition_plan(client, &row.key(), Some(*row)),
             Operation::Scan { start, len } => self.scan_plan(client, start, *len),
         }
     }
